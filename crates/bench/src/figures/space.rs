@@ -25,6 +25,8 @@ pub fn run(wb: &mut Workbench) {
             "collection",
             "term auth",
             "doc auth",
+            "sigs paper",
+            "sigs here",
             "serve cache",
             "extra vs index",
             "extra vs total",
@@ -37,6 +39,8 @@ pub fn run(wb: &mut Workbench) {
             fmt_bytes(report.contents_bytes as f64),
             fmt_bytes(report.term_auth_bytes as f64),
             fmt_bytes(report.doc_auth_bytes as f64),
+            report.paper_signatures.to_string(),
+            report.signatures.to_string(),
             fmt_bytes(report.cache_resident_bytes as f64),
             format!("{:.1}%", report.overhead_vs_index_pct()),
             format!("{:.1}%", report.overhead_vs_total_pct()),
@@ -83,6 +87,11 @@ pub fn run(wb: &mut Workbench) {
          engine RAM for the PR 1 structure cache ('(cached)' rows; disk \
          bytes identical; 0 under the paper's regenerate-from-leaves \
          model used by the timing figures).",
+    );
+    t.note(
+        "signatures: the paper stores one per term and, under TRA, one per \
+         document; here one document-table signature replaces the per-document \
+         ones ('sigs paper' vs 'sigs here').",
     );
     t.print();
 }

@@ -42,6 +42,8 @@ pub fn run(wb: &mut Workbench) {
             "CMHT digest%",
             "paper MHT data%",
             "paper CMHT data%",
+            "sigs paper",
+            "sigs here",
         ],
     );
     for (i, &qsize) in QUERY_SIZES.iter().enumerate() {
@@ -60,8 +62,17 @@ pub fn run(wb: &mut Workbench) {
             format!("{:.0}", 100.0 - pct(cmht.mean_vo_data, cmht.mean_vo_digest)),
             format!("{paper_mht:.0}"),
             format!("{paper_cmht:.0}"),
+            format!("{:.0}", mht.mean_paper_signatures),
+            format!("{:.0}", mht.mean_signatures),
         ]);
     }
     t.note("paper: chain-MHT + buddy inclusion shift the VO towards data, cutting it ~30%");
+    t.note(
+        "signatures per VO (TRA-MHT; excluded from data/digest %): the paper signs \
+         every term list and every encountered document; here one document-table \
+         signature replaces the per-document ones, so a reply carries one per term \
+         plus one, and the document-table multi-proof adds its digests to the \
+         digest column",
+    );
     t.print();
 }

@@ -166,6 +166,11 @@ pub struct AggregateMetrics {
     pub mean_vo_digest: f64,
     /// Mean VO signature bytes.
     pub mean_vo_sig: f64,
+    /// Mean signatures per VO (one per term plus one under TRA).
+    pub mean_signatures: f64,
+    /// Mean signatures the paper's scheme carries for the same replies
+    /// (one per term plus one per encountered document under TRA).
+    pub mean_paper_signatures: f64,
     /// Figure (e): mean user verification seconds (wall clock).
     pub mean_verify_secs: f64,
     /// Mean engine processing + VO construction seconds (wall clock).
@@ -194,6 +199,8 @@ pub fn run_workload(
         agg.mean_pct_read += m.mean_pct_read();
         agg.mean_io_secs += m.io_secs;
         vo_total = vo_total + m.vo_size;
+        agg.mean_signatures += m.signatures as f64;
+        agg.mean_paper_signatures += m.paper_signatures as f64;
         agg.mean_verify_secs += m.verify_time.as_secs_f64();
         agg.mean_process_secs += m.process_time.as_secs_f64();
     }
@@ -206,6 +213,8 @@ pub fn run_workload(
     agg.mean_vo_data = vo_total.data as f64 / n;
     agg.mean_vo_digest = vo_total.digest as f64 / n;
     agg.mean_vo_sig = vo_total.signature as f64 / n;
+    agg.mean_signatures /= n;
+    agg.mean_paper_signatures /= n;
     agg.mean_verify_secs /= n;
     agg.mean_process_secs /= n;
     agg

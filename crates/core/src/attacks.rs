@@ -13,6 +13,7 @@ use crate::auth::AuthenticatedIndex;
 use crate::types::{ProcessingOutcome, Query, ResultEntry};
 use crate::vo::PrefixData;
 use authsearch_corpus::DocId;
+use authsearch_crypto::Digest;
 
 /// The catalogue of simulated attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,6 +56,16 @@ pub enum Attack {
     /// multiset — term frequencies are unchanged, so only the
     /// content-digest binding can catch it.
     PhraseOrderSwap,
+    /// TRA: flip a bit in the document-table signature.
+    ForgeDocTableSignature,
+    /// TRA: drop the last digest of the document-table multi-proof.
+    DropDocTableDigest,
+    /// TRA: append one digest to the document-table multi-proof.
+    ExtraDocTableDigest,
+    /// TRA: relabel a non-result document proof with its neighbour's doc
+    /// id, putting its leaf in the neighbour's slot of the document
+    /// table (its sibling, so the multi-proof keeps its shape).
+    ShiftDocId,
 }
 
 impl Attack {
@@ -75,6 +86,16 @@ impl Attack {
         Attack::AlterDocFrequency,
         Attack::DropDocProof,
         Attack::TamperContent,
+    ];
+
+    /// Attacks on the TRA document-table proof; each applies to every
+    /// TRA response with a non-result document proof whose sibling slot
+    /// is free (see [`Attack::ShiftDocId`]).
+    pub const DOC_TABLE: [Attack; 4] = [
+        Attack::ForgeDocTableSignature,
+        Attack::DropDocTableDigest,
+        Attack::ExtraDocTableDigest,
+        Attack::ShiftDocId,
     ];
 
     /// Attacks against the conjunctive / phrase query model
@@ -106,6 +127,10 @@ impl Attack {
             Attack::WrongIntersection => "narrow the intersection",
             Attack::ExtraIntersectionDoc => "widen the intersection",
             Attack::PhraseOrderSwap => "swap phrase word order",
+            Attack::ForgeDocTableSignature => "forge document-table signature",
+            Attack::DropDocTableDigest => "drop a document-table digest",
+            Attack::ExtraDocTableDigest => "add a document-table digest",
+            Attack::ShiftDocId => "shift a doc id into its neighbour's slot",
         }
     }
 
@@ -315,8 +340,70 @@ impl Attack {
                 }
                 false
             }
+            Attack::ForgeDocTableSignature => {
+                let Some(sig) = response.vo.doc_table.as_mut().map(|t| &mut t.signature) else {
+                    return false;
+                };
+                let Some(byte) = sig.first_mut() else {
+                    return false;
+                };
+                *byte ^= 0x40;
+                true
+            }
+            Attack::DropDocTableDigest => response
+                .vo
+                .doc_table
+                .as_mut()
+                .and_then(|t| t.proof.digests.pop())
+                .is_some(),
+            Attack::ExtraDocTableDigest => {
+                let Some(table) = response.vo.doc_table.as_mut() else {
+                    return false;
+                };
+                table.proof.digests.push(Digest::ZERO);
+                true
+            }
+            Attack::ShiftDocId => {
+                // An odd id's sibling is the even id below it; a
+                // non-result document keeps the content check out of the
+                // way, so only the table can object.
+                let taken: Vec<DocId> = response.vo.docs.iter().map(|d| d.doc).collect();
+                let Some(dv) = response.vo.docs.iter_mut().find(|dv| {
+                    dv.doc % 2 == 1 && dv.content_digest.is_some() && !taken.contains(&(dv.doc - 1))
+                }) else {
+                    return false;
+                };
+                dv.doc -= 1;
+                true
+            }
         }
     }
+}
+
+/// TRA: the document-table signature and multi-proof of an **older**
+/// publication of a same-sized collection spliced into an honest reply —
+/// the owner's genuine signature, over a table that is not this one.
+/// Returns `None` when either side carries no document table.
+pub fn stale_doc_table_response(
+    honest: &QueryResponse,
+    older: &AuthenticatedIndex,
+) -> Option<QueryResponse> {
+    honest.vo.doc_table.as_ref()?;
+    let docs: Vec<DocId> = honest.vo.docs.iter().map(|d| d.doc).collect();
+    let mut stale = honest.clone();
+    stale.vo.doc_table = Some(older.doc_table_vo(&docs)?);
+    Some(stale)
+}
+
+/// TRA: relabel the last document proof with id `n`, one past the end of
+/// the signed document table. Returns `None` without document proofs.
+pub fn doc_beyond_table_response(
+    honest: &QueryResponse,
+    auth: &AuthenticatedIndex,
+) -> Option<QueryResponse> {
+    let mut beyond = honest.clone();
+    beyond.vo.docs.last_mut()?.doc = DocId::try_from(auth.index().num_docs()).ok()?;
+    Some(beyond)
 }
 
 /// A smarter attack that cannot be expressed as a response mutation: the
@@ -413,13 +500,14 @@ mod tests {
     fn attack_names_unique() {
         let mut names: Vec<&str> = Attack::COMMON
             .iter()
-            .chain(Attack::TRA_ONLY.iter())
-            .chain(Attack::CONJUNCTIVE.iter())
+            .chain(&Attack::TRA_ONLY)
+            .chain(&Attack::CONJUNCTIVE)
+            .chain(&Attack::DOC_TABLE)
             .map(|a| a.name())
             .collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 15);
+        assert_eq!(names.len(), 19);
     }
 
     #[test]
@@ -474,7 +562,11 @@ mod tests {
             publication
                 .auth
                 .query(&crate::toy::toy_query(), 2, &crate::toy::toy_contents());
-        for attack in Attack::COMMON.iter().chain(Attack::TRA_ONLY.iter()) {
+        let catalogue = Attack::COMMON
+            .iter()
+            .chain(&Attack::TRA_ONLY)
+            .chain(&Attack::DOC_TABLE);
+        for attack in catalogue {
             let mut copy = honest.clone();
             let applied = attack.apply(&mut copy);
             // AlterPrefixWeight targets TNRA entries; everything else

@@ -6,7 +6,11 @@
 //!   (head) digest bound to the term and `f_t` by a signature;
 //! * for the TRA mechanisms, a **document-MHT** over every document's
 //!   `(t, w_{d,t})` leaves, its root bound to the document id and the
-//!   digest of the document's content by a signature;
+//!   digest of the document's content by `doc_message` — and one
+//!   **document-table MHT** over those messages' digests, in doc-id
+//!   order, whose root carries the collection's single document-side
+//!   signature (the paper signs every document instead; see
+//!   `doc_table_message`);
 //! * optionally (§3.4), a single **dictionary-MHT** over all term roots,
 //!   replacing the per-list signatures with one signature at the cost of
 //!   extra digests per VO.
@@ -325,13 +329,45 @@ pub(crate) fn term_message(term: TermId, ft: u32, root: &Digest) -> Vec<u8> {
     msg
 }
 
-/// Signed message binding a document: the paper's
-/// `sign(h(h(doc) | d | root))` (Figure 8).
+/// Message binding a document: the `h(doc) | d | root` of the paper's
+/// `sign(h(h(doc) | d | root))` (Figure 8). The paper signs it per
+/// document; here its digest is leaf `d` of the document table
+/// ([`doc_table_leaf`]).
 pub(crate) fn doc_message(doc: DocId, content_digest: &Digest, root: &Digest) -> Vec<u8> {
     let mut msg = Vec::with_capacity(19 + 4 + 32);
     msg.extend_from_slice(b"authsearch:doc:v1|");
     msg.extend_from_slice(&content_digest.0);
     msg.extend_from_slice(&doc.to_le_bytes());
+    msg.extend_from_slice(root.as_bytes());
+    msg
+}
+
+/// Document-table leaf for document `doc`: the digest of its
+/// [`doc_message`]. The verifier hashes the 54-byte message itself, so
+/// no interior node (a hash of 32 bytes) can stand in for a leaf.
+pub(crate) fn doc_table_leaf(doc: DocId, content_digest: &Digest, root: &Digest) -> Digest {
+    Digest::hash(&doc_message(doc, content_digest, root))
+}
+
+/// The document-table MHT: leaf `d` is [`doc_table_leaf`] of document
+/// `d`, so a leaf's position *is* its document id.
+pub(crate) fn doc_table_tree(content_digests: &[Digest], roots: &[Digest]) -> MerkleTree {
+    let leaves = (0..)
+        .zip(content_digests.iter().zip(roots))
+        .map(|(d, (cd, root))| doc_table_leaf(d, cd, root))
+        .collect();
+    MerkleTree::from_leaf_digests(leaves)
+}
+
+/// Signed message for the document-table root: one signature for the
+/// whole collection, binding its size `n` (the tree's shape) and the
+/// root. This is §3.4's dictionary-MHT trick applied to documents: a
+/// TRA reply carries one multi-proof and one signature instead of one
+/// signature per encountered document.
+pub(crate) fn doc_table_message(num_docs: u32, root: &Digest) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(23 + 4 + 16);
+    msg.extend_from_slice(b"authsearch:doctable:v1|");
+    msg.extend_from_slice(&num_docs.to_le_bytes());
     msg.extend_from_slice(root.as_bytes());
     msg
 }
@@ -367,9 +403,15 @@ pub struct AuthenticatedIndex {
     term_sigs: Vec<Vec<u8>>,
     /// Dictionary-MHT signature (dictionary-MHT mode only).
     dict_sig: Option<Vec<u8>>,
-    /// TRA only: per-document content digests and signatures.
+    /// TRA only: per-document content digests `h(doc)`.
     doc_content_digests: Vec<Digest>,
-    doc_sigs: Vec<Vec<u8>>,
+    /// TRA only: per-document document-MHT roots.
+    doc_roots: Vec<Digest>,
+    /// TRA only: the document-table MHT ([`doc_table_tree`]), resident
+    /// so every reply's multi-proof is one `prove` call.
+    doc_tree: Option<MerkleTree>,
+    /// TRA only: the owner's one signature over [`doc_table_message`].
+    doc_table_sig: Option<Vec<u8>>,
     public_key: RsaPublicKey,
     /// Engine-side structure cache (see [`cache`] and the module docs).
     cache: cache::ServeCache,
@@ -385,11 +427,12 @@ pub struct AuthenticatedIndex {
 impl AuthenticatedIndex {
     /// Build every authentication structure and sign the roots. This is
     /// the owner's one-off preprocessing step (the dominant cost is one
-    /// RSA signature per dictionary term, plus one per document for TRA).
+    /// RSA signature per dictionary term, plus one for the document
+    /// table under TRA).
     ///
     /// The work is embarrassingly parallel — every term's structure and
-    /// signature, and every document's content digest, MHT root, and
-    /// signature, is independent — so it fans out over a work-stealing
+    /// signature, and every document's content digest and MHT root, is
+    /// independent — so it fans out over a work-stealing
     /// [`crate::pool::ThreadPool`] sized by [`AuthConfig::build_threads`]
     /// (`threads: 1` keeps the paper's sequential owner model on the
     /// calling thread). Workers share `key` by reference, so every
@@ -472,22 +515,28 @@ impl AuthenticatedIndex {
             (sigs, None)
         };
 
-        // Document structures (TRA mechanisms only): hash the content,
-        // fold the document-MHT, and sign — independently per document.
-        let (doc_content_digests, doc_sigs) = if config.mechanism.is_tra() {
+        // Document structures (TRA mechanisms only): hash the content and
+        // fold the document-MHT independently per document, then fold
+        // the document table and sign its root once.
+        let (doc_content_digests, doc_roots, doc_tree, doc_table_sig) = if config.mechanism.is_tra()
+        {
             let n = index.num_docs();
-            let per_doc: Vec<(Digest, Vec<u8>)> = pool.map(n, |d| {
+            let per_doc: Vec<(Digest, Digest)> = pool.map(n, |d| {
                 let d = d as DocId;
-                let cd = Digest::hash(&contents.content(d));
-                let root = doc_root(doc_table.doc_terms(d));
-                let sig = key
-                    .sign(&doc_message(d, &cd, &root))
-                    .expect("doc signature");
-                (cd, sig)
+                (
+                    Digest::hash(&contents.content(d)),
+                    doc_root(doc_table.doc_terms(d)),
+                )
             });
-            per_doc.into_iter().unzip()
+            let (digests, roots): (Vec<Digest>, Vec<Digest>) = per_doc.into_iter().unzip();
+            let tree = doc_table_tree(&digests, &roots);
+            let num_docs = u32::try_from(n).expect("document ids are u32");
+            let sig = key
+                .sign(&doc_table_message(num_docs, &tree.root()))
+                .expect("document-table signature");
+            (digests, roots, Some(tree), Some(sig))
         } else {
-            (Vec::new(), Vec::new())
+            (Vec::new(), Vec::new(), None, None)
         };
 
         AuthenticatedIndex {
@@ -498,7 +547,9 @@ impl AuthenticatedIndex {
             term_sigs,
             dict_sig,
             doc_content_digests,
-            doc_sigs,
+            doc_roots,
+            doc_tree,
+            doc_table_sig,
             public_key: key.public_key().clone(),
             cache: serve_cache,
             // The build's workers live on as the serving pool: a server
@@ -626,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn tra_build_signs_every_document() {
+    fn tra_build_signs_the_document_table_once() {
         let key = cached_keypair(TEST_KEY_BITS);
         let auth = AuthenticatedIndex::build(
             toy_index(),
@@ -634,12 +685,19 @@ mod tests {
             test_config(Mechanism::TraMht),
             &toy_contents(),
         );
-        assert_eq!(auth.doc_sigs.len(), 9);
+        let tree = auth.doc_tree.as_ref().unwrap();
+        assert_eq!(tree.num_leaves(), 9);
+        // Leaf d is the digest of document d's message.
         let d = 6u32;
         let root = doc_root(auth.doc_table().doc_terms(d));
+        assert_eq!(auth.doc_roots[d as usize], root);
         let msg = doc_message(d, &auth.doc_content_digests[d as usize], &root);
+        assert_eq!(tree.leaf_digests()[d as usize], Digest::hash(&msg));
         auth.public_key()
-            .verify(&msg, &auth.doc_sigs[d as usize])
+            .verify(
+                &doc_table_message(9, &tree.root()),
+                auth.doc_table_sig.as_ref().unwrap(),
+            )
             .unwrap();
     }
 
@@ -652,8 +710,19 @@ mod tests {
             test_config(Mechanism::TnraCmht),
             &toy_contents(),
         );
-        assert!(auth.doc_sigs.is_empty());
-        assert!(auth.doc_content_digests.is_empty());
+        assert!(auth.doc_tree.is_none() && auth.doc_table_sig.is_none());
+        assert!(auth.doc_content_digests.is_empty() && auth.doc_roots.is_empty());
+    }
+
+    #[test]
+    fn doc_table_leaves_cannot_pass_as_interior_nodes() {
+        // A leaf hashes a 54-byte message; an interior node hashes two
+        // 16-byte digests. The lengths differ, so one preimage cannot
+        // serve as both.
+        let msg = doc_message(3, &Digest::hash(b"content"), &Digest::hash(b"root"));
+        assert_eq!(msg.len(), 54);
+        assert_ne!(msg.len(), 2 * authsearch_crypto::DIGEST_LEN);
+        assert!(doc_table_message(9, &Digest::ZERO).starts_with(b"authsearch:doctable:v1|"));
     }
 
     #[test]
@@ -727,7 +796,11 @@ mod tests {
                     "{mechanism:?} threads={threads}"
                 );
                 assert_eq!(
-                    built.doc_sigs, reference.doc_sigs,
+                    built.doc_roots, reference.doc_roots,
+                    "{mechanism:?} threads={threads}"
+                );
+                assert_eq!(
+                    built.doc_table_sig, reference.doc_table_sig,
                     "{mechanism:?} threads={threads}"
                 );
             }

@@ -4,7 +4,8 @@
 //! algorithm, then assembles the verification object: per query term the
 //! processed list prefix with complementary digests and the list
 //! signature; for the TRA mechanisms additionally one document-MHT proof
-//! per encountered document. Disk traffic is accounted per the paper's
+//! per encountered document and one document-table multi-proof tying
+//! them all to a single signature. Disk traffic is accounted per the paper's
 //! storage layout: plain-MHT variants re-read entire lists to regenerate
 //! internal digests, chain-MHT variants stop at the cut-off block, and
 //! every document-MHT fetch is a random access.
@@ -14,7 +15,7 @@ use super::{doc_root, AuthenticatedIndex, ContentProvider};
 use crate::access::{IndexLists, TableFreqs};
 use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix};
 use crate::types::{ProcessingOutcome, Query, QueryResult};
-use crate::vo::{DictVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject};
+use crate::vo::{DictVo, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject};
 use crate::{tnra, tra};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::{Digest, MerkleTree};
@@ -275,11 +276,25 @@ impl AuthenticatedIndex {
                 terms,
                 docs,
                 dict,
+                doc_table: self.doc_table_vo(&outcome.encountered),
             },
             contents: contents_out,
             io,
             entries_read: outcome.prefix_lens,
         }
+    }
+
+    /// The document-table multi-proof for `docs` (TRA only): one `prove`
+    /// over the resident tree at their doc ids, plus the one signature.
+    pub(crate) fn doc_table_vo(&self, docs: &[DocId]) -> Option<DocTableVo> {
+        let tree = self.doc_tree.as_ref()?;
+        let signature = self.doc_table_sig.clone()?;
+        let mut positions: Vec<usize> = docs.iter().map(|&d| d as usize).collect();
+        positions.sort_unstable();
+        Some(DocTableVo {
+            proof: tree.prove(&positions),
+            signature,
+        })
     }
 
     /// Build one term's VO entry and account its disk traffic.
@@ -404,8 +419,8 @@ impl AuthenticatedIndex {
         };
 
         // Random fetch: the document-MHT spans its leaves plus the stored
-        // root and signature.
-        let mht_bytes = n * 8 + 16 + self.doc_sigs[d as usize].len();
+        // root (the one document-table signature stays resident).
+        let mht_bytes = n * 8 + 16;
         io.random_access(self.config.layout.blocks_for_bytes(mht_bytes) as u64);
 
         debug_assert_eq!(doc_root(leaves), doc_root(self.doc_table.doc_terms(d)));
@@ -420,7 +435,6 @@ impl AuthenticatedIndex {
             } else {
                 Some(self.doc_content_digests[d as usize])
             },
-            signature: self.doc_sigs[d as usize].clone(),
         }
     }
 }
@@ -457,6 +471,12 @@ mod tests {
             assert_eq!(dv.content_digest.is_none(), is_result, "doc {}", dv.doc);
         }
         assert_eq!(resp.contents.len(), 2);
+        // One document-table proof for all four documents.
+        let table = resp.vo.doc_table.as_ref().unwrap();
+        assert_eq!(
+            table.proof,
+            a.doc_tree.as_ref().unwrap().prove(&[1, 3, 5, 6])
+        );
     }
 
     #[test]
@@ -465,6 +485,7 @@ mod tests {
         let resp = a.query(&toy_query(), 2, &toy_contents());
         assert_eq!(resp.result.docs(), vec![6, 5]);
         assert!(resp.vo.docs.is_empty());
+        assert!(resp.vo.doc_table.is_none());
         // Prefixes carry full impact entries.
         assert!(matches!(resp.vo.terms[0].prefix, PrefixData::Entries(_)));
     }

@@ -4,8 +4,9 @@
 //! The paper's owner transfers the collection and index to the
 //! untrusted engine once; rebuilding the artifact on every server start
 //! re-pays the owner's dominant preprocessing cost (one RSA signature
-//! per term, plus one per document for TRA) for nothing. A snapshot
-//! reloads in near-O(1) — parsing plus cheap hashing, no signing.
+//! per term, plus the document-table signature for TRA) for nothing. A
+//! snapshot reloads in near-O(1) — parsing plus cheap hashing, no
+//! signing.
 //!
 //! ## Container layout
 //!
@@ -16,7 +17,12 @@
 //! |--------|---------|
 //! | `ACFG` | artifact identity: mechanism, buddy, dict-MHT mode, key bits, block layout |
 //! | `ASIX` | the inverted index (the v1 `ASIX` record, re-framed as a checksummed section) |
-//! | `ASAU` | the authentication artifact: term roots, term/dictionary/document signatures, document content digests, the owner's public key |
+//! | `ASA2` | the authentication artifact: term roots, term/dictionary signatures, document content digests and document-MHT roots, the document-table signature, the owner's public key |
+//!
+//! The authentication section's tag carries its layout version: `ASA2`
+//! replaced `ASAU`, whose TRA artifacts held one signature per
+//! document. A snapshot with the old section is [`PersistError::Stale`]
+//! and boots through a fresh build.
 //!
 //! ## Trust model at boot
 //!
@@ -33,7 +39,10 @@
 //! 3. **signature verification** against the embedded public key:
 //!    the dictionary-MHT signature over the root recomputed from the
 //!    loaded term roots (dictionary mode), or a deterministic sample of
-//!    per-term (and, for TRA, per-document) signatures otherwise.
+//!    per-term signatures otherwise; for TRA, the document-table
+//!    signature over the table rebuilt from every document's content
+//!    digest and root — all `n` documents — plus a sampled
+//!    recomputation of document-MHT roots from the loaded index.
 //!
 //! A forgery that survives all three (consistent digests *and* valid
 //! signatures over altered data) would require breaking the owner's
@@ -42,8 +51,8 @@
 //! wrong answer is ever *accepted*, only detected later than boot.
 
 use super::{
-    cache, dict_leaf_digest, dict_message, doc_message, doc_root, term_message, AuthConfig,
-    AuthenticatedIndex,
+    cache, dict_leaf_digest, dict_message, doc_root, doc_table_message, doc_table_tree,
+    term_message, AuthConfig, AuthenticatedIndex,
 };
 use crate::types::DocTable;
 use crate::vo::Mechanism;
@@ -61,14 +70,17 @@ use std::sync::Mutex;
 pub const TAG_CONFIG: SectionTag = *b"ACFG";
 /// The inverted-index section (the v1 `ASIX` record as a section).
 pub const TAG_INDEX: SectionTag = *b"ASIX";
-/// The authentication-artifact section.
-pub const TAG_AUTH: SectionTag = *b"ASAU";
+/// The authentication-artifact section (layout 2: one document-table
+/// signature).
+pub const TAG_AUTH: SectionTag = *b"ASA2";
+/// The layout-1 authentication section (one signature per document).
+const TAG_AUTH_V1: SectionTag = *b"ASAU";
 
-/// How many term (and document) signatures the non-dictionary boot
-/// check verifies, spread evenly across the artifact. The section
-/// digests already pin the exact saved bytes; the sample proves those
-/// bytes carry the *owner's* endorsement without paying O(m) RSA
-/// verifications on every boot.
+/// How many term signatures the non-dictionary boot check verifies (and
+/// how many document-MHT roots it recomputes from the index), spread
+/// evenly across the artifact. The section digests already pin the
+/// exact saved bytes; the sample proves those bytes carry the *owner's*
+/// endorsement without paying O(m) RSA verifications on every boot.
 const BOOT_SIG_SAMPLES: usize = 16;
 
 fn corrupt(why: impl Into<String>) -> PersistError {
@@ -149,7 +161,7 @@ fn put_sig(buf: &mut Vec<u8>, sig: &[u8]) -> Result<(), PersistError> {
 fn get_sig<'a>(r: &mut SectionReader<'a>, what: &str) -> Result<&'a [u8], PersistError> {
     let len = r.u32()? as usize;
     if len == 0 || len > r.remaining() {
-        return Err(corrupt(format!("ASAU: {what} signature length forged")));
+        return Err(corrupt(format!("ASA2: {what} signature length forged")));
     }
     r.bytes(len)
 }
@@ -171,13 +183,18 @@ fn encode_auth(auth: &AuthenticatedIndex) -> Result<Vec<u8>, PersistError> {
         }
         None => buf.push(0),
     }
-    let _ = put_u64(&mut buf, auth.doc_content_digests.len() as u64);
-    for d in &auth.doc_content_digests {
-        buf.extend_from_slice(d.as_bytes());
+    for digests in [&auth.doc_content_digests, &auth.doc_roots] {
+        let _ = put_u64(&mut buf, digests.len() as u64);
+        for d in digests {
+            buf.extend_from_slice(d.as_bytes());
+        }
     }
-    let _ = put_u64(&mut buf, auth.doc_sigs.len() as u64);
-    for sig in &auth.doc_sigs {
-        put_sig(&mut buf, sig)?;
+    match &auth.doc_table_sig {
+        Some(sig) => {
+            buf.push(1);
+            put_sig(&mut buf, sig)?;
+        }
+        None => buf.push(0),
     }
     let _ = put_str(&mut buf, "").map_err(PersistError::Io); // reserved (future key metadata)
     let key = auth.public_key.to_bytes();
@@ -192,22 +209,38 @@ struct AuthParts {
     term_sigs: Vec<Vec<u8>>,
     dict_sig: Option<Vec<u8>>,
     doc_content_digests: Vec<Digest>,
-    doc_sigs: Vec<Vec<u8>>,
+    doc_roots: Vec<Digest>,
+    doc_table_sig: Option<Vec<u8>>,
     public_key: RsaPublicKey,
 }
 
-fn decode_auth(payload: &[u8]) -> Result<AuthParts, PersistError> {
-    let mut r = SectionReader::new(payload, "ASAU");
-
+/// Read a `u64`-counted run of digests.
+fn get_digests(r: &mut SectionReader<'_>, what: &str) -> Result<Vec<Digest>, PersistError> {
     let claimed = r.u64()?;
-    let m = r.checked_count(claimed, DIGEST_LEN, "term root")?;
-    let mut term_roots = Vec::with_capacity(m.min(persist::PREALLOC_CLAMP));
-    for _ in 0..m {
-        term_roots.push(
+    let n = r.checked_count(claimed, DIGEST_LEN, what)?;
+    let mut out = Vec::with_capacity(n.min(persist::PREALLOC_CLAMP));
+    for _ in 0..n {
+        out.push(
             Digest::from_slice(r.bytes(DIGEST_LEN)?)
-                .ok_or_else(|| corrupt("ASAU: malformed term-root digest"))?,
+                .ok_or_else(|| corrupt(format!("ASA2: malformed {what}")))?,
         );
     }
+    Ok(out)
+}
+
+/// Read a flag-prefixed optional signature.
+fn get_opt_sig(r: &mut SectionReader<'_>, what: &str) -> Result<Option<Vec<u8>>, PersistError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(get_sig(r, what)?.to_vec())),
+        _ => Err(corrupt(format!("ASA2: bad {what}-signature flag"))),
+    }
+}
+
+fn decode_auth(payload: &[u8]) -> Result<AuthParts, PersistError> {
+    let mut r = SectionReader::new(payload, "ASA2");
+
+    let term_roots = get_digests(&mut r, "term root")?;
 
     let claimed = r.u64()?;
     let sig_count = r.checked_count(claimed, 4, "term signature")?;
@@ -216,28 +249,10 @@ fn decode_auth(payload: &[u8]) -> Result<AuthParts, PersistError> {
         term_sigs.push(get_sig(&mut r, "term")?.to_vec());
     }
 
-    let dict_sig = match r.u8()? {
-        0 => None,
-        1 => Some(get_sig(&mut r, "dictionary")?.to_vec()),
-        _ => return Err(corrupt("ASAU: bad dictionary-signature flag")),
-    };
-
-    let claimed = r.u64()?;
-    let nd = r.checked_count(claimed, DIGEST_LEN, "doc digest")?;
-    let mut doc_content_digests = Vec::with_capacity(nd.min(persist::PREALLOC_CLAMP));
-    for _ in 0..nd {
-        doc_content_digests.push(
-            Digest::from_slice(r.bytes(DIGEST_LEN)?)
-                .ok_or_else(|| corrupt("ASAU: malformed doc content digest"))?,
-        );
-    }
-
-    let claimed = r.u64()?;
-    let ns = r.checked_count(claimed, 4, "doc signature")?;
-    let mut doc_sigs = Vec::with_capacity(ns.min(persist::PREALLOC_CLAMP));
-    for _ in 0..ns {
-        doc_sigs.push(get_sig(&mut r, "doc")?.to_vec());
-    }
+    let dict_sig = get_opt_sig(&mut r, "dictionary")?;
+    let doc_content_digests = get_digests(&mut r, "doc content digest")?;
+    let doc_roots = get_digests(&mut r, "doc root")?;
+    let doc_table_sig = get_opt_sig(&mut r, "document-table")?;
 
     let reserved = r.u32()? as usize;
     if reserved != 0 {
@@ -247,10 +262,10 @@ fn decode_auth(payload: &[u8]) -> Result<AuthParts, PersistError> {
     }
     let key_len = r.u32()? as usize;
     if key_len == 0 || key_len > r.remaining() {
-        return Err(corrupt("ASAU: public-key length forged"));
+        return Err(corrupt("ASA2: public-key length forged"));
     }
     let public_key = RsaPublicKey::from_bytes(r.bytes(key_len)?)
-        .ok_or_else(|| corrupt("ASAU: public key fails to parse"))?;
+        .ok_or_else(|| corrupt("ASA2: public key fails to parse"))?;
     r.finish()?;
 
     Ok(AuthParts {
@@ -258,7 +273,8 @@ fn decode_auth(payload: &[u8]) -> Result<AuthParts, PersistError> {
         term_sigs,
         dict_sig,
         doc_content_digests,
-        doc_sigs,
+        doc_roots,
+        doc_table_sig,
         public_key,
     })
 }
@@ -314,6 +330,12 @@ impl AuthenticatedIndex {
                 )))
             }
         };
+        if auth_s.0 == TAG_AUTH_V1 {
+            return Err(stale(
+                "snapshot holds one signature per document (section ASAU); \
+                 this build signs the document table once (ASA2)",
+            ));
+        }
         for ((tag, _), want) in [config_s, index_s, auth_s]
             .iter()
             .zip([TAG_CONFIG, TAG_INDEX, TAG_AUTH])
@@ -353,14 +375,26 @@ impl AuthenticatedIndex {
             )));
         }
         if expected.mechanism.is_tra() {
-            if parts.doc_content_digests.len() != n || parts.doc_sigs.len() != n {
+            if n == 0
+                || parts.doc_content_digests.len() != n
+                || parts.doc_roots.len() != n
+                || parts.doc_table_sig.is_none()
+            {
                 return Err(corrupt(format!(
-                    "{} doc digests / {} doc signatures for {n} documents",
+                    "{} doc digests / {} doc roots / {} table signature for {n} documents",
                     parts.doc_content_digests.len(),
-                    parts.doc_sigs.len()
+                    parts.doc_roots.len(),
+                    if parts.doc_table_sig.is_some() {
+                        "a"
+                    } else {
+                        "no"
+                    }
                 )));
             }
-        } else if !parts.doc_content_digests.is_empty() || !parts.doc_sigs.is_empty() {
+        } else if !parts.doc_content_digests.is_empty()
+            || !parts.doc_roots.is_empty()
+            || parts.doc_table_sig.is_some()
+        {
             return Err(corrupt("TNRA snapshot carries document structures"));
         }
         if parts.public_key.modulus_bits() != expected.key_bits {
@@ -408,21 +442,31 @@ impl AuthenticatedIndex {
                     .map_err(|e| corrupt(format!("term {t} signature rejected at boot: {e}")))?;
             }
         }
-        if expected.mechanism.is_tra() {
+        let doc_tree = if expected.mechanism.is_tra() {
+            // One signature covers every document's content digest and
+            // root; the sample then ties the roots to the loaded index.
+            let tree = doc_table_tree(&parts.doc_content_digests, &parts.doc_roots);
+            let num_docs = u32::try_from(n).map_err(|_| corrupt("document count exceeds u32"))?;
+            let sig = parts.doc_table_sig.as_deref().unwrap_or_default();
+            parts
+                .public_key
+                .verify(&doc_table_message(num_docs, &tree.root()), sig)
+                .map_err(|e| corrupt(format!("document-table signature rejected at boot: {e}")))?;
             for d in sample_indices(n, BOOT_SIG_SAMPLES) {
-                let (digest, sig) = parts
-                    .doc_content_digests
+                let stored = parts
+                    .doc_roots
                     .get(d)
-                    .zip(parts.doc_sigs.get(d))
                     .ok_or_else(|| corrupt(format!("sampled doc {d} out of range")))?;
-                let root = doc_root(doc_table.doc_terms(d as DocId));
-                let msg = doc_message(d as DocId, digest, &root);
-                parts
-                    .public_key
-                    .verify(&msg, sig)
-                    .map_err(|e| corrupt(format!("doc {d} signature rejected at boot: {e}")))?;
+                if doc_root(doc_table.doc_terms(d as DocId)) != *stored {
+                    return Err(corrupt(format!(
+                        "doc {d}: index disagrees with its signed root"
+                    )));
+                }
             }
-        }
+            Some(tree)
+        } else {
+            None
+        };
 
         Ok(AuthenticatedIndex {
             config: *expected,
@@ -432,7 +476,9 @@ impl AuthenticatedIndex {
             term_sigs: parts.term_sigs,
             dict_sig: parts.dict_sig,
             doc_content_digests: parts.doc_content_digests,
-            doc_sigs: parts.doc_sigs,
+            doc_roots: parts.doc_roots,
+            doc_tree,
+            doc_table_sig: parts.doc_table_sig,
             public_key: parts.public_key,
             cache: serve_cache,
             // Lazily (re)created at first use — a loaded artifact has no
@@ -621,6 +667,40 @@ mod tests {
         match AuthenticatedIndex::load_snapshot(&path, auth.config()) {
             Err(PersistError::SectionDigest { .. }) | Err(PersistError::Corrupt(_)) => {}
             other => panic!("expected a corruption error, got {other:?}"),
+        }
+        fs::remove_file(&path).ok();
+        fs::remove_file(persist::manifest_path(&path)).ok();
+    }
+
+    #[test]
+    fn boot_verifies_the_document_table_over_every_document() {
+        // A doc root the owner never signed — anywhere, sampled or not —
+        // fails the one table signature at boot.
+        for d in 0..9 {
+            let mut auth = test_auth(Mechanism::TraMht, true);
+            auth.doc_roots[d] = Digest::hash(b"not the owner's root");
+            let path = temp_path(&format!("doc-root-{d}.snap"));
+            auth.save_snapshot(&path).unwrap();
+            match AuthenticatedIndex::load_snapshot(&path, auth.config()) {
+                Err(PersistError::Corrupt(why)) => assert!(why.contains("document-table"), "{why}"),
+                other => panic!("doc {d}: expected Corrupt, got {other:?}"),
+            }
+            fs::remove_file(&path).ok();
+            fs::remove_file(persist::manifest_path(&path)).ok();
+        }
+    }
+
+    #[test]
+    fn per_document_signature_snapshot_is_stale() {
+        let auth = test_auth(Mechanism::TraCmht, true);
+        let path = temp_path("layout-1.snap");
+        auth.save_snapshot(&path).unwrap();
+        let (mut sections, _) = persist::load_snapshot_file(&path).unwrap();
+        sections[2].0 = TAG_AUTH_V1;
+        persist::save_snapshot_file(&path, &persist::encode_snapshot(&sections).unwrap()).unwrap();
+        match AuthenticatedIndex::load_snapshot(&path, auth.config()) {
+            Err(PersistError::Stale(why)) => assert!(why.contains("ASAU"), "{why}"),
+            other => panic!("expected Stale, got {other:?}"),
         }
         fs::remove_file(&path).ok();
         fs::remove_file(persist::manifest_path(&path)).ok();

@@ -25,9 +25,15 @@ pub struct SpaceReport {
     /// change in list storage from re-blocking (chain blocks hold fewer
     /// entries than plain blocks, but TRA chain blocks hold doc ids only).
     pub term_auth_bytes: i64,
-    /// Document-side authentication (TRA): the document-MHT leaf layer
-    /// plus per-document root and signature.
+    /// Document-side authentication (TRA): the document-MHT leaf layer,
+    /// per-document root, and the one document-table signature.
     pub doc_auth_bytes: u64,
+    /// Stored signatures: one per term (or one dictionary-MHT
+    /// signature), plus one for the document table under TRA.
+    pub signatures: u64,
+    /// Signatures the paper's scheme stores for the same artifact: the
+    /// term-side ones plus one per document under TRA (Figure 8).
+    pub paper_signatures: u64,
     /// Worst-case engine RAM held by the serve cache: the materialized
     /// dictionary-MHT plus the term-structure LRU filled with the
     /// `term_cache_capacity` longest lists. Zero in paper mode
@@ -88,23 +94,20 @@ impl AuthenticatedIndex {
 
         let sig_len = self.public_key.signature_len() as u64;
         let m = index.num_terms() as u64;
-        let sig_total: u64 = if self.config.dict_mht {
-            sig_len
-        } else {
-            m * sig_len
-        };
+        let term_sigs = if self.config.dict_mht { 1 } else { m };
+        let sig_total = term_sigs * sig_len;
         // Stored per-term root/head digest (16 bytes each).
         let term_auth_bytes =
             (auth_blocks as i64 - plain_blocks as i64) * block as i64 + (sig_total + m * 16) as i64;
 
-        let doc_auth_bytes = if self.config.mechanism.is_tra() {
+        let n = index.num_docs() as u64;
+        let (doc_auth_bytes, doc_sigs, paper_doc_sigs) = if self.config.mechanism.is_tra() {
             let leaf_bytes: u64 = (0..index.num_docs() as u32)
                 .map(|d| self.doc_table.doc_terms(d).len() as u64 * 8)
                 .sum();
-            let n = index.num_docs() as u64;
-            leaf_bytes + n * (16 + sig_len)
+            (leaf_bytes + n * 16 + sig_len, 1, n)
         } else {
-            0
+            (0, 0, 0)
         };
 
         SpaceReport {
@@ -112,6 +115,8 @@ impl AuthenticatedIndex {
             contents_bytes,
             term_auth_bytes,
             doc_auth_bytes,
+            signatures: term_sigs + doc_sigs,
+            paper_signatures: term_sigs + paper_doc_sigs,
             cache_resident_bytes: self.worst_case_cache_bytes(),
         }
     }
@@ -206,6 +211,15 @@ mod tests {
         assert!(tra.auth_extra_bytes() > tnra.auth_extra_bytes());
         assert!(tra.doc_auth_bytes > 0);
         assert_eq!(tnra.doc_auth_bytes, 0);
+    }
+
+    #[test]
+    fn signature_counts_report_paper_beside_here() {
+        // Toy collection: 16 terms, 9 documents.
+        let tra = report(Mechanism::TraMht);
+        assert_eq!((tra.paper_signatures, tra.signatures), (16 + 9, 16 + 1));
+        let tnra = report(Mechanism::TnraMht);
+        assert_eq!((tnra.paper_signatures, tnra.signatures), (16, 16));
     }
 
     #[test]

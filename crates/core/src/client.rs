@@ -123,12 +123,12 @@ impl Client {
     /// [`crate::SearchEngine::serve_batch`]. Each response is judged
     /// independently (result `i` corresponds to request `i`, and a bad
     /// response never taints its neighbors), but signature work is
-    /// shared **across** the batch: every RSA check runs through
+    /// shared **across** the batch: term signatures run through
     /// [`authsearch_crypto::RsaPublicKey::verify_batch`] (distinct
     /// pairs checked once, deterministically, in one Montgomery
     /// domain, with exact culprit attribution), and a batch-wide memo
     /// of already-proven `(message, signature)` pairs means a hot-term,
-    /// repeated-document, or dictionary signature recurring across many
+    /// dictionary, or document-table signature recurring across many
     /// responses costs **one** RSA exponentiation total — the
     /// cross-response amortization that motivates serving and
     /// verifying in batches.

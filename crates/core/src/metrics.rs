@@ -158,6 +158,11 @@ pub struct QueryMetrics {
     pub io_secs: f64,
     /// VO size breakdown.
     pub vo_size: VoSize,
+    /// Signatures the VO carries ([`crate::VerificationObject::signature_count`]).
+    pub signatures: usize,
+    /// Signatures the paper's scheme would carry for the same reply
+    /// ([`crate::VerificationObject::paper_signature_count`]).
+    pub paper_signatures: usize,
     /// Wall-clock query processing + VO construction time at the engine.
     pub process_time: Duration,
     /// Wall-clock verification time at the user.
@@ -233,6 +238,8 @@ pub fn measure<C: ContentProvider>(
         io: response.io,
         io_secs: disk.service_time(response.io),
         vo_size: verified.vo_size,
+        signatures: response.vo.signature_count(),
+        paper_signatures: response.vo.paper_signature_count(),
         process_time,
         verify_time,
     })

@@ -6,8 +6,8 @@
 //! verification parameters to users.
 //!
 //! Building and signing is the owner's dominant one-off cost (one RSA
-//! signature per dictionary term, plus one per document under TRA), so
-//! [`DataOwner::publish`] runs it on the parallel build path sized by
+//! signature per dictionary term, plus one for the document table under
+//! TRA), so [`DataOwner::publish`] runs it on the parallel build path sized by
 //! [`AuthConfig::threads`] — the default uses every core, `threads: 1`
 //! is the paper's sequential model, and the published artifact is
 //! bit-identical either way.

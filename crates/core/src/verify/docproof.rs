@@ -2,19 +2,35 @@
 //!
 //! For every encountered document the VO carries a [`crate::vo::DocVo`].
 //! This module authenticates each one — reconstructing the document-MHT
-//! root from the revealed `(t, w)` leaves and checking the owner's
-//! signature, which also binds the digest of the document's content — and
-//! then resolves, for every (document, query term) pair, either the
-//! certified weight or a *proven absence* (weight 0), established by a
-//! revealed pair of position-adjacent leaves whose terms bound the query
-//! term (paper §3.3.1), or by a revealed first/last leaf for query terms
-//! outside the document's term range.
+//! root from the revealed `(t, w)` leaves and hashing it, the document id
+//! and the digest of the document's content into that document's leaf of
+//! the owner's signed document table — and then resolves, for every
+//! (document, query term) pair, either the certified weight or a *proven
+//! absence* (weight 0), established by a revealed pair of
+//! position-adjacent leaves whose terms bound the query term (paper
+//! §3.3.1), or by a revealed first/last leaf for query terms outside the
+//! document's term range.
+//!
+//! ## Why one document-table proof is as strong as a signature per document
+//!
+//! * **Positions are doc ids.** Leaf `d` of the table is the digest of
+//!   document `d`'s message, and the verifier places every recomputed
+//!   leaf at its own document's id; a proof for the right leaf at the
+//!   wrong position reconstructs a different root.
+//! * **`n` is inside the signed message.** The tree's shape is a function
+//!   of the leaf count alone, and [`doc_table_message`] binds
+//!   `params.num_docs`, so no proof can be replayed against a table of
+//!   another size; ids `≥ n` are rejected before any hashing.
+//! * **Leaves are hashed by the verifier.** Each leaf is the hash of a
+//!   54-byte `doc_message` the verifier builds itself,
+//!   while an interior node hashes 32 bytes, so no interior digest can be
+//!   presented as a leaf.
 
 use super::{FreqMap, VerifierParams, VerifyError};
 use crate::auth::serve::QueryResponse;
-use crate::auth::{doc_leaf_digest, doc_message, doc_root};
+use crate::auth::{doc_leaf_digest, doc_root, doc_table_leaf, doc_table_message};
 use crate::types::Query;
-use crate::vo::DocVo;
+use crate::vo::{DocVo, VerificationObject};
 use authsearch_corpus::DocId;
 use authsearch_crypto::{reconstruct_root, Digest};
 use std::collections::HashMap;
@@ -46,15 +62,10 @@ impl ResolvedFreqs {
 /// Verify every document proof in the response and build the frequency
 /// map for the replay.
 ///
-/// Signatures are checked in one [`verify_batch`] call over all
-/// documents (TRA responses carry one signature per encountered
-/// document — the single most signature-heavy spot of the whole
-/// scheme): each distinct pair checked exactly once in one shared
-/// Montgomery domain, pairs the session `memo` already proved (the
-/// same encountered document recurring across a batch of responses)
-/// skipped entirely, and a failure pinpointing the offending document.
-///
-/// [`verify_batch`]: authsearch_crypto::RsaPublicKey::verify_batch
+/// Each document proof yields its document-table leaf; the leaves and
+/// the reply's one multi-proof must reconstruct the root the owner
+/// signed. That signature goes through the session `memo`, so a batch
+/// of responses ([`crate::Client::verify_batch`]) pays for it once.
 pub(super) fn resolve_doc_proofs(
     params: &VerifierParams,
     query: &Query,
@@ -76,7 +87,7 @@ pub(super) fn resolve_doc_proofs(
     }
 
     let mut map: FreqMap = HashMap::with_capacity(response.vo.docs.len());
-    let mut messages = Vec::with_capacity(response.vo.docs.len());
+    let mut leaves = Vec::with_capacity(response.vo.docs.len());
     for dv in &response.vo.docs {
         if map.contains_key(&dv.doc) {
             return Err(VerifyError::MalformedProof(format!(
@@ -84,31 +95,56 @@ pub(super) fn resolve_doc_proofs(
                 dv.doc
             )));
         }
-        let (weights, message) = resolve_one(query, dv, &delivered, &result_docs)?;
-        messages.push(message);
+        if dv.doc as usize >= params.num_docs {
+            return Err(VerifyError::DocTableProof(format!(
+                "document {} outside the {}-document table",
+                dv.doc, params.num_docs
+            )));
+        }
+        let (weights, leaf) = resolve_one(query, dv, &delivered, &result_docs)?;
+        leaves.push((dv.doc as usize, leaf));
         map.insert(dv.doc, weights);
     }
-    super::batch_verify_with_memo(
-        params,
-        memo,
-        &messages,
-        response.vo.docs.iter().map(|dv| dv.signature.as_slice()),
-    )
-    .map_err(|culprit| VerifyError::DocSignature {
-        doc: response.vo.docs.get(culprit).map_or(0, |dv| dv.doc),
-    })?;
+    verify_doc_table(params, &response.vo, leaves, memo)?;
     Ok(ResolvedFreqs { map })
 }
 
+/// Reconstruct the document-table root from the reply's leaves and
+/// multi-proof, and check the owner's one signature over it.
+fn verify_doc_table(
+    params: &VerifierParams,
+    vo: &VerificationObject,
+    mut leaves: Vec<(usize, Digest)>,
+    memo: &mut super::SigMemo,
+) -> Result<(), VerifyError> {
+    let table = vo
+        .doc_table
+        .as_ref()
+        .ok_or_else(|| VerifyError::DocTableProof("TRA reply without a document table".into()))?;
+    leaves.sort_unstable_by_key(|&(d, _)| d);
+    let root = reconstruct_root(params.num_docs, &leaves, &table.proof)
+        .ok_or_else(|| VerifyError::DocTableProof("multi-proof shape".into()))?;
+    let num_docs = u32::try_from(params.num_docs)
+        .map_err(|_| VerifyError::DocTableProof("collection size exceeds u32".into()))?;
+    super::verify_signature_with_memo(
+        params,
+        memo,
+        doc_table_message(num_docs, &root),
+        &table.signature,
+    )
+    .map_err(|_| VerifyError::DocTableSignature)
+}
+
 /// Authenticate one document proof *structurally* — reconstruct the
-/// document-MHT root and resolve per-query-term weights — and return the
-/// signed message binding it; the caller batch-verifies the signatures.
+/// document-MHT root and resolve per-query-term weights — and return
+/// the document's document-table leaf; the caller checks the leaves
+/// against the table's multi-proof and signature.
 fn resolve_one(
     query: &Query,
     dv: &DocVo,
     delivered: &HashMap<DocId, &[u8]>,
     result_docs: &[DocId],
-) -> Result<(Vec<Option<f32>>, Vec<u8>), VerifyError> {
+) -> Result<(Vec<Option<f32>>, Digest), VerifyError> {
     let n = dv.num_leaves as usize;
 
     // Structural checks: positions strictly increasing, in range, terms
@@ -162,9 +198,8 @@ fn resolve_one(
             .ok_or(VerifyError::MissingContent { doc: dv.doc })?
     };
 
-    // The signature binds document id, content digest, and MHT root;
-    // checked by the caller's batch pass over all documents.
-    let message = doc_message(dv.doc, &content_digest, &root);
+    // The table leaf binds document id, content digest, and MHT root.
+    let leaf = doc_table_leaf(dv.doc, &content_digest, &root);
 
     // Resolve each query term: present (revealed leaf), provably absent
     // (bounding leaves), or unproven.
@@ -197,7 +232,7 @@ fn resolve_one(
         };
         weights.push(w);
     }
-    Ok((weights, message))
+    Ok((weights, leaf))
 }
 
 #[cfg(test)]
@@ -263,7 +298,7 @@ mod tests {
             &mut crate::verify::SigMemo::new(),
         )
         .unwrap_err();
-        assert_eq!(err, VerifyError::DocSignature { doc: 5 });
+        assert_eq!(err, VerifyError::DocTableSignature);
     }
 
     #[test]
@@ -280,7 +315,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(
             err,
-            VerifyError::MalformedProof(_) | VerifyError::DocSignature { .. }
+            VerifyError::MalformedProof(_) | VerifyError::DocTableSignature
         ));
     }
 
@@ -302,7 +337,6 @@ mod tests {
     fn tampered_result_content_breaks_signature() {
         let (mut resp, params) = setup();
         resp.contents[0].1 = b"forged document body".to_vec();
-        let doc = resp.contents[0].0;
         let err = resolve_doc_proofs(
             &params,
             &toy_query(),
@@ -310,7 +344,17 @@ mod tests {
             &mut crate::verify::SigMemo::new(),
         )
         .unwrap_err();
-        assert_eq!(err, VerifyError::DocSignature { doc });
+        assert_eq!(err, VerifyError::DocTableSignature);
+    }
+
+    #[test]
+    fn doc_table_signature_is_checked_once_per_memo() {
+        let (resp, params) = setup();
+        let mut memo = crate::verify::SigMemo::new();
+        resolve_doc_proofs(&params, &toy_query(), &resp, &mut memo).unwrap();
+        assert_eq!(memo.len(), 1);
+        resolve_doc_proofs(&params, &toy_query(), &resp, &mut memo).unwrap();
+        assert_eq!(memo.len(), 1);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! 1. **Authenticate the inputs**: reconstruct every term-(chain-)MHT
 //!    root from the VO's list prefixes and complementary digests and check
 //!    the owner's signature (which binds term, `f_t`, and root); for TRA
-//!    likewise authenticate every document-MHT and resolve the query-term
-//!    frequency of every encountered document (present value, or a proven
-//!    absence via adjacent-leaf bounding).
+//!    likewise authenticate every document-MHT — through one multi-proof
+//!    against the owner's single signature over the document table — and
+//!    resolve the query-term frequency of every encountered document
+//!    (present value, or a proven absence via adjacent-leaf bounding).
 //! 2. **Replay the deterministic threshold algorithm** over exactly those
 //!    authenticated inputs. If the replay ever needs data the VO does not
 //!    substantiate, the VO is insufficient and the result is rejected; a
@@ -47,11 +48,13 @@ pub enum VerifyError {
         /// The offending term.
         term: TermId,
     },
-    /// A document-MHT signature did not validate.
-    DocSignature {
-        /// The offending document.
-        doc: DocId,
-    },
+    /// The document-table multi-proof (TRA) is missing, has the wrong
+    /// shape, or places a document outside the collection.
+    DocTableProof(String),
+    /// The document-table signature did not validate: a document's id,
+    /// content, or weights differ from what the owner signed, or the
+    /// table is not the owner's.
+    DocTableSignature,
     /// The dictionary-MHT signature did not validate.
     DictSignature,
     /// A Merkle/chain proof had the wrong shape.
@@ -98,9 +101,8 @@ impl fmt::Display for VerifyError {
             VerifyError::TermSignature { term } => {
                 write!(f, "invalid signature on term {term}'s inverted list")
             }
-            VerifyError::DocSignature { doc } => {
-                write!(f, "invalid signature on document {doc}'s MHT")
-            }
+            VerifyError::DocTableProof(w) => write!(f, "malformed document-table proof: {w}"),
+            VerifyError::DocTableSignature => write!(f, "invalid document-table signature"),
             VerifyError::DictSignature => write!(f, "invalid dictionary-MHT signature"),
             VerifyError::MalformedProof(w) => write!(f, "malformed proof: {w}"),
             VerifyError::PrefixNotOrdered { term } => {
@@ -172,8 +174,9 @@ const SCORE_EPS: f64 = 1e-9;
 
 /// Signatures already proven valid during one batch-verification
 /// session: `(message, signature)` byte pairs. Threaded through
-/// [`verify_with_memo`] so a hot-term (or dictionary) signature shared
-/// by many responses in a batch costs one RSA exponentiation total —
+/// [`verify_with_memo`] so a hot-term, dictionary, or document-table
+/// signature shared by many responses in a batch costs one RSA
+/// exponentiation total —
 /// the cross-response dedup that motivates
 /// [`crate::Client::verify_batch`]. Pairs are inserted only after
 /// verification succeeds, and validity of a pair is independent of the
@@ -398,6 +401,17 @@ fn check_query_shape(
             )));
         }
     }
+    if vo.doc_table.is_some() != params.mechanism.is_tra() {
+        return Err(VerifyError::DocTableProof(format!(
+            "a {} reply must {}carry a document table",
+            params.mechanism.name(),
+            if params.mechanism.is_tra() {
+                ""
+            } else {
+                "not "
+            }
+        )));
+    }
     Ok(())
 }
 
@@ -480,16 +494,13 @@ fn verify_term_signatures(
             .ok_or_else(|| VerifyError::MalformedProof("dictionary-MHT proof shape".into()))?;
         // One dictionary signature per deployment: across a batch of
         // responses the memo reduces it to one RSA check total.
-        let message = dict_message(dict.num_terms, &root);
-        let key = (message, dict.signature.clone());
-        if !memo.contains(&key) {
-            params
-                .public_key
-                .verify(&key.0, &key.1)
-                .map_err(|_| VerifyError::DictSignature)?;
-            memo.insert(key);
-        }
-        return Ok(());
+        return verify_signature_with_memo(
+            params,
+            memo,
+            dict_message(dict.num_terms, &root),
+            &dict.signature,
+        )
+        .map_err(|_| VerifyError::DictSignature);
     }
     let mut messages = Vec::with_capacity(vo.terms.len());
     let mut sigs: Vec<&[u8]> = Vec::with_capacity(vo.terms.len());
@@ -507,12 +518,28 @@ fn verify_term_signatures(
     })
 }
 
+/// Verify one `(message, signature)` pair unless the `memo` already
+/// proved it, recording a success.
+pub(crate) fn verify_signature_with_memo(
+    params: &VerifierParams,
+    memo: &mut SigMemo,
+    message: Vec<u8>,
+    signature: &[u8],
+) -> Result<(), authsearch_crypto::RsaError> {
+    let key = (message, signature.to_vec());
+    if !memo.contains(&key) {
+        params.public_key.verify(&key.0, &key.1)?;
+        memo.insert(key);
+    }
+    Ok(())
+}
+
 /// Run [`RsaPublicKey::verify_batch`] over the pairs the `memo` has not
 /// already proven, recording successes. Returns the index (into
 /// `messages`) of the offending pair on failure.
-pub(crate) fn batch_verify_with_memo<'a>(
+fn batch_verify_with_memo<'a>(
     params: &VerifierParams,
-    memo: &mut crate::verify::SigMemo,
+    memo: &mut SigMemo,
     messages: &[Vec<u8>],
     sigs: impl Iterator<Item = &'a [u8]>,
 ) -> Result<(), usize> {

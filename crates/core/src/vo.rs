@@ -136,7 +136,19 @@ pub struct DocVo {
     /// `h(doc)` for non-result documents; result documents are delivered
     /// in full and the user hashes them itself.
     pub content_digest: Option<Digest>,
-    /// Signature over the document-MHT root.
+}
+
+/// Proof connecting every [`DocVo`] to the owner's one signature over
+/// the document table (TRA only): leaf `d` of that tree is the digest of
+/// document `d`'s `h(doc) | d | root` message, so the client recomputes
+/// each leaf from data it authenticates anyway and checks one
+/// multi-proof and one signature for the whole reply.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DocTableVo {
+    /// Multi-proof for the encountered documents' leaf positions (their
+    /// doc ids, ascending).
+    pub proof: MerkleProof,
+    /// Signature over the document-table root and the collection size.
     pub signature: Vec<u8>,
 }
 
@@ -163,6 +175,8 @@ pub struct VerificationObject {
     pub docs: Vec<DocVo>,
     /// Dictionary-MHT proof when per-list signatures are consolidated.
     pub dict: Option<DictVo>,
+    /// Document-table proof: present iff the mechanism is TRA.
+    pub doc_table: Option<DocTableVo>,
 }
 
 /// Byte breakdown of a VO — the paper's Table 2 splits VOs into data
@@ -218,6 +232,22 @@ impl std::ops::Add for VoSize {
 }
 
 impl VerificationObject {
+    /// Signatures this VO carries: one per term list (or the one
+    /// dictionary-MHT signature), plus the document-table signature
+    /// under TRA.
+    pub fn signature_count(&self) -> usize {
+        self.terms.iter().filter(|t| t.signature.is_some()).count()
+            + usize::from(self.dict.is_some())
+            + usize::from(self.doc_table.is_some())
+    }
+
+    /// Signatures the paper's scheme carries for the same reply: the
+    /// term-side ones plus one per document proof (Figure 8 signs every
+    /// document-MHT root), where this VO carries one for all of them.
+    pub fn paper_signature_count(&self) -> usize {
+        self.signature_count() - usize::from(self.doc_table.is_some()) + self.docs.len()
+    }
+
     /// Compute the byte breakdown.
     pub fn size(&self) -> VoSize {
         let mut s = VoSize::default();
@@ -236,12 +266,15 @@ impl VerificationObject {
             if d.content_digest.is_some() {
                 s.digest += DIGEST_LEN;
             }
-            s.signature += d.signature.len();
         }
         if let Some(dict) = &self.dict {
             s.data += 4;
             s.digest += dict.proof.digests.len() * DIGEST_LEN;
             s.signature += dict.signature.len();
+        }
+        if let Some(table) = &self.doc_table {
+            s.digest += table.proof.digests.len() * DIGEST_LEN;
+            s.signature += table.signature.len();
         }
         s
     }
@@ -294,12 +327,33 @@ mod tests {
             }],
             docs: vec![],
             dict: None,
+            doc_table: None,
         };
         let s = vo.size();
         assert_eq!(s.data, 8 + 16);
         assert_eq!(s.digest, 48);
         assert_eq!(s.signature, 128);
         assert_eq!(s.total(), 8 + 16 + 48 + 128);
+    }
+
+    #[test]
+    fn doc_table_counts_one_signature_and_its_digests() {
+        let vo = VerificationObject {
+            mechanism: Mechanism::TraMht,
+            terms: vec![],
+            docs: vec![],
+            dict: None,
+            doc_table: Some(DocTableVo {
+                proof: MerkleProof {
+                    digests: vec![Digest::ZERO; 5],
+                },
+                signature: vec![0u8; 128],
+            }),
+        };
+        let s = vo.size();
+        assert_eq!((s.data, s.digest, s.signature), (0, 5 * DIGEST_LEN, 128));
+        assert_eq!(vo.signature_count(), 1);
+        assert_eq!(vo.paper_signature_count(), 0);
     }
 
     #[test]

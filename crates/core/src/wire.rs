@@ -34,7 +34,9 @@
 
 use crate::auth::serve::QueryResponse;
 use crate::types::{QueryResult, ResultEntry};
-use crate::vo::{DictVo, DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject};
+use crate::vo::{
+    DictVo, DocTableVo, DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject,
+};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof, DIGEST_LEN};
 use authsearch_index::{ImpactEntry, IoStats};
@@ -46,7 +48,9 @@ const MAGIC: &[u8; 4] = b"AVO1";
 /// encode. The verifier treats either like any other invalid VO.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// Decoding found bytes that are not a well-formed VO.
+    /// Decoding found bytes that are not a well-formed VO (or encoding
+    /// was handed a VO whose document table does not match its
+    /// mechanism).
     Malformed(String),
     /// Encoding refused a collection longer than its length prefix can
     /// carry. Silently truncating (the old `as u16`/`as u32` casts)
@@ -142,6 +146,10 @@ impl Writer {
 /// length prefix (e.g. ≥ 2¹⁶ term proofs or proof digests) — the VO is
 /// simply not representable in this format, and truncating it would
 /// produce an unverifiable transmission.
+///
+/// The document-table proof is a trailer after the dictionary block,
+/// written for TRA VOs only (so TNRA encodings carry no byte for it):
+/// a 32-bit digest count, the digests, and the signature.
 pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
     let mut w = Writer { buf: Vec::new() };
     w.buf.extend_from_slice(MAGIC);
@@ -207,7 +215,6 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
             }
             None => w.u8(0),
         }
-        w.bytes16(&dv.signature, "document signature")?;
     }
     match &vo.dict {
         Some(dict) => {
@@ -217,6 +224,21 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
             w.bytes16(&dict.signature, "dictionary signature")?;
         }
         None => w.u8(0),
+    }
+    match (&vo.doc_table, vo.mechanism.is_tra()) {
+        (Some(table), true) => {
+            w.len32(table.proof.digests.len(), "document-table proof digests")?;
+            for d in &table.proof.digests {
+                w.digest(d);
+            }
+            w.bytes16(&table.signature, "document-table signature")?;
+        }
+        (None, false) => {}
+        _ => {
+            return Err(err(
+                "a document table is carried by TRA VOs, and only by them",
+            ))
+        }
     }
     Ok(w.buf)
 }
@@ -357,7 +379,7 @@ pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
     }
     let num_docs = r.u32()? as usize;
     // Smallest possible document proof: ids + counts + flags + prefixes.
-    let num_docs = r.checked_count(num_docs, 17, "document proof")?;
+    let num_docs = r.checked_count(num_docs, 15, "document proof")?;
     let mut docs = Vec::with_capacity(num_docs);
     for _ in 0..num_docs {
         let doc = r.u32()?;
@@ -379,14 +401,12 @@ pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
             1 => Some(r.digest()?),
             _ => return Err(err("bad content flag")),
         };
-        let signature = r.bytes16()?;
         docs.push(DocVo {
             doc,
             num_leaves,
             revealed,
             proof,
             content_digest,
-            signature,
         });
     }
     let dict = match r.u8()? {
@@ -400,6 +420,20 @@ pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
         }),
         _ => return Err(err("bad dict flag")),
     };
+    let doc_table = if mechanism.is_tra() {
+        let n = r.u32()? as usize;
+        let n = r.checked_count(n, DIGEST_LEN, "document-table digest")?;
+        let mut digests = Vec::with_capacity(n);
+        for _ in 0..n {
+            digests.push(r.digest()?);
+        }
+        Some(DocTableVo {
+            proof: MerkleProof { digests },
+            signature: r.bytes16()?,
+        })
+    } else {
+        None
+    };
     if r.pos != bytes.len() {
         return Err(err("trailing bytes"));
     }
@@ -408,6 +442,7 @@ pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
         terms,
         docs,
         dict,
+        doc_table,
     })
 }
 
@@ -422,9 +457,11 @@ pub const FRAME_MAGIC: [u8; 4] = *b"ASRV";
 ///
 /// **v2** added a flags byte to every request payload (bit 0 =
 /// [`FLAG_DIGEST_VO`], requesting the streaming digest-mode reply) and
-/// the [`kind::REPLY_OK_DIGEST`] frame; v1 frames are rejected by the
+/// the [`kind::REPLY_OK_DIGEST`] frame. **v3** replaced the TRA VO's
+/// per-document signatures with one document-table trailer (TNRA
+/// payloads are byte-identical to v2). Older frames are rejected by the
 /// version check, never misparsed.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Request flag bit: ask for a [`Reply::OkDigest`] — the VO with
 /// per-document content digests instead of the full contents echo.
@@ -1159,13 +1196,16 @@ mod tests {
                 digests: vec![Digest::ZERO; digests],
             },
             content_digest: None,
-            signature: vec![0u8; 4],
         };
         let vo = |digests| VerificationObject {
             mechanism: Mechanism::TraMht,
             terms: Vec::new(),
             docs: vec![doc_vo(digests)],
             dict: None,
+            doc_table: Some(DocTableVo {
+                proof: MerkleProof::default(),
+                signature: vec![0u8; 4],
+            }),
         };
         let at_boundary = encode(&vo(u16::MAX as usize)).unwrap();
         let back = decode(&at_boundary).unwrap();
@@ -1190,10 +1230,11 @@ mod tests {
             signature: None,
         };
         let mut vo = VerificationObject {
-            mechanism: Mechanism::TraMht,
+            mechanism: Mechanism::TnraMht,
             terms: vec![term_vo; u16::MAX as usize + 1],
             docs: Vec::new(),
             dict: None,
+            doc_table: None,
         };
         assert_eq!(
             encode(&vo).unwrap_err(),
@@ -1207,6 +1248,34 @@ mod tests {
         vo.terms.truncate(u16::MAX as usize);
         let bytes = encode(&vo).unwrap();
         assert_eq!(decode(&bytes).unwrap(), vo);
+    }
+
+    #[test]
+    fn doc_table_trailer_is_tra_only() {
+        // TNRA encodings carry no trailer byte at all.
+        let tnra = sample_vo(Mechanism::TnraMht, false);
+        assert!(tnra.doc_table.is_none());
+        let tra = sample_vo(Mechanism::TraMht, false);
+        let table = tra.doc_table.clone().unwrap();
+        let bytes = encode(&tra).unwrap();
+        let trailer = 4 + table.proof.size_bytes() + 2 + table.signature.len();
+        let mut stripped = tra.clone();
+        stripped.mechanism = Mechanism::TnraMht;
+        stripped.doc_table = None;
+        assert_eq!(encode(&stripped).unwrap().len() + trailer, bytes.len());
+        // A mismatched VO is refused at encode time, both ways.
+        let mut missing = tra.clone();
+        missing.doc_table = None;
+        assert!(matches!(encode(&missing), Err(WireError::Malformed(_))));
+        let mut extra = tnra;
+        extra.doc_table = Some(table);
+        assert!(matches!(encode(&extra), Err(WireError::Malformed(_))));
+        // A digest count larger than the bytes behind it is refused
+        // before allocation (truncations: tests/attack_suite.rs).
+        let mut forged = bytes.clone();
+        let at = bytes.len() - trailer;
+        forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(&forged).is_err());
     }
 
     #[test]

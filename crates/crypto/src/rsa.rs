@@ -8,8 +8,7 @@
 
 use crate::bignum::{gen_prime, BigUint, Montgomery};
 use crate::sha256::Sha256;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -57,10 +56,9 @@ impl fmt::Display for RsaError {
 impl std::error::Error for RsaError {}
 
 /// Failure of a [`RsaPublicKey::verify_batch`] call, pinpointing the
-/// offending item: when the combined randomized check rejects, the
-/// batch is re-verified individually and the first failing pair is
-/// reported — so callers always learn *which* signature is bad, exactly
-/// as if they had verified one by one.
+/// offending item: the first failing pair is reported, so callers
+/// always learn *which* signature is bad, exactly as if they had
+/// verified one by one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchVerifyError {
     /// Index into the `items` slice of the first failing pair.
@@ -192,12 +190,9 @@ impl RsaPublicKey {
     /// whenever `rᵢ` is even (half of all draws), and *two* such
     /// flipped signatures cancel in any product with probability 1. No
     /// multiplicative combination can therefore agree exactly with
-    /// individual verification; the sound combination — squaring away
-    /// the sign — is available as [`RsaPublicKey::screen_batch`], which
-    /// proves owner endorsement of every message but deliberately
-    /// accepts `s` and `n − s` alike.
+    /// individual verification.
     pub fn verify_batch(&self, items: &[(&[u8], &[u8])]) -> Result<(), BatchVerifyError> {
-        let distinct = self.screen_structure(items)?;
+        let distinct = self.distinct_pairs(items)?;
         for &i in &distinct {
             let (msg, sig) = items[i];
             let (s_m, em_m) = match self.to_domain(msg, sig) {
@@ -214,102 +209,9 @@ impl RsaPublicKey {
         Ok(())
     }
 
-    /// Screen a batch with the randomized-combination (small-exponents)
-    /// test, **sound in the squared domain**: accepts, with error
-    /// ≤ 2⁻⁶⁴ per combination exponent, exactly the batches in which
-    /// every pair satisfies `sᵢᵉ ≡ ±emᵢ (mod n)` — i.e. every message
-    /// is provably **owner-endorsed**, but a signature and its negation
-    /// `n − s` are deliberately not distinguished (that is what makes
-    /// the combination sound; see [`RsaPublicKey::verify_batch`] for
-    /// why the unsquared test is broken). One interleaved
-    /// multi-exponentiation per side, all in one Montgomery context; on
-    /// rejection each distinct pair is re-checked individually (against
-    /// the same ± relation) so the culprit is always named.
-    ///
-    /// **Soundness**: completeness is exact — an all-endorsed batch
-    /// always passes. For an invalid batch write
-    /// `gᵢ = (sᵢᵉ·emᵢ⁻¹)²`; squaring maps `±1` to `1`, and any other
-    /// `gᵢ ≠ 1` of small order would expose a nontrivial square root of
-    /// unity mod `n`, i.e. the factorization. The batch passes only
-    /// when `∏ gᵢ^{rᵢ} = 1`, probability ≤ 2⁻⁶⁴ per fresh 64-bit
-    /// exponent. The default entropy source seeds 64 bits per call
-    /// (see `batch_entropy`), which caps the *adversarial* bound at one
-    /// 64-bit seed guess per batch; callers needing the full
-    /// per-exponent bound should supply their own generator through
-    /// [`RsaPublicKey::screen_batch_with_rng`].
-    ///
-    /// Use this when the question is "did the owner endorse all of this
-    /// data" (the VO integrity question) rather than "are these the
-    /// bit-exact signatures"; [`RsaPublicKey::verify_batch`] answers
-    /// the latter and is the default everywhere in this workspace.
-    pub fn screen_batch(&self, items: &[(&[u8], &[u8])]) -> Result<(), BatchVerifyError> {
-        let mut rng = StdRng::seed_from_u64(batch_entropy());
-        self.screen_batch_with_rng(items, &mut rng)
-    }
-
-    /// [`RsaPublicKey::screen_batch`] with caller-supplied randomness
-    /// for the combination exponents (deterministic tests, or callers
-    /// with a real CSPRNG wanting the full 2⁻⁶⁴ bound).
-    pub fn screen_batch_with_rng<R: Rng>(
-        &self,
-        items: &[(&[u8], &[u8])],
-        rng: &mut R,
-    ) -> Result<(), BatchVerifyError> {
-        let distinct = self.screen_structure(items)?;
-        if distinct.is_empty() {
-            return Ok(());
-        }
-        // Move every distinct operand into the Montgomery domain and
-        // square it: the combination runs over gᵢ = (sᵢᵉ/emᵢ)², where
-        // the cheaply-constructible ±1 ambiguity collapses.
-        let mut s2_m = Vec::with_capacity(distinct.len());
-        let mut em2_m = Vec::with_capacity(distinct.len());
-        for &i in &distinct {
-            let (msg, sig) = items[i];
-            let (s_m, em_m) = match self.to_domain(msg, sig) {
-                Ok(pair) => pair,
-                Err(error) => return Err(BatchVerifyError { culprit: i, error }),
-            };
-            s2_m.push(self.ctx_n.sqr(&s_m));
-            em2_m.push(self.ctx_n.sqr(&em_m));
-        }
-        // Fresh nonzero 64-bit combination exponents.
-        let exps: Vec<u64> = distinct
-            .iter()
-            .map(|_| loop {
-                let r: u64 = rng.gen();
-                if r != 0 {
-                    break r;
-                }
-            })
-            .collect();
-        // (∏ sᵢ²ʳⁱ)^e ≡ ∏ emᵢ²ʳⁱ, entirely in Montgomery form (equal
-        // Montgomery representatives ⟺ equal values).
-        let lhs = self
-            .ctx_n
-            .pow_montgomery(&multi_exp_montgomery(&self.ctx_n, &s2_m, &exps), &self.e);
-        let rhs = multi_exp_montgomery(&self.ctx_n, &em2_m, &exps);
-        if lhs == rhs {
-            return Ok(());
-        }
-        // The combination rejected: name the first non-endorsed pair
-        // (same ± relation the screen accepts).
-        for (slot, &i) in distinct.iter().enumerate() {
-            if self.ctx_n.pow_montgomery(&s2_m[slot], &self.e) != em2_m[slot] {
-                return Err(BatchVerifyError {
-                    culprit: i,
-                    error: RsaError::VerificationFailed,
-                });
-            }
-        }
-        // Unreachable in a correct implementation (completeness of the
-        // squared test is exact); defer to the per-pair answer.
-        Ok(())
-    }
-
-    /// Shared batch front-end: length-check every signature and return
-    /// the first index of each distinct `(message, signature)` pair.
-    fn screen_structure(&self, items: &[(&[u8], &[u8])]) -> Result<Vec<usize>, BatchVerifyError> {
+    /// Length-check every signature and return the first index of each
+    /// distinct `(message, signature)` pair.
+    fn distinct_pairs(&self, items: &[(&[u8], &[u8])]) -> Result<Vec<usize>, BatchVerifyError> {
         let mut seen: HashSet<(&[u8], &[u8])> = HashSet::with_capacity(items.len());
         let mut distinct: Vec<usize> = Vec::with_capacity(items.len());
         for (i, &(msg, sig)) in items.iter().enumerate() {
@@ -529,49 +431,6 @@ impl RsaPrivateKey {
         let h = self.q_inv.mul_mod(&diff, &self.p);
         &m2 + &(&h * &self.q)
     }
-}
-
-/// Interleaved multi-exponentiation `∏ basesᵢ^{expsᵢ}` with every
-/// operand (and the result) in Montgomery form: one shared
-/// square-per-bit chain for all exponents, one multiply per set bit —
-/// the standard simultaneous square-and-multiply that makes the batch
-/// combination cheaper than `bases.len()` separate exponentiations.
-fn multi_exp_montgomery(ctx: &Montgomery, bases_m: &[BigUint], exps: &[u64]) -> BigUint {
-    debug_assert_eq!(bases_m.len(), exps.len());
-    let top = exps
-        .iter()
-        .map(|e| 64 - e.leading_zeros())
-        .max()
-        .unwrap_or(0);
-    let mut acc = ctx.one();
-    for bit in (0..top).rev() {
-        acc = ctx.sqr(&acc);
-        for (b, &r) in bases_m.iter().zip(exps) {
-            if (r >> bit) & 1 == 1 {
-                acc = ctx.mul(&acc, b);
-            }
-        }
-    }
-    acc
-}
-
-/// Per-call seed for the screening-combination exponents, drawn from
-/// [`std::collections::hash_map::RandomState`] (whose keys derive from
-/// one OS-seeded per-thread generator plus a per-instance counter — the
-/// two draws below are therefore *correlated*, and the whole exponent
-/// vector carries at most these 64 bits of entropy, stretched through
-/// the deterministic vendored `rand` shim). Not a CSPRNG: this bounds
-/// an adversary who must commit to the batch before the draw at one
-/// 64-bit seed guess per attempt, which is what
-/// [`RsaPublicKey::screen_batch`]'s docs advertise; callers wanting the
-/// full per-exponent 2⁻⁶⁴ bound must supply a real CSPRNG via
-/// [`RsaPublicKey::screen_batch_with_rng`].
-fn batch_entropy() -> u64 {
-    use std::collections::hash_map::RandomState;
-    use std::hash::{BuildHasher, Hasher};
-    let a = RandomState::new().build_hasher().finish();
-    let b = RandomState::new().build_hasher().finish();
-    a.rotate_left(32) ^ b
 }
 
 /// EMSA-PKCS1-v1_5 encoding of the SHA-256 hash of `message` into `k` bytes.
@@ -814,44 +673,6 @@ mod tests {
                 .verify_batch(&as_items(&msgs, &bad))
                 .unwrap_err();
             assert_eq!(err.culprit, 0, "first flipped signature is named");
-        }
-    }
-
-    #[test]
-    fn screen_batch_accepts_endorsed_and_names_forgeries() {
-        let key = test_key();
-        let (msgs, sigs) = signed_batch(&key, 5);
-        let items = as_items(&msgs, &sigs);
-        // Valid batches pass under any seed.
-        for seed in [0u64, 1, 0xdead_beef] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            key.public_key()
-                .screen_batch_with_rng(&items, &mut rng)
-                .unwrap();
-        }
-        key.public_key().screen_batch(&items).unwrap();
-        // Documented semantics: the screen does NOT distinguish s from
-        // n − s — the message is still owner-endorsed.
-        let mut flipped = sigs.clone();
-        flipped[1] = negate_signature(&key, &sigs[1]);
-        key.public_key()
-            .screen_batch(&as_items(&msgs, &flipped))
-            .unwrap();
-        assert!(
-            key.public_key().verify(&msgs[1], &flipped[1]).is_err(),
-            "verify (and verify_batch) still reject the flip"
-        );
-        // A genuinely unendorsed message is rejected and named, under
-        // every seed (completeness of the fallback is exact).
-        let mut bad = sigs.clone();
-        bad[3][7] ^= 0x20;
-        for seed in [0u64, 9, 0xfeed] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let err = key
-                .public_key()
-                .screen_batch_with_rng(&as_items(&msgs, &bad), &mut rng)
-                .unwrap_err();
-            assert_eq!(err.culprit, 3);
         }
     }
 

@@ -6,12 +6,17 @@
 //! cargo run --release -p authsearch-core --example attack_detection
 //! ```
 
-use authsearch_core::attacks::{truncated_prefix_response, Attack};
-use authsearch_core::{verify, AuthConfig, DataOwner, Mechanism, Query};
+use authsearch_core::attacks::{
+    doc_beyond_table_response, stale_doc_table_response, truncated_prefix_response, Attack,
+};
+use authsearch_core::{verify, AuthConfig, DataOwner, Mechanism, Query, QueryResponse};
 use authsearch_corpus::SyntheticConfig;
 
 fn main() {
     let corpus = SyntheticConfig::tiny(300, 2024).generate();
+    // A different collection of the same size: the source of a stale
+    // document table.
+    let older_corpus = SyntheticConfig::tiny(300, 2023).generate();
     let owner = DataOwner::with_cached_key(512);
 
     let mut detected = 0usize;
@@ -34,37 +39,56 @@ fn main() {
         );
         println!("\n=== {} ===", mechanism.name());
 
-        let attacks = Attack::COMMON.iter().chain(if mechanism.is_tra() {
-            Attack::TRA_ONLY.iter()
-        } else {
-            [].iter()
-        });
-        for &attack in attacks {
-            let mut tampered = honest.clone();
-            if !attack.apply(&mut tampered) {
-                println!("  -  {:<28} (not applicable)", attack.name());
-                continue;
-            }
+        let mut mount = |name: &str, tampered: Option<QueryResponse>| {
+            let Some(tampered) = tampered else {
+                println!("  -  {name:<40} (not applicable)");
+                return;
+            };
             mounted += 1;
             match verify::verify(&publication.verifier_params, &query, 10, &tampered) {
                 Err(e) => {
                     detected += 1;
-                    println!("  ✓  {:<28} rejected: {e}", attack.name());
+                    println!("  ✓  {name:<40} rejected: {e}");
                 }
-                Ok(_) => println!("  ✗  {:<28} ACCEPTED — bug!", attack.name()),
+                Ok(_) => println!("  ✗  {name:<40} ACCEPTED — bug!"),
             }
+        };
+
+        let doc_side: Vec<Attack> = if mechanism.is_tra() {
+            Attack::TRA_ONLY
+                .iter()
+                .chain(&Attack::DOC_TABLE)
+                .copied()
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for &attack in Attack::COMMON.iter().chain(&doc_side) {
+            let mut tampered = honest.clone();
+            mount(
+                attack.name(),
+                attack.apply(&mut tampered).then_some(tampered),
+            );
         }
 
         // The subtle one: a well-formed VO over truncated prefixes.
-        if let Some(tampered) = truncated_prefix_response(&publication.auth, &query, 10, &corpus) {
-            mounted += 1;
-            match verify::verify(&publication.verifier_params, &query, 10, &tampered) {
-                Err(e) => {
-                    detected += 1;
-                    println!("  ✓  {:<28} rejected: {e}", "truncate prefixes");
-                }
-                Ok(_) => println!("  ✗  {:<28} ACCEPTED — bug!", "truncate prefixes"),
-            }
+        mount(
+            "truncate prefixes",
+            truncated_prefix_response(&publication.auth, &query, 10, &corpus),
+        );
+
+        // The owner's genuine signature over another publication's
+        // document table, and a document past the end of the table.
+        if mechanism.is_tra() {
+            let older = owner.publish(&older_corpus, config);
+            mount(
+                "stale document table",
+                stale_doc_table_response(&honest, &older.auth),
+            );
+            mount(
+                "doc id past the table",
+                doc_beyond_table_response(&honest, &publication.auth),
+            );
         }
     }
 

@@ -4,9 +4,15 @@
 //! responses would defeat the entire construction, so these tests are the
 //! security contract of the library.
 
-use authsearch_core::attacks::{incomplete_conjunct_response, truncated_prefix_response, Attack};
+use authsearch_core::attacks::{
+    doc_beyond_table_response, incomplete_conjunct_response, stale_doc_table_response,
+    truncated_prefix_response, Attack,
+};
 use authsearch_core::toy::{toy_contents, toy_index, toy_query};
-use authsearch_core::{verify, AuthConfig, DataOwner, Mechanism, Publication, Query, VerifyError};
+use authsearch_core::{
+    verify, wire, AuthConfig, DataOwner, Mechanism, Publication, Query, QueryMode, QueryResponse,
+    VerifyError,
+};
 use authsearch_corpus::{CorpusBuilder, SyntheticConfig};
 use authsearch_crypto::keys::TEST_KEY_BITS;
 
@@ -383,4 +389,225 @@ fn mechanism_confusion_rejected() {
         verify::verify(&params, &query, 10, &response),
         Err(VerifyError::QueryShapeMismatch(_))
     ));
+}
+
+// ---- the document-table catalogue, with typed verdicts ---------------------
+
+/// How a tampered reply reaches the verifier.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    InProcess,
+    Wire,
+}
+
+/// The verdict a document-table attack must produce.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    /// `VerifyError::DocTableProof(_)`.
+    Proof,
+    /// `VerifyError::DocTableSignature`.
+    Signature,
+}
+
+impl Expect {
+    fn of(attack: Attack) -> Expect {
+        match attack {
+            Attack::DropDocTableDigest | Attack::ExtraDocTableDigest => Expect::Proof,
+            Attack::ForgeDocTableSignature | Attack::ShiftDocId => Expect::Signature,
+            other => panic!("'{}' is not a document-table attack", other.name()),
+        }
+    }
+
+    fn holds(self, outcome: &Result<authsearch_core::VerifiedResult, VerifyError>) -> bool {
+        match self {
+            Expect::Proof => matches!(outcome, Err(VerifyError::DocTableProof(_))),
+            Expect::Signature => matches!(outcome, Err(VerifyError::DocTableSignature)),
+        }
+    }
+}
+
+/// Send `response` down `path`: unchanged, or encoded as a full reply
+/// frame and decoded again, exactly as a client receives it.
+fn deliver(path: Path, query: &Query, response: QueryResponse) -> QueryResponse {
+    match path {
+        Path::InProcess => response,
+        Path::Wire => {
+            let pairs: Vec<(u32, u32)> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+            let frame = wire::encode_ok_reply(&pairs, &response).expect("tampered reply encodes");
+            let (kind, payload) = wire::split_frame(&frame).expect("frame header");
+            match wire::decode_reply_payload(kind, payload).expect("tampered reply decodes") {
+                wire::Reply::Ok { response, .. } => response,
+                other => panic!("expected an OK reply, got {other:?}"),
+            }
+        }
+    }
+}
+
+fn verify_in(
+    mode: QueryMode,
+    publication: &Publication,
+    query: &Query,
+    response: &QueryResponse,
+) -> Result<authsearch_core::VerifiedResult, VerifyError> {
+    match mode {
+        QueryMode::Disjunctive => verify::verify(&publication.verifier_params, query, 10, response),
+        QueryMode::Conjunctive => {
+            verify::verify_conjunctive(&publication.verifier_params, query, 10, response)
+        }
+    }
+}
+
+fn serve_in(
+    mode: QueryMode,
+    publication: &Publication,
+    query: &Query,
+    corpus: &authsearch_corpus::Corpus,
+) -> QueryResponse {
+    match mode {
+        QueryMode::Disjunctive => publication.auth.query(query, 10, corpus),
+        QueryMode::Conjunctive => publication.auth.query_conjunctive(query, 10, corpus),
+    }
+}
+
+/// The first sampled query whose honest response every document-table
+/// attack applies to (so no cell of the matrix is skipped).
+fn doc_table_query(
+    mode: QueryMode,
+    publication: &Publication,
+    corpus: &authsearch_corpus::Corpus,
+) -> (Query, QueryResponse) {
+    let terms = match mode {
+        QueryMode::Disjunctive => 3,
+        QueryMode::Conjunctive => 2,
+    };
+    let m = publication.auth.index().num_terms();
+    (0..64)
+        .map(|seed| {
+            let ids = authsearch_corpus::workload::synthetic(m, 1, terms, seed).remove(0);
+            let query = Query::from_term_ids(publication.auth.index(), &ids);
+            let honest = serve_in(mode, publication, &query, corpus);
+            (query, honest)
+        })
+        .find(|(_, honest)| {
+            Attack::DOC_TABLE
+                .iter()
+                .all(|attack| attack.apply(&mut honest.clone()))
+        })
+        .expect("some sampled query admits every document-table attack")
+}
+
+/// Every document-table attack — the four response mutations, a table
+/// from an older publication, and a doc id past the table — is rejected
+/// with its exact `VerifyError`, on TRA-MHT and TRA-CMHT × disjunctive /
+/// conjunctive × in-process / over the wire.
+#[test]
+fn doc_table_attacks_rejected_with_typed_verdicts() {
+    for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+        let (publication, corpus) = publish(mechanism);
+        // Same collection size and key, different documents.
+        let older_corpus = SyntheticConfig::tiny(200, 98).generate();
+        let older = DataOwner::with_cached_key(TEST_KEY_BITS).publish(
+            &older_corpus,
+            AuthConfig {
+                key_bits: TEST_KEY_BITS,
+                ..AuthConfig::new(mechanism)
+            },
+        );
+        assert_eq!(
+            older.auth.index().num_docs(),
+            publication.auth.index().num_docs()
+        );
+        for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
+            let (query, honest) = doc_table_query(mode, &publication, &corpus);
+            let mut cases: Vec<(String, QueryResponse, Expect)> = Attack::DOC_TABLE
+                .iter()
+                .map(|&attack| {
+                    let mut tampered = honest.clone();
+                    assert!(attack.apply(&mut tampered));
+                    (attack.name().to_string(), tampered, Expect::of(attack))
+                })
+                .collect();
+            cases.push((
+                "document table from an older publication".into(),
+                stale_doc_table_response(&honest, &older.auth).expect("TRA reply"),
+                Expect::Signature,
+            ));
+            cases.push((
+                "doc id past the table".into(),
+                doc_beyond_table_response(&honest, &publication.auth).expect("document proofs"),
+                Expect::Proof,
+            ));
+            for path in [Path::InProcess, Path::Wire] {
+                let delivered = deliver(path, &query, honest.clone());
+                verify_in(mode, &publication, &query, &delivered).unwrap_or_else(|e| {
+                    panic!(
+                        "{} {mode:?} {path:?}: honest reply rejected: {e}",
+                        mechanism.name()
+                    )
+                });
+                for (name, tampered, expect) in &cases {
+                    let delivered = deliver(path, &query, tampered.clone());
+                    let outcome = verify_in(mode, &publication, &query, &delivered);
+                    assert!(
+                        expect.holds(&outcome),
+                        "{} {mode:?} {path:?}: '{name}' gave {outcome:?}, want {expect:?}",
+                        mechanism.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Wire fuzz: a reply whose VO stops anywhere inside the document-table
+/// trailer (with the VO and frame lengths fixed up to match) never
+/// decodes, and a flipped byte anywhere in the trailer never verifies.
+#[test]
+fn truncated_or_flipped_doc_table_trailer_rejected() {
+    let (publication, corpus) = publish(Mechanism::TraMht);
+    let query = sample_query(&publication, 5);
+    let honest = publication.auth.query(&query, 10, &corpus);
+    let pairs: Vec<(u32, u32)> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+    let vo = wire::encode(&honest.vo).unwrap();
+    let table = honest.vo.doc_table.as_ref().unwrap();
+    let trailer = 4 + table.proof.size_bytes() + 2 + table.signature.len();
+
+    // Locate the nested VO inside the reply payload: term echo, result
+    // entries, then a u32 length and the VO bytes.
+    let frame = wire::encode_ok_reply(&pairs, &honest).unwrap();
+    let payload = &frame[wire::FRAME_HEADER_LEN..];
+    let vo_at = 2 + 8 * pairs.len() + 4 + 12 * honest.result.entries.len() + 4;
+    assert_eq!(&payload[vo_at..vo_at + vo.len()], vo.as_slice());
+    let (head, tail) = (&payload[..vo_at - 4], &payload[vo_at + vo.len()..]);
+
+    for cut in 1..=trailer {
+        let short = &vo[..vo.len() - cut];
+        let mut body = head.to_vec();
+        body.extend_from_slice(&(short.len() as u32).to_le_bytes());
+        body.extend_from_slice(short);
+        body.extend_from_slice(tail);
+        let mut framed = wire::encode_frame_header(wire::kind::REPLY_OK, body.len())
+            .unwrap()
+            .to_vec();
+        framed.extend_from_slice(&body);
+        let (kind, payload) = wire::split_frame(&framed).unwrap();
+        assert!(
+            wire::decode_reply_payload(kind, payload).is_err(),
+            "VO cut {cut} bytes into the trailer still decoded"
+        );
+    }
+
+    for at in vo.len() - trailer..vo.len() {
+        let mut flipped = vo.clone();
+        flipped[at] ^= 0x01;
+        let Ok(decoded) = wire::decode(&flipped) else {
+            continue;
+        };
+        let mut tampered = honest.clone();
+        tampered.vo = decoded;
+        assert!(
+            verify::verify(&publication.verifier_params, &query, 10, &tampered).is_err(),
+            "trailer byte {at} flipped yet the reply verified"
+        );
+    }
 }

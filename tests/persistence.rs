@@ -55,7 +55,7 @@ fn corpus_roundtrip_preserves_queries() {
     for t in 0..index_a.num_terms() as u32 {
         assert_eq!(index_a.list(t), index_b.list(t), "term {t}");
     }
-    // Content digests must also survive (they feed doc signatures).
+    // Content digests must also survive (they feed the document table).
     for d in 0..corpus.num_docs() as u32 {
         assert_eq!(corpus.content_bytes(d), restored.content_bytes(d));
     }
