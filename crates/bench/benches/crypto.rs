@@ -3,7 +3,7 @@
 
 use authsearch_crypto::bignum::{BigUint, Montgomery};
 use authsearch_crypto::keys::{cached_keypair, PAPER_KEY_BITS};
-use authsearch_crypto::{md5::Md5, sha1::Sha1, sha256::Sha256};
+use authsearch_crypto::sha256::Sha256;
 use authsearch_crypto::{ChainMht, Digest, MerkleTree};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
@@ -23,12 +23,6 @@ fn hash_functions(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("sha256", size), &data, |b, d| {
             b.iter(|| Sha256::digest(d))
-        });
-        group.bench_with_input(BenchmarkId::new("sha1", size), &data, |b, d| {
-            b.iter(|| Sha1::digest(d))
-        });
-        group.bench_with_input(BenchmarkId::new("md5", size), &data, |b, d| {
-            b.iter(|| Md5::digest(d))
         });
     }
     group.finish();

@@ -318,28 +318,42 @@ pub(crate) fn term_root(config: &AuthConfig, list: &InvertedList) -> Digest {
     cache::TermStructure::build(config, list).root()
 }
 
+/// Concatenate `parts` into a fixed-size message. Every signed message
+/// below is at most 55 bytes, so hashing one is a single SHA-256 block
+/// and building one allocates nothing.
+fn message<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
+    let mut msg = [0u8; N];
+    let mut at = 0;
+    for part in parts {
+        msg[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    assert_eq!(at, N, "message parts must fill the encoding exactly");
+    msg
+}
+
 /// Signed message binding a term's list: `h(tag | t | f_t | digest)` —
 /// the paper's `sign(h(t_i | f_{t_i} | i | digest_{i,1}))`.
-pub(crate) fn term_message(term: TermId, ft: u32, root: &Digest) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(16 + 8 + 16);
-    msg.extend_from_slice(b"authsearch:term:v1|");
-    msg.extend_from_slice(&term.to_le_bytes());
-    msg.extend_from_slice(&ft.to_le_bytes());
-    msg.extend_from_slice(root.as_bytes());
-    msg
+pub(crate) fn term_message(term: TermId, ft: u32, root: &Digest) -> [u8; 43] {
+    message(&[
+        b"authsearch:term:v1|",
+        &term.to_le_bytes(),
+        &ft.to_le_bytes(),
+        root.as_bytes(),
+    ])
 }
 
 /// Message binding a document: the `h(doc) | d | root` of the paper's
 /// `sign(h(h(doc) | d | root))` (Figure 8). The paper signs it per
 /// document; here its digest is leaf `d` of the document table
 /// ([`doc_table_leaf`]).
-pub(crate) fn doc_message(doc: DocId, content_digest: &Digest, root: &Digest) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(19 + 4 + 32);
-    msg.extend_from_slice(b"authsearch:doc:v1|");
-    msg.extend_from_slice(&content_digest.0);
-    msg.extend_from_slice(&doc.to_le_bytes());
-    msg.extend_from_slice(root.as_bytes());
-    msg
+pub(crate) fn doc_message(doc: DocId, content_digest: &Digest, root: &Digest) -> [u8; 54] {
+    message(&[
+        b"authsearch:doc:v1|",
+        &content_digest.0,
+        &doc.to_le_bytes(),
+        root.as_bytes(),
+    ])
 }
 
 /// Document-table leaf for document `doc`: the digest of its
@@ -364,21 +378,21 @@ pub(crate) fn doc_table_tree(content_digests: &[Digest], roots: &[Digest]) -> Me
 /// root. This is §3.4's dictionary-MHT trick applied to documents: a
 /// TRA reply carries one multi-proof and one signature instead of one
 /// signature per encountered document.
-pub(crate) fn doc_table_message(num_docs: u32, root: &Digest) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(23 + 4 + 16);
-    msg.extend_from_slice(b"authsearch:doctable:v1|");
-    msg.extend_from_slice(&num_docs.to_le_bytes());
-    msg.extend_from_slice(root.as_bytes());
-    msg
+pub(crate) fn doc_table_message(num_docs: u32, root: &Digest) -> [u8; 43] {
+    message(&[
+        b"authsearch:doctable:v1|",
+        &num_docs.to_le_bytes(),
+        root.as_bytes(),
+    ])
 }
 
 /// Signed message for the dictionary-MHT root (§3.4).
-pub(crate) fn dict_message(num_terms: u32, root: &Digest) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(24 + 16);
-    msg.extend_from_slice(b"authsearch:dict:v1|");
-    msg.extend_from_slice(&num_terms.to_le_bytes());
-    msg.extend_from_slice(root.as_bytes());
-    msg
+pub(crate) fn dict_message(num_terms: u32, root: &Digest) -> [u8; 39] {
+    message(&[
+        b"authsearch:dict:v1|",
+        &num_terms.to_le_bytes(),
+        root.as_bytes(),
+    ])
 }
 
 /// Dictionary-MHT leaf for one term: the digest of its signed message
@@ -723,6 +737,99 @@ mod tests {
         assert_eq!(msg.len(), 54);
         assert_ne!(msg.len(), 2 * authsearch_crypto::DIGEST_LEN);
         assert!(doc_table_message(9, &Digest::ZERO).starts_with(b"authsearch:doctable:v1|"));
+    }
+
+    #[test]
+    fn signed_messages_fit_one_sha256_block() {
+        // SHA-256 pads a message of at most 55 bytes into a single
+        // 64-byte block, so every leaf and signature digest below is one
+        // compression.
+        let d = Digest::hash(b"x");
+        let lens = [
+            term_message(1, 2, &d).len(),
+            doc_message(1, &d, &d).len(),
+            doc_table_message(1, &d).len(),
+            dict_message(1, &d).len(),
+        ];
+        assert!(lens.iter().all(|&n| n <= 55), "{lens:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "message parts must fill the encoding exactly")]
+    fn message_parts_must_fill_the_encoding() {
+        let _: [u8; 8] = message(&[b"short"]);
+    }
+
+    /// Digests of the toy collection, pinned at the commit before the
+    /// SHA-NI hash layer and unchanged by it: any change to the hash, a
+    /// leaf encoding or a signed message moves at least one of them,
+    /// which would invalidate every snapshot and signature already
+    /// published.
+    #[test]
+    fn golden_roots_are_byte_stable() {
+        // (mechanism, term 0 root/head, term 15 root/head, dictionary
+        // root, document-table root)
+        let golden = [
+            (
+                Mechanism::TraMht,
+                "7aa8ca4a02506da9133d8f889678b76f",
+                "a4a40dc93738a756e2bab0aa35e60ee3",
+                "7d00e5939878e1f70b6df4a54f9aac60",
+                Some("76161ae5fd274627ba90cdbb24451d38"),
+            ),
+            (
+                Mechanism::TraCmht,
+                "7aa8ca4a02506da9133d8f889678b76f",
+                "4f388cd5c6a316ddd0974eafd46bae97",
+                "d201976ba0e6ce08bc9ff20f4a2d6041",
+                Some("76161ae5fd274627ba90cdbb24451d38"),
+            ),
+            (
+                Mechanism::TnraMht,
+                "2d1913b16164a616ec1cce07c81479a3",
+                "14e909b5f2e7264092d6e51c7e97d0b3",
+                "9878214462dbe272ef2eb6c5518b518b",
+                None,
+            ),
+            (
+                Mechanism::TnraCmht,
+                "2d1913b16164a616ec1cce07c81479a3",
+                "03244fda71fc686b6a95fe6bc169376c",
+                "5d5e5b5e4a73cd0aefe0bc6c4617d87e",
+                None,
+            ),
+        ];
+        let key = cached_keypair(TEST_KEY_BITS);
+        for (mechanism, first, last, dict, table) in golden {
+            // 32-byte blocks hold 3 TRA leaves or 1 TNRA leaf, so the toy
+            // lists span several chain blocks and no chain head coincides
+            // with a plain MHT root.
+            let config = AuthConfig {
+                layout: BlockLayout {
+                    block_bytes: 32,
+                    ..BlockLayout::default()
+                },
+                ..test_config(mechanism)
+            };
+            let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
+            let m = auth.index.num_terms() as TermId;
+            let dict_leaves = (0..m)
+                .map(|t| dict_leaf_digest(t, auth.index.ft(t), &auth.term_root(t)))
+                .collect();
+            let got = (
+                auth.term_root(0).to_hex(),
+                auth.term_root(m - 1).to_hex(),
+                MerkleTree::from_leaf_digests(dict_leaves).root().to_hex(),
+                auth.doc_tree.as_ref().map(|t| t.root().to_hex()),
+            );
+            let want = (
+                first.to_string(),
+                last.to_string(),
+                dict.to_string(),
+                table.map(str::to_string),
+            );
+            assert_eq!(got, want, "{mechanism:?}");
+        }
     }
 
     #[test]

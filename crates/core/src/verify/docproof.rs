@@ -129,7 +129,7 @@ fn verify_doc_table(
     super::verify_signature_with_memo(
         params,
         memo,
-        doc_table_message(num_docs, &root),
+        &doc_table_message(num_docs, &root),
         &table.signature,
     )
     .map_err(|_| VerifyError::DocTableSignature)

@@ -497,7 +497,7 @@ fn verify_term_signatures(
         return verify_signature_with_memo(
             params,
             memo,
-            dict_message(dict.num_terms, &root),
+            &dict_message(dict.num_terms, &root),
             &dict.signature,
         )
         .map_err(|_| VerifyError::DictSignature);
@@ -523,10 +523,10 @@ fn verify_term_signatures(
 pub(crate) fn verify_signature_with_memo(
     params: &VerifierParams,
     memo: &mut SigMemo,
-    message: Vec<u8>,
+    message: &[u8],
     signature: &[u8],
 ) -> Result<(), authsearch_crypto::RsaError> {
-    let key = (message, signature.to_vec());
+    let key = (message.to_vec(), signature.to_vec());
     if !memo.contains(&key) {
         params.public_key.verify(&key.0, &key.1)?;
         memo.insert(key);
@@ -540,10 +540,10 @@ pub(crate) fn verify_signature_with_memo(
 fn batch_verify_with_memo<'a>(
     params: &VerifierParams,
     memo: &mut SigMemo,
-    messages: &[Vec<u8>],
+    messages: &[impl AsRef<[u8]>],
     sigs: impl Iterator<Item = &'a [u8]>,
 ) -> Result<(), usize> {
-    let pairs: Vec<(&[u8], &[u8])> = messages.iter().map(|m| m.as_slice()).zip(sigs).collect();
+    let pairs: Vec<(&[u8], &[u8])> = messages.iter().map(|m| m.as_ref()).zip(sigs).collect();
     // Pairs this session has not yet verified, with the owned memo key
     // built once and reused for the post-verification insert.
     type Keyed = (usize, (Vec<u8>, Vec<u8>));

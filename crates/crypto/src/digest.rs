@@ -4,8 +4,6 @@
 //! 128-bit digests by truncating SHA-256 output, which preserves one-wayness
 //! and collision resistance at the 64-bit security level — the same level the
 //! paper assumes for MD5-sized digests — while avoiding MD5's known breaks.
-//! MD5 and SHA-1 are also provided (see [`crate::md5`] and [`crate::sha1`])
-//! for completeness and historical comparison benches.
 
 use crate::sha256::Sha256;
 use std::fmt;
@@ -46,9 +44,13 @@ impl Digest {
         Digest(out)
     }
 
-    /// `h(left | right)` — the Merkle internal-node combiner.
+    /// `h(left | right)` — the Merkle internal-node combiner. The 32-byte
+    /// concatenation is built on the stack and hashed in one compression.
     pub fn combine(left: &Digest, right: &Digest) -> Digest {
-        Digest::hash_parts(&[&left.0, &right.0])
+        let mut pair = [0u8; 2 * DIGEST_LEN];
+        pair[..DIGEST_LEN].copy_from_slice(&left.0);
+        pair[DIGEST_LEN..].copy_from_slice(&right.0);
+        Digest::hash(&pair)
     }
 
     /// Raw bytes of the digest.
@@ -91,6 +93,8 @@ impl fmt::Display for Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn digest_is_deterministic() {
@@ -103,6 +107,18 @@ mod tests {
         let cat = Digest::hash(b"hello world");
         let parts = Digest::hash_parts(&[b"hello", b" ", b"world"]);
         assert_eq!(cat, parts);
+    }
+
+    #[test]
+    fn combine_matches_hash_parts_over_random_pairs() {
+        let mut rng = StdRng::seed_from_u64(0xc0b1);
+        for _ in 0..1000 {
+            let (mut l, mut r) = ([0u8; DIGEST_LEN], [0u8; DIGEST_LEN]);
+            rng.fill_bytes(&mut l);
+            rng.fill_bytes(&mut r);
+            let (l, r) = (Digest(l), Digest(r));
+            assert_eq!(Digest::combine(&l, &r), Digest::hash_parts(&[&l.0, &r.0]));
+        }
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //!
 //! * [`Digest`] — the 128-bit one-way hash used everywhere (truncated
 //!   SHA-256; the paper's Table 1 fixes |h| = 128 bits).
-//! * [`sha256::Sha256`], [`sha1::Sha1`], [`md5::Md5`] — streaming hash
-//!   implementations from FIPS 180-4 / RFC 1321 with standard test vectors.
+//! * [`sha256::Sha256`] — streaming SHA-256 from FIPS 180-4 with
+//!   standard test vectors; the x86-64 SHA extensions compress blocks
+//!   when the CPU has them, with a portable scalar fallback that also
+//!   serves as the test oracle. The kernel's module is the one place in
+//!   this crate allowed to use `unsafe`.
 //! * [`bignum::BigUint`] — arbitrary-precision arithmetic (Knuth Algorithm D
 //!   division, windowed modular exponentiation in Montgomery form via
 //!   [`bignum::Montgomery`], Miller–Rabin primes).
@@ -20,15 +23,14 @@
 //! general-purpose authenticated-data-structure toolkit.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod bignum;
 pub mod chain;
 pub mod digest;
 pub mod keys;
-pub mod md5;
 pub mod merkle;
 pub mod rsa;
-pub mod sha1;
 pub mod sha256;
 
 pub use chain::{reconstruct_head, ChainMht, ChainPrefixProof};

@@ -2,8 +2,22 @@
 //!
 //! This is the one-way hash `h(.)` underlying every digest in the
 //! authentication framework (truncated to 128 bits by [`crate::Digest`]).
-//! The implementation is a straightforward, constant-memory streaming
-//! compressor; test vectors come from FIPS 180-4 and NIST CAVP.
+//! The implementation is a constant-memory streaming compressor; test
+//! vectors come from FIPS 180-4 and NIST CAVP.
+//!
+//! Every compression goes through one dispatch point,
+//! `compress_blocks`: on x86-64 CPUs with the SHA extensions it runs
+//! the kernel in `sha256/shani.rs`, elsewhere the portable
+//! `compress_scalar`.
+//! Both compute the same function, so the choice never changes a digest;
+//! the scalar code is kept as the oracle the kernel is tested against.
+//! Whole blocks reach the compressor straight from the caller's slice,
+//! and the final padded block (or two) is built on the stack, so a
+//! message of at most 55 bytes costs exactly one compression.
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod shani;
 
 /// Per-round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes (FIPS 180-4 §4.2.2).
@@ -53,10 +67,15 @@ impl Sha256 {
     }
 
     /// One-shot convenience: `Sha256::digest(msg)` returns the 32-byte hash.
+    ///
+    /// Hashes the whole blocks of `data` in place and pads only the
+    /// tail, so nothing passes through the streaming buffer; at most 55
+    /// bytes is a single compression.
     pub fn digest(data: &[u8]) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+        let (blocks, tail) = data.as_chunks::<64>();
+        let mut state = H0;
+        compress_blocks(&mut state, blocks);
+        finish(state, tail, data.len() as u64)
     }
 
     /// Absorb more message bytes.
@@ -68,71 +87,64 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer_len = 0;
         }
-        // Whole blocks straight from the input.
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
-        }
+        // Whole blocks straight from the input, in one kernel call.
+        let (blocks, tail) = data.as_chunks::<64>();
+        compress_blocks(&mut self.state, blocks);
         // Stash the tail.
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Finish and return the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit length.
-        self.update_padding_byte();
-        while self.buffer_len != 56 {
-            self.update_zero_byte();
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        self.buffer[56..64].copy_from_slice(&len_bytes);
-        let block = self.buffer;
-        self.compress(&block);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+    pub fn finalize(self) -> [u8; 32] {
+        finish(self.state, &self.buffer[..self.buffer_len], self.total_len)
     }
+}
 
-    fn update_padding_byte(&mut self) {
-        self.buffer[self.buffer_len] = 0x80;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-            self.buffer = [0u8; 64];
-        }
+/// Pad the final partial block `tail` (under 64 bytes) of a
+/// `total_len`-byte message and compress it: `0x80`, zeros to 56 mod 64,
+/// then the 64-bit big-endian bit length (FIPS 180-4 §5.1.1). A tail of
+/// up to 55 bytes fits one block; a longer one spills into a second.
+fn finish(mut state: [u32; 8], tail: &[u8], total_len: u64) -> [u8; 32] {
+    let mut pad = [[0u8; 64]; 2];
+    let blocks = if tail.len() < 56 { 1 } else { 2 };
+    let flat = pad.as_flattened_mut();
+    flat[..tail.len()].copy_from_slice(tail);
+    flat[tail.len()] = 0x80;
+    flat[64 * blocks - 8..64 * blocks].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    compress_blocks(&mut state, &pad[..blocks]);
+
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
     }
+    out
+}
 
-    fn update_zero_byte(&mut self) {
-        self.buffer[self.buffer_len] = 0;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-            self.buffer = [0u8; 64];
-        }
+/// Compress whole 64-byte blocks into `state`: the SHA-NI kernel when the
+/// CPU has it, the scalar code otherwise.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    if blocks.is_empty() {
+        return;
     }
+    #[cfg(target_arch = "x86_64")]
+    if shani::try_compress(state, blocks) {
+        return;
+    }
+    compress_scalar(state, blocks);
+}
 
-    /// The FIPS 180-4 compression function over one 512-bit block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The FIPS 180-4 compression function, one 512-bit block at a time, in
+/// portable Rust: the fallback off x86-64 or without the SHA extensions,
+/// and the oracle the kernel is tested against.
+pub(crate) fn compress_scalar(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -146,7 +158,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -169,20 +181,22 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -246,6 +260,147 @@ mod tests {
             h.update(&data[..len / 2]);
             h.update(&data[len / 2..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "len={len}");
+        }
+    }
+
+    #[test]
+    fn reference_vectors_at_padding_boundaries() {
+        // Digests of bytes `(7i + 3) mod 256` from an independent
+        // SHA-256 implementation, at the lengths where the final padding
+        // switches between one and two blocks.
+        let cases = [
+            (
+                55,
+                "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
+            ),
+            (
+                56,
+                "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
+            ),
+            (
+                63,
+                "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
+            ),
+            (
+                64,
+                "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
+            ),
+            (
+                119,
+                "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e",
+            ),
+            (
+                120,
+                "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5",
+            ),
+        ];
+        for (len, want) in cases {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            assert_eq!(hex(&Sha256::digest(&data)), want, "len={len}");
+            assert_eq!(hex(&scalar_digest(&data)), want, "scalar len={len}");
+        }
+    }
+
+    /// The oracle: byte-at-a-time padding into an owned buffer, then the
+    /// scalar compression only — no stack padding, no dispatch.
+    fn scalar_digest(data: &[u8]) -> [u8; 32] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress_scalar(&mut state, msg.as_chunks::<64>().0);
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        let mut data = vec![0u8; len];
+        rng.fill_bytes(&mut data);
+        data
+    }
+
+    #[test]
+    fn scalar_oracle_matches_fips_vectors() {
+        assert_eq!(
+            hex(&scalar_digest(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            hex(&scalar_digest(
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+            )),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+    }
+
+    #[test]
+    fn dispatched_hashing_matches_scalar_for_every_length_and_chunking() {
+        // On a CPU with the SHA extensions this runs the kernel against
+        // the scalar oracle; elsewhere it still checks the padding paths.
+        let mut rng = StdRng::seed_from_u64(0x5eed_0256);
+        for len in 0..=1024usize {
+            let data = random_bytes(&mut rng, len);
+            let want = scalar_digest(&data);
+            assert_eq!(Sha256::digest(&data), want, "one-shot len={len}");
+            for _ in 0..2 {
+                let mut h = Sha256::new();
+                let mut rest = data.as_slice();
+                while !rest.is_empty() {
+                    let take = rng.gen_range(0..=rest.len().min(200));
+                    let (chunk, tail) = rest.split_at(take);
+                    h.update(chunk);
+                    rest = tail;
+                }
+                assert_eq!(h.finalize(), want, "streaming len={len}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn kernel_matches_scalar_compression_over_random_block_runs() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_4e49);
+        for _ in 0..200 {
+            let nblocks = rng.gen_range(1..=17usize);
+            let data = random_bytes(&mut rng, 64 * nblocks);
+            let blocks = data.as_chunks::<64>().0;
+            let start: [u32; 8] = std::array::from_fn(|_| rng.gen());
+            let mut want = start;
+            compress_scalar(&mut want, blocks);
+            // Split the run at a random block so state is carried across
+            // kernel calls as well as within one.
+            let cut = rng.gen_range(0..=nblocks);
+            let mut got = start;
+            if !shani::try_compress(&mut got, &blocks[..cut]) {
+                return; // no SHA extensions here: scalar is the only path
+            }
+            assert!(shani::try_compress(&mut got, &blocks[cut..]));
+            assert_eq!(got, want, "blocks={nblocks} cut={cut}");
+        }
+    }
+
+    #[test]
+    fn one_block_path_matches_streaming_path() {
+        // ≤ 55 bytes pads one stack block in `digest`; 56..=63 spill into
+        // a second; 64 is one whole block plus a padding block.
+        let mut rng = StdRng::seed_from_u64(0x5eed_0001);
+        for len in 0..=128usize {
+            let data = random_bytes(&mut rng, len);
+            let mut byte_at_a_time = Sha256::new();
+            for b in &data {
+                byte_at_a_time.update(std::slice::from_ref(b));
+            }
+            let mut whole = Sha256::new();
+            whole.update(&data);
+            let one_shot = Sha256::digest(&data);
+            assert_eq!(one_shot, whole.finalize(), "len={len}");
+            assert_eq!(one_shot, byte_at_a_time.finalize(), "len={len}");
         }
     }
 }

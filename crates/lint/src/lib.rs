@@ -151,6 +151,7 @@ impl Default for Config {
             unsafe_allowed: vec![
                 "crates/core/src/pool.rs".into(),
                 "crates/core/src/reactor.rs".into(),
+                "crates/crypto/src/sha256/shani.rs".into(),
                 "crates/bench/src/bin/bench_pr9.rs".into(),
             ],
             reactor_modules: vec![

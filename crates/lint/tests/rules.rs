@@ -179,6 +179,28 @@ fn unsafe_audit_requires_safety_comment_and_module_allowlist() {
 }
 
 #[test]
+fn unsafe_audit_allows_only_the_sha_kernel_in_the_crypto_crate() {
+    let src = "// SAFETY: the caller guarantees p is valid for reads\nfn f(p: *const u8) -> u8 { unsafe { *p } }\n";
+    assert!(run("crates/crypto/src/sha256/shani.rs", src).is_empty());
+    for other in [
+        "crates/crypto/src/sha256.rs",
+        "crates/crypto/src/digest.rs",
+        "crates/crypto/src/merkle.rs",
+        "crates/crypto/src/bignum/montgomery.rs",
+        "crates/crypto/src/sha256/other.rs",
+    ] {
+        let found = run(other, src);
+        assert_eq!(rules_of(&found), ["unsafe-audit"], "{other}");
+        assert!(
+            found[0]
+                .message
+                .contains("outside the unsafe-allowed module list"),
+            "{other}"
+        );
+    }
+}
+
+#[test]
 fn unsafe_audit_distinguishes_unsafe_fn_from_unsafe_block() {
     let src = "\
 unsafe fn raw(p: *const u8) -> u8 {
