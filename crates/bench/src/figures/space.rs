@@ -2,9 +2,11 @@
 //! §3.4 dictionary-MHT ablation.
 //!
 //! The "serve cache" column is this reproduction's extension: worst-case
-//! engine RAM held by the materialized-structure cache (PR 1). The
-//! paper's storage model (`serve_cache: false`) holds zero — both modes
-//! store the same bytes on disk.
+//! engine RAM held by the materialized structures — the term LRU at
+//! capacity, plus, under TRA, every document-MHT's interior levels,
+//! which the cached engine keeps for all documents. The paper's storage
+//! model (`serve_cache: false`) holds zero — both modes store the same
+//! bytes on disk.
 
 use crate::tables::{fmt_bytes, Table};
 use crate::Workbench;
@@ -65,9 +67,9 @@ pub fn run(wb: &mut Workbench) {
         "TNRA-CMHT+dictMHT".to_string(),
         &auth.space_report(contents_bytes),
     );
-    // Cached serving mode (PR 1): identical disk bytes, plus worst-case
-    // engine RAM for the materialized structures. One row per family —
-    // TRA-MHT is the residency-heaviest, TNRA-CMHT the paper's pick.
+    // Cached serving mode: identical disk bytes, plus worst-case engine
+    // RAM for the materialized structures. One row per family — TRA-MHT
+    // is the residency-heaviest, TNRA-CMHT the paper's pick.
     for mechanism in [Mechanism::TraMht, Mechanism::TnraCmht] {
         let cached_config = AuthConfig {
             key_bits: wb.scale.key_bits,
@@ -83,10 +85,12 @@ pub fn run(wb: &mut Workbench) {
     t.note(
         "paper: TNRA needs <1% extra space over the plain index; TRA ~25% \
          (document-MHTs). Shape: TRA >> TNRA; the dictionary-MHT removes \
-         almost all per-list signature space. 'serve cache' is worst-case \
-         engine RAM for the PR 1 structure cache ('(cached)' rows; disk \
-         bytes identical; 0 under the paper's regenerate-from-leaves \
-         model used by the timing figures).",
+         almost all per-list signature space. 'serve cache' is engine RAM \
+         of the cached serving mode ('(cached)' rows): the term LRU at \
+         worst case plus, under TRA, the interior levels of every \
+         document-MHT, counted exactly. Disk bytes are identical; it is 0 \
+         under the paper's regenerate-from-leaves model used by the \
+         timing figures.",
     );
     t.note(
         "signatures: the paper stores one per term and, under TRA, one per \

@@ -28,15 +28,16 @@
 //! re-hashes the same hot lists — and in dictionary-MHT mode all `m`
 //! dictionary leaves — thousands of times over. [`AuthConfig::serve_cache`]
 //! (default **on**) therefore keeps materialized structures in RAM: the
-//! dictionary-MHT is built once at construction, and term structures live
-//! in a bounded LRU ([`AuthConfig::term_cache_capacity`]). Cached and
-//! regenerated structures are *bit-identical* — same roots, same proofs,
-//! same signatures — so verification is unaffected; only engine CPU time
-//! changes. The simulated disk accounting deliberately keeps modeling the
-//! paper's on-disk layout in both modes, so the I/O figures stay
-//! comparable. Setting `serve_cache: false` restores the paper's
-//! regenerate-from-leaves behavior exactly; [`space::SpaceReport`]
-//! reports the residency cost of both modes.
+//! dictionary-MHT is built once at construction, every document-MHT's
+//! levels above its leaves are kept from the build (TRA), and term
+//! structures live in a bounded LRU ([`AuthConfig::term_cache_capacity`]).
+//! Cached and regenerated structures are *bit-identical* — same roots,
+//! same proofs, same signatures — so verification is unaffected; only
+//! engine CPU time changes. The simulated disk accounting deliberately
+//! keeps modeling the paper's on-disk layout in both modes, so the I/O
+//! figures stay comparable. Setting `serve_cache: false` restores the
+//! paper's regenerate-from-leaves behavior exactly;
+//! [`space::SpaceReport`] reports the residency cost of both modes.
 
 mod cache;
 pub mod serve;
@@ -51,6 +52,7 @@ use crate::types::DocTable;
 use crate::vo::Mechanism;
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::keys::PAPER_KEY_BITS;
+use authsearch_crypto::merkle::interior_levels;
 use authsearch_crypto::{Digest, MerkleTree, RsaPrivateKey, RsaPublicKey};
 use authsearch_index::{BlockLayout, ImpactEntry, InvertedIndex, InvertedList};
 use std::sync::{Arc, Mutex};
@@ -108,20 +110,17 @@ pub struct AuthConfig {
     /// RSA modulus size (paper: 1024).
     pub key_bits: usize,
     /// Reuse materialized authentication structures across queries at
-    /// the engine (dictionary-MHT built once; bounded term-structure
-    /// LRU). `false` reproduces the paper's regenerate-from-leaves
+    /// the engine (dictionary-MHT built once; every document-MHT's
+    /// interior levels kept from the build; bounded term-structure LRU).
+    /// `false` reproduces the paper's regenerate-from-leaves
     /// storage model byte-for-byte on every query. Proof output is
     /// bit-identical either way; see the module docs for the trade-off.
     pub serve_cache: bool,
     /// Capacity, in terms, of the engine-side term-structure LRU
     /// (ignored when [`AuthConfig::serve_cache`] is off).
     pub term_cache_capacity: usize,
-    /// Capacity, in documents, of the engine-side document-MHT LRU
-    /// (TRA mechanisms only; ignored when [`AuthConfig::serve_cache`]
-    /// is off).
-    pub doc_cache_capacity: usize,
-    /// Lock shards of each engine-side structure cache. Rounded up to a
-    /// power of two and capped so no shard has capacity 0 (see
+    /// Lock shards of the engine-side term-structure cache. Rounded up to
+    /// a power of two and capped so no shard has capacity 0 (see
     /// [`crate::cache::ShardedLru`]); the default
     /// ([`DEFAULT_CACHE_SHARDS`]) keeps contention negligible at the
     /// thread counts the serving pool reaches while costing nothing at
@@ -154,13 +153,7 @@ pub struct AuthConfig {
 /// megabytes at WSJ scale.
 pub const DEFAULT_TERM_CACHE_CAPACITY: usize = 4096;
 
-/// Default bound on materialized document-MHTs held by the engine (TRA
-/// only — TNRA ships no document proofs). An average WSJ document has a
-/// few hundred distinct terms, so 8k cached document-MHTs stay in the
-/// tens of megabytes.
-pub const DEFAULT_DOC_CACHE_CAPACITY: usize = 8192;
-
-/// Default shard count of the engine-side structure caches. 16 shards
+/// Default shard count of the engine-side term-structure cache. 16 shards
 /// keep the expected lock-collision probability of two simultaneous
 /// lookups under 7% at 8 serving threads (birthday bound `t·(t−1)/2N`)
 /// while adding only 15 extra mutexes per cache.
@@ -182,7 +175,6 @@ impl AuthConfig {
             key_bits: PAPER_KEY_BITS,
             serve_cache: true,
             term_cache_capacity: DEFAULT_TERM_CACHE_CAPACITY,
-            doc_cache_capacity: DEFAULT_DOC_CACHE_CAPACITY,
             cache_shards: DEFAULT_CACHE_SHARDS,
             threads: default_threads(),
         }
@@ -303,14 +295,39 @@ pub(crate) fn doc_leaf_digest(term: TermId, weight: f32) -> Digest {
 /// Document-MHT root over `(t, w)` leaves; documents with no indexed
 /// terms get a distinguished constant.
 pub(crate) fn doc_root(doc_terms: &[(TermId, f32)]) -> Digest {
-    if doc_terms.is_empty() {
-        return Digest::hash(b"authsearch:empty-doc-mht:v1");
-    }
+    doc_mht(doc_terms).0
+}
+
+/// Document-MHT root and interior levels
+/// ([`authsearch_crypto::merkle::interior_levels`]) over `(t, w)` leaves:
+/// one fold yields both, so keeping the levels costs no extra hashing.
+pub(crate) fn doc_mht(doc_terms: &[(TermId, f32)]) -> (Digest, Box<[Digest]>) {
     let leaves: Vec<Digest> = doc_terms
         .iter()
         .map(|&(t, w)| doc_leaf_digest(t, w))
         .collect();
-    MerkleTree::from_leaf_digests(leaves).root()
+    let interior = interior_levels(&leaves);
+    let root = match (interior.last(), leaves.first()) {
+        (Some(&root), _) | (None, Some(&root)) => root,
+        (None, None) => Digest::hash(b"authsearch:empty-doc-mht:v1"),
+    };
+    (root, interior.into_boxed_slice())
+}
+
+/// Every document's MHT root, folded over `pool`, plus — when `keep` —
+/// its interior levels, the resident source of document proofs
+/// ([`cache::ServeCache::doc_levels`]; empty when not kept).
+pub(crate) fn doc_mhts(
+    pool: &ThreadPool,
+    doc_table: &DocTable,
+    keep: bool,
+) -> (Vec<Digest>, Vec<Box<[Digest]>>) {
+    let per_doc = pool.map(doc_table.num_docs(), |d| {
+        let (root, interior) = doc_mht(doc_table.doc_terms(d as DocId));
+        (root, if keep { interior } else { Box::default() })
+    });
+    let (roots, levels): (Vec<Digest>, Vec<Box<[Digest]>>) = per_doc.into_iter().unzip();
+    (roots, if keep { levels } else { Vec::new() })
 }
 
 /// Root (plain MHT) or head (chain-MHT) digest of a term's list.
@@ -500,7 +517,7 @@ impl AuthenticatedIndex {
         // layer, fold the (chain-)MHT).
         let term_roots: Vec<Digest> = pool.map(m, |t| term_root(&config, index.list(t as TermId)));
 
-        let mut serve_cache = cache::ServeCache::new(&config);
+        let mut dict_tree = None;
         let (term_sigs, dict_sig) = if config.dict_mht {
             let leaves: Vec<Digest> = pool.map(m, |t| {
                 let t = t as TermId;
@@ -511,7 +528,7 @@ impl AuthenticatedIndex {
             if config.serve_cache {
                 // Built once here; every query's dictionary proof reuses
                 // it instead of rehashing all m leaves.
-                serve_cache.dict_tree = Some(tree);
+                dict_tree = Some(tree);
             }
             let sig = key
                 .sign(&dict_message(m as u32, &root))
@@ -530,28 +547,23 @@ impl AuthenticatedIndex {
         };
 
         // Document structures (TRA mechanisms only): hash the content and
-        // fold the document-MHT independently per document, then fold
-        // the document table and sign its root once.
-        let (doc_content_digests, doc_roots, doc_tree, doc_table_sig) = if config.mechanism.is_tra()
-        {
-            let n = index.num_docs();
-            let per_doc: Vec<(Digest, Digest)> = pool.map(n, |d| {
-                let d = d as DocId;
-                (
-                    Digest::hash(&contents.content(d)),
-                    doc_root(doc_table.doc_terms(d)),
-                )
-            });
-            let (digests, roots): (Vec<Digest>, Vec<Digest>) = per_doc.into_iter().unzip();
-            let tree = doc_table_tree(&digests, &roots);
-            let num_docs = u32::try_from(n).expect("document ids are u32");
-            let sig = key
-                .sign(&doc_table_message(num_docs, &tree.root()))
-                .expect("document-table signature");
-            (digests, roots, Some(tree), Some(sig))
-        } else {
-            (Vec::new(), Vec::new(), None, None)
-        };
+        // fold the document-MHT independently per document — keeping its
+        // interior levels when serving from cache — then fold the
+        // document table and sign its root once.
+        let (doc_content_digests, doc_roots, doc_levels, doc_tree, doc_table_sig) =
+            if config.mechanism.is_tra() {
+                let n = index.num_docs();
+                let digests = pool.map(n, |d| Digest::hash(&contents.content(d as DocId)));
+                let (roots, levels) = doc_mhts(&pool, &doc_table, config.serve_cache);
+                let tree = doc_table_tree(&digests, &roots);
+                let num_docs = u32::try_from(n).expect("document ids are u32");
+                let sig = key
+                    .sign(&doc_table_message(num_docs, &tree.root()))
+                    .expect("document-table signature");
+                (digests, roots, levels, Some(tree), Some(sig))
+            } else {
+                (Vec::new(), Vec::new(), Vec::new(), None, None)
+            };
 
         AuthenticatedIndex {
             config,
@@ -565,7 +577,7 @@ impl AuthenticatedIndex {
             doc_tree,
             doc_table_sig,
             public_key: key.public_key().clone(),
-            cache: serve_cache,
+            cache: cache::ServeCache::new(&config, dict_tree, doc_levels),
             // The build's workers live on as the serving pool: a server
             // standing up from a fresh build never spawns a second set.
             serve_pool: Mutex::new(Some(Arc::new(pool))),

@@ -11,16 +11,16 @@
 //! every document-MHT fetch is a random access.
 
 use super::cache::TermStructure;
-use super::{doc_root, AuthenticatedIndex, ContentProvider};
+use super::{doc_leaf_digest, AuthenticatedIndex, ContentProvider};
 use crate::access::{IndexLists, TableFreqs};
 use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix};
 use crate::types::{ProcessingOutcome, Query, QueryResult};
 use crate::vo::{DictVo, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject};
 use crate::{tnra, tra};
 use authsearch_corpus::{DocId, TermId};
-use authsearch_crypto::{Digest, MerkleTree};
+use authsearch_crypto::merkle::prove_from_interior;
+use authsearch_crypto::{Digest, MerkleProof, MerkleTree};
 use authsearch_index::{ImpactEntry, IoStats};
-use std::collections::BTreeSet;
 
 /// What the search engine returns to the user: the ranked result, the
 /// verification object, the contents of the result documents (their
@@ -219,8 +219,8 @@ impl AuthenticatedIndex {
         }
 
         // Document proofs (TRA only).
-        let result_docs: BTreeSet<DocId> = outcome.result.docs().into_iter().collect();
-        let docs = if mechanism.is_tra() {
+        let result_docs = outcome.result.docs();
+        let docs: Vec<DocVo> = if mechanism.is_tra() {
             outcome
                 .encountered
                 .iter()
@@ -229,6 +229,7 @@ impl AuthenticatedIndex {
         } else {
             Vec::new()
         };
+        self.cache.count_doc_proofs(docs.len());
 
         // Dictionary-MHT proof (one signature for the whole dictionary).
         // With the serve cache the tree was materialized once at build
@@ -262,9 +263,7 @@ impl AuthenticatedIndex {
 
         // Result document contents (retrieval cost excluded from the I/O
         // metric, as in §4.1: constant across all algorithms).
-        let contents_out: Vec<(DocId, Vec<u8>)> = outcome
-            .result
-            .docs()
+        let contents_out: Vec<(DocId, Vec<u8>)> = result_docs
             .into_iter()
             .map(|d| (d, contents.content(d)))
             .collect();
@@ -381,26 +380,25 @@ impl AuthenticatedIndex {
 
         // Required positions: query terms present, boundary pairs for
         // absent query terms.
-        let mut required: BTreeSet<usize> = BTreeSet::new();
+        let mut required: Vec<usize> = Vec::with_capacity(2 * query.terms.len());
         for qt in &query.terms {
             match leaves.binary_search_by_key(&qt.term, |&(t, _)| t) {
-                Ok(p) => {
-                    required.insert(p);
-                }
+                Ok(p) => required.push(p),
                 Err(p) => {
                     // Bounding leaves prove the gap (paper §3.3.1: "the
                     // pair of consecutive terms that bound the query
                     // term").
                     if p > 0 {
-                        required.insert(p - 1);
+                        required.push(p - 1);
                     }
                     if p < n {
-                        required.insert(p);
+                        required.push(p);
                     }
                 }
             }
         }
-        let required: Vec<usize> = required.into_iter().collect();
+        required.sort_unstable();
+        required.dedup();
         let positions = if self.config.buddy {
             expand_buddies(&required, n, buddy_group_size(8, 16))
         } else {
@@ -411,19 +409,23 @@ impl AuthenticatedIndex {
             .iter()
             .map(|&p| (p as u32, leaves[p].0, leaves[p].1))
             .collect();
-        // Cached (or regenerated, in paper mode) document-MHT — same
-        // bit-identity contract as the term structures.
-        let proof = match self.doc_structure(d) {
-            None => authsearch_crypto::MerkleProof::default(),
-            Some(tree) => tree.prove(&positions),
+        // Resident levels rehash only the unrevealed sibling leaves the
+        // proof needs; paper mode regenerates the whole tree. Both give
+        // the same proof.
+        let leaf = |i: usize| {
+            let (t, w) = leaves[i];
+            doc_leaf_digest(t, w)
+        };
+        let proof = match self.cache.doc_levels.get(d as usize) {
+            _ if n == 0 => MerkleProof::default(),
+            Some(interior) => prove_from_interior(n, interior, &positions, leaf),
+            None => MerkleTree::from_leaf_digests((0..n).map(leaf).collect()).prove(&positions),
         };
 
         // Random fetch: the document-MHT spans its leaves plus the stored
         // root (the one document-table signature stays resident).
         let mht_bytes = n * 8 + 16;
         io.random_access(self.config.layout.blocks_for_bytes(mht_bytes) as u64);
-
-        debug_assert_eq!(doc_root(leaves), doc_root(self.doc_table.doc_terms(d)));
 
         DocVo {
             doc: d,
@@ -570,16 +572,24 @@ mod tests {
             };
             let cached = build(true);
             let paper = build(false);
-            for r in [1usize, 2, 5] {
-                // Query twice so the second cached response is served
-                // from warm structures.
-                let _ = cached.query(&toy_query(), r, &toy_contents());
-                let warm = cached.query(&toy_query(), r, &toy_contents());
-                let cold = paper.query(&toy_query(), r, &toy_contents());
-                assert_eq!(warm.vo, cold.vo, "{mechanism:?} r={r}");
-                assert_eq!(warm.result, cold.result, "{mechanism:?} r={r}");
-                assert_eq!(warm.io, cold.io, "{mechanism:?} r={r}");
-                assert_eq!(warm.entries_read, cold.entries_read);
+            type Serve = fn(&AuthenticatedIndex, &Query, usize, &Vec<Vec<u8>>) -> QueryResponse;
+            let modes: [(&str, Serve); 2] = [
+                ("disjunctive", AuthenticatedIndex::query),
+                ("conjunctive", AuthenticatedIndex::query_conjunctive),
+            ];
+            for (mode, serve) in modes {
+                for r in [1usize, 2, 5] {
+                    // Query twice so the second cached response is served
+                    // from warm structures.
+                    let _ = serve(&cached, &toy_query(), r, &toy_contents());
+                    let warm = serve(&cached, &toy_query(), r, &toy_contents());
+                    let cold = serve(&paper, &toy_query(), r, &toy_contents());
+                    let what = format!("{mechanism:?} {mode} r={r}");
+                    assert_eq!(warm.vo, cold.vo, "{what}");
+                    assert_eq!(warm.result, cold.result, "{what}");
+                    assert_eq!(warm.io, cold.io, "{what}");
+                    assert_eq!(warm.entries_read, cold.entries_read, "{what}");
+                }
             }
             assert!(cached.cache_stats().hits > 0);
             assert_eq!(paper.cache_stats().hits, 0);

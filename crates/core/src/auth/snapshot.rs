@@ -41,8 +41,11 @@
 //!    loaded term roots (dictionary mode), or a deterministic sample of
 //!    per-term signatures otherwise; for TRA, the document-table
 //!    signature over the table rebuilt from every document's content
-//!    digest and root — all `n` documents — plus a sampled
-//!    recomputation of document-MHT roots from the loaded index.
+//!    digest and root — all `n` documents — plus a recomputation of
+//!    every document-MHT root from the loaded index, folded over the
+//!    serve pool. That fold also rebuilds the interior levels a cached
+//!    TRA engine proves from, so checking all `n` roots costs no hashing
+//!    beyond what serving needs anyway.
 //!
 //! A forgery that survives all three (consistent digests *and* valid
 //! signatures over altered data) would require breaking the owner's
@@ -51,12 +54,13 @@
 //! wrong answer is ever *accepted*, only detected later than boot.
 
 use super::{
-    cache, dict_leaf_digest, dict_message, doc_root, doc_table_message, doc_table_tree,
+    cache, dict_leaf_digest, dict_message, doc_mhts, doc_table_message, doc_table_tree,
     term_message, AuthConfig, AuthenticatedIndex,
 };
+use crate::pool::ThreadPool;
 use crate::types::DocTable;
 use crate::vo::Mechanism;
-use authsearch_corpus::{DocId, TermId};
+use authsearch_corpus::TermId;
 use authsearch_crypto::{Digest, MerkleTree, RsaPublicKey, DIGEST_LEN};
 use authsearch_index::persist::{
     self, put_str, put_u32, put_u64, PersistError, SectionReader, SectionTag,
@@ -64,7 +68,7 @@ use authsearch_index::persist::{
 use authsearch_index::SnapshotInfo;
 use std::io::Cursor;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Section tags of the authenticated snapshot, in file order.
 pub const TAG_CONFIG: SectionTag = *b"ACFG";
@@ -76,9 +80,8 @@ pub const TAG_AUTH: SectionTag = *b"ASA2";
 /// The layout-1 authentication section (one signature per document).
 const TAG_AUTH_V1: SectionTag = *b"ASAU";
 
-/// How many term signatures the non-dictionary boot check verifies (and
-/// how many document-MHT roots it recomputes from the index), spread
-/// evenly across the artifact. The section digests already pin the
+/// How many term signatures the non-dictionary boot check verifies,
+/// spread evenly across the artifact. The section digests already pin the
 /// exact saved bytes; the sample proves those bytes carry the *owner's*
 /// endorsement without paying O(m) RSA verifications on every boot.
 const BOOT_SIG_SAMPLES: usize = 16;
@@ -408,7 +411,7 @@ impl AuthenticatedIndex {
         // Boot-time signature verification: prove the loaded roots carry
         // the owner's endorsement before serving anything.
         let doc_table = DocTable::from_index(&index);
-        let mut serve_cache = cache::ServeCache::new(expected);
+        let mut dict_tree = None;
         if expected.dict_mht {
             let leaves: Vec<Digest> = parts
                 .term_roots
@@ -426,7 +429,7 @@ impl AuthenticatedIndex {
                 .verify(&msg, dict_sig)
                 .map_err(|e| corrupt(format!("dictionary signature rejected at boot: {e}")))?;
             if expected.serve_cache {
-                serve_cache.dict_tree = Some(tree);
+                dict_tree = Some(tree);
             }
         } else {
             for t in sample_indices(m, BOOT_SIG_SAMPLES) {
@@ -442,9 +445,11 @@ impl AuthenticatedIndex {
                     .map_err(|e| corrupt(format!("term {t} signature rejected at boot: {e}")))?;
             }
         }
-        let doc_tree = if expected.mechanism.is_tra() {
+        let pool = ThreadPool::new(expected.build_threads());
+        let (doc_tree, doc_levels) = if expected.mechanism.is_tra() {
             // One signature covers every document's content digest and
-            // root; the sample then ties the roots to the loaded index.
+            // root; refolding every document then ties each root to the
+            // loaded index.
             let tree = doc_table_tree(&parts.doc_content_digests, &parts.doc_roots);
             let num_docs = u32::try_from(n).map_err(|_| corrupt("document count exceeds u32"))?;
             let sig = parts.doc_table_sig.as_deref().unwrap_or_default();
@@ -452,20 +457,15 @@ impl AuthenticatedIndex {
                 .public_key
                 .verify(&doc_table_message(num_docs, &tree.root()), sig)
                 .map_err(|e| corrupt(format!("document-table signature rejected at boot: {e}")))?;
-            for d in sample_indices(n, BOOT_SIG_SAMPLES) {
-                let stored = parts
-                    .doc_roots
-                    .get(d)
-                    .ok_or_else(|| corrupt(format!("sampled doc {d} out of range")))?;
-                if doc_root(doc_table.doc_terms(d as DocId)) != *stored {
-                    return Err(corrupt(format!(
-                        "doc {d}: index disagrees with its signed root"
-                    )));
-                }
+            let (roots, levels) = doc_mhts(&pool, &doc_table, expected.serve_cache);
+            if let Some(d) = roots.iter().zip(&parts.doc_roots).position(|(a, b)| a != b) {
+                return Err(corrupt(format!(
+                    "doc {d}: index disagrees with its signed root"
+                )));
             }
-            Some(tree)
+            (Some(tree), levels)
         } else {
-            None
+            (None, Vec::new())
         };
 
         Ok(AuthenticatedIndex {
@@ -480,10 +480,10 @@ impl AuthenticatedIndex {
             doc_tree,
             doc_table_sig: parts.doc_table_sig,
             public_key: parts.public_key,
-            cache: serve_cache,
-            // Lazily (re)created at first use — a loaded artifact has no
-            // build pool to inherit.
-            serve_pool: Mutex::new(None),
+            cache: cache::ServeCache::new(expected, dict_tree, doc_levels),
+            // The boot's workers live on as the serving pool, as a
+            // build's do.
+            serve_pool: Mutex::new(Some(Arc::new(pool))),
         })
     }
 }
@@ -688,6 +688,69 @@ mod tests {
             fs::remove_file(&path).ok();
             fs::remove_file(persist::manifest_path(&path)).ok();
         }
+    }
+
+    #[test]
+    fn boot_recomputes_every_document_root() {
+        // More documents than the 16 evenly spread boot samples: forge
+        // the weight of one document no sample reaches, re-digest the
+        // index section, and boot must reject it by name.
+        use authsearch_corpus::SyntheticConfig;
+        use authsearch_index::{build_index, InvertedIndex, InvertedList, OkapiParams};
+        let corpus = SyntheticConfig::tiny(60, 7).generate();
+        let key = cached_keypair(TEST_KEY_BITS);
+        let config = AuthConfig {
+            key_bits: TEST_KEY_BITS,
+            ..AuthConfig::new(Mechanism::TraMht)
+        };
+        let auth = AuthenticatedIndex::build(
+            build_index(&corpus, OkapiParams::default()),
+            &key,
+            config,
+            &corpus,
+        );
+        let index = auth.index();
+        let sampled = sample_indices(index.num_docs(), BOOT_SIG_SAMPLES);
+        assert!(index.num_docs() > BOOT_SIG_SAMPLES);
+        // A list's last entry has its lowest weight, so halving it keeps
+        // the list in canonical order and the forgery past the parser.
+        let m = index.num_terms() as TermId;
+        let (t, entry) = (0..m)
+            .filter_map(|t| Some((t, *index.list(t).entries().last()?)))
+            .find(|(_, e)| !sampled.contains(&(e.doc as usize)) && e.weight > 0.0)
+            .expect("some list ends in an unsampled document");
+        let lists = (0..m)
+            .map(|u| {
+                let mut entries = index.list(u).entries().to_vec();
+                if u == t {
+                    entries.last_mut().unwrap().weight /= 2.0;
+                }
+                InvertedList::from_sorted(entries)
+            })
+            .collect();
+        let ft = (0..m).map(|u| index.ft(u)).collect();
+        let forged = InvertedIndex::from_parts(
+            index.params(),
+            index.num_docs(),
+            index.avg_doc_len(),
+            ft,
+            lists,
+        );
+
+        let path = temp_path("forged-weight.snap");
+        auth.save_snapshot(&path).unwrap();
+        let (mut sections, _) = persist::load_snapshot_file(&path).unwrap();
+        sections[1].1.clear();
+        persist::write_index(&mut sections[1].1, &forged).unwrap();
+        persist::save_snapshot_file(&path, &persist::encode_snapshot(&sections).unwrap()).unwrap();
+        match AuthenticatedIndex::load_snapshot(&path, auth.config()).map(drop) {
+            Err(PersistError::Corrupt(why)) => {
+                assert!(why.starts_with(&format!("doc {}:", entry.doc)), "{why}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        fs::remove_file(&path).ok();
+        fs::remove_file(persist::manifest_path(&path)).ok();
     }
 
     #[test]

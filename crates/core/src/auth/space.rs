@@ -35,8 +35,9 @@ pub struct SpaceReport {
     /// term-side ones plus one per document under TRA (Figure 8).
     pub paper_signatures: u64,
     /// Worst-case engine RAM held by the serve cache: the materialized
-    /// dictionary-MHT plus the term-structure LRU filled with the
-    /// `term_cache_capacity` longest lists. Zero in paper mode
+    /// dictionary-MHT, the term-structure LRU filled with the
+    /// `term_cache_capacity` longest lists, and (TRA) every document-MHT's
+    /// resident interior levels, counted exactly. Zero in paper mode
     /// (`serve_cache: false`) — that mode's whole point is storing
     /// nothing beyond roots and leaves.
     pub cache_resident_bytes: u64,
@@ -122,8 +123,9 @@ impl AuthenticatedIndex {
     }
 
     /// Worst-case serve-cache residency in bytes: dictionary-MHT (when
-    /// materialized) plus the LRU filled with the structures of the
-    /// longest lists — the adversarial workload for cache footprint.
+    /// materialized), the term LRU filled with the structures of the
+    /// longest lists — the adversarial workload for cache footprint —
+    /// and the resident document-MHT levels, which are always all there.
     fn worst_case_cache_bytes(&self) -> u64 {
         if !self.config.serve_cache {
             return 0;
@@ -148,21 +150,13 @@ impl AuthenticatedIndex {
                 }
             })
             .sum();
-        let doc_digests: u64 = if self.config.mechanism.is_tra() {
-            let n = index.num_docs();
-            let mut doc_lens: Vec<usize> = (0..n as u32)
-                .map(|d| self.doc_table.doc_terms(d).len())
-                .collect();
-            doc_lens.sort_unstable_by(|a, b| b.cmp(a));
-            let dcap = self.config.doc_cache_capacity.min(n);
-            doc_lens[..dcap]
-                .iter()
-                .map(|&l| mht_resident_digests(l))
-                .sum()
-        } else {
-            0
-        };
-        (dict_digests + term_digests + doc_digests) * DIGEST_LEN as u64
+        (dict_digests + term_digests + self.resident_doc_digests()) * DIGEST_LEN as u64
+    }
+
+    /// Digests held by the resident document-MHT levels: Σ `interior_len`
+    /// over every document (0 unless TRA with the serve cache on).
+    fn resident_doc_digests(&self) -> u64 {
+        self.cache.doc_levels.iter().map(|l| l.len() as u64).sum()
     }
 
     /// Bytes currently held by the serve cache (live residency, as
@@ -178,11 +172,7 @@ impl AuthenticatedIndex {
         self.cache
             .terms
             .for_each_value(|s| terms += s.resident_digests() as u64);
-        let mut docs: u64 = 0;
-        self.cache
-            .docs
-            .for_each_value(|t| docs += mht_resident_digests(t.num_leaves()));
-        (dict + terms + docs) * DIGEST_LEN as u64
+        (dict + terms + self.resident_doc_digests()) * DIGEST_LEN as u64
     }
 }
 
@@ -303,6 +293,37 @@ mod tests {
         assert!(live > 0);
         // Live residency never exceeds the report's worst-case bound.
         assert!(live <= auth.space_report(0).cache_resident_bytes);
+    }
+
+    #[test]
+    fn resident_document_levels_are_counted_exactly() {
+        use authsearch_crypto::merkle::interior_len;
+        let key = cached_keypair(TEST_KEY_BITS);
+        let build = |serve_cache: bool| {
+            AuthenticatedIndex::build(
+                toy_index(),
+                &key,
+                AuthConfig {
+                    key_bits: TEST_KEY_BITS,
+                    serve_cache,
+                    ..AuthConfig::new(Mechanism::TraMht)
+                },
+                &toy_contents(),
+            )
+        };
+        let cached = build(true);
+        let levels: u64 = (0..cached.index().num_docs() as u32)
+            .map(|d| interior_len(cached.doc_table().doc_terms(d).len()) as u64)
+            .sum();
+        let want = levels * DIGEST_LEN as u64;
+        assert!(want > 0);
+        // Before any query only the document levels are resident; the
+        // report's bound adds the term LRU at capacity on top.
+        assert_eq!(cached.cache_resident_bytes_now(), want);
+        assert!(cached.space_report(0).cache_resident_bytes > want);
+        let paper = build(false);
+        assert_eq!(paper.cache_resident_bytes_now(), 0);
+        assert_eq!(paper.space_report(0).cache_resident_bytes, 0);
     }
 
     #[test]

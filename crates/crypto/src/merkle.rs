@@ -23,8 +23,10 @@ use crate::digest::Digest;
 /// on demand from the stored leaf layer.
 #[derive(Debug, Clone)]
 pub struct MerkleTree {
-    /// `levels[0]` = leaf digests; last level has exactly one digest.
-    levels: Vec<Vec<Digest>>,
+    /// Leaf digests (level 0).
+    leaves: Vec<Digest>,
+    /// Every level above the leaves, root last ([`interior_levels`]).
+    interior: Vec<Digest>,
 }
 
 /// Complementary digests proving membership of a revealed leaf subset.
@@ -47,22 +49,10 @@ impl MerkleTree {
     /// inverted list is never indexed; the dictionary drops such terms).
     pub fn from_leaf_digests(leaves: Vec<Digest>) -> MerkleTree {
         assert!(!leaves.is_empty(), "Merkle tree over zero leaves");
-        let mut levels = vec![leaves];
-        while levels.last().unwrap().len() > 1 {
-            let prev = levels.last().unwrap();
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            let mut i = 0;
-            while i + 1 < prev.len() {
-                next.push(Digest::combine(&prev[i], &prev[i + 1]));
-                i += 2;
-            }
-            if i < prev.len() {
-                // Odd node: promoted unchanged (paper Figure 8).
-                next.push(prev[i]);
-            }
-            levels.push(next);
+        MerkleTree {
+            interior: interior_levels(&leaves),
+            leaves,
         }
-        MerkleTree { levels }
     }
 
     /// Build a tree by hashing raw leaf encodings.
@@ -72,49 +62,154 @@ impl MerkleTree {
 
     /// Root digest.
     pub fn root(&self) -> Digest {
-        self.levels.last().unwrap()[0]
+        self.interior.last().copied().unwrap_or(self.leaves[0])
     }
 
     /// Number of leaves.
     pub fn num_leaves(&self) -> usize {
-        self.levels[0].len()
+        self.leaves.len()
     }
 
     /// Leaf digests (the stored layer).
     pub fn leaf_digests(&self) -> &[Digest] {
-        &self.levels[0]
+        &self.leaves
     }
 
     /// Produce the complementary digests for `revealed` leaf positions
     /// (must be sorted and in range; duplicates are tolerated).
     pub fn prove(&self, revealed: &[usize]) -> MerkleProof {
-        let n = self.num_leaves();
-        debug_assert!(revealed.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!(revealed.iter().all(|&i| i < n));
-        let mut digests = Vec::new();
-        let top = self.levels.len() - 1;
-        self.prove_rec(top, 0, revealed, &mut digests);
-        MerkleProof { digests }
+        prove_from_interior(self.leaves.len(), &self.interior, revealed, |i| {
+            self.leaves[i]
+        })
     }
+}
 
-    fn prove_rec(&self, level: usize, idx: usize, revealed: &[usize], out: &mut Vec<Digest>) {
-        let n = self.num_leaves();
-        let lo = idx << level;
-        let hi = ((idx + 1) << level).min(n);
-        if !range_has_revealed(revealed, lo, hi) {
-            out.push(self.levels[level][idx]);
-            return;
-        }
-        if level == 0 {
-            return; // revealed leaf: verifier computes its digest itself
-        }
-        let child_count = self.levels[level - 1].len();
-        let left = 2 * idx;
-        self.prove_rec(level - 1, left, revealed, out);
-        if left + 1 < child_count {
-            self.prove_rec(level - 1, left + 1, revealed, out);
-        }
+/// Digests in the levels above the leaves of an `n`-leaf tree: the length
+/// of its [`interior_levels`] (0 for fewer than two leaves).
+pub fn interior_len(n: usize) -> usize {
+    let (mut total, mut width) = (0, n);
+    while width > 1 {
+        width = width.div_ceil(2);
+        total += width;
     }
+    total
+}
+
+/// Every level above `leaves`, laid end to end from level 1 up to the
+/// root, in one allocation of exactly [`interior_len`] digests — so
+/// `.last()` is the root for two or more leaves. Empty for a single
+/// leaf, which is its own root.
+pub fn interior_levels(leaves: &[Digest]) -> Vec<Digest> {
+    let mut out = vec![Digest::ZERO; interior_len(leaves.len())];
+    if leaves.len() < 2 {
+        return out;
+    }
+    let mut width = leaves.len().div_ceil(2);
+    fold_level(leaves, &mut out[..width]);
+    let mut start = 0;
+    while width > 1 {
+        let next = width.div_ceil(2);
+        let (done, rest) = out.split_at_mut(start + width);
+        fold_level(&done[start..], &mut rest[..next]);
+        start += width;
+        width = next;
+    }
+    out
+}
+
+/// Write the parents of level `prev` into `next` (its `⌈len/2⌉` slots).
+fn fold_level(prev: &[Digest], next: &mut [Digest]) {
+    let pairs = prev.chunks_exact(2);
+    if let (Some(&odd), Some(last)) = (pairs.remainder().first(), next.last_mut()) {
+        // Odd node: promoted unchanged (paper Figure 8).
+        *last = odd;
+    }
+    for (parent, pair) in next.iter_mut().zip(pairs) {
+        *parent = Digest::combine(&pair[0], &pair[1]);
+    }
+}
+
+/// Height of an `n`-leaf tree: the level its root sits at.
+fn height(n: usize) -> usize {
+    let (mut h, mut width) = (0, n);
+    while width > 1 {
+        width = width.div_ceil(2);
+        h += 1;
+    }
+    h
+}
+
+/// Produce the complementary digests for `revealed` leaf positions of an
+/// `n`-leaf tree (sorted and in range; duplicates are tolerated), taking
+/// each digest the proof needs from `node(level, idx)`. The one prover:
+/// [`MerkleTree::prove`] and [`prove_from_interior`] only differ in the
+/// node source they pass.
+pub fn prove_with(
+    n: usize,
+    revealed: &[usize],
+    mut node: impl FnMut(usize, usize) -> Digest,
+) -> MerkleProof {
+    debug_assert!(revealed.windows(2).all(|w| w[0] <= w[1]));
+    debug_assert!(revealed.iter().all(|&i| i < n));
+    let mut digests = Vec::new();
+    if n > 0 {
+        prove_rec(n, height(n), 0, revealed, &mut node, &mut digests);
+    }
+    MerkleProof { digests }
+}
+
+fn prove_rec<F: FnMut(usize, usize) -> Digest>(
+    n: usize,
+    level: usize,
+    idx: usize,
+    revealed: &[usize],
+    node: &mut F,
+    out: &mut Vec<Digest>,
+) {
+    let lo = idx << level;
+    let hi = ((idx + 1) << level).min(n);
+    if !range_has_revealed(revealed, lo, hi) {
+        out.push(node(level, idx));
+        return;
+    }
+    if level == 0 {
+        return; // revealed leaf: verifier computes its digest itself
+    }
+    let left = 2 * idx;
+    prove_rec(n, level - 1, left, revealed, node, out);
+    if (left + 1) << (level - 1) < n {
+        prove_rec(n, level - 1, left + 1, revealed, node, out);
+    }
+}
+
+/// [`prove_with`] over a tree held as its [`interior_levels`] alone:
+/// interior nodes come from `interior`, and `leaf(i)` supplies the digest
+/// of each unrevealed leaf the proof needs, so the leaf layer need not be
+/// resident.
+pub fn prove_from_interior(
+    n: usize,
+    interior: &[Digest],
+    revealed: &[usize],
+    mut leaf: impl FnMut(usize) -> Digest,
+) -> MerkleProof {
+    // starts[l]: where level l ≥ 1 begins inside `interior`.
+    let mut starts = [0usize; usize::BITS as usize + 1];
+    let (mut at, mut width) = (0, n);
+    for start in starts.iter_mut().skip(1) {
+        if width <= 1 {
+            break;
+        }
+        *start = at;
+        width = width.div_ceil(2);
+        at += width;
+    }
+    prove_with(n, revealed, |level, idx| {
+        if level == 0 {
+            leaf(idx)
+        } else {
+            interior[starts[level] + idx]
+        }
+    })
 }
 
 /// True when some revealed position falls inside `[lo, hi)`.
@@ -141,14 +236,8 @@ pub fn reconstruct_root(
         return None;
     }
     let positions: Vec<usize> = revealed.iter().map(|&(p, _)| p).collect();
-    let mut levels = 0;
-    let mut width = n;
-    while width > 1 {
-        width = width.div_ceil(2);
-        levels += 1;
-    }
     let mut cursor = 0usize;
-    let root = reconstruct_rec(levels, 0, n, revealed, &positions, proof, &mut cursor)?;
+    let root = reconstruct_rec(height(n), 0, n, revealed, &positions, proof, &mut cursor)?;
     if cursor != proof.digests.len() {
         return None; // trailing digests: proof longer than the shape allows
     }
@@ -176,26 +265,16 @@ fn reconstruct_rec(
         let i = revealed.binary_search_by_key(&lo, |&(p, _)| p).ok()?;
         return Some(revealed[i].1);
     }
-    // Mirror the construction: children live at level-1 with width
-    // ceil over remaining leaves.
-    let child_width = level_width(n, level - 1);
+    // Mirror the construction: a right child exists when its leaf range
+    // starts inside the tree.
     let left = 2 * idx;
     let l = reconstruct_rec(level - 1, left, n, revealed, positions, proof, cursor)?;
-    if left + 1 < child_width {
+    if (left + 1) << (level - 1) < n {
         let r = reconstruct_rec(level - 1, left + 1, n, revealed, positions, proof, cursor)?;
         Some(Digest::combine(&l, &r))
     } else {
         Some(l) // promoted odd node
     }
-}
-
-/// Number of nodes at `level` of an `n`-leaf tree.
-fn level_width(n: usize, level: usize) -> usize {
-    let mut w = n;
-    for _ in 0..level {
-        w = w.div_ceil(2);
-    }
-    w
 }
 
 #[cfg(test)]
@@ -348,6 +427,85 @@ mod tests {
         assert!(proof.digests.is_empty());
         let pairs: Vec<(usize, Digest)> = (0..n).map(|i| (i, leaf_digest(i))).collect();
         assert_eq!(reconstruct_root(n, &pairs, &proof), Some(t.root()));
+    }
+
+    /// Oracle levels: the textbook fold, one `Vec` per level.
+    fn naive_levels(leaves: &[Digest]) -> Vec<Vec<Digest>> {
+        let mut levels = vec![leaves.to_vec()];
+        while let Some(prev) = levels.last().filter(|l| l.len() > 1) {
+            let next = prev
+                .chunks(2)
+                .map(|p| {
+                    if p.len() == 2 {
+                        Digest::combine(&p[0], &p[1])
+                    } else {
+                        p[0]
+                    }
+                })
+                .collect();
+            levels.push(next);
+        }
+        levels
+    }
+
+    #[test]
+    fn interior_provers_match_the_tree_prover() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x6d68_7473);
+        for n in 1..=300usize {
+            let leaf_digests: Vec<Digest> = (0..n).map(leaf_digest).collect();
+            let levels = naive_levels(&leaf_digests);
+            let interior = interior_levels(&leaf_digests);
+            assert_eq!(interior, levels[1..].concat(), "n={n}");
+            assert_eq!(interior.len(), interior_len(n), "n={n}");
+            let tree = MerkleTree::from_leaf_digests(leaf_digests.clone());
+            assert_eq!(tree.root(), levels[levels.len() - 1][0], "n={n}");
+            if n >= 2 {
+                assert_eq!(interior.last(), Some(&tree.root()), "n={n}");
+            }
+            for _ in 0..6 {
+                // Random sorted positions with duplicates; the empty set
+                // comes up whenever the draw count is 0.
+                let count = rng.gen_range(0..=n.min(12));
+                let mut revealed: Vec<usize> = (0..count).map(|_| rng.gen_range(0..n)).collect();
+                revealed.sort_unstable();
+                let want = prove_with(n, &revealed, |l, i| levels[l][i]);
+                let mut leaf_calls = 0;
+                let got = prove_from_interior(n, &interior, &revealed, |i| {
+                    leaf_calls += 1;
+                    leaf_digest(i)
+                });
+                assert_eq!(got, want, "n={n} revealed={revealed:?}");
+                assert_eq!(tree.prove(&revealed), want, "n={n} revealed={revealed:?}");
+                let mut pairs: Vec<(usize, Digest)> =
+                    revealed.iter().map(|&i| (i, leaf_digest(i))).collect();
+                pairs.dedup();
+                // Only siblings of revealed leaves are rehashed (or the
+                // lone leaf of a one-leaf tree proved with nothing revealed).
+                assert!(
+                    leaf_calls <= pairs.len().max(1),
+                    "n={n} revealed={revealed:?}"
+                );
+                if !pairs.is_empty() {
+                    assert_eq!(reconstruct_root(n, &pairs, &got), Some(tree.root()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interior_of_tiny_trees_is_empty() {
+        assert_eq!(interior_len(0), 0);
+        assert_eq!(interior_len(1), 0);
+        assert!(interior_levels(&[]).is_empty());
+        assert!(interior_levels(&[leaf_digest(0)]).is_empty());
+        // 7 leaves: 4 + 2 + 1 interior nodes (Figure 8's shape).
+        assert_eq!(interior_len(7), 7);
+        assert_eq!(
+            prove_with(0, &[], |_, _| Digest::ZERO),
+            MerkleProof::default()
+        );
     }
 
     #[test]
