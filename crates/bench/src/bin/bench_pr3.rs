@@ -1,5 +1,5 @@
 //! PR 3 perf-trajectory benchmark: concurrent query serving
-//! (`AuthenticatedIndex::serve_batch` over the sharded structure caches)
+//! (`AuthenticatedIndex::serve_batch` over the resident structures)
 //! and client-side batch RSA verification.
 //!
 //! Emits machine-readable `BENCH_PR3.json` (override the path with
@@ -83,7 +83,7 @@ fn main() {
     json.field(
         1,
         "description",
-        "\"Concurrent query serving (sharded term LRU + pool-backed serve_batch) and client-side batch RSA verification\"",
+        "\"Concurrent query serving (pool-backed serve_batch) and client-side batch RSA verification\"",
         false,
     );
     json.open(1, "machine");
@@ -100,7 +100,7 @@ fn main() {
 
     // ---- serve throughput -------------------------------------------------
     // df-weighted workload: hot terms recur, which is both the realistic
-    // query distribution and the shape the sharded LRU serves from RAM.
+    // query distribution.
     let df: Vec<u32> = (0..index.num_terms() as u32).map(|t| index.ft(t)).collect();
     let term_sets = authsearch_corpus::workload::trec_like(&df, num_queries, 0.35, 11);
 
@@ -123,9 +123,8 @@ fn main() {
             .iter()
             .map(|t| Query::from_term_ids(auth.index(), t))
             .collect();
-        // Warm the structure caches once: steady-state serving is the
-        // regime the paper's engine lives in (the cold-start cost is
-        // bench_pr1's subject).
+        // One untimed pass first: steady-state serving is the regime
+        // the paper's engine lives in.
         let _ = auth.serve_batch(&queries, 10, &corpus);
         json.open(2, mechanism.name());
         let mut secs = Vec::new();

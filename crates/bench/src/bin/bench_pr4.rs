@@ -3,7 +3,7 @@
 //!
 //! Emits machine-readable `BENCH_PR4.json` (override the path with
 //! `--out <path>`; corpus with `--scale <frac>`, key with
-//! `--key-bits <n>`, workload size with `--queries <n>`). Three
+//! `--key-bits <n>`, workload size with `--queries <n>`). Two
 //! sections:
 //!
 //! * **pool**: per-batch latency of small-batch serving (the server's
@@ -11,12 +11,14 @@
 //!   scoped behavior of spawning and joining a fresh pool per batch —
 //!   the spawn/join tax the refactor removes. Also the raw
 //!   fixed-overhead comparison on trivial map work.
-//! * **warm**: first-query latency on a cold cache vs after
-//!   `warm_cache(top_k)` — the stampede `ServerConfig::warm_top_k`
-//!   absorbs at startup.
 //! * **server**: loopback q/s through the full stack (frame decode →
-//!   pool dispatch → cached serve → frame encode → client verify) at
-//!   1/2/4/8 concurrent connections.
+//!   pool dispatch → serve → frame encode → client verify) at 1/2/4/8
+//!   concurrent connections.
+//!
+//! The checked-in `BENCH_PR4.json` also has a **warm** section (first
+//! query on cold term structures vs after the startup warm-up). Term
+//! structures are now resident from the build, so there is no cold
+//! state left to measure and this binary no longer writes it.
 //!
 //! Plain `std::time` loops, no dev-dependencies, CI-smoke friendly. As
 //! with earlier trajectory points, wall-clock *speedups* need real
@@ -124,9 +126,6 @@ fn main() {
     let width = if cores > 1 { cores } else { 2 };
     let small_batches: Vec<&[Query]> = queries.chunks(batch).collect();
     let reps = 3usize;
-    // Warm the structure caches so both paths measure dispatch, not
-    // first-touch hashing.
-    let _ = auth.serve_batch(&queries, 10, &corpus);
     let mut persistent_best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
@@ -193,42 +192,6 @@ fn main() {
         2,
         "trivial_overhead_ratio",
         &num(trivial_scoped_us / trivial_persistent_us.max(1e-9)),
-        true,
-    );
-    json.close(1, false);
-
-    // ---- warm vs cold first query -----------------------------------------
-    eprintln!("[bench_pr4] warm vs cold first-query latency…");
-    let warm_top_k = 4096usize.min(index.num_terms());
-    // Hot query: the top-df terms a warmed cache holds by construction.
-    let mut by_df: Vec<TermId> = (0..index.num_terms() as TermId).collect();
-    by_df.sort_unstable_by_key(|&t| (std::cmp::Reverse(index.ft(t)), t));
-    let hot_terms: Vec<TermId> = by_df.iter().copied().take(3).collect();
-    let hot_query = Query::from_term_ids(auth.index(), &hot_terms);
-    let cold_reps = 5usize;
-    let mut cold_best = f64::INFINITY;
-    let mut warm_best = f64::INFINITY;
-    for _ in 0..cold_reps {
-        auth.clear_serve_cache();
-        let start = Instant::now();
-        std::hint::black_box(auth.query(&hot_query, 10, &corpus));
-        cold_best = cold_best.min(start.elapsed().as_secs_f64());
-
-        auth.clear_serve_cache();
-        auth.warm_cache(warm_top_k);
-        let start = Instant::now();
-        std::hint::black_box(auth.query(&hot_query, 10, &corpus));
-        warm_best = warm_best.min(start.elapsed().as_secs_f64());
-    }
-    json.open(1, "warm");
-    json.field(2, "warm_top_k", &warm_top_k.to_string(), false);
-    json.field(2, "query_terms", &hot_terms.len().to_string(), false);
-    json.field(2, "cold_first_query_us", &num(cold_best * 1e6), false);
-    json.field(2, "warm_first_query_us", &num(warm_best * 1e6), false);
-    json.field(
-        2,
-        "cold_over_warm",
-        &num(cold_best / warm_best.max(1e-12)),
         true,
     );
     json.close(1, false);

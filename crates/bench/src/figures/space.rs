@@ -1,12 +1,12 @@
 //! §4.1 storage overheads: authentication space per mechanism, plus the
 //! §3.4 dictionary-MHT ablation.
 //!
-//! The "serve cache" column is this reproduction's extension: worst-case
-//! engine RAM held by the materialized structures — the term LRU at
-//! capacity, plus, under TRA, every document-MHT's interior levels,
-//! which the cached engine keeps for all documents. The paper's storage
-//! model (`serve_cache: false`) holds zero — both modes store the same
-//! bytes on disk.
+//! The "serve cache" column is this reproduction's extension: engine RAM
+//! held by the structures the cached engine keeps resident from the
+//! build — every term's (chain-)MHT and, under TRA, every document-MHT's
+//! interior levels — counted exactly. The paper's storage model
+//! (`serve_cache: false`) holds zero — both modes store the same bytes
+//! on disk.
 
 use crate::tables::{fmt_bytes, Table};
 use crate::Workbench;
@@ -67,8 +67,8 @@ pub fn run(wb: &mut Workbench) {
         "TNRA-CMHT+dictMHT".to_string(),
         &auth.space_report(contents_bytes),
     );
-    // Cached serving mode: identical disk bytes, plus worst-case engine
-    // RAM for the materialized structures. One row per family — TRA-MHT
+    // Cached serving mode: identical disk bytes, plus engine RAM for the
+    // resident structures. One row per family — TRA-MHT
     // is the residency-heaviest, TNRA-CMHT the paper's pick.
     for mechanism in [Mechanism::TraMht, Mechanism::TnraCmht] {
         let cached_config = AuthConfig {
@@ -86,8 +86,8 @@ pub fn run(wb: &mut Workbench) {
         "paper: TNRA needs <1% extra space over the plain index; TRA ~25% \
          (document-MHTs). Shape: TRA >> TNRA; the dictionary-MHT removes \
          almost all per-list signature space. 'serve cache' is engine RAM \
-         of the cached serving mode ('(cached)' rows): the term LRU at \
-         worst case plus, under TRA, the interior levels of every \
+         of the cached serving mode ('(cached)' rows): every term \
+         structure plus, under TRA, the interior levels of every \
          document-MHT, counted exactly. Disk bytes are identical; it is 0 \
          under the paper's regenerate-from-leaves model used by the \
          timing figures.",

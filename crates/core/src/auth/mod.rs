@@ -26,18 +26,19 @@
 //! trade-off (the paper's §3.4 space analysis depends on it) but a poor
 //! *serving* trade-off: a production engine answering heavy traffic
 //! re-hashes the same hot lists — and in dictionary-MHT mode all `m`
-//! dictionary leaves — thousands of times over. [`AuthConfig::serve_cache`]
-//! (default **on**) therefore keeps materialized structures in RAM: the
-//! dictionary-MHT is built once at construction, every document-MHT's
-//! levels above its leaves are kept from the build (TRA), and term
-//! structures live in a bounded LRU ([`AuthConfig::term_cache_capacity`]).
-//! Cached and regenerated structures are *bit-identical* — same roots,
-//! same proofs, same signatures — so verification is unaffected; only
-//! engine CPU time changes. The simulated disk accounting deliberately
-//! keeps modeling the paper's on-disk layout in both modes, so the I/O
-//! figures stay comparable. Setting `serve_cache: false` restores the
-//! paper's regenerate-from-leaves behavior exactly;
-//! [`space::SpaceReport`] reports the residency cost of both modes.
+//! dictionary leaves — thousands of times over. The build folds every
+//! structure once for its root anyway, so [`AuthConfig::serve_cache`]
+//! (default **on**) keeps what that fold produced, for every structure:
+//! the dictionary-MHT, every term's (chain-)MHT ([`term_structures`]),
+//! and every document-MHT's levels above its leaves (TRA, [`doc_mhts`]).
+//! A snapshot boot refolds them the same way. Resident and regenerated
+//! structures are *bit-identical* — same roots, same proofs, same
+//! signatures — so verification is unaffected; only engine CPU time
+//! changes. The simulated disk accounting deliberately keeps modeling
+//! the paper's on-disk layout in both modes, so the I/O figures stay
+//! comparable. Setting `serve_cache: false` restores the paper's
+//! regenerate-from-leaves behavior exactly; [`space::SpaceReport`]
+//! reports the residency cost of both modes.
 
 mod cache;
 pub mod serve;
@@ -109,24 +110,13 @@ pub struct AuthConfig {
     pub dict_mht: bool,
     /// RSA modulus size (paper: 1024).
     pub key_bits: usize,
-    /// Reuse materialized authentication structures across queries at
-    /// the engine (dictionary-MHT built once; every document-MHT's
-    /// interior levels kept from the build; bounded term-structure LRU).
-    /// `false` reproduces the paper's regenerate-from-leaves
-    /// storage model byte-for-byte on every query. Proof output is
-    /// bit-identical either way; see the module docs for the trade-off.
+    /// Keep every authentication structure the build (or snapshot boot)
+    /// folds resident at the engine: the dictionary-MHT, every term's
+    /// (chain-)MHT, every document-MHT's interior levels. `false`
+    /// reproduces the paper's regenerate-from-leaves storage model
+    /// byte-for-byte on every query. Proof output is bit-identical
+    /// either way; see the module docs for the trade-off.
     pub serve_cache: bool,
-    /// Capacity, in terms, of the engine-side term-structure LRU
-    /// (ignored when [`AuthConfig::serve_cache`] is off).
-    pub term_cache_capacity: usize,
-    /// Lock shards of the engine-side term-structure cache. Rounded up to
-    /// a power of two and capped so no shard has capacity 0 (see
-    /// [`crate::cache::ShardedLru`]); the default
-    /// ([`DEFAULT_CACHE_SHARDS`]) keeps contention negligible at the
-    /// thread counts the serving pool reaches while costing nothing at
-    /// `threads = 1`. Residency and proofs are unaffected — sharding
-    /// changes only *which lock* a lookup takes.
-    pub cache_shards: usize,
     /// Worker threads for the owner-side build
     /// ([`AuthenticatedIndex::build`]) **and** the engine-side batch
     /// serving path ([`AuthenticatedIndex::serve_batch`]): `0` (the
@@ -145,20 +135,6 @@ pub struct AuthConfig {
     pub threads: usize,
 }
 
-/// Default bound on materialized term structures held by the engine.
-///
-/// Sized for the hot head of a Zipf-distributed query workload: the
-/// paper's WSJ dictionary has ~180k terms, and a few thousand hot terms
-/// cover the bulk of query traffic while bounding residency to tens of
-/// megabytes at WSJ scale.
-pub const DEFAULT_TERM_CACHE_CAPACITY: usize = 4096;
-
-/// Default shard count of the engine-side term-structure cache. 16 shards
-/// keep the expected lock-collision probability of two simultaneous
-/// lookups under 7% at 8 serving threads (birthday bound `t·(t−1)/2N`)
-/// while adding only 15 extra mutexes per cache.
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
-
 impl AuthConfig {
     /// The paper's configuration for a mechanism.
     ///
@@ -174,8 +150,6 @@ impl AuthConfig {
             dict_mht: false,
             key_bits: PAPER_KEY_BITS,
             serve_cache: true,
-            term_cache_capacity: DEFAULT_TERM_CACHE_CAPACITY,
-            cache_shards: DEFAULT_CACHE_SHARDS,
             threads: default_threads(),
         }
     }
@@ -267,16 +241,21 @@ pub(crate) fn tnra_leaf_digest(entry: &ImpactEntry) -> Digest {
     Digest::hash(&entry.encode())
 }
 
+/// Term-MHT leaf digest of one list entry under a mechanism.
+pub(crate) fn term_leaf(mechanism: Mechanism, entry: &ImpactEntry) -> Digest {
+    if mechanism.is_tra() {
+        tra_leaf_digest(entry.doc)
+    } else {
+        tnra_leaf_digest(entry)
+    }
+}
+
 /// Term-MHT leaf digests for a list under a mechanism.
 pub(crate) fn term_leaves(mechanism: Mechanism, list: &InvertedList) -> Vec<Digest> {
-    if mechanism.is_tra() {
-        list.entries()
-            .iter()
-            .map(|e| tra_leaf_digest(e.doc))
-            .collect()
-    } else {
-        list.entries().iter().map(tnra_leaf_digest).collect()
-    }
+    list.entries()
+        .iter()
+        .map(|e| term_leaf(mechanism, e))
+        .collect()
 }
 
 /// Encoding of one document-MHT leaf: `(t, w_{d,t})`, 8 bytes.
@@ -330,9 +309,22 @@ pub(crate) fn doc_mhts(
     (roots, if keep { levels } else { Vec::new() })
 }
 
-/// Root (plain MHT) or head (chain-MHT) digest of a term's list.
-pub(crate) fn term_root(config: &AuthConfig, list: &InvertedList) -> Digest {
-    cache::TermStructure::build(config, list).root()
+/// Every term's root (plain MHT) or head (chain-MHT) digest, folded over
+/// `pool`, plus — when `keep` — the structure each fold produced, the
+/// resident source of term proofs ([`cache::ServeCache::terms`]; empty
+/// when not kept).
+pub(crate) fn term_structures(
+    pool: &ThreadPool,
+    config: &AuthConfig,
+    index: &InvertedIndex,
+    keep: bool,
+) -> (Vec<Digest>, Vec<cache::TermStructure>) {
+    let per_term = pool.map(index.num_terms(), |t| {
+        let (root, structure) = cache::TermStructure::build(config, index.list(t as TermId));
+        (root, keep.then_some(structure))
+    });
+    let (roots, structures): (Vec<Digest>, Vec<_>) = per_term.into_iter().unzip();
+    (roots, structures.into_iter().flatten().collect())
 }
 
 /// Concatenate `parts` into a fixed-size message. Every signed message
@@ -444,14 +436,14 @@ pub struct AuthenticatedIndex {
     /// TRA only: the owner's one signature over [`doc_table_message`].
     doc_table_sig: Option<Vec<u8>>,
     public_key: RsaPublicKey,
-    /// Engine-side structure cache (see [`cache`] and the module docs).
+    /// Engine-side resident structures (see [`cache`] and the module docs).
     cache: cache::ServeCache,
-    /// Persistent serving pool, shared by [`AuthenticatedIndex::serve_batch`],
-    /// [`cache warming`](AuthenticatedIndex::warm_cache), and the network
-    /// server ([`crate::server`]). Seeded with the pool the build used, so
-    /// worker threads are spawned once per artifact, not once per call;
-    /// swapped lazily when [`AuthenticatedIndex::set_threads`] changes the
-    /// width. `None` only transiently (during a swap).
+    /// Persistent serving pool, shared by [`AuthenticatedIndex::serve_batch`]
+    /// and the network server ([`crate::server`]). Seeded with the pool
+    /// the build used, so worker threads are spawned once per artifact,
+    /// not once per call; swapped lazily when
+    /// [`AuthenticatedIndex::set_threads`] changes the width. `None` only
+    /// transiently (during a swap).
     serve_pool: Mutex<Option<Arc<ThreadPool>>>,
 }
 
@@ -514,8 +506,8 @@ impl AuthenticatedIndex {
         let pool = ThreadPool::new(config.build_threads());
 
         // Term structures: one independent task per term (hash the leaf
-        // layer, fold the (chain-)MHT).
-        let term_roots: Vec<Digest> = pool.map(m, |t| term_root(&config, index.list(t as TermId)));
+        // layer, fold the (chain-)MHT), kept when serving from cache.
+        let (term_roots, terms) = term_structures(&pool, &config, &index, config.serve_cache);
 
         let mut dict_tree = None;
         let (term_sigs, dict_sig) = if config.dict_mht {
@@ -577,7 +569,7 @@ impl AuthenticatedIndex {
             doc_tree,
             doc_table_sig,
             public_key: key.public_key().clone(),
-            cache: cache::ServeCache::new(&config, dict_tree, doc_levels),
+            cache: cache::ServeCache::new(dict_tree, terms, doc_levels),
             // The build's workers live on as the serving pool: a server
             // standing up from a fresh build never spawns a second set.
             serve_pool: Mutex::new(Some(Arc::new(pool))),
@@ -591,7 +583,7 @@ impl AuthenticatedIndex {
     /// changes the width, at which point the old pool is drained,
     /// joined, and replaced here.
     pub fn serve_pool(&self) -> Arc<ThreadPool> {
-        let mut guard = crate::cache::lock_recover(&self.serve_pool);
+        let mut guard = crate::pool::lock_recover(&self.serve_pool);
         let want = self.config.build_threads();
         match guard.as_ref() {
             Some(pool) if pool.threads() == want => Arc::clone(pool),
@@ -614,7 +606,7 @@ impl AuthenticatedIndex {
     /// lazily on the next [`AuthenticatedIndex::serve_pool`] call (the
     /// old workers are drained and joined then). Purely an ops knob —
     /// proofs are bit-identical at any width, so this never invalidates
-    /// the published artifact or the structures already cached.
+    /// the published artifact or the resident structures.
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads;
     }

@@ -11,7 +11,7 @@
 //! every document-MHT fetch is a random access.
 
 use super::cache::TermStructure;
-use super::{doc_leaf_digest, AuthenticatedIndex, ContentProvider};
+use super::{doc_leaf_digest, term_leaf, AuthenticatedIndex, ContentProvider};
 use crate::access::{IndexLists, TableFreqs};
 use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix};
 use crate::types::{ProcessingOutcome, Query, QueryResult};
@@ -85,15 +85,12 @@ impl AuthenticatedIndex {
     /// Response `i` is **bit-identical** to `self.query(&queries[i],
     /// …)` at any thread count: each query's result, VO, and simulated
     /// I/O trace depend only on the (immutable) authenticated index —
-    /// the sharded structure caches are a bit-transparent CPU
-    /// optimization, and [`crate::pool::ThreadPool::map`] collects in
-    /// index order.
-    /// Only wall-clock time and cache hit/miss counters vary.
+    /// the resident structures are a bit-transparent CPU optimization,
+    /// and [`crate::pool::ThreadPool::map`] collects in index order.
+    /// Only wall-clock time varies.
     ///
-    /// This is the engine-side throughput path: with the term LRU
-    /// sharded ([`crate::cache::ShardedLru`]), workers contend only on
-    /// shard-level lock collisions instead of serializing on one cache
-    /// mutex.
+    /// This is the engine-side throughput path: workers read the
+    /// resident structures without taking a lock.
     pub fn serve_batch<C: ContentProvider>(
         &self,
         queries: &[Query],
@@ -229,7 +226,7 @@ impl AuthenticatedIndex {
         } else {
             Vec::new()
         };
-        self.cache.count_doc_proofs(docs.len());
+        self.cache.count_proofs(terms.len(), docs.len());
 
         // Dictionary-MHT proof (one signature for the whole dictionary).
         // With the serve cache the tree was materialized once at build
@@ -308,12 +305,19 @@ impl AuthenticatedIndex {
             Some(self.term_sigs[term as usize].clone())
         };
 
-        // Cached (or freshly regenerated, in paper mode) structure; both
-        // paths produce bit-identical proofs. The I/O accounting below
-        // keeps modeling the paper's on-disk layout in both modes.
-        let structure = self.term_structure(term);
+        // Resident structure, or one regenerated from the leaves in
+        // paper mode; both give bit-identical proofs. The I/O accounting
+        // below keeps modeling the paper's on-disk layout in both modes.
+        let regenerated;
+        let structure = match self.cache.terms.get(term as usize) {
+            Some(resident) => resident,
+            None => {
+                regenerated = TermStructure::build(config, list).1;
+                &regenerated
+            }
+        };
 
-        match &*structure {
+        match structure {
             TermStructure::Cmht(chain) => {
                 let cap = config.chain_capacity();
                 // Buddy-expand within the tail block (groups align per
@@ -340,14 +344,17 @@ impl AuthenticatedIndex {
                     signature,
                 }
             }
-            TermStructure::Mht(tree) => {
+            TermStructure::Mht(interior) => {
                 let kr = if config.buddy {
                     expand_prefix(k, li, buddy_group_size(leaf_bytes, 16))
                 } else {
                     k
                 };
                 let revealed: Vec<usize> = (0..kr).collect();
-                let proof = TermProof::Mht(tree.prove(&revealed));
+                // A revealed prefix leaves at most one unrevealed sibling
+                // leaf to rehash.
+                let leaf = |i: usize| term_leaf(config.mechanism, &list.entries()[i]);
+                let proof = TermProof::Mht(prove_from_interior(li, interior, &revealed, leaf));
                 // Plain MHT: the whole list must be read to regenerate the
                 // complementary digests (the §3.3.1 inefficiency).
                 let stored_blocks = config
@@ -616,30 +623,6 @@ mod tests {
         let paper = build(false).query(&toy_query(), 2, &toy_contents());
         assert_eq!(cached.vo.dict, paper.vo.dict);
         assert_eq!(cached.vo, paper.vo);
-    }
-
-    #[test]
-    fn lru_eviction_keeps_responses_correct() {
-        // A capacity-1 cache thrashes on a 4-term query; responses must
-        // still verify and match the uncached ones.
-        let key = cached_keypair(TEST_KEY_BITS);
-        let tiny_cache = AuthenticatedIndex::build(
-            toy_index(),
-            &key,
-            AuthConfig {
-                key_bits: TEST_KEY_BITS,
-                term_cache_capacity: 1,
-                ..AuthConfig::new(Mechanism::TnraCmht)
-            },
-            &toy_contents(),
-        );
-        let reference = auth(Mechanism::TnraCmht);
-        let a = tiny_cache.query(&toy_query(), 2, &toy_contents());
-        let b = reference.query(&toy_query(), 2, &toy_contents());
-        assert_eq!(a.vo, b.vo);
-        let stats = tiny_cache.cache_stats();
-        assert_eq!(stats.resident_terms, 1);
-        assert!(stats.misses >= 4);
     }
 
     #[test]

@@ -41,10 +41,11 @@
 //!    loaded term roots (dictionary mode), or a deterministic sample of
 //!    per-term signatures otherwise; for TRA, the document-table
 //!    signature over the table rebuilt from every document's content
-//!    digest and root — all `n` documents — plus a recomputation of
-//!    every document-MHT root from the loaded index, folded over the
-//!    serve pool. That fold also rebuilds the interior levels a cached
-//!    TRA engine proves from, so checking all `n` roots costs no hashing
+//!    digest and root — all `n` documents. Then every term root and
+//!    every document-MHT root is recomputed from the loaded index,
+//!    folded over the serve pool, and must equal the signed one. That
+//!    fold also rebuilds the structures a cached engine proves from, so
+//!    checking all `m` term roots and `n` document roots costs no hashing
 //!    beyond what serving needs anyway.
 //!
 //! A forgery that survives all three (consistent digests *and* valid
@@ -55,7 +56,7 @@
 
 use super::{
     cache, dict_leaf_digest, dict_message, doc_mhts, doc_table_message, doc_table_tree,
-    term_message, AuthConfig, AuthenticatedIndex,
+    term_message, term_structures, AuthConfig, AuthenticatedIndex,
 };
 use crate::pool::ThreadPool;
 use crate::types::DocTable;
@@ -365,6 +366,9 @@ impl AuthenticatedIndex {
                 parts.term_roots.len()
             )));
         }
+        if let Some(t) = (0..m as TermId).find(|&t| index.list(t).is_empty()) {
+            return Err(corrupt(format!("term {t}: empty inverted list")));
+        }
         if expected.dict_mht {
             if parts.dict_sig.is_none() || !parts.term_sigs.is_empty() {
                 return Err(corrupt(
@@ -445,7 +449,19 @@ impl AuthenticatedIndex {
                     .map_err(|e| corrupt(format!("term {t} signature rejected at boot: {e}")))?;
             }
         }
+        // Refold every term: each recomputed root must be the signed one,
+        // which ties every loaded list to the owner's signatures.
         let pool = ThreadPool::new(expected.build_threads());
+        let (roots, terms) = term_structures(&pool, expected, &index, expected.serve_cache);
+        if let Some(t) = roots
+            .iter()
+            .zip(&parts.term_roots)
+            .position(|(a, b)| a != b)
+        {
+            return Err(corrupt(format!(
+                "term {t}: index disagrees with its signed root"
+            )));
+        }
         let (doc_tree, doc_levels) = if expected.mechanism.is_tra() {
             // One signature covers every document's content digest and
             // root; refolding every document then ties each root to the
@@ -480,7 +496,7 @@ impl AuthenticatedIndex {
             doc_tree,
             doc_table_sig: parts.doc_table_sig,
             public_key: parts.public_key,
-            cache: cache::ServeCache::new(expected, dict_tree, doc_levels),
+            cache: cache::ServeCache::new(dict_tree, terms, doc_levels),
             // The boot's workers live on as the serving pool, as a
             // build's do.
             serve_pool: Mutex::new(Some(Arc::new(pool))),
@@ -571,6 +587,7 @@ mod tests {
     use crate::auth::tests_support::test_auth;
     use crate::toy::{toy_contents, toy_index, toy_query};
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
+    use authsearch_index::ImpactEntry;
     use std::fs;
     use std::path::PathBuf;
 
@@ -690,45 +707,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn boot_recomputes_every_document_root() {
-        // More documents than the 16 evenly spread boot samples: forge
-        // the weight of one document no sample reaches, re-digest the
-        // index section, and boot must reject it by name.
+    /// A 60-document synthetic engine: more documents and terms than the
+    /// 16 boot samples reach.
+    fn synthetic_auth(mechanism: Mechanism) -> AuthenticatedIndex {
         use authsearch_corpus::SyntheticConfig;
-        use authsearch_index::{build_index, InvertedIndex, InvertedList, OkapiParams};
+        use authsearch_index::{build_index, OkapiParams};
         let corpus = SyntheticConfig::tiny(60, 7).generate();
         let key = cached_keypair(TEST_KEY_BITS);
         let config = AuthConfig {
             key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(Mechanism::TraMht)
+            ..AuthConfig::new(mechanism)
         };
-        let auth = AuthenticatedIndex::build(
-            build_index(&corpus, OkapiParams::default()),
-            &key,
-            config,
-            &corpus,
-        );
+        let index = build_index(&corpus, OkapiParams::default());
+        AuthenticatedIndex::build(index, &key, config, &corpus)
+    }
+
+    /// Save `auth` to `path` with term `t`'s list passed through `edit`
+    /// in the index section, and that section's digest recomputed.
+    fn save_with_edited_list(
+        auth: &AuthenticatedIndex,
+        t: TermId,
+        path: &Path,
+        edit: impl Fn(&mut Vec<ImpactEntry>),
+    ) {
+        use authsearch_index::{InvertedIndex, InvertedList};
         let index = auth.index();
-        let sampled = sample_indices(index.num_docs(), BOOT_SIG_SAMPLES);
-        assert!(index.num_docs() > BOOT_SIG_SAMPLES);
-        // A list's last entry has its lowest weight, so halving it keeps
-        // the list in canonical order and the forgery past the parser.
         let m = index.num_terms() as TermId;
-        let (t, entry) = (0..m)
-            .filter_map(|t| Some((t, *index.list(t).entries().last()?)))
-            .find(|(_, e)| !sampled.contains(&(e.doc as usize)) && e.weight > 0.0)
-            .expect("some list ends in an unsampled document");
-        let lists = (0..m)
+        let lists: Vec<InvertedList> = (0..m)
             .map(|u| {
                 let mut entries = index.list(u).entries().to_vec();
                 if u == t {
-                    entries.last_mut().unwrap().weight /= 2.0;
+                    edit(&mut entries);
                 }
                 InvertedList::from_sorted(entries)
             })
             .collect();
-        let ft = (0..m).map(|u| index.ft(u)).collect();
+        let ft = lists
+            .iter()
+            .map(|l| u32::try_from(l.len()).unwrap())
+            .collect();
         let forged = InvertedIndex::from_parts(
             index.params(),
             index.num_docs(),
@@ -736,21 +753,85 @@ mod tests {
             ft,
             lists,
         );
-
-        let path = temp_path("forged-weight.snap");
-        auth.save_snapshot(&path).unwrap();
-        let (mut sections, _) = persist::load_snapshot_file(&path).unwrap();
+        auth.save_snapshot(path).unwrap();
+        let (mut sections, _) = persist::load_snapshot_file(path).unwrap();
         sections[1].1.clear();
         persist::write_index(&mut sections[1].1, &forged).unwrap();
-        persist::save_snapshot_file(&path, &persist::encode_snapshot(&sections).unwrap()).unwrap();
-        match AuthenticatedIndex::load_snapshot(&path, auth.config()).map(drop) {
-            Err(PersistError::Corrupt(why)) => {
-                assert!(why.starts_with(&format!("doc {}:", entry.doc)), "{why}")
-            }
+        persist::save_snapshot_file(path, &persist::encode_snapshot(&sections).unwrap()).unwrap();
+    }
+
+    /// Halve the weight of a list's last entry: it is the list's lowest
+    /// weight, so the list stays in canonical order and the forgery gets
+    /// past the parser.
+    fn halve_last_weight(entries: &mut [ImpactEntry]) {
+        entries.last_mut().unwrap().weight /= 2.0;
+    }
+
+    /// Boot `auth` from `path` and return the `Corrupt` reason.
+    fn corrupt_reason(auth: &AuthenticatedIndex, path: &Path) -> String {
+        let booted = AuthenticatedIndex::load_snapshot(path, auth.config()).map(drop);
+        fs::remove_file(path).ok();
+        fs::remove_file(persist::manifest_path(path)).ok();
+        match booted {
+            Err(PersistError::Corrupt(why)) => why,
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        fs::remove_file(&path).ok();
-        fs::remove_file(persist::manifest_path(&path)).ok();
+    }
+
+    #[test]
+    fn boot_recomputes_every_document_root() {
+        // Forge the weight of one document no boot sample reaches, and
+        // boot must reject it by name.
+        let auth = synthetic_auth(Mechanism::TraMht);
+        let index = auth.index();
+        let sampled = sample_indices(index.num_docs(), BOOT_SIG_SAMPLES);
+        assert!(index.num_docs() > BOOT_SIG_SAMPLES);
+        let m = index.num_terms() as TermId;
+        let (t, entry) = (0..m)
+            .filter_map(|t| Some((t, *index.list(t).entries().last()?)))
+            .find(|(_, e)| !sampled.contains(&(e.doc as usize)) && e.weight > 0.0)
+            .expect("some list ends in an unsampled document");
+        let path = temp_path("forged-weight.snap");
+        save_with_edited_list(&auth, t, &path, |e| halve_last_weight(e));
+        let why = corrupt_reason(&auth, &path);
+        assert!(why.starts_with(&format!("doc {}:", entry.doc)), "{why}");
+    }
+
+    #[test]
+    fn boot_recomputes_every_term_root() {
+        // Forge the list of one term no sampled signature covers: its
+        // signed root and f_t are untouched, so only a refold of the
+        // list catches it. TNRA leaves carry the weight.
+        for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
+            let auth = synthetic_auth(mechanism);
+            let index = auth.index();
+            let m = index.num_terms();
+            let sampled = sample_indices(m, BOOT_SIG_SAMPLES);
+            assert!(m > BOOT_SIG_SAMPLES);
+            let t = (0..m as TermId)
+                .find(|&t| {
+                    let last = index.list(t).entries().last();
+                    !sampled.contains(&(t as usize)) && last.is_some_and(|e| e.weight > 0.0)
+                })
+                .expect("some unsampled term has a positive weight");
+            let path = temp_path(&format!("forged-list-{mechanism:?}.snap"));
+            save_with_edited_list(&auth, t, &path, |e| halve_last_weight(e));
+            assert_eq!(
+                corrupt_reason(&auth, &path),
+                format!("term {t}: index disagrees with its signed root"),
+                "{mechanism:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn boot_rejects_an_empty_list() {
+        // Folding an empty list has no root; boot refuses it by name
+        // instead.
+        let auth = test_auth(Mechanism::TnraMht, true);
+        let path = temp_path("empty-list.snap");
+        save_with_edited_list(&auth, 3, &path, Vec::clear);
+        assert_eq!(corrupt_reason(&auth, &path), "term 3: empty inverted list");
     }
 
     #[test]

@@ -34,10 +34,10 @@ pub struct SpaceReport {
     /// Signatures the paper's scheme stores for the same artifact: the
     /// term-side ones plus one per document under TRA (Figure 8).
     pub paper_signatures: u64,
-    /// Worst-case engine RAM held by the serve cache: the materialized
-    /// dictionary-MHT, the term-structure LRU filled with the
-    /// `term_cache_capacity` longest lists, and (TRA) every document-MHT's
-    /// resident interior levels, counted exactly. Zero in paper mode
+    /// Engine RAM held by the structures resident in the cached serving
+    /// mode, counted exactly ([`AuthenticatedIndex::cache_resident_bytes`]):
+    /// the dictionary-MHT, every term structure, and (TRA) every
+    /// document-MHT's interior levels. Zero in paper mode
     /// (`serve_cache: false`) — that mode's whole point is storing
     /// nothing beyond roots and leaves.
     pub cache_resident_bytes: u64,
@@ -52,7 +52,7 @@ impl SpaceReport {
     }
 
     /// Total extra bytes of the cached serving mode: the paper-mode
-    /// storage plus the worst-case materialized-structure residency.
+    /// storage plus the resident structures.
     pub fn cached_mode_extra_bytes(&self) -> i64 {
         self.auth_extra_bytes() + self.cache_resident_bytes as i64
     }
@@ -118,61 +118,27 @@ impl AuthenticatedIndex {
             doc_auth_bytes,
             signatures: term_sigs + doc_sigs,
             paper_signatures: term_sigs + paper_doc_sigs,
-            cache_resident_bytes: self.worst_case_cache_bytes(),
+            cache_resident_bytes: self.cache_resident_bytes(),
         }
     }
 
-    /// Worst-case serve-cache residency in bytes: dictionary-MHT (when
-    /// materialized), the term LRU filled with the structures of the
-    /// longest lists — the adversarial workload for cache footprint —
-    /// and the resident document-MHT levels, which are always all there.
-    fn worst_case_cache_bytes(&self) -> u64 {
-        if !self.config.serve_cache {
-            return 0;
-        }
-        let index = &self.index;
-        let m = index.num_terms();
-        let dict_digests: u64 = if self.config.dict_mht {
-            mht_resident_digests(m)
-        } else {
-            0
-        };
-        let mut lens: Vec<usize> = (0..m as TermId).map(|t| index.list(t).len()).collect();
-        lens.sort_unstable_by(|a, b| b.cmp(a));
-        let cap = self.config.term_cache_capacity.min(m);
-        let term_digests: u64 = lens[..cap]
-            .iter()
-            .map(|&li| {
-                if self.config.mechanism.is_cmht() {
-                    li as u64 + li.div_ceil(self.config.chain_capacity()) as u64
-                } else {
-                    mht_resident_digests(li)
-                }
-            })
-            .sum();
-        (dict_digests + term_digests + self.resident_doc_digests()) * DIGEST_LEN as u64
-    }
-
-    /// Digests held by the resident document-MHT levels: Σ `interior_len`
-    /// over every document (0 unless TRA with the serve cache on).
-    fn resident_doc_digests(&self) -> u64 {
-        self.cache.doc_levels.iter().map(|l| l.len() as u64).sum()
-    }
-
-    /// Bytes currently held by the serve cache (live residency, as
-    /// opposed to the worst-case bound in the report).
-    pub fn cache_resident_bytes_now(&self) -> u64 {
-        let dict: u64 = self
-            .cache
+    /// Bytes held by the resident structures: the dictionary-MHT (leaves
+    /// included), every term structure, and every document-MHT's
+    /// interior levels. Nothing is ever evicted, so this is the exact
+    /// footprint from the build or boot on.
+    pub fn cache_resident_bytes(&self) -> u64 {
+        let cache = &self.cache;
+        let dict = cache
             .dict_tree
             .as_ref()
-            .map(|t| mht_resident_digests(t.num_leaves()))
-            .unwrap_or(0);
-        let mut terms: u64 = 0;
-        self.cache
+            .map_or(0, |t| mht_resident_digests(t.num_leaves()));
+        let terms: u64 = cache
             .terms
-            .for_each_value(|s| terms += s.resident_digests() as u64);
-        (dict + terms + self.resident_doc_digests()) * DIGEST_LEN as u64
+            .iter()
+            .map(|s| s.resident_digests() as u64)
+            .sum();
+        let docs: u64 = cache.doc_levels.iter().map(|l| l.len() as u64).sum();
+        (dict + terms + docs) * DIGEST_LEN as u64
     }
 }
 
@@ -276,28 +242,9 @@ mod tests {
 
     #[test]
     fn live_residency_tracks_queries() {
+        // Residency is fixed by the build: the first query finds every
+        // structure in place and no query adds to it.
         use crate::toy::toy_query;
-        let key = cached_keypair(TEST_KEY_BITS);
-        let auth = AuthenticatedIndex::build(
-            toy_index(),
-            &key,
-            AuthConfig {
-                key_bits: TEST_KEY_BITS,
-                ..AuthConfig::new(Mechanism::TnraCmht)
-            },
-            &toy_contents(),
-        );
-        assert_eq!(auth.cache_resident_bytes_now(), 0);
-        let _ = auth.query(&toy_query(), 2, &toy_contents());
-        let live = auth.cache_resident_bytes_now();
-        assert!(live > 0);
-        // Live residency never exceeds the report's worst-case bound.
-        assert!(live <= auth.space_report(0).cache_resident_bytes);
-    }
-
-    #[test]
-    fn resident_document_levels_are_counted_exactly() {
-        use authsearch_crypto::merkle::interior_len;
         let key = cached_keypair(TEST_KEY_BITS);
         let build = |serve_cache: bool| {
             AuthenticatedIndex::build(
@@ -306,24 +253,95 @@ mod tests {
                 AuthConfig {
                     key_bits: TEST_KEY_BITS,
                     serve_cache,
-                    ..AuthConfig::new(Mechanism::TraMht)
+                    ..AuthConfig::new(Mechanism::TnraCmht)
                 },
                 &toy_contents(),
             )
         };
-        let cached = build(true);
-        let levels: u64 = (0..cached.index().num_docs() as u32)
-            .map(|d| interior_len(cached.doc_table().doc_terms(d).len()) as u64)
+        for serve_cache in [true, false] {
+            let auth = build(serve_cache);
+            let before = auth.cache_resident_bytes();
+            assert_eq!(before > 0, serve_cache);
+            assert_eq!(before, auth.space_report(0).cache_resident_bytes);
+            for _ in 0..2 {
+                let _ = auth.query(&toy_query(), 2, &toy_contents());
+                assert_eq!(auth.cache_resident_bytes(), before);
+            }
+        }
+    }
+
+    #[test]
+    fn resident_document_levels_are_counted_exactly() {
+        // TRA and TNRA under the same MHT hold the same term structures,
+        // so TRA's extra residency is exactly its document levels.
+        use authsearch_crypto::merkle::interior_len;
+        let key = cached_keypair(TEST_KEY_BITS);
+        let build = |mechanism: Mechanism, serve_cache: bool| {
+            AuthenticatedIndex::build(
+                toy_index(),
+                &key,
+                AuthConfig {
+                    key_bits: TEST_KEY_BITS,
+                    serve_cache,
+                    ..AuthConfig::new(mechanism)
+                },
+                &toy_contents(),
+            )
+        };
+        let tra = build(Mechanism::TraMht, true);
+        let tnra = build(Mechanism::TnraMht, true);
+        let levels: u64 = (0..tra.index().num_docs() as u32)
+            .map(|d| interior_len(tra.doc_table().doc_terms(d).len()) as u64)
             .sum();
         let want = levels * DIGEST_LEN as u64;
         assert!(want > 0);
-        // Before any query only the document levels are resident; the
-        // report's bound adds the term LRU at capacity on top.
-        assert_eq!(cached.cache_resident_bytes_now(), want);
-        assert!(cached.space_report(0).cache_resident_bytes > want);
-        let paper = build(false);
-        assert_eq!(paper.cache_resident_bytes_now(), 0);
+        assert_eq!(
+            tra.cache_resident_bytes() - tnra.cache_resident_bytes(),
+            want
+        );
+        let paper = build(Mechanism::TraMht, false);
+        assert_eq!(paper.cache_resident_bytes(), 0);
         assert_eq!(paper.space_report(0).cache_resident_bytes, 0);
+    }
+
+    #[test]
+    fn resident_bytes_are_counted_exactly() {
+        // Every term structure, every TRA document's interior levels and
+        // the dictionary-MHT, from the index alone; nothing in paper mode.
+        use authsearch_crypto::merkle::interior_len;
+        let key = cached_keypair(TEST_KEY_BITS);
+        for mechanism in Mechanism::ALL {
+            for (serve_cache, dict_mht) in [(true, false), (true, true), (false, false)] {
+                let config = AuthConfig {
+                    key_bits: TEST_KEY_BITS,
+                    serve_cache,
+                    dict_mht,
+                    ..AuthConfig::new(mechanism)
+                };
+                let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
+                let (index, cap) = (auth.index(), config.chain_capacity());
+                let m = index.num_terms();
+                let terms: usize = (0..m as TermId)
+                    .map(|t| match index.list(t).len() {
+                        li if mechanism.is_cmht() => li + li.div_ceil(cap),
+                        li => interior_len(li),
+                    })
+                    .sum();
+                let docs: usize = (0..index.num_docs() as u32)
+                    .filter(|_| mechanism.is_tra())
+                    .map(|d| interior_len(auth.doc_table().doc_terms(d).len()))
+                    .sum();
+                let dict = if dict_mht { m + interior_len(m) } else { 0 };
+                let want = if serve_cache {
+                    ((terms + docs + dict) * DIGEST_LEN) as u64
+                } else {
+                    0
+                };
+                let what = format!("{mechanism:?} serve_cache={serve_cache} dict_mht={dict_mht}");
+                assert_eq!(auth.cache_resident_bytes(), want, "{what}");
+                assert_eq!(auth.space_report(0).cache_resident_bytes, want, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! The artifact handed over by [`crate::DataOwner::publish`] is
 //! identical whatever [`crate::AuthConfig::threads`] the owner built it
 //! with, so the engine (and the user's verifier) never needs to know the
-//! owner's build parallelism. Serving is fully concurrent: the structure
-//! caches behind [`AuthenticatedIndex`] are sharded by key hash (one
-//! lock per shard), and [`SearchEngine::serve_batch`] fans independent
+//! owner's build parallelism. Serving is fully concurrent: the
+//! structures behind [`AuthenticatedIndex`] are resident from the build
+//! and read without a lock, and [`SearchEngine::serve_batch`] fans independent
 //! queries out over the same work-stealing pool the owner build uses —
 //! with per-query responses bit-identical to the sequential path.
 

@@ -18,16 +18,16 @@
 //! * [`tra`] / [`tnra`] — the threshold algorithms (Figs. 5, 10);
 //! * [`auth`] — owner-side structures: term-MHTs, chain-MHTs, document-
 //!   MHTs, dictionary-MHT, signatures; server-side VO construction with
-//!   disk accounting and the engine structure cache; storage reports;
-//! * [`cache`] — the bounded LRU underpinning the engine structure cache;
-//! * [`pool`] — the scoped work-stealing thread pool behind the parallel
-//!   owner build;
+//!   disk accounting over structures resident from the build or boot;
+//!   storage reports;
+//! * [`pool`] — the persistent work-stealing thread pool behind the
+//!   parallel owner build and the serving path;
 //! * [`verify`](mod@verify) — user-side verification (authenticate,
 //!   then replay);
 //! * [`buddy`] — the buddy-inclusion VO optimization (§3.3.2);
 //! * [`owner`] / [`engine`] / [`client`] — the three-party system model;
 //! * [`server`] — the long-running network front: framed queries over
-//!   TCP, dispatched onto the persistent pool, warm-started caches;
+//!   TCP, dispatched onto the persistent pool;
 //! * [`attacks`] — the threat-model attack catalogue;
 //! * [`toy`] — the paper's worked example (Figures 1, 6, 11);
 //! * [`metrics`] — per-query cost measurement for the evaluation.
@@ -66,7 +66,6 @@ pub mod attacks;
 pub mod auth;
 pub mod baseline;
 pub mod buddy;
-pub mod cache;
 pub mod client;
 mod conjunctive;
 pub mod engine;
@@ -90,7 +89,6 @@ pub use auth::{
     boot_authenticated_index, AuthConfig, AuthenticatedIndex, BootReport, BootSource, CacheStats,
     ContentProvider, WarmStats,
 };
-pub use cache::LruCache;
 pub use client::{phrase_filter, Client, ClientNetError, Connection, RetryPolicy};
 pub use engine::{ParsedQuery, SearchEngine, TokenResolution};
 pub use metrics::{

@@ -69,7 +69,7 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The machine's available parallelism (1 when it cannot be queried).
@@ -83,7 +83,16 @@ pub fn available_parallelism() -> usize {
 /// panic capture) before erasure, so the queues hold one uniform type.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-use crate::cache::lock_recover;
+/// Lock a mutex, recovering the guard if a previous holder panicked.
+///
+/// The crate-wide poisoning policy: every structure guarded this way
+/// (pool queues, the serve-pool slot, server connection registries)
+/// keeps itself valid across each mutation, so a panic while holding the
+/// lock never leaves torn data — recovery is always sound, and one
+/// panicking worker cannot wedge the process.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// State shared between the pool handle, its workers, and helping
 /// scope callers.
@@ -570,6 +579,20 @@ mod tests {
         assert_eq!(pool.map(1, |i| i + 10), vec![10]);
         // Far fewer items than workers.
         assert_eq!(pool.map(2, |i| i), vec![0, 1]);
+    }
+
+    #[test]
+    fn lock_recover_survives_poison() {
+        // A panic while holding the lock poisons it; the guard is
+        // recovered with the data intact, and the lock stays usable.
+        let m = Mutex::new(vec![1u32]);
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+            let _guard = lock_recover(&m);
+            panic!("deliberate poison");
+        }));
+        assert!(m.is_poisoned());
+        lock_recover(&m).push(2);
+        assert_eq!(*lock_recover(&m), vec![1, 2]);
     }
 
     #[test]

@@ -41,10 +41,9 @@
 //!   share one executor instead of oversubscribing the machine, and a
 //!   `threads = 1` deployment still runs the paper's sequential model
 //!   with no thread spawned anywhere.
-//! * **Warm start**: startup pre-warms the sharded structure LRUs with
-//!   the top-df terms ([`ServerConfig::warm_top_k`],
-//!   [`crate::AuthenticatedIndex::warm_cache`]) so the first wave of
-//!   traffic doesn't stampede the caches with concurrent cold builds.
+//! * **Warm from the first query**: every authentication structure is
+//!   resident from the build or snapshot boot, so startup has nothing to
+//!   warm and the first wave of traffic builds nothing.
 //! * **Per-connection error isolation**: malformed bytes, unserviceable
 //!   queries, and even a panicking query worker produce a coded
 //!   [`crate::wire::kind::REPLY_ERR`] frame (or at worst close that one
@@ -128,12 +127,6 @@ impl Default for ServerCore {
 /// Operational knobs of a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// How many top-df terms to pre-warm into the structure caches at
-    /// startup. `None` (the default) is **`AuthConfig`-driven**: warm up
-    /// to the term LRU's configured capacity
-    /// ([`crate::AuthConfig::term_cache_capacity`]); `Some(0)` disables
-    /// warming; `Some(k)` warms exactly `k` (clamped to capacity).
-    pub warm_top_k: Option<usize>,
     /// Largest `r` a request may ask for; bigger requests get a
     /// [`crate::wire::errcode::BAD_QUERY`] reply instead of letting a
     /// remote peer size engine-side allocations.
@@ -199,7 +192,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            warm_top_k: None,
             max_r: 1024,
             poll_interval: Duration::from_millis(50),
             max_connections: env_usize("AUTHSEARCH_MAX_CONNECTIONS").unwrap_or(0),
@@ -480,7 +472,6 @@ fn prepare(
 /// Handle to a running server; dropping it shuts the server down.
 pub struct ServerHandle {
     addr: SocketAddr,
-    warmed: WarmStats,
     shared: Arc<Shared>,
     inner: CoreHandle,
 }
@@ -492,14 +483,14 @@ enum CoreHandle {
     Reactor(reactor_core::ReactorHandle),
 }
 
-/// The server front: binds, warms, and accepts.
+/// The server front: binds and accepts.
 pub struct Server;
 
 impl Server {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), warm
-    /// the caches per `config`, and start accepting in the background
-    /// on the configured [`ServerCore`]. Returns immediately; queries
-    /// are served until [`ServerHandle::shutdown`] (or drop).
+    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
+    /// start accepting in the background on the configured
+    /// [`ServerCore`]. Returns immediately; queries are served until
+    /// [`ServerHandle::shutdown`] (or drop).
     pub fn start<A: ToSocketAddrs>(
         engine: Arc<SearchEngine>,
         addr: A,
@@ -507,12 +498,6 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Warm start: populate the sharded LRUs with the hot head of the
-        // dictionary before the first connection lands.
-        let warm_top_k = config
-            .warm_top_k
-            .unwrap_or(engine.auth().config().term_cache_capacity);
-        let warmed = engine.auth().warm_cache(warm_top_k);
         let pool = engine.auth().serve_pool();
         let shutdown = Arc::new(AtomicBool::new(false));
         let core = config.core;
@@ -541,7 +526,6 @@ impl Server {
         };
         Ok(ServerHandle {
             addr,
-            warmed,
             shared,
             inner,
         })
@@ -590,9 +574,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// What startup warming materialized.
+    /// What startup warming materialized: always zero, since every
+    /// structure is resident from the build or boot.
     pub fn warmed(&self) -> WarmStats {
-        self.warmed
+        WarmStats::default()
     }
 
     /// Live counters.
@@ -654,6 +639,13 @@ mod tests {
     use std::net::TcpStream;
 
     fn test_engine(mechanism: Mechanism) -> (Arc<SearchEngine>, crate::verify::VerifierParams) {
+        test_engine_with(AuthConfig {
+            key_bits: TEST_KEY_BITS,
+            ..AuthConfig::new(mechanism)
+        })
+    }
+
+    fn test_engine_with(config: AuthConfig) -> (Arc<SearchEngine>, crate::verify::VerifierParams) {
         let corpus = CorpusBuilder::new()
             .min_df(1)
             .add_text("the night keeper keeps the keep in the town")
@@ -663,10 +655,6 @@ mod tests {
             .add_text("the night keeper keeps the keep in the night")
             .build();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
         let publication = owner.publish(&corpus, config);
         (
             Arc::new(SearchEngine::new(publication.auth, corpus)),
@@ -694,7 +682,7 @@ mod tests {
         let (engine, params) = test_engine(Mechanism::TnraCmht);
         let handle =
             Server::start(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
-        assert!(handle.warmed().terms > 0, "startup warmed the term LRU");
+        assert_eq!(handle.warmed(), WarmStats::default());
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         let reply = roundtrip(
             &mut stream,
@@ -1170,39 +1158,23 @@ mod tests {
 
     #[test]
     fn warm_start_is_config_driven() {
-        let (engine, _) = test_engine(Mechanism::TnraCmht);
-        let m = engine.auth().index().num_terms();
-        // Explicitly disabled warming.
-        let cold = Server::start(
-            Arc::clone(&engine),
-            "127.0.0.1:0",
-            ServerConfig {
-                warm_top_k: Some(0),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(cold.warmed(), WarmStats::default());
-        cold.shutdown();
-        engine.auth().clear_serve_cache();
-        // Explicit k.
-        let some = Server::start(
-            Arc::clone(&engine),
-            "127.0.0.1:0",
-            ServerConfig {
-                warm_top_k: Some(2),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(some.warmed().terms, 2);
-        some.shutdown();
-        engine.auth().clear_serve_cache();
-        // Default: capacity-driven (toy dictionary is far below it).
-        let auto =
-            Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).unwrap();
-        assert_eq!(auto.warmed().terms, m);
-        auto.shutdown();
+        // What is resident at start follows the engine's AuthConfig
+        // alone: every term under the serve cache, none in paper mode,
+        // and startup warms nothing on top in either.
+        for serve_cache in [true, false] {
+            let (engine, _) = test_engine_with(AuthConfig {
+                key_bits: TEST_KEY_BITS,
+                serve_cache,
+                ..AuthConfig::new(Mechanism::TnraCmht)
+            });
+            let m = engine.auth().index().num_terms();
+            let resident = if serve_cache { m } else { 0 };
+            let handle =
+                Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).unwrap();
+            assert_eq!(handle.warmed(), WarmStats::default());
+            assert_eq!(engine.auth().cache_stats().resident_terms, resident);
+            handle.shutdown();
+        }
     }
 
     #[test]

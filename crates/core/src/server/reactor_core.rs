@@ -23,7 +23,7 @@
 
 use super::conn::{Conn, ConnEnv, ConnStream, EncodedReply, Step, Want};
 use super::{busy_message, effective_write_timeout, execute_job, prepare_job, Shared};
-use crate::cache::lock_recover;
+use crate::pool::lock_recover;
 use crate::reactor::{Events, Interest, Poll, TimerEntry, TimerWheel, Token, Waker};
 use crate::wire;
 use std::collections::{HashMap, VecDeque};

@@ -14,7 +14,7 @@ use super::{
     oversize_message, prepare_job, unrepresentable, QueryJob, Shared, MAX_REQUEST_PAYLOAD,
     MAX_SHED_HANDSHAKES, WORKER_FAILED,
 };
-use crate::cache::lock_recover;
+use crate::pool::lock_recover;
 use crate::wire;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

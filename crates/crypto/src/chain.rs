@@ -20,7 +20,7 @@ use crate::digest::Digest;
 use crate::merkle::{reconstruct_root, MerkleProof, MerkleTree};
 
 /// A chain-MHT materialized over leaf digests.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainMht {
     capacity: usize,
     num_leaves: usize,

@@ -59,7 +59,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         RULE_LOCK_UNWRAP,
-        "no .lock().unwrap() / .lock().expect(…) — use the poison-recovery idiom (cache::lock_recover / unwrap_or_else(PoisonError::into_inner))",
+        "no .lock().unwrap() / .lock().expect(…) — use the poison-recovery idiom (pool::lock_recover / unwrap_or_else(PoisonError::into_inner))",
     ),
     (
         RULE_UNCLAMPED_PREALLOC,
@@ -71,7 +71,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         RULE_LOCK_ORDER,
-        "lock guards must acquire in a globally consistent order — acquired-while-held cycles across pool/cache/server are findings (`--graph` dumps the DOT graph); fix cycles, never allow them",
+        "lock guards must acquire in a globally consistent order — acquired-while-held cycles across pool/server are findings (`--graph` dumps the DOT graph); fix cycles, never allow them",
     ),
     (
         RULE_BLOCKING_IN_REACTOR,

@@ -44,18 +44,17 @@ fn main() {
 
     // ------------------------------------------------------------------
     // 2. The untrusted engine stands up as a long-running server: TCP
-    //    acceptor in front, persistent work-stealing pool behind,
-    //    caches pre-warmed with the top-df terms before the first
+    //    acceptor in front, persistent work-stealing pool behind, every
+    //    term structure resident from the build before the first
     //    connection lands.
     // ------------------------------------------------------------------
     let engine = Arc::new(SearchEngine::new(publication.auth, corpus));
     let handle = Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback");
     println!(
-        "server: listening on {} (warmed {} term structures, {} doc-MHTs)",
+        "server: listening on {} ({} term structures resident from the build)",
         handle.addr(),
-        handle.warmed().terms,
-        handle.warmed().docs
+        engine.auth().cache_stats().resident_terms
     );
 
     // ------------------------------------------------------------------

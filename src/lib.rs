@@ -14,8 +14,8 @@
 //! * [`index`] (`authsearch-index`) — Okapi BM25 impact-ordered
 //!   inverted indexes, block layout, the simulated testbed disk;
 //! * [`core`] (`authsearch-core`) — the three-party protocol: owner
-//!   signing, engine-side VO construction (with the server structure
-//!   cache), and user-side verification.
+//!   signing, engine-side VO construction (over authentication
+//!   structures resident from the build), and user-side verification.
 //!
 //! Workspace-level `tests/` and `examples/` exercise the crates through
 //! this facade's dependency edges.

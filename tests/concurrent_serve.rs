@@ -1,6 +1,6 @@
 //! Concurrent serving stress coverage: many OS threads hammering mixed
-//! hot/cold queries through one engine's sharded structure caches, and
-//! the pool-backed [`SearchEngine::serve_batch`] path at several widths.
+//! hot/cold queries through one engine's resident structures, and the
+//! pool-backed [`SearchEngine::serve_batch`] path at several widths.
 //! The contract under test is the tentpole invariant — every VO served
 //! concurrently must **byte-equal** the sequential (`threads = 1`)
 //! output and still verify against the owner's public parameters.
@@ -26,9 +26,6 @@ fn fixture(mechanism: Mechanism) -> Fixture {
     let config = AuthConfig {
         key_bits: KEY_BITS,
         threads: 1,
-        // Tiny term cache: the cold tail of the workload keeps evicting,
-        // so the stress run exercises insert/evict races, not just hits.
-        term_cache_capacity: 8,
         ..AuthConfig::new(mechanism)
     };
     let publication = owner.publish(&corpus, config);
@@ -98,11 +95,8 @@ fn concurrent_hammering_yields_sequential_bytes() {
                 .unwrap_or_else(|e| panic!("{}: {e}", mechanism.name()));
         }
         let stats = fx.engine.auth().cache_stats();
-        assert!(stats.hits > 0, "hot terms must hit the sharded cache");
-        assert!(
-            stats.resident_terms <= 8,
-            "sharded capacity bound respected"
-        );
+        assert!(stats.hits > 0, "term proofs come from resident structures");
+        assert_eq!(stats.misses, 0, "no term structure is rebuilt");
     }
 }
 

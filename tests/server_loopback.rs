@@ -4,8 +4,8 @@
 //! byte-matches the sequential `serve` path and passes verification.
 //!
 //! Runs at whatever pool width `AUTHSEARCH_THREADS` pins (CI exercises
-//! 1 and 4), since the serving pool, the per-connection dispatch, and
-//! the sharded caches all sit under this test.
+//! 1 and 4), since the serving pool and the per-connection dispatch
+//! both sit under this test.
 //!
 //! CI additionally runs it once with `AUTHSEARCH_MAX_CONNECTIONS=2` and
 //! an aggressive `AUTHSEARCH_IDLE_MS` — the shedding regime. Client
@@ -240,28 +240,32 @@ fn hostile_client_does_not_disturb_honest_ones() {
     }
 }
 
-/// Warm-started server: startup warming fills the term LRU before the
-/// first connection, and the served responses still verify.
+/// Warm-started server: every term structure is resident from the build
+/// before the first connection, the first query's term proofs all come
+/// from them, and the served responses verify.
 #[test]
 fn warm_started_server_serves_verified_responses() {
     let fx = fixture(Mechanism::TnraCmht);
+    let stats_before = fx.engine.auth().cache_stats();
+    let m = fx.engine.auth().index().num_terms();
+    assert_eq!(stats_before.resident_terms, m);
     let handle = Server::start(
         Arc::clone(&fx.engine),
         "127.0.0.1:0",
-        ServerConfig {
-            warm_top_k: Some(32),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
-    assert_eq!(handle.warmed().terms, 32);
-    let stats_before = fx.engine.auth().cache_stats();
-    assert!(stats_before.resident_terms >= 32);
     let mut connection = Connection::connect(handle.addr(), fx.params.clone()).unwrap();
     let (verified, response) = connection
         .query_terms(&fx.workloads[0], TOP_R)
         .expect("verified");
     assert_eq!(verified.result, response.result);
+    let stats_after = fx.engine.auth().cache_stats();
+    assert_eq!(
+        stats_after.hits - stats_before.hits,
+        fx.workloads[0].len() as u64
+    );
+    assert_eq!(stats_after.misses, 0);
     handle.shutdown();
 }
 
