@@ -3,13 +3,12 @@
 //! 1. buddy inclusion on/off (VO bytes traded against digests);
 //! 2. chain-MHT block capacity ρ (via the block size);
 //! 3. per-list signatures vs the §3.4 dictionary-MHT;
-//! 4. RSA signing with and without the CRT;
-//! 5. score-prioritised vs equal-depth polling (the paper's adaptation
+//! 4. score-prioritised vs equal-depth polling (the paper's adaptation
 //!    of Fagin's algorithms vs the originals), measured in entries read.
 
 use authsearch_core::{verify, AuthConfig, AuthenticatedIndex, Mechanism, Query, VerifierParams};
 use authsearch_corpus::{Corpus, SyntheticConfig};
-use authsearch_crypto::keys::{cached_keypair, PAPER_KEY_BITS, TEST_KEY_BITS};
+use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
 use authsearch_index::{build_index, BlockLayout, OkapiParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -152,21 +151,6 @@ fn ablation_dict_mht(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_rsa_crt(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_rsa_crt");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    let key = cached_keypair(PAPER_KEY_BITS);
-    let msg = b"list root digest";
-    group.bench_function("sign_with_crt", |b| b.iter(|| key.sign(msg).unwrap()));
-    group.bench_function("sign_without_crt", |b| {
-        b.iter(|| key.sign_no_crt(msg).unwrap())
-    });
-    group.finish();
-}
-
 fn ablation_equal_depth(c: &mut Criterion) {
     // The paper's key adaptation of Fagin's algorithms: pop from the list
     // with the highest term score instead of round-robin equal depth.
@@ -226,7 +210,6 @@ criterion_group!(
     ablation_buddy,
     ablation_rho,
     ablation_dict_mht,
-    ablation_rsa_crt,
     ablation_equal_depth
 );
 criterion_main!(benches);

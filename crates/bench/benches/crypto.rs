@@ -72,21 +72,9 @@ fn rsa(c: &mut Criterion) {
     let key = cached_keypair(PAPER_KEY_BITS);
     let msg = b"root digest of an inverted list's chain-MHT";
     group.bench_function("sign_crt", |b| b.iter(|| key.sign(msg).unwrap()));
-    // The pre-Montgomery baseline: same CRT structure, division-based
-    // exponentiation. The ratio of these two is the PR's sign speedup.
-    group.bench_function("sign_crt_schoolbook_baseline", |b| {
-        b.iter(|| key.sign_schoolbook_reference(msg).unwrap())
-    });
     let sig = key.sign(msg).unwrap();
     group.bench_function("verify", |b| {
         b.iter(|| key.public_key().verify(msg, &sig).unwrap())
-    });
-    group.bench_function("verify_schoolbook_baseline", |b| {
-        b.iter(|| {
-            key.public_key()
-                .verify_schoolbook_reference(msg, &sig)
-                .unwrap()
-        })
     });
     group.finish();
 }

@@ -1,7 +1,5 @@
 //! Owner-side build scaling: `AuthenticatedIndex::build` across thread
-//! counts — the perf-trajectory comparison for the PR 2 work-stealing
-//! pool (the `bench_pr2` binary emits the machine-readable companion,
-//! `BENCH_PR2.json`).
+//! counts on the work-stealing pool.
 //!
 //! The artifact is bit-identical at every thread count; only wall-clock
 //! time changes, and only on machines that actually have the cores (the
@@ -39,8 +37,7 @@ fn build_scaling(c: &mut Criterion) {
                 |b, _| {
                     // `build` consumes the index, so each iteration pays
                     // one clone (~sub-ms memcpy, <1% of a build at this
-                    // scale); the `bench_pr2` binary times builds with
-                    // the clone hoisted out for the checked-in numbers.
+                    // scale).
                     b.iter(|| {
                         criterion::black_box(AuthenticatedIndex::build(
                             index.clone(),

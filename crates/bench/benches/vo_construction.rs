@@ -1,10 +1,10 @@
 //! Engine-side cost of serving an authenticated query (processing + VO
 //! construction), per mechanism — the CPU companion to Figure 13(c)/(d).
 //!
-//! The `serve_cached_vs_uncached` group is the perf-trajectory
-//! comparison for the engine structure cache: the same repeated workload
-//! served with materialized structures (cache warm) against the paper's
-//! regenerate-from-leaves storage model.
+//! The `serve_cached_vs_uncached` group times the engine structure
+//! cache: the same repeated workload served with materialized
+//! structures (cache warm) against the paper's regenerate-from-leaves
+//! storage model.
 
 use authsearch_core::{AuthConfig, AuthenticatedIndex, Mechanism, Query};
 use authsearch_corpus::{Corpus, SyntheticConfig};

@@ -13,16 +13,13 @@
 //! | `trace`  | Figures 6 & 11 — the worked example's traces |
 //! | `space`  | §4.1 — storage overheads of the four mechanisms |
 //! | `all`    | everything above, in order |
-//! | `bench_pr1` | perf trajectory — Montgomery arithmetic + serve cache (`BENCH_PR1.json`) |
-//! | `bench_pr2` | perf trajectory — parallel owner build scaling (`BENCH_PR2.json`) |
 //!
 //! All binaries accept `--scale <frac>` (default 0.12 ≈ 20k documents),
 //! `--full` (paper scale, n = 172,961), `--queries <n>` (workload size,
 //! default 200; the paper uses 1000) and `--key-bits <b>` (default 1024
-//! as in Table 1).
+//! as in Table 1). Each run generates its corpus and index in-process.
 
 pub mod figures;
-pub mod json;
 pub mod runner;
 pub mod scale;
 pub mod tables;

@@ -1,4 +1,4 @@
-//! Shared experiment scaffolding: corpus/index caching, per-mechanism
+//! Shared experiment scaffolding: corpus/index generation, per-mechanism
 //! authenticated-index construction, and workload aggregation.
 
 use crate::scale::Scale;
@@ -6,9 +6,8 @@ use authsearch_core::vo::VoSize;
 use authsearch_core::{measure, AuthConfig, AuthenticatedIndex, Mechanism, Query, VerifierParams};
 use authsearch_corpus::{Corpus, SyntheticConfig, TermId};
 use authsearch_crypto::keys::cached_keypair;
-use authsearch_index::{build_index, persist, DiskModel, InvertedIndex, OkapiParams};
+use authsearch_index::{build_index, DiskModel, InvertedIndex, OkapiParams};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// A loaded experiment environment: the WSJ-scale corpus, its index, the
@@ -26,45 +25,26 @@ pub struct Workbench {
 }
 
 impl Workbench {
-    /// Build (or load from the on-disk cache) the corpus and index.
+    /// Generate the corpus and build its index.
     pub fn new(scale: Scale) -> Workbench {
-        let cache = cache_dir();
-        std::fs::create_dir_all(&cache).ok();
-        let tag = format!("wsj_{:.4}", scale.frac);
-        let corpus_path = cache.join(format!("{tag}.corpus"));
-        let index_path = cache.join(format!("{tag}.index"));
+        let t = Instant::now();
+        eprintln!(
+            "[bench] generating WSJ-like corpus at scale {:.4} ({} docs)…",
+            scale.frac,
+            scale.num_docs()
+        );
+        let corpus = SyntheticConfig::wsj(scale.frac).generate();
+        eprintln!("[bench] generated in {:.1?}", t.elapsed());
 
-        let corpus = match persist::load_corpus(&corpus_path) {
-            Ok(c) => c,
-            Err(_) => {
-                let t = Instant::now();
-                eprintln!(
-                    "[bench] generating WSJ-like corpus at scale {:.4} ({} docs)…",
-                    scale.frac,
-                    scale.num_docs()
-                );
-                let c = SyntheticConfig::wsj(scale.frac).generate();
-                eprintln!("[bench] generated in {:.1?}; caching", t.elapsed());
-                persist::save_corpus(&corpus_path, &c).ok();
-                c
-            }
-        };
-        let index = match persist::load_index(&index_path) {
-            Ok(i) => i,
-            Err(_) => {
-                let t = Instant::now();
-                eprintln!("[bench] building inverted index…");
-                let i = build_index(&corpus, OkapiParams::default());
-                eprintln!(
-                    "[bench] indexed {} postings over {} terms in {:.1?}",
-                    i.total_entries(),
-                    i.num_terms(),
-                    t.elapsed()
-                );
-                persist::save_index(&index_path, &i).ok();
-                i
-            }
-        };
+        let t = Instant::now();
+        eprintln!("[bench] building inverted index…");
+        let index = build_index(&corpus, OkapiParams::default());
+        eprintln!(
+            "[bench] indexed {} postings over {} terms in {:.1?}",
+            index.total_entries(),
+            index.num_terms(),
+            t.elapsed()
+        );
 
         Workbench {
             scale,
@@ -83,10 +63,10 @@ impl Workbench {
             let config = AuthConfig {
                 key_bits: self.scale.key_bits,
                 // Figures 13–15 time the paper's regenerate-from-leaves
-                // storage model; the serve cache (PR 1) would make the
-                // reported CPU times incomparable to the paper's. The
-                // cache's own numbers live in BENCH_PR1.json and the
-                // serve_cached_vs_uncached criterion bench.
+                // storage model; the serve cache would make the reported
+                // CPU times incomparable to the paper's. The cache's own
+                // numbers come from the serve_cached_vs_uncached
+                // criterion bench.
                 serve_cache: false,
                 ..AuthConfig::new(mechanism)
             };
@@ -138,11 +118,6 @@ impl Workbench {
     pub fn trec_queries(&self, n: usize, seed: u64) -> Vec<Vec<TermId>> {
         authsearch_corpus::workload::trec_like(self.index.document_frequencies(), n, 0.35, seed)
     }
-}
-
-fn cache_dir() -> PathBuf {
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
-    PathBuf::from(target).join("authsearch-cache")
 }
 
 /// Averaged metrics over a workload — one data point of a figure.
@@ -245,6 +220,30 @@ mod tests {
         assert!(agg.mean_entries_read > 0.0);
         assert!(agg.mean_vo_bytes > 0.0);
         assert!(agg.mean_io_secs > 0.0);
+    }
+
+    #[test]
+    fn nearby_scales_get_their_own_corpus() {
+        // 0.001 and 0.00104 both print as "0.0010": a workbench keyed on
+        // that string would hand the second scale the first's corpus.
+        let cache = std::path::Path::new("target/authsearch-cache");
+        let cache_existed = cache.exists();
+        for frac in [0.001, 0.00104] {
+            let wb = Workbench::new(Scale {
+                frac,
+                queries: 1,
+                key_bits: TEST_KEY_BITS,
+            });
+            assert_eq!(
+                wb.corpus.num_docs(),
+                SyntheticConfig::wsj(frac).num_docs,
+                "scale {frac}"
+            );
+        }
+        assert!(
+            cache_existed || !cache.exists(),
+            "Workbench::new must not write a cache into the source tree"
+        );
     }
 
     #[test]

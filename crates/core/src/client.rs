@@ -296,9 +296,6 @@ pub struct Connection {
     /// retry-on-busy path needs a fresh socket — a shed connection is
     /// closed by the server right after the BUSY frame).
     addr: SocketAddr,
-    /// Whether sockets are opened with `TCP_NODELAY` (see
-    /// [`Connection::connect_with_nodelay`]).
-    nodelay: bool,
     /// The stream's framing can no longer be trusted (a reply header
     /// failed to parse, so the next frame boundary is unknown). Every
     /// subsequent operation fails fast instead of misreading stale
@@ -313,31 +310,18 @@ pub struct Connection {
 
 impl Connection {
     /// Connect to a server and verify against `params` (obtained from
-    /// the data owner's broadcast, *not* from the server).
+    /// the data owner's broadcast, *not* from the server). Sockets are
+    /// opened with `TCP_NODELAY`: request and reply frames are small,
+    /// and Nagle batching would add a delayed-ACK round trip to every
+    /// exchange.
     pub fn connect<A: ToSocketAddrs>(addr: A, params: VerifierParams) -> io::Result<Connection> {
-        Connection::connect_with_nodelay(addr, params, true)
-    }
-
-    /// [`Connection::connect`] with `TCP_NODELAY` explicit. The default
-    /// (`true`) is right for this protocol — request and reply frames
-    /// are small, and Nagle batching adds a delayed-ACK round trip to
-    /// every exchange; `false` exists for measurement (`bench_pr5`
-    /// records the latency gap).
-    pub fn connect_with_nodelay<A: ToSocketAddrs>(
-        addr: A,
-        params: VerifierParams,
-        nodelay: bool,
-    ) -> io::Result<Connection> {
         let stream = TcpStream::connect(addr)?;
-        if nodelay {
-            stream.set_nodelay(true)?;
-        }
+        stream.set_nodelay(true)?;
         let addr = stream.peer_addr()?;
         Ok(Connection {
             stream,
             client: Client::new(params),
             addr,
-            nodelay,
             desynced: false,
             dial_timeout: None,
         })
@@ -356,30 +340,16 @@ impl Connection {
         params: VerifierParams,
         timeout: Duration,
     ) -> io::Result<Connection> {
-        Connection::connect_timeout_with_nodelay(addr, params, timeout, true)
-    }
-
-    /// [`Connection::connect_timeout`] with `TCP_NODELAY` explicit (see
-    /// [`Connection::connect_with_nodelay`] for the trade-off).
-    pub fn connect_timeout_with_nodelay<A: ToSocketAddrs>(
-        addr: A,
-        params: VerifierParams,
-        timeout: Duration,
-        nodelay: bool,
-    ) -> io::Result<Connection> {
         let mut last_err: Option<io::Error> = None;
         for candidate in addr.to_socket_addrs()? {
             match TcpStream::connect_timeout(&candidate, timeout) {
                 Ok(stream) => {
-                    if nodelay {
-                        stream.set_nodelay(true)?;
-                    }
+                    stream.set_nodelay(true)?;
                     let addr = stream.peer_addr()?;
                     return Ok(Connection {
                         stream,
                         client: Client::new(params),
                         addr,
-                        nodelay,
                         desynced: false,
                         dial_timeout: Some(timeout),
                     });
@@ -405,9 +375,7 @@ impl Connection {
             Some(timeout) => TcpStream::connect_timeout(&self.addr, timeout)?,
             None => TcpStream::connect(self.addr)?,
         };
-        if self.nodelay {
-            stream.set_nodelay(true)?;
-        }
+        stream.set_nodelay(true)?;
         self.stream = stream;
         self.desynced = false;
         Ok(())

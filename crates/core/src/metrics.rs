@@ -104,7 +104,8 @@ impl ServerMetrics {
 /// syscall mixes (the whole point of the reactor is fewer of them).
 ///
 /// Read with [`TransportStats::snapshot`]; divide by `requests_ok` for
-/// the syscalls-per-query figure reported in `BENCH_PR9.json`.
+/// the syscalls-per-query rows `authbench` reports
+/// (`server.{reads,writes,polls}_per_query`).
 #[derive(Debug, Default)]
 pub struct TransportStats {
     /// `accept(2)` attempts (including the final `EAGAIN` probe that

@@ -170,11 +170,6 @@ pub struct ServerConfig {
     /// pipe). `Duration::ZERO` falls back to the 30-second default
     /// rather than disabling the bound.
     pub write_timeout: Duration,
-    /// `TCP_NODELAY` on connection sockets (default on: request/reply
-    /// frames are small, and Nagle batching just adds a delayed-ACK
-    /// round trip to every exchange). Off exists for measurement —
-    /// `bench_pr5` records the latency gap.
-    pub nodelay: bool,
     /// Where [`Server::start_booted`] looks for (and heals) the
     /// authenticated snapshot
     /// ([`crate::AuthenticatedIndex::save_snapshot`]). `None` (the
@@ -199,7 +194,6 @@ impl Default for ServerConfig {
                 .map(|ms| Duration::from_millis(ms as u64))
                 .unwrap_or(DEFAULT_IDLE_DEADLINE),
             write_timeout: DEFAULT_WRITE_TIMEOUT,
-            nodelay: true,
             snapshot_path: None,
             core: ServerCore::default(),
         }
@@ -589,7 +583,8 @@ impl ServerHandle {
     /// (reads, writes, accepts, poll wakeups). Deliberately **not**
     /// part of [`ServerMetricsSnapshot`] — the two cores are
     /// byte-identical on the metrics contract but necessarily differ
-    /// here (that difference is the perf story `bench_pr9` measures).
+    /// here (`authbench` reports the difference as
+    /// `server.{reads,writes,polls}_per_query`).
     pub fn transport_stats(&self) -> TransportStatsSnapshot {
         self.shared.transport.snapshot()
     }

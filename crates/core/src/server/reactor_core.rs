@@ -402,7 +402,7 @@ impl EventLoop {
         }
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
         // lint:allow(swallowed-result): TCP_NODELAY is a latency knob; the connection is correct without it
-        let _ = stream.set_nodelay(shared.config.nodelay);
+        let _ = stream.set_nodelay(true);
         let fd = stream.as_raw_fd();
         let conn = Conn::new(stream, Instant::now());
         self.admitted += 1;

@@ -346,7 +346,7 @@ fn connection_loop(stream: &TcpStream, shared: &Arc<Shared>) {
         return;
     }
     // lint:allow(swallowed-result): TCP_NODELAY is a latency knob; the connection is correct without it
-    let _ = stream.set_nodelay(shared.config.nodelay);
+    let _ = stream.set_nodelay(true);
     // The idle clock restarts at every received byte, so a legitimately
     // slow sender is never evicted mid-frame for link speed — but
     // per-gap resets alone would let a peer *dribble* one byte per

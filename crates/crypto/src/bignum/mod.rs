@@ -16,8 +16,6 @@ mod modpow;
 mod montgomery;
 mod prime;
 
-#[doc(hidden)]
-pub use montgomery::bench_kernels;
 pub use montgomery::Montgomery;
 pub use prime::{gen_prime, is_probable_prime};
 

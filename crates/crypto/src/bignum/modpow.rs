@@ -32,8 +32,8 @@ impl BigUint {
     /// with a full multiply + Knuth Algorithm-D division per step.
     ///
     /// Kept as the even-modulus fallback, as the reference the Montgomery
-    /// property tests cross-check against, and for the
-    /// `modpow_montgomery_vs_schoolbook` benchmark.
+    /// property tests cross-check against, and for the `modpow/schoolbook`
+    /// criterion row.
     pub fn mod_pow_schoolbook(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "mod_pow with zero modulus");
         if modulus.is_one() {

@@ -438,53 +438,6 @@ fn cios_sqr_fixed<const K: usize, const K2: usize>(
     t_out.copy_from_slice(&t);
 }
 
-/// Bench-only access to the raw REDC kernels — lets `bench_pr9` time
-/// the generic CIOS path against the fixed-width and fused-squaring
-/// kernels *at the same widths*, which the normal dispatch never does.
-/// Hidden from docs; no stability promise.
-#[doc(hidden)]
-pub mod bench_kernels {
-    use super::*;
-
-    /// Which kernel [`redc_reps`] drives.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum BenchKernel {
-        /// Generic multiply kernel, dispatch bypassed (the PR-1 path).
-        MulGeneric,
-        /// Dispatched multiply (fixed-width at k = 8/16).
-        MulDispatch,
-        /// Squaring as a generic self-multiply (the PR-1 square step).
-        SqrViaGenericMul,
-        /// Fused squaring kernel, generic width.
-        SqrGenericFused,
-        /// Dispatched squaring (fixed-width fused at k = 8/16).
-        SqrDispatch,
-    }
-
-    /// Run `reps` chained REDC passes (each output feeds the next
-    /// input, like the square ladder of a real exponentiation) over
-    /// reused buffers, and return a result limb so the chain cannot be
-    /// optimized away.
-    pub fn redc_reps(ctx: &Montgomery, seed: &BigUint, reps: usize, kernel: BenchKernel) -> u64 {
-        let k = ctx.k;
-        let a = ctx.pad(&ctx.to_montgomery(seed));
-        let mut acc = a.clone();
-        let mut t = vec![0u64; k + 2];
-        let n = &ctx.n.limbs;
-        for _ in 0..reps {
-            match kernel {
-                BenchKernel::MulGeneric => cios_kernel(n, ctx.n0_inv, &acc, &a, &mut t, k),
-                BenchKernel::MulDispatch => ctx.cios(&acc, &a, &mut t),
-                BenchKernel::SqrViaGenericMul => cios_kernel(n, ctx.n0_inv, &acc, &acc, &mut t, k),
-                BenchKernel::SqrGenericFused => cios_sqr_kernel(n, ctx.n0_inv, &acc, &mut t, k),
-                BenchKernel::SqrDispatch => ctx.cios_sqr(&acc, &mut t),
-            }
-            acc[..k].copy_from_slice(&t[..k]);
-        }
-        acc[0]
-    }
-}
-
 /// Lexicographic `<` over equal-length little-endian limb slices.
 fn slice_lt(a: &[u64], b: &[u64]) -> bool {
     debug_assert_eq!(a.len(), b.len());

@@ -3,8 +3,7 @@
 //! The paper's data owner signs the root of every authentication structure
 //! with a 1024-bit signature (Table 1: |sign| = 1024 bits). This module
 //! provides key generation (Miller–Rabin primes, e = 65537), signing with
-//! the standard CRT speed-up, and verification. The `ablation_rsa_crt`
-//! benchmark compares CRT against plain exponentiation.
+//! the standard CRT speed-up, and verification.
 
 use crate::bignum::{gen_prime, BigUint, Montgomery};
 use crate::sha256::Sha256;
@@ -107,7 +106,6 @@ impl Eq for RsaPublicKey {}
 #[derive(Clone)]
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
-    d: BigUint,
     p: BigUint,
     q: BigUint,
     d_p: BigUint,
@@ -246,10 +244,9 @@ impl RsaPublicKey {
     }
 
     /// Verify using the schoolbook (division-based) exponentiation — the
-    /// pre-Montgomery implementation, kept as the baseline for the
-    /// perf-trajectory benchmarks (`BENCH_PR1.json`).
-    #[doc(hidden)]
-    pub fn verify_schoolbook_reference(
+    /// pre-Montgomery implementation, kept as a test oracle.
+    #[cfg(test)]
+    fn verify_schoolbook_reference(
         &self,
         message: &[u8],
         signature: &[u8],
@@ -356,7 +353,6 @@ impl RsaPrivateKey {
             let ctx_q = Montgomery::new(&q).expect("prime factor is odd");
             return RsaPrivateKey {
                 public: RsaPublicKey { n, e, k, ctx_n },
-                d,
                 p,
                 q,
                 d_p,
@@ -382,21 +378,29 @@ impl RsaPrivateKey {
             .ok_or(RsaError::VerificationFailed)
     }
 
-    /// Sign without CRT (plain `m^d mod n`); kept public for the
-    /// `ablation_rsa_crt` benchmark.
-    pub fn sign_no_crt(&self, message: &[u8]) -> Result<Vec<u8>, RsaError> {
+    /// Sign without CRT (plain `m^d mod n`, with `d` re-derived from
+    /// the factors) — a test oracle for the CRT path.
+    #[cfg(test)]
+    fn sign_no_crt(&self, message: &[u8]) -> Result<Vec<u8>, RsaError> {
         let em = pkcs1_v15_encode(message, self.public.k)?;
         let m = BigUint::from_bytes_be(&em);
-        let s = self.public.ctx_n.pow(&m, &self.d);
+        let one = BigUint::one();
+        let phi = &(&self.p - &one) * &(&self.q - &one);
+        let d = self
+            .public
+            .e
+            .mod_inverse(&phi)
+            .expect("e is invertible mod phi");
+        let s = self.public.ctx_n.pow(&m, &d);
         s.to_bytes_be_padded(self.public.k)
             .ok_or(RsaError::VerificationFailed)
     }
 
     /// Sign via CRT but with the schoolbook (division-based) modular
-    /// exponentiation — the pre-Montgomery implementation, kept as the
-    /// baseline for the perf-trajectory benchmarks (`BENCH_PR1.json`).
-    #[doc(hidden)]
-    pub fn sign_schoolbook_reference(&self, message: &[u8]) -> Result<Vec<u8>, RsaError> {
+    /// exponentiation — the pre-Montgomery implementation, kept as a
+    /// test oracle.
+    #[cfg(test)]
+    fn sign_schoolbook_reference(&self, message: &[u8]) -> Result<Vec<u8>, RsaError> {
         let em = pkcs1_v15_encode(message, self.public.k)?;
         let m = BigUint::from_bytes_be(&em);
         let m1 = m.mod_pow_schoolbook(&self.d_p, &self.p);
@@ -508,7 +512,7 @@ mod tests {
 
     #[test]
     fn schoolbook_reference_paths_match_fast_paths() {
-        // The benchmark baselines must stay byte-identical to the
+        // The pre-Montgomery oracles must stay byte-identical to the
         // shipping (Montgomery) implementations.
         let key = test_key();
         let sig = key.sign(b"reference check").unwrap();

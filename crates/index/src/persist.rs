@@ -1,18 +1,15 @@
-//! Binary persistence for indexes and corpora — and the crash-safe,
-//! checksummed **snapshot container** the authenticated artifact ships
-//! in.
+//! Binary persistence for indexes — and the crash-safe, checksummed
+//! **snapshot container** the authenticated artifact ships in.
 //!
 //! Hand-rolled little-endian format (no serde): the data owner in the
-//! paper's system model *transfers* the collection and index to the
-//! third-party search engine, so both need a durable wire form. The same
-//! files double as a cache for the benchmark harness, which would
-//! otherwise regenerate the WSJ-scale corpus on every run.
+//! paper's system model *transfers* the index to the third-party search
+//! engine, so it needs a durable wire form.
 //!
 //! Two layers live here:
 //!
-//! * the **v1 record formats** (`ASIX` index, `ASCO` corpus) — flat
-//!   streams with a magic + version header, kept for the transfer/cache
-//!   files that predate snapshots;
+//! * the **index record** (`ASIX`) — a flat stream with a magic +
+//!   version header ([`write_index`]/[`read_index`]), carried as one
+//!   section of the snapshot;
 //! * the **v2 snapshot container** (`ASNP`): a sequence of
 //!   length-framed sections, each closed by a digest trailer over its
 //!   tag, length, and payload, written crash-safely (write-temp → flush
@@ -31,15 +28,13 @@
 use crate::dictionary::InvertedIndex;
 use crate::okapi::OkapiParams;
 use crate::postings::{ImpactEntry, InvertedList};
-use authsearch_corpus::{Corpus, TokenizedDoc};
 use authsearch_crypto::{Digest, DIGEST_LEN};
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const INDEX_MAGIC: &[u8; 4] = b"ASIX";
-const CORPUS_MAGIC: &[u8; 4] = b"ASCO";
 const VERSION: u32 = 1;
 
 /// Upper bound on any single `Vec::with_capacity` fed by bytes read
@@ -141,22 +136,6 @@ fn get_f64<R: Read>(r: &mut R) -> Result<f64, PersistError> {
     Ok(f64::from_bits(get_u64(r)?))
 }
 
-fn get_str<R: Read>(r: &mut R) -> Result<String, PersistError> {
-    let len = get_u32(r)? as usize;
-    if len > 1 << 24 {
-        return Err(corrupt("string length implausible"));
-    }
-    // The length is attacker bytes: never allocate it up front. Read
-    // through `take` so a forged length meets EOF (→ Corrupt) after
-    // growing only as far as real bytes exist.
-    let mut buf = Vec::with_capacity(capped(len));
-    let read = r.by_ref().take(len as u64).read_to_end(&mut buf)?;
-    if read != len {
-        return Err(corrupt("string truncated"));
-    }
-    String::from_utf8(buf).map_err(|_| corrupt("invalid utf-8"))
-}
-
 // ---- index --------------------------------------------------------------
 
 /// Serialize an index to any writer.
@@ -235,147 +214,13 @@ pub fn read_index<R: Read>(r: &mut R) -> Result<InvertedIndex, PersistError> {
     ))
 }
 
-/// Save an index to a file.
-pub fn save_index(path: &Path, index: &InvertedIndex) -> Result<(), PersistError> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_index(&mut w, index)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Load an index from a file.
-pub fn load_index(path: &Path) -> Result<InvertedIndex, PersistError> {
-    let mut r = BufReader::new(File::open(path)?);
-    read_index(&mut r)
-}
-
-// ---- corpus ---------------------------------------------------------------
-
-/// Serialize a corpus to any writer.
-pub fn write_corpus<W: Write>(w: &mut W, corpus: &Corpus) -> Result<(), PersistError> {
-    w.write_all(CORPUS_MAGIC)?;
-    put_u32(w, VERSION)?;
-    put_u64(w, corpus.num_terms() as u64)?;
-    for term in corpus.dictionary() {
-        put_str(w, term)?;
-    }
-    put_u64(w, corpus.num_docs() as u64)?;
-    for doc in corpus.docs() {
-        put_u32(w, doc.token_len)?;
-        let counts_len = u32::try_from(doc.counts.len())
-            .map_err(|_| corrupt("doc term-count list length exceeds u32"))?;
-        put_u32(w, counts_len)?;
-        for &(t, c) in &doc.counts {
-            put_u32(w, t)?;
-            put_u32(w, c)?;
-        }
-    }
-    let has_texts = corpus.num_docs() > 0 && corpus.text(0).is_some();
-    w.write_all(&[u8::from(has_texts)])?;
-    if has_texts {
-        for id in 0..corpus.num_docs() as u32 {
-            match corpus.text(id) {
-                Some(text) => put_str(w, text)?,
-                None => return Err(corrupt("corpus advertises texts but one is missing")),
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Deserialize a corpus from any reader.
-pub fn read_corpus<R: Read>(r: &mut R) -> Result<Corpus, PersistError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != CORPUS_MAGIC {
-        return Err(corrupt("bad corpus magic"));
-    }
-    if get_u32(r)? != VERSION {
-        return Err(corrupt("unsupported corpus version"));
-    }
-    let m = get_u64(r)? as usize;
-    if m > 1 << 28 {
-        return Err(corrupt("dictionary size implausible"));
-    }
-    let mut dictionary = Vec::with_capacity(capped(m));
-    for _ in 0..m {
-        dictionary.push(get_str(r)?);
-    }
-    if dictionary
-        .windows(2)
-        .any(|pair| matches!(pair, [a, b] if a >= b))
-    {
-        return Err(corrupt("dictionary not sorted"));
-    }
-    let n = get_u64(r)? as usize;
-    if n > 1 << 28 {
-        return Err(corrupt("collection size implausible"));
-    }
-    let mut docs = Vec::with_capacity(capped(n));
-    for id in 0..n {
-        let token_len = get_u32(r)?;
-        let k = get_u32(r)? as usize;
-        if k > m {
-            return Err(corrupt("doc has more distinct terms than dictionary"));
-        }
-        let mut counts = Vec::with_capacity(capped(k));
-        for _ in 0..k {
-            let t = get_u32(r)?;
-            let c = get_u32(r)?;
-            if t as usize >= m {
-                return Err(corrupt("term id out of range"));
-            }
-            counts.push((t, c));
-        }
-        if counts
-            .windows(2)
-            .any(|pair| matches!(pair, [a, b] if a.0 >= b.0))
-        {
-            return Err(corrupt("doc counts not sorted by term id"));
-        }
-        docs.push(TokenizedDoc {
-            id: id as u32,
-            counts,
-            token_len,
-        });
-    }
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let [flag_byte] = flag;
-    let texts = if flag_byte == 1 {
-        let mut texts = Vec::with_capacity(capped(n));
-        for _ in 0..n {
-            texts.push(get_str(r)?);
-        }
-        Some(texts)
-    } else {
-        None
-    };
-    Ok(Corpus::from_parts(dictionary, docs, texts))
-}
-
-/// Save a corpus to a file.
-pub fn save_corpus(path: &Path, corpus: &Corpus) -> Result<(), PersistError> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_corpus(&mut w, corpus)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Load a corpus from a file.
-pub fn load_corpus(path: &Path) -> Result<Corpus, PersistError> {
-    let mut r = BufReader::new(File::open(path)?);
-    read_corpus(&mut r)
-}
-
 // ---- v2 snapshot container ------------------------------------------------
 
 /// Magic of the v2 snapshot container.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"ASNP";
 /// Magic of the sidecar manifest file.
 pub const MANIFEST_MAGIC: &[u8; 4] = b"ASMF";
-/// Container version. v1 is the flat `ASIX`/`ASCO` record era; v2 is
-/// the section-framed, digest-trailed container.
+/// Container version of the section-framed, digest-trailed layout.
 pub const SNAPSHOT_VERSION: u32 = 2;
 /// Largest section payload a reader accepts (2 GiB covers WSJ-scale
 /// artifacts with room to spare; anything bigger is a forged length —
@@ -763,7 +608,7 @@ pub fn load_snapshot_file(path: &Path) -> Result<(Sections, SnapshotInfo), Persi
 mod tests {
     use super::*;
     use crate::builder::build_index;
-    use authsearch_corpus::{CorpusBuilder, SyntheticConfig};
+    use authsearch_corpus::SyntheticConfig;
     use std::io::Cursor;
 
     #[test]
@@ -779,32 +624,6 @@ mod tests {
             assert_eq!(back.list(t), index.list(t), "term {t}");
             assert_eq!(back.ft(t), index.ft(t));
         }
-    }
-
-    #[test]
-    fn corpus_roundtrip_synthetic() {
-        let corpus = SyntheticConfig::tiny(60, 9).generate();
-        let mut buf = Vec::new();
-        write_corpus(&mut buf, &corpus).unwrap();
-        let back = read_corpus(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(back.num_docs(), corpus.num_docs());
-        assert_eq!(back.dictionary(), corpus.dictionary());
-        assert_eq!(back.docs(), corpus.docs());
-        assert_eq!(back.text(0), None);
-    }
-
-    #[test]
-    fn corpus_roundtrip_with_texts() {
-        let corpus = CorpusBuilder::new()
-            .min_df(1)
-            .add_text("alpha beta gamma")
-            .add_text("beta delta")
-            .build();
-        let mut buf = Vec::new();
-        write_corpus(&mut buf, &corpus).unwrap();
-        let back = read_corpus(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(back.text(0), Some("alpha beta gamma"));
-        assert_eq!(back.content_bytes(1), corpus.content_bytes(1));
     }
 
     #[test]
@@ -839,20 +658,7 @@ mod tests {
         assert!(matches!(res, Err(PersistError::Corrupt(_))));
     }
 
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("authsearch-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.bin");
-        let corpus = SyntheticConfig::tiny(40, 4).generate();
-        let index = build_index(&corpus, OkapiParams::default());
-        save_index(&path, &index).unwrap();
-        let back = load_index(&path).unwrap();
-        assert_eq!(back.total_entries(), index.total_entries());
-        std::fs::remove_file(&path).ok();
-    }
-
-    // ---- forged-length regression (the v1 prealloc fix) ------------------
+    // ---- forged-length regression (the index-record prealloc fix) --------
 
     #[test]
     fn forged_huge_term_count_does_not_allocate() {
@@ -872,42 +678,6 @@ mod tests {
             err,
             PersistError::Io(_) | PersistError::Corrupt(_)
         ));
-    }
-
-    #[test]
-    fn forged_huge_corpus_counts_do_not_allocate() {
-        // Corpus header with a forged huge dictionary, then a forged
-        // huge doc count after a tiny real dictionary — both must die on
-        // EOF, not in the allocator.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(CORPUS_MAGIC);
-        put_u32(&mut buf, VERSION).unwrap();
-        put_u64(&mut buf, (1u64 << 28) - 1).unwrap(); // forged m
-        assert!(read_corpus(&mut Cursor::new(&buf)).is_err());
-
-        let mut buf = Vec::new();
-        buf.extend_from_slice(CORPUS_MAGIC);
-        put_u32(&mut buf, VERSION).unwrap();
-        put_u64(&mut buf, 2).unwrap();
-        put_str(&mut buf, "alpha").unwrap();
-        put_str(&mut buf, "beta").unwrap();
-        put_u64(&mut buf, (1u64 << 28) - 1).unwrap(); // forged n
-        assert!(read_corpus(&mut Cursor::new(&buf)).is_err());
-    }
-
-    #[test]
-    fn forged_huge_string_length_does_not_allocate() {
-        // A dictionary string claiming 16 MiB with 3 real bytes behind
-        // it: the reader grows to the 3 available bytes and reports
-        // truncation.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(CORPUS_MAGIC);
-        put_u32(&mut buf, VERSION).unwrap();
-        put_u64(&mut buf, 1).unwrap();
-        put_u32(&mut buf, 1 << 24).unwrap(); // forged string length
-        buf.extend_from_slice(b"abc");
-        let err = read_corpus(&mut Cursor::new(&buf)).unwrap_err();
-        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
     }
 
     // ---- v2 snapshot container -------------------------------------------

@@ -50,16 +50,6 @@ proptest! {
     }
 
     #[test]
-    fn corpus_persistence_roundtrip(seed in any::<u64>(), docs in 20usize..80) {
-        let corpus = SyntheticConfig::tiny(docs, seed).generate();
-        let mut buf = Vec::new();
-        persist::write_corpus(&mut buf, &corpus).unwrap();
-        let back = persist::read_corpus(&mut Cursor::new(&buf)).unwrap();
-        prop_assert_eq!(back.docs(), corpus.docs());
-        prop_assert_eq!(back.dictionary(), corpus.dictionary());
-    }
-
-    #[test]
     fn truncation_never_panics(seed in any::<u64>(), cut in 1usize..400) {
         // Deserializing any truncated index must error, never panic.
         let corpus = SyntheticConfig::tiny(30, seed).generate();

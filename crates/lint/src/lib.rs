@@ -152,7 +152,6 @@ impl Default for Config {
                 "crates/core/src/pool.rs".into(),
                 "crates/core/src/reactor.rs".into(),
                 "crates/crypto/src/sha256/shani.rs".into(),
-                "crates/bench/src/bin/bench_pr9.rs".into(),
             ],
             reactor_modules: vec![
                 "crates/core/src/server/reactor_core.rs".into(),

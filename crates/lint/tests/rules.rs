@@ -201,6 +201,21 @@ fn unsafe_audit_allows_only_the_sha_kernel_in_the_crypto_crate() {
 }
 
 #[test]
+fn unsafe_audit_allows_nothing_in_the_bench_crate() {
+    let src = "// SAFETY: the caller guarantees p is valid for reads\nfn f(p: *const u8) -> u8 { unsafe { *p } }\n";
+    let found = run("crates/bench/src/bin/fig13.rs", src);
+    assert_eq!(rules_of(&found), ["unsafe-audit"]);
+    assert!(found[0]
+        .message
+        .contains("outside the unsafe-allowed module list"));
+    let allowed = Config::default().unsafe_allowed;
+    assert!(
+        allowed.iter().all(|m| !m.starts_with("crates/bench/")),
+        "{allowed:?}"
+    );
+}
+
+#[test]
 fn unsafe_audit_distinguishes_unsafe_fn_from_unsafe_block() {
     let src = "\
 unsafe fn raw(p: *const u8) -> u8 {

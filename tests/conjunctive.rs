@@ -172,6 +172,58 @@ fn conjunctive_vo_bytes_identical_across_pool_widths() {
     }
 }
 
+/// The server-proved intersection pays for itself in bytes: under TRA,
+/// one conjunctive VO is smaller than the only sound alternative —
+/// fetching every query term's full list (`r = n`), verifying each, and
+/// intersecting client-side — and every verified conjunctive result
+/// document lies in that client-side intersection.
+#[test]
+fn conjunctive_vo_is_smaller_than_fetching_every_full_list() {
+    const R: usize = 10;
+    for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+        let (engine, params) = build_engine(mechanism, 200, 23);
+        let num_docs = engine.corpus().num_docs();
+        let index = engine.auth().index();
+        let workloads = authsearch::corpus::workload::synthetic(index.num_terms(), 8, 2, 17);
+        let (mut conj_bytes, mut fetch_bytes) = (0usize, 0usize);
+        for terms in &workloads {
+            let query = Query::from_term_ids(index, terms);
+            let response = engine.search_conjunctive(&query, R);
+            let verified = verify_conjunctive(&params, &query, R, &response)
+                .expect("honest conjunctive VO verifies");
+            conj_bytes += wire::encode(&response.vo).unwrap().len();
+
+            let mut intersection: Option<Vec<u32>> = None;
+            for qt in &query.terms {
+                let single = Query::from_term_pairs(index, &[(qt.term, qt.f_qt)]);
+                let full = engine.search(&single, num_docs);
+                fetch_bytes += wire::encode(&full.vo).unwrap().len();
+                let list = authsearch::core::verify::verify(&params, &single, num_docs, &full)
+                    .expect("honest full list verifies");
+                let docs: Vec<u32> = list.result.entries.iter().map(|e| e.doc).collect();
+                intersection = Some(match intersection {
+                    None => docs,
+                    Some(prev) => prev.into_iter().filter(|d| docs.contains(d)).collect(),
+                });
+            }
+            let intersection = intersection.unwrap_or_default();
+            for e in &verified.result.entries {
+                assert!(
+                    intersection.contains(&e.doc),
+                    "{}: conjunctive doc {} outside the client-side intersection",
+                    mechanism.name(),
+                    e.doc
+                );
+            }
+        }
+        assert!(
+            conj_bytes < fetch_bytes,
+            "{}: conjunctive VOs {conj_bytes} B, fetch-and-intersect {fetch_bytes} B",
+            mechanism.name()
+        );
+    }
+}
+
 /// A conjunctive query containing a term with an empty posting list (or
 /// a query whose terms share no document) yields a verifiably empty
 /// result — the absence proofs carry the whole weight.

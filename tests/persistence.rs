@@ -1,6 +1,6 @@
-//! Persistence integration: the owner's transfer artifacts (corpus +
-//! index) survive a round trip through the binary format, and an engine
-//! rebuilt from the persisted artifacts produces byte-identical VOs.
+//! Persistence integration: the owner's transfer artifact (the index)
+//! survives a round trip through the binary format, and an engine
+//! rebuilt from the persisted index produces byte-identical VOs.
 
 use authsearch_core::{verify, AuthConfig, DataOwner, Mechanism, Query};
 use authsearch_corpus::SyntheticConfig;
@@ -42,44 +42,33 @@ fn engine_rebuilt_from_persisted_index_is_equivalent() {
 }
 
 #[test]
-fn corpus_roundtrip_preserves_queries() {
-    let corpus = SyntheticConfig::tiny(100, 9).generate();
-    let mut buf = Vec::new();
-    persist::write_corpus(&mut buf, &corpus).unwrap();
-    let restored = persist::read_corpus(&mut Cursor::new(&buf)).unwrap();
-
-    let index_a = build_index(&corpus, OkapiParams::default());
-    let index_b = build_index(&restored, OkapiParams::default());
-    assert_eq!(index_a.num_terms(), index_b.num_terms());
-    assert_eq!(index_a.total_entries(), index_b.total_entries());
-    for t in 0..index_a.num_terms() as u32 {
-        assert_eq!(index_a.list(t), index_b.list(t), "term {t}");
-    }
-    // Content digests must also survive (they feed the document table).
-    for d in 0..corpus.num_docs() as u32 {
-        assert_eq!(corpus.content_bytes(d), restored.content_bytes(d));
-    }
-}
-
-#[test]
 fn file_level_roundtrip_in_tempdir() {
+    // The index travels to disk as the `ASIX` section of a snapshot
+    // container, committed through the crash-safe file protocol.
     let dir = std::env::temp_dir().join("authsearch-persistence-it");
     std::fs::create_dir_all(&dir).unwrap();
-    let corpus_path = dir.join("corpus.bin");
-    let index_path = dir.join("index.bin");
+    let path = dir.join("index.asnp");
 
     let corpus = SyntheticConfig::tiny(80, 12).generate();
     let index = build_index(&corpus, OkapiParams::default());
-    persist::save_corpus(&corpus_path, &corpus).unwrap();
-    persist::save_index(&index_path, &index).unwrap();
+    let mut payload = Vec::new();
+    persist::write_index(&mut payload, &index).unwrap();
+    let bytes = persist::encode_snapshot(&[(*b"ASIX", payload)]).unwrap();
+    persist::save_snapshot_file(&path, &bytes).unwrap();
 
-    let corpus2 = persist::load_corpus(&corpus_path).unwrap();
-    let index2 = persist::load_index(&index_path).unwrap();
-    assert_eq!(corpus2.num_docs(), corpus.num_docs());
+    let (sections, _) = persist::load_snapshot_file(&path).unwrap();
+    let [(tag, payload)] = sections.as_slice() else {
+        panic!("expected one section, got {}", sections.len());
+    };
+    assert_eq!(tag, b"ASIX");
+    let index2 = persist::read_index(&mut Cursor::new(payload)).unwrap();
     assert_eq!(index2.total_entries(), index.total_entries());
+    for t in 0..index.num_terms() as u32 {
+        assert_eq!(index2.list(t), index.list(t), "term {t}");
+    }
 
-    std::fs::remove_file(&corpus_path).ok();
-    std::fs::remove_file(&index_path).ok();
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(persist::manifest_path(&path)).ok();
 }
 
 #[test]
