@@ -29,8 +29,8 @@
 //! dictionary leaves — thousands of times over. The build folds every
 //! structure once for its root anyway, so [`AuthConfig::serve_cache`]
 //! (default **on**) keeps what that fold produced, for every structure:
-//! the dictionary-MHT, every term's (chain-)MHT ([`term_structures`]),
-//! and every document-MHT's levels above its leaves (TRA, [`doc_mhts`]).
+//! the dictionary-MHT, every term's (chain-)MHT (`term_structures`),
+//! and every document-MHT's levels above its leaves (TRA, `doc_mhts`).
 //! A snapshot boot refolds them the same way. Resident and regenerated
 //! structures are *bit-identical* — same roots, same proofs, same
 //! signatures — so verification is unaffected; only engine CPU time
@@ -56,7 +56,7 @@ use authsearch_crypto::keys::PAPER_KEY_BITS;
 use authsearch_crypto::merkle::interior_levels;
 use authsearch_crypto::{Digest, MerkleTree, RsaPrivateKey, RsaPublicKey};
 use authsearch_index::{BlockLayout, ImpactEntry, InvertedIndex, InvertedList};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Source of raw document contents (for `h(doc)`); implemented by
 /// [`authsearch_corpus::Corpus`] and by plain `Vec<Vec<u8>>` fixtures.
@@ -118,14 +118,14 @@ pub struct AuthConfig {
     /// either way; see the module docs for the trade-off.
     pub serve_cache: bool,
     /// Worker threads for the owner-side build
-    /// ([`AuthenticatedIndex::build`]) **and** the engine-side batch
-    /// serving path ([`AuthenticatedIndex::serve_batch`]): `0` (the
-    /// default) uses the machine's available parallelism, `1` runs the
-    /// paper's sequential model on the calling thread, and `n ≥ 2` fans
-    /// the per-term/per-document (build) or per-query (serve) work out
-    /// over a [`crate::pool::ThreadPool`]. Artifacts and per-query VOs
-    /// are **bit-identical for every value** — only wall-clock time
-    /// changes.
+    /// ([`AuthenticatedIndex::build`]) and the snapshot boot, whose pool
+    /// then stays on as the engine's serving pool
+    /// ([`AuthenticatedIndex::serve_pool`]): `0` (the default) uses the
+    /// machine's available parallelism, `1` runs the paper's sequential
+    /// model on the calling thread, and `n ≥ 2` fans the per-term and
+    /// per-document work out over a [`crate::pool::ThreadPool`].
+    /// Artifacts and per-query VOs are **bit-identical for every
+    /// value** — only wall-clock time changes.
     ///
     /// The default can be forced process-wide through the
     /// `AUTHSEARCH_THREADS` environment variable (read by
@@ -438,13 +438,10 @@ pub struct AuthenticatedIndex {
     public_key: RsaPublicKey,
     /// Engine-side resident structures (see [`cache`] and the module docs).
     cache: cache::ServeCache,
-    /// Persistent serving pool, shared by [`AuthenticatedIndex::serve_batch`]
-    /// and the network server ([`crate::server`]). Seeded with the pool
-    /// the build used, so worker threads are spawned once per artifact,
-    /// not once per call; swapped lazily when
-    /// [`AuthenticatedIndex::set_threads`] changes the width. `None` only
-    /// transiently (during a swap).
-    serve_pool: Mutex<Option<Arc<ThreadPool>>>,
+    /// The pool the build (or boot) folded over, kept as the network
+    /// server's ([`crate::server`]) pool, so worker threads are spawned
+    /// once per artifact.
+    serve_pool: Arc<ThreadPool>,
 }
 
 impl AuthenticatedIndex {
@@ -572,43 +569,20 @@ impl AuthenticatedIndex {
             cache: cache::ServeCache::new(dict_tree, terms, doc_levels),
             // The build's workers live on as the serving pool: a server
             // standing up from a fresh build never spawns a second set.
-            serve_pool: Mutex::new(Some(Arc::new(pool))),
+            serve_pool: Arc::new(pool),
         }
     }
 
-    /// The persistent serving pool, (re)created at the width
-    /// [`AuthConfig::build_threads`] currently resolves to. The same
-    /// pool instance is returned across calls — workers are spawned
-    /// once, not per batch — until [`AuthenticatedIndex::set_threads`]
-    /// changes the width, at which point the old pool is drained,
-    /// joined, and replaced here.
+    /// The persistent serving pool: the workers the build (or boot)
+    /// spawned, [`AuthConfig::build_threads`] wide. Every call returns
+    /// the same pool.
     pub fn serve_pool(&self) -> Arc<ThreadPool> {
-        let mut guard = crate::pool::lock_recover(&self.serve_pool);
-        let want = self.config.build_threads();
-        match guard.as_ref() {
-            Some(pool) if pool.threads() == want => Arc::clone(pool),
-            _ => {
-                let pool = Arc::new(ThreadPool::new(want));
-                *guard = Some(Arc::clone(&pool));
-                pool
-            }
-        }
+        Arc::clone(&self.serve_pool)
     }
 
     /// The configuration this artifact was built with.
     pub fn config(&self) -> &AuthConfig {
         &self.config
-    }
-
-    /// Resize the serving pool: subsequent
-    /// [`AuthenticatedIndex::serve_batch`] calls use `threads` workers
-    /// (`0` = available parallelism). The persistent pool is swapped
-    /// lazily on the next [`AuthenticatedIndex::serve_pool`] call (the
-    /// old workers are drained and joined then). Purely an ops knob —
-    /// proofs are bit-identical at any width, so this never invalidates
-    /// the published artifact or the resident structures.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads;
     }
 
     /// The underlying inverted index.
@@ -1012,9 +986,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_pool_is_persistent_and_resizes_lazily() {
+    fn serve_pool_is_persistent() {
         let key = cached_keypair(TEST_KEY_BITS);
-        let mut auth = AuthenticatedIndex::build(
+        let auth = AuthenticatedIndex::build(
             toy_index(),
             &key,
             AuthConfig {
@@ -1024,16 +998,9 @@ mod tests {
             &toy_contents(),
         );
         let a = auth.serve_pool();
-        let b = auth.serve_pool();
         // Same pool instance across calls — workers spawned once.
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &auth.serve_pool()));
         assert_eq!(a.threads(), 2);
-        auth.set_threads(3);
-        let c = auth.serve_pool();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.threads(), 3);
-        // Unchanged width keeps the swapped pool.
-        assert!(Arc::ptr_eq(&c, &auth.serve_pool()));
     }
 
     #[test]

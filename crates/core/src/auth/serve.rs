@@ -72,35 +72,6 @@ impl AuthenticatedIndex {
         self.respond(query, outcome, contents)
     }
 
-    /// Serve a batch of queries concurrently, fanning per-query VO
-    /// construction out over the **persistent** work-stealing
-    /// [`ThreadPool`](crate::pool::ThreadPool) sized by
-    /// [`super::AuthConfig::threads`] (the same knob that parallelizes
-    /// the owner build; `1` keeps everything on the calling thread).
-    /// The pool's workers are spawned once per artifact
-    /// ([`super::AuthenticatedIndex::serve_pool`]) and reused across
-    /// calls, so a server looping over small batches pays no per-batch
-    /// spawn/join tax.
-    ///
-    /// Response `i` is **bit-identical** to `self.query(&queries[i],
-    /// …)` at any thread count: each query's result, VO, and simulated
-    /// I/O trace depend only on the (immutable) authenticated index —
-    /// the resident structures are a bit-transparent CPU optimization,
-    /// and [`crate::pool::ThreadPool::map`] collects in index order.
-    /// Only wall-clock time varies.
-    ///
-    /// This is the engine-side throughput path: workers read the
-    /// resident structures without taking a lock.
-    pub fn serve_batch<C: ContentProvider>(
-        &self,
-        queries: &[Query],
-        r: usize,
-        contents: &C,
-    ) -> Vec<QueryResponse> {
-        self.serve_pool()
-            .map(queries.len(), |i| self.query(&queries[i], r, contents))
-    }
-
     /// Process a query under AND-semantics
     /// ([`QueryMode::Conjunctive`](crate::types::QueryMode)) and produce
     /// the intersection with its integrity proof.
@@ -130,20 +101,6 @@ impl AuthenticatedIndex {
     ) -> QueryResponse {
         let outcome = self.conjunctive_outcome(query, r);
         self.respond(query, outcome, contents)
-    }
-
-    /// [`Self::serve_batch`] for conjunctive queries: response `i` is
-    /// bit-identical to `self.query_conjunctive(&queries[i], …)` at any
-    /// thread count.
-    pub fn serve_batch_conjunctive<C: ContentProvider>(
-        &self,
-        queries: &[Query],
-        r: usize,
-        contents: &C,
-    ) -> Vec<QueryResponse> {
-        self.serve_pool().map(queries.len(), |i| {
-            self.query_conjunctive(&queries[i], r, contents)
-        })
     }
 
     /// Run the conjunctive intersection and decide which prefixes the VO
@@ -699,18 +656,6 @@ mod tests {
         assert!(resp.result.entries.is_empty());
         assert!(resp.vo.terms.is_empty());
         assert!(resp.contents.is_empty());
-    }
-
-    #[test]
-    fn serve_batch_conjunctive_matches_sequential() {
-        let a = auth(Mechanism::TnraCmht);
-        let queries = vec![toy_query(), Query::default(), toy_query()];
-        let batch = a.serve_batch_conjunctive(&queries, 2, &toy_contents());
-        for (i, (got, q)) in batch.iter().zip(&queries).enumerate() {
-            let want = a.query_conjunctive(q, 2, &toy_contents());
-            assert_eq!(got.vo, want.vo, "query {i}");
-            assert_eq!(got.result, want.result, "query {i}");
-        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ use authsearch_index::persist::{
 use authsearch_index::SnapshotInfo;
 use std::io::Cursor;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Section tags of the authenticated snapshot, in file order.
 pub const TAG_CONFIG: SectionTag = *b"ACFG";
@@ -499,7 +499,7 @@ impl AuthenticatedIndex {
             cache: cache::ServeCache::new(dict_tree, terms, doc_levels),
             // The boot's workers live on as the serving pool, as a
             // build's do.
-            serve_pool: Mutex::new(Some(Arc::new(pool))),
+            serve_pool: Arc::new(pool),
         })
     }
 }

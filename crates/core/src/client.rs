@@ -40,7 +40,8 @@ impl Client {
         r: usize,
         response: &QueryResponse,
     ) -> Result<VerifiedResult, VerifyError> {
-        self.verify_terms_with_memo(terms, r, response, &mut verify::SigMemo::new())
+        let query = self.query_from_signed_fts(terms, response)?;
+        verify::verify(&self.params, &query, r, response)
     }
 
     /// Rebuild the weighted query from the posed `(term, f_{Q,t})` pairs
@@ -82,17 +83,6 @@ impl Client {
         })
     }
 
-    fn verify_terms_with_memo(
-        &self,
-        terms: &[(TermId, u32)],
-        r: usize,
-        response: &QueryResponse,
-        memo: &mut verify::SigMemo,
-    ) -> Result<VerifiedResult, VerifyError> {
-        let query = self.query_from_signed_fts(terms, response)?;
-        verify::verify_with_memo(&self.params, &query, r, response, memo)
-    }
-
     /// Verify a **conjunctive** response to a query the user posed as
     /// `(term, f_{Q,t})` pairs. Like [`Client::verify_terms`], the
     /// query-side weights come from the signed `f_t` values in the VO;
@@ -117,31 +107,6 @@ impl Client {
         response: &QueryResponse,
     ) -> Result<VerifiedResult, VerifyError> {
         verify::verify(&self.params, query, r, response)
-    }
-
-    /// Verify a batch of responses — the client-side counterpart of
-    /// [`crate::SearchEngine::serve_batch`]. Each response is judged
-    /// independently (result `i` corresponds to request `i`, and a bad
-    /// response never taints its neighbors), but signature work is
-    /// shared **across** the batch: term signatures run through
-    /// [`authsearch_crypto::RsaPublicKey::verify_batch`] (distinct
-    /// pairs checked once, deterministically, in one Montgomery
-    /// domain, with exact culprit attribution), and a batch-wide memo
-    /// of already-proven `(message, signature)` pairs means a hot-term,
-    /// dictionary, or document-table signature recurring across many
-    /// responses costs **one** RSA exponentiation total — the
-    /// cross-response amortization that motivates serving and
-    /// verifying in batches.
-    pub fn verify_batch(
-        &self,
-        requests: &[(&[(TermId, u32)], &QueryResponse)],
-        r: usize,
-    ) -> Vec<Result<VerifiedResult, VerifyError>> {
-        let mut memo = verify::SigMemo::new();
-        requests
-            .iter()
-            .map(|&(terms, response)| self.verify_terms_with_memo(terms, r, response, &mut memo))
-            .collect()
     }
 }
 
@@ -401,14 +366,7 @@ impl Connection {
             r: request_r(r)?,
             want_digests: false,
         })?;
-        let (echo, response) = self.receive()?;
-        if echo != terms {
-            return Err(ClientNetError::Protocol(format!(
-                "server echoed terms {echo:?} for a query posing {terms:?}"
-            )));
-        }
-        let verified = self.client.verify_terms(terms, r, &response)?;
-        Ok((verified, response))
+        self.receive_verified(terms, r)
     }
 
     /// [`Connection::query_terms`] with retry-on-busy: a server at its
@@ -544,11 +502,11 @@ impl Connection {
     /// Pose a batch of term queries, **pipelined**: up to
     /// [`PIPELINE_WINDOW`] requests are in flight before the oldest
     /// reply is read (amortizing round trips without a per-query wait),
-    /// then every response is verified through [`Client::verify_batch`]
-    /// so signatures shared across responses cost one RSA
-    /// exponentiation total. Result `i` corresponds to query `i`; a bad
-    /// response (or a verification failure) taints only its own slot,
-    /// exactly like the local batch path.
+    /// and each reply is checked as it is read, exactly as
+    /// [`Connection::query_terms`] checks its one reply. Replies arrive
+    /// in request order, so result `i` is the verdict on the reply to
+    /// query `i`; a bad reply (an error frame, a wrong echo, or a
+    /// failed verification) taints only its own slot.
     ///
     /// The window is what makes the pipeline deadlock-free against the
     /// server's read-one/write-one connection loop: with unbounded
@@ -578,73 +536,41 @@ impl Connection {
                 .encode_frame()
             })
             .collect::<Result<_, _>>()?;
-        let mut replies: Vec<Result<(Vec<(TermId, u32)>, QueryResponse), ClientNetError>> =
-            Vec::with_capacity(queries.len());
-        let mut in_flight = 0usize;
-        for frame in &frames {
-            if in_flight == PIPELINE_WINDOW {
-                replies.push(self.receive());
-                in_flight -= 1;
+        // Slot `i` is filled by reading the reply to query `i`, so a
+        // verdict cannot land in a neighbor's slot.
+        let mut answered = queries.iter();
+        let mut out = Vec::with_capacity(queries.len());
+        for (sent, frame) in frames.iter().enumerate() {
+            if sent >= PIPELINE_WINDOW {
+                if let Some(terms) = answered.next() {
+                    out.push(self.receive_verified(terms, r));
+                }
             }
             // A socket-level write failure means the connection is dead;
             // outstanding replies are unreadable anyway.
             self.stream.write_all(frame)?;
-            in_flight += 1;
         }
-        for _ in 0..in_flight {
-            replies.push(self.receive());
+        for terms in answered {
+            out.push(self.receive_verified(terms, r));
         }
-        // Verify the successfully received responses as one batch
-        // (shared-signature memoization), then zip verdicts back.
-        //
-        // Alignment is structural, not positional: the pass that queues
-        // a response for verification records, *in the same slot*, the
-        // index its verdict will land at. A reply that arrived as an
-        // error frame or with a mismatched echo surfaces as exactly
-        // that slot's per-query error — it can never shift a neighbor
-        // onto someone else's verdict (the bug a running `next()`
-        // cursor over a separately-filtered iterator invites).
-        let mut requests: Vec<(&[(TermId, u32)], &QueryResponse)> = Vec::new();
-        let mut verdict_index: Vec<Option<usize>> = Vec::with_capacity(queries.len());
-        for (terms, reply) in queries.iter().zip(&replies) {
-            match reply {
-                Ok((echo, response)) if echo == terms => {
-                    verdict_index.push(Some(requests.len()));
-                    requests.push((terms.as_slice(), response));
-                }
-                _ => verdict_index.push(None),
-            }
-        }
-        let mut verdicts: Vec<Option<Result<VerifiedResult, VerifyError>>> = self
-            .client
-            .verify_batch(&requests, r)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let out = queries
-            .iter()
-            .zip(replies)
-            .zip(verdict_index)
-            .map(|((terms, reply), vix)| {
-                let (echo, response) = reply?;
-                if echo != *terms {
-                    return Err(ClientNetError::Protocol(format!(
-                        "server echoed terms {echo:?} for a query posing {terms:?}"
-                    )));
-                }
-                // Every well-echoed reply was queued above, so its slot
-                // holds exactly one unconsumed verdict; anything else is
-                // a protocol-level accounting failure, not a panic.
-                let verdict = vix
-                    .and_then(|ix| verdicts.get_mut(ix))
-                    .and_then(Option::take)
-                    .ok_or_else(|| {
-                        ClientNetError::Protocol("verdict missing for a well-echoed reply".into())
-                    })?;
-                Ok((verdict?, response))
-            })
-            .collect();
         Ok(out)
+    }
+
+    /// Read the reply to the term query `terms`, check its echo, and
+    /// verify it (see [`Connection::query_terms`]).
+    fn receive_verified(
+        &mut self,
+        terms: &[(TermId, u32)],
+        r: usize,
+    ) -> Result<(VerifiedResult, QueryResponse), ClientNetError> {
+        let (echo, response) = self.receive()?;
+        if echo != terms {
+            return Err(ClientNetError::Protocol(format!(
+                "server echoed terms {echo:?} for a query posing {terms:?}"
+            )));
+        }
+        let verified = self.client.verify_terms(terms, r, &response)?;
+        Ok((verified, response))
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ClientNetError> {
@@ -815,74 +741,6 @@ mod tests {
                 .verify_terms(&pairs, 5, &response)
                 .unwrap_or_else(|e| panic!("{}: {e}", mechanism.name()));
         }
-    }
-
-    #[test]
-    fn client_verify_batch_round_trips_serve_batch() {
-        let (engine, client, terms) = setup(Mechanism::TraCmht);
-        let workloads: Vec<Vec<TermId>> =
-            authsearch_corpus::workload::synthetic(engine.auth().index().num_terms(), 4, 2, 5);
-        let queries: Vec<Query> = workloads
-            .iter()
-            .map(|t| Query::from_term_ids(engine.auth().index(), t))
-            .collect();
-        let responses = engine.serve_batch(&queries, 5);
-        let pairs: Vec<Vec<(TermId, u32)>> = workloads
-            .iter()
-            .map(|w| w.iter().map(|&t| (t, 1)).collect())
-            .collect();
-        let requests: Vec<(&[(TermId, u32)], &crate::auth::serve::QueryResponse)> = pairs
-            .iter()
-            .zip(&responses)
-            .map(|(p, r)| (p.as_slice(), r))
-            .collect();
-        let verdicts = client.verify_batch(&requests, 5);
-        assert_eq!(verdicts.len(), queries.len());
-        for (i, v) in verdicts.iter().enumerate() {
-            let verified = v.as_ref().unwrap_or_else(|e| panic!("response {i}: {e}"));
-            assert_eq!(verified.result, responses[i].result);
-        }
-        // One corrupted response is rejected without affecting the rest.
-        let mut responses = responses;
-        if let Some(sig) = responses[1].vo.terms[0].signature.as_mut() {
-            sig[0] ^= 0x80;
-        }
-        let requests: Vec<(&[(TermId, u32)], &crate::auth::serve::QueryResponse)> = pairs
-            .iter()
-            .zip(&responses)
-            .map(|(p, r)| (p.as_slice(), r))
-            .collect();
-        let verdicts = client.verify_batch(&requests, 5);
-        assert!(verdicts[0].is_ok());
-        assert!(matches!(
-            verdicts[1],
-            Err(VerifyError::TermSignature { .. })
-        ));
-        assert!(verdicts[2].is_ok());
-        let _ = terms;
-    }
-
-    #[test]
-    fn memoized_batch_verification_stays_sound() {
-        // The same response repeated across a batch exercises the
-        // cross-response signature memo (responses 2..n re-prove
-        // nothing); a tampered copy in the middle must still be caught
-        // — its (message, signature) pairs differ from the memoized
-        // ones — and later honest copies must still pass.
-        let (engine, client, terms) = setup(Mechanism::TnraCmht);
-        let query = Query::from_term_ids(engine.auth().index(), &terms);
-        let honest = engine.search(&query, 5);
-        let mut tampered = honest.clone();
-        tampered.vo.terms[0].ft += 1; // changes the signed message
-        let pairs: Vec<(TermId, u32)> = terms.iter().map(|&t| (t, 1)).collect();
-        let responses = [&honest, &honest, &tampered, &honest];
-        let requests: Vec<(&[(TermId, u32)], &crate::auth::serve::QueryResponse)> =
-            responses.iter().map(|r| (pairs.as_slice(), *r)).collect();
-        let verdicts = client.verify_batch(&requests, 5);
-        assert!(verdicts[0].is_ok());
-        assert!(verdicts[1].is_ok());
-        assert!(verdicts[2].is_err(), "tampered copy must not ride the memo");
-        assert!(verdicts[3].is_ok());
     }
 
     #[test]
@@ -1183,10 +1041,11 @@ mod tests {
 
     #[test]
     fn batch_slots_stay_aligned_through_a_misbehaving_server() {
-        // Regression for the pipelined batch: an error frame in slot 1
-        // and a tampered echo in slot 2 must surface as exactly those
-        // slots' errors — and slot 3 must verify against its OWN
-        // response, not inherit a neighbor's verdict.
+        // Regression for the pipelined batch: an error frame in slot 1,
+        // a tampered echo in slot 2 and a flipped term signature in
+        // slot 4 must surface as exactly those slots' errors — and
+        // slots 3 and 5 must verify against their OWN responses, not
+        // inherit a neighbor's verdict.
         use std::net::TcpListener;
         let (engine, client, _) = setup(Mechanism::TnraCmht);
         let engine = std::sync::Arc::new(engine);
@@ -1212,7 +1071,13 @@ mod tests {
                         panic!("term requests only")
                     };
                     let query = Query::from_term_pairs(engine.auth().index(), &terms);
-                    let response = engine.search(&query, r as usize);
+                    let mut response = engine.search(&query, r as usize);
+                    if slot == 4 {
+                        // Honest echo, second term's signature flipped.
+                        if let Some(sig) = response.vo.terms[1].signature.as_mut() {
+                            sig[0] ^= 0x80;
+                        }
+                    }
                     let bytes = match slot {
                         1 => wire::encode_err_reply(crate::wire::errcode::INTERNAL, "injected")
                             .unwrap(),
@@ -1235,9 +1100,11 @@ mod tests {
             vec![(1, 1)],
             vec![(0, 1), (3, 1)],
             vec![(2, 2)],
+            vec![(1, 1), (3, 1)],
+            vec![(0, 2), (1, 1)],
         ];
         let out = connection.query_terms_batch(&queries, 5).expect("batch");
-        assert_eq!(out.len(), 4);
+        assert_eq!(out.len(), 6);
         assert!(out[0].is_ok(), "{:?}", out[0].as_ref().err());
         assert!(matches!(
             out[1],
@@ -1247,16 +1114,28 @@ mod tests {
             })
         ));
         assert!(matches!(out[2], Err(ClientNetError::Protocol(_))));
-        let (verified, response) = out[3].as_ref().expect("slot 3 is honest");
-        assert_eq!(verified.result, response.result);
-        // The alignment proof: slot 3's response is the engine's answer
-        // to QUERY 3 (not a shifted neighbor's).
-        let want = engine.search(
-            &Query::from_term_pairs(engine.auth().index(), &queries[3]),
-            5,
+        assert!(
+            matches!(
+                out[4],
+                Err(ClientNetError::Verify(VerifyError::TermSignature {
+                    term: 3
+                }))
+            ),
+            "{:?}",
+            out[4].as_ref().err()
         );
-        assert_eq!(response.result, want.result);
-        assert_eq!(response.vo, want.vo);
+        // The alignment proof: each honest slot's response is the
+        // engine's answer to ITS query (not a shifted neighbor's).
+        for slot in [3, 5] {
+            let (verified, response) = out[slot].as_ref().expect("slot is honest");
+            assert_eq!(verified.result, response.result);
+            let want = engine.search(
+                &Query::from_term_pairs(engine.auth().index(), &queries[slot]),
+                5,
+            );
+            assert_eq!(response.result, want.result, "slot {slot}");
+            assert_eq!(response.vo, want.vo, "slot {slot}");
+        }
         drop(connection);
         server.join().unwrap();
     }

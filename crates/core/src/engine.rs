@@ -11,9 +11,9 @@
 //! with, so the engine (and the user's verifier) never needs to know the
 //! owner's build parallelism. Serving is fully concurrent: the
 //! structures behind [`AuthenticatedIndex`] are resident from the build
-//! and read without a lock, and [`SearchEngine::serve_batch`] fans independent
-//! queries out over the same work-stealing pool the owner build uses —
-//! with per-query responses bit-identical to the sequential path.
+//! and read without a lock, so any number of threads may call
+//! [`SearchEngine::search`] on one engine at once, each getting the
+//! response the sequential path would.
 
 use crate::auth::serve::QueryResponse;
 use crate::auth::AuthenticatedIndex;
@@ -136,27 +136,6 @@ impl SearchEngine {
         (parsed, response)
     }
 
-    /// Answer a batch of parsed queries concurrently (top-`r` each),
-    /// fanning VO construction across the serving pool sized by
-    /// [`crate::AuthConfig::threads`]. Response `i` is bit-identical to
-    /// `self.search(&queries[i], r)` at any thread count — see
-    /// [`AuthenticatedIndex::serve_batch`].
-    pub fn serve_batch(&self, queries: &[Query], r: usize) -> Vec<QueryResponse> {
-        self.auth.serve_batch(queries, r, &self.corpus)
-    }
-
-    /// [`SearchEngine::serve_batch`] with AND semantics: response `i` is
-    /// bit-identical to `self.search_conjunctive(&queries[i], r)` at any
-    /// thread count.
-    pub fn serve_batch_conjunctive(&self, queries: &[Query], r: usize) -> Vec<QueryResponse> {
-        self.auth.serve_batch_conjunctive(queries, r, &self.corpus)
-    }
-
-    /// Resize the serving pool (see [`AuthenticatedIndex::set_threads`]).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.auth.set_threads(threads);
-    }
-
     /// The authenticated index (e.g. for space reports).
     pub fn auth(&self) -> &AuthenticatedIndex {
         &self.auth
@@ -212,47 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_batch_matches_sequential_search_at_any_width() {
-        for mechanism in [Mechanism::TnraCmht, Mechanism::TraMht] {
-            let (mut engine, params) = engine(mechanism);
-            let texts = [
-                "night keeper keep",
-                "big old house",
-                "the town",
-                "night keeper keep", // repeat: hot-term cache path
-                "old gown sleep",
-            ];
-            let queries: Vec<Query> = texts.iter().map(|t| engine.parse_query(t).query).collect();
-            let reference: Vec<QueryResponse> =
-                queries.iter().map(|q| engine.search(q, 3)).collect();
-            for threads in [1usize, 2, 4, 8] {
-                engine.set_threads(threads);
-                let batch = engine.serve_batch(&queries, 3);
-                assert_eq!(batch.len(), queries.len());
-                for (i, (got, want)) in batch.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        got.vo,
-                        want.vo,
-                        "{} q{i} threads={threads}",
-                        mechanism.name()
-                    );
-                    assert_eq!(got.result, want.result);
-                    assert_eq!(got.io, want.io);
-                    assert_eq!(got.entries_read, want.entries_read);
-                    verify::verify(&params, &queries[i], 3, got)
-                        .unwrap_or_else(|e| panic!("{} q{i}: {e}", mechanism.name()));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn serve_batch_of_nothing_is_empty() {
-        let (engine, _) = engine(Mechanism::TnraMht);
-        assert!(engine.serve_batch(&[], 5).is_empty());
-    }
-
-    #[test]
     fn unknown_words_are_ignored() {
         let (engine, _) = engine(Mechanism::TnraMht);
         let query = engine.parse_query("keeper xyzzyqwerty").query;
@@ -295,27 +233,6 @@ mod tests {
             assert!(!response.result.entries.is_empty());
             verify::verify_conjunctive(&params, &parsed.query, 3, &response)
                 .unwrap_or_else(|e| panic!("{}: {e}", mechanism.name()));
-        }
-    }
-
-    #[test]
-    fn conjunctive_serve_batch_matches_sequential_at_any_width() {
-        let (mut engine, params) = engine(Mechanism::TraCmht);
-        let texts = ["night keeper", "big old house", "old keep", "night keeper"];
-        let queries: Vec<Query> = texts.iter().map(|t| engine.parse_query(t).query).collect();
-        let reference: Vec<QueryResponse> = queries
-            .iter()
-            .map(|q| engine.search_conjunctive(q, 3))
-            .collect();
-        for threads in [1usize, 2, 4, 8] {
-            engine.set_threads(threads);
-            let batch = engine.serve_batch_conjunctive(&queries, 3);
-            for (i, (got, want)) in batch.iter().zip(&reference).enumerate() {
-                assert_eq!(got.vo, want.vo, "q{i} threads={threads}");
-                assert_eq!(got.result, want.result);
-                verify::verify_conjunctive(&params, &queries[i], 3, got)
-                    .unwrap_or_else(|e| panic!("q{i}: {e}"));
-            }
         }
     }
 

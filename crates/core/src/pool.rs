@@ -2,12 +2,11 @@
 //!
 //! The build environment has no external crates (no rayon), so both the
 //! parallel [`crate::auth::AuthenticatedIndex::build`] path and the
-//! concurrent serving path ([`crate::auth::AuthenticatedIndex::serve_batch`],
-//! [`crate::server`]) run on this std-only pool. Through PR 3 the pool was
-//! *scoped*: every `scope`/`map` call spawned its OS workers and joined
-//! them before returning — fine for a one-shot owner build, but a
-//! per-call spawn/join tax for a long-running server looping over small
-//! batches. The pool is now persistent:
+//! network server ([`crate::server`]) run on this std-only pool. Through
+//! PR 3 the pool was *scoped*: every `scope`/`map` call spawned its OS
+//! workers and joined them before returning — fine for a one-shot owner
+//! build, but a per-call spawn/join tax for a long-running server. The
+//! pool is now persistent:
 //!
 //! * **Workers live as long as the pool.** [`ThreadPool::new`] spawns
 //!   `threads - 1` OS workers once; `scope` and `map` reuse them, and
@@ -86,7 +85,7 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// Lock a mutex, recovering the guard if a previous holder panicked.
 ///
 /// The crate-wide poisoning policy: every structure guarded this way
-/// (pool queues, the serve-pool slot, server connection registries)
+/// (pool queues, server connection registries and completion queues)
 /// keeps itself valid across each mutation, so a panic while holding the
 /// lock never leaves torn data — recovery is always sound, and one
 /// panicking worker cannot wedge the process.
@@ -773,9 +772,8 @@ mod tests {
 
     #[test]
     fn concurrent_scopes_from_many_threads_share_one_pool() {
-        // The server shape: several connection threads each running
-        // scopes (serve_batch) against one shared pool. Poisoning one
-        // scope must not leak into the others.
+        // Several caller threads each running scopes against one shared
+        // pool. Poisoning one scope must not leak into the others.
         let pool = Arc::new(ThreadPool::new(4));
         let mut handles = Vec::new();
         for caller in 0..6u64 {

@@ -64,13 +64,11 @@ impl ResolvedFreqs {
 ///
 /// Each document proof yields its document-table leaf; the leaves and
 /// the reply's one multi-proof must reconstruct the root the owner
-/// signed. That signature goes through the session `memo`, so a batch
-/// of responses ([`crate::Client::verify_batch`]) pays for it once.
+/// signed.
 pub(super) fn resolve_doc_proofs(
     params: &VerifierParams,
     query: &Query,
     response: &QueryResponse,
-    memo: &mut super::SigMemo,
 ) -> Result<ResolvedFreqs, VerifyError> {
     // Contents of result documents, for content-digest computation.
     let delivered: HashMap<DocId, &[u8]> = response
@@ -105,7 +103,7 @@ pub(super) fn resolve_doc_proofs(
         leaves.push((dv.doc as usize, leaf));
         map.insert(dv.doc, weights);
     }
-    verify_doc_table(params, &response.vo, leaves, memo)?;
+    verify_doc_table(params, &response.vo, leaves)?;
     Ok(ResolvedFreqs { map })
 }
 
@@ -115,7 +113,6 @@ fn verify_doc_table(
     params: &VerifierParams,
     vo: &VerificationObject,
     mut leaves: Vec<(usize, Digest)>,
-    memo: &mut super::SigMemo,
 ) -> Result<(), VerifyError> {
     let table = vo
         .doc_table
@@ -126,13 +123,10 @@ fn verify_doc_table(
         .ok_or_else(|| VerifyError::DocTableProof("multi-proof shape".into()))?;
     let num_docs = u32::try_from(params.num_docs)
         .map_err(|_| VerifyError::DocTableProof("collection size exceeds u32".into()))?;
-    super::verify_signature_with_memo(
-        params,
-        memo,
-        &doc_table_message(num_docs, &root),
-        &table.signature,
-    )
-    .map_err(|_| VerifyError::DocTableSignature)
+    params
+        .public_key
+        .verify(&doc_table_message(num_docs, &root), &table.signature)
+        .map_err(|_| VerifyError::DocTableSignature)
 }
 
 /// Authenticate one document proof *structurally* — reconstruct the
@@ -265,13 +259,7 @@ mod tests {
     #[test]
     fn honest_doc_proofs_resolve() {
         let (resp, params) = setup();
-        let freqs = resolve_doc_proofs(
-            &params,
-            &toy_query(),
-            &resp,
-            &mut crate::verify::SigMemo::new(),
-        )
-        .unwrap();
+        let freqs = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap();
         assert_eq!(freqs.num_docs(), 4); // docs 5, 3, 6, 1
                                          // d6 contains all four query terms (Figure 8).
         for i in 0..4 {
@@ -291,13 +279,7 @@ mod tests {
         let dv = resp.vo.docs.iter_mut().find(|d| d.doc == 5).unwrap();
         let idx = dv.revealed.iter().position(|&(_, _, w)| w > 0.0).unwrap();
         dv.revealed[idx].2 *= 2.0;
-        let err = resolve_doc_proofs(
-            &params,
-            &toy_query(),
-            &resp,
-            &mut crate::verify::SigMemo::new(),
-        )
-        .unwrap_err();
+        let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
         assert_eq!(err, VerifyError::DocTableSignature);
     }
 
@@ -306,13 +288,7 @@ mod tests {
         let (mut resp, params) = setup();
         let dv = &mut resp.vo.docs[0];
         dv.revealed.remove(0);
-        let err = resolve_doc_proofs(
-            &params,
-            &toy_query(),
-            &resp,
-            &mut crate::verify::SigMemo::new(),
-        )
-        .unwrap_err();
+        let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
         assert!(matches!(
             err,
             VerifyError::MalformedProof(_) | VerifyError::DocTableSignature
@@ -323,13 +299,7 @@ mod tests {
     fn missing_result_content_rejected() {
         let (mut resp, params) = setup();
         resp.contents.remove(0);
-        let err = resolve_doc_proofs(
-            &params,
-            &toy_query(),
-            &resp,
-            &mut crate::verify::SigMemo::new(),
-        )
-        .unwrap_err();
+        let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
         assert!(matches!(err, VerifyError::MissingContent { .. }));
     }
 
@@ -337,24 +307,8 @@ mod tests {
     fn tampered_result_content_breaks_signature() {
         let (mut resp, params) = setup();
         resp.contents[0].1 = b"forged document body".to_vec();
-        let err = resolve_doc_proofs(
-            &params,
-            &toy_query(),
-            &resp,
-            &mut crate::verify::SigMemo::new(),
-        )
-        .unwrap_err();
+        let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
         assert_eq!(err, VerifyError::DocTableSignature);
-    }
-
-    #[test]
-    fn doc_table_signature_is_checked_once_per_memo() {
-        let (resp, params) = setup();
-        let mut memo = crate::verify::SigMemo::new();
-        resolve_doc_proofs(&params, &toy_query(), &resp, &mut memo).unwrap();
-        assert_eq!(memo.len(), 1);
-        resolve_doc_proofs(&params, &toy_query(), &resp, &mut memo).unwrap();
-        assert_eq!(memo.len(), 1);
     }
 
     #[test]
@@ -362,13 +316,7 @@ mod tests {
         let (mut resp, params) = setup();
         let dup = resp.vo.docs[0].clone();
         resp.vo.docs.push(dup);
-        let err = resolve_doc_proofs(
-            &params,
-            &toy_query(),
-            &resp,
-            &mut crate::verify::SigMemo::new(),
-        )
-        .unwrap_err();
+        let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
         assert!(matches!(err, VerifyError::MalformedProof(_)));
     }
 }

@@ -172,17 +172,6 @@ impl VerifierParams {
 /// lie; the epsilon only absorbs platform-level FMA contraction.
 const SCORE_EPS: f64 = 1e-9;
 
-/// Signatures already proven valid during one batch-verification
-/// session: `(message, signature)` byte pairs. Threaded through
-/// [`verify_with_memo`] so a hot-term, dictionary, or document-table
-/// signature shared by many responses in a batch costs one RSA
-/// exponentiation total —
-/// the cross-response dedup that motivates
-/// [`crate::Client::verify_batch`]. Pairs are inserted only after
-/// verification succeeds, and validity of a pair is independent of the
-/// response it arrived in, so the memo is sound by construction.
-pub(crate) type SigMemo = std::collections::HashSet<(Vec<u8>, Vec<u8>)>;
-
 /// Verify a response against a query whose weights the caller already
 /// trusts (`query.wq` computed locally, or the toy example's published
 /// weights). `r` is the result size the user requested.
@@ -192,17 +181,6 @@ pub fn verify(
     r: usize,
     response: &QueryResponse,
 ) -> Result<VerifiedResult, VerifyError> {
-    verify_with_memo(params, query, r, response, &mut SigMemo::new())
-}
-
-/// [`verify`] with a cross-response signature memo (see [`SigMemo`]).
-pub(crate) fn verify_with_memo(
-    params: &VerifierParams,
-    query: &Query,
-    r: usize,
-    response: &QueryResponse,
-    memo: &mut SigMemo,
-) -> Result<VerifiedResult, VerifyError> {
     let vo = &response.vo;
     check_query_shape(params, query, vo)?;
 
@@ -211,11 +189,11 @@ pub(crate) fn verify_with_memo(
     for tv in &vo.terms {
         term_roots.push(verify_term_prefix(params, tv)?);
     }
-    verify_term_signatures(params, vo, &term_roots, memo)?;
+    verify_term_signatures(params, vo, &term_roots)?;
 
     // Step 2: mechanism-specific replay.
     let replayed = if params.mechanism.is_tra() {
-        let freqs = docproof::resolve_doc_proofs(params, query, response, memo)?;
+        let freqs = docproof::resolve_doc_proofs(params, query, response)?;
         let lists = TraVoLists::build(query, vo, &freqs)?;
         tra::run(&lists, &freqs, query, r)?
     } else {
@@ -262,17 +240,6 @@ pub fn verify_conjunctive(
     r: usize,
     response: &QueryResponse,
 ) -> Result<VerifiedResult, VerifyError> {
-    verify_conjunctive_with_memo(params, query, r, response, &mut SigMemo::new())
-}
-
-/// [`verify_conjunctive`] with a cross-response signature memo.
-pub(crate) fn verify_conjunctive_with_memo(
-    params: &VerifierParams,
-    query: &Query,
-    r: usize,
-    response: &QueryResponse,
-    memo: &mut SigMemo,
-) -> Result<VerifiedResult, VerifyError> {
     let vo = &response.vo;
     check_query_shape(params, query, vo)?;
 
@@ -282,7 +249,7 @@ pub(crate) fn verify_conjunctive_with_memo(
     for tv in &vo.terms {
         term_roots.push(verify_term_prefix(params, tv)?);
     }
-    verify_term_signatures(params, vo, &term_roots, memo)?;
+    verify_term_signatures(params, vo, &term_roots)?;
 
     let q = query.terms.len();
     if q == 0 {
@@ -315,7 +282,7 @@ pub(crate) fn verify_conjunctive_with_memo(
         };
         // Authenticate the document-MHT proofs; they certify, for every
         // candidate × query term, either the weight or a proven absence.
-        let freqs = docproof::resolve_doc_proofs(params, query, response, memo)?;
+        let freqs = docproof::resolve_doc_proofs(params, query, response)?;
         crate::conjunctive::rank_intersection(candidates, &wq, |d, i| freqs.weight_of(d, i), r)
             .map_err(|(doc, i)| {
                 if freqs.contains(doc) {
@@ -466,18 +433,12 @@ fn verify_term_prefix(params: &VerifierParams, tv: &TermVo) -> Result<Digest, Ve
 
 /// Check per-list signatures, or the single dictionary-MHT signature.
 ///
-/// The per-list path hands the response's term signatures to
-/// [`RsaPublicKey::verify_batch`] — deterministic, exactly equivalent
-/// to per-signature verification, but each distinct pair is checked
-/// once in one shared Montgomery domain and a rejection names the
-/// exact offending term. Pairs the session `memo` already proved (the
-/// same hot-term or dictionary signature recurring across a batch of
-/// responses) are skipped entirely.
+/// Every signature is checked on its own; a rejection names the first
+/// failing term in VO order.
 fn verify_term_signatures(
     params: &VerifierParams,
     vo: &VerificationObject,
     term_roots: &[Digest],
-    memo: &mut SigMemo,
 ) -> Result<(), VerifyError> {
     if let Some(dict) = &vo.dict {
         // §3.4 mode: reconstruct the dictionary root from the terms' leaf
@@ -492,78 +453,24 @@ fn verify_term_signatures(
         pairs.dedup_by_key(|&mut (p, _)| p);
         let root = reconstruct_root(dict.num_terms as usize, &pairs, &dict.proof)
             .ok_or_else(|| VerifyError::MalformedProof("dictionary-MHT proof shape".into()))?;
-        // One dictionary signature per deployment: across a batch of
-        // responses the memo reduces it to one RSA check total.
-        return verify_signature_with_memo(
-            params,
-            memo,
-            &dict_message(dict.num_terms, &root),
-            &dict.signature,
-        )
-        .map_err(|_| VerifyError::DictSignature);
+        return params
+            .public_key
+            .verify(&dict_message(dict.num_terms, &root), &dict.signature)
+            .map_err(|_| VerifyError::DictSignature);
     }
-    let mut messages = Vec::with_capacity(vo.terms.len());
-    let mut sigs: Vec<&[u8]> = Vec::with_capacity(vo.terms.len());
-    for (tv, root) in vo.terms.iter().zip(term_roots) {
-        let Some(sig) = tv.signature.as_deref() else {
-            return Err(VerifyError::MalformedProof("missing list signature".into()));
-        };
-        messages.push(term_message(tv.term, tv.ft, root));
-        sigs.push(sig);
-    }
-    batch_verify_with_memo(params, memo, &messages, sigs.iter().copied()).map_err(|culprit| {
-        VerifyError::TermSignature {
-            term: vo.terms.get(culprit).map_or(0, |tv| tv.term),
-        }
-    })
-}
-
-/// Verify one `(message, signature)` pair unless the `memo` already
-/// proved it, recording a success.
-pub(crate) fn verify_signature_with_memo(
-    params: &VerifierParams,
-    memo: &mut SigMemo,
-    message: &[u8],
-    signature: &[u8],
-) -> Result<(), authsearch_crypto::RsaError> {
-    let key = (message.to_vec(), signature.to_vec());
-    if !memo.contains(&key) {
-        params.public_key.verify(&key.0, &key.1)?;
-        memo.insert(key);
-    }
-    Ok(())
-}
-
-/// Run [`RsaPublicKey::verify_batch`] over the pairs the `memo` has not
-/// already proven, recording successes. Returns the index (into
-/// `messages`) of the offending pair on failure.
-fn batch_verify_with_memo<'a>(
-    params: &VerifierParams,
-    memo: &mut SigMemo,
-    messages: &[impl AsRef<[u8]>],
-    sigs: impl Iterator<Item = &'a [u8]>,
-) -> Result<(), usize> {
-    let pairs: Vec<(&[u8], &[u8])> = messages.iter().map(|m| m.as_ref()).zip(sigs).collect();
-    // Pairs this session has not yet verified, with the owned memo key
-    // built once and reused for the post-verification insert.
-    type Keyed = (usize, (Vec<u8>, Vec<u8>));
-    let mut fresh: Vec<Keyed> = Vec::new();
-    for (i, &(m, s)) in pairs.iter().enumerate() {
-        let key = (m.to_vec(), s.to_vec());
-        if !memo.contains(&key) {
-            fresh.push((i, key));
-        }
-    }
-    let items: Vec<(&[u8], &[u8])> = fresh
+    // A missing signature anywhere is a malformed VO, whatever the
+    // signatures that are present say.
+    let sigs = vo
+        .terms
         .iter()
-        .map(|(_, (m, s))| (m.as_slice(), s.as_slice()))
-        .collect();
-    params
-        .public_key
-        .verify_batch(&items)
-        .map_err(|e| fresh.get(e.culprit).map_or(0, |f| f.0))?;
-    for (_, key) in fresh {
-        memo.insert(key);
+        .map(|tv| tv.signature.as_deref())
+        .collect::<Option<Vec<&[u8]>>>()
+        .ok_or_else(|| VerifyError::MalformedProof("missing list signature".into()))?;
+    for ((tv, root), sig) in vo.terms.iter().zip(term_roots).zip(sigs) {
+        params
+            .public_key
+            .verify(&term_message(tv.term, tv.ft, root), sig)
+            .map_err(|_| VerifyError::TermSignature { term: tv.term })?;
     }
     Ok(())
 }

@@ -36,7 +36,7 @@ pub mod sha256;
 pub use chain::{reconstruct_head, ChainMht, ChainPrefixProof};
 pub use digest::{Digest, DIGEST_LEN};
 pub use merkle::{reconstruct_root, MerkleProof, MerkleTree};
-pub use rsa::{BatchVerifyError, RsaError, RsaPrivateKey, RsaPublicKey};
+pub use rsa::{RsaError, RsaPrivateKey, RsaPublicKey};
 
 #[cfg(test)]
 mod integration_tests {

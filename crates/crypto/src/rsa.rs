@@ -8,7 +8,6 @@
 use crate::bignum::{gen_prime, BigUint, Montgomery};
 use crate::sha256::Sha256;
 use rand::Rng;
-use std::collections::HashSet;
 use std::fmt;
 
 /// DER encoding of `DigestInfo` for SHA-256 (RFC 8017 §9.2 note 1).
@@ -53,26 +52,6 @@ impl fmt::Display for RsaError {
 }
 
 impl std::error::Error for RsaError {}
-
-/// Failure of a [`RsaPublicKey::verify_batch`] call, pinpointing the
-/// offending item: the first failing pair is reported, so callers
-/// always learn *which* signature is bad, exactly as if they had
-/// verified one by one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchVerifyError {
-    /// Index into the `items` slice of the first failing pair.
-    pub culprit: usize,
-    /// That item's individual verification error.
-    pub error: RsaError,
-}
-
-impl fmt::Display for BatchVerifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "batch item {}: {}", self.culprit, self.error)
-    }
-}
-
-impl std::error::Error for BatchVerifyError {}
 
 /// RSA public key: enough to verify any signature from the data owner.
 ///
@@ -161,86 +140,6 @@ impl RsaPublicKey {
         } else {
             Err(RsaError::VerificationFailed)
         }
-    }
-
-    /// Verify a whole batch of `(message, signature)` pairs at once,
-    /// accepting **exactly** the batches in which every pair passes
-    /// [`RsaPublicKey::verify`], and naming a culprit otherwise. The
-    /// result is deterministic — no randomness is involved in
-    /// acceptance.
-    ///
-    /// What the batch path amortizes:
-    ///
-    /// * **duplicate pairs are verified once** — across a batch of
-    ///   query responses the same hot-term signature recurs constantly,
-    ///   and each distinct `(message, signature)` pair costs exactly
-    ///   one exponentiation regardless of multiplicity;
-    /// * **one Montgomery domain** — every distinct pair is checked as
-    ///   `sᵢᵉ ≟ emᵢ` entirely in the key's cached [`Montgomery`]
-    ///   context, comparing Montgomery representatives directly instead
-    ///   of converting out and re-serializing per signature.
-    ///
-    /// Why acceptance is *not* a randomized product combination: the
-    /// Bellare–Garay–Rabin small-exponents test
-    /// `(∏ sᵢ^{rᵢ})^e ≡ ∏ emᵢ^{rᵢ}` is unsound over `(Z/n)*` — `−1` is
-    /// an order-2 element anyone can construct (Boyd–Pavlovski): the
-    /// forgery `s′ = n − s` yields `gᵢ = s′ᵉ/emᵢ = −1`, which passes
-    /// whenever `rᵢ` is even (half of all draws), and *two* such
-    /// flipped signatures cancel in any product with probability 1. No
-    /// multiplicative combination can therefore agree exactly with
-    /// individual verification.
-    pub fn verify_batch(&self, items: &[(&[u8], &[u8])]) -> Result<(), BatchVerifyError> {
-        let distinct = self.distinct_pairs(items)?;
-        for &i in &distinct {
-            let (msg, sig) = items[i];
-            let (s_m, em_m) = match self.to_domain(msg, sig) {
-                Ok(pair) => pair,
-                Err(error) => return Err(BatchVerifyError { culprit: i, error }),
-            };
-            if self.ctx_n.pow_montgomery(&s_m, &self.e) != em_m {
-                return Err(BatchVerifyError {
-                    culprit: i,
-                    error: RsaError::VerificationFailed,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Length-check every signature and return the first index of each
-    /// distinct `(message, signature)` pair.
-    fn distinct_pairs(&self, items: &[(&[u8], &[u8])]) -> Result<Vec<usize>, BatchVerifyError> {
-        let mut seen: HashSet<(&[u8], &[u8])> = HashSet::with_capacity(items.len());
-        let mut distinct: Vec<usize> = Vec::with_capacity(items.len());
-        for (i, &(msg, sig)) in items.iter().enumerate() {
-            if sig.len() != self.k {
-                return Err(BatchVerifyError {
-                    culprit: i,
-                    error: RsaError::BadSignatureLength {
-                        expected: self.k,
-                        got: sig.len(),
-                    },
-                });
-            }
-            if seen.insert((msg, sig)) {
-                distinct.push(i);
-            }
-        }
-        Ok(distinct)
-    }
-
-    /// One pair's `(s, em)` in Montgomery form, after the range and
-    /// encoding checks individual verification performs.
-    fn to_domain(&self, msg: &[u8], sig: &[u8]) -> Result<(BigUint, BigUint), RsaError> {
-        let s = BigUint::from_bytes_be(sig);
-        if s >= self.n {
-            return Err(RsaError::VerificationFailed);
-        }
-        let em = pkcs1_v15_encode(msg, self.k)?;
-        Ok((
-            self.ctx_n.to_montgomery(&s),
-            self.ctx_n.to_montgomery(&BigUint::from_bytes_be(&em)),
-        ))
     }
 
     /// Verify using the schoolbook (division-based) exponentiation — the
@@ -529,175 +428,34 @@ mod tests {
             .is_err());
     }
 
-    /// A batch of distinct signed messages plus owned buffers to borrow
-    /// item slices from.
-    fn signed_batch(key: &RsaPrivateKey, n: usize) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let messages: Vec<Vec<u8>> = (0..n)
-            .map(|i| format!("batch message #{i}").into_bytes())
-            .collect();
-        let sigs = messages.iter().map(|m| key.sign(m).unwrap()).collect();
-        (messages, sigs)
-    }
-
-    fn as_items<'a>(msgs: &'a [Vec<u8>], sigs: &'a [Vec<u8>]) -> Vec<(&'a [u8], &'a [u8])> {
-        msgs.iter()
-            .map(|m| m.as_slice())
-            .zip(sigs.iter().map(|s| s.as_slice()))
-            .collect()
-    }
-
     #[test]
-    fn batch_accepts_all_valid() {
+    fn verify_rejects_negated_and_degenerate_signatures() {
+        // Boyd–Pavlovski regression: σ′ = n − σ satisfies σ′ᵉ ≡ −em, an
+        // order-2 deviation that slips through a randomized product
+        // combination of signatures with probability 1/2 (and two of
+        // them cancel with probability 1). Checking each signature on
+        // its own must reject it every time, as it must the degenerate
+        // σ ∈ {0, 1} and the out-of-range σ = n.
         let key = test_key();
-        let (msgs, sigs) = signed_batch(&key, 8);
-        key.public_key()
-            .verify_batch(&as_items(&msgs, &sigs))
-            .unwrap();
-        // Empty and singleton batches are fine too.
-        key.public_key().verify_batch(&[]).unwrap();
-        key.public_key()
-            .verify_batch(&as_items(&msgs[..1], &sigs[..1]))
-            .unwrap();
-    }
-
-    #[test]
-    fn batch_identifies_any_single_corrupted_signature() {
-        // The satellite property: whichever position carries the bad
-        // signature, the batch names exactly that index.
-        let key = test_key();
-        let (msgs, sigs) = signed_batch(&key, 6);
-        for bad in 0..6 {
-            let mut sigs = sigs.clone();
-            sigs[bad][20] ^= 0x40;
-            let err = key
-                .public_key()
-                .verify_batch(&as_items(&msgs, &sigs))
-                .unwrap_err();
-            assert_eq!(err.culprit, bad, "corrupted index {bad}");
-            assert_eq!(err.error, RsaError::VerificationFailed);
-        }
-    }
-
-    #[test]
-    fn batch_identifies_corrupted_message() {
-        let key = test_key();
-        let (mut msgs, sigs) = signed_batch(&key, 5);
-        msgs[3] = b"swapped in a different message".to_vec();
-        let err = key
-            .public_key()
-            .verify_batch(&as_items(&msgs, &sigs))
-            .unwrap_err();
-        assert_eq!(err.culprit, 3);
-    }
-
-    #[test]
-    fn batch_rejects_bad_length_and_oversized_signatures() {
-        let key = test_key();
-        let (msgs, mut sigs) = signed_batch(&key, 3);
-        sigs[1] = vec![0u8; 10];
-        let err = key
-            .public_key()
-            .verify_batch(&as_items(&msgs, &sigs))
-            .unwrap_err();
-        assert_eq!(err.culprit, 1);
-        assert!(matches!(err.error, RsaError::BadSignatureLength { .. }));
-        // A correctly sized signature numerically ≥ n is also named.
-        let (msgs, mut sigs) = signed_batch(&key, 3);
-        sigs[2] = vec![0xff; key.public_key().signature_len()];
-        let err = key
-            .public_key()
-            .verify_batch(&as_items(&msgs, &sigs))
-            .unwrap_err();
-        assert_eq!(err.culprit, 2);
-        assert_eq!(err.error, RsaError::VerificationFailed);
-    }
-
-    #[test]
-    fn batch_deduplicates_repeated_pairs() {
-        // Hot-term workload shape: the same (message, signature) pair
-        // many times over must verify once and still pass/fail right.
-        let key = test_key();
-        let (msgs, sigs) = signed_batch(&key, 2);
-        let mut items = Vec::new();
-        for _ in 0..50 {
-            items.extend(as_items(&msgs, &sigs));
-        }
-        key.public_key().verify_batch(&items).unwrap();
-        // Corrupt the second distinct signature: first failing *item*
-        // index is 1 (its first occurrence).
-        let mut sigs = sigs.clone();
-        sigs[1][5] ^= 1;
-        let mut items = Vec::new();
-        for _ in 0..50 {
-            items.extend(as_items(&msgs, &sigs));
-        }
-        let err = key.public_key().verify_batch(&items).unwrap_err();
-        assert_eq!(err.culprit, 1);
-    }
-
-    /// The additive inverse `n − s` of a signature `s` (big-endian,
-    /// padded to the signature length) — the classic order-2 forgery
-    /// against product-combination batch tests.
-    fn negate_signature(key: &RsaPrivateKey, sig: &[u8]) -> Vec<u8> {
-        let n_bytes = key.public_key().to_bytes();
-        // n is the first length-prefixed field of to_bytes().
-        let n_len = u32::from_be_bytes([n_bytes[0], n_bytes[1], n_bytes[2], n_bytes[3]]) as usize;
-        let n = BigUint::from_bytes_be(&n_bytes[4..4 + n_len]);
-        let s = BigUint::from_bytes_be(sig);
-        (&n - &s)
-            .to_bytes_be_padded(key.public_key().signature_len())
-            .unwrap()
-    }
-
-    #[test]
-    fn batch_always_rejects_negated_signatures() {
-        // Boyd–Pavlovski attack regression: s′ = n − s satisfies
-        // s′ᵉ ≡ −em, an order-2 deviation that slips through a naive
-        // randomized product combination with probability 1/2 (and two
-        // of them cancel with probability 1). verify_batch must reject
-        // it deterministically, every time, like individual verify.
-        let key = test_key();
-        let (msgs, sigs) = signed_batch(&key, 4);
-        for _ in 0..50 {
-            // One flip.
-            let mut bad = sigs.clone();
-            bad[2] = negate_signature(&key, &sigs[2]);
-            let err = key
-                .public_key()
-                .verify_batch(&as_items(&msgs, &bad))
-                .unwrap_err();
-            assert_eq!(err.culprit, 2);
-            assert_eq!(err.error, RsaError::VerificationFailed);
-            // Two flips (the product-cancelling shape).
-            let mut bad = sigs.clone();
-            bad[0] = negate_signature(&key, &sigs[0]);
-            bad[3] = negate_signature(&key, &sigs[3]);
-            let err = key
-                .public_key()
-                .verify_batch(&as_items(&msgs, &bad))
-                .unwrap_err();
-            assert_eq!(err.culprit, 0, "first flipped signature is named");
-        }
-    }
-
-    #[test]
-    fn batch_agrees_with_individual_verification() {
-        // Acceptance criterion: the batch path accepts exactly the
-        // responses the individual path accepts.
-        let key = test_key();
-        let (msgs, sigs) = signed_batch(&key, 5);
-        for corrupt in [None, Some(2)] {
-            let mut sigs = sigs.clone();
-            if let Some(i) = corrupt {
-                sigs[i][0] ^= 0x10;
+        let public = key.public_key();
+        let k = public.signature_len();
+        let n = &public.n;
+        for i in 0..4 {
+            let msg = format!("signed message #{i}").into_bytes();
+            let sig = key.sign(&msg).unwrap();
+            public.verify(&msg, &sig).unwrap();
+            let negated = (n - &BigUint::from_bytes_be(&sig))
+                .to_bytes_be_padded(k)
+                .unwrap();
+            let degenerate = [BigUint::zero(), BigUint::one(), n.clone()]
+                .map(|s| s.to_bytes_be_padded(k).unwrap());
+            for forged in std::iter::once(&negated).chain(&degenerate) {
+                assert_eq!(
+                    public.verify(&msg, forged),
+                    Err(RsaError::VerificationFailed),
+                    "message #{i}"
+                );
             }
-            let individual: Vec<bool> = msgs
-                .iter()
-                .zip(&sigs)
-                .map(|(m, s)| key.public_key().verify(m, s).is_ok())
-                .collect();
-            let batch = key.public_key().verify_batch(&as_items(&msgs, &sigs));
-            assert_eq!(batch.is_ok(), individual.iter().all(|&ok| ok));
         }
     }
 

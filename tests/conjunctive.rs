@@ -1,11 +1,9 @@
 //! Authenticated conjunctive queries, specified against brute force:
 //! the verified conjunctive result must equal the intersection of the
 //! per-term *disjunctive* results, ranked by the summed per-term
-//! scores — over random corpora and random term subsets, at pool
-//! widths 1 and 4. A second battery pins the bit-identity bar: the
-//! conjunctive VO for a query is byte-identical whether it was served
-//! sequentially or through `serve_batch_conjunctive` at any pool
-//! width.
+//! scores — over random corpora and random term subsets. A second
+//! battery pins the bit-identity bar: the conjunctive VO for a query is
+//! byte-identical whatever pool width the owner published at.
 
 use authsearch::core::wire;
 use authsearch::core::{verify_conjunctive, Query};
@@ -22,9 +20,14 @@ fn test_config(mechanism: Mechanism) -> AuthConfig {
 }
 
 fn build_engine(mechanism: Mechanism, docs: usize, seed: u64) -> (SearchEngine, VerifierParams) {
+    publish(test_config(mechanism), docs, seed)
+}
+
+/// Publish a synthetic corpus of `docs` documents under `config`.
+fn publish(config: AuthConfig, docs: usize, seed: u64) -> (SearchEngine, VerifierParams) {
     let corpus = SyntheticConfig::tiny(docs, seed).generate();
     let owner = DataOwner::with_cached_key(authsearch::crypto::keys::TEST_KEY_BITS);
-    let publication = owner.publish(&corpus, test_config(mechanism));
+    let publication = owner.publish(&corpus, config);
     let params = publication.verifier_params.clone();
     (SearchEngine::new(publication.auth, corpus), params)
 }
@@ -68,13 +71,10 @@ fn brute_force_intersection(engine: &SearchEngine, query: &Query, r: usize) -> V
     scored
 }
 
-/// One equivalence check: serve the conjunctive query (batched, at the
-/// current pool width), verify it, and compare docs + scores against
-/// brute force. Returns the wire-encoded VO for byte comparisons.
-fn check_case(engine: &SearchEngine, params: &VerifierParams, query: &Query, r: usize) -> Vec<u8> {
-    let response = engine
-        .serve_batch_conjunctive(std::slice::from_ref(query), r)
-        .remove(0);
+/// One equivalence check: serve the conjunctive query, verify it, and
+/// compare docs + scores against brute force.
+fn check_case(engine: &SearchEngine, params: &VerifierParams, query: &Query, r: usize) {
+    let response = engine.search_conjunctive(query, r);
     let verified =
         verify_conjunctive(params, query, r, &response).expect("honest conjunctive VO verifies");
     let expected = brute_force_intersection(engine, query, r);
@@ -95,7 +95,6 @@ fn check_case(engine: &SearchEngine, params: &VerifierParams, query: &Query, r: 
             "doc {d}: conjunctive score {gs} vs brute force {es}"
         );
     }
-    wire::encode(&response.vo).unwrap()
 }
 
 proptest! {
@@ -103,8 +102,7 @@ proptest! {
 
     /// The tentpole's specification, randomized: for random corpora and
     /// random 1–3 term subsets, the verified conjunctive result equals
-    /// the brute-force intersection of per-term disjunctive results —
-    /// at pool widths 1 and 4, with byte-identical VOs between them.
+    /// the brute-force intersection of per-term disjunctive results.
     #[test]
     fn verified_conjunctive_equals_brute_force_intersection(
         corpus_seed in 1u64..1_000,
@@ -113,32 +111,34 @@ proptest! {
         r in 1usize..6,
     ) {
         let mechanism = Mechanism::ALL[mech_pick];
-        let (mut engine, params) = build_engine(mechanism, 60, corpus_seed);
+        let (engine, params) = build_engine(mechanism, 60, corpus_seed);
         let num_terms = engine.auth().index().num_terms() as u32;
         let mut ids: Vec<u32> = raw_terms.iter().map(|&t| t % num_terms).collect();
         ids.sort_unstable();
         ids.dedup();
         let query = Query::from_term_ids(engine.auth().index(), &ids);
-
-        engine.set_threads(1);
-        let vo_width1 = check_case(&engine, &params, &query, r);
-        engine.set_threads(4);
-        let vo_width4 = check_case(&engine, &params, &query, r);
-        prop_assert_eq!(
-            vo_width1, vo_width4,
-            "conjunctive VO bytes differ between pool widths 1 and 4"
-        );
+        check_case(&engine, &params, &query, r);
     }
 }
 
-/// Acceptance bar, pinned deterministically: conjunctive VOs are
-/// byte-identical across pool widths 1/2/4/8 and between
-/// `serve_batch_conjunctive` and the sequential `search_conjunctive`
-/// path, for every mechanism.
+/// Acceptance bar, pinned deterministically: the resident structures
+/// are folded over the owner's pool, so the same corpus published at
+/// pool widths 1/2/4/8 must serve byte-identical conjunctive VOs, for
+/// every mechanism.
 #[test]
 fn conjunctive_vo_bytes_identical_across_pool_widths() {
     for mechanism in Mechanism::ALL {
-        let (mut engine, params) = build_engine(mechanism, 120, 41);
+        let at_width = |threads: usize| {
+            publish(
+                AuthConfig {
+                    threads,
+                    ..test_config(mechanism)
+                },
+                120,
+                41,
+            )
+        };
+        let (engine, params) = at_width(1);
         let num_terms = engine.auth().index().num_terms();
         let workloads = authsearch::corpus::workload::synthetic(num_terms, 6, 2, 9);
         let queries: Vec<Query> = workloads
@@ -146,7 +146,7 @@ fn conjunctive_vo_bytes_identical_across_pool_widths() {
             .map(|terms| Query::from_term_ids(engine.auth().index(), terms))
             .collect();
 
-        // Sequential references (and the honesty check, once per query).
+        // Width-1 references (and the honesty check, once per query).
         let reference: Vec<Vec<u8>> = queries
             .iter()
             .map(|query| {
@@ -156,15 +156,14 @@ fn conjunctive_vo_bytes_identical_across_pool_widths() {
             })
             .collect();
 
-        for width in [1usize, 2, 4, 8] {
-            engine.set_threads(width);
-            let responses = engine.serve_batch_conjunctive(&queries, 5);
-            for (i, response) in responses.iter().enumerate() {
-                let bytes = wire::encode(&response.vo).unwrap();
+        for width in [2usize, 4, 8] {
+            let (engine, _) = at_width(width);
+            for (i, query) in queries.iter().enumerate() {
+                let bytes = wire::encode(&engine.search_conjunctive(query, 5).vo).unwrap();
                 assert_eq!(
                     bytes,
                     reference[i],
-                    "{} query {i}: batch VO at width {width} differs from sequential",
+                    "{} query {i}: VO published at width {width} differs from width 1",
                     mechanism.name()
                 );
             }
