@@ -1,9 +1,10 @@
 //! Owner-side build scaling: `AuthenticatedIndex::build` across thread
-//! counts on the work-stealing pool.
+//! counts, which `pool::map` spreads its per-term and per-document work
+//! over.
 //!
 //! The artifact is bit-identical at every thread count; only wall-clock
-//! time changes, and only on machines that actually have the cores (the
-//! pool degrades to the sequential paper model on a single-CPU host).
+//! time changes, and only on machines that actually have the cores
+//! (`threads = 1` is the sequential paper model on the calling thread).
 
 use authsearch_core::{AuthConfig, AuthenticatedIndex, Mechanism};
 use authsearch_corpus::SyntheticConfig;

@@ -48,7 +48,7 @@ pub mod space;
 pub use cache::{CacheStats, WarmStats};
 pub use snapshot::{boot_authenticated_index, BootReport, BootSource};
 
-use crate::pool::ThreadPool;
+use crate::pool::{self, ThreadPool};
 use crate::types::DocTable;
 use crate::vo::Mechanism;
 use authsearch_corpus::{DocId, TermId};
@@ -118,12 +118,12 @@ pub struct AuthConfig {
     /// either way; see the module docs for the trade-off.
     pub serve_cache: bool,
     /// Worker threads for the owner-side build
-    /// ([`AuthenticatedIndex::build`]) and the snapshot boot, whose pool
-    /// then stays on as the engine's serving pool
-    /// ([`AuthenticatedIndex::serve_pool`]): `0` (the default) uses the
-    /// machine's available parallelism, `1` runs the paper's sequential
-    /// model on the calling thread, and `n ≥ 2` fans the per-term and
-    /// per-document work out over a [`crate::pool::ThreadPool`].
+    /// ([`AuthenticatedIndex::build`]), the snapshot boot, and the
+    /// engine's serving pool ([`AuthenticatedIndex::serve_pool`]): `0`
+    /// (the default) uses the machine's available parallelism, `1` runs
+    /// the paper's sequential model on the calling thread, and `n ≥ 2`
+    /// fans the per-term and per-document work out through
+    /// [`crate::pool::map`].
     /// Artifacts and per-query VOs are **bit-identical for every
     /// value** — only wall-clock time changes.
     ///
@@ -293,15 +293,16 @@ pub(crate) fn doc_mht(doc_terms: &[(TermId, f32)]) -> (Digest, Box<[Digest]>) {
     (root, interior.into_boxed_slice())
 }
 
-/// Every document's MHT root, folded over `pool`, plus — when `keep` —
-/// its interior levels, the resident source of document proofs
-/// ([`cache::ServeCache::doc_levels`]; empty when not kept).
+/// Every document's MHT root, folded [`pool::map`]-parallel over
+/// `threads`, plus — when `keep` — its interior levels, the resident
+/// source of document proofs ([`cache::ServeCache::doc_levels`]; empty
+/// when not kept).
 pub(crate) fn doc_mhts(
-    pool: &ThreadPool,
+    threads: usize,
     doc_table: &DocTable,
     keep: bool,
 ) -> (Vec<Digest>, Vec<Box<[Digest]>>) {
-    let per_doc = pool.map(doc_table.num_docs(), |d| {
+    let per_doc = pool::map(threads, doc_table.num_docs(), |d| {
         let (root, interior) = doc_mht(doc_table.doc_terms(d as DocId));
         (root, if keep { interior } else { Box::default() })
     });
@@ -309,17 +310,17 @@ pub(crate) fn doc_mhts(
     (roots, if keep { levels } else { Vec::new() })
 }
 
-/// Every term's root (plain MHT) or head (chain-MHT) digest, folded over
-/// `pool`, plus — when `keep` — the structure each fold produced, the
-/// resident source of term proofs ([`cache::ServeCache::terms`]; empty
-/// when not kept).
+/// Every term's root (plain MHT) or head (chain-MHT) digest, folded
+/// [`pool::map`]-parallel over `threads`, plus — when `keep` — the
+/// structure each fold produced, the resident source of term proofs
+/// ([`cache::ServeCache::terms`]; empty when not kept).
 pub(crate) fn term_structures(
-    pool: &ThreadPool,
+    threads: usize,
     config: &AuthConfig,
     index: &InvertedIndex,
     keep: bool,
 ) -> (Vec<Digest>, Vec<cache::TermStructure>) {
-    let per_term = pool.map(index.num_terms(), |t| {
+    let per_term = pool::map(threads, index.num_terms(), |t| {
         let (root, structure) = cache::TermStructure::build(config, index.list(t as TermId));
         (root, keep.then_some(structure))
     });
@@ -438,9 +439,9 @@ pub struct AuthenticatedIndex {
     public_key: RsaPublicKey,
     /// Engine-side resident structures (see [`cache`] and the module docs).
     cache: cache::ServeCache,
-    /// The pool the build (or boot) folded over, kept as the network
-    /// server's ([`crate::server`]) pool, so worker threads are spawned
-    /// once per artifact.
+    /// The network server's ([`crate::server`]) job queue, created at
+    /// the end of the build (or boot), so worker threads are spawned once
+    /// per artifact.
     serve_pool: Arc<ThreadPool>,
 }
 
@@ -452,13 +453,13 @@ impl AuthenticatedIndex {
     ///
     /// The work is embarrassingly parallel — every term's structure and
     /// signature, and every document's content digest and MHT root, is
-    /// independent — so it fans out over a work-stealing
-    /// [`crate::pool::ThreadPool`] sized by [`AuthConfig::build_threads`]
-    /// (`threads: 1` keeps the paper's sequential owner model on the
-    /// calling thread). Workers share `key` by reference, so every
-    /// signature reuses the key's cached per-factor Montgomery contexts;
-    /// results are collected in index order, making the artifact
-    /// **bit-identical for any thread count**.
+    /// independent — so it fans out through [`pool::map`] over
+    /// [`AuthConfig::build_threads`] threads (`threads: 1` keeps the
+    /// paper's sequential owner model on the calling thread). Threads
+    /// share `key` by reference, so every signature reuses the key's
+    /// cached per-factor Montgomery contexts; results are collected in
+    /// index order, making the artifact **bit-identical for any thread
+    /// count**.
     ///
     /// ```
     /// use authsearch_core::{AuthConfig, AuthenticatedIndex, Mechanism};
@@ -500,15 +501,15 @@ impl AuthenticatedIndex {
         }
 
         let doc_table = DocTable::from_index(&index);
-        let pool = ThreadPool::new(config.build_threads());
+        let threads = config.build_threads();
 
         // Term structures: one independent task per term (hash the leaf
         // layer, fold the (chain-)MHT), kept when serving from cache.
-        let (term_roots, terms) = term_structures(&pool, &config, &index, config.serve_cache);
+        let (term_roots, terms) = term_structures(threads, &config, &index, config.serve_cache);
 
         let mut dict_tree = None;
         let (term_sigs, dict_sig) = if config.dict_mht {
-            let leaves: Vec<Digest> = pool.map(m, |t| {
+            let leaves: Vec<Digest> = pool::map(threads, m, |t| {
                 let t = t as TermId;
                 dict_leaf_digest(t, index.ft(t), &term_roots[t as usize])
             });
@@ -527,7 +528,7 @@ impl AuthenticatedIndex {
             // One RSA signature per term — the dominant build cost, and
             // perfectly parallel: workers share the key (and therefore
             // its cached Montgomery contexts) read-only.
-            let sigs: Vec<Vec<u8>> = pool.map(m, |t| {
+            let sigs: Vec<Vec<u8>> = pool::map(threads, m, |t| {
                 let t = t as TermId;
                 key.sign(&term_message(t, index.ft(t), &term_roots[t as usize]))
                     .expect("term signature")
@@ -542,8 +543,9 @@ impl AuthenticatedIndex {
         let (doc_content_digests, doc_roots, doc_levels, doc_tree, doc_table_sig) =
             if config.mechanism.is_tra() {
                 let n = index.num_docs();
-                let digests = pool.map(n, |d| Digest::hash(&contents.content(d as DocId)));
-                let (roots, levels) = doc_mhts(&pool, &doc_table, config.serve_cache);
+                let digests =
+                    pool::map(threads, n, |d| Digest::hash(&contents.content(d as DocId)));
+                let (roots, levels) = doc_mhts(threads, &doc_table, config.serve_cache);
                 let tree = doc_table_tree(&digests, &roots);
                 let num_docs = u32::try_from(n).expect("document ids are u32");
                 let sig = key
@@ -567,15 +569,13 @@ impl AuthenticatedIndex {
             doc_table_sig,
             public_key: key.public_key().clone(),
             cache: cache::ServeCache::new(dict_tree, terms, doc_levels),
-            // The build's workers live on as the serving pool: a server
-            // standing up from a fresh build never spawns a second set.
-            serve_pool: Arc::new(pool),
+            serve_pool: Arc::new(ThreadPool::new(threads)),
         }
     }
 
-    /// The persistent serving pool: the workers the build (or boot)
-    /// spawned, [`AuthConfig::build_threads`] wide. Every call returns
-    /// the same pool.
+    /// The persistent serving pool, [`AuthConfig::build_threads`] wide,
+    /// spawned once at the end of the build (or boot). Every call
+    /// returns the same pool.
     pub fn serve_pool(&self) -> Arc<ThreadPool> {
         Arc::clone(&self.serve_pool)
     }

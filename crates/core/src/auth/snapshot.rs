@@ -43,10 +43,11 @@
 //!    signature over the table rebuilt from every document's content
 //!    digest and root — all `n` documents. Then every term root and
 //!    every document-MHT root is recomputed from the loaded index,
-//!    folded over the serve pool, and must equal the signed one. That
-//!    fold also rebuilds the structures a cached engine proves from, so
-//!    checking all `m` term roots and `n` document roots costs no hashing
-//!    beyond what serving needs anyway.
+//!    folded through [`crate::pool::map`] at the configured width, and
+//!    must equal the signed one. That fold also rebuilds the structures
+//!    a cached engine proves from, so checking all `m` term roots and
+//!    `n` document roots costs no hashing beyond what serving needs
+//!    anyway.
 //!
 //! A forgery that survives all three (consistent digests *and* valid
 //! signatures over altered data) would require breaking the owner's
@@ -451,8 +452,8 @@ impl AuthenticatedIndex {
         }
         // Refold every term: each recomputed root must be the signed one,
         // which ties every loaded list to the owner's signatures.
-        let pool = ThreadPool::new(expected.build_threads());
-        let (roots, terms) = term_structures(&pool, expected, &index, expected.serve_cache);
+        let threads = expected.build_threads();
+        let (roots, terms) = term_structures(threads, expected, &index, expected.serve_cache);
         if let Some(t) = roots
             .iter()
             .zip(&parts.term_roots)
@@ -473,7 +474,7 @@ impl AuthenticatedIndex {
                 .public_key
                 .verify(&doc_table_message(num_docs, &tree.root()), sig)
                 .map_err(|e| corrupt(format!("document-table signature rejected at boot: {e}")))?;
-            let (roots, levels) = doc_mhts(&pool, &doc_table, expected.serve_cache);
+            let (roots, levels) = doc_mhts(threads, &doc_table, expected.serve_cache);
             if let Some(d) = roots.iter().zip(&parts.doc_roots).position(|(a, b)| a != b) {
                 return Err(corrupt(format!(
                     "doc {d}: index disagrees with its signed root"
@@ -497,9 +498,7 @@ impl AuthenticatedIndex {
             doc_table_sig: parts.doc_table_sig,
             public_key: parts.public_key,
             cache: cache::ServeCache::new(dict_tree, terms, doc_levels),
-            // The boot's workers live on as the serving pool, as a
-            // build's do.
-            serve_pool: Arc::new(pool),
+            serve_pool: Arc::new(ThreadPool::new(threads)),
         })
     }
 }

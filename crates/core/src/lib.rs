@@ -20,8 +20,8 @@
 //!   MHTs, dictionary-MHT, signatures; server-side VO construction with
 //!   disk accounting over structures resident from the build or boot;
 //!   storage reports;
-//! * [`pool`] — the persistent work-stealing thread pool behind the
-//!   parallel owner build and the serving path;
+//! * [`pool`] — the scoped-thread parallel `map` behind the owner build
+//!   and snapshot boot, and the persistent job queue behind the server;
 //! * [`verify`](mod@verify) — user-side verification (authenticate,
 //!   then replay);
 //! * [`buddy`] — the buddy-inclusion VO optimization (§3.3.2);

@@ -35,12 +35,12 @@
 //!
 //! * **Persistent pool dispatch**: query execution is
 //!   [`submit`](crate::pool::ThreadPool::submit)-ted onto the engine's
-//!   persistent work-stealing pool
+//!   persistent job queue
 //!   ([`AuthenticatedIndex::serve_pool`](crate::AuthenticatedIndex::serve_pool)
-//!   — the same workers the owner build spawned), so N connections
-//!   share one executor instead of oversubscribing the machine, and a
-//!   `threads = 1` deployment still runs the paper's sequential model
-//!   with no thread spawned anywhere.
+//!   — workers spawned once, when the artifact is built or booted), so N
+//!   connections share one executor instead of oversubscribing the
+//!   machine, and a `threads = 1` deployment still runs the paper's
+//!   sequential model with no thread spawned anywhere.
 //! * **Warm from the first query**: every authentication structure is
 //!   resident from the build or snapshot boot, so startup has nothing to
 //!   warm and the first wave of traffic builds nothing.

@@ -149,7 +149,6 @@ impl Default for Config {
                 "crates/core/src/server/reactor_core.rs".into(),
             ],
             unsafe_allowed: vec![
-                "crates/core/src/pool.rs".into(),
                 "crates/core/src/reactor.rs".into(),
                 "crates/crypto/src/sha256/shani.rs".into(),
             ],

@@ -216,6 +216,26 @@ fn unsafe_audit_allows_nothing_in_the_bench_crate() {
 }
 
 #[test]
+fn unsafe_audit_allows_nothing_in_the_pool() {
+    // The executor is safe code on `std::thread::scope` and `mpsc`, so
+    // `unsafe` reintroduced there — even with a SAFETY comment — is a
+    // finding.
+    let src = "// SAFETY: the caller guarantees p is valid for reads\nfn f(p: *const u8) -> u8 { unsafe { *p } }\n";
+    let found = run("crates/core/src/pool.rs", src);
+    assert_eq!(rules_of(&found), ["unsafe-audit"]);
+    assert!(found[0]
+        .message
+        .contains("outside the unsafe-allowed module list"));
+    assert_eq!(
+        Config::default().unsafe_allowed,
+        [
+            "crates/core/src/reactor.rs",
+            "crates/crypto/src/sha256/shani.rs"
+        ]
+    );
+}
+
+#[test]
 fn unsafe_audit_distinguishes_unsafe_fn_from_unsafe_block() {
     let src = "\
 unsafe fn raw(p: *const u8) -> u8 {

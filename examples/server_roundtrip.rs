@@ -44,7 +44,7 @@ fn main() {
 
     // ------------------------------------------------------------------
     // 2. The untrusted engine stands up as a long-running server: TCP
-    //    acceptor in front, persistent work-stealing pool behind, every
+    //    acceptor in front, a persistent job queue behind, every
     //    term structure resident from the build before the first
     //    connection lands.
     // ------------------------------------------------------------------

@@ -1,0 +1,172 @@
+//! The paper's qualitative shapes, pinned at one small recorded scale.
+//!
+//! Figures 13–15 and Table 2 are curves over the WSJ collection; what
+//! survives a change of scale are their orderings. This suite pins four
+//! of them on one synthetic corpus (`SyntheticConfig::tiny(2000, 2008)`,
+//! 512-bit test keys) and one seeded query set, so a change that bends a
+//! curve shows up as a failing ordering rather than silently:
+//!
+//! * (a) threshold algorithms stop short of the end of long lists;
+//! * (b) TNRA VOs carry no document proofs; TRA VOs carry one per
+//!   encountered document;
+//! * (c) chain-MHT VOs carry fewer digest bytes than plain-MHT VOs over
+//!   lists spanning several chain blocks;
+//! * (d) VO size grows with `r`.
+
+use authsearch_core::{AuthConfig, DataOwner, Mechanism, Query, SearchEngine};
+use authsearch_corpus::{workload, DocId, SyntheticConfig, TermId};
+use authsearch_crypto::keys::TEST_KEY_BITS;
+use std::collections::HashSet;
+use std::sync::OnceLock;
+
+/// Corpus size and seed of the recorded scale.
+const NUM_DOCS: usize = 2000;
+const SEED: u64 = 2008;
+/// Queries in the set, and terms per query.
+const QUERIES: usize = 12;
+const TERMS_PER_QUERY: usize = 3;
+/// Result size for (a)–(c).
+const R: usize = 10;
+/// (c) compares terms whose lists span at least this many chain blocks.
+const MIN_BLOCKS: usize = 4;
+
+/// One engine per mechanism over the same corpus.
+fn engines() -> &'static Vec<SearchEngine> {
+    static ENGINES: OnceLock<Vec<SearchEngine>> = OnceLock::new();
+    ENGINES.get_or_init(|| {
+        let corpus = SyntheticConfig::tiny(NUM_DOCS, SEED).generate();
+        let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
+        Mechanism::ALL
+            .iter()
+            .map(|&mechanism| {
+                let config = AuthConfig {
+                    key_bits: TEST_KEY_BITS,
+                    ..AuthConfig::new(mechanism)
+                };
+                SearchEngine::new(owner.publish(&corpus, config).auth, corpus.clone())
+            })
+            .collect()
+    })
+}
+
+fn engine(mechanism: Mechanism) -> &'static SearchEngine {
+    let at = Mechanism::ALL.iter().position(|&m| m == mechanism).unwrap();
+    &engines()[at]
+}
+
+/// Multi-term queries over long lists: terms drawn (seeded) from those
+/// whose lists span at least [`MIN_BLOCKS`] TNRA chain blocks.
+fn long_list_queries() -> Vec<Vec<TermId>> {
+    let auth = engine(Mechanism::TnraCmht).auth();
+    let capacity = auth.config().chain_capacity();
+    let long: Vec<TermId> = (0..auth.index().num_terms() as TermId)
+        .filter(|&t| auth.index().list(t).len() > (MIN_BLOCKS - 1) * capacity)
+        .collect();
+    assert!(
+        long.len() >= 2 * TERMS_PER_QUERY,
+        "scale too small: {} long lists",
+        long.len()
+    );
+    workload::synthetic(long.len(), QUERIES, TERMS_PER_QUERY, SEED)
+        .into_iter()
+        .map(|picks| {
+            let mut terms: Vec<TermId> = picks.into_iter().map(|i| long[i as usize]).collect();
+            terms.sort_unstable();
+            terms
+        })
+        .collect()
+}
+
+fn search(mechanism: Mechanism, terms: &[TermId], r: usize) -> authsearch_core::QueryResponse {
+    let engine = engine(mechanism);
+    engine.search(&Query::from_term_ids(engine.auth().index(), terms), r)
+}
+
+#[test]
+fn threshold_algorithms_stop_short_of_long_lists() {
+    for mechanism in [Mechanism::TraMht, Mechanism::TnraMht] {
+        let index = engine(mechanism).auth().index();
+        let (mut read, mut total) = (0usize, 0usize);
+        for terms in long_list_queries() {
+            let response = search(mechanism, &terms, R);
+            read += response.entries_read.iter().sum::<usize>();
+            total += terms.iter().map(|&t| index.list(t).len()).sum::<usize>();
+        }
+        // Recorded: TRA-MHT 3,670 and TNRA-MHT 19,112 of 30,682.
+        assert!(
+            read < total,
+            "{}: read {read} of Σ f_t = {total}",
+            mechanism.name()
+        );
+    }
+}
+
+#[test]
+fn only_tra_vos_carry_document_proofs() {
+    for terms in long_list_queries() {
+        for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
+            let vo = search(mechanism, &terms, R).vo;
+            assert!(vo.docs.is_empty(), "{} {terms:?}", mechanism.name());
+            assert!(vo.doc_table.is_none(), "{} {terms:?}", mechanism.name());
+        }
+        for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+            let index = engine(mechanism).auth().index();
+            let response = search(mechanism, &terms, R);
+            // Encountered documents: every document in a fetched prefix.
+            let encountered: HashSet<DocId> = terms
+                .iter()
+                .zip(&response.entries_read)
+                .flat_map(|(&t, &n)| index.list(t).entries()[..n].iter().map(|e| e.doc))
+                .collect();
+            let proved: Vec<DocId> = response.vo.docs.iter().map(|d| d.doc).collect();
+            assert_eq!(proved.len(), encountered.len(), "{}", mechanism.name());
+            assert_eq!(
+                proved.into_iter().collect::<HashSet<_>>(),
+                encountered,
+                "{} {terms:?}",
+                mechanism.name()
+            );
+            assert!(response.vo.doc_table.is_some(), "{}", mechanism.name());
+        }
+    }
+}
+
+#[test]
+fn chain_mht_vos_carry_fewer_digest_bytes_than_plain_mht() {
+    let digest_bytes = |mechanism: Mechanism| -> usize {
+        long_list_queries()
+            .iter()
+            .map(|terms| {
+                let vo = search(mechanism, terms, R).vo;
+                assert!(vo.docs.is_empty() && vo.dict.is_none());
+                vo.size().digest
+            })
+            .sum()
+    };
+    let (cmht, mht) = (
+        digest_bytes(Mechanism::TnraCmht),
+        digest_bytes(Mechanism::TnraMht),
+    );
+    // Recorded: 752 B vs 1,504 B.
+    assert!(cmht < mht, "TNRA-CMHT {cmht} B vs TNRA-MHT {mht} B");
+}
+
+#[test]
+fn vo_bytes_grow_with_r() {
+    for mechanism in Mechanism::ALL {
+        let vo_bytes = |r: usize| -> usize {
+            long_list_queries()
+                .iter()
+                .map(|terms| search(mechanism, terms, r).vo.size().total())
+                .sum()
+        };
+        // Recorded: r = 1 → 50 grows TRA-MHT 311 → 1,310 KB and
+        // TNRA-MHT 87 → 240 KB.
+        let (one, fifty) = (vo_bytes(1), vo_bytes(50));
+        assert!(
+            fifty > one,
+            "{}: r=50 {fifty} B vs r=1 {one} B",
+            mechanism.name()
+        );
+    }
+}
