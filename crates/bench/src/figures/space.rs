@@ -1,12 +1,10 @@
 //! §4.1 storage overheads: authentication space per mechanism, plus the
 //! §3.4 dictionary-MHT ablation.
 //!
-//! The "serve cache" column is this reproduction's extension: engine RAM
-//! held by the structures the cached engine keeps resident from the
-//! build — every term's (chain-)MHT and, under TRA, every document-MHT's
-//! interior levels — counted exactly. The paper's storage model
-//! (`serve_cache: false`) holds zero — both modes store the same bytes
-//! on disk.
+//! The "resident" column is this reproduction's extension: engine RAM
+//! held by the structures the engine keeps resident from the build —
+//! every term's (chain-)MHT, the dictionary-MHT in dictionary mode and,
+//! under TRA, every document-MHT's interior levels — counted exactly.
 
 use crate::tables::{fmt_bytes, Table};
 use crate::Workbench;
@@ -29,7 +27,7 @@ pub fn run(wb: &mut Workbench) {
             "doc auth",
             "sigs paper",
             "sigs here",
-            "serve cache",
+            "resident",
             "extra vs index",
             "extra vs total",
         ],
@@ -48,9 +46,6 @@ pub fn run(wb: &mut Workbench) {
             format!("{:.1}%", report.overhead_vs_total_pct()),
         ]);
     };
-    // The memoized Workbench auths run in paper mode (so the timing
-    // figures stay comparable to the paper); their rows therefore show
-    // 0 serve-cache residency.
     for mechanism in Mechanism::ALL {
         let (auth, _) = wb.auth(mechanism);
         let report = auth.space_report(contents_bytes);
@@ -67,30 +62,14 @@ pub fn run(wb: &mut Workbench) {
         "TNRA-CMHT+dictMHT".to_string(),
         &auth.space_report(contents_bytes),
     );
-    // Cached serving mode: identical disk bytes, plus engine RAM for the
-    // resident structures. One row per family — TRA-MHT
-    // is the residency-heaviest, TNRA-CMHT the paper's pick.
-    for mechanism in [Mechanism::TraMht, Mechanism::TnraCmht] {
-        let cached_config = AuthConfig {
-            key_bits: wb.scale.key_bits,
-            serve_cache: true,
-            ..AuthConfig::new(mechanism)
-        };
-        let (auth, _) = wb.build_auth(cached_config);
-        row(
-            format!("{} (cached)", mechanism.name()),
-            &auth.space_report(contents_bytes),
-        );
-    }
     t.note(
         "paper: TNRA needs <1% extra space over the plain index; TRA ~25% \
          (document-MHTs). Shape: TRA >> TNRA; the dictionary-MHT removes \
-         almost all per-list signature space. 'serve cache' is engine RAM \
-         of the cached serving mode ('(cached)' rows): every term \
-         structure plus, under TRA, the interior levels of every \
-         document-MHT, counted exactly. Disk bytes are identical; it is 0 \
-         under the paper's regenerate-from-leaves model used by the \
-         timing figures.",
+         almost all per-list signature space. 'resident' is the engine RAM \
+         of the structures kept from the build: every term structure, the \
+         dictionary-MHT in dictionary mode and, under TRA, the interior \
+         levels of every document-MHT, counted exactly. The paper stores \
+         only roots and leaves and regenerates the rest per query.",
     );
     t.note(
         "signatures: the paper stores one per term and, under TRA, one per \

@@ -62,12 +62,6 @@ impl Workbench {
         if !self.auths.contains_key(&mechanism) {
             let config = AuthConfig {
                 key_bits: self.scale.key_bits,
-                // Figures 13–15 time the paper's regenerate-from-leaves
-                // storage model; the serve cache would make the reported
-                // CPU times incomparable to the paper's. The cache's own
-                // numbers come from the serve_cached_vs_uncached
-                // criterion bench.
-                serve_cache: false,
                 ..AuthConfig::new(mechanism)
             };
             let built = self.build_auth(config);

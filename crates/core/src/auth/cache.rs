@@ -1,28 +1,23 @@
 //! Engine-side resident structures (the VO-construction hot path).
 //!
 //! The paper's storage model ([13], §3.3.1) keeps only roots and leaves
-//! on disk and regenerates every interior digest at query time, so each
-//! query rehashes entire term structures — and, in dictionary-MHT mode,
-//! all `m` dictionary leaves. The owner build (and a snapshot boot)
-//! already folds every one of those structures once for its root, so
-//! with [`AuthConfig::serve_cache`] on it keeps what the fold produced:
+//! on disk and regenerates every interior digest at query time. The
+//! owner build (and a snapshot boot) already folds every one of those
+//! structures once for its root, so it keeps what the fold produced:
 //!
-//! * the **dictionary-MHT**, whole;
+//! * the **dictionary-MHT**, whole (dictionary mode);
 //! * every **term structure**, indexed by term id
 //!   ([`ServeCache::terms`]): a plain term-MHT's levels above its
 //!   leaves, or the whole chain-MHT;
 //! * every **document-MHT**'s levels above its leaves (TRA,
 //!   [`ServeCache::doc_levels`]).
 //!
-//! Nothing is built, inserted or evicted while serving, so a reply reads
-//! these structures without taking a lock.
+//! Every reply proves from these. Nothing is built, inserted or evicted
+//! while serving, so a reply reads them without taking a lock.
 //!
-//! Proof **bit-compatibility** is the invariant: a resident structure
-//! holds the digests a fresh build from the stored leaves produces, so
-//! roots, proofs, and signatures are byte-identical whether the
-//! structures are resident or regenerated per query (`serve_cache:
-//! false`, the paper's model, kept as the reference the tests compare
-//! against and for the space benchmarks — see [`super::space`]).
+//! A resident structure holds the digests a fresh fold of the stored
+//! leaves produces, so its proofs are the ones that fold gives; the
+//! serve tests compare the two (`resident_proofs_match_fresh_trees`).
 //!
 //! The simulated disk trace is *not* affected: the I/O metrics continue
 //! to model the paper's storage layout so Figures 13–15 remain
@@ -48,7 +43,8 @@ pub(crate) enum TermStructure {
 impl TermStructure {
     /// Fold a list's stored leaf layer into its root (plain MHT) or head
     /// (chain-MHT) digest and the structure its proofs come from — the
-    /// single source of truth for the build, the boot, and paper mode.
+    /// single source of truth for the build, the boot, and the tests'
+    /// fresh-fold reference.
     pub(crate) fn build(config: &AuthConfig, list: &InvertedList) -> (Digest, TermStructure) {
         let leaves = term_leaves(config.mechanism, list);
         if config.mechanism.is_cmht() {
@@ -81,34 +77,11 @@ pub(crate) fn mht_resident_digests(n: usize) -> u64 {
     (n + interior_len(n)) as u64
 }
 
-/// Proofs of one kind made from resident structures (hits) or
-/// regenerated from leaves (misses).
-#[derive(Debug, Default)]
-struct ProofCounter {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ProofCounter {
-    fn add(&self, resident: bool, proofs: usize) {
-        let counter = if resident { &self.hits } else { &self.misses };
-        counter.fetch_add(proofs as u64, Ordering::Relaxed);
-    }
-
-    fn read(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// The structures one [`AuthenticatedIndex`] proves from, all resident
-/// from its build or boot (empty in paper mode, which regenerates each
-/// structure from its leaves per query), and the proof counters.
+/// from its build or boot, and the proof counters.
 #[derive(Debug)]
 pub(crate) struct ServeCache {
-    /// Dictionary-MHT (dictionary mode with the serve cache on).
+    /// Dictionary-MHT (dictionary mode only).
     pub(crate) dict_tree: Option<MerkleTree>,
     /// Every term's structure, indexed by term id.
     pub(crate) terms: Vec<TermStructure>,
@@ -117,8 +90,8 @@ pub(crate) struct ServeCache {
     /// ships no document proofs. Leaf digests are not kept: a proof
     /// rehashes the few unrevealed sibling leaves it needs.
     pub(crate) doc_levels: Vec<Box<[Digest]>>,
-    term_proofs: ProofCounter,
-    doc_proofs: ProofCounter,
+    term_proofs: AtomicU64,
+    doc_proofs: AtomicU64,
 }
 
 impl ServeCache {
@@ -132,39 +105,34 @@ impl ServeCache {
             dict_tree,
             terms,
             doc_levels,
-            term_proofs: ProofCounter::default(),
-            doc_proofs: ProofCounter::default(),
+            term_proofs: AtomicU64::new(0),
+            doc_proofs: AtomicU64::new(0),
         }
     }
 
-    /// Count one reply's `terms` term proofs and `docs` document proofs,
-    /// each as served from resident structures or as regenerated when
-    /// none are resident.
+    /// Count one reply's `terms` term proofs and `docs` document proofs.
     pub(crate) fn count_proofs(&self, terms: usize, docs: usize) {
-        self.term_proofs.add(!self.terms.is_empty(), terms);
-        self.doc_proofs.add(!self.doc_levels.is_empty(), docs);
+        self.term_proofs.fetch_add(terms as u64, Ordering::Relaxed);
+        self.doc_proofs.fetch_add(docs as u64, Ordering::Relaxed);
     }
 }
 
 /// Counters of the engine's resident structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Term proofs served from resident term structures.
+    /// Term proofs served, all from resident term structures.
     pub hits: u64,
-    /// Term proofs whose structure was regenerated from its leaves — the
-    /// paper-mode path (`serve_cache: false`); always 0 with the cache on.
+    /// Always 0: no term structure is rebuilt while serving.
     pub misses: u64,
-    /// Terms whose structure is resident: every term with the serve
-    /// cache on, otherwise 0.
+    /// Terms whose structure is resident: every term.
     pub resident_terms: usize,
-    /// Document proofs served from resident document-MHT levels (TRA
-    /// with the serve cache on).
+    /// Document proofs served (TRA), all from resident document-MHT
+    /// levels.
     pub doc_hits: u64,
-    /// Document proofs whose tree was regenerated from its leaves — the
-    /// paper-mode path; always 0 with the cache on.
+    /// Always 0: no document-MHT is rebuilt while serving.
     pub doc_misses: u64,
     /// Documents whose document-MHT levels are resident: every document
-    /// under TRA with the serve cache on, otherwise 0.
+    /// under TRA, 0 under TNRA.
     pub resident_docs: usize,
 }
 
@@ -183,14 +151,12 @@ impl AuthenticatedIndex {
     /// Snapshot of the resident-structure counters (for benchmarks and
     /// ops).
     pub fn cache_stats(&self) -> CacheStats {
-        let (hits, misses) = self.cache.term_proofs.read();
-        let (doc_hits, doc_misses) = self.cache.doc_proofs.read();
         CacheStats {
-            hits,
-            misses,
+            hits: self.cache.term_proofs.load(Ordering::Relaxed),
+            misses: 0,
             resident_terms: self.cache.terms.len(),
-            doc_hits,
-            doc_misses,
+            doc_hits: self.cache.doc_proofs.load(Ordering::Relaxed),
+            doc_misses: 0,
             resident_docs: self.cache.doc_levels.len(),
         }
     }
@@ -204,31 +170,10 @@ mod tests {
     use crate::vo::Mechanism;
     use authsearch_corpus::TermId;
 
-    /// Hand `check` a toy engine of every mechanism × serve-cache
-    /// setting as built and as booted from its snapshot.
-    fn for_built_and_booted(
-        tag: &str,
-        mut check: impl FnMut(&AuthenticatedIndex, &AuthenticatedIndex),
-    ) {
-        let dir = std::env::temp_dir().join(format!("authsearch-resident-{tag}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        for mechanism in Mechanism::ALL {
-            for serve_cache in [true, false] {
-                let built = test_auth(mechanism, serve_cache);
-                let path = dir.join(format!("{mechanism:?}-{serve_cache}.snap"));
-                built.save_snapshot(&path).unwrap();
-                let booted = AuthenticatedIndex::load_snapshot(&path, built.config()).unwrap();
-                std::fs::remove_file(&path).ok();
-                std::fs::remove_file(authsearch_index::persist::manifest_path(&path)).ok();
-                check(&built, &booted);
-            }
-        }
-    }
-
     #[test]
     fn term_structures_match_fresh_builds() {
         for mechanism in Mechanism::ALL {
-            let auth = test_auth(mechanism, true);
+            let auth = test_auth(mechanism);
             for t in 0..auth.index().num_terms() as TermId {
                 let (root, fresh) = TermStructure::build(auth.config(), auth.index().list(t));
                 assert_eq!(
@@ -244,7 +189,7 @@ mod tests {
     fn cache_hits_on_repeated_queries() {
         // Every term proof of every query is served from a resident
         // structure, the first query's included.
-        let auth = test_auth(Mechanism::TnraCmht, true);
+        let auth = test_auth(Mechanism::TnraCmht);
         assert_eq!((auth.cache_stats().hits, auth.cache_stats().misses), (0, 0));
         let terms = toy_query().terms.len() as u64;
         for round in 1..=2 {
@@ -255,87 +200,51 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_never_retains() {
-        let auth = test_auth(Mechanism::TnraCmht, false);
-        let _ = auth.query(&toy_query(), 2, &toy_contents());
-        let stats = auth.cache_stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, toy_query().terms.len() as u64);
-        assert_eq!(stats.resident_terms, 0);
-        assert_eq!(stats.resident_docs, 0);
-    }
-
-    #[test]
-    fn term_structures_resident_for_cached_only() {
-        // Every term's structure is resident after the build and after a
-        // snapshot boot, under every mechanism, so no term proof
-        // regenerates one. Paper mode holds none.
-        for_built_and_booted("terms", |built, booted| {
-            let config = built.config();
-            let resident = if config.serve_cache {
-                built.index().num_terms()
-            } else {
-                0
-            };
-            for (auth, how) in [(built, "built"), (booted, "booted")] {
-                let what = format!(
-                    "{:?} serve_cache={} {how}",
-                    config.mechanism, config.serve_cache
-                );
-                let _ = auth.query(&toy_query(), 2, &toy_contents());
-                let proofs = toy_query().terms.len() as u64;
-                let stats = auth.cache_stats();
-                assert_eq!(stats.resident_terms, resident, "{what}");
-                let (hits, misses) = if config.serve_cache {
-                    (proofs, 0)
-                } else {
-                    (0, proofs)
-                };
-                assert_eq!((stats.hits, stats.misses), (hits, misses), "{what}");
-            }
-            assert_eq!(built.cache.terms, booted.cache.terms);
-        });
-    }
-
-    #[test]
-    fn doc_levels_resident_for_cached_tra_only() {
-        // Every TRA document's levels are resident after the build and
-        // after a snapshot boot, so no document proof regenerates a tree.
-        // TNRA holds none, and neither does paper mode.
-        for_built_and_booted("docs", |built, booted| {
-            let config = built.config();
-            let tra = config.mechanism.is_tra();
-            let resident = if tra && config.serve_cache {
-                built.index().num_docs()
-            } else {
-                0
-            };
-            for (auth, how) in [(built, "built"), (booted, "booted")] {
-                let what = format!(
-                    "{:?} serve_cache={} {how}",
-                    config.mechanism, config.serve_cache
-                );
+    fn structures_resident_when_built_and_booted() {
+        // Every term's structure, and under TRA every document's levels,
+        // is resident after the build and after a snapshot boot, so every
+        // proof of a reply is served from one. TNRA holds no document
+        // levels and ships no document proofs.
+        let dir = std::env::temp_dir().join("authsearch-resident");
+        std::fs::create_dir_all(&dir).unwrap();
+        for mechanism in Mechanism::ALL {
+            let built = test_auth(mechanism);
+            let path = dir.join(format!("{mechanism:?}.snap"));
+            built.save_snapshot(&path).unwrap();
+            let booted = AuthenticatedIndex::load_snapshot(&path, built.config()).unwrap();
+            std::fs::remove_file(&path).ok();
+            std::fs::remove_file(authsearch_index::persist::manifest_path(&path)).ok();
+            let tra = mechanism.is_tra();
+            let docs = if tra { built.index().num_docs() } else { 0 };
+            for (auth, how) in [(&built, "built"), (&booted, "booted")] {
+                let what = format!("{mechanism:?} {how}");
                 let response = auth.query(&toy_query(), 2, &toy_contents());
-                let proofs = response.vo.docs.len() as u64;
+                let doc_proofs = response.vo.docs.len() as u64;
+                assert_eq!(doc_proofs > 0, tra, "{what}");
                 let stats = auth.cache_stats();
-                assert_eq!(stats.resident_docs, resident, "{what}");
-                assert_eq!(proofs > 0, tra, "{what}");
-                let (hits, misses) = if config.serve_cache {
-                    (proofs, 0)
-                } else {
-                    (0, proofs)
+                let want = CacheStats {
+                    hits: toy_query().terms.len() as u64,
+                    misses: 0,
+                    resident_terms: built.index().num_terms(),
+                    doc_hits: doc_proofs,
+                    doc_misses: 0,
+                    resident_docs: docs,
                 };
-                assert_eq!((stats.doc_hits, stats.doc_misses), (hits, misses), "{what}");
+                assert_eq!(stats, want, "{what}");
             }
-            assert_eq!(built.cache.doc_levels, booted.cache.doc_levels);
-        });
+            assert_eq!(built.cache.terms, booted.cache.terms, "{mechanism:?}");
+            assert_eq!(
+                built.cache.doc_levels, booted.cache.doc_levels,
+                "{mechanism:?}"
+            );
+        }
     }
 
     #[test]
     fn doc_structures_match_fresh_builds() {
         use super::super::doc_leaf_digest;
         use authsearch_corpus::DocId;
-        let auth = test_auth(Mechanism::TraCmht, true);
+        let auth = test_auth(Mechanism::TraCmht);
         for d in 0..auth.index().num_docs() as DocId {
             let leaves: Vec<Digest> = auth
                 .doc_table()

@@ -15,30 +15,19 @@
 //!   replacing the per-list signatures with one signature at the cost of
 //!   extra digests per VO.
 //!
-//! Following \[13\] (and §3.3.1), only roots and leaves are stored;
-//! intermediate digests are regenerated at runtime — which is exactly why
-//! the plain-MHT variants must re-read entire inverted lists at query time
-//! while the chain-MHT variants stop at the cut-off block.
-//!
-//! ## Cache vs. the paper's storage model
-//!
-//! Regenerating interior digests on every query is the right *storage*
-//! trade-off (the paper's §3.4 space analysis depends on it) but a poor
-//! *serving* trade-off: a production engine answering heavy traffic
-//! re-hashes the same hot lists — and in dictionary-MHT mode all `m`
-//! dictionary leaves — thousands of times over. The build folds every
-//! structure once for its root anyway, so [`AuthConfig::serve_cache`]
-//! (default **on**) keeps what that fold produced, for every structure:
-//! the dictionary-MHT, every term's (chain-)MHT (`term_structures`),
-//! and every document-MHT's levels above its leaves (TRA, `doc_mhts`).
-//! A snapshot boot refolds them the same way. Resident and regenerated
-//! structures are *bit-identical* — same roots, same proofs, same
-//! signatures — so verification is unaffected; only engine CPU time
-//! changes. The simulated disk accounting deliberately keeps modeling
-//! the paper's on-disk layout in both modes, so the I/O figures stay
-//! comparable. Setting `serve_cache: false` restores the paper's
-//! regenerate-from-leaves behavior exactly; [`space::SpaceReport`]
-//! reports the residency cost of both modes.
+//! The paper (following \[13\], §3.3.1) stores only roots and leaves and
+//! regenerates every interior digest per query. Here the build folds
+//! every structure once for its root and keeps what the fold produced:
+//! the dictionary-MHT (in dictionary mode), every term's (chain-)MHT
+//! (`term_structures`) and, under TRA, every document-MHT's levels
+//! above its leaves (`doc_mhts`). A snapshot boot refolds them the same
+//! way, so every reply proves from structures resident since the build
+//! or boot (the `cache` module). The proofs are the ones a fresh fold of the
+//! leaves gives; only engine CPU time differs from the paper's model.
+//! The simulated disk accounting keeps modeling the paper's on-disk
+//! layout — plain-MHT terms re-read whole lists, chain-MHT terms stop at
+//! the cut-off block — so the I/O figures stay comparable, and
+//! [`space::SpaceReport`] reports the residency exactly.
 
 mod cache;
 pub mod serve;
@@ -110,13 +99,6 @@ pub struct AuthConfig {
     pub dict_mht: bool,
     /// RSA modulus size (paper: 1024).
     pub key_bits: usize,
-    /// Keep every authentication structure the build (or snapshot boot)
-    /// folds resident at the engine: the dictionary-MHT, every term's
-    /// (chain-)MHT, every document-MHT's interior levels. `false`
-    /// reproduces the paper's regenerate-from-leaves storage model
-    /// byte-for-byte on every query. Proof output is bit-identical
-    /// either way; see the module docs for the trade-off.
-    pub serve_cache: bool,
     /// Worker threads for the owner-side build
     /// ([`AuthenticatedIndex::build`]), the snapshot boot, and the
     /// engine's serving pool ([`AuthenticatedIndex::serve_pool`]): `0`
@@ -149,7 +131,6 @@ impl AuthConfig {
             buddy: mechanism.is_cmht(),
             dict_mht: false,
             key_bits: PAPER_KEY_BITS,
-            serve_cache: true,
             threads: default_threads(),
         }
     }
@@ -293,39 +274,31 @@ pub(crate) fn doc_mht(doc_terms: &[(TermId, f32)]) -> (Digest, Box<[Digest]>) {
     (root, interior.into_boxed_slice())
 }
 
-/// Every document's MHT root, folded [`pool::map`]-parallel over
-/// `threads`, plus — when `keep` — its interior levels, the resident
-/// source of document proofs ([`cache::ServeCache::doc_levels`]; empty
-/// when not kept).
-pub(crate) fn doc_mhts(
-    threads: usize,
-    doc_table: &DocTable,
-    keep: bool,
-) -> (Vec<Digest>, Vec<Box<[Digest]>>) {
-    let per_doc = pool::map(threads, doc_table.num_docs(), |d| {
-        let (root, interior) = doc_mht(doc_table.doc_terms(d as DocId));
-        (root, if keep { interior } else { Box::default() })
-    });
-    let (roots, levels): (Vec<Digest>, Vec<Box<[Digest]>>) = per_doc.into_iter().unzip();
-    (roots, if keep { levels } else { Vec::new() })
+/// Every document's MHT root and interior levels, folded
+/// [`pool::map`]-parallel over `threads`; the levels are the resident
+/// source of document proofs ([`cache::ServeCache::doc_levels`]).
+pub(crate) fn doc_mhts(threads: usize, doc_table: &DocTable) -> (Vec<Digest>, Vec<Box<[Digest]>>) {
+    pool::map(threads, doc_table.num_docs(), |d| {
+        doc_mht(doc_table.doc_terms(d as DocId))
+    })
+    .into_iter()
+    .unzip()
 }
 
-/// Every term's root (plain MHT) or head (chain-MHT) digest, folded
-/// [`pool::map`]-parallel over `threads`, plus — when `keep` — the
-/// structure each fold produced, the resident source of term proofs
-/// ([`cache::ServeCache::terms`]; empty when not kept).
+/// Every term's root (plain MHT) or head (chain-MHT) digest and the
+/// structure its fold produced, folded [`pool::map`]-parallel over
+/// `threads`; the structures are the resident source of term proofs
+/// ([`cache::ServeCache::terms`]).
 pub(crate) fn term_structures(
     threads: usize,
     config: &AuthConfig,
     index: &InvertedIndex,
-    keep: bool,
 ) -> (Vec<Digest>, Vec<cache::TermStructure>) {
-    let per_term = pool::map(threads, index.num_terms(), |t| {
-        let (root, structure) = cache::TermStructure::build(config, index.list(t as TermId));
-        (root, keep.then_some(structure))
-    });
-    let (roots, structures): (Vec<Digest>, Vec<_>) = per_term.into_iter().unzip();
-    (roots, structures.into_iter().flatten().collect())
+    pool::map(threads, index.num_terms(), |t| {
+        cache::TermStructure::build(config, index.list(t as TermId))
+    })
+    .into_iter()
+    .unzip()
 }
 
 /// Concatenate `parts` into a fixed-size message. Every signed message
@@ -504,8 +477,8 @@ impl AuthenticatedIndex {
         let threads = config.build_threads();
 
         // Term structures: one independent task per term (hash the leaf
-        // layer, fold the (chain-)MHT), kept when serving from cache.
-        let (term_roots, terms) = term_structures(threads, &config, &index, config.serve_cache);
+        // layer, fold the (chain-)MHT), each kept for serving.
+        let (term_roots, terms) = term_structures(threads, &config, &index);
 
         let mut dict_tree = None;
         let (term_sigs, dict_sig) = if config.dict_mht {
@@ -513,15 +486,10 @@ impl AuthenticatedIndex {
                 let t = t as TermId;
                 dict_leaf_digest(t, index.ft(t), &term_roots[t as usize])
             });
-            let tree = MerkleTree::from_leaf_digests(leaves);
-            let root = tree.root();
-            if config.serve_cache {
-                // Built once here; every query's dictionary proof reuses
-                // it instead of rehashing all m leaves.
-                dict_tree = Some(tree);
-            }
+            // Built once here; every query's dictionary proof reuses it.
+            let tree = dict_tree.insert(MerkleTree::from_leaf_digests(leaves));
             let sig = key
-                .sign(&dict_message(m as u32, &root))
+                .sign(&dict_message(m as u32, &tree.root()))
                 .expect("dictionary signature");
             (Vec::new(), Some(sig))
         } else {
@@ -538,14 +506,14 @@ impl AuthenticatedIndex {
 
         // Document structures (TRA mechanisms only): hash the content and
         // fold the document-MHT independently per document — keeping its
-        // interior levels when serving from cache — then fold the
-        // document table and sign its root once.
+        // interior levels for serving — then fold the document table and
+        // sign its root once.
         let (doc_content_digests, doc_roots, doc_levels, doc_tree, doc_table_sig) =
             if config.mechanism.is_tra() {
                 let n = index.num_docs();
                 let digests =
                     pool::map(threads, n, |d| Digest::hash(&contents.content(d as DocId)));
-                let (roots, levels) = doc_mhts(threads, &doc_table, config.serve_cache);
+                let (roots, levels) = doc_mhts(threads, &doc_table);
                 let tree = doc_table_tree(&digests, &roots);
                 let num_docs = u32::try_from(n).expect("document ids are u32");
                 let sig = key
@@ -613,12 +581,11 @@ pub(crate) mod tests_support {
     use crate::vo::Mechanism;
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
 
-    /// Toy-collection authenticated index with the cache toggled.
-    pub(crate) fn test_auth(mechanism: Mechanism, serve_cache: bool) -> AuthenticatedIndex {
+    /// Toy-collection authenticated index under `mechanism`.
+    pub(crate) fn test_auth(mechanism: Mechanism) -> AuthenticatedIndex {
         let key = cached_keypair(TEST_KEY_BITS);
         let config = AuthConfig {
             key_bits: TEST_KEY_BITS,
-            serve_cache,
             ..AuthConfig::new(mechanism)
         };
         AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents())

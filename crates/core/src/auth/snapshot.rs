@@ -5,8 +5,8 @@
 //! untrusted engine once; rebuilding the artifact on every server start
 //! re-pays the owner's dominant preprocessing cost (one RSA signature
 //! per term, plus the document-table signature for TRA) for nothing. A
-//! snapshot reloads in near-O(1) — parsing plus cheap hashing, no
-//! signing.
+//! snapshot reloads with parsing, hashing and signature *verification*
+//! only — no signing.
 //!
 //! ## Container layout
 //!
@@ -38,16 +38,15 @@
 //!    [`PersistError::Stale`], not silently served;
 //! 3. **signature verification** against the embedded public key:
 //!    the dictionary-MHT signature over the root recomputed from the
-//!    loaded term roots (dictionary mode), or a deterministic sample of
-//!    per-term signatures otherwise; for TRA, the document-table
-//!    signature over the table rebuilt from every document's content
-//!    digest and root — all `n` documents. Then every term root and
-//!    every document-MHT root is recomputed from the loaded index,
-//!    folded through [`crate::pool::map`] at the configured width, and
-//!    must equal the signed one. That fold also rebuilds the structures
-//!    a cached engine proves from, so checking all `m` term roots and
-//!    `n` document roots costs no hashing beyond what serving needs
-//!    anyway.
+//!    loaded term roots (dictionary mode), or every per-term signature
+//!    otherwise (fanned out through [`crate::pool::map`]); for TRA, the
+//!    document-table signature over the table rebuilt from every
+//!    document's content digest and root — all `n` documents. Then every
+//!    term root and every document-MHT root is recomputed from the
+//!    loaded index, folded through [`crate::pool::map`] at the
+//!    configured width, and must equal the signed one. That fold also rebuilds the structures
+//!    the engine proves from, so checking all `m` term roots and `n`
+//!    document roots costs no hashing beyond what serving needs anyway.
 //!
 //! A forgery that survives all three (consistent digests *and* valid
 //! signatures over altered data) would require breaking the owner's
@@ -59,7 +58,7 @@ use super::{
     cache, dict_leaf_digest, dict_message, doc_mhts, doc_table_message, doc_table_tree,
     term_message, term_structures, AuthConfig, AuthenticatedIndex,
 };
-use crate::pool::ThreadPool;
+use crate::pool::{self, ThreadPool};
 use crate::types::DocTable;
 use crate::vo::Mechanism;
 use authsearch_corpus::TermId;
@@ -81,12 +80,6 @@ pub const TAG_INDEX: SectionTag = *b"ASIX";
 pub const TAG_AUTH: SectionTag = *b"ASA2";
 /// The layout-1 authentication section (one signature per document).
 const TAG_AUTH_V1: SectionTag = *b"ASAU";
-
-/// How many term signatures the non-dictionary boot check verifies,
-/// spread evenly across the artifact. The section digests already pin the
-/// exact saved bytes; the sample proves those bytes carry the *owner's*
-/// endorsement without paying O(m) RSA verifications on every boot.
-const BOOT_SIG_SAMPLES: usize = 16;
 
 fn corrupt(why: impl Into<String>) -> PersistError {
     PersistError::Corrupt(why.into())
@@ -126,8 +119,8 @@ fn encode_config(config: &AuthConfig) -> Vec<u8> {
 }
 
 /// Check the artifact identity the snapshot declares against what the
-/// caller expects. Runtime knobs (caches, threads) are deliberately
-/// *not* part of identity — they are the caller's to choose at boot.
+/// caller expects. The thread count is deliberately *not* part of
+/// identity — it is the caller's to choose at boot.
 fn check_config(payload: &[u8], expected: &AuthConfig) -> Result<(), PersistError> {
     let mut r = SectionReader::new(payload, "ACFG");
     let mechanism =
@@ -284,16 +277,6 @@ fn decode_auth(payload: &[u8]) -> Result<AuthParts, PersistError> {
     })
 }
 
-/// Evenly spread sample of `count ≤ len` indices, endpoints included.
-fn sample_indices(len: usize, count: usize) -> Vec<usize> {
-    if len <= count {
-        return (0..len).collect();
-    }
-    let mut out: Vec<usize> = (0..count).map(|k| k * (len - 1) / (count - 1)).collect();
-    out.dedup();
-    out
-}
-
 // ---- save / load ----------------------------------------------------------
 
 impl AuthenticatedIndex {
@@ -319,8 +302,7 @@ impl AuthenticatedIndex {
     /// the [module docs](self) for the three verification layers.
     /// `expected` supplies both the identity the snapshot must match
     /// (mechanism, buddy, dictionary mode, key bits, layout) and the
-    /// runtime knobs (caches, threads) the reloaded engine should run
-    /// with.
+    /// thread count the reloaded engine should run with.
     pub fn load_snapshot(
         path: &Path,
         expected: &AuthConfig,
@@ -415,6 +397,7 @@ impl AuthenticatedIndex {
 
         // Boot-time signature verification: prove the loaded roots carry
         // the owner's endorsement before serving anything.
+        let threads = expected.build_threads();
         let doc_table = DocTable::from_index(&index);
         let mut dict_tree = None;
         if expected.dict_mht {
@@ -433,27 +416,27 @@ impl AuthenticatedIndex {
                 .public_key
                 .verify(&msg, dict_sig)
                 .map_err(|e| corrupt(format!("dictionary signature rejected at boot: {e}")))?;
-            if expected.serve_cache {
-                dict_tree = Some(tree);
-            }
+            dict_tree = Some(tree);
         } else {
-            for t in sample_indices(m, BOOT_SIG_SAMPLES) {
+            // Every term signature, fanned out like the build's signing;
+            // the lowest rejected term is the one reported.
+            let verdicts = pool::map(threads, m, |t| {
                 let (root, sig) = parts
                     .term_roots
                     .get(t)
                     .zip(parts.term_sigs.get(t))
-                    .ok_or_else(|| corrupt(format!("sampled term {t} out of range")))?;
+                    .ok_or_else(|| corrupt(format!("term {t} out of range")))?;
                 let msg = term_message(t as TermId, index.ft(t as TermId), root);
                 parts
                     .public_key
                     .verify(&msg, sig)
-                    .map_err(|e| corrupt(format!("term {t} signature rejected at boot: {e}")))?;
-            }
+                    .map_err(|e| corrupt(format!("term {t} signature rejected at boot: {e}")))
+            });
+            verdicts.into_iter().collect::<Result<(), _>>()?;
         }
         // Refold every term: each recomputed root must be the signed one,
         // which ties every loaded list to the owner's signatures.
-        let threads = expected.build_threads();
-        let (roots, terms) = term_structures(threads, expected, &index, expected.serve_cache);
+        let (roots, terms) = term_structures(threads, expected, &index);
         if let Some(t) = roots
             .iter()
             .zip(&parts.term_roots)
@@ -474,7 +457,7 @@ impl AuthenticatedIndex {
                 .public_key
                 .verify(&doc_table_message(num_docs, &tree.root()), sig)
                 .map_err(|e| corrupt(format!("document-table signature rejected at boot: {e}")))?;
-            let (roots, levels) = doc_mhts(threads, &doc_table, expected.serve_cache);
+            let (roots, levels) = doc_mhts(threads, &doc_table);
             if let Some(d) = roots.iter().zip(&parts.doc_roots).position(|(a, b)| a != b) {
                 return Err(corrupt(format!(
                     "doc {d}: index disagrees with its signed root"
@@ -624,7 +607,7 @@ mod tests {
     #[test]
     fn roundtrip_serves_identical_vos_for_every_mechanism() {
         for mechanism in Mechanism::ALL {
-            let auth = test_auth(mechanism, true);
+            let auth = test_auth(mechanism);
             let path = temp_path(&format!("roundtrip-{mechanism:?}.snap"));
             let info = auth.save_snapshot(&path).unwrap();
             assert!(info.bytes > 0);
@@ -655,7 +638,7 @@ mod tests {
 
     #[test]
     fn mismatched_config_is_stale_not_corrupt() {
-        let auth = test_auth(Mechanism::TnraCmht, true);
+        let auth = test_auth(Mechanism::TnraCmht);
         let path = temp_path("stale.snap");
         auth.save_snapshot(&path).unwrap();
         let other = AuthConfig {
@@ -672,7 +655,7 @@ mod tests {
 
     #[test]
     fn tampered_auth_section_is_rejected() {
-        let auth = test_auth(Mechanism::TraMht, true);
+        let auth = test_auth(Mechanism::TraMht);
         let path = temp_path("tampered.snap");
         auth.save_snapshot(&path).unwrap();
         let mut bytes = fs::read(&path).unwrap();
@@ -690,10 +673,10 @@ mod tests {
 
     #[test]
     fn boot_verifies_the_document_table_over_every_document() {
-        // A doc root the owner never signed — anywhere, sampled or not —
-        // fails the one table signature at boot.
+        // A doc root the owner never signed, at any position, fails the
+        // one table signature at boot.
         for d in 0..9 {
-            let mut auth = test_auth(Mechanism::TraMht, true);
+            let mut auth = test_auth(Mechanism::TraMht);
             auth.doc_roots[d] = Digest::hash(b"not the owner's root");
             let path = temp_path(&format!("doc-root-{d}.snap"));
             auth.save_snapshot(&path).unwrap();
@@ -706,8 +689,8 @@ mod tests {
         }
     }
 
-    /// A 60-document synthetic engine: more documents and terms than the
-    /// 16 boot samples reach.
+    /// A 60-document synthetic engine: enough documents and terms that a
+    /// fixed interior target sits far from either end.
     fn synthetic_auth(mechanism: Mechanism) -> AuthenticatedIndex {
         use authsearch_corpus::SyntheticConfig;
         use authsearch_index::{build_index, OkapiParams};
@@ -777,19 +760,22 @@ mod tests {
         }
     }
 
+    /// The fixed interior term the forgery tests below target: the
+    /// middle of the dictionary, whose list ends in a positive weight.
+    fn interior_term(auth: &AuthenticatedIndex) -> (TermId, ImpactEntry) {
+        let index = auth.index();
+        let t = (index.num_terms() / 2) as TermId;
+        let last = *index.list(t).entries().last().unwrap();
+        assert!(last.weight > 0.0, "term {t} ends in a zero weight");
+        (t, last)
+    }
+
     #[test]
     fn boot_recomputes_every_document_root() {
-        // Forge the weight of one document no boot sample reaches, and
-        // boot must reject it by name.
+        // Forge the weight of one interior document, and boot must
+        // reject it by name.
         let auth = synthetic_auth(Mechanism::TraMht);
-        let index = auth.index();
-        let sampled = sample_indices(index.num_docs(), BOOT_SIG_SAMPLES);
-        assert!(index.num_docs() > BOOT_SIG_SAMPLES);
-        let m = index.num_terms() as TermId;
-        let (t, entry) = (0..m)
-            .filter_map(|t| Some((t, *index.list(t).entries().last()?)))
-            .find(|(_, e)| !sampled.contains(&(e.doc as usize)) && e.weight > 0.0)
-            .expect("some list ends in an unsampled document");
+        let (t, entry) = interior_term(&auth);
         let path = temp_path("forged-weight.snap");
         save_with_edited_list(&auth, t, &path, |e| halve_last_weight(e));
         let why = corrupt_reason(&auth, &path);
@@ -798,21 +784,12 @@ mod tests {
 
     #[test]
     fn boot_recomputes_every_term_root() {
-        // Forge the list of one term no sampled signature covers: its
-        // signed root and f_t are untouched, so only a refold of the
-        // list catches it. TNRA leaves carry the weight.
+        // Forge the list of one interior term: its signed root and f_t
+        // are untouched, so its signature still verifies and only a
+        // refold of the list catches it. TNRA leaves carry the weight.
         for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
             let auth = synthetic_auth(mechanism);
-            let index = auth.index();
-            let m = index.num_terms();
-            let sampled = sample_indices(m, BOOT_SIG_SAMPLES);
-            assert!(m > BOOT_SIG_SAMPLES);
-            let t = (0..m as TermId)
-                .find(|&t| {
-                    let last = index.list(t).entries().last();
-                    !sampled.contains(&(t as usize)) && last.is_some_and(|e| e.weight > 0.0)
-                })
-                .expect("some unsampled term has a positive weight");
+            let (t, _) = interior_term(&auth);
             let path = temp_path(&format!("forged-list-{mechanism:?}.snap"));
             save_with_edited_list(&auth, t, &path, |e| halve_last_weight(e));
             assert_eq!(
@@ -824,10 +801,34 @@ mod tests {
     }
 
     #[test]
+    fn boot_verifies_every_term_signature() {
+        // Term 1 is no endpoint, and no evenly spaced sample of 16 out of
+        // m > 30 terms reaches it. One flipped byte of its signature,
+        // saved under honest section digests, must fail boot by name.
+        let mut auth = synthetic_auth(Mechanism::TnraCmht);
+        let m = auth.index().num_terms();
+        assert!(m > 30, "{m} terms");
+        let t: TermId = 1;
+        let sig = &mut auth.term_sigs[t as usize];
+        *sig.last_mut().unwrap() ^= 0x01;
+        let msg = term_message(t, auth.index().ft(t), &auth.term_root(t));
+        let e = auth
+            .public_key()
+            .verify(&msg, &auth.term_sigs[t as usize])
+            .unwrap_err();
+        let path = temp_path("forged-term-signature.snap");
+        auth.save_snapshot(&path).unwrap();
+        assert_eq!(
+            corrupt_reason(&auth, &path),
+            format!("term {t} signature rejected at boot: {e}")
+        );
+    }
+
+    #[test]
     fn boot_rejects_an_empty_list() {
         // Folding an empty list has no root; boot refuses it by name
         // instead.
-        let auth = test_auth(Mechanism::TnraMht, true);
+        let auth = test_auth(Mechanism::TnraMht);
         let path = temp_path("empty-list.snap");
         save_with_edited_list(&auth, 3, &path, Vec::clear);
         assert_eq!(corrupt_reason(&auth, &path), "term 3: empty inverted list");
@@ -835,7 +836,7 @@ mod tests {
 
     #[test]
     fn per_document_signature_snapshot_is_stale() {
-        let auth = test_auth(Mechanism::TraCmht, true);
+        let auth = test_auth(Mechanism::TraCmht);
         let path = temp_path("layout-1.snap");
         auth.save_snapshot(&path).unwrap();
         let (mut sections, _) = persist::load_snapshot_file(&path).unwrap();
@@ -854,12 +855,11 @@ mod tests {
         let path = temp_path("boot-heal.snap");
         fs::remove_file(&path).ok();
         fs::remove_file(persist::manifest_path(&path)).ok();
-        let reference = test_auth(Mechanism::TnraMht, true);
+        let reference = test_auth(Mechanism::TnraMht);
         let expected = *reference.config();
 
-        let (first, report) = boot_authenticated_index(Some(&path), &expected, || {
-            test_auth(Mechanism::TnraMht, true)
-        });
+        let (first, report) =
+            boot_authenticated_index(Some(&path), &expected, || test_auth(Mechanism::TnraMht));
         assert_eq!(report.source, BootSource::FreshBuild);
         assert!(report.reason.is_some());
         assert!(report.healed, "fresh build should be saved back");
@@ -874,7 +874,7 @@ mod tests {
         assert_eq!(a.vo, b.vo);
 
         let (_, report) =
-            boot_authenticated_index(None, &expected, || test_auth(Mechanism::TnraMht, true));
+            boot_authenticated_index(None, &expected, || test_auth(Mechanism::TnraMht));
         assert_eq!(report.source, BootSource::FreshBuild);
         assert!(!report.healed);
         fs::remove_file(&path).ok();

@@ -9,10 +9,10 @@ use authsearch_corpus::TermId;
 use authsearch_crypto::DIGEST_LEN;
 use authsearch_index::ImpactEntry;
 
-/// Byte-level storage breakdown of an authenticated index, covering both
-/// serving modes: the paper's regenerate-from-leaves model (disk only)
-/// and the cached mode, which additionally holds materialized structures
-/// in engine RAM (see the `auth::cache` module and [`super::CacheStats`]).
+/// Byte-level storage breakdown of an authenticated index: what the
+/// paper's storage model persists on disk, and the engine RAM held by
+/// the structures resident since the build or boot (see the
+/// `auth::cache` module and [`super::CacheStats`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpaceReport {
     /// Plain (unauthenticated) index: dictionary plus block-padded
@@ -34,27 +34,18 @@ pub struct SpaceReport {
     /// Signatures the paper's scheme stores for the same artifact: the
     /// term-side ones plus one per document under TRA (Figure 8).
     pub paper_signatures: u64,
-    /// Engine RAM held by the structures resident in the cached serving
-    /// mode, counted exactly ([`AuthenticatedIndex::cache_resident_bytes`]):
-    /// the dictionary-MHT, every term structure, and (TRA) every
-    /// document-MHT's interior levels. Zero in paper mode
-    /// (`serve_cache: false`) — that mode's whole point is storing
-    /// nothing beyond roots and leaves.
+    /// Engine RAM held by the resident structures, counted exactly
+    /// ([`AuthenticatedIndex::cache_resident_bytes`]): the
+    /// dictionary-MHT, every term structure, and (TRA) every
+    /// document-MHT's interior levels.
     pub cache_resident_bytes: u64,
 }
 
 impl SpaceReport {
     /// Total extra bytes attributable to authentication under the
-    /// paper's storage model (what must persist on disk — identical in
-    /// both serving modes).
+    /// paper's storage model (what must persist on disk).
     pub fn auth_extra_bytes(&self) -> i64 {
         self.term_auth_bytes + self.doc_auth_bytes as i64
-    }
-
-    /// Total extra bytes of the cached serving mode: the paper-mode
-    /// storage plus the resident structures.
-    pub fn cached_mode_extra_bytes(&self) -> i64 {
-        self.auth_extra_bytes() + self.cache_resident_bytes as i64
     }
 
     /// Extra space as a percentage of the plain index.
@@ -124,8 +115,8 @@ impl AuthenticatedIndex {
 
     /// Bytes held by the resident structures: the dictionary-MHT (leaves
     /// included), every term structure, and every document-MHT's
-    /// interior levels. Nothing is ever evicted, so this is the exact
-    /// footprint from the build or boot on.
+    /// interior levels. Nothing is ever evicted, so this is the
+    /// artifact's exact residency from the build or boot on.
     pub fn cache_resident_bytes(&self) -> u64 {
         let cache = &self.cache;
         let dict = cache
@@ -145,19 +136,14 @@ impl AuthenticatedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auth::tests_support::test_auth;
     use crate::auth::AuthConfig;
     use crate::toy::{toy_contents, toy_index};
     use crate::vo::Mechanism;
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
 
     fn report(mechanism: Mechanism) -> SpaceReport {
-        let key = cached_keypair(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
-        let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
-        auth.space_report(1000)
+        test_auth(mechanism).space_report(1000)
     }
 
     #[test]
@@ -213,60 +199,17 @@ mod tests {
     }
 
     #[test]
-    fn both_serving_modes_reported() {
-        let key = cached_keypair(TEST_KEY_BITS);
-        let build = |serve_cache: bool| {
-            AuthenticatedIndex::build(
-                toy_index(),
-                &key,
-                AuthConfig {
-                    key_bits: TEST_KEY_BITS,
-                    serve_cache,
-                    ..AuthConfig::new(Mechanism::TnraMht)
-                },
-                &toy_contents(),
-            )
-        };
-        let cached = build(true).space_report(1000);
-        let paper = build(false).space_report(1000);
-        // On-disk storage is identical; only residency differs.
-        assert_eq!(cached.auth_extra_bytes(), paper.auth_extra_bytes());
-        assert_eq!(paper.cache_resident_bytes, 0);
-        assert!(cached.cache_resident_bytes > 0);
-        assert_eq!(
-            cached.cached_mode_extra_bytes(),
-            cached.auth_extra_bytes() + cached.cache_resident_bytes as i64
-        );
-        assert_eq!(paper.cached_mode_extra_bytes(), paper.auth_extra_bytes());
-    }
-
-    #[test]
     fn live_residency_tracks_queries() {
         // Residency is fixed by the build: the first query finds every
         // structure in place and no query adds to it.
         use crate::toy::toy_query;
-        let key = cached_keypair(TEST_KEY_BITS);
-        let build = |serve_cache: bool| {
-            AuthenticatedIndex::build(
-                toy_index(),
-                &key,
-                AuthConfig {
-                    key_bits: TEST_KEY_BITS,
-                    serve_cache,
-                    ..AuthConfig::new(Mechanism::TnraCmht)
-                },
-                &toy_contents(),
-            )
-        };
-        for serve_cache in [true, false] {
-            let auth = build(serve_cache);
-            let before = auth.cache_resident_bytes();
-            assert_eq!(before > 0, serve_cache);
-            assert_eq!(before, auth.space_report(0).cache_resident_bytes);
-            for _ in 0..2 {
-                let _ = auth.query(&toy_query(), 2, &toy_contents());
-                assert_eq!(auth.cache_resident_bytes(), before);
-            }
+        let auth = test_auth(Mechanism::TnraCmht);
+        let before = auth.cache_resident_bytes();
+        assert!(before > 0);
+        assert_eq!(before, auth.space_report(0).cache_resident_bytes);
+        for _ in 0..2 {
+            let _ = auth.query(&toy_query(), 2, &toy_contents());
+            assert_eq!(auth.cache_resident_bytes(), before);
         }
     }
 
@@ -275,21 +218,8 @@ mod tests {
         // TRA and TNRA under the same MHT hold the same term structures,
         // so TRA's extra residency is exactly its document levels.
         use authsearch_crypto::merkle::interior_len;
-        let key = cached_keypair(TEST_KEY_BITS);
-        let build = |mechanism: Mechanism, serve_cache: bool| {
-            AuthenticatedIndex::build(
-                toy_index(),
-                &key,
-                AuthConfig {
-                    key_bits: TEST_KEY_BITS,
-                    serve_cache,
-                    ..AuthConfig::new(mechanism)
-                },
-                &toy_contents(),
-            )
-        };
-        let tra = build(Mechanism::TraMht, true);
-        let tnra = build(Mechanism::TnraMht, true);
+        let tra = test_auth(Mechanism::TraMht);
+        let tnra = test_auth(Mechanism::TnraMht);
         let levels: u64 = (0..tra.index().num_docs() as u32)
             .map(|d| interior_len(tra.doc_table().doc_terms(d).len()) as u64)
             .sum();
@@ -299,22 +229,18 @@ mod tests {
             tra.cache_resident_bytes() - tnra.cache_resident_bytes(),
             want
         );
-        let paper = build(Mechanism::TraMht, false);
-        assert_eq!(paper.cache_resident_bytes(), 0);
-        assert_eq!(paper.space_report(0).cache_resident_bytes, 0);
     }
 
     #[test]
     fn resident_bytes_are_counted_exactly() {
         // Every term structure, every TRA document's interior levels and
-        // the dictionary-MHT, from the index alone; nothing in paper mode.
+        // the dictionary-MHT, from the index alone.
         use authsearch_crypto::merkle::interior_len;
         let key = cached_keypair(TEST_KEY_BITS);
         for mechanism in Mechanism::ALL {
-            for (serve_cache, dict_mht) in [(true, false), (true, true), (false, false)] {
+            for dict_mht in [false, true] {
                 let config = AuthConfig {
                     key_bits: TEST_KEY_BITS,
-                    serve_cache,
                     dict_mht,
                     ..AuthConfig::new(mechanism)
                 };
@@ -332,12 +258,8 @@ mod tests {
                     .map(|d| interior_len(auth.doc_table().doc_terms(d).len()))
                     .sum();
                 let dict = if dict_mht { m + interior_len(m) } else { 0 };
-                let want = if serve_cache {
-                    ((terms + docs + dict) * DIGEST_LEN) as u64
-                } else {
-                    0
-                };
-                let what = format!("{mechanism:?} serve_cache={serve_cache} dict_mht={dict_mht}");
+                let want = ((terms + docs + dict) * DIGEST_LEN) as u64;
+                let what = format!("{mechanism:?} dict_mht={dict_mht}");
                 assert_eq!(auth.cache_resident_bytes(), want, "{what}");
                 assert_eq!(auth.space_report(0).cache_resident_bytes, want, "{what}");
             }

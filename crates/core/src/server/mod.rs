@@ -634,13 +634,10 @@ mod tests {
     use std::net::TcpStream;
 
     fn test_engine(mechanism: Mechanism) -> (Arc<SearchEngine>, crate::verify::VerifierParams) {
-        test_engine_with(AuthConfig {
+        let config = AuthConfig {
             key_bits: TEST_KEY_BITS,
             ..AuthConfig::new(mechanism)
-        })
-    }
-
-    fn test_engine_with(config: AuthConfig) -> (Arc<SearchEngine>, crate::verify::VerifierParams) {
+        };
         let corpus = CorpusBuilder::new()
             .min_df(1)
             .add_text("the night keeper keeps the keep in the town")
@@ -1153,23 +1150,15 @@ mod tests {
 
     #[test]
     fn warm_start_is_config_driven() {
-        // What is resident at start follows the engine's AuthConfig
-        // alone: every term under the serve cache, none in paper mode,
-        // and startup warms nothing on top in either.
-        for serve_cache in [true, false] {
-            let (engine, _) = test_engine_with(AuthConfig {
-                key_bits: TEST_KEY_BITS,
-                serve_cache,
-                ..AuthConfig::new(Mechanism::TnraCmht)
-            });
-            let m = engine.auth().index().num_terms();
-            let resident = if serve_cache { m } else { 0 };
-            let handle =
-                Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).unwrap();
-            assert_eq!(handle.warmed(), WarmStats::default());
-            assert_eq!(engine.auth().cache_stats().resident_terms, resident);
-            handle.shutdown();
-        }
+        // Every term is resident from the build, and startup warms
+        // nothing on top.
+        let (engine, _) = test_engine(Mechanism::TnraCmht);
+        let m = engine.auth().index().num_terms();
+        let handle =
+            Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        assert_eq!(handle.warmed(), WarmStats::default());
+        assert_eq!(engine.auth().cache_stats().resident_terms, m);
+        handle.shutdown();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The paper's qualitative shapes, pinned at one small recorded scale.
 //!
 //! Figures 13–15 and Table 2 are curves over the WSJ collection; what
-//! survives a change of scale are their orderings. This suite pins four
+//! survives a change of scale are their orderings. This suite pins six
 //! of them on one synthetic corpus (`SyntheticConfig::tiny(2000, 2008)`,
 //! 512-bit test keys) and one seeded query set, so a change that bends a
 //! curve shows up as a failing ordering rather than silently:
@@ -11,7 +11,10 @@
 //!   encountered document;
 //! * (c) chain-MHT VOs carry fewer digest bytes than plain-MHT VOs over
 //!   lists spanning several chain blocks;
-//! * (d) VO size grows with `r`.
+//! * (d) VO size grows with `r`;
+//! * (e) VO size grows with query length;
+//! * (f) TRA VOs are larger than TNRA VOs under the same tree type
+//!   (§4.2).
 
 use authsearch_core::{AuthConfig, DataOwner, Mechanism, Query, SearchEngine};
 use authsearch_corpus::{workload, DocId, SyntheticConfig, TermId};
@@ -22,10 +25,14 @@ use std::sync::OnceLock;
 /// Corpus size and seed of the recorded scale.
 const NUM_DOCS: usize = 2000;
 const SEED: u64 = 2008;
-/// Queries in the set, and terms per query.
+/// Queries in the set, and terms per query ((e) draws longer ones).
 const QUERIES: usize = 12;
 const TERMS_PER_QUERY: usize = 3;
-/// Result size for (a)–(c).
+/// (e) compares the first [`SHORT_QUERY`] terms of each query against
+/// all [`LONG_QUERY`].
+const SHORT_QUERY: usize = 2;
+const LONG_QUERY: usize = 5;
+/// Result size for (a)–(c), (e) and (f).
 const R: usize = 10;
 /// (c) compares terms whose lists span at least this many chain blocks.
 const MIN_BLOCKS: usize = 4;
@@ -57,17 +64,22 @@ fn engine(mechanism: Mechanism) -> &'static SearchEngine {
 /// Multi-term queries over long lists: terms drawn (seeded) from those
 /// whose lists span at least [`MIN_BLOCKS`] TNRA chain blocks.
 fn long_list_queries() -> Vec<Vec<TermId>> {
+    long_list_queries_of(TERMS_PER_QUERY)
+}
+
+/// [`long_list_queries`] with `terms_per_query` terms each.
+fn long_list_queries_of(terms_per_query: usize) -> Vec<Vec<TermId>> {
     let auth = engine(Mechanism::TnraCmht).auth();
     let capacity = auth.config().chain_capacity();
     let long: Vec<TermId> = (0..auth.index().num_terms() as TermId)
         .filter(|&t| auth.index().list(t).len() > (MIN_BLOCKS - 1) * capacity)
         .collect();
     assert!(
-        long.len() >= 2 * TERMS_PER_QUERY,
+        long.len() >= 2 * terms_per_query,
         "scale too small: {} long lists",
         long.len()
     );
-    workload::synthetic(long.len(), QUERIES, TERMS_PER_QUERY, SEED)
+    workload::synthetic(long.len(), QUERIES, terms_per_query, SEED)
         .into_iter()
         .map(|picks| {
             let mut terms: Vec<TermId> = picks.into_iter().map(|i| long[i as usize]).collect();
@@ -80,6 +92,14 @@ fn long_list_queries() -> Vec<Vec<TermId>> {
 fn search(mechanism: Mechanism, terms: &[TermId], r: usize) -> authsearch_core::QueryResponse {
     let engine = engine(mechanism);
     engine.search(&Query::from_term_ids(engine.auth().index(), terms), r)
+}
+
+/// Σ VO bytes of `queries` under `mechanism` at result size `r`.
+fn total_vo_bytes(mechanism: Mechanism, queries: &[Vec<TermId>], r: usize) -> usize {
+    queries
+        .iter()
+        .map(|terms| search(mechanism, terms, r).vo.size().total())
+        .sum()
 }
 
 #[test]
@@ -154,12 +174,7 @@ fn chain_mht_vos_carry_fewer_digest_bytes_than_plain_mht() {
 #[test]
 fn vo_bytes_grow_with_r() {
     for mechanism in Mechanism::ALL {
-        let vo_bytes = |r: usize| -> usize {
-            long_list_queries()
-                .iter()
-                .map(|terms| search(mechanism, terms, r).vo.size().total())
-                .sum()
-        };
+        let vo_bytes = |r: usize| total_vo_bytes(mechanism, &long_list_queries(), r);
         // Recorded: r = 1 → 50 grows TRA-MHT 311 → 1,310 KB and
         // TNRA-MHT 87 → 240 KB.
         let (one, fifty) = (vo_bytes(1), vo_bytes(50));
@@ -167,6 +182,48 @@ fn vo_bytes_grow_with_r() {
             fifty > one,
             "{}: r=50 {fifty} B vs r=1 {one} B",
             mechanism.name()
+        );
+    }
+}
+
+#[test]
+fn vo_bytes_grow_with_query_length() {
+    let long = long_list_queries_of(LONG_QUERY);
+    let short: Vec<Vec<TermId>> = long.iter().map(|q| q[..SHORT_QUERY].to_vec()).collect();
+    for mechanism in Mechanism::ALL {
+        let (two, five) = (
+            total_vo_bytes(mechanism, &short, R),
+            total_vo_bytes(mechanism, &long, R),
+        );
+        // Recorded: 2 → 5 terms grows TRA-MHT 184 → 2,475 KB, TRA-CMHT
+        // 171 → 2,205 KB, TNRA-MHT 124 → 244 KB and TNRA-CMHT
+        // 124 → 244 KB.
+        assert!(
+            five > two,
+            "{}: {LONG_QUERY} terms {five} B vs {SHORT_QUERY} terms {two} B",
+            mechanism.name()
+        );
+    }
+}
+
+#[test]
+fn tra_vos_are_larger_than_tnra_vos() {
+    let queries = long_list_queries();
+    for (tra, tnra) in [
+        (Mechanism::TraMht, Mechanism::TnraMht),
+        (Mechanism::TraCmht, Mechanism::TnraCmht),
+    ] {
+        let (tra_bytes, tnra_bytes) = (
+            total_vo_bytes(tra, &queries, R),
+            total_vo_bytes(tnra, &queries, R),
+        );
+        // Recorded: TRA-MHT 769 KB vs TNRA-MHT 157 KB, TRA-CMHT 700 KB
+        // vs TNRA-CMHT 156 KB.
+        assert!(
+            tra_bytes > tnra_bytes,
+            "{} {tra_bytes} B vs {} {tnra_bytes} B",
+            tra.name(),
+            tnra.name()
         );
     }
 }
