@@ -1,7 +1,7 @@
 //! The paper's qualitative shapes, pinned at one small recorded scale.
 //!
 //! Figures 13–15 and Table 2 are curves over the WSJ collection; what
-//! survives a change of scale are their orderings. This suite pins six
+//! survives a change of scale are their orderings. This suite pins seven
 //! of them on one synthetic corpus (`SyntheticConfig::tiny(2000, 2008)`,
 //! 512-bit test keys) and one seeded query set, so a change that bends a
 //! curve shows up as a failing ordering rather than silently:
@@ -14,9 +14,11 @@
 //! * (d) VO size grows with `r`;
 //! * (e) VO size grows with query length;
 //! * (f) TRA VOs are larger than TNRA VOs under the same tree type
-//!   (§4.2).
+//!   (§4.2);
+//! * (g) Table 2's split of VO bytes into data, digests and signatures
+//!   stays inside a recorded band per mechanism.
 
-use authsearch_core::{AuthConfig, DataOwner, Mechanism, Query, SearchEngine};
+use authsearch_core::{AuthConfig, DataOwner, Mechanism, Query, SearchEngine, VoSize};
 use authsearch_corpus::{workload, DocId, SyntheticConfig, TermId};
 use authsearch_crypto::keys::TEST_KEY_BITS;
 use std::collections::HashSet;
@@ -225,5 +227,47 @@ fn tra_vos_are_larger_than_tnra_vos() {
             tra.name(),
             tnra.name()
         );
+    }
+}
+
+/// Σ VO byte breakdown of `queries` under `mechanism` at result size `r`.
+fn total_vo_size(mechanism: Mechanism, queries: &[Vec<TermId>], r: usize) -> VoSize {
+    queries
+        .iter()
+        .map(|terms| search(mechanism, terms, r).vo.size())
+        .fold(VoSize::default(), |a, b| a + b)
+}
+
+/// A closed percentage band `[lo, hi]`.
+type Band = (f64, f64);
+
+#[test]
+fn table2_vo_split_stays_in_band() {
+    // (mechanism, data, digest, signature): each component's share of
+    // the total VO bytes. Recorded: TRA-MHT 20.0 / 79.6 / 0.40 %,
+    // TRA-CMHT 48.9 / 50.7 / 0.44 %, TNRA-MHT 97.6 / 0.96 / 1.47 %,
+    // TNRA-CMHT 98.1 / 0.48 / 1.47 %.
+    let bands: [(Mechanism, Band, Band, Band); 4] = [
+        (Mechanism::TraMht, (15.0, 25.0), (75.0, 85.0), (0.3, 0.6)),
+        (Mechanism::TraCmht, (44.0, 54.0), (46.0, 56.0), (0.3, 0.6)),
+        (Mechanism::TnraMht, (94.0, 99.0), (0.5, 5.0), (1.2, 1.8)),
+        (Mechanism::TnraCmht, (94.0, 99.0), (0.2, 4.5), (1.2, 1.8)),
+    ];
+    let queries = long_list_queries();
+    for (mechanism, data, digest, signature) in bands {
+        let size = total_vo_size(mechanism, &queries, R);
+        let share = |bytes: usize| 100.0 * bytes as f64 / size.total() as f64;
+        for (what, got, (lo, hi)) in [
+            ("data", share(size.data), data),
+            ("digest", share(size.digest), digest),
+            ("signature", share(size.signature), signature),
+        ] {
+            assert!(
+                (lo..=hi).contains(&got),
+                "{}: {what} is {got:.2} % of {} VO bytes, outside [{lo}, {hi}]",
+                mechanism.name(),
+                size.total()
+            );
+        }
     }
 }
