@@ -2,8 +2,7 @@
 //!
 //! 1. buddy inclusion on/off (VO bytes traded against digests);
 //! 2. chain-MHT block capacity ρ (via the block size);
-//! 3. per-list signatures vs the §3.4 dictionary-MHT;
-//! 4. score-prioritised vs equal-depth polling (the paper's adaptation
+//! 3. score-prioritised vs equal-depth polling (the paper's adaptation
 //!    of Fagin's algorithms vs the originals), measured in entries read.
 
 use authsearch_core::{verify, AuthConfig, AuthenticatedIndex, Mechanism, Query, VerifierParams};
@@ -120,37 +119,6 @@ fn ablation_rho(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_dict_mht(c: &mut Criterion) {
-    let corpus = SyntheticConfig::wsj(0.01).generate();
-    let mut group = c.benchmark_group("ablation_dict_mht");
-    group
-        .sample_size(12)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    for dict_mht in [false, true] {
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            dict_mht,
-            ..AuthConfig::new(Mechanism::TnraCmht)
-        };
-        let (auth, params) = build(config, &corpus);
-        let queries: Vec<Query> =
-            authsearch_corpus::workload::synthetic(auth.index().num_terms(), 8, 3, 4)
-                .iter()
-                .map(|t| Query::from_term_ids(auth.index(), t))
-                .collect();
-        bench_serve_verify(
-            &mut group,
-            BenchmarkId::new("serve_verify", format!("dict_{dict_mht}")),
-            &auth,
-            &params,
-            &corpus,
-            &queries,
-        );
-    }
-    group.finish();
-}
-
 fn ablation_equal_depth(c: &mut Criterion) {
     // The paper's key adaptation of Fagin's algorithms: pop from the list
     // with the highest term score instead of round-robin equal depth.
@@ -205,11 +173,5 @@ fn ablation_equal_depth(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    ablation_buddy,
-    ablation_rho,
-    ablation_dict_mht,
-    ablation_equal_depth
-);
+criterion_group!(benches, ablation_buddy, ablation_rho, ablation_equal_depth);
 criterion_main!(benches);

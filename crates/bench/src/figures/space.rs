@@ -1,14 +1,13 @@
-//! §4.1 storage overheads: authentication space per mechanism, plus the
-//! §3.4 dictionary-MHT ablation.
+//! §4.1 storage overheads: authentication space per mechanism.
 //!
 //! The "resident" column is this reproduction's extension: engine RAM
 //! held by the structures the engine keeps resident from the build —
-//! every term's (chain-)MHT, the dictionary-MHT in dictionary mode and,
-//! under TRA, every document-MHT's interior levels — counted exactly.
+//! every term's (chain-)MHT, the dictionary-MHT and, under TRA, every
+//! document-MHT's interior levels — counted exactly.
 
 use crate::tables::{fmt_bytes, Table};
 use crate::Workbench;
-use authsearch_core::{AuthConfig, Mechanism};
+use authsearch_core::Mechanism;
 
 /// Print the storage report table.
 pub fn run(wb: &mut Workbench) {
@@ -25,8 +24,7 @@ pub fn run(wb: &mut Workbench) {
             "collection",
             "term auth",
             "doc auth",
-            "sigs paper",
-            "sigs here",
+            "signatures",
             "resident",
             "extra vs index",
             "extra vs total",
@@ -39,8 +37,10 @@ pub fn run(wb: &mut Workbench) {
             fmt_bytes(report.contents_bytes as f64),
             fmt_bytes(report.term_auth_bytes as f64),
             fmt_bytes(report.doc_auth_bytes as f64),
-            report.paper_signatures.to_string(),
-            report.signatures.to_string(),
+            format!(
+                "paper: {}, here: {}",
+                report.paper_signatures, report.signatures
+            ),
             fmt_bytes(report.cache_resident_bytes as f64),
             format!("{:.1}%", report.overhead_vs_index_pct()),
             format!("{:.1}%", report.overhead_vs_total_pct()),
@@ -51,30 +51,18 @@ pub fn run(wb: &mut Workbench) {
         let report = auth.space_report(contents_bytes);
         row(mechanism.name().to_string(), &report);
     }
-    // §3.4 ablation: one dictionary-MHT signature instead of per-list.
-    let dict_config = AuthConfig {
-        key_bits: wb.scale.key_bits,
-        dict_mht: true,
-        ..AuthConfig::new(Mechanism::TnraCmht)
-    };
-    let (auth, _) = wb.build_auth(dict_config);
-    row(
-        "TNRA-CMHT+dictMHT".to_string(),
-        &auth.space_report(contents_bytes),
-    );
     t.note(
         "paper: TNRA needs <1% extra space over the plain index; TRA ~25% \
-         (document-MHTs). Shape: TRA >> TNRA; the dictionary-MHT removes \
-         almost all per-list signature space. 'resident' is the engine RAM \
+         (document-MHTs). Shape: TRA >> TNRA. 'resident' is the engine RAM \
          of the structures kept from the build: every term structure, the \
-         dictionary-MHT in dictionary mode and, under TRA, the interior \
-         levels of every document-MHT, counted exactly. The paper stores \
-         only roots and leaves and regenerates the rest per query.",
+         dictionary-MHT and, under TRA, the interior levels of every \
+         document-MHT, counted exactly. The paper stores only roots and \
+         leaves and regenerates the rest per query.",
     );
     t.note(
-        "signatures: the paper stores one per term and, under TRA, one per \
-         document; here one document-table signature replaces the per-document \
-         ones ('sigs paper' vs 'sigs here').",
+        "signatures — paper: m + n, here: 1. The paper signs every term list \
+         and, under TRA, every document; here the owner signs one manifest \
+         over the dictionary-MHT and document-table roots.",
     );
     t.print();
 }

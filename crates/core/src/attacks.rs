@@ -9,11 +9,13 @@
 //! suite asserts that the verifier rejects every one of them.
 
 use crate::auth::serve::QueryResponse;
-use crate::auth::AuthenticatedIndex;
+use crate::auth::{doc_leaf_digest, tnra_leaf_digest, tra_leaf_digest, AuthenticatedIndex};
 use crate::types::{ProcessingOutcome, Query, ResultEntry};
-use crate::vo::PrefixData;
-use authsearch_corpus::DocId;
-use authsearch_crypto::Digest;
+use crate::vo::{Mechanism, PrefixData, TermProof};
+use authsearch_corpus::{DocId, TermId};
+use authsearch_crypto::merkle::prove_with;
+use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof};
+use authsearch_index::{ImpactEntry, InvertedIndex, InvertedList};
 
 /// The catalogue of simulated attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +33,8 @@ pub enum Attack {
     AlterPrefixWeight,
     /// Reorder two entries within a list prefix.
     ReorderPrefix,
-    /// Flip a bit in a list signature.
-    ForgeTermSignature,
+    /// Flip a bit in the manifest signature.
+    ForgeManifestSignature,
     /// Lie about a list's f_t (shortening the claimed list).
     UnderstateListLength,
     /// TRA: tamper with a revealed document-MHT frequency.
@@ -56,8 +58,6 @@ pub enum Attack {
     /// multiset — term frequencies are unchanged, so only the
     /// content-digest binding can catch it.
     PhraseOrderSwap,
-    /// TRA: flip a bit in the document-table signature.
-    ForgeDocTableSignature,
     /// TRA: drop the last digest of the document-table multi-proof.
     DropDocTableDigest,
     /// TRA: append one digest to the document-table multi-proof.
@@ -77,7 +77,7 @@ impl Attack {
         Attack::InjectSpurious,
         Attack::AlterPrefixWeight,
         Attack::ReorderPrefix,
-        Attack::ForgeTermSignature,
+        Attack::ForgeManifestSignature,
         Attack::UnderstateListLength,
     ];
 
@@ -91,8 +91,7 @@ impl Attack {
     /// Attacks on the TRA document-table proof; each applies to every
     /// TRA response with a non-result document proof whose sibling slot
     /// is free (see [`Attack::ShiftDocId`]).
-    pub const DOC_TABLE: [Attack; 4] = [
-        Attack::ForgeDocTableSignature,
+    pub const DOC_TABLE: [Attack; 3] = [
         Attack::DropDocTableDigest,
         Attack::ExtraDocTableDigest,
         Attack::ShiftDocId,
@@ -118,7 +117,7 @@ impl Attack {
             Attack::InjectSpurious => "inject spurious document",
             Attack::AlterPrefixWeight => "alter prefix weight",
             Attack::ReorderPrefix => "reorder prefix",
-            Attack::ForgeTermSignature => "forge list signature",
+            Attack::ForgeManifestSignature => "forge the manifest signature",
             Attack::UnderstateListLength => "understate list length",
             Attack::AlterDocFrequency => "alter document frequency",
             Attack::DropDocProof => "drop document proof",
@@ -127,7 +126,6 @@ impl Attack {
             Attack::WrongIntersection => "narrow the intersection",
             Attack::ExtraIntersectionDoc => "widen the intersection",
             Attack::PhraseOrderSwap => "swap phrase word order",
-            Attack::ForgeDocTableSignature => "forge document-table signature",
             Attack::DropDocTableDigest => "drop a document-table digest",
             Attack::ExtraDocTableDigest => "add a document-table digest",
             Attack::ShiftDocId => "shift a doc id into its neighbour's slot",
@@ -214,14 +212,12 @@ impl Attack {
                 }
                 false
             }
-            Attack::ForgeTermSignature => {
-                for tv in &mut response.vo.terms {
-                    if let Some(sig) = &mut tv.signature {
-                        sig[0] ^= 0x40;
-                        return true;
-                    }
-                }
-                false
+            Attack::ForgeManifestSignature => {
+                let Some(byte) = response.vo.signature.first_mut() else {
+                    return false;
+                };
+                *byte ^= 0x40;
+                true
             }
             Attack::UnderstateListLength => {
                 for tv in &mut response.vo.terms {
@@ -340,16 +336,6 @@ impl Attack {
                 }
                 false
             }
-            Attack::ForgeDocTableSignature => {
-                let Some(sig) = response.vo.doc_table.as_mut().map(|t| &mut t.signature) else {
-                    return false;
-                };
-                let Some(byte) = sig.first_mut() else {
-                    return false;
-                };
-                *byte ^= 0x40;
-                true
-            }
             Attack::DropDocTableDigest => response
                 .vo
                 .doc_table
@@ -380,19 +366,275 @@ impl Attack {
     }
 }
 
-/// TRA: the document-table signature and multi-proof of an **older**
-/// publication of a same-sized collection spliced into an honest reply —
-/// the owner's genuine signature, over a table that is not this one.
-/// Returns `None` when either side carries no document table.
-pub fn stale_doc_table_response(
+/// The index of an **older** publication of the same collection: term
+/// `t`'s last entry moved to the lowest document id its list lacks, at
+/// half the list's lowest weight (so the list keeps its canonical
+/// order). `m`, `n` and every `f_t` are unchanged; term `t`'s root
+/// differs under every mechanism, and so do two documents' MHTs. Returns
+/// `None` when the list already holds every document.
+pub fn older_index(index: &InvertedIndex, t: TermId) -> Option<InvertedIndex> {
+    let mut lists: Vec<InvertedList> = (0..index.num_terms() as TermId)
+        .map(|u| index.list(u).clone())
+        .collect();
+    let entries = lists.get(t as usize)?.entries();
+    let held: Vec<DocId> = entries.iter().map(|e| e.doc).collect();
+    let doc = (0..index.num_docs() as DocId).find(|d| !held.contains(d))?;
+    let mut edited = entries.to_vec();
+    let last = edited.last_mut()?;
+    *last = ImpactEntry {
+        doc,
+        weight: last.weight / 2.0,
+    };
+    lists[t as usize] = InvertedList::from_sorted(edited);
+    let ft = (0..index.num_terms() as TermId)
+        .map(|u| index.ft(u))
+        .collect();
+    Some(InvertedIndex::from_parts(
+        index.params(),
+        index.num_docs(),
+        index.avg_doc_len(),
+        ft,
+        lists,
+    ))
+}
+
+/// The manifest of an **older** publication with the same `m` and `n`
+/// spliced into an honest reply: the owner's genuine signature, with the
+/// dictionary and document-table proofs made for it, over trees that
+/// are not this publication's. Returns `None` when the two publications
+/// differ in `m`, or `older` has no table where the reply has one.
+pub fn stale_manifest_response(
     honest: &QueryResponse,
     older: &AuthenticatedIndex,
 ) -> Option<QueryResponse> {
-    honest.vo.doc_table.as_ref()?;
+    let m = honest.vo.dict.as_ref()?.num_terms;
+    if u32::try_from(older.index().num_terms()).ok()? != m {
+        return None;
+    }
+    let terms: Vec<TermId> = honest.vo.terms.iter().map(|t| t.term).collect();
     let docs: Vec<DocId> = honest.vo.docs.iter().map(|d| d.doc).collect();
     let mut stale = honest.clone();
-    stale.vo.doc_table = Some(older.doc_table_vo(&docs)?);
+    stale.vo.dict = Some(older.dict_vo(&terms));
+    if honest.vo.doc_table.is_some() {
+        stale.vo.doc_table = Some(older.doc_table_vo(&docs)?);
+    }
+    stale.vo.signature = older.manifest_signature().to_vec();
     Some(stale)
+}
+
+/// The reply relabeled as mechanism `to` of the same query algorithm,
+/// each term proof converted to `to`'s kind (a chain proof's tail-block
+/// multi-proof becomes a plain MHT proof, and back): one publication's
+/// reply presented to another mechanism's verifier. Where every query
+/// list fits in one chain block the two mechanisms' term roots coincide,
+/// so only the mechanism field of the signed manifest tells them apart.
+/// Returns `None` when `to` is the reply's own mechanism or runs the
+/// other query algorithm (TRA vs TNRA).
+pub fn mechanism_swapped_response(honest: &QueryResponse, to: Mechanism) -> Option<QueryResponse> {
+    if to == honest.vo.mechanism || to.is_tra() != honest.vo.mechanism.is_tra() {
+        return None;
+    }
+    let mut swapped = honest.clone();
+    swapped.vo.mechanism = to;
+    for tv in &mut swapped.vo.terms {
+        let digests = match &tv.proof {
+            TermProof::Mht(p) => p.digests.clone(),
+            TermProof::Cmht(p) => p.tail.digests.clone(),
+        };
+        let proof = MerkleProof { digests };
+        tv.proof = if to.is_cmht() {
+            TermProof::Cmht(ChainPrefixProof { tail: proof })
+        } else {
+            TermProof::Mht(proof)
+        };
+    }
+    Some(swapped)
+}
+
+/// A query term answered with its dictionary neighbour's list. `serve`
+/// answers a copy of the query in which the first term `t` whose
+/// dictionary sibling `t ^ 1` exists and is not queried itself is
+/// replaced by that sibling (same `f_{Q,t}` and weight); the sibling's
+/// proof is then labeled `t`. Sibling leaves share every ancestor, so
+/// the dictionary multi-proof keeps its shape and only the leaf's
+/// binding of term, `f_t` and root can object. Returns `None` when no
+/// query term has such a sibling.
+pub fn shifted_dict_leaf_response(
+    query: &Query,
+    num_terms: usize,
+    serve: impl FnOnce(&Query) -> QueryResponse,
+) -> Option<QueryResponse> {
+    let asked: Vec<TermId> = query.terms.iter().map(|qt| qt.term).collect();
+    let (i, neighbour) = asked.iter().enumerate().find_map(|(i, &t)| {
+        let s = t ^ 1;
+        ((s as usize) < num_terms && !asked.contains(&s)).then_some((i, s))
+    })?;
+    let mut shifted = query.clone();
+    shifted.terms[i].term = neighbour;
+    let mut response = serve(&shifted);
+    response.vo.terms.get_mut(i)?.term = asked[i];
+    Some(response)
+}
+
+/// Query term `at`'s entry — prefix, proof and `f_t` — taken from a reply
+/// of **another** publication to the same query, so its term root is
+/// that publication's. Returns `None` when the two entries are equal.
+pub fn foreign_term_response(
+    honest: &QueryResponse,
+    foreign: &QueryResponse,
+    at: usize,
+) -> Option<QueryResponse> {
+    let entry = foreign.vo.terms.get(at)?;
+    if honest.vo.terms.get(at)? == entry {
+        return None;
+    }
+    let mut spliced = honest.clone();
+    spliced.vo.terms[at] = entry.clone();
+    Some(spliced)
+}
+
+/// A tree of the scheme, as a target of [`interior_as_leaf_response`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tree {
+    /// A plain term-MHT (the `*-MHT` mechanisms).
+    TermMht,
+    /// The last-touched block of a chain-MHT (the `*-CMHT` mechanisms).
+    ChainBlock,
+    /// A document-MHT (TRA).
+    DocMht,
+    /// The document table (TRA).
+    DocTable,
+    /// The dictionary-MHT (every mechanism).
+    Dictionary,
+}
+
+impl Tree {
+    /// Every tree type.
+    pub const ALL: [Tree; 5] = [
+        Tree::TermMht,
+        Tree::ChainBlock,
+        Tree::DocMht,
+        Tree::DocTable,
+        Tree::Dictionary,
+    ];
+
+    /// True when replies of `mechanism` carry a proof in this tree.
+    pub fn in_replies_of(self, mechanism: Mechanism) -> bool {
+        match self {
+            Tree::TermMht => !mechanism.is_cmht(),
+            Tree::ChainBlock => mechanism.is_cmht(),
+            Tree::DocMht | Tree::DocTable => mechanism.is_tra(),
+            Tree::Dictionary => true,
+        }
+    }
+}
+
+/// An interior node presented in a leaf's slot of `tree`: the first
+/// complementary digest of a single leaf whose sibling leaf is revealed
+/// is replaced by the digest of their parent, an interior node of the
+/// same tree. Leaves hash as `h(0x00 | leaf)` and interior nodes as
+/// `h(0x01 | l | r)`, so the two never stand in for each other and the
+/// reconstructed root moves. Returns `None` when the reply proves no
+/// such leaf in that tree.
+pub fn interior_as_leaf_response(
+    honest: &QueryResponse,
+    auth: &AuthenticatedIndex,
+    tree: Tree,
+) -> Option<QueryResponse> {
+    let mut forged = honest.clone();
+    let vo = &mut forged.vo;
+    let applied = match tree {
+        Tree::TermMht | Tree::ChainBlock => vo.terms.iter_mut().any(|tv| {
+            let leaves: Vec<Digest> = match &tv.prefix {
+                PrefixData::DocIds(ids) => ids.iter().map(|&d| tra_leaf_digest(d)).collect(),
+                PrefixData::Entries(entries) => entries.iter().map(tnra_leaf_digest).collect(),
+            };
+            let ft = tv.ft as usize;
+            match (&mut tv.proof, tree) {
+                (TermProof::Mht(proof), Tree::TermMht) => {
+                    parent_in_leaf_slot(ft, &indexed(&leaves), proof)
+                }
+                (TermProof::Cmht(proof), Tree::ChainBlock) if !leaves.is_empty() => {
+                    let cap = auth.config().chain_capacity();
+                    let lo = (leaves.len() - 1) / cap * cap;
+                    let hi = (lo + cap).min(ft);
+                    let objects = hi - lo + usize::from(hi < ft);
+                    parent_in_leaf_slot(objects, &indexed(&leaves[lo..]), &mut proof.tail)
+                }
+                _ => false,
+            }
+        }),
+        Tree::DocMht => vo.docs.iter_mut().any(|dv| {
+            let leaves: Vec<(usize, Digest)> = dv
+                .revealed
+                .iter()
+                .map(|&(p, t, w)| (p as usize, doc_leaf_digest(t, w)))
+                .collect();
+            parent_in_leaf_slot(dv.num_leaves as usize, &leaves, &mut dv.proof)
+        }),
+        Tree::DocTable => {
+            let mut docs: Vec<DocId> = vo.docs.iter().map(|d| d.doc).collect();
+            docs.sort_unstable();
+            let leaves: Option<Vec<(usize, Digest)>> = docs
+                .iter()
+                .map(|&d| Some((d as usize, auth.doc_table_leaf_digest(d)?)))
+                .collect();
+            match (vo.doc_table.as_mut(), leaves) {
+                (Some(table), Some(leaves)) => {
+                    parent_in_leaf_slot(auth.index().num_docs(), &leaves, &mut table.proof)
+                }
+                _ => false,
+            }
+        }
+        Tree::Dictionary => {
+            let mut terms: Vec<TermId> = vo.terms.iter().map(|t| t.term).collect();
+            terms.sort_unstable();
+            let leaves: Vec<(usize, Digest)> = terms
+                .iter()
+                .map(|&t| (t as usize, auth.dict_leaf(t)))
+                .collect();
+            match vo.dict.as_mut() {
+                Some(dict) => {
+                    parent_in_leaf_slot(dict.num_terms as usize, &leaves, &mut dict.proof)
+                }
+                None => false,
+            }
+        }
+    };
+    applied.then_some(forged)
+}
+
+/// `leaves` at their positions.
+fn indexed(leaves: &[Digest]) -> Vec<(usize, Digest)> {
+    leaves.iter().copied().enumerate().collect()
+}
+
+/// In `proof` of an `n`-leaf tree with `revealed` `(position, leaf
+/// digest)` pairs (ascending), replace the first digest that stands for a
+/// single unrevealed leaf with a revealed sibling by the digest of their
+/// parent. Returns whether such a slot existed.
+fn parent_in_leaf_slot(n: usize, revealed: &[(usize, Digest)], proof: &mut MerkleProof) -> bool {
+    let positions: Vec<usize> = revealed.iter().map(|&(p, _)| p).collect();
+    let mut slots = Vec::new();
+    prove_with(n, &positions, |level, idx| {
+        slots.push((level, idx));
+        Digest::ZERO
+    });
+    if slots.len() != proof.digests.len() {
+        return false;
+    }
+    for (slot, &(level, idx)) in proof.digests.iter_mut().zip(&slots) {
+        let sibling = revealed.iter().find(|&&(p, _)| p == idx ^ 1);
+        if let (0, Some(&(_, sibling))) = (level, sibling) {
+            *slot = if idx % 2 == 0 {
+                Digest::combine(slot, &sibling)
+            } else {
+                Digest::combine(&sibling, slot)
+            };
+            return true;
+        }
+    }
+    false
 }
 
 /// TRA: relabel the last document proof with id `n`, one past the end of
@@ -507,7 +749,7 @@ mod tests {
             .collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 19);
+        assert_eq!(names.len(), 18);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! owner build (and a snapshot boot) already folds every one of those
 //! structures once for its root, so it keeps what the fold produced:
 //!
-//! * the **dictionary-MHT**, whole (dictionary mode);
+//! * the **dictionary-MHT**, whole;
 //! * every **term structure**, indexed by term id
 //!   ([`ServeCache::terms`]): a plain term-MHT's levels above its
 //!   leaves, or the whole chain-MHT;
@@ -81,8 +81,8 @@ pub(crate) fn mht_resident_digests(n: usize) -> u64 {
 /// from its build or boot, and the proof counters.
 #[derive(Debug)]
 pub(crate) struct ServeCache {
-    /// Dictionary-MHT (dictionary mode only).
-    pub(crate) dict_tree: Option<MerkleTree>,
+    /// The dictionary-MHT, leaves included.
+    pub(crate) dict_tree: MerkleTree,
     /// Every term's structure, indexed by term id.
     pub(crate) terms: Vec<TermStructure>,
     /// Per document, its document-MHT's levels above the leaves
@@ -97,7 +97,7 @@ pub(crate) struct ServeCache {
 impl ServeCache {
     /// The structures the build or boot made resident.
     pub(crate) fn new(
-        dict_tree: Option<MerkleTree>,
+        dict_tree: MerkleTree,
         terms: Vec<TermStructure>,
         doc_levels: Vec<Box<[Digest]>>,
     ) -> ServeCache {
@@ -233,6 +233,11 @@ mod tests {
                 assert_eq!(stats, want, "{what}");
             }
             assert_eq!(built.cache.terms, booted.cache.terms, "{mechanism:?}");
+            assert_eq!(
+                built.cache.dict_tree.leaf_digests(),
+                booted.cache.dict_tree.leaf_digests(),
+                "{mechanism:?}"
+            );
             assert_eq!(
                 built.cache.doc_levels, booted.cache.doc_levels,
                 "{mechanism:?}"

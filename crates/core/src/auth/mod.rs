@@ -2,23 +2,28 @@
 //!
 //! The data owner builds, once, for the whole collection:
 //!
-//! * a **term-MHT** (or **chain-MHT**) over every inverted list, its root
-//!   (head) digest bound to the term and `f_t` by a signature;
+//! * a **term-MHT** (or **chain-MHT**) over every inverted list;
+//! * the §3.4 **dictionary-MHT** over every term's root (head) digest,
+//!   leaf `t` binding term `t`, its `f_t` and that root;
 //! * for the TRA mechanisms, a **document-MHT** over every document's
 //!   `(t, w_{d,t})` leaves, its root bound to the document id and the
 //!   digest of the document's content by `doc_message` — and one
 //!   **document-table MHT** over those messages' digests, in doc-id
-//!   order, whose root carries the collection's single document-side
-//!   signature (the paper signs every document instead; see
-//!   `doc_table_message`);
-//! * optionally (§3.4), a single **dictionary-MHT** over all term roots,
-//!   replacing the per-list signatures with one signature at the cost of
-//!   extra digests per VO.
+//!   order;
+//! * one signature over the **publication manifest**
+//!   (`publication_message`): mechanism, `m`, `n`, the dictionary root
+//!   and the document-table root. The paper signs every list (§3.3) and,
+//!   under TRA, every document (Figure 8): `m + n` signatures where this
+//!   build makes one, and a reply carries one signature instead of one
+//!   per query term and encountered document.
+//!
+//! Every tree hashes its leaves with [`Digest::leaf`] and its interior
+//! nodes with [`Digest::combine`], in separate domains.
 //!
 //! The paper (following \[13\], §3.3.1) stores only roots and leaves and
 //! regenerates every interior digest per query. Here the build folds
 //! every structure once for its root and keeps what the fold produced:
-//! the dictionary-MHT (in dictionary mode), every term's (chain-)MHT
+//! the dictionary-MHT, every term's (chain-)MHT
 //! (`term_structures`) and, under TRA, every document-MHT's levels
 //! above its leaves (`doc_mhts`). A snapshot boot refolds them the same
 //! way, so every reply proves from structures resident since the build
@@ -93,10 +98,6 @@ pub struct AuthConfig {
     pub layout: BlockLayout,
     /// Buddy inclusion (paper default: on for CMHT, off for plain MHT).
     pub buddy: bool,
-    /// Replace per-list signatures with one dictionary-MHT signature
-    /// (§3.4 space optimization; off by default — the paper finds the
-    /// trade-off unappealing except under storage pressure).
-    pub dict_mht: bool,
     /// RSA modulus size (paper: 1024).
     pub key_bits: usize,
     /// Worker threads for the owner-side build
@@ -129,7 +130,6 @@ impl AuthConfig {
             mechanism,
             layout: BlockLayout::default(),
             buddy: mechanism.is_cmht(),
-            dict_mht: false,
             key_bits: PAPER_KEY_BITS,
             threads: default_threads(),
         }
@@ -214,12 +214,12 @@ fn default_threads() -> usize {
 
 /// Digest of one term-MHT leaf for the TRA mechanisms (doc id only).
 pub(crate) fn tra_leaf_digest(doc: DocId) -> Digest {
-    Digest::hash(&doc.to_le_bytes())
+    Digest::leaf(&doc.to_le_bytes())
 }
 
 /// Digest of one term-MHT leaf for the TNRA mechanisms (`⟨d, f⟩`).
 pub(crate) fn tnra_leaf_digest(entry: &ImpactEntry) -> Digest {
-    Digest::hash(&entry.encode())
+    Digest::leaf(&entry.encode())
 }
 
 /// Term-MHT leaf digest of one list entry under a mechanism.
@@ -249,7 +249,7 @@ pub(crate) fn doc_leaf_bytes(term: TermId, weight: f32) -> [u8; 8] {
 
 /// Digest of one document-MHT leaf.
 pub(crate) fn doc_leaf_digest(term: TermId, weight: f32) -> Digest {
-    Digest::hash(&doc_leaf_bytes(term, weight))
+    Digest::leaf(&doc_leaf_bytes(term, weight))
 }
 
 /// Document-MHT root over `(t, w)` leaves; documents with no indexed
@@ -301,9 +301,10 @@ pub(crate) fn term_structures(
     .unzip()
 }
 
-/// Concatenate `parts` into a fixed-size message. Every signed message
-/// below is at most 55 bytes, so hashing one is a single SHA-256 block
-/// and building one allocates nothing.
+/// Concatenate `parts` into a fixed-size message. Every message below
+/// is at most 55 bytes (54 for a leaf, whose domain prefix takes the
+/// 55th), so hashing one is a single SHA-256 block and building one
+/// allocates nothing.
 fn message<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
     let mut msg = [0u8; N];
     let mut at = 0;
@@ -313,17 +314,6 @@ fn message<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
     }
     assert_eq!(at, N, "message parts must fill the encoding exactly");
     msg
-}
-
-/// Signed message binding a term's list: `h(tag | t | f_t | digest)` —
-/// the paper's `sign(h(t_i | f_{t_i} | i | digest_{i,1}))`.
-pub(crate) fn term_message(term: TermId, ft: u32, root: &Digest) -> [u8; 43] {
-    message(&[
-        b"authsearch:term:v1|",
-        &term.to_le_bytes(),
-        &ft.to_le_bytes(),
-        root.as_bytes(),
-    ])
 }
 
 /// Message binding a document: the `h(doc) | d | root` of the paper's
@@ -339,11 +329,10 @@ pub(crate) fn doc_message(doc: DocId, content_digest: &Digest, root: &Digest) ->
     ])
 }
 
-/// Document-table leaf for document `doc`: the digest of its
-/// [`doc_message`]. The verifier hashes the 54-byte message itself, so
-/// no interior node (a hash of 32 bytes) can stand in for a leaf.
+/// Document-table leaf for document `doc`: the leaf digest of its
+/// [`doc_message`], which the verifier builds itself.
 pub(crate) fn doc_table_leaf(doc: DocId, content_digest: &Digest, root: &Digest) -> Digest {
-    Digest::hash(&doc_message(doc, content_digest, root))
+    Digest::leaf(&doc_message(doc, content_digest, root))
 }
 
 /// The document-table MHT: leaf `d` is [`doc_table_leaf`] of document
@@ -356,39 +345,62 @@ pub(crate) fn doc_table_tree(content_digests: &[Digest], roots: &[Digest]) -> Me
     MerkleTree::from_leaf_digests(leaves)
 }
 
-/// Signed message for the document-table root: one signature for the
-/// whole collection, binding its size `n` (the tree's shape) and the
-/// root. This is §3.4's dictionary-MHT trick applied to documents: a
-/// TRA reply carries one multi-proof and one signature instead of one
-/// signature per encountered document.
-pub(crate) fn doc_table_message(num_docs: u32, root: &Digest) -> [u8; 43] {
-    message(&[
-        b"authsearch:doctable:v1|",
-        &num_docs.to_le_bytes(),
-        root.as_bytes(),
-    ])
-}
-
-/// Signed message for the dictionary-MHT root (§3.4).
-pub(crate) fn dict_message(num_terms: u32, root: &Digest) -> [u8; 39] {
-    message(&[
-        b"authsearch:dict:v1|",
-        &num_terms.to_le_bytes(),
-        root.as_bytes(),
-    ])
-}
-
-/// Dictionary-MHT leaf for one term: the digest of its signed message
-/// (binding term id, `f_t`, and list root together).
+/// Dictionary-MHT leaf for one term: the leaf digest of
+/// `tag | t | f_t | root`, the paper's `h(t_i | f_{t_i} | i | digest_{i,1})`
+/// that §3.3 signs per list and §3.4 hashes into the dictionary-MHT.
 pub(crate) fn dict_leaf_digest(term: TermId, ft: u32, root: &Digest) -> Digest {
-    Digest::hash(&term_message(term, ft, root))
+    let leaf: [u8; 43] = message(&[
+        b"authsearch:term:v1|",
+        &term.to_le_bytes(),
+        &ft.to_le_bytes(),
+        root.as_bytes(),
+    ]);
+    Digest::leaf(&leaf)
+}
+
+/// The dictionary-MHT over every term of `index`, leaf `t` binding term
+/// `t`, its `f_t` and `roots[t]`, folded [`pool::map`]-parallel.
+pub(crate) fn dict_tree(threads: usize, index: &InvertedIndex, roots: &[Digest]) -> MerkleTree {
+    let leaves = pool::map(threads, roots.len(), |t| {
+        let t = t as TermId;
+        dict_leaf_digest(t, index.ft(t), &roots[t as usize])
+    });
+    MerkleTree::from_leaf_digests(leaves)
+}
+
+/// The document-table root in the manifest of a mechanism without a
+/// document table (TNRA): a fixed constant, so the manifest keeps one
+/// shape for every mechanism.
+pub(crate) const NO_DOC_TABLE_ROOT: Digest = Digest::ZERO;
+
+/// The one message the owner signs per publication: the mechanism
+/// ([`Mechanism::code`]), the dictionary size `m`, the collection size
+/// `n`, the dictionary-MHT root and the document-table root
+/// ([`NO_DOC_TABLE_ROOT`] under TNRA). Binding `m` and `n` fixes both
+/// trees' shapes, and binding the mechanism keeps one mechanism's proofs
+/// from passing under another's verifier. 55 bytes: one SHA-256 block.
+pub(crate) fn publication_message(
+    mechanism: Mechanism,
+    num_terms: u32,
+    num_docs: u32,
+    dict_root: &Digest,
+    doc_table_root: &Digest,
+) -> [u8; 55] {
+    message(&[
+        b"authsearch:pub",
+        &[mechanism.code()],
+        &num_terms.to_le_bytes(),
+        &num_docs.to_le_bytes(),
+        dict_root.as_bytes(),
+        doc_table_root.as_bytes(),
+    ])
 }
 
 // ---- the owner's artifact -------------------------------------------------
 
 /// Everything the data owner hands the search engine: the index, the
-/// document table, and the signatures/digests of the authentication
-/// structures.
+/// document table, the digests of the authentication structures and the
+/// one manifest signature.
 #[derive(Debug)]
 pub struct AuthenticatedIndex {
     config: AuthConfig,
@@ -396,10 +408,6 @@ pub struct AuthenticatedIndex {
     doc_table: DocTable,
     /// Root/head digest of every term's (chain-)MHT.
     term_roots: Vec<Digest>,
-    /// Per-list signatures (empty in dictionary-MHT mode).
-    term_sigs: Vec<Vec<u8>>,
-    /// Dictionary-MHT signature (dictionary-MHT mode only).
-    dict_sig: Option<Vec<u8>>,
     /// TRA only: per-document content digests `h(doc)`.
     doc_content_digests: Vec<Digest>,
     /// TRA only: per-document document-MHT roots.
@@ -407,8 +415,8 @@ pub struct AuthenticatedIndex {
     /// TRA only: the document-table MHT ([`doc_table_tree`]), resident
     /// so every reply's multi-proof is one `prove` call.
     doc_tree: Option<MerkleTree>,
-    /// TRA only: the owner's one signature over [`doc_table_message`].
-    doc_table_sig: Option<Vec<u8>>,
+    /// The owner's one signature over [`publication_message`].
+    signature: Vec<u8>,
     public_key: RsaPublicKey,
     /// Engine-side resident structures (see [`cache`] and the module docs).
     cache: cache::ServeCache,
@@ -419,20 +427,19 @@ pub struct AuthenticatedIndex {
 }
 
 impl AuthenticatedIndex {
-    /// Build every authentication structure and sign the roots. This is
-    /// the owner's one-off preprocessing step (the dominant cost is one
-    /// RSA signature per dictionary term, plus one for the document
-    /// table under TRA).
+    /// Build every authentication structure and sign the manifest once.
+    /// This is the owner's one-off preprocessing step: hashing and
+    /// folding every term's list and, under TRA, every document, then
+    /// one RSA signature over the publication manifest
+    /// (`publication_message`).
     ///
-    /// The work is embarrassingly parallel — every term's structure and
-    /// signature, and every document's content digest and MHT root, is
-    /// independent — so it fans out through [`pool::map`] over
+    /// The folds are embarrassingly parallel — every term's structure
+    /// and dictionary leaf, and every document's content digest and MHT
+    /// root, is independent — so they fan out through [`pool::map`] over
     /// [`AuthConfig::build_threads`] threads (`threads: 1` keeps the
-    /// paper's sequential owner model on the calling thread). Threads
-    /// share `key` by reference, so every signature reuses the key's
-    /// cached per-factor Montgomery contexts; results are collected in
-    /// index order, making the artifact **bit-identical for any thread
-    /// count**.
+    /// paper's sequential owner model on the calling thread). Results are
+    /// collected in index order, making the artifact **bit-identical for
+    /// any thread count**.
     ///
     /// ```
     /// use authsearch_core::{AuthConfig, AuthenticatedIndex, Mechanism};
@@ -456,7 +463,7 @@ impl AuthenticatedIndex {
     /// let parallel = AuthConfig { threads: 4, ..sequential };
     /// let a = AuthenticatedIndex::build(index.clone(), &key, sequential, &corpus);
     /// let b = AuthenticatedIndex::build(index, &key, parallel, &corpus);
-    /// // Same roots (and signatures) regardless of thread count.
+    /// // Same roots (and signature) regardless of thread count.
     /// assert_eq!(a.term_root(0), b.term_root(0));
     /// ```
     pub fn build<C: ContentProvider>(
@@ -466,6 +473,7 @@ impl AuthenticatedIndex {
         contents: &C,
     ) -> AuthenticatedIndex {
         let m = index.num_terms();
+        assert!(m > 0, "an index without terms has nothing to authenticate");
         for t in 0..m as TermId {
             assert!(
                 !index.list(t).is_empty(),
@@ -477,66 +485,46 @@ impl AuthenticatedIndex {
         let threads = config.build_threads();
 
         // Term structures: one independent task per term (hash the leaf
-        // layer, fold the (chain-)MHT), each kept for serving.
+        // layer, fold the (chain-)MHT), each kept for serving, then the
+        // dictionary-MHT over their roots.
         let (term_roots, terms) = term_structures(threads, &config, &index);
-
-        let mut dict_tree = None;
-        let (term_sigs, dict_sig) = if config.dict_mht {
-            let leaves: Vec<Digest> = pool::map(threads, m, |t| {
-                let t = t as TermId;
-                dict_leaf_digest(t, index.ft(t), &term_roots[t as usize])
-            });
-            // Built once here; every query's dictionary proof reuses it.
-            let tree = dict_tree.insert(MerkleTree::from_leaf_digests(leaves));
-            let sig = key
-                .sign(&dict_message(m as u32, &tree.root()))
-                .expect("dictionary signature");
-            (Vec::new(), Some(sig))
-        } else {
-            // One RSA signature per term — the dominant build cost, and
-            // perfectly parallel: workers share the key (and therefore
-            // its cached Montgomery contexts) read-only.
-            let sigs: Vec<Vec<u8>> = pool::map(threads, m, |t| {
-                let t = t as TermId;
-                key.sign(&term_message(t, index.ft(t), &term_roots[t as usize]))
-                    .expect("term signature")
-            });
-            (sigs, None)
-        };
+        let dict = dict_tree(threads, &index, &term_roots);
 
         // Document structures (TRA mechanisms only): hash the content and
         // fold the document-MHT independently per document — keeping its
-        // interior levels for serving — then fold the document table and
-        // sign its root once.
-        let (doc_content_digests, doc_roots, doc_levels, doc_tree, doc_table_sig) =
-            if config.mechanism.is_tra() {
-                let n = index.num_docs();
-                let digests =
-                    pool::map(threads, n, |d| Digest::hash(&contents.content(d as DocId)));
-                let (roots, levels) = doc_mhts(threads, &doc_table);
-                let tree = doc_table_tree(&digests, &roots);
-                let num_docs = u32::try_from(n).expect("document ids are u32");
-                let sig = key
-                    .sign(&doc_table_message(num_docs, &tree.root()))
-                    .expect("document-table signature");
-                (digests, roots, levels, Some(tree), Some(sig))
-            } else {
-                (Vec::new(), Vec::new(), Vec::new(), None, None)
-            };
+        // interior levels for serving — then fold the document table.
+        let (doc_content_digests, doc_roots, doc_levels, doc_tree) = if config.mechanism.is_tra() {
+            let n = index.num_docs();
+            let digests = pool::map(threads, n, |d| Digest::hash(&contents.content(d as DocId)));
+            let (roots, levels) = doc_mhts(threads, &doc_table);
+            let tree = doc_table_tree(&digests, &roots);
+            (digests, roots, levels, Some(tree))
+        } else {
+            (Vec::new(), Vec::new(), Vec::new(), None)
+        };
+
+        let manifest = publication_message(
+            config.mechanism,
+            u32::try_from(m).expect("term ids are u32"),
+            u32::try_from(index.num_docs()).expect("document ids are u32"),
+            &dict.root(),
+            &doc_tree
+                .as_ref()
+                .map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
+        );
+        let signature = key.sign(&manifest).expect("manifest signature");
 
         AuthenticatedIndex {
             config,
             index,
             doc_table,
             term_roots,
-            term_sigs,
-            dict_sig,
             doc_content_digests,
             doc_roots,
             doc_tree,
-            doc_table_sig,
+            signature,
             public_key: key.public_key().clone(),
-            cache: cache::ServeCache::new(dict_tree, terms, doc_levels),
+            cache: cache::ServeCache::new(dict, terms, doc_levels),
             serve_pool: Arc::new(ThreadPool::new(threads)),
         }
     }
@@ -572,6 +560,26 @@ impl AuthenticatedIndex {
     pub fn public_key(&self) -> &RsaPublicKey {
         &self.public_key
     }
+
+    /// The owner's one signature over [`publication_message`].
+    pub(crate) fn manifest_signature(&self) -> &[u8] {
+        &self.signature
+    }
+
+    /// Leaf `t` of the resident dictionary-MHT.
+    pub(crate) fn dict_leaf(&self, t: TermId) -> Digest {
+        self.cache.dict_tree.leaf_digests()[t as usize]
+    }
+
+    /// Leaf `d` of the document table (TRA; `None` under TNRA or past
+    /// the table).
+    pub(crate) fn doc_table_leaf_digest(&self, d: DocId) -> Option<Digest> {
+        self.doc_tree
+            .as_ref()?
+            .leaf_digests()
+            .get(d as usize)
+            .copied()
+    }
 }
 
 #[cfg(test)]
@@ -590,10 +598,26 @@ pub(crate) mod tests_support {
         };
         AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents())
     }
+
+    /// The manifest `auth` was signed over, rebuilt from its parts.
+    pub(crate) fn manifest_of(auth: &AuthenticatedIndex) -> [u8; 55] {
+        let tree = dict_tree(1, &auth.index, &auth.term_roots);
+        publication_message(
+            auth.config.mechanism,
+            auth.index.num_terms() as u32,
+            auth.index.num_docs() as u32,
+            &tree.root(),
+            &auth
+                .doc_tree
+                .as_ref()
+                .map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::tests_support::manifest_of;
     use super::*;
     use crate::toy::{toy_contents, toy_index};
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
@@ -609,7 +633,6 @@ mod tests {
     fn config_defaults_follow_paper() {
         let c = AuthConfig::new(Mechanism::TraCmht);
         assert!(c.buddy);
-        assert!(!c.dict_mht);
         assert_eq!(c.key_bits, 1024);
         assert_eq!(c.chain_capacity(), 251);
         let c2 = AuthConfig::new(Mechanism::TnraCmht);
@@ -619,6 +642,8 @@ mod tests {
 
     #[test]
     fn build_signs_every_term() {
+        // Every term's root sits in the dictionary-MHT, and the one
+        // signature covers the dictionary root.
         let key = cached_keypair(TEST_KEY_BITS);
         let auth = AuthenticatedIndex::build(
             toy_index(),
@@ -626,12 +651,15 @@ mod tests {
             test_config(Mechanism::TnraMht),
             &toy_contents(),
         );
-        assert_eq!(auth.term_sigs.len(), 16);
-        // Spot-verify one signature.
+        let dict = &auth.cache.dict_tree;
+        assert_eq!(dict.num_leaves(), 16);
         let t = 15u32; // 'the'
-        let msg = term_message(t, auth.index.ft(t), &auth.term_root(t));
+        assert_eq!(
+            dict.leaf_digests()[t as usize],
+            dict_leaf_digest(t, auth.index.ft(t), &auth.term_root(t))
+        );
         auth.public_key()
-            .verify(&msg, &auth.term_sigs[t as usize])
+            .verify(&manifest_of(&auth), &auth.signature)
             .unwrap();
     }
 
@@ -646,17 +674,17 @@ mod tests {
         );
         let tree = auth.doc_tree.as_ref().unwrap();
         assert_eq!(tree.num_leaves(), 9);
-        // Leaf d is the digest of document d's message.
+        // Leaf d is the leaf digest of document d's message.
         let d = 6u32;
         let root = doc_root(auth.doc_table().doc_terms(d));
         assert_eq!(auth.doc_roots[d as usize], root);
         let msg = doc_message(d, &auth.doc_content_digests[d as usize], &root);
-        assert_eq!(tree.leaf_digests()[d as usize], Digest::hash(&msg));
+        assert_eq!(tree.leaf_digests()[d as usize], Digest::leaf(&msg));
+        // The one signature binds the table root through the manifest.
+        let manifest = manifest_of(&auth);
+        assert_eq!(&manifest[manifest.len() - 16..], tree.root().as_bytes());
         auth.public_key()
-            .verify(
-                &doc_table_message(9, &tree.root()),
-                auth.doc_table_sig.as_ref().unwrap(),
-            )
+            .verify(&manifest, &auth.signature)
             .unwrap();
     }
 
@@ -669,32 +697,47 @@ mod tests {
             test_config(Mechanism::TnraCmht),
             &toy_contents(),
         );
-        assert!(auth.doc_tree.is_none() && auth.doc_table_sig.is_none());
+        assert!(auth.doc_tree.is_none());
         assert!(auth.doc_content_digests.is_empty() && auth.doc_roots.is_empty());
+        // The manifest's table slot holds the fixed constant.
+        let manifest = manifest_of(&auth);
+        assert_eq!(
+            &manifest[manifest.len() - 16..],
+            NO_DOC_TABLE_ROOT.as_bytes()
+        );
+        auth.public_key()
+            .verify(&manifest, &auth.signature)
+            .unwrap();
     }
 
     #[test]
     fn doc_table_leaves_cannot_pass_as_interior_nodes() {
-        // A leaf hashes a 54-byte message; an interior node hashes two
-        // 16-byte digests. The lengths differ, so one preimage cannot
-        // serve as both.
+        // A leaf hashes `0x00 | message`, an interior node
+        // `0x01 | left | right`: even a 32-byte leaf encoding equal to an
+        // interior node's children hashes into the other domain.
         let msg = doc_message(3, &Digest::hash(b"content"), &Digest::hash(b"root"));
         assert_eq!(msg.len(), 54);
-        assert_ne!(msg.len(), 2 * authsearch_crypto::DIGEST_LEN);
-        assert!(doc_table_message(9, &Digest::ZERO).starts_with(b"authsearch:doctable:v1|"));
+        assert_ne!(Digest::leaf(&msg), Digest::hash(&msg));
+        let (l, r) = (Digest::hash(b"l"), Digest::hash(b"r"));
+        let children = [l.0, r.0].concat();
+        assert_ne!(Digest::leaf(&children), Digest::combine(&l, &r));
+        let manifest = publication_message(Mechanism::TraMht, 16, 9, &l, &r);
+        assert!(manifest.starts_with(b"authsearch:pub"));
     }
 
     #[test]
     fn signed_messages_fit_one_sha256_block() {
-        // SHA-256 pads a message of at most 55 bytes into a single
-        // 64-byte block, so every leaf and signature digest below is one
+        // SHA-256 pads an input of at most 55 bytes into a single 64-byte
+        // block, so every leaf (message plus its domain byte), every
+        // interior node (33 bytes) and the signed manifest is one
         // compression.
         let d = Digest::hash(b"x");
+        let dict_leaf: [u8; 43] = message(&[b"authsearch:term:v1|", &[0; 4], &[0; 4], &d.0]);
         let lens = [
-            term_message(1, 2, &d).len(),
-            doc_message(1, &d, &d).len(),
-            doc_table_message(1, &d).len(),
-            dict_message(1, &d).len(),
+            1 + dict_leaf.len(),
+            1 + doc_message(1, &d, &d).len(),
+            1 + 2 * authsearch_crypto::DIGEST_LEN,
+            publication_message(Mechanism::TnraCmht, 1, 2, &d, &d).len(),
         ];
         assert!(lens.iter().all(|&n| n <= 55), "{lens:?}");
     }
@@ -705,11 +748,15 @@ mod tests {
         let _: [u8; 8] = message(&[b"short"]);
     }
 
-    /// Digests of the toy collection, pinned at the commit before the
-    /// SHA-NI hash layer and unchanged by it: any change to the hash, a
-    /// leaf encoding or a signed message moves at least one of them,
-    /// which would invalidate every snapshot and signature already
-    /// published.
+    /// Digests of the toy collection: any change to the hash, a leaf
+    /// encoding, a domain prefix or the tree shapes moves at least one of
+    /// them, which would invalidate every snapshot and signature already
+    /// published. The values come from an independent textbook fold —
+    /// SHA-256 padded by hand over the crypto crate's scalar compression
+    /// function, every tree folded level by level with `h(0x00 | leaf)`
+    /// leaves and `h(0x01 | l | r)` interior nodes — which, with the
+    /// prefixes dropped, reproduces the digests pinned before domain
+    /// separation.
     #[test]
     fn golden_roots_are_byte_stable() {
         // (mechanism, term 0 root/head, term 15 root/head, dictionary
@@ -717,30 +764,30 @@ mod tests {
         let golden = [
             (
                 Mechanism::TraMht,
-                "7aa8ca4a02506da9133d8f889678b76f",
-                "a4a40dc93738a756e2bab0aa35e60ee3",
-                "7d00e5939878e1f70b6df4a54f9aac60",
-                Some("76161ae5fd274627ba90cdbb24451d38"),
+                "b0b26bc74921ecfff713a2f2301974f1",
+                "bef7cb5358a6d9eaa66e6b7f5c15ac96",
+                "66dfd7d54b6363904e418f57eff89089",
+                Some("062d5987ef8a747bfc767a748bbdeb1b"),
             ),
             (
                 Mechanism::TraCmht,
-                "7aa8ca4a02506da9133d8f889678b76f",
-                "4f388cd5c6a316ddd0974eafd46bae97",
-                "d201976ba0e6ce08bc9ff20f4a2d6041",
-                Some("76161ae5fd274627ba90cdbb24451d38"),
+                "b0b26bc74921ecfff713a2f2301974f1",
+                "edcff7fa707dc603332c1b4828752710",
+                "f9a005a35f5bf265ceee0b65ada9efa1",
+                Some("062d5987ef8a747bfc767a748bbdeb1b"),
             ),
             (
                 Mechanism::TnraMht,
-                "2d1913b16164a616ec1cce07c81479a3",
-                "14e909b5f2e7264092d6e51c7e97d0b3",
-                "9878214462dbe272ef2eb6c5518b518b",
+                "74178b9e3a95d23247aa014233ca65da",
+                "0079047af4a25118e2af507164cb24a1",
+                "87968b25612ba13fac05813a49fbfec9",
                 None,
             ),
             (
                 Mechanism::TnraCmht,
-                "2d1913b16164a616ec1cce07c81479a3",
-                "03244fda71fc686b6a95fe6bc169376c",
-                "5d5e5b5e4a73cd0aefe0bc6c4617d87e",
+                "74178b9e3a95d23247aa014233ca65da",
+                "f574c3b37cedb2b5e20902979ede2165",
+                "8e78c2af022c4f3427cca3e47eb24689",
                 None,
             ),
         ];
@@ -758,13 +805,10 @@ mod tests {
             };
             let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
             let m = auth.index.num_terms() as TermId;
-            let dict_leaves = (0..m)
-                .map(|t| dict_leaf_digest(t, auth.index.ft(t), &auth.term_root(t)))
-                .collect();
             let got = (
                 auth.term_root(0).to_hex(),
                 auth.term_root(m - 1).to_hex(),
-                MerkleTree::from_leaf_digests(dict_leaves).root().to_hex(),
+                auth.cache.dict_tree.root().to_hex(),
                 auth.doc_tree.as_ref().map(|t| t.root().to_hex()),
             );
             let want = (
@@ -779,14 +823,19 @@ mod tests {
 
     #[test]
     fn dict_mode_has_single_signature() {
+        // Every build is §3.4's dictionary mode: one signature, whatever
+        // the mechanism.
         let key = cached_keypair(TEST_KEY_BITS);
-        let config = AuthConfig {
-            dict_mht: true,
-            ..test_config(Mechanism::TnraMht)
-        };
-        let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
-        assert!(auth.term_sigs.is_empty());
-        assert!(auth.dict_sig.is_some());
+        for mechanism in Mechanism::ALL {
+            let auth = AuthenticatedIndex::build(
+                toy_index(),
+                &key,
+                test_config(mechanism),
+                &toy_contents(),
+            );
+            assert_eq!(auth.signature.len(), key.public_key().signature_len());
+            assert_eq!(auth.space_report(0).signatures, 1, "{mechanism:?}");
+        }
     }
 
     #[test]
@@ -820,7 +869,7 @@ mod tests {
     #[test]
     fn parallel_build_is_bit_identical_to_sequential() {
         // The paper model is the single-threaded build; any thread count
-        // must reproduce it exactly: same roots, same signatures.
+        // must reproduce it exactly: same roots, same signature.
         let key = cached_keypair(TEST_KEY_BITS);
         for mechanism in Mechanism::ALL {
             let sequential = AuthConfig {
@@ -840,7 +889,8 @@ mod tests {
                     "{mechanism:?} threads={threads}"
                 );
                 assert_eq!(
-                    built.term_sigs, reference.term_sigs,
+                    built.cache.dict_tree.root(),
+                    reference.cache.dict_tree.root(),
                     "{mechanism:?} threads={threads}"
                 );
                 assert_eq!(
@@ -852,29 +902,11 @@ mod tests {
                     "{mechanism:?} threads={threads}"
                 );
                 assert_eq!(
-                    built.doc_table_sig, reference.doc_table_sig,
+                    built.signature, reference.signature,
                     "{mechanism:?} threads={threads}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_in_dict_mht_mode() {
-        let key = cached_keypair(TEST_KEY_BITS);
-        let sequential = AuthConfig {
-            dict_mht: true,
-            threads: 1,
-            ..test_config(Mechanism::TnraMht)
-        };
-        let reference = AuthenticatedIndex::build(toy_index(), &key, sequential, &toy_contents());
-        let parallel = AuthConfig {
-            threads: 4,
-            ..sequential
-        };
-        let built = AuthenticatedIndex::build(toy_index(), &key, parallel, &toy_contents());
-        assert_eq!(built.term_roots, reference.term_roots);
-        assert_eq!(built.dict_sig, reference.dict_sig);
     }
 
     #[test]

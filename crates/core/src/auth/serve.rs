@@ -2,10 +2,11 @@
 //!
 //! The (untrusted, but here honest) search engine runs the threshold
 //! algorithm, then assembles the verification object: per query term the
-//! processed list prefix with complementary digests and the list
-//! signature; for the TRA mechanisms additionally one document-MHT proof
-//! per encountered document and one document-table multi-proof tying
-//! them all to a single signature. Disk traffic is accounted per the paper's
+//! processed list prefix with complementary digests, one dictionary-MHT
+//! multi-proof over the query terms, for the TRA mechanisms one
+//! document-MHT proof per encountered document and one document-table
+//! multi-proof over them, and the owner's one manifest signature, which
+//! covers both trees' roots. Disk traffic is accounted per the paper's
 //! storage layout: plain-MHT variants re-read entire lists to regenerate
 //! internal digests, chain-MHT variants stop at the cut-off block, and
 //! every document-MHT fetch is a random access.
@@ -185,23 +186,7 @@ impl AuthenticatedIndex {
         };
         self.cache.count_proofs(terms.len(), docs.len());
 
-        // Dictionary-MHT proof (one signature for the whole dictionary),
-        // from the tree the build or boot folded.
-        let dict = self
-            .cache
-            .dict_tree
-            .as_ref()
-            .zip(self.dict_sig.as_ref())
-            .map(|(tree, sig)| {
-                let mut positions: Vec<usize> =
-                    query.terms.iter().map(|qt| qt.term as usize).collect();
-                positions.sort_unstable();
-                DictVo {
-                    num_terms: self.index.num_terms() as u32,
-                    proof: tree.prove(&positions),
-                    signature: sig.clone(),
-                }
-            });
+        let terms_asked: Vec<TermId> = query.terms.iter().map(|qt| qt.term).collect();
 
         // Result document contents (retrieval cost excluded from the I/O
         // metric, as in §4.1: constant across all algorithms).
@@ -216,8 +201,9 @@ impl AuthenticatedIndex {
                 mechanism,
                 terms,
                 docs,
-                dict,
+                dict: Some(self.dict_vo(&terms_asked)),
                 doc_table: self.doc_table_vo(&outcome.encountered),
+                signature: self.signature.clone(),
             },
             contents: contents_out,
             io,
@@ -225,16 +211,25 @@ impl AuthenticatedIndex {
         }
     }
 
+    /// The dictionary-MHT multi-proof for `terms`: one `prove` over the
+    /// resident tree at their term ids.
+    pub(crate) fn dict_vo(&self, terms: &[TermId]) -> DictVo {
+        let mut positions: Vec<usize> = terms.iter().map(|&t| t as usize).collect();
+        positions.sort_unstable();
+        DictVo {
+            num_terms: u32::try_from(self.index.num_terms()).expect("term ids are u32"),
+            proof: self.cache.dict_tree.prove(&positions),
+        }
+    }
+
     /// The document-table multi-proof for `docs` (TRA only): one `prove`
-    /// over the resident tree at their doc ids, plus the one signature.
+    /// over the resident tree at their doc ids.
     pub(crate) fn doc_table_vo(&self, docs: &[DocId]) -> Option<DocTableVo> {
         let tree = self.doc_tree.as_ref()?;
-        let signature = self.doc_table_sig.clone()?;
         let mut positions: Vec<usize> = docs.iter().map(|&d| d as usize).collect();
         positions.sort_unstable();
         Some(DocTableVo {
             proof: tree.prove(&positions),
-            signature,
         })
     }
 
@@ -244,11 +239,6 @@ impl AuthenticatedIndex {
         let list = self.index.list(term);
         let li = list.len();
         let leaf_bytes = config.term_leaf_bytes();
-        let signature = if config.dict_mht {
-            None
-        } else {
-            Some(self.term_sigs[term as usize].clone())
-        };
 
         // Proofs come from the resident structure; the I/O accounting
         // below models the paper's on-disk layout.
@@ -276,7 +266,7 @@ impl AuthenticatedIndex {
                     ft: li as u32,
                     prefix: self.prefix_data(list, kr),
                     proof,
-                    signature,
+                    signature: None,
                 }
             }
             TermStructure::Mht(interior) => {
@@ -301,7 +291,7 @@ impl AuthenticatedIndex {
                     ft: li as u32,
                     prefix: self.prefix_data(list, kr),
                     proof,
-                    signature,
+                    signature: None,
                 }
             }
         }
@@ -364,7 +354,7 @@ impl AuthenticatedIndex {
         };
 
         // Random fetch: the document-MHT spans its leaves plus the stored
-        // root (the one document-table signature stays resident).
+        // root (the document table stays resident).
         let mht_bytes = n * 8 + 16;
         io.random_access(self.config.layout.blocks_for_bytes(mht_bytes) as u64);
 
@@ -530,17 +520,18 @@ mod tests {
             };
             assert_eq!(dv.proof, fresh, "{what}: doc {}", dv.doc);
         }
-        assert_eq!(vo.dict.is_some(), config.dict_mht, "{what}");
-        if let Some(dict) = &vo.dict {
-            let m = auth.index().num_terms() as TermId;
-            let leaves = (0..m)
-                .map(|t| dict_leaf_digest(t, auth.index().ft(t), &auth.term_root(t)))
-                .collect();
-            let mut positions: Vec<usize> = query.terms.iter().map(|qt| qt.term as usize).collect();
-            positions.sort_unstable();
-            let fresh = MerkleTree::from_leaf_digests(leaves).prove(&positions);
-            assert_eq!(dict.proof, fresh, "{what}: dictionary");
-        }
+        let dict = vo
+            .dict
+            .as_ref()
+            .expect("every reply carries a dictionary proof");
+        let m = auth.index().num_terms() as TermId;
+        let leaves = (0..m)
+            .map(|t| dict_leaf_digest(t, auth.index().ft(t), &auth.term_root(t)))
+            .collect();
+        let mut positions: Vec<usize> = query.terms.iter().map(|qt| qt.term as usize).collect();
+        positions.sort_unstable();
+        let fresh = MerkleTree::from_leaf_digests(leaves).prove(&positions);
+        assert_eq!(dict.proof, fresh, "{what}: dictionary");
     }
 
     #[test]
@@ -548,21 +539,8 @@ mod tests {
         // Every proof served from the structures resident since the build
         // equals the proof a fresh fold of the leaves gives: term-MHT and
         // chain-MHT prefixes, document-MHTs and the dictionary-MHT.
-        let key = cached_keypair(TEST_KEY_BITS);
-        let mut configs: Vec<AuthConfig> = Mechanism::ALL
-            .iter()
-            .map(|&mechanism| AuthConfig {
-                key_bits: TEST_KEY_BITS,
-                ..AuthConfig::new(mechanism)
-            })
-            .collect();
-        configs.push(AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            dict_mht: true,
-            ..AuthConfig::new(Mechanism::TnraMht)
-        });
-        for config in configs {
-            let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
+        for mechanism in Mechanism::ALL {
+            let auth = auth(mechanism);
             type Serve = fn(&AuthenticatedIndex, &Query, usize, &Vec<Vec<u8>>) -> QueryResponse;
             let modes: [(&str, Serve); 2] = [
                 ("disjunctive", AuthenticatedIndex::query),
@@ -571,16 +549,9 @@ mod tests {
             for (mode, serve) in modes {
                 for r in [1usize, 2, 5] {
                     let response = serve(&auth, &toy_query(), r, &toy_contents());
-                    let what = format!(
-                        "{:?} dict_mht={} {mode} r={r}",
-                        config.mechanism, config.dict_mht
-                    );
+                    let what = format!("{mechanism:?} {mode} r={r}");
                     assert!(!response.vo.terms.is_empty(), "{what}");
-                    assert_eq!(
-                        response.vo.docs.is_empty(),
-                        !config.mechanism.is_tra(),
-                        "{what}"
-                    );
+                    assert_eq!(response.vo.docs.is_empty(), !mechanism.is_tra(), "{what}");
                     assert_proofs_match_fresh_trees(&auth, &toy_query(), &response.vo, &what);
                 }
             }
@@ -665,15 +636,21 @@ mod tests {
 
     #[test]
     fn dict_mode_emits_dict_proof() {
-        let key = cached_keypair(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            dict_mht: true,
-            ..AuthConfig::new(Mechanism::TnraMht)
-        };
-        let a = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
-        let resp = a.query(&toy_query(), 2, &toy_contents());
-        assert!(resp.vo.dict.is_some());
-        assert!(resp.vo.terms.iter().all(|t| t.signature.is_none()));
+        // Every reply, under every mechanism and query mode, carries one
+        // dictionary proof and the one manifest signature, and no
+        // per-list signature.
+        for mechanism in Mechanism::ALL {
+            let a = auth(mechanism);
+            for resp in [
+                a.query(&toy_query(), 2, &toy_contents()),
+                a.query_conjunctive(&toy_query(), 2, &toy_contents()),
+                a.query(&Query::default(), 2, &toy_contents()),
+            ] {
+                assert!(resp.vo.dict.is_some(), "{mechanism:?}");
+                assert!(resp.vo.terms.iter().all(|t| t.signature.is_none()));
+                assert_eq!(resp.vo.signature, a.signature, "{mechanism:?}");
+                assert_eq!(resp.vo.signature_count(), 1, "{mechanism:?}");
+            }
+        }
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! The paper's owner transfers the collection and index to the
 //! untrusted engine once; rebuilding the artifact on every server start
-//! re-pays the owner's dominant preprocessing cost (one RSA signature
-//! per term, plus the document-table signature for TRA) for nothing. A
-//! snapshot reloads with parsing, hashing and signature *verification*
-//! only — no signing.
+//! re-pays the owner's preprocessing (hashing and folding every list
+//! and document, then signing the manifest) for nothing. A snapshot
+//! reloads with parsing, hashing and one signature *verification* — no
+//! signing.
 //!
 //! ## Container layout
 //!
@@ -15,14 +15,17 @@
 //!
 //! | tag    | payload |
 //! |--------|---------|
-//! | `ACFG` | artifact identity: mechanism, buddy, dict-MHT mode, key bits, block layout |
+//! | `ACFG` | artifact identity: mechanism, buddy, key bits, block layout |
 //! | `ASIX` | the inverted index (the v1 `ASIX` record, re-framed as a checksummed section) |
-//! | `ASA2` | the authentication artifact: term roots, term/dictionary signatures, document content digests and document-MHT roots, the document-table signature, the owner's public key |
+//! | `ASA3` | the authentication artifact: term roots, document content digests and document-MHT roots, the one manifest signature, the owner's public key |
 //!
-//! The authentication section's tag carries its layout version: `ASA2`
-//! replaced `ASAU`, whose TRA artifacts held one signature per
-//! document. A snapshot with the old section is [`PersistError::Stale`]
-//! and boots through a fresh build.
+//! The authentication section's tag carries its layout version. `ASA3`
+//! holds one signature over the publication manifest, in a scheme whose
+//! Merkle leaves and interior nodes hash in separate domains. It
+//! replaced `ASA2` (one signature per term plus one for the document
+//! table) and `ASAU` (one signature per term and per document). A
+//! snapshot with either old section is [`PersistError::Stale`] and
+//! boots through a fresh build.
 //!
 //! ## Trust model at boot
 //!
@@ -36,36 +39,33 @@
 //! 2. identity check of `ACFG` against the caller's expected
 //!    [`AuthConfig`] — a snapshot of a *different* artifact is
 //!    [`PersistError::Stale`], not silently served;
-//! 3. **signature verification** against the embedded public key:
-//!    the dictionary-MHT signature over the root recomputed from the
-//!    loaded term roots (dictionary mode), or every per-term signature
-//!    otherwise (fanned out through [`crate::pool::map`]); for TRA, the
-//!    document-table signature over the table rebuilt from every
-//!    document's content digest and root — all `n` documents. Then every
-//!    term root and every document-MHT root is recomputed from the
-//!    loaded index, folded through [`crate::pool::map`] at the
-//!    configured width, and must equal the signed one. That fold also rebuilds the structures
-//!    the engine proves from, so checking all `m` term roots and `n`
-//!    document roots costs no hashing beyond what serving needs anyway.
+//! 3. **one signature verification** against the embedded public key:
+//!    the dictionary-MHT is folded from the loaded term roots and, for
+//!    TRA, the document table from every document's content digest and
+//!    root, and the manifest over both roots must carry the owner's
+//!    signature. Then every term root and every document-MHT root is
+//!    recomputed from the loaded index, folded through
+//!    [`crate::pool::map`] at the configured width, and must equal the
+//!    signed one. That fold also rebuilds the structures the engine
+//!    proves from, so checking all `m` term roots and `n` document roots
+//!    costs no hashing beyond what serving needs anyway.
 //!
-//! A forgery that survives all three (consistent digests *and* valid
-//! signatures over altered data) would require breaking the owner's
+//! A forgery that survives all three (consistent digests *and* a valid
+//! signature over altered data) would require breaking the owner's
 //! RSA key — and even then, the per-query VO verification at the client
 //! remains: a VO built from tampered structures cannot verify, so no
 //! wrong answer is ever *accepted*, only detected later than boot.
 
 use super::{
-    cache, dict_leaf_digest, dict_message, doc_mhts, doc_table_message, doc_table_tree,
-    term_message, term_structures, AuthConfig, AuthenticatedIndex,
+    cache, dict_tree, doc_mhts, doc_table_tree, publication_message, term_structures, AuthConfig,
+    AuthenticatedIndex, NO_DOC_TABLE_ROOT,
 };
-use crate::pool::{self, ThreadPool};
+use crate::pool::ThreadPool;
 use crate::types::DocTable;
 use crate::vo::Mechanism;
 use authsearch_corpus::TermId;
 use authsearch_crypto::{Digest, MerkleTree, RsaPublicKey, DIGEST_LEN};
-use authsearch_index::persist::{
-    self, put_str, put_u32, put_u64, PersistError, SectionReader, SectionTag,
-};
+use authsearch_index::persist::{self, put_u32, put_u64, PersistError, SectionReader, SectionTag};
 use authsearch_index::SnapshotInfo;
 use std::io::Cursor;
 use std::path::Path;
@@ -75,11 +75,13 @@ use std::sync::Arc;
 pub const TAG_CONFIG: SectionTag = *b"ACFG";
 /// The inverted-index section (the v1 `ASIX` record as a section).
 pub const TAG_INDEX: SectionTag = *b"ASIX";
-/// The authentication-artifact section (layout 2: one document-table
-/// signature).
-pub const TAG_AUTH: SectionTag = *b"ASA2";
-/// The layout-1 authentication section (one signature per document).
-const TAG_AUTH_V1: SectionTag = *b"ASAU";
+/// The authentication-artifact section (layout 3: one manifest
+/// signature, domain-separated Merkle hashing).
+pub const TAG_AUTH: SectionTag = *b"ASA3";
+/// Earlier authentication sections, each stale: layout 1 (`ASAU`, one
+/// signature per term and per document) and layout 2 (`ASA2`, one per
+/// term plus one for the document table).
+const TAG_AUTH_STALE: [SectionTag; 2] = [*b"ASAU", *b"ASA2"];
 
 fn corrupt(why: impl Into<String>) -> PersistError {
     PersistError::Corrupt(why.into())
@@ -89,28 +91,12 @@ fn stale(why: impl Into<String>) -> PersistError {
     PersistError::Stale(why.into())
 }
 
-fn mechanism_code(m: Mechanism) -> u8 {
-    // Must stay in step with `Mechanism::ALL` — `mechanism_from_code`
-    // is the inverse, and the round-trip is asserted in tests.
-    match m {
-        Mechanism::TraMht => 0,
-        Mechanism::TraCmht => 1,
-        Mechanism::TnraMht => 2,
-        Mechanism::TnraCmht => 3,
-    }
-}
-
-fn mechanism_from_code(code: u8) -> Option<Mechanism> {
-    Mechanism::ALL.get(code as usize).copied()
-}
-
 // ---- section codecs -------------------------------------------------------
 
 fn encode_config(config: &AuthConfig) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(3 + 4 * 8);
-    buf.push(mechanism_code(config.mechanism));
+    let mut buf = Vec::with_capacity(2 + 4 * 8);
+    buf.push(config.mechanism.code());
     buf.push(u8::from(config.buddy));
-    buf.push(u8::from(config.dict_mht));
     let _ = put_u64(&mut buf, config.key_bits as u64);
     let _ = put_u64(&mut buf, config.layout.block_bytes as u64);
     let _ = put_u64(&mut buf, config.layout.addr_bytes as u64);
@@ -124,9 +110,8 @@ fn encode_config(config: &AuthConfig) -> Vec<u8> {
 fn check_config(payload: &[u8], expected: &AuthConfig) -> Result<(), PersistError> {
     let mut r = SectionReader::new(payload, "ACFG");
     let mechanism =
-        mechanism_from_code(r.u8()?).ok_or_else(|| corrupt("ACFG: unknown mechanism code"))?;
+        Mechanism::from_code(r.u8()?).ok_or_else(|| corrupt("ACFG: unknown mechanism code"))?;
     let buddy = r.u8()? != 0;
-    let dict_mht = r.u8()? != 0;
     let key_bits = r.u64()? as usize;
     let block_bytes = r.u64()? as usize;
     let addr_bytes = r.u64()? as usize;
@@ -134,81 +119,42 @@ fn check_config(payload: &[u8], expected: &AuthConfig) -> Result<(), PersistErro
     r.finish()?;
     let same = mechanism == expected.mechanism
         && buddy == expected.buddy
-        && dict_mht == expected.dict_mht
         && key_bits == expected.key_bits
         && block_bytes == expected.layout.block_bytes
         && addr_bytes == expected.layout.addr_bytes
         && digest_bytes == expected.layout.digest_bytes;
     if !same {
         return Err(stale(format!(
-            "snapshot artifact is {mechanism:?} (buddy={buddy}, dict_mht={dict_mht}, \
-             key_bits={key_bits}), expected {:?} (buddy={}, dict_mht={}, key_bits={})",
-            expected.mechanism, expected.buddy, expected.dict_mht, expected.key_bits
+            "snapshot artifact is {mechanism:?} (buddy={buddy}, key_bits={key_bits}), \
+             expected {:?} (buddy={}, key_bits={})",
+            expected.mechanism, expected.buddy, expected.key_bits
         )));
     }
     Ok(())
 }
 
-fn put_sig(buf: &mut Vec<u8>, sig: &[u8]) -> Result<(), PersistError> {
-    let len = u32::try_from(sig.len()).map_err(|_| corrupt("signature length exceeds u32"))?;
-    let _ = put_u32(buf, len);
-    buf.extend_from_slice(sig);
-    Ok(())
-}
-
-fn get_sig<'a>(r: &mut SectionReader<'a>, what: &str) -> Result<&'a [u8], PersistError> {
-    let len = r.u32()? as usize;
-    if len == 0 || len > r.remaining() {
-        return Err(corrupt(format!("ASA2: {what} signature length forged")));
-    }
-    r.bytes(len)
-}
-
 fn encode_auth(auth: &AuthenticatedIndex) -> Result<Vec<u8>, PersistError> {
     let mut buf = Vec::new();
-    let _ = put_u64(&mut buf, auth.term_roots.len() as u64);
-    for root in &auth.term_roots {
-        buf.extend_from_slice(root.as_bytes());
-    }
-    let _ = put_u64(&mut buf, auth.term_sigs.len() as u64);
-    for sig in &auth.term_sigs {
-        put_sig(&mut buf, sig)?;
-    }
-    match &auth.dict_sig {
-        Some(sig) => {
-            buf.push(1);
-            put_sig(&mut buf, sig)?;
-        }
-        None => buf.push(0),
-    }
-    for digests in [&auth.doc_content_digests, &auth.doc_roots] {
+    for digests in [&auth.term_roots, &auth.doc_content_digests, &auth.doc_roots] {
         let _ = put_u64(&mut buf, digests.len() as u64);
         for d in digests {
             buf.extend_from_slice(d.as_bytes());
         }
     }
-    match &auth.doc_table_sig {
-        Some(sig) => {
-            buf.push(1);
-            put_sig(&mut buf, sig)?;
-        }
-        None => buf.push(0),
-    }
-    let _ = put_str(&mut buf, "").map_err(PersistError::Io); // reserved (future key metadata)
     let key = auth.public_key.to_bytes();
-    let key_len = u32::try_from(key.len()).map_err(|_| corrupt("public key length exceeds u32"))?;
-    let _ = put_u32(&mut buf, key_len);
-    buf.extend_from_slice(&key);
+    for bytes in [auth.signature.as_slice(), key.as_slice()] {
+        let len = u32::try_from(bytes.len()).map_err(|_| corrupt("ASA3 field exceeds u32"))?;
+        let _ = put_u32(&mut buf, len);
+        buf.extend_from_slice(bytes);
+    }
     Ok(buf)
 }
 
 struct AuthParts {
     term_roots: Vec<Digest>,
-    term_sigs: Vec<Vec<u8>>,
-    dict_sig: Option<Vec<u8>>,
     doc_content_digests: Vec<Digest>,
     doc_roots: Vec<Digest>,
-    doc_table_sig: Option<Vec<u8>>,
+    signature: Vec<u8>,
     public_key: RsaPublicKey,
 }
 
@@ -220,59 +166,35 @@ fn get_digests(r: &mut SectionReader<'_>, what: &str) -> Result<Vec<Digest>, Per
     for _ in 0..n {
         out.push(
             Digest::from_slice(r.bytes(DIGEST_LEN)?)
-                .ok_or_else(|| corrupt(format!("ASA2: malformed {what}")))?,
+                .ok_or_else(|| corrupt(format!("ASA3: malformed {what}")))?,
         );
     }
     Ok(out)
 }
 
-/// Read a flag-prefixed optional signature.
-fn get_opt_sig(r: &mut SectionReader<'_>, what: &str) -> Result<Option<Vec<u8>>, PersistError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_sig(r, what)?.to_vec())),
-        _ => Err(corrupt(format!("ASA2: bad {what}-signature flag"))),
+/// Read a `u32`-length-prefixed, non-empty byte field.
+fn get_field<'a>(r: &mut SectionReader<'a>, what: &str) -> Result<&'a [u8], PersistError> {
+    let len = r.u32()? as usize;
+    if len == 0 || len > r.remaining() {
+        return Err(corrupt(format!("ASA3: {what} length forged")));
     }
+    r.bytes(len)
 }
 
 fn decode_auth(payload: &[u8]) -> Result<AuthParts, PersistError> {
-    let mut r = SectionReader::new(payload, "ASA2");
-
+    let mut r = SectionReader::new(payload, "ASA3");
     let term_roots = get_digests(&mut r, "term root")?;
-
-    let claimed = r.u64()?;
-    let sig_count = r.checked_count(claimed, 4, "term signature")?;
-    let mut term_sigs = Vec::with_capacity(sig_count.min(persist::PREALLOC_CLAMP));
-    for _ in 0..sig_count {
-        term_sigs.push(get_sig(&mut r, "term")?.to_vec());
-    }
-
-    let dict_sig = get_opt_sig(&mut r, "dictionary")?;
     let doc_content_digests = get_digests(&mut r, "doc content digest")?;
     let doc_roots = get_digests(&mut r, "doc root")?;
-    let doc_table_sig = get_opt_sig(&mut r, "document-table")?;
-
-    let reserved = r.u32()? as usize;
-    if reserved != 0 {
-        // Skip forward-compatible metadata written by a newer minor
-        // revision; its bytes are still digest-protected.
-        let _ = r.bytes(reserved)?;
-    }
-    let key_len = r.u32()? as usize;
-    if key_len == 0 || key_len > r.remaining() {
-        return Err(corrupt("ASA2: public-key length forged"));
-    }
-    let public_key = RsaPublicKey::from_bytes(r.bytes(key_len)?)
-        .ok_or_else(|| corrupt("ASA2: public key fails to parse"))?;
+    let signature = get_field(&mut r, "signature")?.to_vec();
+    let public_key = RsaPublicKey::from_bytes(get_field(&mut r, "public-key")?)
+        .ok_or_else(|| corrupt("ASA3: public key fails to parse"))?;
     r.finish()?;
-
     Ok(AuthParts {
         term_roots,
-        term_sigs,
-        dict_sig,
         doc_content_digests,
         doc_roots,
-        doc_table_sig,
+        signature,
         public_key,
     })
 }
@@ -301,7 +223,7 @@ impl AuthenticatedIndex {
     /// verifying it end to end before it can serve a single query — see
     /// the [module docs](self) for the three verification layers.
     /// `expected` supplies both the identity the snapshot must match
-    /// (mechanism, buddy, dictionary mode, key bits, layout) and the
+    /// (mechanism, buddy, key bits, layout) and the
     /// thread count the reloaded engine should run with.
     pub fn load_snapshot(
         path: &Path,
@@ -317,11 +239,12 @@ impl AuthenticatedIndex {
                 )))
             }
         };
-        if auth_s.0 == TAG_AUTH_V1 {
-            return Err(stale(
-                "snapshot holds one signature per document (section ASAU); \
-                 this build signs the document table once (ASA2)",
-            ));
+        if TAG_AUTH_STALE.contains(&auth_s.0) {
+            return Err(stale(format!(
+                "snapshot holds per-term signatures (section {}); \
+                 this build signs one manifest (ASA3)",
+                String::from_utf8_lossy(&auth_s.0)
+            )));
         }
         for ((tag, _), want) in [config_s, index_s, auth_s]
             .iter()
@@ -343,6 +266,9 @@ impl AuthenticatedIndex {
         // Cross-checks: the sections must describe one coherent artifact.
         let m = index.num_terms();
         let n = index.num_docs();
+        if m == 0 {
+            return Err(corrupt("snapshot indexes no terms"));
+        }
         if parts.term_roots.len() != m {
             return Err(corrupt(format!(
                 "{} term roots for {m} terms",
@@ -352,39 +278,15 @@ impl AuthenticatedIndex {
         if let Some(t) = (0..m as TermId).find(|&t| index.list(t).is_empty()) {
             return Err(corrupt(format!("term {t}: empty inverted list")));
         }
-        if expected.dict_mht {
-            if parts.dict_sig.is_none() || !parts.term_sigs.is_empty() {
-                return Err(corrupt(
-                    "dictionary mode needs a dict signature and no term sigs",
-                ));
-            }
-        } else if parts.term_sigs.len() != m || parts.dict_sig.is_some() {
-            return Err(corrupt(format!(
-                "{} term signatures for {m} terms",
-                parts.term_sigs.len()
-            )));
-        }
         if expected.mechanism.is_tra() {
-            if n == 0
-                || parts.doc_content_digests.len() != n
-                || parts.doc_roots.len() != n
-                || parts.doc_table_sig.is_none()
-            {
+            if n == 0 || parts.doc_content_digests.len() != n || parts.doc_roots.len() != n {
                 return Err(corrupt(format!(
-                    "{} doc digests / {} doc roots / {} table signature for {n} documents",
+                    "{} doc digests / {} doc roots for {n} documents",
                     parts.doc_content_digests.len(),
                     parts.doc_roots.len(),
-                    if parts.doc_table_sig.is_some() {
-                        "a"
-                    } else {
-                        "no"
-                    }
                 )));
             }
-        } else if !parts.doc_content_digests.is_empty()
-            || !parts.doc_roots.is_empty()
-            || parts.doc_table_sig.is_some()
-        {
+        } else if !parts.doc_content_digests.is_empty() || !parts.doc_roots.is_empty() {
             return Err(corrupt("TNRA snapshot carries document structures"));
         }
         if parts.public_key.modulus_bits() != expected.key_bits {
@@ -395,47 +297,32 @@ impl AuthenticatedIndex {
             )));
         }
 
-        // Boot-time signature verification: prove the loaded roots carry
-        // the owner's endorsement before serving anything.
+        // Boot-time signature verification: fold the dictionary and the
+        // document table from the loaded roots and check the one
+        // signature over their manifest before serving anything.
         let threads = expected.build_threads();
         let doc_table = DocTable::from_index(&index);
-        let mut dict_tree = None;
-        if expected.dict_mht {
-            let leaves: Vec<Digest> = parts
-                .term_roots
-                .iter()
-                .enumerate()
-                .map(|(t, root)| dict_leaf_digest(t as TermId, index.ft(t as TermId), root))
-                .collect();
-            let tree = MerkleTree::from_leaf_digests(leaves);
-            let msg = dict_message(m as u32, &tree.root());
-            let Some(dict_sig) = parts.dict_sig.as_deref() else {
-                return Err(corrupt("dictionary mode without a dictionary signature"));
-            };
-            parts
-                .public_key
-                .verify(&msg, dict_sig)
-                .map_err(|e| corrupt(format!("dictionary signature rejected at boot: {e}")))?;
-            dict_tree = Some(tree);
-        } else {
-            // Every term signature, fanned out like the build's signing;
-            // the lowest rejected term is the one reported.
-            let verdicts = pool::map(threads, m, |t| {
-                let (root, sig) = parts
-                    .term_roots
-                    .get(t)
-                    .zip(parts.term_sigs.get(t))
-                    .ok_or_else(|| corrupt(format!("term {t} out of range")))?;
-                let msg = term_message(t as TermId, index.ft(t as TermId), root);
-                parts
-                    .public_key
-                    .verify(&msg, sig)
-                    .map_err(|e| corrupt(format!("term {t} signature rejected at boot: {e}")))
-            });
-            verdicts.into_iter().collect::<Result<(), _>>()?;
-        }
-        // Refold every term: each recomputed root must be the signed one,
-        // which ties every loaded list to the owner's signatures.
+        let dict = dict_tree(threads, &index, &parts.term_roots);
+        let doc_tree = expected
+            .mechanism
+            .is_tra()
+            .then(|| doc_table_tree(&parts.doc_content_digests, &parts.doc_roots));
+        let manifest = publication_message(
+            expected.mechanism,
+            u32::try_from(m).map_err(|_| corrupt("term count exceeds u32"))?,
+            u32::try_from(n).map_err(|_| corrupt("document count exceeds u32"))?,
+            &dict.root(),
+            &doc_tree
+                .as_ref()
+                .map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
+        );
+        parts
+            .public_key
+            .verify(&manifest, &parts.signature)
+            .map_err(|e| corrupt(format!("manifest signature rejected at boot: {e}")))?;
+        // Refold every term and document: each recomputed root must be
+        // the signed one, which ties every loaded list and document-MHT
+        // to the owner's signature.
         let (roots, terms) = term_structures(threads, expected, &index);
         if let Some(t) = roots
             .iter()
@@ -446,26 +333,16 @@ impl AuthenticatedIndex {
                 "term {t}: index disagrees with its signed root"
             )));
         }
-        let (doc_tree, doc_levels) = if expected.mechanism.is_tra() {
-            // One signature covers every document's content digest and
-            // root; refolding every document then ties each root to the
-            // loaded index.
-            let tree = doc_table_tree(&parts.doc_content_digests, &parts.doc_roots);
-            let num_docs = u32::try_from(n).map_err(|_| corrupt("document count exceeds u32"))?;
-            let sig = parts.doc_table_sig.as_deref().unwrap_or_default();
-            parts
-                .public_key
-                .verify(&doc_table_message(num_docs, &tree.root()), sig)
-                .map_err(|e| corrupt(format!("document-table signature rejected at boot: {e}")))?;
+        let doc_levels = if expected.mechanism.is_tra() {
             let (roots, levels) = doc_mhts(threads, &doc_table);
             if let Some(d) = roots.iter().zip(&parts.doc_roots).position(|(a, b)| a != b) {
                 return Err(corrupt(format!(
                     "doc {d}: index disagrees with its signed root"
                 )));
             }
-            (Some(tree), levels)
+            levels
         } else {
-            (None, Vec::new())
+            Vec::new()
         };
 
         Ok(AuthenticatedIndex {
@@ -473,14 +350,12 @@ impl AuthenticatedIndex {
             index,
             doc_table,
             term_roots: parts.term_roots,
-            term_sigs: parts.term_sigs,
-            dict_sig: parts.dict_sig,
             doc_content_digests: parts.doc_content_digests,
             doc_roots: parts.doc_roots,
             doc_tree,
-            doc_table_sig: parts.doc_table_sig,
+            signature: parts.signature,
             public_key: parts.public_key,
-            cache: cache::ServeCache::new(dict_tree, terms, doc_levels),
+            cache: cache::ServeCache::new(dict, terms, doc_levels),
             serve_pool: Arc::new(ThreadPool::new(threads)),
         })
     }
@@ -567,7 +442,7 @@ where
 mod tests {
     use super::*;
     use crate::auth::tests_support::test_auth;
-    use crate::toy::{toy_contents, toy_index, toy_query};
+    use crate::toy::{toy_contents, toy_query};
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
     use authsearch_index::ImpactEntry;
     use std::fs;
@@ -579,29 +454,19 @@ mod tests {
         dir.join(name)
     }
 
-    fn dict_auth() -> AuthenticatedIndex {
-        let key = cached_keypair(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            dict_mht: true,
-            ..AuthConfig::new(Mechanism::TnraCmht)
-        };
-        AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents())
-    }
-
     #[test]
     fn mechanism_code_round_trips_for_every_mechanism() {
-        // `mechanism_code` is a hand-written match while
-        // `mechanism_from_code` indexes `Mechanism::ALL`; if the two ever
+        // `Mechanism::code` is a hand-written match while
+        // `Mechanism::from_code` indexes `Mechanism::ALL`; if the two ever
         // drift, a snapshot saved under one mechanism would boot as
         // another. Assert the full round-trip in both directions.
         for (i, &m) in Mechanism::ALL.iter().enumerate() {
-            let code = mechanism_code(m);
+            let code = m.code();
             assert_eq!(code as usize, i, "{m:?} must encode as its ALL index");
-            assert_eq!(mechanism_from_code(code), Some(m), "{m:?}");
+            assert_eq!(Mechanism::from_code(code), Some(m), "{m:?}");
         }
-        assert_eq!(mechanism_from_code(Mechanism::ALL.len() as u8), None);
-        assert_eq!(mechanism_from_code(u8::MAX), None);
+        assert_eq!(Mechanism::from_code(Mechanism::ALL.len() as u8), None);
+        assert_eq!(Mechanism::from_code(u8::MAX), None);
     }
 
     #[test]
@@ -623,7 +488,7 @@ mod tests {
 
     #[test]
     fn roundtrip_in_dictionary_mht_mode() {
-        let auth = dict_auth();
+        let auth = test_auth(Mechanism::TnraCmht);
         let path = temp_path("roundtrip-dict.snap");
         auth.save_snapshot(&path).unwrap();
         let loaded = AuthenticatedIndex::load_snapshot(&path, auth.config()).unwrap();
@@ -631,7 +496,7 @@ mod tests {
         let b = loaded.query(&toy_query(), 2, &toy_contents());
         assert_eq!(a.vo, b.vo);
         // The dictionary tree rebuilt at boot is the serving tree.
-        assert!(loaded.cache.dict_tree.is_some());
+        assert_eq!(loaded.cache.dict_tree.root(), auth.cache.dict_tree.root());
         fs::remove_file(&path).ok();
         fs::remove_file(persist::manifest_path(&path)).ok();
     }
@@ -659,7 +524,7 @@ mod tests {
         let path = temp_path("tampered.snap");
         auth.save_snapshot(&path).unwrap();
         let mut bytes = fs::read(&path).unwrap();
-        // Flip one bit near the end (inside the ASAU section payload).
+        // Flip one bit near the end (inside the ASA3 section payload).
         let at = bytes.len() - 40;
         bytes[at] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
@@ -673,15 +538,18 @@ mod tests {
 
     #[test]
     fn boot_verifies_the_document_table_over_every_document() {
-        // A doc root the owner never signed, at any position, fails the
-        // one table signature at boot.
+        // A doc root the owner never signed, at any position, moves the
+        // document-table root and fails the one manifest signature at
+        // boot.
         for d in 0..9 {
             let mut auth = test_auth(Mechanism::TraMht);
             auth.doc_roots[d] = Digest::hash(b"not the owner's root");
             let path = temp_path(&format!("doc-root-{d}.snap"));
             auth.save_snapshot(&path).unwrap();
             match AuthenticatedIndex::load_snapshot(&path, auth.config()) {
-                Err(PersistError::Corrupt(why)) => assert!(why.contains("document-table"), "{why}"),
+                Err(PersistError::Corrupt(why)) => {
+                    assert!(why.starts_with("manifest signature rejected"), "{why}")
+                }
                 other => panic!("doc {d}: expected Corrupt, got {other:?}"),
             }
             fs::remove_file(&path).ok();
@@ -801,27 +669,65 @@ mod tests {
     }
 
     #[test]
-    fn boot_verifies_every_term_signature() {
-        // Term 1 is no endpoint, and no evenly spaced sample of 16 out of
-        // m > 30 terms reaches it. One flipped byte of its signature,
-        // saved under honest section digests, must fail boot by name.
-        let mut auth = synthetic_auth(Mechanism::TnraCmht);
-        let m = auth.index().num_terms();
-        assert!(m > 30, "{m} terms");
-        let t: TermId = 1;
-        let sig = &mut auth.term_sigs[t as usize];
-        *sig.last_mut().unwrap() ^= 0x01;
-        let msg = term_message(t, auth.index().ft(t), &auth.term_root(t));
-        let e = auth
-            .public_key()
-            .verify(&msg, &auth.term_sigs[t as usize])
-            .unwrap_err();
-        let path = temp_path("forged-term-signature.snap");
+    fn boot_rejects_a_forged_manifest_signature() {
+        // One flipped byte of the manifest signature, saved under honest
+        // section digests, fails boot by name under every mechanism.
+        for mechanism in Mechanism::ALL {
+            let mut auth = synthetic_auth(mechanism);
+            *auth.signature.last_mut().unwrap() ^= 0x01;
+            let manifest = super::super::tests_support::manifest_of(&auth);
+            let e = auth
+                .public_key()
+                .verify(&manifest, &auth.signature)
+                .unwrap_err();
+            let path = temp_path(&format!("forged-manifest-{mechanism:?}.snap"));
+            auth.save_snapshot(&path).unwrap();
+            assert_eq!(
+                corrupt_reason(&auth, &path),
+                format!("manifest signature rejected at boot: {e}"),
+                "{mechanism:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn boot_rejects_a_term_root_the_manifest_does_not_cover() {
+        // A stored term root replaced by another term's: the dictionary
+        // folded from the loaded roots no longer has the signed root, so
+        // the manifest check fails before any list is refolded.
+        let mut auth = synthetic_auth(Mechanism::TnraMht);
+        let (t, _) = interior_term(&auth);
+        auth.term_roots[t as usize] = auth.term_roots[0];
+        let path = temp_path("foreign-term-root.snap");
         auth.save_snapshot(&path).unwrap();
-        assert_eq!(
-            corrupt_reason(&auth, &path),
-            format!("term {t} signature rejected at boot: {e}")
+        let why = corrupt_reason(&auth, &path);
+        assert!(
+            why.starts_with("manifest signature rejected at boot"),
+            "{why}"
         );
+    }
+
+    #[test]
+    fn boot_rejects_an_index_without_terms() {
+        // A dictionary-MHT over zero terms has no root; boot refuses the
+        // index by name instead of folding it.
+        use authsearch_index::InvertedIndex;
+        let auth = test_auth(Mechanism::TnraMht);
+        let path = temp_path("no-terms.snap");
+        auth.save_snapshot(&path).unwrap();
+        let index = auth.index();
+        let empty = InvertedIndex::from_parts(
+            index.params(),
+            index.num_docs(),
+            index.avg_doc_len(),
+            Vec::new(),
+            Vec::new(),
+        );
+        let (mut sections, _) = persist::load_snapshot_file(&path).unwrap();
+        sections[1].1.clear();
+        persist::write_index(&mut sections[1].1, &empty).unwrap();
+        persist::save_snapshot_file(&path, &persist::encode_snapshot(&sections).unwrap()).unwrap();
+        assert_eq!(corrupt_reason(&auth, &path), "snapshot indexes no terms");
     }
 
     #[test]
@@ -836,18 +742,24 @@ mod tests {
 
     #[test]
     fn per_document_signature_snapshot_is_stale() {
+        // Both earlier layouts — per-document signatures (ASAU) and
+        // per-term signatures (ASA2) — boot as a typed Stale.
         let auth = test_auth(Mechanism::TraCmht);
-        let path = temp_path("layout-1.snap");
-        auth.save_snapshot(&path).unwrap();
-        let (mut sections, _) = persist::load_snapshot_file(&path).unwrap();
-        sections[2].0 = TAG_AUTH_V1;
-        persist::save_snapshot_file(&path, &persist::encode_snapshot(&sections).unwrap()).unwrap();
-        match AuthenticatedIndex::load_snapshot(&path, auth.config()) {
-            Err(PersistError::Stale(why)) => assert!(why.contains("ASAU"), "{why}"),
-            other => panic!("expected Stale, got {other:?}"),
+        for tag in TAG_AUTH_STALE {
+            let name = String::from_utf8_lossy(&tag).into_owned();
+            let path = temp_path(&format!("layout-{name}.snap"));
+            auth.save_snapshot(&path).unwrap();
+            let (mut sections, _) = persist::load_snapshot_file(&path).unwrap();
+            sections[2].0 = tag;
+            persist::save_snapshot_file(&path, &persist::encode_snapshot(&sections).unwrap())
+                .unwrap();
+            match AuthenticatedIndex::load_snapshot(&path, auth.config()) {
+                Err(PersistError::Stale(why)) => assert!(why.contains(&name), "{why}"),
+                other => panic!("{name}: expected Stale, got {other:?}"),
+            }
+            fs::remove_file(&path).ok();
+            fs::remove_file(persist::manifest_path(&path)).ok();
         }
-        fs::remove_file(&path).ok();
-        fs::remove_file(persist::manifest_path(&path)).ok();
     }
 
     #[test]

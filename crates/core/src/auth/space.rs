@@ -21,18 +21,19 @@ pub struct SpaceReport {
     /// Raw document contents (the collection itself), as reported by the
     /// caller.
     pub contents_bytes: u64,
-    /// Term-side authentication: signatures, stored roots/heads, and the
-    /// change in list storage from re-blocking (chain blocks hold fewer
-    /// entries than plain blocks, but TRA chain blocks hold doc ids only).
+    /// Term-side authentication: the one manifest signature, stored
+    /// roots/heads, and the change in list storage from re-blocking
+    /// (chain blocks hold fewer entries than plain blocks, but TRA chain
+    /// blocks hold doc ids only).
     pub term_auth_bytes: i64,
-    /// Document-side authentication (TRA): the document-MHT leaf layer,
-    /// per-document root, and the one document-table signature.
+    /// Document-side authentication (TRA): the document-MHT leaf layer
+    /// and per-document root.
     pub doc_auth_bytes: u64,
-    /// Stored signatures: one per term (or one dictionary-MHT
-    /// signature), plus one for the document table under TRA.
+    /// Stored signatures: the one over the publication manifest.
     pub signatures: u64,
-    /// Signatures the paper's scheme stores for the same artifact: the
-    /// term-side ones plus one per document under TRA (Figure 8).
+    /// Signatures the paper's scheme stores for the same artifact: one
+    /// per term (§3.3) plus one per document under TRA (Figure 8), the
+    /// `m + n` the manifest replaces.
     pub paper_signatures: u64,
     /// Engine RAM held by the resident structures, counted exactly
     /// ([`AuthenticatedIndex::cache_resident_bytes`]): the
@@ -84,22 +85,21 @@ impl AuthenticatedIndex {
         }
         let plain_index_bytes = index.dictionary_bytes() as u64 + plain_blocks * block;
 
-        let sig_len = self.public_key.signature_len() as u64;
+        let sig_len = self.signature.len() as u64;
         let m = index.num_terms() as u64;
-        let term_sigs = if self.config.dict_mht { 1 } else { m };
-        let sig_total = term_sigs * sig_len;
-        // Stored per-term root/head digest (16 bytes each).
+        // The manifest signature plus a stored root/head digest per term
+        // (16 bytes each).
         let term_auth_bytes =
-            (auth_blocks as i64 - plain_blocks as i64) * block as i64 + (sig_total + m * 16) as i64;
+            (auth_blocks as i64 - plain_blocks as i64) * block as i64 + (sig_len + m * 16) as i64;
 
         let n = index.num_docs() as u64;
-        let (doc_auth_bytes, doc_sigs, paper_doc_sigs) = if self.config.mechanism.is_tra() {
+        let (doc_auth_bytes, paper_doc_sigs) = if self.config.mechanism.is_tra() {
             let leaf_bytes: u64 = (0..index.num_docs() as u32)
                 .map(|d| self.doc_table.doc_terms(d).len() as u64 * 8)
                 .sum();
-            (leaf_bytes + n * 16 + sig_len, 1, n)
+            (leaf_bytes + n * 16, n)
         } else {
-            (0, 0, 0)
+            (0, 0)
         };
 
         SpaceReport {
@@ -107,8 +107,8 @@ impl AuthenticatedIndex {
             contents_bytes,
             term_auth_bytes,
             doc_auth_bytes,
-            signatures: term_sigs + doc_sigs,
-            paper_signatures: term_sigs + paper_doc_sigs,
+            signatures: 1,
+            paper_signatures: m + paper_doc_sigs,
             cache_resident_bytes: self.cache_resident_bytes(),
         }
     }
@@ -119,10 +119,7 @@ impl AuthenticatedIndex {
     /// artifact's exact residency from the build or boot on.
     pub fn cache_resident_bytes(&self) -> u64 {
         let cache = &self.cache;
-        let dict = cache
-            .dict_tree
-            .as_ref()
-            .map_or(0, |t| mht_resident_digests(t.num_leaves()));
+        let dict = mht_resident_digests(cache.dict_tree.num_leaves());
         let terms: u64 = cache
             .terms
             .iter()
@@ -157,38 +154,21 @@ mod tests {
 
     #[test]
     fn signature_counts_report_paper_beside_here() {
-        // Toy collection: 16 terms, 9 documents.
+        // Toy collection: 16 terms, 9 documents. Paper: m + n, here: 1.
         let tra = report(Mechanism::TraMht);
-        assert_eq!((tra.paper_signatures, tra.signatures), (16 + 9, 16 + 1));
+        assert_eq!((tra.paper_signatures, tra.signatures), (16 + 9, 1));
         let tnra = report(Mechanism::TnraMht);
-        assert_eq!((tnra.paper_signatures, tnra.signatures), (16, 16));
+        assert_eq!((tnra.paper_signatures, tnra.signatures), (16, 1));
     }
 
     #[test]
     fn dict_mode_slashes_signature_space() {
-        let key = cached_keypair(TEST_KEY_BITS);
-        let per_list = AuthenticatedIndex::build(
-            toy_index(),
-            &key,
-            AuthConfig {
-                key_bits: TEST_KEY_BITS,
-                ..AuthConfig::new(Mechanism::TnraMht)
-            },
-            &toy_contents(),
-        )
-        .space_report(0);
-        let dict = AuthenticatedIndex::build(
-            toy_index(),
-            &key,
-            AuthConfig {
-                key_bits: TEST_KEY_BITS,
-                dict_mht: true,
-                ..AuthConfig::new(Mechanism::TnraMht)
-            },
-            &toy_contents(),
-        )
-        .space_report(0);
-        assert!(dict.term_auth_bytes < per_list.term_auth_bytes);
+        // The term side stores one signature where the paper stores one
+        // per list: less than the paper's signatures alone.
+        let r = report(Mechanism::TnraMht);
+        let sig_len = TEST_KEY_BITS as i64 / 8;
+        assert!(r.term_auth_bytes < r.paper_signatures as i64 * sig_len);
+        assert!(r.term_auth_bytes >= sig_len + 16 * 16);
     }
 
     #[test]
@@ -238,31 +218,31 @@ mod tests {
         use authsearch_crypto::merkle::interior_len;
         let key = cached_keypair(TEST_KEY_BITS);
         for mechanism in Mechanism::ALL {
-            for dict_mht in [false, true] {
-                let config = AuthConfig {
-                    key_bits: TEST_KEY_BITS,
-                    dict_mht,
-                    ..AuthConfig::new(mechanism)
-                };
-                let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
-                let (index, cap) = (auth.index(), config.chain_capacity());
-                let m = index.num_terms();
-                let terms: usize = (0..m as TermId)
-                    .map(|t| match index.list(t).len() {
-                        li if mechanism.is_cmht() => li + li.div_ceil(cap),
-                        li => interior_len(li),
-                    })
-                    .sum();
-                let docs: usize = (0..index.num_docs() as u32)
-                    .filter(|_| mechanism.is_tra())
-                    .map(|d| interior_len(auth.doc_table().doc_terms(d).len()))
-                    .sum();
-                let dict = if dict_mht { m + interior_len(m) } else { 0 };
-                let want = ((terms + docs + dict) * DIGEST_LEN) as u64;
-                let what = format!("{mechanism:?} dict_mht={dict_mht}");
-                assert_eq!(auth.cache_resident_bytes(), want, "{what}");
-                assert_eq!(auth.space_report(0).cache_resident_bytes, want, "{what}");
-            }
+            let config = AuthConfig {
+                key_bits: TEST_KEY_BITS,
+                ..AuthConfig::new(mechanism)
+            };
+            let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
+            let (index, cap) = (auth.index(), config.chain_capacity());
+            let m = index.num_terms();
+            let terms: usize = (0..m as TermId)
+                .map(|t| match index.list(t).len() {
+                    li if mechanism.is_cmht() => li + li.div_ceil(cap),
+                    li => interior_len(li),
+                })
+                .sum();
+            let docs: usize = (0..index.num_docs() as u32)
+                .filter(|_| mechanism.is_tra())
+                .map(|d| interior_len(auth.doc_table().doc_terms(d).len()))
+                .sum();
+            let dict = m + interior_len(m);
+            let want = ((terms + docs + dict) * DIGEST_LEN) as u64;
+            assert_eq!(auth.cache_resident_bytes(), want, "{mechanism:?}");
+            assert_eq!(
+                auth.space_report(0).cache_resident_bytes,
+                want,
+                "{mechanism:?}"
+            );
         }
     }
 

@@ -5,6 +5,7 @@
 use crate::auth::serve::QueryResponse;
 use crate::types::{Query, QueryTerm};
 use crate::verify::{self, VerifiedResult, VerifierParams, VerifyError};
+use crate::vo::Mechanism;
 use crate::wire::{self, Reply, Request, WireError};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::Digest;
@@ -658,17 +659,23 @@ pub const PIPELINE_WINDOW: usize = 8;
 /// response: keep only the result documents whose delivered content
 /// contains the phrase's tokens adjacently, in order.
 ///
-/// This needs **no new server trust**. A TRA response already delivers
-/// the full result-document contents, and verification has hashed each
-/// one against the owner's *signed* document-MHT root (any altered byte
-/// is a [`VerifyError::MissingContent`]-class rejection) — so by the
-/// time this filter runs, the bytes it scans are provably the owner's.
-/// The conjunctive VO proves every result document contains all the
-/// phrase's words; adjacency is then a pure client-side predicate over
-/// authenticated text. Call it only **after**
+/// This needs **no new server trust** under TRA. A TRA response
+/// delivers the full result-document contents, and verification has
+/// hashed each one into its document-table leaf under the owner's
+/// signed manifest (any altered byte fails the manifest signature) — so
+/// by the time this filter runs, the bytes it scans are provably the
+/// owner's. The conjunctive VO proves every result document contains
+/// all the phrase's words; adjacency is then a pure client-side
+/// predicate over authenticated text. Call it only **after**
 /// [`Client::verify_conjunctive_terms`] (or
 /// [`Connection::query_conjunctive`], which verifies internally)
-/// accepted the response.
+/// accepted the response, and pass the mechanism the client verified
+/// under ([`VerifierParams::mechanism`]), not the one the reply claims.
+///
+/// A TNRA reply authenticates result ids and scores but not contents,
+/// so a server could move documents in or out of the phrase result by
+/// editing the bytes it echoes. Under TNRA the filter therefore refuses
+/// with [`VerifyError::ContentsUnauthenticated`].
 ///
 /// Matching mirrors the indexing pipeline: the phrase and the contents
 /// are tokenized with stopwords **kept** ([`tokenize_all`] — a phrase
@@ -678,12 +685,19 @@ pub const PIPELINE_WINDOW: usize = 8;
 /// result order.
 ///
 /// [`tokenize_all`]: authsearch_corpus::tokenizer::tokenize_all
-pub fn phrase_filter(phrase: &str, response: &QueryResponse) -> Vec<DocId> {
+pub fn phrase_filter(
+    phrase: &str,
+    mechanism: Mechanism,
+    response: &QueryResponse,
+) -> Result<Vec<DocId>, VerifyError> {
+    if !mechanism.is_tra() {
+        return Err(VerifyError::ContentsUnauthenticated { mechanism });
+    }
     let want: Vec<String> = authsearch_corpus::tokenizer::tokenize_all(phrase).collect();
     if want.is_empty() {
-        return response.result.docs();
+        return Ok(response.result.docs());
     }
-    response
+    Ok(response
         .result
         .entries
         .iter()
@@ -696,7 +710,7 @@ pub fn phrase_filter(phrase: &str, response: &QueryResponse) -> Vec<DocId> {
             let words: Vec<String> = authsearch_corpus::tokenizer::tokenize_all(&text).collect();
             words.windows(want.len()).any(|w| w == want.as_slice())
         })
-        .collect()
+        .collect())
 }
 
 /// An `r` a request frame can carry.
@@ -711,7 +725,6 @@ mod tests {
     use crate::auth::AuthConfig;
     use crate::engine::SearchEngine;
     use crate::owner::DataOwner;
-    use crate::vo::Mechanism;
     use authsearch_corpus::SyntheticConfig;
     use authsearch_crypto::keys::TEST_KEY_BITS;
 
@@ -1042,7 +1055,7 @@ mod tests {
     #[test]
     fn batch_slots_stay_aligned_through_a_misbehaving_server() {
         // Regression for the pipelined batch: an error frame in slot 1,
-        // a tampered echo in slot 2 and a flipped term signature in
+        // a tampered echo in slot 2 and a flipped manifest signature in
         // slot 4 must surface as exactly those slots' errors — and
         // slots 3 and 5 must verify against their OWN responses, not
         // inherit a neighbor's verdict.
@@ -1073,10 +1086,8 @@ mod tests {
                     let query = Query::from_term_pairs(engine.auth().index(), &terms);
                     let mut response = engine.search(&query, r as usize);
                     if slot == 4 {
-                        // Honest echo, second term's signature flipped.
-                        if let Some(sig) = response.vo.terms[1].signature.as_mut() {
-                            sig[0] ^= 0x80;
-                        }
+                        // Honest echo, manifest signature flipped.
+                        response.vo.signature[0] ^= 0x80;
                     }
                     let bytes = match slot {
                         1 => wire::encode_err_reply(crate::wire::errcode::INTERNAL, "injected")
@@ -1117,9 +1128,7 @@ mod tests {
         assert!(
             matches!(
                 out[4],
-                Err(ClientNetError::Verify(VerifyError::TermSignature {
-                    term: 3
-                }))
+                Err(ClientNetError::Verify(VerifyError::ManifestSignature))
             ),
             "{:?}",
             out[4].as_ref().err()
@@ -1203,7 +1212,7 @@ mod tests {
             .expect("verify before filtering");
         // All three docs contain both words; only 0 and 2 have them
         // adjacent in order ("keeper of night" is reversed in doc 1).
-        let hits = phrase_filter("night keeper", &response);
+        let hits = phrase_filter("night keeper", Mechanism::TraMht, &response).unwrap();
         assert!(hits.contains(&0), "{hits:?}");
         assert!(hits.contains(&2), "{hits:?}");
         assert!(!hits.contains(&1), "{hits:?}");
@@ -1216,10 +1225,51 @@ mod tests {
             .collect();
         assert_eq!(hits, order);
         // An empty phrase filters nothing.
-        assert_eq!(phrase_filter("", &response), response.result.docs());
-        assert_eq!(phrase_filter("!!!", &response), response.result.docs());
+        let filter = |phrase| phrase_filter(phrase, Mechanism::TraMht, &response).unwrap();
+        assert_eq!(filter(""), response.result.docs());
+        assert_eq!(filter("!!!"), response.result.docs());
         // A phrase absent everywhere filters everything.
-        assert!(phrase_filter("keep the night", &response).is_empty());
+        assert!(filter("keep the night").is_empty());
+    }
+
+    #[test]
+    fn phrase_filter_refuses_tnra_contents() {
+        // A TNRA server swaps the phrase's word order in a delivered
+        // document. Verification accepts (TNRA does not authenticate
+        // contents), so the filter must refuse rather than let the
+        // server's bytes decide phrase membership.
+        use crate::auth::AuthConfig;
+        use authsearch_corpus::CorpusBuilder;
+        let corpus = CorpusBuilder::new()
+            .min_df(1)
+            .add_text("the night keeper keeps the keep")
+            .add_text("the keeper of night shifts")
+            .add_text("night keeper night keeper")
+            .build();
+        let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
+        for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
+            let config = AuthConfig {
+                key_bits: TEST_KEY_BITS,
+                ..AuthConfig::new(mechanism)
+            };
+            let publication = owner.publish(&corpus, config);
+            let engine = SearchEngine::new(publication.auth, corpus.clone());
+            let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper");
+            let mut response = engine.search_conjunctive(&query, 5);
+            let doc0 = response.contents.iter_mut().find(|(d, _)| *d == 0).unwrap();
+            doc0.1 = b"the keeper night keeps the keep".to_vec();
+            let client = Client::new(publication.verifier_params);
+            let pairs: Vec<(TermId, u32)> =
+                query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+            client
+                .verify_conjunctive_terms(&pairs, 5, &response)
+                .expect("TNRA verification never reads the contents");
+            let verified = client.params().mechanism;
+            assert_eq!(
+                phrase_filter("night keeper", verified, &response),
+                Err(VerifyError::ContentsUnauthenticated { mechanism }),
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The data owner (paper §3.1 system model).
 //!
 //! The owner manages the collection, builds the inverted index and all
-//! authentication structures, signs their roots, and transfers everything
-//! to the third-party search engine while broadcasting the public
-//! verification parameters to users.
+//! authentication structures, signs one manifest over their roots, and
+//! transfers everything to the third-party search engine while
+//! broadcasting the public verification parameters to users.
 //!
-//! Building and signing is the owner's dominant one-off cost (one RSA
-//! signature per dictionary term, plus one for the document table under
-//! TRA), so [`DataOwner::publish`] runs it on the parallel build path sized by
+//! Building is the owner's dominant one-off cost (hashing and folding
+//! every list and, under TRA, every document, then one RSA signature),
+//! so [`DataOwner::publish`] runs it on the parallel build path sized by
 //! [`AuthConfig::threads`] — the default uses every core, `threads: 1`
 //! is the paper's sequential model, and the published artifact is
 //! bit-identical either way.

@@ -530,7 +530,7 @@ impl Server {
     ///
     /// With [`ServerConfig::snapshot_path`] set and a valid snapshot on
     /// disk, the server is up in near-O(1) — load, verify the owner's
-    /// signatures, serve — and `fallback` never runs. When the snapshot
+    /// signature, serve — and `fallback` never runs. When the snapshot
     /// is unconfigured, missing, stale, or corrupt, `fallback` rebuilds
     /// the artifact (and the result is saved back, best effort). Either
     /// way the outcome is visible twice: in the returned

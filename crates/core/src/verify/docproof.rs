@@ -4,7 +4,8 @@
 //! This module authenticates each one — reconstructing the document-MHT
 //! root from the revealed `(t, w)` leaves and hashing it, the document id
 //! and the digest of the document's content into that document's leaf of
-//! the owner's signed document table — and then resolves, for every
+//! the document table, whose root the owner's manifest signs — and then
+//! resolves, for every
 //! (document, query term) pair, either the certified weight or a *proven
 //! absence* (weight 0), established by a revealed pair of
 //! position-adjacent leaves whose terms bound the query term (paper
@@ -17,18 +18,19 @@
 //!   document `d`'s message, and the verifier places every recomputed
 //!   leaf at its own document's id; a proof for the right leaf at the
 //!   wrong position reconstructs a different root.
-//! * **`n` is inside the signed message.** The tree's shape is a function
-//!   of the leaf count alone, and [`doc_table_message`] binds
-//!   `params.num_docs`, so no proof can be replayed against a table of
-//!   another size; ids `≥ n` are rejected before any hashing.
-//! * **Leaves are hashed by the verifier.** Each leaf is the hash of a
-//!   54-byte `doc_message` the verifier builds itself,
-//!   while an interior node hashes 32 bytes, so no interior digest can be
-//!   presented as a leaf.
+//! * **`n` is inside the signed manifest.** The tree's shape is a
+//!   function of the leaf count alone, and
+//!   [`crate::auth::publication_message`] binds `params.num_docs`, so no
+//!   proof can be replayed against a table of another size; ids `≥ n` are
+//!   rejected before any hashing.
+//! * **Leaves are hashed by the verifier.** Each leaf is the leaf digest
+//!   (`h(0x00 | message)`) of a 54-byte `doc_message` the verifier builds
+//!   itself, while an interior node hashes `0x01 | left | right`, so no
+//!   interior digest can be presented as a leaf.
 
 use super::{FreqMap, VerifierParams, VerifyError};
 use crate::auth::serve::QueryResponse;
-use crate::auth::{doc_leaf_digest, doc_root, doc_table_leaf, doc_table_message};
+use crate::auth::{doc_leaf_digest, doc_root, doc_table_leaf};
 use crate::types::Query;
 use crate::vo::{DocVo, VerificationObject};
 use authsearch_corpus::DocId;
@@ -59,17 +61,17 @@ impl ResolvedFreqs {
     }
 }
 
-/// Verify every document proof in the response and build the frequency
-/// map for the replay.
+/// Verify every document proof in the response, build the frequency map
+/// for the replay, and reconstruct the document-table root.
 ///
 /// Each document proof yields its document-table leaf; the leaves and
-/// the reply's one multi-proof must reconstruct the root the owner
-/// signed.
+/// the reply's one multi-proof give the root the caller checks against
+/// the owner's manifest signature.
 pub(super) fn resolve_doc_proofs(
     params: &VerifierParams,
     query: &Query,
     response: &QueryResponse,
-) -> Result<ResolvedFreqs, VerifyError> {
+) -> Result<(ResolvedFreqs, Digest), VerifyError> {
     // Contents of result documents, for content-digest computation.
     let delivered: HashMap<DocId, &[u8]> = response
         .contents
@@ -103,36 +105,30 @@ pub(super) fn resolve_doc_proofs(
         leaves.push((dv.doc as usize, leaf));
         map.insert(dv.doc, weights);
     }
-    verify_doc_table(params, &response.vo, leaves)?;
-    Ok(ResolvedFreqs { map })
+    let root = doc_table_root(params, &response.vo, leaves)?;
+    Ok((ResolvedFreqs { map }, root))
 }
 
 /// Reconstruct the document-table root from the reply's leaves and
-/// multi-proof, and check the owner's one signature over it.
-fn verify_doc_table(
+/// multi-proof.
+fn doc_table_root(
     params: &VerifierParams,
     vo: &VerificationObject,
     mut leaves: Vec<(usize, Digest)>,
-) -> Result<(), VerifyError> {
+) -> Result<Digest, VerifyError> {
     let table = vo
         .doc_table
         .as_ref()
         .ok_or_else(|| VerifyError::DocTableProof("TRA reply without a document table".into()))?;
     leaves.sort_unstable_by_key(|&(d, _)| d);
-    let root = reconstruct_root(params.num_docs, &leaves, &table.proof)
-        .ok_or_else(|| VerifyError::DocTableProof("multi-proof shape".into()))?;
-    let num_docs = u32::try_from(params.num_docs)
-        .map_err(|_| VerifyError::DocTableProof("collection size exceeds u32".into()))?;
-    params
-        .public_key
-        .verify(&doc_table_message(num_docs, &root), &table.signature)
-        .map_err(|_| VerifyError::DocTableSignature)
+    reconstruct_root(params.num_docs, &leaves, &table.proof)
+        .ok_or_else(|| VerifyError::DocTableProof("multi-proof shape".into()))
 }
 
 /// Authenticate one document proof *structurally* — reconstruct the
 /// document-MHT root and resolve per-query-term weights — and return
-/// the document's document-table leaf; the caller checks the leaves
-/// against the table's multi-proof and signature.
+/// the document's document-table leaf; the caller folds the leaves into
+/// the table root with the table's multi-proof.
 fn resolve_one(
     query: &Query,
     dv: &DocVo,
@@ -259,7 +255,7 @@ mod tests {
     #[test]
     fn honest_doc_proofs_resolve() {
         let (resp, params) = setup();
-        let freqs = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap();
+        let (freqs, _) = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap();
         assert_eq!(freqs.num_docs(), 4); // docs 5, 3, 6, 1
                                          // d6 contains all four query terms (Figure 8).
         for i in 0..4 {
@@ -279,8 +275,8 @@ mod tests {
         let dv = resp.vo.docs.iter_mut().find(|d| d.doc == 5).unwrap();
         let idx = dv.revealed.iter().position(|&(_, _, w)| w > 0.0).unwrap();
         dv.revealed[idx].2 *= 2.0;
-        let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
-        assert_eq!(err, VerifyError::DocTableSignature);
+        let err = super::super::verify(&params, &toy_query(), 2, &resp).unwrap_err();
+        assert_eq!(err, VerifyError::ManifestSignature);
     }
 
     #[test]
@@ -289,10 +285,7 @@ mod tests {
         let dv = &mut resp.vo.docs[0];
         dv.revealed.remove(0);
         let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
-        assert!(matches!(
-            err,
-            VerifyError::MalformedProof(_) | VerifyError::DocTableSignature
-        ));
+        assert!(matches!(err, VerifyError::MalformedProof(_)), "{err:?}");
     }
 
     #[test]
@@ -307,8 +300,8 @@ mod tests {
     fn tampered_result_content_breaks_signature() {
         let (mut resp, params) = setup();
         resp.contents[0].1 = b"forged document body".to_vec();
-        let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
-        assert_eq!(err, VerifyError::DocTableSignature);
+        let err = super::super::verify(&params, &toy_query(), 2, &resp).unwrap_err();
+        assert_eq!(err, VerifyError::ManifestSignature);
     }
 
     #[test]

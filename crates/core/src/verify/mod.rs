@@ -6,12 +6,15 @@
 //! index. The strategy:
 //!
 //! 1. **Authenticate the inputs**: reconstruct every term-(chain-)MHT
-//!    root from the VO's list prefixes and complementary digests and check
-//!    the owner's signature (which binds term, `f_t`, and root); for TRA
-//!    likewise authenticate every document-MHT — through one multi-proof
-//!    against the owner's single signature over the document table — and
+//!    root from the VO's list prefixes and complementary digests, and
+//!    from those roots (each bound to its term and `f_t`) the
+//!    dictionary-MHT root; for TRA likewise reconstruct every
+//!    document-MHT root and, from them, the document-table root, and
 //!    resolve the query-term frequency of every encountered document
 //!    (present value, or a proven absence via adjacent-leaf bounding).
+//!    Then make one RSA check: the owner's signature over the
+//!    publication manifest that binds the mechanism, `m`, `n` and both
+//!    roots.
 //! 2. **Replay the deterministic threshold algorithm** over exactly those
 //!    authenticated inputs. If the replay ever needs data the VO does not
 //!    substantiate, the VO is insufficient and the result is rejected; a
@@ -20,13 +23,14 @@
 //! Authentic prefixes + deterministic replay imply the correctness
 //! criteria of §3.1: the threshold logic guarantees no unseen document
 //! can outscore the reported ones (completeness), the recomputed scores
-//! guarantee correct ranking, and signatures rule out spurious entries.
+//! guarantee correct ranking, and the signature rules out spurious
+//! entries.
 
 mod docproof;
 
 use crate::access::{AccessError, FreqAccess, ListAccess};
 use crate::auth::serve::QueryResponse;
-use crate::auth::{dict_leaf_digest, dict_message, term_message};
+use crate::auth::{dict_leaf_digest, publication_message, NO_DOC_TABLE_ROOT};
 use crate::types::{Query, QueryResult};
 use crate::vo::{Mechanism, PrefixData, TermProof, TermVo, VerificationObject, VoSize};
 use crate::{tnra, tra};
@@ -43,7 +47,8 @@ pub use docproof::ResolvedFreqs;
 pub enum VerifyError {
     /// VO does not match the query's shape (missing/mismatched terms).
     QueryShapeMismatch(String),
-    /// A term list's signature did not validate.
+    /// A term list's signature did not validate (the §3.2 baseline,
+    /// which signs every list; [`crate::baseline`]).
     TermSignature {
         /// The offending term.
         term: TermId,
@@ -51,12 +56,18 @@ pub enum VerifyError {
     /// The document-table multi-proof (TRA) is missing, has the wrong
     /// shape, or places a document outside the collection.
     DocTableProof(String),
-    /// The document-table signature did not validate: a document's id,
-    /// content, or weights differ from what the owner signed, or the
-    /// table is not the owner's.
-    DocTableSignature,
-    /// The dictionary-MHT signature did not validate.
-    DictSignature,
+    /// The manifest signature did not validate over the roots the reply
+    /// reconstructs: a term's list, `f_t` or position, a document's id,
+    /// content or weights, the mechanism, or `m` differ from what the
+    /// owner signed, or the manifest is not this publication's.
+    ManifestSignature,
+    /// The caller asked for something only authenticated document
+    /// contents can answer, from a mechanism whose replies do not
+    /// authenticate contents (TNRA).
+    ContentsUnauthenticated {
+        /// The deployed mechanism.
+        mechanism: Mechanism,
+    },
     /// A Merkle/chain proof had the wrong shape.
     MalformedProof(String),
     /// A TNRA prefix was not in non-increasing weight order.
@@ -102,8 +113,12 @@ impl fmt::Display for VerifyError {
                 write!(f, "invalid signature on term {term}'s inverted list")
             }
             VerifyError::DocTableProof(w) => write!(f, "malformed document-table proof: {w}"),
-            VerifyError::DocTableSignature => write!(f, "invalid document-table signature"),
-            VerifyError::DictSignature => write!(f, "invalid dictionary-MHT signature"),
+            VerifyError::ManifestSignature => write!(f, "invalid manifest signature"),
+            VerifyError::ContentsUnauthenticated { mechanism } => write!(
+                f,
+                "{} replies do not authenticate document contents",
+                mechanism.name()
+            ),
             VerifyError::MalformedProof(w) => write!(f, "malformed proof: {w}"),
             VerifyError::PrefixNotOrdered { term } => {
                 write!(f, "term {term}'s prefix violates frequency ordering")
@@ -182,19 +197,12 @@ pub fn verify(
     response: &QueryResponse,
 ) -> Result<VerifiedResult, VerifyError> {
     let vo = &response.vo;
-    check_query_shape(params, query, vo)?;
-
-    // Step 1: authenticate every list prefix.
-    let mut term_roots = Vec::with_capacity(vo.terms.len());
-    for tv in &vo.terms {
-        term_roots.push(verify_term_prefix(params, tv)?);
-    }
-    verify_term_signatures(params, vo, &term_roots)?;
+    // Step 1: authenticate every list prefix and document proof.
+    let freqs = authenticate(params, query, response)?;
 
     // Step 2: mechanism-specific replay.
-    let replayed = if params.mechanism.is_tra() {
-        let freqs = docproof::resolve_doc_proofs(params, query, response)?;
-        let lists = TraVoLists::build(query, vo, &freqs)?;
+    let replayed = if let Some(freqs) = freqs {
+        let lists = TraVoLists::build(vo, &freqs)?;
         tra::run(&lists, &freqs, query, r)?
     } else {
         let lists = TnraVoLists::build(vo)?;
@@ -241,15 +249,9 @@ pub fn verify_conjunctive(
     response: &QueryResponse,
 ) -> Result<VerifiedResult, VerifyError> {
     let vo = &response.vo;
-    check_query_shape(params, query, vo)?;
-
-    // Authenticate every list prefix and its signature, exactly as the
+    // Authenticate every list prefix and document proof, exactly as the
     // disjunctive path does.
-    let mut term_roots = Vec::with_capacity(vo.terms.len());
-    for tv in &vo.terms {
-        term_roots.push(verify_term_prefix(params, tv)?);
-    }
-    verify_term_signatures(params, vo, &term_roots)?;
+    let freqs = authenticate(params, query, response)?;
 
     let q = query.terms.len();
     if q == 0 {
@@ -262,12 +264,13 @@ pub fn verify_conjunctive(
     }
 
     // The anchor is derived from the *signed* f_t values: understating
-    // one to shrink the reveal obligation breaks a list signature first.
+    // one to shrink the reveal obligation breaks the manifest signature
+    // first.
     let fts: Vec<usize> = vo.terms.iter().map(|tv| tv.ft as usize).collect();
     let anchor = crate::conjunctive::anchor_index(&fts);
     let wq: Vec<f64> = query.terms.iter().map(|qt| qt.wq).collect();
 
-    let expected = if params.mechanism.is_tra() {
+    let expected = if let Some(freqs) = freqs {
         let atv = vo.terms.get(anchor).ok_or_else(|| {
             VerifyError::MalformedProof(format!("anchor {anchor} has no VO term"))
         })?;
@@ -280,9 +283,8 @@ pub fn verify_conjunctive(
                 atv.term
             )));
         };
-        // Authenticate the document-MHT proofs; they certify, for every
+        // The authenticated document-MHT proofs certify, for every
         // candidate × query term, either the weight or a proven absence.
-        let freqs = docproof::resolve_doc_proofs(params, query, response)?;
         crate::conjunctive::rank_intersection(candidates, &wq, |d, i| freqs.weight_of(d, i), r)
             .map_err(|(doc, i)| {
                 if freqs.contains(doc) {
@@ -338,6 +340,45 @@ pub fn verify_conjunctive(
         result: response.result.clone(),
         vo_size: vo.size(),
     })
+}
+
+/// Step 1 of both verifiers: check the VO's shape, reconstruct every
+/// term root and the dictionary root, and under TRA every document-MHT
+/// root and the document-table root, then check the one manifest
+/// signature over them. Returns the authenticated document frequencies
+/// under TRA, `None` under TNRA.
+fn authenticate(
+    params: &VerifierParams,
+    query: &Query,
+    response: &QueryResponse,
+) -> Result<Option<ResolvedFreqs>, VerifyError> {
+    let vo = &response.vo;
+    check_query_shape(params, query, vo)?;
+    let mut term_roots = Vec::with_capacity(vo.terms.len());
+    for tv in &vo.terms {
+        term_roots.push(verify_term_prefix(params, tv)?);
+    }
+    let (num_terms, dict_root) = dict_root(vo, &term_roots)?;
+    let (freqs, doc_table_root) = if params.mechanism.is_tra() {
+        let (freqs, root) = docproof::resolve_doc_proofs(params, query, response)?;
+        (Some(freqs), root)
+    } else {
+        (None, NO_DOC_TABLE_ROOT)
+    };
+    let num_docs = u32::try_from(params.num_docs)
+        .map_err(|_| VerifyError::DocTableProof("collection size exceeds u32".into()))?;
+    let manifest = publication_message(
+        params.mechanism,
+        num_terms,
+        num_docs,
+        &dict_root,
+        &doc_table_root,
+    );
+    params
+        .public_key
+        .verify(&manifest, &vo.signature)
+        .map_err(|_| VerifyError::ManifestSignature)?;
+    Ok(freqs)
 }
 
 /// The VO must speak for this mechanism and exactly this query's terms.
@@ -431,48 +472,26 @@ fn verify_term_prefix(params: &VerifierParams, tv: &TermVo) -> Result<Digest, Ve
     }
 }
 
-/// Check per-list signatures, or the single dictionary-MHT signature.
-///
-/// Every signature is checked on its own; a rejection names the first
-/// failing term in VO order.
-fn verify_term_signatures(
-    params: &VerifierParams,
-    vo: &VerificationObject,
-    term_roots: &[Digest],
-) -> Result<(), VerifyError> {
-    if let Some(dict) = &vo.dict {
-        // §3.4 mode: reconstruct the dictionary root from the terms' leaf
-        // digests and the multiproof.
-        let mut pairs: Vec<(usize, Digest)> = vo
-            .terms
-            .iter()
-            .zip(term_roots)
-            .map(|(tv, root)| (tv.term as usize, dict_leaf_digest(tv.term, tv.ft, root)))
-            .collect();
-        pairs.sort_unstable_by_key(|&(p, _)| p);
-        pairs.dedup_by_key(|&mut (p, _)| p);
-        let root = reconstruct_root(dict.num_terms as usize, &pairs, &dict.proof)
-            .ok_or_else(|| VerifyError::MalformedProof("dictionary-MHT proof shape".into()))?;
-        return params
-            .public_key
-            .verify(&dict_message(dict.num_terms, &root), &dict.signature)
-            .map_err(|_| VerifyError::DictSignature);
-    }
-    // A missing signature anywhere is a malformed VO, whatever the
-    // signatures that are present say.
-    let sigs = vo
+/// Reconstruct the dictionary-MHT root from the query terms' leaves —
+/// each binding the term, its `f_t` and its reconstructed root — and the
+/// reply's multi-proof. Returns the tree's claimed size `m`, which the
+/// manifest binds, with the root.
+fn dict_root(vo: &VerificationObject, term_roots: &[Digest]) -> Result<(u32, Digest), VerifyError> {
+    let dict = vo
+        .dict
+        .as_ref()
+        .ok_or_else(|| VerifyError::MalformedProof("missing dictionary-MHT proof".into()))?;
+    let mut pairs: Vec<(usize, Digest)> = vo
         .terms
         .iter()
-        .map(|tv| tv.signature.as_deref())
-        .collect::<Option<Vec<&[u8]>>>()
-        .ok_or_else(|| VerifyError::MalformedProof("missing list signature".into()))?;
-    for ((tv, root), sig) in vo.terms.iter().zip(term_roots).zip(sigs) {
-        params
-            .public_key
-            .verify(&term_message(tv.term, tv.ft, root), sig)
-            .map_err(|_| VerifyError::TermSignature { term: tv.term })?;
-    }
-    Ok(())
+        .zip(term_roots)
+        .map(|(tv, root)| (tv.term as usize, dict_leaf_digest(tv.term, tv.ft, root)))
+        .collect();
+    pairs.sort_unstable_by_key(|&(p, _)| p);
+    pairs.dedup_by_key(|&mut (p, _)| p);
+    let root = reconstruct_root(dict.num_terms as usize, &pairs, &dict.proof)
+        .ok_or_else(|| VerifyError::MalformedProof("dictionary-MHT proof shape".into()))?;
+    Ok((dict.num_terms, root))
 }
 
 fn compare_results(replayed: &QueryResult, reported: &QueryResult) -> Result<(), VerifyError> {
@@ -568,7 +587,6 @@ struct TraVoLists<'a> {
 
 impl<'a> TraVoLists<'a> {
     fn build(
-        _query: &Query,
         vo: &VerificationObject,
         freqs: &'a ResolvedFreqs,
     ) -> Result<TraVoLists<'a>, VerifyError> {
@@ -711,14 +729,17 @@ mod tests {
     }
 
     #[test]
-    fn missing_per_list_signature_rejected() {
-        let (auth, params) = setup(Mechanism::TnraMht);
-        let mut resp = auth.query(&toy_query(), 2, &toy_contents());
-        resp.vo.terms[1].signature = None;
-        assert!(matches!(
-            verify(&params, &toy_query(), 2, &resp),
-            Err(VerifyError::MalformedProof(_))
-        ));
+    fn missing_manifest_signature_rejected() {
+        for mechanism in Mechanism::ALL {
+            let (auth, params) = setup(mechanism);
+            let mut resp = auth.query(&toy_query(), 2, &toy_contents());
+            resp.vo.signature.clear();
+            assert_eq!(
+                verify(&params, &toy_query(), 2, &resp),
+                Err(VerifyError::ManifestSignature),
+                "{mechanism:?}"
+            );
+        }
     }
 
     #[test]
@@ -733,7 +754,7 @@ mod tests {
         let err = verify(&params, &toy_query(), 2, &resp).unwrap_err();
         assert!(matches!(
             err,
-            VerifyError::PrefixNotOrdered { .. } | VerifyError::TermSignature { .. }
+            VerifyError::PrefixNotOrdered { .. } | VerifyError::ManifestSignature
         ));
     }
 
@@ -762,19 +783,29 @@ mod tests {
     }
 
     #[test]
-    fn dict_proof_on_per_list_deployment_rejected() {
-        // The owner deployed per-list signatures; a VO claiming a
-        // dictionary-MHT signature cannot produce a valid signature for
-        // the dict message.
+    fn forged_dictionary_proof_rejected() {
+        // Zeroed digests of the right shape reconstruct another root; a
+        // proof of the wrong shape, or none at all, is malformed.
         let (auth, params) = setup(Mechanism::TnraMht);
-        let mut resp = auth.query(&toy_query(), 2, &toy_contents());
-        let digests = vec![authsearch_crypto::Digest::ZERO; 4];
-        resp.vo.dict = Some(crate::vo::DictVo {
-            num_terms: 16,
-            proof: authsearch_crypto::MerkleProof { digests },
-            signature: vec![0u8; 64],
-        });
-        assert!(verify(&params, &toy_query(), 2, &resp).is_err());
+        let resp = auth.query(&toy_query(), 2, &toy_contents());
+        let dict = resp.vo.dict.clone().unwrap();
+        let mut zeroed = resp.clone();
+        zeroed.vo.dict.as_mut().unwrap().proof.digests =
+            vec![authsearch_crypto::Digest::ZERO; dict.proof.digests.len()];
+        assert_eq!(
+            verify(&params, &toy_query(), 2, &zeroed),
+            Err(VerifyError::ManifestSignature)
+        );
+        let mut short = resp.clone();
+        short.vo.dict.as_mut().unwrap().proof.digests.pop();
+        let mut missing = resp;
+        missing.vo.dict = None;
+        for bad in [short, missing] {
+            assert!(matches!(
+                verify(&params, &toy_query(), 2, &bad),
+                Err(VerifyError::MalformedProof(_))
+            ));
+        }
     }
 
     #[test]

@@ -39,6 +39,23 @@ impl Mechanism {
         matches!(self, Mechanism::TraCmht | Mechanism::TnraCmht)
     }
 
+    /// One-byte code on the wire, in snapshots and in the publication
+    /// manifest: the mechanism's index in [`Mechanism::ALL`].
+    pub fn code(self) -> u8 {
+        match self {
+            Mechanism::TraMht => 0,
+            Mechanism::TraCmht => 1,
+            Mechanism::TnraMht => 2,
+            Mechanism::TnraCmht => 3,
+        }
+    }
+
+    /// The mechanism a [`Mechanism::code`] names; `None` for an unknown
+    /// code.
+    pub fn from_code(code: u8) -> Option<Mechanism> {
+        Mechanism::ALL.get(usize::from(code)).copied()
+    }
+
     /// Display name used in benchmark tables ("TRA-MHT" etc.).
     pub fn name(self) -> &'static str {
         match self {
@@ -109,13 +126,17 @@ impl TermProof {
 pub struct TermVo {
     /// The query term this list belongs to.
     pub term: TermId,
-    /// `f_t` from the dictionary (covered by the list signature).
+    /// `f_t` from the dictionary (bound into the term's dictionary-MHT
+    /// leaf).
     pub ft: u32,
     /// Authenticated prefix (processed entries, buddy-padded under CMHT).
     pub prefix: PrefixData,
     /// Complementary digests.
     pub proof: TermProof,
-    /// Per-list signature (absent in dictionary-MHT mode).
+    /// Always `None`, and never encoded: the one manifest signature
+    /// ([`VerificationObject::signature`]) covers every term. The field
+    /// goes with ROADMAP item 1, once the benchmark counts signatures
+    /// through [`VerificationObject::signature_count`].
     pub signature: Option<Vec<u8>>,
 }
 
@@ -138,30 +159,26 @@ pub struct DocVo {
     pub content_digest: Option<Digest>,
 }
 
-/// Proof connecting every [`DocVo`] to the owner's one signature over
-/// the document table (TRA only): leaf `d` of that tree is the digest of
-/// document `d`'s `h(doc) | d | root` message, so the client recomputes
-/// each leaf from data it authenticates anyway and checks one
-/// multi-proof and one signature for the whole reply.
+/// Proof connecting every [`DocVo`] to the document-table root in the
+/// owner's signed manifest (TRA only): leaf `d` of that tree is the
+/// digest of document `d`'s `h(doc) | d | root` message, so the client
+/// recomputes each leaf from data it authenticates anyway and checks one
+/// multi-proof for the whole reply.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DocTableVo {
     /// Multi-proof for the encountered documents' leaf positions (their
     /// doc ids, ascending).
     pub proof: MerkleProof,
-    /// Signature over the document-table root and the collection size.
-    pub signature: Vec<u8>,
 }
 
-/// Proof connecting per-term root digests to the single dictionary-MHT
-/// signature (§3.4's space optimization).
+/// Proof connecting the query terms' roots to the dictionary-MHT root in
+/// the owner's signed manifest (§3.4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DictVo {
-    /// Dictionary size `m` (tree shape parameter).
+    /// Dictionary size `m` (tree shape parameter, bound by the manifest).
     pub num_terms: u32,
     /// Multi-proof for the query terms' leaf positions.
     pub proof: MerkleProof,
-    /// Signature over the dictionary-MHT root.
-    pub signature: Vec<u8>,
 }
 
 /// The complete verification object for one query result.
@@ -173,10 +190,13 @@ pub struct VerificationObject {
     pub terms: Vec<TermVo>,
     /// Document proofs (TRA mechanisms only), in encounter order.
     pub docs: Vec<DocVo>,
-    /// Dictionary-MHT proof when per-list signatures are consolidated.
+    /// Dictionary-MHT proof: present on every reply.
     pub dict: Option<DictVo>,
     /// Document-table proof: present iff the mechanism is TRA.
     pub doc_table: Option<DocTableVo>,
+    /// The owner's one signature over the publication manifest
+    /// (mechanism, `m`, `n`, dictionary root, document-table root).
+    pub signature: Vec<u8>,
 }
 
 /// Byte breakdown of a VO — the paper's Table 2 splits VOs into data
@@ -232,20 +252,16 @@ impl std::ops::Add for VoSize {
 }
 
 impl VerificationObject {
-    /// Signatures this VO carries: one per term list (or the one
-    /// dictionary-MHT signature), plus the document-table signature
-    /// under TRA.
+    /// Signatures this VO carries: the one manifest signature.
     pub fn signature_count(&self) -> usize {
-        self.terms.iter().filter(|t| t.signature.is_some()).count()
-            + usize::from(self.dict.is_some())
-            + usize::from(self.doc_table.is_some())
+        usize::from(!self.signature.is_empty())
     }
 
-    /// Signatures the paper's scheme carries for the same reply: the
-    /// term-side ones plus one per document proof (Figure 8 signs every
-    /// document-MHT root), where this VO carries one for all of them.
+    /// Signatures the paper's scheme carries for the same reply: one per
+    /// query term's list (§3.3) plus one per document proof (Figure 8
+    /// signs every document-MHT root), where this VO carries one.
     pub fn paper_signature_count(&self) -> usize {
-        self.signature_count() - usize::from(self.doc_table.is_some()) + self.docs.len()
+        self.terms.len() + self.docs.len()
     }
 
     /// Compute the byte breakdown.
@@ -255,9 +271,6 @@ impl VerificationObject {
             s.data += 8; // term id + f_t header
             s.data += t.prefix.data_bytes();
             s.digest += t.proof.num_digests() * DIGEST_LEN;
-            if let Some(sig) = &t.signature {
-                s.signature += sig.len();
-            }
         }
         for d in &self.docs {
             s.data += 8; // doc id + leaf count header
@@ -270,12 +283,11 @@ impl VerificationObject {
         if let Some(dict) = &self.dict {
             s.data += 4;
             s.digest += dict.proof.digests.len() * DIGEST_LEN;
-            s.signature += dict.signature.len();
         }
         if let Some(table) = &self.doc_table {
             s.digest += table.proof.digests.len() * DIGEST_LEN;
-            s.signature += table.signature.len();
         }
+        s.signature += self.signature.len();
         s
     }
 }
@@ -323,37 +335,53 @@ mod tests {
                 proof: TermProof::Mht(MerkleProof {
                     digests: vec![Digest::ZERO; 3],
                 }),
-                signature: Some(vec![0u8; 128]),
+                signature: None,
             }],
             docs: vec![],
-            dict: None,
+            dict: Some(DictVo {
+                num_terms: 16,
+                proof: MerkleProof {
+                    digests: vec![Digest::ZERO; 4],
+                },
+            }),
             doc_table: None,
+            signature: vec![0u8; 128],
         };
         let s = vo.size();
-        assert_eq!(s.data, 8 + 16);
-        assert_eq!(s.digest, 48);
+        assert_eq!(s.data, 8 + 16 + 4);
+        assert_eq!(s.digest, 48 + 64);
         assert_eq!(s.signature, 128);
-        assert_eq!(s.total(), 8 + 16 + 48 + 128);
+        assert_eq!(s.total(), 8 + 16 + 4 + 48 + 64 + 128);
+        assert_eq!((vo.signature_count(), vo.paper_signature_count()), (1, 1));
     }
 
     #[test]
     fn doc_table_counts_one_signature_and_its_digests() {
+        // The document table adds its digests and no signature: the
+        // reply's one signature is the manifest's.
+        let doc = DocVo {
+            doc: 3,
+            num_leaves: 0,
+            revealed: vec![],
+            proof: MerkleProof::default(),
+            content_digest: None,
+        };
         let vo = VerificationObject {
             mechanism: Mechanism::TraMht,
             terms: vec![],
-            docs: vec![],
+            docs: vec![doc.clone(), DocVo { doc: 4, ..doc }],
             dict: None,
             doc_table: Some(DocTableVo {
                 proof: MerkleProof {
                     digests: vec![Digest::ZERO; 5],
                 },
-                signature: vec![0u8; 128],
             }),
+            signature: vec![0u8; 128],
         };
         let s = vo.size();
-        assert_eq!((s.data, s.digest, s.signature), (0, 5 * DIGEST_LEN, 128));
+        assert_eq!((s.data, s.digest, s.signature), (16, 5 * DIGEST_LEN, 128));
         assert_eq!(vo.signature_count(), 1);
-        assert_eq!(vo.paper_signature_count(), 0);
+        assert_eq!(vo.paper_signature_count(), 2);
     }
 
     #[test]

@@ -147,18 +147,15 @@ impl Writer {
 /// simply not representable in this format, and truncating it would
 /// produce an unverifiable transmission.
 ///
-/// The document-table proof is a trailer after the dictionary block,
-/// written for TRA VOs only (so TNRA encodings carry no byte for it):
-/// a 32-bit digest count, the digests, and the signature.
+/// Every VO carries a dictionary block: `m`, then the multi-proof. The
+/// document-table proof follows it, written for TRA VOs only (so TNRA
+/// encodings carry no byte for it): a 32-bit digest count and the
+/// digests. The one manifest signature closes the VO. [`TermVo`]'s
+/// per-list signature is never written.
 pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
     let mut w = Writer { buf: Vec::new() };
     w.buf.extend_from_slice(MAGIC);
-    w.u8(match vo.mechanism {
-        Mechanism::TraMht => 0,
-        Mechanism::TraCmht => 1,
-        Mechanism::TnraMht => 2,
-        Mechanism::TnraCmht => 3,
-    });
+    w.u8(vo.mechanism.code());
     w.len16(vo.terms.len(), "term proofs")?;
     for tv in &vo.terms {
         w.u32(tv.term);
@@ -189,13 +186,6 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
                 w.digests16(&p.tail.digests, "chain proof digests")?;
             }
         }
-        match &tv.signature {
-            Some(sig) => {
-                w.u8(1);
-                w.bytes16(sig, "term signature")?;
-            }
-            None => w.u8(0),
-        }
     }
     w.len32(vo.docs.len(), "document proofs")?;
     for dv in &vo.docs {
@@ -216,22 +206,18 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
             None => w.u8(0),
         }
     }
-    match &vo.dict {
-        Some(dict) => {
-            w.u8(1);
-            w.u32(dict.num_terms);
-            w.digests16(&dict.proof.digests, "dictionary proof digests")?;
-            w.bytes16(&dict.signature, "dictionary signature")?;
-        }
-        None => w.u8(0),
-    }
+    let dict = vo
+        .dict
+        .as_ref()
+        .ok_or_else(|| err("every VO carries a dictionary proof"))?;
+    w.u32(dict.num_terms);
+    w.digests16(&dict.proof.digests, "dictionary proof digests")?;
     match (&vo.doc_table, vo.mechanism.is_tra()) {
         (Some(table), true) => {
             w.len32(table.proof.digests.len(), "document-table proof digests")?;
             for d in &table.proof.digests {
                 w.digest(d);
             }
-            w.bytes16(&table.signature, "document-table signature")?;
         }
         (None, false) => {}
         _ => {
@@ -240,6 +226,7 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
             ))
         }
     }
+    w.bytes16(&vo.signature, "manifest signature")?;
     Ok(w.buf)
 }
 
@@ -315,13 +302,7 @@ pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
     if r.take(4)? != MAGIC {
         return Err(err("bad magic"));
     }
-    let mechanism = match r.u8()? {
-        0 => Mechanism::TraMht,
-        1 => Mechanism::TraCmht,
-        2 => Mechanism::TnraMht,
-        3 => Mechanism::TnraCmht,
-        _ => return Err(err("unknown mechanism")),
-    };
+    let mechanism = Mechanism::from_code(r.u8()?).ok_or_else(|| err("unknown mechanism"))?;
     let num_terms = r.u16()? as usize;
     // Minimum encoding per term: term id (4) + ft (4) + prefix tag (1).
     let num_terms = r.checked_count(num_terms, 9, "VO term")?;
@@ -364,17 +345,12 @@ pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
             }),
             _ => return Err(err("unknown proof kind")),
         };
-        let signature = match r.u8()? {
-            0 => None,
-            1 => Some(r.bytes16()?),
-            _ => return Err(err("bad signature flag")),
-        };
         terms.push(TermVo {
             term,
             ft,
             prefix,
             proof,
-            signature,
+            signature: None,
         });
     }
     let num_docs = r.u32()? as usize;
@@ -409,16 +385,11 @@ pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
             content_digest,
         });
     }
-    let dict = match r.u8()? {
-        0 => None,
-        1 => Some(DictVo {
-            num_terms: r.u32()?,
-            proof: MerkleProof {
-                digests: r.digests16()?,
-            },
-            signature: r.bytes16()?,
-        }),
-        _ => return Err(err("bad dict flag")),
+    let dict = DictVo {
+        num_terms: r.u32()?,
+        proof: MerkleProof {
+            digests: r.digests16()?,
+        },
     };
     let doc_table = if mechanism.is_tra() {
         let n = r.u32()? as usize;
@@ -429,11 +400,11 @@ pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
         }
         Some(DocTableVo {
             proof: MerkleProof { digests },
-            signature: r.bytes16()?,
         })
     } else {
         None
     };
+    let signature = r.bytes16()?;
     if r.pos != bytes.len() {
         return Err(err("trailing bytes"));
     }
@@ -441,8 +412,9 @@ pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
         mechanism,
         terms,
         docs,
-        dict,
+        dict: Some(dict),
         doc_table,
+        signature,
     })
 }
 
@@ -459,9 +431,12 @@ pub const FRAME_MAGIC: [u8; 4] = *b"ASRV";
 /// [`FLAG_DIGEST_VO`], requesting the streaming digest-mode reply) and
 /// the [`kind::REPLY_OK_DIGEST`] frame. **v3** replaced the TRA VO's
 /// per-document signatures with one document-table trailer (TNRA
-/// payloads are byte-identical to v2). Older frames are rejected by the
-/// version check, never misparsed.
-pub const WIRE_VERSION: u8 = 3;
+/// payloads are byte-identical to v2). **v4** carries one manifest
+/// signature per VO in place of the per-term, dictionary and
+/// document-table signatures, puts a dictionary proof in every VO, and
+/// hashes Merkle leaves and interior nodes in separate domains. Older
+/// frames are rejected by the version check, never misparsed.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Request flag bit: ask for a [`Reply::OkDigest`] — the VO with
 /// per-document content digests instead of the full contents echo.
@@ -1083,11 +1058,10 @@ mod tests {
     use crate::toy::{toy_contents, toy_index, toy_query};
     use authsearch_crypto::keys::TEST_KEY_BITS;
 
-    fn sample_vo(mechanism: Mechanism, dict: bool) -> VerificationObject {
+    fn sample_vo(mechanism: Mechanism) -> VerificationObject {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let config = AuthConfig {
             key_bits: TEST_KEY_BITS,
-            dict_mht: dict,
             ..AuthConfig::new(mechanism)
         };
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
@@ -1097,7 +1071,7 @@ mod tests {
     #[test]
     fn roundtrip_all_mechanisms() {
         for mechanism in Mechanism::ALL {
-            let vo = sample_vo(mechanism, false);
+            let vo = sample_vo(mechanism);
             let bytes = encode(&vo).unwrap();
             let back = decode(&bytes).unwrap();
             assert_eq!(back, vo, "{}", mechanism.name());
@@ -1106,9 +1080,15 @@ mod tests {
 
     #[test]
     fn roundtrip_dict_mode() {
-        let vo = sample_vo(Mechanism::TnraCmht, true);
+        // Every VO carries its dictionary proof; one without is refused
+        // at encode time.
+        let vo = sample_vo(Mechanism::TnraCmht);
+        assert!(vo.dict.is_some());
         let back = decode(&encode(&vo).unwrap()).unwrap();
         assert_eq!(back, vo);
+        let mut missing = vo;
+        missing.dict = None;
+        assert!(matches!(encode(&missing), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -1116,7 +1096,7 @@ mod tests {
         // The wire encoding carries the modeled bytes plus only small
         // fixed framing overhead (< 10% for realistic VOs).
         for mechanism in Mechanism::ALL {
-            let vo = sample_vo(mechanism, false);
+            let vo = sample_vo(mechanism);
             let modeled = vo.size().total();
             let wire = encode(&vo).unwrap().len();
             assert!(
@@ -1151,7 +1131,7 @@ mod tests {
 
         // Same property on a well-formed VO whose count field is bumped
         // after encoding: every inflated count dies in validation.
-        let vo = sample_vo(Mechanism::TraMht, false);
+        let vo = sample_vo(Mechanism::TraMht);
         let mut bytes = encode(&vo).unwrap();
         bytes[5..7].copy_from_slice(&u16::MAX.to_le_bytes());
         assert!(decode(&bytes).is_err());
@@ -1159,7 +1139,7 @@ mod tests {
 
     #[test]
     fn truncation_rejected_everywhere() {
-        let vo = sample_vo(Mechanism::TraMht, false);
+        let vo = sample_vo(Mechanism::TraMht);
         let bytes = encode(&vo).unwrap();
         // Cut at a sample of offsets; decoding must error, never panic.
         for cut in (0..bytes.len()).step_by(7) {
@@ -1169,7 +1149,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        let vo = sample_vo(Mechanism::TnraMht, false);
+        let vo = sample_vo(Mechanism::TnraMht);
         let mut bytes = encode(&vo).unwrap();
         bytes.push(0);
         assert!(decode(&bytes).is_err());
@@ -1177,7 +1157,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let vo = sample_vo(Mechanism::TnraMht, false);
+        let vo = sample_vo(Mechanism::TnraMht);
         let mut bytes = encode(&vo).unwrap();
         bytes[0] ^= 0xff;
         assert!(decode(&bytes).is_err());
@@ -1201,11 +1181,14 @@ mod tests {
             mechanism: Mechanism::TraMht,
             terms: Vec::new(),
             docs: vec![doc_vo(digests)],
-            dict: None,
+            dict: Some(DictVo {
+                num_terms: 1,
+                proof: MerkleProof::default(),
+            }),
             doc_table: Some(DocTableVo {
                 proof: MerkleProof::default(),
-                signature: vec![0u8; 4],
             }),
+            signature: vec![0u8; 4],
         };
         let at_boundary = encode(&vo(u16::MAX as usize)).unwrap();
         let back = decode(&at_boundary).unwrap();
@@ -1233,8 +1216,12 @@ mod tests {
             mechanism: Mechanism::TnraMht,
             terms: vec![term_vo; u16::MAX as usize + 1],
             docs: Vec::new(),
-            dict: None,
+            dict: Some(DictVo {
+                num_terms: 1,
+                proof: MerkleProof::default(),
+            }),
             doc_table: None,
+            signature: vec![0u8; 4],
         };
         assert_eq!(
             encode(&vo).unwrap_err(),
@@ -1253,12 +1240,12 @@ mod tests {
     #[test]
     fn doc_table_trailer_is_tra_only() {
         // TNRA encodings carry no trailer byte at all.
-        let tnra = sample_vo(Mechanism::TnraMht, false);
+        let tnra = sample_vo(Mechanism::TnraMht);
         assert!(tnra.doc_table.is_none());
-        let tra = sample_vo(Mechanism::TraMht, false);
+        let tra = sample_vo(Mechanism::TraMht);
         let table = tra.doc_table.clone().unwrap();
         let bytes = encode(&tra).unwrap();
-        let trailer = 4 + table.proof.size_bytes() + 2 + table.signature.len();
+        let trailer = 4 + table.proof.size_bytes();
         let mut stripped = tra.clone();
         stripped.mechanism = Mechanism::TnraMht;
         stripped.doc_table = None;
@@ -1273,19 +1260,19 @@ mod tests {
         // A digest count larger than the bytes behind it is refused
         // before allocation (truncations: tests/attack_suite.rs).
         let mut forged = bytes.clone();
-        let at = bytes.len() - trailer;
+        let at = bytes.len() - 2 - tra.signature.len() - trailer;
         forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode(&forged).is_err());
     }
 
     #[test]
     fn oversized_signature_refused() {
-        let mut vo = sample_vo(Mechanism::TnraMht, false);
-        vo.terms[0].signature = Some(vec![0u8; u16::MAX as usize + 1]);
+        let mut vo = sample_vo(Mechanism::TnraMht);
+        vo.signature = vec![0u8; u16::MAX as usize + 1];
         assert!(matches!(
             encode(&vo),
             Err(WireError::TooLong {
-                field: "term signature",
+                field: "manifest signature",
                 ..
             })
         ));

@@ -15,6 +15,12 @@
 //! signature plus at most `log2(ρ+1)` digests from the last-touched block
 //! and the digest of the block after it — independent of the list length,
 //! which is the scheme's whole point.
+//!
+//! Entry leaves arrive hashed as [`Digest::leaf`]; the successor's digest
+//! enters its predecessor's MHT unhashed. It is a block root, an
+//! interior-domain digest, and the chain's shape (`num_leaves`, ρ) fixes
+//! the one slot it may occupy: the last object of every block but the
+//! last.
 
 use crate::digest::Digest;
 use crate::merkle::{reconstruct_root, MerkleProof, MerkleTree};
@@ -184,7 +190,7 @@ mod tests {
     use super::*;
 
     fn leaf(i: usize) -> Digest {
-        Digest::hash(format!("entry-{i}").as_bytes())
+        Digest::leaf(format!("entry-{i}").as_bytes())
     }
 
     fn leaves(n: usize) -> Vec<Digest> {
@@ -232,7 +238,7 @@ mod tests {
         let chain = ChainMht::build(l.clone(), 4);
         let proof = chain.prove_prefix(6);
         let mut tampered = l[..6].to_vec();
-        tampered[2] = Digest::hash(b"forged entry");
+        tampered[2] = Digest::leaf(b"forged entry");
         let head = reconstruct_head(12, 4, &tampered, &proof).unwrap();
         assert_ne!(head, chain.head_digest());
     }

@@ -11,6 +11,13 @@ use std::fmt;
 /// Size of a digest in bytes (128 bits, per Table 1 of the paper).
 pub const DIGEST_LEN: usize = 16;
 
+/// First byte hashed into every Merkle leaf digest ([`Digest::leaf`]).
+const LEAF_PREFIX: u8 = 0x00;
+
+/// First byte hashed into every Merkle interior digest
+/// ([`Digest::combine`]).
+const INTERIOR_PREFIX: u8 = 0x01;
+
 /// A 128-bit one-way hash digest.
 ///
 /// Internal nodes of every Merkle hash tree, block digests of chain-MHTs,
@@ -44,13 +51,41 @@ impl Digest {
         Digest(out)
     }
 
-    /// `h(left | right)` — the Merkle internal-node combiner. The 32-byte
-    /// concatenation is built on the stack and hashed in one compression.
+    /// `h(0x00 | data)` — the digest of a Merkle leaf. The prefix puts
+    /// every leaf in a different hash domain from every interior node
+    /// ([`Digest::combine`]), whatever the leaf's encoding, so no leaf
+    /// can stand in for an interior node or the other way round
+    /// (RFC 6962 §2.1). A leaf of at most 54 bytes is one compression.
+    pub fn leaf(data: &[u8]) -> Digest {
+        Digest::one_block(LEAF_PREFIX, &[data])
+            .unwrap_or_else(|| Digest::hash_parts(&[&[LEAF_PREFIX], data]))
+    }
+
+    /// `h(0x01 | left | right)` — the Merkle interior-node combiner, in
+    /// the interior hash domain (see [`Digest::leaf`]). One compression.
     pub fn combine(left: &Digest, right: &Digest) -> Digest {
-        let mut pair = [0u8; 2 * DIGEST_LEN];
-        pair[..DIGEST_LEN].copy_from_slice(&left.0);
-        pair[DIGEST_LEN..].copy_from_slice(&right.0);
-        Digest::hash(&pair)
+        Digest::one_block(INTERIOR_PREFIX, &[&left.0, &right.0]).expect("33 bytes fit one block")
+    }
+
+    /// `h(prefix | parts…)` when the input is at most 55 bytes: padded in
+    /// place in one stack block and compressed once. `None` otherwise.
+    fn one_block(prefix: u8, parts: &[&[u8]]) -> Option<Digest> {
+        let mut block = [0u8; 64];
+        block[0] = prefix;
+        let mut len = 1;
+        for part in parts {
+            block.get_mut(len..len + part.len())?.copy_from_slice(part);
+            len += part.len();
+        }
+        if len > 55 {
+            return None;
+        }
+        block[len] = 0x80;
+        block[56..].copy_from_slice(&(8 * len as u64).to_be_bytes());
+        let full = crate::sha256::digest_padded(&block);
+        let mut out = [0u8; DIGEST_LEN];
+        out.copy_from_slice(&full[..DIGEST_LEN]);
+        Some(Digest(out))
     }
 
     /// Raw bytes of the digest.
@@ -117,8 +152,38 @@ mod tests {
             rng.fill_bytes(&mut l);
             rng.fill_bytes(&mut r);
             let (l, r) = (Digest(l), Digest(r));
-            assert_eq!(Digest::combine(&l, &r), Digest::hash_parts(&[&l.0, &r.0]));
+            assert_eq!(
+                Digest::combine(&l, &r),
+                Digest::hash_parts(&[&[INTERIOR_PREFIX], &l.0, &r.0])
+            );
         }
+    }
+
+    #[test]
+    fn leaf_matches_hash_parts_for_every_length() {
+        // The stack path (up to 63 bytes) and the streaming path agree
+        // on both sides of the one-block boundary.
+        let data: Vec<u8> = (0..200u8).collect();
+        for len in 0..data.len() {
+            let bytes = &data[..len];
+            assert_eq!(
+                Digest::leaf(bytes),
+                Digest::hash_parts(&[&[LEAF_PREFIX], bytes]),
+                "len={len}"
+            );
+        }
+    }
+
+    #[test]
+    fn leaf_and_interior_domains_never_meet() {
+        // The 32 bytes of an interior node's children, hashed as a leaf,
+        // are not that interior node: the prefixes differ.
+        let (l, r) = (Digest::hash(b"l"), Digest::hash(b"r"));
+        let mut children = [0u8; 2 * DIGEST_LEN];
+        children[..DIGEST_LEN].copy_from_slice(&l.0);
+        children[DIGEST_LEN..].copy_from_slice(&r.0);
+        assert_ne!(Digest::leaf(&children), Digest::combine(&l, &r));
+        assert_ne!(Digest::leaf(&children), Digest::hash(&children));
     }
 
     #[test]

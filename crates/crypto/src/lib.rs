@@ -54,7 +54,7 @@ mod integration_tests {
 
         // User side: leaf 3 + proof + signature.
         let proof = tree.prove(&[3]);
-        let leaf_digest = Digest::hash(&leaves[3]);
+        let leaf_digest = Digest::leaf(&leaves[3]);
         let root = reconstruct_root(10, &[(3, leaf_digest)], &proof).unwrap();
         key.public_key().verify(root.as_bytes(), &sig).unwrap();
     }
@@ -62,7 +62,7 @@ mod integration_tests {
     #[test]
     fn signed_chain_head_end_to_end() {
         let key = cached_keypair(TEST_KEY_BITS);
-        let leaves: Vec<Digest> = (0..40u32).map(|i| Digest::hash(&i.to_le_bytes())).collect();
+        let leaves: Vec<Digest> = (0..40u32).map(|i| Digest::leaf(&i.to_le_bytes())).collect();
         let chain = ChainMht::build(leaves.clone(), 8);
         let sig = key.sign(chain.head_digest().as_bytes()).unwrap();
 

@@ -13,6 +13,15 @@
 //! root-to-leaf DFS order. The paper's VOs are built from these proofs
 //! (plus the buddy-inclusion policy applied by the caller when choosing the
 //! revealed set).
+//!
+//! Leaves and interior nodes hash in separate domains: a leaf digest is
+//! [`Digest::leaf`] (`h(0x00 | leaf)`), an interior node
+//! [`Digest::combine`] (`h(0x01 | left | right)`), in every tree of the
+//! scheme. Callers that pass pre-hashed leaves
+//! ([`MerkleTree::from_leaf_digests`], [`reconstruct_root`]) compute them
+//! with [`Digest::leaf`]; the one exception is the chain-MHT's successor
+//! slot ([`crate::chain`]), which holds the next block's *root* at a
+//! position the chain's shape fixes.
 
 use crate::digest::Digest;
 
@@ -55,9 +64,9 @@ impl MerkleTree {
         }
     }
 
-    /// Build a tree by hashing raw leaf encodings.
+    /// Build a tree by hashing raw leaf encodings ([`Digest::leaf`]).
     pub fn from_leaves<T: AsRef<[u8]>>(leaves: &[T]) -> MerkleTree {
-        Self::from_leaf_digests(leaves.iter().map(|l| Digest::hash(l.as_ref())).collect())
+        Self::from_leaf_digests(leaves.iter().map(|l| Digest::leaf(l.as_ref())).collect())
     }
 
     /// Root digest.
@@ -286,7 +295,7 @@ mod tests {
     }
 
     fn leaf_digest(i: usize) -> Digest {
-        Digest::hash(format!("leaf-{i}").as_bytes())
+        Digest::leaf(format!("leaf-{i}").as_bytes())
     }
 
     #[test]
@@ -376,6 +385,21 @@ mod tests {
                 "subset={subset:?}"
             );
         }
+    }
+
+    #[test]
+    fn interior_node_cannot_pass_as_a_leaf() {
+        // The classic second preimage: a two-leaf tree whose leaves are
+        // the concatenated children of the four-leaf tree's two interior
+        // nodes. Were leaves and interior nodes hashed alike (`h(l | r)`)
+        // its leaves would be those interior nodes and both trees would
+        // share one root; the domain prefixes keep them apart.
+        let four = MerkleTree::from_leaves(&leaves(4));
+        let pair = |a: usize, b: usize| [leaf_digest(a).0, leaf_digest(b).0].concat();
+        let two = MerkleTree::from_leaves(&[pair(0, 1), pair(2, 3)]);
+        let n01 = Digest::combine(&leaf_digest(0), &leaf_digest(1));
+        assert_ne!(two.leaf_digests()[0], n01);
+        assert_ne!(two.root(), four.root());
     }
 
     #[test]

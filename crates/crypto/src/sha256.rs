@@ -119,7 +119,20 @@ fn finish(mut state: [u32; 8], tail: &[u8], total_len: u64) -> [u8; 32] {
     flat[tail.len()] = 0x80;
     flat[64 * blocks - 8..64 * blocks].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
     compress_blocks(&mut state, &pad[..blocks]);
+    state_bytes(state)
+}
 
+/// SHA-256 of a message of at most 55 bytes that the caller has laid
+/// out in `block` already padded (`0x80`, zeros, the big-endian bit
+/// length): one compression and no copy of the message.
+pub(crate) fn digest_padded(block: &[u8; 64]) -> [u8; 32] {
+    let mut state = H0;
+    compress_blocks(&mut state, std::slice::from_ref(block));
+    state_bytes(state)
+}
+
+/// The big-endian bytes of a final SHA-256 state.
+fn state_bytes(state: [u32; 8]) -> [u8; 32] {
     let mut out = [0u8; 32];
     for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
         chunk.copy_from_slice(&word.to_be_bytes());

@@ -7,16 +7,16 @@
 //! ```
 
 use authsearch_core::attacks::{
-    doc_beyond_table_response, stale_doc_table_response, truncated_prefix_response, Attack,
+    doc_beyond_table_response, foreign_term_response, interior_as_leaf_response,
+    mechanism_swapped_response, older_index, shifted_dict_leaf_response, stale_manifest_response,
+    truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::{verify, AuthConfig, DataOwner, Mechanism, Query, QueryResponse};
 use authsearch_corpus::SyntheticConfig;
+use authsearch_index::{build_index, OkapiParams};
 
 fn main() {
     let corpus = SyntheticConfig::tiny(300, 2024).generate();
-    // A different collection of the same size: the source of a stale
-    // document table.
-    let older_corpus = SyntheticConfig::tiny(300, 2023).generate();
     let owner = DataOwner::with_cached_key(512);
 
     let mut detected = 0usize;
@@ -77,14 +77,67 @@ fn main() {
             truncated_prefix_response(&publication.auth, &query, 10, &corpus),
         );
 
-        // The owner's genuine signature over another publication's
-        // document table, and a document past the end of the table.
-        if mechanism.is_tra() {
-            let older = owner.publish(&older_corpus, config);
+        // The manifest: an older publication of the same collection (one
+        // list edited, same m and n), its signature, a term root taken
+        // from it, the reply relabeled as the other tree type, and a
+        // query term answered with its dictionary neighbour's list.
+        let older_index = older_index(publication.auth.index(), terms[0]).expect("a short list");
+        let older = owner.publish_index(older_index, config, &corpus);
+        mount(
+            "manifest of an older publication",
+            stale_manifest_response(&honest, &older.auth),
+        );
+        mount(
+            "term root from an older publication",
+            foreign_term_response(&honest, &older.auth.query(&query, 10, &corpus), 0),
+        );
+        let other = *Mechanism::ALL
+            .iter()
+            .find(|m| m.is_tra() == mechanism.is_tra() && **m != mechanism)
+            .expect("each algorithm has two tree types");
+        let other_publication = owner.publish_index(
+            build_index(&corpus, OkapiParams::default()),
+            AuthConfig {
+                mechanism: other,
+                buddy: other.is_cmht(),
+                ..config
+            },
+            &corpus,
+        );
+        mount(
+            "mechanism field swapped",
+            mechanism_swapped_response(
+                &other_publication.auth.query(&query, 10, &corpus),
+                mechanism,
+            ),
+        );
+        mount(
+            "dictionary leaf shifted by one",
+            shifted_dict_leaf_response(&query, publication.auth.index().num_terms(), |q| {
+                publication.auth.query(q, 10, &corpus)
+            }),
+        );
+        // An interior node presented as a leaf, in every tree the reply
+        // proves from. Buddy inclusion is off so that prefixes end
+        // mid-group; the verifier's parameters are the same.
+        let unpadded = owner.publish_index(
+            build_index(&corpus, OkapiParams::default()),
+            AuthConfig {
+                buddy: false,
+                ..config
+            },
+            &corpus,
+        );
+        let plain = unpadded.auth.query(&query, 10, &corpus);
+        for tree in Tree::ALL.into_iter().filter(|t| t.in_replies_of(mechanism)) {
             mount(
-                "stale document table",
-                stale_doc_table_response(&honest, &older.auth),
+                &format!("interior node as a {tree:?} leaf"),
+                interior_as_leaf_response(&plain, &unpadded.auth, tree),
             );
+        }
+
+        // A document past the end of the table.
+        if mechanism.is_tra() {
             mount(
                 "doc id past the table",
                 doc_beyond_table_response(&honest, &publication.auth),

@@ -5,8 +5,9 @@
 //! security contract of the library.
 
 use authsearch_core::attacks::{
-    doc_beyond_table_response, incomplete_conjunct_response, stale_doc_table_response,
-    truncated_prefix_response, Attack,
+    doc_beyond_table_response, foreign_term_response, incomplete_conjunct_response,
+    interior_as_leaf_response, mechanism_swapped_response, older_index, shifted_dict_leaf_response,
+    stale_manifest_response, truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::toy::{toy_contents, toy_index, toy_query};
 use authsearch_core::{
@@ -400,28 +401,28 @@ enum Path {
     Wire,
 }
 
-/// The verdict a document-table attack must produce.
+/// The verdict a document-table or manifest attack must produce.
 #[derive(Debug, Clone, Copy)]
 enum Expect {
     /// `VerifyError::DocTableProof(_)`.
     Proof,
-    /// `VerifyError::DocTableSignature`.
-    Signature,
+    /// `VerifyError::ManifestSignature`.
+    Manifest,
 }
 
 impl Expect {
     fn of(attack: Attack) -> Expect {
         match attack {
             Attack::DropDocTableDigest | Attack::ExtraDocTableDigest => Expect::Proof,
-            Attack::ForgeDocTableSignature | Attack::ShiftDocId => Expect::Signature,
-            other => panic!("'{}' is not a document-table attack", other.name()),
+            Attack::ShiftDocId | Attack::ForgeManifestSignature => Expect::Manifest,
+            other => panic!("'{}' has no typed verdict here", other.name()),
         }
     }
 
     fn holds(self, outcome: &Result<authsearch_core::VerifiedResult, VerifyError>) -> bool {
         match self {
             Expect::Proof => matches!(outcome, Err(VerifyError::DocTableProof(_))),
-            Expect::Signature => matches!(outcome, Err(VerifyError::DocTableSignature)),
+            Expect::Manifest => matches!(outcome, Err(VerifyError::ManifestSignature)),
         }
     }
 }
@@ -449,11 +450,18 @@ fn verify_in(
     query: &Query,
     response: &QueryResponse,
 ) -> Result<authsearch_core::VerifiedResult, VerifyError> {
+    verify_with(mode, &publication.verifier_params, query, response)
+}
+
+fn verify_with(
+    mode: QueryMode,
+    params: &authsearch_core::VerifierParams,
+    query: &Query,
+    response: &QueryResponse,
+) -> Result<authsearch_core::VerifiedResult, VerifyError> {
     match mode {
-        QueryMode::Disjunctive => verify::verify(&publication.verifier_params, query, 10, response),
-        QueryMode::Conjunctive => {
-            verify::verify_conjunctive(&publication.verifier_params, query, 10, response)
-        }
+        QueryMode::Disjunctive => verify::verify(params, query, 10, response),
+        QueryMode::Conjunctive => verify::verify_conjunctive(params, query, 10, response),
     }
 }
 
@@ -496,27 +504,14 @@ fn doc_table_query(
         .expect("some sampled query admits every document-table attack")
 }
 
-/// Every document-table attack — the four response mutations, a table
-/// from an older publication, and a doc id past the table — is rejected
-/// with its exact `VerifyError`, on TRA-MHT and TRA-CMHT × disjunctive /
-/// conjunctive × in-process / over the wire.
+/// Every document-table attack — the three response mutations and a doc
+/// id past the table — is rejected with its exact `VerifyError`, on
+/// TRA-MHT and TRA-CMHT × disjunctive / conjunctive × in-process / over
+/// the wire.
 #[test]
 fn doc_table_attacks_rejected_with_typed_verdicts() {
     for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
         let (publication, corpus) = publish(mechanism);
-        // Same collection size and key, different documents.
-        let older_corpus = SyntheticConfig::tiny(200, 98).generate();
-        let older = DataOwner::with_cached_key(TEST_KEY_BITS).publish(
-            &older_corpus,
-            AuthConfig {
-                key_bits: TEST_KEY_BITS,
-                ..AuthConfig::new(mechanism)
-            },
-        );
-        assert_eq!(
-            older.auth.index().num_docs(),
-            publication.auth.index().num_docs()
-        );
         for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
             let (query, honest) = doc_table_query(mode, &publication, &corpus);
             let mut cases: Vec<(String, QueryResponse, Expect)> = Attack::DOC_TABLE
@@ -527,11 +522,6 @@ fn doc_table_attacks_rejected_with_typed_verdicts() {
                     (attack.name().to_string(), tampered, Expect::of(attack))
                 })
                 .collect();
-            cases.push((
-                "document table from an older publication".into(),
-                stale_doc_table_response(&honest, &older.auth).expect("TRA reply"),
-                Expect::Signature,
-            ));
             cases.push((
                 "doc id past the table".into(),
                 doc_beyond_table_response(&honest, &publication.auth).expect("document proofs"),
@@ -559,9 +549,10 @@ fn doc_table_attacks_rejected_with_typed_verdicts() {
     }
 }
 
-/// Wire fuzz: a reply whose VO stops anywhere inside the document-table
-/// trailer (with the VO and frame lengths fixed up to match) never
-/// decodes, and a flipped byte anywhere in the trailer never verifies.
+/// Wire fuzz: a reply whose VO stops anywhere inside the trailer — the
+/// document-table proof and the manifest signature after it — (with the
+/// VO and frame lengths fixed up to match) never decodes, and a flipped
+/// byte anywhere in the trailer never verifies.
 #[test]
 fn truncated_or_flipped_doc_table_trailer_rejected() {
     let (publication, corpus) = publish(Mechanism::TraMht);
@@ -570,7 +561,7 @@ fn truncated_or_flipped_doc_table_trailer_rejected() {
     let pairs: Vec<(u32, u32)> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
     let vo = wire::encode(&honest.vo).unwrap();
     let table = honest.vo.doc_table.as_ref().unwrap();
-    let trailer = 4 + table.proof.size_bytes() + 2 + table.signature.len();
+    let trailer = 4 + table.proof.size_bytes() + 2 + honest.vo.signature.len();
 
     // Locate the nested VO inside the reply payload: term echo, result
     // entries, then a u32 length and the VO bytes.
@@ -609,5 +600,190 @@ fn truncated_or_flipped_doc_table_trailer_rejected() {
             verify::verify(&publication.verifier_params, &query, 10, &tampered).is_err(),
             "trailer byte {at} flipped yet the reply verified"
         );
+    }
+}
+
+// ---- the manifest catalogue, with typed verdicts ---------------------------
+
+/// `publication` republished with term `t`'s list edited
+/// ([`older_index`]): the same collection, configuration, `m`, `n` and
+/// key.
+fn older_publication(
+    publication: &Publication,
+    corpus: &authsearch_corpus::Corpus,
+    t: u32,
+) -> Publication {
+    let index = older_index(publication.auth.index(), t).expect("list lacks some document");
+    DataOwner::with_cached_key(TEST_KEY_BITS).publish_index(
+        index,
+        *publication.auth.config(),
+        corpus,
+    )
+}
+
+/// The other mechanism of the same query algorithm (TRA or TNRA).
+fn other_tree_type(mechanism: Mechanism) -> Mechanism {
+    *Mechanism::ALL
+        .iter()
+        .find(|&&m| m.is_tra() == mechanism.is_tra() && m != mechanism)
+        .unwrap()
+}
+
+/// The first sampled query whose lists all fit one chain block of
+/// either tree type and one of whose terms has a dictionary sibling
+/// outside the query — so every manifest cell applies.
+fn manifest_query(mode: QueryMode, publication: &Publication) -> Query {
+    let index = publication.auth.index();
+    let m = index.num_terms();
+    let capacity = AuthConfig::new(publication.auth.config().mechanism).chain_capacity();
+    let terms = match mode {
+        QueryMode::Disjunctive => 3,
+        QueryMode::Conjunctive => 2,
+    };
+    (0..64)
+        .map(|seed| {
+            let ids = authsearch_corpus::workload::synthetic(m, 1, terms, seed).remove(0);
+            Query::from_term_ids(index, &ids)
+        })
+        .find(|query| {
+            query
+                .terms
+                .iter()
+                .all(|qt| index.list(qt.term).len() <= capacity)
+                && query.terms.iter().any(|qt| {
+                    let s = qt.term ^ 1;
+                    (s as usize) < m && query.terms.iter().all(|o| o.term != s)
+                })
+        })
+        .expect("some sampled query admits every manifest attack")
+}
+
+/// Every attack on the one signed manifest is rejected with
+/// `VerifyError::ManifestSignature`, under every mechanism × disjunctive
+/// / conjunctive × in-process / over the wire: a forged signature, the
+/// manifest of an older publication with the same `m` and `n`, the
+/// mechanism field swapped, a dictionary leaf shifted by one, and a term
+/// root taken from another publication.
+#[test]
+fn manifest_attacks_rejected_with_typed_verdicts() {
+    for mechanism in Mechanism::ALL {
+        let (publication, corpus) = publish(mechanism);
+        for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
+            let query = manifest_query(mode, &publication);
+            let honest = serve_in(mode, &publication, &query, &corpus);
+            let older = older_publication(&publication, &corpus, query.terms[0].term);
+            let other = other_tree_type(mechanism);
+            let mut other_params = publication.verifier_params.clone();
+            other_params.mechanism = other;
+            let mut forged = honest.clone();
+            assert!(Attack::ForgeManifestSignature.apply(&mut forged));
+            let m = publication.auth.index().num_terms();
+            let cases: Vec<(
+                &str,
+                Option<QueryResponse>,
+                &authsearch_core::VerifierParams,
+            )> = vec![
+                (
+                    "forged signature",
+                    Some(forged),
+                    &publication.verifier_params,
+                ),
+                (
+                    "manifest of an older publication",
+                    stale_manifest_response(&honest, &older.auth),
+                    &publication.verifier_params,
+                ),
+                (
+                    "term root from an older publication",
+                    foreign_term_response(&honest, &serve_in(mode, &older, &query, &corpus), 0),
+                    &publication.verifier_params,
+                ),
+                (
+                    "mechanism field swapped",
+                    mechanism_swapped_response(&honest, other),
+                    &other_params,
+                ),
+                (
+                    "dictionary leaf shifted by one",
+                    shifted_dict_leaf_response(&query, m, |q| {
+                        serve_in(mode, &publication, q, &corpus)
+                    }),
+                    &publication.verifier_params,
+                ),
+            ];
+            for path in [Path::InProcess, Path::Wire] {
+                let delivered = deliver(path, &query, honest.clone());
+                verify_in(mode, &publication, &query, &delivered).unwrap_or_else(|e| {
+                    panic!(
+                        "{} {mode:?} {path:?}: honest reply rejected: {e}",
+                        mechanism.name()
+                    )
+                });
+                for (name, tampered, params) in &cases {
+                    let tampered = tampered.clone().unwrap_or_else(|| {
+                        panic!("{} {mode:?}: '{name}' not applicable", mechanism.name())
+                    });
+                    let delivered = deliver(path, &query, tampered);
+                    let outcome = verify_with(mode, params, &query, &delivered);
+                    assert!(
+                        Expect::Manifest.holds(&outcome),
+                        "{} {mode:?} {path:?}: '{name}' gave {outcome:?}",
+                        mechanism.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// An interior node presented as a leaf, in each tree type a mechanism's
+/// replies prove from (term-MHT or chain-MHT block, document-MHT,
+/// document table, dictionary), is rejected with
+/// `VerifyError::ManifestSignature`, in-process and over the wire.
+/// Buddy inclusion is off, so prefixes and document reveals end
+/// mid-group and leave single unrevealed leaves in the proofs.
+#[test]
+fn interior_node_as_leaf_rejected_in_every_tree() {
+    for mechanism in Mechanism::ALL {
+        let corpus = SyntheticConfig::tiny(200, 99).generate();
+        let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(
+            &corpus,
+            AuthConfig {
+                key_bits: TEST_KEY_BITS,
+                buddy: false,
+                ..AuthConfig::new(mechanism)
+            },
+        );
+        let trees: Vec<Tree> = Tree::ALL
+            .into_iter()
+            .filter(|t| t.in_replies_of(mechanism))
+            .collect();
+        let m = publication.auth.index().num_terms();
+        let (query, cases) = (0..64)
+            .find_map(|seed| {
+                let ids = authsearch_corpus::workload::synthetic(m, 1, 3, seed).remove(0);
+                let query = Query::from_term_ids(publication.auth.index(), &ids);
+                let honest = publication.auth.query(&query, 10, &corpus);
+                let cases: Option<Vec<(Tree, QueryResponse)>> = trees
+                    .iter()
+                    .map(|&tree| {
+                        interior_as_leaf_response(&honest, &publication.auth, tree)
+                            .map(|r| (tree, r))
+                    })
+                    .collect();
+                Some((query, cases?))
+            })
+            .expect("some sampled query admits the attack in every tree");
+        for path in [Path::InProcess, Path::Wire] {
+            for (tree, tampered) in &cases {
+                let delivered = deliver(path, &query, tampered.clone());
+                let outcome = verify::verify(&publication.verifier_params, &query, 10, &delivered);
+                assert!(
+                    Expect::Manifest.holds(&outcome),
+                    "{} {path:?}: interior node as a {tree:?} leaf gave {outcome:?}",
+                    mechanism.name()
+                );
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end integration: owner → engine → client across all four
 //! mechanisms, on text corpora, synthetic corpora, and the paper's toy
-//! example, including the §3.4 dictionary-MHT mode and buddy-inclusion
-//! ablations.
+//! example, including the §3.4 dictionary-MHT every reply carries and
+//! buddy-inclusion ablations.
 
 use authsearch_core::{
     verify, AuthConfig, Client, DataOwner, Mechanism, Query, SearchEngine, VerifierParams,
@@ -90,11 +90,7 @@ fn dictionary_mht_mode_verifies() {
     for mechanism in Mechanism::ALL {
         let corpus = SyntheticConfig::tiny(150, 5).generate();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            dict_mht: true,
-            ..test_config(mechanism)
-        };
-        let publication = owner.publish(&corpus, config);
+        let publication = owner.publish(&corpus, test_config(mechanism));
         let engine = SearchEngine::new(publication.auth, corpus);
         let client = Client::new(publication.verifier_params);
         let terms =
@@ -186,8 +182,8 @@ fn vo_reports_sane_sizes() {
     let query = Query::from_term_ids(engine.auth().index(), &terms);
     let response = engine.search(&query, 10);
     let size = response.vo.size();
-    // Three per-list signatures of 64 bytes (512-bit test keys).
-    assert_eq!(size.signature, 3 * 64);
+    // One manifest signature of 64 bytes (512-bit test keys).
+    assert_eq!(size.signature, 64);
     assert!(size.data > 0);
     assert_eq!(size.total(), size.data + size.digest + size.signature);
 }
