@@ -396,6 +396,24 @@ pub(crate) fn publication_message(
     ])
 }
 
+/// The [`publication_message`] over an artifact's dictionary-MHT (whose
+/// leaf count is `m`) and, under TRA, its document table; `None` when `m`
+/// or `num_docs` does not fit a `u32`.
+pub(crate) fn manifest(
+    mechanism: Mechanism,
+    dict: &MerkleTree,
+    num_docs: usize,
+    doc_tree: Option<&MerkleTree>,
+) -> Option<[u8; 55]> {
+    Some(publication_message(
+        mechanism,
+        u32::try_from(dict.num_leaves()).ok()?,
+        u32::try_from(num_docs).ok()?,
+        &dict.root(),
+        &doc_tree.map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
+    ))
+}
+
 // ---- the owner's artifact -------------------------------------------------
 
 /// Everything the data owner hands the search engine: the index, the
@@ -503,15 +521,8 @@ impl AuthenticatedIndex {
             (Vec::new(), Vec::new(), Vec::new(), None)
         };
 
-        let manifest = publication_message(
-            config.mechanism,
-            u32::try_from(m).expect("term ids are u32"),
-            u32::try_from(index.num_docs()).expect("document ids are u32"),
-            &dict.root(),
-            &doc_tree
-                .as_ref()
-                .map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
-        );
+        let manifest = manifest(config.mechanism, &dict, index.num_docs(), doc_tree.as_ref())
+            .expect("term and document ids are u32");
         let signature = key.sign(&manifest).expect("manifest signature");
 
         AuthenticatedIndex {
@@ -601,17 +612,15 @@ pub(crate) mod tests_support {
 
     /// The manifest `auth` was signed over, rebuilt from its parts.
     pub(crate) fn manifest_of(auth: &AuthenticatedIndex) -> [u8; 55] {
-        let tree = dict_tree(1, &auth.index, &auth.term_roots);
-        publication_message(
+        let dict = dict_tree(1, &auth.index, &auth.term_roots);
+        let doc_tree = auth.doc_tree.as_ref();
+        manifest(
             auth.config.mechanism,
-            auth.index.num_terms() as u32,
-            auth.index.num_docs() as u32,
-            &tree.root(),
-            &auth
-                .doc_tree
-                .as_ref()
-                .map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
+            &dict,
+            auth.index.num_docs(),
+            doc_tree,
         )
+        .unwrap()
     }
 }
 

@@ -57,14 +57,14 @@
 //! wrong answer is ever *accepted*, only detected later than boot.
 
 use super::{
-    cache, dict_tree, doc_mhts, doc_table_tree, publication_message, term_structures, AuthConfig,
-    AuthenticatedIndex, NO_DOC_TABLE_ROOT,
+    cache, dict_tree, doc_mhts, doc_table_tree, manifest, term_structures, AuthConfig,
+    AuthenticatedIndex,
 };
 use crate::pool::ThreadPool;
 use crate::types::DocTable;
 use crate::vo::Mechanism;
 use authsearch_corpus::TermId;
-use authsearch_crypto::{Digest, MerkleTree, RsaPublicKey, DIGEST_LEN};
+use authsearch_crypto::{Digest, RsaPublicKey, DIGEST_LEN};
 use authsearch_index::persist::{self, put_u32, put_u64, PersistError, SectionReader, SectionTag};
 use authsearch_index::SnapshotInfo;
 use std::io::Cursor;
@@ -307,15 +307,8 @@ impl AuthenticatedIndex {
             .mechanism
             .is_tra()
             .then(|| doc_table_tree(&parts.doc_content_digests, &parts.doc_roots));
-        let manifest = publication_message(
-            expected.mechanism,
-            u32::try_from(m).map_err(|_| corrupt("term count exceeds u32"))?,
-            u32::try_from(n).map_err(|_| corrupt("document count exceeds u32"))?,
-            &dict.root(),
-            &doc_tree
-                .as_ref()
-                .map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
-        );
+        let manifest = manifest(expected.mechanism, &dict, n, doc_tree.as_ref())
+            .ok_or_else(|| corrupt("term or document count exceeds u32"))?;
         parts
             .public_key
             .verify(&manifest, &parts.signature)
