@@ -40,10 +40,11 @@ pub mod snapshot;
 pub mod space;
 
 pub use cache::{CacheStats, WarmStats};
-pub use snapshot::{boot_authenticated_index, BootReport, BootSource};
+pub use snapshot::boot_authenticated_index;
 
 use crate::pool::{self, ThreadPool};
 use crate::types::DocTable;
+use crate::verify::VerifierParams;
 use crate::vo::Mechanism;
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::keys::PAPER_KEY_BITS;
@@ -570,6 +571,20 @@ impl AuthenticatedIndex {
     /// The owner's public key (what users verify against).
     pub fn public_key(&self) -> &RsaPublicKey {
         &self.public_key
+    }
+
+    /// The public parameters clients verify this artifact's replies
+    /// against: what the owner broadcasts at publication
+    /// ([`crate::DataOwner::publish_index`]) and what boot checks a
+    /// loaded snapshot against ([`boot_authenticated_index`]).
+    pub fn verifier_params(&self) -> VerifierParams {
+        VerifierParams {
+            public_key: self.public_key.clone(),
+            layout: self.config.layout,
+            mechanism: self.config.mechanism,
+            num_docs: self.index.num_docs(),
+            okapi: self.index.params(),
+        }
     }
 
     /// The owner's one signature over [`publication_message`].

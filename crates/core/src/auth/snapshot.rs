@@ -1,12 +1,14 @@
-//! Crash-safe authenticated snapshots: persist the *entire* owner
-//! artifact ([`AuthenticatedIndex`]) and boot it back trust-but-verify.
+//! Crash-safe authenticated snapshots: the owner persists the *entire*
+//! artifact ([`AuthenticatedIndex`]), and the engine boots it back
+//! trust-but-verify.
 //!
 //! The paper's owner transfers the collection and index to the
-//! untrusted engine once; rebuilding the artifact on every server start
-//! re-pays the owner's preprocessing (hashing and folding every list
-//! and document, then signing the manifest) for nothing. A snapshot
-//! reloads with parsing, hashing and one signature *verification* — no
-//! signing.
+//! untrusted engine once (§3.1). The snapshot is that hand-off: the
+//! owner writes it, and the engine reloads it with parsing, hashing and
+//! one signature *verification*. The engine holds no signing key, so it
+//! never builds or re-signs an artifact: a snapshot that fails any check
+//! below is refused with the typed [`PersistError`]
+//! ([`boot_authenticated_index`]).
 //!
 //! ## Container layout
 //!
@@ -24,8 +26,7 @@
 //! Merkle leaves and interior nodes hash in separate domains. It
 //! replaced `ASA2` (one signature per term plus one for the document
 //! table) and `ASAU` (one signature per term and per document). A
-//! snapshot with either old section is [`PersistError::Stale`] and
-//! boots through a fresh build.
+//! snapshot with either old section is [`PersistError::Stale`].
 //!
 //! ## Trust model at boot
 //!
@@ -39,12 +40,14 @@
 //! 2. identity check of `ACFG` against the caller's expected
 //!    [`AuthConfig`] — a snapshot of a *different* artifact is
 //!    [`PersistError::Stale`], not silently served;
-//! 3. **one signature verification** against the embedded public key:
-//!    the dictionary-MHT is folded from the loaded term roots and, for
-//!    TRA, the document table from every document's content digest and
-//!    root, and the manifest over both roots must carry the owner's
-//!    signature. Then every term root and every document-MHT root is
-//!    recomputed from the loaded index, folded through
+//! 3. **one signature verification** against the owner's key: the
+//!    dictionary-MHT is folded from the loaded term roots and, for TRA,
+//!    the document table from every document's content digest and root,
+//!    and the manifest over both roots must carry a valid signature
+//!    under the snapshot's embedded key, which
+//!    [`boot_authenticated_index`] requires to be the owner's
+//!    ([`VerifierParams::public_key`]). Then every term root and every
+//!    document-MHT root is recomputed from the loaded index, folded through
 //!    [`crate::pool::map`] at the configured width, and must equal the
 //!    signed one. That fold also rebuilds the structures the engine
 //!    proves from, so checking all `m` term roots and `n` document roots
@@ -62,6 +65,7 @@ use super::{
 };
 use crate::pool::ThreadPool;
 use crate::types::DocTable;
+use crate::verify::VerifierParams;
 use crate::vo::Mechanism;
 use authsearch_corpus::TermId;
 use authsearch_crypto::{Digest, RsaPublicKey, DIGEST_LEN};
@@ -220,11 +224,16 @@ impl AuthenticatedIndex {
     }
 
     /// Reload an artifact saved by [`AuthenticatedIndex::save_snapshot`],
-    /// verifying it end to end before it can serve a single query — see
-    /// the [module docs](self) for the three verification layers.
-    /// `expected` supplies both the identity the snapshot must match
-    /// (mechanism, buddy, key bits, layout) and the
-    /// thread count the reloaded engine should run with.
+    /// checking its integrity end to end before it can serve a single
+    /// query — see the [module docs](self) for the three verification
+    /// layers. `expected` supplies both the identity the snapshot must
+    /// match (mechanism, buddy, key bits, layout) and the thread count
+    /// the reloaded engine should run with.
+    ///
+    /// The manifest signature is checked against the public key embedded
+    /// in the snapshot only, so a snapshot signed throughout under
+    /// another key of the same size loads. [`boot_authenticated_index`]
+    /// is the entry point anchored to the owner's key.
     pub fn load_snapshot(
         path: &Path,
         expected: &AuthConfig,
@@ -354,81 +363,42 @@ impl AuthenticatedIndex {
     }
 }
 
-// ---- boot decision tree ---------------------------------------------------
+// ---- boot -----------------------------------------------------------------
 
-/// Where a booted engine's artifact came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BootSource {
-    /// Loaded and verified from the snapshot file — no rebuild.
-    Snapshot,
-    /// Rebuilt from scratch (snapshot missing, stale, or corrupt — see
-    /// [`BootReport::reason`]).
-    FreshBuild,
-}
-
-/// What [`boot_authenticated_index`] did and why.
-#[derive(Debug, Clone)]
-pub struct BootReport {
-    /// Snapshot or fresh build.
-    pub source: BootSource,
-    /// Why the snapshot path was not used (`None` on the happy path).
-    pub reason: Option<String>,
-    /// After a fresh build with a snapshot path configured: whether the
-    /// rebuilt artifact was saved back so the *next* boot is fast.
-    pub healed: bool,
-}
-
-/// The boot decision tree: try the snapshot, fall back to building.
+/// Boot the engine's artifact from the owner's snapshot at `path`, or
+/// refuse with the typed error. The engine never builds or signs.
 ///
-/// * no `path` → build (reason: unconfigured);
-/// * snapshot loads and verifies against `expected` → serve it;
-/// * snapshot missing / stale / corrupt → `fallback()` builds fresh,
-///   and the fresh artifact is written back to `path` (best effort) so
-///   the failure is healed for the next boot.
-///
-/// Never panics on snapshot trouble: every failure mode lands in
-/// `fallback` with the typed error preserved in [`BootReport::reason`].
-pub fn boot_authenticated_index<F>(
-    path: Option<&Path>,
+/// This is [`AuthenticatedIndex::load_snapshot`] under `expected`, plus
+/// the trust anchor: the loaded artifact's public parameters
+/// ([`AuthenticatedIndex::verifier_params`]: key, mechanism, layout,
+/// `n`, Okapi) must equal `owner`'s, the parameters clients verify
+/// against. A snapshot signed under any other key, or describing a
+/// collection those clients would reject every reply for, is
+/// [`PersistError::Stale`]. Nothing is written, whatever the outcome.
+pub fn boot_authenticated_index(
+    path: &Path,
     expected: &AuthConfig,
-    fallback: F,
-) -> (AuthenticatedIndex, BootReport)
-where
-    F: FnOnce() -> AuthenticatedIndex,
-{
-    let Some(path) = path else {
-        let auth = fallback();
-        return (
-            auth,
-            BootReport {
-                source: BootSource::FreshBuild,
-                reason: Some("no snapshot path configured".into()),
-                healed: false,
-            },
-        );
-    };
-    match AuthenticatedIndex::load_snapshot(path, expected) {
-        Ok(auth) => (
-            auth,
-            BootReport {
-                source: BootSource::Snapshot,
-                reason: None,
-                healed: false,
-            },
-        ),
-        Err(e) => {
-            let auth = fallback();
-            let healed = auth.save_snapshot(path).is_ok();
-            (
-                auth,
-                BootReport {
-                    source: BootSource::FreshBuild,
-                    reason: Some(e.to_string()),
-                    healed,
-                },
-            )
-        }
+    owner: &VerifierParams,
+) -> Result<AuthenticatedIndex, PersistError> {
+    let auth = AuthenticatedIndex::load_snapshot(path, expected)?;
+    let loaded = auth.verifier_params();
+    let differ: Vec<&str> = [
+        ("public key", loaded.public_key == owner.public_key),
+        ("mechanism", loaded.mechanism == owner.mechanism),
+        ("layout", loaded.layout == owner.layout),
+        ("num_docs", loaded.num_docs == owner.num_docs),
+        ("okapi", loaded.okapi == owner.okapi),
+    ]
+    .into_iter()
+    .filter_map(|(what, same)| (!same).then_some(what))
+    .collect();
+    if !differ.is_empty() {
+        return Err(stale(format!(
+            "snapshot is not the owner's publication: {} differ from the owner's",
+            differ.join(", ")
+        )));
     }
+    Ok(auth)
 }
 
 #[cfg(test)]
@@ -753,36 +723,5 @@ mod tests {
             fs::remove_file(&path).ok();
             fs::remove_file(persist::manifest_path(&path)).ok();
         }
-    }
-
-    #[test]
-    fn boot_heals_a_missing_snapshot_then_loads_it() {
-        let path = temp_path("boot-heal.snap");
-        fs::remove_file(&path).ok();
-        fs::remove_file(persist::manifest_path(&path)).ok();
-        let reference = test_auth(Mechanism::TnraMht);
-        let expected = *reference.config();
-
-        let (first, report) =
-            boot_authenticated_index(Some(&path), &expected, || test_auth(Mechanism::TnraMht));
-        assert_eq!(report.source, BootSource::FreshBuild);
-        assert!(report.reason.is_some());
-        assert!(report.healed, "fresh build should be saved back");
-
-        let (second, report) = boot_authenticated_index(Some(&path), &expected, || {
-            panic!("snapshot exists; fallback must not run")
-        });
-        assert_eq!(report.source, BootSource::Snapshot);
-        assert_eq!(report.reason, None);
-        let a = first.query(&toy_query(), 2, &toy_contents());
-        let b = second.query(&toy_query(), 2, &toy_contents());
-        assert_eq!(a.vo, b.vo);
-
-        let (_, report) =
-            boot_authenticated_index(None, &expected, || test_auth(Mechanism::TnraMht));
-        assert_eq!(report.source, BootSource::FreshBuild);
-        assert!(!report.healed);
-        fs::remove_file(&path).ok();
-        fs::remove_file(persist::manifest_path(&path)).ok();
     }
 }

@@ -86,8 +86,8 @@ pub mod wire;
 
 pub use auth::serve::QueryResponse;
 pub use auth::{
-    boot_authenticated_index, AuthConfig, AuthenticatedIndex, BootReport, BootSource, CacheStats,
-    ContentProvider, WarmStats,
+    boot_authenticated_index, AuthConfig, AuthenticatedIndex, CacheStats, ContentProvider,
+    WarmStats,
 };
 pub use client::{phrase_filter, Client, ClientNetError, Connection, RetryPolicy};
 pub use engine::{ParsedQuery, SearchEngine, TokenResolution};

@@ -46,12 +46,6 @@ pub struct ServerMetrics {
     /// High-water mark of simultaneously admitted connections — how
     /// close the server has come to its cap.
     pub active_highwater: AtomicU64,
-    /// Boots served from a verified snapshot
-    /// ([`crate::ServerConfig::snapshot_path`]) — the near-O(1) path.
-    pub boot_snapshot_loads: AtomicU64,
-    /// Boots that fell back to building the artifact from scratch
-    /// (snapshot unconfigured, missing, stale, or corrupt).
-    pub boot_fresh_builds: AtomicU64,
 }
 
 /// A point-in-time copy of [`ServerMetrics`].
@@ -73,10 +67,6 @@ pub struct ServerMetricsSnapshot {
     pub connections_timed_out: u64,
     /// High-water mark of simultaneously admitted connections.
     pub active_highwater: u64,
-    /// Boots served from a verified snapshot.
-    pub boot_snapshot_loads: u64,
-    /// Boots that fell back to a fresh build.
-    pub boot_fresh_builds: u64,
 }
 
 impl ServerMetrics {
@@ -91,8 +81,6 @@ impl ServerMetrics {
             connections_shed: self.connections_shed.load(Ordering::Relaxed),
             connections_timed_out: self.connections_timed_out.load(Ordering::Relaxed),
             active_highwater: self.active_highwater.load(Ordering::Relaxed),
-            boot_snapshot_loads: self.boot_snapshot_loads.load(Ordering::Relaxed),
-            boot_fresh_builds: self.boot_fresh_builds.load(Ordering::Relaxed),
         }
     }
 }

@@ -3,7 +3,10 @@
 //! The owner manages the collection, builds the inverted index and all
 //! authentication structures, signs one manifest over their roots, and
 //! transfers everything to the third-party search engine while
-//! broadcasting the public verification parameters to users.
+//! broadcasting the public verification parameters to users. The
+//! transfer is a snapshot ([`AuthenticatedIndex::save_snapshot`]); the
+//! engine boots it against the same parameters
+//! ([`crate::Server::start_booted`]) and never holds the signing key.
 //!
 //! Building is the owner's dominant one-off cost (hashing and folding
 //! every list and, under TRA, every document, then one RSA signature),
@@ -78,17 +81,9 @@ impl DataOwner {
         config: AuthConfig,
         contents: &C,
     ) -> Publication {
-        let num_docs = index.num_docs();
-        let okapi = index.params();
         let auth = AuthenticatedIndex::build(index, &self.key, config, contents);
         Publication {
-            verifier_params: VerifierParams {
-                public_key: self.key.public_key().clone(),
-                layout: config.layout,
-                mechanism: config.mechanism,
-                num_docs,
-                okapi,
-            },
+            verifier_params: auth.verifier_params(),
             auth,
         }
     }

@@ -9,6 +9,12 @@
 //! [`verify`](mod@crate::verify) accepts it against the owner's public key —
 //! the server is just the engine with a socket in front of it.
 //!
+//! The server holds no signing key. [`Server::start_booted`] loads the
+//! owner's snapshot and anchors it to the owner's [`VerifierParams`],
+//! the parameters its clients hold; when the snapshot fails either
+//! check, the server refuses to start with the typed [`PersistError`].
+//! It never rebuilds, re-signs or rewrites the artifact.
+//!
 //! ## Architecture
 //!
 //! Two interchangeable transport cores sit behind one public API and
@@ -63,19 +69,22 @@ pub(crate) mod conn;
 mod reactor_core;
 mod threaded;
 
-use crate::auth::{boot_authenticated_index, AuthConfig, BootReport, BootSource};
+use crate::auth::{boot_authenticated_index, AuthConfig};
 use crate::engine::SearchEngine;
 use crate::metrics::{
     ServerMetrics, ServerMetricsSnapshot, TransportStats, TransportStatsSnapshot,
 };
 use crate::pool::ThreadPool;
 use crate::types::{Query, QueryMode};
+use crate::verify::VerifierParams;
 use crate::wire::{self, Request, WireError};
 use crate::WarmStats;
 use authsearch_corpus::Corpus;
 use authsearch_corpus::TermId;
+use authsearch_index::persist::PersistError;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -170,14 +179,6 @@ pub struct ServerConfig {
     /// pipe). `Duration::ZERO` falls back to the 30-second default
     /// rather than disabling the bound.
     pub write_timeout: Duration,
-    /// Where [`Server::start_booted`] looks for (and heals) the
-    /// authenticated snapshot
-    /// ([`crate::AuthenticatedIndex::save_snapshot`]). `None` (the
-    /// default) always builds fresh. A configured path that is missing,
-    /// stale, or corrupt falls back to a fresh build — counted in
-    /// [`ServerMetricsSnapshot::boot_fresh_builds`] — and the rebuilt
-    /// artifact is written back so the next boot takes the fast path.
-    pub snapshot_path: Option<std::path::PathBuf>,
     /// Which transport core serves connections. The default reads
     /// `AUTHSEARCH_CORE`, then picks the platform default (reactor on
     /// Linux, threaded elsewhere) — see [`ServerCore`].
@@ -194,7 +195,6 @@ impl Default for ServerConfig {
                 .map(|ms| Duration::from_millis(ms as u64))
                 .unwrap_or(DEFAULT_IDLE_DEADLINE),
             write_timeout: DEFAULT_WRITE_TIMEOUT,
-            snapshot_path: None,
             core: ServerCore::default(),
         }
     }
@@ -525,40 +525,26 @@ impl Server {
         })
     }
 
-    /// Boot the engine's artifact through the snapshot decision tree
-    /// ([`crate::auth::boot_authenticated_index`]) and start serving it.
+    /// Boot the owner's snapshot at `snapshot`
+    /// ([`crate::auth::boot_authenticated_index`]: load it under
+    /// `expected`, and require it to be the publication clients holding
+    /// `owner` verify against), then bind `addr` and serve it.
     ///
-    /// With [`ServerConfig::snapshot_path`] set and a valid snapshot on
-    /// disk, the server is up in near-O(1) — load, verify the owner's
-    /// signature, serve — and `fallback` never runs. When the snapshot
-    /// is unconfigured, missing, stale, or corrupt, `fallback` rebuilds
-    /// the artifact (and the result is saved back, best effort). Either
-    /// way the outcome is visible twice: in the returned
-    /// [`BootReport`], and in the
-    /// [`boot_snapshot_loads`](ServerMetricsSnapshot::boot_snapshot_loads) /
-    /// [`boot_fresh_builds`](ServerMetricsSnapshot::boot_fresh_builds)
-    /// counters.
-    pub fn start_booted<A, F>(
-        corpus: Corpus,
+    /// A snapshot that is missing, corrupt, stale or signed under any
+    /// key but the owner's is refused with its typed [`PersistError`]
+    /// before anything binds; the engine never builds, signs or writes
+    /// an artifact. A failed bind is [`PersistError::Io`].
+    pub fn start_booted<A: ToSocketAddrs>(
+        snapshot: &Path,
+        owner: &VerifierParams,
         expected: &AuthConfig,
-        fallback: F,
+        corpus: Corpus,
         addr: A,
         config: ServerConfig,
-    ) -> io::Result<(ServerHandle, BootReport)>
-    where
-        A: ToSocketAddrs,
-        F: FnOnce() -> crate::AuthenticatedIndex,
-    {
-        let (auth, report) =
-            boot_authenticated_index(config.snapshot_path.as_deref(), expected, fallback);
+    ) -> Result<ServerHandle, PersistError> {
+        let auth = boot_authenticated_index(snapshot, expected, owner)?;
         let engine = Arc::new(SearchEngine::new(auth, corpus));
-        let handle = Server::start(engine, addr, config)?;
-        let counter = match report.source {
-            BootSource::Snapshot => &handle.shared.metrics.boot_snapshot_loads,
-            BootSource::FreshBuild => &handle.shared.metrics.boot_fresh_builds,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        Ok((handle, report))
+        Ok(Server::start(engine, addr, config)?)
     }
 }
 

@@ -64,8 +64,9 @@ pub enum PersistError {
         section: String,
     },
     /// The file is structurally valid but describes a different
-    /// artifact than the caller expects (configuration or collection
-    /// mismatch) — reload is pointless; rebuild instead.
+    /// artifact than the caller expects (configuration, collection or
+    /// owner mismatch) — reload is pointless; obtain the owner's current
+    /// publication.
     Stale(String),
 }
 

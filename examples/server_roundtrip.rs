@@ -6,18 +6,22 @@
 //! cargo run --release --example server_roundtrip
 //! ```
 //!
-//! The data owner publishes once; the (untrusted) engine runs behind a
-//! TCP front speaking the length-prefixed frame protocol of
+//! The data owner publishes once and hands the engine a snapshot file;
+//! the (untrusted) engine, which holds no signing key, boots that file
+//! against the owner's public parameters and runs behind a TCP front
+//! speaking the length-prefixed frame protocol of
 //! `authsearch_core::wire`; several concurrent clients send queries and
 //! accept **nothing** until the verification object checks out against
 //! the owner's broadcast public parameters.
 
+use authsearch::index::persist::manifest_path;
 use authsearch::prelude::*;
-use std::sync::Arc;
 
 fn main() {
     // ------------------------------------------------------------------
-    // 1. The data owner indexes, signs, and publishes.
+    // 1. The data owner indexes, signs, and publishes: the artifact goes
+    //    to the engine as a snapshot file, the public parameters to
+    //    users.
     // ------------------------------------------------------------------
     let corpus = CorpusBuilder::new()
         .min_df(1)
@@ -41,20 +45,36 @@ fn main() {
         corpus.num_docs(),
         publication.verifier_params.public_key.modulus_bits()
     );
+    let snapshot = std::env::temp_dir().join(format!(
+        "authsearch-server-roundtrip-{}.snap",
+        std::process::id()
+    ));
+    let info = publication
+        .auth
+        .save_snapshot(&snapshot)
+        .expect("owner saves the publication");
+    println!("owner: saved the publication ({} bytes)", info.bytes);
 
     // ------------------------------------------------------------------
-    // 2. The untrusted engine stands up as a long-running server: TCP
-    //    acceptor in front, a persistent job queue behind, every
-    //    term structure resident from the build before the first
-    //    connection lands.
+    // 2. The untrusted engine boots the owner's snapshot, checked against
+    //    the owner's public parameters, and stands up as a long-running
+    //    server: TCP acceptor in front, a persistent job queue behind,
+    //    every term structure resident from the boot before the first
+    //    connection lands. The engine never builds or signs; a snapshot
+    //    that fails a check is refused with a typed error.
     // ------------------------------------------------------------------
-    let engine = Arc::new(SearchEngine::new(publication.auth, corpus));
-    let handle = Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())
-        .expect("bind loopback");
+    let handle = Server::start_booted(
+        &snapshot,
+        &publication.verifier_params,
+        &config,
+        corpus.clone(),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("boot the owner's snapshot");
     println!(
-        "server: listening on {} ({} term structures resident from the build)",
-        handle.addr(),
-        engine.auth().cache_stats().resident_terms
+        "server: booted the owner's snapshot, listening on {}",
+        handle.addr()
     );
 
     // ------------------------------------------------------------------
@@ -102,9 +122,7 @@ fn main() {
     let mut connection =
         Connection::connect(addr, publication.verifier_params.clone()).expect("connect");
     let dictionary = |text: &str| {
-        engine
-            .parse_query(text)
-            .query
+        Query::from_text(&corpus, publication.auth.index(), text)
             .terms
             .iter()
             .map(|qt| (qt.term, qt.f_qt))
@@ -143,4 +161,7 @@ fn main() {
         stats.bytes_in,
         stats.bytes_out
     );
+    for file in [manifest_path(&snapshot), snapshot] {
+        std::fs::remove_file(file).expect("remove the snapshot");
+    }
 }

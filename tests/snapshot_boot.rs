@@ -1,21 +1,26 @@
-//! Verified boot from authenticated snapshots: a server pointed at a
-//! valid snapshot ([`ServerConfig::snapshot_path`]) comes up without
-//! rebuilding anything, and the engine it serves is *indistinguishable*
-//! from a build-from-scratch one — byte-identical VOs on honest
-//! queries, identical rejections across the attack catalogue. A
-//! missing or corrupted snapshot costs a rebuild (counted, healed),
-//! never correctness or availability.
+//! Verified boot from the owner's snapshot: a server booted from the
+//! owner's publication comes up without building or signing anything,
+//! and the engine it serves is *indistinguishable* from the owner's
+//! built one — byte-identical VOs on honest queries, identical
+//! rejections across the attack catalogue. A snapshot that is missing,
+//! corrupt, stale, or not the owner's publication is refused with a
+//! typed error, and the refusal writes nothing.
 
 use authsearch_core::attacks::Attack;
 use authsearch_core::{
-    boot_authenticated_index, verify, AuthConfig, AuthenticatedIndex, BootSource, Connection,
-    DataOwner, Mechanism, Query, Server, ServerConfig,
+    boot_authenticated_index, verify, AuthConfig, AuthenticatedIndex, Connection, DataOwner,
+    Mechanism, Query, Server, ServerConfig, VerifierParams,
 };
 use authsearch_corpus::{Corpus, SyntheticConfig};
 use authsearch_crypto::keys::TEST_KEY_BITS;
-use authsearch_index::persist::manifest_path;
+use authsearch_index::persist::{
+    encode_snapshot, load_snapshot_file, manifest_path, save_snapshot_file, PersistError,
+};
+use authsearch_index::{BlockLayout, OkapiParams};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("authsearch-boot-{name}"));
@@ -54,7 +59,8 @@ fn booted_engine_matches_built_engine_across_attack_catalogue() {
         let publication = owner.publish(&corpus, config);
         let path = dir.join(format!("{mechanism:?}.snap"));
         publication.auth.save_snapshot(&path).unwrap();
-        let booted = AuthenticatedIndex::load_snapshot(&path, &config).unwrap();
+        let booted =
+            boot_authenticated_index(&path, &config, &publication.verifier_params).unwrap();
 
         for seed in [4u64, 5, 6] {
             let query = sample_query(&publication.auth, seed);
@@ -89,9 +95,9 @@ fn booted_engine_matches_built_engine_across_attack_catalogue() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Happy path: with a valid snapshot on disk the server boots without
-/// building — fresh-build counter 0, snapshot counter 1 — and serves
-/// verifying answers over the wire.
+/// Happy path: the owner saves the publication, and the server boots it
+/// against the owner's public parameters and serves verifying answers
+/// over the wire.
 #[test]
 fn server_boots_from_snapshot_without_rebuilding() {
     let dir = temp_dir("server-happy");
@@ -102,19 +108,15 @@ fn server_boots_from_snapshot_without_rebuilding() {
     let publication = owner.publish(&corpus, config);
     publication.auth.save_snapshot(&path).unwrap();
 
-    let server_config = ServerConfig {
-        snapshot_path: Some(path.clone()),
-        ..ServerConfig::default()
-    };
-    let (handle, report) = Server::start_booted(
-        corpus,
+    let handle = Server::start_booted(
+        &path,
+        &publication.verifier_params,
         &config,
-        || panic!("fallback must not run: the snapshot is valid"),
+        corpus,
         "127.0.0.1:0",
-        server_config,
+        ServerConfig::default(),
     )
     .unwrap();
-    assert_eq!(report.source, BootSource::Snapshot);
 
     let mut connection =
         Connection::connect(handle.addr(), publication.verifier_params.clone()).unwrap();
@@ -125,96 +127,147 @@ fn server_boots_from_snapshot_without_rebuilding() {
     let (verified, response) = connection.query_terms(&pairs, 5).expect("verified answer");
     assert_eq!(verified.result, response.result);
 
-    let stats = handle.shutdown();
-    assert_eq!(stats.boot_snapshot_loads, 1);
-    assert_eq!(stats.boot_fresh_builds, 0, "happy path must not rebuild");
+    handle.shutdown();
     fs::remove_dir_all(&dir).ok();
 }
 
-/// The CI fixture check: a pre-corrupted snapshot file forces the
-/// fallback build (counted), the server still comes up and serves, and
-/// the rebuilt artifact heals the path for the next boot.
+/// The trust anchor: boot serves a snapshot only when its public
+/// parameters are the owner's, the ones clients verify against. Each
+/// row is a snapshot that passes every integrity check yet that those
+/// clients would reject every reply from, so boot refuses it as
+/// `Stale`, naming what differs.
 #[test]
-fn corrupted_snapshot_falls_back_to_build() {
-    let dir = temp_dir("server-corrupt");
-    let path = dir.join("engine.snap");
+fn boot_refuses_a_snapshot_that_is_not_the_owners_publication() {
+    let dir = temp_dir("anchor");
+    let corpus = test_corpus();
+    let config = test_config(Mechanism::TnraCmht);
+    let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
+    let owner = publication.verifier_params;
+    let honest = dir.join("owner.snap");
+    publication.auth.save_snapshot(&honest).unwrap();
+    // A second owner key of the same bit length signs the whole
+    // publication: every digest and the manifest signature are sound.
+    let intruder = DataOwner::generate(TEST_KEY_BITS, &mut StdRng::seed_from_u64(0x0a11));
+    assert_eq!(intruder.key().public_key().modulus_bits(), TEST_KEY_BITS);
+    assert_ne!(intruder.key().public_key(), &owner.public_key);
+    let foreign = dir.join("foreign.snap");
+    intruder
+        .publish(&corpus, config)
+        .auth
+        .save_snapshot(&foreign)
+        .unwrap();
+
+    boot_authenticated_index(&honest, &config, &owner).expect("the owner's publication boots");
+    let rows = [
+        ("public key", &foreign, owner.clone()),
+        (
+            "num_docs",
+            &honest,
+            VerifierParams {
+                num_docs: owner.num_docs + 1,
+                ..owner.clone()
+            },
+        ),
+        (
+            "mechanism",
+            &honest,
+            VerifierParams {
+                mechanism: Mechanism::TnraMht,
+                ..owner.clone()
+            },
+        ),
+        (
+            "layout",
+            &honest,
+            VerifierParams {
+                layout: BlockLayout {
+                    block_bytes: 2 * owner.layout.block_bytes,
+                    ..owner.layout
+                },
+                ..owner.clone()
+            },
+        ),
+        (
+            "okapi",
+            &honest,
+            VerifierParams {
+                okapi: OkapiParams {
+                    k1: 2.0,
+                    ..owner.okapi
+                },
+                ..owner.clone()
+            },
+        ),
+    ];
+    for (field, path, params) in rows {
+        match boot_authenticated_index(path, &config, &params) {
+            Err(PersistError::Stale(why)) => assert!(why.contains(field), "{field}: {why}"),
+            other => panic!("{field}: expected Stale, got {:?}", other.map(drop)),
+        }
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A refused boot writes nothing. A corrupted, a missing and an
+/// old-layout (`ASA2`) snapshot each fail `Server::start_booted` with
+/// their typed error, and the snapshot file and its manifest sidecar are
+/// byte-identical afterwards (a missing one stays missing).
+#[test]
+fn refused_boot_writes_nothing() {
+    let dir = temp_dir("refused");
     let corpus = test_corpus();
     let config = test_config(Mechanism::TraMht);
-    let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-    let publication = owner.publish(&corpus, config);
-    publication.auth.save_snapshot(&path).unwrap();
+    let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
 
-    // Corrupt the committed container mid-file (past the header, inside
-    // a section payload) — the pre-corrupted fixture.
-    let mut bytes = fs::read(&path).unwrap();
+    // Corrupt the committed container mid-file, inside a section payload.
+    let corrupted = dir.join("corrupted.snap");
+    publication.auth.save_snapshot(&corrupted).unwrap();
+    let mut bytes = fs::read(&corrupted).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
-    fs::write(&path, &bytes).unwrap();
+    fs::write(&corrupted, &bytes).unwrap();
 
-    let fallback_corpus = corpus.clone();
-    let server_config = ServerConfig {
-        snapshot_path: Some(path.clone()),
-        ..ServerConfig::default()
+    let missing = dir.join("never-written.snap");
+
+    let old_layout = dir.join("asa2.snap");
+    publication.auth.save_snapshot(&old_layout).unwrap();
+    let (mut sections, _) = load_snapshot_file(&old_layout).unwrap();
+    sections[2].0 = *b"ASA2";
+    save_snapshot_file(&old_layout, &encode_snapshot(&sections).unwrap()).unwrap();
+
+    let on_disk = |path: &Path| [path.to_path_buf(), manifest_path(path)].map(|f| fs::read(f).ok());
+    let kind = |e: &PersistError| match e {
+        PersistError::Io(_) => "Io",
+        PersistError::Corrupt(_) => "Corrupt",
+        PersistError::SectionDigest { .. } => "SectionDigest",
+        PersistError::Stale(_) => "Stale",
     };
-    let (handle, report) = Server::start_booted(
-        corpus,
-        &config,
-        move || {
-            DataOwner::with_cached_key(TEST_KEY_BITS)
-                .publish(&fallback_corpus, config)
-                .auth
-        },
-        "127.0.0.1:0",
-        server_config,
-    )
-    .unwrap();
-    assert_eq!(report.source, BootSource::FreshBuild);
-    let reason = report
-        .reason
-        .as_deref()
-        .expect("fallback carries the typed reason");
-    assert!(!reason.is_empty());
-    assert!(report.healed, "the rebuild must be saved back");
-
-    // Degraded but correct: the freshly built engine serves verifying
-    // answers.
-    let mut connection =
-        Connection::connect(handle.addr(), publication.verifier_params.clone()).unwrap();
-    let query = sample_query(&publication.auth, 11);
-    let mut pairs: Vec<_> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
-    pairs.sort_unstable();
-    pairs.dedup_by_key(|p| p.0);
-    let (verified, response) = connection.query_terms(&pairs, 5).expect("verified answer");
-    assert_eq!(verified.result, response.result);
-
-    let stats = handle.shutdown();
-    assert_eq!(stats.boot_fresh_builds, 1);
-    assert_eq!(stats.boot_snapshot_loads, 0);
-
-    // Healed: the next boot takes the snapshot path.
-    let (_auth, report) =
-        boot_authenticated_index(Some(&path), &config, || panic!("healed snapshot must load"));
-    assert_eq!(report.source, BootSource::Snapshot);
-    fs::remove_dir_all(&dir).ok();
-}
-
-/// Deleting the snapshot between boots is the cold-start path, not an
-/// error: build, heal, then load on the boot after.
-#[test]
-fn missing_snapshot_is_a_counted_cold_start() {
-    let dir = temp_dir("server-missing");
-    let path = dir.join("never-written.snap");
-    let config = test_config(Mechanism::TnraMht);
-    let corpus = test_corpus();
-    let fallback_corpus = corpus.clone();
-    let (_auth, report) = boot_authenticated_index(Some(&path), &config, move || {
-        DataOwner::with_cached_key(TEST_KEY_BITS)
-            .publish(&fallback_corpus, config)
-            .auth
-    });
-    assert_eq!(report.source, BootSource::FreshBuild);
-    assert!(report.healed);
-    assert!(path.exists() && manifest_path(&path).exists());
+    let rows: [(&Path, &[&str]); 3] = [
+        (&corrupted, &["SectionDigest", "Corrupt"]),
+        (&missing, &["Io"]),
+        (&old_layout, &["Stale"]),
+    ];
+    for (path, want) in rows {
+        let before = on_disk(path);
+        let Err(e) = Server::start_booted(
+            path,
+            &publication.verifier_params,
+            &config,
+            corpus.clone(),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        ) else {
+            panic!("{}: the server started", path.display());
+        };
+        assert!(want.contains(&kind(&e)), "{}: got {e:?}", path.display());
+        assert_eq!(
+            on_disk(path),
+            before,
+            "{}: a refused boot wrote to disk",
+            path.display()
+        );
+    }
+    assert!(!missing.exists() && !manifest_path(&missing).exists());
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -231,7 +284,8 @@ fn booted_engine_serves_byte_identical_conjunctive_vos() {
         let publication = owner.publish(&corpus, config);
         let path = dir.join(format!("{mechanism:?}.snap"));
         publication.auth.save_snapshot(&path).unwrap();
-        let booted = AuthenticatedIndex::load_snapshot(&path, &config).unwrap();
+        let booted =
+            boot_authenticated_index(&path, &config, &publication.verifier_params).unwrap();
 
         for seed in [11u64, 12, 13] {
             let query = sample_query(&publication.auth, seed);
