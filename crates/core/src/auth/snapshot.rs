@@ -694,6 +694,21 @@ mod tests {
     }
 
     #[test]
+    fn boot_refuses_a_missing_snapshot_and_writes_nothing() {
+        // A missing path is refused as `Io`; boot neither builds nor
+        // writes, so the snapshot and its sidecar stay missing.
+        let auth = test_auth(Mechanism::TnraMht);
+        let path = temp_path("never-written.snap");
+        fs::remove_file(&path).ok();
+        fs::remove_file(persist::manifest_path(&path)).ok();
+        match boot_authenticated_index(&path, auth.config(), &auth.verifier_params()) {
+            Err(PersistError::Io(_)) => {}
+            other => panic!("expected Io, got {:?}", other.map(drop)),
+        }
+        assert!(!path.exists() && !persist::manifest_path(&path).exists());
+    }
+
+    #[test]
     fn boot_rejects_an_empty_list() {
         // Folding an empty list has no root; boot refuses it by name
         // instead.

@@ -208,66 +208,112 @@ fn boot_refuses_a_snapshot_that_is_not_the_owners_publication() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// A refused boot writes nothing. A corrupted, a missing and an
-/// old-layout (`ASA2`) snapshot each fail `Server::start_booted` with
-/// their typed error, and the snapshot file and its manifest sidecar are
-/// byte-identical afterwards (a missing one stays missing).
-#[test]
-fn refused_boot_writes_nothing() {
-    let dir = temp_dir("refused");
-    let corpus = test_corpus();
-    let config = test_config(Mechanism::TraMht);
-    let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
-
-    // Corrupt the committed container mid-file, inside a section payload.
-    let corrupted = dir.join("corrupted.snap");
-    publication.auth.save_snapshot(&corrupted).unwrap();
-    let mut bytes = fs::read(&corrupted).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    fs::write(&corrupted, &bytes).unwrap();
-
-    let missing = dir.join("never-written.snap");
-
-    let old_layout = dir.join("asa2.snap");
-    publication.auth.save_snapshot(&old_layout).unwrap();
-    let (mut sections, _) = load_snapshot_file(&old_layout).unwrap();
-    sections[2].0 = *b"ASA2";
-    save_snapshot_file(&old_layout, &encode_snapshot(&sections).unwrap()).unwrap();
-
-    let on_disk = |path: &Path| [path.to_path_buf(), manifest_path(path)].map(|f| fs::read(f).ok());
-    let kind = |e: &PersistError| match e {
+/// Boot `path` through `Server::start_booted` against the owner's
+/// `params` and assert that it is refused with one of the error kinds in
+/// `want`, and that the snapshot file and its manifest sidecar are
+/// byte-identical afterwards (a missing one stays missing): a refused
+/// boot writes nothing.
+fn assert_refused_and_untouched(
+    path: &Path,
+    params: &VerifierParams,
+    config: &AuthConfig,
+    corpus: Corpus,
+    want: &[&str],
+) {
+    let on_disk = || [path.to_path_buf(), manifest_path(path)].map(|f| fs::read(f).ok());
+    let before = on_disk();
+    let Err(e) = Server::start_booted(
+        path,
+        params,
+        config,
+        corpus,
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    ) else {
+        panic!("{}: the server started", path.display());
+    };
+    let kind = match e {
         PersistError::Io(_) => "Io",
         PersistError::Corrupt(_) => "Corrupt",
         PersistError::SectionDigest { .. } => "SectionDigest",
         PersistError::Stale(_) => "Stale",
     };
-    let rows: [(&Path, &[&str]); 3] = [
-        (&corrupted, &["SectionDigest", "Corrupt"]),
-        (&missing, &["Io"]),
-        (&old_layout, &["Stale"]),
-    ];
-    for (path, want) in rows {
-        let before = on_disk(path);
-        let Err(e) = Server::start_booted(
-            path,
-            &publication.verifier_params,
-            &config,
-            corpus.clone(),
-            "127.0.0.1:0",
-            ServerConfig::default(),
-        ) else {
-            panic!("{}: the server started", path.display());
-        };
-        assert!(want.contains(&kind(&e)), "{}: got {e:?}", path.display());
-        assert_eq!(
-            on_disk(path),
-            before,
-            "{}: a refused boot wrote to disk",
-            path.display()
-        );
-    }
-    assert!(!missing.exists() && !manifest_path(&missing).exists());
+    assert!(want.contains(&kind), "{}: got {e:?}", path.display());
+    assert_eq!(
+        on_disk(),
+        before,
+        "{}: a refused boot wrote to disk",
+        path.display()
+    );
+}
+
+/// A snapshot corrupted mid-file, inside a section payload, is refused
+/// as `SectionDigest`/`Corrupt`, and the file is left as it was.
+#[test]
+fn corrupted_snapshot_is_refused_and_left_unchanged() {
+    let dir = temp_dir("refused-corrupted");
+    let corpus = test_corpus();
+    let config = test_config(Mechanism::TraMht);
+    let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
+    let path = dir.join("corrupted.snap");
+    publication.auth.save_snapshot(&path).unwrap();
+    let mut bytes = fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    fs::write(&path, &bytes).unwrap();
+
+    assert_refused_and_untouched(
+        &path,
+        &publication.verifier_params,
+        &config,
+        corpus,
+        &["SectionDigest", "Corrupt"],
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A missing snapshot is refused as `Io`, and neither it nor its
+/// manifest sidecar is written.
+#[test]
+fn missing_snapshot_is_refused_and_stays_missing() {
+    let dir = temp_dir("refused-missing");
+    let corpus = test_corpus();
+    let config = test_config(Mechanism::TraMht);
+    let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
+    let path = dir.join("never-written.snap");
+
+    assert_refused_and_untouched(
+        &path,
+        &publication.verifier_params,
+        &config,
+        corpus,
+        &["Io"],
+    );
+    assert!(!path.exists() && !manifest_path(&path).exists());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot in the old per-term-signature layout (`ASA2`) is refused
+/// as `Stale`, and the file is left as it was.
+#[test]
+fn old_layout_snapshot_is_refused_as_stale() {
+    let dir = temp_dir("refused-asa2");
+    let corpus = test_corpus();
+    let config = test_config(Mechanism::TraMht);
+    let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
+    let path = dir.join("asa2.snap");
+    publication.auth.save_snapshot(&path).unwrap();
+    let (mut sections, _) = load_snapshot_file(&path).unwrap();
+    sections[2].0 = *b"ASA2";
+    save_snapshot_file(&path, &encode_snapshot(&sections).unwrap()).unwrap();
+
+    assert_refused_and_untouched(
+        &path,
+        &publication.verifier_params,
+        &config,
+        corpus,
+        &["Stale"],
+    );
     fs::remove_dir_all(&dir).ok();
 }
 
