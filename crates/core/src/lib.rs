@@ -73,8 +73,9 @@ pub mod metrics;
 pub mod owner;
 pub mod pool;
 pub mod pscan;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 pub mod reactor;
+#[cfg(unix)]
 pub mod server;
 pub mod tnra;
 pub mod toy;
@@ -96,7 +97,8 @@ pub use metrics::{
     TransportStatsSnapshot,
 };
 pub use owner::{DataOwner, Publication};
-pub use server::{Server, ServerConfig, ServerCore, ServerHandle};
+#[cfg(unix)]
+pub use server::{Server, ServerConfig, ServerHandle};
 pub use types::{DocTable, ProcessingOutcome, Query, QueryMode, QueryResult, ResultEntry};
 pub use verify::{verify, verify_conjunctive, VerifiedResult, VerifierParams, VerifyError};
 pub use vo::{Mechanism, VerificationObject, VoSize};

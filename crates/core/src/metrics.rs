@@ -86,10 +86,9 @@ impl ServerMetrics {
 }
 
 /// Transport-level syscall counters, kept **separate** from
-/// [`ServerMetrics`] so that snapshot-equality comparisons between the
-/// threaded and reactor server cores stay meaningful: the two cores
-/// produce byte-identical `ServerMetrics`, but necessarily different
-/// syscall mixes (the whole point of the reactor is fewer of them).
+/// [`ServerMetrics`]: those count protocol outcomes, which a scripted
+/// scenario pins exactly, while the syscall mix depends on how bytes
+/// happen to arrive and on the readiness backend.
 ///
 /// Read with [`TransportStats::snapshot`]; divide by `requests_ok` for
 /// the syscalls-per-query rows `authbench` reports
@@ -103,9 +102,8 @@ pub struct TransportStats {
     pub reads: AtomicU64,
     /// `write(2)`/`writev(2)` calls issued on connection sockets.
     pub writes: AtomicU64,
-    /// Readiness waits: `epoll_wait(2)` returns on the reactor core,
-    /// blocking-read poll ticks (`WouldBlock` wakeups) on the threaded
-    /// core.
+    /// Readiness waits: the event loop's `epoll_wait(2)` calls on
+    /// Linux, `poll(2)` calls on other Unix.
     pub polls: AtomicU64,
 }
 

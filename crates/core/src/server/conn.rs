@@ -1,4 +1,4 @@
-//! Per-connection state machine for the reactor core.
+//! Per-connection state machine for the server's event loop.
 //!
 //! One [`Conn`] owns everything about a connection except the event
 //! loop itself: the partially-read request frame, the partially-written
@@ -21,12 +21,12 @@
 //! evictions, and BUSY sheds (which continue to `ShedDraining` instead
 //! of back to `ReadingHeader`).
 //!
-//! Every counter side effect replicates the threaded core's order
-//! exactly (count-before-write for replies and error frames,
-//! count-on-flush for eviction/BUSY frames), which is what lets the
-//! parity suite assert byte-identical [`ServerMetrics`] snapshots
-//! across the two cores. This module handles attacker-controlled bytes
-//! and is on authlint's untrusted list: no panics, no slice indexing.
+//! Counter side effects follow one fixed order: replies and error
+//! frames are counted before their first write, eviction and BUSY
+//! frames only once fully flushed. So a scripted scenario leaves exact,
+//! predictable [`ServerMetrics`] behind (`tests/server_reactor.rs`
+//! asserts them). This module handles attacker-controlled bytes and is
+//! on authlint's untrusted list: no panics, no slice indexing.
 
 use super::{frame_budget, oversize_message, MAX_REQUEST_PAYLOAD};
 use crate::metrics::{ServerMetrics, TransportStats};
@@ -64,9 +64,9 @@ impl ConnStream for std::net::TcpStream {
 /// borrowed per call so tests can drive a [`Conn`] with nothing but
 /// default-constructed metrics.
 pub(crate) struct ConnEnv<'a> {
-    /// Request/reply counters (the cross-core parity surface).
+    /// Request/reply counters (the protocol-outcome contract).
     pub metrics: &'a ServerMetrics,
-    /// Syscall counters (diagnostics; intentionally per-core).
+    /// Syscall counters (diagnostics, not part of the contract).
     pub transport: &'a TransportStats,
     /// Per-gap idle deadline; zero disables read-side eviction.
     pub idle_deadline: Duration,
@@ -101,8 +101,8 @@ enum State {
     },
     /// A full request is on a pool worker; no deadline runs (server
     /// compute time is never charged to the peer) and no bytes are
-    /// read (requests are served one at a time, like the threaded
-    /// core).
+    /// read (each connection is served one request at a time, so
+    /// replies leave in request order).
     Dispatched,
     /// Flushing `reply_head` + `reply_body` through vectored writes.
     Writing {
@@ -111,8 +111,8 @@ enum State {
         /// Total flush budget for this frame.
         bound: Duration,
         /// Whether a blown write budget counts as a timed-out
-        /// connection (true only for OK replies, mirroring the
-        /// threaded core).
+        /// connection (true only for OK replies: a peer that stops
+        /// draining answers is the write-side slow loris).
         count_timeout_on_stall: bool,
         /// `bytes_out` to add only once the frame fully flushes
         /// (eviction and BUSY frames; zero for frames already counted
@@ -156,20 +156,20 @@ pub(crate) enum Want {
     /// Wait for writable.
     Write,
     /// No events wanted (dispatched to the pool; completion arrives via
-    /// the waker, and peer-close is deliberately ignored until then so
-    /// `requests_ok` stays identical to the threaded core, which also
-    /// finishes computing before discovering the peer died).
+    /// the waker, and peer-close is deliberately ignored until then, so
+    /// a request that reached the pool is always answered and counted
+    /// in `requests_ok`, whether or not the peer is still there).
     None,
 }
 
 /// How many `read` calls the shed drain will make before giving up on
-/// a peer that keeps talking (mirrors the threaded core's bounded
-/// drain loop).
+/// a peer that keeps talking, so a refused peer cannot hold a shed
+/// slot by streaming bytes.
 const SHED_DRAIN_MAX_READS: u32 = 64;
 
 /// How long the shed drain waits for the peer's next byte (or close)
-/// before closing anyway (mirrors the threaded core's 100 ms drain
-/// read timeout).
+/// before closing anyway, so a silent refused peer frees its shed slot
+/// within 100 ms.
 const SHED_DRAIN_GAP: Duration = Duration::from_millis(100);
 
 /// One connection's complete transport state. Buffers are reused
@@ -249,8 +249,8 @@ impl<S: ConnStream> Conn<S> {
                 conn.write_start = now;
                 conn.state = State::Writing {
                     after: AfterWrite::ShedDrain,
-                    // Mirrors the threaded shed path's 500 ms write
-                    // timeout: a refusal is not worth a long wait.
+                    // A refusal is not worth a long wait: a peer that
+                    // cannot take the BUSY frame in 500 ms is dropped.
                     bound: Duration::from_millis(500),
                     count_timeout_on_stall: false,
                     count_bytes_on_flush: frame_len,
@@ -352,7 +352,8 @@ impl<S: ConnStream> Conn<S> {
                         Ok(0) => {
                             // EOF between frames is a clean goodbye;
                             // EOF mid-header is a peer dying — either
-                            // way, just close (parity: no counters).
+                            // way, just close, counting nothing: no
+                            // request was received.
                             let _ = was_empty;
                             return Step::Close;
                         }
@@ -433,9 +434,8 @@ impl<S: ConnStream> Conn<S> {
                     );
                     return Some(Step::Idle);
                 }
-                // The total-budget clock for the payload starts now,
-                // exactly like the threaded core's per-read_full
-                // budget.
+                // The total-budget clock for the payload starts now:
+                // header and payload each get their own frame budget.
                 self.frame_start = Instant::now();
                 self.payload.clear();
                 self.payload.resize(len, 0);
@@ -477,8 +477,9 @@ impl<S: ConnStream> Conn<S> {
 
     /// Begin an OK reply (`head` + `body`, already encoded by the
     /// worker). Counts `requests_ok` and `bytes_out` **before** the
-    /// first write — the threaded core's order — and charges a blown
-    /// flush budget as a timed-out connection.
+    /// first write, so an answered request counts even if the peer
+    /// leaves mid-flush, and charges a blown flush budget as a
+    /// timed-out connection.
     pub(crate) fn begin_ok_reply(
         &mut self,
         env: &ConnEnv<'_>,
@@ -504,10 +505,11 @@ impl<S: ConnStream> Conn<S> {
     }
 
     /// Begin a coded error reply. Counts `requests_err` and
-    /// `bytes_out` up front (threaded parity: `send_error_frame`
-    /// counts before writing, unconditionally). `after` decides
-    /// whether the connection survives (decodable-but-bad requests) or
-    /// closes (unsynchronizable bytes, oversize declarations).
+    /// `bytes_out` up front, unconditionally, like an OK reply: the
+    /// verdict was reached whether or not the peer reads it. `after`
+    /// decides whether the connection survives (decodable-but-bad
+    /// requests) or closes (unsynchronizable bytes, oversize
+    /// declarations).
     fn begin_error_reply(&mut self, env: &ConnEnv<'_>, code: u8, message: &str, after: AfterWrite) {
         env.metrics.requests_err.fetch_add(1, Ordering::Relaxed);
         let mut body = std::mem::take(&mut self.reply_body);
@@ -543,8 +545,9 @@ impl<S: ConnStream> Conn<S> {
     }
 
     /// Begin an idle eviction: count the timed-out connection **now**
-    /// (threaded parity), send the TIMEOUT frame best-effort (its
-    /// bytes count only if it fully flushes), close after.
+    /// (the eviction is decided, whether or not the frame gets out),
+    /// send the TIMEOUT frame best-effort (its bytes count only if it
+    /// fully flushes), close after.
     pub(crate) fn begin_evict(&mut self, env: &ConnEnv<'_>, message: &str) {
         env.metrics
             .connections_timed_out
@@ -607,7 +610,7 @@ impl<S: ConnStream> Conn<S> {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Step::Idle,
                 // Hard write error: close without the timed-out count
-                // (threaded parity — only stalls count).
+                // (only a stall is a slow peer; a reset is a gone one).
                 Err(_) => return Step::Close,
             }
         }
@@ -1223,7 +1226,8 @@ mod tests {
     fn pipelined_second_request_waits_until_reply_flushes() {
         // Two requests arrive back to back; the state machine must
         // consume exactly one, serve it, and only then read the next —
-        // the threaded core's one-at-a-time contract.
+        // the one-request-at-a-time contract that keeps replies in
+        // request order.
         let frame = request_frame();
         let mut both = frame.clone();
         both.extend_from_slice(&frame);

@@ -17,27 +17,18 @@
 //!
 //! ## Architecture
 //!
-//! Two interchangeable transport cores sit behind one public API and
-//! one [`ServerMetrics`] contract ([`ServerCore`] selects; counters and
-//! reply frames are byte-identical across the two, enforced by the
-//! parity suite in `tests/server_reactor.rs`):
+//! One transport core serves every connection: a single event-loop
+//! thread drives them all through the readiness reactor in
+//! [`crate::reactor`] (epoll on Linux, `poll(2)` on other Unix; this
+//! module exists on Unix only). Each connection is an explicit state
+//! machine (`ReadingHeader → ReadingPayload → Dispatched → Writing`,
+//! the private `conn` module) over the [`crate::wire`] frame codec;
+//! replies leave through vectored writes from reused per-connection
+//! buffers (no staging copy, no per-reply allocation at steady state);
+//! idle and write deadlines are timer-wheel entries, so 10k+ parked
+//! connections cost zero syscalls until a byte arrives.
 //!
-//! * **Reactor core** (default on Linux, [`ServerCore::Reactor`]): a
-//!   single event-loop thread drives every connection through a
-//!   readiness reactor over raw `epoll` ([`crate::reactor`]). Each
-//!   connection is an explicit state machine (`ReadingHeader →
-//!   ReadingPayload → Dispatched → Writing`, the private `conn` module) over the
-//!   [`crate::wire`] frame codec; replies leave through vectored
-//!   writes from reused per-connection buffers (no staging copy, no
-//!   per-reply allocation at steady state); idle and write deadlines
-//!   are timer-wheel entries, so 10k+ parked connections cost zero
-//!   syscalls until a byte arrives.
-//! * **Threaded core** ([`ServerCore::Threaded`], the fallback on
-//!   non-Linux platforms): a background acceptor hands each connection
-//!   its own OS thread, which owns the socket and does blocking framing
-//!   I/O with a read-timeout poll tick.
-//!
-//! Shared by both cores:
+//! Around that core:
 //!
 //! * **Persistent pool dispatch**: query execution is
 //!   [`submit`](crate::pool::ThreadPool::submit)-ted onto the engine's
@@ -46,7 +37,7 @@
 //!   — workers spawned once, when the artifact is built or booted), so N
 //!   connections share one executor instead of oversubscribing the
 //!   machine, and a `threads = 1` deployment still runs the paper's
-//!   sequential model with no thread spawned anywhere.
+//!   sequential model with no pool worker spawned.
 //! * **Warm from the first query**: every authentication structure is
 //!   resident from the build or snapshot boot, so startup has nothing to
 //!   warm and the first wave of traffic builds nothing.
@@ -65,9 +56,7 @@
 //!   [`ServerMetricsSnapshot`].
 
 pub(crate) mod conn;
-#[cfg(target_os = "linux")]
 mod reactor_core;
-mod threaded;
 
 use crate::auth::{boot_authenticated_index, AuthConfig};
 use crate::engine::SearchEngine;
@@ -89,50 +78,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Which transport core serves connections; see the [module
-/// docs](self) for the architecture of each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerCore {
-    /// Single-threaded `epoll` event loop with per-connection state
-    /// machines ([`crate::reactor`]). Linux-only; selecting it on
-    /// another platform falls back to [`ServerCore::Threaded`] at
-    /// startup.
-    Reactor,
-    /// One blocking OS thread per connection (the pre-reactor core;
-    /// portable everywhere std is).
-    Threaded,
-}
-
-impl Default for ServerCore {
-    /// Reads `AUTHSEARCH_CORE` (`"reactor"` / `"threaded"`; a typo
-    /// warns once and is ignored), then platform default: the reactor
-    /// on Linux, the threaded core elsewhere.
-    fn default() -> ServerCore {
-        let platform = if cfg!(target_os = "linux") {
-            ServerCore::Reactor
-        } else {
-            ServerCore::Threaded
-        };
-        match std::env::var("AUTHSEARCH_CORE") {
-            Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-                "reactor" => ServerCore::Reactor,
-                "threaded" => ServerCore::Threaded,
-                _ => {
-                    warn_once(
-                        "AUTHSEARCH_CORE",
-                        &format!(
-                            "warning: AUTHSEARCH_CORE={raw:?} is not \"reactor\" or \
-                             \"threaded\"; ignoring the override"
-                        ),
-                    );
-                    platform
-                }
-            },
-            Err(_) => platform,
-        }
-    }
-}
-
 /// Operational knobs of a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -140,12 +85,10 @@ pub struct ServerConfig {
     /// [`crate::wire::errcode::BAD_QUERY`] reply instead of letting a
     /// remote peer size engine-side allocations.
     pub max_r: usize,
-    /// **Threaded core:** socket read poll interval — how long a
-    /// connection thread blocks in `read` before re-checking the
-    /// shutdown flag (bounds shutdown latency for idle connections).
-    /// **Reactor core:** the timer-wheel tick width — deadlines fire at
-    /// most this much late; the loop itself sleeps event-driven, not on
-    /// this interval.
+    /// The timer-wheel tick width: deadlines fire at most this much
+    /// late. The loop itself sleeps event-driven, not on this interval;
+    /// it also paces the shutdown drain and the listener's back-off
+    /// after an accept error.
     pub poll_interval: Duration,
     /// Admission cap: the most connections served simultaneously
     /// (`0` = unlimited, the pre-PR-5 behavior). A connection accepted
@@ -179,10 +122,6 @@ pub struct ServerConfig {
     /// pipe). `Duration::ZERO` falls back to the 30-second default
     /// rather than disabling the bound.
     pub write_timeout: Duration,
-    /// Which transport core serves connections. The default reads
-    /// `AUTHSEARCH_CORE`, then picks the platform default (reactor on
-    /// Linux, threaded elsewhere) — see [`ServerCore`].
-    pub core: ServerCore,
 }
 
 impl Default for ServerConfig {
@@ -195,7 +134,6 @@ impl Default for ServerConfig {
                 .map(|ms| Duration::from_millis(ms as u64))
                 .unwrap_or(DEFAULT_IDLE_DEADLINE),
             write_timeout: DEFAULT_WRITE_TIMEOUT,
-            core: ServerCore::default(),
         }
     }
 }
@@ -254,11 +192,10 @@ pub const MAX_REQUEST_PAYLOAD: usize = 1 << 20;
 /// Together with the per-gap idle deadline this bounds how long one
 /// frame can be stretched: a dribbler sending one byte per
 /// almost-deadline stays under the gap check but blows the total
-/// budget ([`frame_budget`]). Both cores enforce it — the threaded
-/// core re-checks at every poll tick, the reactor core arms a
-/// timer-wheel entry for the earlier of gap deadline and frame budget,
-/// so **total** header/payload time is bounded regardless of how the
-/// bytes trickle in.
+/// budget ([`frame_budget`]). The loop arms a timer-wheel entry for
+/// the earlier of gap deadline and frame budget, so **total**
+/// header/payload time is bounded regardless of how the bytes trickle
+/// in.
 pub(crate) const MIN_FRAME_BYTES_PER_SEC: u64 = 1024;
 
 /// Total time allowed to fill one `len`-byte buffer: one full idle gap
@@ -271,28 +208,25 @@ pub(crate) fn frame_budget(idle_deadline: Duration, len: usize) -> Duration {
 }
 
 /// Most shed handshakes allowed in flight at once. Refusing a
-/// connection politely costs resources — on the threaded core a
-/// short-lived thread, on the reactor a registered fd — writing the
-/// BUSY frame, then draining briefly so closing with unread request
+/// connection politely costs a registered fd while the loop writes the
+/// BUSY frame, then drains briefly so closing with unread request
 /// bytes does not turn into an RST that destroys the refusal in the
 /// peer's receive buffer. Past this bound the server is under a
 /// connect flood and sheds silently (drop), keeping the acceptor
 /// itself unblockable.
 pub(crate) const MAX_SHED_HANDSHAKES: u64 = 64;
 
-/// The BUSY refusal text; one definition so both cores shed with
-/// byte-identical frames.
+/// The BUSY refusal text.
 pub(crate) fn busy_message(max_connections: usize) -> String {
     format!("server at capacity ({max_connections} connections); retry with backoff")
 }
 
-/// The TIMEOUT eviction text; one definition so both cores evict with
-/// byte-identical frames.
+/// The TIMEOUT eviction text.
 pub(crate) fn idle_eviction_message(deadline: Duration) -> String {
     format!("connection idle past the {deadline:?} deadline; reconnect to continue")
 }
 
-/// The over-cap request refusal text; one definition for both cores.
+/// The over-cap request refusal text.
 pub(crate) fn oversize_message(len: usize) -> String {
     format!("request payload of {len} bytes exceeds the {MAX_REQUEST_PAYLOAD}-byte request cap")
 }
@@ -300,8 +234,9 @@ pub(crate) fn oversize_message(len: usize) -> String {
 /// The INTERNAL error text for a panicked query worker.
 pub(crate) const WORKER_FAILED: &str = "query worker failed; connection remains usable";
 
-/// State shared by both transport cores: the engine, its persistent
-/// pool, the configuration, and every observable counter.
+/// State shared by the event loop, the pool jobs it dispatches, and the
+/// handle: the engine, its persistent pool, the configuration, and
+/// every observable counter.
 pub(crate) struct Shared {
     pub(crate) engine: Arc<SearchEngine>,
     pub(crate) pool: Arc<ThreadPool>,
@@ -323,8 +258,8 @@ pub(crate) struct QueryJob {
 }
 
 /// Decode and validate one request into a [`QueryJob`], or the coded
-/// error reply it deserves. Both cores call this on the connection's
-/// I/O side before spending any engine time.
+/// error reply it deserves. The event loop calls this before spending
+/// any engine time.
 pub(crate) fn prepare_job(
     kind: u8,
     payload: &[u8],
@@ -352,7 +287,7 @@ pub(crate) fn prepare_job(
 
 /// Execute a [`QueryJob`] and encode the reply **payload** into `buf`
 /// (cleared first), returning the reply frame kind. Runs on a pool
-/// worker in both cores.
+/// worker.
 pub(crate) fn execute_job(
     engine: &SearchEngine,
     job: &QueryJob,
@@ -369,8 +304,7 @@ pub(crate) fn execute_job(
     }
 }
 
-/// Map an encoding failure to the coded error reply the client sees;
-/// one definition so both cores reply byte-identically.
+/// Map an encoding failure to the coded error reply the client sees.
 pub(crate) fn unrepresentable(e: WireError) -> (u8, String) {
     match e {
         WireError::TooLong { field, len, max } => (
@@ -467,14 +401,7 @@ fn prepare(
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    inner: CoreHandle,
-}
-
-/// The per-core shutdown machinery behind a [`ServerHandle`].
-enum CoreHandle {
-    Threaded(threaded::ThreadedHandle),
-    #[cfg(target_os = "linux")]
-    Reactor(reactor_core::ReactorHandle),
+    reactor: reactor_core::ReactorHandle,
 }
 
 /// The server front: binds and accepts.
@@ -482,9 +409,8 @@ pub struct Server;
 
 impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// start accepting in the background on the configured
-    /// [`ServerCore`]. Returns immediately; queries are served until
-    /// [`ServerHandle::shutdown`] (or drop).
+    /// start accepting on the event-loop thread. Returns immediately;
+    /// queries are served until [`ServerHandle::shutdown`] (or drop).
     pub fn start<A: ToSocketAddrs>(
         engine: Arc<SearchEngine>,
         addr: A,
@@ -494,7 +420,6 @@ impl Server {
         let addr = listener.local_addr()?;
         let pool = engine.auth().serve_pool();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let core = config.core;
         let shared = Arc::new(Shared {
             engine,
             pool,
@@ -503,25 +428,11 @@ impl Server {
             transport: TransportStats::default(),
             shutdown,
         });
-        let inner = match core {
-            #[cfg(target_os = "linux")]
-            ServerCore::Reactor => {
-                CoreHandle::Reactor(reactor_core::start(listener, Arc::clone(&shared))?)
-            }
-            #[cfg(not(target_os = "linux"))]
-            ServerCore::Reactor => {
-                // No epoll on this platform; the threaded core is the
-                // documented fallback.
-                CoreHandle::Threaded(threaded::start(listener, Arc::clone(&shared))?)
-            }
-            ServerCore::Threaded => {
-                CoreHandle::Threaded(threaded::start(listener, Arc::clone(&shared))?)
-            }
-        };
+        let reactor = reactor_core::start(listener, Arc::clone(&shared))?;
         Ok(ServerHandle {
             addr,
             shared,
-            inner,
+            reactor,
         })
     }
 
@@ -565,22 +476,23 @@ impl ServerHandle {
         self.shared.metrics.snapshot()
     }
 
-    /// Transport-level diagnostics: syscalls issued by the serving core
-    /// (reads, writes, accepts, poll wakeups). Deliberately **not**
-    /// part of [`ServerMetricsSnapshot`] — the two cores are
-    /// byte-identical on the metrics contract but necessarily differ
-    /// here (`authbench` reports the difference as
-    /// `server.{reads,writes,polls}_per_query`).
+    /// Transport-level diagnostics: syscalls issued by the event loop
+    /// (reads, writes, accepts, poll wakeups). Kept apart from
+    /// [`ServerMetricsSnapshot`], which counts protocol outcomes only;
+    /// `authbench` reports these as
+    /// `server.{reads,writes,polls}_per_query`.
     pub fn transport_stats(&self) -> TransportStatsSnapshot {
         self.shared.transport.snapshot()
     }
 
-    /// Which core is serving this handle (after any platform fallback).
-    pub fn core(&self) -> ServerCore {
-        match self.inner {
-            CoreHandle::Threaded(_) => ServerCore::Threaded,
-            #[cfg(target_os = "linux")]
-            CoreHandle::Reactor(_) => ServerCore::Reactor,
+    /// The readiness backend serving this handle: `"epoll"` on Linux,
+    /// `"poll"` on other Unix. Benchmark reports record it in their
+    /// run header.
+    pub fn core(&self) -> &'static str {
+        if cfg!(target_os = "linux") {
+            "epoll"
+        } else {
+            "poll"
         }
     }
 
@@ -594,11 +506,7 @@ impl ServerHandle {
 
     fn shutdown_impl(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        match &mut self.inner {
-            CoreHandle::Threaded(h) => h.shutdown(self.addr),
-            #[cfg(target_os = "linux")]
-            CoreHandle::Reactor(h) => h.shutdown(),
-        }
+        self.reactor.shutdown();
     }
 }
 
@@ -1145,41 +1053,5 @@ mod tests {
         assert_eq!(handle.warmed(), WarmStats::default());
         assert_eq!(engine.auth().cache_stats().resident_terms, m);
         handle.shutdown();
-    }
-
-    #[test]
-    fn both_cores_are_selectable_and_reported() {
-        let (engine, _) = test_engine(Mechanism::TnraCmht);
-        for core in [ServerCore::Threaded, ServerCore::Reactor] {
-            let handle = Server::start(
-                Arc::clone(&engine),
-                "127.0.0.1:0",
-                ServerConfig {
-                    core,
-                    ..ServerConfig::default()
-                },
-            )
-            .unwrap();
-            if cfg!(target_os = "linux") {
-                assert_eq!(handle.core(), core);
-            } else {
-                assert_eq!(handle.core(), ServerCore::Threaded);
-            }
-            let mut stream = TcpStream::connect(handle.addr()).unwrap();
-            match roundtrip(
-                &mut stream,
-                &Request::Text {
-                    text: "night keeper".into(),
-                    r: 2,
-                    want_digests: false,
-                },
-            ) {
-                wire::Reply::Ok { .. } => {}
-                other => panic!("{core:?} core must serve: {other:?}"),
-            }
-            drop(stream);
-            let stats = handle.shutdown();
-            assert_eq!(stats.requests_ok, 1);
-        }
     }
 }

@@ -1,5 +1,6 @@
-//! The event-driven transport core: one thread, one `epoll` instance,
-//! every connection a [`Conn`] state machine.
+//! The transport core: one thread, one [`Poll`] (epoll on Linux,
+//! `poll(2)` on other Unix), every connection a [`Conn`] state
+//! machine.
 //!
 //! The loop owns three kinds of registrations: the listener (accept
 //! readiness), the [`Waker`] (pool completions and shutdown), and one
@@ -9,19 +10,19 @@
 //! id and epoch; entries are never deleted, just outlived: a fired
 //! entry whose epoch is stale, or whose connection's real deadline has
 //! moved later, is dropped or re-armed. The result is that an *idle*
-//! connection costs nothing per poll tick — no thread, no stack, no
-//! per-connection syscall — which is what lets one loop hold 10k+
-//! parked peers (`tests/server_reactor.rs` smoke-tests this,
-//! env-scaled for small CI containers).
+//! connection costs no thread, no stack and no per-connection syscall
+//! per tick — on epoll not even a per-wait cost — which is what lets
+//! one loop hold 10k+ parked peers (`tests/server_reactor.rs`
+//! smoke-tests this, env-scaled for small CI containers).
 //!
-//! Query execution still happens on the engine's persistent pool: a
+//! Query execution happens on the engine's persistent pool: a
 //! complete request is decoded on the loop, dispatched with
 //! [`super::execute_job`], and the encoded reply (or its error) comes
 //! back through a completion queue + waker. A `threads = 1` deployment
-//! degenerates exactly like the threaded core: `submit` runs the job
-//! inline and the completion is queued before `submit` returns.
+//! runs the paper's sequential model: `submit` runs the job inline and
+//! the completion is queued before `submit` returns.
 
-use super::conn::{Conn, ConnEnv, ConnStream, EncodedReply, Step, Want};
+use super::conn::{Conn, ConnEnv, EncodedReply, Step, Want};
 use super::{busy_message, effective_write_timeout, execute_job, prepare_job, Shared};
 use crate::pool::lock_recover;
 use crate::reactor::{Events, Interest, Poll, TimerEntry, TimerWheel, Token, Waker};
@@ -115,7 +116,7 @@ impl ReactorHandle {
 /// and spawn the loop thread.
 pub(super) fn start(listener: TcpListener, shared: Arc<Shared>) -> io::Result<ReactorHandle> {
     listener.set_nonblocking(true)?;
-    let poll = Poll::new()?;
+    let mut poll = Poll::new()?;
     let waker = Waker::new()?;
     poll.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
     poll.register(waker.fd(), TOKEN_WAKER, Interest::READABLE)?;
@@ -143,8 +144,8 @@ pub(super) fn start(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Re
 struct Slot {
     conn: Conn<TcpStream>,
     fd: RawFd,
-    /// Interest currently registered with epoll (re-registered only on
-    /// change).
+    /// Interest currently registered with the poll (re-registered only
+    /// on change).
     interest: Interest,
     /// The instant the currently-armed wheel entry targets, if any.
     armed_until: Option<Instant>,
@@ -155,7 +156,7 @@ struct Slot {
 
 struct EventLoop {
     poll: Poll,
-    /// `None` once shutdown begins (dropping it closes + deregisters).
+    /// `None` once shutdown begins (deregistered, then closed).
     listener: Option<TcpListener>,
     shared: Arc<Shared>,
     inner: Arc<ReactorInner>,
@@ -165,9 +166,8 @@ struct EventLoop {
     /// Set while the listener is deaf after an accept error (EMFILE);
     /// a wheel entry re-enables it.
     listener_paused: bool,
-    /// Live admitted connections — the reactor's equivalent of the
-    /// threaded core's registry size, and the value the admission cap
-    /// and `active_highwater` are checked against.
+    /// Live admitted connections: the value the admission cap and
+    /// `active_highwater` are checked against.
     admitted: u64,
     /// Live shed handshakes, bounded by
     /// [`super::MAX_SHED_HANDSHAKES`].
@@ -280,12 +280,16 @@ impl EventLoop {
     }
 
     /// Stop accepting and close every connection that is not owed a
-    /// reply (threaded parity: blocked readers see the flag and close;
-    /// handlers mid-compute or mid-write finish and deliver).
+    /// reply: idle readers close at the next sweep; connections
+    /// mid-compute or mid-write finish and deliver first.
     fn begin_shutdown(&mut self) {
         self.shutting_down = true;
-        // Dropping the listener closes its fd, which deregisters it.
-        self.listener = None;
+        if let Some(listener) = self.listener.take() {
+            // Deregister before the drop closes the fd: poll(2) would
+            // otherwise keep the closed fd and wake on POLLNVAL forever.
+            // lint:allow(swallowed-result): the listener is being closed either way; a failed deregister leaves nothing to undo
+            let _ = self.poll.deregister(listener.as_raw_fd());
+        }
     }
 
     /// During shutdown: reap connections that have drifted back to a
@@ -322,8 +326,8 @@ impl EventLoop {
                 Err(_) => {
                     // EMFILE and friends: go deaf for one poll interval
                     // instead of spinning on a resource-starved host
-                    // (the threaded core sleeps here; the loop must
-                    // not, so it parks the listener on the wheel).
+                    // (the loop must not sleep, so it parks the listener
+                    // on the wheel).
                     self.pause_listener();
                     return;
                 }
@@ -374,8 +378,9 @@ impl EventLoop {
     }
 
     /// One accepted socket: admit it as a connection, or shed it with
-    /// a BUSY handshake (silently under a connect flood), with the
-    /// same counter order as the threaded acceptor.
+    /// a BUSY handshake (silently under a connect flood). Counters move
+    /// before any byte is written: `connections_shed` for every refusal,
+    /// `connections` and `active_highwater` for every admission.
     fn admit(&mut self, stream: TcpStream) {
         let shared = Arc::clone(&self.shared);
         if stream.set_nonblocking(true).is_err() {
@@ -450,10 +455,9 @@ impl EventLoop {
             return; // stale event for an id already closed
         };
         if slot.conn.is_dispatched() {
-            // Deliberately ignored: the threaded core also finishes
-            // computing before discovering a dead peer, which is what
-            // keeps `requests_ok` identical across cores. The write
-            // after completion will surface the hangup.
+            // Deliberately ignored: a request that reached the pool is
+            // answered and counted in `requests_ok` even when the peer
+            // has gone; the write after completion surfaces the hangup.
             return;
         }
         self.pump(id);
@@ -576,8 +580,8 @@ impl EventLoop {
         }
     }
 
-    /// Reconcile one connection's epoll interest and wheel entry with
-    /// its state machine's current wants.
+    /// Reconcile one connection's registered interest and wheel entry
+    /// with its state machine's current wants.
     fn settle(&mut self, id: u64, env: &ConnEnv<'_>) {
         let Some(slot) = self.conns.get_mut(&id) else {
             return;
@@ -618,11 +622,11 @@ impl EventLoop {
         }
     }
 
-    /// Remove and drop one connection (closing the socket deregisters
-    /// it); wheel entries go stale and liveness counters roll back.
+    /// Deregister, then drop (close) one connection; wheel entries go
+    /// stale and liveness counters roll back.
     fn close_conn(&mut self, id: u64) {
         if let Some(slot) = self.conns.remove(&id) {
-            // lint:allow(swallowed-result): dropping the socket closes the fd, which deregisters it implicitly
+            // lint:allow(swallowed-result): the socket is closed next either way; a failed deregister leaves nothing to undo
             let _ = self.poll.deregister(slot.fd);
             if slot.shed {
                 self.shed_live = self.shed_live.saturating_sub(1);
@@ -633,7 +637,7 @@ impl EventLoop {
     }
 }
 
-/// Map a state machine's [`Want`] onto an epoll [`Interest`].
+/// Map a state machine's [`Want`] onto a poll [`Interest`].
 fn want_interest(want: Want) -> Interest {
     match want {
         Want::Read => Interest::READABLE,
@@ -641,8 +645,3 @@ fn want_interest(want: Want) -> Interest {
         Want::None => Interest::NONE,
     }
 }
-
-// Quiet the unused-import lint on ConnStream: the trait is used via
-// the Conn<TcpStream> methods' bounds.
-#[allow(unused)]
-fn _assert_tcp_is_conn_stream<T: ConnStream>() {}

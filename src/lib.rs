@@ -31,9 +31,10 @@ pub use authsearch_index as index;
 pub mod prelude {
     pub use authsearch_core::{
         phrase_filter, AuthConfig, AuthenticatedIndex, Client, Connection, DataOwner, Mechanism,
-        ParsedQuery, Query, QueryMode, QueryResponse, RetryPolicy, SearchEngine, Server,
-        ServerConfig, ServerCore, VerifierParams,
+        ParsedQuery, Query, QueryMode, QueryResponse, RetryPolicy, SearchEngine, VerifierParams,
     };
+    #[cfg(unix)]
+    pub use authsearch_core::{Server, ServerConfig};
     pub use authsearch_corpus::{Corpus, CorpusBuilder, SyntheticConfig};
     pub use authsearch_crypto::{Digest, RsaPrivateKey, RsaPublicKey};
     pub use authsearch_index::{build_index, InvertedIndex, OkapiParams};

@@ -1,21 +1,20 @@
-//! Reactor-core suite: the event-driven server must be
-//! indistinguishable from the threaded core at the protocol and
-//! metrics level, while holding orders of magnitude more idle
-//! connections.
+//! Event-loop server suite: exact protocol verdicts and metrics for
+//! scripted scenarios, while holding orders of magnitude more idle
+//! connections than one thread per connection could.
 //!
-//! Four contracts from PR 9:
+//! Four contracts:
 //!
 //! * **Idle capacity**: hundreds (env-scalable to 10k+) of parked
 //!   connections cost no threads and stay serviceable — each answers a
 //!   query after sitting idle through active traffic.
-//! * **Metrics parity**: a fixed scenario script (verified queries,
-//!   request errors, protocol violations) produces a byte-identical
-//!   [`ServerMetricsSnapshot`] on both cores.
-//! * **Overload parity**: BUSY shedding and TIMEOUT eviction produce
-//!   identical typed verdicts *and* identical counters on both cores.
+//! * **Exact metrics**: a fixed scenario script (verified queries,
+//!   request errors, protocol violations) leaves exactly the
+//!   [`ServerMetricsSnapshot`] counts the script implies.
+//! * **Overload verdicts**: BUSY shedding and TIMEOUT eviction produce
+//!   the typed frames and the exact counters the script implies.
 //! * **Frame budget**: a peer trickling payload bytes fast enough to
 //!   keep resetting the idle gap is still evicted within the total
-//!   per-frame budget on both cores (the trickle-evasion regression).
+//!   per-frame budget (the trickle-evasion regression).
 
 use authsearch::core::wire;
 use authsearch::core::ServerMetricsSnapshot;
@@ -110,7 +109,6 @@ fn parked_connections_stay_serviceable_through_active_traffic() {
         Arc::clone(&engine),
         "127.0.0.1:0",
         ServerConfig {
-            core: ServerCore::Reactor,
             max_connections: target + 16,
             idle_deadline: Duration::ZERO, // parked forever is legal here
             ..ServerConfig::default()
@@ -152,13 +150,12 @@ fn parked_connections_stay_serviceable_through_active_traffic() {
 /// the high-water mark is deterministic), then verified queries,
 /// recoverable request errors, and two terminal protocol violations.
 /// Returns the final metrics snapshot.
-fn mixed_scenario(core: ServerCore) -> ServerMetricsSnapshot {
+fn mixed_scenario() -> ServerMetricsSnapshot {
     let (engine, params, workloads) = fixture(Mechanism::TnraCmht);
     let handle = Server::start(
         Arc::clone(&engine),
         "127.0.0.1:0",
         ServerConfig {
-            core,
             poll_interval: Duration::from_millis(10),
             ..ServerConfig::default()
         },
@@ -166,7 +163,7 @@ fn mixed_scenario(core: ServerCore) -> ServerMetricsSnapshot {
     .expect("bind loopback");
 
     // Admit everyone first — a completed roundtrip proves admission —
-    // so active_highwater is exactly 6 on any core.
+    // so active_highwater is exactly 6.
     let mut verifier = Connection::connect(handle.addr(), params).expect("connect");
     let (verified, response) = verifier.query_terms(&workloads[0], 5).expect("verified");
     assert_eq!(verified.result, response.result);
@@ -225,32 +222,28 @@ fn mixed_scenario(core: ServerCore) -> ServerMetricsSnapshot {
     handle.shutdown()
 }
 
-/// The same script must leave byte-identical counters behind on both
-/// cores — admissions, OK/error splits, byte totals, high-water mark.
+/// The script must leave exactly the counters it implies behind:
+/// admissions, OK/error splits, high-water mark.
 #[test]
-fn mixed_scenario_metrics_are_byte_identical_across_cores() {
-    let threaded = mixed_scenario(ServerCore::Threaded);
-    let reactor = mixed_scenario(ServerCore::Reactor);
-    assert_eq!(threaded, reactor, "cores must be indistinguishable");
-    // Spot-check the script did what it says (guards against both
-    // cores being identically wrong about the scenario shape).
-    assert_eq!(threaded.connections, 6);
-    assert_eq!(threaded.active_highwater, 6);
-    assert_eq!(threaded.requests_ok, 10);
-    assert_eq!(threaded.requests_err, 4);
-    assert_eq!(threaded.connections_shed, 0);
-    assert_eq!(threaded.connections_timed_out, 0);
+fn mixed_scenario_metrics_are_exact() {
+    let stats = mixed_scenario();
+    assert_eq!(stats.connections, 6);
+    assert_eq!(stats.active_highwater, 6);
+    assert_eq!(stats.requests_ok, 10);
+    assert_eq!(stats.requests_err, 4);
+    assert_eq!(stats.connections_shed, 0);
+    assert_eq!(stats.connections_timed_out, 0);
+    assert!(stats.bytes_in > 0 && stats.bytes_out > stats.bytes_in);
 }
 
 /// Shed scenario: cap of 1, one admitted holder, two overflow dials
 /// each answered with a typed BUSY frame then closed.
-fn shed_scenario(core: ServerCore) -> ServerMetricsSnapshot {
+fn shed_scenario() -> ServerMetricsSnapshot {
     let (engine, params, workloads) = fixture(Mechanism::TnraMht);
     let handle = Server::start(
         Arc::clone(&engine),
         "127.0.0.1:0",
         ServerConfig {
-            core,
             max_connections: 1,
             poll_interval: Duration::from_millis(10),
             ..ServerConfig::default()
@@ -273,25 +266,23 @@ fn shed_scenario(core: ServerCore) -> ServerMetricsSnapshot {
 }
 
 #[test]
-fn shed_verdicts_and_metrics_are_byte_identical_across_cores() {
-    let threaded = shed_scenario(ServerCore::Threaded);
-    let reactor = shed_scenario(ServerCore::Reactor);
-    assert_eq!(threaded, reactor, "cores must be indistinguishable");
-    assert_eq!(threaded.connections, 1);
-    assert_eq!(threaded.connections_shed, 2);
-    assert_eq!(threaded.active_highwater, 1);
+fn shed_verdicts_and_metrics_are_exact() {
+    let stats = shed_scenario();
+    assert_eq!(stats.connections, 1);
+    assert_eq!(stats.connections_shed, 2);
+    assert_eq!(stats.active_highwater, 1);
+    assert_eq!(stats.requests_ok, 1);
 }
 
 /// Timeout scenario: a slow-loris partial header, evicted with a typed
 /// TIMEOUT frame by the idle deadline.
-fn timeout_scenario(core: ServerCore) -> ServerMetricsSnapshot {
+fn timeout_scenario() -> ServerMetricsSnapshot {
     let (engine, _, _) = fixture(Mechanism::TnraMht);
     let deadline = Duration::from_millis(250);
     let handle = Server::start(
         engine,
         "127.0.0.1:0",
         ServerConfig {
-            core,
             idle_deadline: deadline,
             poll_interval: Duration::from_millis(20),
             ..ServerConfig::default()
@@ -315,66 +306,60 @@ fn timeout_scenario(core: ServerCore) -> ServerMetricsSnapshot {
 }
 
 #[test]
-fn timeout_verdicts_and_metrics_are_byte_identical_across_cores() {
-    let threaded = timeout_scenario(ServerCore::Threaded);
-    let reactor = timeout_scenario(ServerCore::Reactor);
-    assert_eq!(threaded, reactor, "cores must be indistinguishable");
-    assert_eq!(threaded.connections_timed_out, 1);
-    assert_eq!(threaded.requests_ok, 0);
+fn timeout_verdicts_and_metrics_are_exact() {
+    let stats = timeout_scenario();
+    assert_eq!(stats.connections, 1);
+    assert_eq!(stats.connections_timed_out, 1);
+    assert_eq!(stats.requests_ok, 0);
+    assert_eq!(stats.requests_err, 0, "an eviction is not a request error");
 }
 
 /// The trickle-evasion regression: a peer declaring a 600-byte payload
 /// and then dribbling one byte per 50 ms never lets the idle *gap*
 /// expire — but the total per-frame budget (idle deadline plus a
-/// minimum-throughput allowance) must still evict it, on both cores.
+/// minimum-throughput allowance) must still evict it.
 #[test]
-fn trickling_payload_is_evicted_within_the_frame_budget_on_both_cores() {
-    for core in [ServerCore::Threaded, ServerCore::Reactor] {
-        let (engine, _, _) = fixture(Mechanism::TnraCmht);
-        let idle = Duration::from_millis(200);
-        let handle = Server::start(
-            engine,
-            "127.0.0.1:0",
-            ServerConfig {
-                core,
-                idle_deadline: idle,
-                poll_interval: Duration::from_millis(20),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind loopback");
-        let mut stream = TcpStream::connect(handle.addr()).expect("dial");
-        let header = wire::encode_frame_header(wire::kind::REQ_TERMS, 600).expect("header");
-        stream.write_all(&header).expect("header written");
-        let start = Instant::now();
+fn trickling_payload_is_evicted_within_the_frame_budget() {
+    let (engine, _, _) = fixture(Mechanism::TnraCmht);
+    let idle = Duration::from_millis(200);
+    let handle = Server::start(
+        engine,
+        "127.0.0.1:0",
+        ServerConfig {
+            idle_deadline: idle,
+            poll_interval: Duration::from_millis(20),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut stream = TcpStream::connect(handle.addr()).expect("dial");
+    let header = wire::encode_frame_header(wire::kind::REQ_TERMS, 600).expect("header");
+    stream.write_all(&header).expect("header written");
+    let start = Instant::now();
 
-        // Dribble from a second thread; the drip keeps each byte gap
-        // (50 ms) far below the idle deadline (200 ms).
-        let writer = {
-            let mut stream = stream.try_clone().expect("clone for writer");
-            std::thread::spawn(move || {
-                while stream.write_all(&[0x61]).is_ok() {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            })
-        };
-        let mut sink = Vec::new();
-        let _ = stream.read_to_end(&mut sink);
-        let elapsed = start.elapsed();
-        // Budget: 200 ms idle + (600/1024 + 1) s allowance = 1.2 s.
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "{core:?}: trickler must be evicted by the frame budget, took {elapsed:?}"
-        );
-        assert!(
-            elapsed >= idle,
-            "{core:?}: eviction cannot precede the idle deadline"
-        );
-        let (kind, payload) = wire::split_frame(&sink).expect("typed TIMEOUT frame");
-        assert_eq!(err_code(kind, payload), wire::errcode::TIMEOUT, "{core:?}");
-        writer.join().expect("writer joins after server close");
-        let stats = handle.shutdown();
-        assert_eq!(stats.connections_timed_out, 1, "{core:?}");
-        assert_eq!(stats.requests_ok, 0, "{core:?}");
-    }
+    // Dribble from a second thread; the drip keeps each byte gap
+    // (50 ms) far below the idle deadline (200 ms).
+    let writer = {
+        let mut stream = stream.try_clone().expect("clone for writer");
+        std::thread::spawn(move || {
+            while stream.write_all(&[0x61]).is_ok() {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        })
+    };
+    let mut sink = Vec::new();
+    let _ = stream.read_to_end(&mut sink);
+    let elapsed = start.elapsed();
+    // Budget: 200 ms idle + (600/1024 + 1) s allowance = 1.2 s.
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "trickler must be evicted by the frame budget, took {elapsed:?}"
+    );
+    assert!(elapsed >= idle, "eviction cannot precede the idle deadline");
+    let (kind, payload) = wire::split_frame(&sink).expect("typed TIMEOUT frame");
+    assert_eq!(err_code(kind, payload), wire::errcode::TIMEOUT);
+    writer.join().expect("writer joins after server close");
+    let stats = handle.shutdown();
+    assert_eq!(stats.connections_timed_out, 1);
+    assert_eq!(stats.requests_ok, 0);
 }
