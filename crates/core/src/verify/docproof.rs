@@ -88,6 +88,8 @@ pub(super) fn resolve_doc_proofs(
 
     let mut map: FreqMap = HashMap::with_capacity(response.vo.docs.len());
     let mut leaves = Vec::with_capacity(response.vo.docs.len());
+    // One `(position, leaf digest)` buffer serves every document's MHT.
+    let mut revealed = Vec::new();
     for dv in &response.vo.docs {
         if map.contains_key(&dv.doc) {
             return Err(VerifyError::MalformedProof(format!(
@@ -101,7 +103,7 @@ pub(super) fn resolve_doc_proofs(
                 dv.doc, params.num_docs
             )));
         }
-        let (weights, leaf) = resolve_one(query, dv, &delivered, &result_docs)?;
+        let (weights, leaf) = resolve_one(query, dv, &delivered, &result_docs, &mut revealed)?;
         leaves.push((dv.doc as usize, leaf));
         map.insert(dv.doc, weights);
     }
@@ -128,12 +130,14 @@ fn doc_table_root(
 /// Authenticate one document proof *structurally* — reconstruct the
 /// document-MHT root and resolve per-query-term weights — and return
 /// the document's document-table leaf; the caller folds the leaves into
-/// the table root with the table's multi-proof.
+/// the table root with the table's multi-proof. `pairs` is scratch space
+/// for the revealed leaves, reused across documents.
 fn resolve_one(
     query: &Query,
     dv: &DocVo,
     delivered: &HashMap<DocId, &[u8]>,
     result_docs: &[DocId],
+    pairs: &mut Vec<(usize, Digest)>,
 ) -> Result<(Vec<Option<f32>>, Digest), VerifyError> {
     let n = dv.num_leaves as usize;
 
@@ -166,12 +170,13 @@ fn resolve_one(
         }
         doc_root(&[])
     } else {
-        let pairs: Vec<(usize, Digest)> = dv
-            .revealed
-            .iter()
-            .map(|&(p, t, w)| (p as usize, doc_leaf_digest(t, w)))
-            .collect();
-        reconstruct_root(n, &pairs, &dv.proof).ok_or_else(|| {
+        pairs.clear();
+        pairs.extend(
+            dv.revealed
+                .iter()
+                .map(|&(p, t, w)| (p as usize, doc_leaf_digest(t, w))),
+        );
+        reconstruct_root(n, pairs, &dv.proof).ok_or_else(|| {
             VerifyError::MalformedProof(format!("document {}: MHT proof shape", dv.doc))
         })?
     };

@@ -433,34 +433,21 @@ fn verify_term_prefix(params: &VerifierParams, tv: &TermVo) -> Result<Digest, Ve
             tv.term
         )));
     }
-    let leaf_digests: Vec<Digest> = match (&tv.prefix, params.mechanism.is_tra()) {
-        (PrefixData::DocIds(ids), true) => ids
-            .iter()
-            .map(|&d| crate::auth::tra_leaf_digest(d))
-            .collect(),
-        (PrefixData::Entries(entries), false) => {
-            entries.iter().map(crate::auth::tnra_leaf_digest).collect()
-        }
-        _ => {
-            return Err(VerifyError::MalformedProof(format!(
-                "term {}: prefix payload does not match mechanism",
-                tv.term
-            )))
-        }
-    };
-
+    if matches!(tv.prefix, PrefixData::DocIds(_)) != params.mechanism.is_tra() {
+        return Err(VerifyError::MalformedProof(format!(
+            "term {}: prefix payload does not match mechanism",
+            tv.term
+        )));
+    }
     match (&tv.proof, params.mechanism.is_cmht()) {
         (TermProof::Mht(proof), false) => {
-            let pairs: Vec<(usize, Digest)> = leaf_digests
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| (i, d))
-                .collect();
+            let pairs: Vec<(usize, Digest)> = prefix_leaves(&tv.prefix, |i, d| (i, d));
             reconstruct_root(li, &pairs, proof).ok_or_else(|| {
                 VerifyError::MalformedProof(format!("term {}: MHT proof shape", tv.term))
             })
         }
         (TermProof::Cmht(proof), true) => {
+            let leaf_digests: Vec<Digest> = prefix_leaves(&tv.prefix, |_, d| d);
             reconstruct_head(li, params.chain_capacity(), &leaf_digests, proof).ok_or_else(|| {
                 VerifyError::MalformedProof(format!("term {}: chain proof shape", tv.term))
             })
@@ -469,6 +456,26 @@ fn verify_term_prefix(params: &VerifierParams, tv: &TermVo) -> Result<Digest, Ve
             "term {}: proof kind does not match mechanism",
             tv.term
         ))),
+    }
+}
+
+/// `each(i, leaf digest of entry i)` over a term's revealed prefix, in
+/// order, collected.
+fn prefix_leaves<T, B: FromIterator<T>>(
+    prefix: &PrefixData,
+    each: impl Fn(usize, Digest) -> T,
+) -> B {
+    match prefix {
+        PrefixData::DocIds(ids) => ids
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| each(i, crate::auth::tra_leaf_digest(d)))
+            .collect(),
+        PrefixData::Entries(entries) => entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| each(i, crate::auth::tnra_leaf_digest(e)))
+            .collect(),
     }
 }
 
@@ -521,14 +528,14 @@ fn compare_results(replayed: &QueryResult, reported: &QueryResult) -> Result<(),
 
 // ---- VO-backed data sources for the replay --------------------------------
 
-/// TNRA replay lists: the `⟨d, f⟩` prefixes from the VO.
-struct TnraVoLists {
+/// TNRA replay lists: the `⟨d, f⟩` prefixes, borrowed from the VO.
+struct TnraVoLists<'a> {
     lens: Vec<usize>,
-    prefixes: Vec<Vec<ImpactEntry>>,
+    prefixes: Vec<&'a [ImpactEntry]>,
 }
 
-impl TnraVoLists {
-    fn build(vo: &VerificationObject) -> Result<TnraVoLists, VerifyError> {
+impl<'a> TnraVoLists<'a> {
+    fn build(vo: &'a VerificationObject) -> Result<TnraVoLists<'a>, VerifyError> {
         let mut lens = Vec::with_capacity(vo.terms.len());
         let mut prefixes = Vec::with_capacity(vo.terms.len());
         for tv in &vo.terms {
@@ -546,13 +553,13 @@ impl TnraVoLists {
                 return Err(VerifyError::PrefixNotOrdered { term: tv.term });
             }
             lens.push(tv.ft as usize);
-            prefixes.push(entries.clone());
+            prefixes.push(entries.as_slice());
         }
         Ok(TnraVoLists { lens, prefixes })
     }
 }
 
-impl ListAccess for TnraVoLists {
+impl ListAccess for TnraVoLists<'_> {
     fn list_len(&self, i: usize) -> usize {
         self.lens.get(i).copied().unwrap_or(0)
     }
@@ -574,20 +581,21 @@ impl ListAccess for TnraVoLists {
     }
 }
 
-/// TRA replay lists: doc-id prefixes whose weights are resolved *lazily*
-/// through the authenticated document-MHT frequencies. Laziness matters:
-/// buddy inclusion pads prefixes with entries beyond the cut-off whose
-/// documents were never encountered and thus carry no document proof —
-/// the replay never reads them, so they must not trigger a rejection.
+/// TRA replay lists: doc-id prefixes, borrowed from the VO, whose weights
+/// are resolved *lazily* through the authenticated document-MHT
+/// frequencies. Laziness matters: buddy inclusion pads prefixes with
+/// entries beyond the cut-off whose documents were never encountered and
+/// thus carry no document proof — the replay never reads them, so they
+/// must not trigger a rejection.
 struct TraVoLists<'a> {
     lens: Vec<usize>,
-    prefixes: Vec<Vec<DocId>>,
+    prefixes: Vec<&'a [DocId]>,
     freqs: &'a ResolvedFreqs,
 }
 
 impl<'a> TraVoLists<'a> {
     fn build(
-        vo: &VerificationObject,
+        vo: &'a VerificationObject,
         freqs: &'a ResolvedFreqs,
     ) -> Result<TraVoLists<'a>, VerifyError> {
         let mut lens = Vec::with_capacity(vo.terms.len());
@@ -599,7 +607,7 @@ impl<'a> TraVoLists<'a> {
                 ));
             };
             lens.push(tv.ft as usize);
-            prefixes.push(ids.clone());
+            prefixes.push(ids.as_slice());
         }
         Ok(TraVoLists {
             lens,

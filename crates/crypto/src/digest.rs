@@ -4,8 +4,19 @@
 //! 128-bit digests by truncating SHA-256 output, which preserves one-wayness
 //! and collision resistance at the 64-bit security level — the same level the
 //! paper assumes for MD5-sized digests — while avoiding MD5's known breaks.
+//!
+//! The Merkle hashes take the fastest path the CPU offers. On x86-64 with
+//! the SHA extensions, [`Digest::combine`] and the 4- and 8-byte forms of
+//! [`Digest::leaf`] (a TRA term-list leaf; a document-MHT or TNRA leaf)
+//! run one-block kernels that build the message in registers. Every
+//! other message, and every message on other CPUs, is padded in one
+//! stack block when it fits (at most 55 bytes with its prefix) and
+//! streamed otherwise. All paths compute the same SHA-256, so no digest
+//! depends on the CPU.
 
 use crate::sha256::Sha256;
+#[cfg(target_arch = "x86_64")]
+use crate::sha256::ShaNi;
 use std::fmt;
 
 /// Size of a digest in bytes (128 bits, per Table 1 of the paper).
@@ -57,6 +68,15 @@ impl Digest {
     /// can stand in for an interior node or the other way round
     /// (RFC 6962 §2.1). A leaf of at most 54 bytes is one compression.
     pub fn leaf(data: &[u8]) -> Digest {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ShaNi::get() {
+            if let Ok(data) = <&[u8; 4]>::try_from(data) {
+                return Digest(ni.short(LEAF_PREFIX, data));
+            }
+            if let Ok(data) = <&[u8; 8]>::try_from(data) {
+                return Digest(ni.short(LEAF_PREFIX, data));
+            }
+        }
         Digest::one_block(LEAF_PREFIX, &[data])
             .unwrap_or_else(|| Digest::hash_parts(&[&[LEAF_PREFIX], data]))
     }
@@ -64,11 +84,17 @@ impl Digest {
     /// `h(0x01 | left | right)` — the Merkle interior-node combiner, in
     /// the interior hash domain (see [`Digest::leaf`]). One compression.
     pub fn combine(left: &Digest, right: &Digest) -> Digest {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = ShaNi::get() {
+            return Digest(ni.node(INTERIOR_PREFIX, &left.0, &right.0));
+        }
         Digest::one_block(INTERIOR_PREFIX, &[&left.0, &right.0]).expect("33 bytes fit one block")
     }
 
     /// `h(prefix | parts…)` when the input is at most 55 bytes: padded in
     /// place in one stack block and compressed once. `None` otherwise.
+    /// The portable one-block path: every short message without a
+    /// register-built kernel, and every one-block message off SHA-NI.
     fn one_block(prefix: u8, parts: &[&[u8]]) -> Option<Digest> {
         let mut block = [0u8; 64];
         block[0] = prefix;
@@ -128,6 +154,7 @@ impl fmt::Display for Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::scalar_digest;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
 
@@ -172,6 +199,34 @@ mod tests {
                 "len={len}"
             );
         }
+    }
+
+    #[test]
+    fn every_one_block_path_matches_the_scalar_oracle() {
+        // `combine` and the 4- and 8-byte leaves run the register-built
+        // kernels on SHA-NI hosts; `one_block` is the portable path they
+        // fall back to elsewhere, called directly here so that it stays
+        // tested on every host. All must equal the scalar compression.
+        let oracle = |msg: &[u8]| Digest::from_slice(&scalar_digest(msg)[..DIGEST_LEN]);
+        let mut rng = StdRng::seed_from_u64(0x0b1c);
+        for _ in 0..500 {
+            let (mut l, mut r) = ([0u8; DIGEST_LEN], [0u8; DIGEST_LEN]);
+            rng.fill_bytes(&mut l);
+            rng.fill_bytes(&mut r);
+            let want = oracle(&[&[INTERIOR_PREFIX][..], &l, &r].concat());
+            assert_eq!(Some(Digest::combine(&Digest(l), &Digest(r))), want);
+            assert_eq!(Digest::one_block(INTERIOR_PREFIX, &[&l, &r]), want);
+        }
+        for len in 0..=54 {
+            for _ in 0..20 {
+                let mut data = vec![0u8; len];
+                rng.fill_bytes(&mut data);
+                let want = oracle(&[&[LEAF_PREFIX][..], &data].concat());
+                assert_eq!(Some(Digest::leaf(&data)), want, "len={len}");
+                assert_eq!(Digest::one_block(LEAF_PREFIX, &[&data]), want, "len={len}");
+            }
+        }
+        assert_eq!(Digest::one_block(LEAF_PREFIX, &[&[0u8; 55]]), None);
     }
 
     #[test]

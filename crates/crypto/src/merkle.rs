@@ -6,7 +6,12 @@
 //! `h12 h34 h56 h7 → h1-4 h5-7 → h1-7`). Under this pairing, the node at
 //! position `i` of level `l` covers the leaf range
 //! `[i·2^l, min((i+1)·2^l, n))`, which makes proof generation and
-//! verification symmetric recursions over that range structure.
+//! verification symmetric recursions over that range structure. Each
+//! recursion carries the slice of revealed positions inside the current
+//! node's range and splits it between the children with one binary
+//! search, so a node costs `O(log k)` for `k` revealed leaves, with no
+//! copy of the set and no search of the whole set; the prover sizes its
+//! proof exactly before filling it.
 //!
 //! A [`MerkleProof`] authenticates an arbitrary subset of leaves: it holds
 //! the digests of the maximal subtrees containing no revealed leaf, in
@@ -153,6 +158,10 @@ fn height(n: usize) -> usize {
 /// each digest the proof needs from `node(level, idx)`. The one prover:
 /// [`MerkleTree::prove`] and [`prove_from_interior`] only differ in the
 /// node source they pass.
+///
+/// One walk counts the digests and a second fills a proof allocated at
+/// exactly that length; each walk splits the revealed positions between
+/// a node's children with one binary search.
 pub fn prove_with(
     n: usize,
     revealed: &[usize],
@@ -160,34 +169,42 @@ pub fn prove_with(
 ) -> MerkleProof {
     debug_assert!(revealed.windows(2).all(|w| w[0] <= w[1]));
     debug_assert!(revealed.iter().all(|&i| i < n));
-    let mut digests = Vec::new();
-    if n > 0 {
-        prove_rec(n, height(n), 0, revealed, &mut node, &mut digests);
+    if n == 0 {
+        return MerkleProof::default();
     }
+    let mut len = 0;
+    unrevealed_subtrees(n, height(n), 0, revealed, &mut |_, _| len += 1);
+    let mut digests = Vec::with_capacity(len);
+    unrevealed_subtrees(n, height(n), 0, revealed, &mut |level, idx| {
+        digests.push(node(level, idx));
+    });
     MerkleProof { digests }
 }
 
-fn prove_rec<F: FnMut(usize, usize) -> Digest>(
+/// Visit `(level, idx)` of every maximal subtree under node `(level,
+/// idx)` of an `n`-leaf tree that holds none of `revealed` — the sorted
+/// positions inside that node's leaf range — in root-to-leaf DFS order.
+fn unrevealed_subtrees<F: FnMut(usize, usize)>(
     n: usize,
     level: usize,
     idx: usize,
     revealed: &[usize],
-    node: &mut F,
-    out: &mut Vec<Digest>,
+    visit: &mut F,
 ) {
-    let lo = idx << level;
-    let hi = ((idx + 1) << level).min(n);
-    if !range_has_revealed(revealed, lo, hi) {
-        out.push(node(level, idx));
+    if revealed.is_empty() {
+        visit(level, idx);
         return;
     }
     if level == 0 {
         return; // revealed leaf: verifier computes its digest itself
     }
+    // The right child covers `[mid, …)` and exists when `mid < n`.
     let left = 2 * idx;
-    prove_rec(n, level - 1, left, revealed, node, out);
-    if (left + 1) << (level - 1) < n {
-        prove_rec(n, level - 1, left + 1, revealed, node, out);
+    let mid = (left + 1) << (level - 1);
+    let split = revealed.partition_point(|&p| p < mid);
+    unrevealed_subtrees(n, level - 1, left, &revealed[..split], visit);
+    if mid < n {
+        unrevealed_subtrees(n, level - 1, left + 1, &revealed[split..], visit);
     }
 }
 
@@ -221,12 +238,6 @@ pub fn prove_from_interior(
     })
 }
 
-/// True when some revealed position falls inside `[lo, hi)`.
-fn range_has_revealed(revealed: &[usize], lo: usize, hi: usize) -> bool {
-    let start = revealed.partition_point(|&p| p < lo);
-    start < revealed.len() && revealed[start] < hi
-}
-
 /// Recompute the root of an `n`-leaf tree from revealed `(position, digest)`
 /// pairs (sorted by position) and a proof. Returns `None` when the proof
 /// does not have exactly the required shape — a malformed VO.
@@ -241,45 +252,39 @@ pub fn reconstruct_root(
     if revealed.windows(2).any(|w| w[0].0 >= w[1].0) {
         return None; // unsorted or duplicate positions
     }
-    if revealed.iter().any(|&(p, _)| p >= n) {
+    if revealed.last().is_some_and(|&(p, _)| p >= n) {
         return None;
     }
-    let positions: Vec<usize> = revealed.iter().map(|&(p, _)| p).collect();
-    let mut cursor = 0usize;
-    let root = reconstruct_rec(height(n), 0, n, revealed, &positions, proof, &mut cursor)?;
-    if cursor != proof.digests.len() {
-        return None; // trailing digests: proof longer than the shape allows
-    }
-    Some(root)
+    let mut digests = proof.digests.iter();
+    let root = rebuild(n, height(n), 0, revealed, &mut digests)?;
+    // Trailing digests: the proof is longer than the shape allows.
+    digests.next().is_none().then_some(root)
 }
 
-fn reconstruct_rec(
-    level: usize,
-    idx: usize,
+/// The digest of the node at `level` whose leaf range starts at `lo`,
+/// from `revealed` (the strictly increasing pairs inside that range) and
+/// the proof digests still unread.
+fn rebuild(
     n: usize,
+    level: usize,
+    lo: usize,
     revealed: &[(usize, Digest)],
-    positions: &[usize],
-    proof: &MerkleProof,
-    cursor: &mut usize,
+    digests: &mut std::slice::Iter<'_, Digest>,
 ) -> Option<Digest> {
-    let lo = idx << level;
-    let hi = ((idx + 1) << level).min(n);
-    if !range_has_revealed(positions, lo, hi) {
-        let d = proof.digests.get(*cursor)?;
-        *cursor += 1;
-        return Some(*d);
+    if revealed.is_empty() {
+        return digests.next().copied();
     }
     if level == 0 {
-        // A revealed leaf; find its digest.
-        let i = revealed.binary_search_by_key(&lo, |&(p, _)| p).ok()?;
-        return Some(revealed[i].1);
+        // One leaf wide and strictly increasing: exactly leaf `lo`.
+        return Some(revealed[0].1);
     }
     // Mirror the construction: a right child exists when its leaf range
     // starts inside the tree.
-    let left = 2 * idx;
-    let l = reconstruct_rec(level - 1, left, n, revealed, positions, proof, cursor)?;
-    if (left + 1) << (level - 1) < n {
-        let r = reconstruct_rec(level - 1, left + 1, n, revealed, positions, proof, cursor)?;
+    let mid = lo + (1 << (level - 1));
+    let split = revealed.partition_point(|&(p, _)| p < mid);
+    let l = rebuild(n, level - 1, lo, &revealed[..split], digests)?;
+    if mid < n {
+        let r = rebuild(n, level - 1, mid, &revealed[split..], digests)?;
         Some(Digest::combine(&l, &r))
     } else {
         Some(l) // promoted odd node
@@ -513,6 +518,187 @@ mod tests {
                 );
                 if !pairs.is_empty() {
                     assert_eq!(reconstruct_root(n, &pairs, &got), Some(tree.root()));
+                }
+            }
+        }
+    }
+
+    // ---- Oracles: the walkers before sub-slice splitting ----------------
+    //
+    // Both search the whole revealed set at every node, and the verifier
+    // copies the positions out first; kept to pin the walkers above.
+
+    /// True when some revealed position falls inside `[lo, hi)`.
+    fn range_has_revealed(revealed: &[usize], lo: usize, hi: usize) -> bool {
+        let start = revealed.partition_point(|&p| p < lo);
+        start < revealed.len() && revealed[start] < hi
+    }
+
+    fn oracle_prove_with(
+        n: usize,
+        revealed: &[usize],
+        mut node: impl FnMut(usize, usize) -> Digest,
+    ) -> MerkleProof {
+        let mut digests = Vec::new();
+        if n > 0 {
+            prove_rec(n, height(n), 0, revealed, &mut node, &mut digests);
+        }
+        MerkleProof { digests }
+    }
+
+    fn prove_rec<F: FnMut(usize, usize) -> Digest>(
+        n: usize,
+        level: usize,
+        idx: usize,
+        revealed: &[usize],
+        node: &mut F,
+        out: &mut Vec<Digest>,
+    ) {
+        let lo = idx << level;
+        let hi = ((idx + 1) << level).min(n);
+        if !range_has_revealed(revealed, lo, hi) {
+            out.push(node(level, idx));
+            return;
+        }
+        if level == 0 {
+            return;
+        }
+        let left = 2 * idx;
+        prove_rec(n, level - 1, left, revealed, node, out);
+        if (left + 1) << (level - 1) < n {
+            prove_rec(n, level - 1, left + 1, revealed, node, out);
+        }
+    }
+
+    fn oracle_reconstruct_root(
+        n: usize,
+        revealed: &[(usize, Digest)],
+        proof: &MerkleProof,
+    ) -> Option<Digest> {
+        if n == 0 {
+            return None;
+        }
+        if revealed.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return None;
+        }
+        if revealed.iter().any(|&(p, _)| p >= n) {
+            return None;
+        }
+        let positions: Vec<usize> = revealed.iter().map(|&(p, _)| p).collect();
+        let mut cursor = 0usize;
+        let root = reconstruct_rec(height(n), 0, n, revealed, &positions, proof, &mut cursor)?;
+        if cursor != proof.digests.len() {
+            return None;
+        }
+        Some(root)
+    }
+
+    fn reconstruct_rec(
+        level: usize,
+        idx: usize,
+        n: usize,
+        revealed: &[(usize, Digest)],
+        positions: &[usize],
+        proof: &MerkleProof,
+        cursor: &mut usize,
+    ) -> Option<Digest> {
+        let lo = idx << level;
+        let hi = ((idx + 1) << level).min(n);
+        if !range_has_revealed(positions, lo, hi) {
+            let d = proof.digests.get(*cursor)?;
+            *cursor += 1;
+            return Some(*d);
+        }
+        if level == 0 {
+            let i = revealed.binary_search_by_key(&lo, |&(p, _)| p).ok()?;
+            return Some(revealed[i].1);
+        }
+        let left = 2 * idx;
+        let l = reconstruct_rec(level - 1, left, n, revealed, positions, proof, cursor)?;
+        if (left + 1) << (level - 1) < n {
+            let r = reconstruct_rec(level - 1, left + 1, n, revealed, positions, proof, cursor)?;
+            Some(Digest::combine(&l, &r))
+        } else {
+            Some(l)
+        }
+    }
+
+    /// Malformed variants of an honest `(revealed, proof)`: a proof one
+    /// digest short and one long, unsorted, duplicate and out-of-range
+    /// positions, and the empty revealed set.
+    fn malformed(
+        rng: &mut rand::rngs::StdRng,
+        n: usize,
+        pairs: &[(usize, Digest)],
+        proof: &MerkleProof,
+    ) -> Vec<(Vec<(usize, Digest)>, MerkleProof)> {
+        use rand::Rng;
+        let mut cases = Vec::new();
+        let mut short = proof.clone();
+        if short.digests.pop().is_some() {
+            cases.push((pairs.to_vec(), short));
+        }
+        let mut long = proof.clone();
+        long.digests.push(Digest::hash(b"extra"));
+        cases.push((pairs.to_vec(), long));
+        if pairs.len() >= 2 {
+            let mut unsorted = pairs.to_vec();
+            let i = rng.gen_range(0..pairs.len() - 1);
+            unsorted.swap(i, i + 1);
+            cases.push((unsorted, proof.clone()));
+        }
+        if !pairs.is_empty() {
+            let mut dup = pairs.to_vec();
+            let i = rng.gen_range(0..pairs.len());
+            dup.insert(i, pairs[i]);
+            cases.push((dup, proof.clone()));
+            let mut out_of_range = pairs.to_vec();
+            let last = out_of_range.len() - 1;
+            out_of_range[last].0 = n + rng.gen_range(0..3usize);
+            cases.push((out_of_range, proof.clone()));
+        }
+        cases.push((Vec::new(), proof.clone()));
+        cases
+    }
+
+    #[test]
+    fn walkers_match_their_oracles_on_random_and_malformed_input() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7761_6c6b);
+        for n in 1..=300usize {
+            let leaf_digests: Vec<Digest> = (0..n).map(leaf_digest).collect();
+            let levels = naive_levels(&leaf_digests);
+            let node = |level: usize, idx: usize| levels[level][idx];
+            let root = levels[levels.len() - 1][0];
+            for _ in 0..8 {
+                // Sorted positions with duplicates; empty when the draw
+                // count is 0.
+                let count = rng.gen_range(0..=n.min(24));
+                let mut revealed: Vec<usize> = (0..count).map(|_| rng.gen_range(0..n)).collect();
+                revealed.sort_unstable();
+                let proof = prove_with(n, &revealed, node);
+                let want = oracle_prove_with(n, &revealed, node);
+                assert_eq!(proof, want, "n={n} revealed={revealed:?}");
+                assert_eq!(
+                    proof.digests.capacity(),
+                    proof.digests.len(),
+                    "sized exactly"
+                );
+
+                revealed.dedup();
+                let pairs: Vec<(usize, Digest)> =
+                    revealed.iter().map(|&i| (i, leaf_digests[i])).collect();
+                let got = reconstruct_root(n, &pairs, &proof);
+                assert_eq!(got, Some(root), "n={n} revealed={revealed:?}");
+                assert_eq!(got, oracle_reconstruct_root(n, &pairs, &proof));
+                for (bad, bad_proof) in malformed(&mut rng, n, &pairs, &proof) {
+                    assert_eq!(
+                        reconstruct_root(n, &bad, &bad_proof),
+                        oracle_reconstruct_root(n, &bad, &bad_proof),
+                        "n={n} revealed={bad:?} proof of {}",
+                        bad_proof.digests.len()
+                    );
                 }
             }
         }

@@ -5,19 +5,27 @@
 //! The implementation is a constant-memory streaming compressor; test
 //! vectors come from FIPS 180-4 and NIST CAVP.
 //!
-//! Every compression goes through one dispatch point,
-//! `compress_blocks`: on x86-64 CPUs with the SHA extensions it runs
-//! the kernel in `sha256/shani.rs`, elsewhere the portable
-//! `compress_scalar`.
-//! Both compute the same function, so the choice never changes a digest;
-//! the scalar code is kept as the oracle the kernel is tested against.
-//! Whole blocks reach the compressor straight from the caller's slice,
-//! and the final padded block (or two) is built on the stack, so a
-//! message of at most 55 bytes costs exactly one compression.
+//! On x86-64 CPUs with the SHA extensions the kernels in
+//! `sha256/shani.rs` do the compressing, elsewhere the portable
+//! `compress_scalar`; the CPU is asked once per process. Both compute
+//! the same function, so the choice never changes a digest; the scalar
+//! code is kept as the oracle the kernels are tested against.
+//!
+//! Every message the streaming hasher sees goes through
+//! `compress_blocks`. Whole blocks reach the compressor straight from
+//! the caller's slice, and the final padded block (or two) is built on
+//! the stack, so a message of at most 55 bytes costs exactly one
+//! compression. The Merkle shapes [`crate::Digest`] hashes most (an
+//! interior node, a 4- or 8-byte leaf) skip this module's padding
+//! altogether: the kernels' one-block entries build those messages in
+//! registers.
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod shani;
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) use shani::ShaNi;
 
 /// Per-round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes (FIPS 180-4 §4.2.2).
@@ -147,7 +155,8 @@ fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if shani::try_compress(state, blocks) {
+    if let Some(ni) = ShaNi::get() {
+        ni.compress(state, blocks);
         return;
     }
     compress_scalar(state, blocks);
@@ -203,6 +212,25 @@ pub(crate) fn compress_scalar(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
         state[6] = state[6].wrapping_add(g);
         state[7] = state[7].wrapping_add(h);
     }
+}
+
+/// The oracle: byte-at-a-time padding into an owned buffer, then the
+/// scalar compression only — no stack padding, no dispatch.
+#[cfg(test)]
+pub(crate) fn scalar_digest(data: &[u8]) -> [u8; 32] {
+    let mut msg = data.to_vec();
+    msg.push(0x80);
+    while msg.len() % 64 != 56 {
+        msg.push(0);
+    }
+    msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    compress_scalar(&mut state, msg.as_chunks::<64>().0);
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 #[cfg(test)]
@@ -314,24 +342,6 @@ mod tests {
         }
     }
 
-    /// The oracle: byte-at-a-time padding into an owned buffer, then the
-    /// scalar compression only — no stack padding, no dispatch.
-    fn scalar_digest(data: &[u8]) -> [u8; 32] {
-        let mut msg = data.to_vec();
-        msg.push(0x80);
-        while msg.len() % 64 != 56 {
-            msg.push(0);
-        }
-        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
-        let mut state = H0;
-        compress_scalar(&mut state, msg.as_chunks::<64>().0);
-        let mut out = [0u8; 32];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
     fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
         let mut data = vec![0u8; len];
         rng.fill_bytes(&mut data);
@@ -390,11 +400,68 @@ mod tests {
             // kernel calls as well as within one.
             let cut = rng.gen_range(0..=nblocks);
             let mut got = start;
-            if !shani::try_compress(&mut got, &blocks[..cut]) {
+            let Some(ni) = ShaNi::get() else {
                 return; // no SHA extensions here: scalar is the only path
-            }
-            assert!(shani::try_compress(&mut got, &blocks[cut..]));
+            };
+            ni.compress(&mut got, &blocks[..cut]);
+            ni.compress(&mut got, &blocks[cut..]);
             assert_eq!(got, want, "blocks={nblocks} cut={cut}");
+        }
+    }
+
+    /// `ShaNi::short::<N>` against the scalar oracle over random leaves
+    /// and prefixes.
+    #[cfg(target_arch = "x86_64")]
+    fn check_short<const N: usize>(ni: ShaNi, rng: &mut StdRng) {
+        for _ in 0..64 {
+            let mut data = [0u8; N];
+            rng.fill_bytes(&mut data);
+            let prefix: u8 = rng.gen();
+            let mut msg = vec![prefix];
+            msg.extend_from_slice(&data);
+            let want = scalar_digest(&msg);
+            assert_eq!(ni.short(prefix, &data), want[..16], "len={N} msg={msg:?}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn one_block_kernels_match_scalar_compression() {
+        let Some(ni) = ShaNi::get() else {
+            return; // no SHA extensions here: scalar is the only path
+        };
+        let mut rng = StdRng::seed_from_u64(0x5eed_0b1c);
+        // Interior nodes: `prefix | left | right`, 33 bytes.
+        for _ in 0..1000 {
+            let (mut left, mut right) = ([0u8; 16], [0u8; 16]);
+            rng.fill_bytes(&mut left);
+            rng.fill_bytes(&mut right);
+            let prefix: u8 = rng.gen();
+            let msg = [&[prefix][..], &left, &right].concat();
+            let want = scalar_digest(&msg);
+            assert_eq!(ni.node(prefix, &left, &right), want[..16], "msg={msg:?}");
+        }
+        // Short leaves: `prefix | data` at every length the kernel takes,
+        // 4 and 8 being the ones `Digest::leaf` sends it.
+        let checks: [fn(ShaNi, &mut StdRng); 15] = [
+            check_short::<0>,
+            check_short::<1>,
+            check_short::<2>,
+            check_short::<3>,
+            check_short::<4>,
+            check_short::<5>,
+            check_short::<6>,
+            check_short::<7>,
+            check_short::<8>,
+            check_short::<9>,
+            check_short::<10>,
+            check_short::<11>,
+            check_short::<12>,
+            check_short::<13>,
+            check_short::<14>,
+        ];
+        for check in checks {
+            check(ni, &mut rng);
         }
     }
 
