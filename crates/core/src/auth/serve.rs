@@ -57,6 +57,12 @@ impl QueryResponse {
 
 impl AuthenticatedIndex {
     /// Process a query and produce the result with its integrity proof.
+    ///
+    /// # Panics
+    ///
+    /// Under TNRA, when the query has more than
+    /// [`tnra::MAX_QUERY_TERMS`] terms (the server refuses those with
+    /// [`BAD_QUERY`](crate::wire::errcode::BAD_QUERY) first).
     pub fn query<C: ContentProvider>(
         &self,
         query: &Query,
@@ -68,7 +74,7 @@ impl AuthenticatedIndex {
             let freqs = TableFreqs::new(&self.doc_table, query);
             tra::run(&lists, &freqs, query, r).expect("engine-side access is total")
         } else {
-            tnra::run(&lists, query, r).expect("engine-side access is total")
+            tnra::run(&lists, query, r).expect("engine-side access is total within the term limit")
         };
         self.respond(query, outcome, contents)
     }

@@ -64,6 +64,7 @@ use crate::metrics::{
     ServerMetrics, ServerMetricsSnapshot, TransportStats, TransportStatsSnapshot,
 };
 use crate::pool::ThreadPool;
+use crate::tnra;
 use crate::types::{Query, QueryMode};
 use crate::verify::VerifierParams;
 use crate::wire::{self, Request, WireError};
@@ -385,6 +386,21 @@ fn prepare(
         return Err((
             wire::errcode::BAD_QUERY,
             "no query terms in dictionary".to_string(),
+        ));
+    }
+    // TNRA's threshold loop evaluates at most `MAX_QUERY_TERMS` terms;
+    // TRA and the conjunctive path have no such limit.
+    let q = query.terms.len();
+    if mode == QueryMode::Disjunctive
+        && !engine.auth().config().mechanism.is_tra()
+        && q > tnra::MAX_QUERY_TERMS
+    {
+        return Err((
+            wire::errcode::BAD_QUERY,
+            format!(
+                "{q} query terms; TNRA evaluates at most {}",
+                tnra::MAX_QUERY_TERMS
+            ),
         ));
     }
     let r = r as usize;

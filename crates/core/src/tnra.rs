@@ -13,18 +13,72 @@
 //! 1. complete ordering among the top r: `SLB(d_j) ≥ SUB(d_k)` ∀ j<k≤r;
 //! 2. every other polled document cannot climb in: `SUB(d) ≤ SLB(d_r)`;
 //! 3. no unseen document can climb in: `thres ≤ SLB(d_r)`.
+//!
+//! The same [`run`] is the engine's scan and the user's replay over the
+//! VO's prefixes, so its bookkeeping is laid out for both: each polled
+//! document gets an *encounter slot* the first time it is popped — its
+//! id at `docs[slot]`, its bounds at `states[slot]` — and each pop costs
+//! one hashed lookup (doc → slot). The candidate order `R` holds slots,
+//! so the termination checks, the rank insert and the trace snapshot
+//! read bounds by index; the front scores live in one buffer per run.
 
 use crate::access::{AccessError, ListAccess};
 use crate::types::{ProcessingOutcome, Query, QueryResult, ResultEntry};
 use authsearch_corpus::DocId;
 use std::collections::HashMap;
 
-/// Per-document bound state. Query sizes are ≤ 64 terms (TREC tops out at
-/// 20), so the seen-in-list set is a bitmask.
-#[derive(Debug, Clone, Copy)]
+/// Longest query TNRA evaluates: a document's seen-in-list set is a
+/// `u64` bitmask (TREC tops out at 20 terms). [`run`] refuses longer
+/// queries with an [`AccessError`], and the server refuses them before
+/// they reach it.
+pub const MAX_QUERY_TERMS: usize = 64;
+
+/// Bound state of the document at one encounter slot: `SLB` and the
+/// lists the document has been seen in, one bit per query term.
+#[derive(Debug, Clone, Copy, Default)]
 struct DocState {
     lb: f64,
     seen_mask: u64,
+}
+
+impl DocState {
+    /// `SUB`: `SLB` plus the front score `cs[i]` of every list `i` the
+    /// document has not been seen in.
+    fn ub(&self, cs: &[f64]) -> f64 {
+        let mut ub = self.lb;
+        for (i, &c) in cs.iter().enumerate() {
+            if self.seen_mask & (1 << i) == 0 {
+                ub += c;
+            }
+        }
+        ub
+    }
+}
+
+/// Every document the run has met, by encounter slot: slot `s` has id
+/// `docs[s]` and bounds `states[s]`, and `index` maps an id to its slot.
+#[derive(Default)]
+struct Slots {
+    index: HashMap<DocId, u32>,
+    docs: Vec<DocId>,
+    states: Vec<DocState>,
+}
+
+impl Slots {
+    /// The slot of `d`, allocating the next one the first time `d` is
+    /// met.
+    fn of(&mut self, d: DocId) -> u32 {
+        *self.index.entry(d).or_insert_with(|| {
+            self.docs.push(d);
+            self.states.push(DocState::default());
+            // lint:allow(truncating-cast): one slot per distinct u32 doc id, so every slot index fits in u32
+            (self.docs.len() - 1) as u32
+        })
+    }
+
+    fn state(&self, s: u32) -> &DocState {
+        &self.states[s as usize]
+    }
 }
 
 /// One iteration record for trace replay (Figure 11).
@@ -38,7 +92,8 @@ pub struct TnraIteration {
     pub bounds: Vec<(DocId, f64, f64)>,
 }
 
-/// Run TNRA for the top `r` documents.
+/// Run TNRA for the top `r` documents. A query of more than
+/// [`MAX_QUERY_TERMS`] terms is an [`AccessError`].
 pub fn run<L: ListAccess>(
     lists: &L,
     query: &Query,
@@ -66,7 +121,11 @@ fn run_inner<L: ListAccess>(
     mut trace: Option<&mut Vec<TnraIteration>>,
 ) -> Result<ProcessingOutcome, AccessError> {
     let q = query.terms.len();
-    assert!(q <= 64, "query size beyond the 64-term bitmask");
+    if q > MAX_QUERY_TERMS {
+        return Err(AccessError::new(format!(
+            "TNRA query of {q} terms exceeds the {MAX_QUERY_TERMS}-term limit"
+        )));
+    }
 
     let mut pos = vec![0usize; q];
     let mut fronts: Vec<Option<(DocId, f32)>> = Vec::with_capacity(q);
@@ -74,92 +133,65 @@ fn run_inner<L: ListAccess>(
         fronts.push(lists.entry(i, 0)?.map(|e| (e.doc, e.weight)));
     }
 
-    // Candidate list ordered by descending lb (ties: ascending doc id) —
-    // the paper's R — plus a side map for O(1) state lookup.
-    let mut ranked: Vec<DocId> = Vec::new();
-    let mut states: HashMap<DocId, DocState> = HashMap::new();
-    let mut encountered: Vec<DocId> = Vec::new();
+    // `ranked` — the paper's R — holds slots by descending lb (ties:
+    // ascending doc id).
+    let mut slots = Slots::default();
+    let mut ranked: Vec<u32> = Vec::new();
+    // Current front term scores c_i, refilled at the top of each iteration.
+    let mut cs = vec![0.0f64; q];
     let mut iterations = 0usize;
 
-    // Current front term scores c_i (recomputed on change).
-    let front_score = |fronts: &[Option<(DocId, f32)>], i: usize| -> f64 {
-        fronts[i].map_or(0.0, |(_, w)| query.terms[i].wq * w as f64)
-    };
-
     loop {
-        let cs: Vec<f64> = (0..q).map(|i| front_score(&fronts, i)).collect();
+        fill_front_scores(&mut cs, &fronts, query);
         let thres: f64 = cs.iter().sum();
-
-        // Upper bound for one candidate: lb + Σ fronts of unseen lists.
-        let sub = |st: &DocState| -> f64 {
-            let mut ub = st.lb;
-            for (i, &c) in cs.iter().enumerate() {
-                if st.seen_mask & (1 << i) == 0 {
-                    ub += c;
-                }
-            }
-            ub
-        };
 
         // Step 4(a): the three termination conditions.
         let terminated = r == 0
             || (ranked.len() >= r && {
-                let slb_r = states[&ranked[r - 1]].lb;
+                let slb_r = slots.state(ranked[r - 1]).lb;
                 // Condition 3 first: cheapest and usually last to hold.
                 let cond3 = slb_r >= thres;
                 let cond1 = cond3
                     && ranked[..r]
                         .windows(2)
-                        .all(|w| states[&w[0]].lb >= sub(&states[&w[1]]));
+                        .all(|w| slots.state(w[0]).lb >= slots.state(w[1]).ub(&cs));
                 // Condition 2 with early exit: ranked is ordered by lb
                 // descending and SUB(d) ≤ lb(d) + thres, so once
                 // lb(d) + thres ≤ SLB(d_r) every later candidate passes.
                 let cond2 = cond1
-                    && ranked[r..].iter().all(|d| {
-                        let st = &states[d];
-                        st.lb + thres <= slb_r || sub(st) <= slb_r
+                    && ranked[r..].iter().all(|&s| {
+                        let st = slots.state(s);
+                        st.lb + thres <= slb_r || st.ub(&cs) <= slb_r
                     });
                 cond1 && cond2
             });
-        if terminated {
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(TnraIteration {
-                    thres,
-                    popped: None,
-                    bounds: snapshot(&ranked, &states, &sub),
-                });
-            }
-            break;
-        }
 
         // Step 4(b): pop the highest term score (ties: lowest index).
         let mut best: Option<(usize, f64)> = None;
-        for (i, &c) in cs.iter().enumerate() {
-            if fronts[i].is_some() && best.is_none_or(|(_, bc)| c > bc) {
-                best = Some((i, c));
+        if !terminated {
+            for (i, &c) in cs.iter().enumerate() {
+                if fronts[i].is_some() && best.is_none_or(|(_, bc)| c > bc) {
+                    best = Some((i, c));
+                }
             }
         }
+        // Terminated, or all lists exhausted.
         let Some((i, c)) = best else {
             if let Some(t) = trace.as_deref_mut() {
                 t.push(TnraIteration {
                     thres,
                     popped: None,
-                    bounds: snapshot(&ranked, &states, &sub),
+                    bounds: snapshot(&ranked, &slots, &cs),
                 });
             }
-            break; // all lists exhausted
+            break;
         };
 
         let (d, w) = fronts[i].expect("selected list has a front");
 
         // Step 4(c): create or update the document's bounds.
-        let st = states.entry(d).or_insert_with(|| {
-            encountered.push(d);
-            DocState {
-                lb: 0.0,
-                seen_mask: 0,
-            }
-        });
+        let slot = slots.of(d);
+        let st = &mut slots.states[slot as usize];
         let was_new = st.seen_mask == 0;
         st.lb += c;
         st.seen_mask |= 1 << i;
@@ -167,14 +199,14 @@ fn run_inner<L: ListAccess>(
 
         // Maintain the lb-descending order of `ranked`.
         if !was_new {
-            let old = ranked.iter().position(|&x| x == d).expect("ranked doc");
+            let old = ranked.iter().position(|&s| s == slot).expect("ranked slot");
             ranked.remove(old);
         }
-        let ins = ranked.partition_point(|&x| {
-            let s = states[&x].lb;
-            s > new_lb || (s == new_lb && x < d)
+        let ins = ranked.partition_point(|&s| {
+            let lb = slots.state(s).lb;
+            lb > new_lb || (lb == new_lb && slots.docs[s as usize] < d)
         });
-        ranked.insert(ins, d);
+        ranked.insert(ins, slot);
 
         // Advance list i.
         pos[i] += 1;
@@ -182,34 +214,21 @@ fn run_inner<L: ListAccess>(
         iterations += 1;
 
         if let Some(t) = trace.as_deref_mut() {
-            let cs2: Vec<f64> = (0..q).map(|j| front_score(&fronts, j)).collect();
-            let sub2 = |st: &DocState| -> f64 {
-                let mut ub = st.lb;
-                for (j, &cc) in cs2.iter().enumerate() {
-                    if st.seen_mask & (1 << j) == 0 {
-                        ub += cc;
-                    }
-                }
-                ub
-            };
+            // Bounds against the advanced fronts (the next iteration
+            // refills `cs` from the same fronts).
+            fill_front_scores(&mut cs, &fronts, query);
             t.push(TnraIteration {
                 thres,
                 popped: Some((i, d, w)),
-                bounds: snapshot(&ranked, &states, &sub2),
+                bounds: snapshot(&ranked, &slots, &cs),
             });
         }
     }
 
     // Fetched-but-unpopped fronts count as encountered (they are in the
     // VO prefixes).
-    for front in fronts.iter().flatten() {
-        states.entry(front.0).or_insert_with(|| {
-            encountered.push(front.0);
-            DocState {
-                lb: 0.0,
-                seen_mask: 0,
-            }
-        });
+    for &(d, _) in fronts.iter().flatten() {
+        slots.of(d);
     }
 
     let prefix_lens: Vec<usize> = (0..q)
@@ -226,30 +245,34 @@ fn run_inner<L: ListAccess>(
     let entries: Vec<ResultEntry> = ranked
         .iter()
         .take(r)
-        .map(|&d| ResultEntry {
-            doc: d,
-            score: states[&d].lb,
+        .map(|&s| ResultEntry {
+            doc: slots.docs[s as usize],
+            score: slots.state(s).lb,
         })
         .collect();
 
     Ok(ProcessingOutcome {
         result: QueryResult { entries },
         prefix_lens,
-        encountered,
+        encountered: slots.docs,
         iterations,
     })
 }
 
-fn snapshot<F: Fn(&DocState) -> f64>(
-    ranked: &[DocId],
-    states: &HashMap<DocId, DocState>,
-    sub: &F,
-) -> Vec<(DocId, f64, f64)> {
+/// `cs[i] = w_{Q,t_i} · w` of list `i`'s front entry (0 once exhausted).
+fn fill_front_scores(cs: &mut [f64], fronts: &[Option<(DocId, f32)>], query: &Query) {
+    for ((c, front), qt) in cs.iter_mut().zip(fronts).zip(&query.terms) {
+        *c = front.map_or(0.0, |(_, w)| qt.wq * w as f64);
+    }
+}
+
+/// `(doc, SLB, SUB)` of every ranked slot, in rank order.
+fn snapshot(ranked: &[u32], slots: &Slots, cs: &[f64]) -> Vec<(DocId, f64, f64)> {
     ranked
         .iter()
-        .map(|&d| {
-            let st = &states[&d];
-            (d, st.lb, sub(st))
+        .map(|&s| {
+            let st = slots.state(s);
+            (slots.docs[s as usize], st.lb, st.ub(cs))
         })
         .collect()
 }
@@ -261,7 +284,7 @@ mod tests {
     use crate::pscan;
     use crate::types::DocTable;
     use authsearch_corpus::SyntheticConfig;
-    use authsearch_index::{build_index, OkapiParams};
+    use authsearch_index::{build_index, ImpactEntry, OkapiParams};
 
     #[test]
     fn tnra_matches_naive_top_docs() {
@@ -370,6 +393,296 @@ mod tests {
             }
             // Ordered by descending lb.
             assert!(it.bounds.windows(2).all(|w| w[0].1 >= w[1].1));
+        }
+    }
+
+    #[test]
+    fn over_long_query_is_an_access_error() {
+        let q = Query::with_weights(&[(0, 1.0); MAX_QUERY_TERMS + 1]);
+        let lists = VecLists(vec![vec![entry(0, 1.0)]; MAX_QUERY_TERMS + 1]);
+        let err = run(&lists, &q, 1).unwrap_err();
+        assert!(err.what.contains("65 terms"), "{err}");
+        // The limit itself is served.
+        let q = Query::with_weights(&[(0, 1.0); MAX_QUERY_TERMS]);
+        let lists = VecLists(vec![vec![entry(0, 1.0)]; MAX_QUERY_TERMS]);
+        assert_eq!(run(&lists, &q, 1).unwrap().result.docs(), vec![0]);
+    }
+
+    // ---- Oracle: the loop before slot-indexed state ---------------------
+    //
+    // Bounds in a `HashMap<DocId, DocState>` looked up on every probe,
+    // `ranked` holding doc ids, a fresh front-score `Vec` per iteration;
+    // kept to pin `run_inner` above.
+
+    fn oracle_run<L: ListAccess>(
+        lists: &L,
+        query: &Query,
+        r: usize,
+    ) -> (ProcessingOutcome, Vec<TnraIteration>) {
+        let q = query.terms.len();
+        assert!(q <= 64, "query size beyond the 64-term bitmask");
+        let mut trace = Vec::new();
+
+        let mut pos = vec![0usize; q];
+        let mut fronts: Vec<Option<(DocId, f32)>> = Vec::with_capacity(q);
+        for i in 0..q {
+            fronts.push(lists.entry(i, 0).unwrap().map(|e| (e.doc, e.weight)));
+        }
+
+        let mut ranked: Vec<DocId> = Vec::new();
+        let mut states: HashMap<DocId, DocState> = HashMap::new();
+        let mut encountered: Vec<DocId> = Vec::new();
+        let mut iterations = 0usize;
+
+        let front_score = |fronts: &[Option<(DocId, f32)>], i: usize| -> f64 {
+            fronts[i].map_or(0.0, |(_, w)| query.terms[i].wq * w as f64)
+        };
+
+        loop {
+            let cs: Vec<f64> = (0..q).map(|i| front_score(&fronts, i)).collect();
+            let thres: f64 = cs.iter().sum();
+            let sub = |st: &DocState| -> f64 {
+                let mut ub = st.lb;
+                for (i, &c) in cs.iter().enumerate() {
+                    if st.seen_mask & (1 << i) == 0 {
+                        ub += c;
+                    }
+                }
+                ub
+            };
+
+            let terminated = r == 0
+                || (ranked.len() >= r && {
+                    let slb_r = states[&ranked[r - 1]].lb;
+                    let cond3 = slb_r >= thres;
+                    let cond1 = cond3
+                        && ranked[..r]
+                            .windows(2)
+                            .all(|w| states[&w[0]].lb >= sub(&states[&w[1]]));
+                    let cond2 = cond1
+                        && ranked[r..].iter().all(|d| {
+                            let st = &states[d];
+                            st.lb + thres <= slb_r || sub(st) <= slb_r
+                        });
+                    cond1 && cond2
+                });
+            if terminated {
+                trace.push(TnraIteration {
+                    thres,
+                    popped: None,
+                    bounds: oracle_snapshot(&ranked, &states, &sub),
+                });
+                break;
+            }
+
+            let mut best: Option<(usize, f64)> = None;
+            for (i, &c) in cs.iter().enumerate() {
+                if fronts[i].is_some() && best.is_none_or(|(_, bc)| c > bc) {
+                    best = Some((i, c));
+                }
+            }
+            let Some((i, c)) = best else {
+                trace.push(TnraIteration {
+                    thres,
+                    popped: None,
+                    bounds: oracle_snapshot(&ranked, &states, &sub),
+                });
+                break;
+            };
+
+            let (d, w) = fronts[i].expect("selected list has a front");
+            let st = states.entry(d).or_insert_with(|| {
+                encountered.push(d);
+                DocState {
+                    lb: 0.0,
+                    seen_mask: 0,
+                }
+            });
+            let was_new = st.seen_mask == 0;
+            st.lb += c;
+            st.seen_mask |= 1 << i;
+            let new_lb = st.lb;
+
+            if !was_new {
+                let old = ranked.iter().position(|&x| x == d).expect("ranked doc");
+                ranked.remove(old);
+            }
+            let ins = ranked.partition_point(|&x| {
+                let s = states[&x].lb;
+                s > new_lb || (s == new_lb && x < d)
+            });
+            ranked.insert(ins, d);
+
+            pos[i] += 1;
+            fronts[i] = lists.entry(i, pos[i]).unwrap().map(|e| (e.doc, e.weight));
+            iterations += 1;
+
+            let cs2: Vec<f64> = (0..q).map(|j| front_score(&fronts, j)).collect();
+            let sub2 = |st: &DocState| -> f64 {
+                let mut ub = st.lb;
+                for (j, &cc) in cs2.iter().enumerate() {
+                    if st.seen_mask & (1 << j) == 0 {
+                        ub += cc;
+                    }
+                }
+                ub
+            };
+            trace.push(TnraIteration {
+                thres,
+                popped: Some((i, d, w)),
+                bounds: oracle_snapshot(&ranked, &states, &sub2),
+            });
+        }
+
+        for front in fronts.iter().flatten() {
+            states.entry(front.0).or_insert_with(|| {
+                encountered.push(front.0);
+                DocState {
+                    lb: 0.0,
+                    seen_mask: 0,
+                }
+            });
+        }
+
+        let prefix_lens: Vec<usize> = (0..q)
+            .map(|i| {
+                let li = lists.list_len(i);
+                if pos[i] < li {
+                    pos[i] + 1
+                } else {
+                    li
+                }
+            })
+            .collect();
+
+        let entries: Vec<ResultEntry> = ranked
+            .iter()
+            .take(r)
+            .map(|&d| ResultEntry {
+                doc: d,
+                score: states[&d].lb,
+            })
+            .collect();
+
+        let outcome = ProcessingOutcome {
+            result: QueryResult { entries },
+            prefix_lens,
+            encountered,
+            iterations,
+        };
+        (outcome, trace)
+    }
+
+    fn oracle_snapshot<F: Fn(&DocState) -> f64>(
+        ranked: &[DocId],
+        states: &HashMap<DocId, DocState>,
+        sub: &F,
+    ) -> Vec<(DocId, f64, f64)> {
+        ranked
+            .iter()
+            .map(|&d| {
+                let st = &states[&d];
+                (d, st.lb, sub(st))
+            })
+            .collect()
+    }
+
+    /// In-memory lists for hand-shaped inputs (ties, empty lists).
+    struct VecLists(Vec<Vec<ImpactEntry>>);
+
+    impl ListAccess for VecLists {
+        fn list_len(&self, i: usize) -> usize {
+            self.0[i].len()
+        }
+
+        fn entry(&self, i: usize, pos: usize) -> Result<Option<ImpactEntry>, AccessError> {
+            Ok(self.0[i].get(pos).copied())
+        }
+    }
+
+    fn entry(doc: DocId, weight: f32) -> ImpactEntry {
+        ImpactEntry { doc, weight }
+    }
+
+    /// `run` and `run_traced` against the oracle: equal outcomes, and
+    /// equal traces iteration by iteration, with every float compared by
+    /// its bits.
+    fn assert_matches_oracle<L: ListAccess>(lists: &L, q: &Query, r: usize, case: &str) {
+        let (want, want_trace) = oracle_run(lists, q, r);
+        let got = run(lists, q, r).unwrap();
+        assert_eq!(got, want, "{case} r={r}");
+        let bits = |o: &ProcessingOutcome| -> Vec<u64> {
+            o.result.entries.iter().map(|e| e.score.to_bits()).collect()
+        };
+        assert_eq!(bits(&got), bits(&want), "{case} r={r}: scores");
+        let (traced, trace) = run_traced(lists, q, r).unwrap();
+        assert_eq!(traced, want, "{case} r={r}: traced outcome");
+        assert_eq!(trace.len(), want_trace.len(), "{case} r={r}: iterations");
+        for (k, (a, b)) in trace.iter().zip(&want_trace).enumerate() {
+            assert_eq!(a, b, "{case} r={r}: iteration {k}");
+            assert_eq!(a.thres.to_bits(), b.thres.to_bits(), "{case} r={r}: {k}");
+            for (x, y) in a.bounds.iter().zip(&b.bounds) {
+                assert_eq!(
+                    (x.1.to_bits(), x.2.to_bits()),
+                    (y.1.to_bits(), y.2.to_bits()),
+                    "{case} r={r}: iteration {k} doc {}",
+                    x.0
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slot_loop_matches_hashmap_oracle_on_generated_corpora() {
+        for seed in 0..6u64 {
+            let num_docs = 40 + 30 * seed as usize;
+            let corpus = SyntheticConfig::tiny(num_docs, 100 + seed).generate();
+            let index = build_index(&corpus, OkapiParams::default());
+            for qsize in 1..=12usize {
+                let terms =
+                    authsearch_corpus::workload::synthetic(index.num_terms(), 1, qsize, seed)
+                        .remove(0);
+                let q = crate::types::Query::from_term_ids(&index, &terms);
+                let lists = IndexLists::new(&index, &q);
+                // More than the candidates: every list is read to its end.
+                for r in [0, 1, 2, 10, num_docs + 1] {
+                    let case = format!("seed={seed} qsize={qsize}");
+                    assert_matches_oracle(&lists, &q, r, &case);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_loop_matches_hashmap_oracle_on_ties_and_exhausted_lists() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x746e_7261);
+        for case in 0..300 {
+            let qsize = rng.gen_range(1..=12usize);
+            let docs = rng.gen_range(1..=16u32);
+            // Two weights and two query weights: equal term scores,
+            // equal bounds and equal thresholds are the common case.
+            let lists: Vec<Vec<ImpactEntry>> = (0..qsize)
+                .map(|_| {
+                    let mut list: Vec<ImpactEntry> = (0..docs)
+                        .filter_map(|d| {
+                            let weight = if rng.gen_bool(0.5) { 1.0 } else { 0.5 };
+                            rng.gen_bool(0.5).then(|| entry(d, weight))
+                        })
+                        .collect();
+                    list.sort_by(|a, b| b.weight.total_cmp(&a.weight));
+                    list
+                })
+                .collect();
+            let weights: Vec<(authsearch_corpus::TermId, f64)> = (0..qsize as u32)
+                .map(|t| (t, if rng.gen_bool(0.5) { 1.0 } else { 2.0 }))
+                .collect();
+            let q = Query::with_weights(&weights);
+            let lists = VecLists(lists);
+            for r in [0, 1, 2, 10, docs as usize + 1] {
+                assert_matches_oracle(&lists, &q, r, &format!("case={case}"));
+            }
         }
     }
 

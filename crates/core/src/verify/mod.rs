@@ -705,6 +705,32 @@ mod tests {
     }
 
     #[test]
+    fn over_long_tnra_query_is_a_typed_error() {
+        // An authentic VO of 65 fully revealed lists (a PSCAN outcome, so
+        // the engine's TNRA never runs): authentication passes, and the
+        // replay refuses the query instead of panicking.
+        let corpus = authsearch_corpus::SyntheticConfig::tiny(150, 23).generate();
+        let owner = crate::owner::DataOwner::with_cached_key(TEST_KEY_BITS);
+        let config = AuthConfig {
+            key_bits: TEST_KEY_BITS,
+            ..AuthConfig::new(Mechanism::TnraCmht)
+        };
+        let publication = owner.publish(&corpus, config);
+        let auth = &publication.auth;
+        let terms: Vec<TermId> = (0..=tnra::MAX_QUERY_TERMS as TermId).collect();
+        let query = Query::from_term_ids(auth.index(), &terms);
+        let lists = crate::access::IndexLists::new(auth.index(), &query);
+        let outcome = crate::pscan::run(&lists, &query, 2).unwrap();
+        let resp = auth.respond(&query, outcome, &corpus);
+        match verify(&publication.verifier_params, &query, 2, &resp) {
+            Err(VerifyError::InsufficientData(what)) => {
+                assert!(what.contains("65 terms"), "{what}")
+            }
+            other => panic!("65-term TNRA replay gave {other:?}"),
+        }
+    }
+
+    #[test]
     fn prefix_kind_mismatch_rejected() {
         let (auth, params) = setup(Mechanism::TnraMht);
         let mut resp = auth.query(&toy_query(), 2, &toy_contents());

@@ -15,7 +15,7 @@
 //! live-connection high-water mark never exceeds the cap.
 
 use authsearch::core::wire;
-use authsearch::core::RetryPolicy;
+use authsearch::core::{ClientNetError, RetryPolicy};
 use authsearch::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -362,4 +362,56 @@ fn corrupted_mode_byte_gets_typed_error_not_a_crash() {
         .expect("server survives the malformed frame");
     let stats = handle.shutdown();
     assert!(stats.requests_err >= 1);
+}
+
+/// TNRA's threshold loop evaluates at most `tnra::MAX_QUERY_TERMS`
+/// terms. A longer disjunctive query, posed as term pairs or as text,
+/// gets the typed BAD_QUERY reply rather than a panicking pool worker,
+/// and the connection goes on serving; a TRA server answers the same
+/// queries verified, and the conjunctive path, which runs no threshold
+/// loop, answers under both.
+#[test]
+fn over_long_query_is_bad_query_under_tnra_and_served_under_tra() {
+    let n = authsearch::core::tnra::MAX_QUERY_TERMS + 1;
+    for mechanism in [Mechanism::TnraCmht, Mechanism::TraMht] {
+        let fx = fixture(mechanism);
+        let pairs: Vec<(u32, u32)> = (0..n as u32).map(|t| (t, 1)).collect();
+        let words: Vec<&str> = pairs
+            .iter()
+            .map(|&(t, _)| fx.engine.corpus().term(t))
+            .collect();
+        let text = words.join(" ");
+        assert_eq!(fx.engine.parse_query(&text).query.terms.len(), n);
+        let handle = Server::start(
+            Arc::clone(&fx.engine),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        )
+        .expect("bind loopback");
+        let mut connection = Connection::connect(handle.addr(), fx.params.clone()).unwrap();
+        let by_pairs = connection.query_terms(&pairs, TOP_R).map(|(v, _)| v);
+        let by_text = connection.query_text(&text, TOP_R).map(|(_, v, _)| v);
+        for (kind, outcome) in [("terms", by_pairs), ("text", by_text)] {
+            match (mechanism, outcome) {
+                (Mechanism::TnraCmht, Err(ClientNetError::Server { code, message })) => {
+                    assert_eq!(code, wire::errcode::BAD_QUERY, "{kind}: {message}");
+                    assert!(message.contains("at most 64"), "{kind}: {message}");
+                }
+                (Mechanism::TraMht, Ok(verified)) => {
+                    assert_eq!(verified.result.entries.len(), TOP_R, "{kind}")
+                }
+                (_, other) => panic!("{mechanism:?} {kind}: {other:?}"),
+            }
+        }
+        connection
+            .query_conjunctive(&pairs, TOP_R)
+            .expect("long conjunctive query verifies");
+        // The connection survives the refusal.
+        connection
+            .query_terms(&fx.workloads[0], TOP_R)
+            .expect("honest query after the long one");
+        drop(connection);
+        let refused = if mechanism.is_tra() { 0 } else { 2 };
+        assert_eq!(handle.shutdown().requests_err, refused, "{mechanism:?}");
+    }
 }
