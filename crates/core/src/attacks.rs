@@ -43,6 +43,10 @@ pub enum Attack {
     DropDocProof,
     /// TRA: substitute the content of a result document.
     TamperContent,
+    /// TRA: deliver a forged copy of a result document's content ahead
+    /// of the real one, so a caller that reads the first copy by id
+    /// reads the forgery.
+    DuplicateContent,
     /// Conjunctive: shorten a revealed list prefix, hiding the tail a
     /// complete intersection must account for (dropping a conjunct's
     /// evidence).
@@ -82,10 +86,11 @@ impl Attack {
     ];
 
     /// Attacks specific to the TRA mechanisms (document-MHTs).
-    pub const TRA_ONLY: [Attack; 3] = [
+    pub const TRA_ONLY: [Attack; 4] = [
         Attack::AlterDocFrequency,
         Attack::DropDocProof,
         Attack::TamperContent,
+        Attack::DuplicateContent,
     ];
 
     /// Attacks on the TRA document-table proof; each applies to every
@@ -122,6 +127,7 @@ impl Attack {
             Attack::AlterDocFrequency => "alter document frequency",
             Attack::DropDocProof => "drop document proof",
             Attack::TamperContent => "tamper with document content",
+            Attack::DuplicateContent => "deliver a forged second copy of a document",
             Attack::DropConjunct => "drop conjunct evidence",
             Attack::WrongIntersection => "narrow the intersection",
             Attack::ExtraIntersectionDoc => "widen the intersection",
@@ -250,6 +256,15 @@ impl Attack {
                     return false;
                 };
                 *bytes = b"this patent never existed".to_vec();
+                true
+            }
+            Attack::DuplicateContent => {
+                let Some(doc) = response.contents.first().map(|(d, _)| *d) else {
+                    return false;
+                };
+                response
+                    .contents
+                    .insert(0, (doc, b"a forged copy of this patent".to_vec()));
                 true
             }
             Attack::DropConjunct => {
@@ -749,7 +764,7 @@ mod tests {
             .collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 18);
+        assert_eq!(names.len(), 19);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! storage layout: plain-MHT variants re-read entire lists to regenerate
 //! internal digests, chain-MHT variants stop at the cut-off block, and
 //! every document-MHT fetch is a random access.
+//!
+//! The document-MHT proofs are independent of each other, so a reply with
+//! many of them builds them through [`pool::map`], one thread per
+//! [`pool::DOCS_PER_THREAD`] proofs. The map keeps document order and each
+//! fetch's I/O is folded back in that order, so the VO and the I/O trace
+//! are byte-identical at every width.
 
 use super::cache::TermStructure;
 use super::{doc_leaf_digest, term_leaf, AuthenticatedIndex, ContentProvider};
@@ -17,7 +23,7 @@ use crate::access::{IndexLists, TableFreqs};
 use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix};
 use crate::types::{ProcessingOutcome, Query, QueryResult};
 use crate::vo::{DictVo, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject};
-use crate::{tnra, tra};
+use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::merkle::prove_from_interior;
 use authsearch_crypto::{Digest, MerkleProof};
@@ -179,14 +185,22 @@ impl AuthenticatedIndex {
             terms.push(self.build_term_vo(qt.term, k, &mut io));
         }
 
-        // Document proofs (TRA only).
+        // Document proofs (TRA only), independent of each other, so they
+        // fan out; each fetch is folded back in document order.
         let result_docs = outcome.result.docs();
         let docs: Vec<DocVo> = if mechanism.is_tra() {
-            outcome
-                .encountered
-                .iter()
-                .map(|&d| self.build_doc_vo(d, query, result_docs.contains(&d), &mut io))
-                .collect()
+            let encountered = &outcome.encountered;
+            let width = pool::doc_proof_width(self.config.build_threads(), encountered.len());
+            pool::map(width, encountered.len(), |i| {
+                let d = encountered[i];
+                self.build_doc_vo(d, query, result_docs.contains(&d))
+            })
+            .into_iter()
+            .map(|(dv, fetch)| {
+                io.merge(fetch);
+                dv
+            })
+            .collect()
         } else {
             Vec::new()
         };
@@ -311,8 +325,9 @@ impl AuthenticatedIndex {
         }
     }
 
-    /// Build one document's VO entry (TRA) and account the random fetch.
-    fn build_doc_vo(&self, d: DocId, query: &Query, in_result: bool, io: &mut IoStats) -> DocVo {
+    /// Build one document's VO entry (TRA) and the I/O of its random
+    /// fetch.
+    fn build_doc_vo(&self, d: DocId, query: &Query, in_result: bool) -> (DocVo, IoStats) {
         let leaves = self.doc_table.doc_terms(d);
         let n = leaves.len();
 
@@ -362,9 +377,10 @@ impl AuthenticatedIndex {
         // Random fetch: the document-MHT spans its leaves plus the stored
         // root (the document table stays resident).
         let mht_bytes = n * 8 + 16;
-        io.random_access(self.config.layout.blocks_for_bytes(mht_bytes) as u64);
+        let mut fetch = IoStats::new();
+        fetch.random_access(self.config.layout.blocks_for_bytes(mht_bytes) as u64);
 
-        DocVo {
+        let dv = DocVo {
             doc: d,
             num_leaves: n as u32,
             revealed,
@@ -374,7 +390,8 @@ impl AuthenticatedIndex {
             } else {
                 Some(self.doc_content_digests[d as usize])
             },
-        }
+        };
+        (dv, fetch)
     }
 }
 

@@ -3,8 +3,11 @@
 //!
 //! * [`map`] — an index-ordered parallel map on `std::thread::scope`,
 //!   which the owner build ([`crate::auth::AuthenticatedIndex::build`])
-//!   and the snapshot boot run their per-term and per-document folds and
-//!   signatures through. Its output is **identical for every width**;
+//!   and the snapshot boot run their per-term and per-document folds
+//!   through. It also runs per-query work at both ends of a TRA reply:
+//!   the engine builds the encountered documents' proofs through it, and
+//!   the verifier checks them through it, one thread per
+//!   [`DOCS_PER_THREAD`] proofs. Its output is **identical for every width**;
 //!   only wall-clock time changes.
 //! * [`ThreadPool`] — long-lived workers draining one job queue, onto
 //!   which the network server ([`crate::server`]) [`ThreadPool::submit`]s
@@ -32,14 +35,39 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-/// The machine's available parallelism (1 when it cannot be queried).
+/// The machine's available parallelism (1 when it cannot be queried),
+/// read once per process: both ends of a TRA reply ask for it per query,
+/// and the query reads CPU-quota files.
 pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Document proofs per thread: a TRA reply's document-MHT proofs fan out
+/// to one thread per `DOCS_PER_THREAD` of them, so replies of fewer than
+/// twice this many stay on the calling thread.
+///
+/// Chosen with `authbench` in separate processes on a 2-vCPU x86-64 host
+/// (18 s runs, seed 7, three rounds in rotated order, medians). On
+/// `tra-long` (~445 proofs per query) `verified_qps` read 201 serial,
+/// 259 at 16, 277 at 32 and 270 at 64, and 32 led every round. On
+/// `tra-churn` (median query: 115 proofs) 16, 32 and 64 read 591, 591
+/// and 583 against 471 serial. A floor of 128 would leave that median
+/// query serial.
+pub const DOCS_PER_THREAD: usize = 32;
+
+/// The width at which up to `threads` threads share `docs` document
+/// proofs: one thread per [`DOCS_PER_THREAD`] proofs, at most `threads`,
+/// at least 1.
+pub(crate) fn doc_proof_width(threads: usize, docs: usize) -> usize {
+    threads.min(docs / DOCS_PER_THREAD).max(1)
 }
 
 /// Lock a mutex, recovering the guard if a previous holder panicked.
@@ -285,6 +313,23 @@ mod tests {
         let me = std::thread::current().id();
         let ids = map(1, 64, |_| std::thread::current().id());
         assert!(ids.iter().all(|&id| id == me));
+    }
+
+    #[test]
+    fn doc_proof_width_is_one_thread_per_floor_of_proofs() {
+        let f = DOCS_PER_THREAD;
+        for (threads, docs, want) in [
+            (4, 0, 1),
+            (4, 2 * f - 1, 1),
+            (4, 2 * f, 2),
+            (4, 3 * f + 1, 3),
+            (4, 100 * f, 4),
+            (2, 100 * f, 2),
+            (1, 100 * f, 1),
+            (0, 100 * f, 1),
+        ] {
+            assert_eq!(doc_proof_width(threads, docs), want, "{threads}/{docs}");
+        }
     }
 
     #[test]

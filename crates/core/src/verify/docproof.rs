@@ -31,6 +31,7 @@
 use super::{FreqMap, VerifierParams, VerifyError};
 use crate::auth::serve::QueryResponse;
 use crate::auth::{doc_leaf_digest, doc_root, doc_table_leaf};
+use crate::pool::{self, DOCS_PER_THREAD};
 use crate::types::Query;
 use crate::vo::{DocVo, VerificationObject};
 use authsearch_corpus::DocId;
@@ -38,7 +39,7 @@ use authsearch_crypto::{reconstruct_root, Digest};
 use std::collections::HashMap;
 
 /// Authenticated frequencies of the encountered documents, per query term.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResolvedFreqs {
     map: FreqMap,
 }
@@ -67,17 +68,21 @@ impl ResolvedFreqs {
 /// Each document proof yields its document-table leaf; the leaves and
 /// the reply's one multi-proof give the root the caller checks against
 /// the owner's manifest signature.
+///
+/// The per-document check ([`resolve_one`]) is a pure function of one
+/// proof, so it runs over chunks of [`DOCS_PER_THREAD`] proofs through
+/// [`pool::map`] at `width` threads, each chunk with its own scratch
+/// buffer. The checks that span documents — a doc id proved twice, or
+/// outside the table — then run in VO order, and the first error in that
+/// order is returned. The verdict is therefore the sequential loop's at
+/// every width.
 pub(super) fn resolve_doc_proofs(
     params: &VerifierParams,
     query: &Query,
     response: &QueryResponse,
+    width: usize,
 ) -> Result<(ResolvedFreqs, Digest), VerifyError> {
-    // Contents of result documents, for content-digest computation.
-    let delivered: HashMap<DocId, &[u8]> = response
-        .contents
-        .iter()
-        .map(|(d, bytes)| (*d, bytes.as_slice()))
-        .collect();
+    let delivered = delivered_contents(response)?;
     let result_docs: Vec<DocId> = response.result.docs();
     // Every result document must arrive with its content.
     for &d in &result_docs {
@@ -86,11 +91,21 @@ pub(super) fn resolve_doc_proofs(
         }
     }
 
-    let mut map: FreqMap = HashMap::with_capacity(response.vo.docs.len());
-    let mut leaves = Vec::with_capacity(response.vo.docs.len());
-    // One `(position, leaf digest)` buffer serves every document's MHT.
-    let mut revealed = Vec::new();
-    for dv in &response.vo.docs {
+    let docs = &response.vo.docs;
+    let chunks = docs.len().div_ceil(DOCS_PER_THREAD);
+    let resolved = pool::map(width, chunks, |c| {
+        // One `(position, leaf digest)` buffer serves the chunk's MHTs.
+        let mut revealed = Vec::new();
+        let chunk: &[DocVo] = docs.chunks(DOCS_PER_THREAD).nth(c).unwrap_or_default();
+        chunk
+            .iter()
+            .map(|dv| resolve_one(query, dv, &delivered, &result_docs, &mut revealed))
+            .collect::<Vec<_>>()
+    });
+
+    let mut map: FreqMap = HashMap::with_capacity(docs.len());
+    let mut leaves = Vec::with_capacity(docs.len());
+    for (dv, one) in docs.iter().zip(resolved.into_iter().flatten()) {
         if map.contains_key(&dv.doc) {
             return Err(VerifyError::MalformedProof(format!(
                 "duplicate document proof for {}",
@@ -103,12 +118,25 @@ pub(super) fn resolve_doc_proofs(
                 dv.doc, params.num_docs
             )));
         }
-        let (weights, leaf) = resolve_one(query, dv, &delivered, &result_docs, &mut revealed)?;
+        let (weights, leaf) = one?;
         leaves.push((dv.doc as usize, leaf));
         map.insert(dv.doc, weights);
     }
     let root = doc_table_root(params, &response.vo, leaves)?;
     Ok((ResolvedFreqs { map }, root))
+}
+
+/// The delivered contents by doc id. A document delivered twice is
+/// refused: only one copy is hashed into the document's table leaf, and
+/// a caller reading the other would read unauthenticated bytes.
+fn delivered_contents(response: &QueryResponse) -> Result<HashMap<DocId, &[u8]>, VerifyError> {
+    let mut delivered = HashMap::with_capacity(response.contents.len());
+    for (d, bytes) in &response.contents {
+        if delivered.insert(*d, bytes.as_slice()).is_some() {
+            return Err(VerifyError::DuplicateContent { doc: *d });
+        }
+    }
+    Ok(delivered)
 }
 
 /// Reconstruct the document-table root from the reply's leaves and
@@ -131,7 +159,8 @@ fn doc_table_root(
 /// document-MHT root and resolve per-query-term weights — and return
 /// the document's document-table leaf; the caller folds the leaves into
 /// the table root with the table's multi-proof. `pairs` is scratch space
-/// for the revealed leaves, reused across documents.
+/// for the revealed leaves, reused across documents. A pure function of
+/// its inputs, so proofs can be checked in any order, on any thread.
 fn resolve_one(
     query: &Query,
     dv: &DocVo,
@@ -233,9 +262,12 @@ fn resolve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attacks::{doc_beyond_table_response, interior_as_leaf_response, Attack, Tree};
     use crate::auth::{AuthConfig, AuthenticatedIndex};
+    use crate::owner::{DataOwner, Publication};
     use crate::toy::{toy_contents, toy_index, toy_query};
     use crate::vo::Mechanism;
+    use authsearch_corpus::{SyntheticConfig, TermId};
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
     use authsearch_index::BlockLayout;
 
@@ -260,7 +292,7 @@ mod tests {
     #[test]
     fn honest_doc_proofs_resolve() {
         let (resp, params) = setup();
-        let (freqs, _) = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap();
+        let (freqs, _) = resolve_doc_proofs(&params, &toy_query(), &resp, 1).unwrap();
         assert_eq!(freqs.num_docs(), 4); // docs 5, 3, 6, 1
                                          // d6 contains all four query terms (Figure 8).
         for i in 0..4 {
@@ -289,7 +321,7 @@ mod tests {
         let (mut resp, params) = setup();
         let dv = &mut resp.vo.docs[0];
         dv.revealed.remove(0);
-        let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
+        let err = resolve_doc_proofs(&params, &toy_query(), &resp, 1).unwrap_err();
         assert!(matches!(err, VerifyError::MalformedProof(_)), "{err:?}");
     }
 
@@ -297,7 +329,7 @@ mod tests {
     fn missing_result_content_rejected() {
         let (mut resp, params) = setup();
         resp.contents.remove(0);
-        let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
+        let err = resolve_doc_proofs(&params, &toy_query(), &resp, 1).unwrap_err();
         assert!(matches!(err, VerifyError::MissingContent { .. }));
     }
 
@@ -309,12 +341,98 @@ mod tests {
         assert_eq!(err, VerifyError::ManifestSignature);
     }
 
+    /// A TRA reply with at least `4 × DOCS_PER_THREAD` document proofs,
+    /// so widths 1, 2 and 4 each split it differently: the four most
+    /// frequent terms of a 400-document collection.
+    fn wide_reply() -> (Publication, Query, QueryResponse) {
+        let corpus = SyntheticConfig::tiny(400, 7).generate();
+        let config = AuthConfig {
+            key_bits: TEST_KEY_BITS,
+            ..AuthConfig::new(Mechanism::TraMht)
+        };
+        let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
+        let index = publication.auth.index();
+        let mut terms: Vec<TermId> = (0..index.num_terms() as TermId).collect();
+        terms.sort_by_key(|&t| std::cmp::Reverse(index.ft(t)));
+        let mut top = terms[..4].to_vec();
+        top.sort_unstable();
+        let query = Query::from_term_ids(index, &top);
+        let response = publication.auth.query(&query, 10, &corpus);
+        (publication, query, response)
+    }
+
+    #[test]
+    fn verdict_is_the_same_at_every_width() {
+        let (publication, query, honest) = wide_reply();
+        let params = &publication.verifier_params;
+        let docs = honest.vo.docs.len();
+        assert!(docs >= 4 * DOCS_PER_THREAD, "{docs} document proofs");
+        let sequential = |response: &QueryResponse| resolve_doc_proofs(params, &query, response, 1);
+        assert!(sequential(&honest).is_ok());
+
+        // Every catalogue attack that applies to a TRA reply, and every
+        // forged reply the catalogue builds from one.
+        let mut cases = vec![("honest".to_string(), honest.clone())];
+        let catalogue = Attack::COMMON
+            .iter()
+            .chain(&Attack::TRA_ONLY)
+            .chain(&Attack::DOC_TABLE)
+            .chain(&Attack::CONJUNCTIVE);
+        for &attack in catalogue {
+            let mut tampered = honest.clone();
+            if attack.apply(&mut tampered) {
+                cases.push((attack.name().into(), tampered));
+            }
+        }
+        let beyond = doc_beyond_table_response(&honest, &publication.auth).unwrap();
+        cases.push(("doc id past the table".into(), beyond));
+        for tree in [Tree::DocMht, Tree::DocTable] {
+            let forged = interior_as_leaf_response(&honest, &publication.auth, tree).unwrap();
+            cases.push((format!("interior node as a {tree:?} leaf"), forged));
+        }
+
+        // A duplicate proof in the last chunk whose first copy is in the
+        // first chunk.
+        let mut duplicated = honest.clone();
+        duplicated.vo.docs.push(honest.vo.docs[0].clone());
+        let first = honest.vo.docs[0].doc;
+        assert_eq!(
+            sequential(&duplicated).err(),
+            Some(VerifyError::MalformedProof(format!(
+                "duplicate document proof for {first}"
+            )))
+        );
+        cases.push(("duplicate across chunks".into(), duplicated));
+
+        // A doc id at `n` in the last chunk, after a malformed proof in
+        // the first: the malformed proof comes first in VO order.
+        let mut both = honest.clone();
+        both.vo.docs[1].proof.digests.push(Digest::ZERO);
+        both.vo.docs.last_mut().unwrap().doc = params.num_docs as DocId;
+        let bad = both.vo.docs[1].doc;
+        assert_eq!(
+            sequential(&both).err(),
+            Some(VerifyError::MalformedProof(format!(
+                "document {bad}: MHT proof shape"
+            )))
+        );
+        cases.push(("doc id past the table after a malformed proof".into(), both));
+
+        for (name, response) in &cases {
+            let want = sequential(response);
+            for width in [2, 4] {
+                let got = resolve_doc_proofs(params, &query, response, width);
+                assert_eq!(got, want, "{name} at width {width}");
+            }
+        }
+    }
+
     #[test]
     fn duplicate_doc_proof_rejected() {
         let (mut resp, params) = setup();
         let dup = resp.vo.docs[0].clone();
         resp.vo.docs.push(dup);
-        let err = resolve_doc_proofs(&params, &toy_query(), &resp).unwrap_err();
+        let err = resolve_doc_proofs(&params, &toy_query(), &resp, 1).unwrap_err();
         assert!(matches!(err, VerifyError::MalformedProof(_)));
     }
 }

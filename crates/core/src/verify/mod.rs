@@ -33,7 +33,7 @@ use crate::auth::serve::QueryResponse;
 use crate::auth::{dict_leaf_digest, publication_message, NO_DOC_TABLE_ROOT};
 use crate::types::{Query, QueryResult};
 use crate::vo::{Mechanism, PrefixData, TermProof, TermVo, VerificationObject, VoSize};
-use crate::{tnra, tra};
+use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::{reconstruct_head, reconstruct_root, Digest, RsaPublicKey};
 use authsearch_index::{BlockLayout, ImpactEntry};
@@ -94,6 +94,12 @@ pub enum VerifyError {
         /// The document.
         doc: DocId,
     },
+    /// A document's content was delivered more than once (TRA): only one
+    /// copy can be the one its table leaf authenticates.
+    DuplicateContent {
+        /// The document.
+        doc: DocId,
+    },
     /// The replayed result differs from the reported one.
     ResultMismatch(String),
     /// A conjunctive VO does not reveal enough of a term's list for the
@@ -132,6 +138,9 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::MissingContent { doc } => {
                 write!(f, "content of result document {doc} missing")
+            }
+            VerifyError::DuplicateContent { doc } => {
+                write!(f, "content of document {doc} delivered twice")
             }
             VerifyError::ResultMismatch(w) => write!(f, "result incorrect: {w}"),
             VerifyError::ConjunctIncomplete { term } => write!(
@@ -360,7 +369,8 @@ fn authenticate(
     }
     let (num_terms, dict_root) = dict_root(vo, &term_roots)?;
     let (freqs, doc_table_root) = if params.mechanism.is_tra() {
-        let (freqs, root) = docproof::resolve_doc_proofs(params, query, response)?;
+        let width = pool::doc_proof_width(pool::available_parallelism(), vo.docs.len());
+        let (freqs, root) = docproof::resolve_doc_proofs(params, query, response, width)?;
         (Some(freqs), root)
     } else {
         (None, NO_DOC_TABLE_ROOT)

@@ -549,6 +549,36 @@ fn doc_table_attacks_rejected_with_typed_verdicts() {
     }
 }
 
+/// A forged copy of a result document's content, delivered ahead of the
+/// real one, is rejected with `VerifyError::DuplicateContent` naming the
+/// document, on TRA-MHT and TRA-CMHT × disjunctive / conjunctive ×
+/// in-process / over the wire. Only one copy is hashed into the
+/// document's table leaf; a caller that looks contents up by id (as
+/// `phrase_filter` does) would read the other.
+#[test]
+fn duplicate_content_rejected_with_typed_verdict() {
+    for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+        let (publication, corpus) = publish(mechanism);
+        for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
+            let (query, honest) = doc_table_query(mode, &publication, &corpus);
+            let doc = honest.contents.first().expect("a result document").0;
+            let mut tampered = honest.clone();
+            assert!(Attack::DuplicateContent.apply(&mut tampered));
+            for path in [Path::InProcess, Path::Wire] {
+                let delivered = deliver(path, &query, tampered.clone());
+                assert_eq!(delivered.contents, tampered.contents, "{path:?}");
+                let outcome = verify_in(mode, &publication, &query, &delivered);
+                assert_eq!(
+                    outcome,
+                    Err(VerifyError::DuplicateContent { doc }),
+                    "{} {mode:?} {path:?}",
+                    mechanism.name()
+                );
+            }
+        }
+    }
+}
+
 /// Wire fuzz: a reply whose VO stops anywhere inside the trailer — the
 /// document-table proof and the manifest signature after it — (with the
 /// VO and frame lengths fixed up to match) never decodes, and a flipped

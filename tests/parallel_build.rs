@@ -3,7 +3,9 @@
 //! every proof the engine derives from it — must be bit-identical to the
 //! paper's sequential (`threads = 1`) model.
 
+use authsearch::core::pool::DOCS_PER_THREAD;
 use authsearch::core::wire;
+use authsearch::index::IoStats;
 use authsearch::prelude::*;
 
 /// Publish the same synthetic corpus at a given thread count and answer
@@ -42,6 +44,60 @@ fn proofs_are_bit_identical_across_thread_counts() {
                 vos,
                 reference,
                 "{} VOs changed with threads={threads}",
+                mechanism.name()
+            );
+        }
+    }
+}
+
+/// Serve TRA replies that carry at least `4 × DOCS_PER_THREAD` document
+/// proofs — the four most frequent terms of a 400-document collection,
+/// disjunctive and conjunctive — from a publication built `threads`
+/// wide, so the engine builds them at that width, 16 times each.
+/// Returns each reply's wire-encoded VO and I/O trace.
+fn serve_wide_tra(mechanism: Mechanism, threads: usize) -> Vec<(Vec<u8>, IoStats)> {
+    let corpus = SyntheticConfig::tiny(400, 7).generate();
+    let owner = DataOwner::with_cached_key(authsearch::crypto::keys::TEST_KEY_BITS);
+    let config = AuthConfig {
+        key_bits: authsearch::crypto::keys::TEST_KEY_BITS,
+        threads,
+        ..AuthConfig::new(mechanism)
+    };
+    let engine = SearchEngine::new(owner.publish(&corpus, config).auth, corpus);
+    let index = engine.auth().index();
+    let mut terms: Vec<u32> = (0..index.num_terms() as u32).collect();
+    terms.sort_by_key(|&t| std::cmp::Reverse(index.ft(t)));
+    let mut top = terms[..4].to_vec();
+    top.sort_unstable();
+    let query = Query::from_term_ids(index, &top);
+    // Whether a helper thread claims any proofs depends on when it
+    // starts, so each reply is served many times.
+    (0..16)
+        .flat_map(|_| {
+            [
+                engine.search(&query, 10),
+                engine.search_conjunctive(&query, 10),
+            ]
+        })
+        .map(|response| {
+            // Enough proofs that the widest engine really runs 4 wide.
+            let docs = response.vo.docs.len();
+            assert!(docs >= 4 * DOCS_PER_THREAD, "{docs} document proofs");
+            let vo = wire::encode(&response.vo).expect("VO fits the wire format");
+            (vo, response.io)
+        })
+        .collect()
+}
+
+#[test]
+fn tra_document_proofs_are_bit_identical_across_fan_out_widths() {
+    for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+        let reference = serve_wide_tra(mechanism, 1);
+        for threads in [2, 4] {
+            assert_eq!(
+                serve_wide_tra(mechanism, threads),
+                reference,
+                "{} VOs or I/O traces changed with threads={threads}",
                 mechanism.name()
             );
         }
