@@ -1,5 +1,5 @@
-//! Regenerate every table and figure in one run (shared corpus, index,
-//! and signed structures).
+//! Regenerate every table and figure, then the ablations, in one run
+//! (shared corpus, index, and signed structures).
 
 use authsearch_bench::{figures, Scale, Workbench};
 
@@ -12,4 +12,5 @@ fn main() {
     figures::fig15::run(&mut wb);
     figures::table2::run(&mut wb);
     figures::space::run(&mut wb);
+    figures::ablations::run(&mut wb);
 }

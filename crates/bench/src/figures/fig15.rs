@@ -9,11 +9,14 @@ pub const RESULT_SIZES: [usize; 5] = [10, 20, 40, 60, 80];
 /// The paper uses TREC topics 101–200: 100 queries.
 pub const NUM_TREC_QUERIES: usize = 100;
 
+/// Seed of the workload's queries.
+pub const SEED: u64 = 1500;
+
 /// Run the sweep and print sub-figures (a)–(e).
 pub fn run(wb: &mut Workbench) {
     let n = NUM_TREC_QUERIES.min(wb.scale.queries);
     println!("\n#### Figure 15 — TREC-like workload ({n} queries, 2-20 terms) ####");
-    let queries = wb.trec_queries(n, 1500);
+    let queries = wb.trec_queries(n, SEED);
     let mut agg = Vec::with_capacity(RESULT_SIZES.len());
     for &r in &RESULT_SIZES {
         agg.push(all_mechanisms(wb, &queries, r));

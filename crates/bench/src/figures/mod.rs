@@ -1,5 +1,7 @@
-//! One module per reproduced table/figure.
+//! One module per reproduced table/figure, plus the ablations of the
+//! paper's design choices.
 
+pub mod ablations;
 pub mod fig04;
 pub mod fig13;
 pub mod fig14;
@@ -15,7 +17,8 @@ use authsearch_core::Mechanism;
 
 /// The sub-figure layout shared by Figures 13, 14, and 15: given one
 /// x-axis (query size or result size) and per-mechanism aggregates,
-/// render the five sub-tables (a)–(e).
+/// render the five sub-tables (a)–(e). The paper's claims print under
+/// (d), the last count table: (e) is wall-clock time.
 pub(crate) fn print_abcde(
     figure: &str,
     x_label: &str,
@@ -73,6 +76,9 @@ pub(crate) fn print_abcde(
         row.extend((0..4).map(|m| fmt_bytes(agg[i][m].mean_vo_bytes)));
         d.row(row);
     }
+    for note in notes {
+        d.note(*note);
+    }
     d.print();
 
     let mut e = Table::new(
@@ -83,9 +89,6 @@ pub(crate) fn print_abcde(
         let mut row = vec![x.to_string()];
         row.extend((0..4).map(|m| fmt_secs(agg[i][m].mean_verify_secs)));
         e.row(row);
-    }
-    for note in notes {
-        e.note(*note);
     }
     e.print();
 }

@@ -1,4 +1,4 @@
-//! Command-line scale configuration shared by all figure binaries.
+//! Command-line scale configuration of the `all` binary.
 
 use authsearch_crypto::keys::PAPER_KEY_BITS;
 

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the figure binaries.
+//! Plain-text table rendering for the figure harness.
 
 /// A fixed-width text table with a title and column headers.
 #[derive(Debug, Clone)]
@@ -86,11 +86,12 @@ pub fn fmt_secs(secs: f64) -> String {
     }
 }
 
-/// Format bytes adaptively (B / KB / MB).
+/// Format bytes adaptively (B / KB / MB), the unit chosen by magnitude
+/// so a negative count scales like a positive one.
 pub fn fmt_bytes(bytes: f64) -> String {
-    if bytes >= 1048576.0 {
+    if bytes.abs() >= 1048576.0 {
         format!("{:.2} MB", bytes / 1048576.0)
-    } else if bytes >= 1024.0 {
+    } else if bytes.abs() >= 1024.0 {
         format!("{:.2} KB", bytes / 1024.0)
     } else {
         format!("{bytes:.0} B")
@@ -128,5 +129,8 @@ mod tests {
         assert_eq!(fmt_bytes(512.0), "512 B");
         assert_eq!(fmt_bytes(2048.0), "2.00 KB");
         assert_eq!(fmt_bytes(3.0 * 1048576.0), "3.00 MB");
+        assert_eq!(fmt_bytes(-512.0), "-512 B");
+        assert_eq!(fmt_bytes(-31760.0), "-31.02 KB");
+        assert_eq!(fmt_bytes(-3.0 * 1048576.0), "-3.00 MB");
     }
 }

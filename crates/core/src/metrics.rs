@@ -150,8 +150,6 @@ pub struct QueryMetrics {
     /// Signatures the paper's scheme would carry for the same reply
     /// ([`crate::VerificationObject::paper_signature_count`]).
     pub paper_signatures: usize,
-    /// Wall-clock query processing + VO construction time at the engine.
-    pub process_time: Duration,
     /// Wall-clock verification time at the user.
     pub verify_time: Duration,
 }
@@ -205,9 +203,7 @@ pub fn measure<C: ContentProvider>(
     contents: &C,
     disk: &DiskModel,
 ) -> Result<QueryMetrics, VerifyError> {
-    let t0 = Instant::now();
     let response: QueryResponse = auth.query(query, r, contents);
-    let process_time = t0.elapsed();
 
     let t1 = Instant::now();
     let verified = verify::verify(params, query, r, &response)?;
@@ -227,7 +223,6 @@ pub fn measure<C: ContentProvider>(
         vo_size: verified.vo_size,
         signatures: response.vo.signature_count(),
         paper_signatures: response.vo.paper_signature_count(),
-        process_time,
         verify_time,
     })
 }

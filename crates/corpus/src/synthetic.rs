@@ -19,8 +19,8 @@
 //! fraction of list read, I/O time, VO size, verification time) is a
 //! function of the list-length distribution and Okapi weights only, so
 //! matching Figure 4's shape is exactly what the substitution must achieve.
-//! The `fig04` bench binary plots the generated CDF next to the paper's
-//! published anchor points.
+//! The bench harness's Figure 4 table prints the generated CDF next to
+//! the paper's published anchor points.
 
 use crate::document::{Corpus, DocId, TermId, TokenizedDoc};
 use crate::zipf::Zipf;

@@ -31,9 +31,8 @@ impl BigUint {
     /// `self^exponent mod modulus` by 4-bit fixed-window square-and-multiply
     /// with a full multiply + Knuth Algorithm-D division per step.
     ///
-    /// Kept as the even-modulus fallback, as the reference the Montgomery
-    /// property tests cross-check against, and for the `modpow/schoolbook`
-    /// criterion row.
+    /// Kept as the even-modulus fallback and as the reference the
+    /// Montgomery property tests cross-check against.
     pub fn mod_pow_schoolbook(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "mod_pow with zero modulus");
         if modulus.is_one() {

@@ -1,7 +1,7 @@
 //! The paper's qualitative shapes, pinned at one small recorded scale.
 //!
 //! Figures 13–15 and Table 2 are curves over the WSJ collection; what
-//! survives a change of scale are their orderings. This suite pins seven
+//! survives a change of scale are their orderings. This suite pins nine
 //! of them on one synthetic corpus (`SyntheticConfig::tiny(2000, 2008)`,
 //! 512-bit test keys) and one seeded query set, so a change that bends a
 //! curve shows up as a failing ordering rather than silently:
@@ -16,9 +16,14 @@
 //! * (f) TRA VOs are larger than TNRA VOs under the same tree type
 //!   (§4.2);
 //! * (g) Table 2's split of VO bytes into data, digests and signatures
-//!   stays inside a recorded band per mechanism.
+//!   stays inside a recorded band per mechanism;
+//! * (h) buddy inclusion lowers TRA-CMHT's digest bytes and total VO
+//!   bytes (§3.3.2);
+//! * (i) score-prioritised TNRA polling reads fewer entries than
+//!   Fagin's equal depth (§3).
 
-use authsearch_core::{AuthConfig, DataOwner, Mechanism, Query, SearchEngine, VoSize};
+use authsearch_core::access::{IndexLists, ListAccess};
+use authsearch_core::{tnra, AuthConfig, DataOwner, Mechanism, Query, SearchEngine, VoSize};
 use authsearch_corpus::{workload, DocId, SyntheticConfig, TermId};
 use authsearch_crypto::keys::TEST_KEY_BITS;
 use std::collections::HashSet;
@@ -273,4 +278,64 @@ fn table2_vo_split_stays_in_band() {
             );
         }
     }
+}
+
+#[test]
+fn buddy_inclusion_lowers_tra_cmht_digest_and_vo_bytes() {
+    let paper = engine(Mechanism::TraCmht);
+    let config = AuthConfig {
+        buddy: false,
+        ..*paper.auth().config()
+    };
+    let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
+    let corpus = paper.corpus().clone();
+    let no_buddy = SearchEngine::new(owner.publish(&corpus, config).auth, corpus);
+    let queries = workload::synthetic(paper.auth().index().num_terms(), 20, TERMS_PER_QUERY, SEED);
+    let size = |engine: &SearchEngine| -> VoSize {
+        queries
+            .iter()
+            .map(|terms| {
+                let query = Query::from_term_ids(engine.auth().index(), terms);
+                engine.search(&query, R).vo.size()
+            })
+            .fold(VoSize::default(), |a, b| a + b)
+    };
+    let (on, off) = (size(paper), size(&no_buddy));
+    // Recorded: digest 285,872 → 188,480 B and total 350,584 →
+    // 325,024 B with buddy inclusion on.
+    assert!(
+        on.digest < off.digest,
+        "digest: on {} B vs off {} B",
+        on.digest,
+        off.digest
+    );
+    assert!(
+        on.total() < off.total(),
+        "total: on {} B vs off {} B",
+        on.total(),
+        off.total()
+    );
+}
+
+#[test]
+fn prioritised_polling_reads_fewer_entries_than_equal_depth() {
+    let index = engine(Mechanism::TnraMht).auth().index();
+    let (mut prioritised, mut equal_depth) = (0usize, 0usize);
+    for terms in workload::trec_like(index.document_frequencies(), 10, 0.35, SEED) {
+        let query = Query::from_term_ids(index, &terms);
+        let lists = IndexLists::new(index, &query);
+        let out = tnra::run(&lists, &query, R).unwrap();
+        prioritised += out.prefix_lens.iter().sum::<usize>();
+        // Equal depth: every list read to the depth of the deepest one,
+        // what Fagin's round-robin NRA fetches.
+        let deepest = out.prefix_lens.iter().copied().max().unwrap_or(0);
+        equal_depth += (0..query.terms.len())
+            .map(|i| deepest.min(lists.list_len(i)))
+            .sum::<usize>();
+    }
+    // Recorded: 10,160 entries prioritised vs 14,596 at equal depth.
+    assert!(
+        prioritised < equal_depth,
+        "prioritised {prioritised} entries vs equal depth {equal_depth}"
+    );
 }
