@@ -26,7 +26,7 @@ use crate::vo::{DictVo, DocTableVo, DocVo, PrefixData, TermProof, TermVo, Verifi
 use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::merkle::prove_from_interior;
-use authsearch_crypto::{Digest, MerkleProof};
+use authsearch_crypto::MerkleProof;
 use authsearch_index::{ImpactEntry, IoStats};
 
 /// What the search engine returns to the user: the ranked result, the
@@ -46,19 +46,6 @@ pub struct QueryResponse {
     /// Entries fetched per query-term list (pre-buddy-padding) — the
     /// paper's "# entries read" metric.
     pub entries_read: Vec<usize>,
-}
-
-impl QueryResponse {
-    /// `(doc, h(content))` for every delivered result document, in
-    /// result order — what the digest-mode wire reply
-    /// ([`crate::wire::Reply::OkDigest`]) ships in place of the
-    /// contents themselves.
-    pub fn content_digests(&self) -> Vec<(DocId, Digest)> {
-        self.contents
-            .iter()
-            .map(|(d, bytes)| (*d, Digest::hash(bytes)))
-            .collect()
-    }
 }
 
 impl AuthenticatedIndex {
@@ -402,7 +389,7 @@ mod tests {
     use crate::toy::{toy_contents, toy_index, toy_query};
     use crate::vo::Mechanism;
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
-    use authsearch_crypto::MerkleTree;
+    use authsearch_crypto::{Digest, MerkleTree};
 
     fn auth(mechanism: Mechanism) -> AuthenticatedIndex {
         let key = cached_keypair(TEST_KEY_BITS);

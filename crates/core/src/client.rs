@@ -3,12 +3,11 @@
 //! over the wire against a running [`crate::server`].
 
 use crate::auth::serve::QueryResponse;
-use crate::types::{Query, QueryTerm};
+use crate::types::{Query, QueryMode, QueryTerm};
 use crate::verify::{self, VerifiedResult, VerifierParams, VerifyError};
 use crate::vo::Mechanism;
 use crate::wire::{self, Reply, Request, WireError};
 use authsearch_corpus::{DocId, TermId};
-use authsearch_crypto::Digest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
@@ -190,8 +189,8 @@ pub struct RetryPolicy {
     pub cap: Duration,
     /// Largest fraction of the exponential delay that jitter may remove:
     /// attempt `i` sleeps uniformly in `[(1 − jitter) · dᵢ, dᵢ]`.
-    /// Clamped to `[0, 1]`; `0.0` restores the exact deterministic
-    /// schedule of [`RetryPolicy::delay`]. Default `0.5`.
+    /// Clamped to `[0, 1]`; `0.0` (or NaN) restores the exact
+    /// deterministic schedule of [`RetryPolicy::delay`]. Default `0.5`.
     pub jitter: f64,
     /// Seed of the jitter stream. The default draws per-policy entropy
     /// (distinct clients → distinct schedules); pin it for reproducible
@@ -239,7 +238,12 @@ impl RetryPolicy {
     /// policy) stays reproducible.
     pub fn jittered_delay(&self, attempt: usize) -> Duration {
         let d = self.delay(attempt);
-        let jitter = self.jitter.clamp(0.0, 1.0);
+        // `clamp` passes NaN through, and `mul_f64(NaN)` panics.
+        let jitter = if self.jitter.is_nan() {
+            0.0
+        } else {
+            self.jitter.clamp(0.0, 1.0)
+        };
         if jitter == 0.0 {
             return d;
         }
@@ -365,9 +369,9 @@ impl Connection {
         self.send(&Request::Terms {
             terms: terms.to_vec(),
             r: request_r(r)?,
-            want_digests: false,
+            mode: QueryMode::Disjunctive,
         })?;
-        self.receive_verified(terms, r)
+        self.receive_verified(terms, r, QueryMode::Disjunctive)
     }
 
     /// [`Connection::query_terms`] with retry-on-busy: a server at its
@@ -420,37 +424,6 @@ impl Connection {
         }
     }
 
-    /// Pose a term query in **digest mode**: ask the server to stream
-    /// the VO with `(doc, h(content))` pairs instead of echoing full
-    /// result-document contents ([`crate::wire::Reply::OkDigest`]).
-    /// TNRA verification never consumes the contents, so the verdict is
-    /// byte-identical to [`Connection::query_terms`] (regression-tested
-    /// against the attack suite); the returned `response` has an empty
-    /// `contents`. A TRA server falls back to the full echo — then the
-    /// digests are computed locally from the delivered (and verified)
-    /// contents, so the caller sees one shape either way.
-    #[allow(clippy::type_complexity)]
-    pub fn query_terms_digests(
-        &mut self,
-        terms: &[(TermId, u32)],
-        r: usize,
-    ) -> Result<(VerifiedResult, QueryResponse, Vec<(DocId, Digest)>), ClientNetError> {
-        self.send(&Request::Terms {
-            terms: terms.to_vec(),
-            r: request_r(r)?,
-            want_digests: true,
-        })?;
-        let (echo, response, digests) = self.receive_any()?;
-        if echo != terms {
-            return Err(ClientNetError::Protocol(format!(
-                "server echoed terms {echo:?} for a query posing {terms:?}"
-            )));
-        }
-        let verified = self.client.verify_terms(terms, r, &response)?;
-        let digests = digests.unwrap_or_else(|| response.content_digests());
-        Ok((verified, response, digests))
-    }
-
     /// Pose a **conjunctive** query as explicit `(term, f_{Q,t})` pairs
     /// (strictly ascending term ids) and verify the reply: only
     /// documents containing every term may appear, and the client
@@ -464,19 +437,12 @@ impl Connection {
         terms: &[(TermId, u32)],
         r: usize,
     ) -> Result<(VerifiedResult, QueryResponse), ClientNetError> {
-        self.send(&Request::ConjunctiveTerms {
+        self.send(&Request::Terms {
             terms: terms.to_vec(),
             r: request_r(r)?,
-            want_digests: false,
+            mode: QueryMode::Conjunctive,
         })?;
-        let (echo, response) = self.receive()?;
-        if echo != terms {
-            return Err(ClientNetError::Protocol(format!(
-                "server echoed terms {echo:?} for a conjunctive query posing {terms:?}"
-            )));
-        }
-        let verified = self.client.verify_conjunctive_terms(terms, r, &response)?;
-        Ok((verified, response))
+        self.receive_verified(terms, r, QueryMode::Conjunctive)
     }
 
     /// Pose a natural-language query. The server parses it against its
@@ -493,7 +459,6 @@ impl Connection {
         self.send(&Request::Text {
             text: text.to_string(),
             r: request_r(r)?,
-            want_digests: false,
         })?;
         let (echo, response) = self.receive()?;
         let verified = self.client.verify_terms(&echo, r, &response)?;
@@ -532,7 +497,7 @@ impl Connection {
                 Request::Terms {
                     terms: terms.clone(),
                     r: wire_r,
-                    want_digests: false,
+                    mode: QueryMode::Disjunctive,
                 }
                 .encode_frame()
             })
@@ -544,7 +509,7 @@ impl Connection {
         for (sent, frame) in frames.iter().enumerate() {
             if sent >= PIPELINE_WINDOW {
                 if let Some(terms) = answered.next() {
-                    out.push(self.receive_verified(terms, r));
+                    out.push(self.receive_verified(terms, r, QueryMode::Disjunctive));
                 }
             }
             // A socket-level write failure means the connection is dead;
@@ -552,17 +517,19 @@ impl Connection {
             self.stream.write_all(frame)?;
         }
         for terms in answered {
-            out.push(self.receive_verified(terms, r));
+            out.push(self.receive_verified(terms, r, QueryMode::Disjunctive));
         }
         Ok(out)
     }
 
     /// Read the reply to the term query `terms`, check its echo, and
-    /// verify it (see [`Connection::query_terms`]).
+    /// verify it under the mode the client posed — never one the reply
+    /// could claim (see [`Connection::query_terms`]).
     fn receive_verified(
         &mut self,
         terms: &[(TermId, u32)],
         r: usize,
+        mode: QueryMode,
     ) -> Result<(VerifiedResult, QueryResponse), ClientNetError> {
         let (echo, response) = self.receive()?;
         if echo != terms {
@@ -570,7 +537,10 @@ impl Connection {
                 "server echoed terms {echo:?} for a query posing {terms:?}"
             )));
         }
-        let verified = self.client.verify_terms(terms, r, &response)?;
+        let verified = match mode {
+            QueryMode::Disjunctive => self.client.verify_terms(terms, r, &response)?,
+            QueryMode::Conjunctive => self.client.verify_conjunctive_terms(terms, r, &response)?,
+        };
         Ok((verified, response))
     }
 
@@ -587,7 +557,7 @@ impl Connection {
     /// is malformed keeps the stream in sync — exactly the advertised
     /// bytes were consumed — so later queries on the connection remain
     /// sound.
-    fn receive_reply(&mut self) -> Result<Reply, ClientNetError> {
+    fn receive(&mut self) -> Result<(Vec<(TermId, u32)>, QueryResponse), ClientNetError> {
         if self.desynced {
             return Err(ClientNetError::Protocol(
                 "connection desynchronized by an earlier framing error; reconnect".to_string(),
@@ -604,44 +574,8 @@ impl Connection {
         };
         let mut payload = vec![0u8; len];
         self.stream.read_exact(&mut payload)?;
-        Ok(wire::decode_reply_payload(kind, &payload)?)
-    }
-
-    /// Receive for queries that did **not** ask for digest mode: a
-    /// digest-mode reply is a protocol violation (a server must not
-    /// strip contents the client never agreed to forgo).
-    #[allow(clippy::type_complexity)]
-    fn receive(&mut self) -> Result<(Vec<(TermId, u32)>, QueryResponse), ClientNetError> {
-        match self.receive_reply()? {
-            Reply::Ok { terms, response } => Ok((terms, response)),
-            Reply::OkDigest { .. } => Err(ClientNetError::Protocol(
-                "unsolicited digest-mode reply to a full-echo query".to_string(),
-            )),
-            Reply::Err { code, message } => Err(ClientNetError::Server { code, message }),
-        }
-    }
-
-    /// Receive for digest-mode queries: accepts the digest reply
-    /// (`Some(digests)`) or the full-echo fallback (`None` — the caller
-    /// derives digests from the delivered contents).
-    #[allow(clippy::type_complexity)]
-    fn receive_any(
-        &mut self,
-    ) -> Result<
-        (
-            Vec<(TermId, u32)>,
-            QueryResponse,
-            Option<Vec<(DocId, Digest)>>,
-        ),
-        ClientNetError,
-    > {
-        match self.receive_reply()? {
-            Reply::Ok { terms, response } => Ok((terms, response, None)),
-            Reply::OkDigest {
-                terms,
-                response,
-                digests,
-            } => Ok((terms, response, Some(digests))),
+        match wire::decode_reply_payload(kind, &payload)? {
+            Reply::Ok { terms, response } => Ok((terms, *response)),
             Reply::Err { code, message } => Err(ClientNetError::Server { code, message }),
         }
     }
@@ -1013,43 +947,21 @@ mod tests {
         for attempt in 0..8 {
             assert_eq!(policy.jittered_delay(attempt), policy.delay(attempt));
         }
-        // Out-of-range jitter clamps instead of inverting the range.
-        let wild = RetryPolicy {
-            jitter: 7.5,
+        // Out-of-range jitter clamps instead of inverting the range, and
+        // NaN is the exact schedule rather than a panic.
+        for jitter in [7.5, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let wild = RetryPolicy { jitter, ..policy };
+            for attempt in 0..8 {
+                assert!(wild.jittered_delay(attempt) <= wild.delay(attempt));
+            }
+        }
+        let nan = RetryPolicy {
+            jitter: f64::NAN,
             ..policy
         };
         for attempt in 0..8 {
-            assert!(wild.jittered_delay(attempt) <= wild.delay(attempt));
+            assert_eq!(nan.jittered_delay(attempt), nan.delay(attempt));
         }
-    }
-
-    #[test]
-    fn digest_query_verdict_matches_full_echo_over_loopback() {
-        // TNRA: digest mode saves the contents echo and must verify to
-        // the same verdict; the digests name exactly the result docs.
-        let (handle, mut connection, terms) = loopback(Mechanism::TnraCmht);
-        let mut pairs: Vec<(TermId, u32)> = terms.iter().map(|&t| (t, 1)).collect();
-        pairs.sort_unstable();
-        pairs.dedup_by_key(|p| p.0);
-        let (full_verified, full_response) = connection.query_terms(&pairs, 5).expect("full echo");
-        let (slim_verified, slim_response, digests) = connection
-            .query_terms_digests(&pairs, 5)
-            .expect("digest mode");
-        assert_eq!(full_verified, slim_verified);
-        assert_eq!(full_response.vo, slim_response.vo);
-        assert!(slim_response.contents.is_empty());
-        assert_eq!(digests, full_response.content_digests());
-        handle.shutdown();
-        // TRA: the server falls back to the full echo; the client
-        // derives the digests locally so the caller sees one shape.
-        let (handle, mut connection, terms) = loopback(Mechanism::TraCmht);
-        let mut pairs: Vec<(TermId, u32)> = terms.iter().map(|&t| (t, 1)).collect();
-        pairs.sort_unstable();
-        pairs.dedup_by_key(|p| p.0);
-        let (_, response, digests) = connection.query_terms_digests(&pairs, 5).expect("fallback");
-        assert!(!response.contents.is_empty(), "TRA needs the contents");
-        assert_eq!(digests, response.content_digests());
-        handle.shutdown();
     }
 
     #[test]
@@ -1145,6 +1057,69 @@ mod tests {
             assert_eq!(response.result, want.result, "slot {slot}");
             assert_eq!(response.vo, want.vo, "slot {slot}");
         }
+        drop(connection);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn mode_swapping_server_is_rejected_under_the_posed_mode() {
+        // A lying server answers each term query with the honest
+        // response of the *other* mode for the same pairs. The client
+        // verifies under the mode it posed, so both lies are rejected.
+        use std::net::TcpListener;
+        let (engine, client, terms) = setup(Mechanism::TraMht);
+        let engine = std::sync::Arc::new(engine);
+        let mut pairs: Vec<(TermId, u32)> = terms.iter().map(|&t| (t, 1)).collect();
+        pairs.sort_unstable();
+        pairs.dedup_by_key(|p| p.0);
+        let query = Query::from_term_pairs(engine.auth().index(), &pairs);
+        assert_ne!(
+            engine.search(&query, 5).result,
+            engine.search_conjunctive(&query, 5).result,
+            "the swap must change the result"
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = {
+            let engine = std::sync::Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                loop {
+                    let mut header = [0u8; wire::FRAME_HEADER_LEN];
+                    if stream.read_exact(&mut header).is_err() {
+                        return; // client done
+                    }
+                    let (kind, len) = wire::decode_frame_header(&header).unwrap();
+                    let mut payload = vec![0u8; len];
+                    stream.read_exact(&mut payload).unwrap();
+                    let Request::Terms { terms, r, mode } =
+                        Request::decode_payload(kind, &payload).unwrap()
+                    else {
+                        panic!("term requests only")
+                    };
+                    let query = Query::from_term_pairs(engine.auth().index(), &terms);
+                    let response = match mode {
+                        QueryMode::Disjunctive => engine.search_conjunctive(&query, r as usize),
+                        QueryMode::Conjunctive => engine.search(&query, r as usize),
+                    };
+                    let bytes = wire::encode_ok_reply(&terms, &response).unwrap();
+                    stream.write_all(&bytes).unwrap();
+                }
+            })
+        };
+        let mut connection = Connection::connect(addr, client.params().clone()).unwrap();
+        let conj = connection.query_conjunctive(&pairs, 5);
+        assert!(
+            matches!(conj, Err(ClientNetError::Verify(_))),
+            "{:?}",
+            conj.as_ref().err()
+        );
+        let disj = connection.query_terms(&pairs, 5);
+        assert!(
+            matches!(disj, Err(ClientNetError::Verify(_))),
+            "{:?}",
+            disj.as_ref().err()
+        );
         drop(connection);
         server.join().unwrap();
     }

@@ -23,8 +23,7 @@ use std::time::{Duration, Instant};
 pub struct ServerMetrics {
     /// Connections admitted (shed connections are **not** counted here).
     pub connections: AtomicU64,
-    /// Requests answered with a [`crate::wire::kind::REPLY_OK`] (or
-    /// [`crate::wire::kind::REPLY_OK_DIGEST`]) frame.
+    /// Requests answered with a [`crate::wire::kind::REPLY_OK`] frame.
     pub requests_ok: AtomicU64,
     /// Requests answered with a [`crate::wire::kind::REPLY_ERR`] frame.
     pub requests_err: AtomicU64,
@@ -53,7 +52,7 @@ pub struct ServerMetrics {
 pub struct ServerMetricsSnapshot {
     /// Connections admitted.
     pub connections: u64,
-    /// Requests answered successfully (full-echo or digest-mode).
+    /// Requests answered with a [`crate::wire::kind::REPLY_OK`] frame.
     pub requests_ok: u64,
     /// Requests answered with an error reply.
     pub requests_err: u64,

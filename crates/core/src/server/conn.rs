@@ -825,7 +825,7 @@ mod tests {
         wire::Request::Terms {
             terms: vec![(1, 1), (7, 2)],
             r: 3,
-            want_digests: false,
+            mode: crate::types::QueryMode::Disjunctive,
         }
         .encode_frame()
         .unwrap()

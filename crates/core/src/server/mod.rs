@@ -254,36 +254,7 @@ pub(crate) struct QueryJob {
     pub(crate) pairs: Vec<(TermId, u32)>,
     pub(crate) query: Query,
     pub(crate) r: usize,
-    pub(crate) digest_mode: bool,
     pub(crate) mode: QueryMode,
-}
-
-/// Decode and validate one request into a [`QueryJob`], or the coded
-/// error reply it deserves. The event loop calls this before spending
-/// any engine time.
-pub(crate) fn prepare_job(
-    kind: u8,
-    payload: &[u8],
-    engine: &SearchEngine,
-    max_r: usize,
-) -> Result<QueryJob, (u8, String)> {
-    let request = Request::decode_payload(kind, payload)
-        .map_err(|e| (wire::errcode::MALFORMED, e.to_string()))?;
-    let (pairs, query, r, want_digests, mode) = prepare(engine, request, max_r)?;
-    // Digest mode is honored only for TNRA deployments: TRA
-    // verification hashes the delivered result contents against the
-    // signed document-MHT roots, so stripping them would turn every
-    // honest TRA reply into a rejection. TNRA verification never reads
-    // them, so the verdict is unchanged (the falls-back-to-full-echo
-    // contract the client handles).
-    let digest_mode = want_digests && !engine.auth().config().mechanism.is_tra();
-    Ok(QueryJob {
-        pairs,
-        query,
-        r,
-        digest_mode,
-        mode,
-    })
 }
 
 /// Execute a [`QueryJob`] and encode the reply **payload** into `buf`
@@ -298,11 +269,7 @@ pub(crate) fn execute_job(
         QueryMode::Disjunctive => engine.search(&job.query, job.r),
         QueryMode::Conjunctive => engine.search_conjunctive(&job.query, job.r),
     };
-    if job.digest_mode {
-        wire::encode_ok_digest_reply_payload(&job.pairs, &response, buf)
-    } else {
-        wire::encode_ok_reply_payload(&job.pairs, &response, buf)
-    }
+    wire::encode_ok_reply_payload(&job.pairs, &response, buf)
 }
 
 /// Map an encoding failure to the coded error reply the client sees.
@@ -343,43 +310,28 @@ fn validate_term_pairs(engine: &SearchEngine, terms: &[(TermId, u32)]) -> Result
     Ok(())
 }
 
-/// Turn a decoded request into the `(echo, query, r, want_digests,
-/// mode)` tuple, rejecting anything the engine should not be asked to
-/// do.
-#[allow(clippy::type_complexity)]
-fn prepare(
+/// Decode and validate one request into a [`QueryJob`], or the coded
+/// error reply it deserves. The event loop calls this before spending
+/// any engine time.
+pub(crate) fn prepare_job(
+    kind: u8,
+    payload: &[u8],
     engine: &SearchEngine,
-    request: Request,
     max_r: usize,
-) -> Result<(Vec<(TermId, u32)>, Query, usize, bool, QueryMode), (u8, String)> {
-    let (pairs, query, r, want_digests, mode) = match request {
-        Request::Text {
-            text,
-            r,
-            want_digests,
-        } => {
+) -> Result<QueryJob, (u8, String)> {
+    let request = Request::decode_payload(kind, payload)
+        .map_err(|e| (wire::errcode::MALFORMED, e.to_string()))?;
+    let (pairs, query, r, mode) = match request {
+        Request::Text { text, r } => {
             let query = engine.parse_query(&text).query;
             let pairs: Vec<(TermId, u32)> =
                 query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
-            (pairs, query, r, want_digests, QueryMode::Disjunctive)
+            (pairs, query, r, QueryMode::Disjunctive)
         }
-        Request::Terms {
-            terms,
-            r,
-            want_digests,
-        } => {
+        Request::Terms { terms, r, mode } => {
             validate_term_pairs(engine, &terms)?;
             let query = Query::from_term_pairs(engine.auth().index(), &terms);
-            (terms, query, r, want_digests, QueryMode::Disjunctive)
-        }
-        Request::ConjunctiveTerms {
-            terms,
-            r,
-            want_digests,
-        } => {
-            validate_term_pairs(engine, &terms)?;
-            let query = Query::from_term_pairs(engine.auth().index(), &terms);
-            (terms, query, r, want_digests, QueryMode::Conjunctive)
+            (terms, query, r, mode)
         }
     };
     if query.is_empty() {
@@ -410,7 +362,12 @@ fn prepare(
             format!("r = {r} outside the served range 1..={max_r}"),
         ));
     }
-    Ok((pairs, query, r, want_digests, mode))
+    Ok(QueryJob {
+        pairs,
+        query,
+        r,
+        mode,
+    })
 }
 
 /// Handle to a running server; dropping it shuts the server down.
@@ -591,7 +548,6 @@ mod tests {
             &Request::Text {
                 text: "night keeper keep".into(),
                 r: 3,
-                want_digests: false,
             },
         );
         let client = crate::Client::new(params);
@@ -621,7 +577,7 @@ mod tests {
                 Request::Terms {
                     terms: vec![(m + 5, 1)],
                     r: 3,
-                    want_digests: false,
+                    mode: QueryMode::Disjunctive,
                 },
                 wire::errcode::BAD_QUERY,
             ),
@@ -630,7 +586,7 @@ mod tests {
                 Request::Terms {
                     terms: vec![(1, 1), (1, 1)],
                     r: 3,
-                    want_digests: false,
+                    mode: QueryMode::Disjunctive,
                 },
                 wire::errcode::BAD_QUERY,
             ),
@@ -639,7 +595,7 @@ mod tests {
                 Request::Terms {
                     terms: vec![(3, 1), (1, 1)],
                     r: 3,
-                    want_digests: false,
+                    mode: QueryMode::Disjunctive,
                 },
                 wire::errcode::BAD_QUERY,
             ),
@@ -648,7 +604,7 @@ mod tests {
                 Request::Terms {
                     terms: vec![(1, 0)],
                     r: 3,
-                    want_digests: false,
+                    mode: QueryMode::Disjunctive,
                 },
                 wire::errcode::BAD_QUERY,
             ),
@@ -657,7 +613,7 @@ mod tests {
                 Request::Terms {
                     terms: vec![(1, 1)],
                     r: u32::MAX,
-                    want_digests: false,
+                    mode: QueryMode::Disjunctive,
                 },
                 wire::errcode::BAD_QUERY,
             ),
@@ -665,7 +621,7 @@ mod tests {
                 Request::Terms {
                     terms: vec![(1, 1)],
                     r: 0,
-                    want_digests: false,
+                    mode: QueryMode::Disjunctive,
                 },
                 wire::errcode::BAD_QUERY,
             ),
@@ -674,7 +630,6 @@ mod tests {
                 Request::Text {
                     text: "zzzz qqqq".into(),
                     r: 3,
-                    want_digests: false,
                 },
                 wire::errcode::BAD_QUERY,
             ),
@@ -692,7 +647,6 @@ mod tests {
             &Request::Text {
                 text: "night keeper".into(),
                 r: 2,
-                want_digests: false,
             },
         ) {
             wire::Reply::Ok { .. } => {}
@@ -732,7 +686,6 @@ mod tests {
             let good = Request::Text {
                 text: "night".into(),
                 r: 1,
-                want_digests: false,
             }
             .encode_frame()
             .unwrap();
@@ -761,7 +714,6 @@ mod tests {
                 &Request::Text {
                     text: "night keeper".into(),
                     r: 2,
-                    want_digests: false,
                 },
             ) {
                 wire::Reply::Ok { .. } => {}
@@ -775,7 +727,6 @@ mod tests {
             &Request::Text {
                 text: "night keeper".into(),
                 r: 2,
-                want_digests: false,
             },
         ) {
             wire::Reply::Ok { .. } => {}
@@ -818,7 +769,6 @@ mod tests {
             &Request::Text {
                 text: "night keeper".into(),
                 r: 2,
-                want_digests: false,
             },
         ) {
             wire::Reply::Ok { .. } => {}
@@ -843,7 +793,6 @@ mod tests {
             &Request::Text {
                 text: "night keeper".into(),
                 r: 2,
-                want_digests: false,
             },
         ) {
             wire::Reply::Ok { .. } => {}
@@ -984,7 +933,6 @@ mod tests {
             &Request::Text {
                 text: "night keeper".into(),
                 r: 2,
-                want_digests: false,
             },
         ) {
             wire::Reply::Ok { .. } => {}
@@ -1003,7 +951,6 @@ mod tests {
         let request = Request::Text {
             text: "night keeper keep".into(),
             r: 3,
-            want_digests: false,
         };
         stream.write_all(&request.encode_frame().unwrap()).unwrap();
         // Give the server time to consume the frame, then shut down
@@ -1019,43 +966,6 @@ mod tests {
             }
             other => panic!("drained reply expected, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn digest_mode_negotiated_for_tnra_only() {
-        // TNRA: the flag is honored — OkDigest with empty contents.
-        let (engine, params) = test_engine(Mechanism::TnraCmht);
-        let handle = Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        let request = Request::Text {
-            text: "night keeper keep".into(),
-            r: 3,
-            want_digests: true,
-        };
-        match roundtrip(&mut stream, &request) {
-            wire::Reply::OkDigest {
-                terms,
-                response,
-                digests,
-            } => {
-                assert!(response.contents.is_empty());
-                assert_eq!(digests.len(), response.result.entries.len());
-                let client = crate::Client::new(params);
-                client.verify_terms(&terms, 3, &response).expect("verifies");
-            }
-            other => panic!("expected OkDigest, got {other:?}"),
-        }
-        handle.shutdown();
-        // TRA: verification hashes delivered contents, so the server
-        // falls back to the full echo rather than break every verdict.
-        let (engine, _) = test_engine(Mechanism::TraCmht);
-        let handle = Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        match roundtrip(&mut stream, &request) {
-            wire::Reply::Ok { response, .. } => assert!(!response.contents.is_empty()),
-            other => panic!("TRA must fall back to the full echo, got {other:?}"),
-        }
-        handle.shutdown();
     }
 
     #[test]

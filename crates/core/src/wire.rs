@@ -18,14 +18,12 @@
 //! ```
 //!
 //! Requests carry a query (natural-language text, or explicit
-//! `(term, f_{Q,t})` pairs) plus the result size `r` and a flags byte
-//! ([`Request`]); replies carry either the full [`QueryResponse`] —
+//! `(term, f_{Q,t})` pairs) plus the result size `r` ([`Request`]); the
+//! frame kind alone says whether a term query is disjunctive or
+//! conjunctive. Replies carry either the full [`QueryResponse`] —
 //! ranked result, VO bytes, result-document contents, I/O trace —
 //! prefixed by the `(term, f_{Q,t})` echo the client verifies against,
-//! a **digest-mode** reply ([`Reply::OkDigest`]: same echo, result and
-//! VO, but `(doc, h(content))` pairs in place of the contents echo —
-//! the TNRA streaming mode, where verification never consumes the
-//! contents), or a coded error ([`Reply`]). Every decode path returns a
+//! or a coded error ([`Reply`]). Every decode path returns a
 //! [`WireError`] on malformed input — attacker-controlled bytes can
 //! never panic the server or force an implausible allocation (counts
 //! are bounded before `Vec::with_capacity`, payload length by
@@ -33,11 +31,11 @@
 //! at the header.
 
 use crate::auth::serve::QueryResponse;
-use crate::types::{QueryResult, ResultEntry};
+use crate::types::{QueryMode, QueryResult, ResultEntry};
 use crate::vo::{
     DictVo, DocTableVo, DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject,
 };
-use authsearch_corpus::{DocId, TermId};
+use authsearch_corpus::TermId;
 use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof, DIGEST_LEN};
 use authsearch_index::{ImpactEntry, IoStats};
 
@@ -427,24 +425,18 @@ pub const FRAME_MAGIC: [u8; 4] = *b"ASRV";
 /// seeing any other value rejects the frame as
 /// [`WireError::Malformed`] — it never guesses at a foreign layout.
 ///
-/// **v2** added a flags byte to every request payload (bit 0 =
-/// [`FLAG_DIGEST_VO`], requesting the streaming digest-mode reply) and
-/// the [`kind::REPLY_OK_DIGEST`] frame. **v3** replaced the TRA VO's
-/// per-document signatures with one document-table trailer (TNRA
-/// payloads are byte-identical to v2). **v4** carries one manifest
-/// signature per VO in place of the per-term, dictionary and
-/// document-table signatures, puts a dictionary proof in every VO, and
-/// hashes Merkle leaves and interior nodes in separate domains. Older
-/// frames are rejected by the version check, never misparsed.
-pub const WIRE_VERSION: u8 = 4;
-
-/// Request flag bit: ask for a [`Reply::OkDigest`] — the VO with
-/// per-document content digests instead of the full contents echo.
-/// Honored only for TNRA deployments (whose verification never consumes
-/// the contents); TRA servers fall back to the full [`Reply::Ok`].
-/// Unknown flag bits are rejected at decode, so a client cannot ask for
-/// semantics this build would silently ignore.
-pub const FLAG_DIGEST_VO: u8 = 0x01;
+/// **v2** added a request flags byte, a digest-mode reply and the
+/// conjunctive request kind. **v3** replaced the TRA VO's per-document
+/// signatures with one document-table trailer (TNRA payloads are
+/// byte-identical to v2). **v4** carries one manifest signature per VO
+/// in place of the per-term, dictionary and document-table signatures,
+/// puts a dictionary proof in every VO, and hashes Merkle leaves and
+/// interior nodes in separate domains. **v5** deletes the flags byte,
+/// the digest-mode reply and the conjunctive request's mode byte: both
+/// term-query kinds carry `r u32 | n u16 | pairs`, and the kind is the
+/// query mode. Older frames are rejected by the version check, never
+/// misparsed.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Fixed size of the frame header: magic (4) + version (1) + kind (1) +
 /// payload length (4).
@@ -455,31 +447,20 @@ pub const FRAME_HEADER_LEN: usize = 10;
 /// trust the length prefix enough to buffer the payload.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 26;
 
-/// The query-mode byte of a [`kind::REQ_CONJ_TERMS`] payload. The
-/// conjunctive frame carries the mode explicitly (rather than implying
-/// it from the kind alone) so a future mode can reuse the frame layout;
-/// any value other than this one is rejected at decode as
-/// [`WireError::Malformed`] — a server must never guess which semantics
-/// a client meant.
-pub const MODE_CONJUNCTIVE: u8 = 1;
-
 /// Frame kinds. Requests have the high bit clear, replies set.
 pub mod kind {
     /// Natural-language query request.
     pub const REQ_TEXT: u8 = 0x01;
-    /// Explicit `(term, f_qt)`-pairs query request.
+    /// Disjunctive (OR-semantics) `(term, f_qt)`-pairs query request:
+    /// `r u32 | n u16 | n × (term u32, f_qt u32)`.
     pub const REQ_TERMS: u8 = 0x02;
-    /// Conjunctive (AND-semantics) `(term, f_qt)`-pairs query request
-    /// (**v2**): same pair layout as [`REQ_TERMS`] behind an explicit
-    /// mode byte ([`super::MODE_CONJUNCTIVE`]).
+    /// Conjunctive (AND-semantics) `(term, f_qt)`-pairs query request:
+    /// the same payload as [`REQ_TERMS`]; the kind is the query mode.
     pub const REQ_CONJ_TERMS: u8 = 0x03;
     /// Successful reply: query echo + full `QueryResponse`.
     pub const REPLY_OK: u8 = 0x81;
     /// Error reply: code + message.
     pub const REPLY_ERR: u8 = 0x82;
-    /// Successful digest-mode reply: query echo + result + VO +
-    /// per-document content digests (no contents echo).
-    pub const REPLY_OK_DIGEST: u8 = 0x83;
 }
 
 /// Error codes carried by [`kind::REPLY_ERR`] frames.
@@ -569,8 +550,7 @@ pub fn decode_frame_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, usize
         | kind::REQ_TERMS
         | kind::REQ_CONJ_TERMS
         | kind::REPLY_OK
-        | kind::REPLY_ERR
-        | kind::REPLY_OK_DIGEST => Ok((kind, len)),
+        | kind::REPLY_ERR => Ok((kind, len)),
         _ => Err(WireError::Malformed(format!(
             "unknown frame kind {kind:#04x}"
         ))),
@@ -581,64 +561,28 @@ pub fn decode_frame_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, usize
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Natural-language query; the server parses it against its
-    /// dictionary and echoes the parse back in the reply.
+    /// dictionary and echoes the parse back in the reply. Always
+    /// disjunctive.
     Text {
         /// The query text (parsed server-side; out-of-dictionary words
         /// are dropped per the system model).
         text: String,
         /// Requested result size.
         r: u32,
-        /// Ask for a digest-mode reply ([`FLAG_DIGEST_VO`]); the server
-        /// honors it only for TNRA deployments.
-        want_digests: bool,
     },
     /// Explicit `(term id, f_{Q,t})` pairs, strictly ascending by term —
-    /// the paper's user-posed query shape, verified end to end.
+    /// the paper's user-posed query shape, verified end to end. A
+    /// conjunctive query admits only documents containing **every**
+    /// term, and its VO proves the intersection is exact.
     Terms {
         /// Distinct query terms with their query-side frequencies.
         terms: Vec<(TermId, u32)>,
         /// Requested result size.
         r: u32,
-        /// Ask for a digest-mode reply ([`FLAG_DIGEST_VO`]); the server
-        /// honors it only for TNRA deployments.
-        want_digests: bool,
+        /// Carried by the frame kind: [`kind::REQ_TERMS`] or
+        /// [`kind::REQ_CONJ_TERMS`].
+        mode: QueryMode,
     },
-    /// Conjunctive (AND-semantics) query over explicit `(term, f_{Q,t})`
-    /// pairs: only documents containing **every** term qualify, and the
-    /// server's VO proves the intersection is exact. Same validation
-    /// rules as [`Request::Terms`]; the payload carries an explicit
-    /// [`MODE_CONJUNCTIVE`] byte that decode enforces.
-    ConjunctiveTerms {
-        /// Distinct query terms with their query-side frequencies.
-        terms: Vec<(TermId, u32)>,
-        /// Requested result size.
-        r: u32,
-        /// Ask for a digest-mode reply ([`FLAG_DIGEST_VO`]); the server
-        /// honors it only for TNRA deployments.
-        want_digests: bool,
-    },
-}
-
-/// Encode a request's flags byte.
-fn request_flags(want_digests: bool) -> u8 {
-    if want_digests {
-        FLAG_DIGEST_VO
-    } else {
-        0
-    }
-}
-
-/// Decode a request's flags byte, rejecting bits this build does not
-/// understand (a server cannot honor semantics it does not know, and
-/// silently dropping them would let a lying middlebox downgrade the
-/// request unnoticed).
-fn parse_request_flags(flags: u8) -> Result<bool, WireError> {
-    if flags & !FLAG_DIGEST_VO != 0 {
-        return Err(WireError::Malformed(format!(
-            "unknown request flags {flags:#04x} (this build understands {FLAG_DIGEST_VO:#04x})"
-        )));
-    }
-    Ok(flags & FLAG_DIGEST_VO != 0)
 }
 
 impl Request {
@@ -646,44 +590,22 @@ impl Request {
     pub fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
         let mut w = Writer { buf: Vec::new() };
         let kind = match self {
-            Request::Text {
-                text,
-                r,
-                want_digests,
-            } => {
-                w.u8(request_flags(*want_digests));
+            Request::Text { text, r } => {
                 w.u32(*r);
                 w.bytes16(text.as_bytes(), "query text")?;
                 kind::REQ_TEXT
             }
-            Request::Terms {
-                terms,
-                r,
-                want_digests,
-            } => {
-                w.u8(request_flags(*want_digests));
+            Request::Terms { terms, r, mode } => {
                 w.u32(*r);
                 w.len16(terms.len(), "query terms")?;
                 for &(t, f_qt) in terms {
                     w.u32(t);
                     w.u32(f_qt);
                 }
-                kind::REQ_TERMS
-            }
-            Request::ConjunctiveTerms {
-                terms,
-                r,
-                want_digests,
-            } => {
-                w.u8(request_flags(*want_digests));
-                w.u8(MODE_CONJUNCTIVE);
-                w.u32(*r);
-                w.len16(terms.len(), "query terms")?;
-                for &(t, f_qt) in terms {
-                    w.u32(t);
-                    w.u32(f_qt);
+                match mode {
+                    QueryMode::Disjunctive => kind::REQ_TERMS,
+                    QueryMode::Conjunctive => kind::REQ_CONJ_TERMS,
                 }
-                kind::REQ_CONJ_TERMS
             }
         };
         frame(kind, w.buf)
@@ -697,18 +619,12 @@ impl Request {
         };
         let request = match kind {
             kind::REQ_TEXT => {
-                let want_digests = parse_request_flags(r.u8()?)?;
                 let top_r = r.u32()?;
                 let text =
                     String::from_utf8(r.bytes16()?).map_err(|_| err("query text is not UTF-8"))?;
-                Request::Text {
-                    text,
-                    r: top_r,
-                    want_digests,
-                }
+                Request::Text { text, r: top_r }
             }
-            kind::REQ_TERMS => {
-                let want_digests = parse_request_flags(r.u8()?)?;
+            kind::REQ_TERMS | kind::REQ_CONJ_TERMS => {
                 let top_r = r.u32()?;
                 let n = r.u16()? as usize;
                 let n = r.checked_count(n, 8, "query term")?;
@@ -716,31 +632,15 @@ impl Request {
                 for _ in 0..n {
                     terms.push((r.u32()?, r.u32()?));
                 }
+                let mode = if kind == kind::REQ_TERMS {
+                    QueryMode::Disjunctive
+                } else {
+                    QueryMode::Conjunctive
+                };
                 Request::Terms {
                     terms,
                     r: top_r,
-                    want_digests,
-                }
-            }
-            kind::REQ_CONJ_TERMS => {
-                let want_digests = parse_request_flags(r.u8()?)?;
-                let mode = r.u8()?;
-                if mode != MODE_CONJUNCTIVE {
-                    return Err(WireError::Malformed(format!(
-                        "unknown query mode {mode} (this build understands mode {MODE_CONJUNCTIVE})"
-                    )));
-                }
-                let top_r = r.u32()?;
-                let n = r.u16()? as usize;
-                let n = r.checked_count(n, 8, "conjunctive query term")?;
-                let mut terms = Vec::with_capacity(n);
-                for _ in 0..n {
-                    terms.push((r.u32()?, r.u32()?));
-                }
-                Request::ConjunctiveTerms {
-                    terms,
-                    r: top_r,
-                    want_digests,
+                    mode,
                 }
             }
             _ => return Err(err("not a request frame")),
@@ -763,24 +663,7 @@ pub enum Reply {
         terms: Vec<(TermId, u32)>,
         /// The full response: ranked result, VO, result-document
         /// contents, and the engine's simulated I/O trace.
-        response: QueryResponse,
-    },
-    /// The query was served in digest mode ([`FLAG_DIGEST_VO`]): the
-    /// full result, VO, and I/O trace travel as usual, but the
-    /// result-document contents are replaced by `(doc, h(content))`
-    /// pairs. TNRA verification never consumes the contents — the
-    /// verifier authenticates list prefixes and replays the threshold
-    /// algorithm — so the accept/reject verdict is **identical** to the
-    /// full-echo path (regression-tested against the attack suite); the
-    /// digests let a client fetch the documents out of band and check
-    /// it received what the engine served.
-    OkDigest {
-        /// The `(term, f_{Q,t})` echo, exactly as in [`Reply::Ok`].
-        terms: Vec<(TermId, u32)>,
-        /// The response with `contents` empty (nothing travelled).
-        response: QueryResponse,
-        /// `(doc, h(content))` per result document, in result order.
-        digests: Vec<(DocId, Digest)>,
+        response: Box<QueryResponse>,
     },
     /// The query was not served; the connection stays up.
     Err {
@@ -789,42 +672,6 @@ pub enum Reply {
         /// Human-readable cause.
         message: String,
     },
-}
-
-/// Write the sections shared by both OK reply shapes: the
-/// `(term, f_qt)` echo, the ranked result, and the nested VO.
-fn write_ok_head(
-    w: &mut Writer,
-    terms: &[(TermId, u32)],
-    response: &QueryResponse,
-) -> Result<(), WireError> {
-    w.len16(terms.len(), "reply term echo")?;
-    for &(t, f_qt) in terms {
-        w.u32(t);
-        w.u32(f_qt);
-    }
-    // Ranked result.
-    w.len32(response.result.entries.len(), "result entries")?;
-    for e in &response.result.entries {
-        w.u32(e.doc);
-        w.u64(e.score.to_bits());
-    }
-    // Nested VO (its own magic + encoding).
-    let vo = encode(&response.vo)?;
-    w.len32(vo.len(), "VO bytes")?;
-    w.buf.extend_from_slice(&vo);
-    Ok(())
-}
-
-/// Write the trailing engine-side accounting shared by both OK shapes.
-fn write_ok_tail(w: &mut Writer, response: &QueryResponse) -> Result<(), WireError> {
-    w.u64(response.io.seeks);
-    w.u64(response.io.blocks);
-    w.len16(response.entries_read.len(), "entries-read counts")?;
-    for &n in &response.entries_read {
-        w.len32(n, "entries-read value")?;
-    }
-    Ok(())
 }
 
 /// Serialize a successful reply to a complete frame.
@@ -854,7 +701,22 @@ pub fn encode_ok_reply_payload(
     let mut w = Writer {
         buf: std::mem::take(payload),
     };
-    write_ok_head(&mut w, terms, response)?;
+    // The `(term, f_qt)` echo.
+    w.len16(terms.len(), "reply term echo")?;
+    for &(t, f_qt) in terms {
+        w.u32(t);
+        w.u32(f_qt);
+    }
+    // Ranked result.
+    w.len32(response.result.entries.len(), "result entries")?;
+    for e in &response.result.entries {
+        w.u32(e.doc);
+        w.u64(e.score.to_bits());
+    }
+    // Nested VO (its own magic + encoding).
+    let vo = encode(&response.vo)?;
+    w.len32(vo.len(), "VO bytes")?;
+    w.buf.extend_from_slice(&vo);
     // Result-document contents.
     w.len32(response.contents.len(), "result contents")?;
     for (d, bytes) in &response.contents {
@@ -862,45 +724,15 @@ pub fn encode_ok_reply_payload(
         w.len32(bytes.len(), "document content")?;
         w.buf.extend_from_slice(bytes);
     }
-    write_ok_tail(&mut w, response)?;
+    // Engine-side accounting.
+    w.u64(response.io.seeks);
+    w.u64(response.io.blocks);
+    w.len16(response.entries_read.len(), "entries-read counts")?;
+    for &n in &response.entries_read {
+        w.len32(n, "entries-read value")?;
+    }
     *payload = w.buf;
     Ok(kind::REPLY_OK)
-}
-
-/// Serialize a digest-mode reply ([`Reply::OkDigest`]): identical to
-/// [`encode_ok_reply`] except the contents section is replaced by
-/// `(doc, h(content))` pairs — the TNRA streaming mode that saves the
-/// dominant share of bytes on the wire for content-heavy results.
-pub fn encode_ok_digest_reply(
-    terms: &[(TermId, u32)],
-    response: &QueryResponse,
-) -> Result<Vec<u8>, WireError> {
-    let mut payload = Vec::new();
-    let kind = encode_ok_digest_reply_payload(terms, response, &mut payload)?;
-    frame(kind, payload)
-}
-
-/// Payload-only variant of [`encode_ok_digest_reply`]; see
-/// [`encode_ok_reply_payload`] for the reuse contract.
-pub fn encode_ok_digest_reply_payload(
-    terms: &[(TermId, u32)],
-    response: &QueryResponse,
-    payload: &mut Vec<u8>,
-) -> Result<u8, WireError> {
-    payload.clear();
-    let mut w = Writer {
-        buf: std::mem::take(payload),
-    };
-    write_ok_head(&mut w, terms, response)?;
-    let digests = response.content_digests();
-    w.len32(digests.len(), "content digests")?;
-    for (d, digest) in &digests {
-        w.u32(*d);
-        w.digest(digest);
-    }
-    write_ok_tail(&mut w, response)?;
-    *payload = w.buf;
-    Ok(kind::REPLY_OK_DIGEST)
 }
 
 /// Serialize an error reply to a complete frame.
@@ -944,7 +776,7 @@ pub fn decode_reply_payload(kind: u8, payload: &[u8]) -> Result<Reply, WireError
         pos: 0,
     };
     let reply = match kind {
-        kind::REPLY_OK | kind::REPLY_OK_DIGEST => {
+        kind::REPLY_OK => {
             let nt = r.u16()? as usize;
             let nt = r.checked_count(nt, 8, "reply term")?;
             let mut terms = Vec::with_capacity(nt);
@@ -961,27 +793,13 @@ pub fn decode_reply_payload(kind: u8, payload: &[u8]) -> Result<Reply, WireError
             }
             let vo_len = r.u32()? as usize;
             let vo = decode(r.take(vo_len)?)?;
-            // The one structural difference between the two OK shapes:
-            // delivered contents (full echo) vs `(doc, digest)` pairs.
-            let mut contents = Vec::new();
-            let mut digests = Vec::new();
-            if kind == kind::REPLY_OK {
-                let nc = r.u32()? as usize;
-                let nc = r.checked_count(nc, 8, "result content")?;
-                contents.reserve_exact(nc);
-                for _ in 0..nc {
-                    let doc = r.u32()?;
-                    let len = r.u32()? as usize;
-                    contents.push((doc, r.take(len)?.to_vec()));
-                }
-            } else {
-                let nd = r.u32()? as usize;
-                let nd = r.checked_count(nd, 4 + DIGEST_LEN, "content digest")?;
-                digests.reserve_exact(nd);
-                for _ in 0..nd {
-                    let doc = r.u32()?;
-                    digests.push((doc, r.digest()?));
-                }
+            let nc = r.u32()? as usize;
+            let nc = r.checked_count(nc, 8, "result content")?;
+            let mut contents = Vec::with_capacity(nc);
+            for _ in 0..nc {
+                let doc = r.u32()?;
+                let len = r.u32()? as usize;
+                contents.push((doc, r.take(len)?.to_vec()));
             }
             let io = IoStats {
                 seeks: r.u64()?,
@@ -993,21 +811,15 @@ pub fn decode_reply_payload(kind: u8, payload: &[u8]) -> Result<Reply, WireError
             for _ in 0..nr {
                 entries_read.push(r.u32()? as usize);
             }
-            let response = QueryResponse {
-                result: QueryResult { entries },
-                vo,
-                contents,
-                io,
-                entries_read,
-            };
-            if kind == kind::REPLY_OK {
-                Reply::Ok { terms, response }
-            } else {
-                Reply::OkDigest {
-                    terms,
-                    response,
-                    digests,
-                }
+            Reply::Ok {
+                terms,
+                response: Box::new(QueryResponse {
+                    result: QueryResult { entries },
+                    vo,
+                    contents,
+                    io,
+                    entries_read,
+                }),
             }
         }
         kind::REPLY_ERR => {
@@ -1294,32 +1106,30 @@ mod tests {
             Request::Text {
                 text: "night keeper keep".into(),
                 r: 5,
-                want_digests: false,
             },
             Request::Text {
                 text: String::new(),
                 r: 0,
-                want_digests: true,
             },
             Request::Terms {
                 terms: vec![(1, 1), (7, 2), (15, 1)],
                 r: 10,
-                want_digests: true,
+                mode: QueryMode::Disjunctive,
             },
             Request::Terms {
                 terms: Vec::new(),
                 r: 1,
-                want_digests: false,
+                mode: QueryMode::Disjunctive,
             },
-            Request::ConjunctiveTerms {
+            Request::Terms {
                 terms: vec![(2, 1), (9, 3)],
                 r: 4,
-                want_digests: false,
+                mode: QueryMode::Conjunctive,
             },
-            Request::ConjunctiveTerms {
+            Request::Terms {
                 terms: Vec::new(),
                 r: 1,
-                want_digests: true,
+                mode: QueryMode::Conjunctive,
             },
         ];
         for request in requests {
@@ -1330,58 +1140,21 @@ mod tests {
     }
 
     #[test]
-    fn unknown_request_flag_bits_rejected() {
-        // A request advertising semantics this build does not implement
-        // must be refused, not silently downgraded.
+    fn conjunctive_request_rejects_oversized_term_count() {
+        // A tiny payload claiming 2¹⁶−1 term pairs must be refused
+        // before any allocation sized by the claim.
         let good = Request::Terms {
             terms: vec![(1, 1)],
             r: 3,
-            want_digests: true,
-        }
-        .encode_frame()
-        .unwrap();
-        let (kind, payload) = split_frame(&good).unwrap();
-        let mut bad = payload.to_vec();
-        bad[0] |= 0x80; // an unknown flag bit
-        let err = Request::decode_payload(kind, &bad).unwrap_err();
-        assert!(err.to_string().contains("flags"), "{err}");
-    }
-
-    #[test]
-    fn conjunctive_request_rejects_unknown_mode_byte() {
-        let good = Request::ConjunctiveTerms {
-            terms: vec![(1, 1), (4, 2)],
-            r: 3,
-            want_digests: false,
+            mode: QueryMode::Conjunctive,
         }
         .encode_frame()
         .unwrap();
         let (kind, payload) = split_frame(&good).unwrap();
         assert_eq!(kind, kind::REQ_CONJ_TERMS);
-        assert_eq!(payload[1], MODE_CONJUNCTIVE);
-        for bad_mode in [0u8, 2, 0x7f, 0xff] {
-            let mut bad = payload.to_vec();
-            bad[1] = bad_mode;
-            let err = Request::decode_payload(kind, &bad).unwrap_err();
-            assert!(err.to_string().contains("mode"), "mode {bad_mode}: {err}");
-        }
-    }
-
-    #[test]
-    fn conjunctive_request_rejects_oversized_term_count() {
-        // A tiny payload claiming 2¹⁶−1 term pairs must be refused
-        // before any allocation sized by the claim.
-        let good = Request::ConjunctiveTerms {
-            terms: vec![(1, 1)],
-            r: 3,
-            want_digests: false,
-        }
-        .encode_frame()
-        .unwrap();
-        let (kind, payload) = split_frame(&good).unwrap();
         let mut bad = payload.to_vec();
-        // flags(1) + mode(1) + r(4) then the u16 count at offset 6.
-        bad[6..8].copy_from_slice(&u16::MAX.to_le_bytes());
+        // r(4), then the u16 count at offset 4.
+        bad[4..6].copy_from_slice(&u16::MAX.to_le_bytes());
         let err = Request::decode_payload(kind, &bad).unwrap_err();
         assert!(err.to_string().contains("count"), "{err}");
     }
@@ -1407,58 +1180,6 @@ mod tests {
                 }
                 other => panic!("expected Ok reply, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn ok_digest_reply_round_trips_and_sheds_content_bytes() {
-        for mechanism in Mechanism::ALL {
-            let response = sample_response(mechanism);
-            let terms: Vec<(TermId, u32)> = response.vo.terms.iter().map(|t| (t.term, 1)).collect();
-            let full = encode_ok_reply(&terms, &response).unwrap();
-            let slim = encode_ok_digest_reply(&terms, &response).unwrap();
-            // Digest mode drops each content body and its u32 length
-            // prefix, shipping a 16-byte digest instead.
-            let content_bytes: usize = response.contents.iter().map(|(_, b)| b.len()).sum();
-            assert_eq!(
-                full.len() - content_bytes + 12 * response.contents.len(),
-                slim.len(),
-                "{}",
-                mechanism.name()
-            );
-            let (kind, payload) = split_frame(&slim).unwrap();
-            assert_eq!(kind, kind::REPLY_OK_DIGEST);
-            match decode_reply_payload(kind, payload).unwrap() {
-                Reply::OkDigest {
-                    terms: back_terms,
-                    response: back,
-                    digests,
-                } => {
-                    assert_eq!(back_terms, terms);
-                    assert_eq!(back.vo, response.vo);
-                    assert_eq!(back.result, response.result);
-                    assert_eq!(back.io, response.io);
-                    assert_eq!(back.entries_read, response.entries_read);
-                    assert!(back.contents.is_empty(), "nothing travelled");
-                    assert_eq!(digests, response.content_digests());
-                }
-                other => panic!("expected OkDigest, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn ok_digest_truncations_rejected() {
-        let response = sample_response(Mechanism::TnraCmht);
-        let terms: Vec<(TermId, u32)> = response.vo.terms.iter().map(|t| (t.term, 1)).collect();
-        let bytes = encode_ok_digest_reply(&terms, &response).unwrap();
-        for cut in (0..bytes.len()).step_by(9) {
-            let truncated = &bytes[..cut];
-            let rejected = match split_frame(truncated) {
-                Err(_) => true,
-                Ok((kind, payload)) => decode_reply_payload(kind, payload).is_err(),
-            };
-            assert!(rejected, "cut={cut}");
         }
     }
 
@@ -1550,7 +1271,6 @@ mod tests {
         let good = Request::Text {
             text: "abc".into(),
             r: 3,
-            want_digests: false,
         }
         .encode_frame()
         .unwrap();

@@ -67,7 +67,7 @@ fn main() {
         &snapshot,
         &publication.verifier_params,
         &config,
-        corpus.clone(),
+        corpus,
         "127.0.0.1:0",
         ServerConfig::default(),
     )
@@ -115,36 +115,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 4. Digest mode (TNRA only): the same query streamed without the
-    //    contents echo — identical verification verdict, fewer bytes on
-    //    the wire; the digests let the user fetch documents out of band.
-    // ------------------------------------------------------------------
-    let mut connection =
-        Connection::connect(addr, publication.verifier_params.clone()).expect("connect");
-    let dictionary = |text: &str| {
-        Query::from_text(&corpus, publication.auth.index(), text)
-            .terms
-            .iter()
-            .map(|qt| (qt.term, qt.f_qt))
-            .collect::<Vec<_>>()
-    };
-    let pairs = dictionary("night keeper keep");
-    let (_, full_response) = connection.query_terms(&pairs, 3).expect("full echo");
-    let (verified, slim_response, digests) = connection
-        .query_terms_digests(&pairs, 3)
-        .expect("digest mode");
-    let saved: usize = full_response.contents.iter().map(|(_, b)| b.len()).sum();
-    println!(
-        "digest mode: verdict unchanged ({} results VERIFIED), {} content bytes replaced by {} digests ({}B saved on the wire)",
-        verified.result.entries.len(),
-        saved,
-        digests.len(),
-        saved.saturating_sub(16 * digests.len())
-    );
-    assert!(slim_response.contents.is_empty());
-
-    // ------------------------------------------------------------------
-    // 5. Graceful shutdown; the handle returns the final counters —
+    // 4. Graceful shutdown; the handle returns the final counters —
     //    including the overload ones (shed / timed-out / high-water),
     //    all zero on this polite loopback run.
     // ------------------------------------------------------------------

@@ -437,7 +437,7 @@ fn deliver(path: Path, query: &Query, response: QueryResponse) -> QueryResponse 
             let frame = wire::encode_ok_reply(&pairs, &response).expect("tampered reply encodes");
             let (kind, payload) = wire::split_frame(&frame).expect("frame header");
             match wire::decode_reply_payload(kind, payload).expect("tampered reply decodes") {
-                wire::Reply::Ok { response, .. } => response,
+                wire::Reply::Ok { response, .. } => *response,
                 other => panic!("expected an OK reply, got {other:?}"),
             }
         }

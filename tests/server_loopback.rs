@@ -313,11 +313,11 @@ fn conjunctive_queries_verify_over_loopback() {
     }
 }
 
-/// A conjunctive frame whose mode byte is corrupted in flight gets the
+/// A conjunctive frame whose term count is corrupted in flight gets the
 /// typed MALFORMED error reply — the connection (and the server)
 /// survive to serve the next, honest request.
 #[test]
-fn corrupted_mode_byte_gets_typed_error_not_a_crash() {
+fn corrupted_term_count_gets_typed_error_not_a_crash() {
     use std::io::{Read, Write};
     let fx = fixture(Mechanism::TnraCmht);
     let handle = Server::start(
@@ -328,16 +328,18 @@ fn corrupted_mode_byte_gets_typed_error_not_a_crash() {
     .unwrap();
     let addr = handle.addr();
 
-    // Hand-corrupt a valid conjunctive frame: payload[1] is the mode.
-    let good = wire::Request::ConjunctiveTerms {
+    // Hand-corrupt a valid conjunctive frame: the payload is
+    // `r u32 | n u16 | pairs`, so claim far more pairs than it carries.
+    let good = wire::Request::Terms {
         terms: fx.workloads[0].clone(),
         r: TOP_R as u32,
-        want_digests: false,
+        mode: QueryMode::Conjunctive,
     }
     .encode_frame()
     .unwrap();
     let mut bad = good;
-    bad[wire::FRAME_HEADER_LEN + 1] = 0x7f;
+    let count = wire::FRAME_HEADER_LEN + 4;
+    bad[count..count + 2].copy_from_slice(&u16::MAX.to_le_bytes());
 
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     stream.write_all(&bad).unwrap();
@@ -349,9 +351,9 @@ fn corrupted_mode_byte_gets_typed_error_not_a_crash() {
     match wire::decode_reply_payload(kind, &payload).unwrap() {
         wire::Reply::Err { code, message } => {
             assert_eq!(code, wire::errcode::MALFORMED, "{message}");
-            assert!(message.contains("mode"), "{message}");
+            assert!(message.contains("count"), "{message}");
         }
-        other => panic!("corrupted mode byte answered with {other:?}"),
+        other => panic!("corrupted term count answered with {other:?}"),
     }
     drop(stream);
 

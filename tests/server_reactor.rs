@@ -60,7 +60,7 @@ fn raw_roundtrip(stream: &mut TcpStream, pairs: &[(u32, u32)], r: u32) -> (u8, V
     let frame = wire::Request::Terms {
         terms: pairs.to_vec(),
         r,
-        want_digests: false,
+        mode: QueryMode::Disjunctive,
     }
     .encode_frame()
     .expect("encodable request");

@@ -17,8 +17,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
     #[test]
-    fn text_requests_round_trip(text in ".{0,300}", r in 0u32..100_000, want_digests in any::<bool>()) {
-        let request = Request::Text { text: text.clone(), r, want_digests };
+    fn text_requests_round_trip(text in ".{0,300}", r in 0u32..100_000) {
+        let request = Request::Text { text: text.clone(), r };
         let bytes = request.encode_frame().unwrap();
         let (kind, payload) = split_frame(&bytes).unwrap();
         prop_assert_eq!(Request::decode_payload(kind, payload).unwrap(), request);
@@ -29,20 +29,15 @@ proptest! {
         raw in proptest::collection::vec(any::<u32>(), 0..40),
         freqs in proptest::collection::vec(1u32..16, 0..40),
         r in 1u32..10_000,
-        want_digests in any::<bool>(),
     ) {
-        // Strictly ascending distinct term ids, paired with frequencies.
-        let mut ids = raw;
-        ids.sort_unstable();
-        ids.dedup();
-        let terms: Vec<(u32, u32)> = ids
-            .iter()
-            .zip(freqs.iter().chain(std::iter::repeat(&1)))
-            .map(|(&t, &f)| (t, f))
-            .collect();
-        let request = Request::Terms { terms, r, want_digests };
+        let request = Request::Terms {
+            terms: ascending_terms(raw, &freqs),
+            r,
+            mode: QueryMode::Disjunctive,
+        };
         let bytes = request.encode_frame().unwrap();
         let (kind, payload) = split_frame(&bytes).unwrap();
+        prop_assert_eq!(kind, wire::kind::REQ_TERMS);
         prop_assert_eq!(Request::decode_payload(kind, payload).unwrap(), request);
     }
 
@@ -51,17 +46,13 @@ proptest! {
         raw in proptest::collection::vec(any::<u32>(), 0..40),
         freqs in proptest::collection::vec(1u32..16, 0..40),
         r in 1u32..10_000,
-        want_digests in any::<bool>(),
     ) {
-        let mut ids = raw;
-        ids.sort_unstable();
-        ids.dedup();
-        let terms: Vec<(u32, u32)> = ids
-            .iter()
-            .zip(freqs.iter().chain(std::iter::repeat(&1)))
-            .map(|(&t, &f)| (t, f))
-            .collect();
-        let request = Request::ConjunctiveTerms { terms, r, want_digests };
+        // Same payload as a disjunctive request; only the kind differs.
+        let request = Request::Terms {
+            terms: ascending_terms(raw, &freqs),
+            r,
+            mode: QueryMode::Conjunctive,
+        };
         let bytes = request.encode_frame().unwrap();
         let (kind, payload) = split_frame(&bytes).unwrap();
         prop_assert_eq!(kind, wire::kind::REQ_CONJ_TERMS);
@@ -69,36 +60,31 @@ proptest! {
     }
 
     #[test]
-    fn mutated_conjunctive_requests_never_panic(
-        mode in any::<u8>(),
-        flags in any::<u8>(),
+    fn mutated_term_requests_never_panic(
+        conjunctive in any::<bool>(),
         cut in 0usize..32,
         claimed in any::<u16>(),
     ) {
-        // Build a valid conjunctive payload, then corrupt the mode byte,
-        // the flags, the claimed term count, and truncate — every
-        // outcome must be Ok or a typed WireError, never a panic, and a
-        // wrong mode byte must always be refused.
-        let good = Request::ConjunctiveTerms {
-            terms: vec![(3, 1), (9, 2), (17, 1)],
-            r: 5,
-            want_digests: false,
-        }
-        .encode_frame()
-        .unwrap();
+        // Build a valid term payload of either kind, then corrupt the
+        // claimed term count and truncate. Every outcome must be Ok or
+        // a typed WireError, never a panic, and the payload decodes
+        // exactly when its length matches the count it claims.
+        let mode = if conjunctive { QueryMode::Conjunctive } else { QueryMode::Disjunctive };
+        let terms = vec![(3, 1), (9, 2), (17, 1)];
+        let good = Request::Terms { terms: terms.clone(), r: 5, mode }
+            .encode_frame()
+            .unwrap();
         let (kind, payload) = split_frame(&good).unwrap();
         let mut bad = payload.to_vec();
-        bad[0] = flags;
-        bad[1] = mode;
-        bad[6..8].copy_from_slice(&claimed.to_le_bytes());
+        // `r u32 | n u16 | pairs`: the count sits at offset 4.
+        bad[4..6].copy_from_slice(&claimed.to_le_bytes());
         bad.truncate(bad.len().saturating_sub(cut));
         let outcome = Request::decode_payload(kind, &bad);
-        if mode != wire::MODE_CONJUNCTIVE && flags <= 1 && outcome.is_ok() {
-            panic!("wrong mode byte {mode} decoded successfully");
-        }
-        // An oversized claimed count over a short payload must error.
-        if claimed as usize > 3 && cut == 0 && mode == wire::MODE_CONJUNCTIVE && flags == 0 {
-            prop_assert!(outcome.is_err(), "claimed {claimed} pairs in a 3-pair payload");
+        let fits = bad.len() == 6 + 8 * claimed as usize;
+        prop_assert_eq!(outcome.is_ok(), fits, "claimed {} pairs in {} bytes", claimed, bad.len());
+        if let Ok(decoded) = outcome {
+            let want = Request::Terms { terms: terms[..claimed as usize].to_vec(), r: 5, mode };
+            prop_assert_eq!(decoded, want);
         }
     }
 
@@ -121,7 +107,7 @@ proptest! {
             prop_assert!(len <= MAX_FRAME_PAYLOAD);
             prop_assert!(
                 [wire::kind::REQ_TEXT, wire::kind::REQ_TERMS, wire::kind::REQ_CONJ_TERMS,
-                 wire::kind::REPLY_OK, wire::kind::REPLY_ERR, wire::kind::REPLY_OK_DIGEST]
+                 wire::kind::REPLY_OK, wire::kind::REPLY_ERR]
                     .contains(&kind)
             );
         }
@@ -137,6 +123,17 @@ proptest! {
         let _ = Request::decode_payload(kind, &payload);
         let _ = decode_reply_payload(kind, &payload);
     }
+}
+
+/// Strictly ascending distinct term ids, paired with frequencies
+/// (padding with 1 where `freqs` runs short).
+fn ascending_terms(mut ids: Vec<u32>, freqs: &[u32]) -> Vec<(u32, u32)> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids.iter()
+        .zip(freqs.iter().chain(std::iter::repeat(&1)))
+        .map(|(&t, &f)| (t, f))
+        .collect()
 }
 
 /// A real OK reply carrying a full `QueryResponse`, used as the
@@ -234,13 +231,33 @@ fn oversized_claims_rejected_cheaply() {
     assert!(wire::decode(&vo).is_err());
 }
 
-/// A version bump is rejected by name, so a future v2 client cannot be
-/// silently misparsed by a v1 server.
+/// A foreign version is rejected by name: a future client cannot be
+/// silently misparsed by this server, and neither can the previous
+/// version's conjunctive request. That frame (flags byte, mode byte,
+/// then `r | n | pairs`) reuses kind `0x03` under a different payload
+/// layout, so the header check must refuse it before any payload
+/// decoder sees it.
 #[test]
 fn foreign_version_rejected_by_name() {
-    let seed = sample_ok_frame();
-    let mut bumped = seed;
+    let mut bumped = sample_ok_frame();
     bumped[4] = wire::WIRE_VERSION + 1;
-    let err = split_frame(&bumped).unwrap_err();
-    assert!(err.to_string().contains("version"), "{err}");
+
+    let mut v4_payload = vec![0u8, 1]; // flags byte, mode byte
+    v4_payload.extend_from_slice(&5u32.to_le_bytes()); // r
+    v4_payload.extend_from_slice(&1u16.to_le_bytes()); // one pair
+    v4_payload.extend_from_slice(&3u32.to_le_bytes());
+    v4_payload.extend_from_slice(&1u32.to_le_bytes());
+    let mut previous = wire::encode_frame_header(wire::kind::REQ_CONJ_TERMS, v4_payload.len())
+        .unwrap()
+        .to_vec();
+    previous[4] = wire::WIRE_VERSION - 1;
+    previous.extend_from_slice(&v4_payload);
+
+    for frame in [bumped, previous] {
+        let header: [u8; FRAME_HEADER_LEN] = frame[..FRAME_HEADER_LEN].try_into().unwrap();
+        let err = decode_frame_header(&header).unwrap_err();
+        assert!(err.to_string().contains("version"), "{err}");
+        let err = split_frame(&frame).unwrap_err();
+        assert!(err.to_string().contains("version"), "{err}");
+    }
 }
