@@ -41,7 +41,7 @@ pub fn run(wb: &mut Workbench) {
 fn aggregate(wb: &mut Workbench, config: AuthConfig, queries: &[Vec<TermId>]) -> AggregateMetrics {
     let corpus = wb.corpus.clone();
     let disk = wb.disk;
-    if config == wb.config(config.mechanism) {
+    if config == AuthConfig::new(config.mechanism) {
         let (auth, params) = wb.auth(config.mechanism);
         run_workload(auth, params, &corpus, &disk, queries, RESULT_SIZE)
     } else {
@@ -59,7 +59,7 @@ fn buddy(wb: &mut Workbench, queries: &[Vec<TermId>]) {
         for buddy in [false, true] {
             let config = AuthConfig {
                 buddy,
-                ..wb.config(mechanism)
+                ..AuthConfig::new(mechanism)
             };
             let agg = aggregate(wb, config, queries);
             t.row(vec![
@@ -97,7 +97,7 @@ fn block_capacity(wb: &mut Workbench, queries: &[Vec<TermId>]) {
                 block_bytes,
                 ..BlockLayout::default()
             },
-            ..wb.config(Mechanism::TnraCmht)
+            ..AuthConfig::new(Mechanism::TnraCmht)
         };
         let agg = aggregate(wb, config, queries);
         t.row(vec![

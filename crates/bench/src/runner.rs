@@ -60,31 +60,22 @@ impl Workbench {
     /// the bulk of the cost).
     pub fn auth(&mut self, mechanism: Mechanism) -> (&AuthenticatedIndex, &VerifierParams) {
         if !self.auths.contains_key(&mechanism) {
-            let built = self.build_auth(self.config(mechanism));
+            let built = self.build_auth(AuthConfig::new(mechanism));
             self.auths.insert(mechanism, built);
         }
         let (a, p) = self.auths.get(&mechanism).expect("just inserted");
         (a, p)
     }
 
-    /// The paper's configuration of `mechanism` at this bench's key size:
-    /// the one [`Workbench::auth`] builds.
-    pub fn config(&self, mechanism: Mechanism) -> AuthConfig {
-        AuthConfig {
-            key_bits: self.scale.key_bits,
-            ..AuthConfig::new(mechanism)
-        }
-    }
-
     /// Build an authenticated index for an arbitrary configuration
-    /// (ablations); not memoized.
+    /// (ablations) under this bench's key size; not memoized.
     pub fn build_auth(&self, config: AuthConfig) -> (AuthenticatedIndex, VerifierParams) {
         let t = Instant::now();
         eprintln!(
             "[bench] signing authentication structures for {}…",
             config.mechanism.name()
         );
-        let key = cached_keypair(config.key_bits);
+        let key = cached_keypair(self.scale.key_bits);
         let auth = AuthenticatedIndex::build(self.index.clone(), &key, config, &self.corpus);
         eprintln!(
             "[bench] {} ready in {:.1?}",
@@ -96,7 +87,6 @@ impl Workbench {
             layout: config.layout,
             mechanism: config.mechanism,
             num_docs: self.index.num_docs(),
-            okapi: self.index.params(),
         };
         (auth, params)
     }

@@ -771,10 +771,7 @@ mod tests {
     fn conjunctive_attacks_apply_to_toy_conjunctive_responses() {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         for mechanism in [Mechanism::TraMht, Mechanism::TnraCmht] {
-            let config = AuthConfig {
-                key_bits: TEST_KEY_BITS,
-                ..AuthConfig::new(mechanism)
-            };
+            let config = AuthConfig::new(mechanism);
             let publication =
                 owner.publish_index(crate::toy::toy_index(), config, &crate::toy::toy_contents());
             let honest = publication.auth.query_conjunctive(
@@ -809,10 +806,7 @@ mod tests {
     #[test]
     fn attacks_apply_to_toy_responses() {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(Mechanism::TraMht)
-        };
+        let config = AuthConfig::new(Mechanism::TraMht);
         let publication =
             owner.publish_index(crate::toy::toy_index(), config, &crate::toy::toy_contents());
         let honest =

@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn doc_structures_match_fresh_builds() {
-        use super::super::doc_leaf_digest;
+        use super::super::{doc_leaf_digest, doc_table_leaf};
         use authsearch_corpus::DocId;
         let auth = test_auth(Mechanism::TraCmht);
         for d in 0..auth.index().num_docs() as DocId {
@@ -261,7 +261,9 @@ mod tests {
             assert_eq!(**resident, *interior_levels(&leaves), "doc {d}");
             if !leaves.is_empty() {
                 let fresh = MerkleTree::from_leaf_digests(leaves);
-                assert_eq!(fresh.root(), auth.doc_roots[d as usize], "doc {d}");
+                let content = &auth.doc_content_digests[d as usize];
+                let leaf = doc_table_leaf(d, content, &fresh.root());
+                assert_eq!(auth.doc_table_leaf_digest(d), Some(leaf), "doc {d}");
             }
         }
     }

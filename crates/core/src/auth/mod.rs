@@ -25,10 +25,12 @@
 //! every structure once for its root and keeps what the fold produced:
 //! the dictionary-MHT, every term's (chain-)MHT
 //! (`term_structures`) and, under TRA, every document-MHT's levels
-//! above its leaves (`doc_mhts`). A snapshot boot refolds them the same
-//! way, so every reply proves from structures resident since the build
-//! or boot (the `cache` module). The proofs are the ones a fresh fold of the
-//! leaves gives; only engine CPU time differs from the paper's model.
+//! above its leaves (`doc_mhts`). One crate-private fold (`fold`) makes
+//! all of them and the manifest; the build signs its manifest and a
+//! snapshot boot verifies it, so every reply proves from structures
+//! resident since the build or boot (the `cache` module). The proofs
+//! are the ones a fresh fold of the leaves gives; only engine CPU time
+//! differs from the paper's model.
 //! The simulated disk accounting keeps modeling the paper's on-disk
 //! layout — plain-MHT terms re-read whole lists, chain-MHT terms stop at
 //! the cut-off block — so the I/O figures stay comparable, and
@@ -47,7 +49,6 @@ use crate::types::DocTable;
 use crate::verify::VerifierParams;
 use crate::vo::Mechanism;
 use authsearch_corpus::{DocId, TermId};
-use authsearch_crypto::keys::PAPER_KEY_BITS;
 use authsearch_crypto::merkle::interior_levels;
 use authsearch_crypto::{Digest, MerkleTree, RsaPrivateKey, RsaPublicKey};
 use authsearch_index::{BlockLayout, ImpactEntry, InvertedIndex, InvertedList};
@@ -79,7 +80,10 @@ impl ContentProvider for Vec<Vec<u8>> {
 /// Authentication configuration.
 ///
 /// [`AuthConfig::new`] is the paper's configuration for a mechanism;
-/// individual knobs are overridden with struct-update syntax:
+/// individual knobs are overridden with struct-update syntax. The key is
+/// not a knob: the build takes the owner's key itself
+/// ([`AuthenticatedIndex::build`]), whose size the owner chose when
+/// making it.
 ///
 /// ```
 /// use authsearch_core::{AuthConfig, Mechanism};
@@ -99,8 +103,6 @@ pub struct AuthConfig {
     pub layout: BlockLayout,
     /// Buddy inclusion (paper default: on for CMHT, off for plain MHT).
     pub buddy: bool,
-    /// RSA modulus size (paper: 1024).
-    pub key_bits: usize,
     /// Worker threads for the owner-side build
     /// ([`AuthenticatedIndex::build`]), the snapshot boot, and the
     /// engine's serving pool ([`AuthenticatedIndex::serve_pool`]): `0`
@@ -131,7 +133,6 @@ impl AuthConfig {
             mechanism,
             layout: BlockLayout::default(),
             buddy: mechanism.is_cmht(),
-            key_bits: PAPER_KEY_BITS,
             threads: default_threads(),
         }
     }
@@ -278,7 +279,7 @@ pub(crate) fn doc_mht(doc_terms: &[(TermId, f32)]) -> (Digest, Box<[Digest]>) {
 /// Every document's MHT root and interior levels, folded
 /// [`pool::map`]-parallel over `threads`; the levels are the resident
 /// source of document proofs ([`cache::ServeCache::doc_levels`]).
-pub(crate) fn doc_mhts(threads: usize, doc_table: &DocTable) -> (Vec<Digest>, Vec<Box<[Digest]>>) {
+fn doc_mhts(threads: usize, doc_table: &DocTable) -> (Vec<Digest>, Vec<Box<[Digest]>>) {
     pool::map(threads, doc_table.num_docs(), |d| {
         doc_mht(doc_table.doc_terms(d as DocId))
     })
@@ -290,7 +291,7 @@ pub(crate) fn doc_mhts(threads: usize, doc_table: &DocTable) -> (Vec<Digest>, Ve
 /// structure its fold produced, folded [`pool::map`]-parallel over
 /// `threads`; the structures are the resident source of term proofs
 /// ([`cache::ServeCache::terms`]).
-pub(crate) fn term_structures(
+fn term_structures(
     threads: usize,
     config: &AuthConfig,
     index: &InvertedIndex,
@@ -338,7 +339,7 @@ pub(crate) fn doc_table_leaf(doc: DocId, content_digest: &Digest, root: &Digest)
 
 /// The document-table MHT: leaf `d` is [`doc_table_leaf`] of document
 /// `d`, so a leaf's position *is* its document id.
-pub(crate) fn doc_table_tree(content_digests: &[Digest], roots: &[Digest]) -> MerkleTree {
+fn doc_table_tree(content_digests: &[Digest], roots: &[Digest]) -> MerkleTree {
     let leaves = (0..)
         .zip(content_digests.iter().zip(roots))
         .map(|(d, (cd, root))| doc_table_leaf(d, cd, root))
@@ -361,7 +362,7 @@ pub(crate) fn dict_leaf_digest(term: TermId, ft: u32, root: &Digest) -> Digest {
 
 /// The dictionary-MHT over every term of `index`, leaf `t` binding term
 /// `t`, its `f_t` and `roots[t]`, folded [`pool::map`]-parallel.
-pub(crate) fn dict_tree(threads: usize, index: &InvertedIndex, roots: &[Digest]) -> MerkleTree {
+fn dict_tree(threads: usize, index: &InvertedIndex, roots: &[Digest]) -> MerkleTree {
     let leaves = pool::map(threads, roots.len(), |t| {
         let t = t as TermId;
         dict_leaf_digest(t, index.ft(t), &roots[t as usize])
@@ -397,22 +398,105 @@ pub(crate) fn publication_message(
     ])
 }
 
-/// The [`publication_message`] over an artifact's dictionary-MHT (whose
-/// leaf count is `m`) and, under TRA, its document table; `None` when `m`
-/// or `num_docs` does not fit a `u32`.
-pub(crate) fn manifest(
-    mechanism: Mechanism,
-    dict: &MerkleTree,
-    num_docs: usize,
-    doc_tree: Option<&MerkleTree>,
-) -> Option<[u8; 55]> {
-    Some(publication_message(
-        mechanism,
-        u32::try_from(dict.num_leaves()).ok()?,
-        u32::try_from(num_docs).ok()?,
+// ---- the one fold ---------------------------------------------------------
+
+/// The content digest `h(doc)` of every document `0..n`, hashed
+/// [`pool::map`]-parallel over `threads`: what the TRA build binds into
+/// the document table, and what a boot compares a served corpus against.
+fn content_digests<C: ContentProvider>(threads: usize, n: usize, contents: &C) -> Vec<Digest> {
+    pool::map(threads, n, |d| Digest::hash(&contents.content(d as DocId)))
+}
+
+/// Everything derived from an index and, under TRA, its documents'
+/// content digests: what the build signs and a boot verifies.
+struct Fold {
+    term_roots: Vec<Digest>,
+    content_digests: Vec<Digest>,
+    doc_tree: Option<MerkleTree>,
+    cache: cache::ServeCache,
+    /// TRA only: the table the document-MHTs were folded from. Under
+    /// TNRA only the signature vouches for the `n` it is sized by, so it
+    /// is built once the manifest is signed or verified.
+    doc_table: Option<DocTable>,
+    /// The [`publication_message`] over both roots.
+    manifest: [u8; 55],
+}
+
+/// The one fold shared by [`AuthenticatedIndex::build`] and
+/// [`AuthenticatedIndex::load_snapshot`]: every term structure and the
+/// dictionary-MHT over their roots; under TRA, every document-MHT and
+/// the document table over `content_digests` (one per document; empty
+/// under TNRA); and the manifest over both roots.
+///
+/// Every list of `index` must be non-empty. Fails only when `m` or `n`
+/// does not fit the manifest's `u32`s.
+fn fold(
+    threads: usize,
+    config: &AuthConfig,
+    index: &InvertedIndex,
+    content_digests: Vec<Digest>,
+) -> Result<Fold, &'static str> {
+    // Term structures: one independent task per term (hash the leaf
+    // layer, fold the (chain-)MHT), each kept for serving, then the
+    // dictionary-MHT over their roots.
+    let (term_roots, terms) = term_structures(threads, config, index);
+    let dict = dict_tree(threads, index, &term_roots);
+    // Document structures (TRA mechanisms only): fold the document-MHT
+    // independently per document, keeping its interior levels for
+    // serving, then the document table.
+    let (doc_table, doc_levels, doc_tree) = if config.mechanism.is_tra() {
+        let doc_table = DocTable::from_index(index);
+        let (roots, levels) = doc_mhts(threads, &doc_table);
+        let tree = doc_table_tree(&content_digests, &roots);
+        (Some(doc_table), levels, Some(tree))
+    } else {
+        (None, Vec::new(), None)
+    };
+    let count = |n: usize| u32::try_from(n).map_err(|_| "term or document count exceeds u32");
+    let manifest = publication_message(
+        config.mechanism,
+        count(index.num_terms())?,
+        count(index.num_docs())?,
         &dict.root(),
-        &doc_tree.map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
-    ))
+        &doc_tree
+            .as_ref()
+            .map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
+    );
+    Ok(Fold {
+        term_roots,
+        content_digests,
+        doc_tree,
+        cache: cache::ServeCache::new(dict, terms, doc_levels),
+        doc_table,
+        manifest,
+    })
+}
+
+impl Fold {
+    /// The artifact over this fold, once `signature` over its manifest
+    /// has been made (build) or checked (boot) under `public_key`.
+    fn into_index(
+        self,
+        config: AuthConfig,
+        index: InvertedIndex,
+        signature: Vec<u8>,
+        public_key: RsaPublicKey,
+    ) -> AuthenticatedIndex {
+        AuthenticatedIndex {
+            doc_table: self
+                .doc_table
+                .unwrap_or_else(|| DocTable::from_index(&index)),
+            config,
+            index,
+            term_roots: self.term_roots,
+            doc_content_digests: self.content_digests,
+            doc_tree: self.doc_tree,
+            signature,
+            public_key,
+            cache: self.cache,
+            serve_pool: Arc::new(ThreadPool::new(config.build_threads())),
+        }
+    }
 }
 
 // ---- the owner's artifact -------------------------------------------------
@@ -425,12 +509,10 @@ pub struct AuthenticatedIndex {
     config: AuthConfig,
     index: InvertedIndex,
     doc_table: DocTable,
-    /// Root/head digest of every term's (chain-)MHT.
+    /// Root/head digest of every term's (chain-)MHT ([`Self::term_root`]).
     term_roots: Vec<Digest>,
     /// TRA only: per-document content digests `h(doc)`.
     doc_content_digests: Vec<Digest>,
-    /// TRA only: per-document document-MHT roots.
-    doc_roots: Vec<Digest>,
     /// TRA only: the document-table MHT ([`doc_table_tree`]), resident
     /// so every reply's multi-proof is one `prove` call.
     doc_tree: Option<MerkleTree>,
@@ -475,7 +557,6 @@ impl AuthenticatedIndex {
     /// let key = cached_keypair(TEST_KEY_BITS);
     ///
     /// let sequential = AuthConfig {
-    ///     key_bits: TEST_KEY_BITS,
     ///     threads: 1,
     ///     ..AuthConfig::new(Mechanism::TnraCmht)
     /// };
@@ -500,45 +581,15 @@ impl AuthenticatedIndex {
             );
         }
 
-        let doc_table = DocTable::from_index(&index);
         let threads = config.build_threads();
-
-        // Term structures: one independent task per term (hash the leaf
-        // layer, fold the (chain-)MHT), each kept for serving, then the
-        // dictionary-MHT over their roots.
-        let (term_roots, terms) = term_structures(threads, &config, &index);
-        let dict = dict_tree(threads, &index, &term_roots);
-
-        // Document structures (TRA mechanisms only): hash the content and
-        // fold the document-MHT independently per document — keeping its
-        // interior levels for serving — then fold the document table.
-        let (doc_content_digests, doc_roots, doc_levels, doc_tree) = if config.mechanism.is_tra() {
-            let n = index.num_docs();
-            let digests = pool::map(threads, n, |d| Digest::hash(&contents.content(d as DocId)));
-            let (roots, levels) = doc_mhts(threads, &doc_table);
-            let tree = doc_table_tree(&digests, &roots);
-            (digests, roots, levels, Some(tree))
+        let digests = if config.mechanism.is_tra() {
+            content_digests(threads, index.num_docs(), contents)
         } else {
-            (Vec::new(), Vec::new(), Vec::new(), None)
+            Vec::new()
         };
-
-        let manifest = manifest(config.mechanism, &dict, index.num_docs(), doc_tree.as_ref())
-            .expect("term and document ids are u32");
-        let signature = key.sign(&manifest).expect("manifest signature");
-
-        AuthenticatedIndex {
-            config,
-            index,
-            doc_table,
-            term_roots,
-            doc_content_digests,
-            doc_roots,
-            doc_tree,
-            signature,
-            public_key: key.public_key().clone(),
-            cache: cache::ServeCache::new(dict, terms, doc_levels),
-            serve_pool: Arc::new(ThreadPool::new(threads)),
-        }
+        let fold = fold(threads, &config, &index, digests).expect("term and document ids are u32");
+        let signature = key.sign(&fold.manifest).expect("manifest signature");
+        fold.into_index(config, index, signature, key.public_key().clone())
     }
 
     /// The persistent serving pool, [`AuthConfig::build_threads`] wide,
@@ -583,7 +634,6 @@ impl AuthenticatedIndex {
             layout: self.config.layout,
             mechanism: self.config.mechanism,
             num_docs: self.index.num_docs(),
-            okapi: self.index.params(),
         }
     }
 
@@ -618,24 +668,16 @@ pub(crate) mod tests_support {
     /// Toy-collection authenticated index under `mechanism`.
     pub(crate) fn test_auth(mechanism: Mechanism) -> AuthenticatedIndex {
         let key = cached_keypair(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents())
     }
 
-    /// The manifest `auth` was signed over, rebuilt from its parts.
+    /// The manifest `auth` was signed over, refolded from its index.
     pub(crate) fn manifest_of(auth: &AuthenticatedIndex) -> [u8; 55] {
-        let dict = dict_tree(1, &auth.index, &auth.term_roots);
-        let doc_tree = auth.doc_tree.as_ref();
-        manifest(
-            auth.config.mechanism,
-            &dict,
-            auth.index.num_docs(),
-            doc_tree,
-        )
-        .unwrap()
+        let digests = auth.doc_content_digests.clone();
+        fold(1, &auth.config, &auth.index, digests)
+            .unwrap()
+            .manifest
     }
 }
 
@@ -646,18 +688,10 @@ mod tests {
     use crate::toy::{toy_contents, toy_index};
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
 
-    fn test_config(mechanism: Mechanism) -> AuthConfig {
-        AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        }
-    }
-
     #[test]
     fn config_defaults_follow_paper() {
         let c = AuthConfig::new(Mechanism::TraCmht);
         assert!(c.buddy);
-        assert_eq!(c.key_bits, 1024);
         assert_eq!(c.chain_capacity(), 251);
         let c2 = AuthConfig::new(Mechanism::TnraCmht);
         assert_eq!(c2.chain_capacity(), 125);
@@ -672,7 +706,7 @@ mod tests {
         let auth = AuthenticatedIndex::build(
             toy_index(),
             &key,
-            test_config(Mechanism::TnraMht),
+            AuthConfig::new(Mechanism::TnraMht),
             &toy_contents(),
         );
         let dict = &auth.cache.dict_tree;
@@ -693,7 +727,7 @@ mod tests {
         let auth = AuthenticatedIndex::build(
             toy_index(),
             &key,
-            test_config(Mechanism::TraMht),
+            AuthConfig::new(Mechanism::TraMht),
             &toy_contents(),
         );
         let tree = auth.doc_tree.as_ref().unwrap();
@@ -701,7 +735,6 @@ mod tests {
         // Leaf d is the leaf digest of document d's message.
         let d = 6u32;
         let root = doc_root(auth.doc_table().doc_terms(d));
-        assert_eq!(auth.doc_roots[d as usize], root);
         let msg = doc_message(d, &auth.doc_content_digests[d as usize], &root);
         assert_eq!(tree.leaf_digests()[d as usize], Digest::leaf(&msg));
         // The one signature binds the table root through the manifest.
@@ -718,11 +751,11 @@ mod tests {
         let auth = AuthenticatedIndex::build(
             toy_index(),
             &key,
-            test_config(Mechanism::TnraCmht),
+            AuthConfig::new(Mechanism::TnraCmht),
             &toy_contents(),
         );
         assert!(auth.doc_tree.is_none());
-        assert!(auth.doc_content_digests.is_empty() && auth.doc_roots.is_empty());
+        assert!(auth.doc_content_digests.is_empty());
         // The manifest's table slot holds the fixed constant.
         let manifest = manifest_of(&auth);
         assert_eq!(
@@ -825,7 +858,7 @@ mod tests {
                     block_bytes: 32,
                     ..BlockLayout::default()
                 },
-                ..test_config(mechanism)
+                ..AuthConfig::new(mechanism)
             };
             let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
             let m = auth.index.num_terms() as TermId;
@@ -854,7 +887,7 @@ mod tests {
             let auth = AuthenticatedIndex::build(
                 toy_index(),
                 &key,
-                test_config(mechanism),
+                AuthConfig::new(mechanism),
                 &toy_contents(),
             );
             assert_eq!(auth.signature.len(), key.public_key().signature_len());
@@ -868,13 +901,13 @@ mod tests {
         let a = AuthenticatedIndex::build(
             toy_index(),
             &key,
-            test_config(Mechanism::TraMht),
+            AuthConfig::new(Mechanism::TraMht),
             &toy_contents(),
         );
         let b = AuthenticatedIndex::build(
             toy_index(),
             &key,
-            test_config(Mechanism::TnraMht),
+            AuthConfig::new(Mechanism::TnraMht),
             &toy_contents(),
         );
         // TRA roots cover doc ids only; TNRA roots cover ⟨d, f⟩ — they
@@ -898,7 +931,7 @@ mod tests {
         for mechanism in Mechanism::ALL {
             let sequential = AuthConfig {
                 threads: 1,
-                ..test_config(mechanism)
+                ..AuthConfig::new(mechanism)
             };
             let reference =
                 AuthenticatedIndex::build(toy_index(), &key, sequential, &toy_contents());
@@ -922,7 +955,8 @@ mod tests {
                     "{mechanism:?} threads={threads}"
                 );
                 assert_eq!(
-                    built.doc_roots, reference.doc_roots,
+                    built.doc_tree.as_ref().map(MerkleTree::root),
+                    reference.doc_tree.as_ref().map(MerkleTree::root),
                     "{mechanism:?} threads={threads}"
                 );
                 assert_eq!(
@@ -944,7 +978,7 @@ mod tests {
         for mechanism in Mechanism::ALL {
             let config = AuthConfig {
                 threads: 4,
-                ..test_config(mechanism)
+                ..AuthConfig::new(mechanism)
             };
             let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
             let params = VerifierParams {
@@ -952,7 +986,6 @@ mod tests {
                 layout: config.layout,
                 mechanism,
                 num_docs: auth.index().num_docs(),
-                okapi: auth.index().params(),
             };
             let response = auth.query(&toy_query(), 2, &toy_contents());
             let verified = verify(&params, &toy_query(), 2, &response)
@@ -963,7 +996,7 @@ mod tests {
 
     #[test]
     fn build_threads_resolves_auto() {
-        let auto = test_config(Mechanism::TnraMht);
+        let auto = AuthConfig::new(Mechanism::TnraMht);
         // The default honors the CI env override when present.
         let env_default = std::env::var("AUTHSEARCH_THREADS")
             .ok()
@@ -1016,7 +1049,7 @@ mod tests {
             &key,
             AuthConfig {
                 threads: 2,
-                ..test_config(Mechanism::TnraMht)
+                ..AuthConfig::new(Mechanism::TnraMht)
             },
             &toy_contents(),
         );

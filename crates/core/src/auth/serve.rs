@@ -393,10 +393,7 @@ mod tests {
 
     fn auth(mechanism: Mechanism) -> AuthenticatedIndex {
         let key = cached_keypair(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents())
     }
 

@@ -17,16 +17,19 @@
 //!
 //! | tag    | payload |
 //! |--------|---------|
-//! | `ACFG` | artifact identity: mechanism, buddy, key bits, block layout |
+//! | `ACFG` | artifact identity: mechanism, buddy, block layout |
 //! | `ASIX` | the inverted index (the v1 `ASIX` record, re-framed as a checksummed section) |
-//! | `ASA3` | the authentication artifact: term roots, document content digests and document-MHT roots, the one manifest signature, the owner's public key |
+//! | `ASA4` | the authentication artifact: the documents' content digests (TRA only), the one manifest signature, the owner's public key |
 //!
-//! The authentication section's tag carries its layout version. `ASA3`
-//! holds one signature over the publication manifest, in a scheme whose
-//! Merkle leaves and interior nodes hash in separate domains. It
-//! replaced `ASA2` (one signature per term plus one for the document
-//! table) and `ASAU` (one signature per term and per document). A
-//! snapshot with either old section is [`PersistError::Stale`].
+//! The snapshot stores only what boot cannot recompute: every root,
+//! tree and the manifest itself are refolded from the index and the
+//! content digests by the fold the owner's build runs
+//! (`super::fold`). The authentication section's tag carries its
+//! layout version. `ASA4` replaced `ASA3` (the same signature, plus
+//! every term root and document-MHT root), which replaced `ASA2` (one
+//! signature per term plus one for the document table) and `ASAU` (one
+//! signature per term and per document). A snapshot with any older
+//! section is [`PersistError::Stale`].
 //!
 //! ## Trust model at boot
 //!
@@ -36,22 +39,22 @@
 //! 1. structural parse under the container's length framing, per-section
 //!    digest trailers, and clamped pre-allocations — random corruption
 //!    (every fault the [`authsearch_index::faults`] harness injects)
-//!    dies here as a typed [`PersistError`];
+//!    dies here as a typed [`PersistError`]. The digest trailers are
+//!    unkeyed, so a crafted file passes them; no count it declares sizes
+//!    an allocation before the signature below vouches for it;
 //! 2. identity check of `ACFG` against the caller's expected
 //!    [`AuthConfig`] — a snapshot of a *different* artifact is
 //!    [`PersistError::Stale`], not silently served;
-//! 3. **one signature verification** against the owner's key: the
-//!    dictionary-MHT is folded from the loaded term roots and, for TRA,
-//!    the document table from every document's content digest and root,
-//!    and the manifest over both roots must carry a valid signature
-//!    under the snapshot's embedded key, which
+//! 3. **refold, then one signature**: the owner's fold runs over the
+//!    loaded index and content digests, through [`crate::pool::map`] at
+//!    the configured width, and the manifest it yields must carry a
+//!    valid signature under the snapshot's embedded key, which
 //!    [`boot_authenticated_index`] requires to be the owner's
-//!    ([`VerifierParams::public_key`]). Then every term root and every
-//!    document-MHT root is recomputed from the loaded index, folded through
-//!    [`crate::pool::map`] at the configured width, and must equal the
-//!    signed one. That fold also rebuilds the structures the engine
-//!    proves from, so checking all `m` term roots and `n` document roots
-//!    costs no hashing beyond what serving needs anyway.
+//!    ([`VerifierParams::public_key`]). A forged list, document or
+//!    content digest moves a root the manifest binds, so it fails this
+//!    one check. The fold also builds the structures the engine proves
+//!    from, so the check costs no hashing beyond what serving needs
+//!    anyway.
 //!
 //! A forgery that survives all three (consistent digests *and* a valid
 //! signature over altered data) would require breaking the owner's
@@ -59,33 +62,28 @@
 //! remains: a VO built from tampered structures cannot verify, so no
 //! wrong answer is ever *accepted*, only detected later than boot.
 
-use super::{
-    cache, dict_tree, doc_mhts, doc_table_tree, manifest, term_structures, AuthConfig,
-    AuthenticatedIndex,
-};
-use crate::pool::ThreadPool;
-use crate::types::DocTable;
+use super::{content_digests, fold, AuthConfig, AuthenticatedIndex};
 use crate::verify::VerifierParams;
 use crate::vo::Mechanism;
-use authsearch_corpus::TermId;
+use authsearch_corpus::{Corpus, TermId};
 use authsearch_crypto::{Digest, RsaPublicKey, DIGEST_LEN};
 use authsearch_index::persist::{self, put_u32, put_u64, PersistError, SectionReader, SectionTag};
 use authsearch_index::SnapshotInfo;
 use std::io::Cursor;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Section tags of the authenticated snapshot, in file order.
 pub const TAG_CONFIG: SectionTag = *b"ACFG";
 /// The inverted-index section (the v1 `ASIX` record as a section).
 pub const TAG_INDEX: SectionTag = *b"ASIX";
-/// The authentication-artifact section (layout 3: one manifest
-/// signature, domain-separated Merkle hashing).
-pub const TAG_AUTH: SectionTag = *b"ASA3";
+/// The authentication-artifact section (layout 4: content digests, one
+/// manifest signature and the key; every root is refolded at boot).
+pub const TAG_AUTH: SectionTag = *b"ASA4";
 /// Earlier authentication sections, each stale: layout 1 (`ASAU`, one
-/// signature per term and per document) and layout 2 (`ASA2`, one per
-/// term plus one for the document table).
-const TAG_AUTH_STALE: [SectionTag; 2] = [*b"ASAU", *b"ASA2"];
+/// signature per term and per document), layout 2 (`ASA2`, one per term
+/// plus one for the document table) and layout 3 (`ASA3`, one manifest
+/// signature beside every term and document-MHT root).
+const TAG_AUTH_STALE: [SectionTag; 3] = [*b"ASAU", *b"ASA2", *b"ASA3"];
 
 fn corrupt(why: impl Into<String>) -> PersistError {
     PersistError::Corrupt(why.into())
@@ -98,10 +96,9 @@ fn stale(why: impl Into<String>) -> PersistError {
 // ---- section codecs -------------------------------------------------------
 
 fn encode_config(config: &AuthConfig) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(2 + 4 * 8);
+    let mut buf = Vec::with_capacity(2 + 3 * 8);
     buf.push(config.mechanism.code());
     buf.push(u8::from(config.buddy));
-    let _ = put_u64(&mut buf, config.key_bits as u64);
     let _ = put_u64(&mut buf, config.layout.block_bytes as u64);
     let _ = put_u64(&mut buf, config.layout.addr_bytes as u64);
     let _ = put_u64(&mut buf, config.layout.digest_bytes as u64);
@@ -116,91 +113,68 @@ fn check_config(payload: &[u8], expected: &AuthConfig) -> Result<(), PersistErro
     let mechanism =
         Mechanism::from_code(r.u8()?).ok_or_else(|| corrupt("ACFG: unknown mechanism code"))?;
     let buddy = r.u8()? != 0;
-    let key_bits = r.u64()? as usize;
     let block_bytes = r.u64()? as usize;
     let addr_bytes = r.u64()? as usize;
     let digest_bytes = r.u64()? as usize;
     r.finish()?;
     let same = mechanism == expected.mechanism
         && buddy == expected.buddy
-        && key_bits == expected.key_bits
         && block_bytes == expected.layout.block_bytes
         && addr_bytes == expected.layout.addr_bytes
         && digest_bytes == expected.layout.digest_bytes;
     if !same {
         return Err(stale(format!(
-            "snapshot artifact is {mechanism:?} (buddy={buddy}, key_bits={key_bits}), \
-             expected {:?} (buddy={}, key_bits={})",
-            expected.mechanism, expected.buddy, expected.key_bits
+            "snapshot artifact is {mechanism:?} (buddy={buddy}, block_bytes={block_bytes}), \
+             expected {:?} (buddy={}, block_bytes={})",
+            expected.mechanism, expected.buddy, expected.layout.block_bytes
         )));
     }
     Ok(())
 }
 
 fn encode_auth(auth: &AuthenticatedIndex) -> Result<Vec<u8>, PersistError> {
-    let mut buf = Vec::new();
-    for digests in [&auth.term_roots, &auth.doc_content_digests, &auth.doc_roots] {
-        let _ = put_u64(&mut buf, digests.len() as u64);
-        for d in digests {
-            buf.extend_from_slice(d.as_bytes());
-        }
+    let digests = &auth.doc_content_digests;
+    let mut buf = Vec::with_capacity(8 + digests.len() * DIGEST_LEN);
+    let _ = put_u64(&mut buf, digests.len() as u64);
+    for d in digests {
+        buf.extend_from_slice(d.as_bytes());
     }
     let key = auth.public_key.to_bytes();
     for bytes in [auth.signature.as_slice(), key.as_slice()] {
-        let len = u32::try_from(bytes.len()).map_err(|_| corrupt("ASA3 field exceeds u32"))?;
+        let len = u32::try_from(bytes.len()).map_err(|_| corrupt("ASA4 field exceeds u32"))?;
         let _ = put_u32(&mut buf, len);
         buf.extend_from_slice(bytes);
     }
     Ok(buf)
 }
 
-struct AuthParts {
-    term_roots: Vec<Digest>,
-    doc_content_digests: Vec<Digest>,
-    doc_roots: Vec<Digest>,
-    signature: Vec<u8>,
-    public_key: RsaPublicKey,
-}
-
-/// Read a `u64`-counted run of digests.
-fn get_digests(r: &mut SectionReader<'_>, what: &str) -> Result<Vec<Digest>, PersistError> {
-    let claimed = r.u64()?;
-    let n = r.checked_count(claimed, DIGEST_LEN, what)?;
-    let mut out = Vec::with_capacity(n.min(persist::PREALLOC_CLAMP));
-    for _ in 0..n {
-        out.push(
-            Digest::from_slice(r.bytes(DIGEST_LEN)?)
-                .ok_or_else(|| corrupt(format!("ASA3: malformed {what}")))?,
-        );
-    }
-    Ok(out)
-}
-
 /// Read a `u32`-length-prefixed, non-empty byte field.
 fn get_field<'a>(r: &mut SectionReader<'a>, what: &str) -> Result<&'a [u8], PersistError> {
     let len = r.u32()? as usize;
     if len == 0 || len > r.remaining() {
-        return Err(corrupt(format!("ASA3: {what} length forged")));
+        return Err(corrupt(format!("ASA4: {what} length forged")));
     }
     r.bytes(len)
 }
 
-fn decode_auth(payload: &[u8]) -> Result<AuthParts, PersistError> {
-    let mut r = SectionReader::new(payload, "ASA3");
-    let term_roots = get_digests(&mut r, "term root")?;
-    let doc_content_digests = get_digests(&mut r, "doc content digest")?;
-    let doc_roots = get_digests(&mut r, "doc root")?;
+/// The authentication section: the content digests, the signature and
+/// the public key.
+fn decode_auth(payload: &[u8]) -> Result<(Vec<Digest>, Vec<u8>, RsaPublicKey), PersistError> {
+    let mut r = SectionReader::new(payload, "ASA4");
+    let claimed = r.u64()?;
+    let n = r.checked_count(claimed, DIGEST_LEN, "content digest")?;
+    let mut content_digests = Vec::with_capacity(n.min(persist::PREALLOC_CLAMP));
+    for _ in 0..n {
+        content_digests.push(
+            Digest::from_slice(r.bytes(DIGEST_LEN)?)
+                .ok_or_else(|| corrupt("ASA4: malformed content digest"))?,
+        );
+    }
     let signature = get_field(&mut r, "signature")?.to_vec();
     let public_key = RsaPublicKey::from_bytes(get_field(&mut r, "public-key")?)
-        .ok_or_else(|| corrupt("ASA3: public key fails to parse"))?;
+        .ok_or_else(|| corrupt("ASA4: public key fails to parse"))?;
     r.finish()?;
-    Ok(AuthParts {
-        term_roots,
-        doc_content_digests,
-        doc_roots,
-        signature,
-        public_key,
-    })
+    Ok((content_digests, signature, public_key))
 }
 
 // ---- save / load ----------------------------------------------------------
@@ -227,13 +201,13 @@ impl AuthenticatedIndex {
     /// checking its integrity end to end before it can serve a single
     /// query — see the [module docs](self) for the three verification
     /// layers. `expected` supplies both the identity the snapshot must
-    /// match (mechanism, buddy, key bits, layout) and the thread count
-    /// the reloaded engine should run with.
+    /// match (mechanism, buddy, layout) and the thread count the
+    /// reloaded engine should run with.
     ///
     /// The manifest signature is checked against the public key embedded
     /// in the snapshot only, so a snapshot signed throughout under
-    /// another key of the same size loads. [`boot_authenticated_index`]
-    /// is the entry point anchored to the owner's key.
+    /// another key loads. [`boot_authenticated_index`] is the entry
+    /// point anchored to the owner's key.
     pub fn load_snapshot(
         path: &Path,
         expected: &AuthConfig,
@@ -250,9 +224,10 @@ impl AuthenticatedIndex {
         };
         if TAG_AUTH_STALE.contains(&auth_s.0) {
             return Err(stale(format!(
-                "snapshot holds per-term signatures (section {}); \
-                 this build signs one manifest (ASA3)",
-                String::from_utf8_lossy(&auth_s.0)
+                "snapshot holds the older authentication section {}; \
+                 this build reads {}",
+                String::from_utf8_lossy(&auth_s.0),
+                String::from_utf8_lossy(&TAG_AUTH)
             )));
         }
         for ((tag, _), want) in [config_s, index_s, auth_s]
@@ -270,96 +245,63 @@ impl AuthenticatedIndex {
 
         check_config(&config_s.1, expected)?;
         let index = persist::read_index(&mut Cursor::new(&index_s.1))?;
-        let parts = decode_auth(&auth_s.1)?;
+        let (content_digests, signature, public_key) = decode_auth(&auth_s.1)?;
 
-        // Cross-checks: the sections must describe one coherent artifact.
+        // Cross-checks: the sections must describe one coherent artifact
+        // the fold can run over.
         let m = index.num_terms();
         let n = index.num_docs();
         if m == 0 {
             return Err(corrupt("snapshot indexes no terms"));
         }
-        if parts.term_roots.len() != m {
-            return Err(corrupt(format!(
-                "{} term roots for {m} terms",
-                parts.term_roots.len()
-            )));
-        }
         if let Some(t) = (0..m as TermId).find(|&t| index.list(t).is_empty()) {
             return Err(corrupt(format!("term {t}: empty inverted list")));
         }
+        let digests = content_digests.len();
         if expected.mechanism.is_tra() {
-            if n == 0 || parts.doc_content_digests.len() != n || parts.doc_roots.len() != n {
+            // The digests are stored bytes, so they back the `n` the
+            // document table is sized by.
+            if n == 0 || digests != n {
                 return Err(corrupt(format!(
-                    "{} doc digests / {} doc roots for {n} documents",
-                    parts.doc_content_digests.len(),
-                    parts.doc_roots.len(),
+                    "{digests} content digests for {n} documents"
                 )));
             }
-        } else if !parts.doc_content_digests.is_empty() || !parts.doc_roots.is_empty() {
-            return Err(corrupt("TNRA snapshot carries document structures"));
-        }
-        if parts.public_key.modulus_bits() != expected.key_bits {
-            return Err(stale(format!(
-                "snapshot key is {} bits, expected {}",
-                parts.public_key.modulus_bits(),
-                expected.key_bits
-            )));
+        } else if digests != 0 {
+            return Err(corrupt("TNRA snapshot carries content digests"));
         }
 
-        // Boot-time signature verification: fold the dictionary and the
-        // document table from the loaded roots and check the one
-        // signature over their manifest before serving anything.
-        let threads = expected.build_threads();
-        let doc_table = DocTable::from_index(&index);
-        let dict = dict_tree(threads, &index, &parts.term_roots);
-        let doc_tree = expected
-            .mechanism
-            .is_tra()
-            .then(|| doc_table_tree(&parts.doc_content_digests, &parts.doc_roots));
-        let manifest = manifest(expected.mechanism, &dict, n, doc_tree.as_ref())
-            .ok_or_else(|| corrupt("term or document count exceeds u32"))?;
-        parts
-            .public_key
-            .verify(&manifest, &parts.signature)
+        // The owner's fold over the loaded bytes, then the one check: the
+        // owner's signature over the manifest it yields.
+        let fold =
+            fold(expected.build_threads(), expected, &index, content_digests).map_err(corrupt)?;
+        public_key
+            .verify(&fold.manifest, &signature)
             .map_err(|e| corrupt(format!("manifest signature rejected at boot: {e}")))?;
-        // Refold every term and document: each recomputed root must be
-        // the signed one, which ties every loaded list and document-MHT
-        // to the owner's signature.
-        let (roots, terms) = term_structures(threads, expected, &index);
-        if let Some(t) = roots
-            .iter()
-            .zip(&parts.term_roots)
-            .position(|(a, b)| a != b)
-        {
-            return Err(corrupt(format!(
-                "term {t}: index disagrees with its signed root"
+        Ok(fold.into_index(*expected, index, signature, public_key))
+    }
+
+    /// Refuse, as [`PersistError::Stale`], a collection that is not the
+    /// one this artifact indexes: a different document count or, under
+    /// TRA, a document whose content digest is not the signed one. TNRA
+    /// authenticates no content, so only the count is checked there.
+    pub(crate) fn check_collection(&self, corpus: &Corpus) -> Result<(), PersistError> {
+        let n = self.index.num_docs();
+        if corpus.num_docs() != n {
+            return Err(stale(format!(
+                "the corpus holds {} documents; the snapshot indexes {n}",
+                corpus.num_docs()
             )));
         }
-        let doc_levels = if expected.mechanism.is_tra() {
-            let (roots, levels) = doc_mhts(threads, &doc_table);
-            if let Some(d) = roots.iter().zip(&parts.doc_roots).position(|(a, b)| a != b) {
-                return Err(corrupt(format!(
-                    "doc {d}: index disagrees with its signed root"
+        if self.config.mechanism.is_tra() {
+            let served = content_digests(self.config.build_threads(), n, corpus);
+            let signed = &self.doc_content_digests;
+            if let Some(d) = served.iter().zip(signed).position(|(a, b)| a != b) {
+                return Err(stale(format!(
+                    "corpus document {d} differs from the snapshot's signed content"
                 )));
             }
-            levels
-        } else {
-            Vec::new()
-        };
-
-        Ok(AuthenticatedIndex {
-            config: *expected,
-            index,
-            doc_table,
-            term_roots: parts.term_roots,
-            doc_content_digests: parts.doc_content_digests,
-            doc_roots: parts.doc_roots,
-            doc_tree,
-            signature: parts.signature,
-            public_key: parts.public_key,
-            cache: cache::ServeCache::new(dict, terms, doc_levels),
-            serve_pool: Arc::new(ThreadPool::new(threads)),
-        })
+        }
+        Ok(())
     }
 }
 
@@ -371,7 +313,7 @@ impl AuthenticatedIndex {
 /// This is [`AuthenticatedIndex::load_snapshot`] under `expected`, plus
 /// the trust anchor: the loaded artifact's public parameters
 /// ([`AuthenticatedIndex::verifier_params`]: key, mechanism, layout,
-/// `n`, Okapi) must equal `owner`'s, the parameters clients verify
+/// `n`) must equal `owner`'s, the parameters clients verify
 /// against. A snapshot signed under any other key, or describing a
 /// collection those clients would reject every reply for, is
 /// [`PersistError::Stale`]. Nothing is written, whatever the outcome.
@@ -387,7 +329,6 @@ pub fn boot_authenticated_index(
         ("mechanism", loaded.mechanism == owner.mechanism),
         ("layout", loaded.layout == owner.layout),
         ("num_docs", loaded.num_docs == owner.num_docs),
-        ("okapi", loaded.okapi == owner.okapi),
     ]
     .into_iter()
     .filter_map(|(what, same)| (!same).then_some(what))
@@ -406,8 +347,9 @@ mod tests {
     use super::*;
     use crate::auth::tests_support::test_auth;
     use crate::toy::{toy_contents, toy_query};
+    use authsearch_corpus::DocId;
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
-    use authsearch_index::ImpactEntry;
+    use authsearch_index::{ImpactEntry, InvertedIndex, InvertedList};
     use std::fs;
     use std::path::PathBuf;
 
@@ -469,10 +411,7 @@ mod tests {
         let auth = test_auth(Mechanism::TnraCmht);
         let path = temp_path("stale.snap");
         auth.save_snapshot(&path).unwrap();
-        let other = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(Mechanism::TraMht)
-        };
+        let other = AuthConfig::new(Mechanism::TraMht);
         match AuthenticatedIndex::load_snapshot(&path, &other) {
             Err(PersistError::Stale(why)) => assert!(why.contains("TnraCmht"), "{why}"),
             other => panic!("expected Stale, got {other:?}"),
@@ -487,7 +426,7 @@ mod tests {
         let path = temp_path("tampered.snap");
         auth.save_snapshot(&path).unwrap();
         let mut bytes = fs::read(&path).unwrap();
-        // Flip one bit near the end (inside the ASA3 section payload).
+        // Flip one bit near the end (inside the ASA4 section payload).
         let at = bytes.len() - 40;
         bytes[at] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
@@ -501,13 +440,13 @@ mod tests {
 
     #[test]
     fn boot_verifies_the_document_table_over_every_document() {
-        // A doc root the owner never signed, at any position, moves the
-        // document-table root and fails the one manifest signature at
+        // A content digest the owner never signed, at any position, moves
+        // the document-table root and fails the one manifest signature at
         // boot.
         for d in 0..9 {
             let mut auth = test_auth(Mechanism::TraMht);
-            auth.doc_roots[d] = Digest::hash(b"not the owner's root");
-            let path = temp_path(&format!("doc-root-{d}.snap"));
+            auth.doc_content_digests[d] = Digest::hash(b"not the owner's content");
+            let path = temp_path(&format!("doc-content-{d}.snap"));
             auth.save_snapshot(&path).unwrap();
             match AuthenticatedIndex::load_snapshot(&path, auth.config()) {
                 Err(PersistError::Corrupt(why)) => {
@@ -527,23 +466,30 @@ mod tests {
         use authsearch_index::{build_index, OkapiParams};
         let corpus = SyntheticConfig::tiny(60, 7).generate();
         let key = cached_keypair(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let index = build_index(&corpus, OkapiParams::default());
         AuthenticatedIndex::build(index, &key, config, &corpus)
     }
 
-    /// Save `auth` to `path` with term `t`'s list passed through `edit`
-    /// in the index section, and that section's digest recomputed.
-    fn save_with_edited_list(
+    /// Save `auth` to `path` with `forged` in place of its index section,
+    /// and that section's digest recomputed: the digest trailers are
+    /// unkeyed, so anyone who writes the file can do this.
+    fn save_with_index(auth: &AuthenticatedIndex, path: &Path, forged: &InvertedIndex) {
+        auth.save_snapshot(path).unwrap();
+        let (mut sections, _) = persist::load_snapshot_file(path).unwrap();
+        sections[1].1.clear();
+        persist::write_index(&mut sections[1].1, forged).unwrap();
+        persist::save_snapshot_file(path, &persist::encode_snapshot(&sections).unwrap()).unwrap();
+    }
+
+    /// `auth`'s index with term `t`'s list passed through `edit` and the
+    /// collection size set to `num_docs`.
+    fn forged_index(
         auth: &AuthenticatedIndex,
         t: TermId,
-        path: &Path,
+        num_docs: usize,
         edit: impl Fn(&mut Vec<ImpactEntry>),
-    ) {
-        use authsearch_index::{InvertedIndex, InvertedList};
+    ) -> InvertedIndex {
         let index = auth.index();
         let m = index.num_terms() as TermId;
         let lists: Vec<InvertedList> = (0..m)
@@ -559,18 +505,19 @@ mod tests {
             .iter()
             .map(|l| u32::try_from(l.len()).unwrap())
             .collect();
-        let forged = InvertedIndex::from_parts(
-            index.params(),
-            index.num_docs(),
-            index.avg_doc_len(),
-            ft,
-            lists,
-        );
-        auth.save_snapshot(path).unwrap();
-        let (mut sections, _) = persist::load_snapshot_file(path).unwrap();
-        sections[1].1.clear();
-        persist::write_index(&mut sections[1].1, &forged).unwrap();
-        persist::save_snapshot_file(path, &persist::encode_snapshot(&sections).unwrap()).unwrap();
+        InvertedIndex::from_parts(index.params(), num_docs, index.avg_doc_len(), ft, lists)
+    }
+
+    /// Save `auth` to `path` with term `t`'s list passed through `edit`
+    /// in the index section, and that section's digest recomputed.
+    fn save_with_edited_list(
+        auth: &AuthenticatedIndex,
+        t: TermId,
+        path: &Path,
+        edit: impl Fn(&mut Vec<ImpactEntry>),
+    ) {
+        let n = auth.index().num_docs();
+        save_with_index(auth, path, &forged_index(auth, t, n, edit));
     }
 
     /// Halve the weight of a list's last entry: it is the list's lowest
@@ -603,31 +550,70 @@ mod tests {
 
     #[test]
     fn boot_recomputes_every_document_root() {
-        // Forge the weight of one interior document, and boot must
-        // reject it by name.
+        // Forge the weight of one interior document: under TRA the term
+        // leaves carry no weight, so only the refolded document-MHT moves
+        // a root the manifest binds.
         let auth = synthetic_auth(Mechanism::TraMht);
-        let (t, entry) = interior_term(&auth);
+        let (t, _) = interior_term(&auth);
         let path = temp_path("forged-weight.snap");
         save_with_edited_list(&auth, t, &path, |e| halve_last_weight(e));
         let why = corrupt_reason(&auth, &path);
-        assert!(why.starts_with(&format!("doc {}:", entry.doc)), "{why}");
+        assert!(
+            why.starts_with("manifest signature rejected at boot"),
+            "{why}"
+        );
     }
 
     #[test]
     fn boot_recomputes_every_term_root() {
-        // Forge the list of one interior term: its signed root and f_t
-        // are untouched, so its signature still verifies and only a
-        // refold of the list catches it. TNRA leaves carry the weight.
+        // Forge the list of one interior term, keeping its f_t: TNRA
+        // leaves carry the weight, so the refolded term root, and with it
+        // the dictionary root the manifest binds, moves.
         for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
             let auth = synthetic_auth(mechanism);
             let (t, _) = interior_term(&auth);
             let path = temp_path(&format!("forged-list-{mechanism:?}.snap"));
             save_with_edited_list(&auth, t, &path, |e| halve_last_weight(e));
-            assert_eq!(
-                corrupt_reason(&auth, &path),
-                format!("term {t}: index disagrees with its signed root"),
-                "{mechanism:?}"
+            let why = corrupt_reason(&auth, &path);
+            assert!(
+                why.starts_with("manifest signature rejected at boot"),
+                "{mechanism:?}: {why}"
             );
+        }
+    }
+
+    #[test]
+    fn crafted_index_sections_end_in_typed_errors() {
+        // Each row rewrites the index section and its digest. A posting
+        // past the collection would index the document table out of
+        // bounds, and a TNRA collection size of 2^34 would size it at
+        // hundreds of GB: boot refuses both before allocating anything.
+        let past_the_end = |auth: &AuthenticatedIndex| {
+            let (t, last) = interior_term(auth);
+            let n = auth.index().num_docs();
+            let entry = ImpactEntry {
+                doc: n as DocId,
+                weight: last.weight / 2.0,
+            };
+            let why = format!("term {t}: document {n} outside the collection of {n}");
+            (forged_index(auth, t, n, |e| e.push(entry)), why)
+        };
+        let huge_collection = |auth: &AuthenticatedIndex| {
+            let forged = forged_index(auth, 0, 1 << 34, |_| {});
+            (forged, "term or document count exceeds u32".to_string())
+        };
+        type Row = fn(&AuthenticatedIndex) -> (InvertedIndex, String);
+        let rows: [(&str, Mechanism, Row); 3] = [
+            ("TRA posting past n", Mechanism::TraMht, past_the_end),
+            ("TNRA posting past n", Mechanism::TnraCmht, past_the_end),
+            ("TNRA n = 2^34", Mechanism::TnraMht, huge_collection),
+        ];
+        for (row, mechanism, forge) in rows {
+            let auth = synthetic_auth(mechanism);
+            let (forged, want) = forge(&auth);
+            let path = temp_path("crafted-index.snap");
+            save_with_index(&auth, &path, &forged);
+            assert_eq!(corrupt_reason(&auth, &path), want, "{row}");
         }
     }
 
@@ -654,30 +640,11 @@ mod tests {
     }
 
     #[test]
-    fn boot_rejects_a_term_root_the_manifest_does_not_cover() {
-        // A stored term root replaced by another term's: the dictionary
-        // folded from the loaded roots no longer has the signed root, so
-        // the manifest check fails before any list is refolded.
-        let mut auth = synthetic_auth(Mechanism::TnraMht);
-        let (t, _) = interior_term(&auth);
-        auth.term_roots[t as usize] = auth.term_roots[0];
-        let path = temp_path("foreign-term-root.snap");
-        auth.save_snapshot(&path).unwrap();
-        let why = corrupt_reason(&auth, &path);
-        assert!(
-            why.starts_with("manifest signature rejected at boot"),
-            "{why}"
-        );
-    }
-
-    #[test]
     fn boot_rejects_an_index_without_terms() {
         // A dictionary-MHT over zero terms has no root; boot refuses the
         // index by name instead of folding it.
-        use authsearch_index::InvertedIndex;
         let auth = test_auth(Mechanism::TnraMht);
         let path = temp_path("no-terms.snap");
-        auth.save_snapshot(&path).unwrap();
         let index = auth.index();
         let empty = InvertedIndex::from_parts(
             index.params(),
@@ -686,10 +653,7 @@ mod tests {
             Vec::new(),
             Vec::new(),
         );
-        let (mut sections, _) = persist::load_snapshot_file(&path).unwrap();
-        sections[1].1.clear();
-        persist::write_index(&mut sections[1].1, &empty).unwrap();
-        persist::save_snapshot_file(&path, &persist::encode_snapshot(&sections).unwrap()).unwrap();
+        save_with_index(&auth, &path, &empty);
         assert_eq!(corrupt_reason(&auth, &path), "snapshot indexes no terms");
     }
 
@@ -720,8 +684,9 @@ mod tests {
 
     #[test]
     fn per_document_signature_snapshot_is_stale() {
-        // Both earlier layouts — per-document signatures (ASAU) and
-        // per-term signatures (ASA2) — boot as a typed Stale.
+        // Every earlier layout — per-document signatures (ASAU),
+        // per-term signatures (ASA2) and stored roots (ASA3) — boots as a
+        // typed Stale naming the section and the layout this build reads.
         let auth = test_auth(Mechanism::TraCmht);
         for tag in TAG_AUTH_STALE {
             let name = String::from_utf8_lossy(&tag).into_owned();
@@ -732,7 +697,13 @@ mod tests {
             persist::save_snapshot_file(&path, &persist::encode_snapshot(&sections).unwrap())
                 .unwrap();
             match AuthenticatedIndex::load_snapshot(&path, auth.config()) {
-                Err(PersistError::Stale(why)) => assert!(why.contains(&name), "{why}"),
+                Err(PersistError::Stale(why)) => assert_eq!(
+                    why,
+                    format!(
+                        "snapshot holds the older authentication section {name}; \
+                         this build reads ASA4"
+                    )
+                ),
                 other => panic!("{name}: expected Stale, got {other:?}"),
             }
             fs::remove_file(&path).ok();

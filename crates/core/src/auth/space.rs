@@ -218,10 +218,7 @@ mod tests {
         use authsearch_crypto::merkle::interior_len;
         let key = cached_keypair(TEST_KEY_BITS);
         for mechanism in Mechanism::ALL {
-            let config = AuthConfig {
-                key_bits: TEST_KEY_BITS,
-                ..AuthConfig::new(mechanism)
-            };
+            let config = AuthConfig::new(mechanism);
             let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
             let (index, cap) = (auth.index(), config.chain_capacity());
             let m = index.num_terms();

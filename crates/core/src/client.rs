@@ -8,6 +8,7 @@ use crate::verify::{self, VerifiedResult, VerifierParams, VerifyError};
 use crate::vo::Mechanism;
 use crate::wire::{self, Reply, Request, WireError};
 use authsearch_corpus::{DocId, TermId};
+use authsearch_index::okapi;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
@@ -73,10 +74,7 @@ impl Client {
                     Ok(QueryTerm {
                         term,
                         f_qt,
-                        wq: self
-                            .params
-                            .okapi
-                            .query_weight(self.params.num_docs, tv.ft, f_qt),
+                        wq: okapi::query_weight(self.params.num_docs, tv.ft, f_qt),
                     })
                 })
                 .collect::<Result<_, _>>()?,
@@ -665,10 +663,7 @@ mod tests {
     fn setup(mechanism: Mechanism) -> (SearchEngine, Client, Vec<TermId>) {
         let corpus = SyntheticConfig::tiny(120, 17).generate();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let publication = owner.publish(&corpus, config);
         let terms =
             authsearch_corpus::workload::synthetic(publication.auth.index().num_terms(), 1, 3, 7)
@@ -1172,10 +1167,7 @@ mod tests {
             .add_text("night keeper night keeper")
             .build();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(Mechanism::TraMht)
-        };
+        let config = AuthConfig::new(Mechanism::TraMht);
         let publication = owner.publish(&corpus, config);
         let engine = SearchEngine::new(publication.auth, corpus);
         let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper");
@@ -1223,10 +1215,7 @@ mod tests {
             .build();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
-            let config = AuthConfig {
-                key_bits: TEST_KEY_BITS,
-                ..AuthConfig::new(mechanism)
-            };
+            let config = AuthConfig::new(mechanism);
             let publication = owner.publish(&corpus, config);
             let engine = SearchEngine::new(publication.auth, corpus.clone());
             let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper");
@@ -1255,10 +1244,7 @@ mod tests {
         let query = Query::from_term_ids(engine.auth().index(), &terms);
         let response = engine.search(&query, 5);
         for (qt, tv) in query.terms.iter().zip(&response.vo.terms) {
-            let wq = client
-                .params()
-                .okapi
-                .query_weight(client.params().num_docs, tv.ft, qt.f_qt);
+            let wq = okapi::query_weight(client.params().num_docs, tv.ft, qt.f_qt);
             assert_eq!(wq, qt.wq);
         }
     }

@@ -167,10 +167,7 @@ mod tests {
             .add_text("the night keeper keeps the keep in the night")
             .build();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let publication = owner.publish(&corpus, config);
         (
             SearchEngine::new(publication.auth, corpus),

@@ -44,9 +44,8 @@
 //!     .add_text("the night keeper keeps the keep in the town")
 //!     .add_text("in the big old house in the big old gown")
 //!     .build();
-//! let mut config = AuthConfig::new(Mechanism::TnraCmht);
-//! config.key_bits = 512; // paper uses 1024; tests favour speed
-//! let owner = DataOwner::with_cached_key(config.key_bits);
+//! let config = AuthConfig::new(Mechanism::TnraCmht);
+//! let owner = DataOwner::with_cached_key(512); // paper uses 1024; tests favour speed
 //! let publication = owner.publish(&corpus, config);
 //!
 //! // …hands index + collection to the (untrusted) search engine…

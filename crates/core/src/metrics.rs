@@ -238,10 +238,7 @@ mod tests {
     #[test]
     fn measure_toy_query() {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(Mechanism::TnraCmht)
-        };
+        let config = AuthConfig::new(Mechanism::TnraCmht);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
         let m = measure(
             &publication.auth,

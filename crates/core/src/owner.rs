@@ -26,7 +26,6 @@ use rand::Rng;
 /// The data owner: holds the signing key.
 pub struct DataOwner {
     key: RsaPrivateKey,
-    okapi: OkapiParams,
 }
 
 /// Everything a publication produces: the engine-side artifact and the
@@ -43,7 +42,6 @@ impl DataOwner {
     pub fn generate<R: Rng>(key_bits: usize, rng: &mut R) -> DataOwner {
         DataOwner {
             key: RsaPrivateKey::generate(key_bits, rng),
-            okapi: OkapiParams::default(),
         }
     }
 
@@ -52,14 +50,7 @@ impl DataOwner {
     pub fn with_cached_key(key_bits: usize) -> DataOwner {
         DataOwner {
             key: cached_keypair(key_bits),
-            okapi: OkapiParams::default(),
         }
-    }
-
-    /// Override the Okapi parameters used at indexing time.
-    pub fn okapi(mut self, okapi: OkapiParams) -> DataOwner {
-        self.okapi = okapi;
-        self
     }
 
     /// The signing key (exposed for advanced flows; handle with care).
@@ -67,9 +58,10 @@ impl DataOwner {
         &self.key
     }
 
-    /// Index a corpus and build + sign the authentication structures.
+    /// Index a corpus under the paper's Okapi parameters and build +
+    /// sign the authentication structures.
     pub fn publish(&self, corpus: &Corpus, config: AuthConfig) -> Publication {
-        let index = build_index(corpus, self.okapi);
+        let index = build_index(corpus, OkapiParams::default());
         self.publish_index(index, config, corpus)
     }
 
@@ -100,10 +92,7 @@ mod tests {
     fn publish_produces_consistent_parameters() {
         let corpus = SyntheticConfig::tiny(60, 3).generate();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(Mechanism::TnraCmht)
-        };
+        let config = AuthConfig::new(Mechanism::TnraCmht);
         let publication = owner.publish(&corpus, config);
         assert_eq!(publication.verifier_params.num_docs, 60);
         assert_eq!(publication.verifier_params.mechanism, Mechanism::TnraCmht);
@@ -120,7 +109,6 @@ mod tests {
         let corpus = SyntheticConfig::tiny(40, 3).generate();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let base = AuthConfig {
-            key_bits: TEST_KEY_BITS,
             threads: 1,
             ..AuthConfig::new(Mechanism::TraCmht)
         };

@@ -416,8 +416,11 @@ impl Server {
     ///
     /// A snapshot that is missing, corrupt, stale or signed under any
     /// key but the owner's is refused with its typed [`PersistError`]
-    /// before anything binds; the engine never builds, signs or writes
-    /// an artifact. A failed bind is [`PersistError::Io`].
+    /// before anything binds, and so is a `corpus` that is not the one
+    /// the snapshot indexes ([`PersistError::Stale`]: another document
+    /// count or, under TRA, a document whose content digest is not the
+    /// signed one). The engine never builds, signs or writes an
+    /// artifact. A failed bind is [`PersistError::Io`].
     pub fn start_booted<A: ToSocketAddrs>(
         snapshot: &Path,
         owner: &VerifierParams,
@@ -427,6 +430,7 @@ impl Server {
         config: ServerConfig,
     ) -> Result<ServerHandle, PersistError> {
         let auth = boot_authenticated_index(snapshot, expected, owner)?;
+        auth.check_collection(&corpus)?;
         let engine = Arc::new(SearchEngine::new(auth, corpus));
         Ok(Server::start(engine, addr, config)?)
     }
@@ -501,10 +505,7 @@ mod tests {
     use std::net::TcpStream;
 
     fn test_engine(mechanism: Mechanism) -> (Arc<SearchEngine>, crate::verify::VerifierParams) {
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let corpus = CorpusBuilder::new()
             .min_df(1)
             .add_text("the night keeper keeps the keep in the town")

@@ -273,10 +273,7 @@ mod tests {
 
     fn setup() -> (QueryResponse, VerifierParams) {
         let key = cached_keypair(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(Mechanism::TraMht)
-        };
+        let config = AuthConfig::new(Mechanism::TraMht);
         let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
         let resp = auth.query(&toy_query(), 2, &toy_contents());
         let params = VerifierParams {
@@ -284,7 +281,6 @@ mod tests {
             layout: BlockLayout::default(),
             mechanism: Mechanism::TraMht,
             num_docs: 9,
-            okapi: authsearch_index::OkapiParams::default(),
         };
         (resp, params)
     }
@@ -346,10 +342,7 @@ mod tests {
     /// frequent terms of a 400-document collection.
     fn wide_reply() -> (Publication, Query, QueryResponse) {
         let corpus = SyntheticConfig::tiny(400, 7).generate();
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(Mechanism::TraMht)
-        };
+        let config = AuthConfig::new(Mechanism::TraMht);
         let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
         let index = publication.auth.index();
         let mut terms: Vec<TermId> = (0..index.num_terms() as TermId).collect();

@@ -180,8 +180,6 @@ pub struct VerifierParams {
     pub mechanism: Mechanism,
     /// Collection size `n` (public metadata; feeds `w_{Q,t}`).
     pub num_docs: usize,
-    /// Okapi parameters the index was built with.
-    pub okapi: authsearch_index::OkapiParams,
 }
 
 impl VerifierParams {
@@ -676,17 +674,13 @@ mod tests {
 
     fn setup(mechanism: Mechanism) -> (AuthenticatedIndex, VerifierParams) {
         let key = cached_keypair(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
         let params = VerifierParams {
             public_key: key.public_key().clone(),
             layout: config.layout,
             mechanism,
             num_docs: 9,
-            okapi: authsearch_index::OkapiParams::default(),
         };
         (auth, params)
     }
@@ -721,10 +715,7 @@ mod tests {
         // replay refuses the query instead of panicking.
         let corpus = authsearch_corpus::SyntheticConfig::tiny(150, 23).generate();
         let owner = crate::owner::DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(Mechanism::TnraCmht)
-        };
+        let config = AuthConfig::new(Mechanism::TnraCmht);
         let publication = owner.publish(&corpus, config);
         let auth = &publication.auth;
         let terms: Vec<TermId> = (0..=tnra::MAX_QUERY_TERMS as TermId).collect();

@@ -872,10 +872,7 @@ mod tests {
 
     fn sample_vo(mechanism: Mechanism) -> VerificationObject {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
         publication.auth.query(&toy_query(), 2, &toy_contents()).vo
     }
@@ -1092,10 +1089,7 @@ mod tests {
 
     fn sample_response(mechanism: Mechanism) -> QueryResponse {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
         publication.auth.query(&toy_query(), 2, &toy_contents())
     }
@@ -1290,10 +1284,7 @@ mod tests {
     fn decoded_vo_still_verifies() {
         // Serialization must not lose anything the verifier needs.
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(Mechanism::TraCmht)
-        };
+        let config = AuthConfig::new(Mechanism::TraCmht);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
         let mut resp = publication.auth.query(&toy_query(), 2, &toy_contents());
         resp.vo = decode(&encode(&resp.vo).unwrap()).unwrap();

@@ -1,7 +1,7 @@
 //! The frequency-ordered inverted index: dictionary + inverted lists
 //! (paper §2.1, Figure 1).
 
-use crate::okapi::OkapiParams;
+use crate::okapi::{self, OkapiParams};
 use crate::postings::{ImpactEntry, InvertedList};
 use authsearch_corpus::TermId;
 
@@ -71,7 +71,7 @@ impl InvertedIndex {
     /// Query-side weight `w_{Q,t}` for a term occurring `f_qt` times in
     /// the query.
     pub fn query_weight(&self, t: TermId, f_qt: u32) -> f64 {
-        self.params.query_weight(self.num_docs, self.ft(t), f_qt)
+        okapi::query_weight(self.num_docs, self.ft(t), f_qt)
     }
 
     /// All document frequencies (for workload generators and Figure 4).

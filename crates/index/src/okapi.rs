@@ -10,7 +10,8 @@
 //! with the recommended k1 = 1.2 and b = 0.75. `w_{d,t}` is precomputed at
 //! index build time and stored as the 4-byte frequency of each impact entry
 //! (the paper's inverted lists store exactly these); `w_{Q,t}` is computed
-//! per query from the dictionary's `f_t`.
+//! per query from the dictionary's `f_t` ([`query_weight`]), and reads
+//! neither parameter.
 
 /// Okapi parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,22 +40,23 @@ impl OkapiParams {
         let f = f_dt as f64;
         (((self.k1 + 1.0) * f) / (kd + f)) as f32
     }
+}
 
-    /// Query-side weight `w_{Q,t}`.
-    ///
-    /// Note the IDF component goes *negative* for terms appearing in more
-    /// than half the collection; such terms would subtract from scores and
-    /// break the threshold algorithms' monotonicity assumption, so — as
-    /// standard in impact-ordered indexes — it is floored at a small
-    /// positive epsilon. (In the WSJ-scale corpus, post-stopword terms
-    /// essentially never cross n/2.)
-    pub fn query_weight(&self, n: usize, f_t: u32, f_qt: u32) -> f64 {
-        if f_qt == 0 || f_t == 0 {
-            return 0.0;
-        }
-        let idf = (((n as f64) - f_t as f64 + 0.5) / (f_t as f64 + 0.5)).ln();
-        idf.max(1e-6) * f_qt as f64
+/// Query-side weight `w_{Q,t}` of a term with `f_t` postings, in a
+/// collection of `n` documents, occurring `f_qt` times in the query.
+///
+/// Note the IDF component goes *negative* for terms appearing in more
+/// than half the collection; such terms would subtract from scores and
+/// break the threshold algorithms' monotonicity assumption, so — as
+/// standard in impact-ordered indexes — it is floored at a small
+/// positive epsilon. (In the WSJ-scale corpus, post-stopword terms
+/// essentially never cross n/2.)
+pub fn query_weight(n: usize, f_t: u32, f_qt: u32) -> f64 {
+    if f_qt == 0 || f_t == 0 {
+        return 0.0;
     }
+    let idf = (((n as f64) - f_t as f64 + 0.5) / (f_t as f64 + 0.5)).ln();
+    idf.max(1e-6) * f_qt as f64
 }
 
 #[cfg(test)]
@@ -92,38 +94,34 @@ mod tests {
     fn zero_frequency_is_zero_weight() {
         let p = OkapiParams::default();
         assert_eq!(p.doc_weight(0, 100, 100.0), 0.0);
-        assert_eq!(p.query_weight(1000, 0, 1), 0.0);
+        assert_eq!(query_weight(1000, 0, 1), 0.0);
     }
 
     #[test]
     fn rare_terms_get_higher_query_weight() {
         // Heuristic (a): terms appearing in many documents weigh less.
-        let p = OkapiParams::default();
-        let rare = p.query_weight(100_000, 3, 1);
-        let common = p.query_weight(100_000, 40_000, 1);
+        let rare = query_weight(100_000, 3, 1);
+        let common = query_weight(100_000, 40_000, 1);
         assert!(rare > common);
     }
 
     #[test]
     fn query_weight_scales_with_query_frequency() {
-        let p = OkapiParams::default();
-        let w1 = p.query_weight(10_000, 10, 1);
-        let w3 = p.query_weight(10_000, 10, 3);
+        let w1 = query_weight(10_000, 10, 1);
+        let w3 = query_weight(10_000, 10, 3);
         assert!((w3 - 3.0 * w1).abs() < 1e-9);
     }
 
     #[test]
     fn over_half_collection_floors_at_epsilon() {
-        let p = OkapiParams::default();
-        let w = p.query_weight(100, 90, 1);
+        let w = query_weight(100, 90, 1);
         assert!(w > 0.0 && w <= 1e-6);
     }
 
     #[test]
     fn known_value_spot_check() {
         // n=1000, ft=9: ln(991.5/9.5) = ln(104.368...) ≈ 4.64798
-        let p = OkapiParams::default();
-        let w = p.query_weight(1000, 9, 1);
+        let w = query_weight(1000, 9, 1);
         assert!((w - (991.5f64 / 9.5).ln()).abs() < 1e-12);
     }
 }

@@ -184,7 +184,7 @@ pub fn read_index<R: Read>(r: &mut R) -> Result<InvertedIndex, PersistError> {
     let mut ft = Vec::with_capacity(capped(m));
     let mut lists = Vec::with_capacity(capped(m));
     let mut entry_buf = [0u8; 8];
-    for _ in 0..m {
+    for t in 0..m {
         let len32 = get_u32(r)?;
         let len = len32 as usize;
         if len > num_docs {
@@ -193,7 +193,14 @@ pub fn read_index<R: Read>(r: &mut R) -> Result<InvertedIndex, PersistError> {
         let mut entries = Vec::with_capacity(capped(len));
         for _ in 0..len {
             r.read_exact(&mut entry_buf)?;
-            entries.push(ImpactEntry::decode(&entry_buf));
+            let entry = ImpactEntry::decode(&entry_buf);
+            if entry.doc as usize >= num_docs {
+                return Err(corrupt(format!(
+                    "term {t}: document {} outside the collection of {num_docs}",
+                    entry.doc
+                )));
+            }
+            entries.push(entry);
         }
         // Untrusted input: validate the canonical ordering invariant
         // before wrapping (from_sorted only debug-asserts it).

@@ -23,10 +23,7 @@ fn main() {
     let mut mounted = 0usize;
 
     for mechanism in Mechanism::ALL {
-        let config = AuthConfig {
-            key_bits: 512,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let publication = owner.publish(&corpus, config);
         let terms =
             authsearch_corpus::workload::synthetic(publication.auth.index().num_terms(), 1, 3, 7)

@@ -12,6 +12,7 @@
 use authsearch_core::attacks::Attack;
 use authsearch_core::{AuthConfig, Client, DataOwner, Mechanism, SearchEngine};
 use authsearch_corpus::CorpusBuilder;
+use authsearch_crypto::keys::PAPER_KEY_BITS;
 
 const PATENTS: [&str; 10] = [
     "wireless charging coil alignment for electric vehicles using magnetic resonance",
@@ -31,7 +32,7 @@ fn main() {
     // each patent's full text, so examiners detect content tampering too.
     let corpus = CorpusBuilder::new().min_df(1).add_texts(PATENTS).build();
     let config = AuthConfig::new(Mechanism::TraCmht);
-    let owner = DataOwner::with_cached_key(config.key_bits);
+    let owner = DataOwner::with_cached_key(PAPER_KEY_BITS);
     let publication = owner.publish(&corpus, config);
     let engine = SearchEngine::new(publication.auth, corpus);
     let client = Client::new(publication.verifier_params);

@@ -6,6 +6,7 @@
 
 use authsearch_core::{AuthConfig, Client, DataOwner, Mechanism, SearchEngine};
 use authsearch_corpus::CorpusBuilder;
+use authsearch_crypto::keys::PAPER_KEY_BITS;
 
 fn main() {
     // ------------------------------------------------------------------
@@ -32,7 +33,7 @@ fn main() {
     );
 
     let config = AuthConfig::new(Mechanism::TnraCmht); // the paper's winner
-    let owner = DataOwner::with_cached_key(config.key_bits);
+    let owner = DataOwner::with_cached_key(PAPER_KEY_BITS);
     let publication = owner.publish(&corpus, config);
     println!(
         "owner: signed {} inverted lists ({}-bit RSA), mechanism {}",

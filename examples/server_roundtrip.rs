@@ -14,6 +14,7 @@
 //! accept **nothing** until the verification object checks out against
 //! the owner's broadcast public parameters.
 
+use authsearch::crypto::keys::PAPER_KEY_BITS;
 use authsearch::index::persist::manifest_path;
 use authsearch::prelude::*;
 
@@ -37,7 +38,7 @@ fn main() {
         .add_text("sails and thread and silk fill the market")
         .build();
     let config = AuthConfig::new(Mechanism::TnraCmht); // the paper's winner
-    let owner = DataOwner::with_cached_key(config.key_bits);
+    let owner = DataOwner::with_cached_key(PAPER_KEY_BITS);
     let publication = owner.publish(&corpus, config);
     println!(
         "owner: published {} signed lists over {} documents ({}-bit RSA)",

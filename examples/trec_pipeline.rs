@@ -26,10 +26,7 @@ fn main() {
     let publications: Vec<(Mechanism, _, VerifierParams)> = Mechanism::ALL
         .into_iter()
         .map(|mechanism| {
-            let config = AuthConfig {
-                key_bits: 512,
-                ..AuthConfig::new(mechanism)
-            };
+            let config = AuthConfig::new(mechanism);
             let p = owner.publish(&corpus, config);
             (mechanism, p.auth, p.verifier_params)
         })

@@ -20,10 +20,7 @@ use authsearch_crypto::keys::TEST_KEY_BITS;
 fn publish(mechanism: Mechanism) -> (Publication, authsearch_corpus::Corpus) {
     let corpus = SyntheticConfig::tiny(200, 99).generate();
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-    let config = AuthConfig {
-        key_bits: TEST_KEY_BITS,
-        ..AuthConfig::new(mechanism)
-    };
+    let config = AuthConfig::new(mechanism);
     let publication = owner.publish(&corpus, config);
     (publication, corpus)
 }
@@ -118,10 +115,7 @@ fn attacks_rejected_on_the_paper_example() {
     // example's result is caught.
     for mechanism in Mechanism::ALL {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
         let honest = publication.auth.query(&toy_query(), 2, &toy_contents());
         verify::verify(&publication.verifier_params, &toy_query(), 2, &honest).unwrap();
@@ -161,10 +155,7 @@ fn conjunctive_fixture(mechanism: Mechanism) -> (Publication, authsearch_corpus:
         .add_text("the town crier cried about the big old night")
         .build();
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-    let config = AuthConfig {
-        key_bits: TEST_KEY_BITS,
-        ..AuthConfig::new(mechanism)
-    };
+    let config = AuthConfig::new(mechanism);
     let publication = owner.publish(&corpus, config);
     let query = Query::from_text(&corpus, publication.auth.index(), "night keeper");
     assert_eq!(query.len(), 2);
@@ -295,10 +286,7 @@ fn incomplete_conjunct_with_valid_proofs_rejected() {
 fn conjunctive_mode_confusion_rejected() {
     for mechanism in Mechanism::ALL {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
         let conj = publication
             .auth
@@ -779,7 +767,6 @@ fn interior_node_as_leaf_rejected_in_every_tree() {
         let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(
             &corpus,
             AuthConfig {
-                key_bits: TEST_KEY_BITS,
                 buddy: false,
                 ..AuthConfig::new(mechanism)
             },

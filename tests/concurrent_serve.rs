@@ -22,7 +22,6 @@ fn fixture(mechanism: Mechanism) -> Fixture {
     let corpus = SyntheticConfig::tiny(120, 9).generate();
     let owner = DataOwner::with_cached_key(KEY_BITS);
     let config = AuthConfig {
-        key_bits: KEY_BITS,
         threads: 1,
         ..AuthConfig::new(mechanism)
     };

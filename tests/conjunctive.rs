@@ -12,15 +12,8 @@ use proptest::prelude::*;
 
 const TOLERANCE: f64 = 1e-9;
 
-fn test_config(mechanism: Mechanism) -> AuthConfig {
-    AuthConfig {
-        key_bits: authsearch::crypto::keys::TEST_KEY_BITS,
-        ..AuthConfig::new(mechanism)
-    }
-}
-
 fn build_engine(mechanism: Mechanism, docs: usize, seed: u64) -> (SearchEngine, VerifierParams) {
-    publish(test_config(mechanism), docs, seed)
+    publish(AuthConfig::new(mechanism), docs, seed)
 }
 
 /// Publish a synthetic corpus of `docs` documents under `config`.
@@ -132,7 +125,7 @@ fn conjunctive_vo_bytes_identical_across_pool_widths() {
             publish(
                 AuthConfig {
                     threads,
-                    ..test_config(mechanism)
+                    ..AuthConfig::new(mechanism)
                 },
                 120,
                 41,

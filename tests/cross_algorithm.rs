@@ -184,10 +184,7 @@ proptest! {
         let mechanism = Mechanism::ALL[mech_idx];
         let corpus = SyntheticConfig::tiny(100, 1234).generate();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let publication = owner.publish(&corpus, config);
         let terms = pick_terms(publication.auth.index(), q, query_seed);
         let query = Query::from_term_ids(publication.auth.index(), &terms);

@@ -9,13 +9,6 @@ use authsearch_core::{
 use authsearch_corpus::{CorpusBuilder, SyntheticConfig, TermId};
 use authsearch_crypto::keys::TEST_KEY_BITS;
 
-fn test_config(mechanism: Mechanism) -> AuthConfig {
-    AuthConfig {
-        key_bits: TEST_KEY_BITS,
-        ..AuthConfig::new(mechanism)
-    }
-}
-
 fn synthetic_setup(
     mechanism: Mechanism,
     num_docs: usize,
@@ -23,7 +16,7 @@ fn synthetic_setup(
 ) -> (SearchEngine, VerifierParams) {
     let corpus = SyntheticConfig::tiny(num_docs, seed).generate();
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-    let publication = owner.publish(&corpus, test_config(mechanism));
+    let publication = owner.publish(&corpus, AuthConfig::new(mechanism));
     (
         SearchEngine::new(publication.auth, corpus),
         publication.verifier_params,
@@ -76,7 +69,8 @@ fn toy_example_verifies_under_all_mechanisms() {
     use authsearch_core::toy::{toy_contents, toy_index, toy_query};
     for mechanism in Mechanism::ALL {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let publication = owner.publish_index(toy_index(), test_config(mechanism), &toy_contents());
+        let publication =
+            owner.publish_index(toy_index(), AuthConfig::new(mechanism), &toy_contents());
         let response = publication.auth.query(&toy_query(), 2, &toy_contents());
         assert_eq!(response.result.docs(), vec![6, 5], "{}", mechanism.name());
         let verified = verify::verify(&publication.verifier_params, &toy_query(), 2, &response)
@@ -90,7 +84,7 @@ fn dictionary_mht_mode_verifies() {
     for mechanism in Mechanism::ALL {
         let corpus = SyntheticConfig::tiny(150, 5).generate();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let publication = owner.publish(&corpus, test_config(mechanism));
+        let publication = owner.publish(&corpus, AuthConfig::new(mechanism));
         let engine = SearchEngine::new(publication.auth, corpus);
         let client = Client::new(publication.verifier_params);
         let terms =
@@ -114,7 +108,7 @@ fn buddy_ablation_both_settings_verify() {
             let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
             let config = AuthConfig {
                 buddy,
-                ..test_config(mechanism)
+                ..AuthConfig::new(mechanism)
             };
             let publication = owner.publish(&corpus, config);
             let engine = SearchEngine::new(publication.auth, corpus);
@@ -159,7 +153,7 @@ fn single_term_and_repeated_term_queries() {
         .build();
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
     for mechanism in Mechanism::ALL {
-        let publication = owner.publish(&corpus, test_config(mechanism));
+        let publication = owner.publish(&corpus, AuthConfig::new(mechanism));
         let engine = SearchEngine::new(publication.auth, corpus.clone());
         let client = Client::new(publication.verifier_params);
         // Repeated word: f_{Q,t} = 2 for 'alpha'.
@@ -198,7 +192,7 @@ fn space_reports_match_paper_shape() {
         .sum();
     let mut extras = Vec::new();
     for mechanism in Mechanism::ALL {
-        let publication = owner.publish(&corpus, test_config(mechanism));
+        let publication = owner.publish(&corpus, AuthConfig::new(mechanism));
         let report = publication.auth.space_report(contents_bytes);
         extras.push(report.auth_extra_bytes());
     }
@@ -219,7 +213,7 @@ fn baseline_full_list_scheme_vs_threshold_mechanisms() {
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
     let index = build_index(&corpus, OkapiParams::default());
     let baseline = BaselineIndex::build(index.clone(), owner.key(), BlockLayout::default());
-    let publication = owner.publish(&corpus, test_config(Mechanism::TnraCmht));
+    let publication = owner.publish(&corpus, AuthConfig::new(Mechanism::TnraCmht));
     let engine = SearchEngine::new(publication.auth, corpus);
 
     // A query mixing the longest list with rare terms: the threshold

@@ -183,10 +183,7 @@ fn every_bit_flip_in_the_authenticated_snapshot_is_caught() {
     let dir = temp_dir("auth-flip");
     let path = dir.join("auth.snap");
     let corpus = SyntheticConfig::tiny(12, 7).generate();
-    let config = AuthConfig {
-        key_bits: TEST_KEY_BITS,
-        ..AuthConfig::new(Mechanism::TnraCmht)
-    };
+    let config = AuthConfig::new(Mechanism::TnraCmht);
     let auth = DataOwner::with_cached_key(TEST_KEY_BITS)
         .publish(&corpus, config)
         .auth;

@@ -53,10 +53,7 @@ fn engines() -> &'static Vec<SearchEngine> {
         Mechanism::ALL
             .iter()
             .map(|&mechanism| {
-                let config = AuthConfig {
-                    key_bits: TEST_KEY_BITS,
-                    ..AuthConfig::new(mechanism)
-                };
+                let config = AuthConfig::new(mechanism);
                 SearchEngine::new(owner.publish(&corpus, config).auth, corpus.clone())
             })
             .collect()

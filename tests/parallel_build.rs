@@ -14,7 +14,6 @@ fn publish_and_serve(mechanism: Mechanism, threads: usize) -> (Vec<Vec<u8>>, Ver
     let corpus = SyntheticConfig::tiny(80, 4).generate();
     let owner = DataOwner::with_cached_key(authsearch::crypto::keys::TEST_KEY_BITS);
     let config = AuthConfig {
-        key_bits: authsearch::crypto::keys::TEST_KEY_BITS,
         threads,
         ..AuthConfig::new(mechanism)
     };
@@ -59,7 +58,6 @@ fn serve_wide_tra(mechanism: Mechanism, threads: usize) -> Vec<(Vec<u8>, IoStats
     let corpus = SyntheticConfig::tiny(400, 7).generate();
     let owner = DataOwner::with_cached_key(authsearch::crypto::keys::TEST_KEY_BITS);
     let config = AuthConfig {
-        key_bits: authsearch::crypto::keys::TEST_KEY_BITS,
         threads,
         ..AuthConfig::new(mechanism)
     };
@@ -109,7 +107,6 @@ fn parallel_built_publication_verifies() {
     let corpus = SyntheticConfig::tiny(80, 4).generate();
     let owner = DataOwner::with_cached_key(authsearch::crypto::keys::TEST_KEY_BITS);
     let config = AuthConfig {
-        key_bits: authsearch::crypto::keys::TEST_KEY_BITS,
         threads: 4,
         ..AuthConfig::new(Mechanism::TraCmht)
     };

@@ -20,10 +20,7 @@ fn engine_rebuilt_from_persisted_index_is_equivalent() {
     let restored = persist::read_index(&mut Cursor::new(&buf)).unwrap();
 
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-    let config = AuthConfig {
-        key_bits: TEST_KEY_BITS,
-        ..AuthConfig::new(Mechanism::TnraCmht)
-    };
+    let config = AuthConfig::new(Mechanism::TnraCmht);
     let pub_a = owner.publish_index(index, config, &corpus);
     let pub_b = owner.publish_index(restored, config, &corpus);
 
@@ -77,10 +74,7 @@ fn public_key_distribution_roundtrip() {
     // form must verify signatures produced before serialization.
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
     let corpus = SyntheticConfig::tiny(60, 4).generate();
-    let config = AuthConfig {
-        key_bits: TEST_KEY_BITS,
-        ..AuthConfig::new(Mechanism::TnraMht)
-    };
+    let config = AuthConfig::new(Mechanism::TnraMht);
     let publication = owner.publish(&corpus, config);
 
     let key_bytes = publication.verifier_params.public_key.to_bytes();

@@ -16,10 +16,7 @@ fn single_byte_corruptions_never_verify() {
     let mut rng = StdRng::seed_from_u64(0xfacade);
 
     for mechanism in Mechanism::ALL {
-        let config = AuthConfig {
-            key_bits: TEST_KEY_BITS,
-            ..AuthConfig::new(mechanism)
-        };
+        let config = AuthConfig::new(mechanism);
         let publication = owner.publish(&corpus, config);
         let terms =
             authsearch_corpus::workload::synthetic(publication.auth.index().num_terms(), 1, 3, 77)

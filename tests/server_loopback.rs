@@ -56,10 +56,7 @@ struct Fixture {
 fn fixture(mechanism: Mechanism) -> Fixture {
     let corpus = SyntheticConfig::tiny(150, 23).generate();
     let owner = DataOwner::with_cached_key(authsearch::crypto::keys::TEST_KEY_BITS);
-    let config = AuthConfig {
-        key_bits: authsearch::crypto::keys::TEST_KEY_BITS,
-        ..AuthConfig::new(mechanism)
-    };
+    let config = AuthConfig::new(mechanism);
     let publication = owner.publish(&corpus, config);
     let num_terms = publication.auth.index().num_terms();
     let term_sets = authsearch::corpus::workload::synthetic(num_terms, 8, 2, 5);

@@ -31,10 +31,7 @@ type Fixture = (Arc<SearchEngine>, VerifierParams, Vec<Vec<(u32, u32)>>);
 fn fixture(mechanism: Mechanism) -> Fixture {
     let corpus = SyntheticConfig::tiny(150, 41).generate();
     let owner = DataOwner::with_cached_key(authsearch::crypto::keys::TEST_KEY_BITS);
-    let config = AuthConfig {
-        key_bits: authsearch::crypto::keys::TEST_KEY_BITS,
-        ..AuthConfig::new(mechanism)
-    };
+    let config = AuthConfig::new(mechanism);
     let publication = owner.publish(&corpus, config);
     let num_terms = publication.auth.index().num_terms();
     let workloads: Vec<Vec<(u32, u32)>> =

@@ -16,7 +16,7 @@ use authsearch_crypto::keys::TEST_KEY_BITS;
 use authsearch_index::persist::{
     encode_snapshot, load_snapshot_file, manifest_path, save_snapshot_file, PersistError,
 };
-use authsearch_index::{BlockLayout, OkapiParams};
+use authsearch_index::BlockLayout;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
@@ -33,13 +33,6 @@ fn test_corpus() -> Corpus {
     SyntheticConfig::tiny(120, 41).generate()
 }
 
-fn test_config(mechanism: Mechanism) -> AuthConfig {
-    AuthConfig {
-        key_bits: TEST_KEY_BITS,
-        ..AuthConfig::new(mechanism)
-    }
-}
-
 fn sample_query(auth: &AuthenticatedIndex, seed: u64) -> Query {
     let terms =
         authsearch_corpus::workload::synthetic(auth.index().num_terms(), 1, 3, seed).remove(0);
@@ -54,7 +47,7 @@ fn booted_engine_matches_built_engine_across_attack_catalogue() {
     let dir = temp_dir("attacks");
     let corpus = test_corpus();
     for mechanism in Mechanism::ALL {
-        let config = test_config(mechanism);
+        let config = AuthConfig::new(mechanism);
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let publication = owner.publish(&corpus, config);
         let path = dir.join(format!("{mechanism:?}.snap"));
@@ -103,7 +96,7 @@ fn server_boots_from_snapshot_without_rebuilding() {
     let dir = temp_dir("server-happy");
     let path = dir.join("engine.snap");
     let corpus = test_corpus();
-    let config = test_config(Mechanism::TnraCmht);
+    let config = AuthConfig::new(Mechanism::TnraCmht);
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
     let publication = owner.publish(&corpus, config);
     publication.auth.save_snapshot(&path).unwrap();
@@ -140,7 +133,7 @@ fn server_boots_from_snapshot_without_rebuilding() {
 fn boot_refuses_a_snapshot_that_is_not_the_owners_publication() {
     let dir = temp_dir("anchor");
     let corpus = test_corpus();
-    let config = test_config(Mechanism::TnraCmht);
+    let config = AuthConfig::new(Mechanism::TnraCmht);
     let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
     let owner = publication.verifier_params;
     let honest = dir.join("owner.snap");
@@ -187,17 +180,6 @@ fn boot_refuses_a_snapshot_that_is_not_the_owners_publication() {
                 ..owner.clone()
             },
         ),
-        (
-            "okapi",
-            &honest,
-            VerifierParams {
-                okapi: OkapiParams {
-                    k1: 2.0,
-                    ..owner.okapi
-                },
-                ..owner.clone()
-            },
-        ),
     ];
     for (field, path, params) in rows {
         match boot_authenticated_index(path, &config, &params) {
@@ -212,14 +194,14 @@ fn boot_refuses_a_snapshot_that_is_not_the_owners_publication() {
 /// `params` and assert that it is refused with one of the error kinds in
 /// `want`, and that the snapshot file and its manifest sidecar are
 /// byte-identical afterwards (a missing one stays missing): a refused
-/// boot writes nothing.
+/// boot writes nothing. Returns the refusal.
 fn assert_refused_and_untouched(
     path: &Path,
     params: &VerifierParams,
     config: &AuthConfig,
     corpus: Corpus,
     want: &[&str],
-) {
+) -> PersistError {
     let on_disk = || [path.to_path_buf(), manifest_path(path)].map(|f| fs::read(f).ok());
     let before = on_disk();
     let Err(e) = Server::start_booted(
@@ -232,7 +214,7 @@ fn assert_refused_and_untouched(
     ) else {
         panic!("{}: the server started", path.display());
     };
-    let kind = match e {
+    let kind = match &e {
         PersistError::Io(_) => "Io",
         PersistError::Corrupt(_) => "Corrupt",
         PersistError::SectionDigest { .. } => "SectionDigest",
@@ -245,6 +227,7 @@ fn assert_refused_and_untouched(
         "{}: a refused boot wrote to disk",
         path.display()
     );
+    e
 }
 
 /// A snapshot corrupted mid-file, inside a section payload, is refused
@@ -253,7 +236,7 @@ fn assert_refused_and_untouched(
 fn corrupted_snapshot_is_refused_and_left_unchanged() {
     let dir = temp_dir("refused-corrupted");
     let corpus = test_corpus();
-    let config = test_config(Mechanism::TraMht);
+    let config = AuthConfig::new(Mechanism::TraMht);
     let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
     let path = dir.join("corrupted.snap");
     publication.auth.save_snapshot(&path).unwrap();
@@ -278,7 +261,7 @@ fn corrupted_snapshot_is_refused_and_left_unchanged() {
 fn missing_snapshot_is_refused_and_stays_missing() {
     let dir = temp_dir("refused-missing");
     let corpus = test_corpus();
-    let config = test_config(Mechanism::TraMht);
+    let config = AuthConfig::new(Mechanism::TraMht);
     let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
     let path = dir.join("never-written.snap");
 
@@ -293,27 +276,75 @@ fn missing_snapshot_is_refused_and_stays_missing() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// A snapshot in the old per-term-signature layout (`ASA2`) is refused
-/// as `Stale`, and the file is left as it was.
+/// A snapshot in an older authentication layout — per-term signatures
+/// (`ASA2`) or stored term and document roots (`ASA3`) — is refused as
+/// `Stale`, and the file is left as it was.
 #[test]
 fn old_layout_snapshot_is_refused_as_stale() {
-    let dir = temp_dir("refused-asa2");
+    let dir = temp_dir("refused-old-layout");
     let corpus = test_corpus();
-    let config = test_config(Mechanism::TraMht);
+    let config = AuthConfig::new(Mechanism::TraMht);
     let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
-    let path = dir.join("asa2.snap");
-    publication.auth.save_snapshot(&path).unwrap();
-    let (mut sections, _) = load_snapshot_file(&path).unwrap();
-    sections[2].0 = *b"ASA2";
-    save_snapshot_file(&path, &encode_snapshot(&sections).unwrap()).unwrap();
+    for tag in [*b"ASA2", *b"ASA3"] {
+        let path = dir.join(format!("{}.snap", String::from_utf8_lossy(&tag)));
+        publication.auth.save_snapshot(&path).unwrap();
+        let (mut sections, _) = load_snapshot_file(&path).unwrap();
+        sections[2].0 = tag;
+        save_snapshot_file(&path, &encode_snapshot(&sections).unwrap()).unwrap();
 
-    assert_refused_and_untouched(
-        &path,
-        &publication.verifier_params,
-        &config,
-        corpus,
-        &["Stale"],
-    );
+        assert_refused_and_untouched(
+            &path,
+            &publication.verifier_params,
+            &config,
+            corpus.clone(),
+            &["Stale"],
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A sound snapshot served over a corpus that is not the one it indexes
+/// is refused as `Stale` before anything binds: another document count
+/// under either mechanism family, or, under TRA, documents of the same
+/// count whose contents are not the signed ones.
+#[test]
+fn snapshot_over_another_corpus_is_refused_as_stale() {
+    let dir = temp_dir("refused-corpus");
+    let corpus = test_corpus();
+    let rows = [
+        (
+            Mechanism::TnraCmht,
+            SyntheticConfig::tiny(119, 41).generate(),
+            "the corpus holds 119 documents; the snapshot indexes 120",
+        ),
+        (
+            Mechanism::TraMht,
+            SyntheticConfig::tiny(121, 41).generate(),
+            "the corpus holds 121 documents; the snapshot indexes 120",
+        ),
+        (
+            Mechanism::TraCmht,
+            SyntheticConfig::tiny(120, 42).generate(),
+            "differs from the snapshot's signed content",
+        ),
+    ];
+    for (mechanism, served, want) in rows {
+        let config = AuthConfig::new(mechanism);
+        let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
+        let path = dir.join(format!("{mechanism:?}.snap"));
+        publication.auth.save_snapshot(&path).unwrap();
+        let refusal = assert_refused_and_untouched(
+            &path,
+            &publication.verifier_params,
+            &config,
+            served,
+            &["Stale"],
+        );
+        assert!(
+            refusal.to_string().contains(want),
+            "{mechanism:?}: {refusal}"
+        );
+    }
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -325,7 +356,7 @@ fn booted_engine_serves_byte_identical_conjunctive_vos() {
     let dir = temp_dir("conjunctive");
     let corpus = test_corpus();
     for mechanism in Mechanism::ALL {
-        let config = test_config(mechanism);
+        let config = AuthConfig::new(mechanism);
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let publication = owner.publish(&corpus, config);
         let path = dir.join(format!("{mechanism:?}.snap"));

@@ -146,10 +146,7 @@ fn sample_ok_frame() -> Vec<u8> {
         .add_text("the house in the town had the big old keep")
         .build();
     let owner = DataOwner::with_cached_key(authsearch::crypto::keys::TEST_KEY_BITS);
-    let config = AuthConfig {
-        key_bits: authsearch::crypto::keys::TEST_KEY_BITS,
-        ..AuthConfig::new(Mechanism::TraCmht)
-    };
+    let config = AuthConfig::new(Mechanism::TraCmht);
     let publication = owner.publish(&corpus, config);
     let engine = SearchEngine::new(publication.auth, corpus);
     let (query, response) = engine.search_text("night keeper keep", 2);
