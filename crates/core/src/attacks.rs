@@ -664,10 +664,17 @@ pub fn doc_beyond_table_response(
 }
 
 /// A smarter attack that cannot be expressed as a response mutation: the
-/// engine stops early (reads shorter prefixes than the algorithm
+/// engine stops early (reads shorter prefixes than the query's mode
 /// requires) but builds a perfectly well-formed VO for the shortened
-/// prefixes, still reporting the honest result. The replay must detect
-/// that the prefixes cannot substantiate the claimed result.
+/// prefixes, still reporting the honest result. A disjunctive replay
+/// must detect that the prefixes cannot substantiate the claimed result;
+/// for a conjunctive query the longest reveal falls one buddy group short
+/// of the completeness bar (the anchor list under TRA, every list under
+/// TNRA), and only the
+/// [`VerifyError::ConjunctIncomplete`](crate::verify::VerifyError) check
+/// stands between the response and acceptance.
+///
+/// Returns `None` when every prefix is too short to truncate.
 pub fn truncated_prefix_response<C: crate::auth::ContentProvider>(
     auth: &AuthenticatedIndex,
     query: &Query,
@@ -702,54 +709,12 @@ pub fn truncated_prefix_response<C: crate::auth::ContentProvider>(
     Some(auth.respond(query, outcome, contents))
 }
 
-/// The conjunctive analogue of [`truncated_prefix_response`]: the engine
-/// reveals one buddy group less than the conjunctive completeness bar
-/// requires (the anchor list under TRA, the longest list under TNRA) but
-/// re-derives a *perfectly well-formed* VO for the shortened reveal —
-/// honest result, valid proofs, valid signatures. Only the
-/// [`VerifyError::ConjunctIncomplete`](crate::verify::VerifyError)
-/// completeness check stands between this response and acceptance.
-///
-/// Returns `None` when every revealed prefix is too short to shorten
-/// further.
-pub fn incomplete_conjunct_response<C: crate::auth::ContentProvider>(
-    auth: &AuthenticatedIndex,
-    query: &Query,
-    r: usize,
-    contents: &C,
-) -> Option<QueryResponse> {
-    let honest = auth.query_conjunctive(query, r, contents);
-    // Shorten past the buddy padding, which would otherwise round the
-    // reveal back up to the full list.
-    let pad = if auth.config().buddy {
-        crate::buddy::buddy_group_size(auth.config().term_leaf_bytes(), 16)
-    } else {
-        1
-    };
-    let (argmax, &len) = honest
-        .entries_read
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &l)| l)?;
-    if len <= pad {
-        return None;
-    }
-    let mut prefix_lens = honest.entries_read.clone();
-    prefix_lens[argmax] = len - pad;
-    let outcome = ProcessingOutcome {
-        result: honest.result.clone(),
-        prefix_lens,
-        encountered: honest.vo.docs.iter().map(|d| d.doc).collect(),
-        iterations: 0,
-    };
-    Some(auth.respond(query, outcome, contents))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::auth::AuthConfig;
     use crate::owner::DataOwner;
+    use crate::types::QueryMode;
     use crate::vo::Mechanism;
     use authsearch_crypto::keys::TEST_KEY_BITS;
 
@@ -774,11 +739,10 @@ mod tests {
             let config = AuthConfig::new(mechanism);
             let publication =
                 owner.publish_index(crate::toy::toy_index(), config, &crate::toy::toy_contents());
-            let honest = publication.auth.query_conjunctive(
-                &crate::toy::toy_query(),
-                2,
-                &crate::toy::toy_contents(),
-            );
+            let query = crate::toy::toy_query().with_mode(QueryMode::Conjunctive);
+            let honest = publication
+                .auth
+                .query(&query, 2, &crate::toy::toy_contents());
             for attack in Attack::CONJUNCTIVE {
                 let mut copy = honest.clone();
                 let applied = attack.apply(&mut copy);

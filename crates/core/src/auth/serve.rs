@@ -21,7 +21,7 @@ use super::cache::TermStructure;
 use super::{doc_leaf_digest, term_leaf, AuthenticatedIndex, ContentProvider};
 use crate::access::{IndexLists, TableFreqs};
 use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix};
-use crate::types::{ProcessingOutcome, Query, QueryResult};
+use crate::types::{ProcessingOutcome, Query, QueryMode, QueryResult};
 use crate::vo::{DictVo, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject};
 use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
@@ -49,11 +49,17 @@ pub struct QueryResponse {
 }
 
 impl AuthenticatedIndex {
-    /// Process a query and produce the result with its integrity proof.
+    /// Process a query under its [`QueryMode`] and produce the result
+    /// with its integrity proof: the threshold algorithm's top `r` for a
+    /// disjunctive query, the ranked intersection for a conjunctive one
+    /// (its proof strategy is on `conjunctive_outcome`).
+    ///
+    /// Responses are bit-identical across thread counts and
+    /// snapshot-booted vs. cold-built engines, in either mode.
     ///
     /// # Panics
     ///
-    /// Under TNRA, when the query has more than
+    /// Under TNRA, when a disjunctive query has more than
     /// [`tnra::MAX_QUERY_TERMS`] terms (the server refuses those with
     /// [`BAD_QUERY`](crate::wire::errcode::BAD_QUERY) first).
     pub fn query<C: ContentProvider>(
@@ -62,19 +68,24 @@ impl AuthenticatedIndex {
         r: usize,
         contents: &C,
     ) -> QueryResponse {
-        let lists = IndexLists::new(&self.index, query);
-        let outcome = if self.config.mechanism.is_tra() {
-            let freqs = TableFreqs::new(&self.doc_table, query);
-            tra::run(&lists, &freqs, query, r).expect("engine-side access is total")
-        } else {
-            tnra::run(&lists, query, r).expect("engine-side access is total within the term limit")
+        let outcome = match query.mode {
+            QueryMode::Disjunctive => {
+                let lists = IndexLists::new(&self.index, query);
+                if self.config.mechanism.is_tra() {
+                    let freqs = TableFreqs::new(&self.doc_table, query);
+                    tra::run(&lists, &freqs, query, r).expect("engine-side access is total")
+                } else {
+                    tnra::run(&lists, query, r)
+                        .expect("engine-side access is total within the term limit")
+                }
+            }
+            QueryMode::Conjunctive => self.conjunctive_outcome(query, r),
         };
         self.respond(query, outcome, contents)
     }
 
-    /// Process a query under AND-semantics
-    /// ([`QueryMode::Conjunctive`](crate::types::QueryMode)) and produce
-    /// the intersection with its integrity proof.
+    /// Run the conjunctive intersection and decide which prefixes the VO
+    /// must reveal.
     ///
     /// The proof strategy reuses the owner's existing signed structures
     /// — no new signatures, no VO format change:
@@ -89,22 +100,6 @@ impl AuthenticatedIndex {
     ///   the intersection is detectable, not just asserted.
     /// * **TNRA**: reveal every query term's list in full; absence is
     ///   then provable by exhaustion against the signed roots.
-    ///
-    /// Responses are bit-identical across thread counts and
-    /// snapshot-booted vs. cold-built engines, exactly like the
-    /// disjunctive path ([`Self::query`]).
-    pub fn query_conjunctive<C: ContentProvider>(
-        &self,
-        query: &Query,
-        r: usize,
-        contents: &C,
-    ) -> QueryResponse {
-        let outcome = self.conjunctive_outcome(query, r);
-        self.respond(query, outcome, contents)
-    }
-
-    /// Run the conjunctive intersection and decide which prefixes the VO
-    /// must reveal (see [`Self::query_conjunctive`] for the strategy).
     fn conjunctive_outcome(&self, query: &Query, r: usize) -> ProcessingOutcome {
         let q = query.terms.len();
         if q == 0 {
@@ -391,6 +386,10 @@ mod tests {
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
     use authsearch_crypto::{Digest, MerkleTree};
 
+    fn conjunctive_toy_query() -> Query {
+        toy_query().with_mode(QueryMode::Conjunctive)
+    }
+
     fn auth(mechanism: Mechanism) -> AuthenticatedIndex {
         let key = cached_keypair(TEST_KEY_BITS);
         let config = AuthConfig::new(mechanism);
@@ -548,15 +547,11 @@ mod tests {
         // chain-MHT prefixes, document-MHTs and the dictionary-MHT.
         for mechanism in Mechanism::ALL {
             let auth = auth(mechanism);
-            type Serve = fn(&AuthenticatedIndex, &Query, usize, &Vec<Vec<u8>>) -> QueryResponse;
-            let modes: [(&str, Serve); 2] = [
-                ("disjunctive", AuthenticatedIndex::query),
-                ("conjunctive", AuthenticatedIndex::query_conjunctive),
-            ];
-            for (mode, serve) in modes {
+            for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
+                let query = toy_query().with_mode(mode);
                 for r in [1usize, 2, 5] {
-                    let response = serve(&auth, &toy_query(), r, &toy_contents());
-                    let what = format!("{mechanism:?} {mode} r={r}");
+                    let response = auth.query(&query, r, &toy_contents());
+                    let what = format!("{mechanism:?} {mode:?} r={r}");
                     assert!(!response.vo.terms.is_empty(), "{what}");
                     assert_eq!(response.vo.docs.is_empty(), !mechanism.is_tra(), "{what}");
                     assert_proofs_match_fresh_trees(&auth, &toy_query(), &response.vo, &what);
@@ -572,7 +567,7 @@ mod tests {
         // matches the disjunctive top-1 score for d6.
         for mechanism in Mechanism::ALL {
             let a = auth(mechanism);
-            let conj = a.query_conjunctive(&toy_query(), 2, &toy_contents());
+            let conj = a.query(&conjunctive_toy_query(), 2, &toy_contents());
             assert_eq!(conj.result.docs(), vec![6], "{mechanism:?}");
             let disj = a.query(&toy_query(), 2, &toy_contents());
             let d6 = disj.result.entries.iter().find(|e| e.doc == 6).unwrap();
@@ -591,7 +586,7 @@ mod tests {
     #[test]
     fn conjunctive_tra_reveals_anchor_only() {
         let a = auth(Mechanism::TraMht);
-        let resp = a.query_conjunctive(&toy_query(), 2, &toy_contents());
+        let resp = a.query(&conjunctive_toy_query(), 2, &toy_contents());
         let fts: Vec<usize> = toy_query()
             .terms
             .iter()
@@ -619,7 +614,7 @@ mod tests {
     fn conjunctive_tnra_reveals_every_list_in_full() {
         for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
             let a = auth(mechanism);
-            let resp = a.query_conjunctive(&toy_query(), 2, &toy_contents());
+            let resp = a.query(&conjunctive_toy_query(), 2, &toy_contents());
             assert!(resp.vo.docs.is_empty(), "{mechanism:?}");
             for (tv, qt) in resp.vo.terms.iter().zip(&toy_query().terms) {
                 assert_eq!(
@@ -635,7 +630,11 @@ mod tests {
     #[test]
     fn empty_conjunctive_query_is_empty_response() {
         let a = auth(Mechanism::TraCmht);
-        let resp = a.query_conjunctive(&Query::default(), 5, &toy_contents());
+        let resp = a.query(
+            &Query::default().with_mode(QueryMode::Conjunctive),
+            5,
+            &toy_contents(),
+        );
         assert!(resp.result.entries.is_empty());
         assert!(resp.vo.terms.is_empty());
         assert!(resp.contents.is_empty());
@@ -650,7 +649,7 @@ mod tests {
             let a = auth(mechanism);
             for resp in [
                 a.query(&toy_query(), 2, &toy_contents()),
-                a.query_conjunctive(&toy_query(), 2, &toy_contents()),
+                a.query(&conjunctive_toy_query(), 2, &toy_contents()),
                 a.query(&Query::default(), 2, &toy_contents()),
             ] {
                 assert!(resp.vo.dict.is_some(), "{mechanism:?}");

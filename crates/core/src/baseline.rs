@@ -23,7 +23,7 @@ use crate::verify::VerifyError;
 use crate::vo::VoSize;
 use authsearch_corpus::TermId;
 use authsearch_crypto::{Digest, RsaPrivateKey, RsaPublicKey};
-use authsearch_index::{BlockLayout, ImpactEntry, InvertedIndex, InvertedList, IoStats};
+use authsearch_index::{BlockLayout, ImpactEntry, InvertedIndex, IoStats};
 
 /// Owner-side artifact: one signature per full inverted list.
 #[derive(Debug)]
@@ -171,12 +171,6 @@ pub fn verify_baseline(
         ));
     }
     Ok(outcome.result)
-}
-
-/// Reconstruct an [`InvertedList`] from delivered entries (helper for
-/// downstream consumers that want to keep the verified lists).
-pub fn to_inverted_list(entries: &[ImpactEntry]) -> InvertedList {
-    InvertedList::from_entries(entries.to_vec())
 }
 
 #[cfg(test)]

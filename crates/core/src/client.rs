@@ -41,18 +41,33 @@ impl Client {
         r: usize,
         response: &QueryResponse,
     ) -> Result<VerifiedResult, VerifyError> {
-        let query = self.query_from_signed_fts(terms, response)?;
-        verify::verify(&self.params, &query, r, response)
+        self.verify_posed(terms, QueryMode::Disjunctive, r, response)
+    }
+
+    /// [`Client::verify_terms`] for a **conjunctive** query: the replay
+    /// checks the intersection is exactly right ([`verify::verify`]).
+    /// Kept for the benchmark driver until it poses the mode itself
+    /// (ROADMAP item 1 folds both into one call).
+    pub fn verify_conjunctive_terms(
+        &self,
+        terms: &[(TermId, u32)],
+        r: usize,
+        response: &QueryResponse,
+    ) -> Result<VerifiedResult, VerifyError> {
+        self.verify_posed(terms, QueryMode::Conjunctive, r, response)
     }
 
     /// Rebuild the weighted query from the posed `(term, f_{Q,t})` pairs
     /// and the **signed** `f_t` values inside the VO — nothing the
-    /// engine reports unsigned is trusted.
-    fn query_from_signed_fts(
+    /// engine reports unsigned is trusted — and verify the response
+    /// under the posed `mode`.
+    fn verify_posed(
         &self,
         terms: &[(TermId, u32)],
+        mode: QueryMode,
+        r: usize,
         response: &QueryResponse,
-    ) -> Result<Query, VerifyError> {
+    ) -> Result<VerifiedResult, VerifyError> {
         if response.vo.terms.len() != terms.len() {
             return Err(VerifyError::QueryShapeMismatch(format!(
                 "{} proofs for {} query terms",
@@ -60,7 +75,7 @@ impl Client {
                 terms.len()
             )));
         }
-        Ok(Query {
+        let query = Query {
             terms: terms
                 .iter()
                 .zip(&response.vo.terms)
@@ -78,33 +93,9 @@ impl Client {
                     })
                 })
                 .collect::<Result<_, _>>()?,
-        })
-    }
-
-    /// Verify a **conjunctive** response to a query the user posed as
-    /// `(term, f_{Q,t})` pairs. Like [`Client::verify_terms`], the
-    /// query-side weights come from the signed `f_t` values in the VO;
-    /// the replay then checks the intersection is exactly right
-    /// ([`verify::verify_conjunctive`]).
-    pub fn verify_conjunctive_terms(
-        &self,
-        terms: &[(TermId, u32)],
-        r: usize,
-        response: &QueryResponse,
-    ) -> Result<VerifiedResult, VerifyError> {
-        let query = self.query_from_signed_fts(terms, response)?;
-        verify::verify_conjunctive(&self.params, &query, r, response)
-    }
-
-    /// Verify with an explicitly weighted query (used when weights are
-    /// fixed externally, e.g. the paper's worked example).
-    pub fn verify_query(
-        &self,
-        query: &Query,
-        r: usize,
-        response: &QueryResponse,
-    ) -> Result<VerifiedResult, VerifyError> {
-        verify::verify(&self.params, query, r, response)
+            mode,
+        };
+        verify::verify(&self.params, &query, r, response)
     }
 }
 
@@ -535,10 +526,7 @@ impl Connection {
                 "server echoed terms {echo:?} for a query posing {terms:?}"
             )));
         }
-        let verified = match mode {
-            QueryMode::Disjunctive => self.client.verify_terms(terms, r, &response)?,
-            QueryMode::Conjunctive => self.client.verify_conjunctive_terms(terms, r, &response)?,
-        };
+        let verified = self.client.verify_posed(terms, mode, r, &response)?;
         Ok((verified, response))
     }
 
@@ -1070,7 +1058,9 @@ mod tests {
         let query = Query::from_term_pairs(engine.auth().index(), &pairs);
         assert_ne!(
             engine.search(&query, 5).result,
-            engine.search_conjunctive(&query, 5).result,
+            engine
+                .search(&query.clone().with_mode(QueryMode::Conjunctive), 5)
+                .result,
             "the swap must change the result"
         );
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1092,11 +1082,14 @@ mod tests {
                     else {
                         panic!("term requests only")
                     };
-                    let query = Query::from_term_pairs(engine.auth().index(), &terms);
-                    let response = match mode {
-                        QueryMode::Disjunctive => engine.search_conjunctive(&query, r as usize),
-                        QueryMode::Conjunctive => engine.search(&query, r as usize),
+                    let other = if mode == QueryMode::Conjunctive {
+                        QueryMode::Disjunctive
+                    } else {
+                        QueryMode::Conjunctive
                     };
+                    let query =
+                        Query::from_term_pairs(engine.auth().index(), &terms).with_mode(other);
+                    let response = engine.search(&query, r as usize);
                     let bytes = wire::encode_ok_reply(&terms, &response).unwrap();
                     stream.write_all(&bytes).unwrap();
                 }
@@ -1143,8 +1136,8 @@ mod tests {
         pairs.sort_unstable();
         pairs.dedup_by_key(|p| p.0);
         let query = Query::from_term_pairs(engine.auth().index(), &pairs);
-        let conj = engine.search_conjunctive(&query, 5);
         let disj = engine.search(&query, 5);
+        let conj = engine.search(&query.with_mode(QueryMode::Conjunctive), 5);
         client
             .verify_conjunctive_terms(&pairs, 5, &conj)
             .expect("honest conjunctive response verifies");
@@ -1170,8 +1163,9 @@ mod tests {
         let config = AuthConfig::new(Mechanism::TraMht);
         let publication = owner.publish(&corpus, config);
         let engine = SearchEngine::new(publication.auth, corpus);
-        let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper");
-        let response = engine.search_conjunctive(&query, 5);
+        let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper")
+            .with_mode(QueryMode::Conjunctive);
+        let response = engine.search(&query, 5);
         let client = Client::new(publication.verifier_params);
         let pairs: Vec<(TermId, u32)> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
         client
@@ -1218,8 +1212,9 @@ mod tests {
             let config = AuthConfig::new(mechanism);
             let publication = owner.publish(&corpus, config);
             let engine = SearchEngine::new(publication.auth, corpus.clone());
-            let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper");
-            let mut response = engine.search_conjunctive(&query, 5);
+            let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper")
+                .with_mode(QueryMode::Conjunctive);
+            let mut response = engine.search(&query, 5);
             let doc0 = response.contents.iter_mut().find(|(d, _)| *d == 0).unwrap();
             doc0.1 = b"the keeper night keeps the keep".to_vec();
             let client = Client::new(publication.verifier_params);

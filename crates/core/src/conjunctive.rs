@@ -1,6 +1,7 @@
 //! Conjunctive (AND-semantics) candidate ranking, shared verbatim by
-//! the engine ([`crate::auth::AuthenticatedIndex::query_conjunctive`])
-//! and the verifier's replay ([`crate::verify::verify_conjunctive`]).
+//! the engine ([`crate::auth::AuthenticatedIndex::query`]) and the
+//! verifier ([`crate::verify::verify`]) when a query is posed as
+//! [`crate::types::QueryMode::Conjunctive`].
 //!
 //! Both sides run *this exact code* over the same inputs: candidates in
 //! anchor-list order, per-term weights queried in ascending query-term

@@ -1,10 +1,11 @@
 //! The third-party search engine (paper §3.1 system model).
 //!
 //! Operates the collection and authenticated index it received from the
-//! data owner: accepts natural-language queries, runs the threshold
-//! algorithm, and returns results with their verification objects. The
-//! engine is the *untrusted* party — [`crate::attacks`] models what a
-//! compromised instance might return instead.
+//! data owner: answers queries (a natural-language one is parsed by
+//! [`Query::from_text`]), runs the threshold algorithm, and returns
+//! results with their verification objects. The engine is the
+//! *untrusted* party — [`crate::attacks`] models what a compromised
+//! instance might return instead.
 //!
 //! The artifact handed over by [`crate::DataOwner::publish`] is
 //! identical whatever [`crate::AuthConfig::threads`] the owner built it
@@ -17,52 +18,8 @@
 
 use crate::auth::serve::QueryResponse;
 use crate::auth::AuthenticatedIndex;
-use crate::types::Query;
-use authsearch_corpus::{Corpus, TermId};
-
-/// How one token of a natural-language query resolved against the
-/// dictionary. `term: None` means the token is out of dictionary (or a
-/// stopword-free token the collection never saw); the system model
-/// drops it from a *disjunctive* query, but a *conjunctive* query that
-/// names an unindexed word can match nothing — callers must see the
-/// failure instead of a silently widened query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenResolution {
-    /// The normalized token as tokenized from the query text.
-    pub token: String,
-    /// Its dictionary id, or `None` when unindexed.
-    pub term: Option<TermId>,
-}
-
-/// The full outcome of parsing a natural-language query: the usable
-/// [`Query`] (resolved terms only) *plus* the per-token resolution
-/// record. The old `parse_query -> Query` silently dropped unknown
-/// tokens, which is fine for OR semantics but silently **widens** an
-/// AND query — this struct is the fix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedQuery {
-    /// The query over the tokens that resolved (deduplicated, with
-    /// `f_{Q,t}` counting repetitions).
-    pub query: Query,
-    /// One entry per token of the input, in text order.
-    pub tokens: Vec<TokenResolution>,
-}
-
-impl ParsedQuery {
-    /// Did every token resolve against the dictionary?
-    pub fn fully_resolved(&self) -> bool {
-        self.tokens.iter().all(|t| t.term.is_some())
-    }
-
-    /// The tokens that did not resolve, in text order.
-    pub fn unresolved(&self) -> Vec<&str> {
-        self.tokens
-            .iter()
-            .filter(|t| t.term.is_none())
-            .map(|t| t.token.as_str())
-            .collect()
-    }
-}
+use crate::types::{Query, QueryMode};
+use authsearch_corpus::Corpus;
 
 /// A running search engine instance.
 pub struct SearchEngine {
@@ -72,6 +29,13 @@ pub struct SearchEngine {
 
 impl SearchEngine {
     /// Stand up an engine from the owner's transfer.
+    ///
+    /// # Panics
+    ///
+    /// When the index and the collection hold different numbers of
+    /// documents ("index/collection mismatch").
+    /// `AuthenticatedIndex::check_collection` is the typed check, which
+    /// `Server::start_booted` runs before it builds an engine.
     pub fn new(auth: AuthenticatedIndex, corpus: Corpus) -> SearchEngine {
         assert_eq!(
             auth.index().num_docs(),
@@ -81,59 +45,17 @@ impl SearchEngine {
         SearchEngine { auth, corpus }
     }
 
-    /// Parse a natural-language query against the dictionary. The
-    /// returned [`ParsedQuery`] carries both the usable query (terms not
-    /// in the dictionary are dropped, per the system model) and the
-    /// per-token resolution record, so a caller with AND semantics can
-    /// tell a narrowed parse from a complete one.
-    pub fn parse_query(&self, text: &str) -> ParsedQuery {
-        let tokens: Vec<TokenResolution> = authsearch_corpus::tokenizer::tokenize(text)
-            .map(|token| {
-                let term = self.corpus.term_id(&token);
-                TokenResolution { token, term }
-            })
-            .collect();
-        ParsedQuery {
-            query: Query::from_text(&self.corpus, self.auth.index(), text),
-            tokens,
-        }
-    }
-
-    /// Answer a parsed query: the top-`r` documents plus the VO.
+    /// Answer a query under its own mode: the top-`r` documents plus the
+    /// VO ([`AuthenticatedIndex::query`]).
     pub fn search(&self, query: &Query, r: usize) -> QueryResponse {
         self.auth.query(query, r, &self.corpus)
     }
 
-    /// Answer a parsed query with **AND semantics**: only documents
-    /// containing every query term are candidates, and the VO proves the
-    /// intersection is exact (see
-    /// [`AuthenticatedIndex::query_conjunctive`]).
+    /// [`Self::search`] with the query posed as
+    /// [`QueryMode::Conjunctive`]. Kept for the benchmark driver until it
+    /// poses the mode on the query itself (ROADMAP item 1 deletes it).
     pub fn search_conjunctive(&self, query: &Query, r: usize) -> QueryResponse {
-        self.auth.query_conjunctive(query, r, &self.corpus)
-    }
-
-    /// Convenience: parse then search (disjunctive).
-    pub fn search_text(&self, text: &str, r: usize) -> (Query, QueryResponse) {
-        let query = self.parse_query(text).query;
-        let response = self.search(&query, r);
-        (query, response)
-    }
-
-    /// Parse then search with AND semantics. A query naming an
-    /// **unindexed** token can match nothing, so instead of silently
-    /// widening the intersection (the old lossy parse), the engine
-    /// serves the empty conjunctive query — a trivially verifiable
-    /// empty result — and the returned [`ParsedQuery`] tells the caller
-    /// which token sank the query.
-    pub fn search_text_conjunctive(&self, text: &str, r: usize) -> (ParsedQuery, QueryResponse) {
-        let parsed = self.parse_query(text);
-        let query = if parsed.fully_resolved() {
-            parsed.query.clone()
-        } else {
-            Query::default()
-        };
-        let response = self.search_conjunctive(&query, r);
-        (parsed, response)
+        self.search(&query.clone().with_mode(QueryMode::Conjunctive), r)
     }
 
     /// The authenticated index (e.g. for space reports).
@@ -167,8 +89,7 @@ mod tests {
             .add_text("the night keeper keeps the keep in the night")
             .build();
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig::new(mechanism);
-        let publication = owner.publish(&corpus, config);
+        let publication = owner.publish(&corpus, AuthConfig::new(mechanism));
         (
             SearchEngine::new(publication.auth, corpus),
             publication.verifier_params,
@@ -177,74 +98,54 @@ mod tests {
 
     #[test]
     fn text_search_end_to_end_all_mechanisms() {
+        // A natural-language query parsed by `from_text` is answered and
+        // its reply verifies, under every mechanism — also when a word is
+        // repeated (f_{Q,t} = 2) or out of the dictionary (dropped).
         for mechanism in Mechanism::ALL {
             let (engine, params) = engine(mechanism);
-            let (query, response) = engine.search_text("night keeper keep", 3);
-            assert!(!response.result.entries.is_empty(), "{}", mechanism.name());
-            let verified = verify::verify(&params, &query, 3, &response)
-                .unwrap_or_else(|e| panic!("{}: {e}", mechanism.name()));
-            assert_eq!(verified.result, response.result);
+            for text in [
+                "night keeper keep",
+                "keeper xyzzyqwerty",
+                "night keeper NIGHT",
+            ] {
+                let query = Query::from_text(engine.corpus(), engine.auth().index(), text);
+                let response = engine.search(&query, 3);
+                let what = format!("{} '{text}'", mechanism.name());
+                assert!(!response.result.entries.is_empty(), "{what}");
+                let verified = verify::verify(&params, &query, 3, &response)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(verified.result, response.result, "{what}");
+            }
         }
     }
 
     #[test]
     fn unknown_words_are_ignored() {
         let (engine, _) = engine(Mechanism::TnraMht);
-        let query = engine.parse_query("keeper xyzzyqwerty").query;
+        let corpus = engine.corpus();
+        let query = Query::from_text(corpus, engine.auth().index(), "keeper xyzzyqwerty");
         assert_eq!(query.len(), 1);
-    }
-
-    #[test]
-    fn parse_reports_unresolved_tokens_instead_of_dropping_them() {
-        // Regression: parse_query used to return a bare Query, silently
-        // dropping out-of-dictionary tokens — which widens an AND query.
-        let (engine, _) = engine(Mechanism::TnraMht);
-        let parsed = engine.parse_query("keeper xyzzyqwerty night");
-        assert_eq!(parsed.query.len(), 2);
-        assert!(!parsed.fully_resolved());
-        assert_eq!(parsed.unresolved(), vec!["xyzzyqwerty"]);
-        assert_eq!(parsed.tokens.len(), 3);
-        assert!(parsed.tokens[0].term.is_some());
-        assert_eq!(parsed.tokens[1].token, "xyzzyqwerty");
-        assert!(parsed.tokens[1].term.is_none());
-        let clean = engine.parse_query("keeper night");
-        assert!(clean.fully_resolved());
-        assert!(clean.unresolved().is_empty());
-    }
-
-    #[test]
-    fn conjunctive_text_search_with_unindexed_term_is_provably_empty() {
-        // An AND query naming an unindexed word matches nothing; the
-        // engine must serve (and the client must be able to verify) an
-        // EMPTY result rather than the intersection of the other terms.
-        for mechanism in [Mechanism::TraMht, Mechanism::TnraCmht] {
-            let (engine, params) = engine(mechanism);
-            let (parsed, response) = engine.search_text_conjunctive("night xyzzyqwerty", 3);
-            assert!(!parsed.fully_resolved());
-            assert!(response.result.entries.is_empty(), "{}", mechanism.name());
-            verify::verify_conjunctive(&params, &Query::default(), 3, &response)
-                .unwrap_or_else(|e| panic!("{}: {e}", mechanism.name()));
-            // The fully-resolved parse serves the real intersection.
-            let (parsed, response) = engine.search_text_conjunctive("night keeper", 3);
-            assert!(parsed.fully_resolved());
-            assert!(!response.result.entries.is_empty());
-            verify::verify_conjunctive(&params, &parsed.query, 3, &response)
-                .unwrap_or_else(|e| panic!("{}: {e}", mechanism.name()));
-        }
+        assert_eq!(query.terms[0].term, corpus.term_id("keeper").unwrap());
+        let query = Query::from_text(corpus, engine.auth().index(), "night keeper NIGHT");
+        let night = query
+            .terms
+            .iter()
+            .find(|qt| qt.term == corpus.term_id("night").unwrap())
+            .unwrap();
+        assert_eq!((query.len(), night.f_qt), (2, 2));
     }
 
     #[test]
     #[should_panic(expected = "mismatch")]
     fn mismatched_corpus_rejected() {
-        let (engine, _) = engine(Mechanism::TnraMht);
+        let corpus = CorpusBuilder::new()
+            .min_df(1)
+            .add_text("the night keeper keeps the keep in the town")
+            .add_text("in the big old house in the big old gown")
+            .build();
+        let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
+        let publication = owner.publish(&corpus, AuthConfig::new(Mechanism::TnraMht));
         let other = CorpusBuilder::new().min_df(1).add_text("one doc").build();
-        let auth = {
-            // Rebuild a second engine and steal its auth artifact.
-            let (e2, _) = super::tests::engine(Mechanism::TnraMht);
-            let SearchEngine { auth, .. } = e2;
-            auth
-        };
-        let _ = engine; // silence unused
-        SearchEngine::new(auth, other);
+        SearchEngine::new(publication.auth, other);
     }
 }

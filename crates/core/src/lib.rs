@@ -35,7 +35,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use authsearch_core::{AuthConfig, Client, DataOwner, Mechanism, SearchEngine};
+//! use authsearch_core::{AuthConfig, Client, DataOwner, Mechanism, Query, SearchEngine};
 //! use authsearch_corpus::CorpusBuilder;
 //!
 //! // The data owner indexes and signs the collection…
@@ -50,11 +50,15 @@
 //!
 //! // …hands index + collection to the (untrusted) search engine…
 //! let engine = SearchEngine::new(publication.auth, corpus);
-//! let (query, response) = engine.search_text("night keeper", 5);
+//! let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper");
+//! let response = engine.search(&query, 5);
 //!
-//! // …and the user verifies each result against the owner's public key.
+//! // …and the user verifies each result against the owner's public key,
+//! // recomputing the query-side weights from the posed `(t, f_{Q,t})`
+//! // pairs and the signed `f_t` values.
+//! let pairs: Vec<_> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
 //! let client = Client::new(publication.verifier_params);
-//! let verified = client.verify_query(&query, 5, &response).expect("honest result");
+//! let verified = client.verify_terms(&pairs, 5, &response).expect("honest result");
 //! assert_eq!(verified.result, response.result);
 //! ```
 
@@ -90,7 +94,7 @@ pub use auth::{
     WarmStats,
 };
 pub use client::{phrase_filter, Client, ClientNetError, Connection, RetryPolicy};
-pub use engine::{ParsedQuery, SearchEngine, TokenResolution};
+pub use engine::SearchEngine;
 pub use metrics::{
     measure, QueryMetrics, ServerMetrics, ServerMetricsSnapshot, TransportStats,
     TransportStatsSnapshot,
@@ -99,5 +103,5 @@ pub use owner::{DataOwner, Publication};
 #[cfg(unix)]
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use types::{DocTable, ProcessingOutcome, Query, QueryMode, QueryResult, ResultEntry};
-pub use verify::{verify, verify_conjunctive, VerifiedResult, VerifierParams, VerifyError};
+pub use verify::{verify, VerifiedResult, VerifierParams, VerifyError};
 pub use vo::{Mechanism, VerificationObject, VoSize};

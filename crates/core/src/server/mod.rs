@@ -254,7 +254,6 @@ pub(crate) struct QueryJob {
     pub(crate) pairs: Vec<(TermId, u32)>,
     pub(crate) query: Query,
     pub(crate) r: usize,
-    pub(crate) mode: QueryMode,
 }
 
 /// Execute a [`QueryJob`] and encode the reply **payload** into `buf`
@@ -265,10 +264,7 @@ pub(crate) fn execute_job(
     job: &QueryJob,
     buf: &mut Vec<u8>,
 ) -> Result<u8, WireError> {
-    let response = match job.mode {
-        QueryMode::Disjunctive => engine.search(&job.query, job.r),
-        QueryMode::Conjunctive => engine.search_conjunctive(&job.query, job.r),
-    };
+    let response = engine.auth().query(&job.query, job.r, engine.corpus());
     wire::encode_ok_reply_payload(&job.pairs, &response, buf)
 }
 
@@ -321,17 +317,17 @@ pub(crate) fn prepare_job(
 ) -> Result<QueryJob, (u8, String)> {
     let request = Request::decode_payload(kind, payload)
         .map_err(|e| (wire::errcode::MALFORMED, e.to_string()))?;
-    let (pairs, query, r, mode) = match request {
+    let (pairs, query, r) = match request {
         Request::Text { text, r } => {
-            let query = engine.parse_query(&text).query;
+            let query = Query::from_text(engine.corpus(), engine.auth().index(), &text);
             let pairs: Vec<(TermId, u32)> =
                 query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
-            (pairs, query, r, QueryMode::Disjunctive)
+            (pairs, query, r)
         }
         Request::Terms { terms, r, mode } => {
             validate_term_pairs(engine, &terms)?;
-            let query = Query::from_term_pairs(engine.auth().index(), &terms);
-            (terms, query, r, mode)
+            let query = Query::from_term_pairs(engine.auth().index(), &terms).with_mode(mode);
+            (terms, query, r)
         }
     };
     if query.is_empty() {
@@ -343,7 +339,7 @@ pub(crate) fn prepare_job(
     // TNRA's threshold loop evaluates at most `MAX_QUERY_TERMS` terms;
     // TRA and the conjunctive path have no such limit.
     let q = query.terms.len();
-    if mode == QueryMode::Disjunctive
+    if query.mode == QueryMode::Disjunctive
         && !engine.auth().config().mechanism.is_tra()
         && q > tnra::MAX_QUERY_TERMS
     {
@@ -362,12 +358,7 @@ pub(crate) fn prepare_job(
             format!("r = {r} outside the served range 1..={max_r}"),
         ));
     }
-    Ok(QueryJob {
-        pairs,
-        query,
-        r,
-        mode,
-    })
+    Ok(QueryJob { pairs, query, r })
 }
 
 /// Handle to a running server; dropping it shuts the server down.

@@ -10,8 +10,9 @@ use std::collections::HashMap;
 /// The paper's query model is purely disjunctive (top-r by the summed
 /// Okapi similarity, §2). Conjunctive mode keeps the identical scoring
 /// formula but admits only documents that contain *every* query term,
-/// and its VO additionally proves that intersection is exactly right —
-/// see [`crate::verify::verify_conjunctive`].
+/// and its VO additionally proves that intersection is exactly right.
+/// A [`Query`] carries its mode, and [`crate::verify::verify`] checks a
+/// reply under it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueryMode {
     /// OR-semantics: any document containing at least one query term is
@@ -34,11 +35,16 @@ pub struct QueryTerm {
     pub wq: f64,
 }
 
-/// A parsed query `Q = {⟨t, f_{Q,t}⟩}` with precomputed `w_{Q,t}`.
+/// A parsed query `Q = {⟨t, f_{Q,t}⟩}` with precomputed `w_{Q,t}`, posed
+/// under one [`QueryMode`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Query {
     /// Distinct query terms (order defines the list index used in traces).
     pub terms: Vec<QueryTerm>,
+    /// How the terms combine. Every constructor poses
+    /// [`QueryMode::Disjunctive`], the paper's model; [`Query::with_mode`]
+    /// poses the query the other way.
+    pub mode: QueryMode,
 }
 
 impl Query {
@@ -55,6 +61,7 @@ impl Query {
                     wq: index.query_weight(t, 1),
                 })
                 .collect(),
+            mode: QueryMode::Disjunctive,
         }
     }
 
@@ -71,6 +78,7 @@ impl Query {
                     wq: index.query_weight(term, f_qt),
                 })
                 .collect(),
+            mode: QueryMode::Disjunctive,
         }
     }
 
@@ -95,6 +103,7 @@ impl Query {
                     wq: index.query_weight(term, f_qt),
                 })
                 .collect(),
+            mode: QueryMode::Disjunctive,
         }
     }
 
@@ -106,7 +115,13 @@ impl Query {
                 .iter()
                 .map(|&(term, wq)| QueryTerm { term, f_qt: 1, wq })
                 .collect(),
+            mode: QueryMode::Disjunctive,
         }
+    }
+
+    /// The same terms, posed under `mode`.
+    pub fn with_mode(self, mode: QueryMode) -> Query {
+        Query { mode, ..self }
     }
 
     /// Number of distinct terms `q`.

@@ -16,9 +16,11 @@
 //!    publication manifest that binds the mechanism, `m`, `n` and both
 //!    roots.
 //! 2. **Replay the deterministic threshold algorithm** over exactly those
-//!    authenticated inputs. If the replay ever needs data the VO does not
-//!    substantiate, the VO is insufficient and the result is rejected; a
-//!    replay that terminates must reproduce the reported result exactly.
+//!    authenticated inputs (a conjunctive query instead recomputes the
+//!    ranked intersection, see [`verify`]). If the replay ever needs data
+//!    the VO does not substantiate, the VO is insufficient and the result
+//!    is rejected; a replay that terminates must reproduce the reported
+//!    result exactly.
 //!
 //! Authentic prefixes + deterministic replay imply the correctness
 //! criteria of §3.1: the threshold logic guarantees no unseen document
@@ -31,7 +33,7 @@ mod docproof;
 use crate::access::{AccessError, FreqAccess, ListAccess};
 use crate::auth::serve::QueryResponse;
 use crate::auth::{dict_leaf_digest, publication_message, NO_DOC_TABLE_ROOT};
-use crate::types::{Query, QueryResult};
+use crate::types::{Query, QueryMode, QueryResult};
 use crate::vo::{Mechanism, PrefixData, TermProof, TermVo, VerificationObject, VoSize};
 use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
@@ -196,169 +198,153 @@ const SCORE_EPS: f64 = 1e-9;
 
 /// Verify a response against a query whose weights the caller already
 /// trusts (`query.wq` computed locally, or the toy example's published
-/// weights). `r` is the result size the user requested.
+/// weights), under the query's own [`QueryMode`]. `r` is the result size
+/// the user requested.
+///
+/// Both modes authenticate the same inputs; they differ in what they
+/// recompute from them:
+///
+/// * **Disjunctive** (the paper's model): the deterministic threshold
+///   algorithm is replayed over the authenticated prefixes.
+/// * **Conjunctive**: the result must be the *exact* top-`r` of the
+///   documents containing **every** query term. The anchor list
+///   (smallest signed `f_t`, `crate::conjunctive::anchor_index` —
+///   recomputed here from the signed values, never taken from the
+///   server) must be revealed in full, so the candidate set is provably
+///   exhaustive. Under **TRA** every candidate's membership in the other
+///   lists is settled by its authenticated document-MHT: a revealed
+///   `(t, w)` leaf proves presence, an adjacent bounding pair proves
+///   absence — so no conjunct can be silently dropped and no outsider
+///   smuggled in. Under **TNRA** every query term's list must be
+///   revealed in full ([`VerifyError::ConjunctIncomplete`] otherwise)
+///   and absence is proven by exhaustion against the signed roots. The
+///   ranking is byte-for-byte the engine's own code
+///   (`crate::conjunctive`), so any score or ordering deviation is a
+///   lie, not a rounding artifact.
 pub fn verify(
     params: &VerifierParams,
     query: &Query,
     r: usize,
     response: &QueryResponse,
 ) -> Result<VerifiedResult, VerifyError> {
-    let vo = &response.vo;
     // Step 1: authenticate every list prefix and document proof.
-    let freqs = authenticate(params, query, response)?;
+    let inputs = authenticate(params, query, response)?;
 
-    // Step 2: mechanism-specific replay.
-    let replayed = if let Some(freqs) = freqs {
-        let lists = TraVoLists::build(vo, &freqs)?;
-        tra::run(&lists, &freqs, query, r)?
-    } else {
-        let lists = TnraVoLists::build(vo)?;
-        tnra::run(&lists, query, r)?
+    // Step 2: recompute the result from the authenticated inputs alone.
+    let expected = match query.mode {
+        QueryMode::Disjunctive => replay(&inputs, query, r)?,
+        QueryMode::Conjunctive => intersect(&inputs, query, r)?,
     };
 
-    // Step 3: the reported result must equal the replayed one.
-    compare_results(&replayed.result, &response.result)?;
+    // Step 3: the reported result must equal the recomputed one.
+    compare_results(&expected, &response.result)?;
 
     Ok(VerifiedResult {
         result: response.result.clone(),
-        vo_size: vo.size(),
+        vo_size: response.vo.size(),
     })
 }
 
-/// Verify a conjunctive (AND-semantics) response: same inputs as
-/// [`verify`], but the result is required to be the *exact* top-`r` of
-/// the documents containing **every** query term.
-///
-/// Beyond authenticating the list prefixes and signatures exactly as
-/// the disjunctive verifier does, this enforces *intersection
-/// completeness* from the existing signed structures alone:
-///
-/// * the anchor list (smallest signed `f_t`,
-///   `crate::conjunctive::anchor_index` — recomputed here from the
-///   signed values, never taken from the server) must be revealed in
-///   full, so the candidate set is provably exhaustive;
-/// * under **TRA**, every candidate's membership in the other lists is
-///   settled by its authenticated document-MHT: a revealed `(t, w)`
-///   leaf proves presence, an adjacent bounding pair proves absence —
-///   so no conjunct can be silently dropped and no outsider smuggled
-///   in;
-/// * under **TNRA**, every query term's list must be revealed in full
-///   ([`VerifyError::ConjunctIncomplete`] otherwise) and absence is
-///   proven by exhaustion against the signed roots.
-///
-/// The ranking replay is byte-for-byte the engine's own code
-/// (`crate::conjunctive`), so any score or ordering deviation is a lie,
-/// not a rounding artifact.
-pub fn verify_conjunctive(
-    params: &VerifierParams,
-    query: &Query,
-    r: usize,
-    response: &QueryResponse,
-) -> Result<VerifiedResult, VerifyError> {
-    let vo = &response.vo;
-    // Authenticate every list prefix and document proof, exactly as the
-    // disjunctive path does.
-    let freqs = authenticate(params, query, response)?;
+/// What [`authenticate`] vouches for: per query term, in query order,
+/// the signed `f_t` and the revealed prefix, and under TRA the certified
+/// frequencies of the encountered documents.
+enum Inputs<'a> {
+    Tra(TraVoLists<'a>),
+    Tnra(TnraVoLists<'a>),
+}
 
-    let q = query.terms.len();
-    if q == 0 {
+/// The disjunctive replay: the mechanism's threshold algorithm over the
+/// authenticated inputs. If it needs data the VO does not substantiate,
+/// the VO is insufficient.
+fn replay(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, VerifyError> {
+    let outcome = match inputs {
+        Inputs::Tra(lists) => tra::run(lists, &lists.freqs, query, r)?,
+        Inputs::Tnra(lists) => tnra::run(lists, query, r)?,
+    };
+    Ok(outcome.result)
+}
+
+/// The conjunctive recomputation: the ranked intersection over the
+/// anchor list's documents, once the reveal is shown complete.
+fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, VerifyError> {
+    if query.is_empty() {
         // The empty conjunction: trivially the empty result.
-        compare_results(&QueryResult::default(), &response.result)?;
-        return Ok(VerifiedResult {
-            result: response.result.clone(),
-            vo_size: vo.size(),
-        });
+        return Ok(QueryResult::default());
     }
-
+    let term = |i: usize| query.terms.get(i).map_or(0, |qt| qt.term);
+    let wq: Vec<f64> = query.terms.iter().map(|qt| qt.wq).collect();
+    let complete = |lens: &[usize], i: usize, revealed: usize| {
+        if lens.get(i) == Some(&revealed) {
+            Ok(())
+        } else {
+            Err(VerifyError::ConjunctIncomplete { term: term(i) })
+        }
+    };
     // The anchor is derived from the *signed* f_t values: understating
     // one to shrink the reveal obligation breaks the manifest signature
     // first.
-    let fts: Vec<usize> = vo.terms.iter().map(|tv| tv.ft as usize).collect();
-    let anchor = crate::conjunctive::anchor_index(&fts);
-    let wq: Vec<f64> = query.terms.iter().map(|qt| qt.wq).collect();
-
-    let expected = if let Some(freqs) = freqs {
-        let atv = vo.terms.get(anchor).ok_or_else(|| {
-            VerifyError::MalformedProof(format!("anchor {anchor} has no VO term"))
-        })?;
-        if atv.prefix.len() != atv.ft as usize {
-            return Err(VerifyError::ConjunctIncomplete { term: atv.term });
-        }
-        let PrefixData::DocIds(candidates) = &atv.prefix else {
-            return Err(VerifyError::MalformedProof(format!(
-                "term {}: prefix payload does not match mechanism",
-                atv.term
-            )));
-        };
-        // The authenticated document-MHT proofs certify, for every
-        // candidate × query term, either the weight or a proven absence.
-        crate::conjunctive::rank_intersection(candidates, &wq, |d, i| freqs.weight_of(d, i), r)
+    match inputs {
+        Inputs::Tra(lists) => {
+            let anchor = crate::conjunctive::anchor_index(&lists.lens);
+            let candidates = lists.prefixes.get(anchor).ok_or_else(|| {
+                VerifyError::MalformedProof(format!("anchor {anchor} has no VO term"))
+            })?;
+            complete(&lists.lens, anchor, candidates.len())?;
+            // The authenticated document-MHT proofs certify, for every
+            // candidate × query term, either the weight or a proven
+            // absence.
+            crate::conjunctive::rank_intersection(
+                candidates,
+                &wq,
+                |d, i| lists.freqs.weight_of(d, i),
+                r,
+            )
             .map_err(|(doc, i)| {
-                if freqs.contains(doc) {
-                    VerifyError::FrequencyUnproven {
-                        doc,
-                        term: query.terms.get(i).map_or(0, |qt| qt.term),
-                    }
+                if lists.freqs.contains(doc) {
+                    VerifyError::FrequencyUnproven { doc, term: term(i) }
                 } else {
                     VerifyError::MissingDocProof { doc }
                 }
-            })?
-    } else {
-        // TNRA: every list fully revealed → membership lookups by map,
-        // absence by exhaustion.
-        let mut maps: Vec<HashMap<DocId, f32>> = Vec::with_capacity(q);
-        let mut candidates: Vec<DocId> = Vec::new();
-        for (i, tv) in vo.terms.iter().enumerate() {
-            let PrefixData::Entries(entries) = &tv.prefix else {
-                return Err(VerifyError::MalformedProof(format!(
-                    "term {}: prefix payload does not match mechanism",
-                    tv.term
-                )));
-            };
-            if entries.len() != tv.ft as usize {
-                return Err(VerifyError::ConjunctIncomplete { term: tv.term });
-            }
-            // Same defense-in-depth screen as the disjunctive replay.
-            if entries
-                .windows(2)
-                .any(|pair| matches!(pair, [a, b] if a.weight < b.weight))
-            {
-                return Err(VerifyError::PrefixNotOrdered { term: tv.term });
-            }
-            if i == anchor {
-                candidates = entries.iter().map(|e| e.doc).collect();
-            }
-            maps.push(entries.iter().map(|e| (e.doc, e.weight)).collect());
+            })
         }
-        crate::conjunctive::rank_intersection(
-            &candidates,
-            &wq,
-            |d, i| Some(maps.get(i).and_then(|m| m.get(&d)).copied().unwrap_or(0.0)),
-            r,
-        )
-        .map_err(|(doc, i)| VerifyError::FrequencyUnproven {
-            doc,
-            term: query.terms.get(i).map_or(0, |qt| qt.term),
-        })?
-    };
-
-    compare_results(&expected, &response.result)?;
-    Ok(VerifiedResult {
-        result: response.result.clone(),
-        vo_size: vo.size(),
-    })
+        Inputs::Tnra(lists) => {
+            // Every list fully revealed → membership lookups by map,
+            // absence by exhaustion.
+            for (i, prefix) in lists.prefixes.iter().enumerate() {
+                complete(&lists.lens, i, prefix.len())?;
+            }
+            let anchor = crate::conjunctive::anchor_index(&lists.lens);
+            let candidates: Vec<DocId> = lists
+                .prefixes
+                .get(anchor)
+                .map(|prefix| prefix.iter().map(|e| e.doc).collect())
+                .unwrap_or_default();
+            let maps: Vec<HashMap<DocId, f32>> = lists
+                .prefixes
+                .iter()
+                .map(|prefix| prefix.iter().map(|e| (e.doc, e.weight)).collect())
+                .collect();
+            crate::conjunctive::rank_intersection(
+                &candidates,
+                &wq,
+                |d, i| Some(maps.get(i).and_then(|m| m.get(&d)).copied().unwrap_or(0.0)),
+                r,
+            )
+            .map_err(|(doc, i)| VerifyError::FrequencyUnproven { doc, term: term(i) })
+        }
+    }
 }
 
-/// Step 1 of both verifiers: check the VO's shape, reconstruct every
-/// term root and the dictionary root, and under TRA every document-MHT
-/// root and the document-table root, then check the one manifest
-/// signature over them. Returns the authenticated document frequencies
-/// under TRA, `None` under TNRA.
-fn authenticate(
+/// Step 1 of verification: check the VO's shape, reconstruct every term
+/// root and the dictionary root, and under TRA every document-MHT root
+/// and the document-table root, then check the one manifest signature
+/// over them. Only then are the prefixes handed out, TNRA's after the
+/// ordering screen.
+fn authenticate<'a>(
     params: &VerifierParams,
     query: &Query,
-    response: &QueryResponse,
-) -> Result<Option<ResolvedFreqs>, VerifyError> {
+    response: &'a QueryResponse,
+) -> Result<Inputs<'a>, VerifyError> {
     let vo = &response.vo;
     check_query_shape(params, query, vo)?;
     let mut term_roots = Vec::with_capacity(vo.terms.len());
@@ -386,7 +372,49 @@ fn authenticate(
         .public_key
         .verify(&manifest, &vo.signature)
         .map_err(|_| VerifyError::ManifestSignature)?;
-    Ok(freqs)
+
+    let lens = vo.terms.iter().map(|tv| tv.ft as usize).collect();
+    Ok(match freqs {
+        Some(freqs) => Inputs::Tra(TraVoLists {
+            lens,
+            prefixes: vo
+                .terms
+                .iter()
+                .map(|tv| match &tv.prefix {
+                    PrefixData::DocIds(ids) => Ok(ids.as_slice()),
+                    PrefixData::Entries(_) => Err(payload_mismatch(tv.term)),
+                })
+                .collect::<Result<_, _>>()?,
+            freqs,
+        }),
+        None => Inputs::Tnra(TnraVoLists {
+            lens,
+            prefixes: vo
+                .terms
+                .iter()
+                .map(|tv| match &tv.prefix {
+                    // Defense in depth: the owner's lists are
+                    // frequency-ordered; an out-of-order prefix can only
+                    // be a corrupt artifact.
+                    PrefixData::Entries(entries)
+                        if entries
+                            .windows(2)
+                            .any(|pair| matches!(pair, [a, b] if a.weight < b.weight)) =>
+                    {
+                        Err(VerifyError::PrefixNotOrdered { term: tv.term })
+                    }
+                    PrefixData::Entries(entries) => Ok(entries.as_slice()),
+                    PrefixData::DocIds(_) => Err(payload_mismatch(tv.term)),
+                })
+                .collect::<Result<_, _>>()?,
+        }),
+    })
+}
+
+fn payload_mismatch(term: TermId) -> VerifyError {
+    VerifyError::MalformedProof(format!(
+        "term {term}: prefix payload does not match mechanism"
+    ))
 }
 
 /// The VO must speak for this mechanism and exactly this query's terms.
@@ -442,10 +470,7 @@ fn verify_term_prefix(params: &VerifierParams, tv: &TermVo) -> Result<Digest, Ve
         )));
     }
     if matches!(tv.prefix, PrefixData::DocIds(_)) != params.mechanism.is_tra() {
-        return Err(VerifyError::MalformedProof(format!(
-            "term {}: prefix payload does not match mechanism",
-            tv.term
-        )));
+        return Err(payload_mismatch(tv.term));
     }
     match (&tv.proof, params.mechanism.is_cmht()) {
         (TermProof::Mht(proof), false) => {
@@ -542,31 +567,6 @@ struct TnraVoLists<'a> {
     prefixes: Vec<&'a [ImpactEntry]>,
 }
 
-impl<'a> TnraVoLists<'a> {
-    fn build(vo: &'a VerificationObject) -> Result<TnraVoLists<'a>, VerifyError> {
-        let mut lens = Vec::with_capacity(vo.terms.len());
-        let mut prefixes = Vec::with_capacity(vo.terms.len());
-        for tv in &vo.terms {
-            let PrefixData::Entries(entries) = &tv.prefix else {
-                return Err(VerifyError::MalformedProof(
-                    "TNRA VO without impact entries".into(),
-                ));
-            };
-            // Defense in depth: the owner's lists are frequency-ordered;
-            // an out-of-order prefix can only be a corrupt artifact.
-            if entries
-                .windows(2)
-                .any(|pair| matches!(pair, [a, b] if a.weight < b.weight))
-            {
-                return Err(VerifyError::PrefixNotOrdered { term: tv.term });
-            }
-            lens.push(tv.ft as usize);
-            prefixes.push(entries.as_slice());
-        }
-        Ok(TnraVoLists { lens, prefixes })
-    }
-}
-
 impl ListAccess for TnraVoLists<'_> {
     fn list_len(&self, i: usize) -> usize {
         self.lens.get(i).copied().unwrap_or(0)
@@ -598,31 +598,7 @@ impl ListAccess for TnraVoLists<'_> {
 struct TraVoLists<'a> {
     lens: Vec<usize>,
     prefixes: Vec<&'a [DocId]>,
-    freqs: &'a ResolvedFreqs,
-}
-
-impl<'a> TraVoLists<'a> {
-    fn build(
-        vo: &'a VerificationObject,
-        freqs: &'a ResolvedFreqs,
-    ) -> Result<TraVoLists<'a>, VerifyError> {
-        let mut lens = Vec::with_capacity(vo.terms.len());
-        let mut prefixes = Vec::with_capacity(vo.terms.len());
-        for tv in &vo.terms {
-            let PrefixData::DocIds(ids) = &tv.prefix else {
-                return Err(VerifyError::MalformedProof(
-                    "TRA VO without doc-id prefix".into(),
-                ));
-            };
-            lens.push(tv.ft as usize);
-            prefixes.push(ids.as_slice());
-        }
-        Ok(TraVoLists {
-            lens,
-            prefixes,
-            freqs,
-        })
-    }
+    freqs: ResolvedFreqs,
 }
 
 impl ListAccess for TraVoLists<'_> {
@@ -671,6 +647,10 @@ mod tests {
     use crate::auth::{AuthConfig, AuthenticatedIndex};
     use crate::toy::{toy_contents, toy_index, toy_query};
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
+
+    fn conjunctive_toy_query() -> Query {
+        toy_query().with_mode(QueryMode::Conjunctive)
+    }
 
     fn setup(mechanism: Mechanism) -> (AuthenticatedIndex, VerifierParams) {
         let key = cached_keypair(TEST_KEY_BITS);
@@ -857,8 +837,8 @@ mod tests {
     fn honest_conjunctive_verifies_under_every_mechanism() {
         for mechanism in Mechanism::ALL {
             let (auth, params) = setup(mechanism);
-            let resp = auth.query_conjunctive(&toy_query(), 2, &toy_contents());
-            let verified = verify_conjunctive(&params, &toy_query(), 2, &resp)
+            let resp = auth.query(&conjunctive_toy_query(), 2, &toy_contents());
+            let verified = verify(&params, &conjunctive_toy_query(), 2, &resp)
                 .unwrap_or_else(|e| panic!("{mechanism:?}: {e}"));
             assert_eq!(verified.result.docs(), vec![6], "{mechanism:?}");
         }
@@ -867,9 +847,9 @@ mod tests {
     #[test]
     fn empty_conjunctive_query_verifies_trivially() {
         let (auth, params) = setup(Mechanism::TraMht);
-        let q = Query::default();
-        let resp = auth.query_conjunctive(&q, 5, &toy_contents());
-        let verified = verify_conjunctive(&params, &q, 5, &resp).unwrap();
+        let q = Query::default().with_mode(QueryMode::Conjunctive);
+        let resp = auth.query(&q, 5, &toy_contents());
+        let verified = verify(&params, &q, 5, &resp).unwrap();
         assert!(verified.result.entries.is_empty());
     }
 
@@ -879,14 +859,14 @@ mod tests {
         // 'sleeps' and 'dark') with plausible score and valid proofs —
         // the replay must narrow the intersection back to [6].
         let (auth, params) = setup(Mechanism::TnraMht);
-        let mut resp = auth.query_conjunctive(&toy_query(), 2, &toy_contents());
+        let mut resp = auth.query(&conjunctive_toy_query(), 2, &toy_contents());
         let score = resp.result.entries[0].score / 2.0;
         resp.result
             .entries
             .push(crate::types::ResultEntry { doc: 5, score });
         resp.contents.push((5, toy_contents()[5].clone()));
         assert!(matches!(
-            verify_conjunctive(&params, &toy_query(), 2, &resp),
+            verify(&params, &conjunctive_toy_query(), 2, &resp),
             Err(VerifyError::ResultMismatch(_))
         ));
     }
@@ -899,10 +879,10 @@ mod tests {
         // conjunctive completeness bar. Results differ for the toy
         // query ([6] vs [6, 5]), so the two VOs are never interchangeable.
         let (auth, params) = setup(Mechanism::TraMht);
-        let conj = auth.query_conjunctive(&toy_query(), 2, &toy_contents());
+        let conj = auth.query(&conjunctive_toy_query(), 2, &toy_contents());
         let disj = auth.query(&toy_query(), 2, &toy_contents());
         assert_ne!(conj.result, disj.result);
         assert!(verify(&params, &toy_query(), 2, &conj).is_err());
-        assert!(verify_conjunctive(&params, &toy_query(), 2, &disj).is_err());
+        assert!(verify(&params, &conjunctive_toy_query(), 2, &disj).is_err());
     }
 }

@@ -33,11 +33,6 @@ impl TokenizedDoc {
             Err(_) => 0,
         }
     }
-
-    /// Number of distinct terms.
-    pub fn num_distinct_terms(&self) -> usize {
-        self.counts.len()
-    }
 }
 
 /// A tokenized document collection plus its dictionary `T`.

@@ -148,11 +148,6 @@ impl BigUint {
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
 
-    /// Low 64 bits (useful in tests against primitive arithmetic).
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     /// Drop leading zero limbs to restore the normalized representation.
     pub(crate) fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {

@@ -113,14 +113,6 @@ pub fn put_f64<W: Write>(w: &mut W, v: f64) -> io::Result<()> {
     w.write_all(&v.to_bits().to_le_bytes())
 }
 
-/// Write one length-prefixed UTF-8 string.
-pub fn put_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    let len = u32::try_from(s.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "string length exceeds u32"))?;
-    put_u32(w, len)?;
-    w.write_all(s.as_bytes())
-}
-
 fn get_u32<R: Read>(r: &mut R) -> Result<u32, PersistError> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;

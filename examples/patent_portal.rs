@@ -10,7 +10,7 @@
 //! ```
 
 use authsearch_core::attacks::Attack;
-use authsearch_core::{AuthConfig, Client, DataOwner, Mechanism, SearchEngine};
+use authsearch_core::{AuthConfig, Client, DataOwner, Mechanism, Query, SearchEngine};
 use authsearch_corpus::CorpusBuilder;
 use authsearch_crypto::keys::PAPER_KEY_BITS;
 
@@ -37,8 +37,11 @@ fn main() {
     let engine = SearchEngine::new(publication.auth, corpus);
     let client = Client::new(publication.verifier_params);
 
-    let (query, honest) = engine.search_text("wireless charging coil", 3);
-    println!("examiner searches: \"wireless charging coil\" (top 3)");
+    let text = "wireless charging coil";
+    let query = Query::from_text(engine.corpus(), engine.auth().index(), text);
+    let pairs: Vec<_> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+    let honest = engine.search(&query, 3);
+    println!("examiner searches: \"{text}\" (top 3)");
     for (rank, e) in honest.result.entries.iter().enumerate() {
         println!(
             "  {}. [patent #{}] {:.60}…",
@@ -47,7 +50,7 @@ fn main() {
             engine.corpus().text(e.doc).unwrap()
         );
     }
-    match client.verify_query(&query, 3, &honest) {
+    match client.verify_terms(&pairs, 3, &honest) {
         Ok(_) => println!("  integrity proof: ACCEPTED\n"),
         Err(e) => unreachable!("honest portal rejected: {e}"),
     }
@@ -75,7 +78,7 @@ fn main() {
     for (attack, story) in scenarios {
         let mut tampered = honest.clone();
         assert!(attack.apply(&mut tampered), "{story}");
-        match client.verify_query(&query, 3, &tampered) {
+        match client.verify_terms(&pairs, 3, &tampered) {
             Ok(_) => println!("  ✗ {story}: NOT DETECTED (bug!)"),
             Err(e) => println!("  ✓ {story}\n      rejected: {e}"),
         }

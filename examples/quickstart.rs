@@ -4,7 +4,7 @@
 //! cargo run --release -p authsearch-core --example quickstart
 //! ```
 
-use authsearch_core::{AuthConfig, Client, DataOwner, Mechanism, SearchEngine};
+use authsearch_core::{AuthConfig, Client, DataOwner, Mechanism, Query, SearchEngine};
 use authsearch_corpus::CorpusBuilder;
 use authsearch_crypto::keys::PAPER_KEY_BITS;
 
@@ -47,7 +47,8 @@ fn main() {
     //    serves queries with verification objects.
     // ------------------------------------------------------------------
     let engine = SearchEngine::new(publication.auth, corpus);
-    let (query, response) = engine.search_text("night keeper keep", 3);
+    let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper keep");
+    let response = engine.search(&query, 3);
     println!("\nengine: top-3 for \"night keeper keep\":");
     for (rank, entry) in response.result.entries.iter().enumerate() {
         println!(
@@ -69,9 +70,12 @@ fn main() {
 
     // ------------------------------------------------------------------
     // 3. The user verifies: complete, correctly ranked, nothing spurious.
+    //    The query-side weights are recomputed from the posed
+    //    `(t, f_{Q,t})` pairs and the signed `f_t` values in the VO.
     // ------------------------------------------------------------------
+    let pairs: Vec<_> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
     let client = Client::new(publication.verifier_params);
-    match client.verify_query(&query, 3, &response) {
+    match client.verify_terms(&pairs, 3, &response) {
         Ok(verified) => println!(
             "\nclient: VERIFIED — result provably correct ({} entries)",
             verified.result.entries.len()

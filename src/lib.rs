@@ -31,7 +31,7 @@ pub use authsearch_index as index;
 pub mod prelude {
     pub use authsearch_core::{
         phrase_filter, AuthConfig, AuthenticatedIndex, Client, Connection, DataOwner, Mechanism,
-        ParsedQuery, Query, QueryMode, QueryResponse, RetryPolicy, SearchEngine, VerifierParams,
+        Query, QueryMode, QueryResponse, RetryPolicy, SearchEngine, VerifierParams,
     };
     #[cfg(unix)]
     pub use authsearch_core::{Server, ServerConfig};

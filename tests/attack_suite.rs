@@ -5,9 +5,9 @@
 //! security contract of the library.
 
 use authsearch_core::attacks::{
-    doc_beyond_table_response, foreign_term_response, incomplete_conjunct_response,
-    interior_as_leaf_response, mechanism_swapped_response, older_index, shifted_dict_leaf_response,
-    stale_manifest_response, truncated_prefix_response, Attack, Tree,
+    doc_beyond_table_response, foreign_term_response, interior_as_leaf_response,
+    mechanism_swapped_response, older_index, shifted_dict_leaf_response, stale_manifest_response,
+    truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::toy::{toy_contents, toy_index, toy_query};
 use authsearch_core::{
@@ -157,33 +157,33 @@ fn conjunctive_fixture(mechanism: Mechanism) -> (Publication, authsearch_corpus:
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
     let config = AuthConfig::new(mechanism);
     let publication = owner.publish(&corpus, config);
-    let query = Query::from_text(&corpus, publication.auth.index(), "night keeper");
+    let query = Query::from_text(&corpus, publication.auth.index(), "night keeper")
+        .with_mode(QueryMode::Conjunctive);
     assert_eq!(query.len(), 2);
     (publication, corpus, query)
 }
 
 /// The conjunctive security contract: every applicable attack from the
 /// whole catalogue — the original eleven plus the four conjunctive/
-/// phrase variants — is rejected by [`verify::verify_conjunctive`]
+/// phrase variants — is rejected by [`verify::verify`]
 /// under every mechanism, and the honest response verifies first.
 #[test]
 fn every_conjunctive_attack_rejected_under_every_mechanism() {
     for mechanism in Mechanism::ALL {
         let (publication, corpus, query) = conjunctive_fixture(mechanism);
-        let honest = publication.auth.query_conjunctive(&query, 2, &corpus);
+        let honest = publication.auth.query(&query, 2, &corpus);
         assert_eq!(
             honest.result.entries.len(),
             2,
             "{}: fixture must yield a full top-2 intersection",
             mechanism.name()
         );
-        verify::verify_conjunctive(&publication.verifier_params, &query, 2, &honest)
-            .unwrap_or_else(|e| {
-                panic!(
-                    "{}: honest conjunctive response rejected: {e}",
-                    mechanism.name()
-                )
-            });
+        verify::verify(&publication.verifier_params, &query, 2, &honest).unwrap_or_else(|e| {
+            panic!(
+                "{}: honest conjunctive response rejected: {e}",
+                mechanism.name()
+            )
+        });
 
         let catalogue = Attack::COMMON
             .iter()
@@ -214,8 +214,7 @@ fn every_conjunctive_attack_rejected_under_every_mechanism() {
                 );
                 continue;
             }
-            let outcome =
-                verify::verify_conjunctive(&publication.verifier_params, &query, 2, &tampered);
+            let outcome = verify::verify(&publication.verifier_params, &query, 2, &tampered);
             assert!(
                 outcome.is_err(),
                 "{}: conjunctive attack '{}' was NOT detected",
@@ -233,7 +232,7 @@ fn every_conjunctive_attack_rejected_under_every_mechanism() {
 fn conjunctive_attacks_applicable_on_the_fixture() {
     for mechanism in Mechanism::ALL {
         let (publication, corpus, query) = conjunctive_fixture(mechanism);
-        let honest = publication.auth.query_conjunctive(&query, 2, &corpus);
+        let honest = publication.auth.query(&query, 2, &corpus);
         for attack in Attack::CONJUNCTIVE {
             let mut tampered = honest.clone();
             let expect = attack != Attack::PhraseOrderSwap || mechanism.is_tra();
@@ -263,14 +262,13 @@ fn incomplete_conjunct_with_valid_proofs_rejected() {
         terms.sort_by_key(|&t| std::cmp::Reverse(index.ft(t)));
         let mut pick = [terms[0], terms[1]];
         pick.sort_unstable();
-        let query = Query::from_term_ids(index, &pick);
-        let honest = publication.auth.query_conjunctive(&query, 10, &corpus);
-        verify::verify_conjunctive(&publication.verifier_params, &query, 10, &honest)
+        let query = Query::from_term_ids(index, &pick).with_mode(QueryMode::Conjunctive);
+        let honest = publication.auth.query(&query, 10, &corpus);
+        verify::verify(&publication.verifier_params, &query, 10, &honest)
             .unwrap_or_else(|e| panic!("{}: honest rejected: {e}", mechanism.name()));
-        let tampered = incomplete_conjunct_response(&publication.auth, &query, 10, &corpus)
+        let tampered = truncated_prefix_response(&publication.auth, &query, 10, &corpus)
             .unwrap_or_else(|| panic!("{}: fixture lists too short", mechanism.name()));
-        let outcome =
-            verify::verify_conjunctive(&publication.verifier_params, &query, 10, &tampered);
+        let outcome = verify::verify(&publication.verifier_params, &query, 10, &tampered);
         assert!(
             matches!(outcome, Err(VerifyError::ConjunctIncomplete { .. })),
             "{}: incomplete conjunct not typed correctly ({outcome:?})",
@@ -288,9 +286,8 @@ fn conjunctive_mode_confusion_rejected() {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let config = AuthConfig::new(mechanism);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
-        let conj = publication
-            .auth
-            .query_conjunctive(&toy_query(), 2, &toy_contents());
+        let conjunctive = toy_query().with_mode(QueryMode::Conjunctive);
+        let conj = publication.auth.query(&conjunctive, 2, &toy_contents());
         let disj = publication.auth.query(&toy_query(), 2, &toy_contents());
         assert_ne!(conj.result, disj.result, "{}", mechanism.name());
         assert!(
@@ -299,8 +296,7 @@ fn conjunctive_mode_confusion_rejected() {
             mechanism.name()
         );
         assert!(
-            verify::verify_conjunctive(&publication.verifier_params, &toy_query(), 2, &disj)
-                .is_err(),
+            verify::verify(&publication.verifier_params, &conjunctive, 2, &disj).is_err(),
             "{}: disjunctive VO accepted by the conjunctive verifier",
             mechanism.name()
         );
@@ -312,15 +308,16 @@ fn conjunctive_mode_confusion_rejected() {
 #[test]
 fn conjunctive_wrong_key_and_query_rejected() {
     let (publication, corpus, query) = conjunctive_fixture(Mechanism::TnraCmht);
-    let honest = publication.auth.query_conjunctive(&query, 2, &corpus);
+    let honest = publication.auth.query(&query, 2, &corpus);
     let other_key = authsearch_crypto::keys::cached_keypair(768);
     let mut params = publication.verifier_params.clone();
     params.public_key = other_key.public_key().clone();
-    assert!(verify::verify_conjunctive(&params, &query, 2, &honest).is_err());
+    assert!(verify::verify(&params, &query, 2, &honest).is_err());
 
-    let other = Query::from_text(&corpus, publication.auth.index(), "town house");
+    let other = Query::from_text(&corpus, publication.auth.index(), "town house")
+        .with_mode(QueryMode::Conjunctive);
     assert!(matches!(
-        verify::verify_conjunctive(&publication.verifier_params, &other, 2, &honest),
+        verify::verify(&publication.verifier_params, &other, 2, &honest),
         Err(VerifyError::QueryShapeMismatch(_))
     ));
 }
@@ -432,39 +429,6 @@ fn deliver(path: Path, query: &Query, response: QueryResponse) -> QueryResponse 
     }
 }
 
-fn verify_in(
-    mode: QueryMode,
-    publication: &Publication,
-    query: &Query,
-    response: &QueryResponse,
-) -> Result<authsearch_core::VerifiedResult, VerifyError> {
-    verify_with(mode, &publication.verifier_params, query, response)
-}
-
-fn verify_with(
-    mode: QueryMode,
-    params: &authsearch_core::VerifierParams,
-    query: &Query,
-    response: &QueryResponse,
-) -> Result<authsearch_core::VerifiedResult, VerifyError> {
-    match mode {
-        QueryMode::Disjunctive => verify::verify(params, query, 10, response),
-        QueryMode::Conjunctive => verify::verify_conjunctive(params, query, 10, response),
-    }
-}
-
-fn serve_in(
-    mode: QueryMode,
-    publication: &Publication,
-    query: &Query,
-    corpus: &authsearch_corpus::Corpus,
-) -> QueryResponse {
-    match mode {
-        QueryMode::Disjunctive => publication.auth.query(query, 10, corpus),
-        QueryMode::Conjunctive => publication.auth.query_conjunctive(query, 10, corpus),
-    }
-}
-
 /// The first sampled query whose honest response every document-table
 /// attack applies to (so no cell of the matrix is skipped).
 fn doc_table_query(
@@ -480,8 +444,8 @@ fn doc_table_query(
     (0..64)
         .map(|seed| {
             let ids = authsearch_corpus::workload::synthetic(m, 1, terms, seed).remove(0);
-            let query = Query::from_term_ids(publication.auth.index(), &ids);
-            let honest = serve_in(mode, publication, &query, corpus);
+            let query = Query::from_term_ids(publication.auth.index(), &ids).with_mode(mode);
+            let honest = publication.auth.query(&query, 10, corpus);
             (query, honest)
         })
         .find(|(_, honest)| {
@@ -517,15 +481,17 @@ fn doc_table_attacks_rejected_with_typed_verdicts() {
             ));
             for path in [Path::InProcess, Path::Wire] {
                 let delivered = deliver(path, &query, honest.clone());
-                verify_in(mode, &publication, &query, &delivered).unwrap_or_else(|e| {
-                    panic!(
-                        "{} {mode:?} {path:?}: honest reply rejected: {e}",
-                        mechanism.name()
-                    )
-                });
+                verify::verify(&publication.verifier_params, &query, 10, &delivered)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "{} {mode:?} {path:?}: honest reply rejected: {e}",
+                            mechanism.name()
+                        )
+                    });
                 for (name, tampered, expect) in &cases {
                     let delivered = deliver(path, &query, tampered.clone());
-                    let outcome = verify_in(mode, &publication, &query, &delivered);
+                    let outcome =
+                        verify::verify(&publication.verifier_params, &query, 10, &delivered);
                     assert!(
                         expect.holds(&outcome),
                         "{} {mode:?} {path:?}: '{name}' gave {outcome:?}, want {expect:?}",
@@ -555,7 +521,7 @@ fn duplicate_content_rejected_with_typed_verdict() {
             for path in [Path::InProcess, Path::Wire] {
                 let delivered = deliver(path, &query, tampered.clone());
                 assert_eq!(delivered.contents, tampered.contents, "{path:?}");
-                let outcome = verify_in(mode, &publication, &query, &delivered);
+                let outcome = verify::verify(&publication.verifier_params, &query, 10, &delivered);
                 assert_eq!(
                     outcome,
                     Err(VerifyError::DuplicateContent { doc }),
@@ -661,7 +627,7 @@ fn manifest_query(mode: QueryMode, publication: &Publication) -> Query {
     (0..64)
         .map(|seed| {
             let ids = authsearch_corpus::workload::synthetic(m, 1, terms, seed).remove(0);
-            Query::from_term_ids(index, &ids)
+            Query::from_term_ids(index, &ids).with_mode(mode)
         })
         .find(|query| {
             query
@@ -688,7 +654,7 @@ fn manifest_attacks_rejected_with_typed_verdicts() {
         let (publication, corpus) = publish(mechanism);
         for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
             let query = manifest_query(mode, &publication);
-            let honest = serve_in(mode, &publication, &query, &corpus);
+            let honest = publication.auth.query(&query, 10, &corpus);
             let older = older_publication(&publication, &corpus, query.terms[0].term);
             let other = other_tree_type(mechanism);
             let mut other_params = publication.verifier_params.clone();
@@ -713,7 +679,7 @@ fn manifest_attacks_rejected_with_typed_verdicts() {
                 ),
                 (
                     "term root from an older publication",
-                    foreign_term_response(&honest, &serve_in(mode, &older, &query, &corpus), 0),
+                    foreign_term_response(&honest, &older.auth.query(&query, 10, &corpus), 0),
                     &publication.verifier_params,
                 ),
                 (
@@ -724,25 +690,26 @@ fn manifest_attacks_rejected_with_typed_verdicts() {
                 (
                     "dictionary leaf shifted by one",
                     shifted_dict_leaf_response(&query, m, |q| {
-                        serve_in(mode, &publication, q, &corpus)
+                        publication.auth.query(q, 10, &corpus)
                     }),
                     &publication.verifier_params,
                 ),
             ];
             for path in [Path::InProcess, Path::Wire] {
                 let delivered = deliver(path, &query, honest.clone());
-                verify_in(mode, &publication, &query, &delivered).unwrap_or_else(|e| {
-                    panic!(
-                        "{} {mode:?} {path:?}: honest reply rejected: {e}",
-                        mechanism.name()
-                    )
-                });
+                verify::verify(&publication.verifier_params, &query, 10, &delivered)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "{} {mode:?} {path:?}: honest reply rejected: {e}",
+                            mechanism.name()
+                        )
+                    });
                 for (name, tampered, params) in &cases {
                     let tampered = tampered.clone().unwrap_or_else(|| {
                         panic!("{} {mode:?}: '{name}' not applicable", mechanism.name())
                     });
                     let delivered = deliver(path, &query, tampered);
-                    let outcome = verify_with(mode, params, &query, &delivered);
+                    let outcome = verify::verify(params, &query, 10, &delivered);
                     assert!(
                         Expect::Manifest.holds(&outcome),
                         "{} {mode:?} {path:?}: '{name}' gave {outcome:?}",

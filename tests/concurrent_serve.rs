@@ -87,8 +87,7 @@ fn concurrent_hammering_yields_sequential_bytes() {
         for (q, bytes) in fx.queries.iter().zip(&fx.reference) {
             let mut resp = fx.engine.search(q, 4);
             resp.vo = wire::decode(bytes).expect("reference bytes decode");
-            fx.client
-                .verify_query(q, 4, &resp)
+            authsearch::core::verify(fx.client.params(), q, 4, &resp)
                 .unwrap_or_else(|e| panic!("{}: {e}", mechanism.name()));
         }
         let stats = fx.engine.auth().cache_stats();

@@ -6,7 +6,7 @@
 //! byte-identical whatever pool width the owner published at.
 
 use authsearch::core::wire;
-use authsearch::core::{verify_conjunctive, Query};
+use authsearch::core::{verify, Query};
 use authsearch::prelude::*;
 use proptest::prelude::*;
 
@@ -64,12 +64,16 @@ fn brute_force_intersection(engine: &SearchEngine, query: &Query, r: usize) -> V
     scored
 }
 
+/// `terms` posed as a conjunctive query.
+fn conjunctive(engine: &SearchEngine, terms: &[u32]) -> Query {
+    Query::from_term_ids(engine.auth().index(), terms).with_mode(QueryMode::Conjunctive)
+}
+
 /// One equivalence check: serve the conjunctive query, verify it, and
 /// compare docs + scores against brute force.
 fn check_case(engine: &SearchEngine, params: &VerifierParams, query: &Query, r: usize) {
-    let response = engine.search_conjunctive(query, r);
-    let verified =
-        verify_conjunctive(params, query, r, &response).expect("honest conjunctive VO verifies");
+    let response = engine.search(query, r);
+    let verified = verify(params, query, r, &response).expect("honest conjunctive VO verifies");
     let expected = brute_force_intersection(engine, query, r);
     let got: Vec<(u32, f64)> = verified
         .result
@@ -109,8 +113,7 @@ proptest! {
         let mut ids: Vec<u32> = raw_terms.iter().map(|&t| t % num_terms).collect();
         ids.sort_unstable();
         ids.dedup();
-        let query = Query::from_term_ids(engine.auth().index(), &ids);
-        check_case(&engine, &params, &query, r);
+        check_case(&engine, &params, &conjunctive(&engine, &ids), r);
     }
 }
 
@@ -136,15 +139,15 @@ fn conjunctive_vo_bytes_identical_across_pool_widths() {
         let workloads = authsearch::corpus::workload::synthetic(num_terms, 6, 2, 9);
         let queries: Vec<Query> = workloads
             .iter()
-            .map(|terms| Query::from_term_ids(engine.auth().index(), terms))
+            .map(|terms| conjunctive(&engine, terms))
             .collect();
 
         // Width-1 references (and the honesty check, once per query).
         let reference: Vec<Vec<u8>> = queries
             .iter()
             .map(|query| {
-                let response = engine.search_conjunctive(query, 5);
-                verify_conjunctive(&params, query, 5, &response).expect("verifies");
+                let response = engine.search(query, 5);
+                verify(&params, query, 5, &response).expect("verifies");
                 wire::encode(&response.vo).unwrap()
             })
             .collect();
@@ -152,7 +155,7 @@ fn conjunctive_vo_bytes_identical_across_pool_widths() {
         for width in [2usize, 4, 8] {
             let (engine, _) = at_width(width);
             for (i, query) in queries.iter().enumerate() {
-                let bytes = wire::encode(&engine.search_conjunctive(query, 5).vo).unwrap();
+                let bytes = wire::encode(&engine.search(query, 5).vo).unwrap();
                 assert_eq!(
                     bytes,
                     reference[i],
@@ -179,10 +182,10 @@ fn conjunctive_vo_is_smaller_than_fetching_every_full_list() {
         let workloads = authsearch::corpus::workload::synthetic(index.num_terms(), 8, 2, 17);
         let (mut conj_bytes, mut fetch_bytes) = (0usize, 0usize);
         for terms in &workloads {
-            let query = Query::from_term_ids(index, terms);
-            let response = engine.search_conjunctive(&query, R);
-            let verified = verify_conjunctive(&params, &query, R, &response)
-                .expect("honest conjunctive VO verifies");
+            let query = conjunctive(&engine, terms);
+            let response = engine.search(&query, R);
+            let verified =
+                verify(&params, &query, R, &response).expect("honest conjunctive VO verifies");
             conj_bytes += wire::encode(&response.vo).unwrap().len();
 
             let mut intersection: Option<Vec<u32>> = None;
@@ -190,8 +193,8 @@ fn conjunctive_vo_is_smaller_than_fetching_every_full_list() {
                 let single = Query::from_term_pairs(index, &[(qt.term, qt.f_qt)]);
                 let full = engine.search(&single, num_docs);
                 fetch_bytes += wire::encode(&full.vo).unwrap().len();
-                let list = authsearch::core::verify::verify(&params, &single, num_docs, &full)
-                    .expect("honest full list verifies");
+                let list =
+                    verify(&params, &single, num_docs, &full).expect("honest full list verifies");
                 let docs: Vec<u32> = list.result.entries.iter().map(|e| e.doc).collect();
                 intersection = Some(match intersection {
                     None => docs,
@@ -229,10 +232,10 @@ fn disjoint_terms_verify_as_provably_empty() {
         let mut found = false;
         'search: for a in 0..num_terms.min(40) {
             for b in (a + 1)..num_terms.min(40) {
-                let query = Query::from_term_ids(engine.auth().index(), &[a as u32, b as u32]);
+                let query = conjunctive(&engine, &[a as u32, b as u32]);
                 if brute_force_intersection(&engine, &query, 60).is_empty() {
-                    let response = engine.search_conjunctive(&query, 5);
-                    let verified = verify_conjunctive(&params, &query, 5, &response)
+                    let response = engine.search(&query, 5);
+                    let verified = verify(&params, &query, 5, &response)
                         .expect("empty intersection still verifies");
                     assert!(verified.result.entries.is_empty());
                     found = true;

@@ -157,7 +157,8 @@ fn single_term_and_repeated_term_queries() {
         let engine = SearchEngine::new(publication.auth, corpus.clone());
         let client = Client::new(publication.verifier_params);
         // Repeated word: f_{Q,t} = 2 for 'alpha'.
-        let (query, response) = engine.search_text("alpha alpha beta", 2);
+        let query = Query::from_text(engine.corpus(), engine.auth().index(), "alpha alpha beta");
+        let response = engine.search(&query, 2);
         let alpha = corpus.term_id("alpha").unwrap();
         let qt = query.terms.iter().find(|t| t.term == alpha).unwrap();
         assert_eq!(qt.f_qt, 2);

@@ -72,10 +72,8 @@ fn serve_wide_tra(mechanism: Mechanism, threads: usize) -> Vec<(Vec<u8>, IoStats
     // starts, so each reply is served many times.
     (0..16)
         .flat_map(|_| {
-            [
-                engine.search(&query, 10),
-                engine.search_conjunctive(&query, 10),
-            ]
+            [QueryMode::Disjunctive, QueryMode::Conjunctive]
+                .map(|mode| engine.search(&query.clone().with_mode(mode), 10))
         })
         .map(|response| {
             // Enough proofs that the widest engine really runs 4 wide.
@@ -113,17 +111,8 @@ fn parallel_built_publication_verifies() {
     let publication = owner.publish(&corpus, config);
     let params = publication.verifier_params.clone();
     let engine = SearchEngine::new(publication.auth, corpus);
-    let (query, response) = engine.search_text("term0 term1 term2", 5);
-    if query.is_empty() {
-        // Synthetic vocabularies are numeric; fall back to term ids.
-        let query = Query::from_term_ids(engine.auth().index(), &[0, 1]);
-        let response = engine.search(&query, 5);
-        let client = Client::new(params);
-        let verified = client.verify_query(&query, 5, &response).expect("honest");
-        assert_eq!(verified.result, response.result);
-    } else {
-        let client = Client::new(params);
-        let verified = client.verify_query(&query, 5, &response).expect("honest");
-        assert_eq!(verified.result, response.result);
-    }
+    let query = Query::from_term_ids(engine.auth().index(), &[0, 1]);
+    let response = engine.search(&query, 5);
+    let verified = authsearch::core::verify(&params, &query, 5, &response).expect("honest");
+    assert_eq!(verified.result, response.result);
 }

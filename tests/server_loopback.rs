@@ -268,7 +268,7 @@ fn warm_started_server_serves_verified_responses() {
 
 /// Conjunctive queries over the real TCP front: every reply must
 /// verify (intersection completeness proved), byte-match the engine's
-/// sequential `search_conjunctive` path, and contain only documents
+/// sequential serve of the same conjunctive query, and contain only documents
 /// carrying *every* query term.
 #[test]
 fn conjunctive_queries_verify_over_loopback() {
@@ -282,8 +282,9 @@ fn conjunctive_queries_verify_over_loopback() {
         .unwrap();
         let mut connection = Connection::connect(handle.addr(), fx.params.clone()).unwrap();
         for pairs in fx.workloads.iter().take(4) {
-            let query = Query::from_term_pairs(fx.engine.auth().index(), pairs);
-            let reference = fx.engine.search_conjunctive(&query, TOP_R);
+            let query = Query::from_term_pairs(fx.engine.auth().index(), pairs)
+                .with_mode(QueryMode::Conjunctive);
+            let reference = fx.engine.search(&query, TOP_R);
             let (verified, response) = connection
                 .query_conjunctive(pairs, TOP_R)
                 .expect("conjunctive reply verifies");
@@ -380,7 +381,8 @@ fn over_long_query_is_bad_query_under_tnra_and_served_under_tra() {
             .map(|&(t, _)| fx.engine.corpus().term(t))
             .collect();
         let text = words.join(" ");
-        assert_eq!(fx.engine.parse_query(&text).query.terms.len(), n);
+        let parsed = Query::from_text(fx.engine.corpus(), fx.engine.auth().index(), &text);
+        assert_eq!(parsed.terms.len(), n);
         let handle = Server::start(
             Arc::clone(&fx.engine),
             "127.0.0.1:0",

@@ -9,7 +9,7 @@
 use authsearch_core::attacks::Attack;
 use authsearch_core::{
     boot_authenticated_index, verify, AuthConfig, AuthenticatedIndex, Connection, DataOwner,
-    Mechanism, Query, Server, ServerConfig, VerifierParams,
+    Mechanism, Query, QueryMode, Server, ServerConfig, VerifierParams,
 };
 use authsearch_corpus::{Corpus, SyntheticConfig};
 use authsearch_crypto::keys::TEST_KEY_BITS;
@@ -365,18 +365,17 @@ fn booted_engine_serves_byte_identical_conjunctive_vos() {
             boot_authenticated_index(&path, &config, &publication.verifier_params).unwrap();
 
         for seed in [11u64, 12, 13] {
-            let query = sample_query(&publication.auth, seed);
-            let cold = publication.auth.query_conjunctive(&query, 5, &corpus);
-            let warm = booted.query_conjunctive(&query, 5, &corpus);
+            let query = sample_query(&publication.auth, seed).with_mode(QueryMode::Conjunctive);
+            let cold = publication.auth.query(&query, 5, &corpus);
+            let warm = booted.query(&query, 5, &corpus);
             assert_eq!(
                 cold.vo, warm.vo,
                 "{mechanism:?} seed {seed}: conjunctive VO must be byte-identical"
             );
             assert_eq!(cold.result, warm.result, "{mechanism:?} seed {seed}");
-            verify::verify_conjunctive(&publication.verifier_params, &query, 5, &warm)
-                .unwrap_or_else(|e| {
-                    panic!("{mechanism:?}: booted conjunctive response rejected: {e}")
-                });
+            verify::verify(&publication.verifier_params, &query, 5, &warm).unwrap_or_else(|e| {
+                panic!("{mechanism:?}: booted conjunctive response rejected: {e}")
+            });
         }
     }
     fs::remove_dir_all(&dir).ok();
