@@ -260,58 +260,37 @@ pub struct Connection {
     /// subsequent operation fails fast instead of misreading stale
     /// bytes as answers to new queries.
     desynced: bool,
-    /// Dial timeout used by [`Connection::connect_timeout`] and
-    /// remembered for [`Connection::reconnect`]; `None` dials with the
-    /// OS default (which can block for minutes against a black-holed
-    /// peer).
-    dial_timeout: Option<Duration>,
+}
+
+/// Bound on one TCP handshake. `TcpStream::connect` can block for the
+/// OS's connect timeout, minutes against a silently dropping peer.
+const DIAL_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Open one socket to `addr` under [`DIAL_TIMEOUT`], with `TCP_NODELAY`:
+/// request and reply frames are small, and Nagle batching would add a
+/// delayed-ACK round trip to every exchange.
+fn dial(addr: &SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(addr, DIAL_TIMEOUT)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 impl Connection {
     /// Connect to a server and verify against `params` (obtained from
-    /// the data owner's broadcast, *not* from the server). Sockets are
-    /// opened with `TCP_NODELAY`: request and reply frames are small,
-    /// and Nagle batching would add a delayed-ACK round trip to every
-    /// exchange.
+    /// the data owner's broadcast, *not* from the server). Each
+    /// resolved address is dialed in turn, the handshake bounded by a
+    /// 10-second timeout, until one answers.
     pub fn connect<A: ToSocketAddrs>(addr: A, params: VerifierParams) -> io::Result<Connection> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let addr = stream.peer_addr()?;
-        Ok(Connection {
-            stream,
-            client: Client::new(params),
-            addr,
-            desynced: false,
-            dial_timeout: None,
-        })
-    }
-
-    /// [`Connection::connect`] with a bound on the TCP handshake
-    /// itself. `TcpStream::connect` can block for the OS's connect
-    /// timeout (minutes against a silently dropping peer); this helper
-    /// dials each resolved address with a nonblocking connect polled up
-    /// to `timeout` — the right client-side posture against the
-    /// event-driven server core, whose accept queue (not a per-thread
-    /// rendezvous) absorbs dial bursts. The timeout is remembered and
-    /// reused by [`Connection::reconnect`].
-    pub fn connect_timeout<A: ToSocketAddrs>(
-        addr: A,
-        params: VerifierParams,
-        timeout: Duration,
-    ) -> io::Result<Connection> {
         let mut last_err: Option<io::Error> = None;
-        for candidate in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&candidate, timeout) {
+        for addr in addr.to_socket_addrs()? {
+            match dial(&addr) {
                 Ok(stream) => {
-                    stream.set_nodelay(true)?;
-                    let addr = stream.peer_addr()?;
                     return Ok(Connection {
                         stream,
                         client: Client::new(params),
                         addr,
                         desynced: false,
-                        dial_timeout: Some(timeout),
-                    });
+                    })
                 }
                 Err(e) => last_err = Some(e),
             }
@@ -324,18 +303,12 @@ impl Connection {
         }))
     }
 
-    /// Drop the current socket and dial the same server again, clearing
-    /// any desynchronization — the transport is fresh; the verification
-    /// parameters (and their trust root) are unchanged. A connection
-    /// opened with [`Connection::connect_timeout`] redials under the
-    /// same bound.
+    /// Drop the current socket and dial the same server again under
+    /// the same bound, clearing any desynchronization — the transport
+    /// is fresh; the verification parameters (and their trust root) are
+    /// unchanged.
     pub fn reconnect(&mut self) -> io::Result<()> {
-        let stream = match self.dial_timeout {
-            Some(timeout) => TcpStream::connect_timeout(&self.addr, timeout)?,
-            None => TcpStream::connect(self.addr)?,
-        };
-        stream.set_nodelay(true)?;
-        self.stream = stream;
+        self.stream = dial(&self.addr)?;
         self.desynced = false;
         Ok(())
     }
@@ -435,10 +408,14 @@ impl Connection {
     }
 
     /// Pose a natural-language query. The server parses it against its
-    /// dictionary and echoes the parse; the echo is what gets verified
-    /// (the parse only fixes *which* query is asked — all integrity
-    /// guarantees then hold for exactly that query). Returns the parse
-    /// alongside the verified result so the caller can inspect it.
+    /// dictionary and echoes the parse; the echo is what gets verified.
+    /// **The client trusts that parse**: no dictionary leaf binds a
+    /// word, so a server may drop or swap a word and its honest answer
+    /// to the query it chose still verifies. The guarantees hold for
+    /// the echoed query, not necessarily the one asked (ROADMAP item
+    /// 15). Returns the parse alongside the verified result so the
+    /// caller can inspect it; callers that hold term ids should use
+    /// [`Connection::query_terms`].
     #[allow(clippy::type_complexity)]
     pub fn query_text(
         &mut self,
@@ -719,15 +696,13 @@ mod tests {
             crate::server::ServerConfig::default(),
         )
         .expect("bind loopback");
-        let mut connection =
-            Connection::connect_timeout(handle.addr(), params, Duration::from_secs(5))
-                .expect("bounded dial");
+        let mut connection = Connection::connect(handle.addr(), params).expect("bounded dial");
         let mut pairs: Vec<(TermId, u32)> = terms.iter().map(|&t| (t, 1)).collect();
         pairs.sort_unstable();
         let (verified, response) = connection.query_terms(&pairs, 5).expect("verified");
         assert_eq!(verified.result, response.result);
-        // Redial reuses the remembered bound and yields a working frame
-        // stream again.
+        // Redial goes through the same bounded dial and yields a
+        // working frame stream again.
         connection.reconnect().expect("bounded redial");
         let (verified, response) = connection.query_terms(&pairs, 5).expect("after redial");
         assert_eq!(verified.result, response.result);
@@ -744,11 +719,7 @@ mod tests {
         };
         let (_, client, _) = setup(Mechanism::TraCmht);
         let started = std::time::Instant::now();
-        let result = Connection::connect_timeout(
-            ("127.0.0.1", port),
-            client.params().clone(),
-            Duration::from_secs(2),
-        );
+        let result = Connection::connect(("127.0.0.1", port), client.params().clone());
         assert!(result.is_err(), "dial to a dead port must not succeed");
         assert!(
             started.elapsed() < Duration::from_secs(10),
@@ -812,7 +783,6 @@ mod tests {
             "127.0.0.1:0",
             crate::server::ServerConfig {
                 max_connections: 1,
-                poll_interval: Duration::from_millis(10),
                 ..crate::server::ServerConfig::default()
             },
         )

@@ -84,10 +84,10 @@ impl ServerMetrics {
     }
 }
 
-/// Transport-level syscall counters, kept **separate** from
-/// [`ServerMetrics`]: those count protocol outcomes, which a scripted
-/// scenario pins exactly, while the syscall mix depends on how bytes
-/// happen to arrive and on the readiness backend.
+/// Transport-level syscall counters and the deadline heap gauge, kept
+/// **separate** from [`ServerMetrics`]: those count protocol outcomes,
+/// which a scripted scenario pins exactly, while the syscall mix
+/// depends on how bytes happen to arrive and on the readiness backend.
 ///
 /// Read with [`TransportStats::snapshot`]; divide by `requests_ok` for
 /// the syscalls-per-query rows `authbench` reports
@@ -104,6 +104,10 @@ pub struct TransportStats {
     /// Readiness waits: the event loop's `epoll_wait(2)` calls on
     /// Linux, `poll(2)` calls on other Unix.
     pub polls: AtomicU64,
+    /// A gauge, not a counter: the event loop's deadline heap length,
+    /// outlived entries included, stored once per loop turn. Steady
+    /// serving holds about one entry per open connection.
+    pub timers: AtomicU64,
 }
 
 /// A point-in-time copy of [`TransportStats`].
@@ -115,8 +119,10 @@ pub struct TransportStatsSnapshot {
     pub reads: u64,
     /// Socket write calls.
     pub writes: u64,
-    /// Readiness waits / poll ticks.
+    /// Readiness waits.
     pub polls: u64,
+    /// Deadline heap entries at the end of the last loop turn.
+    pub timers: u64,
 }
 
 impl TransportStats {
@@ -127,6 +133,7 @@ impl TransportStats {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             polls: self.polls.load(Ordering::Relaxed),
+            timers: self.timers.load(Ordering::Relaxed),
         }
     }
 }

@@ -7,9 +7,9 @@
 //! `std` already links — no new dependency), [`Token`] and
 //! [`Interest`] mirror their `mio` namesakes, [`Waker`] provides the
 //! cross-thread wakeup fd that lets pool workers and `shutdown()`
-//! interrupt a blocked [`Poll::poll`], and [`TimerWheel`] turns idle
-//! and frame deadlines into O(1)-per-tick bookkeeping instead of
-//! per-connection poll intervals.
+//! interrupt a blocked [`Poll::poll`]. Deadlines are not kept here:
+//! the event loop holds them in a heap and passes the earliest as the
+//! [`Poll::poll`] timeout.
 //!
 //! **Backends.** One surface ([`Poll`], [`Events`], [`Interest`],
 //! [`Event`], [`Waker`]), two build-time backends, exactly one per
@@ -46,7 +46,7 @@
 use std::io;
 use std::os::raw::c_int;
 use std::os::unix::net::UnixStream;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 #[cfg(target_os = "linux")]
 pub use epoll::Poll;
@@ -610,150 +610,12 @@ impl Waker {
     }
 }
 
-/// A timer entry's identity: which connection, and which *arming* of
-/// that connection's deadline. The wheel never deletes — a connection
-/// that re-arms (new request, reply written) bumps its epoch and the
-/// stale entry is ignored when its slot comes around. Expiry is
-/// therefore a **candidate**, not a verdict: the owner re-checks the
-/// connection's real deadline and re-inserts when it moved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerEntry {
-    /// Owner id (the reactor uses connection ids and sentinels).
-    pub id: u64,
-    /// The arming generation; stale generations are ignored at expiry.
-    pub epoch: u64,
-}
-
-struct TimerSlotEntry {
-    entry: TimerEntry,
-    deadline_tick: u64,
-}
-
-/// Hashed timer wheel: deadlines bucketed into `tick`-wide slots. All
-/// operations are O(1) amortized per entry per revolution; with the
-/// server's 10 ms tick and 512 slots a 30-second idle deadline costs
-/// one re-bucket roughly every 5 seconds of its life. Coarseness is
-/// bounded by one tick (a deadline fires at most one tick late), which
-/// is far inside the tolerance of idle/write deadlines measured in
-/// hundreds of milliseconds to tens of seconds.
-pub struct TimerWheel {
-    slots: Vec<Vec<TimerSlotEntry>>,
-    tick: Duration,
-    start: Instant,
-    /// Next tick index to sweep.
-    cursor: u64,
-    /// Smallest `deadline_tick` that may be present, for
-    /// [`TimerWheel::next_timeout`]. Re-derived on every sweep.
-    hint: Option<u64>,
-}
-
-impl TimerWheel {
-    /// A wheel of `slots` buckets, each `tick` wide. 512 × 10 ms covers
-    /// a ~5 s revolution; longer deadlines survive extra revolutions in
-    /// place (each entry stores its absolute deadline tick).
-    pub fn new(slots: usize, tick: Duration) -> TimerWheel {
-        let slots = slots.max(2);
-        let tick = if tick.is_zero() {
-            Duration::from_millis(10)
-        } else {
-            tick
-        };
-        TimerWheel {
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            tick,
-            start: Instant::now(),
-            cursor: 0,
-            hint: None,
-        }
-    }
-
-    fn tick_of(&self, at: Instant) -> u64 {
-        let elapsed = at.saturating_duration_since(self.start);
-        let t = elapsed.as_nanos() / self.tick.as_nanos().max(1);
-        u64::try_from(t).unwrap_or(u64::MAX)
-    }
-
-    /// Arm `entry` to become an expiry candidate at `deadline` (rounded
-    /// up to the next tick boundary, so it never fires early).
-    pub fn insert(&mut self, deadline: Instant, entry: TimerEntry) {
-        let deadline_tick = self.tick_of(deadline).saturating_add(1);
-        let nslots = self.slots.len();
-        let idx = usize::try_from(deadline_tick % u64::try_from(nslots).unwrap_or(1)).unwrap_or(0);
-        if let Some(slot) = self.slots.get_mut(idx) {
-            slot.push(TimerSlotEntry {
-                entry,
-                deadline_tick,
-            });
-            self.hint = Some(self.hint.map_or(deadline_tick, |h| h.min(deadline_tick)));
-        }
-    }
-
-    /// Sweep every tick between the last sweep and `now`, appending the
-    /// expired candidates to `expired`. Entries past their tick are
-    /// removed; the owner decides whether each one is a real timeout
-    /// (and re-inserts if the connection's deadline has moved).
-    pub fn advance(&mut self, now: Instant, expired: &mut Vec<TimerEntry>) {
-        let now_tick = self.tick_of(now);
-        if now_tick < self.cursor {
-            return;
-        }
-        let nslots = u64::try_from(self.slots.len()).unwrap_or(1);
-        let span = now_tick - self.cursor;
-        if span >= nslots {
-            // A full revolution (or more) passed: one pass over every
-            // slot sees every possible candidate.
-            for slot in self.slots.iter_mut() {
-                slot.retain(|e| {
-                    if e.deadline_tick <= now_tick {
-                        expired.push(e.entry);
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-        } else {
-            let mut t = self.cursor;
-            while t <= now_tick {
-                let idx = usize::try_from(t % nslots).unwrap_or(0);
-                if let Some(slot) = self.slots.get_mut(idx) {
-                    slot.retain(|e| {
-                        if e.deadline_tick <= now_tick {
-                            expired.push(e.entry);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-                t += 1;
-            }
-        }
-        self.cursor = now_tick + 1;
-        // Re-derive the earliest outstanding deadline for next_timeout.
-        self.hint = self
-            .slots
-            .iter()
-            .flat_map(|s| s.iter().map(|e| e.deadline_tick))
-            .min();
-    }
-
-    /// How long [`Poll::poll`] may sleep before the next deadline could
-    /// fire; `None` when no timers are armed.
-    pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        let target_tick = self.hint?;
-        let nanos = self.tick.as_nanos().saturating_mul(u128::from(target_tick));
-        let offset = Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX));
-        let target = self.start.checked_add(offset)?;
-        Some(target.saturating_duration_since(now))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::os::fd::AsRawFd;
+    use std::time::Duration;
 
     /// Run `$body` once per backend in this build, with `$poll` a fresh
     /// instance of it and `$backend` its name for failure messages:
@@ -933,65 +795,5 @@ mod tests {
             .poll(&mut events, Some(Duration::from_millis(20)))
             .unwrap();
         assert_eq!(n, 0, "deregistered, the closed fd is silent");
-    }
-
-    #[test]
-    fn timer_wheel_orders_and_expires() {
-        let mut wheel = TimerWheel::new(8, Duration::from_millis(5));
-        let t0 = Instant::now();
-        wheel.insert(
-            t0 + Duration::from_millis(10),
-            TimerEntry { id: 1, epoch: 0 },
-        );
-        wheel.insert(
-            t0 + Duration::from_millis(500),
-            TimerEntry { id: 2, epoch: 0 },
-        );
-        assert!(wheel.next_timeout(t0).is_some());
-        let mut expired = Vec::new();
-        wheel.advance(t0, &mut expired);
-        assert!(expired.is_empty(), "nothing expires at insert time");
-        // Far enough for entry 1, not 2 — and 500ms > 8*5ms, so entry 2
-        // must survive multiple revolutions in place.
-        wheel.advance(t0 + Duration::from_millis(80), &mut expired);
-        assert_eq!(expired, vec![TimerEntry { id: 1, epoch: 0 }]);
-        expired.clear();
-        wheel.advance(t0 + Duration::from_millis(400), &mut expired);
-        assert!(
-            expired.is_empty(),
-            "multi-revolution entry fires only at its tick"
-        );
-        wheel.advance(t0 + Duration::from_millis(600), &mut expired);
-        assert_eq!(expired, vec![TimerEntry { id: 2, epoch: 0 }]);
-        assert_eq!(wheel.next_timeout(Instant::now()), None);
-    }
-
-    #[test]
-    fn timer_wheel_next_timeout_tracks_earliest() {
-        let mut wheel = TimerWheel::new(16, Duration::from_millis(10));
-        let t0 = Instant::now();
-        assert_eq!(wheel.next_timeout(t0), None);
-        wheel.insert(
-            t0 + Duration::from_millis(300),
-            TimerEntry { id: 9, epoch: 3 },
-        );
-        let wait = wheel.next_timeout(t0).unwrap();
-        assert!(
-            wait >= Duration::from_millis(290) && wait <= Duration::from_millis(330),
-            "{wait:?}"
-        );
-        wheel.insert(
-            t0 + Duration::from_millis(50),
-            TimerEntry { id: 4, epoch: 0 },
-        );
-        let wait = wheel.next_timeout(t0).unwrap();
-        assert!(wait <= Duration::from_millis(80), "{wait:?}");
-        let mut expired = Vec::new();
-        wheel.advance(t0 + Duration::from_millis(120), &mut expired);
-        assert_eq!(expired, vec![TimerEntry { id: 4, epoch: 0 }]);
-        let wait = wheel.next_timeout(t0 + Duration::from_millis(120)).unwrap();
-        assert!(wait <= Duration::from_millis(210), "{wait:?}");
-        wheel.advance(t0 + Duration::from_millis(400), &mut expired);
-        assert_eq!(wheel.next_timeout(t0 + Duration::from_millis(400)), None);
     }
 }

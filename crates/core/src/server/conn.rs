@@ -202,10 +202,6 @@ pub(crate) struct Conn<S> {
     write_start: Instant,
     /// Shed-drain read counter.
     drain_reads: u32,
-    /// Timer-wheel generation owned by the reactor core: a fired wheel
-    /// entry with a stale epoch is ignored (the cheap way to "cancel"
-    /// timers when the state machine moves on).
-    pub(crate) timer_epoch: u64,
 }
 
 impl<S: ConnStream> Conn<S> {
@@ -226,7 +222,6 @@ impl<S: ConnStream> Conn<S> {
             frame_start: now,
             write_start: now,
             drain_reads: 0,
-            timer_epoch: 0,
         }
     }
 

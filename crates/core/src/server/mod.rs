@@ -25,8 +25,9 @@
 //! the private `conn` module) over the [`crate::wire`] frame codec;
 //! replies leave through vectored writes from reused per-connection
 //! buffers (no staging copy, no per-reply allocation at steady state);
-//! idle and write deadlines are timer-wheel entries, so 10k+ parked
-//! connections cost zero syscalls until a byte arrives.
+//! idle and write deadlines are entries in one heap, at most one live
+//! entry per connection, so 10k+ parked connections cost zero syscalls
+//! until a byte arrives.
 //!
 //! Around that core:
 //!
@@ -86,11 +87,6 @@ pub struct ServerConfig {
     /// [`crate::wire::errcode::BAD_QUERY`] reply instead of letting a
     /// remote peer size engine-side allocations.
     pub max_r: usize,
-    /// The timer-wheel tick width: deadlines fire at most this much
-    /// late. The loop itself sleeps event-driven, not on this interval;
-    /// it also paces the shutdown drain and the listener's back-off
-    /// after an accept error.
-    pub poll_interval: Duration,
     /// Admission cap: the most connections served simultaneously
     /// (`0` = unlimited, the pre-PR-5 behavior). A connection accepted
     /// over the cap is **shed with an answer** — a
@@ -129,7 +125,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             max_r: 1024,
-            poll_interval: Duration::from_millis(50),
             max_connections: env_usize("AUTHSEARCH_MAX_CONNECTIONS").unwrap_or(0),
             idle_deadline: env_usize("AUTHSEARCH_IDLE_MS")
                 .map(|ms| Duration::from_millis(ms as u64))
@@ -193,8 +188,8 @@ pub const MAX_REQUEST_PAYLOAD: usize = 1 << 20;
 /// Together with the per-gap idle deadline this bounds how long one
 /// frame can be stretched: a dribbler sending one byte per
 /// almost-deadline stays under the gap check but blows the total
-/// budget ([`frame_budget`]). The loop arms a timer-wheel entry for
-/// the earlier of gap deadline and frame budget, so **total**
+/// budget ([`frame_budget`]). The loop arms a deadline for the
+/// earlier of gap deadline and frame budget, so **total**
 /// header/payload time is bounded regardless of how the bytes trickle
 /// in.
 pub(crate) const MIN_FRAME_BYTES_PER_SEC: u64 = 1024;
@@ -445,7 +440,8 @@ impl ServerHandle {
     }
 
     /// Transport-level diagnostics: syscalls issued by the event loop
-    /// (reads, writes, accepts, poll wakeups). Kept apart from
+    /// (reads, writes, accepts, poll wakeups) and its deadline heap's
+    /// length. Kept apart from
     /// [`ServerMetricsSnapshot`], which counts protocol outcomes only;
     /// `authbench` reports these as
     /// `server.{reads,writes,polls}_per_query`.
@@ -805,7 +801,6 @@ mod tests {
             "127.0.0.1:0",
             ServerConfig {
                 idle_deadline: Duration::from_millis(250),
-                poll_interval: Duration::from_millis(20),
                 ..ServerConfig::default()
             },
         )
@@ -845,7 +840,6 @@ mod tests {
             "127.0.0.1:0",
             ServerConfig {
                 idle_deadline: Duration::from_millis(200),
-                poll_interval: Duration::from_millis(20),
                 ..ServerConfig::default()
             },
         )
@@ -911,7 +905,6 @@ mod tests {
             "127.0.0.1:0",
             ServerConfig {
                 idle_deadline: Duration::ZERO,
-                poll_interval: Duration::from_millis(10),
                 ..ServerConfig::default()
             },
         )

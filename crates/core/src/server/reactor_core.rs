@@ -6,10 +6,13 @@
 //! readiness), the [`Waker`] (pool completions and shutdown), and one
 //! per connection (interest derived from the state machine's
 //! [`Want`]). Deadlines — idle gaps, total frame budgets, reply flush
-//! bounds, shed drains — live in a [`TimerWheel`] keyed by connection
-//! id and epoch; entries are never deleted, just outlived: a fired
-//! entry whose epoch is stale, or whose connection's real deadline has
-//! moved later, is dropped or re-armed. The result is that an *idle*
+//! bounds, shed drains — live in one [`BinaryHeap`] of
+//! `(instant, connection id)`, at most one live entry per connection:
+//! a connection arms only when nothing is armed or its deadline moved
+//! earlier, and an entry that fires early finds nothing due and
+//! re-arms at the real deadline. Entries are never deleted, just
+//! outlived: one whose connection is gone or re-armed is dropped when
+//! it is popped. The result is that an *idle*
 //! connection costs no thread, no stack and no per-connection syscall
 //! per tick — on epoll not even a per-wait cost — which is what lets
 //! one loop hold 10k+ parked peers (`tests/server_reactor.rs`
@@ -25,16 +28,17 @@
 use super::conn::{Conn, ConnEnv, EncodedReply, Step, Want};
 use super::{busy_message, effective_write_timeout, execute_job, prepare_job, Shared};
 use crate::pool::lock_recover;
-use crate::reactor::{Events, Interest, Poll, TimerEntry, TimerWheel, Token, Waker};
+use crate::reactor::{Events, Interest, Poll, Token, Waker};
 use crate::wire;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Token of the accept listener.
 const TOKEN_LISTENER: Token = Token(0);
@@ -44,8 +48,10 @@ const TOKEN_WAKER: Token = Token(1);
 /// (ids are never reused, so a late event for a closed connection
 /// simply misses the map).
 const FIRST_CONN_ID: u64 = 2;
-/// Timer-wheel id of the "resume the paused listener" entry.
-const LISTENER_TIMER_ID: u64 = u64::MAX;
+/// How long the listener goes deaf after an accept error, how long a
+/// broken poll backs off, and how often shutdown re-sweeps while it
+/// drains.
+const BACKOFF: Duration = Duration::from_millis(50);
 
 /// A finished (or failed, or panicked) pool job for one connection.
 struct Completion {
@@ -147,7 +153,7 @@ struct Slot {
     /// Interest currently registered with the poll (re-registered only
     /// on change).
     interest: Interest,
-    /// The instant the currently-armed wheel entry targets, if any.
+    /// The instant of this connection's live heap entry, if any.
     armed_until: Option<Instant>,
     /// Whether this is a shed handshake (counted against the shed
     /// budget, not the admission registry).
@@ -162,10 +168,13 @@ struct EventLoop {
     inner: Arc<ReactorInner>,
     conns: HashMap<u64, Slot>,
     next_id: u64,
-    wheel: TimerWheel,
-    /// Set while the listener is deaf after an accept error (EMFILE);
-    /// a wheel entry re-enables it.
-    listener_paused: bool,
+    /// Connection deadlines, earliest first. An entry is live only
+    /// while its connection's `armed_until` names its instant; any
+    /// other entry was outlived and is dropped when popped.
+    timers: BinaryHeap<Reverse<(Instant, u64)>>,
+    /// While the listener is deaf after an accept error (EMFILE): when
+    /// to re-enable it.
+    listener_resume_at: Option<Instant>,
     /// Live admitted connections: the value the admission cap and
     /// `active_highwater` are checked against.
     admitted: u64,
@@ -194,7 +203,6 @@ impl EventLoop {
         shared: Arc<Shared>,
         inner: Arc<ReactorInner>,
     ) -> EventLoop {
-        let tick = shared.config.poll_interval;
         EventLoop {
             poll,
             listener: Some(listener),
@@ -202,8 +210,8 @@ impl EventLoop {
             inner,
             conns: HashMap::new(),
             next_id: FIRST_CONN_ID,
-            wheel: TimerWheel::new(512, tick),
-            listener_paused: false,
+            timers: BinaryHeap::new(),
+            listener_resume_at: None,
             admitted: 0,
             shed_live: 0,
             shutting_down: false,
@@ -212,7 +220,7 @@ impl EventLoop {
 
     fn run(&mut self) {
         let mut events = Events::with_capacity(1024);
-        let mut expired: Vec<TimerEntry> = Vec::new();
+        let mut ready_conns: Vec<u64> = Vec::new();
         loop {
             if self.shared.shutdown.load(Ordering::Acquire) && !self.shutting_down {
                 self.begin_shutdown();
@@ -221,29 +229,31 @@ impl EventLoop {
                 return;
             }
             let now = Instant::now();
-            let mut timeout = self.wheel.next_timeout(now);
-            if self.shutting_down {
-                // Safety net: re-sweep at the poll interval while
-                // draining, so a missed edge cannot park shutdown.
-                let cap = self.shared.config.poll_interval;
-                timeout = Some(timeout.map_or(cap, |t| t.min(cap)));
-            }
+            // Sleep until the next deadline or the listener's resume;
+            // while draining, also re-sweep every BACKOFF so a missed
+            // edge cannot park shutdown.
+            let sweep = now.checked_add(BACKOFF).filter(|_| self.shutting_down);
+            let next_deadline = self.timers.peek().map(|&Reverse((at, _))| at);
+            let wake = [next_deadline, self.listener_resume_at, sweep]
+                .into_iter()
+                .flatten()
+                .min();
+            let timeout = wake.map(|at| at.saturating_duration_since(now));
             self.shared.transport.polls.fetch_add(1, Ordering::Relaxed);
             match self.poll.poll(&mut events, timeout) {
                 Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     // A broken poll fd cannot be recovered from inside
-                    // the loop; sleep one interval to avoid spinning
-                    // and re-check the shutdown flag.
+                    // the loop; back off to avoid spinning and re-check
+                    // the shutdown flag.
                     // lint:allow(blocking-in-reactor): deliberate back-off on an unrecoverable poll fd; nothing else can make progress
-                    std::thread::sleep(self.shared.config.poll_interval);
+                    std::thread::sleep(BACKOFF);
                     continue;
                 }
             }
             let mut accept_ready = false;
             let mut woken = false;
-            let mut ready_conns: Vec<u64> = Vec::new();
             for event in events.iter() {
                 match event.token() {
                     TOKEN_LISTENER => accept_ready = true,
@@ -257,7 +267,7 @@ impl EventLoop {
             // Completions first: they turn Dispatched connections into
             // Writing ones whose replies flush this same round.
             self.drain_completions();
-            for id in ready_conns {
+            for id in ready_conns.drain(..) {
                 self.conn_event(id);
             }
             if accept_ready {
@@ -265,17 +275,17 @@ impl EventLoop {
             }
             // Timers last, so a byte that arrived this round pushes its
             // connection's deadline before the expiry check sees it.
-            expired.clear();
-            self.wheel.advance(Instant::now(), &mut expired);
-            for entry in expired.drain(..) {
-                self.timer_fired(entry);
-            }
+            self.fire_timers(Instant::now());
             if self.shared.shutdown.load(Ordering::Acquire) && !self.shutting_down {
                 self.begin_shutdown();
             }
             if self.shutting_down {
                 self.shutdown_sweep();
             }
+            self.shared
+                .transport
+                .timers
+                .store(self.timers.len() as u64, Ordering::Relaxed);
         }
     }
 
@@ -324,10 +334,10 @@ impl EventLoop {
                 Ok((stream, _peer)) => self.admit(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => {
-                    // EMFILE and friends: go deaf for one poll interval
+                    // EMFILE and friends: go deaf for one BACKOFF
                     // instead of spinning on a resource-starved host
-                    // (the loop must not sleep, so it parks the listener
-                    // on the wheel).
+                    // (the loop must not sleep, so it only stops
+                    // asking for accept readiness).
                     self.pause_listener();
                     return;
                 }
@@ -336,7 +346,7 @@ impl EventLoop {
     }
 
     fn pause_listener(&mut self) {
-        if self.listener_paused {
+        if self.listener_resume_at.is_some() {
             return;
         }
         if let Some(listener) = self.listener.as_ref() {
@@ -345,35 +355,25 @@ impl EventLoop {
                 .reregister(listener.as_raw_fd(), TOKEN_LISTENER, Interest::NONE)
                 .is_ok()
             {
-                self.listener_paused = true;
-                self.wheel.insert(
-                    Instant::now() + self.shared.config.poll_interval,
-                    TimerEntry {
-                        id: LISTENER_TIMER_ID,
-                        epoch: 0,
-                    },
-                );
+                self.listener_resume_at = Instant::now().checked_add(BACKOFF);
             }
         }
     }
 
     fn resume_listener(&mut self) {
-        if !self.listener_paused {
-            return;
-        }
         if let Some(listener) = self.listener.as_ref() {
             if self
                 .poll
                 .reregister(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)
                 .is_err()
             {
-                // Stay paused: a failed re-arm would otherwise leave
-                // the listener permanently deaf. The next close_conn
-                // retries through this same path.
+                // Stay paused and retry one BACKOFF later, rather than
+                // leave the listener permanently deaf.
+                self.listener_resume_at = Instant::now().checked_add(BACKOFF);
                 return;
             }
         }
-        self.listener_paused = false;
+        self.listener_resume_at = None;
         self.accept_ready();
     }
 
@@ -556,31 +556,38 @@ impl EventLoop {
         }
     }
 
-    /// A wheel entry came due: listener resume, or a connection
-    /// deadline candidate (re-armed if the real deadline moved).
-    fn timer_fired(&mut self, entry: TimerEntry) {
-        if entry.id == LISTENER_TIMER_ID {
+    /// Resume a paused listener whose pause is over, then pop every
+    /// heap entry due at `now`. A live entry is a deadline candidate:
+    /// the connection's real deadline may have moved later, in which
+    /// case nothing is due and `settle` re-arms.
+    fn fire_timers(&mut self, now: Instant) {
+        if self.listener_resume_at.is_some_and(|at| at <= now) {
             self.resume_listener();
-            return;
         }
-        let shared = Arc::clone(&self.shared);
-        let env = conn_env(&shared);
-        let Some(slot) = self.conns.get_mut(&entry.id) else {
-            return;
-        };
-        if entry.epoch != slot.conn.timer_epoch {
-            return; // superseded by a newer arming
-        }
-        slot.armed_until = None;
-        match slot.conn.check_deadline(&env, Instant::now()) {
-            Step::Close => self.close_conn(entry.id),
-            // Either nothing due (deadline moved — settle re-arms) or
-            // an eviction reply began (pump flushes it).
-            _ => self.pump(entry.id),
+        while let Some(&Reverse((at, id))) = self.timers.peek() {
+            if at > now {
+                return;
+            }
+            self.timers.pop();
+            let shared = Arc::clone(&self.shared);
+            let env = conn_env(&shared);
+            let Some(slot) = self.conns.get_mut(&id) else {
+                continue; // the connection closed meanwhile
+            };
+            if slot.armed_until != Some(at) {
+                continue; // superseded by an earlier arming
+            }
+            slot.armed_until = None;
+            match slot.conn.check_deadline(&env, now) {
+                Step::Close => self.close_conn(id),
+                // Either nothing due (deadline moved — settle re-arms)
+                // or an eviction reply began (pump flushes it).
+                _ => self.pump(id),
+            }
         }
     }
 
-    /// Reconcile one connection's registered interest and wheel entry
+    /// Reconcile one connection's registered interest and heap entry
     /// with its state machine's current wants.
     fn settle(&mut self, id: u64, env: &ConnEnv<'_>) {
         let Some(slot) = self.conns.get_mut(&id) else {
@@ -593,37 +600,20 @@ impl EventLoop {
             }
             slot.interest = desired;
         }
-        match slot.conn.deadline(env) {
-            None => {
-                // No deadline wanted (dispatched); any armed entry goes
-                // stale via the epoch check.
-                if slot.armed_until.take().is_some() {
-                    slot.conn.timer_epoch += 1;
-                }
-            }
-            Some(deadline) => {
-                // Keep a later-armed entry: when it fires early the
-                // check re-arms. Only arm anew when nothing is armed or
-                // the deadline moved *earlier* than the armed entry.
-                let needs_arm = match slot.armed_until {
-                    None => true,
-                    Some(armed) => deadline < armed,
-                };
-                if needs_arm {
-                    slot.conn.timer_epoch += 1;
-                    let entry = TimerEntry {
-                        id,
-                        epoch: slot.conn.timer_epoch,
-                    };
-                    self.wheel.insert(deadline, entry);
-                    slot.armed_until = Some(deadline);
-                }
+        // Arm only when nothing is armed or the deadline moved earlier.
+        // A later deadline (a byte arrived, a reply flushed) or none at
+        // all (dispatched) keeps the armed entry, which finds nothing
+        // due when it fires; so steady serving pushes nothing per query.
+        if let Some(deadline) = slot.conn.deadline(env) {
+            if slot.armed_until.is_none_or(|armed| deadline < armed) {
+                self.timers.push(Reverse((deadline, id)));
+                slot.armed_until = Some(deadline);
             }
         }
     }
 
-    /// Deregister, then drop (close) one connection; wheel entries go
-    /// stale and liveness counters roll back.
+    /// Deregister, then drop (close) one connection; its heap entry
+    /// goes stale and liveness counters roll back.
     fn close_conn(&mut self, id: u64) {
         if let Some(slot) = self.conns.remove(&id) {
             // lint:allow(swallowed-result): the socket is closed next either way; a failed deregister leaves nothing to undo

@@ -562,7 +562,9 @@ pub fn decode_frame_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, usize
 pub enum Request {
     /// Natural-language query; the server parses it against its
     /// dictionary and echoes the parse back in the reply. Always
-    /// disjunctive.
+    /// disjunctive. The VO authenticates the answer to the echoed
+    /// parse, not the parse itself: a server can drop or swap a word
+    /// undetected (ROADMAP item 15).
     Text {
         /// The query text (parsed server-side; out-of-dictionary words
         /// are dropped per the system model).

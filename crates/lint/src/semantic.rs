@@ -709,7 +709,7 @@ fn scan_blocking(
                 line: call.line,
                 col: call.col,
                 message: format!(
-                    "{desc} in a reactor module — the event loop must never block; hand off to the pool or use the timer wheel"
+                    "{desc} in a reactor module — the event loop must never block; hand off to the pool or arm a deadline"
                 ),
             });
             continue;

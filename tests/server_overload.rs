@@ -58,7 +58,6 @@ fn exactly_the_excess_is_shed_with_the_busy_code() {
         "127.0.0.1:0",
         ServerConfig {
             max_connections: CAP,
-            poll_interval: Duration::from_millis(10),
             ..ServerConfig::default()
         },
     )
@@ -116,7 +115,6 @@ fn retrying_client_rides_out_the_cap() {
         "127.0.0.1:0",
         ServerConfig {
             max_connections: 1,
-            poll_interval: Duration::from_millis(10),
             ..ServerConfig::default()
         },
     )
@@ -157,7 +155,6 @@ fn slow_loris_is_evicted_while_honest_traffic_flows() {
         "127.0.0.1:0",
         ServerConfig {
             idle_deadline: deadline,
-            poll_interval: Duration::from_millis(20),
             ..ServerConfig::default()
         },
     )
@@ -207,7 +204,6 @@ fn stalled_payload_is_evicted_too() {
         "127.0.0.1:0",
         ServerConfig {
             idle_deadline: Duration::from_millis(250),
-            poll_interval: Duration::from_millis(20),
             ..ServerConfig::default()
         },
     )

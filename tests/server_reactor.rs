@@ -153,7 +153,6 @@ fn mixed_scenario() -> ServerMetricsSnapshot {
         Arc::clone(&engine),
         "127.0.0.1:0",
         ServerConfig {
-            poll_interval: Duration::from_millis(10),
             ..ServerConfig::default()
         },
     )
@@ -242,7 +241,6 @@ fn shed_scenario() -> ServerMetricsSnapshot {
         "127.0.0.1:0",
         ServerConfig {
             max_connections: 1,
-            poll_interval: Duration::from_millis(10),
             ..ServerConfig::default()
         },
     )
@@ -281,7 +279,6 @@ fn timeout_scenario() -> ServerMetricsSnapshot {
         "127.0.0.1:0",
         ServerConfig {
             idle_deadline: deadline,
-            poll_interval: Duration::from_millis(20),
             ..ServerConfig::default()
         },
     )
@@ -324,7 +321,6 @@ fn trickling_payload_is_evicted_within_the_frame_budget() {
         "127.0.0.1:0",
         ServerConfig {
             idle_deadline: idle,
-            poll_interval: Duration::from_millis(20),
             ..ServerConfig::default()
         },
     )
@@ -359,4 +355,25 @@ fn trickling_payload_is_evicted_within_the_frame_budget() {
     let stats = handle.shutdown();
     assert_eq!(stats.connections_timed_out, 1);
     assert_eq!(stats.requests_ok, 0);
+}
+
+/// Steady serving arms no timer per query: after 500 verified queries
+/// on one persistent connection the loop's deadline heap holds at most
+/// two entries (the connection's armed deadline and at most one it
+/// has outlived), not one stale entry per answered query.
+#[test]
+fn one_connection_keeps_at_most_two_timer_entries() {
+    let (engine, params, workloads) = fixture(Mechanism::TnraCmht);
+    let handle =
+        Server::start(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
+    let mut connection = Connection::connect(handle.addr(), params).expect("connect");
+    for pairs in workloads.iter().cycle().take(500) {
+        let (verified, response) = connection.query_terms(pairs, 5).expect("verified");
+        assert_eq!(verified.result, response.result);
+    }
+    let timers = handle.transport_stats().timers;
+    assert!(timers <= 2, "{timers} timer entries for one connection");
+    drop(connection);
+    let stats = handle.shutdown();
+    assert_eq!(stats.requests_ok, 500);
 }
