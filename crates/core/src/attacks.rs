@@ -27,6 +27,9 @@ pub enum Attack {
     SwapRanking,
     /// Altered ranking: report an inflated score for rank 1.
     InflateScore,
+    /// Altered ranking: report every score as NaN, which compares
+    /// neither above nor below any tolerance.
+    NanScore,
     /// Spurious result: inject a fabricated document at rank 1.
     InjectSpurious,
     /// Tamper with a frequency inside a TNRA list prefix.
@@ -74,10 +77,11 @@ pub enum Attack {
 
 impl Attack {
     /// Attacks applicable to every mechanism.
-    pub const COMMON: [Attack; 8] = [
+    pub const COMMON: [Attack; 9] = [
         Attack::OmitTopResult,
         Attack::SwapRanking,
         Attack::InflateScore,
+        Attack::NanScore,
         Attack::InjectSpurious,
         Attack::AlterPrefixWeight,
         Attack::ReorderPrefix,
@@ -119,6 +123,7 @@ impl Attack {
             Attack::OmitTopResult => "omit top result",
             Attack::SwapRanking => "swap ranking",
             Attack::InflateScore => "inflate score",
+            Attack::NanScore => "report NaN scores",
             Attack::InjectSpurious => "inject spurious document",
             Attack::AlterPrefixWeight => "alter prefix weight",
             Attack::ReorderPrefix => "reorder prefix",
@@ -165,6 +170,12 @@ impl Attack {
                 };
                 first.score += 1.0;
                 true
+            }
+            Attack::NanScore => {
+                for e in &mut response.result.entries {
+                    e.score = f64::NAN;
+                }
+                !response.result.entries.is_empty()
             }
             Attack::InjectSpurious => {
                 let fake_doc: DocId = u32::MAX - 1;
@@ -729,7 +740,7 @@ mod tests {
             .collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 19);
+        assert_eq!(names.len(), 20);
     }
 
     #[test]

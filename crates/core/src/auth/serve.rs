@@ -61,7 +61,9 @@ impl AuthenticatedIndex {
     ///
     /// Under TNRA, when a disjunctive query has more than
     /// [`tnra::MAX_QUERY_TERMS`] terms (the server refuses those with
-    /// [`BAD_QUERY`](crate::wire::errcode::BAD_QUERY) first).
+    /// [`BAD_QUERY`](crate::wire::errcode::BAD_QUERY) first), or a
+    /// negative or NaN `w_{Q,t}` (every `Query::from_*` weight is
+    /// positive).
     pub fn query<C: ContentProvider>(
         &self,
         query: &Query,
@@ -76,7 +78,7 @@ impl AuthenticatedIndex {
                     tra::run(&lists, &freqs, query, r).expect("engine-side access is total")
                 } else {
                     tnra::run(&lists, query, r)
-                        .expect("engine-side access is total within the term limit")
+                        .expect("engine-side access is total within the term limit and for non-negative weights")
                 }
             }
             QueryMode::Conjunctive => self.conjunctive_outcome(query, r),

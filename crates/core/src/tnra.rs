@@ -15,17 +15,31 @@
 //! 3. no unseen document can climb in: `thres ≤ SLB(d_r)`.
 //!
 //! The same [`run`] is the engine's scan and the user's replay over the
-//! VO's prefixes, so its bookkeeping is laid out for both: each polled
-//! document gets an *encounter slot* the first time it is popped — its
-//! id at `docs[slot]`, its bounds at `states[slot]` — and each pop costs
-//! one hashed lookup (doc → slot). The candidate order `R` holds slots,
-//! so the termination checks, the rank insert and the trace snapshot
-//! read bounds by index; the front scores live in one buffer per run.
+//! VO's prefixes, so its bookkeeping is laid out for both, at O(r) per
+//! pop:
+//!
+//! * each polled document gets an *encounter slot* the first time it is
+//!   popped — its id at `docs[slot]`, its bounds at `states[slot]` —
+//!   found through one doc-id hash lookup (a multiply, not SipHash);
+//! * `top` holds the slots of the current top r in rank order (`SLB`
+//!   descending, doc id ascending), and every other candidate stays
+//!   unordered. A pop only raises the popped document's `SLB`, so it
+//!   moves up inside `top` or enters it at the bottom, evicting
+//!   `top[r-1]`: `top` is always the first r of the full rank order
+//!   (the paper's `R`). Condition 1 reads `top`; condition 2 walks the
+//!   slots outside it, in any order, since it holds for all or fails.
+//!
+//! Term scores must be non-negative (every `Query::from_*` weight is
+//! floored at 1e-6, and index weights are): a negative or NaN pop would
+//! lower a bound and void both the threshold and the top-r order, so it
+//! is an [`AccessError`].
 
 use crate::access::{AccessError, ListAccess};
 use crate::types::{ProcessingOutcome, Query, QueryResult, ResultEntry};
 use authsearch_corpus::DocId;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Longest query TNRA evaluates: a document's seen-in-list set is a
 /// `u64` bitmask (TREC tops out at 20 terms). [`run`] refuses longer
@@ -33,12 +47,18 @@ use std::collections::HashMap;
 /// they reach it.
 pub const MAX_QUERY_TERMS: usize = 64;
 
-/// Bound state of the document at one encounter slot: `SLB` and the
-/// lists the document has been seen in, one bit per query term.
+/// Most candidates a run reserves room for up front (the sum of the
+/// query's list lengths, if smaller); a run that meets more grows.
+const RESERVED_SLOTS: usize = 1024;
+
+/// Bound state of the document at one encounter slot: `SLB`, the lists
+/// the document has been seen in (one bit per query term), and whether
+/// its slot is in `top`.
 #[derive(Debug, Clone, Copy, Default)]
 struct DocState {
     lb: f64,
     seen_mask: u64,
+    in_top: bool,
 }
 
 impl DocState {
@@ -55,16 +75,58 @@ impl DocState {
     }
 }
 
+/// Doc-id hasher: one multiply, its high half folded into the low. Not
+/// collision-resistant, and it need not be: the engine hashes the owner's
+/// doc ids, and the client replays only prefixes whose signature it has
+/// already checked.
+#[derive(Default)]
+struct DocIdHasher(u64);
+
+/// 2^64 / φ, odd: multiplying by it permutes `u64` and spreads
+/// consecutive ids across the high bits.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for DocIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(GOLDEN);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        let h = u64::from(id).wrapping_mul(GOLDEN);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Every document the run has met, by encounter slot: slot `s` has id
 /// `docs[s]` and bounds `states[s]`, and `index` maps an id to its slot.
-#[derive(Default)]
+/// `top` holds the first `min(r, slots)` slots of the rank order, in
+/// order; a slot's `in_top` says whether it is one of them.
 struct Slots {
-    index: HashMap<DocId, u32>,
+    index: HashMap<DocId, u32, BuildHasherDefault<DocIdHasher>>,
     docs: Vec<DocId>,
     states: Vec<DocState>,
+    top: Vec<u32>,
+    r: usize,
 }
 
 impl Slots {
+    /// Room for `n` slots, ranking the top `r`.
+    fn new(n: usize, r: usize) -> Slots {
+        Slots {
+            index: HashMap::with_capacity_and_hasher(n, Default::default()),
+            docs: Vec::with_capacity(n),
+            states: Vec::with_capacity(n),
+            top: Vec::with_capacity(r.min(n)),
+            r,
+        }
+    }
+
     /// The slot of `d`, allocating the next one the first time `d` is
     /// met.
     fn of(&mut self, d: DocId) -> u32 {
@@ -78,6 +140,47 @@ impl Slots {
 
     fn state(&self, s: u32) -> &DocState {
         &self.states[s as usize]
+    }
+
+    /// Rank order: `SLB` descending, then doc id ascending. `SLB`s are
+    /// sums of non-negative term scores from `+0.0`, never NaN or `-0.0`,
+    /// so `total_cmp` is their numeric order.
+    fn rank(&self, a: u32, b: u32) -> Ordering {
+        let (x, y) = (self.state(a).lb, self.state(b).lb);
+        y.total_cmp(&x)
+            .then_with(|| self.docs[a as usize].cmp(&self.docs[b as usize]))
+    }
+
+    /// Add `c` to the `SLB` of `slot`, seen in list `i`, and re-seat it
+    /// in `top`: it moves up if it is there already, else it enters
+    /// when `top` is short or it now ranks before `top[r-1]`, which
+    /// leaves. Needs `r ≥ 1`: a run with `r = 0` ends before its first
+    /// pop.
+    fn raise(&mut self, slot: u32, i: usize, c: f64) {
+        let st = &mut self.states[slot as usize];
+        st.lb += c;
+        st.seen_mask |= 1 << i;
+        let r = self.r;
+        let mut k = if st.in_top {
+            self.top
+                .iter()
+                .position(|&s| s == slot)
+                .expect("an in-top slot is in top")
+        } else if self.top.len() < r {
+            self.top.push(slot);
+            self.top.len() - 1
+        } else if self.rank(slot, self.top[r - 1]) == Ordering::Less {
+            self.states[self.top[r - 1] as usize].in_top = false;
+            r - 1
+        } else {
+            return;
+        };
+        self.states[slot as usize].in_top = true;
+        while k > 0 && self.rank(slot, self.top[k - 1]) == Ordering::Less {
+            self.top[k] = self.top[k - 1];
+            k -= 1;
+        }
+        self.top[k] = slot;
     }
 }
 
@@ -93,7 +196,8 @@ pub struct TnraIteration {
 }
 
 /// Run TNRA for the top `r` documents. A query of more than
-/// [`MAX_QUERY_TERMS`] terms is an [`AccessError`].
+/// [`MAX_QUERY_TERMS`] terms, or a pop whose term score is negative or
+/// NaN, is an [`AccessError`].
 pub fn run<L: ListAccess>(
     lists: &L,
     query: &Query,
@@ -133,10 +237,10 @@ fn run_inner<L: ListAccess>(
         fronts.push(lists.entry(i, 0)?.map(|e| (e.doc, e.weight)));
     }
 
-    // `ranked` — the paper's R — holds slots by descending lb (ties:
-    // ascending doc id).
-    let mut slots = Slots::default();
-    let mut ranked: Vec<u32> = Vec::new();
+    let candidates = (0..q)
+        .map(|i| lists.list_len(i))
+        .fold(0usize, usize::saturating_add);
+    let mut slots = Slots::new(candidates.min(RESERVED_SLOTS), r);
     // Current front term scores c_i, refilled at the top of each iteration.
     let mut cs = vec![0.0f64; q];
     let mut iterations = 0usize;
@@ -145,25 +249,25 @@ fn run_inner<L: ListAccess>(
         fill_front_scores(&mut cs, &fronts, query);
         let thres: f64 = cs.iter().sum();
 
-        // Step 4(a): the three termination conditions.
+        // Step 4(a): the three termination conditions, cheapest first.
+        // R holds at least r documents exactly when `top` is full.
+        let top = &slots.top;
         let terminated = r == 0
-            || (ranked.len() >= r && {
-                let slb_r = slots.state(ranked[r - 1]).lb;
-                // Condition 3 first: cheapest and usually last to hold.
+            || (top.len() == r && {
+                let slb_r = slots.state(top[r - 1]).lb;
                 let cond3 = slb_r >= thres;
                 let cond1 = cond3
-                    && ranked[..r]
+                    && top
                         .windows(2)
                         .all(|w| slots.state(w[0]).lb >= slots.state(w[1]).ub(&cs));
-                // Condition 2 with early exit: ranked is ordered by lb
-                // descending and SUB(d) ≤ lb(d) + thres, so once
-                // lb(d) + thres ≤ SLB(d_r) every later candidate passes.
-                let cond2 = cond1
-                    && ranked[r..].iter().all(|&s| {
-                        let st = slots.state(s);
-                        st.lb + thres <= slb_r || st.ub(&cs) <= slb_r
-                    });
-                cond1 && cond2
+                // SUB(d) ≤ SLB(d) + thres, so the sum settles most
+                // candidates without the per-list walk.
+                cond1
+                    && slots
+                        .states
+                        .iter()
+                        .filter(|st| !st.in_top)
+                        .all(|st| st.lb + thres <= slb_r || st.ub(&cs) <= slb_r)
             });
 
         // Step 4(b): pop the highest term score (ties: lowest index).
@@ -181,32 +285,23 @@ fn run_inner<L: ListAccess>(
                 t.push(TnraIteration {
                     thres,
                     popped: None,
-                    bounds: snapshot(&ranked, &slots, &cs),
+                    bounds: snapshot(&slots, &cs),
                 });
             }
             break;
         };
+        if c.is_nan() || c < 0.0 {
+            return Err(AccessError::new(format!(
+                "TNRA term score {c} of query term #{i} is not a non-negative number"
+            )));
+        }
 
         let (d, w) = fronts[i].expect("selected list has a front");
 
-        // Step 4(c): create or update the document's bounds.
+        // Step 4(c): create or update the document's bounds, and its
+        // place in the top r.
         let slot = slots.of(d);
-        let st = &mut slots.states[slot as usize];
-        let was_new = st.seen_mask == 0;
-        st.lb += c;
-        st.seen_mask |= 1 << i;
-        let new_lb = st.lb;
-
-        // Maintain the lb-descending order of `ranked`.
-        if !was_new {
-            let old = ranked.iter().position(|&s| s == slot).expect("ranked slot");
-            ranked.remove(old);
-        }
-        let ins = ranked.partition_point(|&s| {
-            let lb = slots.state(s).lb;
-            lb > new_lb || (lb == new_lb && slots.docs[s as usize] < d)
-        });
-        ranked.insert(ins, slot);
+        slots.raise(slot, i, c);
 
         // Advance list i.
         pos[i] += 1;
@@ -220,7 +315,7 @@ fn run_inner<L: ListAccess>(
             t.push(TnraIteration {
                 thres,
                 popped: Some((i, d, w)),
-                bounds: snapshot(&ranked, &slots, &cs),
+                bounds: snapshot(&slots, &cs),
             });
         }
     }
@@ -242,9 +337,9 @@ fn run_inner<L: ListAccess>(
         })
         .collect();
 
-    let entries: Vec<ResultEntry> = ranked
+    let entries: Vec<ResultEntry> = slots
+        .top
         .iter()
-        .take(r)
         .map(|&s| ResultEntry {
             doc: slots.docs[s as usize],
             score: slots.state(s).lb,
@@ -266,9 +361,13 @@ fn fill_front_scores(cs: &mut [f64], fronts: &[Option<(DocId, f32)>], query: &Qu
     }
 }
 
-/// `(doc, SLB, SUB)` of every ranked slot, in rank order.
-fn snapshot(ranked: &[u32], slots: &Slots, cs: &[f64]) -> Vec<(DocId, f64, f64)> {
-    ranked
+/// `(doc, SLB, SUB)` of every polled document, in rank order: the full
+/// `R`, sorted here because the loop orders only its top r.
+fn snapshot(slots: &Slots, cs: &[f64]) -> Vec<(DocId, f64, f64)> {
+    // lint:allow(truncating-cast): one slot per distinct u32 doc id, so every slot index fits in u32
+    let mut order: Vec<u32> = (0..slots.docs.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| slots.rank(a, b));
+    order
         .iter()
         .map(|&s| {
             let st = slots.state(s);
@@ -408,11 +507,19 @@ mod tests {
         assert_eq!(run(&lists, &q, 1).unwrap().result.docs(), vec![0]);
     }
 
-    // ---- Oracle: the loop before slot-indexed state ---------------------
+    // ---- Oracle: the loop before slot-indexed state and the top-r order --
     //
-    // Bounds in a `HashMap<DocId, DocState>` looked up on every probe,
-    // `ranked` holding doc ids, a fresh front-score `Vec` per iteration;
-    // kept to pin `run_inner` above.
+    // Bounds in a SipHash `HashMap<DocId, OracleState>` looked up on every
+    // probe, every candidate in one `ranked` vector of doc ids kept in
+    // rank order by remove-and-insert, a fresh front-score `Vec` per
+    // iteration; kept to pin `run_inner` above.
+
+    /// The oracle's own bound state: `SLB` and the seen-in-list bitmask.
+    #[derive(Debug, Clone, Copy)]
+    struct OracleState {
+        lb: f64,
+        seen_mask: u64,
+    }
 
     fn oracle_run<L: ListAccess>(
         lists: &L,
@@ -430,7 +537,7 @@ mod tests {
         }
 
         let mut ranked: Vec<DocId> = Vec::new();
-        let mut states: HashMap<DocId, DocState> = HashMap::new();
+        let mut states: HashMap<DocId, OracleState> = HashMap::new();
         let mut encountered: Vec<DocId> = Vec::new();
         let mut iterations = 0usize;
 
@@ -441,7 +548,7 @@ mod tests {
         loop {
             let cs: Vec<f64> = (0..q).map(|i| front_score(&fronts, i)).collect();
             let thres: f64 = cs.iter().sum();
-            let sub = |st: &DocState| -> f64 {
+            let sub = |st: &OracleState| -> f64 {
                 let mut ub = st.lb;
                 for (i, &c) in cs.iter().enumerate() {
                     if st.seen_mask & (1 << i) == 0 {
@@ -493,7 +600,7 @@ mod tests {
             let (d, w) = fronts[i].expect("selected list has a front");
             let st = states.entry(d).or_insert_with(|| {
                 encountered.push(d);
-                DocState {
+                OracleState {
                     lb: 0.0,
                     seen_mask: 0,
                 }
@@ -518,7 +625,7 @@ mod tests {
             iterations += 1;
 
             let cs2: Vec<f64> = (0..q).map(|j| front_score(&fronts, j)).collect();
-            let sub2 = |st: &DocState| -> f64 {
+            let sub2 = |st: &OracleState| -> f64 {
                 let mut ub = st.lb;
                 for (j, &cc) in cs2.iter().enumerate() {
                     if st.seen_mask & (1 << j) == 0 {
@@ -537,7 +644,7 @@ mod tests {
         for front in fronts.iter().flatten() {
             states.entry(front.0).or_insert_with(|| {
                 encountered.push(front.0);
-                DocState {
+                OracleState {
                     lb: 0.0,
                     seen_mask: 0,
                 }
@@ -573,9 +680,9 @@ mod tests {
         (outcome, trace)
     }
 
-    fn oracle_snapshot<F: Fn(&DocState) -> f64>(
+    fn oracle_snapshot<F: Fn(&OracleState) -> f64>(
         ranked: &[DocId],
-        states: &HashMap<DocId, DocState>,
+        states: &HashMap<DocId, OracleState>,
         sub: &F,
     ) -> Vec<(DocId, f64, f64)> {
         ranked
@@ -684,6 +791,84 @@ mod tests {
                 assert_matches_oracle(&lists, &q, r, &format!("case={case}"));
             }
         }
+    }
+
+    #[test]
+    fn top_r_loop_matches_oracle_on_a_wsj_shaped_workload() {
+        use crate::auth::AuthConfig;
+        use crate::owner::DataOwner;
+        use crate::vo::Mechanism;
+        use authsearch_crypto::keys::TEST_KEY_BITS;
+
+        // The benchmark's TNRA shape at a tenth of its size: WSJ-like
+        // lengths and skew, 3-term synthetic queries.
+        let corpus = SyntheticConfig::wsj(0.002).generate();
+        let index = build_index(&corpus, OkapiParams::default());
+        let n = index.num_docs();
+        let queries = authsearch_corpus::workload::synthetic(index.num_terms(), 12, 3, 7);
+        for (k, terms) in queries.iter().enumerate() {
+            let q = crate::types::Query::from_term_ids(&index, terms);
+            let lists = IndexLists::new(&index, &q);
+            for r in [1, 10, 50, n + 1] {
+                assert_matches_oracle(&lists, &q, r, &format!("query {k}"));
+            }
+        }
+
+        let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
+        for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
+            let publication =
+                owner.publish_index(index.clone(), AuthConfig::new(mechanism), &corpus);
+            for (k, terms) in queries.iter().enumerate() {
+                let q = crate::types::Query::from_term_ids(&index, terms);
+                let reply = publication.auth.query(&q, 10, &corpus);
+                let verified = crate::verify::verify(&publication.verifier_params, &q, 10, &reply)
+                    .unwrap_or_else(|e| panic!("{mechanism:?} query {k}: {e}"));
+                assert_eq!(verified.result, reply.result, "{mechanism:?} query {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn negative_or_nan_query_weight_is_an_access_error_at_both_ends() {
+        use crate::auth::AuthConfig;
+        use crate::owner::DataOwner;
+        use crate::verify::VerifyError;
+        use crate::vo::Mechanism;
+        use authsearch_crypto::keys::TEST_KEY_BITS;
+
+        let corpus = SyntheticConfig::tiny(120, 3).generate();
+        let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
+        let terms = {
+            let index = build_index(&corpus, OkapiParams::default());
+            authsearch_corpus::workload::synthetic(index.num_terms(), 1, 3, 4).remove(0)
+        };
+        for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
+            let publication = owner.publish(&corpus, AuthConfig::new(mechanism));
+            let index = publication.auth.index();
+            let honest = crate::types::Query::from_term_ids(index, &terms);
+            let reply = publication.auth.query(&honest, 10, &corpus);
+            for wq in [-1.0, f64::NAN] {
+                // Every weight bad, so the first pop is.
+                let mut q = honest.clone();
+                for qt in &mut q.terms {
+                    qt.wq = wq;
+                }
+                // The engine's scan.
+                let err = run(&IndexLists::new(index, &q), &q, 10).unwrap_err();
+                assert!(err.what.contains("not a non-negative"), "{err}");
+                // The client's replay, over an authentic VO.
+                match crate::verify::verify(&publication.verifier_params, &q, 10, &reply) {
+                    Err(VerifyError::InsufficientData(what)) => {
+                        assert!(what.contains("not a non-negative"), "{what}")
+                    }
+                    other => panic!("{mechanism:?} wq={wq}: replay gave {other:?}"),
+                }
+            }
+        }
+        // A zero term score is a legal pop.
+        let q = Query::with_weights(&[(0, 0.0), (1, 1.0)]);
+        let lists = VecLists(vec![vec![entry(3, 1.0)], vec![entry(4, 1.0)]]);
+        assert_eq!(run(&lists, &q, 2).unwrap().result.docs(), vec![4, 3]);
     }
 
     #[test]

@@ -108,7 +108,9 @@ impl Query {
     }
 
     /// Build with explicit weights (used by the paper's worked example,
-    /// whose `w_{Q,t}` values are given rather than derived).
+    /// whose `w_{Q,t}` values are given rather than derived). The
+    /// threshold algorithms assume non-negative weights; TNRA refuses a
+    /// negative or NaN one with an `AccessError`.
     pub fn with_weights(weights: &[(TermId, f64)]) -> Query {
         Query {
             terms: weights

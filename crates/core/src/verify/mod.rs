@@ -164,7 +164,8 @@ impl From<AccessError> for VerifyError {
 /// A verified result plus bookkeeping for the evaluation metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifiedResult {
-    /// The result, now known to satisfy the correctness criteria.
+    /// The result recomputed from the authenticated inputs, which the
+    /// reported one matched: it satisfies the correctness criteria.
     pub result: QueryResult,
     /// Size breakdown of the VO that was checked.
     pub vo_size: VoSize,
@@ -236,11 +237,13 @@ pub fn verify(
         QueryMode::Conjunctive => intersect(&inputs, query, r)?,
     };
 
-    // Step 3: the reported result must equal the recomputed one.
+    // Step 3: the reported result must equal the recomputed one. The
+    // caller gets the recomputed one: its scores came from
+    // authenticated inputs.
     compare_results(&expected, &response.result)?;
 
     Ok(VerifiedResult {
-        result: response.result.clone(),
+        result: expected,
         vo_size: response.vo.size(),
     })
 }
@@ -549,7 +552,10 @@ fn compare_results(replayed: &QueryResult, reported: &QueryResult) -> Result<(),
                 b.doc, a.doc
             )));
         }
-        if (a.score - b.score).abs() > SCORE_EPS {
+        // Accept only a score within the tolerance: a NaN is within
+        // none.
+        let close = (a.score - b.score).abs() <= SCORE_EPS;
+        if !close {
             return Err(VerifyError::ResultMismatch(format!(
                 "document {} reported score {} but replay yields {}",
                 b.doc, b.score, a.score

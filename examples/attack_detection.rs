@@ -15,6 +15,10 @@ use authsearch_core::{verify, AuthConfig, DataOwner, Mechanism, Query, QueryResp
 use authsearch_corpus::SyntheticConfig;
 use authsearch_index::{build_index, OkapiParams};
 
+/// Attacks this catalogue mounts across the four mechanisms; a change
+/// that drops or adds one must say so here.
+const EXPECTED_MOUNTED: usize = 77;
+
 fn main() {
     let corpus = SyntheticConfig::tiny(300, 2024).generate();
     let owner = DataOwner::with_cached_key(512);
@@ -144,4 +148,5 @@ fn main() {
 
     println!("\n{detected}/{mounted} attacks detected");
     assert_eq!(detected, mounted, "verifier must reject every attack");
+    assert_eq!(mounted, EXPECTED_MOUNTED, "attacks mounted");
 }

@@ -533,6 +533,41 @@ fn duplicate_content_rejected_with_typed_verdict() {
     }
 }
 
+/// A reply that reports every score as NaN (`Attack::NanScore`) is
+/// rejected with `VerifyError::ResultMismatch` on all four mechanisms ×
+/// disjunctive / conjunctive × in-process / over the wire: a NaN is
+/// within no tolerance of the replayed score, and the client never hands
+/// it out as verified.
+#[test]
+fn nan_reported_score_is_rejected() {
+    for mechanism in Mechanism::ALL {
+        let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
+        let publication =
+            owner.publish_index(toy_index(), AuthConfig::new(mechanism), &toy_contents());
+        for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
+            let query = toy_query().with_mode(mode);
+            let honest = publication.auth.query(&query, 2, &toy_contents());
+            let verified = verify::verify(&publication.verifier_params, &query, 2, &honest)
+                .unwrap_or_else(|e| {
+                    panic!("{} {mode:?}: honest reply rejected: {e}", mechanism.name())
+                });
+            assert_eq!(verified.result, honest.result);
+            let mut tampered = honest.clone();
+            assert!(Attack::NanScore.apply(&mut tampered));
+            for path in [Path::InProcess, Path::Wire] {
+                let delivered = deliver(path, &query, tampered.clone());
+                assert!(delivered.result.entries.iter().all(|e| e.score.is_nan()));
+                let outcome = verify::verify(&publication.verifier_params, &query, 2, &delivered);
+                assert!(
+                    matches!(outcome, Err(VerifyError::ResultMismatch(_))),
+                    "{} {mode:?} {path:?}: {outcome:?}",
+                    mechanism.name()
+                );
+            }
+        }
+    }
+}
+
 /// Wire fuzz: a reply whose VO stops anywhere inside the trailer — the
 /// document-table proof and the manifest signature after it — (with the
 /// VO and frame lengths fixed up to match) never decodes, and a flipped
