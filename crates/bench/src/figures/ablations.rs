@@ -131,7 +131,7 @@ fn polling_order(wb: &Workbench) {
         // Equal depth = every queried list read to the depth of the
         // deepest one (what the original NRA's round-robin would fetch).
         let deepest = out.prefix_lens.iter().copied().max().unwrap_or(0);
-        equal_depth += (0..q.terms.len())
+        equal_depth += (0..q.terms().len())
             .map(|i| deepest.min(lists.list_len(i)))
             .sum::<usize>();
     }

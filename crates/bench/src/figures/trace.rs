@@ -14,7 +14,7 @@ pub fn run() {
     let query = toy_query();
     let lists = IndexLists::new(&index, &query);
     let freqs = TableFreqs::new(&table, &query);
-    let term_name = |i: usize| TOY_TERMS[query.terms[i].term as usize];
+    let term_name = |i: usize| TOY_TERMS[query.terms()[i].term as usize];
 
     println!("\n#### Figures 6 & 11 — \"sleeps in the dark\", top r = 2 ####");
 

@@ -73,7 +73,7 @@ impl<'a> IndexLists<'a> {
     pub fn new(index: &'a InvertedIndex, query: &Query) -> Self {
         IndexLists {
             index,
-            terms: query.terms.iter().map(|t| t.term).collect(),
+            terms: query.terms().iter().map(|t| t.term).collect(),
         }
     }
 }
@@ -100,7 +100,7 @@ impl<'a> TableFreqs<'a> {
     pub fn new(table: &'a DocTable, query: &Query) -> Self {
         TableFreqs {
             table,
-            terms: query.terms.iter().map(|t| t.term).collect(),
+            terms: query.terms().iter().map(|t| t.term).collect(),
         }
     }
 }

@@ -490,13 +490,14 @@ pub fn shifted_dict_leaf_response(
     num_terms: usize,
     serve: impl FnOnce(&Query) -> QueryResponse,
 ) -> Option<QueryResponse> {
-    let asked: Vec<TermId> = query.terms.iter().map(|qt| qt.term).collect();
+    let asked: Vec<TermId> = query.terms().iter().map(|qt| qt.term).collect();
     let (i, neighbour) = asked.iter().enumerate().find_map(|(i, &t)| {
         let s = t ^ 1;
         ((s as usize) < num_terms && !asked.contains(&s)).then_some((i, s))
     })?;
-    let mut shifted = query.clone();
-    shifted.terms[i].term = neighbour;
+    let mut terms = query.terms().to_vec();
+    terms.get_mut(i)?.term = neighbour;
+    let shifted = Query::new(terms, query.mode()).ok()?;
     let mut response = serve(&shifted);
     response.vo.terms.get_mut(i)?.term = asked[i];
     Some(response)
@@ -692,7 +693,7 @@ pub fn truncated_prefix_response<C: crate::auth::ContentProvider>(
     r: usize,
     contents: &C,
 ) -> Option<QueryResponse> {
-    let honest = auth.query(query, r, contents);
+    let honest = auth.query(query, r, contents).ok()?;
     // Shorten the longest prefix — past any buddy padding, which would
     // otherwise round the prefix back up and (correctly!) keep the VO
     // sufficient. Bail when every prefix is too short to truncate.
@@ -753,7 +754,8 @@ mod tests {
             let query = crate::toy::toy_query().with_mode(QueryMode::Conjunctive);
             let honest = publication
                 .auth
-                .query(&query, 2, &crate::toy::toy_contents());
+                .query(&query, 2, &crate::toy::toy_contents())
+                .unwrap();
             for attack in Attack::CONJUNCTIVE {
                 let mut copy = honest.clone();
                 let applied = attack.apply(&mut copy);
@@ -784,10 +786,10 @@ mod tests {
         let config = AuthConfig::new(Mechanism::TraMht);
         let publication =
             owner.publish_index(crate::toy::toy_index(), config, &crate::toy::toy_contents());
-        let honest =
-            publication
-                .auth
-                .query(&crate::toy::toy_query(), 2, &crate::toy::toy_contents());
+        let honest = publication
+            .auth
+            .query(&crate::toy::toy_query(), 2, &crate::toy::toy_contents())
+            .unwrap();
         let catalogue = Attack::COMMON
             .iter()
             .chain(&Attack::TRA_ONLY)

@@ -191,9 +191,9 @@ mod tests {
         // structure, the first query's included.
         let auth = test_auth(Mechanism::TnraCmht);
         assert_eq!((auth.cache_stats().hits, auth.cache_stats().misses), (0, 0));
-        let terms = toy_query().terms.len() as u64;
+        let terms = toy_query().terms().len() as u64;
         for round in 1..=2 {
-            let _ = auth.query(&toy_query(), 2, &toy_contents());
+            let _ = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
             let stats = auth.cache_stats();
             assert_eq!((stats.hits, stats.misses), (round * terms, 0));
         }
@@ -218,12 +218,12 @@ mod tests {
             let docs = if tra { built.index().num_docs() } else { 0 };
             for (auth, how) in [(&built, "built"), (&booted, "booted")] {
                 let what = format!("{mechanism:?} {how}");
-                let response = auth.query(&toy_query(), 2, &toy_contents());
+                let response = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
                 let doc_proofs = response.vo.docs.len() as u64;
                 assert_eq!(doc_proofs > 0, tra, "{what}");
                 let stats = auth.cache_stats();
                 let want = CacheStats {
-                    hits: toy_query().terms.len() as u64,
+                    hits: toy_query().terms().len() as u64,
                     misses: 0,
                     resident_terms: built.index().num_terms(),
                     doc_hits: doc_proofs,

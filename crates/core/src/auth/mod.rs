@@ -987,7 +987,7 @@ mod tests {
                 mechanism,
                 num_docs: auth.index().num_docs(),
             };
-            let response = auth.query(&toy_query(), 2, &toy_contents());
+            let response = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
             let verified = verify(&params, &toy_query(), 2, &response)
                 .unwrap_or_else(|e| panic!("{mechanism:?}: {e}"));
             assert_eq!(verified.result, response.result);

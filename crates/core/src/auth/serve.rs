@@ -21,13 +21,14 @@ use super::cache::TermStructure;
 use super::{doc_leaf_digest, term_leaf, AuthenticatedIndex, ContentProvider};
 use crate::access::{IndexLists, TableFreqs};
 use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix};
-use crate::types::{ProcessingOutcome, Query, QueryMode, QueryResult};
+use crate::types::{ProcessingOutcome, Query, QueryError, QueryMode, QueryResult};
 use crate::vo::{DictVo, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject};
 use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::merkle::prove_from_interior;
 use authsearch_crypto::MerkleProof;
 use authsearch_index::{ImpactEntry, IoStats};
+use std::convert::Infallible;
 
 /// What the search engine returns to the user: the ranked result, the
 /// verification object, the contents of the result documents (their
@@ -49,41 +50,57 @@ pub struct QueryResponse {
 }
 
 impl AuthenticatedIndex {
+    /// The facts about `query` that depend on this index: every id is
+    /// inside the dictionary, and a disjunctive TNRA query has at most
+    /// [`tnra::MAX_QUERY_TERMS`] terms. [`Query::new`] has checked the
+    /// rest.
+    pub fn check(&self, query: &Query) -> Result<(), QueryError> {
+        let m = self.index.num_terms();
+        if let Some(qt) = query.terms().iter().find(|qt| qt.term as usize >= m) {
+            return Err(QueryError::OutOfDictionary { term: qt.term, m });
+        }
+        let q = query.terms().len();
+        if query.mode() == QueryMode::Disjunctive
+            && !self.config.mechanism.is_tra()
+            && q > tnra::MAX_QUERY_TERMS
+        {
+            return Err(QueryError::TooManyTerms {
+                q,
+                max: tnra::MAX_QUERY_TERMS,
+            });
+        }
+        Ok(())
+    }
+
     /// Process a query under its [`QueryMode`] and produce the result
     /// with its integrity proof: the threshold algorithm's top `r` for a
     /// disjunctive query, the ranked intersection for a conjunctive one
-    /// (its proof strategy is on `conjunctive_outcome`).
+    /// (its proof strategy is on `conjunctive_outcome`). A query
+    /// [`Self::check`] refuses is its [`QueryError`].
     ///
     /// Responses are bit-identical across thread counts and
     /// snapshot-booted vs. cold-built engines, in either mode.
-    ///
-    /// # Panics
-    ///
-    /// Under TNRA, when a disjunctive query has more than
-    /// [`tnra::MAX_QUERY_TERMS`] terms (the server refuses those with
-    /// [`BAD_QUERY`](crate::wire::errcode::BAD_QUERY) first), or a
-    /// negative or NaN `w_{Q,t}` (every `Query::from_*` weight is
-    /// positive).
     pub fn query<C: ContentProvider>(
         &self,
         query: &Query,
         r: usize,
         contents: &C,
-    ) -> QueryResponse {
-        let outcome = match query.mode {
+    ) -> Result<QueryResponse, QueryError> {
+        self.check(query)?;
+        let outcome = match query.mode() {
             QueryMode::Disjunctive => {
                 let lists = IndexLists::new(&self.index, query);
-                if self.config.mechanism.is_tra() {
+                let scanned = if self.config.mechanism.is_tra() {
                     let freqs = TableFreqs::new(&self.doc_table, query);
-                    tra::run(&lists, &freqs, query, r).expect("engine-side access is total")
+                    tra::run(&lists, &freqs, query, r)
                 } else {
                     tnra::run(&lists, query, r)
-                        .expect("engine-side access is total within the term limit and for non-negative weights")
-                }
+                };
+                scanned.map_err(QueryError::Refused)?
             }
             QueryMode::Conjunctive => self.conjunctive_outcome(query, r),
         };
-        self.respond(query, outcome, contents)
+        Ok(self.respond(query, outcome, contents))
     }
 
     /// Run the conjunctive intersection and decide which prefixes the VO
@@ -103,42 +120,32 @@ impl AuthenticatedIndex {
     /// * **TNRA**: reveal every query term's list in full; absence is
     ///   then provable by exhaustion against the signed roots.
     fn conjunctive_outcome(&self, query: &Query, r: usize) -> ProcessingOutcome {
-        let q = query.terms.len();
-        if q == 0 {
-            return ProcessingOutcome {
-                result: QueryResult::default(),
-                prefix_lens: Vec::new(),
-                encountered: Vec::new(),
-                iterations: 0,
-            };
-        }
-        let fts: Vec<usize> = query
-            .terms
+        let terms = query.terms();
+        let fts: Vec<usize> = terms
             .iter()
             .map(|qt| self.index.list(qt.term).len())
             .collect();
         let anchor = crate::conjunctive::anchor_index(&fts);
         let candidates: Vec<DocId> = self
             .index
-            .list(query.terms[anchor].term)
+            .list(terms[anchor].term)
             .entries()
             .iter()
             .map(|e| e.doc)
             .collect();
-        let wq: Vec<f64> = query.terms.iter().map(|qt| qt.wq).collect();
-        let result = crate::conjunctive::rank_intersection(
+        let wq: Vec<f64> = terms.iter().map(|qt| qt.wq).collect();
+        let Ok(result) = crate::conjunctive::rank_intersection(
             &candidates,
             &wq,
-            |d, i| Some(self.doc_table.weight(d, query.terms[i].term)),
+            |d, i| Ok::<_, Infallible>(self.doc_table.weight(d, terms[i].term)),
             r,
-        )
-        .expect("engine-side access is total");
+        );
 
         let (prefix_lens, encountered) = if self.config.mechanism.is_tra() {
             // Anchor revealed in full; other terms prove only their
             // signed root (zero-length prefix). Absence comes from the
             // candidates' document-MHT bounding pairs.
-            let mut lens = vec![0usize; q];
+            let mut lens = vec![0usize; terms.len()];
             lens[anchor] = fts[anchor];
             (lens, candidates.clone())
         } else {
@@ -162,9 +169,9 @@ impl AuthenticatedIndex {
     ) -> QueryResponse {
         let mechanism = self.config.mechanism;
         let mut io = IoStats::new();
-        let mut terms = Vec::with_capacity(query.terms.len());
+        let mut terms = Vec::with_capacity(query.terms().len());
 
-        for (i, qt) in query.terms.iter().enumerate() {
+        for (i, qt) in query.terms().iter().enumerate() {
             let k = outcome.prefix_lens[i];
             terms.push(self.build_term_vo(qt.term, k, &mut io));
         }
@@ -190,7 +197,7 @@ impl AuthenticatedIndex {
         };
         self.cache.count_proofs(terms.len(), docs.len());
 
-        let terms_asked: Vec<TermId> = query.terms.iter().map(|qt| qt.term).collect();
+        let terms_asked: Vec<TermId> = query.terms().iter().map(|qt| qt.term).collect();
 
         // Result document contents (retrieval cost excluded from the I/O
         // metric, as in §4.1: constant across all algorithms).
@@ -317,8 +324,8 @@ impl AuthenticatedIndex {
 
         // Required positions: query terms present, boundary pairs for
         // absent query terms.
-        let mut required: Vec<usize> = Vec::with_capacity(2 * query.terms.len());
-        for qt in &query.terms {
+        let mut required: Vec<usize> = Vec::with_capacity(2 * query.terms().len());
+        for qt in query.terms() {
             match leaves.binary_search_by_key(&qt.term, |&(t, _)| t) {
                 Ok(p) => required.push(p),
                 Err(p) => {
@@ -401,7 +408,7 @@ mod tests {
     #[test]
     fn tra_response_has_doc_proofs() {
         let a = auth(Mechanism::TraMht);
-        let resp = a.query(&toy_query(), 2, &toy_contents());
+        let resp = a.query(&toy_query(), 2, &toy_contents()).unwrap();
         assert_eq!(resp.result.docs(), vec![6, 5]);
         assert_eq!(resp.vo.terms.len(), 4);
         // Encountered docs 5, 3, 6 plus cut-off doc 1.
@@ -424,7 +431,7 @@ mod tests {
     #[test]
     fn tnra_response_has_no_doc_proofs() {
         let a = auth(Mechanism::TnraCmht);
-        let resp = a.query(&toy_query(), 2, &toy_contents());
+        let resp = a.query(&toy_query(), 2, &toy_contents()).unwrap();
         assert_eq!(resp.result.docs(), vec![6, 5]);
         assert!(resp.vo.docs.is_empty());
         assert!(resp.vo.doc_table.is_none());
@@ -436,18 +443,18 @@ mod tests {
     fn entries_read_match_figure6_and_11() {
         // TRA (Figure 6): sleeps 1, in 1, the 4, dark 1.
         let a = auth(Mechanism::TraMht);
-        let resp = a.query(&toy_query(), 2, &toy_contents());
+        let resp = a.query(&toy_query(), 2, &toy_contents()).unwrap();
         assert_eq!(resp.entries_read, vec![1, 1, 4, 1]);
         // TNRA (Figure 11): sleeps 1, in 4, the 4, dark 1.
         let b = auth(Mechanism::TnraMht);
-        let resp = b.query(&toy_query(), 2, &toy_contents());
+        let resp = b.query(&toy_query(), 2, &toy_contents()).unwrap();
         assert_eq!(resp.entries_read, vec![1, 4, 4, 1]);
     }
 
     #[test]
     fn mht_variant_reads_whole_lists() {
         let a = auth(Mechanism::TnraMht);
-        let resp = a.query(&toy_query(), 2, &toy_contents());
+        let resp = a.query(&toy_query(), 2, &toy_contents()).unwrap();
         // 4 lists, each ≤ 127 entries → one block per list, 4 seeks.
         assert_eq!(resp.io.seeks, 4);
         assert_eq!(resp.io.blocks, 4);
@@ -456,7 +463,7 @@ mod tests {
     #[test]
     fn tra_random_accesses_encountered_docs() {
         let a = auth(Mechanism::TraCmht);
-        let resp = a.query(&toy_query(), 2, &toy_contents());
+        let resp = a.query(&toy_query(), 2, &toy_contents()).unwrap();
         // 4 list runs + 4 encountered document fetches.
         assert_eq!(resp.io.seeks, 8);
     }
@@ -464,7 +471,7 @@ mod tests {
     #[test]
     fn buddy_pads_prefixes_in_cmht() {
         let a = auth(Mechanism::TnraCmht);
-        let resp = a.query(&toy_query(), 2, &toy_contents());
+        let resp = a.query(&toy_query(), 2, &toy_contents()).unwrap();
         // 'the' read 4 entries; buddy group for 8-byte leaves is 4 → no
         // padding; 'in' read 4 → no padding; singleton lists read 1 and
         // pad to min(group, len) = 1.
@@ -482,8 +489,12 @@ mod tests {
 
     #[test]
     fn vo_sizes_are_positive_and_tnra_smaller() {
-        let tra = auth(Mechanism::TraMht).query(&toy_query(), 2, &toy_contents());
-        let tnra = auth(Mechanism::TnraMht).query(&toy_query(), 2, &toy_contents());
+        let tra = auth(Mechanism::TraMht)
+            .query(&toy_query(), 2, &toy_contents())
+            .unwrap();
+        let tnra = auth(Mechanism::TnraMht)
+            .query(&toy_query(), 2, &toy_contents())
+            .unwrap();
         let ts = tra.vo.size();
         let ns = tnra.vo.size();
         assert!(ts.total() > 0 && ns.total() > 0);
@@ -536,7 +547,7 @@ mod tests {
         let leaves = (0..m)
             .map(|t| dict_leaf_digest(t, auth.index().ft(t), &auth.term_root(t)))
             .collect();
-        let mut positions: Vec<usize> = query.terms.iter().map(|qt| qt.term as usize).collect();
+        let mut positions: Vec<usize> = query.terms().iter().map(|qt| qt.term as usize).collect();
         positions.sort_unstable();
         let fresh = MerkleTree::from_leaf_digests(leaves).prove(&positions);
         assert_eq!(dict.proof, fresh, "{what}: dictionary");
@@ -552,7 +563,7 @@ mod tests {
             for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
                 let query = toy_query().with_mode(mode);
                 for r in [1usize, 2, 5] {
-                    let response = auth.query(&query, r, &toy_contents());
+                    let response = auth.query(&query, r, &toy_contents()).unwrap();
                     let what = format!("{mechanism:?} {mode:?} r={r}");
                     assert!(!response.vo.terms.is_empty(), "{what}");
                     assert_eq!(response.vo.docs.is_empty(), !mechanism.is_tra(), "{what}");
@@ -569,9 +580,11 @@ mod tests {
         // matches the disjunctive top-1 score for d6.
         for mechanism in Mechanism::ALL {
             let a = auth(mechanism);
-            let conj = a.query(&conjunctive_toy_query(), 2, &toy_contents());
+            let conj = a
+                .query(&conjunctive_toy_query(), 2, &toy_contents())
+                .unwrap();
             assert_eq!(conj.result.docs(), vec![6], "{mechanism:?}");
-            let disj = a.query(&toy_query(), 2, &toy_contents());
+            let disj = a.query(&toy_query(), 2, &toy_contents()).unwrap();
             let d6 = disj.result.entries.iter().find(|e| e.doc == 6).unwrap();
             // Same formula, but the conjunctive path accumulates in
             // query-term order while the threshold algorithm accumulates
@@ -588,9 +601,11 @@ mod tests {
     #[test]
     fn conjunctive_tra_reveals_anchor_only() {
         let a = auth(Mechanism::TraMht);
-        let resp = a.query(&conjunctive_toy_query(), 2, &toy_contents());
+        let resp = a
+            .query(&conjunctive_toy_query(), 2, &toy_contents())
+            .unwrap();
         let fts: Vec<usize> = toy_query()
-            .terms
+            .terms()
             .iter()
             .map(|qt| a.index().list(qt.term).len())
             .collect();
@@ -603,7 +618,7 @@ mod tests {
         // One document proof per anchor-list document, in list order.
         let anchor_docs: Vec<DocId> = a
             .index()
-            .list(toy_query().terms[anchor].term)
+            .list(toy_query().terms()[anchor].term)
             .entries()
             .iter()
             .map(|e| e.doc)
@@ -616,9 +631,11 @@ mod tests {
     fn conjunctive_tnra_reveals_every_list_in_full() {
         for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
             let a = auth(mechanism);
-            let resp = a.query(&conjunctive_toy_query(), 2, &toy_contents());
+            let resp = a
+                .query(&conjunctive_toy_query(), 2, &toy_contents())
+                .unwrap();
             assert!(resp.vo.docs.is_empty(), "{mechanism:?}");
-            for (tv, qt) in resp.vo.terms.iter().zip(&toy_query().terms) {
+            for (tv, qt) in resp.vo.terms.iter().zip(toy_query().terms()) {
                 assert_eq!(
                     tv.prefix.len(),
                     a.index().list(qt.term).len(),
@@ -631,15 +648,11 @@ mod tests {
 
     #[test]
     fn empty_conjunctive_query_is_empty_response() {
-        let a = auth(Mechanism::TraCmht);
-        let resp = a.query(
-            &Query::default().with_mode(QueryMode::Conjunctive),
-            5,
-            &toy_contents(),
-        );
-        assert!(resp.result.entries.is_empty());
-        assert!(resp.vo.terms.is_empty());
-        assert!(resp.contents.is_empty());
+        // An empty query cannot be built, so the engine never answers
+        // one, in either mode.
+        for mode in [QueryMode::Conjunctive, QueryMode::Disjunctive] {
+            assert_eq!(Query::new(Vec::new(), mode), Err(QueryError::Empty));
+        }
     }
 
     #[test]
@@ -650,9 +663,9 @@ mod tests {
         for mechanism in Mechanism::ALL {
             let a = auth(mechanism);
             for resp in [
-                a.query(&toy_query(), 2, &toy_contents()),
-                a.query(&conjunctive_toy_query(), 2, &toy_contents()),
-                a.query(&Query::default(), 2, &toy_contents()),
+                a.query(&toy_query(), 2, &toy_contents()).unwrap(),
+                a.query(&conjunctive_toy_query(), 2, &toy_contents())
+                    .unwrap(),
             ] {
                 assert!(resp.vo.dict.is_some(), "{mechanism:?}");
                 assert!(resp.vo.terms.iter().all(|t| t.signature.is_none()));

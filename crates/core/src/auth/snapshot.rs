@@ -38,7 +38,7 @@
 //!
 //! 1. structural parse under the container's length framing, per-section
 //!    digest trailers, and clamped pre-allocations — random corruption
-//!    (every fault the [`authsearch_index::faults`] harness injects)
+//!    (every fault the `tests/support/faults.rs` harness injects)
 //!    dies here as a typed [`PersistError`]. The digest trailers are
 //!    unkeyed, so a crafted file passes them; no count it declares sizes
 //!    an allocation before the signature below vouches for it;
@@ -382,8 +382,8 @@ mod tests {
             let info = auth.save_snapshot(&path).unwrap();
             assert!(info.bytes > 0);
             let loaded = AuthenticatedIndex::load_snapshot(&path, auth.config()).unwrap();
-            let a = auth.query(&toy_query(), 2, &toy_contents());
-            let b = loaded.query(&toy_query(), 2, &toy_contents());
+            let a = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
+            let b = loaded.query(&toy_query(), 2, &toy_contents()).unwrap();
             assert_eq!(a.result, b.result, "{mechanism:?}");
             assert_eq!(a.vo, b.vo, "{mechanism:?}: VOs must be byte-identical");
             fs::remove_file(&path).ok();
@@ -397,8 +397,8 @@ mod tests {
         let path = temp_path("roundtrip-dict.snap");
         auth.save_snapshot(&path).unwrap();
         let loaded = AuthenticatedIndex::load_snapshot(&path, auth.config()).unwrap();
-        let a = auth.query(&toy_query(), 2, &toy_contents());
-        let b = loaded.query(&toy_query(), 2, &toy_contents());
+        let a = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
+        let b = loaded.query(&toy_query(), 2, &toy_contents()).unwrap();
         assert_eq!(a.vo, b.vo);
         // The dictionary tree rebuilt at boot is the serving tree.
         assert_eq!(loaded.cache.dict_tree.root(), auth.cache.dict_tree.root());

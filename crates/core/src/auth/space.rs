@@ -188,7 +188,7 @@ mod tests {
         assert!(before > 0);
         assert_eq!(before, auth.space_report(0).cache_resident_bytes);
         for _ in 0..2 {
-            let _ = auth.query(&toy_query(), 2, &toy_contents());
+            let _ = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
             assert_eq!(auth.cache_resident_bytes(), before);
         }
     }

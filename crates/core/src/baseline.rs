@@ -103,8 +103,8 @@ impl BaselineIndex {
         let lists = crate::access::IndexLists::new(&self.index, query);
         let outcome = pscan::run(&lists, query, r).expect("engine access is total");
         let mut io = IoStats::new();
-        let mut out = Vec::with_capacity(query.terms.len());
-        for qt in &query.terms {
+        let mut out = Vec::with_capacity(query.terms().len());
+        for qt in query.terms() {
             let list = self.index.list(qt.term);
             let blocks = self
                 .layout
@@ -132,14 +132,14 @@ pub fn verify_baseline(
     r: usize,
     response: &BaselineResponse,
 ) -> Result<QueryResult, VerifyError> {
-    if response.lists.len() != query.terms.len() {
+    if response.lists.len() != query.terms().len() {
         return Err(VerifyError::QueryShapeMismatch(format!(
             "{} lists for {} query terms",
             response.lists.len(),
-            query.terms.len()
+            query.terms().len()
         )));
     }
-    for ((term, list, sig), qt) in response.lists.iter().zip(&query.terms) {
+    for ((term, list, sig), qt) in response.lists.iter().zip(query.terms()) {
         if *term != qt.term {
             return Err(VerifyError::QueryShapeMismatch(format!(
                 "list for term {term} where query has {}",

@@ -60,7 +60,9 @@ impl Client {
     /// Rebuild the weighted query from the posed `(term, f_{Q,t})` pairs
     /// and the **signed** `f_t` values inside the VO — nothing the
     /// engine reports unsigned is trusted — and verify the response
-    /// under the posed `mode`.
+    /// under the posed `mode`. Pairs that do not make a [`Query`] are
+    /// [`VerifyError::MalformedQuery`] before any proof is checked, and
+    /// [`verify::verify`] requires the VO's terms to be the posed ones.
     fn verify_posed(
         &self,
         terms: &[(TermId, u32)],
@@ -75,26 +77,16 @@ impl Client {
                 terms.len()
             )));
         }
-        let query = Query {
-            terms: terms
-                .iter()
-                .zip(&response.vo.terms)
-                .map(|(&(term, f_qt), tv)| {
-                    if tv.term != term {
-                        return Err(VerifyError::QueryShapeMismatch(format!(
-                            "proof for term {} where query has {term}",
-                            tv.term
-                        )));
-                    }
-                    Ok(QueryTerm {
-                        term,
-                        f_qt,
-                        wq: okapi::query_weight(self.params.num_docs, tv.ft, f_qt),
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-            mode,
-        };
+        let weighted = terms
+            .iter()
+            .zip(&response.vo.terms)
+            .map(|(&(term, f_qt), tv)| QueryTerm {
+                term,
+                f_qt,
+                wq: okapi::query_weight(self.params.num_docs, tv.ft, f_qt),
+            })
+            .collect();
+        let query = Query::new(weighted, mode).map_err(VerifyError::MalformedQuery)?;
         verify::verify(&self.params, &query, r, response)
     }
 }
@@ -1134,10 +1126,11 @@ mod tests {
         let publication = owner.publish(&corpus, config);
         let engine = SearchEngine::new(publication.auth, corpus);
         let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper")
+            .unwrap()
             .with_mode(QueryMode::Conjunctive);
         let response = engine.search(&query, 5);
         let client = Client::new(publication.verifier_params);
-        let pairs: Vec<(TermId, u32)> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+        let pairs: Vec<(TermId, u32)> = query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
         client
             .verify_conjunctive_terms(&pairs, 5, &response)
             .expect("verify before filtering");
@@ -1183,13 +1176,14 @@ mod tests {
             let publication = owner.publish(&corpus, config);
             let engine = SearchEngine::new(publication.auth, corpus.clone());
             let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper")
+                .unwrap()
                 .with_mode(QueryMode::Conjunctive);
             let mut response = engine.search(&query, 5);
             let doc0 = response.contents.iter_mut().find(|(d, _)| *d == 0).unwrap();
             doc0.1 = b"the keeper night keeps the keep".to_vec();
             let client = Client::new(publication.verifier_params);
             let pairs: Vec<(TermId, u32)> =
-                query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+                query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
             client
                 .verify_conjunctive_terms(&pairs, 5, &response)
                 .expect("TNRA verification never reads the contents");
@@ -1208,7 +1202,7 @@ mod tests {
         let (engine, client, terms) = setup(Mechanism::TnraCmht);
         let query = Query::from_term_ids(engine.auth().index(), &terms);
         let response = engine.search(&query, 5);
-        for (qt, tv) in query.terms.iter().zip(&response.vo.terms) {
+        for (qt, tv) in query.terms().iter().zip(&response.vo.terms) {
             let wq = okapi::query_weight(client.params().num_docs, tv.ft, qt.f_qt);
             assert_eq!(wq, qt.wq);
         }

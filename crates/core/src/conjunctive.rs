@@ -40,26 +40,27 @@ pub(crate) fn anchor_index(fts: &[usize]) -> usize {
 /// query term, in query order.
 ///
 /// `weight_of(d, i)` returns the weight `w_{d,t_i}` of query term `i` in
-/// document `d`, `0.0` for a (proven) absence, or `None` when the caller
-/// cannot substantiate the weight at all — the verifier's "VO is
-/// insufficient" case, surfaced as `Err((d, i))`. Terms are probed in
-/// ascending index order and the first absence short-circuits, so both
-/// sides demand exactly the same weights.
-pub(crate) fn rank_intersection<F>(
+/// document `d`, `0.0` for a (proven) absence, or the caller's error
+/// when it cannot substantiate the weight at all — the verifier's "VO
+/// is insufficient" case. The engine's source never fails, so it ranks
+/// with `E = Infallible`. Terms are probed in ascending index order and
+/// the first absence short-circuits, so both sides demand exactly the
+/// same weights.
+pub(crate) fn rank_intersection<F, E>(
     candidates: &[DocId],
     wq: &[f64],
     weight_of: F,
     r: usize,
-) -> Result<QueryResult, (DocId, usize)>
+) -> Result<QueryResult, E>
 where
-    F: Fn(DocId, usize) -> Option<f32>,
+    F: Fn(DocId, usize) -> Result<f32, E>,
 {
     let mut entries = Vec::new();
     for &d in candidates {
         let mut score = 0.0f64;
         let mut member = true;
         for (i, &wq_i) in wq.iter().enumerate() {
-            let w = weight_of(d, i).ok_or((d, i))?;
+            let w = weight_of(d, i)?;
             if w <= 0.0 {
                 member = false;
                 break;
@@ -89,8 +90,8 @@ mod tests {
     #[test]
     fn rank_intersection_keeps_only_full_members() {
         // Doc 1 has both terms, doc 2 misses term 1, doc 3 has both.
-        let weights = |d: DocId, i: usize| -> Option<f32> {
-            Some(match (d, i) {
+        let weights = |d: DocId, i: usize| -> Result<f32, ()> {
+            Ok(match (d, i) {
                 (1, _) => 1.0,
                 (2, 0) => 2.0,
                 (2, 1) => 0.0,
@@ -106,7 +107,7 @@ mod tests {
 
     #[test]
     fn rank_intersection_truncates_to_r() {
-        let out = rank_intersection(&[4, 5, 6], &[1.0], |d, _| Some(d as f32), 2).unwrap();
+        let out = rank_intersection(&[4, 5, 6], &[1.0], |d, _| Ok::<_, ()>(d as f32), 2).unwrap();
         assert_eq!(out.docs(), vec![6, 5]);
     }
 
@@ -115,7 +116,13 @@ mod tests {
         let err = rank_intersection(
             &[7, 8],
             &[1.0, 1.0],
-            |d, i| if d == 8 && i == 1 { None } else { Some(1.0) },
+            |d, i| {
+                if d == 8 && i == 1 {
+                    Err((d, i))
+                } else {
+                    Ok(1.0)
+                }
+            },
             10,
         )
         .unwrap_err();
@@ -125,11 +132,11 @@ mod tests {
     #[test]
     fn absence_short_circuits_before_later_terms() {
         // Term 0 already absent from doc 9: term 1 must never be probed,
-        // so a None there is irrelevant (both sides behave identically).
+        // so an `Err` there is irrelevant (both sides behave identically).
         let out = rank_intersection(
             &[9],
             &[1.0, 1.0],
-            |_, i| if i == 0 { Some(0.0) } else { None },
+            |_, i| if i == 0 { Ok(0.0) } else { Err(()) },
             10,
         )
         .unwrap();
@@ -138,7 +145,7 @@ mod tests {
 
     #[test]
     fn enumeration_order_is_canonicalized() {
-        let weights = |d: DocId, _: usize| Some(d as f32);
+        let weights = |d: DocId, _: usize| Ok::<_, ()>(d as f32);
         let a = rank_intersection(&[1, 2, 3], &[1.0], weights, 10).unwrap();
         let b = rank_intersection(&[3, 1, 2], &[1.0], weights, 10).unwrap();
         assert_eq!(a, b);

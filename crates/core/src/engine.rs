@@ -47,13 +47,23 @@ impl SearchEngine {
 
     /// Answer a query under its own mode: the top-`r` documents plus the
     /// VO ([`AuthenticatedIndex::query`]).
+    ///
+    /// # Panics
+    ///
+    /// When [`AuthenticatedIndex::query`] refuses the query.
     pub fn search(&self, query: &Query, r: usize) -> QueryResponse {
-        self.auth.query(query, r, &self.corpus)
+        self.auth
+            .query(query, r, &self.corpus)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Self::search`] with the query posed as
     /// [`QueryMode::Conjunctive`]. Kept for the benchmark driver until it
     /// poses the mode on the query itself (ROADMAP item 1 deletes it).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::search`].
     pub fn search_conjunctive(&self, query: &Query, r: usize) -> QueryResponse {
         self.search(&query.clone().with_mode(QueryMode::Conjunctive), r)
     }
@@ -108,7 +118,7 @@ mod tests {
                 "keeper xyzzyqwerty",
                 "night keeper NIGHT",
             ] {
-                let query = Query::from_text(engine.corpus(), engine.auth().index(), text);
+                let query = Query::from_text(engine.corpus(), engine.auth().index(), text).unwrap();
                 let response = engine.search(&query, 3);
                 let what = format!("{} '{text}'", mechanism.name());
                 assert!(!response.result.entries.is_empty(), "{what}");
@@ -123,16 +133,16 @@ mod tests {
     fn unknown_words_are_ignored() {
         let (engine, _) = engine(Mechanism::TnraMht);
         let corpus = engine.corpus();
-        let query = Query::from_text(corpus, engine.auth().index(), "keeper xyzzyqwerty");
-        assert_eq!(query.len(), 1);
-        assert_eq!(query.terms[0].term, corpus.term_id("keeper").unwrap());
-        let query = Query::from_text(corpus, engine.auth().index(), "night keeper NIGHT");
+        let query = Query::from_text(corpus, engine.auth().index(), "keeper xyzzyqwerty").unwrap();
+        assert_eq!(query.terms().len(), 1);
+        assert_eq!(query.terms()[0].term, corpus.term_id("keeper").unwrap());
+        let query = Query::from_text(corpus, engine.auth().index(), "night keeper NIGHT").unwrap();
         let night = query
-            .terms
+            .terms()
             .iter()
             .find(|qt| qt.term == corpus.term_id("night").unwrap())
             .unwrap();
-        assert_eq!((query.len(), night.f_qt), (2, 2));
+        assert_eq!((query.terms().len(), night.f_qt), (2, 2));
     }
 
     #[test]

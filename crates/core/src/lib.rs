@@ -50,13 +50,13 @@
 //!
 //! // …hands index + collection to the (untrusted) search engine…
 //! let engine = SearchEngine::new(publication.auth, corpus);
-//! let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper");
+//! let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper").unwrap();
 //! let response = engine.search(&query, 5);
 //!
 //! // …and the user verifies each result against the owner's public key,
 //! // recomputing the query-side weights from the posed `(t, f_{Q,t})`
 //! // pairs and the signed `f_t` values.
-//! let pairs: Vec<_> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+//! let pairs: Vec<_> = query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
 //! let client = Client::new(publication.verifier_params);
 //! let verified = client.verify_terms(&pairs, 5, &response).expect("honest result");
 //! assert_eq!(verified.result, response.result);
@@ -102,6 +102,8 @@ pub use metrics::{
 pub use owner::{DataOwner, Publication};
 #[cfg(unix)]
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use types::{DocTable, ProcessingOutcome, Query, QueryMode, QueryResult, ResultEntry};
+pub use types::{
+    DocTable, ProcessingOutcome, Query, QueryError, QueryMode, QueryResult, QueryTerm, ResultEntry,
+};
 pub use verify::{verify, VerifiedResult, VerifierParams, VerifyError};
 pub use vo::{Mechanism, VerificationObject, VoSize};

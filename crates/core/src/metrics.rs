@@ -209,14 +209,16 @@ pub fn measure<C: ContentProvider>(
     contents: &C,
     disk: &DiskModel,
 ) -> Result<QueryMetrics, VerifyError> {
-    let response: QueryResponse = auth.query(query, r, contents);
+    let response: QueryResponse = auth
+        .query(query, r, contents)
+        .map_err(VerifyError::MalformedQuery)?;
 
     let t1 = Instant::now();
     let verified = verify::verify(params, query, r, &response)?;
     let verify_time = t1.elapsed();
 
     let list_lens = query
-        .terms
+        .terms()
         .iter()
         .map(|qt| auth.index().list(qt.term).len())
         .collect();

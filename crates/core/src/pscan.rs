@@ -18,7 +18,7 @@ pub fn run<L: ListAccess>(
     query: &Query,
     r: usize,
 ) -> Result<ProcessingOutcome, AccessError> {
-    let q = query.terms.len();
+    let q = query.terms().len();
     let mut pos = vec![0usize; q];
     let mut fronts: Vec<Option<f32>> = Vec::with_capacity(q);
     for i in 0..q {
@@ -34,7 +34,7 @@ pub fn run<L: ListAccess>(
         let mut best: Option<(usize, f64)> = None;
         for (i, front) in fronts.iter().enumerate() {
             if let Some(w) = front {
-                let c = query.terms[i].wq * *w as f64;
+                let c = query.terms()[i].wq * *w as f64;
                 if best.is_none_or(|(_, bc)| c > bc) {
                     best = Some((i, c));
                 }
@@ -84,7 +84,7 @@ pub fn naive_topk(table: &DocTable, query: &Query, r: usize) -> QueryResult {
     let mut entries: Vec<ResultEntry> = Vec::new();
     for d in 0..table.num_docs() as DocId {
         let mut s = 0.0f64;
-        for qt in &query.terms {
+        for qt in query.terms() {
             s += qt.wq * table.weight(d, qt.term) as f64;
         }
         if s > 0.0 {
@@ -157,12 +157,11 @@ mod tests {
 
     #[test]
     fn empty_query_yields_empty_result() {
-        let (_, index) = setup();
-        let q = Query::default();
-        let lists = IndexLists::new(&index, &q);
-        let out = run(&lists, &q, 5).unwrap();
-        assert!(out.result.entries.is_empty());
-        assert_eq!(out.iterations, 0);
+        // There is no empty query to scan: the constructor refuses it.
+        assert_eq!(
+            Query::new(Vec::new(), crate::types::QueryMode::Disjunctive),
+            Err(crate::types::QueryError::Empty)
+        );
     }
 
     #[test]

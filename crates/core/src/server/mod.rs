@@ -65,8 +65,7 @@ use crate::metrics::{
     ServerMetrics, ServerMetricsSnapshot, TransportStats, TransportStatsSnapshot,
 };
 use crate::pool::ThreadPool;
-use crate::tnra;
-use crate::types::{Query, QueryMode};
+use crate::types::{Query, QueryError};
 use crate::verify::VerifierParams;
 use crate::wire::{self, Request, WireError};
 use crate::WarmStats;
@@ -253,14 +252,19 @@ pub(crate) struct QueryJob {
 
 /// Execute a [`QueryJob`] and encode the reply **payload** into `buf`
 /// (cleared first), returning the reply frame kind. Runs on a pool
-/// worker.
+/// worker. A query the index refuses after admission (only an index
+/// holding a negative or NaN weight does) gets the error payload of a
+/// [`BAD_QUERY`](wire::errcode::BAD_QUERY) reply, counted with the
+/// served ones.
 pub(crate) fn execute_job(
     engine: &SearchEngine,
     job: &QueryJob,
     buf: &mut Vec<u8>,
 ) -> Result<u8, WireError> {
-    let response = engine.auth().query(&job.query, job.r, engine.corpus());
-    wire::encode_ok_reply_payload(&job.pairs, &response, buf)
+    match engine.auth().query(&job.query, job.r, engine.corpus()) {
+        Ok(response) => wire::encode_ok_reply_payload(&job.pairs, &response, buf),
+        Err(e) => wire::encode_err_reply_payload(wire::errcode::BAD_QUERY, &e.to_string(), buf),
+    }
 }
 
 /// Map an encoding failure to the coded error reply the client sees.
@@ -274,36 +278,11 @@ pub(crate) fn unrepresentable(e: WireError) -> (u8, String) {
     }
 }
 
-/// Validate one `(term, f_qt)`-pairs request body (shared by the
-/// disjunctive and conjunctive kinds): strictly ascending distinct
-/// terms, all in dictionary, no zero query frequencies.
-fn validate_term_pairs(engine: &SearchEngine, terms: &[(TermId, u32)]) -> Result<(), (u8, String)> {
-    let num_terms = engine.auth().index().num_terms() as TermId;
-    for window in terms.windows(2) {
-        if window[0].0 >= window[1].0 {
-            return Err((
-                wire::errcode::BAD_QUERY,
-                "query terms must be strictly ascending (no duplicates)".to_string(),
-            ));
-        }
-    }
-    for &(t, f_qt) in terms {
-        if t >= num_terms {
-            return Err((
-                wire::errcode::BAD_QUERY,
-                format!("term {t} out of dictionary (m = {num_terms})"),
-            ));
-        }
-        if f_qt == 0 {
-            return Err((wire::errcode::BAD_QUERY, format!("term {t} has f_qt = 0")));
-        }
-    }
-    Ok(())
-}
-
-/// Decode and validate one request into a [`QueryJob`], or the coded
-/// error reply it deserves. The event loop calls this before spending
-/// any engine time.
+/// Decode and check one request into a [`QueryJob`], or the coded
+/// error reply it deserves: the query is built through its checked
+/// constructor, [`AuthenticatedIndex::check`](crate::AuthenticatedIndex::check)
+/// adds the index's facts, and `r` must be in the served range. The
+/// event loop calls this before spending any engine time.
 pub(crate) fn prepare_job(
     kind: u8,
     payload: &[u8],
@@ -312,40 +291,21 @@ pub(crate) fn prepare_job(
 ) -> Result<QueryJob, (u8, String)> {
     let request = Request::decode_payload(kind, payload)
         .map_err(|e| (wire::errcode::MALFORMED, e.to_string()))?;
+    let bad_query = |e: QueryError| (wire::errcode::BAD_QUERY, e.to_string());
+    let index = engine.auth().index();
     let (pairs, query, r) = match request {
         Request::Text { text, r } => {
-            let query = Query::from_text(engine.corpus(), engine.auth().index(), &text);
+            let query = Query::from_text(engine.corpus(), index, &text).map_err(bad_query)?;
             let pairs: Vec<(TermId, u32)> =
-                query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+                query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
             (pairs, query, r)
         }
         Request::Terms { terms, r, mode } => {
-            validate_term_pairs(engine, &terms)?;
-            let query = Query::from_term_pairs(engine.auth().index(), &terms).with_mode(mode);
+            let query = Query::from_pairs(index, &terms, mode).map_err(bad_query)?;
             (terms, query, r)
         }
     };
-    if query.is_empty() {
-        return Err((
-            wire::errcode::BAD_QUERY,
-            "no query terms in dictionary".to_string(),
-        ));
-    }
-    // TNRA's threshold loop evaluates at most `MAX_QUERY_TERMS` terms;
-    // TRA and the conjunctive path have no such limit.
-    let q = query.terms.len();
-    if query.mode == QueryMode::Disjunctive
-        && !engine.auth().config().mechanism.is_tra()
-        && q > tnra::MAX_QUERY_TERMS
-    {
-        return Err((
-            wire::errcode::BAD_QUERY,
-            format!(
-                "{q} query terms; TNRA evaluates at most {}",
-                tnra::MAX_QUERY_TERMS
-            ),
-        ));
-    }
+    engine.auth().check(&query).map_err(bad_query)?;
     let r = r as usize;
     if r == 0 || r > max_r {
         return Err((
@@ -485,6 +445,7 @@ mod tests {
     use super::*;
     use crate::auth::AuthConfig;
     use crate::owner::DataOwner;
+    use crate::types::QueryMode;
     use crate::vo::Mechanism;
     use authsearch_corpus::CorpusBuilder;
     use authsearch_crypto::keys::TEST_KEY_BITS;

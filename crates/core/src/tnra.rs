@@ -29,8 +29,8 @@
 //!   (the paper's `R`). Condition 1 reads `top`; condition 2 walks the
 //!   slots outside it, in any order, since it holds for all or fails.
 //!
-//! Term scores must be non-negative (every `Query::from_*` weight is
-//! floored at 1e-6, and index weights are): a negative or NaN pop would
+//! Term scores must be non-negative (every query weight is checked at
+//! construction, and index weights are): a negative or NaN pop would
 //! lower a bound and void both the threshold and the top-r order, so it
 //! is an [`AccessError`].
 
@@ -43,7 +43,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// Longest query TNRA evaluates: a document's seen-in-list set is a
 /// `u64` bitmask (TREC tops out at 20 terms). [`run`] refuses longer
-/// queries with an [`AccessError`], and the server refuses them before
+/// queries with an [`AccessError`], and
+/// [`AuthenticatedIndex::check`](crate::AuthenticatedIndex::check) before
 /// they reach it.
 pub const MAX_QUERY_TERMS: usize = 64;
 
@@ -224,7 +225,7 @@ fn run_inner<L: ListAccess>(
     r: usize,
     mut trace: Option<&mut Vec<TnraIteration>>,
 ) -> Result<ProcessingOutcome, AccessError> {
-    let q = query.terms.len();
+    let q = query.terms().len();
     if q > MAX_QUERY_TERMS {
         return Err(AccessError::new(format!(
             "TNRA query of {q} terms exceeds the {MAX_QUERY_TERMS}-term limit"
@@ -356,7 +357,7 @@ fn run_inner<L: ListAccess>(
 
 /// `cs[i] = w_{Q,t_i} · w` of list `i`'s front entry (0 once exhausted).
 fn fill_front_scores(cs: &mut [f64], fronts: &[Option<(DocId, f32)>], query: &Query) {
-    for ((c, front), qt) in cs.iter_mut().zip(fronts).zip(&query.terms) {
+    for ((c, front), qt) in cs.iter_mut().zip(fronts).zip(query.terms()) {
         *c = front.map_or(0.0, |(_, w)| qt.wq * w as f64);
     }
 }
@@ -381,7 +382,7 @@ mod tests {
     use super::*;
     use crate::access::IndexLists;
     use crate::pscan;
-    use crate::types::DocTable;
+    use crate::types::{DocTable, QueryError};
     use authsearch_corpus::SyntheticConfig;
     use authsearch_index::{build_index, ImpactEntry, OkapiParams};
 
@@ -422,7 +423,7 @@ mod tests {
         let out = run(&lists, &q, 5).unwrap();
         for e in &out.result.entries {
             let mut truth = 0.0f64;
-            for qt in &q.terms {
+            for qt in q.terms() {
                 truth += qt.wq * table.weight(e.doc, qt.term) as f64;
             }
             assert!(
@@ -497,12 +498,13 @@ mod tests {
 
     #[test]
     fn over_long_query_is_an_access_error() {
-        let q = Query::with_weights(&[(0, 1.0); MAX_QUERY_TERMS + 1]);
+        let weights = |q: u32| (0..q).map(|t| (t, 1.0)).collect::<Vec<_>>();
+        let q = Query::with_weights(&weights(MAX_QUERY_TERMS as u32 + 1)).unwrap();
         let lists = VecLists(vec![vec![entry(0, 1.0)]; MAX_QUERY_TERMS + 1]);
         let err = run(&lists, &q, 1).unwrap_err();
         assert!(err.what.contains("65 terms"), "{err}");
         // The limit itself is served.
-        let q = Query::with_weights(&[(0, 1.0); MAX_QUERY_TERMS]);
+        let q = Query::with_weights(&weights(MAX_QUERY_TERMS as u32)).unwrap();
         let lists = VecLists(vec![vec![entry(0, 1.0)]; MAX_QUERY_TERMS]);
         assert_eq!(run(&lists, &q, 1).unwrap().result.docs(), vec![0]);
     }
@@ -526,7 +528,7 @@ mod tests {
         query: &Query,
         r: usize,
     ) -> (ProcessingOutcome, Vec<TnraIteration>) {
-        let q = query.terms.len();
+        let q = query.terms().len();
         assert!(q <= 64, "query size beyond the 64-term bitmask");
         let mut trace = Vec::new();
 
@@ -542,7 +544,7 @@ mod tests {
         let mut iterations = 0usize;
 
         let front_score = |fronts: &[Option<(DocId, f32)>], i: usize| -> f64 {
-            fronts[i].map_or(0.0, |(_, w)| query.terms[i].wq * w as f64)
+            fronts[i].map_or(0.0, |(_, w)| query.terms()[i].wq * w as f64)
         };
 
         loop {
@@ -785,7 +787,7 @@ mod tests {
             let weights: Vec<(authsearch_corpus::TermId, f64)> = (0..qsize as u32)
                 .map(|t| (t, if rng.gen_bool(0.5) { 1.0 } else { 2.0 }))
                 .collect();
-            let q = Query::with_weights(&weights);
+            let q = Query::with_weights(&weights).unwrap();
             let lists = VecLists(lists);
             for r in [0, 1, 2, 10, docs as usize + 1] {
                 assert_matches_oracle(&lists, &q, r, &format!("case={case}"));
@@ -820,7 +822,7 @@ mod tests {
                 owner.publish_index(index.clone(), AuthConfig::new(mechanism), &corpus);
             for (k, terms) in queries.iter().enumerate() {
                 let q = crate::types::Query::from_term_ids(&index, terms);
-                let reply = publication.auth.query(&q, 10, &corpus);
+                let reply = publication.auth.query(&q, 10, &corpus).unwrap();
                 let verified = crate::verify::verify(&publication.verifier_params, &q, 10, &reply)
                     .unwrap_or_else(|e| panic!("{mechanism:?} query {k}: {e}"));
                 assert_eq!(verified.result, reply.result, "{mechanism:?} query {k}");
@@ -830,44 +832,25 @@ mod tests {
 
     #[test]
     fn negative_or_nan_query_weight_is_an_access_error_at_both_ends() {
-        use crate::auth::AuthConfig;
-        use crate::owner::DataOwner;
-        use crate::verify::VerifyError;
-        use crate::vo::Mechanism;
-        use authsearch_crypto::keys::TEST_KEY_BITS;
-
-        let corpus = SyntheticConfig::tiny(120, 3).generate();
-        let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let terms = {
-            let index = build_index(&corpus, OkapiParams::default());
-            authsearch_corpus::workload::synthetic(index.num_terms(), 1, 3, 4).remove(0)
-        };
-        for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
-            let publication = owner.publish(&corpus, AuthConfig::new(mechanism));
-            let index = publication.auth.index();
-            let honest = crate::types::Query::from_term_ids(index, &terms);
-            let reply = publication.auth.query(&honest, 10, &corpus);
-            for wq in [-1.0, f64::NAN] {
-                // Every weight bad, so the first pop is.
-                let mut q = honest.clone();
-                for qt in &mut q.terms {
-                    qt.wq = wq;
-                }
-                // The engine's scan.
-                let err = run(&IndexLists::new(index, &q), &q, 10).unwrap_err();
-                assert!(err.what.contains("not a non-negative"), "{err}");
-                // The client's replay, over an authentic VO.
-                match crate::verify::verify(&publication.verifier_params, &q, 10, &reply) {
-                    Err(VerifyError::InsufficientData(what)) => {
-                        assert!(what.contains("not a non-negative"), "{what}")
-                    }
-                    other => panic!("{mechanism:?} wq={wq}: replay gave {other:?}"),
-                }
-            }
+        // A negative or NaN query weight cannot be built, so neither the
+        // engine's scan nor the client's replay ever meets one.
+        for wq in [-1.0, f64::NAN] {
+            let refused = Query::with_weights(&[(0, 1.0), (1, wq)]);
+            assert!(
+                matches!(refused, Err(QueryError::BadWeight { term: 1, .. })),
+                "wq={wq}: {refused:?}"
+            );
+        }
+        // The per-pop guard still stands for a list that serves such a
+        // score through the public `ListAccess`.
+        let q = Query::with_weights(&[(0, 1.0), (1, 1.0)]).unwrap();
+        for w in [-1.0, f32::NAN] {
+            let lists = VecLists(vec![vec![entry(3, w)], vec![entry(4, 0.5)]]);
+            let err = run(&lists, &q, 2).unwrap_err();
+            assert!(err.what.contains("not a non-negative"), "{err}");
         }
         // A zero term score is a legal pop.
-        let q = Query::with_weights(&[(0, 0.0), (1, 1.0)]);
-        let lists = VecLists(vec![vec![entry(3, 1.0)], vec![entry(4, 1.0)]]);
+        let lists = VecLists(vec![vec![entry(3, 0.0)], vec![entry(4, 1.0)]]);
         assert_eq!(run(&lists, &q, 2).unwrap().result.docs(), vec![4, 3]);
     }
 

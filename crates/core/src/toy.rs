@@ -96,7 +96,7 @@ pub fn toy_index() -> InvertedIndex {
 }
 
 /// The query of Figure 6: "sleeps in the dark" with the paper's exact
-/// query-side weights.
+/// query-side weights, in the paper's word order.
 pub fn toy_query() -> Query {
     Query::with_weights(&[
         (toy_term_id("sleeps"), 11f64.ln()),     // 2.3979
@@ -104,6 +104,7 @@ pub fn toy_query() -> Query {
         (toy_term_id("the"), (8f64 / 3.0).ln()), // 0.9808
         (toy_term_id("dark"), 11f64.ln()),       // 2.3979
     ])
+    .expect("the Figure 6 query is well formed")
 }
 
 /// Dummy content bytes for the toy documents (the article texts are not
@@ -144,10 +145,10 @@ mod tests {
     #[test]
     fn toy_query_weights_match_figure6() {
         let q = toy_query();
-        assert!((q.terms[0].wq - 2.3979).abs() < 1e-4); // sleeps
-        assert!((q.terms[1].wq - 1.0986).abs() < 1e-4); // in
-        assert!((q.terms[2].wq - 0.9808).abs() < 1e-4); // the
-        assert!((q.terms[3].wq - 2.3979).abs() < 1e-4); // dark
+        assert!((q.terms()[0].wq - 2.3979).abs() < 1e-4); // sleeps
+        assert!((q.terms()[1].wq - 1.0986).abs() < 1e-4); // in
+        assert!((q.terms()[2].wq - 0.9808).abs() < 1e-4); // the
+        assert!((q.terms()[3].wq - 2.3979).abs() < 1e-4); // dark
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn run_inner<L: ListAccess, F: FreqAccess>(
     r: usize,
     mut trace: Option<&mut Vec<TraIteration>>,
 ) -> Result<ProcessingOutcome, AccessError> {
-    let q = query.terms.len();
+    let q = query.terms().len();
 
     // Step 2: fetch the first entry of each list.
     let mut pos = vec![0usize; q]; // popped entries per list
@@ -75,7 +75,7 @@ fn run_inner<L: ListAccess, F: FreqAccess>(
     loop {
         // Step 3 / 4(d): thres = Σ_i c_i over current fronts.
         let thres: f64 = (0..q)
-            .map(|i| fronts[i].map_or(0.0, |(_, w)| query.terms[i].wq * w as f64))
+            .map(|i| fronts[i].map_or(0.0, |(_, w)| query.terms()[i].wq * w as f64))
             .sum();
 
         // Step 4(a): top-r found once R.s_r ≥ thres.
@@ -96,7 +96,7 @@ fn run_inner<L: ListAccess, F: FreqAccess>(
         let mut best: Option<(usize, f64)> = None;
         for (i, front) in fronts.iter().enumerate() {
             if let Some((_, w)) = front {
-                let c = query.terms[i].wq * *w as f64;
+                let c = query.terms()[i].wq * *w as f64;
                 if best.is_none_or(|(_, bc)| c > bc) {
                     best = Some((i, c));
                 }
@@ -120,7 +120,7 @@ fn run_inner<L: ListAccess, F: FreqAccess>(
         if seen.insert(d) {
             encountered.push(d);
             let mut s = 0.0f64;
-            for (j, qt) in query.terms.iter().enumerate() {
+            for (j, qt) in query.terms().iter().enumerate() {
                 s += qt.wq * freqs.weight(d, j)? as f64;
             }
             insert_ranked(&mut result, d, s);

@@ -1,9 +1,11 @@
 //! Shared types: queries, results, processing outcomes, and the
 //! document-side frequency table.
 
+use crate::access::AccessError;
 use authsearch_corpus::{Corpus, DocId, TermId};
 use authsearch_index::InvertedIndex;
 use std::collections::HashMap;
+use std::fmt;
 
 /// How a multi-term query combines its terms.
 ///
@@ -13,11 +15,10 @@ use std::collections::HashMap;
 /// and its VO additionally proves that intersection is exactly right.
 /// A [`Query`] carries its mode, and [`crate::verify::verify`] checks a
 /// reply under it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryMode {
     /// OR-semantics: any document containing at least one query term is
     /// a candidate (the paper's model).
-    #[default]
     Disjunctive,
     /// AND-semantics: only documents containing all query terms are
     /// candidates, and absence from the result must be provable.
@@ -35,57 +36,161 @@ pub struct QueryTerm {
     pub wq: f64,
 }
 
-/// A parsed query `Q = {⟨t, f_{Q,t}⟩}` with precomputed `w_{Q,t}`, posed
-/// under one [`QueryMode`].
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Why a query cannot be built ([`Query::new`] and the builders), or
+/// cannot be answered by an index ([`crate::AuthenticatedIndex::check`]).
+/// The server sends its `Display` text in a `BAD_QUERY` reply.
+#[derive(Debug, Clone, PartialEq)]
+pub enum QueryError {
+    /// No term: nothing was posed, or no word of a text is in the
+    /// dictionary.
+    Empty,
+    /// Wire pairs whose ids do not strictly ascend ([`Query::from_pairs`]).
+    NotAscending,
+    /// A term id that occurs twice.
+    DuplicateTerm(TermId),
+    /// A term posed with `f_{Q,t} = 0`.
+    ZeroFrequency(TermId),
+    /// A `w_{Q,t}` that is not finite and positive: the threshold bounds
+    /// of Figures 5 and 10 hold only for non-negative term scores.
+    BadWeight {
+        /// The term.
+        term: TermId,
+        /// Its weight.
+        wq: f64,
+    },
+    /// A term id outside the index's dictionary of `m` terms.
+    OutOfDictionary {
+        /// The term.
+        term: TermId,
+        /// Dictionary size.
+        m: usize,
+    },
+    /// A disjunctive TNRA query of more than
+    /// [`crate::tnra::MAX_QUERY_TERMS`] terms.
+    TooManyTerms {
+        /// Terms posed.
+        q: usize,
+        /// The limit.
+        max: usize,
+    },
+    /// The engine's scan refused a checked query, which only a list
+    /// holding a negative or NaN weight makes TNRA's per-pop guard do.
+    Refused(AccessError),
+}
+
+impl fmt::Display for QueryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QueryError::Empty => write!(f, "no query terms in dictionary"),
+            QueryError::NotAscending => {
+                write!(f, "query terms must be strictly ascending (no duplicates)")
+            }
+            QueryError::DuplicateTerm(t) => write!(f, "term {t} occurs twice"),
+            QueryError::ZeroFrequency(t) => write!(f, "term {t} has f_qt = 0"),
+            QueryError::BadWeight { term, wq } => {
+                write!(
+                    f,
+                    "term {term} has query weight {wq}, not a positive number"
+                )
+            }
+            QueryError::OutOfDictionary { term, m } => {
+                write!(f, "term {term} out of dictionary (m = {m})")
+            }
+            QueryError::TooManyTerms { q, max } => {
+                write!(f, "{q} query terms; TNRA evaluates at most {max}")
+            }
+            QueryError::Refused(e) => write!(f, "the index refused the query: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
+
+/// A query `Q = {⟨t, f_{Q,t}⟩}` with its weights `w_{Q,t}`, posed under
+/// one [`QueryMode`]. It is checked when it is built: every builder
+/// routes into [`Query::new`], so a `Query` has at least one term,
+/// distinct ids, every `f_{Q,t} ≥ 1` and every `w_{Q,t}` finite and
+/// positive. The facts that depend on an index are
+/// [`crate::AuthenticatedIndex::check`]'s.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
-    /// Distinct query terms (order defines the list index used in traces).
-    pub terms: Vec<QueryTerm>,
-    /// How the terms combine. Every constructor poses
-    /// [`QueryMode::Disjunctive`], the paper's model; [`Query::with_mode`]
-    /// poses the query the other way.
-    pub mode: QueryMode,
+    terms: Vec<QueryTerm>,
+    mode: QueryMode,
 }
 
 impl Query {
-    /// Build from distinct term ids with `f_{Q,t} = 1`, taking weights
-    /// from the index dictionary (the common case for generated
-    /// workloads).
-    pub fn from_term_ids(index: &InvertedIndex, terms: &[TermId]) -> Query {
-        Query {
-            terms: terms
-                .iter()
-                .map(|&t| QueryTerm {
-                    term: t,
-                    f_qt: 1,
-                    wq: index.query_weight(t, 1),
-                })
-                .collect(),
-            mode: QueryMode::Disjunctive,
+    /// Check `terms` and pose them under `mode`. The terms keep the
+    /// caller's order, the list index the threshold loops break ties by
+    /// (Figure 6 poses "sleeps in the dark" in that order).
+    pub fn new(terms: Vec<QueryTerm>, mode: QueryMode) -> Result<Query, QueryError> {
+        if terms.is_empty() {
+            return Err(QueryError::Empty);
         }
+        for qt in &terms {
+            if qt.f_qt == 0 {
+                return Err(QueryError::ZeroFrequency(qt.term));
+            }
+            if !(qt.wq.is_finite() && qt.wq > 0.0) {
+                return Err(QueryError::BadWeight {
+                    term: qt.term,
+                    wq: qt.wq,
+                });
+            }
+        }
+        // Ascending ids are distinct; any other order is sorted aside.
+        if terms.windows(2).any(|w| w[0].term >= w[1].term) {
+            let mut ids: Vec<TermId> = terms.iter().map(|qt| qt.term).collect();
+            ids.sort_unstable();
+            if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+                return Err(QueryError::DuplicateTerm(w[0]));
+            }
+        }
+        Ok(Query { terms, mode })
     }
 
-    /// Build from explicit `(t, f_{Q,t})` pairs, taking the query-side
-    /// weights from the index dictionary — the shape a network client
-    /// submits over the wire ([`crate::wire::Request::Terms`]).
-    pub fn from_term_pairs(index: &InvertedIndex, pairs: &[(TermId, u32)]) -> Query {
-        Query {
-            terms: pairs
-                .iter()
-                .map(|&(term, f_qt)| QueryTerm {
-                    term,
-                    f_qt,
-                    wq: index.query_weight(term, f_qt),
-                })
-                .collect(),
-            mode: QueryMode::Disjunctive,
+    /// Build from `(t, f_{Q,t})` pairs in the wire's form (strictly
+    /// ascending ids, [`crate::wire::Request::Terms`]), weighted from the
+    /// index dictionary.
+    pub fn from_pairs(
+        index: &InvertedIndex,
+        pairs: &[(TermId, u32)],
+        mode: QueryMode,
+    ) -> Result<Query, QueryError> {
+        if pairs.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(QueryError::NotAscending);
         }
+        Query::new(weighted(index, pairs.iter().copied())?, mode)
+    }
+
+    /// Build from distinct term ids with `f_{Q,t} = 1`, weighted from the
+    /// index dictionary (the common case for generated workloads).
+    ///
+    /// # Panics
+    ///
+    /// When an id is outside the dictionary or repeated.
+    pub fn from_term_ids(index: &InvertedIndex, terms: &[TermId]) -> Query {
+        weighted(index, terms.iter().map(|&t| (t, 1)))
+            .and_then(|terms| Query::new(terms, QueryMode::Disjunctive))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Query::from_pairs`], posed disjunctively.
+    ///
+    /// # Panics
+    ///
+    /// When [`Query::from_pairs`] refuses the pairs.
+    pub fn from_term_pairs(index: &InvertedIndex, pairs: &[(TermId, u32)]) -> Query {
+        Query::from_pairs(index, pairs, QueryMode::Disjunctive).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Parse a natural-language query string against a corpus dictionary:
     /// tokenize, drop out-of-dictionary terms (per the system model), count
     /// duplicates into `f_{Q,t}`.
-    pub fn from_text(corpus: &Corpus, index: &InvertedIndex, text: &str) -> Query {
+    pub fn from_text(
+        corpus: &Corpus,
+        index: &InvertedIndex,
+        text: &str,
+    ) -> Result<Query, QueryError> {
         let mut counts: HashMap<TermId, u32> = HashMap::new();
         for token in authsearch_corpus::tokenizer::tokenize(text) {
             if let Some(t) = corpus.term_id(&token) {
@@ -94,31 +199,17 @@ impl Query {
         }
         let mut terms: Vec<(TermId, u32)> = counts.into_iter().collect();
         terms.sort_unstable_by_key(|&(t, _)| t);
-        Query {
-            terms: terms
-                .into_iter()
-                .map(|(term, f_qt)| QueryTerm {
-                    term,
-                    f_qt,
-                    wq: index.query_weight(term, f_qt),
-                })
-                .collect(),
-            mode: QueryMode::Disjunctive,
-        }
+        Query::new(weighted(index, terms.into_iter())?, QueryMode::Disjunctive)
     }
 
-    /// Build with explicit weights (used by the paper's worked example,
-    /// whose `w_{Q,t}` values are given rather than derived). The
-    /// threshold algorithms assume non-negative weights; TNRA refuses a
-    /// negative or NaN one with an `AccessError`.
-    pub fn with_weights(weights: &[(TermId, f64)]) -> Query {
-        Query {
-            terms: weights
-                .iter()
-                .map(|&(term, wq)| QueryTerm { term, f_qt: 1, wq })
-                .collect(),
-            mode: QueryMode::Disjunctive,
-        }
+    /// Build with explicit weights and `f_{Q,t} = 1` (the paper's worked
+    /// example gives its `w_{Q,t}` rather than deriving them).
+    pub fn with_weights(weights: &[(TermId, f64)]) -> Result<Query, QueryError> {
+        let terms = weights
+            .iter()
+            .map(|&(term, wq)| QueryTerm { term, f_qt: 1, wq })
+            .collect();
+        Query::new(terms, QueryMode::Disjunctive)
     }
 
     /// The same terms, posed under `mode`.
@@ -126,15 +217,36 @@ impl Query {
         Query { mode, ..self }
     }
 
-    /// Number of distinct terms `q`.
-    pub fn len(&self) -> usize {
-        self.terms.len()
+    /// The distinct query terms, in the order posed (the list index).
+    pub fn terms(&self) -> &[QueryTerm] {
+        &self.terms
     }
 
-    /// True for the empty query.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+    /// How the terms combine.
+    pub fn mode(&self) -> QueryMode {
+        self.mode
     }
+}
+
+/// Weigh `(t, f_{Q,t})` pairs from the index dictionary, checking each id
+/// against it before its `f_t` is read.
+fn weighted(
+    index: &InvertedIndex,
+    pairs: impl ExactSizeIterator<Item = (TermId, u32)>,
+) -> Result<Vec<QueryTerm>, QueryError> {
+    let m = index.num_terms();
+    let mut terms = Vec::with_capacity(pairs.len());
+    for (term, f_qt) in pairs {
+        if term as usize >= m {
+            return Err(QueryError::OutOfDictionary { term, m });
+        }
+        terms.push(QueryTerm {
+            term,
+            f_qt,
+            wq: index.query_weight(term, f_qt),
+        });
+    }
+    Ok(terms)
 }
 
 /// One result entry `⟨d, s⟩`.
@@ -149,7 +261,7 @@ pub struct ResultEntry {
 /// The ordered query result `R` (non-increasing scores; ties broken by
 /// ascending document id so every component of the system is
 /// deterministic).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Result entries, best first.
     pub entries: Vec<ResultEntry>,
@@ -265,18 +377,22 @@ mod tests {
     #[test]
     fn query_from_text_counts_duplicates() {
         let (corpus, index) = setup();
-        let q = Query::from_text(&corpus, &index, "night NIGHT keeper");
+        let q = Query::from_text(&corpus, &index, "night NIGHT keeper").unwrap();
         let night = corpus.term_id("night").unwrap();
-        let qt = q.terms.iter().find(|t| t.term == night).unwrap();
+        let qt = q.terms().iter().find(|t| t.term == night).unwrap();
         assert_eq!(qt.f_qt, 2);
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.terms().len(), 2);
     }
 
     #[test]
     fn out_of_dictionary_terms_ignored() {
         let (corpus, index) = setup();
-        let q = Query::from_text(&corpus, &index, "zzzunknown house");
-        assert_eq!(q.len(), 1);
+        let q = Query::from_text(&corpus, &index, "zzzunknown house").unwrap();
+        assert_eq!(q.terms().len(), 1);
+        assert_eq!(
+            Query::from_text(&corpus, &index, "zzzunknown"),
+            Err(QueryError::Empty)
+        );
     }
 
     #[test]
@@ -284,7 +400,67 @@ mod tests {
         let (corpus, index) = setup();
         let house = corpus.term_id("house").unwrap();
         let q = Query::from_term_ids(&index, &[house]);
-        assert_eq!(q.terms[0].wq, index.query_weight(house, 1));
+        assert_eq!(q.terms()[0].wq, index.query_weight(house, 1));
+    }
+
+    #[test]
+    fn new_checks_every_index_free_fact() {
+        let term = |term, f_qt, wq| QueryTerm { term, f_qt, wq };
+        let mode = QueryMode::Disjunctive;
+        assert_eq!(Query::new(Vec::new(), mode), Err(QueryError::Empty));
+        assert_eq!(
+            Query::new(
+                vec![term(4, 1, 1.0), term(1, 1, 1.0), term(4, 1, 1.0)],
+                mode
+            ),
+            Err(QueryError::DuplicateTerm(4))
+        );
+        // The caller's order stands; only the wire's form must ascend.
+        let unsorted = vec![term(3, 1, 1.0), term(1, 1, 1.0)];
+        assert_eq!(Query::new(unsorted, mode).unwrap().terms()[0].term, 3);
+        assert_eq!(
+            Query::new(vec![term(2, 0, 1.0)], mode),
+            Err(QueryError::ZeroFrequency(2))
+        );
+        for wq in [0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                Query::new(vec![term(0, 1, 1.0), term(4, 1, wq)], mode),
+                Err(QueryError::BadWeight { term: 4, wq })
+            );
+        }
+        let nan = Query::new(vec![term(5, 1, f64::NAN)], mode);
+        assert!(matches!(nan, Err(QueryError::BadWeight { term: 5, wq }) if wq.is_nan()));
+        let q = Query::new(vec![term(0, 2, 0.5), term(7, 1, 3.0)], mode).unwrap();
+        assert_eq!(q.terms().len(), 2);
+        assert_eq!(
+            q.with_mode(QueryMode::Conjunctive).mode(),
+            QueryMode::Conjunctive
+        );
+    }
+
+    #[test]
+    fn index_aware_builder_checks_the_dictionary_before_reading_it() {
+        let (_, index) = setup();
+        let m = index.num_terms();
+        let out = m as TermId + 5;
+        assert_eq!(
+            Query::from_pairs(&index, &[(0, 1), (out, 1)], QueryMode::Disjunctive),
+            Err(QueryError::OutOfDictionary { term: out, m })
+        );
+        assert_eq!(
+            Query::from_pairs(&index, &[(0, 0)], QueryMode::Disjunctive),
+            Err(QueryError::ZeroFrequency(0))
+        );
+        // Only the wire's form must ascend.
+        for unordered in [[(3, 1), (1, 1)], [(1, 1), (1, 1)]] {
+            assert_eq!(
+                Query::from_pairs(&index, &unordered, QueryMode::Disjunctive),
+                Err(QueryError::NotAscending)
+            );
+        }
+        let q = Query::from_pairs(&index, &[(0, 2)], QueryMode::Conjunctive).unwrap();
+        assert_eq!(q.mode(), QueryMode::Conjunctive);
+        assert_eq!(q.terms()[0].wq, index.query_weight(0, 2));
     }
 
     #[test]

@@ -227,8 +227,8 @@ fn resolve_one(
 
     // Resolve each query term: present (revealed leaf), provably absent
     // (bounding leaves), or unproven.
-    let mut weights = Vec::with_capacity(query.terms.len());
-    for qt in &query.terms {
+    let mut weights = Vec::with_capacity(query.terms().len());
+    for qt in query.terms() {
         let t = qt.term;
         let found = dv.revealed.binary_search_by_key(&t, |&(_, rt, _)| rt);
         let w = match found {
@@ -275,7 +275,7 @@ mod tests {
         let key = cached_keypair(TEST_KEY_BITS);
         let config = AuthConfig::new(Mechanism::TraMht);
         let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
-        let resp = auth.query(&toy_query(), 2, &toy_contents());
+        let resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         let params = VerifierParams {
             public_key: key.public_key().clone(),
             layout: BlockLayout::default(),
@@ -350,7 +350,7 @@ mod tests {
         let mut top = terms[..4].to_vec();
         top.sort_unstable();
         let query = Query::from_term_ids(index, &top);
-        let response = publication.auth.query(&query, 10, &corpus);
+        let response = publication.auth.query(&query, 10, &corpus).unwrap();
         (publication, query, response)
     }
 

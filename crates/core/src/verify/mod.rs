@@ -33,13 +33,14 @@ mod docproof;
 use crate::access::{AccessError, FreqAccess, ListAccess};
 use crate::auth::serve::QueryResponse;
 use crate::auth::{dict_leaf_digest, publication_message, NO_DOC_TABLE_ROOT};
-use crate::types::{Query, QueryMode, QueryResult};
+use crate::types::{Query, QueryError, QueryMode, QueryResult};
 use crate::vo::{Mechanism, PrefixData, TermProof, TermVo, VerificationObject, VoSize};
 use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::{reconstruct_head, reconstruct_root, Digest, RsaPublicKey};
 use authsearch_index::{BlockLayout, ImpactEntry};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 
 pub use docproof::ResolvedFreqs;
@@ -49,6 +50,9 @@ pub use docproof::ResolvedFreqs;
 pub enum VerifyError {
     /// VO does not match the query's shape (missing/mismatched terms).
     QueryShapeMismatch(String),
+    /// The query was refused before any proof was checked: the posed
+    /// pairs do not make a [`Query`], or the engine refused it.
+    MalformedQuery(QueryError),
     /// A term list's signature did not validate (the §3.2 baseline,
     /// which signs every list; [`crate::baseline`]).
     TermSignature {
@@ -117,6 +121,7 @@ impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VerifyError::QueryShapeMismatch(w) => write!(f, "VO/query mismatch: {w}"),
+            VerifyError::MalformedQuery(e) => write!(f, "malformed posed query: {e}"),
             VerifyError::TermSignature { term } => {
                 write!(f, "invalid signature on term {term}'s inverted list")
             }
@@ -192,9 +197,13 @@ impl VerifierParams {
     }
 }
 
-/// Score comparison tolerance: engine and verifier execute the identical
-/// f64 operations in the identical order, so any real discrepancy is a
-/// lie; the epsilon only absorbs platform-level FMA contraction.
+/// Score comparison tolerance. Engine and verifier execute the identical
+/// f64 operations in the identical order, and Rust never contracts
+/// `a * b + c` into a fused multiply-add on its own, so a replay
+/// reproduces the engine's scores bit for bit and any real discrepancy
+/// is a lie. The tolerance absorbs nothing a replay produces; it stays
+/// only until replayed scores are compared bit for bit, which deletes it
+/// (ROADMAP.md, "The verdict is a function of the reply's bytes").
 const SCORE_EPS: f64 = 1e-9;
 
 /// Verify a response against a query whose weights the caller already
@@ -232,7 +241,7 @@ pub fn verify(
     let inputs = authenticate(params, query, response)?;
 
     // Step 2: recompute the result from the authenticated inputs alone.
-    let expected = match query.mode {
+    let expected = match query.mode() {
         QueryMode::Disjunctive => replay(&inputs, query, r)?,
         QueryMode::Conjunctive => intersect(&inputs, query, r)?,
     };
@@ -270,12 +279,8 @@ fn replay(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, Verif
 /// The conjunctive recomputation: the ranked intersection over the
 /// anchor list's documents, once the reveal is shown complete.
 fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, VerifyError> {
-    if query.is_empty() {
-        // The empty conjunction: trivially the empty result.
-        return Ok(QueryResult::default());
-    }
-    let term = |i: usize| query.terms.get(i).map_or(0, |qt| qt.term);
-    let wq: Vec<f64> = query.terms.iter().map(|qt| qt.wq).collect();
+    let term = |i: usize| query.terms().get(i).map_or(0, |qt| qt.term);
+    let wq: Vec<f64> = query.terms().iter().map(|qt| qt.wq).collect();
     let complete = |lens: &[usize], i: usize, revealed: usize| {
         if lens.get(i) == Some(&revealed) {
             Ok(())
@@ -299,7 +304,7 @@ fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, Ve
             crate::conjunctive::rank_intersection(
                 candidates,
                 &wq,
-                |d, i| lists.freqs.weight_of(d, i),
+                |d, i| lists.freqs.weight_of(d, i).ok_or((d, i)),
                 r,
             )
             .map_err(|(doc, i)| {
@@ -327,13 +332,15 @@ fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, Ve
                 .iter()
                 .map(|prefix| prefix.iter().map(|e| (e.doc, e.weight)).collect())
                 .collect();
-            crate::conjunctive::rank_intersection(
+            let Ok(result) = crate::conjunctive::rank_intersection(
                 &candidates,
                 &wq,
-                |d, i| Some(maps.get(i).and_then(|m| m.get(&d)).copied().unwrap_or(0.0)),
+                |d, i| {
+                    Ok::<_, Infallible>(maps.get(i).and_then(|m| m.get(&d)).copied().unwrap_or(0.0))
+                },
                 r,
-            )
-            .map_err(|(doc, i)| VerifyError::FrequencyUnproven { doc, term: term(i) })
+            );
+            Ok(result)
         }
     }
 }
@@ -433,14 +440,14 @@ fn check_query_shape(
             params.mechanism.name()
         )));
     }
-    if vo.terms.len() != query.terms.len() {
+    if vo.terms.len() != query.terms().len() {
         return Err(VerifyError::QueryShapeMismatch(format!(
             "{} term proofs for {} query terms",
             vo.terms.len(),
-            query.terms.len()
+            query.terms().len()
         )));
     }
-    for (tv, qt) in vo.terms.iter().zip(&query.terms) {
+    for (tv, qt) in vo.terms.iter().zip(query.terms()) {
         if tv.term != qt.term {
             return Err(VerifyError::QueryShapeMismatch(format!(
                 "term proof for {} where query has {}",
@@ -530,8 +537,8 @@ fn dict_root(vo: &VerificationObject, term_roots: &[Digest]) -> Result<(u32, Dig
         .zip(term_roots)
         .map(|(tv, root)| (tv.term as usize, dict_leaf_digest(tv.term, tv.ft, root)))
         .collect();
+    // The VO's terms are the query's (`check_query_shape`), so distinct.
     pairs.sort_unstable_by_key(|&(p, _)| p);
-    pairs.dedup_by_key(|&mut (p, _)| p);
     let root = reconstruct_root(dict.num_terms as usize, &pairs, &dict.proof)
         .ok_or_else(|| VerifyError::MalformedProof("dictionary-MHT proof shape".into()))?;
     Ok((dict.num_terms, root))
@@ -674,7 +681,7 @@ mod tests {
     #[test]
     fn missing_term_proof_rejected() {
         let (auth, params) = setup(Mechanism::TnraMht);
-        let mut resp = auth.query(&toy_query(), 2, &toy_contents());
+        let mut resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         resp.vo.terms.pop();
         assert!(matches!(
             verify(&params, &toy_query(), 2, &resp),
@@ -685,7 +692,7 @@ mod tests {
     #[test]
     fn prefix_longer_than_ft_rejected() {
         let (auth, params) = setup(Mechanism::TnraMht);
-        let mut resp = auth.query(&toy_query(), 2, &toy_contents());
+        let mut resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         // Claim a tiny ft for a list with a longer prefix.
         resp.vo.terms[2].ft = 1;
         assert!(matches!(
@@ -720,7 +727,7 @@ mod tests {
     #[test]
     fn prefix_kind_mismatch_rejected() {
         let (auth, params) = setup(Mechanism::TnraMht);
-        let mut resp = auth.query(&toy_query(), 2, &toy_contents());
+        let mut resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         // Swap in a TRA-style doc-id prefix under a TNRA mechanism.
         let ids = match &resp.vo.terms[0].prefix {
             PrefixData::Entries(entries) => entries.iter().map(|e| e.doc).collect(),
@@ -736,7 +743,7 @@ mod tests {
     #[test]
     fn proof_kind_mismatch_rejected() {
         let (auth, params) = setup(Mechanism::TnraCmht);
-        let mut resp = auth.query(&toy_query(), 2, &toy_contents());
+        let mut resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         // Replace the chain proof with a plain-MHT proof.
         let digests = match &resp.vo.terms[0].proof {
             TermProof::Cmht(p) => p.tail.digests.clone(),
@@ -753,7 +760,7 @@ mod tests {
     fn missing_manifest_signature_rejected() {
         for mechanism in Mechanism::ALL {
             let (auth, params) = setup(mechanism);
-            let mut resp = auth.query(&toy_query(), 2, &toy_contents());
+            let mut resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
             resp.vo.signature.clear();
             assert_eq!(
                 verify(&params, &toy_query(), 2, &resp),
@@ -766,7 +773,7 @@ mod tests {
     #[test]
     fn unordered_tnra_prefix_rejected() {
         let (auth, params) = setup(Mechanism::TnraMht);
-        let mut resp = auth.query(&toy_query(), 2, &toy_contents());
+        let mut resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         // Make a prefix weight-increasing; even with a fixed-up proof the
         // ordering screen fires first.
         if let PrefixData::Entries(entries) = &mut resp.vo.terms[2].prefix {
@@ -784,7 +791,7 @@ mod tests {
         // Adding an unrelated (valid) doc proof is not itself an attack —
         // the result must still match — but duplicates are rejected.
         let (auth, params) = setup(Mechanism::TraMht);
-        let resp = auth.query(&toy_query(), 2, &toy_contents());
+        let resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         let mut dup = resp.clone();
         dup.vo.docs.push(resp.vo.docs[0].clone());
         assert!(matches!(
@@ -798,7 +805,7 @@ mod tests {
         // Appending extra content for a non-result doc changes nothing
         // the verifier checks (contents are looked up by result doc id).
         let (auth, params) = setup(Mechanism::TraMht);
-        let mut resp = auth.query(&toy_query(), 2, &toy_contents());
+        let mut resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         resp.contents.push((8, b"irrelevant".to_vec()));
         assert!(verify(&params, &toy_query(), 2, &resp).is_ok());
     }
@@ -808,7 +815,7 @@ mod tests {
         // Zeroed digests of the right shape reconstruct another root; a
         // proof of the wrong shape, or none at all, is malformed.
         let (auth, params) = setup(Mechanism::TnraMht);
-        let resp = auth.query(&toy_query(), 2, &toy_contents());
+        let resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         let dict = resp.vo.dict.clone().unwrap();
         let mut zeroed = resp.clone();
         zeroed.vo.dict.as_mut().unwrap().proof.digests =
@@ -831,19 +838,21 @@ mod tests {
 
     #[test]
     fn empty_query_verifies_trivially() {
-        let (auth, params) = setup(Mechanism::TnraCmht);
-        let q = Query::default();
-        let resp = auth.query(&q, 5, &toy_contents());
-        assert!(resp.result.entries.is_empty());
-        let verified = verify(&params, &q, 5, &resp).unwrap();
-        assert!(verified.result.entries.is_empty());
+        // The empty query is refused at construction, so no reply to it
+        // reaches the verifier.
+        assert_eq!(
+            Query::new(Vec::new(), QueryMode::Disjunctive),
+            Err(QueryError::Empty)
+        );
     }
 
     #[test]
     fn honest_conjunctive_verifies_under_every_mechanism() {
         for mechanism in Mechanism::ALL {
             let (auth, params) = setup(mechanism);
-            let resp = auth.query(&conjunctive_toy_query(), 2, &toy_contents());
+            let resp = auth
+                .query(&conjunctive_toy_query(), 2, &toy_contents())
+                .unwrap();
             let verified = verify(&params, &conjunctive_toy_query(), 2, &resp)
                 .unwrap_or_else(|e| panic!("{mechanism:?}: {e}"));
             assert_eq!(verified.result.docs(), vec![6], "{mechanism:?}");
@@ -852,11 +861,10 @@ mod tests {
 
     #[test]
     fn empty_conjunctive_query_verifies_trivially() {
-        let (auth, params) = setup(Mechanism::TraMht);
-        let q = Query::default().with_mode(QueryMode::Conjunctive);
-        let resp = auth.query(&q, 5, &toy_contents());
-        let verified = verify(&params, &q, 5, &resp).unwrap();
-        assert!(verified.result.entries.is_empty());
+        assert_eq!(
+            Query::new(Vec::new(), QueryMode::Conjunctive),
+            Err(QueryError::Empty)
+        );
     }
 
     #[test]
@@ -865,7 +873,9 @@ mod tests {
         // 'sleeps' and 'dark') with plausible score and valid proofs —
         // the replay must narrow the intersection back to [6].
         let (auth, params) = setup(Mechanism::TnraMht);
-        let mut resp = auth.query(&conjunctive_toy_query(), 2, &toy_contents());
+        let mut resp = auth
+            .query(&conjunctive_toy_query(), 2, &toy_contents())
+            .unwrap();
         let score = resp.result.entries[0].score / 2.0;
         resp.result
             .entries
@@ -885,8 +895,10 @@ mod tests {
         // conjunctive completeness bar. Results differ for the toy
         // query ([6] vs [6, 5]), so the two VOs are never interchangeable.
         let (auth, params) = setup(Mechanism::TraMht);
-        let conj = auth.query(&conjunctive_toy_query(), 2, &toy_contents());
-        let disj = auth.query(&toy_query(), 2, &toy_contents());
+        let conj = auth
+            .query(&conjunctive_toy_query(), 2, &toy_contents())
+            .unwrap();
+        let disj = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         assert_ne!(conj.result, disj.result);
         assert!(verify(&params, &toy_query(), 2, &conj).is_err());
         assert!(verify(&params, &conjunctive_toy_query(), 2, &disj).is_err());

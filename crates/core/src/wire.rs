@@ -876,7 +876,11 @@ mod tests {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let config = AuthConfig::new(mechanism);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
-        publication.auth.query(&toy_query(), 2, &toy_contents()).vo
+        publication
+            .auth
+            .query(&toy_query(), 2, &toy_contents())
+            .unwrap()
+            .vo
     }
 
     #[test]
@@ -1093,7 +1097,10 @@ mod tests {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let config = AuthConfig::new(mechanism);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
-        publication.auth.query(&toy_query(), 2, &toy_contents())
+        publication
+            .auth
+            .query(&toy_query(), 2, &toy_contents())
+            .unwrap()
     }
 
     #[test]
@@ -1288,7 +1295,10 @@ mod tests {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let config = AuthConfig::new(Mechanism::TraCmht);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
-        let mut resp = publication.auth.query(&toy_query(), 2, &toy_contents());
+        let mut resp = publication
+            .auth
+            .query(&toy_query(), 2, &toy_contents())
+            .unwrap();
         resp.vo = decode(&encode(&resp.vo).unwrap()).unwrap();
         crate::verify::verify(&publication.verifier_params, &toy_query(), 2, &resp).unwrap();
     }

@@ -10,9 +10,7 @@
 //! * [`disk`] — the simulated Seagate ST973401KC disk of the testbed;
 //! * [`iostats`] — block-access traces fed into the disk model;
 //! * [`persist`] — binary serialization for indexes and corpora, plus
-//!   the crash-safe, digest-trailed v2 snapshot container;
-//! * [`faults`] — deterministic fault-injection I/O (short reads, torn
-//!   writes, fsync failures, bit flips) for the persistence harness.
+//!   the crash-safe, digest-trailed v2 snapshot container.
 
 #![warn(missing_docs)]
 
@@ -20,7 +18,6 @@ pub mod block;
 pub mod builder;
 pub mod dictionary;
 pub mod disk;
-pub mod faults;
 pub mod iostats;
 pub mod okapi;
 pub mod persist;
@@ -30,7 +27,6 @@ pub use block::BlockLayout;
 pub use builder::build_index;
 pub use dictionary::InvertedIndex;
 pub use disk::DiskModel;
-pub use faults::{FaultConfig, FaultStats, FaultyFile};
 pub use iostats::IoStats;
 pub use okapi::OkapiParams;
 pub use persist::{PersistError, SnapshotInfo};

@@ -147,6 +147,7 @@ impl Default for Config {
                 "crates/core/src/reactor.rs".into(),
                 "crates/core/src/server/conn.rs".into(),
                 "crates/core/src/server/reactor_core.rs".into(),
+                "crates/core/src/server/mod.rs".into(),
             ],
             unsafe_allowed: vec![
                 "crates/core/src/reactor.rs".into(),

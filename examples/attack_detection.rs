@@ -11,8 +11,10 @@ use authsearch_core::attacks::{
     mechanism_swapped_response, older_index, shifted_dict_leaf_response, stale_manifest_response,
     truncated_prefix_response, Attack, Tree,
 };
-use authsearch_core::{verify, AuthConfig, DataOwner, Mechanism, Query, QueryResponse};
-use authsearch_corpus::SyntheticConfig;
+use authsearch_core::{
+    verify, AuthConfig, AuthenticatedIndex, DataOwner, Mechanism, Query, QueryResponse,
+};
+use authsearch_corpus::{Corpus, SyntheticConfig};
 use authsearch_index::{build_index, OkapiParams};
 
 /// Attacks this catalogue mounts across the four mechanisms; a change
@@ -33,7 +35,7 @@ fn main() {
             authsearch_corpus::workload::synthetic(publication.auth.index().num_terms(), 1, 3, 7)
                 .remove(0);
         let query = Query::from_term_ids(publication.auth.index(), &terms);
-        let honest = publication.auth.query(&query, 10, &corpus);
+        let honest = serve(&publication.auth, &query, &corpus);
         assert!(
             verify::verify(&publication.verifier_params, &query, 10, &honest).is_ok(),
             "honest baseline must verify"
@@ -90,7 +92,7 @@ fn main() {
         );
         mount(
             "term root from an older publication",
-            foreign_term_response(&honest, &older.auth.query(&query, 10, &corpus), 0),
+            foreign_term_response(&honest, &serve(&older.auth, &query, &corpus), 0),
         );
         let other = *Mechanism::ALL
             .iter()
@@ -107,15 +109,12 @@ fn main() {
         );
         mount(
             "mechanism field swapped",
-            mechanism_swapped_response(
-                &other_publication.auth.query(&query, 10, &corpus),
-                mechanism,
-            ),
+            mechanism_swapped_response(&serve(&other_publication.auth, &query, &corpus), mechanism),
         );
         mount(
             "dictionary leaf shifted by one",
             shifted_dict_leaf_response(&query, publication.auth.index().num_terms(), |q| {
-                publication.auth.query(q, 10, &corpus)
+                serve(&publication.auth, q, &corpus)
             }),
         );
         // An interior node presented as a leaf, in every tree the reply
@@ -129,7 +128,7 @@ fn main() {
             },
             &corpus,
         );
-        let plain = unpadded.auth.query(&query, 10, &corpus);
+        let plain = serve(&unpadded.auth, &query, &corpus);
         for tree in Tree::ALL.into_iter().filter(|t| t.in_replies_of(mechanism)) {
             mount(
                 &format!("interior node as a {tree:?} leaf"),
@@ -149,4 +148,10 @@ fn main() {
     println!("\n{detected}/{mounted} attacks detected");
     assert_eq!(detected, mounted, "verifier must reject every attack");
     assert_eq!(mounted, EXPECTED_MOUNTED, "attacks mounted");
+}
+
+/// The honest reply at r = 10; every query here is generated well formed.
+fn serve(auth: &AuthenticatedIndex, query: &Query, corpus: &Corpus) -> QueryResponse {
+    auth.query(query, 10, corpus)
+        .expect("a generated query is well formed")
 }

@@ -38,8 +38,9 @@ fn main() {
     let client = Client::new(publication.verifier_params);
 
     let text = "wireless charging coil";
-    let query = Query::from_text(engine.corpus(), engine.auth().index(), text);
-    let pairs: Vec<_> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+    let query = Query::from_text(engine.corpus(), engine.auth().index(), text)
+        .expect("a word of the query is in the dictionary");
+    let pairs: Vec<_> = query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
     let honest = engine.search(&query, 3);
     println!("examiner searches: \"{text}\" (top 3)");
     for (rank, e) in honest.result.entries.iter().enumerate() {

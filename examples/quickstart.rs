@@ -47,7 +47,8 @@ fn main() {
     //    serves queries with verification objects.
     // ------------------------------------------------------------------
     let engine = SearchEngine::new(publication.auth, corpus);
-    let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper keep");
+    let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper keep")
+        .expect("a word of the query is in the dictionary");
     let response = engine.search(&query, 3);
     println!("\nengine: top-3 for \"night keeper keep\":");
     for (rank, entry) in response.result.entries.iter().enumerate() {
@@ -73,7 +74,7 @@ fn main() {
     //    The query-side weights are recomputed from the posed
     //    `(t, f_{Q,t})` pairs and the signed `f_t` values in the VO.
     // ------------------------------------------------------------------
-    let pairs: Vec<_> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+    let pairs: Vec<_> = query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
     let client = Client::new(publication.verifier_params);
     match client.verify_terms(&pairs, 3, &response) {
         Ok(verified) => println!(

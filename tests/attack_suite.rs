@@ -37,7 +37,7 @@ fn every_common_attack_rejected_under_every_mechanism() {
     for mechanism in Mechanism::ALL {
         let (publication, corpus) = publish(mechanism);
         let query = sample_query(&publication, 4);
-        let honest = publication.auth.query(&query, 10, &corpus);
+        let honest = publication.auth.query(&query, 10, &corpus).unwrap();
         // The honest response must verify (otherwise the attacks below
         // prove nothing).
         verify::verify(&publication.verifier_params, &query, 10, &honest)
@@ -64,7 +64,7 @@ fn tra_specific_attacks_rejected() {
     for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
         let (publication, corpus) = publish(mechanism);
         let query = sample_query(&publication, 5);
-        let honest = publication.auth.query(&query, 10, &corpus);
+        let honest = publication.auth.query(&query, 10, &corpus).unwrap();
 
         for attack in Attack::TRA_ONLY {
             let mut tampered = honest.clone();
@@ -117,7 +117,10 @@ fn attacks_rejected_on_the_paper_example() {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let config = AuthConfig::new(mechanism);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
-        let honest = publication.auth.query(&toy_query(), 2, &toy_contents());
+        let honest = publication
+            .auth
+            .query(&toy_query(), 2, &toy_contents())
+            .unwrap();
         verify::verify(&publication.verifier_params, &toy_query(), 2, &honest).unwrap();
 
         let applicable = Attack::COMMON.iter().chain(if mechanism.is_tra() {
@@ -158,8 +161,9 @@ fn conjunctive_fixture(mechanism: Mechanism) -> (Publication, authsearch_corpus:
     let config = AuthConfig::new(mechanism);
     let publication = owner.publish(&corpus, config);
     let query = Query::from_text(&corpus, publication.auth.index(), "night keeper")
+        .unwrap()
         .with_mode(QueryMode::Conjunctive);
-    assert_eq!(query.len(), 2);
+    assert_eq!(query.terms().len(), 2);
     (publication, corpus, query)
 }
 
@@ -171,7 +175,7 @@ fn conjunctive_fixture(mechanism: Mechanism) -> (Publication, authsearch_corpus:
 fn every_conjunctive_attack_rejected_under_every_mechanism() {
     for mechanism in Mechanism::ALL {
         let (publication, corpus, query) = conjunctive_fixture(mechanism);
-        let honest = publication.auth.query(&query, 2, &corpus);
+        let honest = publication.auth.query(&query, 2, &corpus).unwrap();
         assert_eq!(
             honest.result.entries.len(),
             2,
@@ -232,7 +236,7 @@ fn every_conjunctive_attack_rejected_under_every_mechanism() {
 fn conjunctive_attacks_applicable_on_the_fixture() {
     for mechanism in Mechanism::ALL {
         let (publication, corpus, query) = conjunctive_fixture(mechanism);
-        let honest = publication.auth.query(&query, 2, &corpus);
+        let honest = publication.auth.query(&query, 2, &corpus).unwrap();
         for attack in Attack::CONJUNCTIVE {
             let mut tampered = honest.clone();
             let expect = attack != Attack::PhraseOrderSwap || mechanism.is_tra();
@@ -263,7 +267,7 @@ fn incomplete_conjunct_with_valid_proofs_rejected() {
         let mut pick = [terms[0], terms[1]];
         pick.sort_unstable();
         let query = Query::from_term_ids(index, &pick).with_mode(QueryMode::Conjunctive);
-        let honest = publication.auth.query(&query, 10, &corpus);
+        let honest = publication.auth.query(&query, 10, &corpus).unwrap();
         verify::verify(&publication.verifier_params, &query, 10, &honest)
             .unwrap_or_else(|e| panic!("{}: honest rejected: {e}", mechanism.name()));
         let tampered = truncated_prefix_response(&publication.auth, &query, 10, &corpus)
@@ -287,8 +291,14 @@ fn conjunctive_mode_confusion_rejected() {
         let config = AuthConfig::new(mechanism);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
         let conjunctive = toy_query().with_mode(QueryMode::Conjunctive);
-        let conj = publication.auth.query(&conjunctive, 2, &toy_contents());
-        let disj = publication.auth.query(&toy_query(), 2, &toy_contents());
+        let conj = publication
+            .auth
+            .query(&conjunctive, 2, &toy_contents())
+            .unwrap();
+        let disj = publication
+            .auth
+            .query(&toy_query(), 2, &toy_contents())
+            .unwrap();
         assert_ne!(conj.result, disj.result, "{}", mechanism.name());
         assert!(
             verify::verify(&publication.verifier_params, &toy_query(), 2, &conj).is_err(),
@@ -308,13 +318,14 @@ fn conjunctive_mode_confusion_rejected() {
 #[test]
 fn conjunctive_wrong_key_and_query_rejected() {
     let (publication, corpus, query) = conjunctive_fixture(Mechanism::TnraCmht);
-    let honest = publication.auth.query(&query, 2, &corpus);
+    let honest = publication.auth.query(&query, 2, &corpus).unwrap();
     let other_key = authsearch_crypto::keys::cached_keypair(768);
     let mut params = publication.verifier_params.clone();
     params.public_key = other_key.public_key().clone();
     assert!(verify::verify(&params, &query, 2, &honest).is_err());
 
     let other = Query::from_text(&corpus, publication.auth.index(), "town house")
+        .unwrap()
         .with_mode(QueryMode::Conjunctive);
     assert!(matches!(
         verify::verify(&publication.verifier_params, &other, 2, &honest),
@@ -326,7 +337,7 @@ fn conjunctive_wrong_key_and_query_rejected() {
 fn wrong_key_rejected() {
     let (publication, corpus) = publish(Mechanism::TnraCmht);
     let query = sample_query(&publication, 7);
-    let honest = publication.auth.query(&query, 10, &corpus);
+    let honest = publication.auth.query(&query, 10, &corpus).unwrap();
     // A verifier configured with a different owner's key must reject.
     let other_key = authsearch_crypto::keys::cached_keypair(768);
     let mut params = publication.verifier_params.clone();
@@ -342,10 +353,11 @@ fn vo_for_different_query_rejected() {
     let query_a = sample_query(&publication, 8);
     let query_b = sample_query(&publication, 9);
     assert_ne!(
-        query_a.terms[0].term, query_b.terms[0].term,
+        query_a.terms()[0].term,
+        query_b.terms()[0].term,
         "seeds must give distinct queries"
     );
-    let response_a = publication.auth.query(&query_a, 10, &corpus);
+    let response_a = publication.auth.query(&query_a, 10, &corpus).unwrap();
     let outcome = verify::verify(&publication.verifier_params, &query_b, 10, &response_a);
     assert!(matches!(outcome, Err(VerifyError::QueryShapeMismatch(_))));
 }
@@ -356,7 +368,7 @@ fn wrong_r_rejected() {
     // produces a different result length.
     let (publication, corpus) = publish(Mechanism::TnraCmht);
     let query = sample_query(&publication, 10);
-    let response = publication.auth.query(&query, 10, &corpus);
+    let response = publication.auth.query(&query, 10, &corpus).unwrap();
     if response.result.entries.len() > 5 {
         let outcome = verify::verify(&publication.verifier_params, &query, 5, &response);
         assert!(matches!(outcome, Err(VerifyError::ResultMismatch(_))));
@@ -368,7 +380,7 @@ fn mechanism_confusion_rejected() {
     // A TNRA response presented to a TRA verifier (and vice versa).
     let (pub_tnra, corpus) = publish(Mechanism::TnraMht);
     let query = sample_query(&pub_tnra, 11);
-    let response = pub_tnra.auth.query(&query, 10, &corpus);
+    let response = pub_tnra.auth.query(&query, 10, &corpus).unwrap();
     let mut params = pub_tnra.verifier_params.clone();
     params.mechanism = Mechanism::TraMht;
     assert!(matches!(
@@ -418,7 +430,8 @@ fn deliver(path: Path, query: &Query, response: QueryResponse) -> QueryResponse 
     match path {
         Path::InProcess => response,
         Path::Wire => {
-            let pairs: Vec<(u32, u32)> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+            let pairs: Vec<(u32, u32)> =
+                query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
             let frame = wire::encode_ok_reply(&pairs, &response).expect("tampered reply encodes");
             let (kind, payload) = wire::split_frame(&frame).expect("frame header");
             match wire::decode_reply_payload(kind, payload).expect("tampered reply decodes") {
@@ -445,7 +458,7 @@ fn doc_table_query(
         .map(|seed| {
             let ids = authsearch_corpus::workload::synthetic(m, 1, terms, seed).remove(0);
             let query = Query::from_term_ids(publication.auth.index(), &ids).with_mode(mode);
-            let honest = publication.auth.query(&query, 10, corpus);
+            let honest = publication.auth.query(&query, 10, corpus).unwrap();
             (query, honest)
         })
         .find(|(_, honest)| {
@@ -546,7 +559,7 @@ fn nan_reported_score_is_rejected() {
             owner.publish_index(toy_index(), AuthConfig::new(mechanism), &toy_contents());
         for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
             let query = toy_query().with_mode(mode);
-            let honest = publication.auth.query(&query, 2, &toy_contents());
+            let honest = publication.auth.query(&query, 2, &toy_contents()).unwrap();
             let verified = verify::verify(&publication.verifier_params, &query, 2, &honest)
                 .unwrap_or_else(|e| {
                     panic!("{} {mode:?}: honest reply rejected: {e}", mechanism.name())
@@ -576,8 +589,8 @@ fn nan_reported_score_is_rejected() {
 fn truncated_or_flipped_doc_table_trailer_rejected() {
     let (publication, corpus) = publish(Mechanism::TraMht);
     let query = sample_query(&publication, 5);
-    let honest = publication.auth.query(&query, 10, &corpus);
-    let pairs: Vec<(u32, u32)> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+    let honest = publication.auth.query(&query, 10, &corpus).unwrap();
+    let pairs: Vec<(u32, u32)> = query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
     let vo = wire::encode(&honest.vo).unwrap();
     let table = honest.vo.doc_table.as_ref().unwrap();
     let trailer = 4 + table.proof.size_bytes() + 2 + honest.vo.signature.len();
@@ -666,12 +679,12 @@ fn manifest_query(mode: QueryMode, publication: &Publication) -> Query {
         })
         .find(|query| {
             query
-                .terms
+                .terms()
                 .iter()
                 .all(|qt| index.list(qt.term).len() <= capacity)
-                && query.terms.iter().any(|qt| {
+                && query.terms().iter().any(|qt| {
                     let s = qt.term ^ 1;
-                    (s as usize) < m && query.terms.iter().all(|o| o.term != s)
+                    (s as usize) < m && query.terms().iter().all(|o| o.term != s)
                 })
         })
         .expect("some sampled query admits every manifest attack")
@@ -689,8 +702,8 @@ fn manifest_attacks_rejected_with_typed_verdicts() {
         let (publication, corpus) = publish(mechanism);
         for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
             let query = manifest_query(mode, &publication);
-            let honest = publication.auth.query(&query, 10, &corpus);
-            let older = older_publication(&publication, &corpus, query.terms[0].term);
+            let honest = publication.auth.query(&query, 10, &corpus).unwrap();
+            let older = older_publication(&publication, &corpus, query.terms()[0].term);
             let other = other_tree_type(mechanism);
             let mut other_params = publication.verifier_params.clone();
             other_params.mechanism = other;
@@ -714,7 +727,11 @@ fn manifest_attacks_rejected_with_typed_verdicts() {
                 ),
                 (
                     "term root from an older publication",
-                    foreign_term_response(&honest, &older.auth.query(&query, 10, &corpus), 0),
+                    foreign_term_response(
+                        &honest,
+                        &older.auth.query(&query, 10, &corpus).unwrap(),
+                        0,
+                    ),
                     &publication.verifier_params,
                 ),
                 (
@@ -725,7 +742,7 @@ fn manifest_attacks_rejected_with_typed_verdicts() {
                 (
                     "dictionary leaf shifted by one",
                     shifted_dict_leaf_response(&query, m, |q| {
-                        publication.auth.query(q, 10, &corpus)
+                        publication.auth.query(q, 10, &corpus).unwrap()
                     }),
                     &publication.verifier_params,
                 ),
@@ -782,7 +799,7 @@ fn interior_node_as_leaf_rejected_in_every_tree() {
             .find_map(|seed| {
                 let ids = authsearch_corpus::workload::synthetic(m, 1, 3, seed).remove(0);
                 let query = Query::from_term_ids(publication.auth.index(), &ids);
-                let honest = publication.auth.query(&query, 10, &corpus);
+                let honest = publication.auth.query(&query, 10, &corpus).unwrap();
                 let cases: Option<Vec<(Tree, QueryResponse)>> = trees
                     .iter()
                     .map(|&tree| {

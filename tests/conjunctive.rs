@@ -33,7 +33,7 @@ fn publish(config: AuthConfig, docs: usize, seed: u64) -> (SearchEngine, Verifie
 fn brute_force_intersection(engine: &SearchEngine, query: &Query, r: usize) -> Vec<(u32, f64)> {
     let num_docs = engine.corpus().num_docs();
     let per_term: Vec<Vec<(u32, f64)>> = query
-        .terms
+        .terms()
         .iter()
         .map(|qt| {
             let single = Query::from_term_pairs(engine.auth().index(), &[(qt.term, qt.f_qt)]);
@@ -189,7 +189,7 @@ fn conjunctive_vo_is_smaller_than_fetching_every_full_list() {
             conj_bytes += wire::encode(&response.vo).unwrap().len();
 
             let mut intersection: Option<Vec<u32>> = None;
-            for qt in &query.terms {
+            for qt in query.terms() {
                 let single = Query::from_term_pairs(index, &[(qt.term, qt.f_qt)]);
                 let full = engine.search(&single, num_docs);
                 fetch_bytes += wire::encode(&full.vo).unwrap().len();

@@ -153,7 +153,7 @@ proptest! {
                     continue;
                 }
                 let mut s = 0.0f64;
-                for qt in &query.terms {
+                for qt in query.terms() {
                     s += qt.wq * table.weight(d, qt.term) as f64;
                 }
                 prop_assert!(
@@ -188,7 +188,7 @@ proptest! {
         let publication = owner.publish(&corpus, config);
         let terms = pick_terms(publication.auth.index(), q, query_seed);
         let query = Query::from_term_ids(publication.auth.index(), &terms);
-        let response = publication.auth.query(&query, r, &corpus);
+        let response = publication.auth.query(&query, r, &corpus).unwrap();
         let verified =
             verify::verify(&publication.verifier_params, &query, r, &response);
         prop_assert!(verified.is_ok(), "{}: {:?}", mechanism.name(), verified.err());

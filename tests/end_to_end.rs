@@ -71,7 +71,10 @@ fn toy_example_verifies_under_all_mechanisms() {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let publication =
             owner.publish_index(toy_index(), AuthConfig::new(mechanism), &toy_contents());
-        let response = publication.auth.query(&toy_query(), 2, &toy_contents());
+        let response = publication
+            .auth
+            .query(&toy_query(), 2, &toy_contents())
+            .unwrap();
         assert_eq!(response.result.docs(), vec![6, 5], "{}", mechanism.name());
         let verified = verify::verify(&publication.verifier_params, &toy_query(), 2, &response)
             .unwrap_or_else(|e| panic!("{}: {e}", mechanism.name()));
@@ -157,12 +160,13 @@ fn single_term_and_repeated_term_queries() {
         let engine = SearchEngine::new(publication.auth, corpus.clone());
         let client = Client::new(publication.verifier_params);
         // Repeated word: f_{Q,t} = 2 for 'alpha'.
-        let query = Query::from_text(engine.corpus(), engine.auth().index(), "alpha alpha beta");
+        let query =
+            Query::from_text(engine.corpus(), engine.auth().index(), "alpha alpha beta").unwrap();
         let response = engine.search(&query, 2);
         let alpha = corpus.term_id("alpha").unwrap();
-        let qt = query.terms.iter().find(|t| t.term == alpha).unwrap();
+        let qt = query.terms().iter().find(|t| t.term == alpha).unwrap();
         assert_eq!(qt.f_qt, 2);
-        let pairs: Vec<(TermId, u32)> = query.terms.iter().map(|t| (t.term, t.f_qt)).collect();
+        let pairs: Vec<(TermId, u32)> = query.terms().iter().map(|t| (t.term, t.f_qt)).collect();
         client
             .verify_terms(&pairs, 2, &response)
             .unwrap_or_else(|e| panic!("{}: {e}", mechanism.name()));

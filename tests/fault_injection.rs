@@ -1,5 +1,5 @@
 //! Crash-safety under injected I/O faults: every failure the
-//! [`authsearch_index::faults`] harness can inject — torn writes at
+//! [`faults`] harness (`tests/support/faults.rs`) can inject — torn writes at
 //! every byte offset, failed fsyncs, short reads, bit flips — leaves
 //! the snapshot store in one of exactly two states: the previous
 //! snapshot loads, or loading returns a typed [`PersistError`]. Never a
@@ -9,10 +9,14 @@ use authsearch_core::{AuthConfig, AuthenticatedIndex, DataOwner, Mechanism};
 use authsearch_corpus::SyntheticConfig;
 use authsearch_crypto::keys::TEST_KEY_BITS;
 use authsearch_index::persist::{self, manifest_path, PersistError, SectionTag};
-use authsearch_index::{FaultConfig, FaultyFile};
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
+
+#[path = "support/faults.rs"]
+mod faults;
+
+use faults::{FaultConfig, FaultyFile};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("authsearch-faults-{name}"));

@@ -326,7 +326,7 @@ fn prioritised_polling_reads_fewer_entries_than_equal_depth() {
         // Equal depth: every list read to the depth of the deepest one,
         // what Fagin's round-robin NRA fetches.
         let deepest = out.prefix_lens.iter().copied().max().unwrap_or(0);
-        equal_depth += (0..query.terms.len())
+        equal_depth += (0..query.terms().len())
             .map(|i| deepest.min(lists.list_len(i)))
             .sum::<usize>();
     }

@@ -27,8 +27,8 @@ fn engine_rebuilt_from_persisted_index_is_equivalent() {
     let terms =
         authsearch_corpus::workload::synthetic(pub_a.auth.index().num_terms(), 1, 3, 17).remove(0);
     let query = Query::from_term_ids(pub_a.auth.index(), &terms);
-    let resp_a = pub_a.auth.query(&query, 10, &corpus);
-    let resp_b = pub_b.auth.query(&query, 10, &corpus);
+    let resp_a = pub_a.auth.query(&query, 10, &corpus).unwrap();
+    let resp_b = pub_b.auth.query(&query, 10, &corpus).unwrap();
 
     // Identical artifacts → identical results and identical VOs.
     assert_eq!(resp_a.result, resp_b.result);
@@ -86,7 +86,7 @@ fn public_key_distribution_roundtrip() {
         authsearch_corpus::workload::synthetic(publication.auth.index().num_terms(), 1, 2, 5)
             .remove(0);
     let query = Query::from_term_ids(publication.auth.index(), &terms);
-    let response = publication.auth.query(&query, 5, &corpus);
+    let response = publication.auth.query(&query, 5, &corpus).unwrap();
     verify::verify(&params, &query, 5, &response).unwrap();
 }
 

@@ -22,7 +22,7 @@ fn single_byte_corruptions_never_verify() {
             authsearch_corpus::workload::synthetic(publication.auth.index().num_terms(), 1, 3, 77)
                 .remove(0);
         let query = Query::from_term_ids(publication.auth.index(), &terms);
-        let honest = publication.auth.query(&query, 10, &corpus);
+        let honest = publication.auth.query(&query, 10, &corpus).unwrap();
         let encoded = wire::encode(&honest.vo).expect("VO fits the wire format");
 
         // Sanity: the unmutated encoding round-trips and verifies.

@@ -381,8 +381,8 @@ fn over_long_query_is_bad_query_under_tnra_and_served_under_tra() {
             .map(|&(t, _)| fx.engine.corpus().term(t))
             .collect();
         let text = words.join(" ");
-        let parsed = Query::from_text(fx.engine.corpus(), fx.engine.auth().index(), &text);
-        assert_eq!(parsed.terms.len(), n);
+        let parsed = Query::from_text(fx.engine.corpus(), fx.engine.auth().index(), &text).unwrap();
+        assert_eq!(parsed.terms().len(), n);
         let handle = Server::start(
             Arc::clone(&fx.engine),
             "127.0.0.1:0",

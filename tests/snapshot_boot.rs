@@ -57,8 +57,8 @@ fn booted_engine_matches_built_engine_across_attack_catalogue() {
 
         for seed in [4u64, 5, 6] {
             let query = sample_query(&publication.auth, seed);
-            let a = publication.auth.query(&query, 10, &corpus);
-            let b = booted.query(&query, 10, &corpus);
+            let a = publication.auth.query(&query, 10, &corpus).unwrap();
+            let b = booted.query(&query, 10, &corpus).unwrap();
             assert_eq!(a.result, b.result, "{mechanism:?} seed {seed}");
             assert_eq!(
                 a.vo, b.vo,
@@ -114,7 +114,7 @@ fn server_boots_from_snapshot_without_rebuilding() {
     let mut connection =
         Connection::connect(handle.addr(), publication.verifier_params.clone()).unwrap();
     let query = sample_query(&publication.auth, 9);
-    let mut pairs: Vec<_> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+    let mut pairs: Vec<_> = query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
     pairs.sort_unstable();
     pairs.dedup_by_key(|p| p.0);
     let (verified, response) = connection.query_terms(&pairs, 5).expect("verified answer");
@@ -366,8 +366,8 @@ fn booted_engine_serves_byte_identical_conjunctive_vos() {
 
         for seed in [11u64, 12, 13] {
             let query = sample_query(&publication.auth, seed).with_mode(QueryMode::Conjunctive);
-            let cold = publication.auth.query(&query, 5, &corpus);
-            let warm = booted.query(&query, 5, &corpus);
+            let cold = publication.auth.query(&query, 5, &corpus).unwrap();
+            let warm = booted.query(&query, 5, &corpus).unwrap();
             assert_eq!(
                 cold.vo, warm.vo,
                 "{mechanism:?} seed {seed}: conjunctive VO must be byte-identical"

@@ -1,12 +1,12 @@
 //! Deterministic fault-injection I/O: the adversarial sibling of the
 //! simulated testbed disk.
 //!
-//! [`crate::disk`] models how long honest I/O *takes*;
-//! [`crate::iostats`] counts what honest I/O *touches*. This module
+//! `authsearch_index::disk` models how long honest I/O *takes*;
+//! `authsearch_index::iostats` counts what honest I/O *touches*. This module
 //! models I/O that *misbehaves*: [`FaultyFile`] wraps any
 //! `Read`/`Write`/`Seek` transport and injects, under a seedable plan,
 //! the four storage failures the snapshot layer
-//! ([`crate::persist`]) must survive —
+//! (`authsearch_index::persist`) must survive —
 //!
 //! * **short reads** — `read` returns fewer bytes than asked (legal per
 //!   the `Read` contract, and exactly what unbuffered pipes and network
@@ -64,7 +64,7 @@ impl Default for FaultConfig {
 }
 
 /// What a [`FaultyFile`] actually did — the fault-side counterpart of
-/// [`crate::iostats::IoStats`]'s honest block counts.
+/// `authsearch_index::IoStats`'s honest block counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// `read` calls observed.

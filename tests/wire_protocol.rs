@@ -149,9 +149,10 @@ fn sample_ok_frame() -> Vec<u8> {
     let config = AuthConfig::new(Mechanism::TraCmht);
     let publication = owner.publish(&corpus, config);
     let engine = SearchEngine::new(publication.auth, corpus);
-    let query = Query::from_text(engine.corpus(), engine.auth().index(), "night keeper keep");
+    let query =
+        Query::from_text(engine.corpus(), engine.auth().index(), "night keeper keep").unwrap();
     let response = engine.search(&query, 2);
-    let terms: Vec<(u32, u32)> = query.terms.iter().map(|qt| (qt.term, qt.f_qt)).collect();
+    let terms: Vec<(u32, u32)> = query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
     encode_ok_reply(&terms, &response).unwrap()
 }
 
