@@ -680,11 +680,12 @@ pub fn doc_beyond_table_response(
 /// requires) but builds a perfectly well-formed VO for the shortened
 /// prefixes, still reporting the honest result. A disjunctive replay
 /// must detect that the prefixes cannot substantiate the claimed result;
-/// for a conjunctive query the longest reveal falls one buddy group short
-/// of the completeness bar (the anchor list under TRA, every list under
-/// TNRA), and only the
-/// [`VerifyError::ConjunctIncomplete`](crate::verify::VerifyError) check
-/// stands between the response and acceptance.
+/// for a conjunctive query the longest reveal falls one buddy group
+/// short of what the result needs — under TRA the anchor prefix then
+/// ends before the front the client's scan must stop on, or short of
+/// the anchor's `f_t`; under TNRA a list short of its `f_t` — and only
+/// the [`VerifyError::ConjunctIncomplete`](crate::verify::VerifyError)
+/// check stands between the response and acceptance.
 ///
 /// Returns `None` when every prefix is too short to truncate.
 pub fn truncated_prefix_response<C: crate::auth::ContentProvider>(
@@ -712,13 +713,37 @@ pub fn truncated_prefix_response<C: crate::auth::ContentProvider>(
     }
     let mut prefix_lens = honest.entries_read.clone();
     prefix_lens[argmax] = len - pad;
+    let encountered = honest.vo.docs.iter().map(|d| d.doc).collect();
+    Some(rebuilt_response(
+        auth,
+        query,
+        &honest,
+        prefix_lens,
+        encountered,
+        contents,
+    ))
+}
+
+/// The engine's reply to `query` rebuilt around the `honest` result over
+/// another reveal: each list revealed to (at least, after buddy
+/// rounding) `prefix_lens[i]` entries and document proofs for exactly
+/// `encountered`, every proof built honestly. A verifier must judge the
+/// reveal itself.
+pub fn rebuilt_response<C: crate::auth::ContentProvider>(
+    auth: &AuthenticatedIndex,
+    query: &Query,
+    honest: &QueryResponse,
+    prefix_lens: Vec<usize>,
+    encountered: Vec<DocId>,
+    contents: &C,
+) -> QueryResponse {
     let outcome = ProcessingOutcome {
         result: honest.result.clone(),
         prefix_lens,
-        encountered: honest.vo.docs.iter().map(|d| d.doc).collect(),
+        encountered,
         iterations: 0,
     };
-    Some(auth.respond(query, outcome, contents))
+    auth.respond(query, outcome, contents)
 }
 
 #[cfg(test)]

@@ -23,11 +23,11 @@ use crate::access::{IndexLists, TableFreqs};
 use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix};
 use crate::types::{ProcessingOutcome, Query, QueryError, QueryMode, QueryResult};
 use crate::vo::{DictVo, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject};
-use crate::{pool, tnra, tra};
+use crate::{pool, tnra, tra, wire};
 use authsearch_corpus::{DocId, TermId};
-use authsearch_crypto::merkle::prove_from_interior;
-use authsearch_crypto::MerkleProof;
-use authsearch_index::{ImpactEntry, IoStats};
+use authsearch_crypto::merkle::{self, prove_from_interior};
+use authsearch_crypto::{MerkleProof, MerkleTree};
+use authsearch_index::{ImpactEntry, InvertedList, IoStats};
 use std::convert::Infallible;
 
 /// What the search engine returns to the user: the ranked result, the
@@ -48,6 +48,10 @@ pub struct QueryResponse {
     /// paper's "# entries read" metric.
     pub entries_read: Vec<usize>,
 }
+
+/// What a TRA reply reveals: per query term the prefix length to show
+/// (before buddy rounding), and the documents to prove, in proof order.
+type Reveal = (Vec<usize>, Vec<DocId>);
 
 impl AuthenticatedIndex {
     /// The facts about `query` that depend on this index: every id is
@@ -109,55 +113,157 @@ impl AuthenticatedIndex {
     /// The proof strategy reuses the owner's existing signed structures
     /// — no new signatures, no VO format change:
     ///
-    /// * **TRA**: reveal the *anchor* list (the shortest one,
-    ///   `crate::conjunctive::anchor_index`) in full; every other term
-    ///   gets a zero-length prefix whose proof still reconstructs the
-    ///   signed root (the proof degenerates to the root digest itself).
-    ///   Every anchor document ships its document-MHT proof, whose
-    ///   adjacent-leaf bounding pairs prove *absence* of the other query
-    ///   terms where they do not occur — so dropping a candidate from
-    ///   the intersection is detectable, not just asserted.
+    /// * **TRA**: scan the *anchor* list (the shortest one,
+    ///   `crate::conjunctive::anchor_index`) until the threshold stop of
+    ///   `crate::conjunctive::rank_intersection` holds. The VO then
+    ///   reveals the anchor prefix up to and including the front the stop
+    ///   was decided on, and every other list's head, and proves exactly
+    ///   those documents: their document-MHTs certify the weights the
+    ///   client's replay of the scan and its stop need, and prove the
+    ///   *absence* of a query term by adjacent-leaf bounding pairs, so
+    ///   dropping a member is detectable, not just asserted. A scan that
+    ///   reads the whole anchor — or whose early reveal would not encode
+    ///   shorter (`early_reveal_is_no_longer`) — reveals the anchor in
+    ///   full and gives every other term a zero-length prefix, whose
+    ///   proof still reconstructs the signed root (the proof degenerates
+    ///   to the root digest itself).
     /// * **TNRA**: reveal every query term's list in full; absence is
     ///   then provable by exhaustion against the signed roots.
     fn conjunctive_outcome(&self, query: &Query, r: usize) -> ProcessingOutcome {
         let terms = query.terms();
-        let fts: Vec<usize> = terms
-            .iter()
-            .map(|qt| self.index.list(qt.term).len())
-            .collect();
+        let lists: Vec<&InvertedList> = terms.iter().map(|qt| self.index.list(qt.term)).collect();
+        let fts: Vec<usize> = lists.iter().map(|l| l.len()).collect();
         let anchor = crate::conjunctive::anchor_index(&fts);
-        let candidates: Vec<DocId> = self
-            .index
-            .list(terms[anchor].term)
-            .entries()
-            .iter()
-            .map(|e| e.doc)
-            .collect();
         let wq: Vec<f64> = terms.iter().map(|qt| qt.wq).collect();
-        let Ok(result) = crate::conjunctive::rank_intersection(
-            &candidates,
+        let tra = self.config.mechanism.is_tra();
+        let heads: Option<Vec<f32>> = tra.then(|| {
+            lists
+                .iter()
+                .map(|l| l.entries().first().map_or(0.0, |e| e.weight))
+                .collect()
+        });
+        let Ok(scan) = crate::conjunctive::rank_intersection(
+            anchor,
+            lists[anchor].entries().iter().map(|e| e.doc),
             &wq,
+            heads.as_deref(),
             |d, i| Ok::<_, Infallible>(self.doc_table.weight(d, terms[i].term)),
             r,
         );
 
-        let (prefix_lens, encountered) = if self.config.mechanism.is_tra() {
-            // Anchor revealed in full; other terms prove only their
-            // signed root (zero-length prefix). Absence comes from the
-            // candidates' document-MHT bounding pairs.
-            let mut lens = vec![0usize; terms.len()];
-            lens[anchor] = fts[anchor];
-            (lens, candidates.clone())
+        let (prefix_lens, encountered) = if tra {
+            let full = self.full_reveal(query, anchor);
+            match scan
+                .stopped
+                .then(|| self.early_reveal(query, anchor, scan.popped))
+            {
+                Some(early) if self.early_reveal_is_no_longer(query, anchor, &early, &full) => {
+                    early
+                }
+                _ => full,
+            }
         } else {
             // Every list revealed in full: absence by exhaustion.
             (fts, Vec::new())
         };
         ProcessingOutcome {
-            result,
+            result: scan.result,
             prefix_lens,
             encountered,
-            iterations: candidates.len(),
+            iterations: scan.popped,
         }
+    }
+
+    /// The full-anchor TRA reveal: the whole anchor, and zero-length
+    /// prefixes elsewhere.
+    fn full_reveal(&self, query: &Query, anchor: usize) -> Reveal {
+        let list = self.index.list(query.terms()[anchor].term);
+        let mut lens = vec![0; query.terms().len()];
+        lens[anchor] = list.len();
+        (lens, list.entries().iter().map(|e| e.doc).collect())
+    }
+
+    /// The TRA reveal of a scan that stopped after `popped` anchor
+    /// entries: the anchor prefix up to and including the front, and
+    /// every other list's head.
+    fn early_reveal(&self, query: &Query, anchor: usize, popped: usize) -> Reveal {
+        let terms = query.terms();
+        let mut lens = vec![1; terms.len()];
+        lens[anchor] = popped + 1;
+        let anchor_list = self.index.list(terms[anchor].term).entries();
+        let mut docs: Vec<DocId> = anchor_list[..=popped].iter().map(|e| e.doc).collect();
+        for qt in terms {
+            let head = self.index.list(qt.term).entries()[0].doc;
+            if !docs.contains(&head) {
+                docs.push(head);
+            }
+        }
+        (lens, docs)
+    }
+
+    /// Whether a stopped TRA scan's reveal `early` (prefix lengths,
+    /// proved documents) leaves the anchor incomplete — which is what
+    /// tells the client to replay the stop — and encodes into no more VO
+    /// bytes than the full-anchor reveal `full`.
+    ///
+    /// Only the term proofs, the document proofs and the document-table
+    /// proof differ. A document in both reveals ships the same proof, so
+    /// it cancels; the rest is counted from proof shapes, without hashing.
+    /// The full reveal's anchor tail is counted one document at a time,
+    /// and only until it outweighs what the early reveal adds.
+    fn early_reveal_is_no_longer(
+        &self,
+        query: &Query,
+        anchor: usize,
+        early: &Reveal,
+        full: &Reveal,
+    ) -> bool {
+        let terms = query.terms();
+        let anchor_term = terms[anchor].term;
+        let prefix = early.0[anchor];
+        if self.revealed_len(anchor_term, prefix) >= full.0[anchor] {
+            return false;
+        }
+        let term_bytes = |lens: &[usize]| -> usize {
+            terms
+                .iter()
+                .zip(lens)
+                .map(|(qt, &k)| {
+                    let kr = self.revealed_len(qt.term, k);
+                    wire::tra_term_len(kr, self.term_proof_len(qt.term, kr))
+                })
+                .sum()
+        };
+        // Past the anchor prefix no document is in the result, so each
+        // ships its content digest.
+        let doc_bytes = |d: DocId| {
+            let positions = self.doc_positions(d, query);
+            let n = self.doc_table.doc_terms(d).len();
+            wire::doc_proof_len(positions.len(), merkle::proof_len(n, &positions), true)
+        };
+        let table_bytes = |docs: &[DocId]| {
+            let mut positions: Vec<usize> = docs.iter().map(|&d| d as usize).collect();
+            positions.sort_unstable();
+            let n = self.doc_tree.as_ref().map_or(0, MerkleTree::num_leaves);
+            wire::doc_table_len(merkle::proof_len(n, &positions))
+        };
+        // The heads past the anchor prefix; those off the anchor list are
+        // proved by the early reveal alone.
+        let heads = &early.1[prefix..];
+        let mut early_bytes = term_bytes(&early.0) + table_bytes(&early.1);
+        for &h in heads {
+            if self.doc_table.weight(h, anchor_term) <= 0.0 {
+                early_bytes += doc_bytes(h);
+            }
+        }
+        let mut full_bytes = term_bytes(&full.0) + table_bytes(&full.1);
+        for &d in full.1[prefix..].iter().filter(|d| !heads.contains(d)) {
+            if full_bytes >= early_bytes {
+                break;
+            }
+            full_bytes += doc_bytes(d);
+        }
+        early_bytes <= full_bytes
     }
 
     /// Assemble the response for an already-computed processing outcome.
@@ -244,31 +350,50 @@ impl AuthenticatedIndex {
         })
     }
 
-    /// Build one term's VO entry and account its disk traffic.
+    /// How many entries of `term`'s list a VO that must reveal `k` of
+    /// them shows: `k` rounded up to whole buddy groups, which under a
+    /// chain-MHT align to the tail block.
+    fn revealed_len(&self, term: TermId, k: usize) -> usize {
+        let config = &self.config;
+        let li = self.index.list(term).len();
+        if k == 0 || !config.buddy {
+            return k;
+        }
+        let group = buddy_group_size(config.term_leaf_bytes(), 16);
+        match &self.cache.terms[term as usize] {
+            TermStructure::Cmht(_) => {
+                let cap = config.chain_capacity();
+                let lo = (k - 1) / cap * cap;
+                lo + expand_prefix(k - lo, cap.min(li - lo), group)
+            }
+            TermStructure::Mht(_) => expand_prefix(k, li, group),
+        }
+    }
+
+    /// Digests in the proof of the first `kr` entries of `term`'s list,
+    /// counted without hashing.
+    fn term_proof_len(&self, term: TermId, kr: usize) -> usize {
+        match &self.cache.terms[term as usize] {
+            TermStructure::Cmht(chain) => chain.prefix_proof_len(kr),
+            TermStructure::Mht(_) => {
+                let revealed: Vec<usize> = (0..kr).collect();
+                merkle::proof_len(self.index.list(term).len(), &revealed)
+            }
+        }
+    }
+
+    /// Build one term's VO entry, revealing at least `k` entries, and
+    /// account its disk traffic.
     fn build_term_vo(&self, term: TermId, k: usize, io: &mut IoStats) -> TermVo {
         let config = &self.config;
         let list = self.index.list(term);
         let li = list.len();
-        let leaf_bytes = config.term_leaf_bytes();
+        let kr = self.revealed_len(term, k);
 
         // Proofs come from the resident structure; the I/O accounting
         // below models the paper's on-disk layout.
         match &self.cache.terms[term as usize] {
             TermStructure::Cmht(chain) => {
-                let cap = config.chain_capacity();
-                // Buddy-expand within the tail block (groups align per
-                // block MHT).
-                let kr = if k == 0 {
-                    0
-                } else if config.buddy {
-                    let group = buddy_group_size(leaf_bytes, 16);
-                    let jb = (k - 1) / cap;
-                    let lo = jb * cap;
-                    let block_len = cap.min(li - lo);
-                    lo + expand_prefix(k - lo, block_len, group)
-                } else {
-                    k
-                };
                 let proof = TermProof::Cmht(chain.prove_prefix(kr));
                 // Chain-MHT: only the blocks holding the prefix are read.
                 io.sequential_run(chain.blocks_touched(kr) as u64);
@@ -281,11 +406,6 @@ impl AuthenticatedIndex {
                 }
             }
             TermStructure::Mht(interior) => {
-                let kr = if config.buddy {
-                    expand_prefix(k, li, buddy_group_size(leaf_bytes, 16))
-                } else {
-                    k
-                };
                 let revealed: Vec<usize> = (0..kr).collect();
                 // A revealed prefix leaves at most one unrevealed sibling
                 // leaf to rehash.
@@ -316,9 +436,10 @@ impl AuthenticatedIndex {
         }
     }
 
-    /// Build one document's VO entry (TRA) and the I/O of its random
-    /// fetch.
-    fn build_doc_vo(&self, d: DocId, query: &Query, in_result: bool) -> (DocVo, IoStats) {
+    /// The leaves of document `d`'s MHT a VO reveals for `query`: each
+    /// query term's leaf where it occurs, the pair of leaves bounding it
+    /// where it does not, rounded up to whole buddy groups.
+    fn doc_positions(&self, d: DocId, query: &Query) -> Vec<usize> {
         let leaves = self.doc_table.doc_terms(d);
         let n = leaves.len();
 
@@ -343,11 +464,19 @@ impl AuthenticatedIndex {
         }
         required.sort_unstable();
         required.dedup();
-        let positions = if self.config.buddy {
+        if self.config.buddy {
             expand_buddies(&required, n, buddy_group_size(8, 16))
         } else {
             required
-        };
+        }
+    }
+
+    /// Build one document's VO entry (TRA) and the I/O of its random
+    /// fetch.
+    fn build_doc_vo(&self, d: DocId, query: &Query, in_result: bool) -> (DocVo, IoStats) {
+        let leaves = self.doc_table.doc_terms(d);
+        let n = leaves.len();
+        let positions = self.doc_positions(d, query);
 
         let revealed: Vec<(u32, TermId, f32)> = positions
             .iter()
@@ -393,7 +522,7 @@ mod tests {
     use crate::toy::{toy_contents, toy_index, toy_query};
     use crate::vo::Mechanism;
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
-    use authsearch_crypto::{Digest, MerkleTree};
+    use authsearch_crypto::Digest;
 
     fn conjunctive_toy_query() -> Query {
         toy_query().with_mode(QueryMode::Conjunctive)
@@ -598,33 +727,201 @@ mod tests {
         }
     }
 
-    #[test]
-    fn conjunctive_tra_reveals_anchor_only() {
-        let a = auth(Mechanism::TraMht);
-        let resp = a
-            .query(&conjunctive_toy_query(), 2, &toy_contents())
-            .unwrap();
-        let fts: Vec<usize> = toy_query()
-            .terms()
+    /// The reveal the engine made before the scan stopped early: the
+    /// whole anchor, ranked whole, and zero-length prefixes elsewhere.
+    fn full_anchor_outcome(a: &AuthenticatedIndex, query: &Query, r: usize) -> ProcessingOutcome {
+        let terms = query.terms();
+        let fts: Vec<usize> = terms
             .iter()
             .map(|qt| a.index().list(qt.term).len())
             .collect();
         let anchor = crate::conjunctive::anchor_index(&fts);
-        for (i, tv) in resp.vo.terms.iter().enumerate() {
-            let want = if i == anchor { fts[i] } else { 0 };
-            assert_eq!(tv.prefix.len(), want, "term #{i}");
-            assert_eq!(resp.entries_read[i], want);
-        }
-        // One document proof per anchor-list document, in list order.
-        let anchor_docs: Vec<DocId> = a
+        let docs: Vec<DocId> = a
             .index()
-            .list(toy_query().terms()[anchor].term)
+            .list(terms[anchor].term)
             .entries()
             .iter()
             .map(|e| e.doc)
             .collect();
-        let proved: Vec<DocId> = resp.vo.docs.iter().map(|d| d.doc).collect();
-        assert_eq!(proved, anchor_docs);
+        let mut entries = Vec::new();
+        for &d in &docs {
+            let weights: Vec<f32> = terms
+                .iter()
+                .map(|qt| a.doc_table().weight(d, qt.term))
+                .collect();
+            if weights.iter().all(|&w| w > 0.0) {
+                let score = terms
+                    .iter()
+                    .zip(&weights)
+                    .fold(0.0f64, |s, (qt, &w)| s + qt.wq * w as f64);
+                crate::types::insert_ranked(&mut entries, d, score);
+            }
+        }
+        entries.truncate(r);
+        let mut prefix_lens = vec![0; terms.len()];
+        prefix_lens[anchor] = fts[anchor];
+        ProcessingOutcome {
+            result: QueryResult { entries },
+            prefix_lens,
+            iterations: docs.len(),
+            encountered: docs,
+        }
+    }
+
+    /// Three-term conjunctive queries over a 400-document corpus, drawn
+    /// the way the TREC-like workloads draw them (mostly common words).
+    fn conjunctive_workload(
+        mechanism: Mechanism,
+    ) -> (
+        crate::owner::Publication,
+        authsearch_corpus::Corpus,
+        Vec<Query>,
+    ) {
+        let corpus = authsearch_corpus::SyntheticConfig::tiny(400, 47).generate();
+        let owner = crate::owner::DataOwner::with_cached_key(TEST_KEY_BITS);
+        let publication = owner.publish(&corpus, AuthConfig::new(mechanism));
+        let index = publication.auth.index();
+        let df = index.document_frequencies();
+        let queries = authsearch_corpus::workload::trec_like(df, 60, 0.9, 5)
+            .into_iter()
+            .filter_map(|mut terms| {
+                terms.truncate(3);
+                terms.sort_unstable();
+                terms.dedup();
+                (terms.len() > 1)
+                    .then(|| Query::from_term_ids(index, &terms).with_mode(QueryMode::Conjunctive))
+            })
+            .collect();
+        (publication, corpus, queries)
+    }
+
+    #[test]
+    fn conjunctive_tra_reveals_anchor_prefix_and_heads() {
+        // Exhausted scan (the toy anchor is one document long): the whole
+        // anchor, zero-length prefixes elsewhere, and one document proof
+        // per anchor document, in list order.
+        let a = auth(Mechanism::TraMht);
+        let query = conjunctive_toy_query();
+        let resp = a.query(&query, 2, &toy_contents()).unwrap();
+        let full = a.respond(&query, full_anchor_outcome(&a, &query, 2), &toy_contents());
+        assert_eq!(resp, full);
+
+        // Early stop: the anchor prefix is the popped entries plus the
+        // front, every other list reveals its head, and exactly those
+        // documents ship proofs (TRA-MHT reveals no buddies).
+        let (publication, corpus, queries) = conjunctive_workload(Mechanism::TraMht);
+        let a = &publication.auth;
+        let mut early = 0;
+        for query in &queries {
+            let resp = a.query(query, 5, &corpus).unwrap();
+            let lists: Vec<&[ImpactEntry]> = query
+                .terms()
+                .iter()
+                .map(|qt| a.index().list(qt.term).entries())
+                .collect();
+            let fts: Vec<usize> = lists.iter().map(|l| l.len()).collect();
+            let anchor = crate::conjunctive::anchor_index(&fts);
+            let front = resp.entries_read[anchor];
+            if front == fts[anchor] {
+                continue;
+            }
+            early += 1;
+            for (i, tv) in resp.vo.terms.iter().enumerate() {
+                let want = if i == anchor { front } else { 1 };
+                assert_eq!((tv.prefix.len(), resp.entries_read[i]), (want, want));
+            }
+            let mut want: Vec<DocId> = lists[anchor][..front].iter().map(|e| e.doc).collect();
+            for list in &lists {
+                if !want.contains(&list[0].doc) {
+                    want.push(list[0].doc);
+                }
+            }
+            let proved: Vec<DocId> = resp.vo.docs.iter().map(|d| d.doc).collect();
+            assert_eq!(proved, want);
+        }
+        assert!(early > 0, "no query stopped early");
+    }
+
+    #[test]
+    fn early_stop_keeps_the_result_and_never_grows_the_reply() {
+        // Against the full-anchor reveal of the same query: (a) the same
+        // result bit for bit, (b) never more document proofs or encoded
+        // VO bytes, (c) strictly fewer proofs on some query, so the stop
+        // fires. The early reply verifies.
+        for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+            let (publication, corpus, queries) = conjunctive_workload(mechanism);
+            assert!(queries.len() >= 50, "{}", queries.len());
+            let a = &publication.auth;
+            let mut fewer = 0;
+            for query in &queries {
+                for r in [1usize, 5, 10] {
+                    let what = format!("{mechanism:?} r={r} {:?}", query.terms());
+                    let resp = a.query(query, r, &corpus).unwrap();
+                    let full = a.respond(query, full_anchor_outcome(a, query, r), &corpus);
+                    let bits = |res: &QueryResult| -> Vec<(DocId, u64)> {
+                        res.entries
+                            .iter()
+                            .map(|e| (e.doc, e.score.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(&resp.result), bits(&full.result), "{what}");
+                    assert!(resp.vo.docs.len() <= full.vo.docs.len(), "{what}");
+                    let bytes = |vo: &VerificationObject| wire::encode(vo).unwrap().len();
+                    assert!(bytes(&resp.vo) <= bytes(&full.vo), "{what}");
+                    fewer += usize::from(resp.vo.docs.len() < full.vo.docs.len());
+                    crate::verify::verify(&publication.verifier_params, query, r, &resp)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                }
+            }
+            assert!(fewer > 0, "{mechanism:?}: the stop never shrank a reply");
+        }
+    }
+
+    #[test]
+    fn early_reveal_is_chosen_exactly_when_it_encodes_no_longer() {
+        // For stops at a sample of anchor depths, the counted comparison
+        // agrees with the two reveals' real encodings. The result is left
+        // empty, as past a real stop: no revealed document is in it.
+        for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+            let (publication, corpus, queries) = conjunctive_workload(mechanism);
+            let a = &publication.auth;
+            let mut seen = [0, 0];
+            for query in queries.iter().take(20) {
+                let fts: Vec<usize> = query
+                    .terms()
+                    .iter()
+                    .map(|qt| a.index().list(qt.term).len())
+                    .collect();
+                let anchor = crate::conjunctive::anchor_index(&fts);
+                let bytes = |(lens, docs): &Reveal| {
+                    let outcome = ProcessingOutcome {
+                        result: QueryResult { entries: vec![] },
+                        prefix_lens: lens.clone(),
+                        encountered: docs.clone(),
+                        iterations: 0,
+                    };
+                    wire::encode(&a.respond(query, outcome, &corpus).vo)
+                        .unwrap()
+                        .len()
+                };
+                let full = a.full_reveal(query, anchor);
+                let full_len = bytes(&full);
+                for popped in (1..fts[anchor]).step_by(1 + fts[anchor] / 8) {
+                    let early = a.early_reveal(query, anchor, popped);
+                    let anchor_term = query.terms()[anchor].term;
+                    let fits = a.revealed_len(anchor_term, popped + 1) < fts[anchor]
+                        && bytes(&early) <= full_len;
+                    assert_eq!(
+                        a.early_reveal_is_no_longer(query, anchor, &early, &full),
+                        fits,
+                        "{mechanism:?} {:?} popped={popped}",
+                        query.terms()
+                    );
+                    seen[usize::from(fits)] += 1;
+                }
+            }
+            assert!(seen[0] > 0 && seen[1] > 0, "{mechanism:?}: {seen:?}");
+        }
     }
 
     #[test]

@@ -81,7 +81,10 @@ impl DocState {
 /// doc ids, and the client replays only prefixes whose signature it has
 /// already checked.
 #[derive(Default)]
-struct DocIdHasher(u64);
+pub(crate) struct DocIdHasher(u64);
+
+/// A map keyed by doc id through [`DocIdHasher`].
+pub(crate) type DocIdMap<V> = HashMap<DocId, V, BuildHasherDefault<DocIdHasher>>;
 
 /// 2^64 / φ, odd: multiplying by it permutes `u64` and spreads
 /// consecutive ids across the high bits.
@@ -109,7 +112,7 @@ impl Hasher for DocIdHasher {
 /// `top` holds the first `min(r, slots)` slots of the rank order, in
 /// order; a slot's `in_top` says whether it is one of them.
 struct Slots {
-    index: HashMap<DocId, u32, BuildHasherDefault<DocIdHasher>>,
+    index: DocIdMap<u32>,
     docs: Vec<DocId>,
     states: Vec<DocState>,
     top: Vec<u32>,

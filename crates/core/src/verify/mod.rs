@@ -33,6 +33,7 @@ mod docproof;
 use crate::access::{AccessError, FreqAccess, ListAccess};
 use crate::auth::serve::QueryResponse;
 use crate::auth::{dict_leaf_digest, publication_message, NO_DOC_TABLE_ROOT};
+use crate::tnra::DocIdMap;
 use crate::types::{Query, QueryError, QueryMode, QueryResult};
 use crate::vo::{Mechanism, PrefixData, TermProof, TermVo, VerificationObject, VoSize};
 use crate::{pool, tnra, tra};
@@ -109,10 +110,12 @@ pub enum VerifyError {
     /// The replayed result differs from the reported one.
     ResultMismatch(String),
     /// A conjunctive VO does not reveal enough of a term's list for the
-    /// intersection to be complete (the anchor list under TRA, every
-    /// list under TNRA, must be revealed up to its signed `f_t`).
+    /// intersection to be settled: under TRA, an anchor prefix short of
+    /// its signed `f_t` inside which the replayed scan does not stop, or
+    /// a withheld head of another list that the stop needs; under TNRA,
+    /// any list short of its signed `f_t`.
     ConjunctIncomplete {
-        /// The term whose list is not fully revealed.
+        /// The term whose list is revealed too short.
         term: TermId,
     },
 }
@@ -152,7 +155,7 @@ impl fmt::Display for VerifyError {
             VerifyError::ResultMismatch(w) => write!(f, "result incorrect: {w}"),
             VerifyError::ConjunctIncomplete { term } => write!(
                 f,
-                "term {term}'s list not fully revealed: conjunctive completeness unproven"
+                "term {term}'s list revealed too short: conjunctive completeness unproven"
             ),
         }
     }
@@ -217,18 +220,22 @@ const SCORE_EPS: f64 = 1e-9;
 /// * **Disjunctive** (the paper's model): the deterministic threshold
 ///   algorithm is replayed over the authenticated prefixes.
 /// * **Conjunctive**: the result must be the *exact* top-`r` of the
-///   documents containing **every** query term. The anchor list
-///   (smallest signed `f_t`, `crate::conjunctive::anchor_index` —
-///   recomputed here from the signed values, never taken from the
-///   server) must be revealed in full, so the candidate set is provably
-///   exhaustive. Under **TRA** every candidate's membership in the other
-///   lists is settled by its authenticated document-MHT: a revealed
-///   `(t, w)` leaf proves presence, an adjacent bounding pair proves
-///   absence — so no conjunct can be silently dropped and no outsider
-///   smuggled in. Under **TNRA** every query term's list must be
-///   revealed in full ([`VerifyError::ConjunctIncomplete`] otherwise)
-///   and absence is proven by exhaustion against the signed roots. The
-///   ranking is byte-for-byte the engine's own code
+///   documents containing **every** query term. Every member is on the
+///   anchor list (smallest signed `f_t`, `crate::conjunctive::anchor_index`
+///   — recomputed here from the signed values, never taken from the
+///   server). Under **TRA** the anchor is either revealed in full and
+///   ranked whole, or revealed as a prefix: then every other list must
+///   reveal its head, and the replayed scan must reach its threshold stop
+///   inside the prefix, on the front the engine stopped on
+///   ([`VerifyError::ConjunctIncomplete`] otherwise). Each scanned
+///   document's membership in the other lists is settled by its
+///   authenticated document-MHT: a revealed `(t, w)` leaf proves
+///   presence, an adjacent bounding pair proves absence — so no conjunct
+///   can be silently dropped and no outsider smuggled in. Under **TNRA**
+///   every query term's list must be revealed in full
+///   ([`VerifyError::ConjunctIncomplete`] otherwise) and absence is
+///   proven by exhaustion against the signed roots. The scan and its
+///   ranking are byte-for-byte the engine's own code
 ///   (`crate::conjunctive`), so any score or ordering deviation is a
 ///   lie, not a rounding artifact.
 pub fn verify(
@@ -277,17 +284,11 @@ fn replay(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, Verif
 }
 
 /// The conjunctive recomputation: the ranked intersection over the
-/// anchor list's documents, once the reveal is shown complete.
+/// anchor list's revealed documents, once the reveal is shown to settle
+/// it.
 fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, VerifyError> {
     let term = |i: usize| query.terms().get(i).map_or(0, |qt| qt.term);
     let wq: Vec<f64> = query.terms().iter().map(|qt| qt.wq).collect();
-    let complete = |lens: &[usize], i: usize, revealed: usize| {
-        if lens.get(i) == Some(&revealed) {
-            Ok(())
-        } else {
-            Err(VerifyError::ConjunctIncomplete { term: term(i) })
-        }
-    };
     // The anchor is derived from the *signed* f_t values: understating
     // one to shrink the reveal obligation breaks the manifest signature
     // first.
@@ -297,50 +298,78 @@ fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, Ve
             let candidates = lists.prefixes.get(anchor).ok_or_else(|| {
                 VerifyError::MalformedProof(format!("anchor {anchor} has no VO term"))
             })?;
-            complete(&lists.lens, anchor, candidates.len())?;
             // The authenticated document-MHT proofs certify, for every
-            // candidate × query term, either the weight or a proven
-            // absence.
-            crate::conjunctive::rank_intersection(
-                candidates,
-                &wq,
-                |d, i| lists.freqs.weight_of(d, i).ok_or((d, i)),
-                r,
-            )
-            .map_err(|(doc, i)| {
+            // document the scan reads × query term, either the weight or
+            // a proven absence.
+            let weight = |d: DocId, i: usize| lists.freqs.weight_of(d, i).ok_or((d, i));
+            let unproven = |(doc, i): (DocId, usize)| {
                 if lists.freqs.contains(doc) {
                     VerifyError::FrequencyUnproven { doc, term: term(i) }
                 } else {
                     VerifyError::MissingDocProof { doc }
                 }
-            })
+            };
+            // A complete anchor is ranked whole. Otherwise the scan must
+            // stop inside the revealed prefix, against the proven head
+            // of every other list.
+            let complete = lists.lens.get(anchor) == Some(&candidates.len());
+            let heads = if complete {
+                None
+            } else {
+                let mut heads = Vec::with_capacity(lists.prefixes.len());
+                for (j, prefix) in lists.prefixes.iter().enumerate() {
+                    heads.push(if j == anchor {
+                        0.0
+                    } else {
+                        let &head = prefix
+                            .first()
+                            .ok_or(VerifyError::ConjunctIncomplete { term: term(j) })?;
+                        weight(head, j).map_err(unproven)?
+                    });
+                }
+                Some(heads)
+            };
+            let scan = crate::conjunctive::rank_intersection(
+                anchor,
+                candidates.iter().copied(),
+                &wq,
+                heads.as_deref(),
+                weight,
+                r,
+            )
+            .map_err(unproven)?;
+            if complete || scan.stopped {
+                Ok(scan.result)
+            } else {
+                Err(VerifyError::ConjunctIncomplete { term: term(anchor) })
+            }
         }
         Inputs::Tnra(lists) => {
             // Every list fully revealed → membership lookups by map,
             // absence by exhaustion.
             for (i, prefix) in lists.prefixes.iter().enumerate() {
-                complete(&lists.lens, i, prefix.len())?;
+                if lists.lens.get(i) != Some(&prefix.len()) {
+                    return Err(VerifyError::ConjunctIncomplete { term: term(i) });
+                }
             }
             let anchor = crate::conjunctive::anchor_index(&lists.lens);
-            let candidates: Vec<DocId> = lists
-                .prefixes
-                .get(anchor)
-                .map(|prefix| prefix.iter().map(|e| e.doc).collect())
-                .unwrap_or_default();
-            let maps: Vec<HashMap<DocId, f32>> = lists
+            let candidates = lists.prefixes.get(anchor).copied().unwrap_or_default();
+            let maps: Vec<DocIdMap<f32>> = lists
                 .prefixes
                 .iter()
                 .map(|prefix| prefix.iter().map(|e| (e.doc, e.weight)).collect())
                 .collect();
-            let Ok(result) = crate::conjunctive::rank_intersection(
-                &candidates,
+            let Ok(scan) = crate::conjunctive::rank_intersection(
+                anchor,
+                candidates.iter().map(|e| e.doc),
                 &wq,
+                None,
                 |d, i| {
                     Ok::<_, Infallible>(maps.get(i).and_then(|m| m.get(&d)).copied().unwrap_or(0.0))
                 },
                 r,
             );
-            Ok(result)
+            Ok(scan.result)
         }
     }
 }

@@ -228,6 +228,27 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
     Ok(w.buf)
 }
 
+/// Bytes [`encode`] writes for one TRA term proof that reveals `ids`
+/// doc ids under `digests` proof digests.
+pub(crate) fn tra_term_len(ids: usize, digests: usize) -> usize {
+    // term, f_t, payload tag, count, ids; proof tag, count, digests
+    4 + 4 + 1 + 4 + 4 * ids + 1 + 2 + DIGEST_LEN * digests
+}
+
+/// Bytes [`encode`] writes for one document proof of `revealed` leaves
+/// and `digests` proof digests, with or without a content digest.
+pub(crate) fn doc_proof_len(revealed: usize, digests: usize, content_digest: bool) -> usize {
+    // doc, leaf count, count, ⟨pos, t, w⟩ leaves; count, digests; tag
+    let content = if content_digest { DIGEST_LEN } else { 0 };
+    4 + 4 + 4 + 12 * revealed + 2 + DIGEST_LEN * digests + 1 + content
+}
+
+/// Bytes [`encode`] writes for a document-table proof of `digests`
+/// digests.
+pub(crate) fn doc_table_len(digests: usize) -> usize {
+    4 + DIGEST_LEN * digests
+}
+
 // ---- decoding -------------------------------------------------------------
 
 struct Reader<'a> {
@@ -923,6 +944,40 @@ mod tests {
                 wire <= modeled + 64 + 24 * (vo.terms.len() + vo.docs.len()),
                 "{}: framing overhead too large ({wire} vs {modeled})",
                 mechanism.name()
+            );
+        }
+    }
+
+    #[test]
+    fn part_lengths_add_up_to_the_encoding() {
+        // A TRA VO's term, document and document-table proofs encode to
+        // exactly the lengths the engine counts them at; everything else
+        // is the same for every VO of the query.
+        for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+            let vo = sample_vo(mechanism);
+            let table = vo.doc_table.as_ref().unwrap();
+            let parts = vo
+                .terms
+                .iter()
+                .map(|tv| tra_term_len(tv.prefix.len(), tv.proof.num_digests()))
+                .chain(vo.docs.iter().map(|dv| {
+                    doc_proof_len(
+                        dv.revealed.len(),
+                        dv.proof.digests.len(),
+                        dv.content_digest.is_some(),
+                    )
+                }))
+                .sum::<usize>()
+                + doc_table_len(table.proof.digests.len());
+            let mut bare = vo.clone();
+            bare.terms.clear();
+            bare.docs.clear();
+            bare.doc_table.as_mut().unwrap().proof.digests.clear();
+            let bare_len = encode(&bare).unwrap().len() - doc_table_len(0);
+            assert_eq!(
+                encode(&vo).unwrap().len(),
+                bare_len + parts,
+                "{mechanism:?}"
             );
         }
     }

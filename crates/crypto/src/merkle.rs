@@ -172,13 +172,23 @@ pub fn prove_with(
     if n == 0 {
         return MerkleProof::default();
     }
-    let mut len = 0;
-    unrevealed_subtrees(n, height(n), 0, revealed, &mut |_, _| len += 1);
-    let mut digests = Vec::with_capacity(len);
+    let mut digests = Vec::with_capacity(proof_len(n, revealed));
     unrevealed_subtrees(n, height(n), 0, revealed, &mut |level, idx| {
         digests.push(node(level, idx));
     });
     MerkleProof { digests }
+}
+
+/// Digests in the proof of `revealed` leaf positions of an `n`-leaf tree
+/// (sorted and in range): the length of [`prove_with`]'s proof, counted
+/// without reading a digest.
+pub fn proof_len(n: usize, revealed: &[usize]) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    let mut len = 0;
+    unrevealed_subtrees(n, height(n), 0, revealed, &mut |_, _| len += 1);
+    len
 }
 
 /// Visit `(level, idx)` of every maximal subtree under node `(level,
@@ -507,6 +517,7 @@ mod tests {
                 });
                 assert_eq!(got, want, "n={n} revealed={revealed:?}");
                 assert_eq!(tree.prove(&revealed), want, "n={n} revealed={revealed:?}");
+                assert_eq!(proof_len(n, &revealed), want.digests.len(), "n={n}");
                 let mut pairs: Vec<(usize, Digest)> =
                     revealed.iter().map(|&i| (i, leaf_digest(i))).collect();
                 pairs.dedup();

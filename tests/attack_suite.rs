@@ -6,16 +6,18 @@
 
 use authsearch_core::attacks::{
     doc_beyond_table_response, foreign_term_response, interior_as_leaf_response,
-    mechanism_swapped_response, older_index, shifted_dict_leaf_response, stale_manifest_response,
-    truncated_prefix_response, Attack, Tree,
+    mechanism_swapped_response, older_index, rebuilt_response, shifted_dict_leaf_response,
+    stale_manifest_response, truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::toy::{toy_contents, toy_index, toy_query};
+use authsearch_core::vo::PrefixData;
 use authsearch_core::{
     verify, wire, AuthConfig, DataOwner, Mechanism, Publication, Query, QueryMode, QueryResponse,
     VerifyError,
 };
 use authsearch_corpus::{CorpusBuilder, SyntheticConfig};
 use authsearch_crypto::keys::TEST_KEY_BITS;
+use authsearch_crypto::Digest;
 
 fn publish(mechanism: Mechanism) -> (Publication, authsearch_corpus::Corpus) {
     let corpus = SyntheticConfig::tiny(200, 99).generate();
@@ -278,6 +280,185 @@ fn incomplete_conjunct_with_valid_proofs_rejected() {
             "{}: incomplete conjunct not typed correctly ({outcome:?})",
             mechanism.name()
         );
+    }
+}
+
+/// Entries one buddy group spans in a term list (1 without buddies).
+fn buddy_pad(publication: &Publication) -> usize {
+    let config = publication.auth.config();
+    if config.buddy {
+        authsearch_core::buddy::buddy_group_size(config.term_leaf_bytes(), 16)
+    } else {
+        1
+    }
+}
+
+/// A conjunctive query whose honest TRA reply stopped early, with room
+/// for every early-stop cell: the anchor prefix is longer than one
+/// buddy group, every other list holds a second entry, and some proved
+/// document is outside the intersection. Returns the anchor's index.
+fn early_stop_query(
+    publication: &Publication,
+    corpus: &authsearch_corpus::Corpus,
+) -> (Query, QueryResponse, usize) {
+    let index = publication.auth.index();
+    let pad = buddy_pad(publication);
+    let mut common: Vec<u32> = (0..index.num_terms() as u32).collect();
+    common.sort_by_key(|&t| (std::cmp::Reverse(index.ft(t)), t));
+    common.truncate(24);
+    let member = |d: u32, query: &Query| {
+        query
+            .terms()
+            .iter()
+            .all(|qt| index.list(qt.term).entries().iter().any(|e| e.doc == d))
+    };
+    (0..common.len())
+        .flat_map(|a| (a + 1..common.len()).map(move |b| (a, b)))
+        .find_map(|(a, b)| {
+            let mut terms = [common[a], common[b]];
+            terms.sort_unstable();
+            let query = Query::from_term_ids(index, &terms).with_mode(QueryMode::Conjunctive);
+            let honest = publication.auth.query(&query, 10, corpus).unwrap();
+            let fts: Vec<u32> = honest.vo.terms.iter().map(|tv| tv.ft).collect();
+            let anchor = (0..fts.len()).min_by_key(|&i| fts[i]).unwrap();
+            let revealed = honest.vo.terms[anchor].prefix.len();
+            let fits = revealed > pad
+                && revealed < fts[anchor] as usize
+                && fts.iter().all(|&ft| ft >= 2)
+                && !honest.result.entries.is_empty()
+                && honest.vo.docs.iter().any(|dv| !member(dv.doc, &query));
+            fits.then_some((query, honest, anchor))
+        })
+        .expect("some pair of common terms stops early")
+}
+
+/// The verdict an early-stop cell must produce.
+#[derive(Debug)]
+enum Verdict {
+    Exactly(VerifyError),
+    ResultMismatch,
+}
+
+/// The early-stop reveal of a conjunctive TRA reply, cell by cell, on
+/// TRA-MHT and TRA-CMHT × in-process / over the wire: the honest reply
+/// verifies, and each way of under-revealing or misreporting it is
+/// rejected with its exact `VerifyError`.
+#[test]
+fn early_stopped_conjunctive_reveal_rejected_with_typed_verdicts() {
+    for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+        let (publication, corpus) = publish(mechanism);
+        let auth = &publication.auth;
+        let (query, honest, anchor) = early_stop_query(&publication, &corpus);
+        let terms: Vec<u32> = query.terms().iter().map(|qt| qt.term).collect();
+        let other = usize::from(anchor == 0);
+        let head = match &honest.vo.terms[other].prefix {
+            PrefixData::DocIds(ids) => ids[0],
+            PrefixData::Entries(_) => unreachable!("TRA prefixes are doc ids"),
+        };
+        let proved: Vec<u32> = honest.vo.docs.iter().map(|dv| dv.doc).collect();
+        let rebuilt = |edit: &dyn Fn(&mut Vec<usize>, &mut Vec<u32>)| {
+            let (mut lens, mut docs) = (honest.entries_read.clone(), proved.clone());
+            edit(&mut lens, &mut docs);
+            rebuilt_response(auth, &query, &honest, lens, docs, &corpus)
+        };
+        let cut_anchor = rebuilt(&|lens, _| {
+            // One buddy group (one entry without buddies) short: the
+            // front is no longer revealed.
+            lens[anchor] = honest.vo.terms[anchor].prefix.len() - buddy_pad(&publication);
+        });
+        let no_head = rebuilt(&|lens, _| lens[other] = 0);
+        let no_head_proof = rebuilt(&|_, docs| docs.retain(|&d| d != head));
+        let mut swapped_head = honest.clone();
+        if let PrefixData::DocIds(ids) = &mut swapped_head.vo.terms[other].prefix {
+            ids[0] = auth.index().list(terms[other]).entries()[1].doc;
+        }
+        let mut non_member = honest.clone();
+        let outsider = proved
+            .iter()
+            .copied()
+            .find(|&d| {
+                !terms
+                    .iter()
+                    .all(|&t| auth.index().list(t).entries().iter().any(|e| e.doc == d))
+            })
+            .unwrap();
+        let last = non_member.result.entries.last_mut().unwrap();
+        let dropped = std::mem::replace(&mut last.doc, outsider);
+        // A careful forger fills in the content digest of a member it
+        // takes out of the result, so that its document proof still
+        // authenticates.
+        let fill_digest = |forged: &mut QueryResponse, doc: u32| {
+            for dv in &mut forged.vo.docs {
+                if dv.doc == doc {
+                    dv.content_digest = Some(Digest::hash(&corpus.content_bytes(doc)));
+                }
+            }
+        };
+        // The outsider arrives with its real content.
+        for (d, bytes) in &mut non_member.contents {
+            if *d == dropped {
+                *d = outsider;
+                *bytes = corpus.content_bytes(outsider);
+            }
+        }
+        fill_digest(&mut non_member, dropped);
+        let mut member_dropped = honest.clone();
+        assert!(Attack::WrongIntersection.apply(&mut member_dropped));
+        let gone = honest.result.entries.last().unwrap().doc;
+        fill_digest(&mut member_dropped, gone);
+
+        let cells = [
+            (
+                "anchor prefix cut before the stop",
+                cut_anchor,
+                Verdict::Exactly(VerifyError::ConjunctIncomplete {
+                    term: terms[anchor],
+                }),
+            ),
+            (
+                "head withheld",
+                no_head,
+                Verdict::Exactly(VerifyError::ConjunctIncomplete { term: terms[other] }),
+            ),
+            (
+                "head's document proof dropped",
+                no_head_proof,
+                Verdict::Exactly(VerifyError::MissingDocProof { doc: head }),
+            ),
+            (
+                "head swapped for a lower entry",
+                swapped_head,
+                Verdict::Exactly(VerifyError::ManifestSignature),
+            ),
+            ("non-member ranked", non_member, Verdict::ResultMismatch),
+            ("member dropped", member_dropped, Verdict::ResultMismatch),
+        ];
+        for path in [Path::InProcess, Path::Wire] {
+            let delivered = deliver(path, &query, honest.clone());
+            verify::verify(&publication.verifier_params, &query, 10, &delivered).unwrap_or_else(
+                |e| {
+                    panic!(
+                        "{} {path:?}: honest early-stopped reply rejected: {e}",
+                        mechanism.name()
+                    )
+                },
+            );
+            for (name, tampered, verdict) in &cells {
+                let delivered = deliver(path, &query, tampered.clone());
+                let outcome = verify::verify(&publication.verifier_params, &query, 10, &delivered);
+                let holds = match verdict {
+                    Verdict::Exactly(want) => outcome.as_ref().err() == Some(want),
+                    Verdict::ResultMismatch => {
+                        matches!(outcome, Err(VerifyError::ResultMismatch(_)))
+                    }
+                };
+                assert!(
+                    holds,
+                    "{} {path:?}: '{name}' gave {outcome:?}, want {verdict:?}",
+                    mechanism.name()
+                );
+            }
+        }
     }
 }
 
