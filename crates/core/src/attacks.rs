@@ -55,7 +55,8 @@ pub enum Attack {
     /// evidence).
     DropConjunct,
     /// Conjunctive: report a silently narrowed intersection (drop the
-    /// last member while keeping every proof intact).
+    /// last member while keeping every proof intact; under TRA its
+    /// content digest is filled in).
     WrongIntersection,
     /// Conjunctive: smuggle a revealed-but-nonqualifying document into
     /// the reported intersection, with fabricated content.
@@ -300,10 +301,19 @@ impl Attack {
             Attack::WrongIntersection => {
                 // Too-narrow intersection: silently drop the *last*
                 // member (OmitTopResult already covers the first) while
-                // every proof stays untouched.
+                // every proof stays intact. Under TRA a proved document
+                // outside the result carries its content digest, which
+                // the forger hashes from the content it withholds, so
+                // only the intersection check can catch the lie.
                 let Some(gone) = response.result.entries.pop() else {
                     return false;
                 };
+                if let Some((_, bytes)) = response.contents.iter().find(|(d, _)| *d == gone.doc) {
+                    let digest = Digest::hash(bytes);
+                    for dv in response.vo.docs.iter_mut().filter(|dv| dv.doc == gone.doc) {
+                        dv.content_digest = Some(digest);
+                    }
+                }
                 response.contents.retain(|(d, _)| *d != gone.doc);
                 true
             }

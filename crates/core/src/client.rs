@@ -148,7 +148,7 @@ impl From<VerifyError> for ClientNetError {
     }
 }
 
-/// Backoff schedule for [`Connection::query_terms_retrying`]: capped
+/// Backoff schedule for [`Connection::query_retrying`]: capped
 /// exponential with **decorrelating jitter** — attempt `i` waits
 /// `min(base · 2^i, cap)`, then shaves off a seeded-random fraction of
 /// up to [`RetryPolicy::jitter`] so a herd of clients shed by the same
@@ -305,30 +305,56 @@ impl Connection {
         Ok(())
     }
 
-    /// The local verifying client (for offline re-checks).
-    pub fn client(&self) -> &Client {
-        &self.client
+    /// Pose `request` and verify the reply. The server's term echo
+    /// comes back with the verified result and the reply itself.
+    ///
+    /// - [`Request::Terms`]: the echo must byte-match the posed pairs —
+    ///   a server answering a different query than asked is a protocol
+    ///   violation, caught before any crypto runs — and the reply is
+    ///   verified under the mode the client posed, never one the reply
+    ///   could claim.
+    /// - [`Request::Text`]: the server parses the text against its
+    ///   dictionary and the echo is that parse, which is what gets
+    ///   verified. **The client trusts that parse**: no dictionary leaf
+    ///   binds a word, so a server may drop or swap a word and its honest
+    ///   answer to the query it chose still verifies. The guarantees hold
+    ///   for the echoed query, not necessarily the one asked (ROADMAP
+    ///   item 15); callers that hold term ids should pose `Terms`.
+    #[allow(clippy::type_complexity)]
+    pub fn query(
+        &mut self,
+        request: &Request,
+    ) -> Result<(Vec<(TermId, u32)>, VerifiedResult, QueryResponse), ClientNetError> {
+        let frame = request.encode_frame()?;
+        self.stream.write_all(&frame)?;
+        self.read_verified(request)
     }
 
-    /// Pose a query as explicit `(term, f_{Q,t})` pairs (strictly
-    /// ascending term ids) and verify the reply. The server's term echo
-    /// must byte-match the posed pairs — a server answering a different
-    /// query than asked is a protocol violation, caught before any
-    /// crypto runs.
+    /// A disjunctive [`Connection::query`] of explicit `(term, f_{Q,t})`
+    /// pairs (strictly ascending term ids).
     pub fn query_terms(
         &mut self,
         terms: &[(TermId, u32)],
         r: usize,
     ) -> Result<(VerifiedResult, QueryResponse), ClientNetError> {
-        self.send(&Request::Terms {
-            terms: terms.to_vec(),
-            r: request_r(r)?,
-            mode: QueryMode::Disjunctive,
-        })?;
-        self.receive_verified(terms, r, QueryMode::Disjunctive)
+        self.query(&terms_request(terms, r, QueryMode::Disjunctive)?)
+            .map(|(_, verified, response)| (verified, response))
     }
 
-    /// [`Connection::query_terms`] with retry-on-busy: a server at its
+    /// A **conjunctive** [`Connection::query`] of explicit
+    /// `(term, f_{Q,t})` pairs (strictly ascending term ids): only
+    /// documents containing every term may appear, and the client
+    /// accepts nothing until the VO proves the intersection is exact.
+    pub fn query_conjunctive(
+        &mut self,
+        terms: &[(TermId, u32)],
+        r: usize,
+    ) -> Result<(VerifiedResult, QueryResponse), ClientNetError> {
+        self.query(&terms_request(terms, r, QueryMode::Conjunctive)?)
+            .map(|(_, verified, response)| (verified, response))
+    }
+
+    /// [`Connection::query`] with retry-on-busy: a server at its
     /// connection cap answers with a typed
     /// [`crate::wire::errcode::BUSY`] frame and closes — this wrapper
     /// backs off per `policy` (capped exponential), reconnects, and
@@ -339,15 +365,15 @@ impl Connection {
     /// every other error, above all a **verification failure**,
     /// surfaces immediately — retrying cannot make a forged proof
     /// honest.
-    pub fn query_terms_retrying(
+    #[allow(clippy::type_complexity)]
+    pub fn query_retrying(
         &mut self,
-        terms: &[(TermId, u32)],
-        r: usize,
+        request: &Request,
         policy: RetryPolicy,
-    ) -> Result<(VerifiedResult, QueryResponse), ClientNetError> {
+    ) -> Result<(Vec<(TermId, u32)>, VerifiedResult, QueryResponse), ClientNetError> {
         let mut attempt = 0usize;
         loop {
-            let result = self.query_terms(terms, r);
+            let result = self.query(request);
             let retriable = match &result {
                 // TIMEOUT is the server's idle eviction ("reconnect to
                 // continue") — the same condition surfaces as an I/O
@@ -378,58 +404,13 @@ impl Connection {
         }
     }
 
-    /// Pose a **conjunctive** query as explicit `(term, f_{Q,t})` pairs
-    /// (strictly ascending term ids) and verify the reply: only
-    /// documents containing every term may appear, and the client
-    /// accepts nothing until the VO proves the intersection is exact
-    /// ([`Client::verify_conjunctive_terms`] — verification runs
-    /// *before* any verdict is returned). The server's term echo must
-    /// byte-match the posed pairs, exactly as in
-    /// [`Connection::query_terms`].
-    pub fn query_conjunctive(
-        &mut self,
-        terms: &[(TermId, u32)],
-        r: usize,
-    ) -> Result<(VerifiedResult, QueryResponse), ClientNetError> {
-        self.send(&Request::Terms {
-            terms: terms.to_vec(),
-            r: request_r(r)?,
-            mode: QueryMode::Conjunctive,
-        })?;
-        self.receive_verified(terms, r, QueryMode::Conjunctive)
-    }
-
-    /// Pose a natural-language query. The server parses it against its
-    /// dictionary and echoes the parse; the echo is what gets verified.
-    /// **The client trusts that parse**: no dictionary leaf binds a
-    /// word, so a server may drop or swap a word and its honest answer
-    /// to the query it chose still verifies. The guarantees hold for
-    /// the echoed query, not necessarily the one asked (ROADMAP item
-    /// 15). Returns the parse alongside the verified result so the
-    /// caller can inspect it; callers that hold term ids should use
-    /// [`Connection::query_terms`].
-    #[allow(clippy::type_complexity)]
-    pub fn query_text(
-        &mut self,
-        text: &str,
-        r: usize,
-    ) -> Result<(Vec<(TermId, u32)>, VerifiedResult, QueryResponse), ClientNetError> {
-        self.send(&Request::Text {
-            text: text.to_string(),
-            r: request_r(r)?,
-        })?;
-        let (echo, response) = self.receive()?;
-        let verified = self.client.verify_terms(&echo, r, &response)?;
-        Ok((echo, verified, response))
-    }
-
-    /// Pose a batch of term queries, **pipelined**: up to
-    /// [`PIPELINE_WINDOW`] requests are in flight before the oldest
+    /// Pose a batch of requests, **pipelined**: up to eight
+    /// (`PIPELINE_WINDOW`) requests are in flight before the oldest
     /// reply is read (amortizing round trips without a per-query wait),
     /// and each reply is checked as it is read, exactly as
-    /// [`Connection::query_terms`] checks its one reply. Replies arrive
-    /// in request order, so result `i` is the verdict on the reply to
-    /// query `i`; a bad reply (an error frame, a wrong echo, or a
+    /// [`Connection::query`] checks its one reply. Replies arrive in
+    /// request order, so result `i` is the verdict on the reply to
+    /// request `i`; a bad reply (an error frame, a wrong echo, or a
     /// failed verification) taints only its own slot.
     ///
     /// The window is what makes the pipeline deadlock-free against the
@@ -439,70 +420,66 @@ impl Connection {
     /// in-flight requests keeps the client draining replies, so the
     /// server's writes always make progress.
     #[allow(clippy::type_complexity)]
-    pub fn query_terms_batch(
+    pub fn query_batch(
         &mut self,
-        queries: &[Vec<(TermId, u32)>],
-        r: usize,
-    ) -> Result<Vec<Result<(VerifiedResult, QueryResponse), ClientNetError>>, ClientNetError> {
-        let wire_r = request_r(r)?;
+        requests: &[Request],
+    ) -> Result<
+        Vec<Result<(Vec<(TermId, u32)>, VerifiedResult, QueryResponse), ClientNetError>>,
+        ClientNetError,
+    > {
         // Encode every request *before* sending the first one: an
-        // unencodable query (e.g. > 2¹⁶ terms) must fail the batch while
-        // the connection is still clean — aborting mid-batch would leave
-        // pipelined replies unread and desynchronize the stream.
-        let frames: Vec<Vec<u8>> = queries
+        // unencodable request (e.g. > 2¹⁶ terms) must fail the batch
+        // while the connection is still clean — aborting mid-batch would
+        // leave pipelined replies unread and desynchronize the stream.
+        let frames: Vec<Vec<u8>> = requests
             .iter()
-            .map(|terms| {
-                Request::Terms {
-                    terms: terms.clone(),
-                    r: wire_r,
-                    mode: QueryMode::Disjunctive,
-                }
-                .encode_frame()
-            })
+            .map(Request::encode_frame)
             .collect::<Result<_, _>>()?;
-        // Slot `i` is filled by reading the reply to query `i`, so a
+        // Slot `i` is filled by reading the reply to request `i`, so a
         // verdict cannot land in a neighbor's slot.
-        let mut answered = queries.iter();
-        let mut out = Vec::with_capacity(queries.len());
+        let mut answered = requests.iter();
+        let mut out = Vec::with_capacity(requests.len());
         for (sent, frame) in frames.iter().enumerate() {
             if sent >= PIPELINE_WINDOW {
-                if let Some(terms) = answered.next() {
-                    out.push(self.receive_verified(terms, r, QueryMode::Disjunctive));
+                if let Some(request) = answered.next() {
+                    out.push(self.read_verified(request));
                 }
             }
             // A socket-level write failure means the connection is dead;
             // outstanding replies are unreadable anyway.
             self.stream.write_all(frame)?;
         }
-        for terms in answered {
-            out.push(self.receive_verified(terms, r, QueryMode::Disjunctive));
+        for request in answered {
+            out.push(self.read_verified(request));
         }
         Ok(out)
     }
 
-    /// Read the reply to the term query `terms`, check its echo, and
-    /// verify it under the mode the client posed — never one the reply
-    /// could claim (see [`Connection::query_terms`]).
-    fn receive_verified(
+    /// Read the reply to `request` and verify it as
+    /// [`Connection::query`] describes.
+    #[allow(clippy::type_complexity)]
+    fn read_verified(
         &mut self,
-        terms: &[(TermId, u32)],
-        r: usize,
-        mode: QueryMode,
-    ) -> Result<(VerifiedResult, QueryResponse), ClientNetError> {
+        request: &Request,
+    ) -> Result<(Vec<(TermId, u32)>, VerifiedResult, QueryResponse), ClientNetError> {
         let (echo, response) = self.receive()?;
-        if echo != terms {
-            return Err(ClientNetError::Protocol(format!(
-                "server echoed terms {echo:?} for a query posing {terms:?}"
-            )));
-        }
-        let verified = self.client.verify_posed(terms, mode, r, &response)?;
-        Ok((verified, response))
-    }
-
-    fn send(&mut self, request: &Request) -> Result<(), ClientNetError> {
-        let bytes = request.encode_frame()?;
-        self.stream.write_all(&bytes)?;
-        Ok(())
+        let (mode, r) = match request {
+            Request::Terms { terms, r, mode } => {
+                if echo != *terms {
+                    return Err(ClientNetError::Protocol(format!(
+                        "server echoed terms {echo:?} for a query posing {terms:?}"
+                    )));
+                }
+                (*mode, *r)
+            }
+            // Text is always disjunctive, and its echo is what gets
+            // verified.
+            Request::Text { r, .. } => (QueryMode::Disjunctive, *r),
+        };
+        let verified = self
+            .client
+            .verify_posed(&echo, mode, r as usize, &response)?;
+        Ok((echo, verified, response))
     }
 
     /// Read one reply frame, surfacing server-side error frames as
@@ -537,12 +514,12 @@ impl Connection {
 }
 
 /// Maximum requests in flight on one connection during
-/// [`Connection::query_terms_batch`]. Requests are small (≤ ~0.5 MiB by
-/// the u16 length prefixes, a few hundred bytes in practice), so eight
-/// of them sit comfortably inside the kernel socket buffers — the
-/// client's sends never block, which is the invariant the deadlock-
-/// freedom argument in `query_terms_batch` rests on.
-pub const PIPELINE_WINDOW: usize = 8;
+/// [`Connection::query_batch`]. Requests are small (≤ ~0.5 MiB by the
+/// u16 length prefixes, a few hundred bytes in practice), so eight of
+/// them sit comfortably inside the kernel socket buffers — the client's
+/// sends never block, which is the invariant the deadlock-freedom
+/// argument in `query_batch` rests on.
+const PIPELINE_WINDOW: usize = 8;
 
 /// Client-side **phrase** post-filter over a verified conjunctive
 /// response: keep only the result documents whose delivered content
@@ -556,8 +533,8 @@ pub const PIPELINE_WINDOW: usize = 8;
 /// owner's. The conjunctive VO proves every result document contains
 /// all the phrase's words; adjacency is then a pure client-side
 /// predicate over authenticated text. Call it only **after**
-/// [`Client::verify_conjunctive_terms`] (or
-/// [`Connection::query_conjunctive`], which verifies internally)
+/// [`Client::verify_conjunctive_terms`] (or a conjunctive
+/// [`Connection::query`], which verifies internally)
 /// accepted the response, and pass the mechanism the client verified
 /// under ([`VerifierParams::mechanism`]), not the one the reply claims.
 ///
@@ -602,10 +579,20 @@ pub fn phrase_filter(
         .collect())
 }
 
-/// An `r` a request frame can carry.
-fn request_r(r: usize) -> Result<u32, ClientNetError> {
-    u32::try_from(r)
-        .map_err(|_| ClientNetError::Protocol(format!("r = {r} not representable on the wire")))
+/// The term request posing `terms` under `mode`, with an `r` a request
+/// frame can carry.
+fn terms_request(
+    terms: &[(TermId, u32)],
+    r: usize,
+    mode: QueryMode,
+) -> Result<Request, ClientNetError> {
+    let r = u32::try_from(r)
+        .map_err(|_| ClientNetError::Protocol(format!("r = {r} not representable on the wire")))?;
+    Ok(Request::Terms {
+        terms: terms.to_vec(),
+        r,
+        mode,
+    })
 }
 
 #[cfg(test)]
@@ -653,6 +640,15 @@ mod tests {
             client.verify_terms(&pairs, 5, &response),
             Err(VerifyError::QueryShapeMismatch(_))
         ));
+    }
+
+    /// A disjunctive term request.
+    fn disjunctive(terms: Vec<(TermId, u32)>, r: u32) -> Request {
+        Request::Terms {
+            terms,
+            r,
+            mode: QueryMode::Disjunctive,
+        }
     }
 
     fn loopback(mechanism: Mechanism) -> (crate::server::ServerHandle, Connection, Vec<TermId>) {
@@ -722,13 +718,16 @@ mod tests {
     #[test]
     fn connected_client_batch_is_pipelined_and_isolated() {
         let (handle, mut connection, _) = loopback(Mechanism::TnraCmht);
-        let queries: Vec<Vec<(TermId, u32)>> = vec![
+        let queries: Vec<Request> = [
             vec![(0, 1), (3, 1)],
             vec![(999_999, 1)], // out of dictionary → server error slot
             vec![(0, 1), (3, 1)],
             vec![(2, 2)],
-        ];
-        let out = connection.query_terms_batch(&queries, 4).expect("batch");
+        ]
+        .into_iter()
+        .map(|terms| disjunctive(terms, 4))
+        .collect();
+        let out = connection.query_batch(&queries).expect("batch");
         assert_eq!(out.len(), 4);
         assert!(out[0].is_ok(), "{:?}", out[0].as_ref().err());
         assert!(matches!(
@@ -742,7 +741,7 @@ mod tests {
         assert!(out[3].is_ok());
         // Repeated query: bit-identical responses.
         let (a, b) = (out[0].as_ref().unwrap(), out[2].as_ref().unwrap());
-        assert_eq!(a.1, b.1);
+        assert_eq!(a.2, b.2);
         handle.shutdown();
     }
 
@@ -760,7 +759,9 @@ mod tests {
         let mut connection = Connection::connect(handle.addr(), params).unwrap();
         // Build a text query from real dictionary words.
         let text = engine.corpus().term(1).to_string();
-        let (parse, verified, response) = connection.query_text(&text, 3).expect("verified");
+        let (parse, verified, response) = connection
+            .query(&Request::Text { text, r: 3 })
+            .expect("verified");
         assert_eq!(parse.len(), 1);
         assert_eq!(verified.result, response.result);
         handle.shutdown();
@@ -804,14 +805,136 @@ mod tests {
             cap: Duration::from_millis(50),
             ..RetryPolicy::default()
         };
-        let (verified, response) = b
-            .query_terms_retrying(&pairs, 5, policy)
+        let (_, verified, response) = b
+            .query_retrying(&disjunctive(pairs, 5), policy)
             .expect("retry succeeds once the slot frees");
         assert_eq!(verified.result, response.result);
         release.join().unwrap();
         let stats = handle.shutdown();
         assert!(stats.connections_shed >= 1, "B was shed at least once");
         assert_eq!(stats.active_highwater, 1);
+    }
+
+    #[test]
+    fn retrying_conjunctive_query_waits_out_a_busy_server() {
+        let (engine, client, terms) = setup(Mechanism::TraMht);
+        let params = client.params().clone();
+        let engine = std::sync::Arc::new(engine);
+        let handle = crate::server::Server::start(
+            std::sync::Arc::clone(&engine),
+            "127.0.0.1:0",
+            crate::server::ServerConfig {
+                max_connections: 1,
+                ..crate::server::ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut pairs: Vec<(TermId, u32)> = terms.iter().map(|&t| (t, 1)).collect();
+        pairs.sort_unstable();
+        pairs.dedup_by_key(|p| p.0);
+        let request = Request::Terms {
+            terms: pairs.clone(),
+            r: 5,
+            mode: QueryMode::Conjunctive,
+        };
+        // A occupies the single slot.
+        let mut a = Connection::connect(handle.addr(), params.clone()).unwrap();
+        a.query(&request).expect("A is admitted");
+        // B without retry: the typed BUSY error, immediately.
+        let mut b = Connection::connect(handle.addr(), params).unwrap();
+        match b.query(&request) {
+            Err(ClientNetError::Server { code, .. }) => {
+                assert_eq!(code, crate::wire::errcode::BUSY)
+            }
+            other => panic!("expected BUSY, got {other:?}"),
+        }
+        let release = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(150));
+            drop(a);
+        });
+        let policy = RetryPolicy {
+            max_attempts: 60,
+            base: Duration::from_millis(5),
+            cap: Duration::from_millis(50),
+            ..RetryPolicy::default()
+        };
+        let (echo, verified, response) = b
+            .query_retrying(&request, policy)
+            .expect("retry succeeds once the slot frees");
+        assert_eq!(echo, pairs);
+        assert_eq!(verified.result, response.result);
+        let query =
+            Query::from_term_pairs(engine.auth().index(), &pairs).with_mode(QueryMode::Conjunctive);
+        assert_eq!(response, engine.search(&query, 5), "the conjunctive answer");
+        release.join().unwrap();
+        let stats = handle.shutdown();
+        assert!(stats.connections_shed >= 1, "B was shed at least once");
+        assert_eq!(stats.active_highwater, 1);
+    }
+
+    #[test]
+    fn mixed_batch_slots_match_the_same_requests_posed_alone() {
+        type Verified = (Vec<(TermId, u32)>, VerifiedResult, QueryResponse);
+        // Error variants carry no `PartialEq`; their messages compare.
+        fn verdict(answer: &Result<Verified, ClientNetError>) -> Result<&Verified, String> {
+            answer.as_ref().map_err(|e| e.to_string())
+        }
+        for mechanism in [Mechanism::TraCmht, Mechanism::TnraMht] {
+            let (engine, client, terms) = setup(mechanism);
+            let params = client.params().clone();
+            let words = format!("{} {}", engine.corpus().term(1), engine.corpus().term(2));
+            let handle = crate::server::Server::start(
+                std::sync::Arc::new(engine),
+                "127.0.0.1:0",
+                crate::server::ServerConfig::default(),
+            )
+            .expect("bind loopback");
+            let mut pairs: Vec<(TermId, u32)> = terms.iter().map(|&t| (t, 1)).collect();
+            pairs.sort_unstable();
+            pairs.dedup_by_key(|p| p.0);
+            let conjunctive = |terms: Vec<(TermId, u32)>, r| Request::Terms {
+                terms,
+                r,
+                mode: QueryMode::Conjunctive,
+            };
+            let text = |text: &str, r| Request::Text {
+                text: text.to_string(),
+                r,
+            };
+            let round = [
+                disjunctive(pairs.clone(), 5),
+                conjunctive(pairs.clone(), 5),
+                text(&words, 3),
+                disjunctive(vec![(999_999, 1)], 4), // out of dictionary
+                conjunctive(pairs.get(..2).unwrap_or(&pairs).to_vec(), 2),
+                text("zzzz qqqq", 3), // parses to nothing
+                disjunctive(pairs.get(1..).unwrap_or(&pairs).to_vec(), 10),
+            ];
+            // Two rounds: more requests than the pipeline window, so
+            // replies are read while later requests are still unsent.
+            let requests: Vec<Request> = round.iter().chain(&round).cloned().collect();
+            assert!(requests.len() > PIPELINE_WINDOW);
+            let mut connection = Connection::connect(handle.addr(), params).expect("connect");
+            let batch = connection.query_batch(&requests).expect("batch");
+            assert_eq!(batch.len(), requests.len());
+            for (i, (request, slot)) in requests.iter().zip(&batch).enumerate() {
+                let alone = connection.query(request);
+                assert_eq!(
+                    verdict(slot),
+                    verdict(&alone),
+                    "{} slot {i}: {request:?}",
+                    mechanism.name()
+                );
+            }
+            let ok = |i: usize| batch.get(i).is_some_and(|slot| slot.is_ok());
+            assert!(
+                ok(0) && ok(1) && ok(2),
+                "{}: every mode answers",
+                mechanism.name()
+            );
+            assert!(!ok(3) && !ok(5), "{}: bad requests fail", mechanism.name());
+            handle.shutdown();
+        }
     }
 
     #[test]
@@ -971,7 +1094,11 @@ mod tests {
             vec![(1, 1), (3, 1)],
             vec![(0, 2), (1, 1)],
         ];
-        let out = connection.query_terms_batch(&queries, 5).expect("batch");
+        let requests: Vec<Request> = queries
+            .iter()
+            .map(|terms| disjunctive(terms.clone(), 5))
+            .collect();
+        let out = connection.query_batch(&requests).expect("batch");
         assert_eq!(out.len(), 6);
         assert!(out[0].is_ok(), "{:?}", out[0].as_ref().err());
         assert!(matches!(
@@ -993,7 +1120,7 @@ mod tests {
         // The alignment proof: each honest slot's response is the
         // engine's answer to ITS query (not a shifted neighbor's).
         for slot in [3, 5] {
-            let (verified, response) = out[slot].as_ref().expect("slot is honest");
+            let (_, verified, response) = out[slot].as_ref().expect("slot is honest");
             assert_eq!(verified.result, response.result);
             let want = engine.search(
                 &Query::from_term_pairs(engine.auth().index(), &queries[slot]),

@@ -132,7 +132,7 @@ pub(crate) enum Step {
     /// Nothing actionable; re-derive interest and deadline and wait.
     Idle,
     /// A complete request frame is buffered ([`Conn::request`]); decode
-    /// it, then either [`Conn::begin_error_reply`] or
+    /// it, then either [`Conn::begin_request_error`] or
     /// [`Conn::begin_dispatch`] + submit to the pool.
     Frame {
         /// The request frame's kind byte.
@@ -231,30 +231,11 @@ impl<S: ConnStream> Conn<S> {
     /// caller's (it counts silent sheds too).
     pub(crate) fn new_shed(stream: S, message: &str, now: Instant) -> Conn<S> {
         let mut conn = Conn::new(stream, now);
-        let mut body = std::mem::take(&mut conn.reply_body);
-        let framed = wire::encode_err_reply_payload(wire::errcode::BUSY, message, &mut body)
-            .and_then(|kind| wire::encode_frame_header(kind, body.len()));
-        conn.reply_body = body;
-        match framed {
-            Ok(head) => {
-                let frame_len = (head.len() + conn.reply_body.len()) as u64;
-                conn.reply_head = head;
-                conn.head_written = 0;
-                conn.body_written = 0;
-                conn.write_start = now;
-                conn.state = State::Writing {
-                    after: AfterWrite::ShedDrain,
-                    // A refusal is not worth a long wait: a peer that
-                    // cannot take the BUSY frame in 500 ms is dropped.
-                    bound: Duration::from_millis(500),
-                    count_timeout_on_stall: false,
-                    count_bytes_on_flush: frame_len,
-                };
-            }
-            // Error replies are always encodable (messages are
-            // truncated to u16); if not, shed silently.
-            Err(_) => conn.state = State::Closed,
-        }
+        let head = conn.encode_error(wire::errcode::BUSY, message);
+        // A refusal is not worth a long wait: a peer that cannot take
+        // the BUSY frame in 500 ms is dropped.
+        let bound = Duration::from_millis(500);
+        conn.begin_write(head, now, AfterWrite::ShedDrain, bound, false, None);
         conn
     }
 
@@ -337,7 +318,6 @@ impl<S: ConnStream> Conn<S> {
             match self.state {
                 State::ReadingHeader => {
                     let filled = self.hdr_filled;
-                    let was_empty = filled == 0;
                     env.transport.reads.fetch_add(1, Ordering::Relaxed);
                     let read = {
                         let buf = self.hdr.get_mut(filled..).unwrap_or(&mut []);
@@ -349,7 +329,6 @@ impl<S: ConnStream> Conn<S> {
                             // EOF mid-header is a peer dying — either
                             // way, just close, counting nothing: no
                             // request was received.
-                            let _ = was_empty;
                             return Step::Close;
                         }
                         Ok(n) => {
@@ -481,22 +460,16 @@ impl<S: ConnStream> Conn<S> {
         head: [u8; wire::FRAME_HEADER_LEN],
         body: Vec<u8>,
     ) {
-        let frame_len = (head.len() + body.len()) as u64;
-        env.metrics
-            .bytes_out
-            .fetch_add(frame_len, Ordering::Relaxed);
         env.metrics.requests_ok.fetch_add(1, Ordering::Relaxed);
-        self.reply_head = head;
         self.reply_body = body;
-        self.head_written = 0;
-        self.body_written = 0;
-        self.write_start = Instant::now();
-        self.state = State::Writing {
-            after: AfterWrite::NextRequest,
-            bound: env.write_timeout,
-            count_timeout_on_stall: true,
-            count_bytes_on_flush: 0,
-        };
+        self.begin_write(
+            Ok(head),
+            Instant::now(),
+            AfterWrite::NextRequest,
+            env.write_timeout,
+            true,
+            Some(env.metrics),
+        );
     }
 
     /// Begin a coded error reply. Counts `requests_err` and
@@ -507,31 +480,15 @@ impl<S: ConnStream> Conn<S> {
     /// declarations).
     fn begin_error_reply(&mut self, env: &ConnEnv<'_>, code: u8, message: &str, after: AfterWrite) {
         env.metrics.requests_err.fetch_add(1, Ordering::Relaxed);
-        let mut body = std::mem::take(&mut self.reply_body);
-        let framed = wire::encode_err_reply_payload(code, message, &mut body)
-            .and_then(|kind| wire::encode_frame_header(kind, body.len()));
-        self.reply_body = body;
-        match framed {
-            Ok(head) => {
-                let frame_len = (head.len() + self.reply_body.len()) as u64;
-                env.metrics
-                    .bytes_out
-                    .fetch_add(frame_len, Ordering::Relaxed);
-                self.reply_head = head;
-                self.head_written = 0;
-                self.body_written = 0;
-                self.write_start = Instant::now();
-                self.state = State::Writing {
-                    after,
-                    bound: env.write_timeout,
-                    count_timeout_on_stall: false,
-                    count_bytes_on_flush: 0,
-                };
-            }
-            // Unreachable (error replies always encode); close rather
-            // than panic on a protocol bug.
-            Err(_) => self.state = State::Closed,
-        }
+        let head = self.encode_error(code, message);
+        self.begin_write(
+            head,
+            Instant::now(),
+            after,
+            env.write_timeout,
+            false,
+            Some(env.metrics),
+        );
     }
 
     /// Survivable error reply: back to `ReadingHeader` once flushed.
@@ -547,26 +504,65 @@ impl<S: ConnStream> Conn<S> {
         env.metrics
             .connections_timed_out
             .fetch_add(1, Ordering::Relaxed);
+        let head = self.encode_error(wire::errcode::TIMEOUT, message);
+        self.begin_write(
+            head,
+            Instant::now(),
+            AfterWrite::Close,
+            env.write_timeout,
+            false,
+            None,
+        );
+    }
+
+    /// Encode a coded error reply into the recycled body buffer and
+    /// return its frame header.
+    fn encode_error(
+        &mut self,
+        code: u8,
+        message: &str,
+    ) -> Result<[u8; wire::FRAME_HEADER_LEN], wire::WireError> {
         let mut body = std::mem::take(&mut self.reply_body);
-        let framed = wire::encode_err_reply_payload(wire::errcode::TIMEOUT, message, &mut body)
+        let head = wire::encode_err_reply_payload(code, message, &mut body)
             .and_then(|kind| wire::encode_frame_header(kind, body.len()));
         self.reply_body = body;
-        match framed {
-            Ok(head) => {
-                let frame_len = (head.len() + self.reply_body.len()) as u64;
-                self.reply_head = head;
-                self.head_written = 0;
-                self.body_written = 0;
-                self.write_start = Instant::now();
-                self.state = State::Writing {
-                    after: AfterWrite::Close,
-                    bound: env.write_timeout,
-                    count_timeout_on_stall: false,
-                    count_bytes_on_flush: frame_len,
-                };
-            }
-            Err(_) => self.state = State::Closed,
+        head
+    }
+
+    /// The one way into `Writing`: flush `head` and the reply body from
+    /// their first bytes, under a flush `bound` that runs from `now`.
+    /// The frame joins `bytes_out` here when `up_front` holds the
+    /// metrics, or only once it fully flushes when it is `None`. A frame
+    /// that did not encode closes the connection instead, charging no
+    /// bytes (error replies always encode — messages are truncated to
+    /// u16 — so this closes rather than panics on a protocol bug).
+    fn begin_write(
+        &mut self,
+        head: Result<[u8; wire::FRAME_HEADER_LEN], wire::WireError>,
+        now: Instant,
+        after: AfterWrite,
+        bound: Duration,
+        count_timeout_on_stall: bool,
+        up_front: Option<&ServerMetrics>,
+    ) {
+        let Ok(head) = head else {
+            self.state = State::Closed;
+            return;
+        };
+        let frame_len = (head.len() + self.reply_body.len()) as u64;
+        if let Some(metrics) = up_front {
+            metrics.bytes_out.fetch_add(frame_len, Ordering::Relaxed);
         }
+        self.reply_head = head;
+        self.head_written = 0;
+        self.body_written = 0;
+        self.write_start = now;
+        self.state = State::Writing {
+            after,
+            bound,
+            count_timeout_on_stall,
+            count_bytes_on_flush: if up_front.is_some() { 0 } else { frame_len },
+        };
     }
 
     /// The peer is writable: push reply bytes until the frame is

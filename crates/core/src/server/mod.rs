@@ -91,7 +91,7 @@ pub struct ServerConfig {
     /// over the cap is **shed with an answer** — a
     /// [`crate::wire::errcode::BUSY`] reply frame, then a clean close —
     /// never a silent RST, so clients can back off and retry
-    /// ([`crate::Connection::query_terms_retrying`]). The default reads
+    /// ([`crate::Connection::query_retrying`]). The default reads
     /// `AUTHSEARCH_MAX_CONNECTIONS` (unset/`0` = unlimited), which is
     /// how CI runs the loopback suite in shedding mode.
     pub max_connections: usize,

@@ -217,27 +217,6 @@ impl VoSize {
     pub fn total(&self) -> usize {
         self.data + self.digest + self.signature
     }
-
-    /// Data share in percent (Table 2's "Data (%)", computed over
-    /// data + digest as in the paper).
-    pub fn data_pct(&self) -> f64 {
-        let base = (self.data + self.digest) as f64;
-        if base == 0.0 {
-            0.0
-        } else {
-            100.0 * self.data as f64 / base
-        }
-    }
-
-    /// Digest share in percent (Table 2's "Digest (%)").
-    pub fn digest_pct(&self) -> f64 {
-        let base = (self.data + self.digest) as f64;
-        if base == 0.0 {
-            0.0
-        } else {
-            100.0 * self.digest as f64 / base
-        }
-    }
 }
 
 impl std::ops::Add for VoSize {
@@ -382,23 +361,5 @@ mod tests {
         assert_eq!((s.data, s.digest, s.signature), (16, 5 * DIGEST_LEN, 128));
         assert_eq!(vo.signature_count(), 1);
         assert_eq!(vo.paper_signature_count(), 2);
-    }
-
-    #[test]
-    fn table2_percentages() {
-        let s = VoSize {
-            data: 30,
-            digest: 70,
-            signature: 128,
-        };
-        assert!((s.data_pct() - 30.0).abs() < 1e-12);
-        assert!((s.digest_pct() - 70.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_vo_pct_is_zero() {
-        let s = VoSize::default();
-        assert_eq!(s.data_pct(), 0.0);
-        assert_eq!(s.digest_pct(), 0.0);
     }
 }

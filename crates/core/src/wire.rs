@@ -500,7 +500,7 @@ pub mod errcode {
     /// The server is at its connection cap and shed this connection
     /// instead of serving it. The reply is typed — never a silent RST —
     /// so a client can back off and retry
-    /// ([`crate::Connection::query_terms_retrying`]).
+    /// ([`crate::Connection::query_retrying`]).
     pub const BUSY: u8 = 5;
     /// The connection sat idle (or dribbled a partial frame) past the
     /// server's idle deadline and was evicted to free its thread.

@@ -36,11 +36,6 @@ impl BigUint {
         self.div_rem(m).1
     }
 
-    /// `self mod m`, with a zero modulus as a typed error.
-    pub fn checked_rem(&self, m: &BigUint) -> Result<BigUint, RsaError> {
-        Ok(self.checked_div_rem(m)?.1)
-    }
-
     /// Fast path for single-limb divisors.
     fn div_rem_small(&self, d: u64) -> (BigUint, BigUint) {
         let mut quotient = vec![0u64; self.limbs.len()];
@@ -217,10 +212,6 @@ mod tests {
                 dividend.checked_div_rem(&BigUint::zero()).unwrap_err(),
                 RsaError::DivisionByZero
             );
-            assert_eq!(
-                dividend.checked_rem(&BigUint::zero()).unwrap_err(),
-                RsaError::DivisionByZero
-            );
         }
         // And one past the boundary: the smallest nonzero divisor works.
         let (q, r) = n(7).checked_div_rem(&BigUint::one()).unwrap();
@@ -233,7 +224,6 @@ mod tests {
         let a = BigUint::from_bytes_be(&[0x5c; 33]);
         for b in [n(3), n(1 << 40), BigUint::from_bytes_be(&[0x11; 17])] {
             assert_eq!(a.checked_div_rem(&b).unwrap(), a.div_rem(&b));
-            assert_eq!(a.checked_rem(&b).unwrap(), a.rem(&b));
         }
     }
 

@@ -2,7 +2,7 @@
 //! (paper §2.1, Figure 1).
 
 use crate::okapi::{self, OkapiParams};
-use crate::postings::{ImpactEntry, InvertedList};
+use crate::postings::InvertedList;
 use authsearch_corpus::TermId;
 
 /// The paper's inverted index: for every dictionary term, the document
@@ -84,13 +84,6 @@ impl InvertedIndex {
         self.lists.iter().map(|l| l.len()).sum()
     }
 
-    /// Size in bytes of the raw postings (8 bytes per entry) — the
-    /// baseline against which the paper reports authentication-structure
-    /// space overheads.
-    pub fn postings_bytes(&self) -> usize {
-        self.total_entries() * ImpactEntry::BYTES
-    }
-
     /// Size in bytes of the dictionary (term id → f_t plus a list
     /// pointer; 4 + 4 + 8 bytes per term, a conventional layout).
     pub fn dictionary_bytes(&self) -> usize {
@@ -101,6 +94,7 @@ impl InvertedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::ImpactEntry;
     use authsearch_corpus::DocId;
 
     fn entry(doc: DocId, weight: f32) -> ImpactEntry {
@@ -123,7 +117,6 @@ mod tests {
         assert_eq!(idx.ft(0), 2);
         assert_eq!(idx.list(1).len(), 1);
         assert_eq!(idx.total_entries(), 3);
-        assert_eq!(idx.postings_bytes(), 24);
         assert_eq!(idx.dictionary_bytes(), 32);
     }
 

@@ -34,12 +34,6 @@ impl IoStats {
         self.sequential_run(blocks);
     }
 
-    /// Record `blocks` further transfers continuing the current run
-    /// (no extra seek).
-    pub fn continue_run(&mut self, blocks: u64) {
-        self.blocks += blocks;
-    }
-
     /// Merge another trace into this one.
     pub fn merge(&mut self, other: IoStats) {
         self.seeks += other.seeks;
@@ -79,20 +73,6 @@ mod tests {
         let mut s = IoStats::new();
         s.sequential_run(0);
         assert_eq!(s, IoStats::default());
-    }
-
-    #[test]
-    fn continue_run_adds_no_seek() {
-        let mut s = IoStats::new();
-        s.sequential_run(2);
-        s.continue_run(3);
-        assert_eq!(
-            s,
-            IoStats {
-                seeks: 1,
-                blocks: 5
-            }
-        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! accept **nothing** until the verification object checks out against
 //! the owner's broadcast public parameters.
 
+use authsearch::core::wire::Request;
 use authsearch::crypto::keys::PAPER_KEY_BITS;
 use authsearch::index::persist::manifest_path;
 use authsearch::prelude::*;
@@ -94,8 +95,12 @@ fn main() {
         let params = publication.verifier_params.clone();
         users.push(std::thread::spawn(move || {
             let mut connection = Connection::connect(addr, params).expect("connect");
+            let request = Request::Text {
+                text: text.to_string(),
+                r: 3,
+            };
             let (parse, verified, response) =
-                connection.query_text(text, 3).expect("response verifies");
+                connection.query(&request).expect("response verifies");
             let shown: Vec<String> = verified
                 .result
                 .entries

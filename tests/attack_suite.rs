@@ -404,8 +404,6 @@ fn early_stopped_conjunctive_reveal_rejected_with_typed_verdicts() {
         fill_digest(&mut non_member, dropped);
         let mut member_dropped = honest.clone();
         assert!(Attack::WrongIntersection.apply(&mut member_dropped));
-        let gone = honest.result.entries.last().unwrap().doc;
-        fill_digest(&mut member_dropped, gone);
 
         let cells = [
             (
@@ -458,6 +456,29 @@ fn early_stopped_conjunctive_reveal_rejected_with_typed_verdicts() {
                     mechanism.name()
                 );
             }
+        }
+    }
+}
+
+/// A narrowed intersection with every proof intact (its content digest
+/// filled in under TRA) reaches the intersection check: exactly
+/// `ResultMismatch`, under every mechanism, in-process and over the
+/// wire.
+#[test]
+fn wrong_intersection_is_a_result_mismatch_under_every_mechanism() {
+    for mechanism in Mechanism::ALL {
+        let (publication, corpus, query) = conjunctive_fixture(mechanism);
+        let honest = publication.auth.query(&query, 2, &corpus).unwrap();
+        let mut tampered = honest.clone();
+        assert!(Attack::WrongIntersection.apply(&mut tampered));
+        for path in [Path::InProcess, Path::Wire] {
+            let delivered = deliver(path, &query, tampered.clone());
+            let outcome = verify::verify(&publication.verifier_params, &query, 2, &delivered);
+            assert!(
+                matches!(outcome, Err(VerifyError::ResultMismatch(_))),
+                "{} {path:?}: gave {outcome:?}",
+                mechanism.name()
+            );
         }
     }
 }

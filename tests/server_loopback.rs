@@ -43,6 +43,15 @@ fn patient() -> RetryPolicy {
     }
 }
 
+/// The disjunctive top-`TOP_R` request posing `pairs`.
+fn disjunctive(pairs: &[(u32, u32)]) -> wire::Request {
+    wire::Request::Terms {
+        terms: pairs.to_vec(),
+        r: TOP_R as u32,
+        mode: QueryMode::Disjunctive,
+    }
+}
+
 /// A query's `(term, f_qt)` pairs and its reference wire-encoded VO.
 type ReferenceVo = (Vec<(u32, u32)>, Vec<u8>);
 
@@ -109,8 +118,8 @@ fn concurrent_clients_get_bit_identical_verified_responses() {
                 let mut connection = Connection::connect(addr, params).expect("client connects");
                 for i in 0..QUERIES_PER_CLIENT {
                     let (pairs, want_vo) = &reference[(client_id + i) % reference.len()];
-                    let (verified, response) = connection
-                        .query_terms_retrying(pairs, TOP_R, patient())
+                    let (_, verified, response) = connection
+                        .query_retrying(&disjunctive(pairs), patient())
                         .unwrap_or_else(|e| panic!("client {client_id} query {i}: {e}"));
                     // The VO that crossed the wire is byte-identical to
                     // the sequential serve path.
@@ -152,8 +161,9 @@ fn concurrent_clients_get_bit_identical_verified_responses() {
     }
 }
 
-/// The pipelined batch path over the wire: windowed in-flight requests
-/// with cross-response signature memoization client-side.
+/// The pipelined batch path over the wire: every slot of a batch
+/// verifies, and a batch ten times the workload, far past the pipeline
+/// window, completes on one connection.
 #[test]
 fn pipelined_batch_round_trips_and_verifies() {
     let fx = fixture(Mechanism::TraCmht);
@@ -164,21 +174,18 @@ fn pipelined_batch_round_trips_and_verifies() {
     )
     .unwrap();
     let mut connection = Connection::connect(handle.addr(), fx.params.clone()).unwrap();
-    let out = connection
-        .query_terms_batch(&fx.workloads, TOP_R)
-        .expect("batch transport");
+    let requests: Vec<wire::Request> = fx.workloads.iter().map(|w| disjunctive(w)).collect();
+    let out = connection.query_batch(&requests).expect("batch transport");
     assert_eq!(out.len(), fx.workloads.len());
     for (i, slot) in out.iter().enumerate() {
-        let (verified, response) = slot.as_ref().unwrap_or_else(|e| panic!("query {i}: {e}"));
+        let (_, verified, response) = slot.as_ref().unwrap_or_else(|e| panic!("query {i}: {e}"));
         assert_eq!(verified.result, response.result, "query {i}");
     }
     // A batch far larger than the pipeline window must also complete
     // (the window is what keeps the one-connection pipeline
     // deadlock-free against the server's read-one/write-one loop).
-    let big: Vec<Vec<(u32, u32)>> = (0..10).flat_map(|_| fx.workloads.clone()).collect();
-    let out = connection
-        .query_terms_batch(&big, TOP_R)
-        .expect("big batch");
+    let big: Vec<wire::Request> = (0..10).flat_map(|_| requests.clone()).collect();
+    let out = connection.query_batch(&big).expect("big batch");
     assert_eq!(out.len(), big.len());
     assert!(out.iter().all(|slot| slot.is_ok()));
     handle.shutdown();
@@ -215,8 +222,8 @@ fn hostile_client_does_not_disturb_honest_ones() {
         std::thread::spawn(move || {
             let mut connection = Connection::connect(addr, params).unwrap();
             for pairs in &workloads {
-                let (verified, response) = connection
-                    .query_terms_retrying(pairs, TOP_R, patient())
+                let (_, verified, response) = connection
+                    .query_retrying(&disjunctive(pairs), patient())
                     .expect("verified");
                 assert_eq!(verified.result, response.result);
             }
@@ -391,7 +398,12 @@ fn over_long_query_is_bad_query_under_tnra_and_served_under_tra() {
         .expect("bind loopback");
         let mut connection = Connection::connect(handle.addr(), fx.params.clone()).unwrap();
         let by_pairs = connection.query_terms(&pairs, TOP_R).map(|(v, _)| v);
-        let by_text = connection.query_text(&text, TOP_R).map(|(_, v, _)| v);
+        let by_text = connection
+            .query(&wire::Request::Text {
+                text: text.clone(),
+                r: TOP_R as u32,
+            })
+            .map(|(_, v, _)| v);
         for (kind, outcome) in [("terms", by_pairs), ("text", by_text)] {
             match (mechanism, outcome) {
                 (Mechanism::TnraCmht, Err(ClientNetError::Server { code, message })) => {

@@ -134,8 +134,13 @@ fn retrying_client_rides_out_the_cap() {
         cap: Duration::from_millis(50),
         ..RetryPolicy::default()
     };
-    let (verified, response) = waiter
-        .query_terms_retrying(&workloads[1], 5, policy)
+    let request = wire::Request::Terms {
+        terms: workloads[1].clone(),
+        r: 5,
+        mode: QueryMode::Disjunctive,
+    };
+    let (_, verified, response) = waiter
+        .query_retrying(&request, policy)
         .expect("retry-on-busy gets through once the slot frees");
     assert_eq!(verified.result, response.result);
     releaser.join().unwrap();
