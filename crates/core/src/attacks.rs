@@ -9,9 +9,9 @@
 //! suite asserts that the verifier rejects every one of them.
 
 use crate::auth::serve::QueryResponse;
-use crate::auth::{doc_leaf_digest, tnra_leaf_digest, tra_leaf_digest, AuthenticatedIndex};
+use crate::auth::{tnra_leaf_digest, tra_leaf_digest, AuthenticatedIndex};
 use crate::types::{ProcessingOutcome, Query, ResultEntry};
-use crate::vo::{Mechanism, PrefixData, TermProof};
+use crate::vo::{DocLeaf, Mechanism, PrefixData, TermProof, TermVo};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::merkle::prove_with;
 use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof};
@@ -74,6 +74,13 @@ pub enum Attack {
     /// id, putting its leaf in the neighbour's slot of the document
     /// table (its sibling, so the multi-proof keeps its shape).
     ShiftDocId,
+    /// TRA: swap the two leaves of a bounding pair (position-adjacent
+    /// revealed leaves whose keys bound a query term's), each keeping
+    /// its position, so the pair is out of key order.
+    SwapBoundingPair,
+    /// TRA: forge the `c_t` of a bounding leaf, to a class that keeps
+    /// the revealed leaves in key order.
+    ForgeBoundingClass,
 }
 
 impl Attack {
@@ -106,6 +113,11 @@ impl Attack {
         Attack::ExtraDocTableDigest,
         Attack::ShiftDocId,
     ];
+
+    /// Attacks on the key order of document-MHT leaves; each applies to
+    /// every TRA response that proves a query term absent from some
+    /// document by a bounding pair.
+    pub const DOC_KEY: [Attack; 2] = [Attack::SwapBoundingPair, Attack::ForgeBoundingClass];
 
     /// Attacks against the conjunctive / phrase query model
     /// ([`crate::types::QueryMode::Conjunctive`]). `PhraseOrderSwap`
@@ -141,6 +153,8 @@ impl Attack {
             Attack::DropDocTableDigest => "drop a document-table digest",
             Attack::ExtraDocTableDigest => "add a document-table digest",
             Attack::ShiftDocId => "shift a doc id into its neighbour's slot",
+            Attack::SwapBoundingPair => "swap a bounding pair out of key order",
+            Attack::ForgeBoundingClass => "forge the c_t of a bounding leaf",
         }
     }
 
@@ -249,8 +263,8 @@ impl Attack {
             }
             Attack::AlterDocFrequency => {
                 for dv in &mut response.vo.docs {
-                    if let Some(leaf) = dv.revealed.iter_mut().find(|l| l.2 > 0.0) {
-                        leaf.2 *= 2.0;
+                    if let Some(leaf) = dv.revealed.iter_mut().find(|l| l.weight > 0.0) {
+                        leaf.weight *= 2.0;
                         return true;
                     }
                 }
@@ -398,8 +412,106 @@ impl Attack {
                 dv.doc -= 1;
                 true
             }
+            Attack::SwapBoundingPair => {
+                let keys = query_keys(response);
+                response.vo.docs.iter_mut().any(|dv| {
+                    let Some(i) = bounding_pair(&dv.revealed, &keys) else {
+                        return false;
+                    };
+                    let (lower, upper) = (dv.revealed[i], dv.revealed[i + 1]);
+                    dv.revealed[i] = DocLeaf {
+                        pos: lower.pos,
+                        ..upper
+                    };
+                    dv.revealed[i + 1] = DocLeaf {
+                        pos: upper.pos,
+                        ..lower
+                    };
+                    true
+                })
+            }
+            Attack::ForgeBoundingClass => {
+                let keys = query_keys(response);
+                response.vo.docs.iter_mut().any(|dv| {
+                    let Some(i) = bounding_pair(&dv.revealed, &keys) else {
+                        return false;
+                    };
+                    // Either leaf of the pair, to any other class that
+                    // keeps its key strictly between its neighbours'.
+                    for at in [i, i + 1] {
+                        let below = at.checked_sub(1).map(|j| dv.revealed[j].key());
+                        let above = dv.revealed.get(at + 1).map(DocLeaf::key);
+                        let leaf = dv.revealed[at];
+                        let forged = (1..=32u8).filter(|&c| c != leaf.class).find(|&c| {
+                            let key = DocLeaf { class: c, ..leaf }.key();
+                            below.is_none_or(|b| b < key) && above.is_none_or(|a| key < a)
+                        });
+                        if let Some(class) = forged {
+                            dv.revealed[at].class = class;
+                            return true;
+                        }
+                    }
+                    false
+                })
+            }
         }
     }
+}
+
+/// Each query term's leaf key, from the `f_t` its term proof claims.
+fn query_keys(response: &QueryResponse) -> Vec<u64> {
+    response.vo.terms.iter().map(TermVo::leaf_key).collect()
+}
+
+/// The index `i` of the first bounding pair among `revealed`:
+/// `revealed[i]` and `revealed[i + 1]` sit at adjacent positions and
+/// their keys bound one of `keys`.
+fn bounding_pair(revealed: &[DocLeaf], keys: &[u64]) -> Option<usize> {
+    revealed.windows(2).position(|pair| {
+        let (l, u) = (pair[0], pair[1]);
+        u.pos == l.pos + 1 && keys.iter().any(|&k| l.key() < k && k < u.key())
+    })
+}
+
+/// TRA: a query term present in a result document, claimed absent. The
+/// engine withholds the term's leaf and reveals the leaves on either
+/// side of it instead, with an honest proof for that reveal: a pair
+/// whose keys bound the term's, but not at adjacent positions. A result
+/// document's every query-term weight is read by both query modes'
+/// replays. Returns `None` when no result document has a revealed
+/// query-term leaf with neighbours on both sides.
+pub fn absent_through_gap_response(
+    honest: &QueryResponse,
+    auth: &AuthenticatedIndex,
+) -> Option<QueryResponse> {
+    let keys = query_keys(honest);
+    let result = honest.result.docs();
+    for (i, dv) in honest.vo.docs.iter().enumerate() {
+        if !result.contains(&dv.doc) {
+            continue;
+        }
+        let n = dv.num_leaves;
+        let Some(hidden) = dv
+            .revealed
+            .iter()
+            .find(|l| keys.contains(&l.key()) && l.pos > 0 && l.pos + 1 < n)
+        else {
+            continue;
+        };
+        let mut positions: Vec<usize> = dv
+            .revealed
+            .iter()
+            .filter(|l| l.pos != hidden.pos)
+            .map(|l| l.pos as usize)
+            .chain([hidden.pos as usize - 1, hidden.pos as usize + 1])
+            .collect();
+        positions.sort_unstable();
+        positions.dedup();
+        let mut forged = honest.clone();
+        forged.vo.docs[i] = auth.doc_vo(dv.doc, &positions, dv.content_digest.is_none());
+        return Some(forged);
+    }
+    None
 }
 
 /// The index of an **older** publication of the same collection: term
@@ -605,7 +717,7 @@ pub fn interior_as_leaf_response(
             let leaves: Vec<(usize, Digest)> = dv
                 .revealed
                 .iter()
-                .map(|&(p, t, w)| (p as usize, doc_leaf_digest(t, w)))
+                .map(|l| (l.pos as usize, l.digest()))
                 .collect();
             parent_in_leaf_slot(dv.num_leaves as usize, &leaves, &mut dv.proof)
         }),
@@ -772,11 +884,12 @@ mod tests {
             .chain(&Attack::TRA_ONLY)
             .chain(&Attack::CONJUNCTIVE)
             .chain(&Attack::DOC_TABLE)
+            .chain(&Attack::DOC_KEY)
             .map(|a| a.name())
             .collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 20);
+        assert_eq!(names.len(), 22);
     }
 
     #[test]

@@ -247,16 +247,11 @@ mod tests {
 
     #[test]
     fn doc_structures_match_fresh_builds() {
-        use super::super::{doc_leaf_digest, doc_table_leaf};
+        use super::super::{doc_leaf_digests, doc_table_leaf};
         use authsearch_corpus::DocId;
         let auth = test_auth(Mechanism::TraCmht);
         for d in 0..auth.index().num_docs() as DocId {
-            let leaves: Vec<Digest> = auth
-                .doc_table()
-                .doc_terms(d)
-                .iter()
-                .map(|&(t, w)| doc_leaf_digest(t, w))
-                .collect();
+            let leaves = doc_leaf_digests(auth.doc_table(), d);
             let resident = &auth.cache.doc_levels[d as usize];
             assert_eq!(**resident, *interior_levels(&leaves), "doc {d}");
             if !leaves.is_empty() {

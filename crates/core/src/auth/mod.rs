@@ -6,7 +6,8 @@
 //! * the §3.4 **dictionary-MHT** over every term's root (head) digest,
 //!   leaf `t` binding term `t`, its `f_t` and that root;
 //! * for the TRA mechanisms, a **document-MHT** over every document's
-//!   `(t, w_{d,t})` leaves, its root bound to the document id and the
+//!   `(t, w_{d,t}, c_t)` leaves in `(c_t descending, t)` order
+//!   ([`crate::types::leaf_key`]), its root bound to the document id and the
 //!   digest of the document's content by `doc_message` — and one
 //!   **document-table MHT** over those messages' digests, in doc-id
 //!   order;
@@ -241,37 +242,44 @@ pub(crate) fn term_leaves(mechanism: Mechanism, list: &InvertedList) -> Vec<Dige
         .collect()
 }
 
-/// Encoding of one document-MHT leaf: `(t, w_{d,t})`, 8 bytes.
-pub(crate) fn doc_leaf_bytes(term: TermId, weight: f32) -> [u8; 8] {
-    let mut out = [0u8; 8];
+/// Encoding of one document-MHT leaf: `t | w_{d,t} | c_t`, 9 bytes, so
+/// a leaf binds the class its position in the key order depends on.
+pub(crate) fn doc_leaf_bytes(term: TermId, weight: f32, class: u8) -> [u8; 9] {
+    let mut out = [0u8; 9];
     out[..4].copy_from_slice(&term.to_le_bytes());
-    out[4..].copy_from_slice(&weight.to_bits().to_le_bytes());
+    out[4..8].copy_from_slice(&weight.to_bits().to_le_bytes());
+    out[8] = class;
     out
 }
 
 /// Digest of one document-MHT leaf.
-pub(crate) fn doc_leaf_digest(term: TermId, weight: f32) -> Digest {
-    Digest::leaf(&doc_leaf_bytes(term, weight))
+pub(crate) fn doc_leaf_digest(term: TermId, weight: f32, class: u8) -> Digest {
+    Digest::leaf(&doc_leaf_bytes(term, weight, class))
 }
 
-/// Document-MHT root over `(t, w)` leaves; documents with no indexed
-/// terms get a distinguished constant.
-pub(crate) fn doc_root(doc_terms: &[(TermId, f32)]) -> Digest {
-    doc_mht(doc_terms).0
+/// Document `d`'s leaf digests, in key order.
+pub(crate) fn doc_leaf_digests(table: &DocTable, d: DocId) -> Vec<Digest> {
+    table
+        .doc_leaves(d)
+        .map(|(t, w, class)| doc_leaf_digest(t, w, class))
+        .collect()
 }
 
-/// Document-MHT root and interior levels
-/// ([`authsearch_crypto::merkle::interior_levels`]) over `(t, w)` leaves:
+/// The document-MHT root of a document with no indexed terms: a
+/// distinguished constant.
+pub(crate) fn empty_doc_root() -> Digest {
+    Digest::hash(b"authsearch:empty-doc-mht:v1")
+}
+
+/// Document `d`'s MHT root and interior levels
+/// ([`authsearch_crypto::merkle::interior_levels`]) over its leaves:
 /// one fold yields both, so keeping the levels costs no extra hashing.
-pub(crate) fn doc_mht(doc_terms: &[(TermId, f32)]) -> (Digest, Box<[Digest]>) {
-    let leaves: Vec<Digest> = doc_terms
-        .iter()
-        .map(|&(t, w)| doc_leaf_digest(t, w))
-        .collect();
+pub(crate) fn doc_mht(table: &DocTable, d: DocId) -> (Digest, Box<[Digest]>) {
+    let leaves = doc_leaf_digests(table, d);
     let interior = interior_levels(&leaves);
     let root = match (interior.last(), leaves.first()) {
         (Some(&root), _) | (None, Some(&root)) => root,
-        (None, None) => Digest::hash(b"authsearch:empty-doc-mht:v1"),
+        (None, None) => empty_doc_root(),
     };
     (root, interior.into_boxed_slice())
 }
@@ -281,7 +289,7 @@ pub(crate) fn doc_mht(doc_terms: &[(TermId, f32)]) -> (Digest, Box<[Digest]>) {
 /// source of document proofs ([`cache::ServeCache::doc_levels`]).
 fn doc_mhts(threads: usize, doc_table: &DocTable) -> (Vec<Digest>, Vec<Box<[Digest]>>) {
     pool::map(threads, doc_table.num_docs(), |d| {
-        doc_mht(doc_table.doc_terms(d as DocId))
+        doc_mht(doc_table, d as DocId)
     })
     .into_iter()
     .unzip()
@@ -734,7 +742,7 @@ mod tests {
         assert_eq!(tree.num_leaves(), 9);
         // Leaf d is the leaf digest of document d's message.
         let d = 6u32;
-        let root = doc_root(auth.doc_table().doc_terms(d));
+        let root = doc_mht(auth.doc_table(), d).0;
         let msg = doc_message(d, &auth.doc_content_digests[d as usize], &root);
         assert_eq!(tree.leaf_digests()[d as usize], Digest::leaf(&msg));
         // The one signature binds the table root through the manifest.
@@ -813,7 +821,8 @@ mod tests {
     /// function, every tree folded level by level with `h(0x00 | leaf)`
     /// leaves and `h(0x01 | l | r)` interior nodes — which, with the
     /// prefixes dropped, reproduces the digests pinned before domain
-    /// separation.
+    /// separation. The document-table root folds document-MHTs of
+    /// `t | w_{d,t} | c_t` leaves in `(c_t descending, t)` order.
     #[test]
     fn golden_roots_are_byte_stable() {
         // (mechanism, term 0 root/head, term 15 root/head, dictionary
@@ -824,14 +833,14 @@ mod tests {
                 "b0b26bc74921ecfff713a2f2301974f1",
                 "bef7cb5358a6d9eaa66e6b7f5c15ac96",
                 "66dfd7d54b6363904e418f57eff89089",
-                Some("062d5987ef8a747bfc767a748bbdeb1b"),
+                Some("d90f5cce870a118b2584d4f752db3bba"),
             ),
             (
                 Mechanism::TraCmht,
                 "b0b26bc74921ecfff713a2f2301974f1",
                 "edcff7fa707dc603332c1b4828752710",
                 "f9a005a35f5bf265ceee0b65ada9efa1",
-                Some("062d5987ef8a747bfc767a748bbdeb1b"),
+                Some("d90f5cce870a118b2584d4f752db3bba"),
             ),
             (
                 Mechanism::TnraMht,
@@ -918,9 +927,10 @@ mod tests {
     #[test]
     fn empty_doc_has_stable_root() {
         // Doc 0 of the toy collection has no terms.
-        let root = doc_root(&[]);
-        assert_eq!(root, doc_root(&[]));
-        assert_ne!(root, doc_root(&[(1, 0.5)]));
+        let table = DocTable::from_index(&toy_index());
+        assert_eq!(table.num_leaves(0), 0);
+        assert_eq!(doc_mht(&table, 0).0, empty_doc_root());
+        assert_ne!(empty_doc_root(), doc_leaf_digest(1, 0.5, 1));
     }
 
     #[test]
@@ -1061,7 +1071,9 @@ mod tests {
 
     #[test]
     fn leaf_encodings_are_canonical() {
-        assert_eq!(doc_leaf_bytes(1, 0.159).len(), 8);
+        // One SHA-256 block with the leaf domain byte; the class is bound.
+        assert_eq!(doc_leaf_bytes(1, 0.159, 3).len(), 9);
+        assert_ne!(doc_leaf_digest(1, 0.159, 3), doc_leaf_digest(1, 0.159, 4));
         assert_ne!(tra_leaf_digest(1), tra_leaf_digest(2));
         let e1 = ImpactEntry {
             doc: 1,

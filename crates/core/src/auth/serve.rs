@@ -18,11 +18,13 @@
 //! are byte-identical at every width.
 
 use super::cache::TermStructure;
-use super::{doc_leaf_digest, term_leaf, AuthenticatedIndex, ContentProvider};
+use super::{term_leaf, AuthenticatedIndex, ContentProvider};
 use crate::access::{IndexLists, TableFreqs};
 use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix};
 use crate::types::{ProcessingOutcome, Query, QueryError, QueryMode, QueryResult};
-use crate::vo::{DictVo, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject};
+use crate::vo::{
+    DictVo, DocLeaf, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject,
+};
 use crate::{pool, tnra, tra, wire};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::merkle::{self, prove_from_interior};
@@ -238,7 +240,7 @@ impl AuthenticatedIndex {
         // ships its content digest.
         let doc_bytes = |d: DocId| {
             let positions = self.doc_positions(d, query);
-            let n = self.doc_table.doc_terms(d).len();
+            let n = self.doc_table.num_leaves(d);
             wire::doc_proof_len(positions.len(), merkle::proof_len(n, &positions), true)
         };
         let table_bytes = |docs: &[DocId]| {
@@ -437,22 +439,21 @@ impl AuthenticatedIndex {
     }
 
     /// The leaves of document `d`'s MHT a VO reveals for `query`: each
-    /// query term's leaf where it occurs, the pair of leaves bounding it
-    /// where it does not, rounded up to whole buddy groups.
+    /// query term's leaf where it occurs, the pair of leaves bounding its
+    /// key where it does not, rounded up to whole buddy groups.
     fn doc_positions(&self, d: DocId, query: &Query) -> Vec<usize> {
-        let leaves = self.doc_table.doc_terms(d);
-        let n = leaves.len();
+        let n = self.doc_table.num_leaves(d);
 
         // Required positions: query terms present, boundary pairs for
         // absent query terms.
         let mut required: Vec<usize> = Vec::with_capacity(2 * query.terms().len());
         for qt in query.terms() {
-            match leaves.binary_search_by_key(&qt.term, |&(t, _)| t) {
+            match self.doc_table.position(d, qt.term) {
                 Ok(p) => required.push(p),
                 Err(p) => {
                     // Bounding leaves prove the gap (paper §3.3.1: "the
                     // pair of consecutive terms that bound the query
-                    // term").
+                    // term", consecutive in key order).
                     if p > 0 {
                         required.push(p - 1);
                     }
@@ -474,33 +475,41 @@ impl AuthenticatedIndex {
     /// Build one document's VO entry (TRA) and the I/O of its random
     /// fetch.
     fn build_doc_vo(&self, d: DocId, query: &Query, in_result: bool) -> (DocVo, IoStats) {
-        let leaves = self.doc_table.doc_terms(d);
-        let n = leaves.len();
-        let positions = self.doc_positions(d, query);
+        let dv = self.doc_vo(d, &self.doc_positions(d, query), in_result);
+        // Random fetch: the document-MHT spans its `(t, w)` leaves plus
+        // the stored root (the document table stays resident; `c_t` is
+        // the dictionary's `f_t`, not stored per leaf).
+        let mht_bytes = dv.num_leaves as usize * 8 + 16;
+        let mut fetch = IoStats::new();
+        fetch.random_access(self.config.layout.blocks_for_bytes(mht_bytes) as u64);
+        (dv, fetch)
+    }
 
-        let revealed: Vec<(u32, TermId, f32)> = positions
-            .iter()
-            .map(|&p| (p as u32, leaves[p].0, leaves[p].1))
-            .collect();
+    /// Document `d`'s VO entry revealing the leaves at `positions`
+    /// (ascending).
+    pub(crate) fn doc_vo(&self, d: DocId, positions: &[usize], in_result: bool) -> DocVo {
+        let table = &self.doc_table;
+        let n = table.num_leaves(d);
+        let leaf_at = |p: usize| {
+            let (term, weight, class) = table.leaf(d, p);
+            DocLeaf {
+                // A `DocTable` row has fewer than 2^32 leaves (u32 offsets).
+                pos: u32::try_from(p).expect("position within a DocTable row"),
+                term,
+                weight,
+                class,
+            }
+        };
+        let revealed: Vec<DocLeaf> = positions.iter().map(|&p| leaf_at(p)).collect();
         // Resident levels: the proof rehashes only the unrevealed sibling
         // leaves it needs.
-        let leaf = |i: usize| {
-            let (t, w) = leaves[i];
-            doc_leaf_digest(t, w)
-        };
         let proof = if n == 0 {
             MerkleProof::default()
         } else {
-            prove_from_interior(n, &self.cache.doc_levels[d as usize], &positions, leaf)
+            let leaf = |p: usize| leaf_at(p).digest();
+            prove_from_interior(n, &self.cache.doc_levels[d as usize], positions, leaf)
         };
-
-        // Random fetch: the document-MHT spans its leaves plus the stored
-        // root (the document table stays resident).
-        let mht_bytes = n * 8 + 16;
-        let mut fetch = IoStats::new();
-        fetch.random_access(self.config.layout.blocks_for_bytes(mht_bytes) as u64);
-
-        let dv = DocVo {
+        DocVo {
             doc: d,
             num_leaves: n as u32,
             revealed,
@@ -510,8 +519,7 @@ impl AuthenticatedIndex {
             } else {
                 Some(self.doc_content_digests[d as usize])
             },
-        };
-        (dv, fetch)
+        }
     }
 }
 
@@ -522,7 +530,6 @@ mod tests {
     use crate::toy::{toy_contents, toy_index, toy_query};
     use crate::vo::Mechanism;
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
-    use authsearch_crypto::Digest;
 
     fn conjunctive_toy_query() -> Query {
         toy_query().with_mode(QueryMode::Conjunctive)
@@ -639,7 +646,7 @@ mod tests {
         vo: &VerificationObject,
         what: &str,
     ) {
-        use crate::auth::{dict_leaf_digest, term_leaves};
+        use crate::auth::{dict_leaf_digest, doc_leaf_digests, term_leaves};
         let config = auth.config();
         for tv in &vo.terms {
             let list = auth.index().list(tv.term);
@@ -654,16 +661,11 @@ mod tests {
             assert_eq!(tv.proof, fresh, "{what}: term {}", tv.term);
         }
         for dv in &vo.docs {
-            let leaves: Vec<Digest> = auth
-                .doc_table()
-                .doc_terms(dv.doc)
-                .iter()
-                .map(|&(t, w)| doc_leaf_digest(t, w))
-                .collect();
+            let leaves = doc_leaf_digests(auth.doc_table(), dv.doc);
             let fresh = if leaves.is_empty() {
                 MerkleProof::default()
             } else {
-                let positions: Vec<usize> = dv.revealed.iter().map(|&(p, ..)| p as usize).collect();
+                let positions: Vec<usize> = dv.revealed.iter().map(|l| l.pos as usize).collect();
                 MerkleTree::from_leaf_digests(leaves).prove(&positions)
             };
             assert_eq!(dv.proof, fresh, "{what}: doc {}", dv.doc);

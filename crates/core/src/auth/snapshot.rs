@@ -19,14 +19,16 @@
 //! |--------|---------|
 //! | `ACFG` | artifact identity: mechanism, buddy, block layout |
 //! | `ASIX` | the inverted index (the v1 `ASIX` record, re-framed as a checksummed section) |
-//! | `ASA4` | the authentication artifact: the documents' content digests (TRA only), the one manifest signature, the owner's public key |
+//! | `ASA5` | the authentication artifact: the documents' content digests (TRA only), the one manifest signature, the owner's public key |
 //!
 //! The snapshot stores only what boot cannot recompute: every root,
 //! tree and the manifest itself are refolded from the index and the
 //! content digests by the fold the owner's build runs
 //! (`super::fold`). The authentication section's tag carries its
-//! layout version. `ASA4` replaced `ASA3` (the same signature, plus
-//! every term root and document-MHT root), which replaced `ASA2` (one
+//! layout version. `ASA5` replaced `ASA4` (the same fields, signed over
+//! document-MHTs whose leaves were in term-id order), which replaced
+//! `ASA3` (the same signature, plus every term root and document-MHT
+//! root), which replaced `ASA2` (one
 //! signature per term plus one for the document table) and `ASAU` (one
 //! signature per term and per document). A snapshot with any older
 //! section is [`PersistError::Stale`].
@@ -76,14 +78,17 @@ use std::path::Path;
 pub const TAG_CONFIG: SectionTag = *b"ACFG";
 /// The inverted-index section (the v1 `ASIX` record as a section).
 pub const TAG_INDEX: SectionTag = *b"ASIX";
-/// The authentication-artifact section (layout 4: content digests, one
-/// manifest signature and the key; every root is refolded at boot).
-pub const TAG_AUTH: SectionTag = *b"ASA4";
+/// The authentication-artifact section (layout 5: content digests, one
+/// manifest signature and the key; every root is refolded at boot, over
+/// document-MHTs in `(c_t descending, t)` leaf order).
+pub const TAG_AUTH: SectionTag = *b"ASA5";
 /// Earlier authentication sections, each stale: layout 1 (`ASAU`, one
 /// signature per term and per document), layout 2 (`ASA2`, one per term
-/// plus one for the document table) and layout 3 (`ASA3`, one manifest
-/// signature beside every term and document-MHT root).
-const TAG_AUTH_STALE: [SectionTag; 3] = [*b"ASAU", *b"ASA2", *b"ASA3"];
+/// plus one for the document table), layout 3 (`ASA3`, one manifest
+/// signature beside every term and document-MHT root) and layout 4
+/// (`ASA4`, layout 5's fields, signed over document-MHTs in term-id
+/// order: its signature would fail the refold).
+const TAG_AUTH_STALE: [SectionTag; 4] = [*b"ASAU", *b"ASA2", *b"ASA3", *b"ASA4"];
 
 fn corrupt(why: impl Into<String>) -> PersistError {
     PersistError::Corrupt(why.into())
@@ -141,7 +146,7 @@ fn encode_auth(auth: &AuthenticatedIndex) -> Result<Vec<u8>, PersistError> {
     }
     let key = auth.public_key.to_bytes();
     for bytes in [auth.signature.as_slice(), key.as_slice()] {
-        let len = u32::try_from(bytes.len()).map_err(|_| corrupt("ASA4 field exceeds u32"))?;
+        let len = u32::try_from(bytes.len()).map_err(|_| corrupt("ASA5 field exceeds u32"))?;
         let _ = put_u32(&mut buf, len);
         buf.extend_from_slice(bytes);
     }
@@ -152,7 +157,7 @@ fn encode_auth(auth: &AuthenticatedIndex) -> Result<Vec<u8>, PersistError> {
 fn get_field<'a>(r: &mut SectionReader<'a>, what: &str) -> Result<&'a [u8], PersistError> {
     let len = r.u32()? as usize;
     if len == 0 || len > r.remaining() {
-        return Err(corrupt(format!("ASA4: {what} length forged")));
+        return Err(corrupt(format!("ASA5: {what} length forged")));
     }
     r.bytes(len)
 }
@@ -160,19 +165,19 @@ fn get_field<'a>(r: &mut SectionReader<'a>, what: &str) -> Result<&'a [u8], Pers
 /// The authentication section: the content digests, the signature and
 /// the public key.
 fn decode_auth(payload: &[u8]) -> Result<(Vec<Digest>, Vec<u8>, RsaPublicKey), PersistError> {
-    let mut r = SectionReader::new(payload, "ASA4");
+    let mut r = SectionReader::new(payload, "ASA5");
     let claimed = r.u64()?;
     let n = r.checked_count(claimed, DIGEST_LEN, "content digest")?;
     let mut content_digests = Vec::with_capacity(n.min(persist::PREALLOC_CLAMP));
     for _ in 0..n {
         content_digests.push(
             Digest::from_slice(r.bytes(DIGEST_LEN)?)
-                .ok_or_else(|| corrupt("ASA4: malformed content digest"))?,
+                .ok_or_else(|| corrupt("ASA5: malformed content digest"))?,
         );
     }
     let signature = get_field(&mut r, "signature")?.to_vec();
     let public_key = RsaPublicKey::from_bytes(get_field(&mut r, "public-key")?)
-        .ok_or_else(|| corrupt("ASA4: public key fails to parse"))?;
+        .ok_or_else(|| corrupt("ASA5: public key fails to parse"))?;
     r.finish()?;
     Ok((content_digests, signature, public_key))
 }
@@ -426,7 +431,7 @@ mod tests {
         let path = temp_path("tampered.snap");
         auth.save_snapshot(&path).unwrap();
         let mut bytes = fs::read(&path).unwrap();
-        // Flip one bit near the end (inside the ASA4 section payload).
+        // Flip one bit near the end (inside the ASA5 section payload).
         let at = bytes.len() - 40;
         bytes[at] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
@@ -685,8 +690,9 @@ mod tests {
     #[test]
     fn per_document_signature_snapshot_is_stale() {
         // Every earlier layout — per-document signatures (ASAU),
-        // per-term signatures (ASA2) and stored roots (ASA3) — boots as a
-        // typed Stale naming the section and the layout this build reads.
+        // per-term signatures (ASA2), stored roots (ASA3) and term-id
+        // ordered document-MHTs (ASA4) — boots as a typed Stale naming
+        // the section and the layout this build reads.
         let auth = test_auth(Mechanism::TraCmht);
         for tag in TAG_AUTH_STALE {
             let name = String::from_utf8_lossy(&tag).into_owned();
@@ -701,7 +707,7 @@ mod tests {
                     why,
                     format!(
                         "snapshot holds the older authentication section {name}; \
-                         this build reads ASA4"
+                         this build reads ASA5"
                     )
                 ),
                 other => panic!("{name}: expected Stale, got {other:?}"),

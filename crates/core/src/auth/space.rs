@@ -94,8 +94,10 @@ impl AuthenticatedIndex {
 
         let n = index.num_docs() as u64;
         let (doc_auth_bytes, paper_doc_sigs) = if self.config.mechanism.is_tra() {
+            // A stored leaf is `(t, w)`; the `c_t` its digest binds is
+            // the dictionary's `f_t`, not stored per leaf.
             let leaf_bytes: u64 = (0..index.num_docs() as u32)
-                .map(|d| self.doc_table.doc_terms(d).len() as u64 * 8)
+                .map(|d| self.doc_table.num_leaves(d) as u64 * 8)
                 .sum();
             (leaf_bytes + n * 16, n)
         } else {
@@ -201,7 +203,7 @@ mod tests {
         let tra = test_auth(Mechanism::TraMht);
         let tnra = test_auth(Mechanism::TnraMht);
         let levels: u64 = (0..tra.index().num_docs() as u32)
-            .map(|d| interior_len(tra.doc_table().doc_terms(d).len()) as u64)
+            .map(|d| interior_len(tra.doc_table().num_leaves(d)) as u64)
             .sum();
         let want = levels * DIGEST_LEN as u64;
         assert!(want > 0);
@@ -230,7 +232,7 @@ mod tests {
                 .sum();
             let docs: usize = (0..index.num_docs() as u32)
                 .filter(|_| mechanism.is_tra())
-                .map(|d| interior_len(auth.doc_table().doc_terms(d).len()))
+                .map(|d| interior_len(auth.doc_table().num_leaves(d)))
                 .sum();
             let dict = m + interior_len(m);
             let want = ((terms + docs + dict) * DIGEST_LEN) as u64;

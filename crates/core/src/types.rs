@@ -299,51 +299,133 @@ pub struct ProcessingOutcome {
     pub iterations: usize,
 }
 
-/// Document-side frequency table: for every document, its `(t, w_{d,t})`
-/// pairs in ascending term order — precisely the leaf layer of the
-/// document-MHTs (Figure 8), and the engine's random-access source in TRA.
+/// `c_t`, the frequency class of a term that occurs in `f_t` documents:
+/// the bit length of `f_t` (1 for `f_t = 1`, 2 for 2–3, 3 for 4–7, …).
+/// Document-MHT leaves are ordered by it ([`leaf_key`]).
+pub fn freq_class(ft: u32) -> u8 {
+    // At most 32, so the narrowing is exact.
+    (u32::BITS - ft.leading_zeros()) as u8
+}
+
+/// The sort key of a document-MHT leaf for term `t` of class `c_t`:
+/// `(c_t descending, t ascending)` as one integer. Every document's
+/// leaves are in strictly ascending key order, so a document's common
+/// terms sit together at the front of its tree.
+pub fn leaf_key(class: u8, term: TermId) -> u64 {
+    (u64::from(u8::MAX - class) << 32) | u64::from(term)
+}
+
+/// Document-side frequency table: for every document, its
+/// `(t, w_{d,t}, c_t)` leaves in [`leaf_key`] order — precisely the leaf layer of the
+/// document-MHTs (Figure 8, with the leaves ordered by frequency class
+/// rather than by term), and the engine's random-access source in TRA.
 ///
 /// Built by *transposing the inverted index*, which guarantees the
 /// invariant the correctness criteria rely on: the frequency vector
 /// `freq(d|Q)` a document-MHT certifies is identical to what the inverted
-/// lists contain.
+/// lists contain. All documents' leaves sit in one flat array, document
+/// `d`'s at `offsets[d]..offsets[d + 1]`, each as a `(rank, w_{d,t})`
+/// pair: the rank is the term's place in key order over the whole
+/// dictionary, so a lookup compares ranks alone.
 #[derive(Debug, Clone)]
 pub struct DocTable {
-    per_doc: Vec<Vec<(TermId, f32)>>,
+    /// `(rank of t, w_{d,t})` for every posting, grouped by document.
+    leaves: Vec<(u32, f32)>,
+    offsets: Vec<u32>,
+    /// `(t, c_t)` of each rank: the dictionary in key order.
+    by_rank: Vec<(TermId, u8)>,
+    /// The rank of each term.
+    ranks: Vec<u32>,
 }
 
 impl DocTable {
-    /// Transpose an index into its per-document view.
+    /// Transpose an index into its per-document view: count each
+    /// document's terms, then walk the lists once in key order, so that
+    /// each document's leaves come out already sorted.
+    ///
+    /// Panics if the index holds `2^32` postings or more.
     pub fn from_index(index: &InvertedIndex) -> DocTable {
-        let mut per_doc: Vec<Vec<(TermId, f32)>> = vec![Vec::new(); index.num_docs()];
-        for t in 0..index.num_terms() as TermId {
+        let m = index.num_terms() as TermId;
+        let mut by_rank: Vec<(TermId, u8)> = (0..m).map(|t| (t, freq_class(index.ft(t)))).collect();
+        by_rank.sort_unstable_by_key(|&(t, class)| leaf_key(class, t));
+        let mut ranks = vec![0; by_rank.len()];
+        for (rank, &(t, _)) in (0..).zip(&by_rank) {
+            ranks[t as usize] = rank;
+        }
+        let mut offsets = vec![0u32; index.num_docs() + 1];
+        for t in 0..m {
             for e in index.list(t).entries() {
-                per_doc[e.doc as usize].push((t, e.weight));
+                offsets[e.doc as usize + 1] += 1;
             }
         }
-        // Lists are walked in ascending term order, so each per-doc vector
-        // is already sorted by term id.
-        debug_assert!(per_doc
-            .iter()
-            .all(|v| v.windows(2).all(|w| w[0].0 < w[1].0)));
-        DocTable { per_doc }
+        let mut total = 0u32;
+        for o in &mut offsets {
+            total = total.checked_add(*o).expect("fewer than 2^32 postings");
+            *o = total;
+        }
+        let mut next: Vec<u32> = offsets[..offsets.len() - 1].to_vec();
+        let mut leaves = vec![(0, 0.0); total as usize];
+        for (rank, &(t, _)) in (0..).zip(&by_rank) {
+            for e in index.list(t).entries() {
+                let at = &mut next[e.doc as usize];
+                leaves[*at as usize] = (rank, e.weight);
+                *at += 1;
+            }
+        }
+        DocTable {
+            leaves,
+            offsets,
+            by_rank,
+            ranks,
+        }
     }
 
     /// Number of documents.
     pub fn num_docs(&self) -> usize {
-        self.per_doc.len()
+        self.offsets.len() - 1
     }
 
-    /// The `(t, w_{d,t})` leaf layer for document `d`.
-    pub fn doc_terms(&self, d: DocId) -> &[(TermId, f32)] {
-        &self.per_doc[d as usize]
+    /// Document `d`'s `(rank, w)` pairs.
+    fn row(&self, d: DocId) -> &[(u32, f32)] {
+        let d = d as usize;
+        &self.leaves[self.offsets[d] as usize..self.offsets[d + 1] as usize]
     }
 
-    /// `w_{d,t}` (0 when `t` does not occur in `d`).
+    /// Leaves of document `d`'s MHT (its distinct terms).
+    pub fn num_leaves(&self, d: DocId) -> usize {
+        self.row(d).len()
+    }
+
+    /// The `(t, w_{d,t}, c_t)` leaf layer for document `d`, in key order.
+    pub fn doc_leaves(&self, d: DocId) -> impl ExactSizeIterator<Item = (TermId, f32, u8)> + '_ {
+        self.row(d).iter().map(|&pair| self.unrank(pair))
+    }
+
+    /// The `(t, w_{d,t}, c_t)` leaf at position `p` of document `d`'s MHT.
+    pub(crate) fn leaf(&self, d: DocId, p: usize) -> (TermId, f32, u8) {
+        self.unrank(self.row(d)[p])
+    }
+
+    fn unrank(&self, (rank, w): (u32, f32)) -> (TermId, f32, u8) {
+        let (t, class) = self.by_rank[rank as usize];
+        (t, w, class)
+    }
+
+    /// The position of term `t`'s leaf in document `d`'s MHT, or, when
+    /// `t` does not occur in `d`, the position its key would take.
+    pub(crate) fn position(&self, d: DocId, t: TermId) -> Result<usize, usize> {
+        let rank = self.ranks[t as usize];
+        self.row(d).binary_search_by_key(&rank, |&(r, _)| r)
+    }
+
+    /// `w_{d,t}` (0 when `t` does not occur in `d`, or is not a term of
+    /// the index).
     pub fn weight(&self, d: DocId, t: TermId) -> f32 {
-        let v = &self.per_doc[d as usize];
-        match v.binary_search_by_key(&t, |&(tt, _)| tt) {
-            Ok(i) => v[i].1,
+        if t as usize >= self.ranks.len() {
+            return 0.0;
+        }
+        match self.position(d, t) {
+            Ok(p) => self.row(d)[p].1,
             Err(_) => 0.0,
         }
     }
@@ -510,14 +592,68 @@ mod tests {
         // Absent term → 0.
         let gown = corpus.term_id("gown").unwrap();
         assert_eq!(table.weight(0, gown), 0.0);
+        // A term outside the dictionary → 0.
+        assert_eq!(table.weight(0, index.num_terms() as TermId), 0.0);
     }
 
     #[test]
     fn doc_table_terms_sorted() {
+        // Strictly ascending keys, and every posting of the index is in
+        // its document's row once.
         let (_, index) = setup();
         let table = DocTable::from_index(&index);
+        let mut postings = 0;
         for d in 0..table.num_docs() as DocId {
-            assert!(table.doc_terms(d).windows(2).all(|w| w[0].0 < w[1].0));
+            let keys: Vec<u64> = table
+                .doc_leaves(d)
+                .map(|(t, _, c)| leaf_key(c, t))
+                .collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "doc {d}");
+            postings += keys.len();
         }
+        let lists: usize = (0..index.num_terms() as TermId)
+            .map(|t| index.list(t).len())
+            .sum();
+        assert_eq!(postings, lists);
+    }
+
+    #[test]
+    fn document_mht_leaves_are_in_key_order() {
+        // Every document of a seeded corpus: each leaf's c_t is its
+        // term's, c_t never rises across the leaves, and within a class
+        // term ids ascend.
+        let corpus = authsearch_corpus::SyntheticConfig::tiny(300, 19).generate();
+        let index = build_index(&corpus, OkapiParams::default());
+        let table = DocTable::from_index(&index);
+        let mut class_steps = 0;
+        for d in 0..table.num_docs() as DocId {
+            let leaves: Vec<(TermId, f32, u8)> = table.doc_leaves(d).collect();
+            for pair in leaves.windows(2) {
+                let [(a, ..), (b, ..)] = pair else { continue };
+                let (ca, cb) = (freq_class(index.ft(*a)), freq_class(index.ft(*b)));
+                assert!(ca >= cb, "doc {d}: c_t rises {ca} → {cb}");
+                assert!(ca > cb || a < b, "doc {d}: terms {a}, {b} in class {ca}");
+                class_steps += usize::from(ca > cb);
+            }
+            for (p, &(t, w, c)) in leaves.iter().enumerate() {
+                assert_eq!(c, freq_class(index.ft(t)), "doc {d} term {t}");
+                assert_eq!(table.weight(d, t), w, "doc {d} term {t}");
+                assert_eq!(table.position(d, t), Ok(p), "doc {d} term {t}");
+            }
+        }
+        // The order is not term-id order on this corpus.
+        assert!(class_steps > 0);
+    }
+
+    #[test]
+    fn freq_class_is_the_bit_length_of_ft() {
+        let classes: Vec<u8> = [1, 2, 3, 4, 7, 8, 1000, u32::MAX]
+            .into_iter()
+            .map(freq_class)
+            .collect();
+        assert_eq!(classes, [1, 2, 2, 3, 3, 4, 10, 32]);
+        // A higher class sorts first; a class ties by term id.
+        assert!(leaf_key(4, 900) < leaf_key(3, 2));
+        assert!(leaf_key(3, 2) < leaf_key(3, 5));
     }
 }

@@ -2,15 +2,26 @@
 //!
 //! For every encountered document the VO carries a [`crate::vo::DocVo`].
 //! This module authenticates each one — reconstructing the document-MHT
-//! root from the revealed `(t, w)` leaves and hashing it, the document id
-//! and the digest of the document's content into that document's leaf of
-//! the document table, whose root the owner's manifest signs — and then
-//! resolves, for every
-//! (document, query term) pair, either the certified weight or a *proven
-//! absence* (weight 0), established by a revealed pair of
-//! position-adjacent leaves whose terms bound the query term (paper
-//! §3.3.1), or by a revealed first/last leaf for query terms outside the
-//! document's term range.
+//! root from the revealed `(t, w_{d,t}, c_t)` leaves and hashing it, the
+//! document id and the digest of the document's content into that
+//! document's leaf of the document table, whose root the owner's
+//! manifest signs — and then resolves, for every (document, query term)
+//! pair, either the certified weight or a *proven absence* (weight 0).
+//!
+//! ## Leaves in key order
+//!
+//! The owner orders each document's leaves by the key `(c_t descending,
+//! t)` ([`crate::types::leaf_key`]), where `c_t` is the bit length of the
+//! term's `f_t`, so a document's common terms share the front of its
+//! tree. Every leaf binds its `c_t`, and the verifier computes each query
+//! term's key from the `f_t` its dictionary proof authenticates. An
+//! absence is then a revealed pair of position-adjacent leaves whose keys
+//! bound the query term's key (the paper's "pair of consecutive terms
+//! that bound the query term", §3.3.1, consecutive in key order), or a
+//! revealed first/last leaf for keys outside the document's range. Any
+//! order the verifier can compute for its query terms serves; a forged
+//! `f_t` moves the dictionary root, and a forged `c_t` the document root,
+//! so both fail the manifest signature.
 //!
 //! ## Why one document-table proof is as strong as a signature per document
 //!
@@ -30,10 +41,9 @@
 
 use super::{FreqMap, VerifierParams, VerifyError};
 use crate::auth::serve::QueryResponse;
-use crate::auth::{doc_leaf_digest, doc_root, doc_table_leaf};
+use crate::auth::{doc_table_leaf, empty_doc_root};
 use crate::pool::{self, DOCS_PER_THREAD};
-use crate::types::Query;
-use crate::vo::{DocVo, VerificationObject};
+use crate::vo::{DocLeaf, DocVo, TermVo, VerificationObject};
 use authsearch_corpus::DocId;
 use authsearch_crypto::{reconstruct_root, Digest};
 use std::collections::HashMap;
@@ -78,7 +88,6 @@ impl ResolvedFreqs {
 /// every width.
 pub(super) fn resolve_doc_proofs(
     params: &VerifierParams,
-    query: &Query,
     response: &QueryResponse,
     width: usize,
 ) -> Result<(ResolvedFreqs, Digest), VerifyError> {
@@ -91,6 +100,8 @@ pub(super) fn resolve_doc_proofs(
         }
     }
 
+    // The VO's terms are the query's (`check_query_shape`).
+    let terms = &response.vo.terms;
     let docs = &response.vo.docs;
     let chunks = docs.len().div_ceil(DOCS_PER_THREAD);
     let resolved = pool::map(width, chunks, |c| {
@@ -99,7 +110,7 @@ pub(super) fn resolve_doc_proofs(
         let chunk: &[DocVo] = docs.chunks(DOCS_PER_THREAD).nth(c).unwrap_or_default();
         chunk
             .iter()
-            .map(|dv| resolve_one(query, dv, &delivered, &result_docs, &mut revealed))
+            .map(|dv| resolve_one(terms, dv, &delivered, &result_docs, &mut revealed))
             .collect::<Vec<_>>()
     });
 
@@ -156,13 +167,15 @@ fn doc_table_root(
 }
 
 /// Authenticate one document proof *structurally* — reconstruct the
-/// document-MHT root and resolve per-query-term weights — and return
+/// document-MHT root and resolve the weight of each query term of
+/// `terms`, keyed by the `f_t` its dictionary leaf binds — and return
 /// the document's document-table leaf; the caller folds the leaves into
-/// the table root with the table's multi-proof. `pairs` is scratch space
-/// for the revealed leaves, reused across documents. A pure function of
-/// its inputs, so proofs can be checked in any order, on any thread.
+/// the table root with the table's multi-proof. `pairs` is scratch
+/// space for the revealed leaves, reused across documents. A pure
+/// function of its inputs, so proofs can be checked in any order, on
+/// any thread.
 fn resolve_one(
-    query: &Query,
+    terms: &[TermVo],
     dv: &DocVo,
     delivered: &HashMap<DocId, &[u8]>,
     result_docs: &[DocId],
@@ -170,19 +183,19 @@ fn resolve_one(
 ) -> Result<(Vec<Option<f32>>, Digest), VerifyError> {
     let n = dv.num_leaves as usize;
 
-    // Structural checks: positions strictly increasing, in range, terms
-    // strictly increasing (the owner sorts document-MHT leaves by term).
+    // Structural checks: positions strictly increasing, in range, keys
+    // strictly increasing (the owner sorts document-MHT leaves by key).
     if dv
         .revealed
         .windows(2)
-        .any(|pair| matches!(pair, [a, b] if a.0 >= b.0 || a.1 >= b.1))
+        .any(|pair| matches!(pair, [a, b] if a.pos >= b.pos || a.key() >= b.key()))
     {
         return Err(VerifyError::MalformedProof(format!(
             "document {}: revealed leaves not strictly ordered",
             dv.doc
         )));
     }
-    if dv.revealed.iter().any(|&(p, _, _)| p as usize >= n) {
+    if dv.revealed.iter().any(|l| l.pos as usize >= n) {
         return Err(VerifyError::MalformedProof(format!(
             "document {}: revealed position beyond leaf count",
             dv.doc
@@ -197,14 +210,10 @@ fn resolve_one(
                 dv.doc
             )));
         }
-        doc_root(&[])
+        empty_doc_root()
     } else {
         pairs.clear();
-        pairs.extend(
-            dv.revealed
-                .iter()
-                .map(|&(p, t, w)| (p as usize, doc_leaf_digest(t, w))),
-        );
+        pairs.extend(dv.revealed.iter().map(|l| (l.pos as usize, l.digest())));
         reconstruct_root(n, pairs, &dv.proof).ok_or_else(|| {
             VerifyError::MalformedProof(format!("document {}: MHT proof shape", dv.doc))
         })?
@@ -227,31 +236,25 @@ fn resolve_one(
 
     // Resolve each query term: present (revealed leaf), provably absent
     // (bounding leaves), or unproven.
-    let mut weights = Vec::with_capacity(query.terms().len());
-    for qt in query.terms() {
-        let t = qt.term;
-        let found = dv.revealed.binary_search_by_key(&t, |&(_, rt, _)| rt);
-        let w = match found {
-            Ok(i) => dv.revealed.get(i).map(|r| r.2),
+    let mut weights = Vec::with_capacity(terms.len());
+    for k in terms.iter().map(TermVo::leaf_key) {
+        let w = match dv.revealed.binary_search_by_key(&k, DocLeaf::key) {
+            Ok(i) => dv.revealed.get(i).map(|l| l.weight),
             Err(i) => {
                 // Candidate bounding pair: revealed[i-1] and revealed[i].
-                let lower = i.checked_sub(1).and_then(|j| dv.revealed.get(j).copied());
-                let upper = dv.revealed.get(i).copied();
+                let lower = i.checked_sub(1).and_then(|j| dv.revealed.get(j));
+                let upper = dv.revealed.get(i);
                 let absent = match (lower, upper) {
-                    // Adjacent positions with terms bracketing t.
-                    (Some((pl, tl, _)), Some((pu, tu, _))) => pu == pl + 1 && tl < t && t < tu,
-                    // t below the first leaf: position 0 must be revealed.
-                    (None, Some((pu, tu, _))) => pu == 0 && t < tu,
-                    // t above the last leaf: position n-1 must be revealed.
-                    (Some((pl, tl, _)), None) => pl as usize == n - 1 && tl < t,
+                    // Adjacent positions with keys bracketing k.
+                    (Some(l), Some(u)) => u.pos == l.pos + 1 && l.key() < k && k < u.key(),
+                    // k below the first leaf: position 0 must be revealed.
+                    (None, Some(u)) => u.pos == 0 && k < u.key(),
+                    // k above the last leaf: position n-1 must be revealed.
+                    (Some(l), None) => l.pos as usize == n - 1 && l.key() < k,
                     // Empty document: trivially absent.
                     (None, None) => n == 0,
                 };
-                if absent {
-                    Some(0.0)
-                } else {
-                    None
-                }
+                absent.then_some(0.0)
             }
         };
         weights.push(w);
@@ -262,10 +265,14 @@ fn resolve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacks::{doc_beyond_table_response, interior_as_leaf_response, Attack, Tree};
+    use crate::attacks::{
+        absent_through_gap_response, doc_beyond_table_response, interior_as_leaf_response, Attack,
+        Tree,
+    };
     use crate::auth::{AuthConfig, AuthenticatedIndex};
     use crate::owner::{DataOwner, Publication};
     use crate::toy::{toy_contents, toy_index, toy_query};
+    use crate::types::Query;
     use crate::vo::Mechanism;
     use authsearch_corpus::{SyntheticConfig, TermId};
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
@@ -288,7 +295,7 @@ mod tests {
     #[test]
     fn honest_doc_proofs_resolve() {
         let (resp, params) = setup();
-        let (freqs, _) = resolve_doc_proofs(&params, &toy_query(), &resp, 1).unwrap();
+        let (freqs, _) = resolve_doc_proofs(&params, &resp, 1).unwrap();
         assert_eq!(freqs.num_docs(), 4); // docs 5, 3, 6, 1
                                          // d6 contains all four query terms (Figure 8).
         for i in 0..4 {
@@ -306,8 +313,8 @@ mod tests {
         let (mut resp, params) = setup();
         // Inflate a revealed weight in doc 5's proof.
         let dv = resp.vo.docs.iter_mut().find(|d| d.doc == 5).unwrap();
-        let idx = dv.revealed.iter().position(|&(_, _, w)| w > 0.0).unwrap();
-        dv.revealed[idx].2 *= 2.0;
+        let idx = dv.revealed.iter().position(|l| l.weight > 0.0).unwrap();
+        dv.revealed[idx].weight *= 2.0;
         let err = super::super::verify(&params, &toy_query(), 2, &resp).unwrap_err();
         assert_eq!(err, VerifyError::ManifestSignature);
     }
@@ -317,7 +324,7 @@ mod tests {
         let (mut resp, params) = setup();
         let dv = &mut resp.vo.docs[0];
         dv.revealed.remove(0);
-        let err = resolve_doc_proofs(&params, &toy_query(), &resp, 1).unwrap_err();
+        let err = resolve_doc_proofs(&params, &resp, 1).unwrap_err();
         assert!(matches!(err, VerifyError::MalformedProof(_)), "{err:?}");
     }
 
@@ -325,7 +332,7 @@ mod tests {
     fn missing_result_content_rejected() {
         let (mut resp, params) = setup();
         resp.contents.remove(0);
-        let err = resolve_doc_proofs(&params, &toy_query(), &resp, 1).unwrap_err();
+        let err = resolve_doc_proofs(&params, &resp, 1).unwrap_err();
         assert!(matches!(err, VerifyError::MissingContent { .. }));
     }
 
@@ -356,11 +363,11 @@ mod tests {
 
     #[test]
     fn verdict_is_the_same_at_every_width() {
-        let (publication, query, honest) = wide_reply();
+        let (publication, _, honest) = wide_reply();
         let params = &publication.verifier_params;
         let docs = honest.vo.docs.len();
         assert!(docs >= 4 * DOCS_PER_THREAD, "{docs} document proofs");
-        let sequential = |response: &QueryResponse| resolve_doc_proofs(params, &query, response, 1);
+        let sequential = |response: &QueryResponse| resolve_doc_proofs(params, response, 1);
         assert!(sequential(&honest).is_ok());
 
         // Every catalogue attack that applies to a TRA reply, and every
@@ -370,6 +377,7 @@ mod tests {
             .iter()
             .chain(&Attack::TRA_ONLY)
             .chain(&Attack::DOC_TABLE)
+            .chain(&Attack::DOC_KEY)
             .chain(&Attack::CONJUNCTIVE);
         for &attack in catalogue {
             let mut tampered = honest.clone();
@@ -379,6 +387,8 @@ mod tests {
         }
         let beyond = doc_beyond_table_response(&honest, &publication.auth).unwrap();
         cases.push(("doc id past the table".into(), beyond));
+        let gap = absent_through_gap_response(&honest, &publication.auth).unwrap();
+        cases.push(("present term claimed absent".into(), gap));
         for tree in [Tree::DocMht, Tree::DocTable] {
             let forged = interior_as_leaf_response(&honest, &publication.auth, tree).unwrap();
             cases.push((format!("interior node as a {tree:?} leaf"), forged));
@@ -414,7 +424,7 @@ mod tests {
         for (name, response) in &cases {
             let want = sequential(response);
             for width in [2, 4] {
-                let got = resolve_doc_proofs(params, &query, response, width);
+                let got = resolve_doc_proofs(params, response, width);
                 assert_eq!(got, want, "{name} at width {width}");
             }
         }
@@ -425,7 +435,7 @@ mod tests {
         let (mut resp, params) = setup();
         let dup = resp.vo.docs[0].clone();
         resp.vo.docs.push(dup);
-        let err = resolve_doc_proofs(&params, &toy_query(), &resp, 1).unwrap_err();
+        let err = resolve_doc_proofs(&params, &resp, 1).unwrap_err();
         assert!(matches!(err, VerifyError::MalformedProof(_)));
     }
 }

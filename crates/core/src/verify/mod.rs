@@ -393,7 +393,7 @@ fn authenticate<'a>(
     let (num_terms, dict_root) = dict_root(vo, &term_roots)?;
     let (freqs, doc_table_root) = if params.mechanism.is_tra() {
         let width = pool::doc_proof_width(pool::available_parallelism(), vo.docs.len());
-        let (freqs, root) = docproof::resolve_doc_proofs(params, query, response, width)?;
+        let (freqs, root) = docproof::resolve_doc_proofs(params, response, width)?;
         (Some(freqs), root)
     } else {
         (None, NO_DOC_TABLE_ROOT)

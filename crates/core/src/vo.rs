@@ -140,6 +140,14 @@ pub struct TermVo {
     pub signature: Option<Vec<u8>>,
 }
 
+impl TermVo {
+    /// The term's document-MHT leaf key, from the `f_t` its dictionary
+    /// leaf binds.
+    pub(crate) fn leaf_key(&self) -> u64 {
+        crate::types::leaf_key(crate::types::freq_class(self.ft), self.term)
+    }
+}
+
 /// Per-document verification data (TRA only): certifies the query-term
 /// frequencies of one encountered document via its document-MHT.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,15 +156,42 @@ pub struct DocVo {
     pub doc: DocId,
     /// Total leaves in the document-MHT (distinct terms in the document).
     pub num_leaves: u32,
-    /// Revealed leaves as `(position, term, w_{d,t})`, ascending position:
-    /// the query terms present in the document, the boundary pairs proving
-    /// absent query terms, and any buddies.
-    pub revealed: Vec<(u32, TermId, f32)>,
+    /// Revealed leaves, ascending position: the query terms present in
+    /// the document, the boundary pairs proving absent query terms, and
+    /// any buddies.
+    pub revealed: Vec<DocLeaf>,
     /// Complementary digests up to the document-MHT root.
     pub proof: MerkleProof,
     /// `h(doc)` for non-result documents; result documents are delivered
     /// in full and the user hashes them itself.
     pub content_digest: Option<Digest>,
+}
+
+/// One revealed document-MHT leaf: the leaf message `(t, w_{d,t}, c_t)`
+/// at its position. Leaves are ordered by [`crate::types::leaf_key`] of
+/// `(c_t, t)`, so a verifier checks a bounding pair by key.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DocLeaf {
+    /// Position in the document-MHT.
+    pub pos: u32,
+    /// The term.
+    pub term: TermId,
+    /// `w_{d,t}`.
+    pub weight: f32,
+    /// `c_t`, the term's frequency class ([`crate::types::freq_class`]).
+    pub class: u8,
+}
+
+impl DocLeaf {
+    /// The leaf's sort key.
+    pub fn key(&self) -> u64 {
+        crate::types::leaf_key(self.class, self.term)
+    }
+
+    /// The leaf's digest in its document-MHT.
+    pub(crate) fn digest(&self) -> Digest {
+        crate::auth::doc_leaf_digest(self.term, self.weight, self.class)
+    }
 }
 
 /// Proof connecting every [`DocVo`] to the document-table root in the
@@ -253,7 +288,7 @@ impl VerificationObject {
         }
         for d in &self.docs {
             s.data += 8; // doc id + leaf count header
-            s.data += d.revealed.len() * 8; // ⟨t, w⟩ leaves
+            s.data += d.revealed.len() * 8; // ⟨t, w⟩ leaves; c_t rides with the position
             s.digest += d.proof.digests.len() * DIGEST_LEN;
             if d.content_digest.is_some() {
                 s.digest += DIGEST_LEN;

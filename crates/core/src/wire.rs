@@ -33,7 +33,8 @@
 use crate::auth::serve::QueryResponse;
 use crate::types::{QueryMode, QueryResult, ResultEntry};
 use crate::vo::{
-    DictVo, DocTableVo, DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject,
+    DictVo, DocLeaf, DocTableVo, DocVo, Mechanism, PrefixData, TermProof, TermVo,
+    VerificationObject,
 };
 use authsearch_corpus::TermId;
 use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof, DIGEST_LEN};
@@ -188,12 +189,22 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
     w.len32(vo.docs.len(), "document proofs")?;
     for dv in &vo.docs {
         w.u32(dv.doc);
+        if dv.num_leaves >= MAX_DOC_LEAVES {
+            return Err(WireError::TooLong {
+                field: "document-MHT leaves",
+                len: dv.num_leaves as usize,
+                max: MAX_DOC_LEAVES as usize - 1,
+            });
+        }
         w.u32(dv.num_leaves);
         w.len32(dv.revealed.len(), "revealed leaves")?;
-        for &(pos, term, weight) in &dv.revealed {
-            w.u32(pos);
-            w.u32(term);
-            w.u32(weight.to_bits());
+        for leaf in &dv.revealed {
+            if leaf.pos >= MAX_DOC_LEAVES || u32::from(leaf.class) >= 1 << CLASS_BITS {
+                return Err(err("revealed leaf position or class outside its field"));
+            }
+            w.u32(leaf.pos | u32::from(leaf.class) << POS_BITS);
+            w.u32(leaf.term);
+            w.u32(leaf.weight.to_bits());
         }
         w.digests16(&dv.proof.digests, "document proof digests")?;
         match &dv.content_digest {
@@ -228,6 +239,17 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
     Ok(w.buf)
 }
 
+/// Bits of a revealed document leaf's position field that carry the
+/// position; the top [`CLASS_BITS`] carry its `c_t`, so the class costs
+/// no wire byte.
+const POS_BITS: u32 = 26;
+/// Bits of the position field that carry `c_t` (at most 32).
+const CLASS_BITS: u32 = u32::BITS - POS_BITS;
+/// Document-MHTs of this many leaves or more do not fit the packed
+/// position field: encoding refuses them, and decoding rejects a VO
+/// that claims one.
+pub const MAX_DOC_LEAVES: u32 = 1 << POS_BITS;
+
 /// Bytes [`encode`] writes for one TRA term proof that reveals `ids`
 /// doc ids under `digests` proof digests.
 pub(crate) fn tra_term_len(ids: usize, digests: usize) -> usize {
@@ -238,7 +260,7 @@ pub(crate) fn tra_term_len(ids: usize, digests: usize) -> usize {
 /// Bytes [`encode`] writes for one document proof of `revealed` leaves
 /// and `digests` proof digests, with or without a content digest.
 pub(crate) fn doc_proof_len(revealed: usize, digests: usize, content_digest: bool) -> usize {
-    // doc, leaf count, count, ⟨pos, t, w⟩ leaves; count, digests; tag
+    // doc, leaf count, count, ⟨pos | c_t, t, w⟩ leaves; count, digests; tag
     let content = if content_digest { DIGEST_LEN } else { 0 };
     4 + 4 + 4 + 12 * revealed + 2 + DIGEST_LEN * digests + 1 + content
 }
@@ -379,14 +401,23 @@ pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
     for _ in 0..num_docs {
         let doc = r.u32()?;
         let num_leaves = r.u32()?;
+        if num_leaves >= MAX_DOC_LEAVES {
+            return Err(err("document-MHT of 2^26 leaves or more"));
+        }
         let n = r.u32()? as usize;
         let n = r.checked_count(n, 12, "revealed leaf")?;
         let mut revealed = Vec::with_capacity(n);
         for _ in 0..n {
-            let pos = r.u32()?;
+            let packed = r.u32()?;
             let term = r.u32()?;
             let weight = f32::from_bits(r.u32()?);
-            revealed.push((pos, term, weight));
+            revealed.push(DocLeaf {
+                pos: packed & (MAX_DOC_LEAVES - 1),
+                term,
+                weight,
+                // Six bits: the narrowing is exact.
+                class: (packed >> POS_BITS) as u8,
+            });
         }
         let proof = MerkleProof {
             digests: r.digests16()?,
@@ -455,9 +486,11 @@ pub const FRAME_MAGIC: [u8; 4] = *b"ASRV";
 /// interior nodes in separate domains. **v5** deletes the flags byte,
 /// the digest-mode reply and the conjunctive request's mode byte: both
 /// term-query kinds carry `r u32 | n u16 | pairs`, and the kind is the
-/// query mode. Older frames are rejected by the version check, never
-/// misparsed.
-pub const WIRE_VERSION: u8 = 5;
+/// query mode. **v6** orders every document-MHT by `(c_t descending,
+/// t)` and carries each revealed document leaf's `c_t` in the top six
+/// bits of its position field (TNRA payloads are byte-identical to v5).
+/// Older frames are rejected by the version check, never misparsed.
+pub const WIRE_VERSION: u8 = 6;
 
 /// Fixed size of the frame header: magic (4) + version (1) + kind (1) +
 /// payload length (4).
@@ -1070,6 +1103,63 @@ mod tests {
                 len: 65_536,
                 max: 65_535,
             }
+        );
+    }
+
+    #[test]
+    fn leaf_class_rides_in_the_position_field() {
+        // Each revealed leaf's c_t shares the 4-byte position field, so
+        // a document proof encodes to as many bytes as before; a
+        // document of 2^26 leaves or more is refused both ways.
+        let leaf = |pos, class| DocLeaf {
+            pos,
+            term: 9,
+            weight: 0.25,
+            class,
+        };
+        let vo = |num_leaves, revealed| VerificationObject {
+            mechanism: Mechanism::TraMht,
+            terms: Vec::new(),
+            docs: vec![DocVo {
+                doc: 1,
+                num_leaves,
+                revealed,
+                proof: MerkleProof::default(),
+                content_digest: None,
+            }],
+            dict: Some(DictVo {
+                num_terms: 1,
+                proof: MerkleProof::default(),
+            }),
+            doc_table: Some(DocTableVo {
+                proof: MerkleProof::default(),
+            }),
+            signature: vec![0u8; 4],
+        };
+        let last = MAX_DOC_LEAVES - 1;
+        let honest = vo(MAX_DOC_LEAVES - 1, vec![leaf(0, 32), leaf(last - 1, 1)]);
+        let bytes = encode(&honest).unwrap();
+        assert_eq!(decode(&bytes).unwrap(), honest);
+        let empty = encode(&vo(MAX_DOC_LEAVES - 1, Vec::new())).unwrap();
+        assert_eq!(bytes.len() - empty.len(), 2 * 12);
+
+        assert_eq!(
+            encode(&vo(MAX_DOC_LEAVES, Vec::new())).unwrap_err(),
+            WireError::TooLong {
+                field: "document-MHT leaves",
+                len: 1 << 26,
+                max: (1 << 26) - 1,
+            }
+        );
+        assert!(encode(&vo(4, vec![leaf(0, 64)])).is_err());
+        // The leaf count sits after the magic, the mechanism, the term
+        // count, the document count and the doc id.
+        let mut forged = empty;
+        let at = 4 + 1 + 2 + 4 + 4;
+        forged[at..at + 4].copy_from_slice(&MAX_DOC_LEAVES.to_le_bytes());
+        assert_eq!(
+            decode(&forged).unwrap_err(),
+            WireError::Malformed("document-MHT of 2^26 leaves or more".into())
         );
     }
 

@@ -15,10 +15,8 @@ pub type TermId = u32;
 pub struct TokenizedDoc {
     /// Identifier of this document within the collection.
     pub id: DocId,
-    /// `(t, f_{d,t})` pairs, sorted by term id ascending. This ordering is
-    /// load-bearing: document-MHT leaves are laid out in ascending term-id
-    /// order so that term-absence proofs can use adjacent-leaf bounding
-    /// (paper §3.3.1).
+    /// `(t, f_{d,t})` pairs, sorted by term id ascending ([`Self::freq`]
+    /// binary-searches them).
     pub counts: Vec<(TermId, u32)>,
     /// Document length `W_d` in tokens (after stopword removal), used by
     /// the Okapi normalization.

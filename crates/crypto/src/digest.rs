@@ -76,6 +76,9 @@ impl Digest {
             if let Ok(data) = <&[u8; 8]>::try_from(data) {
                 return Digest(ni.short(LEAF_PREFIX, data));
             }
+            if let Ok(data) = <&[u8; 9]>::try_from(data) {
+                return Digest(ni.short(LEAF_PREFIX, data));
+            }
         }
         Digest::one_block(LEAF_PREFIX, &[data])
             .unwrap_or_else(|| Digest::hash_parts(&[&[LEAF_PREFIX], data]))
@@ -203,7 +206,7 @@ mod tests {
 
     #[test]
     fn every_one_block_path_matches_the_scalar_oracle() {
-        // `combine` and the 4- and 8-byte leaves run the register-built
+        // `combine` and the 4-, 8- and 9-byte leaves run the register-built
         // kernels on SHA-NI hosts; `one_block` is the portable path they
         // fall back to elsewhere, called directly here so that it stays
         // tested on every host. All must equal the scalar compression.

@@ -7,9 +7,9 @@
 //! ```
 
 use authsearch_core::attacks::{
-    doc_beyond_table_response, foreign_term_response, interior_as_leaf_response,
-    mechanism_swapped_response, older_index, shifted_dict_leaf_response, stale_manifest_response,
-    truncated_prefix_response, Attack, Tree,
+    absent_through_gap_response, doc_beyond_table_response, foreign_term_response,
+    interior_as_leaf_response, mechanism_swapped_response, older_index, shifted_dict_leaf_response,
+    stale_manifest_response, truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::{
     verify, AuthConfig, AuthenticatedIndex, DataOwner, Mechanism, Query, QueryResponse,
@@ -19,7 +19,7 @@ use authsearch_index::{build_index, OkapiParams};
 
 /// Attacks this catalogue mounts across the four mechanisms; a change
 /// that drops or adds one must say so here.
-const EXPECTED_MOUNTED: usize = 77;
+const EXPECTED_MOUNTED: usize = 83;
 
 fn main() {
     let corpus = SyntheticConfig::tiny(300, 2024).generate();
@@ -61,6 +61,7 @@ fn main() {
             Attack::TRA_ONLY
                 .iter()
                 .chain(&Attack::DOC_TABLE)
+                .chain(&Attack::DOC_KEY)
                 .copied()
                 .collect()
         } else {
@@ -136,11 +137,16 @@ fn main() {
             );
         }
 
-        // A document past the end of the table.
+        // A document past the end of the table, and a present query term
+        // claimed absent through a non-adjacent pair of leaves.
         if mechanism.is_tra() {
             mount(
                 "doc id past the table",
                 doc_beyond_table_response(&honest, &publication.auth),
+            );
+            mount(
+                "present term claimed absent",
+                absent_through_gap_response(&honest, &publication.auth),
             );
         }
     }

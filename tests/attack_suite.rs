@@ -5,9 +5,9 @@
 //! security contract of the library.
 
 use authsearch_core::attacks::{
-    doc_beyond_table_response, foreign_term_response, interior_as_leaf_response,
-    mechanism_swapped_response, older_index, rebuilt_response, shifted_dict_leaf_response,
-    stale_manifest_response, truncated_prefix_response, Attack, Tree,
+    absent_through_gap_response, doc_beyond_table_response, foreign_term_response,
+    interior_as_leaf_response, mechanism_swapped_response, older_index, rebuilt_response,
+    shifted_dict_leaf_response, stale_manifest_response, truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::toy::{toy_contents, toy_index, toy_query};
 use authsearch_core::vo::PrefixData;
@@ -710,6 +710,111 @@ fn doc_table_attacks_rejected_with_typed_verdicts() {
                     assert!(
                         expect.holds(&outcome),
                         "{} {mode:?} {path:?}: '{name}' gave {outcome:?}, want {expect:?}",
+                        mechanism.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The first sampled query whose honest response admits both key-order
+/// mutations and the claimed absence through a gap.
+fn doc_key_query(
+    mode: QueryMode,
+    publication: &Publication,
+    corpus: &authsearch_corpus::Corpus,
+) -> (Query, QueryResponse) {
+    let m = publication.auth.index().num_terms();
+    (0..64)
+        .map(|seed| {
+            let ids = authsearch_corpus::workload::synthetic(m, 1, 3, seed).remove(0);
+            let query = Query::from_term_ids(publication.auth.index(), &ids).with_mode(mode);
+            let honest = publication.auth.query(&query, 10, corpus).unwrap();
+            (query, honest)
+        })
+        .find(|(_, honest)| {
+            Attack::DOC_KEY
+                .iter()
+                .all(|attack| attack.apply(&mut honest.clone()))
+                && absent_through_gap_response(honest, &publication.auth).is_some()
+        })
+        .expect("some sampled query admits every key-order attack")
+}
+
+/// The one document proof `tampered` changed, and the query term (by
+/// index) whose revealed leaf it withholds, if any.
+fn changed_doc(honest: &QueryResponse, tampered: &QueryResponse) -> (u32, Option<usize>) {
+    let (before, after) = honest
+        .vo
+        .docs
+        .iter()
+        .zip(&tampered.vo.docs)
+        .find(|(a, b)| a != b)
+        .expect("one document proof changed");
+    let hidden = before.revealed.iter().find_map(|leaf| {
+        let gone = !after.revealed.iter().any(|l| l.pos == leaf.pos);
+        let at = honest.vo.terms.iter().position(|tv| tv.term == leaf.term);
+        at.filter(|_| gone)
+    });
+    (before.doc, hidden)
+}
+
+/// Every attack on the key order of document-MHT leaves gets its exact
+/// `VerifyError`, on TRA-MHT and TRA-CMHT × disjunctive / conjunctive ×
+/// in-process / over the wire: a bounding pair out of key order is a
+/// malformed proof of its document; a forged `c_t` moves the document
+/// root under the manifest signature; a present query term claimed
+/// absent through a non-adjacent pair leaves its weight unproven, which
+/// the replay reports as insufficient (disjunctive) or as that
+/// document's unproven term (conjunctive).
+#[test]
+fn doc_key_attacks_rejected_with_typed_verdicts() {
+    for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+        let (publication, corpus) = publish(mechanism);
+        for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
+            let (query, honest) = doc_key_query(mode, &publication, &corpus);
+            let mut cases: Vec<(String, QueryResponse, VerifyError)> = Vec::new();
+            for attack in Attack::DOC_KEY {
+                let mut tampered = honest.clone();
+                assert!(attack.apply(&mut tampered));
+                let (doc, _) = changed_doc(&honest, &tampered);
+                let want = match attack {
+                    Attack::SwapBoundingPair => VerifyError::MalformedProof(format!(
+                        "document {doc}: revealed leaves not strictly ordered"
+                    )),
+                    _ => VerifyError::ManifestSignature,
+                };
+                cases.push((attack.name().into(), tampered, want));
+            }
+            let gap = absent_through_gap_response(&honest, &publication.auth).unwrap();
+            let (doc, hidden) = changed_doc(&honest, &gap);
+            let term = query.terms()[hidden.expect("a query-term leaf withheld")].term;
+            let want = match mode {
+                QueryMode::Disjunctive => VerifyError::InsufficientData(String::new()),
+                QueryMode::Conjunctive => VerifyError::FrequencyUnproven { doc, term },
+            };
+            cases.push(("present term claimed absent".into(), gap, want));
+
+            for path in [Path::InProcess, Path::Wire] {
+                let delivered = deliver(path, &query, honest.clone());
+                verify::verify(&publication.verifier_params, &query, 10, &delivered)
+                    .unwrap_or_else(|e| panic!("{} {mode:?} {path:?}: {e}", mechanism.name()));
+                for (name, tampered, want) in &cases {
+                    let delivered = deliver(path, &query, tampered.clone());
+                    let got = verify::verify(&publication.verifier_params, &query, 10, &delivered)
+                        .expect_err(name);
+                    let holds = match (&got, want) {
+                        // The replay names the document whose weight it
+                        // could not read.
+                        (VerifyError::InsufficientData(why), VerifyError::InsufficientData(_)) => {
+                            why.contains(&format!("doc {doc} "))
+                        }
+                        _ => &got == want,
+                    };
+                    assert!(
+                        holds,
+                        "{} {mode:?} {path:?}: '{name}' gave {got:?}, want {want:?}",
                         mechanism.name()
                     );
                 }

@@ -20,12 +20,16 @@
 //! * (h) buddy inclusion lowers TRA-CMHT's digest bytes and total VO
 //!   bytes (§3.3.2);
 //! * (i) score-prioritised TNRA polling reads fewer entries than
-//!   Fagin's equal depth (§3).
+//!   Fagin's equal depth (§3);
+//! * (j) document-MHTs in frequency-class order carry fewer proof
+//!   digests than the same trees in term-id order (§3.3.1's bounding
+//!   pairs, in the order the client can compute).
 
 use authsearch_core::access::{IndexLists, ListAccess};
 use authsearch_core::{tnra, AuthConfig, DataOwner, Mechanism, Query, SearchEngine, VoSize};
 use authsearch_corpus::{workload, DocId, SyntheticConfig, TermId};
 use authsearch_crypto::keys::TEST_KEY_BITS;
+use authsearch_crypto::merkle;
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
@@ -182,8 +186,8 @@ fn chain_mht_vos_carry_fewer_digest_bytes_than_plain_mht() {
 fn vo_bytes_grow_with_r() {
     for mechanism in Mechanism::ALL {
         let vo_bytes = |r: usize| total_vo_bytes(mechanism, &long_list_queries(), r);
-        // Recorded: r = 1 → 50 grows TRA-MHT 311 → 1,310 KB and
-        // TNRA-MHT 87 → 240 KB.
+        // Recorded: r = 1 → 50 grows TRA-MHT 291 → 1,190 KB and
+        // TNRA-MHT 87 → 237 KB.
         let (one, fifty) = (vo_bytes(1), vo_bytes(50));
         assert!(
             fifty > one,
@@ -202,9 +206,9 @@ fn vo_bytes_grow_with_query_length() {
             total_vo_bytes(mechanism, &short, R),
             total_vo_bytes(mechanism, &long, R),
         );
-        // Recorded: 2 → 5 terms grows TRA-MHT 184 → 2,475 KB, TRA-CMHT
-        // 171 → 2,205 KB, TNRA-MHT 124 → 244 KB and TNRA-CMHT
-        // 124 → 244 KB.
+        // Recorded: 2 → 5 terms grows TRA-MHT 174 → 2,117 KB, TRA-CMHT
+        // 162 → 1,903 KB, TNRA-MHT 124 → 242 KB and TNRA-CMHT
+        // 123 → 241 KB.
         assert!(
             five > two,
             "{}: {LONG_QUERY} terms {five} B vs {SHORT_QUERY} terms {two} B",
@@ -224,7 +228,7 @@ fn tra_vos_are_larger_than_tnra_vos() {
             total_vo_bytes(tra, &queries, R),
             total_vo_bytes(tnra, &queries, R),
         );
-        // Recorded: TRA-MHT 769 KB vs TNRA-MHT 157 KB, TRA-CMHT 700 KB
+        // Recorded: TRA-MHT 707 KB vs TNRA-MHT 156 KB, TRA-CMHT 647 KB
         // vs TNRA-CMHT 156 KB.
         assert!(
             tra_bytes > tnra_bytes,
@@ -249,8 +253,9 @@ type Band = (f64, f64);
 #[test]
 fn table2_vo_split_stays_in_band() {
     // (mechanism, data, digest, signature): each component's share of
-    // the total VO bytes. Recorded with one manifest signature per reply:
-    // TRA-MHT 20.0 / 79.9 / 0.10 %, TRA-CMHT 48.8 / 51.2 / 0.11 %,
+    // the total VO bytes. Recorded with one manifest signature per reply
+    // and key-ordered document-MHTs:
+    // TRA-MHT 20.2 / 79.7 / 0.11 %, TRA-CMHT 47.4 / 52.4 / 0.12 %,
     // TNRA-MHT 95.9 / 3.7 / 0.48 %, TNRA-CMHT 96.3 / 3.2 / 0.48 %.
     let bands: [(Mechanism, Band, Band, Band); 4] = [
         (Mechanism::TraMht, (15.0, 25.0), (75.0, 85.0), (0.05, 0.2)),
@@ -298,8 +303,8 @@ fn buddy_inclusion_lowers_tra_cmht_digest_and_vo_bytes() {
             .fold(VoSize::default(), |a, b| a + b)
     };
     let (on, off) = (size(paper), size(&no_buddy));
-    // Recorded: digest 285,872 → 188,480 B and total 350,584 →
-    // 325,024 B with buddy inclusion on.
+    // Recorded: digest 238,432 → 165,008 B and total 296,112 →
+    // 275,896 B with buddy inclusion on.
     assert!(
         on.digest < off.digest,
         "digest: on {} B vs off {} B",
@@ -334,5 +339,47 @@ fn prioritised_polling_reads_fewer_entries_than_equal_depth() {
     assert!(
         prioritised < equal_depth,
         "prioritised {prioritised} entries vs equal depth {equal_depth}"
+    );
+}
+
+/// Digests in the proof of document `leaves` (its term ids, ascending)
+/// for `query`, had its MHT stayed in term-id order: each present query
+/// term's leaf, and the consecutive pair bounding each absent one.
+fn term_id_order_digests(leaves: &[TermId], query: &[TermId]) -> usize {
+    let mut positions = Vec::new();
+    for t in query {
+        match leaves.binary_search(t) {
+            Ok(p) => positions.push(p),
+            Err(p) => {
+                positions.extend(p.checked_sub(1));
+                positions.extend((p < leaves.len()).then_some(p));
+            }
+        }
+    }
+    positions.sort_unstable();
+    positions.dedup();
+    merkle::proof_len(leaves.len(), &positions)
+}
+
+#[test]
+fn key_ordered_document_mhts_carry_fewer_digests_than_term_id_order() {
+    let engine = engine(Mechanism::TraMht);
+    let (index, table) = (engine.auth().index(), engine.auth().doc_table());
+    let (mut shipped, mut oracle) = (0usize, 0usize);
+    for terms in workload::trec_like(index.document_frequencies(), QUERIES, 0.35, SEED) {
+        let response = engine.search(&Query::from_term_ids(index, &terms), R);
+        for dv in &response.vo.docs {
+            shipped += dv.proof.digests.len();
+            let mut leaves: Vec<TermId> = table.doc_leaves(dv.doc).map(|(t, ..)| t).collect();
+            leaves.sort_unstable();
+            oracle += term_id_order_digests(&leaves, &terms);
+        }
+    }
+    // Recorded: 44,444 digests vs 45,390 in term-id order (0.979); the
+    // term-id order this oracle models shipped exactly 45,390.
+    let ratio = shipped as f64 / oracle as f64;
+    assert!(
+        shipped < oracle && ratio <= 0.98,
+        "{shipped} document-MHT digests vs {oracle} in term-id order ({ratio:.3})"
     );
 }

@@ -277,7 +277,8 @@ fn missing_snapshot_is_refused_and_stays_missing() {
 }
 
 /// A snapshot in an older authentication layout — per-term signatures
-/// (`ASA2`) or stored term and document roots (`ASA3`) — is refused as
+/// (`ASA2`), stored term and document roots (`ASA3`) or term-id ordered
+/// document-MHTs (`ASA4`) — is refused as
 /// `Stale`, and the file is left as it was.
 #[test]
 fn old_layout_snapshot_is_refused_as_stale() {
@@ -285,7 +286,7 @@ fn old_layout_snapshot_is_refused_as_stale() {
     let corpus = test_corpus();
     let config = AuthConfig::new(Mechanism::TraMht);
     let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
-    for tag in [*b"ASA2", *b"ASA3"] {
+    for tag in [*b"ASA2", *b"ASA3", *b"ASA4"] {
         let path = dir.join(format!("{}.snap", String::from_utf8_lossy(&tag)));
         publication.auth.save_snapshot(&path).unwrap();
         let (mut sections, _) = load_snapshot_file(&path).unwrap();
@@ -300,6 +301,65 @@ fn old_layout_snapshot_is_refused_as_stale() {
             &["Stale"],
         );
     }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot of the previous layout, `ASA4`, holds the fields `ASA5`
+/// holds, but its signature signs document-MHTs whose leaves were in
+/// term-id order, so the refold would reject it as a bad manifest
+/// signature. It is refused first as `Stale`, naming its tag.
+#[test]
+fn asa4_snapshot_is_refused_as_stale_by_name() {
+    let dir = temp_dir("refused-asa4");
+    let corpus = test_corpus();
+    let config = AuthConfig::new(Mechanism::TraCmht);
+    let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
+    let signature = publication
+        .auth
+        .query(&sample_query(&publication.auth, 1), 10, &corpus)
+        .unwrap()
+        .vo
+        .signature;
+    let path = dir.join("ASA4.snap");
+    publication.auth.save_snapshot(&path).unwrap();
+    let (mut sections, _) = load_snapshot_file(&path).unwrap();
+    // A signature over other document roots: this one, one bit off.
+    let auth = &mut sections[2].1;
+    let at = auth
+        .windows(signature.len())
+        .position(|w| w == signature)
+        .expect("the section holds the manifest signature");
+    auth[at] ^= 0x01;
+    save_snapshot_file(&path, &encode_snapshot(&sections).unwrap()).unwrap();
+    let boot = |path: &Path| {
+        boot_authenticated_index(path, &config, &publication.verifier_params).map(drop)
+    };
+    match boot(&path) {
+        Err(PersistError::Corrupt(why)) => {
+            assert!(
+                why.starts_with("manifest signature rejected at boot"),
+                "{why}"
+            )
+        }
+        other => panic!("ASA5 with a foreign signature: got {other:?}"),
+    }
+
+    sections[2].0 = *b"ASA4";
+    save_snapshot_file(&path, &encode_snapshot(&sections).unwrap()).unwrap();
+    match boot(&path) {
+        Err(PersistError::Stale(why)) => assert_eq!(
+            why,
+            "snapshot holds the older authentication section ASA4; this build reads ASA5"
+        ),
+        other => panic!("ASA4: got {other:?}"),
+    }
+    assert_refused_and_untouched(
+        &path,
+        &publication.verifier_params,
+        &config,
+        corpus,
+        &["Stale"],
+    );
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -231,32 +231,38 @@ fn oversized_claims_rejected_cheaply() {
 }
 
 /// A foreign version is rejected by name: a future client cannot be
-/// silently misparsed by this server, and neither can the previous
-/// version's conjunctive request. That frame (flags byte, mode byte,
-/// then `r | n | pairs`) reuses kind `0x03` under a different payload
-/// layout, so the header check must refuse it before any payload
-/// decoder sees it.
+/// silently misparsed by this server, and neither can the two previous
+/// versions. A v5 TRA reply carries plain document-leaf positions where
+/// v6 packs each leaf's `c_t` into the top bits, and a v4 conjunctive
+/// request (flags byte, mode byte, then `r | n | pairs`) reuses kind
+/// `0x03` under a different payload layout, so the header check must
+/// refuse both before any payload decoder sees them.
 #[test]
 fn foreign_version_rejected_by_name() {
+    assert_eq!(wire::WIRE_VERSION, 6);
     let mut bumped = sample_ok_frame();
     bumped[4] = wire::WIRE_VERSION + 1;
+
+    let mut v5_reply = sample_ok_frame();
+    v5_reply[4] = 5;
 
     let mut v4_payload = vec![0u8, 1]; // flags byte, mode byte
     v4_payload.extend_from_slice(&5u32.to_le_bytes()); // r
     v4_payload.extend_from_slice(&1u16.to_le_bytes()); // one pair
     v4_payload.extend_from_slice(&3u32.to_le_bytes());
     v4_payload.extend_from_slice(&1u32.to_le_bytes());
-    let mut previous = wire::encode_frame_header(wire::kind::REQ_CONJ_TERMS, v4_payload.len())
+    let mut v4_request = wire::encode_frame_header(wire::kind::REQ_CONJ_TERMS, v4_payload.len())
         .unwrap()
         .to_vec();
-    previous[4] = wire::WIRE_VERSION - 1;
-    previous.extend_from_slice(&v4_payload);
+    v4_request[4] = 4;
+    v4_request.extend_from_slice(&v4_payload);
 
-    for frame in [bumped, previous] {
+    for (version, frame) in [(7, bumped), (5, v5_reply), (4, v4_request)] {
+        let named = format!("version {version} (this build speaks 6)");
         let header: [u8; FRAME_HEADER_LEN] = frame[..FRAME_HEADER_LEN].try_into().unwrap();
         let err = decode_frame_header(&header).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        assert!(err.to_string().contains(&named), "{err}");
         let err = split_frame(&frame).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        assert!(err.to_string().contains(&named), "{err}");
     }
 }
