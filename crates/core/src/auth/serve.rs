@@ -25,10 +25,10 @@ use crate::types::{ProcessingOutcome, Query, QueryError, QueryMode, QueryResult}
 use crate::vo::{
     DictVo, DocLeaf, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject,
 };
-use crate::{pool, tnra, tra, wire};
+use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
-use authsearch_crypto::merkle::{self, prove_from_interior};
-use authsearch_crypto::{MerkleProof, MerkleTree};
+use authsearch_crypto::merkle::prove_from_interior;
+use authsearch_crypto::MerkleProof;
 use authsearch_index::{ImpactEntry, InvertedList, IoStats};
 use std::convert::Infallible;
 
@@ -124,11 +124,11 @@ impl AuthenticatedIndex {
     ///   client's replay of the scan and its stop need, and prove the
     ///   *absence* of a query term by adjacent-leaf bounding pairs, so
     ///   dropping a member is detectable, not just asserted. A scan that
-    ///   reads the whole anchor — or whose early reveal would not encode
-    ///   shorter (`early_reveal_is_no_longer`) — reveals the anchor in
-    ///   full and gives every other term a zero-length prefix, whose
-    ///   proof still reconstructs the signed root (the proof degenerates
-    ///   to the root digest itself).
+    ///   reads the whole anchor — or whose early reveal buddy rounding
+    ///   would complete — reveals the anchor in full and gives every
+    ///   other term a zero-length prefix, whose proof still reconstructs
+    ///   the signed root (the proof degenerates to the root digest
+    ///   itself).
     /// * **TNRA**: reveal every query term's list in full; absence is
     ///   then provable by exhaustion against the signed roots.
     fn conjunctive_outcome(&self, query: &Query, r: usize) -> ProcessingOutcome {
@@ -153,20 +153,17 @@ impl AuthenticatedIndex {
             r,
         );
 
-        let (prefix_lens, encountered) = if tra {
-            let full = self.full_reveal(query, anchor);
-            match scan
-                .stopped
-                .then(|| self.early_reveal(query, anchor, scan.popped))
-            {
-                Some(early) if self.early_reveal_is_no_longer(query, anchor, &early, &full) => {
-                    early
-                }
-                _ => full,
-            }
-        } else {
+        let (prefix_lens, encountered) = if !tra {
             // Every list revealed in full: absence by exhaustion.
             (fts, Vec::new())
+        } else if scan.stopped
+            && self.revealed_len(terms[anchor].term, scan.popped + 1) < fts[anchor]
+        {
+            self.early_reveal(query, anchor, scan.popped)
+        } else {
+            // The scan read the whole anchor, or buddy rounding would
+            // complete the early reveal's prefix.
+            self.full_reveal(query, anchor)
         };
         ProcessingOutcome {
             result: scan.result,
@@ -201,71 +198,6 @@ impl AuthenticatedIndex {
             }
         }
         (lens, docs)
-    }
-
-    /// Whether a stopped TRA scan's reveal `early` (prefix lengths,
-    /// proved documents) leaves the anchor incomplete — which is what
-    /// tells the client to replay the stop — and encodes into no more VO
-    /// bytes than the full-anchor reveal `full`.
-    ///
-    /// Only the term proofs, the document proofs and the document-table
-    /// proof differ. A document in both reveals ships the same proof, so
-    /// it cancels; the rest is counted from proof shapes, without hashing.
-    /// The full reveal's anchor tail is counted one document at a time,
-    /// and only until it outweighs what the early reveal adds.
-    fn early_reveal_is_no_longer(
-        &self,
-        query: &Query,
-        anchor: usize,
-        early: &Reveal,
-        full: &Reveal,
-    ) -> bool {
-        let terms = query.terms();
-        let anchor_term = terms[anchor].term;
-        let prefix = early.0[anchor];
-        if self.revealed_len(anchor_term, prefix) >= full.0[anchor] {
-            return false;
-        }
-        let term_bytes = |lens: &[usize]| -> usize {
-            terms
-                .iter()
-                .zip(lens)
-                .map(|(qt, &k)| {
-                    let kr = self.revealed_len(qt.term, k);
-                    wire::tra_term_len(kr, self.term_proof_len(qt.term, kr))
-                })
-                .sum()
-        };
-        // Past the anchor prefix no document is in the result, so each
-        // ships its content digest.
-        let doc_bytes = |d: DocId| {
-            let positions = self.doc_positions(d, query);
-            let n = self.doc_table.num_leaves(d);
-            wire::doc_proof_len(positions.len(), merkle::proof_len(n, &positions), true)
-        };
-        let table_bytes = |docs: &[DocId]| {
-            let mut positions: Vec<usize> = docs.iter().map(|&d| d as usize).collect();
-            positions.sort_unstable();
-            let n = self.doc_tree.as_ref().map_or(0, MerkleTree::num_leaves);
-            wire::doc_table_len(merkle::proof_len(n, &positions))
-        };
-        // The heads past the anchor prefix; those off the anchor list are
-        // proved by the early reveal alone.
-        let heads = &early.1[prefix..];
-        let mut early_bytes = term_bytes(&early.0) + table_bytes(&early.1);
-        for &h in heads {
-            if self.doc_table.weight(h, anchor_term) <= 0.0 {
-                early_bytes += doc_bytes(h);
-            }
-        }
-        let mut full_bytes = term_bytes(&full.0) + table_bytes(&full.1);
-        for &d in full.1[prefix..].iter().filter(|d| !heads.contains(d)) {
-            if full_bytes >= early_bytes {
-                break;
-            }
-            full_bytes += doc_bytes(d);
-        }
-        early_bytes <= full_bytes
     }
 
     /// Assemble the response for an already-computed processing outcome.
@@ -369,18 +301,6 @@ impl AuthenticatedIndex {
                 lo + expand_prefix(k - lo, cap.min(li - lo), group)
             }
             TermStructure::Mht(_) => expand_prefix(k, li, group),
-        }
-    }
-
-    /// Digests in the proof of the first `kr` entries of `term`'s list,
-    /// counted without hashing.
-    fn term_proof_len(&self, term: TermId, kr: usize) -> usize {
-        match &self.cache.terms[term as usize] {
-            TermStructure::Cmht(chain) => chain.prefix_proof_len(kr),
-            TermStructure::Mht(_) => {
-                let revealed: Vec<usize> = (0..kr).collect();
-                merkle::proof_len(self.index.list(term).len(), &revealed)
-            }
         }
     }
 
@@ -530,6 +450,7 @@ mod tests {
     use crate::toy::{toy_contents, toy_index, toy_query};
     use crate::vo::Mechanism;
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
+    use authsearch_crypto::MerkleTree;
 
     fn conjunctive_toy_query() -> Query {
         toy_query().with_mode(QueryMode::Conjunctive)
@@ -845,11 +766,10 @@ mod tests {
     }
 
     #[test]
-    fn early_stop_keeps_the_result_and_never_grows_the_reply() {
-        // Against the full-anchor reveal of the same query: (a) the same
-        // result bit for bit, (b) never more document proofs or encoded
-        // VO bytes, (c) strictly fewer proofs on some query, so the stop
-        // fires. The early reply verifies.
+    fn early_stop_keeps_the_result_bit_for_bit() {
+        // Against the full-anchor reveal of the same query: the same
+        // result bit for bit, and strictly fewer document proofs on some
+        // query, so the stop fires. The early reply verifies.
         for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
             let (publication, corpus, queries) = conjunctive_workload(mechanism);
             assert!(queries.len() >= 50, "{}", queries.len());
@@ -867,62 +787,12 @@ mod tests {
                             .collect()
                     };
                     assert_eq!(bits(&resp.result), bits(&full.result), "{what}");
-                    assert!(resp.vo.docs.len() <= full.vo.docs.len(), "{what}");
-                    let bytes = |vo: &VerificationObject| wire::encode(vo).unwrap().len();
-                    assert!(bytes(&resp.vo) <= bytes(&full.vo), "{what}");
                     fewer += usize::from(resp.vo.docs.len() < full.vo.docs.len());
                     crate::verify::verify(&publication.verifier_params, query, r, &resp)
                         .unwrap_or_else(|e| panic!("{what}: {e}"));
                 }
             }
             assert!(fewer > 0, "{mechanism:?}: the stop never shrank a reply");
-        }
-    }
-
-    #[test]
-    fn early_reveal_is_chosen_exactly_when_it_encodes_no_longer() {
-        // For stops at a sample of anchor depths, the counted comparison
-        // agrees with the two reveals' real encodings. The result is left
-        // empty, as past a real stop: no revealed document is in it.
-        for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
-            let (publication, corpus, queries) = conjunctive_workload(mechanism);
-            let a = &publication.auth;
-            let mut seen = [0, 0];
-            for query in queries.iter().take(20) {
-                let fts: Vec<usize> = query
-                    .terms()
-                    .iter()
-                    .map(|qt| a.index().list(qt.term).len())
-                    .collect();
-                let anchor = crate::conjunctive::anchor_index(&fts);
-                let bytes = |(lens, docs): &Reveal| {
-                    let outcome = ProcessingOutcome {
-                        result: QueryResult { entries: vec![] },
-                        prefix_lens: lens.clone(),
-                        encountered: docs.clone(),
-                        iterations: 0,
-                    };
-                    wire::encode(&a.respond(query, outcome, &corpus).vo)
-                        .unwrap()
-                        .len()
-                };
-                let full = a.full_reveal(query, anchor);
-                let full_len = bytes(&full);
-                for popped in (1..fts[anchor]).step_by(1 + fts[anchor] / 8) {
-                    let early = a.early_reveal(query, anchor, popped);
-                    let anchor_term = query.terms()[anchor].term;
-                    let fits = a.revealed_len(anchor_term, popped + 1) < fts[anchor]
-                        && bytes(&early) <= full_len;
-                    assert_eq!(
-                        a.early_reveal_is_no_longer(query, anchor, &early, &full),
-                        fits,
-                        "{mechanism:?} {:?} popped={popped}",
-                        query.terms()
-                    );
-                    seen[usize::from(fits)] += 1;
-                }
-            }
-            assert!(seen[0] > 0 && seen[1] > 0, "{mechanism:?}: {seen:?}");
         }
     }
 

@@ -25,13 +25,8 @@
 //! tree and the manifest itself are refolded from the index and the
 //! content digests by the fold the owner's build runs
 //! (`super::fold`). The authentication section's tag carries its
-//! layout version. `ASA5` replaced `ASA4` (the same fields, signed over
-//! document-MHTs whose leaves were in term-id order), which replaced
-//! `ASA3` (the same signature, plus every term root and document-MHT
-//! root), which replaced `ASA2` (one
-//! signature per term plus one for the document table) and `ASAU` (one
-//! signature per term and per document). A snapshot with any older
-//! section is [`PersistError::Stale`].
+//! layout version: a snapshot with any older one (`TAG_AUTH_STALE`) is
+//! [`PersistError::Stale`].
 //!
 //! ## Trust model at boot
 //!
@@ -68,10 +63,10 @@ use super::{content_digests, fold, AuthConfig, AuthenticatedIndex};
 use crate::verify::VerifierParams;
 use crate::vo::Mechanism;
 use authsearch_corpus::{Corpus, TermId};
-use authsearch_crypto::{Digest, RsaPublicKey, DIGEST_LEN};
-use authsearch_index::persist::{self, put_u32, put_u64, PersistError, SectionReader, SectionTag};
+use authsearch_crypto::{Digest, RsaPublicKey};
+use authsearch_index::codec::{self, CodecError, Reader, Writer};
+use authsearch_index::persist::{self, PersistError, SectionTag};
 use authsearch_index::SnapshotInfo;
-use std::io::Cursor;
 use std::path::Path;
 
 /// Section tags of the authenticated snapshot, in file order.
@@ -100,86 +95,74 @@ fn stale(why: impl Into<String>) -> PersistError {
 
 // ---- section codecs -------------------------------------------------------
 
+/// Parse the whole of a section payload, naming the section in any
+/// structural error.
+fn read_section<'a, T>(
+    payload: &'a [u8],
+    tag: &str,
+    parse: impl FnOnce(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<T, PersistError> {
+    codec::read_all(payload, parse).map_err(|e| corrupt(format!("section {tag}: {e}")))
+}
+
 fn encode_config(config: &AuthConfig) -> Vec<u8> {
     let mut buf = Vec::with_capacity(2 + 3 * 8);
-    buf.push(config.mechanism.code());
-    buf.push(u8::from(config.buddy));
-    let _ = put_u64(&mut buf, config.layout.block_bytes as u64);
-    let _ = put_u64(&mut buf, config.layout.addr_bytes as u64);
-    let _ = put_u64(&mut buf, config.layout.digest_bytes as u64);
+    let mut w = Writer(&mut buf);
+    w.u8(config.mechanism.code());
+    w.u8(u8::from(config.buddy));
+    w.u64(config.layout.block_bytes as u64);
+    w.u64(config.layout.addr_bytes as u64);
+    w.u64(config.layout.digest_bytes as u64);
     buf
 }
 
 /// Check the artifact identity the snapshot declares against what the
-/// caller expects. The thread count is deliberately *not* part of
-/// identity — it is the caller's to choose at boot.
+/// caller expects: the bytes `encode_config` writes for it. The thread
+/// count is deliberately *not* part of identity — it is the caller's to
+/// choose at boot.
 fn check_config(payload: &[u8], expected: &AuthConfig) -> Result<(), PersistError> {
-    let mut r = SectionReader::new(payload, "ACFG");
-    let mechanism =
-        Mechanism::from_code(r.u8()?).ok_or_else(|| corrupt("ACFG: unknown mechanism code"))?;
-    let buddy = r.u8()? != 0;
-    let block_bytes = r.u64()? as usize;
-    let addr_bytes = r.u64()? as usize;
-    let digest_bytes = r.u64()? as usize;
-    r.finish()?;
-    let same = mechanism == expected.mechanism
-        && buddy == expected.buddy
-        && block_bytes == expected.layout.block_bytes
-        && addr_bytes == expected.layout.addr_bytes
-        && digest_bytes == expected.layout.digest_bytes;
-    if !same {
-        return Err(stale(format!(
-            "snapshot artifact is {mechanism:?} (buddy={buddy}, block_bytes={block_bytes}), \
-             expected {:?} (buddy={}, block_bytes={})",
-            expected.mechanism, expected.buddy, expected.layout.block_bytes
-        )));
+    if payload == encode_config(expected) {
+        return Ok(());
     }
-    Ok(())
+    let (code, buddy, block_bytes) = read_section(payload, "ACFG", |r| {
+        let declared = (r.u8()?, r.u8()? != 0, r.u64()?);
+        r.bytes(2 * 8)?; // addr_bytes, digest_bytes
+        Ok(declared)
+    })?;
+    let mechanism =
+        Mechanism::from_code(code).ok_or_else(|| corrupt("ACFG: unknown mechanism code"))?;
+    Err(stale(format!(
+        "snapshot artifact is {mechanism:?} (buddy={buddy}, block_bytes={block_bytes}), \
+         expected {:?} (buddy={}, block_bytes={})",
+        expected.mechanism, expected.buddy, expected.layout.block_bytes
+    )))
 }
 
 fn encode_auth(auth: &AuthenticatedIndex) -> Result<Vec<u8>, PersistError> {
     let digests = &auth.doc_content_digests;
-    let mut buf = Vec::with_capacity(8 + digests.len() * DIGEST_LEN);
-    let _ = put_u64(&mut buf, digests.len() as u64);
-    for d in digests {
-        buf.extend_from_slice(d.as_bytes());
-    }
-    let key = auth.public_key.to_bytes();
-    for bytes in [auth.signature.as_slice(), key.as_slice()] {
-        let len = u32::try_from(bytes.len()).map_err(|_| corrupt("ASA5 field exceeds u32"))?;
-        let _ = put_u32(&mut buf, len);
-        buf.extend_from_slice(bytes);
-    }
+    let mut buf = Vec::new();
+    let mut w = Writer(&mut buf);
+    w.u64(digests.len() as u64);
+    w.digests(digests);
+    w.bytes32(&auth.signature, "ASA5 signature")?;
+    w.bytes32(&auth.public_key.to_bytes(), "ASA5 public key")?;
     Ok(buf)
-}
-
-/// Read a `u32`-length-prefixed, non-empty byte field.
-fn get_field<'a>(r: &mut SectionReader<'a>, what: &str) -> Result<&'a [u8], PersistError> {
-    let len = r.u32()? as usize;
-    if len == 0 || len > r.remaining() {
-        return Err(corrupt(format!("ASA5: {what} length forged")));
-    }
-    r.bytes(len)
 }
 
 /// The authentication section: the content digests, the signature and
 /// the public key.
 fn decode_auth(payload: &[u8]) -> Result<(Vec<Digest>, Vec<u8>, RsaPublicKey), PersistError> {
-    let mut r = SectionReader::new(payload, "ASA5");
-    let claimed = r.u64()?;
-    let n = r.checked_count(claimed, DIGEST_LEN, "content digest")?;
-    let mut content_digests = Vec::with_capacity(n.min(persist::PREALLOC_CLAMP));
-    for _ in 0..n {
-        content_digests.push(
-            Digest::from_slice(r.bytes(DIGEST_LEN)?)
-                .ok_or_else(|| corrupt("ASA5: malformed content digest"))?,
-        );
-    }
-    let signature = get_field(&mut r, "signature")?.to_vec();
-    let public_key = RsaPublicKey::from_bytes(get_field(&mut r, "public-key")?)
-        .ok_or_else(|| corrupt("ASA5: public key fails to parse"))?;
-    r.finish()?;
-    Ok((content_digests, signature, public_key))
+    let (content_digests, signature, key) = read_section(payload, "ASA5", |r| {
+        let claimed = r.u64()?;
+        Ok((
+            r.digests(claimed, "content digest")?,
+            r.bytes32()?,
+            r.bytes32()?,
+        ))
+    })?;
+    let public_key =
+        RsaPublicKey::from_bytes(key).ok_or_else(|| corrupt("ASA5: public key fails to parse"))?;
+    Ok((content_digests, signature.to_vec(), public_key))
 }
 
 // ---- save / load ----------------------------------------------------------
@@ -218,39 +201,29 @@ impl AuthenticatedIndex {
         expected: &AuthConfig,
     ) -> Result<AuthenticatedIndex, PersistError> {
         let (sections, _info) = persist::load_snapshot_file(path)?;
-        let [config_s, index_s, auth_s] = match sections.as_slice() {
-            [a, b, c] => [a, b, c],
-            other => {
-                return Err(corrupt(format!(
-                    "expected 3 sections, found {}",
-                    other.len()
-                )))
-            }
-        };
-        if TAG_AUTH_STALE.contains(&auth_s.0) {
+        let tags: Vec<_> = sections
+            .iter()
+            .map(|(tag, _)| String::from_utf8_lossy(tag))
+            .collect();
+        if let Some((old, _)) = sections.get(2).filter(|(t, _)| TAG_AUTH_STALE.contains(t)) {
             return Err(stale(format!(
                 "snapshot holds the older authentication section {}; \
                  this build reads {}",
-                String::from_utf8_lossy(&auth_s.0),
+                String::from_utf8_lossy(old),
                 String::from_utf8_lossy(&TAG_AUTH)
             )));
         }
-        for ((tag, _), want) in [config_s, index_s, auth_s]
-            .iter()
-            .zip([TAG_CONFIG, TAG_INDEX, TAG_AUTH])
-        {
-            if *tag != want {
-                return Err(corrupt(format!(
-                    "section order: found {:?}, want {:?}",
-                    String::from_utf8_lossy(tag),
-                    String::from_utf8_lossy(&want)
-                )));
-            }
-        }
+        let [(TAG_CONFIG, config_s), (TAG_INDEX, index_s), (TAG_AUTH, auth_s)] =
+            sections.as_slice()
+        else {
+            return Err(corrupt(format!(
+                "sections {tags:?}, expected [\"ACFG\", \"ASIX\", \"ASA5\"]"
+            )));
+        };
 
-        check_config(&config_s.1, expected)?;
-        let index = persist::read_index(&mut Cursor::new(&index_s.1))?;
-        let (content_digests, signature, public_key) = decode_auth(&auth_s.1)?;
+        check_config(config_s, expected)?;
+        let index = persist::read_index(index_s)?;
+        let (content_digests, signature, public_key) = decode_auth(auth_s)?;
 
         // Cross-checks: the sections must describe one coherent artifact
         // the fold can run over.

@@ -29,6 +29,9 @@
 //! are bounded before `Vec::with_capacity`, payload length by
 //! [`MAX_FRAME_PAYLOAD`]), and an unknown version or kind is rejected
 //! at the header.
+//! Every field goes through `authsearch_index::codec`, the one bounded
+//! reader and writer the snapshot uses too; a reply's VO is written in
+//! place behind a back-patched length.
 
 use crate::auth::serve::QueryResponse;
 use crate::types::{QueryMode, QueryResult, ResultEntry};
@@ -37,7 +40,8 @@ use crate::vo::{
     VerificationObject,
 };
 use authsearch_corpus::TermId;
-use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof, DIGEST_LEN};
+use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof};
+use authsearch_index::codec::{self, CodecError, Reader, Writer};
 use authsearch_index::{ImpactEntry, IoStats};
 
 const MAGIC: &[u8; 4] = b"AVO1";
@@ -52,10 +56,8 @@ pub enum WireError {
     /// mechanism).
     Malformed(String),
     /// Encoding refused a collection longer than its length prefix can
-    /// carry. Silently truncating (the old `as u16`/`as u32` casts)
-    /// would emit a VO that decodes into something else entirely — a
-    /// malformed, unverifiable proof — so oversized inputs are an error
-    /// at the source instead.
+    /// carry, rather than truncate it into a VO that decodes into
+    /// something else.
     TooLong {
         /// Which collection overflowed (e.g. `"term proofs"`).
         field: &'static str,
@@ -79,65 +81,20 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::TooLong(field, len, max) => WireError::TooLong { field, len, max },
+            other => WireError::Malformed(other.to_string()),
+        }
+    }
+}
+
 fn err(what: &str) -> WireError {
     WireError::Malformed(what.into())
 }
 
-// ---- encoding -------------------------------------------------------------
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Write a u16 length prefix, refusing lengths it cannot represent.
-    fn len16(&mut self, n: usize, field: &'static str) -> Result<(), WireError> {
-        let v = u16::try_from(n).map_err(|_| WireError::TooLong {
-            field,
-            len: n,
-            max: u16::MAX as usize,
-        })?;
-        self.u16(v);
-        Ok(())
-    }
-    /// Write a u32 length prefix, refusing lengths it cannot represent.
-    fn len32(&mut self, n: usize, field: &'static str) -> Result<(), WireError> {
-        let v = u32::try_from(n).map_err(|_| WireError::TooLong {
-            field,
-            len: n,
-            max: u32::MAX as usize,
-        })?;
-        self.u32(v);
-        Ok(())
-    }
-    fn digest(&mut self, d: &Digest) {
-        self.buf.extend_from_slice(d.as_bytes());
-    }
-    fn bytes16(&mut self, b: &[u8], field: &'static str) -> Result<(), WireError> {
-        self.len16(b.len(), field)?;
-        self.buf.extend_from_slice(b);
-        Ok(())
-    }
-    fn digests16(&mut self, ds: &[Digest], field: &'static str) -> Result<(), WireError> {
-        self.len16(ds.len(), field)?;
-        for d in ds {
-            self.digest(d);
-        }
-        Ok(())
-    }
-}
+// ---- verification objects ---------------------------------------------------
 
 /// Serialize a VO to bytes.
 ///
@@ -152,8 +109,13 @@ impl Writer {
 /// digests. The one manifest signature closes the VO. [`TermVo`]'s
 /// per-list signature is never written.
 pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
-    let mut w = Writer { buf: Vec::new() };
-    w.buf.extend_from_slice(MAGIC);
+    let mut buf = Vec::new();
+    write_vo(&mut Writer(&mut buf), vo)?;
+    Ok(buf)
+}
+
+fn write_vo(w: &mut Writer<'_>, vo: &VerificationObject) -> Result<(), WireError> {
+    w.bytes(MAGIC);
     w.u8(vo.mechanism.code());
     w.len16(vo.terms.len(), "term proofs")?;
     for tv in &vo.terms {
@@ -171,7 +133,7 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
                 w.u8(1);
                 w.len32(entries.len(), "impact-entry prefix")?;
                 for e in entries {
-                    w.buf.extend_from_slice(&e.encode());
+                    w.bytes(&e.encode());
                 }
             }
         }
@@ -210,7 +172,7 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
         match &dv.content_digest {
             Some(d) => {
                 w.u8(1);
-                w.digest(d);
+                w.bytes(d.as_bytes());
             }
             None => w.u8(0),
         }
@@ -224,9 +186,7 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
     match (&vo.doc_table, vo.mechanism.is_tra()) {
         (Some(table), true) => {
             w.len32(table.proof.digests.len(), "document-table proof digests")?;
-            for d in &table.proof.digests {
-                w.digest(d);
-            }
+            w.digests(&table.proof.digests);
         }
         (None, false) => {}
         _ => {
@@ -236,7 +196,7 @@ pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
         }
     }
     w.bytes16(&vo.signature, "manifest signature")?;
-    Ok(w.buf)
+    Ok(())
 }
 
 /// Bits of a revealed document leaf's position field that carry the
@@ -250,214 +210,111 @@ const CLASS_BITS: u32 = u32::BITS - POS_BITS;
 /// that claims one.
 pub const MAX_DOC_LEAVES: u32 = 1 << POS_BITS;
 
-/// Bytes [`encode`] writes for one TRA term proof that reveals `ids`
-/// doc ids under `digests` proof digests.
-pub(crate) fn tra_term_len(ids: usize, digests: usize) -> usize {
-    // term, f_t, payload tag, count, ids; proof tag, count, digests
-    4 + 4 + 1 + 4 + 4 * ids + 1 + 2 + DIGEST_LEN * digests
-}
-
-/// Bytes [`encode`] writes for one document proof of `revealed` leaves
-/// and `digests` proof digests, with or without a content digest.
-pub(crate) fn doc_proof_len(revealed: usize, digests: usize, content_digest: bool) -> usize {
-    // doc, leaf count, count, ⟨pos | c_t, t, w⟩ leaves; count, digests; tag
-    let content = if content_digest { DIGEST_LEN } else { 0 };
-    4 + 4 + 4 + 12 * revealed + 2 + DIGEST_LEN * digests + 1 + content
-}
-
-/// Bytes [`encode`] writes for a document-table proof of `digests`
-/// digests.
-pub(crate) fn doc_table_len(digests: usize) -> usize {
-    4 + DIGEST_LEN * digests
-}
-
-// ---- decoding -------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| err("truncated"))?;
-        let out = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| err("truncated"))?;
-        self.pos = end;
-        Ok(out)
-    }
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        self.take(N)?.try_into().map_err(|_| err("truncated"))
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let [b] = self.array()?;
-        Ok(b)
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-    fn digest(&mut self) -> Result<Digest, WireError> {
-        let b = self.take(DIGEST_LEN)?;
-        Digest::from_slice(b).ok_or_else(|| err("digest"))
-    }
-    fn bytes16(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.u16()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-    fn digests16(&mut self) -> Result<Vec<Digest>, WireError> {
-        let n = self.u16()? as usize;
-        let n = self.checked_count(n, DIGEST_LEN, "digest list")?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.digest()?);
-        }
-        Ok(out)
-    }
-    /// A count that claims `n` entries of at least `per` encoded bytes
-    /// each, validated against the bytes actually remaining — a tiny
-    /// frame advertising 2²⁶ entries is rejected *before* any
-    /// `Vec::with_capacity`, so attacker-chosen counts can never size
-    /// an allocation beyond the payload they paid to send.
-    fn checked_count(&self, n: usize, per: usize, what: &str) -> Result<usize, WireError> {
-        let remaining = self.buf.len().saturating_sub(self.pos);
-        if n > remaining / per.max(1) {
-            return Err(WireError::Malformed(format!(
-                "{what} count {n} exceeds what the remaining {remaining} bytes can hold"
-            )));
-        }
-        Ok(n)
-    }
-}
-
 /// Deserialize a VO from bytes.
 pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(4)? != MAGIC {
+    codec::read_all(bytes, read_vo)
+}
+
+/// A `u16` digest count, then the digests.
+fn digests16(r: &mut Reader<'_>) -> Result<Vec<Digest>, CodecError> {
+    let n = r.u16()?;
+    r.digests(n.into(), "digest list")
+}
+
+fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
+    if r.bytes(4)? != MAGIC {
         return Err(err("bad magic"));
     }
     let mechanism = Mechanism::from_code(r.u8()?).ok_or_else(|| err("unknown mechanism"))?;
-    let num_terms = r.u16()? as usize;
+    let num_terms = r.u16()?;
     // Minimum encoding per term: term id (4) + ft (4) + prefix tag (1).
-    let num_terms = r.checked_count(num_terms, 9, "VO term")?;
-    let mut terms = Vec::with_capacity(num_terms);
-    for _ in 0..num_terms {
+    let terms = r.list(num_terms.into(), 9, "VO term", |r| {
         let term = r.u32()?;
         let ft = r.u32()?;
         let prefix = match r.u8()? {
             0 => {
-                let n = r.u32()? as usize;
-                let n = r.checked_count(n, 4, "doc-id prefix")?;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(r.u32()?);
-                }
-                PrefixData::DocIds(ids)
+                let n = r.u32()?;
+                PrefixData::DocIds(r.list(n.into(), 4, "doc-id prefix", Reader::u32)?)
             }
             1 => {
-                let n = r.u32()? as usize;
-                let n = r.checked_count(n, 8, "impact-entry prefix")?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let raw = r.take(8)?;
-                    let mut arr = [0u8; 8];
-                    arr.copy_from_slice(raw);
-                    entries.push(ImpactEntry::decode(&arr));
-                }
-                PrefixData::Entries(entries)
+                let n = r.u32()?;
+                PrefixData::Entries(r.list(n.into(), 8, "impact-entry prefix", |r| {
+                    Ok::<_, CodecError>(ImpactEntry::decode(&r.array()?))
+                })?)
             }
             _ => return Err(err("unknown prefix kind")),
         };
         let proof = match r.u8()? {
             0 => TermProof::Mht(MerkleProof {
-                digests: r.digests16()?,
+                digests: digests16(r)?,
             }),
             1 => TermProof::Cmht(ChainPrefixProof {
                 tail: MerkleProof {
-                    digests: r.digests16()?,
+                    digests: digests16(r)?,
                 },
             }),
             _ => return Err(err("unknown proof kind")),
         };
-        terms.push(TermVo {
+        Ok(TermVo {
             term,
             ft,
             prefix,
             proof,
             signature: None,
-        });
-    }
-    let num_docs = r.u32()? as usize;
+        })
+    })?;
+    let num_docs = r.u32()?;
     // Smallest possible document proof: ids + counts + flags + prefixes.
-    let num_docs = r.checked_count(num_docs, 15, "document proof")?;
-    let mut docs = Vec::with_capacity(num_docs);
-    for _ in 0..num_docs {
+    let docs = r.list(num_docs.into(), 15, "document proof", |r| {
         let doc = r.u32()?;
         let num_leaves = r.u32()?;
         if num_leaves >= MAX_DOC_LEAVES {
             return Err(err("document-MHT of 2^26 leaves or more"));
         }
-        let n = r.u32()? as usize;
-        let n = r.checked_count(n, 12, "revealed leaf")?;
-        let mut revealed = Vec::with_capacity(n);
-        for _ in 0..n {
+        let n = r.u32()?;
+        let revealed = r.list(n.into(), 12, "revealed leaf", |r| {
             let packed = r.u32()?;
-            let term = r.u32()?;
-            let weight = f32::from_bits(r.u32()?);
-            revealed.push(DocLeaf {
+            Ok::<_, CodecError>(DocLeaf {
                 pos: packed & (MAX_DOC_LEAVES - 1),
-                term,
-                weight,
+                term: r.u32()?,
+                weight: f32::from_bits(r.u32()?),
                 // Six bits: the narrowing is exact.
                 class: (packed >> POS_BITS) as u8,
-            });
-        }
+            })
+        })?;
         let proof = MerkleProof {
-            digests: r.digests16()?,
+            digests: digests16(r)?,
         };
         let content_digest = match r.u8()? {
             0 => None,
             1 => Some(r.digest()?),
             _ => return Err(err("bad content flag")),
         };
-        docs.push(DocVo {
+        Ok(DocVo {
             doc,
             num_leaves,
             revealed,
             proof,
             content_digest,
-        });
-    }
+        })
+    })?;
     let dict = DictVo {
         num_terms: r.u32()?,
         proof: MerkleProof {
-            digests: r.digests16()?,
+            digests: digests16(r)?,
         },
     };
     let doc_table = if mechanism.is_tra() {
-        let n = r.u32()? as usize;
-        let n = r.checked_count(n, DIGEST_LEN, "document-table digest")?;
-        let mut digests = Vec::with_capacity(n);
-        for _ in 0..n {
-            digests.push(r.digest()?);
-        }
+        let n = r.u32()?;
         Some(DocTableVo {
-            proof: MerkleProof { digests },
+            proof: MerkleProof {
+                digests: r.digests(n.into(), "document-table digest")?,
+            },
         })
     } else {
         None
     };
-    let signature = r.bytes16()?;
-    if r.pos != bytes.len() {
-        return Err(err("trailing bytes"));
-    }
+    let signature = r.bytes16()?.to_vec();
     Ok(VerificationObject {
         mechanism,
         terms,
@@ -545,18 +402,14 @@ pub fn encode_frame_header(
     kind: u8,
     payload_len: usize,
 ) -> Result<[u8; FRAME_HEADER_LEN], WireError> {
-    if payload_len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::TooLong {
+    let len32 = u32::try_from(payload_len)
+        .ok()
+        .filter(|_| payload_len <= MAX_FRAME_PAYLOAD)
+        .ok_or(WireError::TooLong {
             field: "frame payload",
             len: payload_len,
             max: MAX_FRAME_PAYLOAD,
-        });
-    }
-    let len32 = u32::try_from(payload_len).map_err(|_| WireError::TooLong {
-        field: "frame payload",
-        len: payload_len,
-        max: MAX_FRAME_PAYLOAD,
-    })?;
+        })?;
     let [m0, m1, m2, m3] = FRAME_MAGIC;
     let [l0, l1, l2, l3] = len32.to_le_bytes();
     Ok([m0, m1, m2, m3, WIRE_VERSION, kind, l0, l1, l2, l3])
@@ -644,68 +497,72 @@ pub enum Request {
 impl Request {
     /// Serialize to a complete frame (header + payload).
     pub fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
-        let mut w = Writer { buf: Vec::new() };
-        let kind = match self {
-            Request::Text { text, r } => {
+        match self {
+            Request::Text { text, r } => framed(kind::REQ_TEXT, |w| {
                 w.u32(*r);
-                w.bytes16(text.as_bytes(), "query text")?;
-                kind::REQ_TEXT
-            }
+                Ok(w.bytes16(text.as_bytes(), "query text")?)
+            }),
             Request::Terms { terms, r, mode } => {
-                w.u32(*r);
-                w.len16(terms.len(), "query terms")?;
-                for &(t, f_qt) in terms {
-                    w.u32(t);
-                    w.u32(f_qt);
-                }
-                match mode {
+                let kind = match mode {
                     QueryMode::Disjunctive => kind::REQ_TERMS,
                     QueryMode::Conjunctive => kind::REQ_CONJ_TERMS,
-                }
+                };
+                framed(kind, |w| {
+                    w.u32(*r);
+                    write_pairs(w, terms, "query terms")
+                })
             }
-        };
-        frame(kind, w.buf)
+        }
     }
 
     /// Deserialize a request payload of the given frame kind.
     pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Request, WireError> {
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
-        let request = match kind {
+        codec::read_all(payload, |r| match kind {
             kind::REQ_TEXT => {
                 let top_r = r.u32()?;
-                let text =
-                    String::from_utf8(r.bytes16()?).map_err(|_| err("query text is not UTF-8"))?;
-                Request::Text { text, r: top_r }
+                let text = std::str::from_utf8(r.bytes16()?)
+                    .map_err(|_| err("query text is not UTF-8"))?;
+                Ok(Request::Text {
+                    text: text.to_owned(),
+                    r: top_r,
+                })
             }
             kind::REQ_TERMS | kind::REQ_CONJ_TERMS => {
                 let top_r = r.u32()?;
-                let n = r.u16()? as usize;
-                let n = r.checked_count(n, 8, "query term")?;
-                let mut terms = Vec::with_capacity(n);
-                for _ in 0..n {
-                    terms.push((r.u32()?, r.u32()?));
-                }
+                let terms = read_pairs(r, "query term")?;
                 let mode = if kind == kind::REQ_TERMS {
                     QueryMode::Disjunctive
                 } else {
                     QueryMode::Conjunctive
                 };
-                Request::Terms {
+                Ok(Request::Terms {
                     terms,
                     r: top_r,
                     mode,
-                }
+                })
             }
-            _ => return Err(err("not a request frame")),
-        };
-        if r.pos != payload.len() {
-            return Err(err("trailing bytes in request"));
-        }
-        Ok(request)
+            _ => Err(err("not a request frame")),
+        })
     }
+}
+
+/// A `u16` count, then `(term, f_qt)` pairs.
+fn write_pairs(
+    w: &mut Writer<'_>,
+    pairs: &[(TermId, u32)],
+    field: &'static str,
+) -> Result<(), WireError> {
+    w.len16(pairs.len(), field)?;
+    for &(t, f_qt) in pairs {
+        w.u32(t);
+        w.u32(f_qt);
+    }
+    Ok(())
+}
+
+fn read_pairs(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<(TermId, u32)>, CodecError> {
+    let n = r.u16()?;
+    r.list(n.into(), 8, what, |r| Ok((r.u32()?, r.u32()?)))
 }
 
 /// A server reply, as it travels server → client.
@@ -735,50 +592,45 @@ pub fn encode_ok_reply(
     terms: &[(TermId, u32)],
     response: &QueryResponse,
 ) -> Result<Vec<u8>, WireError> {
-    let mut payload = Vec::new();
-    let kind = encode_ok_reply_payload(terms, response, &mut payload)?;
-    frame(kind, payload)
+    framed(kind::REPLY_OK, |w| write_ok_reply(w, terms, response))
 }
 
 /// Serialize a successful reply **payload only** into a caller-owned
 /// buffer (cleared first), returning the frame kind to put in the
 /// header. This is the zero-copy path the reactor core uses: the
-/// 10-byte header lives on the caller's stack and goes out through a
-/// vectored write alongside this buffer, so a reply costs no staging
-/// copy and — once the connection's buffer has grown to its working
-/// size — no allocation. [`encode_ok_reply`] is this plus
-/// framing.
+/// 10-byte header goes out through a vectored write alongside this
+/// buffer, so a reply costs no staging copy and — once the buffer has
+/// grown to its working size — no allocation.
 pub fn encode_ok_reply_payload(
     terms: &[(TermId, u32)],
     response: &QueryResponse,
     payload: &mut Vec<u8>,
 ) -> Result<u8, WireError> {
     payload.clear();
-    let mut w = Writer {
-        buf: std::mem::take(payload),
-    };
+    write_ok_reply(&mut Writer(payload), terms, response)?;
+    Ok(kind::REPLY_OK)
+}
+
+fn write_ok_reply(
+    w: &mut Writer<'_>,
+    terms: &[(TermId, u32)],
+    response: &QueryResponse,
+) -> Result<(), WireError> {
     // The `(term, f_qt)` echo.
-    w.len16(terms.len(), "reply term echo")?;
-    for &(t, f_qt) in terms {
-        w.u32(t);
-        w.u32(f_qt);
-    }
+    write_pairs(w, terms, "reply term echo")?;
     // Ranked result.
     w.len32(response.result.entries.len(), "result entries")?;
     for e in &response.result.entries {
         w.u32(e.doc);
         w.u64(e.score.to_bits());
     }
-    // Nested VO (its own magic + encoding).
-    let vo = encode(&response.vo)?;
-    w.len32(vo.len(), "VO bytes")?;
-    w.buf.extend_from_slice(&vo);
+    // Nested VO (its own magic + encoding), in place.
+    w.prefixed32("VO bytes", |w| write_vo(w, &response.vo))?;
     // Result-document contents.
     w.len32(response.contents.len(), "result contents")?;
     for (d, bytes) in &response.contents {
         w.u32(*d);
-        w.len32(bytes.len(), "document content")?;
-        w.buf.extend_from_slice(bytes);
+        w.bytes32(bytes, "document content")?;
     }
     // Engine-side accounting.
     w.u64(response.io.seeks);
@@ -787,15 +639,12 @@ pub fn encode_ok_reply_payload(
     for &n in &response.entries_read {
         w.len32(n, "entries-read value")?;
     }
-    *payload = w.buf;
-    Ok(kind::REPLY_OK)
+    Ok(())
 }
 
 /// Serialize an error reply to a complete frame.
 pub fn encode_err_reply(code: u8, message: &str) -> Result<Vec<u8>, WireError> {
-    let mut payload = Vec::new();
-    let kind = encode_err_reply_payload(code, message, &mut payload)?;
-    frame(kind, payload)
+    framed(kind::REPLY_ERR, |w| write_err_reply(w, code, message))
 }
 
 /// Payload-only variant of [`encode_err_reply`]; see
@@ -809,65 +658,46 @@ pub fn encode_err_reply_payload(
     payload: &mut Vec<u8>,
 ) -> Result<u8, WireError> {
     payload.clear();
-    let mut w = Writer {
-        buf: std::mem::take(payload),
-    };
+    write_err_reply(&mut Writer(payload), code, message)?;
+    Ok(kind::REPLY_ERR)
+}
+
+fn write_err_reply(w: &mut Writer<'_>, code: u8, message: &str) -> Result<(), WireError> {
     w.u8(code);
     let mut end = message.len().min(u16::MAX as usize);
     while !message.is_char_boundary(end) {
         end -= 1;
     }
-    w.bytes16(
-        message.as_bytes().get(..end).unwrap_or_default(),
-        "error message",
-    )?;
-    *payload = w.buf;
-    Ok(kind::REPLY_ERR)
+    let text = message.as_bytes().get(..end).unwrap_or_default();
+    Ok(w.bytes16(text, "error message")?)
 }
 
 /// Deserialize a reply payload of the given frame kind.
 pub fn decode_reply_payload(kind: u8, payload: &[u8]) -> Result<Reply, WireError> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
-    let reply = match kind {
+    codec::read_all(payload, |r| match kind {
         kind::REPLY_OK => {
-            let nt = r.u16()? as usize;
-            let nt = r.checked_count(nt, 8, "reply term")?;
-            let mut terms = Vec::with_capacity(nt);
-            for _ in 0..nt {
-                terms.push((r.u32()?, r.u32()?));
-            }
-            let ne = r.u32()? as usize;
-            let ne = r.checked_count(ne, 12, "result entry")?;
-            let mut entries = Vec::with_capacity(ne);
-            for _ in 0..ne {
-                let doc = r.u32()?;
-                let score = f64::from_bits(r.u64()?);
-                entries.push(ResultEntry { doc, score });
-            }
-            let vo_len = r.u32()? as usize;
-            let vo = decode(r.take(vo_len)?)?;
-            let nc = r.u32()? as usize;
-            let nc = r.checked_count(nc, 8, "result content")?;
-            let mut contents = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                let doc = r.u32()?;
-                let len = r.u32()? as usize;
-                contents.push((doc, r.take(len)?.to_vec()));
-            }
+            let terms = read_pairs(r, "reply term")?;
+            let ne = r.u32()?;
+            let entries = r.list(ne.into(), 12, "result entry", |r| {
+                Ok::<_, CodecError>(ResultEntry {
+                    doc: r.u32()?,
+                    score: f64::from_bits(r.u64()?),
+                })
+            })?;
+            let vo = decode(r.bytes32()?)?;
+            let nc = r.u32()?;
+            let contents = r.list(nc.into(), 8, "result content", |r| {
+                Ok::<_, CodecError>((r.u32()?, r.bytes32()?.to_vec()))
+            })?;
             let io = IoStats {
                 seeks: r.u64()?,
                 blocks: r.u64()?,
             };
-            let nr = r.u16()? as usize;
-            let nr = r.checked_count(nr, 4, "entries-read list")?;
-            let mut entries_read = Vec::with_capacity(nr);
-            for _ in 0..nr {
-                entries_read.push(r.u32()? as usize);
-            }
-            Reply::Ok {
+            let nr = r.u16()?;
+            let entries_read = r.list(nr.into(), 4, "entries-read list", |r| {
+                Ok::<_, CodecError>(r.u32()? as usize)
+            })?;
+            Ok(Reply::Ok {
                 terms,
                 response: Box::new(QueryResponse {
                     result: QueryResult { entries },
@@ -876,29 +706,32 @@ pub fn decode_reply_payload(kind: u8, payload: &[u8]) -> Result<Reply, WireError
                     io,
                     entries_read,
                 }),
-            }
+            })
         }
         kind::REPLY_ERR => {
             let code = r.u8()?;
             let message =
-                String::from_utf8(r.bytes16()?).map_err(|_| err("error message is not UTF-8"))?;
-            Reply::Err { code, message }
+                std::str::from_utf8(r.bytes16()?).map_err(|_| err("error message is not UTF-8"))?;
+            Ok(Reply::Err {
+                code,
+                message: message.to_owned(),
+            })
         }
-        _ => return Err(err("not a reply frame")),
-    };
-    if r.pos != payload.len() {
-        return Err(err("trailing bytes in reply"));
-    }
-    Ok(reply)
+        _ => Err(err("not a reply frame")),
+    })
 }
 
-/// Prepend the frame header to a finished payload.
-fn frame(kind: u8, payload: Vec<u8>) -> Result<Vec<u8>, WireError> {
-    let header = encode_frame_header(kind, payload.len())?;
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&header);
-    out.extend_from_slice(&payload);
-    Ok(out)
+/// A complete frame of `kind`: the header, then the payload `write`
+/// appends, written in one buffer and never copied.
+fn framed(
+    kind: u8,
+    write: impl FnOnce(&mut Writer<'_>) -> Result<(), WireError>,
+) -> Result<Vec<u8>, WireError> {
+    let mut buf = vec![0; FRAME_HEADER_LEN];
+    write(&mut Writer(&mut buf))?;
+    let header = encode_frame_header(kind, buf.len() - FRAME_HEADER_LEN)?;
+    buf.splice(..FRAME_HEADER_LEN, header);
+    Ok(buf)
 }
 
 /// Split a complete frame into `(kind, payload)`, validating the header
@@ -906,11 +739,10 @@ fn frame(kind: u8, payload: Vec<u8>) -> Result<Vec<u8>, WireError> {
 /// that already hold whole frames (tests, fuzzing); the streaming
 /// server and client read the header and payload separately.
 pub fn split_frame(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
-    let header: [u8; FRAME_HEADER_LEN] = bytes
-        .get(..FRAME_HEADER_LEN)
-        .and_then(|h| h.try_into().ok())
+    let header = bytes
+        .first_chunk()
         .ok_or_else(|| err("truncated frame header"))?;
-    let (kind, len) = decode_frame_header(&header)?;
+    let (kind, len) = decode_frame_header(header)?;
     let payload = bytes.get(FRAME_HEADER_LEN..).unwrap_or_default();
     if payload.len() != len {
         return Err(err("frame length mismatch"));
@@ -982,40 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn part_lengths_add_up_to_the_encoding() {
-        // A TRA VO's term, document and document-table proofs encode to
-        // exactly the lengths the engine counts them at; everything else
-        // is the same for every VO of the query.
-        for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
-            let vo = sample_vo(mechanism);
-            let table = vo.doc_table.as_ref().unwrap();
-            let parts = vo
-                .terms
-                .iter()
-                .map(|tv| tra_term_len(tv.prefix.len(), tv.proof.num_digests()))
-                .chain(vo.docs.iter().map(|dv| {
-                    doc_proof_len(
-                        dv.revealed.len(),
-                        dv.proof.digests.len(),
-                        dv.content_digest.is_some(),
-                    )
-                }))
-                .sum::<usize>()
-                + doc_table_len(table.proof.digests.len());
-            let mut bare = vo.clone();
-            bare.terms.clear();
-            bare.docs.clear();
-            bare.doc_table.as_mut().unwrap().proof.digests.clear();
-            let bare_len = encode(&bare).unwrap().len() - doc_table_len(0);
-            assert_eq!(
-                encode(&vo).unwrap().len(),
-                bare_len + parts,
-                "{mechanism:?}"
-            );
-        }
-    }
-
-    #[test]
     fn forged_counts_cannot_size_allocations() {
         // A 9-byte frame advertising 65,535 VO terms: `checked_count`
         // must reject the count against the bytes actually present,
@@ -1042,11 +840,16 @@ mod tests {
 
     #[test]
     fn truncation_rejected_everywhere() {
-        let vo = sample_vo(Mechanism::TraMht);
-        let bytes = encode(&vo).unwrap();
-        // Cut at a sample of offsets; decoding must error, never panic.
-        for cut in (0..bytes.len()).step_by(7) {
-            assert!(decode(&bytes[..cut]).is_err(), "cut={cut}");
+        // Every cut of every mechanism's VO is a typed error, never a
+        // panic.
+        for mechanism in Mechanism::ALL {
+            let bytes = encode(&sample_vo(mechanism)).unwrap();
+            for cut in 0..bytes.len() {
+                assert!(
+                    matches!(decode(&bytes[..cut]), Err(WireError::Malformed(_))),
+                    "{mechanism:?} cut={cut}"
+                );
+            }
         }
     }
 
@@ -1394,24 +1197,67 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn truncated_frames_and_payloads_rejected() {
-        let response = sample_response(Mechanism::TraCmht);
-        let terms: Vec<(TermId, u32)> = response.vo.terms.iter().map(|t| (t.term, 1)).collect();
-        let bytes = encode_ok_reply(&terms, &response).unwrap();
-        // Any truncation must error cleanly (header-level or payload-level).
-        for cut in (0..bytes.len()).step_by(11) {
+    /// Every cut of a whole frame is refused, at the frame layer or by
+    /// `decode` on the shortened payload.
+    fn every_cut_is_refused(bytes: &[u8], decode: impl Fn(u8, &[u8]) -> bool) {
+        for cut in 0..bytes.len() {
             let truncated = &bytes[..cut];
             let rejected = match split_frame(truncated) {
-                Err(_) => true, // rejected at the frame layer
-                Ok((kind, payload)) => decode_reply_payload(kind, payload).is_err(),
+                Err(_) => true,
+                Ok((kind, payload)) => !decode(kind, payload),
             };
             assert!(rejected, "cut={cut}");
+            // The payload alone, cut, under the frame's own kind.
+            if let Some(payload) = bytes.get(FRAME_HEADER_LEN..cut) {
+                assert!(!decode(bytes[5], payload), "payload cut={cut}");
+            }
         }
-        // Trailing garbage in the payload is rejected as well.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(split_frame(&padded).is_err());
+    }
+
+    #[test]
+    fn truncated_frames_and_payloads_rejected() {
+        for mechanism in Mechanism::ALL {
+            let response = sample_response(mechanism);
+            let terms: Vec<(TermId, u32)> = response.vo.terms.iter().map(|t| (t.term, 1)).collect();
+            let bytes = encode_ok_reply(&terms, &response).unwrap();
+            every_cut_is_refused(&bytes, |kind, payload| {
+                decode_reply_payload(kind, payload).is_ok()
+            });
+            // Trailing garbage in the payload is rejected as well.
+            let mut padded = bytes.clone();
+            padded.push(0);
+            assert!(split_frame(&padded).is_err());
+        }
+        let bytes = encode_err_reply(errcode::BAD_QUERY, "term 99 out of dictionary").unwrap();
+        every_cut_is_refused(&bytes, |kind, payload| {
+            decode_reply_payload(kind, payload).is_ok()
+        });
+    }
+
+    #[test]
+    fn every_cut_of_a_request_frame_is_refused() {
+        let requests = [
+            Request::Text {
+                text: "sleeps in the dark".into(),
+                r: 2,
+            },
+            Request::Terms {
+                terms: vec![(2, 1), (7, 1), (14, 2)],
+                r: 10,
+                mode: QueryMode::Disjunctive,
+            },
+            Request::Terms {
+                terms: vec![(2, 1), (9, 3)],
+                r: 4,
+                mode: QueryMode::Conjunctive,
+            },
+        ];
+        for request in requests {
+            let bytes = request.encode_frame().unwrap();
+            every_cut_is_refused(&bytes, |kind, payload| {
+                Request::decode_payload(kind, payload).is_ok()
+            });
+        }
     }
 
     #[test]

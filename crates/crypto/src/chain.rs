@@ -23,7 +23,7 @@
 //! last.
 
 use crate::digest::Digest;
-use crate::merkle::{proof_len, reconstruct_root, MerkleProof, MerkleTree};
+use crate::merkle::{reconstruct_root, MerkleProof, MerkleTree};
 
 /// A chain-MHT materialized over leaf digests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,7 +113,9 @@ impl ChainMht {
                 },
             };
         }
-        let (jb, lo, hi) = self.tail_block(k);
+        let jb = (k - 1) / self.capacity;
+        let lo = jb * self.capacity;
+        let hi = ((jb + 1) * self.capacity).min(self.num_leaves);
         let mut objs: Vec<Digest> = self.leaves[lo..hi].to_vec();
         if jb + 1 < self.num_blocks() {
             objs.push(self.block_digests[jb + 1]);
@@ -123,26 +125,6 @@ impl ChainMht {
         ChainPrefixProof {
             tail: tree.prove(&revealed),
         }
-    }
-
-    /// Digests in [`Self::prove_prefix`]`(k)`, counted without hashing.
-    pub fn prefix_proof_len(&self, k: usize) -> usize {
-        assert!(k <= self.num_leaves, "prefix beyond sequence end");
-        if k == 0 {
-            return 1;
-        }
-        let (jb, lo, hi) = self.tail_block(k);
-        let objs = hi - lo + usize::from(jb + 1 < self.num_blocks());
-        let revealed: Vec<usize> = (0..k - lo).collect();
-        proof_len(objs, &revealed)
-    }
-
-    /// The block holding entry `k - 1` (`k ≥ 1`): its index and leaf
-    /// range.
-    fn tail_block(&self, k: usize) -> (usize, usize, usize) {
-        let jb = (k - 1) / self.capacity;
-        let lo = jb * self.capacity;
-        (jb, lo, ((jb + 1) * self.capacity).min(self.num_leaves))
     }
 
     /// Blocks that must be fetched from disk to answer a `k`-prefix read
@@ -243,7 +225,6 @@ mod tests {
                 let chain = ChainMht::build(l.clone(), cap);
                 for k in 0..=n {
                     let proof = chain.prove_prefix(k);
-                    assert_eq!(chain.prefix_proof_len(k), proof.num_digests());
                     let head = reconstruct_head(n, cap, &l[..k], &proof);
                     assert_eq!(head, Some(chain.head_digest()), "n={n} cap={cap} k={k}");
                 }

@@ -9,6 +9,9 @@
 //! * [`block`] — the 1-KByte block layout and the ρ / ρ′ capacities;
 //! * [`disk`] — the simulated Seagate ST973401KC disk of the testbed;
 //! * [`iostats`] — block-access traces fed into the disk model;
+//! * [`codec`] — the one bounded byte reader and writer that every wire
+//!   frame, verification object, snapshot section and index record is
+//!   read and written through;
 //! * [`persist`] — binary serialization for indexes and corpora, plus
 //!   the crash-safe, digest-trailed v2 snapshot container.
 
@@ -16,6 +19,7 @@
 
 pub mod block;
 pub mod builder;
+pub mod codec;
 pub mod dictionary;
 pub mod disk;
 pub mod iostats;

@@ -13,13 +13,14 @@
 //! per query from the dictionary's `f_t` ([`query_weight`]), and reads
 //! neither parameter.
 
-/// Okapi parameters.
+/// Okapi parameters, checked where they are made: `k1 ≥ 0` and
+/// `0 ≤ b ≤ 1`, both finite ([`OkapiParams::new`]). Outside that range
+/// Formula (1) gives negative or NaN document weights, which the
+/// paper's threshold algorithms exclude.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OkapiParams {
-    /// Term-frequency saturation (recommended 1.2).
-    pub k1: f64,
-    /// Length-normalization strength (recommended 0.75).
-    pub b: f64,
+    k1: f64,
+    b: f64,
 }
 
 impl Default for OkapiParams {
@@ -29,6 +30,22 @@ impl Default for OkapiParams {
 }
 
 impl OkapiParams {
+    /// The parameters `k1` and `b`, or `None` when `k1 < 0`, `b` lies
+    /// outside `[0, 1]` or either is not finite.
+    pub fn new(k1: f64, b: f64) -> Option<OkapiParams> {
+        (k1.is_finite() && k1 >= 0.0 && (0.0..=1.0).contains(&b)).then_some(OkapiParams { k1, b })
+    }
+
+    /// Term-frequency saturation (recommended 1.2).
+    pub fn k1(&self) -> f64 {
+        self.k1
+    }
+
+    /// Length-normalization strength (recommended 0.75).
+    pub fn b(&self) -> f64 {
+        self.b
+    }
+
     /// Document-side weight `w_{d,t}`, stored (as `f32`) in impact entries.
     pub fn doc_weight(&self, f_dt: u32, doc_len: u32, avg_doc_len: f64) -> f32 {
         if f_dt == 0 {
@@ -70,6 +87,25 @@ mod tests {
         let w2 = p.doc_weight(2, 100, 100.0);
         let w10 = p.doc_weight(10, 100, 100.0);
         assert!(w1 < w2 && w2 < w10);
+    }
+
+    #[test]
+    fn parameters_outside_the_model_are_refused() {
+        assert_eq!(OkapiParams::new(1.2, 0.75), Some(OkapiParams::default()));
+        for (k1, b) in [(0.0, 0.0), (0.0, 1.0), (100.0, 0.5)] {
+            assert!(OkapiParams::new(k1, b).is_some(), "k1 = {k1}, b = {b}");
+        }
+        for (k1, b) in [
+            (-3.0, 0.0),
+            (-f64::MIN_POSITIVE, 0.5),
+            (1.2, -0.01),
+            (1.2, 1.01),
+            (f64::NAN, 0.5),
+            (1.2, f64::NAN),
+            (f64::INFINITY, 0.5),
+        ] {
+            assert_eq!(OkapiParams::new(k1, b), None, "k1 = {k1}, b = {b}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! Two layers live here:
 //!
-//! * the **index record** (`ASIX`) — a flat stream with a magic +
+//! * the **index record** (`ASIX`) — a flat record with a magic +
 //!   version header ([`write_index`]/[`read_index`]), carried as one
 //!   section of the snapshot;
 //! * the **v2 snapshot container** (`ASNP`): a sequence of
@@ -17,37 +17,25 @@
 //!   [`save_snapshot_file`]. Section payloads are opaque here; the
 //!   authenticated-artifact codec on top lives in `authsearch-core`.
 //!
-//! Everything read from disk is treated as **attacker bytes** (the
-//! engine is untrusted in the paper's model, and bit rot is
-//! indistinguishable from tampering): every count is validated against
-//! the bytes that could actually back it before any allocation, every
-//! pre-allocation is clamped to [`PREALLOC_CLAMP`], and corruption
-//! surfaces as a typed [`PersistError`] — never a panic, never an
-//! attacker-sized `Vec::with_capacity`.
+//! Both, and the manifest, are written into a `Vec<u8>` and parsed from
+//! bytes held whole through [`crate::codec`]. Everything read from disk
+//! is **attacker bytes** (the engine is untrusted in the paper's model,
+//! and bit rot is indistinguishable from tampering): corruption is a
+//! typed [`PersistError`], never a panic or an attacker-sized
+//! allocation.
 
+use crate::codec::{self, capped, CodecError, Writer};
 use crate::dictionary::InvertedIndex;
 use crate::okapi::OkapiParams;
 use crate::postings::{ImpactEntry, InvertedList};
 use authsearch_crypto::{Digest, DIGEST_LEN};
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 const INDEX_MAGIC: &[u8; 4] = b"ASIX";
 const VERSION: u32 = 1;
-
-/// Upper bound on any single `Vec::with_capacity` fed by bytes read
-/// from disk. Reads past the clamp grow organically, so a forged length
-/// field costs at most one modest buffer before the stream runs dry and
-/// the decoder returns [`PersistError::Corrupt`] — the persistence
-/// mirror of `wire.rs`'s `checked_count` discipline.
-pub const PREALLOC_CLAMP: usize = 1 << 16;
-
-/// Clamp a length field read from untrusted bytes to a safe capacity.
-fn capped(len: usize) -> usize {
-    len.min(PREALLOC_CLAMP)
-}
 
 /// Errors from (de)serialization.
 #[derive(Debug)]
@@ -91,127 +79,84 @@ impl From<io::Error> for PersistError {
     }
 }
 
+impl From<CodecError> for PersistError {
+    fn from(e: CodecError) -> Self {
+        corrupt(e.to_string())
+    }
+}
+
 fn corrupt(why: impl Into<String>) -> PersistError {
     PersistError::Corrupt(why.into())
 }
 
-// ---- primitive encoders -------------------------------------------------
-
-/// Write one little-endian `u32` (shared by the section codecs built on
-/// top of this module).
-pub fn put_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-/// Write one little-endian `u64`.
-pub fn put_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-/// Write one `f64` as its little-endian bit pattern.
-pub fn put_f64<W: Write>(w: &mut W, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_bits().to_le_bytes())
-}
-
-fn get_u32<R: Read>(r: &mut R) -> Result<u32, PersistError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn get_u64<R: Read>(r: &mut R) -> Result<u64, PersistError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn get_f64<R: Read>(r: &mut R) -> Result<f64, PersistError> {
-    Ok(f64::from_bits(get_u64(r)?))
-}
-
 // ---- index --------------------------------------------------------------
 
-/// Serialize an index to any writer.
-pub fn write_index<W: Write>(w: &mut W, index: &InvertedIndex) -> Result<(), PersistError> {
-    w.write_all(INDEX_MAGIC)?;
-    put_u32(w, VERSION)?;
-    put_f64(w, index.params().k1)?;
-    put_f64(w, index.params().b)?;
-    put_u64(w, index.num_docs() as u64)?;
-    put_f64(w, index.avg_doc_len())?;
-    put_u64(w, index.num_terms() as u64)?;
+/// Append the index record of `index` to `buf`.
+pub fn write_index(buf: &mut Vec<u8>, index: &InvertedIndex) -> Result<(), PersistError> {
+    let mut w = Writer(buf);
+    w.bytes(INDEX_MAGIC);
+    w.u32(VERSION);
+    w.f64(index.params().k1());
+    w.f64(index.params().b());
+    w.u64(index.num_docs() as u64);
+    w.f64(index.avg_doc_len());
+    w.u64(index.num_terms() as u64);
     for t in 0..index.num_terms() as u32 {
         let list = index.list(t);
-        let list_len =
-            u32::try_from(list.len()).map_err(|_| corrupt("posting list length exceeds u32"))?;
-        put_u32(w, list_len)?;
+        w.len32(list.len(), "posting list")?;
         for e in list.entries() {
-            w.write_all(&e.encode())?;
+            w.bytes(&e.encode());
         }
     }
     Ok(())
 }
 
-/// Deserialize an index from any reader.
-pub fn read_index<R: Read>(r: &mut R) -> Result<InvertedIndex, PersistError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != INDEX_MAGIC {
-        return Err(corrupt("bad index magic"));
-    }
-    if get_u32(r)? != VERSION {
-        return Err(corrupt("unsupported index version"));
-    }
-    let k1 = get_f64(r)?;
-    let b = get_f64(r)?;
-    if !(k1.is_finite() && b.is_finite()) {
-        return Err(corrupt("non-finite Okapi parameters"));
-    }
-    let num_docs = get_u64(r)? as usize;
-    let avg = get_f64(r)?;
-    let m = get_u64(r)? as usize;
-    if m > 1 << 28 {
-        return Err(corrupt("dictionary size implausible"));
-    }
-    let mut ft = Vec::with_capacity(capped(m));
-    let mut lists = Vec::with_capacity(capped(m));
-    let mut entry_buf = [0u8; 8];
-    for t in 0..m {
-        let len32 = get_u32(r)?;
-        let len = len32 as usize;
-        if len > num_docs {
-            return Err(corrupt("list longer than collection"));
+/// Parse an index record; bytes past its last list are refused.
+pub fn read_index(bytes: &[u8]) -> Result<InvertedIndex, PersistError> {
+    codec::read_all(bytes, |r| {
+        if r.bytes(4)? != INDEX_MAGIC {
+            return Err(corrupt("bad index magic"));
         }
-        let mut entries = Vec::with_capacity(capped(len));
-        for _ in 0..len {
-            r.read_exact(&mut entry_buf)?;
-            let entry = ImpactEntry::decode(&entry_buf);
-            if entry.doc as usize >= num_docs {
-                return Err(corrupt(format!(
-                    "term {t}: document {} outside the collection of {num_docs}",
-                    entry.doc
-                )));
+        if r.u32()? != VERSION {
+            return Err(corrupt("unsupported index version"));
+        }
+        let params = OkapiParams::new(r.f64()?, r.f64()?)
+            .ok_or_else(|| corrupt("Okapi parameters outside k1 ≥ 0, 0 ≤ b ≤ 1"))?;
+        let num_docs = r.u64()? as usize;
+        let avg = r.f64()?;
+        // Every term carries at least its 4-byte list length.
+        let claimed = r.u64()?;
+        let m = r.checked_count(claimed, 4, "term")?;
+        let mut ft = Vec::with_capacity(capped(m));
+        let mut lists = Vec::with_capacity(capped(m));
+        for t in 0..m {
+            let len32 = r.u32()?;
+            if len32 as usize > num_docs {
+                return Err(corrupt("list longer than collection"));
             }
-            entries.push(entry);
+            let entries = r.list(len32.into(), 8, "posting", |r| {
+                let entry = ImpactEntry::decode(&r.array()?);
+                if entry.doc as usize >= num_docs {
+                    return Err(corrupt(format!(
+                        "term {t}: document {} outside the collection of {num_docs}",
+                        entry.doc
+                    )));
+                }
+                Ok(entry)
+            })?;
+            // Untrusted input: validate the canonical ordering invariant
+            // before wrapping (from_sorted only debug-asserts it).
+            let canonical = entries.windows(2).all(|pair| {
+                matches!(pair, [a, b] if a.weight > b.weight || (a.weight == b.weight && a.doc < b.doc))
+            });
+            if !canonical {
+                return Err(corrupt("list not frequency-ordered"));
+            }
+            ft.push(len32);
+            lists.push(InvertedList::from_sorted(entries));
         }
-        // Untrusted input: validate the canonical ordering invariant
-        // before wrapping (from_sorted only debug-asserts it).
-        let canonical = entries.windows(2).all(|pair| {
-            matches!(pair, [a, b] if a.weight > b.weight || (a.weight == b.weight && a.doc < b.doc))
-        });
-        if !canonical {
-            return Err(corrupt("list not frequency-ordered"));
-        }
-        ft.push(len32);
-        lists.push(InvertedList::from_sorted(entries));
-    }
-    Ok(InvertedIndex::from_parts(
-        OkapiParams { k1, b },
-        num_docs,
-        avg,
-        ft,
-        lists,
-    ))
+        Ok(InvertedIndex::from_parts(params, num_docs, avg, ft, lists))
+    })
 }
 
 // ---- v2 snapshot container ------------------------------------------------
@@ -223,9 +168,7 @@ pub const MANIFEST_MAGIC: &[u8; 4] = b"ASMF";
 /// Container version of the section-framed, digest-trailed layout.
 pub const SNAPSHOT_VERSION: u32 = 2;
 /// Largest section payload a reader accepts (2 GiB covers WSJ-scale
-/// artifacts with room to spare; anything bigger is a forged length —
-/// and readers never pre-allocate the claimed size anyway, see
-/// [`PREALLOC_CLAMP`]).
+/// artifacts with room to spare; anything bigger is a forged length).
 pub const MAX_SECTION_PAYLOAD: u64 = 1 << 31;
 /// Largest section count a reader accepts.
 pub const MAX_SECTIONS: u32 = 64;
@@ -261,189 +204,75 @@ fn tag_name(tag: &SectionTag) -> String {
         .collect()
 }
 
-/// Serialize a snapshot container: header, then every section as
-/// `tag | u64 len | payload | digest(tag, len, payload)`.
-pub fn write_snapshot<W: Write>(
-    w: &mut W,
-    sections: &[(SectionTag, Vec<u8>)],
-) -> Result<(), PersistError> {
+/// Encode a snapshot container: header, then every section as
+/// `tag | u64 len | payload | digest(tag, len, payload)`. The unit
+/// [`save_snapshot_file`] writes atomically.
+pub fn encode_snapshot(sections: &[(SectionTag, Vec<u8>)]) -> Result<Vec<u8>, PersistError> {
     let num_sections = u32::try_from(sections.len())
         .ok()
         .filter(|&n| n <= MAX_SECTIONS)
         .ok_or_else(|| corrupt("too many sections"))?;
-    w.write_all(SNAPSHOT_MAGIC)?;
-    put_u32(w, SNAPSHOT_VERSION)?;
-    put_u32(w, num_sections)?;
+    let mut buf = Vec::new();
+    let mut w = Writer(&mut buf);
+    w.bytes(SNAPSHOT_MAGIC);
+    w.u32(SNAPSHOT_VERSION);
+    w.u32(num_sections);
     for (tag, payload) in sections {
         if payload.len() as u64 > MAX_SECTION_PAYLOAD {
             return Err(corrupt(format!("section {} too large", tag_name(tag))));
         }
-        w.write_all(tag)?;
-        put_u64(w, payload.len() as u64)?;
-        w.write_all(payload)?;
-        w.write_all(section_digest(tag, payload).as_bytes())?;
+        w.bytes(tag);
+        w.u64(payload.len() as u64);
+        w.bytes(payload);
+        w.bytes(section_digest(tag, payload).as_bytes());
     }
-    Ok(())
-}
-
-/// Encode a snapshot container into memory (the unit [`save_snapshot_file`]
-/// writes atomically).
-pub fn encode_snapshot(sections: &[(SectionTag, Vec<u8>)]) -> Result<Vec<u8>, PersistError> {
-    let mut buf = Vec::new();
-    write_snapshot(&mut buf, sections)?;
     Ok(buf)
 }
 
 /// Parse a snapshot container, verifying every section's digest trailer.
 ///
-/// Every length field is attacker bytes: payloads are read through
-/// `take` with a clamped pre-allocation, so a forged length meets EOF
-/// (→ [`PersistError::Corrupt`]) instead of sizing an allocation, and a
+/// Every length field is attacker bytes: a forged length runs past the
+/// end (→ [`PersistError::Corrupt`]) before anything is copied, and a
 /// flipped payload or trailer bit fails the digest comparison
 /// (→ [`PersistError::SectionDigest`]).
-pub fn read_snapshot<R: Read>(r: &mut R) -> Result<Vec<(SectionTag, Vec<u8>)>, PersistError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad snapshot magic"));
-    }
-    let version = get_u32(r)?;
-    if version != SNAPSHOT_VERSION {
-        return Err(corrupt(format!("unsupported snapshot version {version}")));
-    }
-    let count = get_u32(r)?;
-    if count > MAX_SECTIONS {
-        return Err(corrupt("section count implausible"));
-    }
-    let mut sections = Vec::with_capacity(capped(count as usize));
-    for _ in 0..count {
-        let mut tag: SectionTag = [0u8; 4];
-        r.read_exact(&mut tag)?;
-        let len = get_u64(r)?;
-        if len > MAX_SECTION_PAYLOAD {
-            return Err(corrupt(format!(
-                "section {} length implausible",
-                tag_name(&tag)
-            )));
+pub fn read_snapshot(bytes: &[u8]) -> Result<Sections, PersistError> {
+    // The container is the whole file: trailing bytes mean the section
+    // count was tampered down (or the file was concatenated) — refused
+    // rather than silently ignored.
+    codec::read_all(bytes, |r| {
+        if r.bytes(4)? != SNAPSHOT_MAGIC {
+            return Err(corrupt("bad snapshot magic"));
         }
-        let mut payload = Vec::with_capacity(capped(len as usize));
-        let read = r.by_ref().take(len).read_to_end(&mut payload)?;
-        if read as u64 != len {
-            return Err(corrupt(format!("section {} truncated", tag_name(&tag))));
+        let version = r.u32()?;
+        if version != SNAPSHOT_VERSION {
+            return Err(corrupt(format!("unsupported snapshot version {version}")));
         }
-        let mut trailer = [0u8; DIGEST_LEN];
-        r.read_exact(&mut trailer)?;
-        if trailer != section_digest(&tag, &payload).0 {
-            return Err(PersistError::SectionDigest {
-                section: tag_name(&tag),
-            });
+        let count = r.u32()?;
+        if count > MAX_SECTIONS {
+            return Err(corrupt("section count implausible"));
         }
-        sections.push((tag, payload));
-    }
-    // The container is the whole stream: trailing bytes mean the
-    // section count was tampered down (or the file was concatenated) —
-    // refuse rather than silently ignore unverified bytes.
-    let mut probe = [0u8; 1];
-    if r.read(&mut probe)? != 0 {
-        return Err(corrupt("trailing bytes after final section"));
-    }
-    Ok(sections)
-}
-
-/// A bounds-checked cursor over one section's verified payload —
-/// the reader every section codec parses through. Counts are validated
-/// against the bytes actually present ([`SectionReader::checked_count`])
-/// before any allocation, mirroring `wire.rs`.
-#[derive(Debug)]
-pub struct SectionReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> SectionReader<'a> {
-    /// Wrap a section payload; `section` names it in error messages.
-    pub fn new(buf: &'a [u8], section: &'static str) -> SectionReader<'a> {
-        SectionReader {
-            buf,
-            pos: 0,
-            section,
+        let mut sections = Vec::with_capacity(capped(count as usize));
+        for _ in 0..count {
+            let tag: SectionTag = r.array()?;
+            let len = r.u64()?;
+            if len > MAX_SECTION_PAYLOAD {
+                return Err(corrupt(format!(
+                    "section {} length implausible",
+                    tag_name(&tag)
+                )));
+            }
+            let payload = r
+                .bytes(len as usize)
+                .map_err(|_| corrupt(format!("section {} truncated", tag_name(&tag))))?;
+            if r.array::<DIGEST_LEN>()? != section_digest(&tag, payload).0 {
+                return Err(PersistError::SectionDigest {
+                    section: tag_name(&tag),
+                });
+            }
+            sections.push((tag, payload.to_vec()));
         }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn fail(&self, why: &str) -> PersistError {
-        corrupt(format!("section {}: {why}", self.section))
-    }
-
-    /// Consume `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| self.fail("truncated"))?;
-        let out = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| self.fail("truncated"))?;
-        self.pos = end;
-        Ok(out)
-    }
-
-    /// Consume exactly `N` bytes as an array.
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
-        let section = self.section;
-        self.bytes(N)?
-            .try_into()
-            .map_err(|_| corrupt(format!("section {section}: truncated")))
-    }
-
-    /// Consume one `u8`.
-    pub fn u8(&mut self) -> Result<u8, PersistError> {
-        let [b] = self.array()?;
-        Ok(b)
-    }
-
-    /// Consume one little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    /// Consume one little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// Validate a claimed element count against the bytes that could
-    /// back it: each element occupies at least `per` bytes, so any
-    /// `claimed > remaining / per` is a forgery — rejected before a
-    /// single element (or byte of capacity) is allocated.
-    pub fn checked_count(
-        &self,
-        claimed: u64,
-        per: usize,
-        what: &str,
-    ) -> Result<usize, PersistError> {
-        let max = self.remaining() / per.max(1);
-        if claimed > max as u64 {
-            return Err(self.fail(&format!(
-                "{what} count {claimed} exceeds the {max} the remaining bytes could hold"
-            )));
-        }
-        Ok(claimed as usize)
-    }
-
-    /// Assert the payload was consumed exactly (no trailing garbage).
-    pub fn finish(self) -> Result<(), PersistError> {
-        if self.remaining() != 0 {
-            return Err(self.fail("trailing bytes"));
-        }
-        Ok(())
-    }
+        Ok(sections)
+    })
 }
 
 // ---- crash-safe file protocol ---------------------------------------------
@@ -479,41 +308,39 @@ fn file_digest(bytes: &[u8]) -> Digest {
     Digest::hash_parts(&[b"authsearch:snapshot-file:v2|", bytes])
 }
 
+/// Bytes of a manifest before its self-check trailer.
+const MANIFEST_BODY_LEN: usize = 4 + 4 + 8 + 8 + DIGEST_LEN;
+
+fn manifest_digest(body: &[u8]) -> Digest {
+    Digest::hash_parts(&[b"authsearch:manifest:v2|", body])
+}
+
 fn encode_manifest(info: &SnapshotInfo) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + 4 + 8 + 8 + 2 * DIGEST_LEN);
-    buf.extend_from_slice(MANIFEST_MAGIC);
-    // lint:allow(swallowed-result): writing into a Vec is infallible; put_* carry io::Result only for the File path
-    let _ = put_u32(&mut buf, SNAPSHOT_VERSION);
-    // lint:allow(swallowed-result): writing into a Vec is infallible; put_* carry io::Result only for the File path
-    let _ = put_u64(&mut buf, info.generation);
-    // lint:allow(swallowed-result): writing into a Vec is infallible; put_* carry io::Result only for the File path
-    let _ = put_u64(&mut buf, info.bytes);
-    buf.extend_from_slice(info.digest.as_bytes());
+    let mut buf = Vec::with_capacity(MANIFEST_BODY_LEN + DIGEST_LEN);
+    let mut w = Writer(&mut buf);
+    w.bytes(MANIFEST_MAGIC);
+    w.u32(SNAPSHOT_VERSION);
+    w.u64(info.generation);
+    w.u64(info.bytes);
+    w.bytes(info.digest.as_bytes());
     // Self-check trailer: a torn manifest write must not be mistaken
     // for a description of any file.
-    let self_digest = Digest::hash_parts(&[b"authsearch:manifest:v2|", &buf]);
+    let self_digest = manifest_digest(&buf);
     buf.extend_from_slice(self_digest.as_bytes());
     buf
 }
 
 fn decode_manifest(bytes: &[u8]) -> Option<SnapshotInfo> {
-    let body_len = 4 + 4 + 8 + 8 + DIGEST_LEN;
-    if bytes.len() != body_len + DIGEST_LEN {
-        return None;
-    }
-    let (body, trailer) = bytes.split_at(body_len);
-    if trailer != Digest::hash_parts(&[b"authsearch:manifest:v2|", body]).0 {
-        return None;
-    }
-    if body.get(..4)? != MANIFEST_MAGIC.as_slice()
-        || body.get(4..8)? != SNAPSHOT_VERSION.to_le_bytes().as_slice()
-    {
-        return None;
-    }
-    Some(SnapshotInfo {
-        generation: u64::from_le_bytes(body.get(8..16)?.try_into().ok()?),
-        bytes: u64::from_le_bytes(body.get(16..24)?.try_into().ok()?),
-        digest: Digest::from_slice(body.get(24..24 + DIGEST_LEN)?)?,
+    let (body, trailer) = bytes.split_at_checked(MANIFEST_BODY_LEN)?;
+    let (magic, version, generation, bytes, digest) = codec::read_all(body, |r| {
+        Ok::<_, CodecError>((r.array::<4>()?, r.u32()?, r.u64()?, r.u64()?, r.digest()?))
+    })
+    .ok()?;
+    let intact = trailer == manifest_digest(body).as_bytes();
+    (intact && magic == *MANIFEST_MAGIC && version == SNAPSHOT_VERSION).then_some(SnapshotInfo {
+        generation,
+        bytes,
+        digest,
     })
 }
 
@@ -593,7 +420,7 @@ pub fn load_snapshot_file(path: &Path) -> Result<(Sections, SnapshotInfo), Persi
         // section digests below; generation 0 marks "unrecorded".
         _ => 0,
     };
-    let sections = read_snapshot(&mut io::Cursor::new(&bytes))?;
+    let sections = read_snapshot(&bytes)?;
     Ok((
         sections,
         SnapshotInfo {
@@ -609,7 +436,6 @@ mod tests {
     use super::*;
     use crate::builder::build_index;
     use authsearch_corpus::SyntheticConfig;
-    use std::io::Cursor;
 
     #[test]
     fn index_roundtrip() {
@@ -617,7 +443,7 @@ mod tests {
         let index = build_index(&corpus, OkapiParams::default());
         let mut buf = Vec::new();
         write_index(&mut buf, &index).unwrap();
-        let back = read_index(&mut Cursor::new(&buf)).unwrap();
+        let back = read_index(&buf).unwrap();
         assert_eq!(back.num_docs(), index.num_docs());
         assert_eq!(back.num_terms(), index.num_terms());
         for t in 0..index.num_terms() as u32 {
@@ -628,7 +454,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let err = read_index(&mut Cursor::new(b"NOPE....".to_vec())).unwrap_err();
+        let err = read_index(b"NOPE....").unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)));
     }
 
@@ -639,7 +465,7 @@ mod tests {
         let mut buf = Vec::new();
         write_index(&mut buf, &index).unwrap();
         buf.truncate(buf.len() / 2);
-        assert!(read_index(&mut Cursor::new(&buf)).is_err());
+        assert!(read_index(&buf).is_err());
     }
 
     #[test]
@@ -654,30 +480,76 @@ mod tests {
         // then first list: 4 len + entries. Zero the first weight.
         let off = 48 + 4 + 4;
         buf[off..off + 4].copy_from_slice(&0f32.to_bits().to_le_bytes());
-        let res = read_index(&mut Cursor::new(&buf));
+        let res = read_index(&buf);
         assert!(matches!(res, Err(PersistError::Corrupt(_))));
     }
 
     // ---- forged-length regression (the index-record prealloc fix) --------
 
+    /// An index header over `num_docs` documents claiming `m` terms.
+    fn index_header(params: OkapiParams, num_docs: u64, m: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = Writer(&mut buf);
+        w.bytes(INDEX_MAGIC);
+        w.u32(VERSION);
+        w.f64(params.k1());
+        w.f64(params.b());
+        w.u64(num_docs);
+        w.f64(100.0); // avg
+        w.u64(m);
+        buf
+    }
+
     #[test]
     fn forged_huge_term_count_does_not_allocate() {
-        // An index header claiming 2^28 - 1 terms (the old cap) followed
-        // by no data: the loader must fail fast on EOF instead of
-        // reserving two quarter-billion-element vectors up front.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(INDEX_MAGIC);
-        put_u32(&mut buf, VERSION).unwrap();
-        put_f64(&mut buf, 1.2).unwrap();
-        put_f64(&mut buf, 0.75).unwrap();
-        put_u64(&mut buf, 1000).unwrap(); // num_docs
-        put_f64(&mut buf, 100.0).unwrap(); // avg
-        put_u64(&mut buf, (1u64 << 28) - 1).unwrap(); // forged m
-        let err = read_index(&mut Cursor::new(&buf)).unwrap_err();
+        // An index header claiming 2^28 - 1 terms followed by no data:
+        // the count is refused against the bytes behind it before either
+        // per-term vector is reserved.
+        let buf = index_header(OkapiParams::default(), 1000, (1 << 28) - 1);
+        let err = read_index(&buf).unwrap_err();
         assert!(matches!(
             err,
             PersistError::Io(_) | PersistError::Corrupt(_)
         ));
+    }
+
+    #[test]
+    fn out_of_range_okapi_parameters_are_refused() {
+        // The stored parameters are checked as `OkapiParams::new` checks
+        // them: k1 = -3 (which gives negative and NaN weights) is
+        // corrupt, as is b outside [0, 1] or a non-finite value.
+        let honest = OkapiParams::default();
+        let mut good = index_header(honest, 4, 1);
+        good.extend_from_slice(&0u32.to_le_bytes()); // one empty list
+        assert!(read_index(&good).is_ok());
+        for (k1, b) in [
+            (-3.0, 0.0),
+            (1.2, 1.5),
+            (1.2, -0.25),
+            (f64::NAN, 0.75),
+            (f64::INFINITY, 0.5),
+        ] {
+            let mut bytes = good.clone();
+            bytes[8..16].copy_from_slice(&k1.to_bits().to_le_bytes());
+            bytes[16..24].copy_from_slice(&f64::to_bits(b).to_le_bytes());
+            match read_index(&bytes) {
+                Err(PersistError::Corrupt(why)) => assert!(why.contains("Okapi"), "{why}"),
+                other => panic!("k1 = {k1}, b = {b}: {:?}", other.map(|i| i.params())),
+            }
+        }
+    }
+
+    #[test]
+    fn every_cut_of_an_index_record_is_a_typed_error() {
+        let corpus = SyntheticConfig::tiny(30, 2).generate();
+        let mut buf = Vec::new();
+        write_index(&mut buf, &build_index(&corpus, OkapiParams::default())).unwrap();
+        for cut in 0..buf.len() {
+            assert!(
+                matches!(read_index(&buf[..cut]), Err(PersistError::Corrupt(_))),
+                "cut at {cut}"
+            );
+        }
     }
 
     // ---- v2 snapshot container -------------------------------------------
@@ -694,7 +566,7 @@ mod tests {
     fn snapshot_container_roundtrip() {
         let sections = sample_sections();
         let bytes = encode_snapshot(&sections).unwrap();
-        let back = read_snapshot(&mut Cursor::new(&bytes)).unwrap();
+        let back = read_snapshot(&bytes).unwrap();
         assert_eq!(back, sections);
     }
 
@@ -702,7 +574,7 @@ mod tests {
     fn snapshot_every_truncation_is_a_typed_error() {
         let bytes = encode_snapshot(&sample_sections()).unwrap();
         for cut in 0..bytes.len() {
-            let err = read_snapshot(&mut Cursor::new(&bytes[..cut])).unwrap_err();
+            let err = read_snapshot(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -725,7 +597,7 @@ mod tests {
             let mut evil = bytes.clone();
             evil[i] ^= 1 << (i % 8);
             assert!(
-                read_snapshot(&mut Cursor::new(&evil)).is_err(),
+                read_snapshot(&evil).is_err(),
                 "flip at byte {i} went undetected"
             );
         }
@@ -738,33 +610,58 @@ mod tests {
         // Forge the section length (offset: 4 magic + 4 version +
         // 4 count + 4 tag = 16) to just under the cap.
         bytes[16..24].copy_from_slice(&(MAX_SECTION_PAYLOAD - 1).to_le_bytes());
-        let err = read_snapshot(&mut Cursor::new(&bytes)).unwrap_err();
+        let err = read_snapshot(&bytes).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
         // Over the cap: rejected before any read.
         bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(read_snapshot(&mut Cursor::new(&bytes)).is_err());
+        assert!(read_snapshot(&bytes).is_err());
     }
 
     #[test]
     fn section_reader_checked_count_rejects_forgeries() {
-        let payload = [0u8; 64];
-        let r = SectionReader::new(&payload, "test");
-        assert_eq!(r.checked_count(8, 8, "roots").unwrap(), 8);
-        assert!(r.checked_count(9, 8, "roots").is_err());
-        assert!(r.checked_count(u64::MAX, 1, "bytes").is_err());
-        // Zero-size elements cannot divide by zero.
-        assert_eq!(r.checked_count(64, 0, "units").unwrap(), 64);
+        // A posting count larger than the bytes behind it is refused by
+        // name before the list is reserved.
+        let mut buf = index_header(OkapiParams::default(), 1 << 20, 1);
+        buf.extend_from_slice(&1000u32.to_le_bytes());
+        buf.extend_from_slice(&[0; 16]);
+        match read_index(&buf) {
+            Err(PersistError::Corrupt(why)) => assert_eq!(
+                why,
+                "posting count 1000 exceeds what the remaining 16 bytes can hold"
+            ),
+            other => panic!("{:?}", other.map(|i| i.num_terms())),
+        }
     }
 
     #[test]
     fn section_reader_rejects_trailing_garbage() {
-        let payload = [1u8, 2, 3, 4, 5];
-        let mut r = SectionReader::new(&payload, "test");
-        assert_eq!(r.u32().unwrap(), u32::from_le_bytes([1, 2, 3, 4]));
-        assert!(r.finish().is_err());
-        let mut r = SectionReader::new(&payload[..4], "test");
-        let _ = r.u32().unwrap();
-        r.finish().unwrap();
+        // An index record is its whole section: a byte past its last
+        // list is refused.
+        let mut buf = index_header(OkapiParams::default(), 4, 1);
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        read_index(&buf).unwrap();
+        buf.push(0);
+        match read_index(&buf) {
+            Err(PersistError::Corrupt(why)) => assert_eq!(why, "trailing bytes"),
+            other => panic!("{:?}", other.map(|i| i.num_terms())),
+        }
+    }
+
+    #[test]
+    fn every_cut_of_a_manifest_is_ignored() {
+        let info = SnapshotInfo {
+            generation: 3,
+            bytes: 845,
+            digest: Digest::hash(b"container"),
+        };
+        let bytes = encode_manifest(&info);
+        assert_eq!(decode_manifest(&bytes), Some(info));
+        for cut in 0..bytes.len() {
+            assert_eq!(decode_manifest(&bytes[..cut]), None, "cut at {cut}");
+        }
+        let mut long = bytes;
+        long.push(0);
+        assert_eq!(decode_manifest(&long), None);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 use authsearch_corpus::SyntheticConfig;
 use authsearch_index::{build_index, persist, BlockLayout, DiskModel, IoStats, OkapiParams};
 use proptest::prelude::*;
-use std::io::Cursor;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
@@ -42,7 +41,7 @@ proptest! {
         let index = build_index(&corpus, OkapiParams::default());
         let mut buf = Vec::new();
         persist::write_index(&mut buf, &index).unwrap();
-        let back = persist::read_index(&mut Cursor::new(&buf)).unwrap();
+        let back = persist::read_index(&buf).unwrap();
         prop_assert_eq!(back.num_docs(), index.num_docs());
         for t in 0..index.num_terms() as u32 {
             prop_assert_eq!(back.list(t), index.list(t));
@@ -58,7 +57,7 @@ proptest! {
         persist::write_index(&mut buf, &index).unwrap();
         let cut = cut.min(buf.len().saturating_sub(1));
         buf.truncate(cut);
-        prop_assert!(persist::read_index(&mut Cursor::new(&buf)).is_err());
+        prop_assert!(persist::read_index(&buf).is_err());
     }
 
     #[test]
@@ -88,6 +87,6 @@ proptest! {
         let w2 = p.doc_weight(f1 + 1, len, 300.0);
         prop_assert!(w2 >= w1);
         prop_assert!(w1 > 0.0);
-        prop_assert!((w2 as f64) < p.k1 + 1.0);
+        prop_assert!((w2 as f64) < p.k1() + 1.0);
     }
 }

@@ -139,6 +139,7 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             untrusted: vec![
+                "crates/index/src/codec.rs".into(),
                 "crates/core/src/wire.rs".into(),
                 "crates/index/src/persist.rs".into(),
                 "crates/core/src/verify/".into(),
@@ -158,6 +159,7 @@ impl Default for Config {
                 "crates/core/src/server/conn.rs".into(),
             ],
             io_modules: vec![
+                "crates/index/src/codec.rs".into(),
                 "crates/core/src/wire.rs".into(),
                 "crates/index/src/persist.rs".into(),
                 "crates/core/src/server/".into(),

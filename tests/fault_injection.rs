@@ -10,7 +10,7 @@ use authsearch_corpus::SyntheticConfig;
 use authsearch_crypto::keys::TEST_KEY_BITS;
 use authsearch_index::persist::{self, manifest_path, PersistError, SectionTag};
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 
 #[path = "support/faults.rs"]
@@ -22,6 +22,14 @@ fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("authsearch-faults-{name}"));
     fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Every byte a (faulty) file yields, as `load_snapshot_file` reads a
+/// snapshot whole with `fs::read` before parsing it.
+fn read_all(file: &mut impl Read) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).unwrap();
+    bytes
 }
 
 fn small_sections(tweak: u8) -> Vec<(SectionTag, Vec<u8>)> {
@@ -135,7 +143,7 @@ fn short_reads_never_corrupt_a_load() {
                 ..FaultConfig::default()
             },
         );
-        let back = persist::read_snapshot(&mut faulty).unwrap();
+        let back = persist::read_snapshot(&read_all(&mut faulty)).unwrap();
         assert_eq!(back, sections, "seed {seed}");
         assert!(faulty.stats().short_reads > 0, "probability 0.8 never hit");
     }
@@ -162,7 +170,7 @@ fn bit_flip_on_the_read_path_is_a_typed_error() {
                 ..FaultConfig::default()
             },
         );
-        match persist::read_snapshot(&mut faulty) {
+        match persist::read_snapshot(&read_all(&mut faulty)) {
             Err(PersistError::SectionDigest { .. }) | Err(PersistError::Corrupt(_)) => {}
             Err(other) => panic!("offset {at}: unexpected error class {other:?}"),
             Ok(back) => {

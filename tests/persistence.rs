@@ -7,7 +7,6 @@ use authsearch_corpus::SyntheticConfig;
 use authsearch_crypto::keys::TEST_KEY_BITS;
 use authsearch_index::persist;
 use authsearch_index::{build_index, OkapiParams};
-use std::io::Cursor;
 
 #[test]
 fn engine_rebuilt_from_persisted_index_is_equivalent() {
@@ -17,7 +16,7 @@ fn engine_rebuilt_from_persisted_index_is_equivalent() {
     // Round-trip the index through the binary format.
     let mut buf = Vec::new();
     persist::write_index(&mut buf, &index).unwrap();
-    let restored = persist::read_index(&mut Cursor::new(&buf)).unwrap();
+    let restored = persist::read_index(&buf).unwrap();
 
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
     let config = AuthConfig::new(Mechanism::TnraCmht);
@@ -58,7 +57,7 @@ fn file_level_roundtrip_in_tempdir() {
         panic!("expected one section, got {}", sections.len());
     };
     assert_eq!(tag, b"ASIX");
-    let index2 = persist::read_index(&mut Cursor::new(payload)).unwrap();
+    let index2 = persist::read_index(payload).unwrap();
     assert_eq!(index2.total_entries(), index.total_entries());
     for t in 0..index.num_terms() as u32 {
         assert_eq!(index2.list(t), index.list(t), "term {t}");
@@ -121,7 +120,7 @@ mod snapshot_container {
         fn container_roundtrip(seed in any::<u64>(), count in 0usize..6, max_len in 0usize..512) {
             let sections = arbitrary_sections(seed, count, max_len);
             let bytes = persist::encode_snapshot(&sections).unwrap();
-            let back = persist::read_snapshot(&mut bytes.as_slice()).unwrap();
+            let back = persist::read_snapshot(&bytes).unwrap();
             prop_assert_eq!(back, sections);
         }
 
@@ -145,7 +144,7 @@ mod snapshot_container {
                 for i in 0..payload.len() {
                     let mut evil = bytes.clone();
                     evil[start + i] ^= 1 << (i % 8);
-                    match persist::read_snapshot(&mut evil.as_slice()) {
+                    match persist::read_snapshot(&evil) {
                         Err(PersistError::SectionDigest { section }) => {
                             prop_assert_eq!(
                                 section.as_bytes(), &tag[..],
@@ -169,7 +168,7 @@ mod snapshot_container {
             let bytes = persist::encode_snapshot(&sections).unwrap();
             for cut in 0..bytes.len() {
                 prop_assert!(
-                    persist::read_snapshot(&mut &bytes[..cut]).is_err(),
+                    persist::read_snapshot(&bytes[..cut]).is_err(),
                     "truncation to {} bytes parsed", cut
                 );
             }

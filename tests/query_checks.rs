@@ -13,7 +13,7 @@ use authsearch_core::{
 };
 use authsearch_corpus::{Corpus, SyntheticConfig, TermId};
 use authsearch_crypto::keys::TEST_KEY_BITS;
-use authsearch_index::{build_index, OkapiParams};
+use authsearch_index::{build_index, ImpactEntry, InvertedIndex, InvertedList, OkapiParams};
 
 const MODES: [QueryMode; 2] = [QueryMode::Disjunctive, QueryMode::Conjunctive];
 
@@ -209,14 +209,35 @@ fn client_refuses_malformed_posed_query() {
     }
 }
 
-/// Serving is total even over an index the paper's model excludes: with
-/// `k1 < 0` the Okapi formula gives negative and NaN document weights,
-/// and TNRA's per-pop guard refuses the scan. The engine returns that
-/// refusal as `QueryError::Refused`; it used to panic.
+/// Serving is total even over an index the paper's model excludes.
+/// `OkapiParams::new` refuses the parameters that give negative or NaN
+/// document weights, but `InvertedIndex::from_parts` admits any weight:
+/// over lists of negative weights TNRA's per-pop guard refuses the
+/// scan, and the engine returns that refusal as `QueryError::Refused`;
+/// it used to panic.
 #[test]
 fn scan_refusal_is_a_typed_error() {
     let corpus = SyntheticConfig::tiny(150, 23).generate();
-    let index = build_index(&corpus, OkapiParams { k1: -3.0, b: 0.0 });
+    let honest = build_index(&corpus, OkapiParams::default());
+    let m = honest.num_terms() as TermId;
+    let negated = |t: TermId| {
+        let entries = honest.list(t).entries().iter();
+        InvertedList::from_entries(
+            entries
+                .map(|e| ImpactEntry {
+                    doc: e.doc,
+                    weight: -e.weight,
+                })
+                .collect(),
+        )
+    };
+    let index = InvertedIndex::from_parts(
+        honest.params(),
+        honest.num_docs(),
+        honest.avg_doc_len(),
+        (0..m).map(|t| honest.ft(t)).collect(),
+        (0..m).map(negated).collect(),
+    );
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
     for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
         let publication = owner.publish_index(index.clone(), AuthConfig::new(mechanism), &corpus);
