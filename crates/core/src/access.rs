@@ -62,6 +62,15 @@ pub trait FreqAccess {
     fn weight(&self, d: DocId, i: usize) -> Result<f32, AccessError>;
 }
 
+/// Entries fetched from each list by a threshold scan that popped
+/// `pos[i]` of list `i`: those plus the fetched cut-off front, or the
+/// whole list once it is exhausted. This is both Figure 13(a)'s
+/// "# entries read" and the per-list VO prefix.
+pub(crate) fn fetched<L: ListAccess>(lists: &L, pos: &[usize]) -> Vec<usize> {
+    let read = |(i, &p): (usize, &usize)| (p + 1).min(lists.list_len(i));
+    pos.iter().enumerate().map(read).collect()
+}
+
 /// Engine-side [`ListAccess`]: the full inverted index.
 pub struct IndexLists<'a> {
     index: &'a InvertedIndex,

@@ -190,13 +190,12 @@ impl AuthenticatedIndex {
         let mut lens = vec![1; terms.len()];
         lens[anchor] = popped + 1;
         let anchor_list = self.index.list(terms[anchor].term).entries();
-        let mut docs: Vec<DocId> = anchor_list[..=popped].iter().map(|e| e.doc).collect();
-        for qt in terms {
-            let head = self.index.list(qt.term).entries()[0].doc;
-            if !docs.contains(&head) {
-                docs.push(head);
-            }
-        }
+        let docs = crate::conjunctive::early_proofs(
+            anchor_list[..=popped].iter().map(|e| e.doc),
+            terms
+                .iter()
+                .map(|qt| self.index.list(qt.term).entries()[0].doc),
+        );
         (lens, docs)
     }
 
@@ -677,9 +676,10 @@ mod tests {
                     .iter()
                     .zip(&weights)
                     .fold(0.0f64, |s, (qt, &w)| s + qt.wq * w as f64);
-                crate::types::insert_ranked(&mut entries, d, score);
+                entries.push(crate::types::ResultEntry { doc: d, score });
             }
         }
+        entries.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
         entries.truncate(r);
         let mut prefix_lens = vec![0; terms.len()];
         prefix_lens[anchor] = fts[anchor];

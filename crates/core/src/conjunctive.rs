@@ -21,7 +21,8 @@
 //! Both sides run *this exact code* over the same inputs: candidates in
 //! anchor-list order, per-term weights queried in ascending query-term
 //! index order, scores accumulated in `f64` in that same order, the top
-//! r kept in rank order (score descending, doc id ascending). That is
+//! r kept in rank order (score descending, doc id ascending) by the one
+//! top-r every scan ranks through (`types::TopR`). That is
 //! what makes the verifier's score comparison an equality check (modulo
 //! [`SCORE_EPS`]) rather than a tolerance band, what lets the verifier
 //! reach the engine's stop at the same entry, and what keeps conjunctive
@@ -29,7 +30,7 @@
 //!
 //! [`SCORE_EPS`]: crate::verify
 
-use crate::types::{insert_ranked, QueryResult, ResultEntry};
+use crate::types::{QueryResult, ResultEntry, TopR};
 use authsearch_corpus::DocId;
 
 /// The anchor list of a conjunctive query: the shortest posting list
@@ -94,18 +95,18 @@ where
         assert_eq!(heads.len(), wq.len(), "one head weight per query term");
     }
     let candidates = candidates.into_iter();
-    let mut top: Vec<ResultEntry> = Vec::with_capacity(r.min(candidates.size_hint().0));
+    let mut top = TopR::new(r, candidates.size_hint().0);
     let mut popped = 0;
     for d in candidates {
-        if let (Some(heads), Some(last)) = (heads, top.last().filter(|_| top.len() == r)) {
+        if let (Some(heads), Some(rth)) = (heads, top.rth().map(|e| e.score)) {
             let mut bound = 0.0f64;
             for (i, (&wq_i, &head)) in wq.iter().zip(heads).enumerate() {
                 let w = if i == anchor { weight_of(d, i)? } else { head };
                 bound += wq_i * w as f64;
             }
-            if last.score > bound {
+            if rth > bound {
                 return Ok(Scan {
-                    result: QueryResult { entries: top },
+                    result: top.into_result(),
                     popped,
                     stopped: true,
                 });
@@ -122,25 +123,31 @@ where
             }
             score += wq_i * w as f64;
         }
-        // Only the top r are kept: a member enters while there is room,
-        // or when it ranks before the r-th, which leaves.
-        let enters = match top.last() {
-            _ if top.len() < r => true,
-            Some(last) => score > last.score || (score == last.score && d < last.doc),
-            None => false,
-        };
-        if member && enters {
-            if top.len() == r {
-                top.pop();
-            }
-            insert_ranked(&mut top, d, score);
+        if member {
+            top.offer(ResultEntry { doc: d, score }, ());
         }
     }
     Ok(Scan {
-        result: QueryResult { entries: top },
+        result: top.into_result(),
         popped,
         stopped: false,
     })
+}
+
+/// The documents an early-stopped TRA reveal proves, in proof order:
+/// the anchor's popped entries and its front (`anchor`), then each
+/// list's head (`heads`, in query order) not already listed.
+pub(crate) fn early_proofs(
+    anchor: impl Iterator<Item = DocId>,
+    heads: impl Iterator<Item = DocId>,
+) -> Vec<DocId> {
+    let mut docs: Vec<DocId> = anchor.collect();
+    for head in heads {
+        if !docs.contains(&head) {
+            docs.push(head);
+        }
+    }
+    docs
 }
 
 #[cfg(test)]
@@ -172,9 +179,10 @@ mod tests {
                     .iter()
                     .zip(&weights[k])
                     .fold(0.0f64, |s, (&q, &w)| s + q * w as f64);
-                insert_ranked(&mut all, d, score);
+                all.push(ResultEntry { doc: d, score });
             }
         }
+        all.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
         all.truncate(r);
         all
     }
@@ -308,23 +316,25 @@ mod tests {
             for (j, head) in heads.iter_mut().enumerate().skip(1) {
                 *head = weights.iter().map(|w| w[j]).fold(0.0, f32::max);
             }
-            let r = 1 + next(6) as usize;
             let at = |d: DocId| candidates.iter().position(|&c| c == d).expect("candidate");
             let weight = |d: DocId, i: usize| Ok::<_, ()>(weights[at(d)][i]);
-            let scan =
-                rank_intersection(0, candidates.iter().copied(), &wq, Some(&heads), weight, r)
-                    .unwrap();
-            let want = oracle(&candidates, &wq, &weights, r);
-            assert_eq!(scan.result.entries.len(), want.len(), "case {case}");
-            for (a, b) in scan.result.entries.iter().zip(&want) {
-                assert_eq!(
-                    (a.doc, a.score.to_bits()),
-                    (b.doc, b.score.to_bits()),
-                    "case {case}"
-                );
+            // A drawn r, then none, one, more than the candidates, all.
+            for r in [1 + next(6) as usize, 0, 1, 10, len + 1, usize::MAX] {
+                let scan =
+                    rank_intersection(0, candidates.iter().copied(), &wq, Some(&heads), weight, r)
+                        .unwrap();
+                let want = oracle(&candidates, &wq, &weights, r);
+                assert_eq!(scan.result.entries.len(), want.len(), "case {case} r={r}");
+                for (a, b) in scan.result.entries.iter().zip(&want) {
+                    assert_eq!(
+                        (a.doc, a.score.to_bits()),
+                        (b.doc, b.score.to_bits()),
+                        "case {case} r={r}"
+                    );
+                }
+                stops += usize::from(scan.stopped);
             }
-            stops += usize::from(scan.stopped);
         }
-        assert!(stops > 30, "the stop fired on only {stops} of 300 cases");
+        assert!(stops > 30, "the stop fired on only {stops} of 1,800 scans");
     }
 }

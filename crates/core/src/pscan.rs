@@ -5,12 +5,13 @@
 //! lists, accumulating partial scores until every list is exhausted. It
 //! reads each list completely — this is the "List Length" baseline of
 //! Figures 13(a), 14(a) and 15(a) — and is the reference implementation
-//! the threshold algorithms are tested against.
+//! the threshold algorithms are tested against. It accumulates through
+//! the one doc-id map and ranks through the one top-r, as every scan does.
 
 use crate::access::{AccessError, ListAccess};
-use crate::types::{insert_ranked, DocTable, ProcessingOutcome, Query, QueryResult, ResultEntry};
+use crate::types::{DocIdMap, DocTable, ProcessingOutcome, Query, QueryResult, ResultEntry, TopR};
 use authsearch_corpus::DocId;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Run PSCAN to find the top `r` documents.
 pub fn run<L: ListAccess>(
@@ -25,7 +26,7 @@ pub fn run<L: ListAccess>(
         fronts.push(lists.entry(i, 0)?.map(|e| e.weight));
     }
 
-    let mut accumulators: HashMap<DocId, f64> = HashMap::new();
+    let mut accumulators: DocIdMap<f64> = DocIdMap::default();
     let mut encounter_order: Vec<DocId> = Vec::new();
     let mut iterations = 0usize;
 
@@ -47,13 +48,11 @@ pub fn run<L: ListAccess>(
             .expect("front tracked but entry missing");
         // Steps 2(b)-(c): accumulate.
         match accumulators.entry(entry.doc) {
-            std::collections::hash_map::Entry::Vacant(v) => {
+            Entry::Vacant(v) => {
                 v.insert(c);
                 encounter_order.push(entry.doc);
             }
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                *o.get_mut() += c;
-            }
+            Entry::Occupied(mut o) => *o.get_mut() += c,
         }
         // Step 2(d): advance.
         pos[i] += 1;
@@ -62,15 +61,14 @@ pub fn run<L: ListAccess>(
     }
 
     // Step 3: the r largest accumulators.
-    let mut entries: Vec<ResultEntry> = Vec::new();
+    let mut top = TopR::new(r, accumulators.len());
     for (&doc, &score) in &accumulators {
-        insert_ranked(&mut entries, doc, score);
+        top.offer(ResultEntry { doc, score }, ());
     }
-    entries.truncate(r);
 
     let prefix_lens = (0..q).map(|i| lists.list_len(i)).collect();
     Ok(ProcessingOutcome {
-        result: QueryResult { entries },
+        result: top.into_result(),
         prefix_lens,
         encountered: encounter_order,
         iterations,
@@ -81,20 +79,17 @@ pub fn run<L: ListAccess>(
 /// in the document table and return the top `r`. Used as the ground truth
 /// in cross-algorithm tests.
 pub fn naive_topk(table: &DocTable, query: &Query, r: usize) -> QueryResult {
-    let mut entries: Vec<ResultEntry> = Vec::new();
+    let mut top = TopR::new(r, table.num_docs());
     for d in 0..table.num_docs() as DocId {
-        let mut s = 0.0f64;
+        let mut score = 0.0f64;
         for qt in query.terms() {
-            s += qt.wq * table.weight(d, qt.term) as f64;
+            score += qt.wq * table.weight(d, qt.term) as f64;
         }
-        if s > 0.0 {
-            insert_ranked(&mut entries, d, s);
-            if entries.len() > r {
-                entries.truncate(r);
-            }
+        if score > 0.0 {
+            top.offer(ResultEntry { doc: d, score }, ());
         }
     }
-    QueryResult { entries }
+    top.into_result()
 }
 
 #[cfg(test)]

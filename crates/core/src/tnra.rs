@@ -20,26 +20,25 @@
 //!
 //! * each polled document gets an *encounter slot* the first time it is
 //!   popped — its id at `docs[slot]`, its bounds at `states[slot]` —
-//!   found through one doc-id hash lookup (a multiply, not SipHash);
-//! * `top` holds the slots of the current top r in rank order (`SLB`
-//!   descending, doc id ascending), and every other candidate stays
-//!   unordered. A pop only raises the popped document's `SLB`, so it
-//!   moves up inside `top` or enters it at the bottom, evicting
-//!   `top[r-1]`: `top` is always the first r of the full rank order
-//!   (the paper's `R`). Condition 1 reads `top`; condition 2 walks the
-//!   slots outside it, in any order, since it holds for all or fails.
+//!   found through the one doc-id map (`types::DocIdMap`, a multiply,
+//!   not SipHash);
+//! * the one top-r every scan ranks through (`types::TopR`) holds the
+//!   current top r slots in rank order (`SLB` descending, doc id
+//!   ascending), and every other candidate stays unordered. A pop only
+//!   raises the popped document's `SLB`, so it moves up inside the top r
+//!   or enters it at the bottom, evicting the r-th: the top r is always
+//!   the first r of the full rank order (the paper's `R`). Condition 1
+//!   reads the top r; condition 2 walks every slot outside it, in any
+//!   order, since it holds for all or fails.
 //!
 //! Term scores must be non-negative (every query weight is checked at
 //! construction, and index weights are): a negative or NaN pop would
 //! lower a bound and void both the threshold and the top-r order, so it
 //! is an [`AccessError`].
 
-use crate::access::{AccessError, ListAccess};
-use crate::types::{ProcessingOutcome, Query, QueryResult, ResultEntry};
+use crate::access::{fetched, AccessError, ListAccess};
+use crate::types::{DocIdMap, ProcessingOutcome, Query, ResultEntry, TopR, RESERVED_SLOTS};
 use authsearch_corpus::DocId;
-use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Longest query TNRA evaluates: a document's seen-in-list set is a
 /// `u64` bitmask (TREC tops out at 20 terms). [`run`] refuses longer
@@ -48,18 +47,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// they reach it.
 pub const MAX_QUERY_TERMS: usize = 64;
 
-/// Most candidates a run reserves room for up front (the sum of the
-/// query's list lengths, if smaller); a run that meets more grows.
-const RESERVED_SLOTS: usize = 1024;
-
-/// Bound state of the document at one encounter slot: `SLB`, the lists
-/// the document has been seen in (one bit per query term), and whether
-/// its slot is in `top`.
+/// Bound state of the document at one encounter slot: `SLB` and the
+/// lists the document has been seen in (one bit per query term).
 #[derive(Debug, Clone, Copy, Default)]
 struct DocState {
     lb: f64,
     seen_mask: u64,
-    in_top: bool,
 }
 
 impl DocState {
@@ -76,58 +69,24 @@ impl DocState {
     }
 }
 
-/// Doc-id hasher: one multiply, its high half folded into the low. Not
-/// collision-resistant, and it need not be: the engine hashes the owner's
-/// doc ids, and the client replays only prefixes whose signature it has
-/// already checked.
-#[derive(Default)]
-pub(crate) struct DocIdHasher(u64);
-
-/// A map keyed by doc id through [`DocIdHasher`].
-pub(crate) type DocIdMap<V> = HashMap<DocId, V, BuildHasherDefault<DocIdHasher>>;
-
-/// 2^64 / φ, odd: multiplying by it permutes `u64` and spreads
-/// consecutive ids across the high bits.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-impl Hasher for DocIdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(GOLDEN);
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        let h = u64::from(id).wrapping_mul(GOLDEN);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Every document the run has met, by encounter slot: slot `s` has id
 /// `docs[s]` and bounds `states[s]`, and `index` maps an id to its slot.
-/// `top` holds the first `min(r, slots)` slots of the rank order, in
-/// order; a slot's `in_top` says whether it is one of them.
+/// `top` ranks the slots by `⟨d, SLB⟩`.
 struct Slots {
     index: DocIdMap<u32>,
     docs: Vec<DocId>,
     states: Vec<DocState>,
-    top: Vec<u32>,
-    r: usize,
+    top: TopR<u32>,
 }
 
 impl Slots {
     /// Room for `n` slots, ranking the top `r`.
     fn new(n: usize, r: usize) -> Slots {
         Slots {
-            index: HashMap::with_capacity_and_hasher(n, Default::default()),
+            index: DocIdMap::with_capacity_and_hasher(n, Default::default()),
             docs: Vec::with_capacity(n),
             states: Vec::with_capacity(n),
-            top: Vec::with_capacity(r.min(n)),
-            r,
+            top: TopR::new(r, n),
         }
     }
 
@@ -146,45 +105,21 @@ impl Slots {
         &self.states[s as usize]
     }
 
-    /// Rank order: `SLB` descending, then doc id ascending. `SLB`s are
-    /// sums of non-negative term scores from `+0.0`, never NaN or `-0.0`,
-    /// so `total_cmp` is their numeric order.
-    fn rank(&self, a: u32, b: u32) -> Ordering {
-        let (x, y) = (self.state(a).lb, self.state(b).lb);
-        y.total_cmp(&x)
-            .then_with(|| self.docs[a as usize].cmp(&self.docs[b as usize]))
+    /// `⟨d, SLB⟩` of slot `s`, the entry it ranks by.
+    fn entry(&self, s: u32) -> ResultEntry {
+        ResultEntry {
+            doc: self.docs[s as usize],
+            score: self.state(s).lb,
+        }
     }
 
     /// Add `c` to the `SLB` of `slot`, seen in list `i`, and re-seat it
-    /// in `top`: it moves up if it is there already, else it enters
-    /// when `top` is short or it now ranks before `top[r-1]`, which
-    /// leaves. Needs `r ≥ 1`: a run with `r = 0` ends before its first
-    /// pop.
+    /// in `top`.
     fn raise(&mut self, slot: u32, i: usize, c: f64) {
         let st = &mut self.states[slot as usize];
         st.lb += c;
         st.seen_mask |= 1 << i;
-        let r = self.r;
-        let mut k = if st.in_top {
-            self.top
-                .iter()
-                .position(|&s| s == slot)
-                .expect("an in-top slot is in top")
-        } else if self.top.len() < r {
-            self.top.push(slot);
-            self.top.len() - 1
-        } else if self.rank(slot, self.top[r - 1]) == Ordering::Less {
-            self.states[self.top[r - 1] as usize].in_top = false;
-            r - 1
-        } else {
-            return;
-        };
-        self.states[slot as usize].in_top = true;
-        while k > 0 && self.rank(slot, self.top[k - 1]) == Ordering::Less {
-            self.top[k] = self.top[k - 1];
-            k -= 1;
-        }
-        self.top[k] = slot;
+        self.top.offer(self.entry(slot), slot);
     }
 }
 
@@ -254,24 +189,23 @@ fn run_inner<L: ListAccess>(
         let thres: f64 = cs.iter().sum();
 
         // Step 4(a): the three termination conditions, cheapest first.
-        // R holds at least r documents exactly when `top` is full.
-        let top = &slots.top;
+        // R holds at least r documents exactly when `top` has an r-th.
         let terminated = r == 0
-            || (top.len() == r && {
-                let slb_r = slots.state(top[r - 1]).lb;
+            || slots.top.rth().is_some_and(|rth| {
+                let slb_r = rth.score;
                 let cond3 = slb_r >= thres;
                 let cond1 = cond3
-                    && top
-                        .windows(2)
-                        .all(|w| slots.state(w[0]).lb >= slots.state(w[1]).ub(&cs));
-                // SUB(d) ≤ SLB(d) + thres, so the sum settles most
-                // candidates without the per-list walk.
+                    && (slots.top.entries().windows(2))
+                        .all(|w| w[0].0.score >= slots.state(w[1].1).ub(&cs));
+                // Condition 2 is over the slots ranking after the r-th.
+                // SUB(d) ≤ SLB(d) + thres, so the sum settles most of them
+                // without the rank test or the per-list walk.
                 cond1
-                    && slots
-                        .states
-                        .iter()
-                        .filter(|st| !st.in_top)
-                        .all(|st| st.lb + thres <= slb_r || st.ub(&cs) <= slb_r)
+                    && slots.states.iter().zip(&slots.docs).all(|(st, &doc)| {
+                        st.lb + thres <= slb_r
+                            || ResultEntry { doc, score: st.lb }.rank(rth).is_le()
+                            || st.ub(&cs) <= slb_r
+                    })
             });
 
         // Step 4(b): pop the highest term score (ties: lowest index).
@@ -330,29 +264,9 @@ fn run_inner<L: ListAccess>(
         slots.of(d);
     }
 
-    let prefix_lens: Vec<usize> = (0..q)
-        .map(|i| {
-            let li = lists.list_len(i);
-            if pos[i] < li {
-                pos[i] + 1
-            } else {
-                li
-            }
-        })
-        .collect();
-
-    let entries: Vec<ResultEntry> = slots
-        .top
-        .iter()
-        .map(|&s| ResultEntry {
-            doc: slots.docs[s as usize],
-            score: slots.state(s).lb,
-        })
-        .collect();
-
     Ok(ProcessingOutcome {
-        result: QueryResult { entries },
-        prefix_lens,
+        result: slots.top.into_result(),
+        prefix_lens: fetched(lists, &pos),
         encountered: slots.docs,
         iterations,
     })
@@ -370,7 +284,7 @@ fn fill_front_scores(cs: &mut [f64], fronts: &[Option<(DocId, f32)>], query: &Qu
 fn snapshot(slots: &Slots, cs: &[f64]) -> Vec<(DocId, f64, f64)> {
     // lint:allow(truncating-cast): one slot per distinct u32 doc id, so every slot index fits in u32
     let mut order: Vec<u32> = (0..slots.docs.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| slots.rank(a, b));
+    order.sort_unstable_by(|&a, &b| slots.entry(a).rank(&slots.entry(b)));
     order
         .iter()
         .map(|&s| {
@@ -385,9 +299,10 @@ mod tests {
     use super::*;
     use crate::access::IndexLists;
     use crate::pscan;
-    use crate::types::{DocTable, QueryError};
+    use crate::types::{DocTable, QueryError, QueryResult};
     use authsearch_corpus::SyntheticConfig;
     use authsearch_index::{build_index, ImpactEntry, OkapiParams};
+    use std::collections::HashMap;
 
     #[test]
     fn tnra_matches_naive_top_docs() {

@@ -4,8 +4,10 @@
 use crate::access::AccessError;
 use authsearch_corpus::{Corpus, DocId, TermId};
 use authsearch_index::InvertedIndex;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How a multi-term query combines its terms.
 ///
@@ -258,6 +260,102 @@ pub struct ResultEntry {
     pub score: f64,
 }
 
+impl ResultEntry {
+    /// The rank order of every result: score descending, then doc id
+    /// ascending. Scores are sums of products of finite non-negative
+    /// weights, never NaN, so over distinct documents the order is total.
+    pub(crate) fn rank(&self, other: &ResultEntry) -> Ordering {
+        let by_score = other.score.partial_cmp(&self.score);
+        by_score.map_or(Ordering::Equal, |o| o.then(self.doc.cmp(&other.doc)))
+    }
+}
+
+/// Most entries a scan reserves room for up front (it grows past them).
+pub(crate) const RESERVED_SLOTS: usize = 1024;
+
+/// The first `r` entries of the rank order among the documents offered
+/// so far, in that order, each with a tag of the caller's (TNRA's slot).
+/// Every scan ranks through it, at the engine and in the client's
+/// replay, and leaves every other candidate unordered.
+#[derive(Debug, Clone)]
+pub(crate) struct TopR<T = ()> {
+    r: usize,
+    top: Vec<(ResultEntry, T)>,
+}
+
+impl<T: Copy> TopR<T> {
+    /// No entry yet, with room for `min(r, candidates)`.
+    pub(crate) fn new(r: usize, candidates: usize) -> TopR<T> {
+        let top = Vec::with_capacity(r.min(candidates));
+        TopR { r, top }
+    }
+
+    /// The r-th entry, once r documents have been offered.
+    pub(crate) fn rth(&self) -> Option<&ResultEntry> {
+        self.top.get(self.r.checked_sub(1)?).map(|(e, _)| e)
+    }
+
+    /// The top r, best first, with their tags.
+    pub(crate) fn entries(&self) -> &[(ResultEntry, T)] {
+        &self.top
+    }
+
+    /// Offer `e`, whose document may have been offered before at a
+    /// score no higher: a document in the top r moves up to its new
+    /// score; another enters while there is room, or when it ranks before
+    /// the r-th, which leaves.
+    pub(crate) fn offer(&mut self, e: ResultEntry, tag: T) {
+        if self.r == 0 || self.rth().is_some_and(|rth| e.rank(rth).is_ge()) {
+            return;
+        }
+        // Its document leaves its old place, or else a full top r its r-th.
+        let place = self.top.iter().position(|(x, _)| x.doc == e.doc);
+        if let Some(k) = place.or((self.top.len() == self.r).then_some(self.r - 1)) {
+            self.top.remove(k);
+        }
+        let at = self.top.partition_point(|(x, _)| x.rank(&e).is_lt());
+        self.top.insert(at, (e, tag));
+    }
+
+    /// The top r as a result.
+    pub(crate) fn into_result(self) -> QueryResult {
+        let entries = self.top.into_iter().map(|(e, _)| e).collect();
+        QueryResult { entries }
+    }
+}
+
+/// Doc-id hasher: one multiply, its high half folded into the low. Not
+/// collision-resistant, and it need not be: it hashes the owner's ids,
+/// signature-checked prefix ids, and distinct proof ids below the
+/// collection size `n`, so no reply crowds a bucket past the ids below
+/// `n` that share it.
+#[derive(Default)]
+pub(crate) struct DocIdHasher(u64);
+
+/// The one map keyed by doc id, at both ends, through [`DocIdHasher`].
+pub(crate) type DocIdMap<V> = HashMap<DocId, V, BuildHasherDefault<DocIdHasher>>;
+
+/// 2^64 / φ, odd: multiplying by it permutes `u64` and spreads
+/// consecutive ids across the high bits.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for DocIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(GOLDEN);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        let h = u64::from(id).wrapping_mul(GOLDEN);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The ordered query result `R` (non-increasing scores; ties broken by
 /// ascending document id so every component of the system is
 /// deterministic).
@@ -270,9 +368,7 @@ pub struct QueryResult {
 impl QueryResult {
     /// Checks the ordering half of the paper's correctness criteria.
     pub fn is_ordered(&self) -> bool {
-        self.entries
-            .windows(2)
-            .all(|w| w[0].score > w[1].score || (w[0].score == w[1].score && w[0].doc < w[1].doc))
+        self.entries.windows(2).all(|w| w[0].rank(&w[1]).is_lt())
     }
 
     /// Documents only.
@@ -431,14 +527,6 @@ impl DocTable {
     }
 }
 
-/// Insert `⟨doc, score⟩` into a descending-ordered result vector
-/// (ties by ascending doc id). Shared by PSCAN / TRA and the verifier's
-/// replay.
-pub(crate) fn insert_ranked(entries: &mut Vec<ResultEntry>, doc: DocId, score: f64) {
-    let pos = entries.partition_point(|e| e.score > score || (e.score == score && e.doc < doc));
-    entries.insert(pos, ResultEntry { doc, score });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,15 +651,78 @@ mod tests {
         assert!(fixed.is_ordered());
     }
 
+    /// The oracle: every offered entry sorted whole (score descending by
+    /// `total_cmp`, doc id ascending), the first `r` kept.
+    fn sorted_top(all: &[ResultEntry], r: usize) -> Vec<ResultEntry> {
+        let mut all = all.to_vec();
+        all.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
+        all.truncate(r);
+        all
+    }
+
+    fn top_entries<T: Copy>(top: &TopR<T>) -> Vec<ResultEntry> {
+        top.entries().iter().map(|&(e, _)| e).collect()
+    }
+
     #[test]
-    fn insert_ranked_keeps_order() {
-        let mut v = Vec::new();
-        insert_ranked(&mut v, 5, 0.5);
-        insert_ranked(&mut v, 3, 0.9);
-        insert_ranked(&mut v, 9, 0.5);
-        insert_ranked(&mut v, 1, 0.7);
-        let docs: Vec<DocId> = v.iter().map(|e| e.doc).collect();
-        assert_eq!(docs, vec![3, 1, 5, 9]);
+    fn top_r_matches_a_full_sort_over_seeded_offers() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7070_5252);
+        for case in 0..300 {
+            let n = rng.gen_range(0..40u32);
+            // Four scores: ties at the r-th entry are the common case.
+            let offers: Vec<ResultEntry> = (0..n)
+                .map(|d| ResultEntry {
+                    doc: d * 7 % 101,
+                    score: [0.0, 0.5, 1.0, 2.0][rng.gen_range(0..4usize)],
+                })
+                .collect();
+            for r in [0, 1, 2, 10, n as usize + 1, usize::MAX] {
+                let mut top = TopR::new(r, offers.len());
+                for (k, &e) in offers.iter().enumerate() {
+                    top.offer(e, k);
+                    let want = sorted_top(&offers[..=k], r);
+                    assert_eq!(top_entries(&top), want, "case {case} r={r} offer {k}");
+                    assert_eq!(top.rth(), want.get(r.wrapping_sub(1)), "case {case} r={r}");
+                    // Each entry keeps its own tag.
+                    assert!(top.entries().iter().all(|&(e, t)| offers[t] == e));
+                }
+                let result = top.into_result();
+                assert!(result.is_ordered(), "case {case} r={r}");
+                assert_eq!(result.entries, sorted_top(&offers, r), "case {case} r={r}");
+            }
+        }
+    }
+
+    #[test]
+    fn top_r_matches_a_full_sort_over_seeded_raises() {
+        // TNRA re-offers a document each time its SLB rises.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7261_6973);
+        for case in 0..200 {
+            let m = rng.gen_range(1..=12u32);
+            for r in [0, 1, 2, 3, 10, m as usize + 1] {
+                let mut top = TopR::new(r, m as usize);
+                let mut scores: Vec<Option<f64>> = vec![None; m as usize];
+                for step in 0..60 {
+                    let d = rng.gen_range(0..m);
+                    let add = [0.0, 0.5, 1.0][rng.gen_range(0..3usize)];
+                    let score = scores[d as usize].unwrap_or(0.0) + add;
+                    scores[d as usize] = Some(score);
+                    top.offer(ResultEntry { doc: d, score }, d);
+                    let all: Vec<ResultEntry> = (0..m)
+                        .filter_map(|d| {
+                            scores[d as usize].map(|score| ResultEntry { doc: d, score })
+                        })
+                        .collect();
+                    let want = sorted_top(&all, r);
+                    assert_eq!(top_entries(&top), want, "case {case} r={r} step {step}");
+                    assert!(top.entries().iter().all(|&(e, t)| e.doc == t));
+                }
+            }
+        }
     }
 
     #[test]

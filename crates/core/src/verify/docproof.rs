@@ -39,40 +39,42 @@
 //!   itself, while an interior node hashes `0x01 | left | right`, so no
 //!   interior digest can be presented as a leaf.
 
-use super::{FreqMap, VerifierParams, VerifyError};
+use super::{VerifierParams, VerifyError};
 use crate::auth::serve::QueryResponse;
 use crate::auth::{doc_table_leaf, empty_doc_root};
 use crate::pool::{self, DOCS_PER_THREAD};
+use crate::types::DocIdMap;
 use crate::vo::{DocLeaf, DocVo, TermVo, VerificationObject};
 use authsearch_corpus::DocId;
 use authsearch_crypto::{reconstruct_root, Digest};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// Authenticated frequencies of the encountered documents, per query term.
+/// Authenticated frequencies of the proved documents, in VO order: proof
+/// `k`'s weight for query term `i` at `weights[k * q + i]`, `None` when
+/// the proof settles nothing about it, and `index` from doc id to `k`.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ResolvedFreqs {
-    map: FreqMap,
+pub(crate) struct ResolvedFreqs {
+    q: usize,
+    weights: Vec<Option<f32>>,
+    index: DocIdMap<u32>,
 }
 
 impl ResolvedFreqs {
     /// Certified `w_{d, t_i}`; `None` when the VO proves nothing about it.
-    pub fn weight_of(&self, d: DocId, i: usize) -> Option<f32> {
-        self.map.get(&d).and_then(|v| v.get(i).copied().flatten())
-    }
-
-    /// Number of documents with proofs.
-    pub fn num_docs(&self) -> usize {
-        self.map.len()
+    pub(crate) fn weight_of(&self, d: DocId, i: usize) -> Option<f32> {
+        let k = *self.index.get(&d)? as usize;
+        let row = self.weights.get(k * self.q..(k + 1) * self.q)?;
+        row.get(i).copied().flatten()
     }
 
     /// True when the VO carried an authenticated proof for document `d`
     /// (even if some query-term weights remained unproven).
-    pub fn contains(&self, d: DocId) -> bool {
-        self.map.contains_key(&d)
+    pub(crate) fn contains(&self, d: DocId) -> bool {
+        self.index.contains_key(&d)
     }
 }
 
-/// Verify every document proof in the response, build the frequency map
+/// Verify every document proof in the response, resolve the frequencies
 /// for the replay, and reconstruct the document-table root.
 ///
 /// Each document proof yields its document-table leaf; the leaves and
@@ -82,42 +84,46 @@ impl ResolvedFreqs {
 /// The per-document check ([`resolve_one`]) is a pure function of one
 /// proof, so it runs over chunks of [`DOCS_PER_THREAD`] proofs through
 /// [`pool::map`] at `width` threads, each chunk with its own scratch
-/// buffer. The checks that span documents — a doc id proved twice, or
-/// outside the table — then run in VO order, and the first error in that
-/// order is returned. The verdict is therefore the sequential loop's at
-/// every width.
+/// buffer and its own run of the weight array. The checks that span
+/// documents — a doc id proved twice, or outside the table — then run in
+/// VO order, and the first error in that order is returned. The verdict
+/// is therefore the sequential loop's at every width.
 pub(super) fn resolve_doc_proofs(
     params: &VerifierParams,
     response: &QueryResponse,
     width: usize,
 ) -> Result<(ResolvedFreqs, Digest), VerifyError> {
-    let delivered = delivered_contents(response)?;
+    let mut contents = delivered_contents(response)?;
     let result_docs: Vec<DocId> = response.result.docs();
-    // Every result document must arrive with its content.
+    // Result documents must arrive with their contents, which are hashed.
     for &d in &result_docs {
-        if !delivered.contains_key(&d) {
+        if !contents.contains_key(&d) {
             return Err(VerifyError::MissingContent { doc: d });
         }
     }
+    contents.retain(|d, _| result_docs.contains(d));
 
     // The VO's terms are the query's (`check_query_shape`).
     let terms = &response.vo.terms;
     let docs = &response.vo.docs;
     let chunks = docs.len().div_ceil(DOCS_PER_THREAD);
-    let resolved = pool::map(width, chunks, |c| {
+    let (weights, leaves): (Vec<_>, Vec<_>) = pool::map(width, chunks, |c| {
         // One `(position, leaf digest)` buffer serves the chunk's MHTs.
         let mut revealed = Vec::new();
         let chunk: &[DocVo] = docs.chunks(DOCS_PER_THREAD).nth(c).unwrap_or_default();
-        chunk
-            .iter()
-            .map(|dv| resolve_one(terms, dv, &delivered, &result_docs, &mut revealed))
-            .collect::<Vec<_>>()
-    });
+        let mut weights = Vec::with_capacity(chunk.len() * terms.len());
+        let leaves: Vec<_> = (chunk.iter())
+            .map(|dv| resolve_one(terms, dv, &contents, &mut revealed, &mut weights))
+            .collect();
+        (weights, leaves)
+    })
+    .into_iter()
+    .unzip();
 
-    let mut map: FreqMap = HashMap::with_capacity(docs.len());
-    let mut leaves = Vec::with_capacity(docs.len());
-    for (dv, one) in docs.iter().zip(resolved.into_iter().flatten()) {
-        if map.contains_key(&dv.doc) {
+    let mut index = DocIdMap::with_capacity_and_hasher(docs.len(), Default::default());
+    let mut table_leaves = Vec::with_capacity(docs.len());
+    for ((k, dv), one) in (0..).zip(docs).zip(leaves.into_iter().flatten()) {
+        if index.contains_key(&dv.doc) {
             return Err(VerifyError::MalformedProof(format!(
                 "duplicate document proof for {}",
                 dv.doc
@@ -129,19 +135,21 @@ pub(super) fn resolve_doc_proofs(
                 dv.doc, params.num_docs
             )));
         }
-        let (weights, leaf) = one?;
-        leaves.push((dv.doc as usize, leaf));
-        map.insert(dv.doc, weights);
+        table_leaves.push((dv.doc as usize, one?));
+        index.insert(dv.doc, k);
     }
-    let root = doc_table_root(params, &response.vo, leaves)?;
-    Ok((ResolvedFreqs { map }, root))
+    let root = doc_table_root(params, &response.vo, table_leaves)?;
+    let (q, weights) = (terms.len(), weights.concat());
+    Ok((ResolvedFreqs { q, weights, index }, root))
 }
 
 /// The delivered contents by doc id. A document delivered twice is
 /// refused: only one copy is hashed into the document's table leaf, and
-/// a caller reading the other would read unauthenticated bytes.
-fn delivered_contents(response: &QueryResponse) -> Result<HashMap<DocId, &[u8]>, VerifyError> {
-    let mut delivered = HashMap::with_capacity(response.contents.len());
+/// a caller reading the other would read unauthenticated bytes. The ids
+/// are not yet checked against anything, so they are ordered, not
+/// hashed through `DocIdMap`'s weak hash.
+fn delivered_contents(response: &QueryResponse) -> Result<BTreeMap<DocId, &[u8]>, VerifyError> {
+    let mut delivered = BTreeMap::new();
     for (d, bytes) in &response.contents {
         if delivered.insert(*d, bytes.as_slice()).is_some() {
             return Err(VerifyError::DuplicateContent { doc: *d });
@@ -168,19 +176,21 @@ fn doc_table_root(
 
 /// Authenticate one document proof *structurally* — reconstruct the
 /// document-MHT root and resolve the weight of each query term of
-/// `terms`, keyed by the `f_t` its dictionary leaf binds — and return
-/// the document's document-table leaf; the caller folds the leaves into
-/// the table root with the table's multi-proof. `pairs` is scratch
-/// space for the revealed leaves, reused across documents. A pure
-/// function of its inputs, so proofs can be checked in any order, on
-/// any thread.
+/// `terms`, keyed by the `f_t` its dictionary leaf binds, onto the end
+/// of `weights` — and return the document's document-table leaf, which
+/// binds the digest of its content in `results` if it is a result
+/// document; the caller folds the leaves into the table root with the
+/// table's multi-proof. `pairs` is scratch space for the revealed
+/// leaves, reused across documents. A pure function of its inputs but
+/// for the weights it appends (one per term, and only on success), so
+/// proofs can be checked in any order, on any thread.
 fn resolve_one(
     terms: &[TermVo],
     dv: &DocVo,
-    delivered: &HashMap<DocId, &[u8]>,
-    result_docs: &[DocId],
+    results: &BTreeMap<DocId, &[u8]>,
     pairs: &mut Vec<(usize, Digest)>,
-) -> Result<(Vec<Option<f32>>, Digest), VerifyError> {
+    weights: &mut Vec<Option<f32>>,
+) -> Result<Digest, VerifyError> {
     let n = dv.num_leaves as usize;
 
     // Structural checks: positions strictly increasing, in range, keys
@@ -221,14 +231,9 @@ fn resolve_one(
 
     // Content digest: hash the delivered document for result entries,
     // take the VO's digest otherwise.
-    let content_digest = if result_docs.contains(&dv.doc) {
-        let bytes = delivered
-            .get(&dv.doc)
-            .ok_or(VerifyError::MissingContent { doc: dv.doc })?;
-        Digest::hash(bytes)
-    } else {
-        dv.content_digest
-            .ok_or(VerifyError::MissingContent { doc: dv.doc })?
+    let content_digest = match results.get(&dv.doc) {
+        Some(bytes) => Digest::hash(bytes),
+        None => (dv.content_digest).ok_or(VerifyError::MissingContent { doc: dv.doc })?,
     };
 
     // The table leaf binds document id, content digest, and MHT root.
@@ -236,7 +241,6 @@ fn resolve_one(
 
     // Resolve each query term: present (revealed leaf), provably absent
     // (bounding leaves), or unproven.
-    let mut weights = Vec::with_capacity(terms.len());
     for k in terms.iter().map(TermVo::leaf_key) {
         let w = match dv.revealed.binary_search_by_key(&k, DocLeaf::key) {
             Ok(i) => dv.revealed.get(i).map(|l| l.weight),
@@ -259,7 +263,7 @@ fn resolve_one(
         };
         weights.push(w);
     }
-    Ok((weights, leaf))
+    Ok(leaf)
 }
 
 #[cfg(test)]
@@ -296,8 +300,8 @@ mod tests {
     fn honest_doc_proofs_resolve() {
         let (resp, params) = setup();
         let (freqs, _) = resolve_doc_proofs(&params, &resp, 1).unwrap();
-        assert_eq!(freqs.num_docs(), 4); // docs 5, 3, 6, 1
-                                         // d6 contains all four query terms (Figure 8).
+        assert_eq!(freqs.index.len(), 4); // docs 5, 3, 6, 1
+                                          // d6 contains all four query terms (Figure 8).
         for i in 0..4 {
             let w = freqs.weight_of(6, i).unwrap();
             assert!(w > 0.0, "term #{i}");

@@ -20,7 +20,8 @@
 //!    ranked intersection, see [`verify`]). If the replay ever needs data
 //!    the VO does not substantiate, the VO is insufficient and the result
 //!    is rejected; a replay that terminates must reproduce the reported
-//!    result exactly.
+//!    result exactly, and the VO's document proofs must be exactly the
+//!    documents the replay met, in the order it met them.
 //!
 //! Authentic prefixes + deterministic replay imply the correctness
 //! criteria of §3.1: the threshold logic guarantees no unseen document
@@ -33,18 +34,15 @@ mod docproof;
 use crate::access::{AccessError, FreqAccess, ListAccess};
 use crate::auth::serve::QueryResponse;
 use crate::auth::{dict_leaf_digest, publication_message, NO_DOC_TABLE_ROOT};
-use crate::tnra::DocIdMap;
-use crate::types::{Query, QueryError, QueryMode, QueryResult};
-use crate::vo::{Mechanism, PrefixData, TermProof, TermVo, VerificationObject, VoSize};
+use crate::types::{DocIdMap, Query, QueryError, QueryMode, QueryResult};
+use crate::vo::{DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject, VoSize};
 use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::{reconstruct_head, reconstruct_root, Digest, RsaPublicKey};
 use authsearch_index::{BlockLayout, ImpactEntry};
-use std::collections::HashMap;
+use docproof::ResolvedFreqs;
 use std::convert::Infallible;
 use std::fmt;
-
-pub use docproof::ResolvedFreqs;
 
 /// Why a query result was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -248,7 +246,7 @@ pub fn verify(
     let inputs = authenticate(params, query, response)?;
 
     // Step 2: recompute the result from the authenticated inputs alone.
-    let expected = match query.mode() {
+    let (expected, met) = match query.mode() {
         QueryMode::Disjunctive => replay(&inputs, query, r)?,
         QueryMode::Conjunctive => intersect(&inputs, query, r)?,
     };
@@ -257,6 +255,9 @@ pub fn verify(
     // caller gets the recomputed one: its scores came from
     // authenticated inputs.
     compare_results(&expected, &response.result)?;
+    // Step 4: the reply proves exactly the documents the recomputation
+    // met, in the order it met them.
+    check_proof_order(&response.vo.docs, &met)?;
 
     Ok(VerifiedResult {
         result: expected,
@@ -272,21 +273,28 @@ enum Inputs<'a> {
     Tnra(TnraVoLists<'a>),
 }
 
+/// A recomputed result, and the documents whose proofs the reply must
+/// carry, in proof order.
+type Recomputed = (QueryResult, Vec<DocId>);
+
 /// The disjunctive replay: the mechanism's threshold algorithm over the
 /// authenticated inputs. If it needs data the VO does not substantiate,
-/// the VO is insufficient.
-fn replay(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, VerifyError> {
-    let outcome = match inputs {
-        Inputs::Tra(lists) => tra::run(lists, &lists.freqs, query, r)?,
-        Inputs::Tnra(lists) => tnra::run(lists, query, r)?,
-    };
-    Ok(outcome.result)
+/// the VO is insufficient. TRA proves the documents it met; TNRA none.
+fn replay(inputs: &Inputs, query: &Query, r: usize) -> Result<Recomputed, VerifyError> {
+    Ok(match inputs {
+        Inputs::Tra(lists) => {
+            let outcome = tra::run(lists, &lists.freqs, query, r)?;
+            (outcome.result, outcome.encountered)
+        }
+        Inputs::Tnra(lists) => (tnra::run(lists, query, r)?.result, Vec::new()),
+    })
 }
 
 /// The conjunctive recomputation: the ranked intersection over the
 /// anchor list's revealed documents, once the reveal is shown to settle
-/// it.
-fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, VerifyError> {
+/// it. Under TRA the reply proves the whole anchor when it is complete,
+/// else the early reveal's documents; under TNRA none.
+fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<Recomputed, VerifyError> {
     let term = |i: usize| query.terms().get(i).map_or(0, |qt| qt.term);
     let wq: Vec<f64> = query.terms().iter().map(|qt| qt.wq).collect();
     // The anchor is derived from the *signed* f_t values: understating
@@ -338,8 +346,12 @@ fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, Ve
                 r,
             )
             .map_err(unproven)?;
-            if complete || scan.stopped {
-                Ok(scan.result)
+            if complete {
+                Ok((scan.result, candidates.to_vec()))
+            } else if scan.stopped {
+                let met = candidates.iter().take(scan.popped + 1).copied();
+                let heads = lists.prefixes.iter().filter_map(|p| p.first().copied());
+                Ok((scan.result, crate::conjunctive::early_proofs(met, heads)))
             } else {
                 Err(VerifyError::ConjunctIncomplete { term: term(anchor) })
             }
@@ -369,7 +381,7 @@ fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<QueryResult, Ve
                 },
                 r,
             );
-            Ok(scan.result)
+            Ok((scan.result, Vec::new()))
         }
     }
 }
@@ -446,6 +458,7 @@ fn authenticate<'a>(
                     PrefixData::DocIds(_) => Err(payload_mismatch(tv.term)),
                 })
                 .collect::<Result<_, _>>()?,
+            freqs: (),
         }),
     })
 }
@@ -573,6 +586,22 @@ fn dict_root(vo: &VerificationObject, term_roots: &[Digest]) -> Result<(u32, Dig
     Ok((dict.num_terms, root))
 }
 
+/// The reply's document proofs must be for exactly the documents `met`,
+/// in that order; any other list is malformed at its first difference.
+fn check_proof_order(proofs: &[DocVo], met: &[DocId]) -> Result<(), VerifyError> {
+    let at = |k: usize| (proofs.get(k).map(|dv| dv.doc), met.get(k).copied());
+    let Some(k) = (0..proofs.len().max(met.len())).find(|&k| at(k).0 != at(k).1) else {
+        return Ok(());
+    };
+    let doc = |d: Option<DocId>| d.map_or("no document".into(), |d| format!("document {d}"));
+    let (proved, want) = at(k);
+    Err(VerifyError::MalformedProof(format!(
+        "document proof {k} is for {} where the replay met {}",
+        doc(proved),
+        doc(want)
+    )))
+}
+
 fn compare_results(replayed: &QueryResult, reported: &QueryResult) -> Result<(), VerifyError> {
     if replayed.entries.len() != reported.entries.len() {
         return Err(VerifyError::ResultMismatch(format!(
@@ -603,18 +632,29 @@ fn compare_results(replayed: &QueryResult, reported: &QueryResult) -> Result<(),
 
 // ---- VO-backed data sources for the replay --------------------------------
 
-/// TNRA replay lists: the `⟨d, f⟩` prefixes, borrowed from the VO.
-struct TnraVoLists<'a> {
+/// Replay lists borrowed from the VO: per query term its signed length
+/// and its revealed prefix, of `⟨d, f⟩` entries under TNRA and of doc
+/// ids under TRA, whose weights `freqs` resolves *lazily* from the
+/// authenticated document-MHT frequencies. Laziness matters: buddy
+/// inclusion pads prefixes with entries beyond the cut-off whose
+/// documents were never encountered and thus carry no document proof —
+/// the replay never reads them, so they must not trigger a rejection.
+struct VoLists<'a, T, F = ()> {
     lens: Vec<usize>,
-    prefixes: Vec<&'a [ImpactEntry]>,
+    prefixes: Vec<&'a [T]>,
+    freqs: F,
 }
 
-impl ListAccess for TnraVoLists<'_> {
-    fn list_len(&self, i: usize) -> usize {
-        self.lens.get(i).copied().unwrap_or(0)
-    }
+type TnraVoLists<'a> = VoLists<'a, ImpactEntry>;
+type TraVoLists<'a> = VoLists<'a, DocId, ResolvedFreqs>;
 
-    fn entry(&self, i: usize, pos: usize) -> Result<Option<ImpactEntry>, AccessError> {
+impl<T: Copy, F> VoLists<'_, T, F>
+where
+    Self: ListAccess,
+{
+    /// Entry `pos` of query list `i`: `None` past the list's signed
+    /// length, an error where its revealed prefix stops short.
+    fn revealed(&self, i: usize, pos: usize) -> Result<Option<T>, AccessError> {
         if pos >= self.list_len(i) {
             return Ok(None);
         }
@@ -631,16 +671,14 @@ impl ListAccess for TnraVoLists<'_> {
     }
 }
 
-/// TRA replay lists: doc-id prefixes, borrowed from the VO, whose weights
-/// are resolved *lazily* through the authenticated document-MHT
-/// frequencies. Laziness matters: buddy inclusion pads prefixes with
-/// entries beyond the cut-off whose documents were never encountered and
-/// thus carry no document proof — the replay never reads them, so they
-/// must not trigger a rejection.
-struct TraVoLists<'a> {
-    lens: Vec<usize>,
-    prefixes: Vec<&'a [DocId]>,
-    freqs: ResolvedFreqs,
+impl ListAccess for TnraVoLists<'_> {
+    fn list_len(&self, i: usize) -> usize {
+        self.lens.get(i).copied().unwrap_or(0)
+    }
+
+    fn entry(&self, i: usize, pos: usize) -> Result<Option<ImpactEntry>, AccessError> {
+        self.revealed(i, pos)
+    }
 }
 
 impl ListAccess for TraVoLists<'_> {
@@ -649,18 +687,8 @@ impl ListAccess for TraVoLists<'_> {
     }
 
     fn entry(&self, i: usize, pos: usize) -> Result<Option<ImpactEntry>, AccessError> {
-        if pos >= self.list_len(i) {
+        let Some(doc) = self.revealed(i, pos)? else {
             return Ok(None);
-        }
-        let prefix = self
-            .prefixes
-            .get(i)
-            .ok_or_else(|| AccessError::new(format!("replay touched unknown query list {i}")))?;
-        let Some(&doc) = prefix.get(pos) else {
-            return Err(AccessError::new(format!(
-                "replay needs entry {pos} of query list {i}, prefix has {}",
-                prefix.len()
-            )));
         };
         let weight = self.freqs.weight_of(doc, i).ok_or_else(|| {
             AccessError::new(format!(
@@ -678,10 +706,6 @@ impl FreqAccess for ResolvedFreqs {
         })
     }
 }
-
-/// Lookup map `doc → per-query-term weight` produced by document-proof
-/// resolution; shared with the replay as its [`FreqAccess`].
-pub(crate) type FreqMap = HashMap<DocId, Vec<Option<f32>>>;
 
 #[cfg(test)]
 mod tests {
@@ -816,17 +840,48 @@ mod tests {
     }
 
     #[test]
-    fn doc_proof_for_unencountered_doc_is_harmless_but_duplicates_reject() {
-        // Adding an unrelated (valid) doc proof is not itself an attack —
-        // the result must still match — but duplicates are rejected.
+    fn doc_proofs_must_be_the_replays_encounters_in_order() {
+        // An honest proof of a document the scan never met, a duplicate,
+        // or a proof in a TNRA reply, which proves no document: each is
+        // malformed, named by the first proof off the replay's list.
         let (auth, params) = setup(Mechanism::TraMht);
         let resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
+        let mut met: Vec<DocId> = resp.vo.docs.iter().map(|dv| dv.doc).collect();
+        assert_eq!(met, [5, 3, 6, 1]);
+        met.push(8);
+        let lens = resp.entries_read.clone();
+        let extra = crate::attacks::rebuilt_response(
+            &auth,
+            &toy_query(),
+            &resp,
+            lens,
+            met,
+            &toy_contents(),
+        );
+        assert_eq!(
+            verify(&params, &toy_query(), 2, &extra),
+            Err(VerifyError::MalformedProof(
+                "document proof 4 is for document 8 where the replay met no document".into()
+            ))
+        );
         let mut dup = resp.clone();
         dup.vo.docs.push(resp.vo.docs[0].clone());
-        assert!(matches!(
+        assert_eq!(
             verify(&params, &toy_query(), 2, &dup),
-            Err(VerifyError::MalformedProof(_))
-        ));
+            Err(VerifyError::MalformedProof(
+                "duplicate document proof for 5".into()
+            ))
+        );
+        let (tnra_auth, tnra_params) = setup(Mechanism::TnraMht);
+        let mut tnra = tnra_auth.query(&toy_query(), 2, &toy_contents()).unwrap();
+        assert!(verify(&tnra_params, &toy_query(), 2, &tnra).is_ok());
+        tnra.vo.docs.push(resp.vo.docs[2].clone());
+        assert_eq!(
+            verify(&tnra_params, &toy_query(), 2, &tnra),
+            Err(VerifyError::MalformedProof(
+                "document proof 0 is for document 6 where the replay met no document".into()
+            ))
+        );
     }
 
     #[test]

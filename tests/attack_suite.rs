@@ -718,6 +718,75 @@ fn doc_table_attacks_rejected_with_typed_verdicts() {
     }
 }
 
+/// The document proofs are the replay's encounters, in order: a reply
+/// whose proofs are reordered, padded with an honest proof of a document
+/// the scan never met, or duplicated gets its exact `VerifyError`, on
+/// TRA-MHT and TRA-CMHT × disjunctive / conjunctive × in-process / over
+/// the wire.
+#[test]
+fn document_proofs_off_the_encounter_order_rejected_with_typed_verdicts() {
+    for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
+        let (publication, corpus) = publish(mechanism);
+        for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
+            let (query, honest) = doc_table_query(mode, &publication, &corpus);
+            let proved: Vec<u32> = honest.vo.docs.iter().map(|dv| dv.doc).collect();
+            assert!(
+                proved.len() >= 2,
+                "{} {mode:?}: {proved:?}",
+                mechanism.name()
+            );
+            let mut reordered = honest.clone();
+            reordered.vo.docs.swap(0, 1);
+            let stranger = (0..).find(|d| !proved.contains(d)).unwrap();
+            let mut padded = proved.clone();
+            padded.push(stranger);
+            let lens = honest.entries_read.clone();
+            let extra = rebuilt_response(&publication.auth, &query, &honest, lens, padded, &corpus);
+            let mut duplicated = honest.clone();
+            duplicated.vo.docs.push(honest.vo.docs[0].clone());
+            let malformed = |why: String| VerifyError::MalformedProof(why);
+            let cells = [
+                (
+                    "proofs reordered",
+                    reordered,
+                    malformed(format!(
+                        "document proof 0 is for document {} where the replay met document {}",
+                        proved[1], proved[0]
+                    )),
+                ),
+                (
+                    "an honest proof of a document never met",
+                    extra,
+                    malformed(format!(
+                        "document proof {} is for document {stranger} where the replay met no document",
+                        proved.len()
+                    )),
+                ),
+                (
+                    "a proof duplicated",
+                    duplicated,
+                    malformed(format!("duplicate document proof for {}", proved[0])),
+                ),
+            ];
+            for path in [Path::InProcess, Path::Wire] {
+                let delivered = deliver(path, &query, honest.clone());
+                verify::verify(&publication.verifier_params, &query, 10, &delivered)
+                    .unwrap_or_else(|e| panic!("{} {mode:?} {path:?}: {e}", mechanism.name()));
+                for (name, tampered, want) in &cells {
+                    let delivered = deliver(path, &query, tampered.clone());
+                    let got = verify::verify(&publication.verifier_params, &query, 10, &delivered);
+                    assert_eq!(
+                        got.as_ref().err(),
+                        Some(want),
+                        "{} {mode:?} {path:?}: '{name}'",
+                        mechanism.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The first sampled query whose honest response admits both key-order
 /// mutations and the claimed absence through a gap.
 fn doc_key_query(
