@@ -18,11 +18,11 @@ use authsearch_corpus::TermId;
 use authsearch_index::BlockLayout;
 
 /// Result size: the Table 1 default.
-pub const RESULT_SIZE: usize = 10;
+pub(crate) const RESULT_SIZE: usize = 10;
 
 /// Block sizes of the ρ′ sweep: ρ′ = 61, 125 (the paper's 1 KB) and 509
 /// ⟨d, f⟩ leaves per chain block.
-pub const BLOCK_SIZES: [usize; 3] = [512, 1024, 4096];
+pub(crate) const BLOCK_SIZES: [usize; 3] = [512, 1024, 4096];
 
 /// Run the three ablations and print one table each.
 pub fn run(wb: &mut Workbench) {

@@ -4,10 +4,10 @@ use crate::figures::{all_mechanisms, print_abcde};
 use crate::Workbench;
 
 /// Query sizes sampled along the paper's 0–20 x-axis.
-pub const QUERY_SIZES: [usize; 8] = [1, 2, 3, 5, 8, 12, 16, 20];
+pub(crate) const QUERY_SIZES: [usize; 8] = [1, 2, 3, 5, 8, 12, 16, 20];
 
 /// Result size fixed at the Table 1 default.
-pub const RESULT_SIZE: usize = 10;
+pub(crate) const RESULT_SIZE: usize = 10;
 
 /// Run the sweep and print sub-figures (a)–(e).
 pub fn run(wb: &mut Workbench) {

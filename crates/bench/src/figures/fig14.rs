@@ -4,10 +4,10 @@ use crate::figures::{all_mechanisms, print_abcde};
 use crate::Workbench;
 
 /// The paper's result-size sweep.
-pub const RESULT_SIZES: [usize; 5] = [10, 20, 40, 60, 80];
+pub(crate) const RESULT_SIZES: [usize; 5] = [10, 20, 40, 60, 80];
 
 /// Query size fixed at the Table 1 default.
-pub const QUERY_SIZE: usize = 3;
+pub(crate) const QUERY_SIZE: usize = 3;
 
 /// Seed of the workload's queries.
 pub const SEED: u64 = 1400;

@@ -4,10 +4,10 @@ use crate::figures::{all_mechanisms, print_abcde};
 use crate::Workbench;
 
 /// The paper's result-size sweep.
-pub const RESULT_SIZES: [usize; 5] = [10, 20, 40, 60, 80];
+pub(crate) const RESULT_SIZES: [usize; 5] = [10, 20, 40, 60, 80];
 
 /// The paper uses TREC topics 101–200: 100 queries.
-pub const NUM_TREC_QUERIES: usize = 100;
+pub(crate) const NUM_TREC_QUERIES: usize = 100;
 
 /// Seed of the workload's queries.
 pub const SEED: u64 = 1500;

@@ -7,11 +7,11 @@ use crate::Workbench;
 use authsearch_core::Mechanism;
 
 /// The paper's query-size rows.
-pub const QUERY_SIZES: [usize; 10] = [2, 4, 6, 8, 10, 12, 14, 16, 18, 20];
+pub(crate) const QUERY_SIZES: [usize; 10] = [2, 4, 6, 8, 10, 12, 14, 16, 18, 20];
 
 /// Paper's published percentages, for side-by-side comparison
 /// (`(qsize, MHT data %, CMHT data %)`).
-pub const PAPER_DATA_PCT: [(usize, f64, f64); 10] = [
+pub(crate) const PAPER_DATA_PCT: [(usize, f64, f64); 10] = [
     (2, 6.0, 22.0),
     (4, 8.0, 28.0),
     (6, 9.0, 31.0),

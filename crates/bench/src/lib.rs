@@ -26,10 +26,9 @@
 //! `--scale 0.001 --queries 3 --key-bits 512`.
 
 pub mod figures;
-pub mod runner;
+pub(crate) mod runner;
 pub mod scale;
-pub mod tables;
+pub(crate) mod tables;
 
-pub use runner::{AggregateMetrics, Workbench};
+pub use runner::Workbench;
 pub use scale::Scale;
-pub use tables::Table;

@@ -69,7 +69,7 @@ impl Workbench {
 
     /// Build an authenticated index for an arbitrary configuration
     /// (ablations) under this bench's key size; not memoized.
-    pub fn build_auth(&self, config: AuthConfig) -> (AuthenticatedIndex, VerifierParams) {
+    pub(crate) fn build_auth(&self, config: AuthConfig) -> (AuthenticatedIndex, VerifierParams) {
         let t = Instant::now();
         eprintln!(
             "[bench] signing authentication structures for {}…",
@@ -93,7 +93,7 @@ impl Workbench {
 
     /// Synthetic workload: `scale.queries` queries of `qsize` uniform
     /// dictionary terms (the paper's first workload).
-    pub fn synthetic_queries(&self, qsize: usize, seed: u64) -> Vec<Vec<TermId>> {
+    pub(crate) fn synthetic_queries(&self, qsize: usize, seed: u64) -> Vec<Vec<TermId>> {
         authsearch_corpus::workload::synthetic(
             self.index.num_terms(),
             self.scale.queries,
@@ -104,14 +104,14 @@ impl Workbench {
 
     /// TREC-like workload: `n` natural-language-shaped queries
     /// (2–20 terms with common words; the paper's second workload).
-    pub fn trec_queries(&self, n: usize, seed: u64) -> Vec<Vec<TermId>> {
+    pub(crate) fn trec_queries(&self, n: usize, seed: u64) -> Vec<Vec<TermId>> {
         authsearch_corpus::workload::trec_like(self.index.document_frequencies(), n, 0.35, seed)
     }
 }
 
 /// Averaged metrics over a workload — one data point of a figure.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AggregateMetrics {
+pub(crate) struct AggregateMetrics {
     /// Number of queries aggregated.
     pub queries: usize,
     /// Figure (a): mean entries read per queried list.
@@ -139,7 +139,7 @@ pub struct AggregateMetrics {
 
 /// Run a workload through one authenticated index, verifying every
 /// response, and average the metrics.
-pub fn run_workload(
+pub(crate) fn run_workload(
     auth: &AuthenticatedIndex,
     params: &VerifierParams,
     corpus: &Corpus,

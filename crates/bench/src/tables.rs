@@ -2,7 +2,7 @@
 
 /// A fixed-width text table with a title and column headers.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -29,13 +29,13 @@ impl Table {
 
     /// Append an annotation printed under the table (e.g. the paper's
     /// corresponding claim).
-    pub fn note(&mut self, note: impl Into<String>) -> &mut Table {
+    pub(crate) fn note(&mut self, note: impl Into<String>) -> &mut Table {
         self.notes.push(note.into());
         self
     }
 
     /// Render to a string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -76,7 +76,7 @@ impl Table {
 }
 
 /// Format seconds adaptively (s / ms / µs).
-pub fn fmt_secs(secs: f64) -> String {
+pub(crate) fn fmt_secs(secs: f64) -> String {
     if secs >= 1.0 {
         format!("{secs:.2} s")
     } else if secs >= 1e-3 {
@@ -88,7 +88,7 @@ pub fn fmt_secs(secs: f64) -> String {
 
 /// Format bytes adaptively (B / KB / MB), the unit chosen by magnitude
 /// so a negative count scales like a positive one.
-pub fn fmt_bytes(bytes: f64) -> String {
+pub(crate) fn fmt_bytes(bytes: f64) -> String {
     if bytes.abs() >= 1048576.0 {
         format!("{:.2} MB", bytes / 1048576.0)
     } else if bytes.abs() >= 1024.0 {

@@ -22,6 +22,7 @@ use std::fmt;
 /// engine this is impossible; at the verifier it means the VO is
 /// insufficient or inconsistent, and the result must be rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(unused-pub): reached only as the error of `ListAccess::entry` and the scans
 pub struct AccessError {
     /// Human-readable description of what was missing.
     pub what: String,
@@ -57,6 +58,7 @@ pub trait ListAccess {
 
 /// Random access to document-side weights `w_{d, t_i}` for query term `i`
 /// (the paper's document-MHT fetch).
+// lint:allow(unused-pub): reached only as the frequency bound of `tra::run`
 pub trait FreqAccess {
     /// `w_{d, t_i}`; `Err` when the source cannot substantiate the value.
     fn weight(&self, d: DocId, i: usize) -> Result<f32, AccessError>;

@@ -7,7 +7,7 @@
 //!   leaf `t` binding term `t`, its `f_t` and that root;
 //! * for the TRA mechanisms, a **document-MHT** over every document's
 //!   `(t, w_{d,t}, c_t)` leaves in `(c_t descending, t)` order
-//!   ([`crate::types::leaf_key`]), its root bound to the document id and the
+//!   (`crate::types::leaf_key`), its root bound to the document id and the
 //!   digest of the document's content by `doc_message` — and one
 //!   **document-table MHT** over those messages' digests, in doc-id
 //!   order;
@@ -42,7 +42,8 @@ pub mod serve;
 pub mod snapshot;
 pub mod space;
 
-pub use cache::{CacheStats, WarmStats};
+pub use cache::CacheStats;
+pub use cache::WarmStats; // lint:allow(unused-pub): reached only as the value of `ServerHandle::warmed`
 pub use snapshot::boot_authenticated_index;
 
 use crate::pool::{self, ThreadPool};
@@ -61,6 +62,7 @@ use std::sync::Arc;
 /// `Sync` is a supertrait because the parallel owner build
 /// ([`AuthenticatedIndex::build`]) hashes document contents from several
 /// worker threads at once.
+// lint:allow(unused-pub): reached only as the content bound of `AuthenticatedIndex::build`, `query` and `DataOwner::publish_index`
 pub trait ContentProvider: Sync {
     /// Canonical content bytes of document `d`.
     fn content(&self, d: DocId) -> Vec<u8>;
@@ -94,7 +96,7 @@ impl ContentProvider for Vec<Vec<u8>> {
 ///     ..AuthConfig::new(Mechanism::TnraCmht)
 /// };
 /// assert!(config.buddy); // chain-MHT mechanisms default buddy on
-/// assert_eq!(config.build_threads(), 1);
+/// assert_eq!(config.chain_capacity(), 125); // ρ′ for TNRA's ⟨d, f⟩ leaves
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuthConfig {
@@ -140,7 +142,7 @@ impl AuthConfig {
 
     /// The effective owner-build worker count: [`AuthConfig::threads`],
     /// with `0` resolved to [`crate::pool::available_parallelism`].
-    pub fn build_threads(&self) -> usize {
+    pub(crate) fn build_threads(&self) -> usize {
         if self.threads == 0 {
             crate::pool::available_parallelism()
         } else {
@@ -418,7 +420,6 @@ fn content_digests<C: ContentProvider>(threads: usize, n: usize, contents: &C) -
 /// Everything derived from an index and, under TRA, its documents'
 /// content digests: what the build signs and a boot verifies.
 struct Fold {
-    term_roots: Vec<Digest>,
     content_digests: Vec<Digest>,
     doc_tree: Option<MerkleTree>,
     cache: cache::ServeCache,
@@ -471,7 +472,6 @@ fn fold(
             .map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
     );
     Ok(Fold {
-        term_roots,
         content_digests,
         doc_tree,
         cache: cache::ServeCache::new(dict, terms, doc_levels),
@@ -496,7 +496,6 @@ impl Fold {
                 .unwrap_or_else(|| DocTable::from_index(&index)),
             config,
             index,
-            term_roots: self.term_roots,
             doc_content_digests: self.content_digests,
             doc_tree: self.doc_tree,
             signature,
@@ -517,8 +516,6 @@ pub struct AuthenticatedIndex {
     config: AuthConfig,
     index: InvertedIndex,
     doc_table: DocTable,
-    /// Root/head digest of every term's (chain-)MHT ([`Self::term_root`]).
-    term_roots: Vec<Digest>,
     /// TRA only: per-document content digests `h(doc)`.
     doc_content_digests: Vec<Digest>,
     /// TRA only: the document-table MHT ([`doc_table_tree`]), resident
@@ -545,13 +542,13 @@ impl AuthenticatedIndex {
     /// The folds are embarrassingly parallel — every term's structure
     /// and dictionary leaf, and every document's content digest and MHT
     /// root, is independent — so they fan out through [`pool::map`] over
-    /// [`AuthConfig::build_threads`] threads (`threads: 1` keeps the
+    /// [`AuthConfig::threads`] threads (`threads: 1` keeps the
     /// paper's sequential owner model on the calling thread). Results are
     /// collected in index order, making the artifact **bit-identical for
     /// any thread count**.
     ///
     /// ```
-    /// use authsearch_core::{AuthConfig, AuthenticatedIndex, Mechanism};
+    /// use authsearch_core::{AuthConfig, AuthenticatedIndex, Mechanism, Query};
     /// use authsearch_corpus::CorpusBuilder;
     /// use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
     /// use authsearch_index::{build_index, OkapiParams};
@@ -571,8 +568,13 @@ impl AuthenticatedIndex {
     /// let parallel = AuthConfig { threads: 4, ..sequential };
     /// let a = AuthenticatedIndex::build(index.clone(), &key, sequential, &corpus);
     /// let b = AuthenticatedIndex::build(index, &key, parallel, &corpus);
-    /// // Same roots (and signature) regardless of thread count.
-    /// assert_eq!(a.term_root(0), b.term_root(0));
+    /// // Same structures (and signature) regardless of thread count, so
+    /// // the same reply, proofs included, byte for byte.
+    /// let query = Query::from_text(&corpus, a.index(), "old keeper").unwrap();
+    /// assert_eq!(
+    ///     a.query(&query, 2, &corpus).unwrap(),
+    ///     b.query(&query, 2, &corpus).unwrap()
+    /// );
     /// ```
     pub fn build<C: ContentProvider>(
         index: InvertedIndex,
@@ -600,7 +602,7 @@ impl AuthenticatedIndex {
         fold.into_index(config, index, signature, key.public_key().clone())
     }
 
-    /// The persistent serving pool, [`AuthConfig::build_threads`] wide,
+    /// The persistent serving pool, [`AuthConfig::threads`] wide,
     /// spawned once at the end of the build (or boot). Every call
     /// returns the same pool.
     pub fn serve_pool(&self) -> Arc<ThreadPool> {
@@ -620,11 +622,6 @@ impl AuthenticatedIndex {
     /// The per-document frequency table (the document-MHT leaf layer).
     pub fn doc_table(&self) -> &DocTable {
         &self.doc_table
-    }
-
-    /// Root/head digest of term `t`'s list structure.
-    pub fn term_root(&self, t: TermId) -> Digest {
-        self.term_roots[t as usize]
     }
 
     /// The owner's public key (what users verify against).
@@ -680,6 +677,12 @@ pub(crate) mod tests_support {
         AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents())
     }
 
+    /// Root/head digest of term `t`'s list structure, refolded from
+    /// `auth`'s index.
+    pub(crate) fn term_root(auth: &AuthenticatedIndex, t: TermId) -> Digest {
+        cache::TermStructure::build(&auth.config, auth.index.list(t)).0
+    }
+
     /// The manifest `auth` was signed over, refolded from its index.
     pub(crate) fn manifest_of(auth: &AuthenticatedIndex) -> [u8; 55] {
         let digests = auth.doc_content_digests.clone();
@@ -691,7 +694,7 @@ pub(crate) mod tests_support {
 
 #[cfg(test)]
 mod tests {
-    use super::tests_support::manifest_of;
+    use super::tests_support::{manifest_of, term_root};
     use super::*;
     use crate::toy::{toy_contents, toy_index};
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
@@ -722,7 +725,7 @@ mod tests {
         let t = 15u32; // 'the'
         assert_eq!(
             dict.leaf_digests()[t as usize],
-            dict_leaf_digest(t, auth.index.ft(t), &auth.term_root(t))
+            dict_leaf_digest(t, auth.index.ft(t), &term_root(&auth, t))
         );
         auth.public_key()
             .verify(&manifest_of(&auth), &auth.signature)
@@ -872,8 +875,8 @@ mod tests {
             let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
             let m = auth.index.num_terms() as TermId;
             let got = (
-                auth.term_root(0).to_hex(),
-                auth.term_root(m - 1).to_hex(),
+                term_root(&auth, 0).to_hex(),
+                term_root(&auth, m - 1).to_hex(),
                 auth.cache.dict_tree.root().to_hex(),
                 auth.doc_tree.as_ref().map(|t| t.root().to_hex()),
             );
@@ -921,7 +924,7 @@ mod tests {
         );
         // TRA roots cover doc ids only; TNRA roots cover ⟨d, f⟩ — they
         // must differ.
-        assert_ne!(a.term_root(15), b.term_root(15));
+        assert_ne!(term_root(&a, 15), term_root(&b, 15));
     }
 
     #[test]
@@ -952,8 +955,9 @@ mod tests {
                 };
                 let built = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
                 assert_eq!(
-                    built.term_roots, reference.term_roots,
-                    "{mechanism:?} threads={threads}"
+                    built.cache.dict_tree.leaf_digests(),
+                    reference.cache.dict_tree.leaf_digests(),
+                    "{mechanism:?} threads={threads}: dictionary leaves (every term root)"
                 );
                 assert_eq!(
                     built.cache.dict_tree.root(),

@@ -566,6 +566,7 @@ mod tests {
         vo: &VerificationObject,
         what: &str,
     ) {
+        use crate::auth::tests_support::term_root;
         use crate::auth::{dict_leaf_digest, doc_leaf_digests, term_leaves};
         let config = auth.config();
         for tv in &vo.terms {
@@ -596,7 +597,7 @@ mod tests {
             .expect("every reply carries a dictionary proof");
         let m = auth.index().num_terms() as TermId;
         let leaves = (0..m)
-            .map(|t| dict_leaf_digest(t, auth.index().ft(t), &auth.term_root(t)))
+            .map(|t| dict_leaf_digest(t, auth.index().ft(t), &term_root(auth, t)))
             .collect();
         let mut positions: Vec<usize> = query.terms().iter().map(|qt| qt.term as usize).collect();
         positions.sort_unstable();

@@ -70,13 +70,13 @@ use authsearch_index::SnapshotInfo;
 use std::path::Path;
 
 /// Section tags of the authenticated snapshot, in file order.
-pub const TAG_CONFIG: SectionTag = *b"ACFG";
+pub(crate) const TAG_CONFIG: SectionTag = *b"ACFG";
 /// The inverted-index section (the v1 `ASIX` record as a section).
-pub const TAG_INDEX: SectionTag = *b"ASIX";
+pub(crate) const TAG_INDEX: SectionTag = *b"ASIX";
 /// The authentication-artifact section (layout 5: content digests, one
 /// manifest signature and the key; every root is refolded at boot, over
 /// document-MHTs in `(c_t descending, t)` leaf order).
-pub const TAG_AUTH: SectionTag = *b"ASA5";
+pub(crate) const TAG_AUTH: SectionTag = *b"ASA5";
 /// Earlier authentication sections, each stale: layout 1 (`ASAU`, one
 /// signature per term and per document), layout 2 (`ASA2`, one per term
 /// plus one for the document table), layout 3 (`ASA3`, one manifest

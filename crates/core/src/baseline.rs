@@ -36,6 +36,7 @@ pub struct BaselineIndex {
 
 /// The baseline's "VO": the complete inverted lists of the query terms.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only as the value of `BaselineIndex::query`
 pub struct BaselineResponse {
     /// The ranked result (computed with PSCAN).
     pub result: QueryResult,

@@ -23,7 +23,7 @@ pub fn buddy_group_size(leaf_bytes: usize, digest_bytes: usize) -> usize {
 
 /// Expand a sorted set of required leaf positions to whole buddy groups
 /// (clamped to `n` leaves). Returns sorted, deduplicated positions.
-pub fn expand_buddies(required: &[usize], n: usize, group: usize) -> Vec<usize> {
+pub(crate) fn expand_buddies(required: &[usize], n: usize, group: usize) -> Vec<usize> {
     debug_assert!(required.windows(2).all(|w| w[0] < w[1]));
     let mut out = Vec::with_capacity(required.len() * group);
     let mut last_group = usize::MAX;
@@ -43,7 +43,7 @@ pub fn expand_buddies(required: &[usize], n: usize, group: usize) -> Vec<usize> 
 /// Expand a contiguous prefix `0..k` to a buddy-group boundary within an
 /// `n`-leaf tree — the special case used for inverted-list prefixes
 /// (groups align to the leaf layer's origin).
-pub fn expand_prefix(k: usize, n: usize, group: usize) -> usize {
+pub(crate) fn expand_prefix(k: usize, n: usize, group: usize) -> usize {
     if k == 0 {
         0
     } else {

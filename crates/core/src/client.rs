@@ -157,7 +157,7 @@ impl From<VerifyError> for ClientNetError {
 /// unbounded sleeps.
 ///
 /// The jittered delay is a **pure function of `(seed, attempt)`**
-/// ([`RetryPolicy::jittered_delay`]): per-client seeds (the entropy
+/// (`RetryPolicy::jittered_delay`): per-client seeds (the entropy
 /// default) decorrelate the herd, while a fixed seed makes every sleep
 /// reproducible — which is how the schedule is unit-tested.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,7 +171,7 @@ pub struct RetryPolicy {
     /// Largest fraction of the exponential delay that jitter may remove:
     /// attempt `i` sleeps uniformly in `[(1 − jitter) · dᵢ, dᵢ]`.
     /// Clamped to `[0, 1]`; `0.0` (or NaN) restores the exact
-    /// deterministic schedule of [`RetryPolicy::delay`]. Default `0.5`.
+    /// deterministic schedule of `RetryPolicy::delay`. Default `0.5`.
     pub jitter: f64,
     /// Seed of the jitter stream. The default draws per-policy entropy
     /// (distinct clients → distinct schedules); pin it for reproducible
@@ -204,7 +204,7 @@ fn entropy_seed() -> u64 {
 impl RetryPolicy {
     /// The undithered delay after failed attempt `attempt` (0-based) —
     /// the upper envelope of [`RetryPolicy::jittered_delay`].
-    pub fn delay(&self, attempt: usize) -> Duration {
+    pub(crate) fn delay(&self, attempt: usize) -> Duration {
         // 2^attempt with the shift clamped so the multiply cannot
         // overflow before the cap applies.
         let factor = 1u32 << attempt.min(20) as u32;
@@ -217,7 +217,7 @@ impl RetryPolicy {
     /// inputs, same `Duration`, with no state carried between calls —
     /// so a retry loop that skips attempts (or several loops sharing a
     /// policy) stays reproducible.
-    pub fn jittered_delay(&self, attempt: usize) -> Duration {
+    pub(crate) fn jittered_delay(&self, attempt: usize) -> Duration {
         let d = self.delay(attempt);
         // `clamp` passes NaN through, and `mul_f64(NaN)` panics.
         let jitter = if self.jitter.is_nan() {
@@ -299,7 +299,7 @@ impl Connection {
     /// the same bound, clearing any desynchronization — the transport
     /// is fresh; the verification parameters (and their trust root) are
     /// unchanged.
-    pub fn reconnect(&mut self) -> io::Result<()> {
+    pub(crate) fn reconnect(&mut self) -> io::Result<()> {
         self.stream = dial(&self.addr)?;
         self.desynced = false;
         Ok(())

@@ -20,8 +20,9 @@
 //!   MHTs, dictionary-MHT, signatures; server-side VO construction with
 //!   disk accounting over structures resident from the build or boot;
 //!   storage reports;
-//! * [`pool`] — the scoped-thread parallel `map` behind the owner build
-//!   and snapshot boot, and the persistent job queue behind the server;
+//! * [`pool`] — the scoped-thread parallel `map` behind the owner build,
+//!   the snapshot boot and both ends of a TRA reply (the server's job
+//!   queue and its readiness reactor are crate-internal);
 //! * [`verify`](mod@verify) — user-side verification (authenticate,
 //!   then replay);
 //! * [`buddy`] — the buddy-inclusion VO optimization (§3.3.2);
@@ -77,7 +78,7 @@ pub mod owner;
 pub mod pool;
 pub mod pscan;
 #[cfg(unix)]
-pub mod reactor;
+pub(crate) mod reactor;
 #[cfg(unix)]
 pub mod server;
 pub mod tnra;
@@ -89,21 +90,13 @@ pub mod vo;
 pub mod wire;
 
 pub use auth::serve::QueryResponse;
-pub use auth::{
-    boot_authenticated_index, AuthConfig, AuthenticatedIndex, CacheStats, ContentProvider,
-    WarmStats,
-};
+pub use auth::{boot_authenticated_index, AuthConfig, AuthenticatedIndex, CacheStats};
 pub use client::{phrase_filter, Client, ClientNetError, Connection, RetryPolicy};
 pub use engine::SearchEngine;
-pub use metrics::{
-    measure, QueryMetrics, ServerMetrics, ServerMetricsSnapshot, TransportStats,
-    TransportStatsSnapshot,
-};
+pub use metrics::{measure, ServerMetricsSnapshot, TransportStatsSnapshot};
 pub use owner::{DataOwner, Publication};
 #[cfg(unix)]
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use types::{
-    DocTable, ProcessingOutcome, Query, QueryError, QueryMode, QueryResult, QueryTerm, ResultEntry,
-};
+pub use types::{DocTable, Query, QueryError, QueryMode, QueryTerm};
 pub use verify::{verify, VerifiedResult, VerifierParams, VerifyError};
-pub use vo::{Mechanism, VerificationObject, VoSize};
+pub use vo::{Mechanism, VoSize};

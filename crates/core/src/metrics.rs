@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// Live counters of a running server, updated lock-free by every
 /// connection handler; snapshot with [`ServerMetrics::snapshot`].
 #[derive(Debug, Default)]
-pub struct ServerMetrics {
+pub(crate) struct ServerMetrics {
     /// Connections admitted (shed connections are **not** counted here).
     pub connections: AtomicU64,
     /// Requests answered with a [`crate::wire::kind::REPLY_OK`] frame.
@@ -47,7 +47,7 @@ pub struct ServerMetrics {
     pub active_highwater: AtomicU64,
 }
 
-/// A point-in-time copy of [`ServerMetrics`].
+/// A point-in-time copy of `ServerMetrics`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerMetricsSnapshot {
     /// Connections admitted.
@@ -93,7 +93,7 @@ impl ServerMetrics {
 /// the syscalls-per-query rows `authbench` reports
 /// (`server.{reads,writes,polls}_per_query`).
 #[derive(Debug, Default)]
-pub struct TransportStats {
+pub(crate) struct TransportStats {
     /// `accept(2)` attempts (including the final `EAGAIN` probe that
     /// ends an accept burst).
     pub accepts: AtomicU64,
@@ -110,7 +110,7 @@ pub struct TransportStats {
     pub timers: AtomicU64,
 }
 
-/// A point-in-time copy of [`TransportStats`].
+/// A point-in-time copy of `TransportStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportStatsSnapshot {
     /// `accept(2)` attempts.
@@ -140,6 +140,7 @@ impl TransportStats {
 
 /// Measurements for one verified query.
 #[derive(Debug, Clone)]
+// lint:allow(unused-pub): reached only as the value of `measure`
 pub struct QueryMetrics {
     /// Entries fetched per query-term list.
     pub entries_read: Vec<usize>,
@@ -151,10 +152,10 @@ pub struct QueryMetrics {
     pub io_secs: f64,
     /// VO size breakdown.
     pub vo_size: VoSize,
-    /// Signatures the VO carries ([`crate::VerificationObject::signature_count`]).
+    /// Signatures the VO carries (`VerificationObject::signature_count`).
     pub signatures: usize,
     /// Signatures the paper's scheme would carry for the same reply
-    /// ([`crate::VerificationObject::paper_signature_count`]).
+    /// (`VerificationObject::paper_signature_count`).
     pub paper_signatures: usize,
     /// Wall-clock verification time at the user.
     pub verify_time: Duration,

@@ -115,7 +115,7 @@ mod tests {
         let sequential = owner.publish(&corpus, base);
         let parallel = owner.publish(&corpus, AuthConfig { threads: 4, ..base });
         for t in 0..sequential.auth.index().num_terms() as u32 {
-            assert_eq!(sequential.auth.term_root(t), parallel.auth.term_root(t));
+            assert_eq!(sequential.auth.dict_leaf(t), parallel.auth.dict_leaf(t));
         }
         assert_eq!(
             sequential.verifier_params.public_key,

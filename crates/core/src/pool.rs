@@ -10,8 +10,8 @@
 //!   [`DOCS_PER_THREAD`] proofs. Its output is **identical for every width**;
 //!   only wall-clock time changes.
 //! * [`ThreadPool`] — long-lived workers draining one job queue, onto
-//!   which the network server ([`crate::server`]) [`ThreadPool::submit`]s
-//!   one job per request.
+//!   which the network server ([`crate::server`]) submits one job per
+//!   request.
 //!
 //! At width 1 neither spawns a thread: everything runs on the calling
 //! thread, the paper's sequential model.
@@ -19,22 +19,16 @@
 //! # Example
 //!
 //! ```
-//! use authsearch_core::pool::{self, ThreadPool};
+//! use authsearch_core::pool;
 //!
 //! // Index-ordered parallel map: the result is identical for any width.
 //! let squares = pool::map(4, 8, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//!
-//! // Owned jobs for long-lived callers; completion is observed through
-//! // the channel.
-//! let pool = ThreadPool::new(4);
-//! let (tx, rx) = std::sync::mpsc::channel();
-//! pool.submit(move || tx.send(21 * 2).unwrap());
-//! assert_eq!(rx.recv().unwrap(), 42);
+//! assert_eq!(pool::map(1, 8, |i| i * i), squares);
 //! ```
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
@@ -140,22 +134,22 @@ where
 /// A queued job.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Run one job, catching and counting a panic so the thread survives it.
-fn run(job: Job, panics: &AtomicU64) {
-    if panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
-        panics.fetch_add(1, Ordering::Relaxed);
-    }
+/// Run one job, catching a panic so the thread survives it.
+fn run(job: Job) {
+    // A job reports its own failure out of band (the server's
+    // completion guard answers on unwind); only the thread needs saving.
+    let _ = panic::catch_unwind(AssertUnwindSafe(job));
 }
 
 /// A worker's loop: take the next job, run it, repeat — until the queue
 /// is closed and empty.
-fn work(jobs: &Mutex<mpsc::Receiver<Job>>, panics: &AtomicU64) {
+fn work(jobs: &Mutex<mpsc::Receiver<Job>>) {
     loop {
         // The guard is a temporary of this statement: it is released as
         // soon as `recv` returns, so jobs run with the queue unlocked.
         let next = lock_recover(jobs).recv();
         match next {
-            Ok(job) => run(job, panics),
+            Ok(job) => run(job),
             Err(mpsc::RecvError) => return,
         }
     }
@@ -167,13 +161,12 @@ fn work(jobs: &Mutex<mpsc::Receiver<Job>>, panics: &AtomicU64) {
 /// `n` spawns `n - 1` OS workers once, in [`ThreadPool::new`], and they
 /// live until the pool is dropped. A pool of 1 spawns no thread at all
 /// and runs every job inline.
+// lint:allow(unused-pub): reached only through `AuthenticatedIndex::serve_pool` (`serve_pool().threads()`)
 pub struct ThreadPool {
     /// The queue's sending half; `None` when there are no workers.
     queue: Option<mpsc::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
-    /// Submitted jobs that panicked; see [`ThreadPool::submitted_panics`].
-    panics: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for ThreadPool {
@@ -189,13 +182,11 @@ impl ThreadPool {
     /// A pool of `threads` workers; `0` is clamped to `1`.
     pub fn new(threads: usize) -> ThreadPool {
         let threads = threads.max(1);
-        let panics = Arc::new(AtomicU64::new(0));
         if threads == 1 {
             return ThreadPool {
                 queue: None,
                 workers: Vec::new(),
                 threads,
-                panics,
             };
         }
         let (queue, jobs) = mpsc::channel::<Job>();
@@ -203,10 +194,9 @@ impl ThreadPool {
         let workers = (0..threads - 1)
             .map(|i| {
                 let jobs = Arc::clone(&jobs);
-                let panics = Arc::clone(&panics);
                 std::thread::Builder::new()
                     .name(format!("authsearch-pool-{i}"))
-                    .spawn(move || work(&jobs, &panics))
+                    .spawn(move || work(&jobs))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -214,7 +204,6 @@ impl ThreadPool {
             queue: Some(queue),
             workers,
             threads,
-            panics,
         }
     }
 
@@ -223,22 +212,15 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Panics from [`ThreadPool::submit`]-ted jobs caught so far. An ops
-    /// counter: a serving process can alert on it.
-    pub fn submitted_panics(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
-    }
-
     /// Queue an owned (`'static`) job for the next idle worker.
     /// Completion is observed out of band (e.g. through a channel the job
     /// holds).
     ///
     /// On a `threads == 1` pool the job runs **inline, right here**, so
     /// submission order and the no-spawn guarantee both hold. A panicking
-    /// job is caught either way (counted in
-    /// [`ThreadPool::submitted_panics`]), so a bad request never takes a
-    /// server worker down.
-    pub fn submit<F>(&self, f: F)
+    /// job is caught either way, so a bad request never takes a server
+    /// worker down.
+    pub(crate) fn submit<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'static,
     {
@@ -248,10 +230,10 @@ impl ThreadPool {
                 // Sending fails only once every worker is gone; the job
                 // then still runs, here.
                 if let Err(mpsc::SendError(job)) = queue.send(job) {
-                    run(job, &self.panics);
+                    run(job);
                 }
             }
-            None => run(job, &self.panics),
+            None => run(job),
         }
     }
 }
@@ -274,6 +256,7 @@ impl Drop for ThreadPool {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::AtomicU64;
     use std::thread::ThreadId;
     use std::time::Duration;
 
@@ -409,14 +392,13 @@ mod tests {
     }
 
     #[test]
-    fn submitted_panic_is_contained_and_counted() {
+    fn submitted_panic_is_contained() {
         let pool = ThreadPool::new(2);
         pool.submit(|| panic!("submitted task failure"));
         let (tx, rx) = mpsc::channel();
         pool.submit(move || tx.send(7u32).unwrap());
         // The only worker survived the panic and keeps serving.
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
-        assert_eq!(pool.submitted_panics(), 1);
     }
 
     #[test]
@@ -482,7 +464,6 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         pool.submit(move || tx.send(9u32).unwrap());
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 9);
-        assert_eq!(pool.submitted_panics(), 0);
     }
 
     #[test]

@@ -25,9 +25,7 @@
 //!   N idle socketpairs on a 2-vCPU x86-64 Xeon Linux VM: `poll(2)`
 //!   0.20 µs at N = 3, 3.3 µs at 200, 25.6 µs at 1,000 and 220 µs at
 //!   4,000; `epoll_wait` 0.12 µs at every N. That is why it is not used
-//!   where epoll exists. `POLLERR` and `POLLNVAL` (a registered fd that
-//!   was closed) surface as [`Event::is_error`], `POLLHUP` as
-//!   [`Event::is_hangup`].
+//!   where epoll exists.
 //!
 //! Registration methods take `&mut self` on both backends (the poll
 //! backend edits its `pollfd` array; the event loop owns its `Poll`
@@ -40,8 +38,11 @@
 //! needs to drain-to-`WouldBlock` for correctness, only for
 //! efficiency, which keeps its partial-read/partial-write logic easy
 //! to verify — the property the 1-byte-at-a-time fuzz tests in
-//! `server/conn.rs` pin down. Errors and hangups are always reported,
-//! whatever the interest.
+//! `server/conn.rs` pin down. An [`Event`] carries only its token: the
+//! event loop learns what happened (bytes, EOF, an error) from the
+//! connection's next read or write. Errors and hangups (`EPOLLERR`,
+//! `EPOLLHUP`; `POLLERR`, `POLLHUP`, and `POLLNVAL` for a registered fd
+//! that was closed) are always reported, whatever the interest.
 
 use std::io;
 use std::os::raw::c_int;
@@ -49,98 +50,63 @@ use std::os::unix::net::UnixStream;
 use std::time::Instant;
 
 #[cfg(target_os = "linux")]
-pub use epoll::Poll;
+pub(crate) use epoll::Poll;
 #[cfg(not(target_os = "linux"))]
-pub use poll_set::Poll;
+pub(crate) use poll_set::Poll;
 
-/// Backend-neutral readiness bits shared by [`Interest`] and [`Event`].
+/// Backend-neutral interest bits.
 const READ: u8 = 0x1;
 const WRITE: u8 = 0x2;
-const ERROR: u8 = 0x4;
-const HANGUP: u8 = 0x8;
-
-/// `bit` when `set`, else nothing: the building block of the backends'
-/// flag translations.
-fn bit_if(set: bool, bit: u8) -> u8 {
-    if set {
-        bit
-    } else {
-        0
-    }
-}
 
 /// Caller-chosen identifier attached to a registration and echoed back
 /// in every [`Event`] for that fd.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Token(pub u64);
+pub(crate) struct Token(pub u64);
 
 /// Which readiness conditions a registration subscribes to. An empty
 /// interest keeps the fd registered (errors and hangups are always
 /// reported) but delivers no read/write readiness — the state the
 /// server parks a connection in while its query runs on the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     bits: u8,
 }
 
 impl Interest {
     /// No readiness subscription (errors/hangups still delivered).
-    pub const NONE: Interest = Interest { bits: 0 };
+    pub(crate) const NONE: Interest = Interest { bits: 0 };
     /// Readable readiness (includes peer half-close).
-    pub const READABLE: Interest = Interest { bits: READ };
+    pub(crate) const READABLE: Interest = Interest { bits: READ };
     /// Writable readiness.
-    pub const WRITABLE: Interest = Interest { bits: WRITE };
+    pub(crate) const WRITABLE: Interest = Interest { bits: WRITE };
 
     /// Whether this interest includes readable readiness.
-    pub fn is_readable(self) -> bool {
+    pub(crate) fn is_readable(self) -> bool {
         self.bits & READ != 0
     }
 
     /// Whether this interest includes writable readiness.
-    pub fn is_writable(self) -> bool {
+    pub(crate) fn is_writable(self) -> bool {
         self.bits & WRITE != 0
     }
 }
 
-/// One readiness notification from [`Poll::poll`].
+/// One readiness notification from [`Poll::poll`]: the fd registered
+/// under this token is readable, writable, at EOF or in error.
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     token: Token,
-    bits: u8,
 }
 
 impl Event {
     /// The token the ready fd was registered with.
-    pub fn token(&self) -> Token {
+    pub(crate) fn token(&self) -> Token {
         self.token
-    }
-
-    /// Bytes (or EOF) are waiting to be read. Peer half-close and full
-    /// hangup both count — a read will return promptly either way.
-    pub fn is_readable(&self) -> bool {
-        self.bits & READ != 0
-    }
-
-    /// The fd can accept more bytes without blocking.
-    pub fn is_writable(&self) -> bool {
-        self.bits & WRITE != 0
-    }
-
-    /// The fd is in an error state (e.g. connection reset, or — on the
-    /// `poll(2)` backend — closed while still registered); the owner
-    /// should close or deregister it.
-    pub fn is_error(&self) -> bool {
-        self.bits & ERROR != 0
-    }
-
-    /// The peer hung up entirely.
-    pub fn is_hangup(&self) -> bool {
-        self.bits & HANGUP != 0
     }
 }
 
 /// Reusable buffer of readiness events for [`Poll::poll`].
-pub struct Events {
+pub(crate) struct Events {
     list: Vec<Event>,
     capacity: usize,
 }
@@ -150,7 +116,7 @@ impl Events {
     /// clamped to `[1, 4096]` — a bigger batch per wait buys nothing,
     /// and the clamp keeps the preallocation bounded.
     // lint:allow(unclamped-prealloc): this is the definition, not a call — the body clamps the operator-chosen capacity to [1, 4096] on the next line
-    pub fn with_capacity(capacity: usize) -> Events {
+    pub(crate) fn with_capacity(capacity: usize) -> Events {
         let capacity = capacity.clamp(1, 4096);
         Events {
             list: Vec::with_capacity(capacity),
@@ -159,7 +125,7 @@ impl Events {
     }
 
     /// Events delivered by the most recent [`Poll::poll`].
-    pub fn iter(&self) -> impl Iterator<Item = Event> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Event> + '_ {
         self.list.iter().copied()
     }
 }
@@ -195,10 +161,7 @@ fn retry_interrupted(deadline: Option<Instant>) -> io::Result<bool> {
 /// The Linux backend: an `epoll` instance holds the interest set.
 #[cfg(target_os = "linux")]
 mod epoll {
-    use super::{
-        bit_if, retry_interrupted, timeout_ms, Event, Events, Interest, Token, ERROR, HANGUP, READ,
-        WRITE,
-    };
+    use super::{retry_interrupted, timeout_ms, Event, Events, Interest, Token};
     use std::io;
     use std::os::fd::RawFd;
     use std::os::raw::c_int;
@@ -237,8 +200,6 @@ mod epoll {
 
     const EPOLLIN: u32 = 0x001;
     const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
 
     /// Readable interest subscribes to peer half-close (`EPOLLRDHUP`)
@@ -254,16 +215,9 @@ mod epoll {
         bits
     }
 
-    fn readiness(bits: u32) -> u8 {
-        bit_if(bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0, READ)
-            | bit_if(bits & EPOLLOUT != 0, WRITE)
-            | bit_if(bits & EPOLLERR != 0, ERROR)
-            | bit_if(bits & EPOLLHUP != 0, HANGUP)
-    }
-
     /// An `epoll` instance: register fds with a [`Token`] and an
     /// [`Interest`], then [`Poll::poll`] for readiness.
-    pub struct Poll {
+    pub(crate) struct Poll {
         epfd: RawFd,
         /// Kernel-format landing buffer for `epoll_wait`, translated
         /// into the caller's [`Events`] after each wait.
@@ -272,7 +226,7 @@ mod epoll {
 
     impl Poll {
         /// Create a new epoll instance (`EPOLL_CLOEXEC`).
-        pub fn new() -> io::Result<Poll> {
+        pub(crate) fn new() -> io::Result<Poll> {
             // SAFETY: epoll_create1 takes a flags word and returns an fd
             // or -1; no pointers cross the boundary.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -302,12 +256,17 @@ mod epoll {
         }
 
         /// Start watching `fd` (level-triggered) under `token`.
-        pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &mut self,
+            fd: RawFd,
+            token: Token,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, interest, token)
         }
 
         /// Change an existing registration's interest (and/or token).
-        pub fn reregister(
+        pub(crate) fn reregister(
             &mut self,
             fd: RawFd,
             token: Token,
@@ -318,14 +277,14 @@ mod epoll {
 
         /// Stop watching `fd`. Deregister before closing: only epoll
         /// forgets a closed fd on its own.
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, Interest::NONE, Token(0))
         }
 
         /// Block until at least one registered fd is ready, `timeout`
         /// elapses (`None` = forever), or a [`super::Waker`] fires.
         /// Returns the number of events written into `events`.
-        pub fn poll(
+        pub(crate) fn poll(
             &mut self,
             events: &mut Events,
             timeout: Option<Duration>,
@@ -351,11 +310,8 @@ mod epoll {
             };
             events.list.extend(self.raw.iter().take(n).map(|ev| {
                 // Copy out of the (potentially packed) struct before use.
-                let (bits, data) = (ev.events, ev.data);
-                Event {
-                    token: Token(data),
-                    bits: readiness(bits),
-                }
+                let data = ev.data;
+                Event { token: Token(data) }
             }));
             Ok(events.list.len())
         }
@@ -382,10 +338,7 @@ mod epoll {
 /// tests run where CI does.
 #[cfg(any(test, not(target_os = "linux")))]
 mod poll_set {
-    use super::{
-        bit_if, retry_interrupted, timeout_ms, Event, Events, Interest, Token, ERROR, HANGUP, READ,
-        WRITE,
-    };
+    use super::{retry_interrupted, timeout_ms, Event, Events, Interest, Token};
     use std::io;
     use std::os::fd::RawFd;
     use std::os::raw::{c_int, c_short};
@@ -416,9 +369,6 @@ mod poll_set {
     // The same values on Linux, macOS, the BSDs and illumos.
     const POLLIN: c_short = 0x001;
     const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-    const POLLNVAL: c_short = 0x020;
 
     /// There is no `POLLRDHUP` off Linux: a peer half-close arrives as
     /// `POLLIN` (the read returns EOF), so readable interest is
@@ -434,20 +384,13 @@ mod poll_set {
         bits
     }
 
-    fn readiness(revents: c_short) -> u8 {
-        bit_if(revents & (POLLIN | POLLHUP) != 0, READ)
-            | bit_if(revents & POLLOUT != 0, WRITE)
-            | bit_if(revents & (POLLERR | POLLNVAL) != 0, ERROR)
-            | bit_if(revents & POLLHUP != 0, HANGUP)
-    }
-
     fn not_registered() -> io::Error {
         io::Error::new(io::ErrorKind::NotFound, "fd is not registered")
     }
 
     /// A `poll(2)` registration set: register fds with a [`Token`] and
     /// an [`Interest`], then [`Poll::poll`] for readiness.
-    pub struct Poll {
+    pub(crate) struct Poll {
         /// The set handed to the kernel; `tokens` runs parallel to it.
         fds: Vec<PollFd>,
         tokens: Vec<Token>,
@@ -455,7 +398,7 @@ mod poll_set {
 
     impl Poll {
         /// An empty registration set (no kernel object to create).
-        pub fn new() -> io::Result<Poll> {
+        pub(crate) fn new() -> io::Result<Poll> {
             Ok(Poll {
                 fds: Vec::new(),
                 tokens: Vec::new(),
@@ -474,7 +417,12 @@ mod poll_set {
         }
 
         /// Start watching `fd` (level-triggered) under `token`.
-        pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &mut self,
+            fd: RawFd,
+            token: Token,
+            interest: Interest,
+        ) -> io::Result<()> {
             if self.fds.iter().any(|p| p.fd == fd) {
                 return Err(io::Error::new(
                     io::ErrorKind::AlreadyExists,
@@ -491,7 +439,7 @@ mod poll_set {
         }
 
         /// Change an existing registration's interest (and/or token).
-        pub fn reregister(
+        pub(crate) fn reregister(
             &mut self,
             fd: RawFd,
             token: Token,
@@ -506,7 +454,7 @@ mod poll_set {
         /// Stop watching `fd`. Deregister before closing: `poll(2)`
         /// keeps a closed fd in the set and reports `POLLNVAL` for it on
         /// every wait.
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             let at = self
                 .fds
                 .iter()
@@ -520,7 +468,7 @@ mod poll_set {
         /// Block until at least one registered fd is ready, `timeout`
         /// elapses (`None` = forever), or a [`super::Waker`] fires.
         /// Returns the number of events written into `events`.
-        pub fn poll(
+        pub(crate) fn poll(
             &mut self,
             events: &mut Events,
             timeout: Option<Duration>,
@@ -549,10 +497,7 @@ mod poll_set {
                 .zip(&self.tokens)
                 .filter(|(p, _)| p.revents != 0)
                 .take(n.min(events.capacity));
-            events.list.extend(ready.map(|(p, &token)| Event {
-                token,
-                bits: readiness(p.revents),
-            }));
+            events.list.extend(ready.map(|(_, &token)| Event { token }));
             Ok(events.list.len())
         }
     }
@@ -567,7 +512,7 @@ mod poll_set {
 /// writes one byte into the write half from any thread. Wakes coalesce
 /// — a full pipe means a wake is already pending, which is exactly the
 /// semantic wanted.
-pub struct Waker {
+pub(crate) struct Waker {
     /// Write half; `wake()` is `&self` and the socket write is atomic
     /// for one byte, so clones of the Arc'd waker can fire concurrently.
     tx: UnixStream,
@@ -577,7 +522,7 @@ pub struct Waker {
 
 impl Waker {
     /// Build a waker from a fresh nonblocking socketpair.
-    pub fn new() -> io::Result<Waker> {
+    pub(crate) fn new() -> io::Result<Waker> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
@@ -585,20 +530,20 @@ impl Waker {
     }
 
     /// The fd to register with the poll under the waker's token.
-    pub fn fd(&self) -> std::os::fd::RawFd {
+    pub(crate) fn fd(&self) -> std::os::fd::RawFd {
         use std::os::fd::AsRawFd;
         self.rx.as_raw_fd()
     }
 
     /// Make the owning poll's next (or current) `poll` call return.
     /// Never blocks: a full pipe already guarantees a pending wake.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         use std::io::Write;
         let _ = (&self.tx).write(&[1u8]);
     }
 
     /// Consume pending wake bytes so level-triggered readiness clears.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         use std::io::Read;
         let mut sink = [0u8; 64];
         loop {
@@ -657,9 +602,6 @@ mod tests {
             assert_eq!(n, 1, "{backend}");
             let ev = events.iter().next().unwrap();
             assert_eq!(ev.token(), Token(7), "{backend}");
-            assert!(ev.is_readable(), "{backend}");
-            assert!(!ev.is_writable(), "{backend}");
-            assert!(!ev.is_error() && !ev.is_hangup(), "{backend}");
             let mut byte = [0u8; 1];
             (&b).read_exact(&mut byte).unwrap();
             assert_eq!(&byte, b"x", "{backend}");
@@ -753,7 +695,7 @@ mod tests {
     #[test]
     fn peer_half_close_is_reported_readable() {
         // Off Linux there is no POLLRDHUP: the FIN must still wake a
-        // reader, as POLLIN, so the state machine reads the EOF.
+        // reader (as POLLIN), so the state machine reads the EOF.
         each_backend!(|poll, backend| {
             let (a, b) = UnixStream::pair().unwrap();
             b.set_nonblocking(true).unwrap();
@@ -766,8 +708,11 @@ mod tests {
                 .unwrap();
             assert_eq!(n, 1, "{backend}");
             let ev = events.iter().next().unwrap();
-            assert_eq!(ev.token(), Token(3), "{backend}");
-            assert!(ev.is_readable(), "{backend}: half-close must wake a reader");
+            assert_eq!(
+                ev.token(),
+                Token(3),
+                "{backend}: half-close must wake a reader"
+            );
             let mut byte = [0u8; 1];
             assert_eq!((&b).read(&mut byte).unwrap(), 0, "{backend}: EOF");
         });
@@ -776,7 +721,8 @@ mod tests {
     #[test]
     fn poll_backend_reports_a_closed_registered_fd_as_error() {
         // poll(2) keeps a closed fd in its set and answers POLLNVAL on
-        // every wait; that must surface as is_error(), never silence.
+        // every wait; that must surface as an event for its token (the
+        // owner's next read sees the error), never silence.
         // The fd is one no process can have open, so a concurrent test
         // cannot reuse the number between close and poll.
         let mut poll = poll_set::Poll::new().unwrap();
@@ -788,8 +734,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         let ev = events.iter().next().unwrap();
-        assert_eq!(ev.token(), Token(9));
-        assert!(ev.is_error(), "POLLNVAL must surface as an error");
+        assert_eq!(ev.token(), Token(9), "POLLNVAL must surface as an event");
         poll.deregister(closed).unwrap();
         let n = poll
             .poll(&mut events, Some(Duration::from_millis(20)))

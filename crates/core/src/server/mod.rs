@@ -19,7 +19,7 @@
 //!
 //! One transport core serves every connection: a single event-loop
 //! thread drives them all through the readiness reactor in
-//! [`crate::reactor`] (epoll on Linux, `poll(2)` on other Unix; this
+//! `crate::reactor` (epoll on Linux, `poll(2)` on other Unix; this
 //! module exists on Unix only). Each connection is an explicit state
 //! machine (`ReadingHeader → ReadingPayload → Dispatched → Writing`,
 //! the private `conn` module) over the [`crate::wire`] frame codec;
@@ -31,9 +31,8 @@
 //!
 //! Around that core:
 //!
-//! * **Persistent pool dispatch**: query execution is
-//!   [`submit`](crate::pool::ThreadPool::submit)-ted onto the engine's
-//!   persistent job queue
+//! * **Persistent pool dispatch**: query execution is submitted onto
+//!   the engine's persistent job queue
 //!   ([`AuthenticatedIndex::serve_pool`](crate::AuthenticatedIndex::serve_pool)
 //!   — workers spawned once, when the artifact is built or booted), so N
 //!   connections share one executor instead of oversubscribing the
@@ -59,6 +58,7 @@
 pub(crate) mod conn;
 mod reactor_core;
 
+use crate::auth::WarmStats;
 use crate::auth::{boot_authenticated_index, AuthConfig};
 use crate::engine::SearchEngine;
 use crate::metrics::{
@@ -68,7 +68,6 @@ use crate::pool::ThreadPool;
 use crate::types::{Query, QueryError};
 use crate::verify::VerifierParams;
 use crate::wire::{self, Request, WireError};
-use crate::WarmStats;
 use authsearch_corpus::Corpus;
 use authsearch_corpus::TermId;
 use authsearch_index::persist::PersistError;
@@ -134,12 +133,12 @@ impl Default for ServerConfig {
 }
 
 /// Default [`ServerConfig::idle_deadline`].
-pub const DEFAULT_IDLE_DEADLINE: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_IDLE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Default [`ServerConfig::write_timeout`]; also substituted when the
 /// configured value is zero (the write bound is what keeps a
 /// non-draining peer from hanging graceful shutdown).
-pub const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The write budget actually enforced: the configured value, or the
 /// default when configured zero (never unbounded).
@@ -181,7 +180,7 @@ fn env_usize(name: &str) -> Option<usize> {
 /// largest encodable request (u16-capped term pairs ≈ 512 KiB) and far
 /// below the wire format's [`wire::MAX_FRAME_PAYLOAD`], which exists
 /// for *replies*.
-pub const MAX_REQUEST_PAYLOAD: usize = 1 << 20;
+pub(crate) const MAX_REQUEST_PAYLOAD: usize = 1 << 20;
 
 /// Minimum average inbound byte rate a mid-frame peer must sustain.
 /// Together with the per-gap idle deadline this bounds how long one

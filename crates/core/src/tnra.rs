@@ -125,6 +125,7 @@ impl Slots {
 
 /// One iteration record for trace replay (Figure 11).
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only through `tnra::run_traced`'s trace
 pub struct TnraIteration {
     /// Threshold at the top of the iteration.
     pub thres: f64,

@@ -22,6 +22,7 @@ use authsearch_corpus::DocId;
 
 /// One iteration record for trace replay (Figure 6).
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only through `tra::run_traced`'s trace
 pub struct TraIteration {
     /// Threshold at the top of the iteration (before the pop).
     pub thres: f64,

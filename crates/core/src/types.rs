@@ -253,6 +253,7 @@ fn weighted(
 
 /// One result entry `⟨d, s⟩`.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(unused-pub): reached only through `QueryResult::entries`
 pub struct ResultEntry {
     /// Result document.
     pub doc: DocId,
@@ -360,6 +361,7 @@ impl Hasher for DocIdHasher {
 /// ascending document id so every component of the system is
 /// deterministic).
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only through `QueryResponse::result` and `VerifiedResult::result`
 pub struct QueryResult {
     /// Result entries, best first.
     pub entries: Vec<ResultEntry>,
@@ -380,6 +382,7 @@ impl QueryResult {
 /// Everything a query-processing run produces, beyond the result itself:
 /// the inputs to VO construction and to the evaluation metrics.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only as the value of `tra::run`, `tnra::run` and `pscan::run`
 pub struct ProcessingOutcome {
     /// The top-r result.
     pub result: QueryResult,
@@ -398,7 +401,7 @@ pub struct ProcessingOutcome {
 /// `c_t`, the frequency class of a term that occurs in `f_t` documents:
 /// the bit length of `f_t` (1 for `f_t = 1`, 2 for 2–3, 3 for 4–7, …).
 /// Document-MHT leaves are ordered by it ([`leaf_key`]).
-pub fn freq_class(ft: u32) -> u8 {
+pub(crate) fn freq_class(ft: u32) -> u8 {
     // At most 32, so the narrowing is exact.
     (u32::BITS - ft.leading_zeros()) as u8
 }
@@ -407,12 +410,12 @@ pub fn freq_class(ft: u32) -> u8 {
 /// `(c_t descending, t ascending)` as one integer. Every document's
 /// leaves are in strictly ascending key order, so a document's common
 /// terms sit together at the front of its tree.
-pub fn leaf_key(class: u8, term: TermId) -> u64 {
+pub(crate) fn leaf_key(class: u8, term: TermId) -> u64 {
     (u64::from(u8::MAX - class) << 32) | u64::from(term)
 }
 
 /// Document-side frequency table: for every document, its
-/// `(t, w_{d,t}, c_t)` leaves in [`leaf_key`] order — precisely the leaf layer of the
+/// `(t, w_{d,t}, c_t)` leaves in `leaf_key` order — precisely the leaf layer of the
 /// document-MHTs (Figure 8, with the leaves ordered by frequency class
 /// rather than by term), and the engine's random-access source in TRA.
 ///

@@ -52,7 +52,7 @@ impl Mechanism {
 
     /// The mechanism a [`Mechanism::code`] names; `None` for an unknown
     /// code.
-    pub fn from_code(code: u8) -> Option<Mechanism> {
+    pub(crate) fn from_code(code: u8) -> Option<Mechanism> {
         Mechanism::ALL.get(usize::from(code)).copied()
     }
 
@@ -92,7 +92,7 @@ impl PrefixData {
     }
 
     /// VO bytes of the prefix data.
-    pub fn data_bytes(&self) -> usize {
+    pub(crate) fn data_bytes(&self) -> usize {
         match self {
             PrefixData::DocIds(v) => v.len() * 4,
             PrefixData::Entries(v) => v.len() * ImpactEntry::BYTES,
@@ -102,6 +102,7 @@ impl PrefixData {
 
 /// Complementary digests for one inverted-list prefix.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only through `TermVo::proof`
 pub enum TermProof {
     /// Plain MHT over the whole list (the server reads the entire list to
     /// regenerate these).
@@ -123,6 +124,7 @@ impl TermProof {
 
 /// Per-query-term verification data.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only through `VerificationObject::terms`
 pub struct TermVo {
     /// The query term this list belongs to.
     pub term: TermId,
@@ -136,7 +138,7 @@ pub struct TermVo {
     /// Always `None`, and never encoded: the one manifest signature
     /// ([`VerificationObject::signature`]) covers every term. The field
     /// goes with ROADMAP item 1, once the benchmark counts signatures
-    /// through [`VerificationObject::signature_count`].
+    /// through `VerificationObject::signature_count`.
     pub signature: Option<Vec<u8>>,
 }
 
@@ -151,6 +153,7 @@ impl TermVo {
 /// Per-document verification data (TRA only): certifies the query-term
 /// frequencies of one encountered document via its document-MHT.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only through `VerificationObject::docs`
 pub struct DocVo {
     /// The document.
     pub doc: DocId,
@@ -168,9 +171,10 @@ pub struct DocVo {
 }
 
 /// One revealed document-MHT leaf: the leaf message `(t, w_{d,t}, c_t)`
-/// at its position. Leaves are ordered by [`crate::types::leaf_key`] of
+/// at its position. Leaves are ordered by `crate::types::leaf_key` of
 /// `(c_t, t)`, so a verifier checks a bounding pair by key.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(unused-pub): reached only through `DocVo::revealed`
 pub struct DocLeaf {
     /// Position in the document-MHT.
     pub pos: u32,
@@ -178,7 +182,7 @@ pub struct DocLeaf {
     pub term: TermId,
     /// `w_{d,t}`.
     pub weight: f32,
-    /// `c_t`, the term's frequency class ([`crate::types::freq_class`]).
+    /// `c_t`, the term's frequency class (`crate::types::freq_class`).
     pub class: u8,
 }
 
@@ -200,6 +204,7 @@ impl DocLeaf {
 /// recomputes each leaf from data it authenticates anyway and checks one
 /// multi-proof for the whole reply.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only through `VerificationObject::doc_table`
 pub struct DocTableVo {
     /// Multi-proof for the encountered documents' leaf positions (their
     /// doc ids, ascending).
@@ -209,6 +214,7 @@ pub struct DocTableVo {
 /// Proof connecting the query terms' roots to the dictionary-MHT root in
 /// the owner's signed manifest (§3.4).
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only through `VerificationObject::dict`
 pub struct DictVo {
     /// Dictionary size `m` (tree shape parameter, bound by the manifest).
     pub num_terms: u32,
@@ -218,6 +224,7 @@ pub struct DictVo {
 
 /// The complete verification object for one query result.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only through `QueryResponse::vo` and `wire::encode`/`decode`
 pub struct VerificationObject {
     /// Which mechanism produced this VO.
     pub mechanism: Mechanism,
@@ -267,14 +274,14 @@ impl std::ops::Add for VoSize {
 
 impl VerificationObject {
     /// Signatures this VO carries: the one manifest signature.
-    pub fn signature_count(&self) -> usize {
+    pub(crate) fn signature_count(&self) -> usize {
         usize::from(!self.signature.is_empty())
     }
 
     /// Signatures the paper's scheme carries for the same reply: one per
     /// query term's list (§3.3) plus one per document proof (Figure 8
     /// signs every document-MHT root), where this VO carries one.
-    pub fn paper_signature_count(&self) -> usize {
+    pub(crate) fn paper_signature_count(&self) -> usize {
         self.terms.len() + self.docs.len()
     }
 

@@ -50,6 +50,7 @@ const MAGIC: &[u8; 4] = b"AVO1";
 /// collections exceed what their length prefixes can represent on
 /// encode. The verifier treats either like any other invalid VO.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(unused-pub): reached only as the error of the `wire` codec and `ClientNetError::Wire`
 pub enum WireError {
     /// Decoding found bytes that are not a well-formed VO (or encoding
     /// was handed a VO whose document table does not match its
@@ -208,7 +209,7 @@ const CLASS_BITS: u32 = u32::BITS - POS_BITS;
 /// Document-MHTs of this many leaves or more do not fit the packed
 /// position field: encoding refuses them, and decoding rejects a VO
 /// that claims one.
-pub const MAX_DOC_LEAVES: u32 = 1 << POS_BITS;
+pub(crate) const MAX_DOC_LEAVES: u32 = 1 << POS_BITS;
 
 /// Deserialize a VO from bytes.
 pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
@@ -384,9 +385,9 @@ pub mod errcode {
     pub const BAD_QUERY: u8 = 2;
     /// The engine failed internally (e.g. a worker panicked); the
     /// connection survives.
-    pub const INTERNAL: u8 = 3;
+    pub(crate) const INTERNAL: u8 = 3;
     /// The response exists but cannot be represented on the wire.
-    pub const UNREPRESENTABLE: u8 = 4;
+    pub(crate) const UNREPRESENTABLE: u8 = 4;
     /// The server is at its connection cap and shed this connection
     /// instead of serving it. The reply is typed — never a silent RST —
     /// so a client can back off and retry
@@ -425,7 +426,9 @@ pub fn encode_frame_header(
 /// compatibility — see the server's connection loop). Use
 /// [`decode_frame_header`] when an unknown kind should be rejected
 /// outright.
-pub fn decode_frame_header_any(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, usize), WireError> {
+pub(crate) fn decode_frame_header_any(
+    header: &[u8; FRAME_HEADER_LEN],
+) -> Result<(u8, usize), WireError> {
     let &[m0, m1, m2, m3, version, kind, l0, l1, l2, l3] = header;
     if [m0, m1, m2, m3] != FRAME_MAGIC {
         return Err(err("bad frame magic"));
@@ -601,7 +604,7 @@ pub fn encode_ok_reply(
 /// 10-byte header goes out through a vectored write alongside this
 /// buffer, so a reply costs no staging copy and — once the buffer has
 /// grown to its working size — no allocation.
-pub fn encode_ok_reply_payload(
+pub(crate) fn encode_ok_reply_payload(
     terms: &[(TermId, u32)],
     response: &QueryResponse,
     payload: &mut Vec<u8>,
@@ -652,7 +655,7 @@ pub fn encode_err_reply(code: u8, message: &str) -> Result<Vec<u8>, WireError> {
 /// form it truncates rather than fails — an error reply must always be
 /// representable — and truncates on a char boundary, so the peer's
 /// UTF-8 validation accepts what we send.
-pub fn encode_err_reply_payload(
+pub(crate) fn encode_err_reply_payload(
     code: u8,
     message: &str,
     payload: &mut Vec<u8>,

@@ -12,25 +12,15 @@ pub type TermId = u32;
 
 /// One document after tokenization: its term-frequency vector and length.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(unused-pub): reached only through `Corpus::doc` and `Corpus::docs`
 pub struct TokenizedDoc {
     /// Identifier of this document within the collection.
     pub id: DocId,
-    /// `(t, f_{d,t})` pairs, sorted by term id ascending ([`Self::freq`]
-    /// binary-searches them).
+    /// `(t, f_{d,t})` pairs, sorted by term id ascending.
     pub counts: Vec<(TermId, u32)>,
     /// Document length `W_d` in tokens (after stopword removal), used by
     /// the Okapi normalization.
     pub token_len: u32,
-}
-
-impl TokenizedDoc {
-    /// Frequency of `term` in this document (0 when absent).
-    pub fn freq(&self, term: TermId) -> u32 {
-        match self.counts.binary_search_by_key(&term, |&(t, _)| t) {
-            Ok(i) => self.counts[i].1,
-            Err(_) => 0,
-        }
-    }
 }
 
 /// A tokenized document collection plus its dictionary `T`.
@@ -238,6 +228,17 @@ impl CorpusBuilder {
             .collect();
 
         Corpus::from_parts(dictionary, docs, Some(self.texts))
+    }
+}
+
+#[cfg(test)]
+impl TokenizedDoc {
+    /// Frequency of `term` in this document (0 when absent).
+    fn freq(&self, term: TermId) -> u32 {
+        match self.counts.binary_search_by_key(&term, |&(t, _)| t) {
+            Ok(i) => self.counts[i].1,
+            Err(_) => 0,
+        }
     }
 }
 

@@ -6,19 +6,16 @@
 //!
 //! * [`tokenizer`] — lowercase alphanumeric tokenization, no stemming;
 //! * [`stopwords`] — the standard stopword screen of §4.1;
-//! * [`document`] — tokenized documents, dictionaries, and a
-//!   [`document::CorpusBuilder`] for raw text;
+//! * `document` — tokenized documents, dictionaries, and a
+//!   [`CorpusBuilder`] for raw text;
 //! * [`synthetic`] — the WSJ-calibrated synthetic corpus generator
 //!   (substitute for the licensed TREC WSJ collection; see DESIGN.md);
 //! * [`workload`] — synthetic and TREC-like query workload generators;
-//! * [`stats`] — the inverted-list length distribution of Figure 4;
-//! * [`loader`] — filesystem ingestion for users holding real
-//!   collections (e.g. the licensed TREC WSJ data).
+//! * [`stats`] — the inverted-list length distribution of Figure 4.
 
 #![warn(missing_docs)]
 
-pub mod document;
-pub mod loader;
+pub(crate) mod document;
 pub mod stats;
 pub mod stopwords;
 pub mod synthetic;
@@ -26,6 +23,6 @@ pub mod tokenizer;
 pub mod workload;
 pub mod zipf;
 
-pub use document::{Corpus, CorpusBuilder, DocId, TermId, TokenizedDoc};
-pub use stats::{list_length_stats, ListLengthStats};
+pub use document::{Corpus, CorpusBuilder, DocId, TermId, TokenizedDoc}; // lint:allow(unused-pub): `TokenizedDoc` is reached only through `Corpus::doc` and `Corpus::docs`
+pub use stats::list_length_stats;
 pub use synthetic::SyntheticConfig;

@@ -4,6 +4,7 @@ use crate::document::Corpus;
 
 /// Summary of the inverted-list (document-frequency) length distribution.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(unused-pub): reached only as the value of `list_length_stats`
 pub struct ListLengthStats {
     /// Document frequency of every dictionary term, ascending.
     pub sorted_lengths: Vec<u32>,
@@ -47,7 +48,7 @@ pub fn list_length_stats(corpus: &Corpus) -> ListLengthStats {
 impl ListLengthStats {
     /// Cumulative frequency (%) of terms with list length ≤ `len` —
     /// one point of Figure 4's CDF.
-    pub fn cumulative_pct(&self, len: u32) -> f64 {
+    pub(crate) fn cumulative_pct(&self, len: u32) -> f64 {
         if self.sorted_lengths.is_empty() {
             return 0.0;
         }

@@ -7,7 +7,7 @@
 //! a conventional extended list would drop.
 
 /// Sorted list of stopwords (binary-searchable).
-pub static STOPWORDS: &[&str] = &[
+pub(crate) static STOPWORDS: &[&str] = &[
     "a",
     "about",
     "above",

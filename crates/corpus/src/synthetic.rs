@@ -32,7 +32,7 @@ use std::collections::HashMap;
 pub const WSJ_NUM_DOCS: usize = 172_961;
 
 /// WSJ dictionary size (paper Table 1).
-pub const WSJ_NUM_TERMS: usize = 181_978;
+pub(crate) const WSJ_NUM_TERMS: usize = 181_978;
 
 /// Configuration for the synthetic generator.
 #[derive(Debug, Clone)]

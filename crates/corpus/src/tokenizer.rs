@@ -8,6 +8,7 @@
 use crate::stopwords::is_stopword;
 
 /// Iterator over the normalized tokens of a text.
+// lint:allow(unused-pub): reached only as the iterator `tokenize` and `tokenize_all` return
 pub struct Tokens<'a> {
     rest: &'a str,
     keep_stopwords: bool,

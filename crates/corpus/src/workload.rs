@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A query as a set of distinct dictionary terms.
-pub type QueryTerms = Vec<TermId>;
+pub(crate) type QueryTerms = Vec<TermId>;
 
 /// The synthetic workload: `num_queries` queries of exactly
 /// `terms_per_query` distinct terms drawn uniformly from a dictionary of

@@ -5,7 +5,7 @@ use std::ops::{Add, Mul, Shl, Shr, Sub};
 
 impl BigUint {
     /// `self + other`.
-    pub fn add_ref(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn add_ref(&self, other: &BigUint) -> BigUint {
         let (long, short) = if self.limbs.len() >= other.limbs.len() {
             (&self.limbs, &other.limbs)
         } else {
@@ -30,7 +30,7 @@ impl BigUint {
 
     /// `self - other`; panics when `other > self` (the callers all guarantee
     /// the invariant, and a silent wrap would corrupt signatures).
-    pub fn sub_ref(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn sub_ref(&self, other: &BigUint) -> BigUint {
         assert!(
             self >= other,
             "BigUint subtraction underflow: {self:?} - {other:?}"
@@ -58,7 +58,7 @@ impl BigUint {
     /// Schoolbook `self * other`. Operand sizes in this library top out at a
     /// few dozen limbs (2048-bit RSA intermediates), where schoolbook with
     /// `u128` partial products beats the bookkeeping cost of Karatsuba.
-    pub fn mul_ref(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn mul_ref(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
         }

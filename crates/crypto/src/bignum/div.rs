@@ -5,9 +5,9 @@ use crate::rsa::RsaError;
 
 impl BigUint {
     /// Quotient and remainder of `self / divisor`. Panics on division by
-    /// zero; use [`BigUint::checked_div_rem`] when the divisor comes
-    /// from data that has not been validated yet (deserialized key
-    /// material, attacker-supplied moduli).
+    /// zero; inside this crate, `checked_div_rem` is the form for a
+    /// divisor from data that has not been validated yet (deserialized
+    /// key material, attacker-supplied moduli).
     pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         self.checked_div_rem(divisor)
             .expect("BigUint division by zero")
@@ -18,7 +18,10 @@ impl BigUint {
     /// This is the boundary where the `divisor.limbs.last().unwrap()`
     /// inside Knuth's algorithm becomes unreachable: a normalized
     /// nonzero [`BigUint`] always has a top limb.
-    pub fn checked_div_rem(&self, divisor: &BigUint) -> Result<(BigUint, BigUint), RsaError> {
+    pub(crate) fn checked_div_rem(
+        &self,
+        divisor: &BigUint,
+    ) -> Result<(BigUint, BigUint), RsaError> {
         if divisor.is_zero() {
             return Err(RsaError::DivisionByZero);
         }

@@ -17,7 +17,7 @@ mod montgomery;
 mod prime;
 
 pub use montgomery::Montgomery;
-pub use prime::{gen_prime, is_probable_prime};
+pub(crate) use prime::gen_prime;
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -31,7 +31,7 @@ pub struct BigUint {
 
 impl BigUint {
     /// The value 0.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         BigUint { limbs: Vec::new() }
     }
 
@@ -103,7 +103,7 @@ impl BigUint {
 
     /// Big-endian byte encoding left-padded with zeros to exactly `len`
     /// bytes. Returns `None` if the value does not fit.
-    pub fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
+    pub(crate) fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
         let raw = self.to_bytes_be();
         if raw.len() > len {
             return None;
@@ -124,7 +124,7 @@ impl BigUint {
     }
 
     /// True iff the low bit is set.
-    pub fn is_odd(&self) -> bool {
+    pub(crate) fn is_odd(&self) -> bool {
         self.limbs.first().is_some_and(|l| l & 1 == 1)
     }
 
@@ -134,7 +134,7 @@ impl BigUint {
     }
 
     /// Number of significant bits (0 for the value 0).
-    pub fn bit_length(&self) -> usize {
+    pub(crate) fn bit_length(&self) -> usize {
         match self.limbs.last() {
             None => 0,
             Some(&top) => (self.limbs.len() - 1) * 64 + (64 - top.leading_zeros() as usize),

@@ -128,18 +128,6 @@ impl BigUint {
         let inv = if neg { m - &mag.rem(m) } else { mag.rem(m) };
         Some(inv.rem(m))
     }
-
-    /// Greatest common divisor (Euclid).
-    pub fn gcd(&self, other: &BigUint) -> BigUint {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        while !b.is_zero() {
-            let r = a.rem(&b);
-            a = b;
-            b = r;
-        }
-        a
-    }
 }
 
 #[cfg(test)]
@@ -227,13 +215,5 @@ mod tests {
         if let Some(inv) = e.mod_inverse(&m) {
             assert!(e.mul_mod(&inv, &m).is_one());
         }
-    }
-
-    #[test]
-    fn gcd_cases() {
-        assert_eq!(n(12).gcd(&n(18)), n(6));
-        assert_eq!(n(17).gcd(&n(31)), n(1));
-        assert_eq!(n(0).gcd(&n(5)), n(5));
-        assert_eq!(n(5).gcd(&n(0)), n(5));
     }
 }

@@ -122,7 +122,7 @@ impl Montgomery {
     /// Montgomery squaring (one-shot wrapper over the fused squaring
     /// kernel; the exponentiation loop below calls the kernel directly
     /// on reused buffers instead).
-    pub fn sqr(&self, a_m: &BigUint) -> BigUint {
+    pub(crate) fn sqr(&self, a_m: &BigUint) -> BigUint {
         debug_assert!(a_m < &self.n);
         let a_pad = self.pad(a_m);
         let mut t = vec![0u64; self.k + 2];
@@ -210,7 +210,7 @@ impl Montgomery {
     /// `base_m^exponent` with base and result **in Montgomery form** —
     /// the building block for chained users like Miller–Rabin that stay
     /// in the Montgomery domain across many operations.
-    pub fn pow_montgomery(&self, base_m: &BigUint, exponent: &BigUint) -> BigUint {
+    pub(crate) fn pow_montgomery(&self, base_m: &BigUint, exponent: &BigUint) -> BigUint {
         let k = self.k;
         if exponent.is_zero() {
             return self.one();

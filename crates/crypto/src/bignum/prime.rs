@@ -16,7 +16,7 @@ const SMALL_PRIMES: [u64; 46] = [
 ///
 /// With 32 rounds the error probability is below 2^-64, far beyond what the
 /// benchmark key material requires.
-pub fn is_probable_prime<R: Rng>(n: &BigUint, rounds: u32, rng: &mut R) -> bool {
+pub(crate) fn is_probable_prime<R: Rng>(n: &BigUint, rounds: u32, rng: &mut R) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
@@ -109,7 +109,7 @@ fn random_bits<R: Rng>(bits: usize, rng: &mut R) -> BigUint {
 /// The top two bits are forced to 1 (standard practice for RSA primes so
 /// the product p*q reaches the full modulus width), the low bit is forced
 /// to 1, and candidates advance by 2 until Miller–Rabin accepts.
-pub fn gen_prime<R: Rng>(bits: usize, rng: &mut R) -> BigUint {
+pub(crate) fn gen_prime<R: Rng>(bits: usize, rng: &mut R) -> BigUint {
     assert!(bits >= 16, "prime size too small to be meaningful: {bits}");
     let two = BigUint::from_u64(2);
     loop {

@@ -122,16 +122,6 @@ impl Digest {
         &self.0
     }
 
-    /// Parse from a byte slice; returns `None` when the length is wrong.
-    pub fn from_slice(bytes: &[u8]) -> Option<Digest> {
-        if bytes.len() != DIGEST_LEN {
-            return None;
-        }
-        let mut out = [0u8; DIGEST_LEN];
-        out.copy_from_slice(bytes);
-        Some(Digest(out))
-    }
-
     /// Hex representation (for debugging and golden tests).
     pub fn to_hex(&self) -> String {
         let mut s = String::with_capacity(DIGEST_LEN * 2);
@@ -151,6 +141,19 @@ impl fmt::Debug for Digest {
 impl fmt::Display for Digest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_hex())
+    }
+}
+
+#[cfg(test)]
+impl Digest {
+    /// Parse from a byte slice; returns `None` when the length is wrong.
+    fn from_slice(bytes: &[u8]) -> Option<Digest> {
+        if bytes.len() != DIGEST_LEN {
+            return None;
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        out.copy_from_slice(bytes);
+        Some(Digest(out))
     }
 }
 

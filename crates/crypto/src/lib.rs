@@ -5,7 +5,7 @@
 //!
 //! * [`Digest`] — the 128-bit one-way hash used everywhere (truncated
 //!   SHA-256; the paper's Table 1 fixes |h| = 128 bits).
-//! * [`sha256::Sha256`] — streaming SHA-256 from FIPS 180-4 with
+//! * `sha256` — streaming SHA-256 from FIPS 180-4 with
 //!   standard test vectors; the x86-64 SHA extensions compress blocks
 //!   when the CPU has them, with a portable scalar fallback that also
 //!   serves as the test oracle. The kernel's module is the one place in
@@ -13,7 +13,7 @@
 //! * [`bignum::BigUint`] — arbitrary-precision arithmetic (Knuth Algorithm D
 //!   division, windowed modular exponentiation in Montgomery form via
 //!   [`bignum::Montgomery`], Miller–Rabin primes).
-//! * [`rsa`] — PKCS#1 v1.5 signatures over SHA-256 with CRT signing
+//! * [`RsaPrivateKey`] / [`RsaPublicKey`] — PKCS#1 v1.5 signatures over SHA-256 with CRT signing
 //!   (Table 1: |sign| = 1024 bits).
 //! * [`merkle`] — Merkle hash trees with multi-leaf proofs, matching the
 //!   paper's odd-node-promotion tree shape (Figures 3, 7, 8).
@@ -30,13 +30,13 @@ pub mod chain;
 pub mod digest;
 pub mod keys;
 pub mod merkle;
-pub mod rsa;
-pub mod sha256;
+pub(crate) mod rsa;
+pub(crate) mod sha256;
 
 pub use chain::{reconstruct_head, ChainMht, ChainPrefixProof};
 pub use digest::{Digest, DIGEST_LEN};
 pub use merkle::{reconstruct_root, MerkleProof, MerkleTree};
-pub use rsa::{RsaError, RsaPrivateKey, RsaPublicKey};
+pub use rsa::{RsaError, RsaPrivateKey, RsaPublicKey}; // lint:allow(unused-pub): `RsaError` is reached only as the error of `sign` and `verify`
 
 #[cfg(test)]
 mod integration_tests {

@@ -69,11 +69,6 @@ impl MerkleTree {
         }
     }
 
-    /// Build a tree by hashing raw leaf encodings ([`Digest::leaf`]).
-    pub fn from_leaves<T: AsRef<[u8]>>(leaves: &[T]) -> MerkleTree {
-        Self::from_leaf_digests(leaves.iter().map(|l| Digest::leaf(l.as_ref())).collect())
-    }
-
     /// Root digest.
     pub fn root(&self) -> Digest {
         self.interior.last().copied().unwrap_or(self.leaves[0])
@@ -298,6 +293,14 @@ fn rebuild(
         Some(Digest::combine(&l, &r))
     } else {
         Some(l) // promoted odd node
+    }
+}
+
+#[cfg(test)]
+impl MerkleTree {
+    /// Build a tree by hashing raw leaf encodings ([`Digest::leaf`]).
+    pub(crate) fn from_leaves<T: AsRef<[u8]>>(leaves: &[T]) -> MerkleTree {
+        Self::from_leaf_digests(leaves.iter().map(|l| Digest::leaf(l.as_ref())).collect())
     }
 }
 

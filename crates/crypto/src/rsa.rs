@@ -17,8 +17,9 @@ const SHA256_DIGEST_INFO: [u8; 19] = [
 ];
 
 /// Errors from signature operations (and the bignum arithmetic
-/// backing them — see [`crate::bignum::BigUint::checked_div_rem`]).
+/// backing them).
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(unused-pub): reached only as the error of `RsaPrivateKey::sign` and `RsaPublicKey::verify`
 pub enum RsaError {
     /// Modulus too small to hold the PKCS#1 v1.5 encoding.
     ModulusTooSmall,

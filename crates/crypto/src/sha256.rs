@@ -48,7 +48,7 @@ const H0: [u32; 8] = [
 
 /// Streaming SHA-256 hasher.
 #[derive(Clone)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     /// Partially filled message block.
     buffer: [u8; 64],
@@ -87,7 +87,7 @@ impl Sha256 {
     }
 
     /// Absorb more message bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         // Top up a partially filled buffer first.
         if self.buffer_len > 0 {
@@ -110,7 +110,7 @@ impl Sha256 {
     }
 
     /// Finish and return the 32-byte digest.
-    pub fn finalize(self) -> [u8; 32] {
+    pub(crate) fn finalize(self) -> [u8; 32] {
         finish(self.state, &self.buffer[..self.buffer_len], self.total_len)
     }
 }

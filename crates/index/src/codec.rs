@@ -4,8 +4,8 @@
 //!
 //! A [`Reader`] reads **attacker bytes**: a read past the end is
 //! [`CodecError::Truncated`], a count the remaining bytes could not hold
-//! is refused before anything is allocated ([`Reader::checked_count`]),
-//! and pre-allocations are clamped to [`PREALLOC_CLAMP`]. A [`Writer`]
+//! is refused before anything is allocated (`Reader::checked_count`),
+//! and pre-allocations are clamped to `PREALLOC_CLAMP`. A [`Writer`]
 //! refuses a length its prefix cannot carry instead of truncating it.
 
 use authsearch_crypto::{Digest, DIGEST_LEN};
@@ -13,11 +13,11 @@ use std::fmt;
 
 /// Upper bound on any single pre-allocation sized by decoded bytes;
 /// longer collections grow as they are read.
-pub const PREALLOC_CLAMP: usize = 1 << 16;
+pub(crate) const PREALLOC_CLAMP: usize = 1 << 16;
 
 /// Clamp a length read from untrusted bytes to a safe capacity.
 #[inline]
-pub fn capped(len: usize) -> usize {
+pub(crate) fn capped(len: usize) -> usize {
     len.min(PREALLOC_CLAMP)
 }
 
@@ -102,7 +102,7 @@ numbers!(u8, u16, u32, u64, f64);
 impl<'a> Reader<'a> {
     /// Bytes not yet read.
     #[inline]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
     }
 
@@ -146,7 +146,12 @@ impl<'a> Reader<'a> {
     /// long, against the bytes remaining: a claim they could not hold is
     /// a forgery, refused before anything is allocated for it.
     #[inline]
-    pub fn checked_count(&self, claimed: u64, per: usize, what: &str) -> Result<usize, CodecError> {
+    pub(crate) fn checked_count(
+        &self,
+        claimed: u64,
+        per: usize,
+        what: &str,
+    ) -> Result<usize, CodecError> {
         let remaining = self.remaining();
         match usize::try_from(claimed) {
             Ok(n) if n <= remaining / per.max(1) => Ok(n),
@@ -157,7 +162,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read `claimed` elements of at least `per` bytes each with `read`,
-    /// once [`Reader::checked_count`] has passed the claim.
+    /// once `Reader::checked_count` has passed the claim.
     #[inline]
     pub fn list<T, E: From<CodecError>>(
         &mut self,

@@ -39,12 +39,12 @@ impl DiskModel {
     }
 
     /// Time to transfer one block, in seconds.
-    pub fn block_transfer_secs(&self) -> f64 {
+    pub(crate) fn block_transfer_secs(&self) -> f64 {
         self.block_bytes as f64 / (self.transfer_mb_per_s * 1_000_000.0)
     }
 
     /// Time to reposition the head once, in seconds.
-    pub fn seek_secs(&self) -> f64 {
+    pub(crate) fn seek_secs(&self) -> f64 {
         (self.seek_ms + self.rotational_ms) / 1000.0
     }
 

@@ -8,7 +8,7 @@
 //! * [`builder`] — corpus → index construction (the Lucene stand-in);
 //! * [`block`] — the 1-KByte block layout and the ρ / ρ′ capacities;
 //! * [`disk`] — the simulated Seagate ST973401KC disk of the testbed;
-//! * [`iostats`] — block-access traces fed into the disk model;
+//! * `iostats` — block-access traces fed into the disk model;
 //! * [`codec`] — the one bounded byte reader and writer that every wire
 //!   frame, verification object, snapshot section and index record is
 //!   read and written through;
@@ -22,7 +22,7 @@ pub mod builder;
 pub mod codec;
 pub mod dictionary;
 pub mod disk;
-pub mod iostats;
+pub(crate) mod iostats;
 pub mod okapi;
 pub mod persist;
 pub mod postings;

@@ -162,23 +162,23 @@ pub fn read_index(bytes: &[u8]) -> Result<InvertedIndex, PersistError> {
 // ---- v2 snapshot container ------------------------------------------------
 
 /// Magic of the v2 snapshot container.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"ASNP";
+pub(crate) const SNAPSHOT_MAGIC: &[u8; 4] = b"ASNP";
 /// Magic of the sidecar manifest file.
-pub const MANIFEST_MAGIC: &[u8; 4] = b"ASMF";
+pub(crate) const MANIFEST_MAGIC: &[u8; 4] = b"ASMF";
 /// Container version of the section-framed, digest-trailed layout.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 /// Largest section payload a reader accepts (2 GiB covers WSJ-scale
 /// artifacts with room to spare; anything bigger is a forged length).
-pub const MAX_SECTION_PAYLOAD: u64 = 1 << 31;
+pub(crate) const MAX_SECTION_PAYLOAD: u64 = 1 << 31;
 /// Largest section count a reader accepts.
-pub const MAX_SECTIONS: u32 = 64;
+pub(crate) const MAX_SECTIONS: u32 = 64;
 
 /// Four-byte section tag (printable ASCII by convention).
 pub type SectionTag = [u8; 4];
 
 /// A parsed container body: every section's tag and payload, in file
 /// order, each with a verified digest trailer.
-pub type Sections = Vec<(SectionTag, Vec<u8>)>;
+pub(crate) type Sections = Vec<(SectionTag, Vec<u8>)>;
 
 /// Domain-separation prefix of every section digest trailer.
 const SECTION_DIGEST_DOMAIN: &[u8] = b"authsearch:section:v2|";
@@ -348,7 +348,7 @@ fn decode_manifest(bytes: &[u8]) -> Option<SnapshotInfo> {
 /// missing, torn, or corrupt manifest is `None` — the manifest is an
 /// integrity accelerator and generation record, never the only line of
 /// defense (the container's section digests stand on their own).
-pub fn read_manifest(path: &Path) -> Option<SnapshotInfo> {
+pub(crate) fn read_manifest(path: &Path) -> Option<SnapshotInfo> {
     let bytes = std::fs::read(manifest_path(path)).ok()?;
     decode_manifest(&bytes)
 }

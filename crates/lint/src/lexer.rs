@@ -61,13 +61,14 @@ impl Token {
     }
 
     /// True for a punctuation token spelling exactly `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.len() == c.len_utf8() && self.text.starts_with(c)
     }
 }
 
 /// A comment, kept aside for suppression parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(unused-pub): reached only through `Lexed::comments`
 pub struct Comment {
     /// Full comment text including the `//` / `/*` markers.
     pub text: String,
@@ -82,6 +83,7 @@ pub struct Comment {
 /// Lexer failure: structurally unterminated input. Reported with the
 /// line it started on so the CLI can blame it precisely.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(unused-pub): reached only as the error of `lex` and `analyze_source`
 pub struct LexError {
     pub line: u32,
     pub what: &'static str,
@@ -97,6 +99,7 @@ impl std::error::Error for LexError {}
 
 /// A fully lexed file.
 #[derive(Debug, Default)]
+// lint:allow(unused-pub): reached only as the value of `lex`
 pub struct Lexed {
     pub tokens: Vec<Token>,
     pub comments: Vec<Comment>,

@@ -16,6 +16,9 @@
 //! * `unclamped-prealloc` (R4) — `Vec::with_capacity`/`reserve` in
 //!   decode modules must be fed through `checked_count`/`PREALLOC_CLAMP`
 //!   style helpers, never raw attacker counts;
+//! * `unused-pub` — a `pub` item in a library's `src/` that no file
+//!   outside that library names (tests, examples, bins, other crates
+//!   and the benchmark are read for callers);
 //! * `bad-suppression` (meta) — a `lint:allow` with an unknown rule
 //!   name, a missing reason, or that suppresses nothing.
 //!
@@ -27,8 +30,9 @@
 //! and JSON output is emitted by hand in the CLI.
 
 pub mod lexer;
-pub mod parse;
+mod parse;
 mod semantic;
+mod unused_pub;
 
 use lexer::{LexError, Lexed, Token, TokenKind};
 use std::collections::{BTreeMap, HashSet};
@@ -36,15 +40,16 @@ use std::path::{Path, PathBuf};
 
 /// Rule identifiers, stable strings used in findings, `lint:allow`, and
 /// `--rules` output.
-pub const RULE_PANIC_PATH: &str = "panic-path";
-pub const RULE_TRUNCATING_CAST: &str = "truncating-cast";
-pub const RULE_LOCK_UNWRAP: &str = "lock-unwrap";
-pub const RULE_UNCLAMPED_PREALLOC: &str = "unclamped-prealloc";
-pub const RULE_UNSAFE_AUDIT: &str = "unsafe-audit";
-pub const RULE_LOCK_ORDER: &str = "lock-order";
-pub const RULE_BLOCKING_IN_REACTOR: &str = "blocking-in-reactor";
-pub const RULE_SWALLOWED_RESULT: &str = "swallowed-result";
-pub const RULE_BAD_SUPPRESSION: &str = "bad-suppression";
+pub(crate) const RULE_PANIC_PATH: &str = "panic-path";
+pub(crate) const RULE_TRUNCATING_CAST: &str = "truncating-cast";
+pub(crate) const RULE_LOCK_UNWRAP: &str = "lock-unwrap";
+pub(crate) const RULE_UNCLAMPED_PREALLOC: &str = "unclamped-prealloc";
+pub(crate) const RULE_UNSAFE_AUDIT: &str = "unsafe-audit";
+pub(crate) const RULE_LOCK_ORDER: &str = "lock-order";
+pub(crate) const RULE_BLOCKING_IN_REACTOR: &str = "blocking-in-reactor";
+pub(crate) const RULE_SWALLOWED_RESULT: &str = "swallowed-result";
+pub(crate) const RULE_UNUSED_PUB: &str = "unused-pub";
+pub(crate) const RULE_BAD_SUPPRESSION: &str = "bad-suppression";
 
 /// Every rule with a one-line summary, for `--rules` and for validating
 /// `lint:allow(rule)` names.
@@ -82,6 +87,10 @@ pub const RULES: &[(&str, &str)] = &[
         "`let _ = call(…)` in IO/untrusted modules silently drops a result — handle it, propagate it, or lint:allow with a reason",
     ),
     (
+        RULE_UNUSED_PUB,
+        "a `pub` item in a library's src/ must be named by an identifier outside that library (tests, examples, bins, other crates, benchmark/src) — make it pub(crate) or private, or delete it",
+    ),
+    (
         RULE_BAD_SUPPRESSION,
         "lint:allow must name known rules, carry a non-empty reason after ':', and actually suppress a finding on its target line",
     ),
@@ -89,7 +98,7 @@ pub const RULES: &[(&str, &str)] = &[
 
 /// True iff `name` is a real, allow-able rule (the meta rule itself is
 /// not suppressible).
-pub fn is_known_rule(name: &str) -> bool {
+pub(crate) fn is_known_rule(name: &str) -> bool {
     RULES
         .iter()
         .any(|(n, _)| *n == name && *n != RULE_BAD_SUPPRESSION)
@@ -182,23 +191,23 @@ fn matches_module(list: &[String], rel: &str) -> bool {
 impl Config {
     /// Is `rel` (slash-separated, workspace-relative) an
     /// untrusted-input module?
-    pub fn is_untrusted(&self, rel: &str) -> bool {
+    pub(crate) fn is_untrusted(&self, rel: &str) -> bool {
         matches_module(&self.untrusted, rel)
     }
 
     /// May `rel` contain `unsafe` code at all?
-    pub fn is_unsafe_allowed(&self, rel: &str) -> bool {
+    pub(crate) fn is_unsafe_allowed(&self, rel: &str) -> bool {
         matches_module(&self.unsafe_allowed, rel)
     }
 
     /// Is `rel` part of the single-threaded reactor that must never
     /// block?
-    pub fn is_reactor(&self, rel: &str) -> bool {
+    pub(crate) fn is_reactor(&self, rel: &str) -> bool {
         matches_module(&self.reactor_modules, rel)
     }
 
     /// Is `rel` an IO module whose dropped results are audited?
-    pub fn is_io(&self, rel: &str) -> bool {
+    pub(crate) fn is_io(&self, rel: &str) -> bool {
         matches_module(&self.io_modules, rel)
     }
 }
@@ -206,6 +215,7 @@ impl Config {
 /// One acquired-while-held edge in the lock-order graph: a `to` lock
 /// acquired at `file:line:col` while a `from` guard was held.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(unused-pub): reached only through `Report::lock_edges` and `render_lock_dot`
 pub struct LockEdge {
     pub from: String,
     pub to: String,
@@ -227,20 +237,14 @@ struct Suppression {
     used: bool,
 }
 
-/// Result of analyzing one file.
+/// Result of analyzing a tree (or one file).
 #[derive(Debug, Default)]
-pub struct FileReport {
-    pub findings: Vec<Finding>,
-    /// Count of well-formed `lint:allow` annotations seen (used +
-    /// unused), for reporting.
-    pub suppressions: usize,
-}
-
-/// Workspace-level report.
-#[derive(Debug, Default)]
+// lint:allow(unused-pub): reached only as the value of `analyze_workspace`, `analyze_sources` and `analyze_source`
 pub struct Report {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
+    /// Count of well-formed `lint:allow` annotations seen (used +
+    /// unused), for reporting.
     pub suppressions: usize,
     /// The acquired-while-held lock graph (for `--graph`).
     pub lock_edges: Vec<LockEdge>,
@@ -288,11 +292,11 @@ struct ScanState {
     sups: Vec<Suppression>,
     sup_findings: Vec<Finding>,
     sem: semantic::SemanticScan,
+    pub_items: Vec<unused_pub::PubItem>,
 }
 
 /// Token-rule + semantic scan of one file (no global resolution yet).
-fn scan_one(rel: &str, source: &str, cfg: &Config) -> Result<ScanState, LexError> {
-    let lexed = lexer::lex(source)?;
+fn scan_one(rel: &str, source: &str, lexed: &Lexed, cfg: &Config) -> ScanState {
     let skip = test_region_mask(&lexed.tokens);
     let untrusted = cfg.is_untrusted(rel);
     let parsed = parse::parse(&lexed.tokens);
@@ -303,7 +307,7 @@ fn scan_one(rel: &str, source: &str, cfg: &Config) -> Result<ScanState, LexError
     scan_lock_unwrap(rel, &lexed.tokens, &skip, &mut raw);
     scan_unclamped_prealloc(rel, &lexed.tokens, &skip, untrusted, &mut raw);
 
-    let (sups, sup_findings) = parse_suppressions(rel, &lexed);
+    let (sups, sup_findings) = parse_suppressions(rel, lexed);
     // Blocking operations already covered by an allow are vouched for
     // at their site — exclude them from the one-level summaries so
     // callers are not re-blamed.
@@ -313,16 +317,17 @@ fn scan_one(rel: &str, source: &str, cfg: &Config) -> Result<ScanState, LexError
         .map(|s| s.target_line)
         .collect();
 
-    let sem = semantic::scan(rel, source, &lexed, &skip, &parsed, cfg, &allowed_blocking);
+    let sem = semantic::scan(rel, source, lexed, &skip, &parsed, cfg, &allowed_blocking);
     raw.extend(sem.findings.iter().cloned());
 
-    Ok(ScanState {
+    ScanState {
         rel: rel.to_string(),
         raw,
         sups,
         sup_findings,
         sem,
-    })
+        pub_items: unused_pub::items(&lexed.tokens, &skip),
+    }
 }
 
 /// Workspace-global resolution over the scanned files: one-level lock
@@ -455,11 +460,12 @@ fn cycle_path(edges: &[LockEdge], from: &str, to: &str) -> Option<Vec<String>> {
     None
 }
 
-/// Apply the suppression ledger to a file's raw findings and surface
-/// unused allows.
-fn finish(mut st: ScanState) -> FileReport {
-    let n_sups = st.sups.len();
-    let mut findings = st.sup_findings;
+/// Apply the suppression ledger to a file's raw findings, surface
+/// unused allows, and add both to `report`.
+fn finish(mut st: ScanState, report: &mut Report) {
+    report.suppressions += st.sups.len();
+    let findings = &mut report.findings;
+    findings.append(&mut st.sup_findings);
     for f in st.raw {
         let mut silenced = false;
         for s in st.sups.iter_mut() {
@@ -489,22 +495,32 @@ fn finish(mut st: ScanState) -> FileReport {
             });
         }
     }
-    findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    FileReport {
-        findings,
-        suppressions: n_sups,
-    }
 }
 
 /// Analyze one file's source text. `rel` is the workspace-relative path
 /// (slash-separated) used both for blame output and for deciding which
-/// module-scoped rules apply. The file is treated as its own universe:
-/// cross-function passes (lock cycles, one-level blocking) resolve
-/// within it.
-pub fn analyze_source(rel: &str, source: &str, cfg: &Config) -> Result<FileReport, LexError> {
-    let mut states = vec![scan_one(rel, source, cfg)?];
-    resolve_global(&mut states);
-    Ok(finish(states.pop().expect("one state in, one state out")))
+/// rules apply, as in [`analyze_sources`]. The file is treated as its
+/// own universe: cross-function passes (lock cycles, one-level
+/// blocking) resolve within it, and no file outside it names its `pub`
+/// items.
+pub fn analyze_source(rel: &str, source: &str, cfg: &Config) -> Result<Report, LexError> {
+    lexer::lex(source)?;
+    Ok(analyze_sources(&[(rel, source)], cfg))
+}
+
+/// Blame every `pub` item of a library file that `callers` never saw
+/// outside its library.
+fn resolve_unused_pub(states: &mut [ScanState], callers: &unused_pub::Callers) {
+    for st in states {
+        let Some(lib) = unused_pub::library(&st.rel) else {
+            continue;
+        };
+        for item in &st.pub_items {
+            if !callers.names_outside(lib, item) {
+                st.raw.push(item.finding(&st.rel, lib));
+            }
+        }
+    }
 }
 
 /// Mark tokens that belong to test-only items: any item gated by an
@@ -1057,49 +1073,29 @@ pub fn list_suppressions(rel: &str, source: &str) -> Result<(Vec<String>, Vec<Fi
     Ok((listed, findings))
 }
 
-/// Should this path be scanned at all? Test trees, vendored shims, and
-/// build output are out of scope (rules target shipping code).
+/// Is this path linted? Test trees are read only for the callers of
+/// `pub` items (rules target shipping code).
 fn in_scope(rel: &str) -> bool {
-    let comps: Vec<&str> = rel.split('/').collect();
-    if comps
-        .iter()
-        .any(|c| *c == "target" || *c == ".git" || *c == "tests")
-    {
-        return false;
-    }
-    if rel.starts_with("crates/shims/") {
-        return false;
-    }
-    rel.ends_with(".rs")
+    rel.ends_with(".rs") && !rel.split('/').any(|c| c == "tests")
 }
 
-/// Recursively collect in-scope `.rs` files under `root`, sorted for
-/// deterministic output.
-pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Recursively collect every `.rs` file under `root`, sorted for
+/// deterministic output. Build output, hidden directories and the
+/// vendored shims are skipped.
+fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .collect();
-        entries.sort();
-        for p in entries {
-            let rel = match p.strip_prefix(root) {
-                Ok(r) => r.to_string_lossy().replace('\\', "/"),
-                Err(_) => continue,
-            };
+        for entry in std::fs::read_dir(&dir)? {
+            let p = entry?.path();
+            let rel = rel_path(root, &p);
             if p.is_dir() {
-                let comps: Vec<&str> = rel.split('/').collect();
-                if comps
-                    .iter()
-                    .any(|c| *c == "target" || *c == ".git" || *c == "tests")
-                    || rel == "crates/shims"
-                    || rel.starts_with("crates/shims/")
-                {
-                    continue;
+                let skipped = rel.split('/').any(|c| c == "target" || c.starts_with('.'))
+                    || rel == "crates/shims";
+                if !skipped {
+                    stack.push(p);
                 }
-                stack.push(p);
-            } else if in_scope(&rel) {
+            } else if rel.ends_with(".rs") {
                 out.push(p);
             }
         }
@@ -1108,40 +1104,74 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Analyze every in-scope file under `root`. All files are scanned
-/// first, then the workspace-global passes (lock-graph cycles,
-/// one-level blocking resolution) run over the combined model, so
-/// cross-file lock cycles and calls into other modules' blocking
-/// functions are visible.
+/// `path` relative to `root`, with `/` separators.
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// Recursively collect the in-scope (linted) `.rs` files under `root`,
+/// sorted for deterministic output.
+pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut files = collect_sources(root)?;
+    files.retain(|p| in_scope(&rel_path(root, p)));
+    Ok(files)
+}
+
+/// Analyze every `.rs` file under `root` (see [`analyze_sources`]).
 pub fn analyze_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
+    let mut files = Vec::new();
+    for path in collect_sources(root)? {
+        let source = std::fs::read_to_string(&path)?;
+        files.push((rel_path(root, &path), source));
+    }
+    let files: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(r, s)| (r.as_str(), s.as_str()))
+        .collect();
+    Ok(analyze_sources(&files, cfg))
+}
+
+/// Analyze a tree given as `(workspace-relative path, source)` pairs.
+/// Every file outside a `tests/` directory is linted; every file is read
+/// for the callers of `pub` items. All files are scanned first, then the
+/// workspace-global passes (lock-graph cycles, one-level blocking
+/// resolution, `unused-pub`) run over the combined model, so cross-file
+/// lock cycles, calls into other modules' blocking functions and callers
+/// in other files are visible.
+pub fn analyze_sources(files: &[(&str, &str)], cfg: &Config) -> Report {
     let mut report = Report::default();
     let mut states: Vec<ScanState> = Vec::new();
-    for path in collect_files(root)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = std::fs::read_to_string(&path)?;
-        match scan_one(&rel, &source, cfg) {
-            Ok(st) => states.push(st),
-            Err(e) => {
-                report.findings.push(Finding {
-                    rule: RULE_BAD_SUPPRESSION,
-                    file: rel,
-                    line: e.line,
-                    col: 1,
-                    message: format!("lexer error: {e}"),
-                });
+    let mut callers = unused_pub::Callers::default();
+    for &(rel, source) in files {
+        let linted = in_scope(rel);
+        match lexer::lex(source) {
+            Ok(lexed) => {
+                callers.add(rel, &lexed.tokens);
+                if linted {
+                    states.push(scan_one(rel, source, &lexed, cfg));
+                }
             }
+            // A file that does not lex hides its callers too, so it is
+            // a finding whether or not it is linted.
+            Err(e) => report.findings.push(Finding {
+                rule: RULE_BAD_SUPPRESSION,
+                file: rel.to_string(),
+                line: e.line,
+                col: 1,
+                message: format!("lexer error: {e}"),
+            }),
         }
-        report.files_scanned += 1;
+        if linted {
+            report.files_scanned += 1;
+        }
     }
     report.lock_edges = resolve_global(&mut states);
+    resolve_unused_pub(&mut states, &callers);
     for st in states {
-        let fr = finish(st);
-        report.findings.extend(fr.findings);
-        report.suppressions += fr.suppressions;
+        finish(st, &mut report);
     }
     // Stable order: by file, then line.
     report
@@ -1150,7 +1180,7 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
     report
         .lock_edges
         .sort_by(|a, b| (&a.from, &a.to, &a.file, a.line).cmp(&(&b.from, &b.to, &b.file, b.line)));
-    Ok(report)
+    report
 }
 
 /// Render the acquired-while-held graph as GraphViz DOT, one edge per

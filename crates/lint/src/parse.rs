@@ -4,7 +4,7 @@
 //! This is deliberately not a Rust parser. It recovers exactly the
 //! structure the semantic rules need — function items and their body
 //! ranges, `unsafe` site classification, `extern` block declarations,
-//! and a per-file call-site model (callee, leading path, method
+//! and a per-file call-site model (callee, method
 //! receiver chain, argument span) — from the lexer's token stream,
 //! using nothing but bracket matching. Macros, generics, and patterns
 //! are tolerated, not understood: a tuple-struct pattern `Some(x)`
@@ -15,7 +15,7 @@ use crate::lexer::{Token, TokenKind};
 
 /// What kind of construct the `unsafe` keyword introduces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
+pub(crate) enum UnsafeKind {
     /// `unsafe { … }`
     Block,
     /// `unsafe fn …` (including `unsafe extern "C" fn`)
@@ -27,7 +27,7 @@ pub enum UnsafeKind {
 }
 
 impl UnsafeKind {
-    pub fn describe(self) -> &'static str {
+    pub(crate) fn describe(self) -> &'static str {
         match self {
             UnsafeKind::Block => "unsafe block",
             UnsafeKind::Fn => "unsafe fn",
@@ -39,7 +39,7 @@ impl UnsafeKind {
 
 /// One `unsafe` keyword in non-type position, blamed at the keyword.
 #[derive(Debug, Clone)]
-pub struct UnsafeSite {
+pub(crate) struct UnsafeSite {
     pub kind: UnsafeKind,
     pub tok: usize,
     pub line: u32,
@@ -48,13 +48,8 @@ pub struct UnsafeSite {
 
 /// A function item: `fn name` with an optional body token range.
 #[derive(Debug, Clone)]
-pub struct FnItem {
+pub(crate) struct FnItem {
     pub name: String,
-    /// Token index of the `fn` keyword.
-    pub tok: usize,
-    pub line: u32,
-    pub col: u32,
-    pub is_unsafe: bool,
     /// Indices of the body's `{` and matching `}`; `None` for
     /// declarations (trait methods, extern fns).
     pub body: Option<(usize, usize)>,
@@ -63,12 +58,8 @@ pub struct FnItem {
 /// An `ident(…)` site: a call, or anything call-shaped (tuple-struct
 /// pattern, enum constructor). Consumers filter by callee name.
 #[derive(Debug, Clone)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     pub callee: String,
-    /// `::`-separated path segments leading to the callee, callee
-    /// included (`std::thread::sleep` → `["std","thread","sleep"]`).
-    /// For methods this is just `[callee]`.
-    pub path: Vec<String>,
     /// True when the callee is preceded by `.` (a method call).
     pub is_method: bool,
     /// For methods: the receiver's simple field/path chain in source
@@ -87,14 +78,14 @@ pub struct CallSite {
 
 impl CallSite {
     /// True when the call has an empty argument list.
-    pub fn args_empty(&self) -> bool {
+    pub(crate) fn args_empty(&self) -> bool {
         self.args.0 >= self.args.1
     }
 }
 
 /// Structural model of one file.
 #[derive(Debug, Default)]
-pub struct ParsedFile {
+pub(crate) struct ParsedFile {
     pub fns: Vec<FnItem>,
     pub unsafe_sites: Vec<UnsafeSite>,
     /// Names declared inside `extern "…" { … }` blocks — FFI functions.
@@ -113,32 +104,9 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "fn", "let", "in", "as", "move", "where",
 ];
 
-/// Find the matching closer for the opener at `open` (`(`→`)`,
-/// `[`→`]`, `{`→`}`). Returns `open` itself when unmatched.
-pub fn matching_close(tokens: &[Token], open: usize) -> usize {
-    let (o, c) = match tokens.get(open).map(|t| t.text.as_str()) {
-        Some("(") => ('(', ')'),
-        Some("[") => ('[', ']'),
-        Some("{") => ('{', '}'),
-        _ => return open,
-    };
-    let mut depth = 0isize;
-    for (i, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct(o) {
-            depth += 1;
-        } else if t.is_punct(c) {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-    }
-    open
-}
-
 impl ParsedFile {
     /// The innermost function whose body contains token `tok`.
-    pub fn enclosing_fn(&self, tok: usize) -> Option<&FnItem> {
+    pub(crate) fn enclosing_fn(&self, tok: usize) -> Option<&FnItem> {
         self.fns
             .iter()
             .filter(|f| f.body.is_some_and(|(o, c)| o < tok && tok < c))
@@ -147,12 +115,12 @@ impl ParsedFile {
 
     /// Token index of the innermost `{` enclosing `tok` (`usize::MAX`
     /// at top level).
-    pub fn enclosing_brace(&self, tok: usize) -> usize {
+    pub(crate) fn enclosing_brace(&self, tok: usize) -> usize {
         self.enclosing_brace.get(tok).copied().unwrap_or(usize::MAX)
     }
 
     /// Matching closer for the opener at `open` (precomputed).
-    pub fn close_of(&self, open: usize) -> usize {
+    pub(crate) fn close_of(&self, open: usize) -> usize {
         self.close_of.get(open).copied().unwrap_or(open)
     }
 }
@@ -294,37 +262,6 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
             && !in_extern_block(i)
         {
             let name = &tokens[i + 1];
-            // Qualifiers walk: `pub(crate) const unsafe extern "C" fn`.
-            let mut is_unsafe = false;
-            let mut b = i;
-            while b > 0 {
-                b -= 1;
-                let q = &tokens[b];
-                let qualifier = match q.kind {
-                    TokenKind::Ident => {
-                        matches!(
-                            q.text.as_str(),
-                            "pub"
-                                | "const"
-                                | "async"
-                                | "unsafe"
-                                | "extern"
-                                | "crate"
-                                | "super"
-                                | "default"
-                        )
-                    }
-                    TokenKind::Str => true, // extern ABI string
-                    TokenKind::Punct => q.text == "(" || q.text == ")",
-                    _ => false,
-                };
-                if !qualifier {
-                    break;
-                }
-                if q.is_ident("unsafe") {
-                    is_unsafe = true;
-                }
-            }
             // Body: first `{` at paren depth 0 before a `;`.
             let mut body = None;
             let mut depth = 0isize;
@@ -345,10 +282,6 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
             }
             pf.fns.push(FnItem {
                 name: name.text.clone(),
-                tok: i,
-                line: name.line,
-                col: name.col,
-                is_unsafe,
                 body,
             });
             continue;
@@ -361,19 +294,13 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
         {
             let close = pf.close_of[i + 1];
             let is_method = i > 0 && tokens[i - 1].is_punct('.');
-            let (path, receiver) = if is_method {
-                let receiver = if i >= 2 {
-                    path_chain_back(tokens, i - 2)
-                } else {
-                    Vec::new()
-                };
-                (vec![t.text.clone()], receiver)
+            let receiver = if is_method && i >= 2 {
+                path_chain_back(tokens, i - 2)
             } else {
-                (path_chain_back(tokens, i), Vec::new())
+                Vec::new()
             };
             pf.calls.push(CallSite {
                 callee: t.text.clone(),
-                path,
                 is_method,
                 receiver,
                 tok: i,
@@ -401,10 +328,9 @@ mod tests {
         let p = parsed("fn a() -> u8 { 1 }\npub(crate) const unsafe fn b(x: u8) { x; }\n");
         assert_eq!(p.fns.len(), 2);
         assert_eq!(p.fns[0].name, "a");
-        assert!(!p.fns[0].is_unsafe);
         assert!(p.fns[0].body.is_some());
         assert_eq!(p.fns[1].name, "b");
-        assert!(p.fns[1].is_unsafe);
+        assert!(p.fns[1].body.is_some());
     }
 
     #[test]
@@ -413,8 +339,8 @@ mod tests {
             parsed("unsafe fn f() { }\nfn g() { unsafe { h(); } }\nunsafe impl Send for S {}\n");
         let kinds: Vec<UnsafeKind> = p.unsafe_sites.iter().map(|u| u.kind).collect();
         assert_eq!(kinds, [UnsafeKind::Fn, UnsafeKind::Block, UnsafeKind::Impl]);
-        // The unsafe fn is also recorded as an fn item marked unsafe.
-        assert!(p.fns.iter().any(|f| f.name == "f" && f.is_unsafe));
+        // The unsafe fn is also recorded as an fn item.
+        assert!(p.fns.iter().any(|f| f.name == "f"));
     }
 
     #[test]
@@ -423,8 +349,8 @@ mod tests {
         let p = parsed(src);
         assert_eq!(p.fns.len(), 2);
         let (o, c) = p.fns[0].body.unwrap();
-        // `after`'s fn token lies outside outer's body.
-        assert!(p.fns[1].tok > c && c > o);
+        // `after`'s body lies outside outer's.
+        assert!(p.fns[1].body.unwrap().0 > c && c > o);
         // The call to g(x) is attributed to `outer`.
         let g = p.calls.iter().find(|cs| cs.callee == "g").unwrap();
         assert_eq!(p.enclosing_fn(g.tok).unwrap().name, "outer");
@@ -460,7 +386,6 @@ mod tests {
         let src = "fn f(s: &S) {\n    std::thread::sleep(d);\n    s.core.inject.lock();\n    t.join();\n    v.join(\", \");\n}\n";
         let p = parsed(src);
         let sleep = p.calls.iter().find(|c| c.callee == "sleep").unwrap();
-        assert_eq!(sleep.path, ["std", "thread", "sleep"]);
         assert!(!sleep.is_method);
         let lock = p.calls.iter().find(|c| c.callee == "lock").unwrap();
         assert!(lock.is_method);

@@ -2,7 +2,7 @@
 //! exact file:line:col blame, stays quiet on the idiomatic fixes, and
 //! honors (only) well-formed suppressions.
 
-use authlint::{analyze_source, Config, Finding};
+use authlint::{analyze_source, analyze_sources, Config, Finding};
 
 const UNTRUSTED: &str = "crates/core/src/wire.rs";
 const TRUSTED: &str = "crates/core/src/other.rs";
@@ -15,6 +15,11 @@ fn run(path: &str, source: &str) -> Vec<Finding> {
 
 fn rules_of(findings: &[Finding]) -> Vec<&str> {
     findings.iter().map(|f| f.rule).collect()
+}
+
+/// Findings over a tree of `(path, source)` files, read together.
+fn run_tree(files: &[(&str, &str)]) -> Vec<Finding> {
+    analyze_sources(files, &Config::default()).findings
 }
 
 #[test]
@@ -492,6 +497,7 @@ fn stale_allows_for_new_rules_are_bad_suppressions() {
         "lock-order",
         "blocking-in-reactor",
         "swallowed-result",
+        "unused-pub",
     ] {
         let src = format!("// lint:allow({rule}): stale reason\nfn f() -> u8 {{ 1 }}\n");
         let found = run(UNTRUSTED, &src);
@@ -503,7 +509,7 @@ fn stale_allows_for_new_rules_are_bad_suppressions() {
 fn every_rule_seeds_nonzero_in_its_module() {
     // One seeded violation per rule, each blamed under its own name —
     // the end-to-end guarantee that the CI gate can never pass with a
-    // reintroduced bug of any of the eight classes.
+    // reintroduced bug of any class.
     let cases = [
         (UNTRUSTED, "fn f(x: Option<u8>) { x.unwrap(); }\n", "panic-path"),
         (
@@ -541,6 +547,7 @@ fn every_rule_seeds_nonzero_in_its_module() {
             "fn f(s: &mut W) { let _ = s.flush(); }\n",
             "swallowed-result",
         ),
+        (TRUSTED, "pub fn lonely() {}\n", "unused-pub"),
     ];
     for (path, src, rule) in cases {
         let found = run(path, src);
@@ -549,4 +556,93 @@ fn every_rule_seeds_nonzero_in_its_module() {
             "{rule} should fire on: {src}"
         );
     }
+}
+
+const LIB: &str = "crates/core/src/lonely.rs";
+
+#[test]
+fn unused_pub_flags_items_named_only_inside_their_library() {
+    // Named only in its own file.
+    let src = "pub fn lonely() {}\nfn caller() { lonely(); }\n";
+    let found = run_tree(&[(LIB, src)]);
+    let rendered: Vec<String> = found.iter().map(|f| f.to_string()).collect();
+    assert_eq!(
+        rendered,
+        ["crates/core/src/lonely.rs:1:8: [unused-pub] `pub` item `lonely` is named nowhere outside crates/core/src/ — make it pub(crate) or private, or delete it"]
+    );
+    // Named in another file of the same library, or its unit tests.
+    let sibling = "fn f() { crate::lonely::lonely(); }\n#[cfg(test)]\nmod tests {\n    fn t() { super::lonely(); }\n}\n";
+    let found = run_tree(&[(LIB, src), ("crates/core/src/other.rs", sibling)]);
+    assert_eq!(rules_of(&found), ["unused-pub"]);
+    // Named outside only in a doc comment or a string: neither is a caller.
+    let prose = "/// Calls [`lonely`].\n#[test]\nfn t() { let _name = \"lonely\"; }\n";
+    let found = run_tree(&[(LIB, src), ("tests/prose.rs", prose)]);
+    assert_eq!(rules_of(&found), ["unused-pub"]);
+    // Every item kind, with qualifiers, and each leaf of a `pub use` list.
+    let items = "pub const fn a() {}\npub unsafe extern \"C\" fn b() {}\npub struct C;\npub enum D {}\npub trait E {}\npub const F: u8 = 0;\npub static mut G: u8 = 0;\npub type H = u8;\npub mod i {}\npub use x::{J, k::L as M, n::*, o::{self}, P as _};\n";
+    let names: Vec<String> = run_tree(&[(LIB, items)])
+        .iter()
+        .filter(|f| f.rule == "unused-pub")
+        .map(|f| f.message.split('`').nth(3).unwrap_or_default().to_string())
+        .collect();
+    assert_eq!(
+        names,
+        ["a", "b", "C", "D", "E", "F", "G", "H", "i", "J", "M"]
+    );
+    // Restricted visibility, fields and test-gated items are not flagged.
+    let quiet =
+        "pub(crate) fn a() {}\npub(super) struct B { pub c: u8 }\n#[cfg(test)]\npub fn d() {}\n";
+    assert!(run_tree(&[(LIB, quiet)]).is_empty());
+}
+
+#[test]
+fn unused_pub_is_silent_when_an_outside_file_names_the_item() {
+    let src = "pub fn lonely() {}\n";
+    for caller in [
+        "tests/it.rs",
+        "crates/core/tests/it.rs",
+        "examples/demo.rs",
+        "crates/core/src/main.rs",
+        "crates/core/src/bin/tool.rs",
+        "crates/index/src/lib.rs",
+        "src/lib.rs",
+        "benchmark/src/drive.rs",
+    ] {
+        let found = run_tree(&[(LIB, src), (caller, "fn f() { lonely(); }\n")]);
+        assert!(found.is_empty(), "{caller} names it: {found:?}");
+    }
+    // Bins, tests, examples and the benchmark are read for callers only:
+    // their own `pub` items are never flagged.
+    for path in [
+        "crates/lint/src/main.rs",
+        "examples/demo.rs",
+        "benchmark/src/lib.rs",
+    ] {
+        assert!(run_tree(&[(path, src)]).is_empty(), "{path}");
+    }
+    // One leaf of a `pub use` list named outside, the other not.
+    let found = run_tree(&[
+        ("crates/core/src/lib.rs", "pub use a::{Named, Unnamed};\n"),
+        ("tests/it.rs", "use authsearch_core::Named;\n"),
+    ]);
+    assert_eq!(found.len(), 1);
+    assert!(found[0].message.contains("`Unnamed`"), "{}", found[0]);
+}
+
+#[test]
+fn unused_pub_honors_only_a_reasoned_allow_that_suppresses_a_finding() {
+    let allowed = "// lint:allow(unused-pub): reached only as the value of `make`\npub struct Inferred;\npub fn make() -> Inferred { Inferred }\n";
+    let caller = ("tests/it.rs", "fn f() { let _v = make(); }\n");
+    assert!(run_tree(&[(LIB, allowed), caller]).is_empty());
+    // Without a reason the finding stays and the allow is reported.
+    let bare = "pub struct Inferred; // lint:allow(unused-pub)\n";
+    let found = run_tree(&[(LIB, bare)]);
+    let mut rules = rules_of(&found);
+    rules.sort();
+    assert_eq!(rules, ["bad-suppression", "unused-pub"]);
+    // An allow on an item an outside file names suppresses nothing.
+    let stale = "// lint:allow(unused-pub): no longer needed\npub fn make() {}\n";
+    let found = run_tree(&[(LIB, stale), caller]);
+    assert_eq!(rules_of(&found), ["bad-suppression"]);
+    assert_eq!(found[0].line, 1);
 }

@@ -1,9 +1,11 @@
 //! The ratchet: the real workspace must stay authlint-clean.
 //!
-//! Because this runs under plain `cargo test`, reintroducing a panic
-//! path, truncating cast, lock-unwrap, or unclamped preallocation into
-//! the codebase fails the tier-1 suite even before CI runs the
-//! dedicated `authlint --deny` gate.
+//! Because this runs under plain `cargo test`, reintroducing any rule's
+//! finding into the codebase (a panic path, truncating cast,
+//! lock-unwrap, unclamped preallocation, unaudited `unsafe`, lock-order
+//! cycle, blocking call in the reactor, swallowed `Result`, or a `pub`
+//! item no file outside its library names) fails the tier-1 suite even
+//! before CI runs the dedicated `authlint --deny` gate.
 
 use authlint::{analyze_workspace, render_lock_dot, Config};
 use std::path::Path;
