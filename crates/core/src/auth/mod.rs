@@ -46,7 +46,7 @@ pub use cache::CacheStats;
 pub use cache::WarmStats; // lint:allow(unused-pub): reached only as the value of `ServerHandle::warmed`
 pub use snapshot::boot_authenticated_index;
 
-use crate::pool::{self, ThreadPool};
+use crate::pool;
 use crate::types::DocTable;
 use crate::verify::VerifierParams;
 use crate::vo::Mechanism;
@@ -54,7 +54,6 @@ use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::merkle::interior_levels;
 use authsearch_crypto::{Digest, MerkleTree, RsaPrivateKey, RsaPublicKey};
 use authsearch_index::{BlockLayout, ImpactEntry, InvertedIndex, InvertedList};
-use std::sync::Arc;
 
 /// Source of raw document contents (for `h(doc)`); implemented by
 /// [`authsearch_corpus::Corpus`] and by plain `Vec<Vec<u8>>` fixtures.
@@ -106,13 +105,14 @@ pub struct AuthConfig {
     pub layout: BlockLayout,
     /// Buddy inclusion (paper default: on for CMHT, off for plain MHT).
     pub buddy: bool,
-    /// Worker threads for the owner-side build
-    /// ([`AuthenticatedIndex::build`]), the snapshot boot, and the
-    /// engine's serving pool ([`AuthenticatedIndex::serve_pool`]): `0`
-    /// (the default) uses the machine's available parallelism, `1` runs
-    /// the paper's sequential model on the calling thread, and `n ≥ 2`
-    /// fans the per-term and per-document work out through
-    /// [`crate::pool::map`].
+    /// The width of every [`crate::pool::map`]: the owner-side build
+    /// ([`AuthenticatedIndex::build`]), the snapshot boot, and each TRA
+    /// reply's document-proof fan-out at the engine (the verifier sizes
+    /// its own by the machine). `0` (the default) uses the machine's
+    /// available parallelism, `1` runs the paper's sequential model on
+    /// the calling thread, and `n ≥ 2` fans the per-term and
+    /// per-document work out over up to `n` threads. Queries themselves
+    /// are served one at a time, on the server's event-loop thread.
     /// Artifacts and per-query VOs are **bit-identical for every
     /// value** — only wall-clock time changes.
     ///
@@ -501,12 +501,25 @@ impl Fold {
             signature,
             public_key,
             cache: self.cache,
-            serve_pool: Arc::new(ThreadPool::new(config.build_threads())),
         }
     }
 }
 
 // ---- the owner's artifact -------------------------------------------------
+
+/// A [`pool::map`] width with no thread behind it, as
+/// [`AuthenticatedIndex::serve_pool`] reports it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lint:allow(unused-pub): reached only through `AuthenticatedIndex::serve_pool` (`serve_pool().threads()`)
+pub struct MapWidth(usize);
+
+impl MapWidth {
+    /// The width, counting the calling thread.
+    pub fn threads(self) -> usize {
+        self.0
+    }
+}
 
 /// Everything the data owner hands the search engine: the index, the
 /// document table, the digests of the authentication structures and the
@@ -526,10 +539,6 @@ pub struct AuthenticatedIndex {
     public_key: RsaPublicKey,
     /// Engine-side resident structures (see [`cache`] and the module docs).
     cache: cache::ServeCache,
-    /// The network server's ([`crate::server`]) job queue, created at
-    /// the end of the build (or boot), so worker threads are spawned once
-    /// per artifact.
-    serve_pool: Arc<ThreadPool>,
 }
 
 impl AuthenticatedIndex {
@@ -602,11 +611,11 @@ impl AuthenticatedIndex {
         fold.into_index(config, index, signature, key.public_key().clone())
     }
 
-    /// The persistent serving pool, [`AuthConfig::threads`] wide,
-    /// spawned once at the end of the build (or boot). Every call
-    /// returns the same pool.
-    pub fn serve_pool(&self) -> Arc<ThreadPool> {
-        Arc::clone(&self.serve_pool)
+    /// The [`pool::map`] width serving fans document proofs out to.
+    /// Nothing else reads it; it stays for a report line.
+    #[doc(hidden)]
+    pub fn serve_pool(&self) -> MapWidth {
+        MapWidth(self.config.build_threads())
     }
 
     /// The configuration this artifact was built with.
@@ -1053,24 +1062,6 @@ mod tests {
                 "{bad:?} → {err}"
             );
         }
-    }
-
-    #[test]
-    fn serve_pool_is_persistent() {
-        let key = cached_keypair(TEST_KEY_BITS);
-        let auth = AuthenticatedIndex::build(
-            toy_index(),
-            &key,
-            AuthConfig {
-                threads: 2,
-                ..AuthConfig::new(Mechanism::TnraMht)
-            },
-            &toy_contents(),
-        );
-        let a = auth.serve_pool();
-        // Same pool instance across calls — workers spawned once.
-        assert!(Arc::ptr_eq(&a, &auth.serve_pool()));
-        assert_eq!(a.threads(), 2);
     }
 
     #[test]

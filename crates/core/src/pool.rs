@@ -1,20 +1,17 @@
-//! The crate's two executors, both std-only (the build environment has
-//! no external crates, so no rayon):
+//! The crate's one executor, std-only (the build environment has no
+//! external crates, so no rayon): [`map`], an index-ordered parallel map
+//! on `std::thread::scope`. The owner build
+//! ([`crate::auth::AuthenticatedIndex::build`]) and the snapshot boot run
+//! their per-term and per-document folds through it. It also runs
+//! per-query work at both ends of a TRA reply: the engine builds the
+//! encountered documents' proofs through it, and the verifier checks
+//! them through it, one thread per [`DOCS_PER_THREAD`] proofs. Its output
+//! is **identical for every width**; only wall-clock time changes.
 //!
-//! * [`map`] — an index-ordered parallel map on `std::thread::scope`,
-//!   which the owner build ([`crate::auth::AuthenticatedIndex::build`])
-//!   and the snapshot boot run their per-term and per-document folds
-//!   through. It also runs per-query work at both ends of a TRA reply:
-//!   the engine builds the encountered documents' proofs through it, and
-//!   the verifier checks them through it, one thread per
-//!   [`DOCS_PER_THREAD`] proofs. Its output is **identical for every width**;
-//!   only wall-clock time changes.
-//! * [`ThreadPool`] — long-lived workers draining one job queue, onto
-//!   which the network server ([`crate::server`]) submits one job per
-//!   request.
-//!
-//! At width 1 neither spawns a thread: everything runs on the calling
-//! thread, the paper's sequential model.
+//! At width 1 it spawns no thread: everything runs on the calling
+//! thread, the paper's sequential model. The network server
+//! ([`crate::server`]) has no executor of its own: each query runs to
+//! completion on its event-loop thread, fanning out only through `map`.
 //!
 //! # Example
 //!
@@ -27,10 +24,9 @@
 //! assert_eq!(pool::map(1, 8, |i| i * i), squares);
 //! ```
 
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::OnceLock;
 
 /// The machine's available parallelism (1 when it cannot be queried),
 /// read once per process: both ends of a TRA reply ask for it per query,
@@ -62,17 +58,6 @@ pub const DOCS_PER_THREAD: usize = 32;
 /// at least 1.
 pub(crate) fn doc_proof_width(threads: usize, docs: usize) -> usize {
     threads.min(docs / DOCS_PER_THREAD).max(1)
-}
-
-/// Lock a mutex, recovering the guard if a previous holder panicked.
-///
-/// The crate-wide poisoning policy: every structure guarded this way
-/// (the pool's job queue, server connection registries and completion
-/// queues) keeps itself valid across each mutation, so a panic while
-/// holding the lock never leaves torn data — recovery is always sound,
-/// and one panicking worker cannot wedge the process.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Index-ordered parallel map: `(0..n).map(f).collect()`, computed by the
@@ -131,134 +116,10 @@ where
     out
 }
 
-/// A queued job.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Run one job, catching a panic so the thread survives it.
-fn run(job: Job) {
-    // A job reports its own failure out of band (the server's
-    // completion guard answers on unwind); only the thread needs saving.
-    let _ = panic::catch_unwind(AssertUnwindSafe(job));
-}
-
-/// A worker's loop: take the next job, run it, repeat — until the queue
-/// is closed and empty.
-fn work(jobs: &Mutex<mpsc::Receiver<Job>>) {
-    loop {
-        // The guard is a temporary of this statement: it is released as
-        // soon as `recv` returns, so jobs run with the queue unlocked.
-        let next = lock_recover(jobs).recv();
-        match next {
-            Ok(job) => run(job),
-            Err(mpsc::RecvError) => return,
-        }
-    }
-}
-
-/// `threads - 1` long-lived workers draining one job queue.
-///
-/// `threads` counts the caller, the same as [`map`]'s width: a pool of
-/// `n` spawns `n - 1` OS workers once, in [`ThreadPool::new`], and they
-/// live until the pool is dropped. A pool of 1 spawns no thread at all
-/// and runs every job inline.
-// lint:allow(unused-pub): reached only through `AuthenticatedIndex::serve_pool` (`serve_pool().threads()`)
-pub struct ThreadPool {
-    /// The queue's sending half; `None` when there are no workers.
-    queue: Option<mpsc::Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    threads: usize,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("threads", &self.threads)
-            .field("os_workers", &self.workers.len())
-            .finish()
-    }
-}
-
-impl ThreadPool {
-    /// A pool of `threads` workers; `0` is clamped to `1`.
-    pub fn new(threads: usize) -> ThreadPool {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return ThreadPool {
-                queue: None,
-                workers: Vec::new(),
-                threads,
-            };
-        }
-        let (queue, jobs) = mpsc::channel::<Job>();
-        let jobs = Arc::new(Mutex::new(jobs));
-        let workers = (0..threads - 1)
-            .map(|i| {
-                let jobs = Arc::clone(&jobs);
-                std::thread::Builder::new()
-                    .name(format!("authsearch-pool-{i}"))
-                    .spawn(move || work(&jobs))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        ThreadPool {
-            queue: Some(queue),
-            workers,
-            threads,
-        }
-    }
-
-    /// The pool's width, counting the caller.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Queue an owned (`'static`) job for the next idle worker.
-    /// Completion is observed out of band (e.g. through a channel the job
-    /// holds).
-    ///
-    /// On a `threads == 1` pool the job runs **inline, right here**, so
-    /// submission order and the no-spawn guarantee both hold. A panicking
-    /// job is caught either way, so a bad request never takes a server
-    /// worker down.
-    pub(crate) fn submit<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let job: Job = Box::new(f);
-        match &self.queue {
-            Some(queue) => {
-                // Sending fails only once every worker is gone; the job
-                // then still runs, here.
-                if let Err(mpsc::SendError(job)) = queue.send(job) {
-                    run(job);
-                }
-            }
-            None => run(job),
-        }
-    }
-}
-
-impl Drop for ThreadPool {
-    /// Graceful shutdown: close the queue, let the workers run every job
-    /// still in it, and join them.
-    fn drop(&mut self) {
-        drop(self.queue.take());
-        for worker in self.workers.drain(..) {
-            // Workers catch job panics, so a join error here is a pool
-            // bug, not a job bug — surface it under test.
-            let joined = worker.join();
-            debug_assert!(joined.is_ok(), "pool worker panicked outside a job");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::atomic::AtomicU64;
-    use std::thread::ThreadId;
-    use std::time::Duration;
+    use std::panic::AssertUnwindSafe;
 
     fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
         payload
@@ -316,108 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_recover_survives_poison() {
-        // A panic while holding the lock poisons it; the guard is
-        // recovered with the data intact, and the lock stays usable.
-        let m = Mutex::new(vec![1u32]);
-        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-            let _guard = lock_recover(&m);
-            panic!("deliberate poison");
-        }));
-        assert!(m.is_poisoned());
-        lock_recover(&m).push(2);
-        assert_eq!(*lock_recover(&m), vec![1, 2]);
-    }
-
-    #[test]
-    fn zero_threads_clamps_to_one() {
-        assert_eq!(ThreadPool::new(0).threads(), 1);
-    }
-
-    #[test]
-    fn workers_persist_across_bursts() {
-        // Consecutive bursts of submitted jobs reuse the same OS workers
-        // instead of spawning fresh ones: across many bursts the set of
-        // threads that ran a job never exceeds the pool's 2 workers, and
-        // never includes the submitting thread.
-        let pool = ThreadPool::new(3);
-        let mut ids: HashSet<ThreadId> = HashSet::new();
-        for _ in 0..32 {
-            let (tx, rx) = mpsc::channel();
-            for _ in 0..8 {
-                let tx = tx.clone();
-                pool.submit(move || tx.send(std::thread::current().id()).unwrap());
-            }
-            drop(tx);
-            ids.extend(rx.iter());
-        }
-        assert!(ids.len() <= 2, "{ids:?}");
-        assert!(!ids.contains(&std::thread::current().id()));
-    }
-
-    #[test]
-    fn submit_runs_owned_tasks() {
-        let pool = ThreadPool::new(4);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..64u64 {
-            let tx = tx.clone();
-            pool.submit(move || tx.send(i).unwrap());
-        }
-        drop(tx);
-        let mut got: Vec<u64> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn submit_on_single_thread_pool_runs_inline() {
-        let pool = ThreadPool::new(1);
-        let (tx, rx) = mpsc::channel();
-        pool.submit(move || tx.send(std::thread::current().id()).unwrap());
-        // Ran inline: same thread, already completed.
-        assert_eq!(rx.try_recv().unwrap(), std::thread::current().id());
-    }
-
-    #[test]
-    fn single_thread_pool_spawns_inline_in_submission_order() {
-        let pool = ThreadPool::new(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..16 {
-            let job_order = Arc::clone(&order);
-            pool.submit(move || lock_recover(&job_order).push(i));
-            // Already done before `submit` returned.
-            assert_eq!(lock_recover(&order).len(), i + 1);
-        }
-        assert_eq!(*lock_recover(&order), (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn submitted_panic_is_contained() {
-        let pool = ThreadPool::new(2);
-        pool.submit(|| panic!("submitted task failure"));
-        let (tx, rx) = mpsc::channel();
-        pool.submit(move || tx.send(7u32).unwrap());
-        // The only worker survived the panic and keeps serving.
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
-    }
-
-    #[test]
-    fn drop_drains_submitted_tasks() {
-        let done = Arc::new(AtomicU64::new(0));
-        {
-            let pool = ThreadPool::new(3);
-            for _ in 0..128 {
-                let done = Arc::clone(&done);
-                pool.submit(move || {
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            // Pool dropped here: shutdown must drain, not discard.
-        }
-        assert_eq!(done.load(Ordering::Relaxed), 128);
-    }
-
-    #[test]
     fn worker_panic_propagates_and_pool_shuts_down() {
         // A panic on a helper thread (not the caller) reaches the caller
         // with its payload, and every helper is joined before `map`
@@ -447,7 +206,6 @@ mod tests {
 
     #[test]
     fn map_panic_propagates_original_payload() {
-        let pool = ThreadPool::new(2);
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
             let _ = map(2, 32, |i| {
                 if i == 13 {
@@ -459,11 +217,8 @@ mod tests {
         let payload = caught.expect_err("panic must propagate");
         let msg = payload_text(payload.as_ref());
         assert!(msg.contains("unlucky 13"), "payload: {msg:?}");
-        // Nothing is left broken: the next map and submit both work.
+        // Nothing is left broken: the next map works.
         assert_eq!(map(2, 4, |i| i), vec![0, 1, 2, 3]);
-        let (tx, rx) = mpsc::channel();
-        pool.submit(move || tx.send(9u32).unwrap());
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 9);
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //! The state graph:
 //!
 //! ```text
-//! ReadingHeader → ReadingPayload → Dispatched → Writing ─┐
-//!       ↑                                                │
-//!       └──────────────── (reply flushed) ───────────────┘
+//! ReadingHeader → ReadingPayload → (query served) → Writing ─┐
+//!       ↑                                                    │
+//!       └────────────────── (reply flushed) ─────────────────┘
 //! ```
 //!
-//! with `Writing` also reachable directly for error replies, idle
+//! The query runs to completion on the event loop between the last
+//! payload byte and [`Conn::begin_reply`], so no state waits on it.
+//! `Writing` is also reachable directly for error replies, idle
 //! evictions, and BUSY sheds (which continue to `ShedDraining` instead
 //! of back to `ReadingHeader`).
 //!
@@ -99,11 +101,6 @@ enum State {
         /// forward compatibility).
         kind: u8,
     },
-    /// A full request is on a pool worker; no deadline runs (server
-    /// compute time is never charged to the peer) and no bytes are
-    /// read (each connection is served one request at a time, so
-    /// replies leave in request order).
-    Dispatched,
     /// Flushing `reply_head` + `reply_body` through vectored writes.
     Writing {
         /// Next state once flushed.
@@ -132,8 +129,8 @@ pub(crate) enum Step {
     /// Nothing actionable; re-derive interest and deadline and wait.
     Idle,
     /// A complete request frame is buffered ([`Conn::request`]); decode
-    /// it, then either [`Conn::begin_request_error`] or
-    /// [`Conn::begin_dispatch`] + submit to the pool.
+    /// it, then either [`Conn::begin_request_error`], or serve it into
+    /// [`Conn::reply_buf`] and [`Conn::begin_reply`] with the outcome.
     Frame {
         /// The request frame's kind byte.
         kind: u8,
@@ -143,9 +140,11 @@ pub(crate) enum Step {
     Close,
 }
 
-/// An encoded reply frame ready to write — the fixed header array plus
-/// the payload bytes — or the [`wire::WireError`] the encode step hit.
-pub(crate) type EncodedReply = Result<([u8; wire::FRAME_HEADER_LEN], Vec<u8>), wire::WireError>;
+/// What became of one served query, its reply payload already in
+/// [`Conn::reply_buf`]: `Some(Ok)` is the reply's frame header,
+/// `Some(Err)` the [`wire::WireError`] the encode step hit, `None` a
+/// query that panicked.
+pub(crate) type Outcome = Option<Result<[u8; wire::FRAME_HEADER_LEN], wire::WireError>>;
 
 /// Readiness interest the reactor should register for the current
 /// state.
@@ -155,10 +154,8 @@ pub(crate) enum Want {
     Read,
     /// Wait for writable.
     Write,
-    /// No events wanted (dispatched to the pool; completion arrives via
-    /// the waker, and peer-close is deliberately ignored until then, so
-    /// a request that reached the pool is always answered and counted
-    /// in `requests_ok`, whether or not the peer is still there).
+    /// No events wanted: the connection is closed, and the loop drops
+    /// it.
     None,
 }
 
@@ -174,9 +171,8 @@ const SHED_DRAIN_GAP: Duration = Duration::from_millis(100);
 
 /// One connection's complete transport state. Buffers are reused
 /// across requests: the payload buffer grows to the largest request
-/// seen and stays; the reply-body buffer makes a round trip through
-/// the pool worker (moved into the job, returned in the completion) so
-/// steady-state serving allocates nothing per reply.
+/// seen and stays, and so does the reply-body buffer each query is
+/// encoded into, so steady-state serving allocates nothing per reply.
 pub(crate) struct Conn<S> {
     stream: S,
     state: State,
@@ -189,7 +185,7 @@ pub(crate) struct Conn<S> {
     /// Reply frame header (encoded once, written alongside the body).
     reply_head: [u8; wire::FRAME_HEADER_LEN],
     head_written: usize,
-    /// Reply body; recycled through pool jobs.
+    /// Reply body; reused by every reply.
     reply_body: Vec<u8>,
     body_written: usize,
     /// Last byte received from (or reply flushed to) the peer — the
@@ -244,13 +240,8 @@ impl<S: ConnStream> Conn<S> {
         match self.state {
             State::ReadingHeader | State::ReadingPayload { .. } | State::ShedDraining => Want::Read,
             State::Writing { .. } => Want::Write,
-            State::Dispatched | State::Closed => Want::None,
+            State::Closed => Want::None,
         }
-    }
-
-    /// Whether the connection is parked on a pool worker.
-    pub(crate) fn is_dispatched(&self) -> bool {
-        matches!(self.state, State::Dispatched)
     }
 
     /// Whether the connection is flushing a reply.
@@ -278,23 +269,21 @@ impl<S: ConnStream> Conn<S> {
         self.payload.get(..self.payload_filled).unwrap_or(&[])
     }
 
-    /// Take the reply-body buffer for a pool job to encode into; it
-    /// comes back through the completion and
-    /// [`Conn::begin_ok_reply`], closing the reuse loop.
-    pub(crate) fn take_reply_buf(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.reply_body)
+    /// The reply-body buffer a query encodes its reply payload into
+    /// before [`Conn::begin_reply`].
+    pub(crate) fn reply_buf(&mut self) -> &mut Vec<u8> {
+        &mut self.reply_body
     }
 
     /// When the state machine next needs the clock, if ever: the idle
     /// gap or total frame budget while reading, the flush bound while
-    /// writing, the drain gap while shedding. `None` while dispatched
-    /// (server compute time is the server's problem) and, for reads,
-    /// when the idle deadline is disabled.
+    /// writing, the drain gap while shedding. `None` once closed and,
+    /// for reads, when the idle deadline is disabled.
     pub(crate) fn deadline(&self, env: &ConnEnv<'_>) -> Option<Instant> {
         match &self.state {
             State::ReadingHeader => self.read_deadline(env, wire::FRAME_HEADER_LEN),
             State::ReadingPayload { .. } => self.read_deadline(env, self.payload.len()),
-            State::Dispatched | State::Closed => None,
+            State::Closed => None,
             State::Writing { bound, .. } => self.write_start.checked_add(*bound),
             State::ShedDraining => self.last_byte.checked_add(SHED_DRAIN_GAP),
         }
@@ -386,7 +375,7 @@ impl<S: ConnStream> Conn<S> {
                 }
                 State::Closed => return Step::Close,
                 // Spurious readiness for a state that doesn't read.
-                State::Dispatched | State::Writing { .. } => return Step::Idle,
+                State::Writing { .. } => return Step::Idle,
             }
         }
     }
@@ -443,25 +432,28 @@ impl<S: ConnStream> Conn<S> {
         Step::Frame { kind }
     }
 
-    /// The request is on its way to a pool worker; park until the
-    /// completion arrives.
-    pub(crate) fn begin_dispatch(&mut self) {
-        self.state = State::Dispatched;
-    }
-
-    /// Begin an OK reply (`head` + `body`, already encoded by the
-    /// worker). Counts `requests_ok` and `bytes_out` **before** the
+    /// Begin the reply to a served query: `Some(Ok(head))` is an OK
+    /// reply (`head` + the payload in [`Conn::reply_buf`]),
+    /// `Some(Err)` an UNREPRESENTABLE one, `None` an INTERNAL one for a
+    /// query that panicked. The connection survives each.
+    ///
+    /// An OK reply counts `requests_ok` and `bytes_out` **before** the
     /// first write, so an answered request counts even if the peer
     /// leaves mid-flush, and charges a blown flush budget as a
-    /// timed-out connection.
-    pub(crate) fn begin_ok_reply(
-        &mut self,
-        env: &ConnEnv<'_>,
-        head: [u8; wire::FRAME_HEADER_LEN],
-        body: Vec<u8>,
-    ) {
+    /// timed-out connection. Its flush bound runs from here, so the
+    /// time the server spent computing it is never charged to the peer.
+    pub(crate) fn begin_reply(&mut self, env: &ConnEnv<'_>, outcome: Outcome) {
+        let head = match outcome {
+            Some(Ok(head)) => head,
+            Some(Err(e)) => {
+                let (code, message) = super::unrepresentable(e);
+                return self.begin_request_error(env, code, &message);
+            }
+            None => {
+                return self.begin_request_error(env, wire::errcode::INTERNAL, super::WORKER_FAILED)
+            }
+        };
         env.metrics.requests_ok.fetch_add(1, Ordering::Relaxed);
-        self.reply_body = body;
         self.begin_write(
             Ok(head),
             Instant::now(),
@@ -646,30 +638,6 @@ impl<S: ConnStream> Conn<S> {
         }
     }
 
-    /// A pool completion for this connection: `Some(Ok)` is the
-    /// encoded reply, `Some(Err)` an unrepresentable response, `None`
-    /// a panicked worker. Must be in `Dispatched`.
-    pub(crate) fn on_completion(
-        &mut self,
-        env: &ConnEnv<'_>,
-        result: Option<EncodedReply>,
-    ) -> Step {
-        if !matches!(self.state, State::Dispatched) {
-            return Step::Idle;
-        }
-        match result {
-            Some(Ok((head, body))) => self.begin_ok_reply(env, head, body),
-            Some(Err(e)) => {
-                let (code, message) = super::unrepresentable(e);
-                self.begin_request_error(env, code, &message);
-            }
-            None => {
-                self.begin_request_error(env, wire::errcode::INTERNAL, super::WORKER_FAILED);
-            }
-        }
-        Step::Idle
-    }
-
     /// The clock says `now`: if this connection's deadline has passed,
     /// take the expiry action (evict, charge a stalled writer, or end
     /// the shed drain). The reactor calls this when a timer fires; a
@@ -702,7 +670,7 @@ impl<S: ConnStream> Conn<S> {
                 Step::Close
             }
             State::ShedDraining => Step::Close,
-            State::Dispatched | State::Closed => Step::Idle,
+            State::Closed => Step::Idle,
         }
     }
 }
@@ -864,7 +832,8 @@ mod tests {
             let mut stream = ScriptedStream::new();
             stream.sip_writes(quota, total.div_ceil(quota));
             let mut conn = Conn::new(stream, Instant::now());
-            conn.begin_ok_reply(&env, head, body.clone());
+            *conn.reply_buf() = body.clone();
+            conn.begin_reply(&env, Some(Ok(head)));
             // Pump writable until the state machine settles back into
             // reading (quota-bounded, so multiple rounds).
             let mut rounds = 0;
@@ -983,55 +952,73 @@ mod tests {
 
     #[test]
     fn dispatched_connection_ignores_events_and_has_no_deadline() {
+        // The query runs on the loop between the frame and
+        // `begin_reply`. Serving it outlasts the idle deadline here, yet
+        // nothing is charged to the peer: no eviction, and the reply's
+        // flush bound runs from `begin_reply`.
         let metrics = ServerMetrics::default();
         let transport = TransportStats::default();
-        let env = env(&metrics, &transport);
-        let mut conn = Conn::new(ScriptedStream::new(), Instant::now());
-        conn.begin_dispatch();
-        assert_eq!(conn.want(), Want::None);
-        assert!(conn.deadline(&env).is_none(), "compute time is uncharged");
-        assert_eq!(conn.on_readable(&env), Step::Idle);
-        assert_eq!(conn.on_writable(&env), Step::Idle);
-        assert_eq!(
-            conn.check_deadline(&env, Instant::now() + Duration::from_secs(3600)),
-            Step::Idle
+        let mut env = env(&metrics, &transport);
+        env.idle_deadline = Duration::from_millis(10);
+        let mut stream = ScriptedStream::new();
+        stream.feed_chunked(&request_frame(), 64);
+        let mut conn = Conn::new(stream, Instant::now());
+        assert!(matches!(conn.on_readable(&env), Step::Frame { .. }));
+        std::thread::sleep(Duration::from_millis(30)); // serving
+        let served = Instant::now();
+        *conn.reply_buf() = b"vo bytes".to_vec();
+        let head = wire::encode_frame_header(wire::kind::REPLY_OK, 8).unwrap();
+        conn.begin_reply(&env, Some(Ok(head)));
+        assert_eq!(conn.want(), Want::Write);
+        let deadline = conn.deadline(&env).expect("flush bound armed");
+        assert!(
+            deadline >= served + env.write_timeout,
+            "compute time is uncharged"
         );
+        assert_eq!(
+            conn.on_readable(&env),
+            Step::Idle,
+            "no reads while replying"
+        );
+        assert_eq!(conn.check_deadline(&env, served), Step::Idle);
+        assert_eq!(metrics.snapshot().connections_timed_out, 0);
     }
 
     #[test]
     fn completion_routes_ok_err_and_panic_to_the_right_replies() {
-        // OK completion → OK frame, requests_ok.
+        // OK outcome → OK frame, requests_ok.
         let metrics = ServerMetrics::default();
         let transport = TransportStats::default();
         let env = env(&metrics, &transport);
         let mut conn = Conn::new(ScriptedStream::new(), Instant::now());
-        conn.begin_dispatch();
         let body = b"vo bytes".to_vec();
         let head = wire::encode_frame_header(wire::kind::REPLY_OK, body.len()).unwrap();
-        assert_eq!(conn.on_completion(&env, Some(Ok((head, body)))), Step::Idle);
+        *conn.reply_buf() = body;
+        conn.begin_reply(&env, Some(Ok(head)));
         while conn.is_writing() {
             conn.on_writable(&env);
         }
         assert_eq!(metrics.snapshot().requests_ok, 1);
         assert_eq!(conn.want(), Want::Read, "connection survives");
 
-        // TooLong completion → UNREPRESENTABLE, connection survives.
-        conn.begin_dispatch();
+        // TooLong outcome → UNREPRESENTABLE, connection survives; the
+        // partial payload left in the buffer is not sent.
+        conn.reply_buf().extend_from_slice(b"partial payload");
         let err = wire::WireError::TooLong {
             field: "entries",
             len: 99999,
             max: 65535,
         };
-        conn.on_completion(&env, Some(Err(err)));
+        conn.begin_reply(&env, Some(Err(err)));
         while conn.is_writing() {
             conn.on_writable(&env);
         }
         assert_eq!(metrics.snapshot().requests_err, 1);
         assert_eq!(conn.want(), Want::Read);
 
-        // Panicked worker (None) → INTERNAL, connection survives.
-        conn.begin_dispatch();
-        conn.on_completion(&env, None);
+        // Panicked query (None) → INTERNAL, connection survives.
+        conn.reply_buf().extend_from_slice(b"partial payload");
+        conn.begin_reply(&env, None);
         while conn.is_writing() {
             conn.on_writable(&env);
         }
@@ -1039,19 +1026,24 @@ mod tests {
         assert_eq!(conn.want(), Want::Read);
         // The transcript holds OK + 2 error frames back to back.
         let mut rest: &[u8] = &conn.stream.written;
-        let mut kinds = Vec::new();
+        let mut frames = Vec::new();
         while !rest.is_empty() {
             let head: [u8; 10] = rest[..10].try_into().unwrap();
             let (kind, len) = wire::decode_frame_header_any(&head).unwrap();
-            kinds.push(kind);
+            let payload = &rest[wire::FRAME_HEADER_LEN..wire::FRAME_HEADER_LEN + len];
+            let code = match wire::decode_reply_payload(kind, payload) {
+                Ok(wire::Reply::Err { code, .. }) => Some(code),
+                _ => None,
+            };
+            frames.push((kind, code));
             rest = &rest[wire::FRAME_HEADER_LEN + len..];
         }
         assert_eq!(
-            kinds,
+            frames,
             vec![
-                wire::kind::REPLY_OK,
-                wire::kind::REPLY_ERR,
-                wire::kind::REPLY_ERR
+                (wire::kind::REPLY_OK, None),
+                (wire::kind::REPLY_ERR, Some(wire::errcode::UNREPRESENTABLE)),
+                (wire::kind::REPLY_ERR, Some(wire::errcode::INTERNAL))
             ]
         );
     }
@@ -1141,7 +1133,8 @@ mod tests {
         let mut stream = ScriptedStream::new();
         stream.sip_writes(4, 1); // accepts 4 bytes, then WouldBlock forever
         let mut conn = Conn::new(stream, Instant::now());
-        conn.begin_ok_reply(&env, head, body);
+        *conn.reply_buf() = body;
+        conn.begin_reply(&env, Some(Ok(head)));
         assert_eq!(conn.on_writable(&env), Step::Idle, "partial, parked");
         let deadline = conn.deadline(&env).expect("write bound armed");
         assert_eq!(
@@ -1229,11 +1222,16 @@ mod tests {
         stream.feed_chunked(&both, 7);
         let mut conn = Conn::new(stream, Instant::now());
         assert!(matches!(conn.on_readable(&env), Step::Frame { .. }));
-        conn.begin_dispatch();
-        assert_eq!(conn.want(), Want::None, "no reads while dispatched");
         let body = b"ok".to_vec();
         let head = wire::encode_frame_header(wire::kind::REPLY_OK, body.len()).unwrap();
-        conn.on_completion(&env, Some(Ok((head, body))));
+        *conn.reply_buf() = body;
+        conn.begin_reply(&env, Some(Ok(head)));
+        assert_eq!(
+            conn.on_readable(&env),
+            Step::Idle,
+            "no reads while replying"
+        );
+        assert_eq!(metrics.snapshot().bytes_in, frame.len() as u64);
         while conn.is_writing() {
             conn.on_writable(&env);
         }

@@ -21,8 +21,8 @@
 //! thread drives them all through the readiness reactor in
 //! `crate::reactor` (epoll on Linux, `poll(2)` on other Unix; this
 //! module exists on Unix only). Each connection is an explicit state
-//! machine (`ReadingHeader → ReadingPayload → Dispatched → Writing`,
-//! the private `conn` module) over the [`crate::wire`] frame codec;
+//! machine (`ReadingHeader → ReadingPayload → Writing`, the private
+//! `conn` module) over the [`crate::wire`] frame codec;
 //! replies leave through vectored writes from reused per-connection
 //! buffers (no staging copy, no per-reply allocation at steady state);
 //! idle and write deadlines are entries in one heap, at most one live
@@ -31,18 +31,17 @@
 //!
 //! Around that core:
 //!
-//! * **Persistent pool dispatch**: query execution is submitted onto
-//!   the engine's persistent job queue
-//!   ([`AuthenticatedIndex::serve_pool`](crate::AuthenticatedIndex::serve_pool)
-//!   — workers spawned once, when the artifact is built or booted), so N
-//!   connections share one executor instead of oversubscribing the
-//!   machine, and a `threads = 1` deployment still runs the paper's
-//!   sequential model with no pool worker spawned.
+//! * **Run to completion on the loop**: a complete request is decoded,
+//!   served and its reply begun on the event-loop thread, one query at a
+//!   time, as the paper's engine answers one query at a time. Only a TRA
+//!   reply's document proofs fan out, through [`crate::pool::map`]'s
+//!   scoped helpers ([`AuthConfig::threads`] wide); a `threads = 1`
+//!   deployment spawns no thread but the loop's.
 //! * **Warm from the first query**: every authentication structure is
 //!   resident from the build or snapshot boot, so startup has nothing to
 //!   warm and the first wave of traffic builds nothing.
 //! * **Per-connection error isolation**: malformed bytes, unserviceable
-//!   queries, and even a panicking query worker produce a coded
+//!   queries, and even a panicking query produce a coded
 //!   [`crate::wire::kind::REPLY_ERR`] frame (or at worst close that one
 //!   connection) — attacker-controlled input never panics the process
 //!   and never touches other connections.
@@ -64,7 +63,6 @@ use crate::engine::SearchEngine;
 use crate::metrics::{
     ServerMetrics, ServerMetricsSnapshot, TransportStats, TransportStatsSnapshot,
 };
-use crate::pool::ThreadPool;
 use crate::types::{Query, QueryError};
 use crate::verify::VerifierParams;
 use crate::wire::{self, Request, WireError};
@@ -225,24 +223,21 @@ pub(crate) fn oversize_message(len: usize) -> String {
     format!("request payload of {len} bytes exceeds the {MAX_REQUEST_PAYLOAD}-byte request cap")
 }
 
-/// The INTERNAL error text for a panicked query worker.
+/// The INTERNAL error text for a query that panicked.
 pub(crate) const WORKER_FAILED: &str = "query worker failed; connection remains usable";
 
-/// State shared by the event loop, the pool jobs it dispatches, and the
-/// handle: the engine, its persistent pool, the configuration, and
-/// every observable counter.
+/// State shared by the event loop and the handle: the engine, the
+/// configuration, and every observable counter.
 pub(crate) struct Shared {
     pub(crate) engine: Arc<SearchEngine>,
-    pub(crate) pool: Arc<ThreadPool>,
     pub(crate) config: ServerConfig,
     pub(crate) metrics: ServerMetrics,
     pub(crate) transport: TransportStats,
     pub(crate) shutdown: Arc<AtomicBool>,
 }
 
-/// A validated, decoded query ready for the pool: everything a worker
-/// needs to execute and encode the reply, nothing it needs the socket
-/// for.
+/// A validated, decoded query ready to serve: everything needed to
+/// execute it and encode the reply, nothing from the socket.
 pub(crate) struct QueryJob {
     pub(crate) pairs: Vec<(TermId, u32)>,
     pub(crate) query: Query,
@@ -250,8 +245,8 @@ pub(crate) struct QueryJob {
 }
 
 /// Execute a [`QueryJob`] and encode the reply **payload** into `buf`
-/// (cleared first), returning the reply frame kind. Runs on a pool
-/// worker. A query the index refuses after admission (only an index
+/// (cleared first), returning the reply frame kind. Runs on the event
+/// loop. A query the index refuses after admission (only an index
 /// holding a negative or NaN weight does) gets the error payload of a
 /// [`BAD_QUERY`](wire::errcode::BAD_QUERY) reply, counted with the
 /// served ones.
@@ -336,11 +331,9 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let pool = engine.auth().serve_pool();
         let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
             engine,
-            pool,
             config,
             metrics: ServerMetrics::default(),
             transport: TransportStats::default(),
@@ -451,7 +444,9 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
-    fn test_engine(mechanism: Mechanism) -> (Arc<SearchEngine>, crate::verify::VerifierParams) {
+    pub(super) fn test_engine(
+        mechanism: Mechanism,
+    ) -> (Arc<SearchEngine>, crate::verify::VerifierParams) {
         let config = AuthConfig::new(mechanism);
         let corpus = CorpusBuilder::new()
             .min_df(1)
@@ -475,7 +470,7 @@ mod tests {
         read_reply(stream)
     }
 
-    fn read_reply(stream: &mut TcpStream) -> wire::Reply {
+    pub(super) fn read_reply(stream: &mut TcpStream) -> wire::Reply {
         let mut header = [0u8; wire::FRAME_HEADER_LEN];
         stream.read_exact(&mut header).unwrap();
         let (kind, len) = wire::decode_frame_header(&header).unwrap();

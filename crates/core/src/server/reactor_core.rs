@@ -3,9 +3,8 @@
 //! machine.
 //!
 //! The loop owns three kinds of registrations: the listener (accept
-//! readiness), the [`Waker`] (pool completions and shutdown), and one
-//! per connection (interest derived from the state machine's
-//! [`Want`]). Deadlines — idle gaps, total frame budgets, reply flush
+//! readiness), the [`Waker`] (shutdown), and one per connection
+//! (interest derived from the state machine's [`Want`]). Deadlines — idle gaps, total frame budgets, reply flush
 //! bounds, shed drains — live in one [`BinaryHeap`] of
 //! `(instant, connection id)`, at most one live entry per connection:
 //! a connection arms only when nothing is armed or its deadline moved
@@ -18,25 +17,25 @@
 //! one loop hold 10k+ parked peers (`tests/server_reactor.rs`
 //! smoke-tests this, env-scaled for small CI containers).
 //!
-//! Query execution happens on the engine's persistent pool: a
-//! complete request is decoded on the loop, dispatched with
-//! [`super::execute_job`], and the encoded reply (or its error) comes
-//! back through a completion queue + waker. A `threads = 1` deployment
-//! runs the paper's sequential model: `submit` runs the job inline and
-//! the completion is queued before `submit` returns.
+//! Every query runs to completion on the loop thread, the paper's
+//! sequential engine behind a socket: a complete request is decoded,
+//! served with [`super::execute_job`] and its reply begun in the same
+//! pump (`answer`, which is also the panic boundary). Only a TRA
+//! reply's document proofs fan out, through [`crate::pool::map`]'s
+//! scoped helpers; at `threads = 1` nothing leaves the loop thread.
 
-use super::conn::{Conn, ConnEnv, EncodedReply, Step, Want};
+use super::conn::{Conn, ConnEnv, Step, Want};
 use super::{busy_message, effective_write_timeout, execute_job, prepare_job, Shared};
-use crate::pool::lock_recover;
 use crate::reactor::{Events, Interest, Poll, Token, Waker};
-use crate::wire;
+use crate::wire::{self, WireError};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,56 +52,10 @@ const FIRST_CONN_ID: u64 = 2;
 /// drains.
 const BACKOFF: Duration = Duration::from_millis(50);
 
-/// A finished (or failed, or panicked) pool job for one connection.
-struct Completion {
-    conn_id: u64,
-    /// `Some(Ok)` = encoded header + body; `Some(Err)` = response not
-    /// representable; `None` = the worker panicked.
-    result: Option<EncodedReply>,
-}
-
-/// State shared between the loop thread, pool workers, and the
-/// shutdown path.
-struct ReactorInner {
-    waker: Waker,
-    completions: Mutex<VecDeque<Completion>>,
-}
-
-/// Delivers exactly one completion for a dispatched job — through
-/// [`CompletionGuard::deliver`] on success, or through `Drop` when the
-/// job panics (the pool catches the unwind; this guard is what turns
-/// that into an INTERNAL reply instead of a connection parked forever
-/// in `Dispatched`).
-struct CompletionGuard {
-    inner: Arc<ReactorInner>,
-    conn_id: u64,
-    delivered: bool,
-}
-
-impl CompletionGuard {
-    fn deliver(&mut self, result: Option<EncodedReply>) {
-        if self.delivered {
-            return;
-        }
-        self.delivered = true;
-        lock_recover(&self.inner.completions).push_back(Completion {
-            conn_id: self.conn_id,
-            result,
-        });
-        self.inner.waker.wake();
-    }
-}
-
-impl Drop for CompletionGuard {
-    fn drop(&mut self) {
-        self.deliver(None);
-    }
-}
-
 /// Shutdown machinery for the reactor core.
 pub(super) struct ReactorHandle {
     thread: Option<JoinHandle<()>>,
-    inner: Arc<ReactorInner>,
+    waker: Arc<Waker>,
 }
 
 impl ReactorHandle {
@@ -110,7 +63,7 @@ impl ReactorHandle {
     /// and wait for it to drain in-flight replies and exit.
     pub(super) fn shutdown(&mut self) {
         if let Some(thread) = self.thread.take() {
-            self.inner.waker.wake();
+            self.waker.wake();
             // lint:allow(blocking-in-reactor): shutdown runs on the caller's thread after the loop exits, never inside it
             let joined = thread.join();
             debug_assert!(joined.is_ok(), "reactor thread panicked");
@@ -123,25 +76,21 @@ impl ReactorHandle {
 pub(super) fn start(listener: TcpListener, shared: Arc<Shared>) -> io::Result<ReactorHandle> {
     listener.set_nonblocking(true)?;
     let mut poll = Poll::new()?;
-    let waker = Waker::new()?;
+    let waker = Arc::new(Waker::new()?);
     poll.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
     poll.register(waker.fd(), TOKEN_WAKER, Interest::READABLE)?;
-    let inner = Arc::new(ReactorInner {
-        waker,
-        completions: Mutex::new(VecDeque::new()),
-    });
     let thread = {
-        let inner = Arc::clone(&inner);
+        let waker = Arc::clone(&waker);
         std::thread::Builder::new()
             .name("authsearch-reactor".into())
             .spawn(move || {
-                let mut event_loop = EventLoop::new(poll, listener, shared, inner);
+                let mut event_loop = EventLoop::new(poll, listener, shared, waker);
                 event_loop.run();
             })?
     };
     Ok(ReactorHandle {
         thread: Some(thread),
-        inner,
+        waker,
     })
 }
 
@@ -165,7 +114,7 @@ struct EventLoop {
     /// `None` once shutdown begins (deregistered, then closed).
     listener: Option<TcpListener>,
     shared: Arc<Shared>,
-    inner: Arc<ReactorInner>,
+    waker: Arc<Waker>,
     conns: HashMap<u64, Slot>,
     next_id: u64,
     /// Connection deadlines, earliest first. An entry is live only
@@ -197,17 +146,12 @@ fn conn_env(shared: &Shared) -> ConnEnv<'_> {
 }
 
 impl EventLoop {
-    fn new(
-        poll: Poll,
-        listener: TcpListener,
-        shared: Arc<Shared>,
-        inner: Arc<ReactorInner>,
-    ) -> EventLoop {
+    fn new(poll: Poll, listener: TcpListener, shared: Arc<Shared>, waker: Arc<Waker>) -> EventLoop {
         EventLoop {
             poll,
             listener: Some(listener),
             shared,
-            inner,
+            waker,
             conns: HashMap::new(),
             next_id: FIRST_CONN_ID,
             timers: BinaryHeap::new(),
@@ -262,13 +206,10 @@ impl EventLoop {
                 }
             }
             if woken {
-                self.inner.waker.drain();
+                self.waker.drain();
             }
-            // Completions first: they turn Dispatched connections into
-            // Writing ones whose replies flush this same round.
-            self.drain_completions();
             for id in ready_conns.drain(..) {
-                self.conn_event(id);
+                self.pump(id);
             }
             if accept_ready {
                 self.accept_ready();
@@ -291,7 +232,7 @@ impl EventLoop {
 
     /// Stop accepting and close every connection that is not owed a
     /// reply: idle readers close at the next sweep; connections
-    /// mid-compute or mid-write finish and deliver first.
+    /// mid-write finish and deliver first.
     fn begin_shutdown(&mut self) {
         self.shutting_down = true;
         if let Some(listener) = self.listener.take() {
@@ -308,7 +249,7 @@ impl EventLoop {
         let doomed: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, slot)| !slot.conn.is_dispatched() && !slot.conn.is_writing())
+            .filter(|(_, slot)| !slot.conn.is_writing())
             .map(|(id, _)| *id)
             .collect();
         for id in doomed {
@@ -449,22 +390,10 @@ impl EventLoop {
         self.pump(id);
     }
 
-    /// Readiness (or error/hangup) for one connection.
-    fn conn_event(&mut self, id: u64) {
-        let Some(slot) = self.conns.get(&id) else {
-            return; // stale event for an id already closed
-        };
-        if slot.conn.is_dispatched() {
-            // Deliberately ignored: a request that reached the pool is
-            // answered and counted in `requests_ok` even when the peer
-            // has gone; the write after completion surfaces the hangup.
-            return;
-        }
-        self.pump(id);
-    }
-
-    /// Drive one connection's state machine as far as it will go
-    /// without blocking, then settle its registration and deadline.
+    /// Readiness (or error/hangup) for one connection: drive its state
+    /// machine as far as it will go without blocking, then settle its
+    /// registration and deadline. A stale id (already closed) is a
+    /// no-op.
     fn pump(&mut self, id: u64) {
         let shared = Arc::clone(&self.shared);
         let env = conn_env(&shared);
@@ -495,64 +424,24 @@ impl EventLoop {
                     Step::Close => return self.close_conn(id),
                     Step::Frame { .. } => break,
                 },
-                Want::None => break,
+                Want::None => return self.close_conn(id),
             }
         }
         self.settle(id, &env);
     }
 
-    /// A complete request frame: decode + validate on the loop, then
-    /// either dispatch to the pool or begin the coded error reply.
+    /// A complete request frame: decode and validate it, serve it to
+    /// completion right here, and begin its reply (or the coded error
+    /// reply) in the same pump.
     fn frame_ready(&mut self, id: u64, kind: u8, env: &ConnEnv<'_>) {
         let shared = Arc::clone(&self.shared);
         let Some(slot) = self.conns.get_mut(&id) else {
             return;
         };
-        match prepare_job(
-            kind,
-            slot.conn.request(),
-            &shared.engine,
-            shared.config.max_r,
-        ) {
-            Ok(job) => {
-                let mut buf = slot.conn.take_reply_buf();
-                slot.conn.begin_dispatch();
-                let engine = Arc::clone(&shared.engine);
-                let inner = Arc::clone(&self.inner);
-                shared.pool.submit(move || {
-                    let mut guard = CompletionGuard {
-                        inner,
-                        conn_id: id,
-                        delivered: false,
-                    };
-                    let result = execute_job(&engine, &job, &mut buf)
-                        .and_then(|reply_kind| wire::encode_frame_header(reply_kind, buf.len()))
-                        .map(|head| (head, std::mem::take(&mut buf)));
-                    guard.deliver(Some(result));
-                });
-            }
-            Err((code, message)) => {
-                slot.conn.begin_request_error(env, code, &message);
-            }
-        }
-    }
-
-    /// Apply queued pool completions and flush the replies they carry.
-    fn drain_completions(&mut self) {
-        loop {
-            let completion = lock_recover(&self.inner.completions).pop_front();
-            let Some(completion) = completion else {
-                return;
-            };
-            let shared = Arc::clone(&self.shared);
-            let env = conn_env(&shared);
-            let Some(slot) = self.conns.get_mut(&completion.conn_id) else {
-                continue; // connection closed at shutdown; drop the reply
-            };
-            match slot.conn.on_completion(&env, completion.result) {
-                Step::Close => self.close_conn(completion.conn_id),
-                _ => self.pump(completion.conn_id),
-            }
+        let engine = &shared.engine;
+        match prepare_job(kind, slot.conn.request(), engine, shared.config.max_r) {
+            Ok(job) => answer(&mut slot.conn, env, |body| execute_job(engine, &job, body)),
+            Err((code, message)) => slot.conn.begin_request_error(env, code, &message),
         }
     }
 
@@ -602,8 +491,8 @@ impl EventLoop {
         }
         // Arm only when nothing is armed or the deadline moved earlier.
         // A later deadline (a byte arrived, a reply flushed) or none at
-        // all (dispatched) keeps the armed entry, which finds nothing
-        // due when it fires; so steady serving pushes nothing per query.
+        // all keeps the armed entry, which finds nothing due when it
+        // fires; so steady serving pushes nothing per query.
         if let Some(deadline) = slot.conn.deadline(env) {
             if slot.armed_until.is_none_or(|armed| deadline < armed) {
                 self.timers.push(Reverse((deadline, id)));
@@ -627,11 +516,105 @@ impl EventLoop {
     }
 }
 
+/// Serve one query to completion on the loop thread and begin its
+/// reply on `conn`: `serve` encodes the reply payload into the
+/// connection's reply buffer and returns its frame kind. This is the
+/// panic boundary, because the loop is the only thread a panicking query
+/// can reach: the query is answered with an INTERNAL reply, and the
+/// connection and the loop serve on.
+fn answer(
+    conn: &mut Conn<TcpStream>,
+    env: &ConnEnv<'_>,
+    serve: impl FnOnce(&mut Vec<u8>) -> Result<u8, WireError>,
+) {
+    let body = conn.reply_buf();
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        serve(body).and_then(|kind| wire::encode_frame_header(kind, body.len()))
+    }));
+    conn.begin_reply(env, outcome.ok());
+}
+
 /// Map a state machine's [`Want`] onto a poll [`Interest`].
 fn want_interest(want: Want) -> Interest {
     match want {
         Want::Read => Interest::READABLE,
         Want::Write => Interest::WRITABLE,
         Want::None => Interest::NONE,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::{ServerMetrics, TransportStats};
+    use crate::server::tests::{read_reply, test_engine};
+    use crate::server::{DEFAULT_IDLE_DEADLINE, DEFAULT_WRITE_TIMEOUT};
+    use crate::vo::Mechanism;
+    use crate::wire::{Reply, Request};
+    use std::io::Write;
+
+    #[test]
+    fn a_panicking_query_gets_an_internal_reply_and_serving_goes_on() {
+        let (engine, _) = test_engine(Mechanism::TnraCmht);
+        let metrics = ServerMetrics::default();
+        let transport = TransportStats::default();
+        let env = ConnEnv {
+            metrics: &metrics,
+            transport: &transport,
+            idle_deadline: DEFAULT_IDLE_DEADLINE,
+            write_timeout: DEFAULT_WRITE_TIMEOUT,
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let accept = || {
+            let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            (Conn::new(stream, Instant::now()), peer)
+        };
+        let (mut a, mut peer_a) = accept();
+        let (mut b, mut peer_b) = accept();
+        let request = Request::Text {
+            text: "night keeper".into(),
+            r: 2,
+        }
+        .encode_frame()
+        .unwrap();
+        // One request from the peer, served through `answer`, flushed
+        // and read back; `panics` makes the query panic mid-encode.
+        let roundtrip = |conn: &mut Conn<TcpStream>, peer: &mut TcpStream, panics: bool| {
+            peer.write_all(&request).unwrap();
+            let Step::Frame { kind } = conn.on_readable(&env) else {
+                panic!("the request frame is buffered");
+            };
+            let job = prepare_job(kind, conn.request(), &engine, 16).unwrap();
+            answer(conn, &env, |body| {
+                body.extend_from_slice(b"partial");
+                assert!(!panics, "query failure");
+                execute_job(&engine, &job, body)
+            });
+            while conn.is_writing() {
+                assert_eq!(conn.on_writable(&env), Step::Idle);
+            }
+            read_reply(peer)
+        };
+
+        match roundtrip(&mut a, &mut peer_a, true) {
+            Reply::Err { code, message } => {
+                assert_eq!(code, wire::errcode::INTERNAL);
+                assert_eq!(message, super::super::WORKER_FAILED);
+            }
+            other => panic!("expected INTERNAL, got {other:?}"),
+        }
+        // The same connection serves its next request, and so does
+        // another one.
+        assert!(matches!(
+            roundtrip(&mut a, &mut peer_a, false),
+            Reply::Ok { .. }
+        ));
+        assert!(matches!(
+            roundtrip(&mut b, &mut peer_b, false),
+            Reply::Ok { .. }
+        ));
+        let snap = metrics.snapshot();
+        assert_eq!((snap.requests_ok, snap.requests_err), (2, 1));
     }
 }
