@@ -618,7 +618,7 @@ impl<S: ConnStream> Conn<S> {
                 self.hdr_filled = 0;
                 self.state = State::ReadingHeader;
                 // The next request may already be buffered
-                // (pipelining); the caller re-pumps reads.
+                // (pipelining); the loop reads it at its next poll.
                 Step::Idle
             }
             AfterWrite::Close => Step::Close,

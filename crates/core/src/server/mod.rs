@@ -33,7 +33,9 @@
 //!
 //! * **Run to completion on the loop**: a complete request is decoded,
 //!   served and its reply begun on the event-loop thread, one query at a
-//!   time, as the paper's engine answers one query at a time. Only a TRA
+//!   time, as the paper's engine answers one query at a time. Each
+//!   connection gets at most one query per poll round, so a peer that
+//!   pipelines without pause takes turns with the others. Only a TRA
 //!   reply's document proofs fan out, through [`crate::pool::map`]'s
 //!   scoped helpers ([`AuthConfig::threads`] wide); a `threads = 1`
 //!   deployment spawns no thread but the loop's.

@@ -20,7 +20,10 @@
 //! Every query runs to completion on the loop thread, the paper's
 //! sequential engine behind a socket: a complete request is decoded,
 //! served with [`super::execute_job`] and its reply begun in the same
-//! pump (`answer`, which is also the panic boundary). Only a TRA
+//! pump (`answer`, which is also the panic boundary). A pump serves at
+//! most one request, so connections take turns: a pipelining peer gets
+//! one query per poll round, and accepts, timers and the shutdown check
+//! run between rounds. Only a TRA
 //! reply's document proofs fan out, through [`crate::pool::map`]'s
 //! scoped helpers; at `threads = 1` nothing leaves the loop thread.
 
@@ -394,14 +397,24 @@ impl EventLoop {
     /// machine as far as it will go without blocking, then settle its
     /// registration and deadline. A stale id (already closed) is a
     /// no-op.
+    ///
+    /// At most one request is served per pump: once a frame is answered
+    /// and its reply flushed, the pump settles instead of reading the
+    /// next one, so a peer that pipelines without pause cannot hold the
+    /// loop from other connections, accepts, timers or shutdown.
+    /// Registration is level-triggered and `on_readable` never reads
+    /// past the current frame, so requests still queued in the socket
+    /// are reported again at the next poll.
     fn pump(&mut self, id: u64) {
         let shared = Arc::clone(&self.shared);
         let env = conn_env(&shared);
+        let mut served = false;
         loop {
             let Some(slot) = self.conns.get_mut(&id) else {
                 return;
             };
             match slot.conn.want() {
+                Want::Read if served => break,
                 Want::Read => match slot.conn.on_readable(&env) {
                     Step::Idle => {
                         if matches!(slot.conn.want(), Want::Read) {
@@ -411,15 +424,19 @@ impl EventLoop {
                         // keep pumping to flush it.
                     }
                     Step::Close => return self.close_conn(id),
-                    Step::Frame { kind } => self.frame_ready(id, kind, &env),
+                    Step::Frame { kind } => {
+                        self.frame_ready(id, kind, &env);
+                        served = true;
+                    }
                 },
                 Want::Write => match slot.conn.on_writable(&env) {
                     Step::Idle => {
                         if slot.conn.is_writing() {
                             break; // socket full; wait for writable
                         }
-                        // Flushed into a new state; keep pumping (the
-                        // next pipelined request may be buffered).
+                        // Flushed into a new state: a closed connection
+                        // is dropped, a shed drains, and a served one
+                        // waits for the next poll.
                     }
                     Step::Close => return self.close_conn(id),
                     Step::Frame { .. } => break,
@@ -548,10 +565,12 @@ mod tests {
     use super::*;
     use crate::metrics::{ServerMetrics, TransportStats};
     use crate::server::tests::{read_reply, test_engine};
-    use crate::server::{DEFAULT_IDLE_DEADLINE, DEFAULT_WRITE_TIMEOUT};
+    use crate::server::{Server, ServerConfig, DEFAULT_IDLE_DEADLINE, DEFAULT_WRITE_TIMEOUT};
     use crate::vo::Mechanism;
     use crate::wire::{Reply, Request};
-    use std::io::Write;
+    use std::io::{Read, Write};
+    use std::net::Shutdown;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     #[test]
     fn a_panicking_query_gets_an_internal_reply_and_serving_goes_on() {
@@ -616,5 +635,85 @@ mod tests {
         ));
         let snap = metrics.snapshot();
         assert_eq!((snap.requests_ok, snap.requests_err), (2, 1));
+    }
+
+    #[test]
+    fn a_pipelining_peer_cannot_starve_other_connections() {
+        let (engine, _) = test_engine(Mechanism::TnraCmht);
+        let config = ServerConfig {
+            idle_deadline: Duration::from_millis(300),
+            ..ServerConfig::default()
+        };
+        let handle = Server::start(engine, "127.0.0.1:0", config).unwrap();
+        let request = Request::Text {
+            text: "night keeper".into(),
+            r: 2,
+        }
+        .encode_frame()
+        .unwrap();
+        // Peer A writes requests 64 at a time without pause and drains
+        // its replies, so a request is always queued behind the one
+        // being served.
+        let flooder = TcpStream::connect(handle.addr()).unwrap();
+        let (stop, replied) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicU64::new(0)),
+        );
+        let writer = {
+            let (mut stream, stop) = (flooder.try_clone().unwrap(), Arc::clone(&stop));
+            let batch = request.repeat(64);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) && stream.write_all(&batch).is_ok() {}
+            })
+        };
+        let reader = {
+            let (mut stream, replied) = (flooder.try_clone().unwrap(), Arc::clone(&replied));
+            std::thread::spawn(move || {
+                let mut buf = [0u8; 1 << 16];
+                while let Ok(n @ 1..) = stream.read(&mut buf) {
+                    replied.fetch_add(n as u64, Ordering::Relaxed);
+                }
+            })
+        };
+        let flood_began = Instant::now();
+        while replied.load(Ordering::Relaxed) == 0 && flood_began.elapsed() < Duration::from_secs(5)
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // Under the flood, peer B's one request is answered and silent
+        // peer C is evicted, each within the 5 s read timeout. Neither
+        // check panics before the flood stops, so a starved loop fails
+        // the test instead of hanging it.
+        let mut silent = TcpStream::connect(handle.addr()).unwrap();
+        let mut single = TcpStream::connect(handle.addr()).unwrap();
+        for stream in [&silent, &single] {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+        }
+        single.write_all(&request).unwrap();
+        let head = |stream: &mut TcpStream| {
+            let mut header = [0u8; wire::FRAME_HEADER_LEN];
+            stream.read_exact(&mut header)?;
+            Ok::<_, io::Error>(wire::decode_frame_header(&header).map(|(kind, _)| kind))
+        };
+        let answered = head(&mut single);
+        let evicted = head(&mut silent);
+        stop.store(true, Ordering::Relaxed);
+        flooder.shutdown(Shutdown::Both).unwrap();
+        writer.join().unwrap();
+        reader.join().unwrap();
+
+        assert!(replied.load(Ordering::Relaxed) > 0, "the flood was served");
+        let answered = answered.expect("B's request is answered during the flood");
+        assert_eq!(answered, Ok(wire::kind::REPLY_OK));
+        let evicted = evicted.expect("C is evicted during the flood");
+        assert_eq!(
+            evicted,
+            Ok(wire::kind::REPLY_ERR),
+            "C gets the TIMEOUT frame"
+        );
+        handle.shutdown();
     }
 }

@@ -48,7 +48,6 @@ use crate::vo::{DocLeaf, DocVo, TermVo, VerificationObject};
 use authsearch_corpus::DocId;
 use authsearch_crypto::{reconstruct_root, Digest};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
 
 /// Authenticated frequencies of the proved documents, in VO order: proof
 /// `k`'s weight for query term `i` at `weights[k * q + i]`, `None` when
@@ -85,9 +84,7 @@ impl ResolvedFreqs {
 /// The per-document check ([`resolve_one`]) is a pure function of one
 /// proof, so it runs over chunks of [`DOCS_PER_THREAD`] proofs through
 /// [`pool::map`] at `width` threads, each chunk with its own scratch
-/// buffer. The weight array (`docs × q`) and the table leaves are
-/// allocated once and filled in place: each chunk owns its disjoint run
-/// of both, behind a lock that only its own thread takes. The checks that span
+/// buffer and its own run of the weight array. The checks that span
 /// documents — a doc id proved twice, or outside the table — then run in
 /// VO order, and the first error in that order is returned. The verdict
 /// is therefore the sequential loop's at every width.
@@ -107,35 +104,25 @@ pub(super) fn resolve_doc_proofs(
     contents.retain(|d, _| result_docs.contains(d));
 
     // The VO's terms are the query's (`check_query_shape`).
-    let (terms, docs) = (&response.vo.terms, &response.vo.docs);
-    let q = terms.len();
-    let mut weights = vec![None; docs.len() * q];
-    let mut leaves = vec![Ok(Digest::ZERO); docs.len()];
-    let mut runs = Vec::new();
-    let (mut weights_rest, mut leaves_rest) = (weights.as_mut_slice(), leaves.as_mut_slice());
-    for chunk in docs.chunks(DOCS_PER_THREAD) {
-        let (w, w_rest) = std::mem::take(&mut weights_rest).split_at_mut(chunk.len() * q);
-        let (l, l_rest) = std::mem::take(&mut leaves_rest).split_at_mut(chunk.len());
-        runs.push(Mutex::new((chunk, w, l)));
-        (weights_rest, leaves_rest) = (w_rest, l_rest);
-    }
-    pool::map(width, runs.len(), |c| {
-        let Some(run) = runs.get(c) else { return };
-        let mut run = run.lock().unwrap_or_else(PoisonError::into_inner);
-        let (chunk, rows, leaves) = &mut *run;
-        let mut rows: &mut [Option<f32>] = rows;
+    let terms = &response.vo.terms;
+    let docs = &response.vo.docs;
+    let chunks = docs.len().div_ceil(DOCS_PER_THREAD);
+    let (weights, leaves): (Vec<_>, Vec<_>) = pool::map(width, chunks, |c| {
         // One `(position, leaf digest)` buffer serves the chunk's MHTs.
         let mut revealed = Vec::new();
-        for (dv, leaf) in chunk.iter().zip(leaves.iter_mut()) {
-            let (row, rest) = std::mem::take(&mut rows).split_at_mut(q);
-            rows = rest;
-            *leaf = resolve_one(terms, dv, &contents, &mut revealed, row);
-        }
-    });
+        let chunk: &[DocVo] = docs.chunks(DOCS_PER_THREAD).nth(c).unwrap_or_default();
+        let mut weights = Vec::with_capacity(chunk.len() * terms.len());
+        let leaves: Vec<_> = (chunk.iter())
+            .map(|dv| resolve_one(terms, dv, &contents, &mut revealed, &mut weights))
+            .collect();
+        (weights, leaves)
+    })
+    .into_iter()
+    .unzip();
 
     let mut index = DocIdMap::with_capacity_and_hasher(docs.len(), Default::default());
     let mut table_leaves = Vec::with_capacity(docs.len());
-    for ((k, dv), one) in (0..).zip(docs).zip(leaves) {
+    for ((k, dv), one) in (0..).zip(docs).zip(leaves.into_iter().flatten()) {
         if index.contains_key(&dv.doc) {
             return Err(VerifyError::MalformedProof(format!(
                 "duplicate document proof for {}",
@@ -152,6 +139,7 @@ pub(super) fn resolve_doc_proofs(
         index.insert(dv.doc, k);
     }
     let root = doc_table_root(params, &response.vo, table_leaves)?;
+    let (q, weights) = (terms.len(), weights.concat());
     Ok((ResolvedFreqs { q, weights, index }, root))
 }
 
@@ -188,20 +176,20 @@ fn doc_table_root(
 
 /// Authenticate one document proof *structurally* — reconstruct the
 /// document-MHT root and resolve the weight of each query term of
-/// `terms`, keyed by the `f_t` its dictionary leaf binds, into its slot
+/// `terms`, keyed by the `f_t` its dictionary leaf binds, onto the end
 /// of `weights` — and return the document's document-table leaf, which
 /// binds the digest of its content in `results` if it is a result
 /// document; the caller folds the leaves into the table root with the
 /// table's multi-proof. `pairs` is scratch space for the revealed
 /// leaves, reused across documents. A pure function of its inputs but
-/// for the weights it writes (one per term, and only on success), so
+/// for the weights it appends (one per term, and only on success), so
 /// proofs can be checked in any order, on any thread.
 fn resolve_one(
     terms: &[TermVo],
     dv: &DocVo,
     results: &BTreeMap<DocId, &[u8]>,
     pairs: &mut Vec<(usize, Digest)>,
-    weights: &mut [Option<f32>],
+    weights: &mut Vec<Option<f32>>,
 ) -> Result<Digest, VerifyError> {
     let n = dv.num_leaves as usize;
 
@@ -253,7 +241,7 @@ fn resolve_one(
 
     // Resolve each query term: present (revealed leaf), provably absent
     // (bounding leaves), or unproven.
-    for (slot, k) in weights.iter_mut().zip(terms.iter().map(TermVo::leaf_key)) {
+    for k in terms.iter().map(TermVo::leaf_key) {
         let w = match dv.revealed.binary_search_by_key(&k, DocLeaf::key) {
             Ok(i) => dv.revealed.get(i).map(|l| l.weight),
             Err(i) => {
@@ -273,7 +261,7 @@ fn resolve_one(
                 absent.then_some(0.0)
             }
         };
-        *slot = w;
+        weights.push(w);
     }
     Ok(leaf)
 }
