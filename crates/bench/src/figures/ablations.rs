@@ -75,7 +75,10 @@ fn buddy(wb: &mut Workbench, queries: &[Vec<TermId>]) {
         "paper (§3.3.2): leaves are smaller than digests, so buddy inclusion \
          ships a revealed leaf's whole group of 2^g leaves in place of the \
          group's digests: more data bytes, fewer digest bytes, a smaller VO. \
-         'on' is the paper's configuration",
+         'on' is the paper's configuration. A revealed document-MHT leaf is \
+         priced at 8 B against a 16 B digest (it encodes in ~7.4 B: a \
+         gap-and-class varint, a term-id varint and the weight), so TRA \
+         groups of 4",
     );
     t.print();
 }

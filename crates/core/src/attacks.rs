@@ -14,7 +14,7 @@ use crate::types::{ProcessingOutcome, Query, ResultEntry};
 use crate::vo::{DocLeaf, Mechanism, PrefixData, TermProof, TermVo};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::merkle::prove_with;
-use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof};
+use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof, DIGEST_LEN};
 use authsearch_index::{ImpactEntry, InvertedIndex, InvertedList};
 
 /// The catalogue of simulated attacks.
@@ -821,7 +821,7 @@ pub fn truncated_prefix_response<C: crate::auth::ContentProvider>(
     // otherwise round the prefix back up and (correctly!) keep the VO
     // sufficient. Bail when every prefix is too short to truncate.
     let pad = if auth.config().buddy {
-        crate::buddy::buddy_group_size(auth.config().term_leaf_bytes(), 16)
+        crate::buddy::buddy_group_size(auth.config().term_leaf_bytes(), DIGEST_LEN)
     } else {
         1
     };

@@ -20,7 +20,7 @@
 use super::cache::TermStructure;
 use super::{term_leaf, AuthenticatedIndex, ContentProvider};
 use crate::access::{IndexLists, TableFreqs};
-use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix};
+use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix, DOC_LEAF_PRICE};
 use crate::types::{ProcessingOutcome, Query, QueryError, QueryMode, QueryResult};
 use crate::vo::{
     DictVo, DocLeaf, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject,
@@ -28,7 +28,7 @@ use crate::vo::{
 use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::merkle::prove_from_interior;
-use authsearch_crypto::MerkleProof;
+use authsearch_crypto::{MerkleProof, DIGEST_LEN};
 use authsearch_index::{ImpactEntry, InvertedList, IoStats};
 use std::convert::Infallible;
 
@@ -292,7 +292,7 @@ impl AuthenticatedIndex {
         if k == 0 || !config.buddy {
             return k;
         }
-        let group = buddy_group_size(config.term_leaf_bytes(), 16);
+        let group = buddy_group_size(config.term_leaf_bytes(), DIGEST_LEN);
         match &self.cache.terms[term as usize] {
             TermStructure::Cmht(_) => {
                 let cap = config.chain_capacity();
@@ -385,7 +385,7 @@ impl AuthenticatedIndex {
         required.sort_unstable();
         required.dedup();
         if self.config.buddy {
-            expand_buddies(&required, n, buddy_group_size(8, 16))
+            expand_buddies(&required, n, buddy_group_size(DOC_LEAF_PRICE, DIGEST_LEN))
         } else {
             required
         }

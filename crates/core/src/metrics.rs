@@ -215,7 +215,7 @@ pub fn measure<C: ContentProvider>(
         .map_err(VerifyError::MalformedQuery)?;
 
     let t1 = Instant::now();
-    let verified = verify::verify(params, query, r, &response)?;
+    verify::verify(params, query, r, &response)?;
     let verify_time = t1.elapsed();
 
     let list_lens = query
@@ -229,7 +229,7 @@ pub fn measure<C: ContentProvider>(
         list_lens,
         io: response.io,
         io_secs: disk.service_time(response.io),
-        vo_size: verified.vo_size,
+        vo_size: response.vo.size(),
         signatures: response.vo.signature_count(),
         paper_signatures: response.vo.paper_signature_count(),
         verify_time,

@@ -35,7 +35,7 @@ use crate::access::{AccessError, FreqAccess, ListAccess};
 use crate::auth::serve::QueryResponse;
 use crate::auth::{dict_leaf_digest, publication_message, NO_DOC_TABLE_ROOT};
 use crate::types::{DocIdMap, Query, QueryError, QueryMode, QueryResult};
-use crate::vo::{DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject, VoSize};
+use crate::vo::{DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject};
 use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::{reconstruct_head, reconstruct_root, Digest, RsaPublicKey};
@@ -173,8 +173,6 @@ pub struct VerifiedResult {
     /// The result recomputed from the authenticated inputs, which the
     /// reported one matched: it satisfies the correctness criteria.
     pub result: QueryResult,
-    /// Size breakdown of the VO that was checked.
-    pub vo_size: VoSize,
 }
 
 /// Public parameters the verifier needs (distributed by the data owner
@@ -259,10 +257,7 @@ pub fn verify(
     // met, in the order it met them.
     check_proof_order(&response.vo.docs, &met)?;
 
-    Ok(VerifiedResult {
-        result: expected,
-        vo_size: response.vo.size(),
-    })
+    Ok(VerifiedResult { result: expected })
 }
 
 /// What [`authenticate`] vouches for: per query term, in query order,

@@ -4,7 +4,18 @@
 
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof, DIGEST_LEN};
+use authsearch_index::codec::varint_len;
 use authsearch_index::ImpactEntry;
+
+/// Encoded bytes of a `u32` varint: an id, `f_t` or leaf count.
+fn varint32_len(v: u32) -> usize {
+    varint_len(v.into())
+}
+
+/// Encoded bytes of a count's varint.
+fn count_len(n: usize) -> usize {
+    varint_len(n as u64)
+}
 
 /// The four authentication mechanisms evaluated in the paper (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,10 +81,11 @@ impl Mechanism {
 /// The authenticated prefix of one query term's inverted list.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PrefixData {
-    /// TRA lists: document identifiers only (4 bytes each); their
+    /// TRA lists: document identifiers only (a varint each); their
     /// frequencies travel in the document-MHTs.
     DocIds(Vec<DocId>),
-    /// TNRA lists: full `⟨d, f⟩` impact entries (8 bytes each).
+    /// TNRA lists: full `⟨d, f⟩` impact entries (a varint doc id and a
+    /// 4-byte weight each).
     Entries(Vec<ImpactEntry>),
 }
 
@@ -91,11 +103,11 @@ impl PrefixData {
         self.len() == 0
     }
 
-    /// VO bytes of the prefix data.
+    /// VO bytes of the prefix data, as encoded.
     pub(crate) fn data_bytes(&self) -> usize {
         match self {
-            PrefixData::DocIds(v) => v.len() * 4,
-            PrefixData::Entries(v) => v.len() * ImpactEntry::BYTES,
+            PrefixData::DocIds(v) => v.iter().map(|&d| varint32_len(d)).sum(),
+            PrefixData::Entries(v) => v.iter().map(|e| varint32_len(e.doc) + 4).sum(),
         }
     }
 }
@@ -224,7 +236,6 @@ pub struct DictVo {
 
 /// The complete verification object for one query result.
 #[derive(Debug, Clone, PartialEq)]
-// lint:allow(unused-pub): reached only through `QueryResponse::vo` and `wire::encode`/`decode`
 pub struct VerificationObject {
     /// Which mechanism produced this VO.
     pub mechanism: Mechanism,
@@ -243,19 +254,28 @@ pub struct VerificationObject {
 
 /// Byte breakdown of a VO — the paper's Table 2 splits VOs into data
 /// (leaf) bytes and digest bytes; signatures are reported separately.
+/// Every field is charged at its encoded width (`crate::wire`), so a
+/// VO's encoding is exactly [`VoSize::total`] plus [`VoSize::framing`]
+/// bytes long.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VoSize {
-    /// Leaf/data bytes: prefix entries, revealed document-MHT leaves,
-    /// and fixed per-item headers.
+    /// Leaf/data bytes: term ids and `f_t`, prefix entries, document
+    /// ids and leaf counts, revealed document-MHT leaves and the
+    /// dictionary size.
     pub data: usize,
     /// Digest bytes (16 per digest, including content digests).
     pub digest: usize,
     /// Signature bytes.
     pub signature: usize,
+    /// The rest of the encoding, which no table of the paper counts:
+    /// the magic, the mechanism, tags, content flags and every list,
+    /// digest and signature-length count.
+    pub framing: usize,
 }
 
 impl VoSize {
-    /// Total VO size in bytes.
+    /// VO size in bytes as the paper counts it: data, digests and
+    /// signatures, without [`VoSize::framing`].
     pub fn total(&self) -> usize {
         self.data + self.digest + self.signature
     }
@@ -268,6 +288,7 @@ impl std::ops::Add for VoSize {
             data: self.data + rhs.data,
             digest: self.digest + rhs.digest,
             signature: self.signature + rhs.signature,
+            framing: self.framing + rhs.framing,
         }
     }
 }
@@ -285,29 +306,52 @@ impl VerificationObject {
         self.terms.len() + self.docs.len()
     }
 
-    /// Compute the byte breakdown.
+    /// Compute the byte breakdown of the VO's encoding.
     pub fn size(&self) -> VoSize {
-        let mut s = VoSize::default();
+        // Magic, mechanism, and the term and document counts.
+        let mut s = VoSize {
+            framing: crate::wire::MAGIC.len()
+                + 1
+                + count_len(self.terms.len())
+                + count_len(self.docs.len()),
+            ..VoSize::default()
+        };
         for t in &self.terms {
-            s.data += 8; // term id + f_t header
+            s.data += varint32_len(t.term) + varint32_len(t.ft);
             s.data += t.prefix.data_bytes();
-            s.digest += t.proof.num_digests() * DIGEST_LEN;
+            let digests = t.proof.num_digests();
+            // Prefix and proof tags, and their counts.
+            s.framing += 2 + count_len(t.prefix.len()) + count_len(digests);
+            s.digest += digests * DIGEST_LEN;
         }
         for d in &self.docs {
-            s.data += 8; // doc id + leaf count header
-            s.data += d.revealed.len() * 8; // ⟨t, w⟩ leaves; c_t rides with the position
+            s.data += varint32_len(d.doc) + varint32_len(d.num_leaves);
+            let mut next = 0;
+            for leaf in &d.revealed {
+                // A leaf out of order does not encode; charge it a gap
+                // of zero.
+                let packed = crate::wire::packed_leaf(next, leaf.pos, leaf.class)
+                    .unwrap_or(leaf.class.into());
+                s.data += varint_len(packed) + varint32_len(leaf.term) + 4;
+                next = u64::from(leaf.pos) + 1;
+            }
+            // Revealed and digest counts, and the content flag.
+            s.framing += count_len(d.revealed.len()) + count_len(d.proof.digests.len()) + 1;
             s.digest += d.proof.digests.len() * DIGEST_LEN;
             if d.content_digest.is_some() {
                 s.digest += DIGEST_LEN;
             }
         }
         if let Some(dict) = &self.dict {
-            s.data += 4;
+            s.data += varint32_len(dict.num_terms);
+            s.framing += count_len(dict.proof.digests.len());
             s.digest += dict.proof.digests.len() * DIGEST_LEN;
         }
         if let Some(table) = &self.doc_table {
+            s.framing += count_len(table.proof.digests.len());
             s.digest += table.proof.digests.len() * DIGEST_LEN;
         }
+        s.framing += count_len(self.signature.len());
         s.signature += self.signature.len();
         s
     }
@@ -328,12 +372,14 @@ mod tests {
 
     #[test]
     fn prefix_data_bytes() {
-        assert_eq!(PrefixData::DocIds(vec![1, 2, 3]).data_bytes(), 12);
+        // A varint doc id each, and a 4-byte weight per impact entry.
+        assert_eq!(PrefixData::DocIds(vec![1, 2, 3]).data_bytes(), 3);
+        assert_eq!(PrefixData::DocIds(vec![127, 128, 1 << 14]).data_bytes(), 6);
         let entries = vec![ImpactEntry {
             doc: 1,
             weight: 0.5,
         }];
-        assert_eq!(PrefixData::Entries(entries).data_bytes(), 8);
+        assert_eq!(PrefixData::Entries(entries).data_bytes(), 5);
     }
 
     #[test]
@@ -369,10 +415,16 @@ mod tests {
             signature: vec![0u8; 128],
         };
         let s = vo.size();
-        assert_eq!(s.data, 8 + 16 + 4);
+        // Term id and f_t, two entries of a 1-byte doc id and a weight,
+        // and the dictionary size: one varint byte each.
+        assert_eq!(s.data, 2 + 2 * 5 + 1);
         assert_eq!(s.digest, 48 + 64);
         assert_eq!(s.signature, 128);
-        assert_eq!(s.total(), 8 + 16 + 4 + 48 + 64 + 128);
+        assert_eq!(s.total(), 13 + 48 + 64 + 128);
+        // Magic, mechanism and the two top-level counts; two tags and
+        // two counts for the term; the dictionary's digest count; and
+        // the signature length, 128, in two bytes.
+        assert_eq!(s.framing, (4 + 1 + 2) + 4 + 1 + 2);
         assert_eq!((vo.signature_count(), vo.paper_signature_count()), (1, 1));
     }
 
@@ -400,7 +452,8 @@ mod tests {
             signature: vec![0u8; 128],
         };
         let s = vo.size();
-        assert_eq!((s.data, s.digest, s.signature), (16, 5 * DIGEST_LEN, 128));
+        // A 1-byte doc id and leaf count per document.
+        assert_eq!((s.data, s.digest, s.signature), (4, 5 * DIGEST_LEN, 128));
         assert_eq!(vo.signature_count(), 1);
         assert_eq!(vo.paper_signature_count(), 2);
     }

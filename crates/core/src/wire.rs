@@ -1,11 +1,40 @@
 //! Wire serialization: verification objects, and the framed
 //! request/reply protocol of the network server.
 //!
-//! The VO travels from the search engine to the user; this module defines
-//! its byte encoding (little-endian, length-prefixed) so transmission
-//! sizes are concrete rather than estimated. The encoding is
-//! deliberately plain — every field the size model of [`crate::vo`]
-//! charges appears exactly once.
+//! The VO travels from the search engine to the user, who pays for
+//! every byte of it (the paper's Table 2 and Figures 13–15(d)), so its
+//! encoding carries what the proof needs and little else. Ids, `f_t`,
+//! leaf counts and every count are LEB128 varints
+//! (`authsearch_index::codec`, minimal form only, so each VO has exactly
+//! one encoding); weights keep their 4 bytes of `f32` bits and digests
+//! their 16. The size model of [`crate::vo`] charges each field at this
+//! width: an encoding is `VoSize::total() + VoSize::framing` bytes.
+//!
+//! ## VO layout
+//!
+//! `v` is a varint; `v16` a varint the layout caps at `u16::MAX`.
+//!
+//! ```text
+//! "AVO1" (4) | mechanism u8 | n_terms v16 | terms | n_docs v | docs
+//!   | dict: m v, n v16, n × digest
+//!   | TRA only: document table: n v, n × digest
+//!   | signature: len v16, bytes
+//! term:  t v | f_t v | prefix | proof
+//!   prefix: 0 u8, n v, n × (d v)               TRA: doc ids
+//!         | 1 u8, n v, n × (d v, w f32)        TNRA: impact entries
+//!   proof:  0 u8 (MHT) | 1 u8 (chain-MHT tail), n v16, n × digest
+//! doc:   d v | num_leaves v | n v | n × leaf | n v16, n × digest
+//!   | 0 u8 | 1 u8, h(doc) digest
+//! leaf:  (gap << 6 | c_t) v | t v | w f32
+//! ```
+//!
+//! A revealed leaf's `gap` is its position minus the previous leaf's
+//! position minus one (the first leaf's is its position), so positions
+//! ascend strictly by construction, and its six low bits carry its
+//! frequency class `c_t` in `1..=32`. Decoding refuses a gap that runs
+//! past `num_leaves` (computed in `u64`, so a forged gap cannot wrap), a
+//! class outside `1..=32`, a value too large for its field, and a count
+//! the remaining bytes could not hold, before allocating for it.
 //!
 //! ## Frame protocol
 //!
@@ -31,7 +60,8 @@
 //! at the header.
 //! Every field goes through `authsearch_index::codec`, the one bounded
 //! reader and writer the snapshot uses too; a reply's VO is written in
-//! place behind a back-patched length.
+//! place behind a back-patched length. Frame fields outside the VO are
+//! fixed-width and little-endian.
 
 use crate::auth::serve::QueryResponse;
 use crate::types::{QueryMode, QueryResult, ResultEntry};
@@ -44,7 +74,7 @@ use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof};
 use authsearch_index::codec::{self, CodecError, Reader, Writer};
 use authsearch_index::{ImpactEntry, IoStats};
 
-const MAGIC: &[u8; 4] = b"AVO1";
+pub(crate) const MAGIC: &[u8; 4] = b"AVO1";
 
 /// Wire-format error: a malformed transmission on decode, or a VO whose
 /// collections exceed what their length prefixes can represent on
@@ -97,79 +127,107 @@ fn err(what: &str) -> WireError {
 
 // ---- verification objects ---------------------------------------------------
 
-/// Serialize a VO to bytes.
+/// Serialize a VO to bytes, in the layout of the module doc.
 ///
-/// Fails with [`WireError::TooLong`] when a collection exceeds its
-/// length prefix (e.g. ≥ 2¹⁶ term proofs or proof digests) — the VO is
-/// simply not representable in this format, and truncating it would
-/// produce an unverifiable transmission.
-///
-/// Every VO carries a dictionary block: `m`, then the multi-proof. The
-/// document-table proof follows it, written for TRA VOs only (so TNRA
-/// encodings carry no byte for it): a 32-bit digest count and the
-/// digests. The one manifest signature closes the VO. [`TermVo`]'s
-/// per-list signature is never written.
+/// Fails with [`WireError::TooLong`] when a collection exceeds what the
+/// layout carries (≥ 2¹⁶ term proofs, proof digests or signature bytes)
+/// — truncating it would produce an unverifiable transmission — and
+/// with [`WireError::Malformed`] on a VO the layout cannot carry: one
+/// without a dictionary proof, a document table on the wrong mechanism,
+/// or revealed document leaves out of position order, past the leaf
+/// count, or of a class outside `1..=32`. [`TermVo`]'s per-list
+/// signature is never written.
 pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
     let mut buf = Vec::new();
     write_vo(&mut Writer(&mut buf), vo)?;
     Ok(buf)
 }
 
+/// A count the layout caps at `u16::MAX`, as a varint.
+fn count16(w: &mut Writer<'_>, n: usize, field: &'static str) -> Result<(), WireError> {
+    let v = u16::try_from(n).map_err(|_| WireError::TooLong {
+        field,
+        len: n,
+        max: u16::MAX.into(),
+    })?;
+    w.varint(v.into());
+    Ok(())
+}
+
+/// An uncapped count, as a varint.
+fn count(w: &mut Writer<'_>, n: usize) {
+    w.varint(n as u64);
+}
+
+/// Bits of a revealed leaf's packed field that carry its `c_t`; the
+/// bits above carry the gap from the previous leaf's position.
+const CLASS_BITS: u32 = 6;
+
+/// The packed field of a revealed leaf at `pos` of class `class`, after
+/// leaves up to position `next − 1`: `(pos − next) << 6 | c_t`. `None`
+/// for a leaf that does not come after `next`.
+pub(crate) fn packed_leaf(next: u64, pos: u32, class: u8) -> Option<u64> {
+    let gap = u64::from(pos).checked_sub(next)?;
+    Some(gap << CLASS_BITS | u64::from(class))
+}
+
 fn write_vo(w: &mut Writer<'_>, vo: &VerificationObject) -> Result<(), WireError> {
     w.bytes(MAGIC);
     w.u8(vo.mechanism.code());
-    w.len16(vo.terms.len(), "term proofs")?;
+    count16(w, vo.terms.len(), "term proofs")?;
     for tv in &vo.terms {
-        w.u32(tv.term);
-        w.u32(tv.ft);
+        w.varint(tv.term.into());
+        w.varint(tv.ft.into());
         match &tv.prefix {
             PrefixData::DocIds(ids) => {
                 w.u8(0);
-                w.len32(ids.len(), "doc-id prefix")?;
+                count(w, ids.len());
                 for &d in ids {
-                    w.u32(d);
+                    w.varint(d.into());
                 }
             }
             PrefixData::Entries(entries) => {
                 w.u8(1);
-                w.len32(entries.len(), "impact-entry prefix")?;
+                count(w, entries.len());
                 for e in entries {
-                    w.bytes(&e.encode());
+                    w.varint(e.doc.into());
+                    w.u32(e.weight.to_bits());
                 }
             }
         }
-        match &tv.proof {
+        let digests = match &tv.proof {
             TermProof::Mht(p) => {
                 w.u8(0);
-                w.digests16(&p.digests, "term proof digests")?;
+                &p.digests
             }
             TermProof::Cmht(p) => {
                 w.u8(1);
-                w.digests16(&p.tail.digests, "chain proof digests")?;
+                &p.tail.digests
             }
-        }
+        };
+        write_digests16(w, digests, "term proof digests")?;
     }
-    w.len32(vo.docs.len(), "document proofs")?;
+    count(w, vo.docs.len());
     for dv in &vo.docs {
-        w.u32(dv.doc);
-        if dv.num_leaves >= MAX_DOC_LEAVES {
-            return Err(WireError::TooLong {
-                field: "document-MHT leaves",
-                len: dv.num_leaves as usize,
-                max: MAX_DOC_LEAVES as usize - 1,
-            });
-        }
-        w.u32(dv.num_leaves);
-        w.len32(dv.revealed.len(), "revealed leaves")?;
+        w.varint(dv.doc.into());
+        w.varint(dv.num_leaves.into());
+        count(w, dv.revealed.len());
+        let mut next = 0;
         for leaf in &dv.revealed {
-            if leaf.pos >= MAX_DOC_LEAVES || u32::from(leaf.class) >= 1 << CLASS_BITS {
-                return Err(err("revealed leaf position or class outside its field"));
+            if !LEAF_CLASSES.contains(&leaf.class) {
+                return Err(err("revealed leaf of a class outside 1..=32"));
             }
-            w.u32(leaf.pos | u32::from(leaf.class) << POS_BITS);
-            w.u32(leaf.term);
+            let packed = packed_leaf(next, leaf.pos, leaf.class)
+                .filter(|_| leaf.pos < dv.num_leaves)
+                .ok_or_else(|| {
+                    err("revealed leaves out of position order or past the leaf count")
+                })?;
+            w.varint(packed);
+            w.varint(leaf.term.into());
             w.u32(leaf.weight.to_bits());
+            next = u64::from(leaf.pos) + 1;
         }
-        w.digests16(&dv.proof.digests, "document proof digests")?;
+        write_digests16(w, &dv.proof.digests, "document proof digests")?;
         match &dv.content_digest {
             Some(d) => {
                 w.u8(1);
@@ -182,11 +240,11 @@ fn write_vo(w: &mut Writer<'_>, vo: &VerificationObject) -> Result<(), WireError
         .dict
         .as_ref()
         .ok_or_else(|| err("every VO carries a dictionary proof"))?;
-    w.u32(dict.num_terms);
-    w.digests16(&dict.proof.digests, "dictionary proof digests")?;
+    w.varint(dict.num_terms.into());
+    write_digests16(w, &dict.proof.digests, "dictionary proof digests")?;
     match (&vo.doc_table, vo.mechanism.is_tra()) {
         (Some(table), true) => {
-            w.len32(table.proof.digests.len(), "document-table proof digests")?;
+            count(w, table.proof.digests.len());
             w.digests(&table.proof.digests);
         }
         (None, false) => {}
@@ -196,30 +254,48 @@ fn write_vo(w: &mut Writer<'_>, vo: &VerificationObject) -> Result<(), WireError
             ))
         }
     }
-    w.bytes16(&vo.signature, "manifest signature")?;
+    count16(w, vo.signature.len(), "manifest signature")?;
+    w.bytes(&vo.signature);
     Ok(())
 }
 
-/// Bits of a revealed document leaf's position field that carry the
-/// position; the top [`CLASS_BITS`] carry its `c_t`, so the class costs
-/// no wire byte.
-const POS_BITS: u32 = 26;
-/// Bits of the position field that carry `c_t` (at most 32).
-const CLASS_BITS: u32 = u32::BITS - POS_BITS;
-/// Document-MHTs of this many leaves or more do not fit the packed
-/// position field: encoding refuses them, and decoding rejects a VO
-/// that claims one.
-pub(crate) const MAX_DOC_LEAVES: u32 = 1 << POS_BITS;
+/// A capped digest count, then the digests.
+fn write_digests16(
+    w: &mut Writer<'_>,
+    digests: &[Digest],
+    field: &'static str,
+) -> Result<(), WireError> {
+    count16(w, digests.len(), field)?;
+    w.digests(digests);
+    Ok(())
+}
+
+/// The frequency classes `c_t` of a term in at least one document:
+/// `freq_class` of an `f_t` of at least 1.
+const LEAF_CLASSES: std::ops::RangeInclusive<u8> = 1..=32;
 
 /// Deserialize a VO from bytes.
 pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
     codec::read_all(bytes, read_vo)
 }
 
-/// A `u16` digest count, then the digests.
-fn digests16(r: &mut Reader<'_>) -> Result<Vec<Digest>, CodecError> {
-    let n = r.u16()?;
-    r.digests(n.into(), "digest list")
+/// A varint that must fit a `T`: an id, `f_t` or leaf count (`u32`),
+/// or a count the layout caps at `u16::MAX`.
+#[inline(always)]
+fn varint<T: TryFrom<u64>>(r: &mut Reader<'_>, what: &'static str) -> Result<T, WireError> {
+    let v = r.varint()?;
+    T::try_from(v).map_err(|_| out_of_range(what, v))
+}
+
+#[cold]
+fn out_of_range(what: &str, v: u64) -> WireError {
+    WireError::Malformed(format!("{what} {v} out of range"))
+}
+
+/// A capped digest count, then the digests.
+fn digests16(r: &mut Reader<'_>) -> Result<Vec<Digest>, WireError> {
+    let n: u16 = varint(r, "digest count")?;
+    Ok(r.digests(n.into(), "digest list")?)
 }
 
 fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
@@ -227,20 +303,24 @@ fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
         return Err(err("bad magic"));
     }
     let mechanism = Mechanism::from_code(r.u8()?).ok_or_else(|| err("unknown mechanism"))?;
-    let num_terms = r.u16()?;
-    // Minimum encoding per term: term id (4) + ft (4) + prefix tag (1).
-    let terms = r.list(num_terms.into(), 9, "VO term", |r| {
-        let term = r.u32()?;
-        let ft = r.u32()?;
+    let num_terms: u16 = varint(r, "term proof count")?;
+    // Smallest term: term id, f_t, prefix tag and count, proof tag and
+    // digest count, one byte each.
+    let terms = r.list(num_terms.into(), 6, "VO term", |r| {
+        let term = varint(r, "term id")?;
+        let ft = varint(r, "f_t")?;
         let prefix = match r.u8()? {
             0 => {
-                let n = r.u32()?;
-                PrefixData::DocIds(r.list(n.into(), 4, "doc-id prefix", Reader::u32)?)
+                let n = r.varint()?;
+                PrefixData::DocIds(r.list(n, 1, "doc-id prefix", |r| varint(r, "doc id"))?)
             }
             1 => {
-                let n = r.u32()?;
-                PrefixData::Entries(r.list(n.into(), 8, "impact-entry prefix", |r| {
-                    Ok::<_, CodecError>(ImpactEntry::decode(&r.array()?))
+                let n = r.varint()?;
+                PrefixData::Entries(r.list(n, 5, "impact-entry prefix", |r| {
+                    Ok::<_, WireError>(ImpactEntry {
+                        doc: varint(r, "doc id")?,
+                        weight: f32::from_bits(r.u32()?),
+                    })
                 })?)
             }
             _ => return Err(err("unknown prefix kind")),
@@ -264,23 +344,35 @@ fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
             signature: None,
         })
     })?;
-    let num_docs = r.u32()?;
-    // Smallest possible document proof: ids + counts + flags + prefixes.
-    let docs = r.list(num_docs.into(), 15, "document proof", |r| {
-        let doc = r.u32()?;
-        let num_leaves = r.u32()?;
-        if num_leaves >= MAX_DOC_LEAVES {
-            return Err(err("document-MHT of 2^26 leaves or more"));
-        }
-        let n = r.u32()?;
-        let revealed = r.list(n.into(), 12, "revealed leaf", |r| {
-            let packed = r.u32()?;
-            Ok::<_, CodecError>(DocLeaf {
-                pos: packed & (MAX_DOC_LEAVES - 1),
-                term: r.u32()?,
+    let num_docs = r.varint()?;
+    // Smallest document proof: doc id, leaf count, revealed count,
+    // digest count and content flag, one byte each.
+    let docs = r.list(num_docs, 5, "document proof", |r| {
+        let doc = varint(r, "doc id")?;
+        let num_leaves: u32 = varint(r, "document-MHT leaf count")?;
+        let n = r.varint()?;
+        let mut next = 0u64;
+        // Smallest leaf: packed field and term id of one byte each, and
+        // the 4-byte weight.
+        let revealed = r.list(n, 6, "revealed leaf", |r| {
+            let packed = r.varint()?;
+            // In u64 a forged gap cannot wrap: `next` ≤ 2^32 and the gap
+            // < 2^58.
+            let pos = u32::try_from(next + (packed >> CLASS_BITS))
+                .ok()
+                .filter(|&pos| pos < num_leaves)
+                .ok_or_else(|| err("revealed leaf gap runs past the leaf count"))?;
+            // Six bits: the narrowing is exact.
+            let class = (packed & ((1 << CLASS_BITS) - 1)) as u8;
+            if !LEAF_CLASSES.contains(&class) {
+                return Err(err("revealed leaf of a class outside 1..=32"));
+            }
+            next = u64::from(pos) + 1;
+            Ok(DocLeaf {
+                pos,
+                term: varint(r, "term id")?,
                 weight: f32::from_bits(r.u32()?),
-                // Six bits: the narrowing is exact.
-                class: (packed >> POS_BITS) as u8,
+                class,
             })
         })?;
         let proof = MerkleProof {
@@ -300,22 +392,23 @@ fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
         })
     })?;
     let dict = DictVo {
-        num_terms: r.u32()?,
+        num_terms: varint(r, "dictionary size")?,
         proof: MerkleProof {
             digests: digests16(r)?,
         },
     };
     let doc_table = if mechanism.is_tra() {
-        let n = r.u32()?;
+        let n = r.varint()?;
         Some(DocTableVo {
             proof: MerkleProof {
-                digests: r.digests(n.into(), "document-table digest")?,
+                digests: r.digests(n, "document-table digest")?,
             },
         })
     } else {
         None
     };
-    let signature = r.bytes16()?.to_vec();
+    let n: u16 = varint(r, "manifest signature length")?;
+    let signature = r.bytes(n.into())?.to_vec();
     Ok(VerificationObject {
         mechanism,
         terms,
@@ -347,8 +440,13 @@ pub const FRAME_MAGIC: [u8; 4] = *b"ASRV";
 /// query mode. **v6** orders every document-MHT by `(c_t descending,
 /// t)` and carries each revealed document leaf's `c_t` in the top six
 /// bits of its position field (TNRA payloads are byte-identical to v5).
-/// Older frames are rejected by the version check, never misparsed.
-pub const WIRE_VERSION: u8 = 6;
+/// **v7** encodes the VO compactly (the module doc's layout): ids,
+/// `f_t`, leaf counts and every count are varints, and each revealed
+/// document leaf's position is the gap from the previous one, packed
+/// with its `c_t` (requests and error replies are byte-identical to v6
+/// but for the version byte). Older frames are rejected by the version
+/// check, never misparsed.
+pub const WIRE_VERSION: u8 = 7;
 
 /// Fixed size of the frame header: magic (4) + version (1) + kind (1) +
 /// payload length (4).
@@ -762,14 +860,7 @@ mod tests {
     use authsearch_crypto::keys::TEST_KEY_BITS;
 
     fn sample_vo(mechanism: Mechanism) -> VerificationObject {
-        let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-        let config = AuthConfig::new(mechanism);
-        let publication = owner.publish_index(toy_index(), config, &toy_contents());
-        publication
-            .auth
-            .query(&toy_query(), 2, &toy_contents())
-            .unwrap()
-            .vo
+        sample_response(mechanism).vo
     }
 
     #[test]
@@ -797,47 +888,57 @@ mod tests {
 
     #[test]
     fn wire_size_tracks_size_model() {
-        // The wire encoding carries the modeled bytes plus only small
-        // fixed framing overhead (< 10% for realistic VOs).
+        // The size model charges every byte of the encoding: its data,
+        // digests and signature, plus the framing.
         for mechanism in Mechanism::ALL {
-            let vo = sample_vo(mechanism);
-            let modeled = vo.size().total();
-            let wire = encode(&vo).unwrap().len();
-            assert!(
-                wire >= modeled,
-                "{}: wire {wire} < modeled {modeled}",
-                mechanism.name()
-            );
-            assert!(
-                wire <= modeled + 64 + 24 * (vo.terms.len() + vo.docs.len()),
-                "{}: framing overhead too large ({wire} vs {modeled})",
-                mechanism.name()
-            );
+            for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
+                let vo = sample_response_in(mechanism, mode).vo;
+                let s = vo.size();
+                assert_eq!(
+                    encode(&vo).unwrap().len(),
+                    s.total() + s.framing,
+                    "{} {mode:?}: {s:?}",
+                    mechanism.name()
+                );
+            }
         }
     }
 
     #[test]
     fn forged_counts_cannot_size_allocations() {
-        // A 9-byte frame advertising 65,535 VO terms: `checked_count`
-        // must reject the count against the bytes actually present,
-        // before any `Vec::with_capacity` sees it.
+        // An 8-byte VO whose varint term count claims 65,535 proofs:
+        // `checked_count` must reject the count against the bytes
+        // actually present, before any `Vec::with_capacity` sees it.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.push(0); // mechanism TRA-MHT
-        bytes.extend_from_slice(&u16::MAX.to_le_bytes()); // forged num_terms
-        bytes.extend_from_slice(&[0, 0]); // far too little payload
+        bytes.extend_from_slice(&[0xFF, 0xFF, 0x03]); // forged num_terms
         let err = decode(&bytes).expect_err("forged count must be rejected");
         let msg = err.to_string();
         assert!(
             msg.contains("65535") && msg.contains("count"),
             "error should name the forged count: {msg}"
         );
+        // One more and the count is past what the layout carries.
+        bytes[5..8].copy_from_slice(&[0x80, 0x80, 0x04]);
+        let msg = decode(&bytes).unwrap_err().to_string();
+        assert!(msg.contains("term proof count 65536 out of range"), "{msg}");
+
+        // A 10-byte VO claiming 2^26 document proofs dies the same way.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.push(0);
+        bytes.push(0); // no term proofs
+        bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x20]); // 2^26
+        let msg = decode(&bytes).unwrap_err().to_string();
+        assert!(msg.contains("document proof count 67108864"), "{msg}");
 
         // Same property on a well-formed VO whose count field is bumped
         // after encoding: every inflated count dies in validation.
         let vo = sample_vo(Mechanism::TraMht);
         let mut bytes = encode(&vo).unwrap();
-        bytes[5..7].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(bytes[5], 4, "four term proofs, in one byte");
+        bytes.splice(5..6, [0xFF, 0xFF, 0x03]);
         assert!(decode(&bytes).is_err());
     }
 
@@ -912,18 +1013,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn leaf_class_rides_in_the_position_field() {
-        // Each revealed leaf's c_t shares the 4-byte position field, so
-        // a document proof encodes to as many bytes as before; a
-        // document of 2^26 leaves or more is refused both ways.
-        let leaf = |pos, class| DocLeaf {
-            pos,
-            term: 9,
-            weight: 0.25,
-            class,
-        };
-        let vo = |num_leaves, revealed| VerificationObject {
+    /// A TRA-MHT VO of one document proof of `num_leaves` leaves that
+    /// reveals `revealed`.
+    fn one_doc_vo(num_leaves: u32, revealed: Vec<DocLeaf>) -> VerificationObject {
+        VerificationObject {
             mechanism: Mechanism::TraMht,
             terms: Vec::new(),
             docs: vec![DocVo {
@@ -941,31 +1034,82 @@ mod tests {
                 proof: MerkleProof::default(),
             }),
             signature: vec![0u8; 4],
+        }
+    }
+
+    #[test]
+    fn leaf_gaps_and_classes_are_bounded() {
+        let leaf = |pos, class| DocLeaf {
+            pos,
+            term: 9,
+            weight: 0.25,
+            class,
         };
-        let last = MAX_DOC_LEAVES - 1;
-        let honest = vo(MAX_DOC_LEAVES - 1, vec![leaf(0, 32), leaf(last - 1, 1)]);
+        // Positions are gap-coded, so no leaf count is too large: the
+        // last position of a u32::MAX-leaf tree takes a 6-byte packed
+        // field.
+        let last = u32::MAX - 1;
+        let honest = one_doc_vo(u32::MAX, vec![leaf(0, 32), leaf(1, 1), leaf(last, 7)]);
         let bytes = encode(&honest).unwrap();
         assert_eq!(decode(&bytes).unwrap(), honest);
-        let empty = encode(&vo(MAX_DOC_LEAVES - 1, Vec::new())).unwrap();
-        assert_eq!(bytes.len() - empty.len(), 2 * 12);
+        let empty = encode(&one_doc_vo(u32::MAX, Vec::new())).unwrap();
+        // Packed field, term id and weight: 1 + 1 + 4 for each of the
+        // adjacent leaves, 6 + 1 + 4 for the last one.
+        assert_eq!(bytes.len() - empty.len(), 6 + 6 + 11);
 
+        // Encode refuses a class outside 1..=32, and leaves a gap
+        // cannot carry: out of order, repeated or past the leaf count.
+        for bad in [
+            vec![leaf(0, 0)],
+            vec![leaf(0, 33)],
+            vec![leaf(2, 1), leaf(1, 1)],
+            vec![leaf(1, 1), leaf(1, 1)],
+            vec![leaf(4, 1)],
+        ] {
+            assert!(
+                matches!(
+                    encode(&one_doc_vo(4, bad.clone())),
+                    Err(WireError::Malformed(_))
+                ),
+                "{bad:?}"
+            );
+        }
+
+        // Decode refuses the same. Byte `at` is the first leaf's packed
+        // field, after the magic, the mechanism, the term and document
+        // counts, the doc id, the leaf count and the revealed count.
+        let four = encode(&one_doc_vo(4, vec![leaf(1, 3), leaf(3, 3)])).unwrap();
+        let at = 4 + 1 + 1 + 1 + 1 + 1 + 1;
+        assert_eq!(four[at..at + 2], [1 << 6 | 3, 9], "gap 1, class 3; term 9");
+        let forged = |byte: u8| {
+            let mut b = four.clone();
+            b[at] = byte;
+            decode(&b)
+        };
+        assert!(forged(3).is_ok(), "a first gap of 0 still fits");
+        // A first gap of 2 or 3 pushes the second leaf past the count.
+        for gap in [2, 3] {
+            assert_eq!(
+                forged(gap << 6 | 3).unwrap_err(),
+                err("revealed leaf gap runs past the leaf count")
+            );
+        }
+        for class in [0, 33, 63] {
+            assert_eq!(
+                forged(class).unwrap_err(),
+                err("revealed leaf of a class outside 1..=32")
+            );
+        }
+        // The second leaf's gap forged to 2^58 − 1, in a ten-byte
+        // varint, cannot wrap past the check.
+        let second = at + 1 + 1 + 4;
+        assert_eq!(four[second], 1 << 6 | 3);
+        let mut huge = four[..second].to_vec();
+        huge.extend_from_slice(&[0xC3, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
+        huge.extend_from_slice(&four[second + 1..]);
         assert_eq!(
-            encode(&vo(MAX_DOC_LEAVES, Vec::new())).unwrap_err(),
-            WireError::TooLong {
-                field: "document-MHT leaves",
-                len: 1 << 26,
-                max: (1 << 26) - 1,
-            }
-        );
-        assert!(encode(&vo(4, vec![leaf(0, 64)])).is_err());
-        // The leaf count sits after the magic, the mechanism, the term
-        // count, the document count and the doc id.
-        let mut forged = empty;
-        let at = 4 + 1 + 2 + 4 + 4;
-        forged[at..at + 4].copy_from_slice(&MAX_DOC_LEAVES.to_le_bytes());
-        assert_eq!(
-            decode(&forged).unwrap_err(),
-            WireError::Malformed("document-MHT of 2^26 leaves or more".into())
+            decode(&huge).unwrap_err(),
+            err("revealed leaf gap runs past the leaf count")
         );
     }
 
@@ -1011,7 +1155,8 @@ mod tests {
         let tra = sample_vo(Mechanism::TraMht);
         let table = tra.doc_table.clone().unwrap();
         let bytes = encode(&tra).unwrap();
-        let trailer = 4 + table.proof.size_bytes();
+        let digests = table.proof.digests.len();
+        let trailer = codec::varint_len(digests as u64) + table.proof.size_bytes();
         let mut stripped = tra.clone();
         stripped.mechanism = Mechanism::TnraMht;
         stripped.doc_table = None;
@@ -1026,8 +1171,10 @@ mod tests {
         // A digest count larger than the bytes behind it is refused
         // before allocation (truncations: tests/attack_suite.rs).
         let mut forged = bytes.clone();
-        let at = bytes.len() - 2 - tra.signature.len() - trailer;
-        forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let signature = tra.signature.len();
+        let at = bytes.len() - codec::varint_len(signature as u64) - signature - trailer;
+        assert_eq!(usize::from(forged[at]), digests);
+        forged.splice(at..at + 1, [0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
         assert!(decode(&forged).is_err());
     }
 
@@ -1045,12 +1192,16 @@ mod tests {
     }
 
     fn sample_response(mechanism: Mechanism) -> QueryResponse {
+        sample_response_in(mechanism, QueryMode::Disjunctive)
+    }
+
+    fn sample_response_in(mechanism: Mechanism, mode: QueryMode) -> QueryResponse {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let config = AuthConfig::new(mechanism);
         let publication = owner.publish_index(toy_index(), config, &toy_contents());
         publication
             .auth
-            .query(&toy_query(), 2, &toy_contents())
+            .query(&toy_query().with_mode(mode), 2, &toy_contents())
             .unwrap()
     }
 

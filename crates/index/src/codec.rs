@@ -1,6 +1,9 @@
 //! The one bounded byte codec: every wire frame, verification object,
 //! snapshot section and index record is read through [`Reader`] and
-//! written through [`Writer`], little-endian throughout.
+//! written through [`Writer`]. Fixed-width numbers are little-endian;
+//! [`Writer::varint`] writes an unsigned LEB128 varint (seven bits a
+//! byte, low group first, the top bit set on every byte but the last),
+//! which [`Reader::varint`] reads back only in its one minimal form.
 //!
 //! A [`Reader`] reads **attacker bytes**: a read past the end is
 //! [`CodecError::Truncated`], a count the remaining bytes could not hold
@@ -34,6 +37,9 @@ pub enum CodecError {
     Count(String),
     /// `(field, len, max)`: a length exceeds what its prefix carries.
     TooLong(&'static str, usize, usize),
+    /// A varint that is not the one minimal encoding of its value, or
+    /// that runs past 64 bits; the message says which.
+    Varint(&'static str),
 }
 
 impl fmt::Display for CodecError {
@@ -43,11 +49,20 @@ impl fmt::Display for CodecError {
             CodecError::Trailing => write!(f, "trailing bytes"),
             CodecError::Count(why) => write!(f, "{why}"),
             CodecError::TooLong(field, len, max) => write!(f, "{field} of {len} exceeds {max}"),
+            CodecError::Varint(why) => write!(f, "{why}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
+
+/// Bytes [`Writer::varint`] spends on `v`: one per started group of
+/// seven significant bits, and one for zero.
+#[inline]
+pub fn varint_len(v: u64) -> usize {
+    // At most 64 bits, so the widening is exact.
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
 
 /// Parse the whole of `bytes` with `parse`; bytes left over are
 /// [`CodecError::Trailing`].
@@ -128,6 +143,54 @@ impl<'a> Reader<'a> {
         Ok(Digest(self.array()?))
     }
 
+    /// Read an unsigned LEB128 varint. Only the minimal encoding is
+    /// accepted: a last byte of zero after the first (a padded value) is
+    /// refused, and so is a tenth byte above one or an eleventh byte (a
+    /// value past 64 bits), so every value has exactly one encoding.
+    #[inline(always)]
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
+        // The one- and two-byte forms (every count, most ids and leaf
+        // fields) inline at each call site, so each field's width is
+        // predicted from that field's history: where the width seldom
+        // changes (term and doc ids), the next read need not wait for
+        // this one's length.
+        match self.buf.get(self.pos..) {
+            Some(&[b0, ..]) if b0 < 0x80 => {
+                self.pos += 1;
+                return Ok(u64::from(b0));
+            }
+            Some(&[b0, b1, ..]) if b1 < 0x80 && b1 != 0 => {
+                self.pos += 2;
+                return Ok(u64::from(b0 & 0x7F) | u64::from(b1) << 7);
+            }
+            _ => {}
+        }
+        self.long_varint()
+    }
+
+    /// [`Reader::varint`] past its one- and two-byte forms: a longer
+    /// varint, a padded one, or one cut short.
+    #[inline(never)]
+    fn long_varint(&mut self) -> Result<u64, CodecError> {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let mut value = 0u64;
+        for (i, &byte) in rest.iter().take(10).enumerate() {
+            if i == 9 && byte > 1 {
+                return Err(CodecError::Varint("varint overflows 64 bits"));
+            }
+            value |= u64::from(byte & 0x7F) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(CodecError::Varint("non-minimal varint"));
+                }
+                self.pos += i + 1;
+                return Ok(value);
+            }
+        }
+        // Every byte left carried a continuation bit.
+        Err(CodecError::Truncated)
+    }
+
     /// Read a `u16` length, then that many bytes.
     #[inline]
     pub fn bytes16(&mut self) -> Result<&'a [u8], CodecError> {
@@ -179,10 +242,14 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Read `claimed` digests.
+    /// Read `claimed` digests, in one bounds check.
     #[inline]
     pub fn digests(&mut self, claimed: u64, what: &str) -> Result<Vec<Digest>, CodecError> {
-        self.list(claimed, DIGEST_LEN, what, Reader::digest)
+        let n = self.checked_count(claimed, DIGEST_LEN, what)?;
+        // `checked_count` bounded `n` by the bytes remaining: no
+        // overflow, and the allocation is no larger than the input.
+        let (digests, _) = self.bytes(n * DIGEST_LEN)?.as_chunks::<DIGEST_LEN>();
+        Ok(digests.iter().map(|&d| Digest(d)).collect())
     }
 }
 
@@ -191,6 +258,31 @@ impl Writer<'_> {
     #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
         self.0.extend_from_slice(b);
+    }
+
+    /// Append `v` as an unsigned LEB128 varint of [`varint_len`]`(v)`
+    /// bytes.
+    #[inline]
+    pub fn varint(&mut self, mut v: u64) {
+        if v < 0x4000 {
+            // One or two bytes without a branch on which, since a
+            // leaf's gap field changes width leaf to leaf: write two,
+            // keep what the value needs.
+            let two = u8::from(v >= 0x80);
+            let at = self.0.len();
+            // The low seven bits, then the next seven: exact.
+            self.0
+                .extend_from_slice(&[v as u8 & 0x7F | two << 7, (v >> 7) as u8]);
+            self.0.truncate(at + 1 + usize::from(two));
+            return;
+        }
+        while v >= 0x80 {
+            // The low seven bits, with the continuation bit: exact.
+            self.0.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        // Below 0x80: exact.
+        self.0.push(v as u8);
     }
 
     /// Append digests, without a count.
@@ -230,14 +322,6 @@ impl Writer<'_> {
     pub fn bytes32(&mut self, b: &[u8], field: &'static str) -> Result<(), CodecError> {
         self.len32(b.len(), field)?;
         self.bytes(b);
-        Ok(())
-    }
-
-    /// Append a `u16` count, then the digests.
-    #[inline]
-    pub fn digests16(&mut self, ds: &[Digest], field: &'static str) -> Result<(), CodecError> {
-        self.len16(ds.len(), field)?;
-        self.digests(ds);
         Ok(())
     }
 
@@ -336,7 +420,8 @@ mod tests {
         w.bytes(Digest::hash(b"x").as_bytes());
         w.bytes16(b"abc", "text").unwrap();
         w.bytes32(b"de", "blob").unwrap();
-        w.digests16(&[Digest::ZERO; 2], "digests").unwrap();
+        w.u16(2);
+        w.digests(&[Digest::ZERO; 2]);
         w.prefixed32::<CodecError>("nested", |w| {
             w.u32(9);
             Ok(())
@@ -375,6 +460,72 @@ mod tests {
                 &9u32.to_le_bytes()[..],
             )
         );
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width_boundary() {
+        let cases: [(u64, usize); 9] = [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            ((1 << 14) - 1, 2),
+            (1 << 14, 3),
+            (u64::from(u32::MAX), 5),
+            (1 << 63, 10),
+            (u64::MAX - 1, 10),
+            (u64::MAX, 10),
+        ];
+        for (v, width) in cases {
+            let mut buf = Vec::new();
+            Writer(&mut buf).varint(v);
+            assert_eq!((buf.len(), varint_len(v)), (width, width), "{v}");
+            assert_eq!(read_all(&buf, Reader::varint), Ok(v), "{v}");
+            // With bytes behind it, it reads the same and stops at its
+            // end.
+            let mut padded = buf.clone();
+            padded.extend_from_slice(&[0xAA; 8]);
+            let mut r = reader(&padded);
+            assert_eq!((r.varint(), r.remaining()), (Ok(v), 8), "{v}");
+            // Every cut of it is truncated, never a smaller value.
+            for cut in 0..buf.len() {
+                assert_eq!(reader(&buf[..cut]).varint(), Err(CodecError::Truncated));
+            }
+        }
+        assert_eq!(
+            {
+                let mut buf = Vec::new();
+                Writer(&mut buf).varint(300);
+                buf
+            },
+            [0xAC, 0x02]
+        );
+    }
+
+    #[test]
+    fn non_minimal_and_overflowing_varints_are_refused() {
+        let non_minimal = CodecError::Varint("non-minimal varint");
+        let overflow = CodecError::Varint("varint overflows 64 bits");
+        // 0 and 127 padded with a zero group, alone and with bytes
+        // behind them.
+        for padded in [
+            &[0x80, 0x00][..],
+            &[0x80, 0x00, 0x01],
+            &[0xFF, 0x80, 0x00, 0x01],
+        ] {
+            assert_eq!(reader(padded).varint(), Err(non_minimal.clone()));
+        }
+        // u64::MAX is nine 0xFF and a 0x01; a tenth byte of 2 is bit 64.
+        let mut max = [0xFFu8; 10];
+        max[9] = 0x01;
+        assert_eq!(reader(&max).varint(), Ok(u64::MAX));
+        max[9] = 0x02;
+        assert_eq!(reader(&max).varint(), Err(overflow.clone()));
+        // A continuation bit on the tenth byte asks for an eleventh.
+        assert_eq!(reader(&[0x80; 11]).varint(), Err(overflow));
+        // The reader does not move on a refusal.
+        let mut r = reader(&[0x80, 0x00]);
+        assert!(r.varint().is_err());
+        assert_eq!(r.remaining(), 2);
     }
 
     #[test]

@@ -17,7 +17,7 @@ impl ImpactEntry {
     pub const BYTES: usize = 8;
 
     /// Canonical little-endian encoding (doc id, then weight bits) — the
-    /// exact bytes hashed into MHT leaves and charged to VO sizes.
+    /// exact bytes hashed into MHT leaves and stored in index records.
     pub fn encode(&self) -> [u8; 8] {
         let mut out = [0u8; 8];
         out[..4].copy_from_slice(&self.doc.to_le_bytes());

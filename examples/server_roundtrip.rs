@@ -111,9 +111,8 @@ fn main() {
                 "user {who}: \"{text}\" → [{}]  ({} query terms, VO {} bytes, VERIFIED)",
                 shown.join(", "),
                 parse.len(),
-                verified.vo_size.total()
+                response.vo.size().total()
             );
-            let _ = response;
         }));
     }
     for user in users {

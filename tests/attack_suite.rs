@@ -10,7 +10,7 @@ use authsearch_core::attacks::{
     shifted_dict_leaf_response, stale_manifest_response, truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::toy::{toy_contents, toy_index, toy_query};
-use authsearch_core::vo::PrefixData;
+use authsearch_core::vo::{PrefixData, VerificationObject};
 use authsearch_core::{
     verify, wire, AuthConfig, DataOwner, Mechanism, Publication, Query, QueryMode, QueryResponse,
     VerifyError,
@@ -18,6 +18,7 @@ use authsearch_core::{
 use authsearch_corpus::{CorpusBuilder, SyntheticConfig};
 use authsearch_crypto::keys::TEST_KEY_BITS;
 use authsearch_crypto::Digest;
+use authsearch_index::codec::varint_len;
 
 fn publish(mechanism: Mechanism) -> (Publication, authsearch_corpus::Corpus) {
     let corpus = SyntheticConfig::tiny(200, 99).generate();
@@ -50,6 +51,7 @@ fn every_common_attack_rejected_under_every_mechanism() {
             if !attack.apply(&mut tampered) {
                 continue; // not applicable under this mechanism
             }
+            assert_one_encoding(&tampered.vo);
             let outcome = verify::verify(&publication.verifier_params, &query, 10, &tampered);
             assert!(
                 outcome.is_err(),
@@ -76,6 +78,7 @@ fn tra_specific_attacks_rejected() {
                 mechanism.name(),
                 attack.name()
             );
+            assert_one_encoding(&tampered.vo);
             let outcome = verify::verify(&publication.verifier_params, &query, 10, &tampered);
             assert!(
                 outcome.is_err(),
@@ -626,8 +629,19 @@ impl Expect {
     }
 }
 
+/// A VO the wire can carry has exactly one encoding: it decodes back to
+/// itself, and encodes back to the same bytes.
+fn assert_one_encoding(vo: &VerificationObject) {
+    if let Ok(bytes) = wire::encode(vo) {
+        let back = wire::decode(&bytes).expect("an encoded VO decodes");
+        assert_eq!(&back, vo);
+        assert_eq!(wire::encode(&back).unwrap(), bytes);
+    }
+}
+
 /// Send `response` down `path`: unchanged, or encoded as a full reply
-/// frame and decoded again, exactly as a client receives it.
+/// frame and decoded again, exactly as a client receives it. The frame
+/// must be the one encoding of what it decodes to.
 fn deliver(path: Path, query: &Query, response: QueryResponse) -> QueryResponse {
     match path {
         Path::InProcess => response,
@@ -636,10 +650,14 @@ fn deliver(path: Path, query: &Query, response: QueryResponse) -> QueryResponse 
                 query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
             let frame = wire::encode_ok_reply(&pairs, &response).expect("tampered reply encodes");
             let (kind, payload) = wire::split_frame(&frame).expect("frame header");
-            match wire::decode_reply_payload(kind, payload).expect("tampered reply decodes") {
-                wire::Reply::Ok { response, .. } => *response,
-                other => panic!("expected an OK reply, got {other:?}"),
-            }
+            let delivered =
+                match wire::decode_reply_payload(kind, payload).expect("tampered reply decodes") {
+                    wire::Reply::Ok { response, .. } => *response,
+                    other => panic!("expected an OK reply, got {other:?}"),
+                };
+            assert_eq!(delivered.vo, response.vo);
+            assert_eq!(wire::encode_ok_reply(&pairs, &delivered).unwrap(), frame);
+            delivered
         }
     }
 }
@@ -969,7 +987,11 @@ fn truncated_or_flipped_doc_table_trailer_rejected() {
     let pairs: Vec<(u32, u32)> = query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
     let vo = wire::encode(&honest.vo).unwrap();
     let table = honest.vo.doc_table.as_ref().unwrap();
-    let trailer = 4 + table.proof.size_bytes() + 2 + honest.vo.signature.len();
+    let signature = honest.vo.signature.len();
+    let trailer = varint_len(table.proof.digests.len() as u64)
+        + table.proof.size_bytes()
+        + varint_len(signature as u64)
+        + signature;
 
     // Locate the nested VO inside the reply payload: term echo, result
     // entries, then a u32 length and the VO bytes.

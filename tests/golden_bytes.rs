@@ -22,89 +22,89 @@ type Pin = (&'static str, usize, &'static str);
 const PINS: &[Pin] = &[
     (
         "vo TRA-MHT/disjunctive",
-        807,
-        "80b7982b4ef127bb6090801d59f6d592",
+        614,
+        "7677552edeb9b99a2e3a782f1cb428ff",
     ),
     (
         "ok reply TRA-MHT/disjunctive",
-        987,
-        "1078f70c6a59b8aff2d60029d9937899",
+        794,
+        "639ddad8f1488da040db88ce8ad96994",
     ),
     (
         "vo TRA-MHT/conjunctive",
-        458,
-        "dc604a4e0b0cd040d49fb5b0a047da70",
+        370,
+        "3ce1433fc4a1da235a380d48d2c8c7c6",
     ),
     (
         "ok reply TRA-MHT/conjunctive",
-        593,
-        "f98182cc31d9bf57d7a90dbab643407e",
+        505,
+        "4b1ca3d059e1a205e0762ba27629d6b8",
     ),
     ("snapshot TRA-MHT", 845, "07683c099bed8d20c04f2261f8944dba"),
     ("manifest TRA-MHT", 56, "8715613303d8d5f4939374b0d18bf9a9"),
     (
         "vo TRA-CMHT/disjunctive",
-        787,
-        "bc2425688851d55088e87a409245c0a7",
+        497,
+        "6acc3db66921732ff1c4e81b10f4c6e5",
     ),
     (
         "ok reply TRA-CMHT/disjunctive",
-        967,
-        "d7f1cbf907c11304287dfd703098f361",
+        677,
+        "5eafd2821b68446b63573385b05eba67",
     ),
     (
         "vo TRA-CMHT/conjunctive",
-        462,
-        "1aaf7cde6085b2ee9ed540dee30b668b",
+        355,
+        "eacf83508712bb4fc8e885d0a78ac0c6",
     ),
     (
         "ok reply TRA-CMHT/conjunctive",
-        597,
-        "a7b73a223e8ee024bbd5318c2056dbdb",
+        490,
+        "a2fa878b8711f30eaa85da788d7afde9",
     ),
     ("snapshot TRA-CMHT", 845, "6275d6db92006da58ed0cc351968c498"),
     ("manifest TRA-CMHT", 56, "f647b6429fb788eb00805535a526c34b"),
     (
         "vo TNRA-MHT/disjunctive",
-        355,
-        "9704b76ed383a900f92358569c41e671",
+        276,
+        "2bc7e9bf95c62b8fae665577bd7864a2",
     ),
     (
         "ok reply TNRA-MHT/disjunctive",
-        535,
-        "119eed5191ca9488532b3a94d049c315",
+        456,
+        "aec1b934009d4b62789f803fa8a10622",
     ),
     (
         "vo TNRA-MHT/conjunctive",
-        355,
-        "a4efa8c4300bfd60268c0486cbf05c1a",
+        264,
+        "c34caa37e333e6b441a7e75036cf14cf",
     ),
     (
         "ok reply TNRA-MHT/conjunctive",
-        490,
-        "f2bc1980ff1c10e51fe865305083d94e",
+        399,
+        "4d3a3c49c2b6a1b17f4c636e78caa0a2",
     ),
     ("snapshot TNRA-MHT", 701, "fc1f15cd13f10e20257d15fd63ac0c49"),
     ("manifest TNRA-MHT", 56, "378ac3dc8e62e97a287e02d350ff4018"),
     (
         "vo TNRA-CMHT/disjunctive",
-        355,
-        "fab61fd0c2a17a84a2208c4eb99b850d",
+        276,
+        "46f9cc2e0f1f2608949327bf0118b091",
     ),
     (
         "ok reply TNRA-CMHT/disjunctive",
-        535,
-        "5727d9ec07734aa88cecf66d6ade8525",
+        456,
+        "dee1b0092adbaf871e1b327da0ccbe13",
     ),
     (
         "vo TNRA-CMHT/conjunctive",
-        355,
-        "085c58d648af989c0a0352c937e70c9f",
+        264,
+        "034ed569f01640aac8b9483718aa8772",
     ),
     (
         "ok reply TNRA-CMHT/conjunctive",
-        490,
-        "5b88d337f98fd979e37172d840a22ace",
+        399,
+        "1a276cc7a0064321c24055c2e29d4936",
     ),
     (
         "snapshot TNRA-CMHT",
@@ -112,17 +112,17 @@ const PINS: &[Pin] = &[
         "72f00b689fd9333e31f95800b6867bc2",
     ),
     ("manifest TNRA-CMHT", 56, "2734bb0936092ac937d4d79fb9129480"),
-    ("err reply", 38, "d8a915e481e31e62bf7ede385a85087e"),
-    ("request text", 34, "f06b059ffd8788b0591c4d48f72f339c"),
+    ("err reply", 38, "19fddcb13af8d8a498de655ac0a1dbc3"),
+    ("request text", 34, "bc6524ab386445880162c10232da20d6"),
     (
         "request terms/disjunctive",
         48,
-        "75e7473ecf6861b5177135732dd34f58",
+        "da1d80b502fad42c05b4a4ac4ead9c73",
     ),
     (
         "request terms/conjunctive",
         48,
-        "76e87acba1ee790e9c1dc5332d62c48c",
+        "511554e857e659f1952d544958e456fa",
     ),
     ("index record", 424, "93056bf833d4b6f196167aad42905d04"),
 ];
@@ -145,7 +145,13 @@ fn encodings() -> Vec<(String, Vec<u8>)> {
             let query = toy_query().with_mode(mode);
             let response = auth.query(&query, 2, &toy_contents()).unwrap();
             let name = format!("{}/{mode_name}", mechanism.name());
-            out.push((format!("vo {name}"), wire::encode(&response.vo).unwrap()));
+            let vo = wire::encode(&response.vo).unwrap();
+            // The one encoding: the bytes decode to this VO, which
+            // encodes back to the same bytes.
+            let back = wire::decode(&vo).unwrap();
+            assert_eq!(back, response.vo, "{name}");
+            assert_eq!(wire::encode(&back).unwrap(), vo, "{name}");
+            out.push((format!("vo {name}"), vo));
             let echo: Vec<(u32, u32)> = query.terms().iter().map(|qt| (qt.term, 1)).collect();
             out.push((
                 format!("ok reply {name}"),

@@ -186,8 +186,8 @@ fn chain_mht_vos_carry_fewer_digest_bytes_than_plain_mht() {
 fn vo_bytes_grow_with_r() {
     for mechanism in Mechanism::ALL {
         let vo_bytes = |r: usize| total_vo_bytes(mechanism, &long_list_queries(), r);
-        // Recorded: r = 1 → 50 grows TRA-MHT 291 → 1,190 KB and
-        // TNRA-MHT 87 → 237 KB.
+        // Recorded: r = 1 → 50 grows TRA-MHT 286 → 1,162 KB and
+        // TNRA-MHT 68 → 182 KB.
         let (one, fifty) = (vo_bytes(1), vo_bytes(50));
         assert!(
             fifty > one,
@@ -206,9 +206,9 @@ fn vo_bytes_grow_with_query_length() {
             total_vo_bytes(mechanism, &short, R),
             total_vo_bytes(mechanism, &long, R),
         );
-        // Recorded: 2 → 5 terms grows TRA-MHT 174 → 2,117 KB, TRA-CMHT
-        // 162 → 1,903 KB, TNRA-MHT 124 → 242 KB and TNRA-CMHT
-        // 123 → 241 KB.
+        // Recorded: 2 → 5 terms grows TRA-MHT 171 → 2,055 KB, TRA-CMHT
+        // 155 → 1,746 KB, TNRA-MHT 95 → 186 KB and TNRA-CMHT
+        // 95 → 185 KB.
         assert!(
             five > two,
             "{}: {LONG_QUERY} terms {five} B vs {SHORT_QUERY} terms {two} B",
@@ -228,8 +228,8 @@ fn tra_vos_are_larger_than_tnra_vos() {
             total_vo_bytes(tra, &queries, R),
             total_vo_bytes(tnra, &queries, R),
         );
-        // Recorded: TRA-MHT 707 KB vs TNRA-MHT 156 KB, TRA-CMHT 647 KB
-        // vs TNRA-CMHT 156 KB.
+        // Recorded: TRA-MHT 691 KB vs TNRA-MHT 120 KB, TRA-CMHT 604 KB
+        // vs TNRA-CMHT 120 KB.
         assert!(
             tra_bytes > tnra_bytes,
             "{} {tra_bytes} B vs {} {tnra_bytes} B",
@@ -253,13 +253,14 @@ type Band = (f64, f64);
 #[test]
 fn table2_vo_split_stays_in_band() {
     // (mechanism, data, digest, signature): each component's share of
-    // the total VO bytes. Recorded with one manifest signature per reply
-    // and key-ordered document-MHTs:
-    // TRA-MHT 20.2 / 79.7 / 0.11 %, TRA-CMHT 47.4 / 52.4 / 0.12 %,
-    // TNRA-MHT 95.9 / 3.7 / 0.48 %, TNRA-CMHT 96.3 / 3.2 / 0.48 %.
+    // the total VO bytes. Recorded with one manifest signature per reply,
+    // key-ordered document-MHTs and every field charged at its varint
+    // width:
+    // TRA-MHT 16.5 / 83.4 / 0.11 %, TRA-CMHT 42.4 / 57.5 / 0.13 %,
+    // TNRA-MHT 94.5 / 4.9 / 0.64 %, TNRA-CMHT 95.1 / 4.3 / 0.64 %.
     let bands: [(Mechanism, Band, Band, Band); 4] = [
         (Mechanism::TraMht, (15.0, 25.0), (75.0, 85.0), (0.05, 0.2)),
-        (Mechanism::TraCmht, (44.0, 54.0), (46.0, 56.0), (0.05, 0.2)),
+        (Mechanism::TraCmht, (38.0, 48.0), (52.0, 62.0), (0.05, 0.2)),
         (Mechanism::TnraMht, (94.0, 99.0), (0.5, 5.0), (0.3, 0.7)),
         (Mechanism::TnraCmht, (94.0, 99.0), (0.2, 4.5), (0.3, 0.7)),
     ];
@@ -303,8 +304,8 @@ fn buddy_inclusion_lowers_tra_cmht_digest_and_vo_bytes() {
             .fold(VoSize::default(), |a, b| a + b)
     };
     let (on, off) = (size(paper), size(&no_buddy));
-    // Recorded: digest 238,432 → 165,008 B and total 296,112 →
-    // 275,896 B with buddy inclusion on.
+    // Recorded: digest 238,432 → 165,008 B and total 283,286 →
+    // 254,799 B with buddy inclusion on.
     assert!(
         on.digest < off.digest,
         "digest: on {} B vs off {} B",

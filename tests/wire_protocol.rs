@@ -220,28 +220,45 @@ fn oversized_claims_rejected_cheaply() {
     assert!(decode_reply_payload(wire::kind::REPLY_OK, &payload).is_err());
 
     // Same for an absurd count nested inside the VO encoding: a
-    // ~15-byte VO claiming 2^26 document proofs is refused before any
-    // allocation sized by the claim.
+    // 10-byte VO whose varint document count claims 2^26 proofs is
+    // refused before any allocation sized by the claim.
     let mut vo = Vec::new();
     vo.extend_from_slice(b"AVO1");
     vo.push(0); // mechanism
-    vo.extend_from_slice(&0u16.to_le_bytes()); // no term proofs
-    vo.extend_from_slice(&((1u32 << 26) - 1).to_le_bytes()); // absurd doc count
-    assert!(wire::decode(&vo).is_err());
+    vo.push(0); // no term proofs
+    vo.extend_from_slice(&[0x80, 0x80, 0x80, 0x20]); // 2^26 doc proofs
+    let err = wire::decode(&vo).unwrap_err().to_string();
+    assert!(err.contains("document proof count 67108864"), "{err}");
+    // And one that claims 2^26 revealed leaves in a 2^26-leaf tree.
+    let mut vo = Vec::new();
+    vo.extend_from_slice(b"AVO1");
+    vo.push(0);
+    vo.push(0);
+    vo.push(1); // one document proof
+    vo.push(1); // doc id 1
+    vo.extend_from_slice(&[0x80, 0x80, 0x80, 0x20]); // 2^26 leaves
+    vo.extend_from_slice(&[0x80, 0x80, 0x80, 0x20]); // all revealed
+    let err = wire::decode(&vo).unwrap_err().to_string();
+    assert!(err.contains("revealed leaf count 67108864"), "{err}");
 }
 
 /// A foreign version is rejected by name: a future client cannot be
-/// silently misparsed by this server, and neither can the two previous
-/// versions. A v5 TRA reply carries plain document-leaf positions where
-/// v6 packs each leaf's `c_t` into the top bits, and a v4 conjunctive
-/// request (flags byte, mode byte, then `r | n | pairs`) reuses kind
-/// `0x03` under a different payload layout, so the header check must
-/// refuse both before any payload decoder sees them.
+/// silently misparsed by this server, and neither can the three
+/// previous versions. A v6 reply carries its VO in fixed-width fields
+/// where v7 writes varints and gap-coded leaf positions, a v5 TRA reply
+/// carries plain document-leaf positions where v6 packs each leaf's
+/// `c_t` into the top bits, and a v4 conjunctive request (flags byte,
+/// mode byte, then `r | n | pairs`) reuses kind `0x03` under a
+/// different payload layout, so the header check must refuse all three
+/// before any payload decoder sees them.
 #[test]
 fn foreign_version_rejected_by_name() {
-    assert_eq!(wire::WIRE_VERSION, 6);
+    assert_eq!(wire::WIRE_VERSION, 7);
     let mut bumped = sample_ok_frame();
     bumped[4] = wire::WIRE_VERSION + 1;
+
+    let mut v6_reply = sample_ok_frame();
+    v6_reply[4] = 6;
 
     let mut v5_reply = sample_ok_frame();
     v5_reply[4] = 5;
@@ -257,8 +274,8 @@ fn foreign_version_rejected_by_name() {
     v4_request[4] = 4;
     v4_request.extend_from_slice(&v4_payload);
 
-    for (version, frame) in [(7, bumped), (5, v5_reply), (4, v4_request)] {
-        let named = format!("version {version} (this build speaks 6)");
+    for (version, frame) in [(8, bumped), (6, v6_reply), (5, v5_reply), (4, v4_request)] {
+        let named = format!("version {version} (this build speaks 7)");
         let header: [u8; FRAME_HEADER_LEN] = frame[..FRAME_HEADER_LEN].try_into().unwrap();
         let err = decode_frame_header(&header).unwrap_err();
         assert!(err.to_string().contains(&named), "{err}");
