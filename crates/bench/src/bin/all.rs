@@ -11,6 +11,7 @@ fn main() {
     figures::fig14::run(&mut wb);
     figures::fig15::run(&mut wb);
     figures::table2::run(&mut wb);
+    figures::hashwork::run(&mut wb);
     figures::space::run(&mut wb);
     figures::ablations::run(&mut wb);
 }

@@ -6,6 +6,7 @@ pub mod fig04;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
+pub mod hashwork;
 pub mod space;
 pub mod table2;
 pub mod trace;

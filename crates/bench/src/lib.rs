@@ -14,6 +14,7 @@
 //! | [`figures::fig14`]    | Figure 14(a–e) — synthetic workload vs result size |
 //! | [`figures::fig15`]    | Figure 15(a–e) — TREC workload vs result size |
 //! | [`figures::table2`]   | Table 2 — VO data/digest breakdown, MHT vs CMHT |
+//! | [`figures::hashwork`] | SHA-256 compressions to serve and to verify a query, RSA verifies |
 //! | [`figures::space`]    | §4.1 — storage overheads of the four mechanisms |
 //! | [`figures::ablations`] | buddy inclusion, chain-block capacity ρ′, prioritised vs equal-depth polling |
 //!

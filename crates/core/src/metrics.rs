@@ -13,6 +13,7 @@ use crate::auth::{AuthenticatedIndex, ContentProvider};
 use crate::types::Query;
 use crate::verify::{self, VerifierParams, VerifyError};
 use crate::vo::VoSize;
+use authsearch_crypto::counters::{self, WorkCounts};
 use authsearch_index::{DiskModel, IoStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -159,6 +160,12 @@ pub struct QueryMetrics {
     pub paper_signatures: usize,
     /// Wall-clock verification time at the user.
     pub verify_time: Duration,
+    /// Hash and signature work serving the query took at the engine
+    /// (zero unless `authsearch_crypto::counters` counts).
+    pub serve_work: WorkCounts,
+    /// Hash and signature work verifying the reply took at the user,
+    /// counted the same way.
+    pub verify_work: WorkCounts,
 }
 
 impl QueryMetrics {
@@ -210,13 +217,16 @@ pub fn measure<C: ContentProvider>(
     contents: &C,
     disk: &DiskModel,
 ) -> Result<QueryMetrics, VerifyError> {
+    let start = counters::current();
     let response: QueryResponse = auth
         .query(query, r, contents)
         .map_err(VerifyError::MalformedQuery)?;
+    let served = counters::current();
 
     let t1 = Instant::now();
     verify::verify(params, query, r, &response)?;
     let verify_time = t1.elapsed();
+    let verified = counters::current();
 
     let list_lens = query
         .terms()
@@ -233,6 +243,8 @@ pub fn measure<C: ContentProvider>(
         signatures: response.vo.signature_count(),
         paper_signatures: response.vo.paper_signature_count(),
         verify_time,
+        serve_work: served - start,
+        verify_work: verified - served,
     })
 }
 

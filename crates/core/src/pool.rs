@@ -24,6 +24,7 @@
 //! assert_eq!(pool::map(1, 8, |i| i * i), squares);
 //! ```
 
+use authsearch_crypto::counters;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -98,11 +99,18 @@ where
         }
     };
     let mut chunks = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(claim)).collect();
+        // Each helper hands back the hash work it did, so the caller's
+        // `counters` count the whole map at every width.
+        let helpers: Vec<_> = (1..threads)
+            .map(|_| s.spawn(|| (claim(), counters::current())))
+            .collect();
         let mut chunks = claim();
         for helper in helpers {
             match helper.join() {
-                Ok(done) => chunks.extend(done),
+                Ok((done, work)) => {
+                    chunks.extend(done);
+                    counters::add(work);
+                }
                 Err(payload) => panic::resume_unwind(payload),
             }
         }
@@ -128,6 +136,19 @@ mod tests {
             .map(String::from)
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default()
+    }
+
+    #[test]
+    fn helpers_hand_their_hash_work_to_the_caller() {
+        let work = |threads| {
+            let before = counters::current();
+            map(threads, 64, |i| authsearch_crypto::Digest::hash(&[i as u8]));
+            (counters::current() - before).compressions
+        };
+        let want = if counters::ENABLED { 64 } else { 0 };
+        for threads in [1, 4] {
+            assert_eq!(work(threads), want, "threads={threads}");
+        }
     }
 
     #[test]

@@ -70,6 +70,9 @@ impl Digest {
     pub fn leaf(data: &[u8]) -> Digest {
         #[cfg(target_arch = "x86_64")]
         if let Some(ni) = ShaNi::get() {
+            if matches!(data.len(), 4 | 8 | 9) {
+                crate::counters::compressed(1);
+            }
             if let Ok(data) = <&[u8; 4]>::try_from(data) {
                 return Digest(ni.short(LEAF_PREFIX, data));
             }
@@ -89,6 +92,7 @@ impl Digest {
     pub fn combine(left: &Digest, right: &Digest) -> Digest {
         #[cfg(target_arch = "x86_64")]
         if let Some(ni) = ShaNi::get() {
+            crate::counters::compressed(1);
             return Digest(ni.node(INTERIOR_PREFIX, &left.0, &right.0));
         }
         Digest::one_block(INTERIOR_PREFIX, &[&left.0, &right.0]).expect("33 bytes fit one block")

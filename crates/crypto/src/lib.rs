@@ -27,6 +27,7 @@
 
 pub mod bignum;
 pub mod chain;
+pub mod counters;
 pub mod digest;
 pub mod keys;
 pub mod merkle;

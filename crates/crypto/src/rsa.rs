@@ -121,6 +121,7 @@ impl RsaPublicKey {
 
     /// Verify a PKCS#1 v1.5 SHA-256 signature over `message`.
     pub fn verify(&self, message: &[u8], signature: &[u8]) -> Result<(), RsaError> {
+        crate::counters::rsa_verified();
         if signature.len() != self.k {
             return Err(RsaError::BadSignatureLength {
                 expected: self.k,

@@ -154,6 +154,7 @@ fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     if blocks.is_empty() {
         return;
     }
+    crate::counters::compressed(blocks.len());
     #[cfg(target_arch = "x86_64")]
     if let Some(ni) = ShaNi::get() {
         ni.compress(state, blocks);
