@@ -71,8 +71,10 @@ pub fn run(wb: &mut Workbench) {
     t.note(
         "signatures per VO (TRA-MHT; excluded from data/digest %) — paper: one per \
          query term plus one per encountered document (m + n over the collection), \
-         here: 1. The owner signs one manifest over the dictionary-MHT and \
-         document-table roots; their multi-proofs add digests to the digest column",
+         here: the RSA checks the client makes per reply, 0. The owner signs one \
+         manifest over the dictionary-MHT and document-table roots, which the client \
+         checks once with each document's content digest and root; a reply's \
+         dictionary multi-proof adds digests to the digest column",
     );
     t.print();
 }

@@ -82,12 +82,7 @@ impl Workbench {
             config.mechanism.name(),
             t.elapsed()
         );
-        let params = VerifierParams {
-            public_key: key.public_key().clone(),
-            layout: config.layout,
-            mechanism: config.mechanism,
-            num_docs: self.index.num_docs(),
-        };
+        let params = auth.verifier_params();
         (auth, params)
     }
 
@@ -128,7 +123,8 @@ pub(crate) struct AggregateMetrics {
     pub mean_vo_data: f64,
     /// Table 2: mean VO digest bytes.
     pub mean_vo_digest: f64,
-    /// Mean signatures per VO (one per term plus one under TRA).
+    /// Mean RSA signature checks per verified reply (counted by
+    /// `authsearch_crypto::counters`).
     pub mean_signatures: f64,
     /// Mean signatures the paper's scheme carries for the same replies
     /// (one per term plus one per encountered document under TRA).
@@ -159,7 +155,7 @@ pub(crate) fn run_workload(
         agg.mean_pct_read += m.mean_pct_read();
         agg.mean_io_secs += m.io_secs;
         vo_total = vo_total + m.vo_size;
-        agg.mean_signatures += m.signatures as f64;
+        agg.mean_signatures += m.verify_work.rsa_verifies as f64;
         agg.mean_paper_signatures += m.paper_signatures as f64;
         agg.mean_verify_secs += m.verify_time.as_secs_f64();
     }

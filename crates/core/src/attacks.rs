@@ -36,8 +36,6 @@ pub enum Attack {
     AlterPrefixWeight,
     /// Reorder two entries within a list prefix.
     ReorderPrefix,
-    /// Flip a bit in the manifest signature.
-    ForgeManifestSignature,
     /// Lie about a list's f_t (shortening the claimed list).
     UnderstateListLength,
     /// TRA: tamper with a revealed document-MHT frequency.
@@ -55,24 +53,19 @@ pub enum Attack {
     /// evidence).
     DropConjunct,
     /// Conjunctive: report a silently narrowed intersection (drop the
-    /// last member while keeping every proof intact; under TRA its
-    /// content digest is filled in).
+    /// last member and its content while keeping every proof intact).
     WrongIntersection,
     /// Conjunctive: smuggle a revealed-but-nonqualifying document into
     /// the reported intersection, with fabricated content.
     ExtraIntersectionDoc,
     /// Phrase (TRA): swap two adjacent words inside a delivered result
     /// document, breaking phrase order while preserving the word
-    /// multiset — term frequencies are unchanged, so only the
-    /// content-digest binding can catch it.
+    /// multiset — term frequencies are unchanged, so only the held
+    /// content digest can catch it.
     PhraseOrderSwap,
-    /// TRA: drop the last digest of the document-table multi-proof.
-    DropDocTableDigest,
-    /// TRA: append one digest to the document-table multi-proof.
-    ExtraDocTableDigest,
     /// TRA: relabel a non-result document proof with its neighbour's doc
-    /// id, putting its leaf in the neighbour's slot of the document
-    /// table (its sibling, so the multi-proof keeps its shape).
+    /// id (one not proved already), so the proof meets the neighbour's
+    /// held document-MHT root.
     ShiftDocId,
     /// TRA: swap the two leaves of a bounding pair (position-adjacent
     /// revealed leaves whose keys bound a query term's), each keeping
@@ -85,7 +78,7 @@ pub enum Attack {
 
 impl Attack {
     /// Attacks applicable to every mechanism.
-    pub const COMMON: [Attack; 9] = [
+    pub const COMMON: [Attack; 8] = [
         Attack::OmitTopResult,
         Attack::SwapRanking,
         Attack::InflateScore,
@@ -93,7 +86,6 @@ impl Attack {
         Attack::InjectSpurious,
         Attack::AlterPrefixWeight,
         Attack::ReorderPrefix,
-        Attack::ForgeManifestSignature,
         Attack::UnderstateListLength,
     ];
 
@@ -105,14 +97,10 @@ impl Attack {
         Attack::DuplicateContent,
     ];
 
-    /// Attacks on the TRA document-table proof; each applies to every
-    /// TRA response with a non-result document proof whose sibling slot
-    /// is free (see [`Attack::ShiftDocId`]).
-    pub const DOC_TABLE: [Attack; 3] = [
-        Attack::DropDocTableDigest,
-        Attack::ExtraDocTableDigest,
-        Attack::ShiftDocId,
-    ];
+    /// Attacks on the held document table (TRA); each applies to every
+    /// TRA response with a non-result document proof whose lower
+    /// neighbour is not proved (see [`Attack::ShiftDocId`]).
+    pub const DOC_TABLE: [Attack; 1] = [Attack::ShiftDocId];
 
     /// Attacks on the key order of document-MHT leaves; each applies to
     /// every TRA response that proves a query term absent from some
@@ -140,7 +128,6 @@ impl Attack {
             Attack::InjectSpurious => "inject spurious document",
             Attack::AlterPrefixWeight => "alter prefix weight",
             Attack::ReorderPrefix => "reorder prefix",
-            Attack::ForgeManifestSignature => "forge the manifest signature",
             Attack::UnderstateListLength => "understate list length",
             Attack::AlterDocFrequency => "alter document frequency",
             Attack::DropDocProof => "drop document proof",
@@ -150,9 +137,7 @@ impl Attack {
             Attack::WrongIntersection => "narrow the intersection",
             Attack::ExtraIntersectionDoc => "widen the intersection",
             Attack::PhraseOrderSwap => "swap phrase word order",
-            Attack::DropDocTableDigest => "drop a document-table digest",
-            Attack::ExtraDocTableDigest => "add a document-table digest",
-            Attack::ShiftDocId => "shift a doc id into its neighbour's slot",
+            Attack::ShiftDocId => "shift a doc id onto its neighbour's",
             Attack::SwapBoundingPair => "swap a bounding pair out of key order",
             Attack::ForgeBoundingClass => "forge the c_t of a bounding leaf",
         }
@@ -244,13 +229,6 @@ impl Attack {
                 }
                 false
             }
-            Attack::ForgeManifestSignature => {
-                let Some(byte) = response.vo.signature.first_mut() else {
-                    return false;
-                };
-                *byte ^= 0x40;
-                true
-            }
             Attack::UnderstateListLength => {
                 for tv in &mut response.vo.terms {
                     let prefix_len = u32::try_from(tv.prefix.len()).unwrap_or(u32::MAX);
@@ -314,20 +292,12 @@ impl Attack {
             }
             Attack::WrongIntersection => {
                 // Too-narrow intersection: silently drop the *last*
-                // member (OmitTopResult already covers the first) while
-                // every proof stays intact. Under TRA a proved document
-                // outside the result carries its content digest, which
-                // the forger hashes from the content it withholds, so
-                // only the intersection check can catch the lie.
+                // member (OmitTopResult already covers the first) and its
+                // content while every proof stays intact, so only the
+                // intersection check can catch the lie.
                 let Some(gone) = response.result.entries.pop() else {
                     return false;
                 };
-                if let Some((_, bytes)) = response.contents.iter().find(|(d, _)| *d == gone.doc) {
-                    let digest = Digest::hash(bytes);
-                    for dv in response.vo.docs.iter_mut().filter(|dv| dv.doc == gone.doc) {
-                        dv.content_digest = Some(digest);
-                    }
-                }
                 response.contents.retain(|(d, _)| *d != gone.doc);
                 true
             }
@@ -386,26 +356,13 @@ impl Attack {
                 }
                 false
             }
-            Attack::DropDocTableDigest => response
-                .vo
-                .doc_table
-                .as_mut()
-                .and_then(|t| t.proof.digests.pop())
-                .is_some(),
-            Attack::ExtraDocTableDigest => {
-                let Some(table) = response.vo.doc_table.as_mut() else {
-                    return false;
-                };
-                table.proof.digests.push(Digest::ZERO);
-                true
-            }
             Attack::ShiftDocId => {
-                // An odd id's sibling is the even id below it; a
-                // non-result document keeps the content check out of the
-                // way, so only the table can object.
+                // A non-result document keeps the content check out of
+                // the way, so only the held root can object.
                 let taken: Vec<DocId> = response.vo.docs.iter().map(|d| d.doc).collect();
+                let results = response.result.docs();
                 let Some(dv) = response.vo.docs.iter_mut().find(|dv| {
-                    dv.doc % 2 == 1 && dv.content_digest.is_some() && !taken.contains(&(dv.doc - 1))
+                    dv.doc % 2 == 1 && !results.contains(&dv.doc) && !taken.contains(&(dv.doc - 1))
                 }) else {
                     return false;
                 };
@@ -508,7 +465,7 @@ pub fn absent_through_gap_response(
         positions.sort_unstable();
         positions.dedup();
         let mut forged = honest.clone();
-        forged.vo.docs[i] = auth.doc_vo(dv.doc, &positions, dv.content_digest.is_none());
+        forged.vo.docs[i] = auth.doc_vo(dv.doc, &positions);
         return Some(forged);
     }
     None
@@ -546,36 +503,12 @@ pub fn older_index(index: &InvertedIndex, t: TermId) -> Option<InvertedIndex> {
     ))
 }
 
-/// The manifest of an **older** publication with the same `m` and `n`
-/// spliced into an honest reply: the owner's genuine signature, with the
-/// dictionary and document-table proofs made for it, over trees that
-/// are not this publication's. Returns `None` when the two publications
-/// differ in `m`, or `older` has no table where the reply has one.
-pub fn stale_manifest_response(
-    honest: &QueryResponse,
-    older: &AuthenticatedIndex,
-) -> Option<QueryResponse> {
-    let m = honest.vo.dict.as_ref()?.num_terms;
-    if u32::try_from(older.index().num_terms()).ok()? != m {
-        return None;
-    }
-    let terms: Vec<TermId> = honest.vo.terms.iter().map(|t| t.term).collect();
-    let docs: Vec<DocId> = honest.vo.docs.iter().map(|d| d.doc).collect();
-    let mut stale = honest.clone();
-    stale.vo.dict = Some(older.dict_vo(&terms));
-    if honest.vo.doc_table.is_some() {
-        stale.vo.doc_table = Some(older.doc_table_vo(&docs)?);
-    }
-    stale.vo.signature = older.manifest_signature().to_vec();
-    Some(stale)
-}
-
 /// The reply relabeled as mechanism `to` of the same query algorithm,
 /// each term proof converted to `to`'s kind (a chain proof's tail-block
 /// multi-proof becomes a plain MHT proof, and back): one publication's
-/// reply presented to another mechanism's verifier. Where every query
-/// list fits in one chain block the two mechanisms' term roots coincide,
-/// so only the mechanism field of the signed manifest tells them apart.
+/// reply presented as another mechanism's. Where every query list fits
+/// in one chain block the two mechanisms' term roots coincide, so only
+/// the mechanism of the client's held manifest tells them apart.
 /// Returns `None` when `to` is the reply's own mechanism or runs the
 /// other query algorithm (TRA vs TNRA).
 pub fn mechanism_swapped_response(honest: &QueryResponse, to: Mechanism) -> Option<QueryResponse> {
@@ -651,19 +584,17 @@ pub enum Tree {
     ChainBlock,
     /// A document-MHT (TRA).
     DocMht,
-    /// The document table (TRA).
-    DocTable,
     /// The dictionary-MHT (every mechanism).
     Dictionary,
 }
 
 impl Tree {
-    /// Every tree type.
-    pub const ALL: [Tree; 5] = [
+    /// Every tree a reply proves from. The document table is not one: a
+    /// client holds its leaves and checks none of its proofs.
+    pub const ALL: [Tree; 4] = [
         Tree::TermMht,
         Tree::ChainBlock,
         Tree::DocMht,
-        Tree::DocTable,
         Tree::Dictionary,
     ];
 
@@ -672,7 +603,7 @@ impl Tree {
         match self {
             Tree::TermMht => !mechanism.is_cmht(),
             Tree::ChainBlock => mechanism.is_cmht(),
-            Tree::DocMht | Tree::DocTable => mechanism.is_tra(),
+            Tree::DocMht => mechanism.is_tra(),
             Tree::Dictionary => true,
         }
     }
@@ -721,20 +652,6 @@ pub fn interior_as_leaf_response(
                 .collect();
             parent_in_leaf_slot(dv.num_leaves as usize, &leaves, &mut dv.proof)
         }),
-        Tree::DocTable => {
-            let mut docs: Vec<DocId> = vo.docs.iter().map(|d| d.doc).collect();
-            docs.sort_unstable();
-            let leaves: Option<Vec<(usize, Digest)>> = docs
-                .iter()
-                .map(|&d| Some((d as usize, auth.doc_table_leaf_digest(d)?)))
-                .collect();
-            match (vo.doc_table.as_mut(), leaves) {
-                (Some(table), Some(leaves)) => {
-                    parent_in_leaf_slot(auth.index().num_docs(), &leaves, &mut table.proof)
-                }
-                _ => false,
-            }
-        }
         Tree::Dictionary => {
             let mut terms: Vec<TermId> = vo.terms.iter().map(|t| t.term).collect();
             terms.sort_unstable();
@@ -787,7 +704,8 @@ fn parent_in_leaf_slot(n: usize, revealed: &[(usize, Digest)], proof: &mut Merkl
 }
 
 /// TRA: relabel the last document proof with id `n`, one past the end of
-/// the signed document table. Returns `None` without document proofs.
+/// the collection the client holds. Returns `None` without document
+/// proofs.
 pub fn doc_beyond_table_response(
     honest: &QueryResponse,
     auth: &AuthenticatedIndex,
@@ -889,7 +807,7 @@ mod tests {
             .collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 22);
+        assert_eq!(names.len(), 19);
     }
 
     #[test]

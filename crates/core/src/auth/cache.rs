@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn doc_structures_match_fresh_builds() {
-        use super::super::{doc_leaf_digests, doc_table_leaf};
+        use super::super::doc_leaf_digests;
         use authsearch_corpus::DocId;
         let auth = test_auth(Mechanism::TraCmht);
         for d in 0..auth.index().num_docs() as DocId {
@@ -258,10 +258,10 @@ mod tests {
             let resident = &auth.cache.doc_levels[d as usize];
             assert_eq!(**resident, *interior_levels(&leaves), "doc {d}");
             if !leaves.is_empty() {
+                // The publication holds the root a fresh fold gives.
                 let fresh = MerkleTree::from_leaf_digests(leaves);
-                let content = &auth.doc_content_digests[d as usize];
-                let leaf = doc_table_leaf(d, content, &fresh.root());
-                assert_eq!(auth.doc_table_leaf_digest(d), Some(leaf), "doc {d}");
+                let held = auth.publication().doc(d).unwrap();
+                assert_eq!(held.root, fresh.root(), "doc {d}");
             }
         }
     }

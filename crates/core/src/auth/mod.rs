@@ -10,13 +10,14 @@
 //!   (`crate::types::leaf_key`), its root bound to the document id and the
 //!   digest of the document's content by `doc_message` — and one
 //!   **document-table MHT** over those messages' digests, in doc-id
-//!   order;
+//!   order, folded for its root only;
 //! * one signature over the **publication manifest**
 //!   (`publication_message`): mechanism, `m`, `n`, the dictionary root
 //!   and the document-table root. The paper signs every list (§3.3) and,
 //!   under TRA, every document (Figure 8): `m + n` signatures where this
-//!   build makes one, and a reply carries one signature instead of one
-//!   per query term and encountered document.
+//!   build makes one. The manifest, its signature and each document's
+//!   `(h(doc), root)` are the publication ([`crate::publication`]) every
+//!   client holds, so a reply carries no signature at all.
 //!
 //! Every tree hashes its leaves with [`Digest::leaf`] and its interior
 //! nodes with [`Digest::combine`], in separate domains.
@@ -47,6 +48,7 @@ pub use cache::WarmStats; // lint:allow(unused-pub): reached only as the value o
 pub use snapshot::boot_authenticated_index;
 
 use crate::pool;
+use crate::publication::{fold_doc_table, DocRecord, Manifest, SignedPublication};
 use crate::types::DocTable;
 use crate::verify::VerifierParams;
 use crate::vo::Mechanism;
@@ -54,6 +56,7 @@ use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::merkle::interior_levels;
 use authsearch_crypto::{Digest, MerkleTree, RsaPrivateKey, RsaPublicKey};
 use authsearch_index::{BlockLayout, ImpactEntry, InvertedIndex, InvertedList};
+use std::sync::Arc;
 
 /// Source of raw document contents (for `h(doc)`); implemented by
 /// [`authsearch_corpus::Corpus`] and by plain `Vec<Vec<u8>>` fixtures.
@@ -287,8 +290,9 @@ pub(crate) fn doc_mht(table: &DocTable, d: DocId) -> (Digest, Box<[Digest]>) {
 }
 
 /// Every document's MHT root and interior levels, folded
-/// [`pool::map`]-parallel over `threads`; the levels are the resident
-/// source of document proofs ([`cache::ServeCache::doc_levels`]).
+/// [`pool::map`]-parallel over `threads`; the roots go into the
+/// publication, and the levels are the resident source of document
+/// proofs ([`cache::ServeCache::doc_levels`]).
 fn doc_mhts(threads: usize, doc_table: &DocTable) -> (Vec<Digest>, Vec<Box<[Digest]>>) {
     pool::map(threads, doc_table.num_docs(), |d| {
         doc_mht(doc_table, d as DocId)
@@ -331,7 +335,7 @@ fn message<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
 /// Message binding a document: the `h(doc) | d | root` of the paper's
 /// `sign(h(h(doc) | d | root))` (Figure 8). The paper signs it per
 /// document; here its digest is leaf `d` of the document table
-/// ([`doc_table_leaf`]).
+/// ([`doc_table_leaf`], folded by [`fold_doc_table`]).
 pub(crate) fn doc_message(doc: DocId, content_digest: &Digest, root: &Digest) -> [u8; 54] {
     message(&[
         b"authsearch:doc:v1|",
@@ -345,16 +349,6 @@ pub(crate) fn doc_message(doc: DocId, content_digest: &Digest, root: &Digest) ->
 /// [`doc_message`], which the verifier builds itself.
 pub(crate) fn doc_table_leaf(doc: DocId, content_digest: &Digest, root: &Digest) -> Digest {
     Digest::leaf(&doc_message(doc, content_digest, root))
-}
-
-/// The document-table MHT: leaf `d` is [`doc_table_leaf`] of document
-/// `d`, so a leaf's position *is* its document id.
-fn doc_table_tree(content_digests: &[Digest], roots: &[Digest]) -> MerkleTree {
-    let leaves = (0..)
-        .zip(content_digests.iter().zip(roots))
-        .map(|(d, (cd, root))| doc_table_leaf(d, cd, root))
-        .collect();
-    MerkleTree::from_leaf_digests(leaves)
 }
 
 /// Dictionary-MHT leaf for one term: the leaf digest of
@@ -420,15 +414,15 @@ fn content_digests<C: ContentProvider>(threads: usize, n: usize, contents: &C) -
 /// Everything derived from an index and, under TRA, its documents'
 /// content digests: what the build signs and a boot verifies.
 struct Fold {
-    content_digests: Vec<Digest>,
-    doc_tree: Option<MerkleTree>,
     cache: cache::ServeCache,
     /// TRA only: the table the document-MHTs were folded from. Under
     /// TNRA only the signature vouches for the `n` it is sized by, so it
     /// is built once the manifest is signed or verified.
     doc_table: Option<DocTable>,
-    /// The [`publication_message`] over both roots.
-    manifest: [u8; 55],
+    /// The manifest over both roots.
+    manifest: Manifest,
+    /// TRA only: each document's content digest and document-MHT root.
+    docs: Vec<DocRecord>,
 }
 
 /// The one fold shared by [`AuthenticatedIndex::build`] and
@@ -438,7 +432,7 @@ struct Fold {
 /// under TNRA); and the manifest over both roots.
 ///
 /// Every list of `index` must be non-empty. Fails only when `m` or `n`
-/// does not fit the manifest's `u32`s.
+/// does not fit the manifest's `u32`s, or a TRA index has no documents.
 fn fold(
     threads: usize,
     config: &AuthConfig,
@@ -453,30 +447,31 @@ fn fold(
     // Document structures (TRA mechanisms only): fold the document-MHT
     // independently per document, keeping its interior levels for
     // serving, then the document table.
-    let (doc_table, doc_levels, doc_tree) = if config.mechanism.is_tra() {
+    let count = |n: usize| u32::try_from(n).map_err(|_| "term or document count exceeds u32");
+    let (num_terms, num_docs) = (count(index.num_terms())?, count(index.num_docs())?);
+    let (doc_table, doc_levels, docs, doc_table_root) = if config.mechanism.is_tra() {
         let doc_table = DocTable::from_index(index);
         let (roots, levels) = doc_mhts(threads, &doc_table);
-        let tree = doc_table_tree(&content_digests, &roots);
-        (Some(doc_table), levels, Some(tree))
+        let docs: Vec<DocRecord> = (content_digests.into_iter().zip(roots))
+            .map(|(content, root)| DocRecord { content, root })
+            .collect();
+        let table_root = fold_doc_table(threads, &docs).ok_or("a TRA index has no documents")?;
+        (Some(doc_table), levels, docs, table_root)
     } else {
-        (None, Vec::new(), None)
+        (None, Vec::new(), Vec::new(), NO_DOC_TABLE_ROOT)
     };
-    let count = |n: usize| u32::try_from(n).map_err(|_| "term or document count exceeds u32");
-    let manifest = publication_message(
-        config.mechanism,
-        count(index.num_terms())?,
-        count(index.num_docs())?,
-        &dict.root(),
-        &doc_tree
-            .as_ref()
-            .map_or(NO_DOC_TABLE_ROOT, MerkleTree::root),
-    );
+    let manifest = Manifest {
+        mechanism: config.mechanism,
+        num_terms,
+        num_docs,
+        dict_root: dict.root(),
+        doc_table_root,
+    };
     Ok(Fold {
-        content_digests,
-        doc_tree,
         cache: cache::ServeCache::new(dict, terms, doc_levels),
         doc_table,
         manifest,
+        docs,
     })
 }
 
@@ -496,9 +491,11 @@ impl Fold {
                 .unwrap_or_else(|| DocTable::from_index(&index)),
             config,
             index,
-            doc_content_digests: self.content_digests,
-            doc_tree: self.doc_tree,
-            signature,
+            publication: Arc::new(SignedPublication {
+                manifest: self.manifest,
+                signature,
+                docs: self.docs,
+            }),
             public_key,
             cache: self.cache,
         }
@@ -523,19 +520,17 @@ impl MapWidth {
 
 /// Everything the data owner hands the search engine: the index, the
 /// document table, the digests of the authentication structures and the
-/// one manifest signature.
+/// publication with its one manifest signature.
 #[derive(Debug)]
 pub struct AuthenticatedIndex {
     config: AuthConfig,
     index: InvertedIndex,
     doc_table: DocTable,
-    /// TRA only: per-document content digests `h(doc)`.
-    doc_content_digests: Vec<Digest>,
-    /// TRA only: the document-table MHT ([`doc_table_tree`]), resident
-    /// so every reply's multi-proof is one `prove` call.
-    doc_tree: Option<MerkleTree>,
-    /// The owner's one signature over [`publication_message`].
-    signature: Vec<u8>,
+    /// The manifest, its signature and, under TRA, each document's
+    /// content digest and document-MHT root: shared with every
+    /// [`VerifierParams`] this artifact hands out, and sent to a client
+    /// that asks for it.
+    publication: Arc<SignedPublication>,
     public_key: RsaPublicKey,
     /// Engine-side resident structures (see [`cache`] and the module docs).
     cache: cache::ServeCache,
@@ -607,7 +602,9 @@ impl AuthenticatedIndex {
             Vec::new()
         };
         let fold = fold(threads, &config, &index, digests).expect("term and document ids are u32");
-        let signature = key.sign(&fold.manifest).expect("manifest signature");
+        let signature = key
+            .sign(&fold.manifest.message())
+            .expect("manifest signature");
         fold.into_index(config, index, signature, key.public_key().clone())
     }
 
@@ -639,36 +636,26 @@ impl AuthenticatedIndex {
     }
 
     /// The public parameters clients verify this artifact's replies
-    /// against: what the owner broadcasts at publication
-    /// ([`crate::DataOwner::publish_index`]) and what boot checks a
-    /// loaded snapshot against ([`boot_authenticated_index`]).
+    /// against, sharing its publication: what the owner hands its users
+    /// at publication ([`crate::DataOwner::publish_index`]) and what boot
+    /// checks a loaded snapshot against ([`boot_authenticated_index`]).
     pub fn verifier_params(&self) -> VerifierParams {
-        VerifierParams {
-            public_key: self.public_key.clone(),
-            layout: self.config.layout,
-            mechanism: self.config.mechanism,
-            num_docs: self.index.num_docs(),
-        }
+        VerifierParams::held(
+            self.public_key.clone(),
+            self.config.layout,
+            Arc::clone(&self.publication),
+        )
     }
 
-    /// The owner's one signature over [`publication_message`].
-    pub(crate) fn manifest_signature(&self) -> &[u8] {
-        &self.signature
+    /// The publication: the manifest, its signature and, under TRA, each
+    /// document's content digest and document-MHT root.
+    pub(crate) fn publication(&self) -> &SignedPublication {
+        &self.publication
     }
 
     /// Leaf `t` of the resident dictionary-MHT.
     pub(crate) fn dict_leaf(&self, t: TermId) -> Digest {
         self.cache.dict_tree.leaf_digests()[t as usize]
-    }
-
-    /// Leaf `d` of the document table (TRA; `None` under TNRA or past
-    /// the table).
-    pub(crate) fn doc_table_leaf_digest(&self, d: DocId) -> Option<Digest> {
-        self.doc_tree
-            .as_ref()?
-            .leaf_digests()
-            .get(d as usize)
-            .copied()
     }
 }
 
@@ -694,10 +681,11 @@ pub(crate) mod tests_support {
 
     /// The manifest `auth` was signed over, refolded from its index.
     pub(crate) fn manifest_of(auth: &AuthenticatedIndex) -> [u8; 55] {
-        let digests = auth.doc_content_digests.clone();
+        let digests = auth.publication.docs.iter().map(|d| d.content).collect();
         fold(1, &auth.config, &auth.index, digests)
             .unwrap()
             .manifest
+            .message()
     }
 }
 
@@ -737,7 +725,7 @@ mod tests {
             dict_leaf_digest(t, auth.index.ft(t), &term_root(&auth, t))
         );
         auth.public_key()
-            .verify(&manifest_of(&auth), &auth.signature)
+            .verify(&manifest_of(&auth), &auth.publication.signature)
             .unwrap();
     }
 
@@ -750,18 +738,30 @@ mod tests {
             AuthConfig::new(Mechanism::TraMht),
             &toy_contents(),
         );
-        let tree = auth.doc_tree.as_ref().unwrap();
-        assert_eq!(tree.num_leaves(), 9);
-        // Leaf d is the leaf digest of document d's message.
+        // The publication holds each document's content digest and
+        // document-MHT root, in doc-id order.
+        let docs = &auth.publication.docs;
+        assert_eq!(docs.len(), 9);
         let d = 6u32;
         let root = doc_mht(auth.doc_table(), d).0;
-        let msg = doc_message(d, &auth.doc_content_digests[d as usize], &root);
-        assert_eq!(tree.leaf_digests()[d as usize], Digest::leaf(&msg));
+        assert_eq!(docs[d as usize].root, root);
+        assert_eq!(
+            docs[d as usize].content,
+            Digest::hash(&toy_contents()[d as usize])
+        );
+        // Leaf d of the table is the leaf digest of document d's message.
+        let leaves: Vec<Digest> = (0..)
+            .zip(docs)
+            .map(|(d, r)| doc_table_leaf(d, &r.content, &r.root))
+            .collect();
+        let msg = doc_message(d, &docs[d as usize].content, &root);
+        assert_eq!(leaves[d as usize], Digest::leaf(&msg));
         // The one signature binds the table root through the manifest.
+        let tree = MerkleTree::from_leaf_digests(leaves);
         let manifest = manifest_of(&auth);
         assert_eq!(&manifest[manifest.len() - 16..], tree.root().as_bytes());
         auth.public_key()
-            .verify(&manifest, &auth.signature)
+            .verify(&manifest, &auth.publication.signature)
             .unwrap();
     }
 
@@ -774,8 +774,7 @@ mod tests {
             AuthConfig::new(Mechanism::TnraCmht),
             &toy_contents(),
         );
-        assert!(auth.doc_tree.is_none());
-        assert!(auth.doc_content_digests.is_empty());
+        assert!(auth.publication.docs.is_empty());
         // The manifest's table slot holds the fixed constant.
         let manifest = manifest_of(&auth);
         assert_eq!(
@@ -783,7 +782,7 @@ mod tests {
             NO_DOC_TABLE_ROOT.as_bytes()
         );
         auth.public_key()
-            .verify(&manifest, &auth.signature)
+            .verify(&manifest, &auth.publication.signature)
             .unwrap();
     }
 
@@ -887,7 +886,7 @@ mod tests {
                 term_root(&auth, 0).to_hex(),
                 term_root(&auth, m - 1).to_hex(),
                 auth.cache.dict_tree.root().to_hex(),
-                auth.doc_tree.as_ref().map(|t| t.root().to_hex()),
+                (mechanism.is_tra()).then(|| auth.publication.manifest.doc_table_root.to_hex()),
             );
             let want = (
                 first.to_string(),
@@ -911,7 +910,10 @@ mod tests {
                 AuthConfig::new(mechanism),
                 &toy_contents(),
             );
-            assert_eq!(auth.signature.len(), key.public_key().signature_len());
+            assert_eq!(
+                auth.publication.signature.len(),
+                key.public_key().signature_len()
+            );
             assert_eq!(auth.space_report(0).signatures, 1, "{mechanism:?}");
         }
     }
@@ -973,17 +975,10 @@ mod tests {
                     reference.cache.dict_tree.root(),
                     "{mechanism:?} threads={threads}"
                 );
+                // The manifest, its signature, and every document's
+                // content digest and root.
                 assert_eq!(
-                    built.doc_content_digests, reference.doc_content_digests,
-                    "{mechanism:?} threads={threads}"
-                );
-                assert_eq!(
-                    built.doc_tree.as_ref().map(MerkleTree::root),
-                    reference.doc_tree.as_ref().map(MerkleTree::root),
-                    "{mechanism:?} threads={threads}"
-                );
-                assert_eq!(
-                    built.signature, reference.signature,
+                    built.publication, reference.publication,
                     "{mechanism:?} threads={threads}"
                 );
             }
@@ -996,7 +991,7 @@ mod tests {
         // exactly like sequential ones (bit-identical structures in,
         // bit-identical VOs out).
         use crate::toy::toy_query;
-        use crate::verify::{verify, VerifierParams};
+        use crate::verify::verify;
         let key = cached_keypair(TEST_KEY_BITS);
         for mechanism in Mechanism::ALL {
             let config = AuthConfig {
@@ -1004,12 +999,7 @@ mod tests {
                 ..AuthConfig::new(mechanism)
             };
             let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
-            let params = VerifierParams {
-                public_key: key.public_key().clone(),
-                layout: config.layout,
-                mechanism,
-                num_docs: auth.index().num_docs(),
-            };
+            let params = auth.verifier_params();
             let response = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
             let verified = verify(&params, &toy_query(), 2, &response)
                 .unwrap_or_else(|e| panic!("{mechanism:?}: {e}"));

@@ -3,10 +3,11 @@
 //! The (untrusted, but here honest) search engine runs the threshold
 //! algorithm, then assembles the verification object: per query term the
 //! processed list prefix with complementary digests, one dictionary-MHT
-//! multi-proof over the query terms, for the TRA mechanisms one
-//! document-MHT proof per encountered document and one document-table
-//! multi-proof over them, and the owner's one manifest signature, which
-//! covers both trees' roots. Disk traffic is accounted per the paper's
+//! multi-proof over the query terms, and for the TRA mechanisms one
+//! document-MHT proof per encountered document. Every root these proofs
+//! reach is in the owner's publication the client holds
+//! ([`crate::publication`]), so the VO carries no signature, no
+//! document-table proof and no content digest. Disk traffic is accounted per the paper's
 //! storage layout: plain-MHT variants re-read entire lists to regenerate
 //! internal digests, chain-MHT variants stop at the cut-off block, and
 //! every document-MHT fetch is a random access.
@@ -22,19 +23,17 @@ use super::{term_leaf, AuthenticatedIndex, ContentProvider};
 use crate::access::{IndexLists, TableFreqs};
 use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix, DOC_LEAF_PRICE};
 use crate::types::{ProcessingOutcome, Query, QueryError, QueryMode, QueryResult};
-use crate::vo::{
-    DictVo, DocLeaf, DocTableVo, DocVo, PrefixData, TermProof, TermVo, VerificationObject,
-};
+use crate::vo::{DictVo, DocLeaf, DocVo, PrefixData, TermProof, TermVo, VerificationObject};
 use crate::{pool, tnra, tra};
 use authsearch_corpus::{DocId, TermId};
-use authsearch_crypto::merkle::prove_from_interior;
+use authsearch_crypto::merkle::{least_leaf_count, prove_from_interior};
 use authsearch_crypto::{MerkleProof, DIGEST_LEN};
 use authsearch_index::{ImpactEntry, InvertedList, IoStats};
 use std::convert::Infallible;
 
 /// What the search engine returns to the user: the ranked result, the
 /// verification object, the contents of the result documents (their
-/// digests are checked against the signed document-MHT roots), and the
+/// digests are checked against the ones the client holds), and the
 /// simulated disk trace of serving the query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
@@ -217,13 +216,11 @@ impl AuthenticatedIndex {
 
         // Document proofs (TRA only), independent of each other, so they
         // fan out; each fetch is folded back in document order.
-        let result_docs = outcome.result.docs();
         let docs: Vec<DocVo> = if mechanism.is_tra() {
             let encountered = &outcome.encountered;
             let width = pool::doc_proof_width(self.config.build_threads(), encountered.len());
             pool::map(width, encountered.len(), |i| {
-                let d = encountered[i];
-                self.build_doc_vo(d, query, result_docs.contains(&d))
+                self.build_doc_vo(encountered[i], query)
             })
             .into_iter()
             .map(|(dv, fetch)| {
@@ -240,7 +237,7 @@ impl AuthenticatedIndex {
 
         // Result document contents (retrieval cost excluded from the I/O
         // metric, as in §4.1: constant across all algorithms).
-        let contents_out: Vec<(DocId, Vec<u8>)> = result_docs
+        let contents_out: Vec<(DocId, Vec<u8>)> = (outcome.result.docs())
             .into_iter()
             .map(|d| (d, contents.content(d)))
             .collect();
@@ -252,8 +249,6 @@ impl AuthenticatedIndex {
                 terms,
                 docs,
                 dict: Some(self.dict_vo(&terms_asked)),
-                doc_table: self.doc_table_vo(&outcome.encountered),
-                signature: self.signature.clone(),
             },
             contents: contents_out,
             io,
@@ -270,17 +265,6 @@ impl AuthenticatedIndex {
             num_terms: u32::try_from(self.index.num_terms()).expect("term ids are u32"),
             proof: self.cache.dict_tree.prove(&positions),
         }
-    }
-
-    /// The document-table multi-proof for `docs` (TRA only): one `prove`
-    /// over the resident tree at their doc ids.
-    pub(crate) fn doc_table_vo(&self, docs: &[DocId]) -> Option<DocTableVo> {
-        let tree = self.doc_tree.as_ref()?;
-        let mut positions: Vec<usize> = docs.iter().map(|&d| d as usize).collect();
-        positions.sort_unstable();
-        Some(DocTableVo {
-            proof: tree.prove(&positions),
-        })
     }
 
     /// How many entries of `term`'s list a VO that must reveal `k` of
@@ -393,12 +377,12 @@ impl AuthenticatedIndex {
 
     /// Build one document's VO entry (TRA) and the I/O of its random
     /// fetch.
-    fn build_doc_vo(&self, d: DocId, query: &Query, in_result: bool) -> (DocVo, IoStats) {
-        let dv = self.doc_vo(d, &self.doc_positions(d, query), in_result);
+    fn build_doc_vo(&self, d: DocId, query: &Query) -> (DocVo, IoStats) {
+        let dv = self.doc_vo(d, &self.doc_positions(d, query));
         // Random fetch: the document-MHT spans its `(t, w)` leaves plus
         // the stored root (the document table stays resident; `c_t` is
         // the dictionary's `f_t`, not stored per leaf).
-        let mht_bytes = dv.num_leaves as usize * 8 + 16;
+        let mht_bytes = self.doc_table.num_leaves(d) * 8 + 16;
         let mut fetch = IoStats::new();
         fetch.random_access(self.config.layout.blocks_for_bytes(mht_bytes) as u64);
         (dv, fetch)
@@ -406,7 +390,7 @@ impl AuthenticatedIndex {
 
     /// Document `d`'s VO entry revealing the leaves at `positions`
     /// (ascending).
-    pub(crate) fn doc_vo(&self, d: DocId, positions: &[usize], in_result: bool) -> DocVo {
+    pub(crate) fn doc_vo(&self, d: DocId, positions: &[usize]) -> DocVo {
         let table = &self.doc_table;
         let n = table.num_leaves(d);
         let leaf_at = |p: usize| {
@@ -430,14 +414,10 @@ impl AuthenticatedIndex {
         };
         DocVo {
             doc: d,
-            num_leaves: n as u32,
+            num_leaves: u32::try_from(least_leaf_count(n, positions.last().copied()))
+                .expect("a DocTable row has fewer than 2^32 leaves (u32 offsets)"),
             revealed,
             proof,
-            content_digest: if in_result {
-                None
-            } else {
-                Some(self.doc_content_digests[d as usize])
-            },
         }
     }
 }
@@ -470,18 +450,9 @@ mod tests {
         // Encountered docs 5, 3, 6 plus cut-off doc 1.
         let doc_ids: Vec<DocId> = resp.vo.docs.iter().map(|d| d.doc).collect();
         assert_eq!(doc_ids, vec![5, 3, 6, 1]);
-        // Result docs ship contents, not content digests.
-        for dv in &resp.vo.docs {
-            let is_result = resp.result.docs().contains(&dv.doc);
-            assert_eq!(dv.content_digest.is_none(), is_result, "doc {}", dv.doc);
-        }
+        // Result docs ship contents; their digests, like every
+        // document's root, are in the publication the client holds.
         assert_eq!(resp.contents.len(), 2);
-        // One document-table proof for all four documents.
-        let table = resp.vo.doc_table.as_ref().unwrap();
-        assert_eq!(
-            table.proof,
-            a.doc_tree.as_ref().unwrap().prove(&[1, 3, 5, 6])
-        );
     }
 
     #[test]
@@ -490,7 +461,6 @@ mod tests {
         let resp = a.query(&toy_query(), 2, &toy_contents()).unwrap();
         assert_eq!(resp.result.docs(), vec![6, 5]);
         assert!(resp.vo.docs.is_empty());
-        assert!(resp.vo.doc_table.is_none());
         // Prefixes carry full impact entries.
         assert!(matches!(resp.vo.terms[0].prefix, PrefixData::Entries(_)));
     }
@@ -828,8 +798,8 @@ mod tests {
     #[test]
     fn dict_mode_emits_dict_proof() {
         // Every reply, under every mechanism and query mode, carries one
-        // dictionary proof and the one manifest signature, and no
-        // per-list signature.
+        // dictionary proof and no signature at all: the manifest's is in
+        // the publication the client holds.
         for mechanism in Mechanism::ALL {
             let a = auth(mechanism);
             for resp in [
@@ -839,8 +809,7 @@ mod tests {
             ] {
                 assert!(resp.vo.dict.is_some(), "{mechanism:?}");
                 assert!(resp.vo.terms.iter().all(|t| t.signature.is_none()));
-                assert_eq!(resp.vo.signature, a.signature, "{mechanism:?}");
-                assert_eq!(resp.vo.signature_count(), 1, "{mechanism:?}");
+                assert_eq!(resp.vo.size().signature, 0, "{mechanism:?}");
             }
         }
     }

@@ -139,12 +139,14 @@ fn check_config(payload: &[u8], expected: &AuthConfig) -> Result<(), PersistErro
 }
 
 fn encode_auth(auth: &AuthenticatedIndex) -> Result<Vec<u8>, PersistError> {
-    let digests = &auth.doc_content_digests;
+    let publication = auth.publication();
     let mut buf = Vec::new();
     let mut w = Writer(&mut buf);
-    w.u64(digests.len() as u64);
-    w.digests(digests);
-    w.bytes32(&auth.signature, "ASA5 signature")?;
+    w.u64(publication.docs.len() as u64);
+    for doc in &publication.docs {
+        w.bytes(doc.content.as_bytes());
+    }
+    w.bytes32(&publication.signature, "ASA5 signature")?;
     w.bytes32(&auth.public_key.to_bytes(), "ASA5 public key")?;
     Ok(buf)
 }
@@ -253,7 +255,7 @@ impl AuthenticatedIndex {
         let fold =
             fold(expected.build_threads(), expected, &index, content_digests).map_err(corrupt)?;
         public_key
-            .verify(&fold.manifest, &signature)
+            .verify(&fold.manifest.message(), &signature)
             .map_err(|e| corrupt(format!("manifest signature rejected at boot: {e}")))?;
         Ok(fold.into_index(*expected, index, signature, public_key))
     }
@@ -272,7 +274,7 @@ impl AuthenticatedIndex {
         }
         if self.config.mechanism.is_tra() {
             let served = content_digests(self.config.build_threads(), n, corpus);
-            let signed = &self.doc_content_digests;
+            let signed = self.publication().docs.iter().map(|doc| &doc.content);
             if let Some(d) = served.iter().zip(signed).position(|(a, b)| a != b) {
                 return Err(stale(format!(
                     "corpus document {d} differs from the snapshot's signed content"
@@ -290,11 +292,13 @@ impl AuthenticatedIndex {
 ///
 /// This is [`AuthenticatedIndex::load_snapshot`] under `expected`, plus
 /// the trust anchor: the loaded artifact's public parameters
-/// ([`AuthenticatedIndex::verifier_params`]: key, mechanism, layout,
-/// `n`) must equal `owner`'s, the parameters clients verify
-/// against. A snapshot signed under any other key, or describing a
-/// collection those clients would reject every reply for, is
-/// [`PersistError::Stale`]. Nothing is written, whatever the outcome.
+/// ([`AuthenticatedIndex::verifier_params`]: the manifest it refolded,
+/// the key and the layout) must equal `owner`'s, the parameters clients
+/// verify against. The manifest binds the mechanism, `m`, `n` and every
+/// root, so a snapshot of any other publication — another collection,
+/// or an older one of this collection — is [`PersistError::Stale`] like
+/// one signed under another key: those clients would reject every reply
+/// it serves. Nothing is written, whatever the outcome.
 pub fn boot_authenticated_index(
     path: &Path,
     expected: &AuthConfig,
@@ -303,17 +307,24 @@ pub fn boot_authenticated_index(
     let auth = AuthenticatedIndex::load_snapshot(path, expected)?;
     let loaded = auth.verifier_params();
     let differ: Vec<&str> = [
-        ("public key", loaded.public_key == owner.public_key),
-        ("mechanism", loaded.mechanism == owner.mechanism),
-        ("layout", loaded.layout == owner.layout),
-        ("num_docs", loaded.num_docs == owner.num_docs),
+        (
+            "manifest",
+            loaded.publication().manifest == owner.publication().manifest,
+        ),
+        ("public key", loaded.public_key() == owner.public_key()),
+        ("layout", loaded.layout() == owner.layout()),
     ]
     .into_iter()
     .filter_map(|(what, same)| (!same).then_some(what))
     .collect();
     if !differ.is_empty() {
+        let verb = if differ.len() == 1 {
+            "differs"
+        } else {
+            "differ"
+        };
         return Err(stale(format!(
-            "snapshot is not the owner's publication: {} differ from the owner's",
+            "snapshot is not the owner's publication: its {} {verb} from the owner's",
             differ.join(", ")
         )));
     }
@@ -423,7 +434,8 @@ mod tests {
         // boot.
         for d in 0..9 {
             let mut auth = test_auth(Mechanism::TraMht);
-            auth.doc_content_digests[d] = Digest::hash(b"not the owner's content");
+            let docs = &mut std::sync::Arc::make_mut(&mut auth.publication).docs;
+            docs[d].content = Digest::hash(b"not the owner's content");
             let path = temp_path(&format!("doc-content-{d}.snap"));
             auth.save_snapshot(&path).unwrap();
             match AuthenticatedIndex::load_snapshot(&path, auth.config()) {
@@ -601,11 +613,12 @@ mod tests {
         // section digests, fails boot by name under every mechanism.
         for mechanism in Mechanism::ALL {
             let mut auth = synthetic_auth(mechanism);
-            *auth.signature.last_mut().unwrap() ^= 0x01;
+            let signature = &mut std::sync::Arc::make_mut(&mut auth.publication).signature;
+            *signature.last_mut().unwrap() ^= 0x01;
             let manifest = super::super::tests_support::manifest_of(&auth);
             let e = auth
                 .public_key()
-                .verify(&manifest, &auth.signature)
+                .verify(&manifest, &auth.publication.signature)
                 .unwrap_err();
             let path = temp_path(&format!("forged-manifest-{mechanism:?}.snap"));
             auth.save_snapshot(&path).unwrap();

@@ -85,7 +85,7 @@ impl AuthenticatedIndex {
         }
         let plain_index_bytes = index.dictionary_bytes() as u64 + plain_blocks * block;
 
-        let sig_len = self.signature.len() as u64;
+        let sig_len = self.publication.signature.len() as u64;
         let m = index.num_terms() as u64;
         // The manifest signature plus a stored root/head digest per term
         // (16 bytes each).

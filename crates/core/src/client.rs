@@ -8,7 +8,8 @@ use crate::verify::{self, VerifiedResult, VerifierParams, VerifyError};
 use crate::vo::Mechanism;
 use crate::wire::{self, Reply, Request, WireError};
 use authsearch_corpus::{DocId, TermId};
-use authsearch_index::okapi;
+use authsearch_crypto::RsaPublicKey;
+use authsearch_index::{okapi, BlockLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
@@ -83,7 +84,7 @@ impl Client {
             .map(|(&(term, f_qt), tv)| QueryTerm {
                 term,
                 f_qt,
-                wq: okapi::query_weight(self.params.num_docs, tv.ft, f_qt),
+                wq: okapi::query_weight(self.params.num_docs(), tv.ft, f_qt),
             })
             .collect();
         let query = Query::new(weighted, mode).map_err(VerifyError::MalformedQuery)?;
@@ -267,32 +268,102 @@ fn dial(addr: &SocketAddr) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
+/// Dial each address `addr` resolves to in turn, under [`DIAL_TIMEOUT`],
+/// until one answers.
+fn dial_any<A: ToSocketAddrs>(addr: A) -> io::Result<(TcpStream, SocketAddr)> {
+    let mut last_err: Option<io::Error> = None;
+    for addr in addr.to_socket_addrs()? {
+        match dial(&addr) {
+            Ok(stream) => return Ok((stream, addr)),
+            Err(e) => last_err = Some(e),
+        }
+    }
+    Err(last_err.unwrap_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "address resolved to no candidates",
+        )
+    }))
+}
+
+/// Read one reply frame from `stream`. A header that fails to parse
+/// loses the frame boundary and sets `desynced` (see
+/// [`Connection::desynced`]); a well-framed reply whose *payload* is
+/// malformed keeps the stream in sync — exactly the advertised bytes
+/// were consumed.
+fn read_reply(stream: &mut TcpStream, desynced: &mut bool) -> Result<Reply, ClientNetError> {
+    if *desynced {
+        return Err(ClientNetError::Protocol(
+            "connection desynchronized by an earlier framing error; reconnect".to_string(),
+        ));
+    }
+    let mut header = [0u8; wire::FRAME_HEADER_LEN];
+    stream.read_exact(&mut header)?;
+    let (kind, len) = match wire::decode_frame_header(&header) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            *desynced = true;
+            return Err(ClientNetError::Wire(e));
+        }
+    };
+    let mut payload = vec![0u8; len];
+    stream.read_exact(&mut payload)?;
+    Ok(wire::decode_reply_payload(kind, &payload)?)
+}
+
 impl Connection {
     /// Connect to a server and verify against `params` (obtained from
-    /// the data owner's broadcast, *not* from the server). Each
-    /// resolved address is dialed in turn, the handshake bounded by a
-    /// 10-second timeout, until one answers.
+    /// the data owner, *not* from the server). Each resolved address is
+    /// dialed in turn, the handshake bounded by a 10-second timeout,
+    /// until one answers.
     pub fn connect<A: ToSocketAddrs>(addr: A, params: VerifierParams) -> io::Result<Connection> {
-        let mut last_err: Option<io::Error> = None;
-        for addr in addr.to_socket_addrs()? {
-            match dial(&addr) {
-                Ok(stream) => {
-                    return Ok(Connection {
-                        stream,
-                        client: Client::new(params),
-                        addr,
-                        desynced: false,
-                    })
-                }
-                Err(e) => last_err = Some(e),
+        let (stream, addr) = dial_any(addr)?;
+        Ok(Connection {
+            stream,
+            client: Client::new(params),
+            addr,
+            desynced: false,
+        })
+    }
+
+    /// Connect holding only the owner's `public_key` (and the block
+    /// `layout`): ask the server for the owner's publication
+    /// ([`wire::kind::REQ_PUBLICATION`]), check it under the key
+    /// ([`VerifierParams::open`]), and verify every later reply against
+    /// it. The server stays untrusted: a publication that fails the
+    /// check is [`ClientNetError::Verify`], and no query is sent.
+    ///
+    /// The key binds the publication, not its age: a server may hand out
+    /// an older publication the owner signed, and this client then
+    /// accepts that publication's answers (ROADMAP item 12).
+    pub fn connect_with_key<A: ToSocketAddrs>(
+        addr: A,
+        public_key: RsaPublicKey,
+        layout: BlockLayout,
+    ) -> Result<Connection, ClientNetError> {
+        let (mut stream, addr) = dial_any(addr)?;
+        stream.write_all(&Request::Publication.encode_frame()?)?;
+        let bytes = match read_reply(&mut stream, &mut false)? {
+            Reply::Publication { bytes } => bytes,
+            Reply::Err { code, message } => return Err(ClientNetError::Server { code, message }),
+            Reply::Ok { .. } => {
+                return Err(ClientNetError::Protocol(
+                    "a query reply to the publication request".to_string(),
+                ))
             }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "address resolved to no candidates",
-            )
-        }))
+        };
+        let params = VerifierParams::open(public_key, layout, &bytes)?;
+        Ok(Connection {
+            stream,
+            client: Client::new(params),
+            addr,
+            desynced: false,
+        })
+    }
+
+    /// The parameters every reply is verified against.
+    pub fn params(&self) -> &VerifierParams {
+        self.client.params()
     }
 
     /// Drop the current socket and dial the same server again under
@@ -475,6 +546,11 @@ impl Connection {
             // Text is always disjunctive, and its echo is what gets
             // verified.
             Request::Text { r, .. } => (QueryMode::Disjunctive, *r),
+            Request::Publication => {
+                return Err(ClientNetError::Protocol(
+                    "a query reply to a publication request".to_string(),
+                ))
+            }
         };
         let verified = self
             .client
@@ -482,33 +558,18 @@ impl Connection {
         Ok((echo, verified, response))
     }
 
-    /// Read one reply frame, surfacing server-side error frames as
-    /// [`ClientNetError::Server`]. A header that fails to parse loses
-    /// the frame boundary and permanently poisons the connection (see
-    /// [`Connection::desynced`]); a well-framed reply whose *payload*
-    /// is malformed keeps the stream in sync — exactly the advertised
-    /// bytes were consumed — so later queries on the connection remain
-    /// sound.
+    /// Read one query reply ([`read_reply`]), surfacing server-side
+    /// error frames as [`ClientNetError::Server`]. A header that fails
+    /// to parse permanently poisons the connection; a well-framed reply
+    /// whose *payload* is malformed, or that is not a query reply, keeps
+    /// it in sync, so later queries on the connection remain sound.
     fn receive(&mut self) -> Result<(Vec<(TermId, u32)>, QueryResponse), ClientNetError> {
-        if self.desynced {
-            return Err(ClientNetError::Protocol(
-                "connection desynchronized by an earlier framing error; reconnect".to_string(),
-            ));
-        }
-        let mut header = [0u8; wire::FRAME_HEADER_LEN];
-        self.stream.read_exact(&mut header)?;
-        let (kind, len) = match wire::decode_frame_header(&header) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                self.desynced = true;
-                return Err(ClientNetError::Wire(e));
-            }
-        };
-        let mut payload = vec![0u8; len];
-        self.stream.read_exact(&mut payload)?;
-        match wire::decode_reply_payload(kind, &payload)? {
+        match read_reply(&mut self.stream, &mut self.desynced)? {
             Reply::Ok { terms, response } => Ok((terms, *response)),
             Reply::Err { code, message } => Err(ClientNetError::Server { code, message }),
+            Reply::Publication { .. } => Err(ClientNetError::Protocol(
+                "a publication reply where a query reply was due".to_string(),
+            )),
         }
     }
 }
@@ -527,10 +588,10 @@ const PIPELINE_WINDOW: usize = 8;
 ///
 /// This needs **no new server trust** under TRA. A TRA response
 /// delivers the full result-document contents, and verification has
-/// hashed each one into its document-table leaf under the owner's
-/// signed manifest (any altered byte fails the manifest signature) — so
-/// by the time this filter runs, the bytes it scans are provably the
-/// owner's. The conjunctive VO proves every result document contains
+/// compared each one's hash with the `h(doc)` the client holds from the
+/// owner's signed publication (any altered byte fails that comparison)
+/// — so by the time this filter runs, the bytes it scans are provably
+/// the owner's. The conjunctive VO proves every result document contains
 /// all the phrase's words; adjacency is then a pure client-side
 /// predicate over authenticated text. Call it only **after**
 /// [`Client::verify_conjunctive_terms`] (or a conjunctive
@@ -672,6 +733,46 @@ mod tests {
         let (verified, response) = connection.query_terms(&pairs, 5).expect("verified");
         assert_eq!(verified.result, response.result);
         handle.shutdown();
+    }
+
+    #[test]
+    fn connected_client_fetches_the_publication_with_the_key_alone() {
+        for mechanism in [Mechanism::TraCmht, Mechanism::TnraMht] {
+            let (engine, client, terms) = setup(mechanism);
+            let owner = client.params().clone();
+            let handle = crate::server::Server::start(
+                std::sync::Arc::new(engine),
+                "127.0.0.1:0",
+                crate::server::ServerConfig::default(),
+            )
+            .expect("bind loopback");
+            let key = owner.public_key().clone();
+            let mut connection =
+                Connection::connect_with_key(handle.addr(), key, owner.layout()).expect("fetch");
+            // The client holds the owner's publication, byte for byte.
+            let fetched = connection.params().publication_bytes();
+            assert_eq!(fetched, owner.publication_bytes(), "{mechanism:?}");
+            let mut pairs: Vec<(TermId, u32)> = terms.iter().map(|&t| (t, 1)).collect();
+            pairs.sort_unstable();
+            let (verified, response) = connection.query_terms(&pairs, 5).expect("verified");
+            assert_eq!(verified.result, response.result);
+            // Under another key the publication does not open, and no
+            // connection is made.
+            let other = authsearch_crypto::keys::cached_keypair(768);
+            let refused = Connection::connect_with_key(
+                handle.addr(),
+                other.public_key().clone(),
+                owner.layout(),
+            );
+            assert!(
+                matches!(
+                    refused,
+                    Err(ClientNetError::Verify(VerifyError::ManifestSignature))
+                ),
+                "{mechanism:?}"
+            );
+            handle.shutdown();
+        }
     }
 
     #[test]
@@ -1035,7 +1136,7 @@ mod tests {
     #[test]
     fn batch_slots_stay_aligned_through_a_misbehaving_server() {
         // Regression for the pipelined batch: an error frame in slot 1,
-        // a tampered echo in slot 2 and a flipped manifest signature in
+        // a tampered echo in slot 2 and a flipped dictionary digest in
         // slot 4 must surface as exactly those slots' errors — and
         // slots 3 and 5 must verify against their OWN responses, not
         // inherit a neighbor's verdict.
@@ -1066,8 +1167,9 @@ mod tests {
                     let query = Query::from_term_pairs(engine.auth().index(), &terms);
                     let mut response = engine.search(&query, r as usize);
                     if slot == 4 {
-                        // Honest echo, manifest signature flipped.
-                        response.vo.signature[0] ^= 0x80;
+                        // Honest echo, a dictionary digest flipped.
+                        let dict = response.vo.dict.as_mut().unwrap();
+                        dict.proof.digests[0].0[0] ^= 0x80;
                     }
                     let bytes = match slot {
                         1 => wire::encode_err_reply(crate::wire::errcode::INTERNAL, "injected")
@@ -1112,7 +1214,7 @@ mod tests {
         assert!(
             matches!(
                 out[4],
-                Err(ClientNetError::Verify(VerifyError::ManifestSignature))
+                Err(ClientNetError::Verify(VerifyError::DictionaryRoot))
             ),
             "{:?}",
             out[4].as_ref().err()
@@ -1314,7 +1416,7 @@ mod tests {
             client
                 .verify_conjunctive_terms(&pairs, 5, &response)
                 .expect("TNRA verification never reads the contents");
-            let verified = client.params().mechanism;
+            let verified = client.params().mechanism();
             assert_eq!(
                 phrase_filter("night keeper", verified, &response),
                 Err(VerifyError::ContentsUnauthenticated { mechanism }),
@@ -1330,7 +1432,7 @@ mod tests {
         let query = Query::from_term_ids(engine.auth().index(), &terms);
         let response = engine.search(&query, 5);
         for (qt, tv) in query.terms().iter().zip(&response.vo.terms) {
-            let wq = okapi::query_weight(client.params().num_docs, tv.ft, qt.f_qt);
+            let wq = okapi::query_weight(client.params().num_docs(), tv.ft, qt.f_qt);
             assert_eq!(wq, qt.wq);
         }
     }

@@ -77,6 +77,7 @@ pub mod metrics;
 pub mod owner;
 pub mod pool;
 pub mod pscan;
+pub(crate) mod publication;
 #[cfg(unix)]
 pub(crate) mod reactor;
 #[cfg(unix)]

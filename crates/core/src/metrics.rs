@@ -153,8 +153,6 @@ pub struct QueryMetrics {
     pub io_secs: f64,
     /// VO size breakdown.
     pub vo_size: VoSize,
-    /// Signatures the VO carries (`VerificationObject::signature_count`).
-    pub signatures: usize,
     /// Signatures the paper's scheme would carry for the same reply
     /// (`VerificationObject::paper_signature_count`).
     pub paper_signatures: usize,
@@ -240,7 +238,6 @@ pub fn measure<C: ContentProvider>(
         io: response.io,
         io_secs: disk.service_time(response.io),
         vo_size: response.vo.size(),
-        signatures: response.vo.signature_count(),
         paper_signatures: response.vo.paper_signature_count(),
         verify_time,
         serve_work: served - start,

@@ -94,11 +94,11 @@ mod tests {
         let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
         let config = AuthConfig::new(Mechanism::TnraCmht);
         let publication = owner.publish(&corpus, config);
-        assert_eq!(publication.verifier_params.num_docs, 60);
-        assert_eq!(publication.verifier_params.mechanism, Mechanism::TnraCmht);
+        assert_eq!(publication.verifier_params.num_docs(), 60);
+        assert_eq!(publication.verifier_params.mechanism(), Mechanism::TnraCmht);
         assert_eq!(
             publication.auth.public_key(),
-            &publication.verifier_params.public_key
+            publication.verifier_params.public_key()
         );
     }
 
@@ -118,8 +118,8 @@ mod tests {
             assert_eq!(sequential.auth.dict_leaf(t), parallel.auth.dict_leaf(t));
         }
         assert_eq!(
-            sequential.verifier_params.public_key,
-            parallel.verifier_params.public_key
+            sequential.verifier_params.publication_bytes(),
+            parallel.verifier_params.publication_bytes()
         );
     }
 

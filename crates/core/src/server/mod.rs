@@ -238,15 +238,21 @@ pub(crate) struct Shared {
     pub(crate) shutdown: Arc<AtomicBool>,
 }
 
-/// A validated, decoded query ready to serve: everything needed to
-/// execute it and encode the reply, nothing from the socket.
-pub(crate) struct QueryJob {
-    pub(crate) pairs: Vec<(TermId, u32)>,
-    pub(crate) query: Query,
-    pub(crate) r: usize,
+/// A validated, decoded request ready to serve: everything needed to
+/// answer it and encode the reply, nothing from the socket.
+pub(crate) enum Job {
+    /// A query: the `(term, f_qt)` pairs to echo, the checked query and
+    /// its result size.
+    Query {
+        pairs: Vec<(TermId, u32)>,
+        query: Query,
+        r: usize,
+    },
+    /// The owner's publication ([`wire::kind::REQ_PUBLICATION`]).
+    Publication,
 }
 
-/// Execute a [`QueryJob`] and encode the reply **payload** into `buf`
+/// Execute a [`Job`] and encode the reply **payload** into `buf`
 /// (cleared first), returning the reply frame kind. Runs on the event
 /// loop. A query the index refuses after admission (only an index
 /// holding a negative or NaN weight does) gets the error payload of a
@@ -254,11 +260,14 @@ pub(crate) struct QueryJob {
 /// served ones.
 pub(crate) fn execute_job(
     engine: &SearchEngine,
-    job: &QueryJob,
+    job: &Job,
     buf: &mut Vec<u8>,
 ) -> Result<u8, WireError> {
-    match engine.auth().query(&job.query, job.r, engine.corpus()) {
-        Ok(response) => wire::encode_ok_reply_payload(&job.pairs, &response, buf),
+    let Job::Query { pairs, query, r } = job else {
+        return wire::encode_publication_payload(engine.auth().publication(), buf);
+    };
+    match engine.auth().query(query, *r, engine.corpus()) {
+        Ok(response) => wire::encode_ok_reply_payload(pairs, &response, buf),
         Err(e) => wire::encode_err_reply_payload(wire::errcode::BAD_QUERY, &e.to_string(), buf),
     }
 }
@@ -274,8 +283,8 @@ pub(crate) fn unrepresentable(e: WireError) -> (u8, String) {
     }
 }
 
-/// Decode and check one request into a [`QueryJob`], or the coded
-/// error reply it deserves: the query is built through its checked
+/// Decode and check one request into a [`Job`], or the coded error
+/// reply it deserves: the query is built through its checked
 /// constructor, [`AuthenticatedIndex::check`](crate::AuthenticatedIndex::check)
 /// adds the index's facts, and `r` must be in the served range. The
 /// event loop calls this before spending any engine time.
@@ -284,7 +293,7 @@ pub(crate) fn prepare_job(
     payload: &[u8],
     engine: &SearchEngine,
     max_r: usize,
-) -> Result<QueryJob, (u8, String)> {
+) -> Result<Job, (u8, String)> {
     let request = Request::decode_payload(kind, payload)
         .map_err(|e| (wire::errcode::MALFORMED, e.to_string()))?;
     let bad_query = |e: QueryError| (wire::errcode::BAD_QUERY, e.to_string());
@@ -300,6 +309,7 @@ pub(crate) fn prepare_job(
             let query = Query::from_pairs(index, &terms, mode).map_err(bad_query)?;
             (terms, query, r)
         }
+        Request::Publication => return Ok(Job::Publication),
     };
     engine.auth().check(&query).map_err(bad_query)?;
     let r = r as usize;
@@ -309,7 +319,7 @@ pub(crate) fn prepare_job(
             format!("r = {r} outside the served range 1..={max_r}"),
         ));
     }
-    Ok(QueryJob { pairs, query, r })
+    Ok(Job::Query { pairs, query, r })
 }
 
 /// Handle to a running server; dropping it shuts the server down.

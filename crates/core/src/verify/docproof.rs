@@ -2,10 +2,10 @@
 //!
 //! For every encountered document the VO carries a [`crate::vo::DocVo`].
 //! This module authenticates each one — reconstructing the document-MHT
-//! root from the revealed `(t, w_{d,t}, c_t)` leaves and hashing it, the
-//! document id and the digest of the document's content into that
-//! document's leaf of the document table, whose root the owner's
-//! manifest signs — and then resolves, for every (document, query term)
+//! root from the revealed `(t, w_{d,t}, c_t)` leaves and comparing it
+//! with the root the client holds for that document, and for a result
+//! document hashing its delivered content and comparing that with the
+//! held `h(doc)` — and then resolves, for every (document, query term)
 //! pair, either the certified weight or a *proven absence* (weight 0).
 //!
 //! ## Leaves in key order
@@ -20,32 +20,41 @@
 //! that bound the query term", §3.3.1, consecutive in key order), or a
 //! revealed first/last leaf for keys outside the document's range. Any
 //! order the verifier can compute for its query terms serves; a forged
-//! `f_t` moves the dictionary root, and a forged `c_t` the document root,
-//! so both fail the manifest signature.
+//! `f_t` moves the dictionary root off the held manifest's, and a forged
+//! `c_t` the document root off the held one.
 //!
-//! ## Why one document-table proof is as strong as a signature per document
+//! ## Why held leaves are as strong as a signature per document
 //!
-//! * **Positions are doc ids.** Leaf `d` of the table is the digest of
-//!   document `d`'s message, and the verifier places every recomputed
-//!   leaf at its own document's id; a proof for the right leaf at the
-//!   wrong position reconstructs a different root.
-//! * **`n` is inside the signed manifest.** The tree's shape is a
-//!   function of the leaf count alone, and
-//!   [`crate::auth::publication_message`] binds `params.num_docs`, so no
-//!   proof can be replayed against a table of another size; ids `≥ n` are
-//!   rejected before any hashing.
-//! * **Leaves are hashed by the verifier.** Each leaf is the leaf digest
-//!   (`h(0x00 | message)`) of a 54-byte `doc_message` the verifier builds
-//!   itself, while an interior node hashes `0x01 | left | right`, so no
-//!   interior digest can be presented as a leaf.
+//! The paper signs every document's `h(doc) | d | root` (Figure 8). Here
+//! the client holds, for every document `d`, the `(h(doc), root)` pair
+//! the owner bound into leaf `d` of the document table, checked once
+//! ([`crate::VerifierParams::open`]) against the table root the manifest
+//! signs.
+//!
+//! * **The held leaves are the signed ones.** The client folds the `n`
+//!   records it takes in, each at its own doc id, into the table and
+//!   compares the root with the signed one; a record changed, moved,
+//!   added or dropped folds to another root, and `n` is inside the
+//!   signed manifest, so the table has no room for one more.
+//! * **A reply is looked up, not folded.** Each document proof is
+//!   compared with the held record at the doc id it names, so a proof
+//!   for the right document at the wrong id, or another publication's
+//!   proof for the right id, meets a root it does not reconstruct; an id
+//!   `≥ n` names no record and is refused before any hashing.
+//! * **Leaves are hashed by the verifier.** Each document-MHT leaf is
+//!   the leaf digest (`h(0x00 | t | w | c_t)`) of data the verifier reads
+//!   from the reply, while an interior node hashes `0x01 | left | right`,
+//!   so no interior digest can be presented as a leaf.
 
-use super::{VerifierParams, VerifyError};
+use super::VerifyError;
+use crate::auth::empty_doc_root;
 use crate::auth::serve::QueryResponse;
-use crate::auth::{doc_table_leaf, empty_doc_root};
 use crate::pool::{self, DOCS_PER_THREAD};
+use crate::publication::SignedPublication;
 use crate::types::DocIdMap;
-use crate::vo::{DocLeaf, DocVo, TermVo, VerificationObject};
+use crate::vo::{DocLeaf, DocVo, TermVo};
 use authsearch_corpus::DocId;
+use authsearch_crypto::merkle::least_leaf_count;
 use authsearch_crypto::{reconstruct_root, Digest};
 use std::collections::BTreeMap;
 
@@ -74,25 +83,21 @@ impl ResolvedFreqs {
     }
 }
 
-/// Verify every document proof in the response, resolve the frequencies
-/// for the replay, and reconstruct the document-table root.
-///
-/// Each document proof yields its document-table leaf; the leaves and
-/// the reply's one multi-proof give the root the caller checks against
-/// the owner's manifest signature.
+/// Verify every document proof in the response against the held
+/// publication `held`, and resolve the frequencies for the replay.
 ///
 /// The per-document check ([`resolve_one`]) is a pure function of one
-/// proof, so it runs over chunks of [`DOCS_PER_THREAD`] proofs through
-/// [`pool::map`] at `width` threads, each chunk with its own scratch
-/// buffer and its own run of the weight array. The checks that span
-/// documents — a doc id proved twice, or outside the table — then run in
-/// VO order, and the first error in that order is returned. The verdict
-/// is therefore the sequential loop's at every width.
+/// proof and the held records, so it runs over chunks of
+/// [`DOCS_PER_THREAD`] proofs through [`pool::map`] at `width` threads,
+/// each chunk with its own scratch buffer and its own run of the weight
+/// array. The check that spans documents — a doc id proved twice — then
+/// runs in VO order, and the first error in that order is returned. The
+/// verdict is therefore the sequential loop's at every width.
 pub(super) fn resolve_doc_proofs(
-    params: &VerifierParams,
+    held: &SignedPublication,
     response: &QueryResponse,
     width: usize,
-) -> Result<(ResolvedFreqs, Digest), VerifyError> {
+) -> Result<ResolvedFreqs, VerifyError> {
     let mut contents = delivered_contents(response)?;
     let result_docs: Vec<DocId> = response.result.docs();
     // Result documents must arrive with their contents, which are hashed.
@@ -107,45 +112,37 @@ pub(super) fn resolve_doc_proofs(
     let terms = &response.vo.terms;
     let docs = &response.vo.docs;
     let chunks = docs.len().div_ceil(DOCS_PER_THREAD);
-    let (weights, leaves): (Vec<_>, Vec<_>) = pool::map(width, chunks, |c| {
+    let (weights, verdicts): (Vec<_>, Vec<_>) = pool::map(width, chunks, |c| {
         // One `(position, leaf digest)` buffer serves the chunk's MHTs.
         let mut revealed = Vec::new();
         let chunk: &[DocVo] = docs.chunks(DOCS_PER_THREAD).nth(c).unwrap_or_default();
         let mut weights = Vec::with_capacity(chunk.len() * terms.len());
-        let leaves: Vec<_> = (chunk.iter())
-            .map(|dv| resolve_one(terms, dv, &contents, &mut revealed, &mut weights))
+        let verdicts: Vec<_> = (chunk.iter())
+            .map(|dv| resolve_one(held, terms, dv, &contents, &mut revealed, &mut weights))
             .collect();
-        (weights, leaves)
+        (weights, verdicts)
     })
     .into_iter()
     .unzip();
 
     let mut index = DocIdMap::with_capacity_and_hasher(docs.len(), Default::default());
-    let mut table_leaves = Vec::with_capacity(docs.len());
-    for ((k, dv), one) in (0..).zip(docs).zip(leaves.into_iter().flatten()) {
+    for ((k, dv), verdict) in (0..).zip(docs).zip(verdicts.into_iter().flatten()) {
         if index.contains_key(&dv.doc) {
             return Err(VerifyError::MalformedProof(format!(
                 "duplicate document proof for {}",
                 dv.doc
             )));
         }
-        if dv.doc as usize >= params.num_docs {
-            return Err(VerifyError::DocTableProof(format!(
-                "document {} outside the {}-document table",
-                dv.doc, params.num_docs
-            )));
-        }
-        table_leaves.push((dv.doc as usize, one?));
+        verdict?;
         index.insert(dv.doc, k);
     }
-    let root = doc_table_root(params, &response.vo, table_leaves)?;
     let (q, weights) = (terms.len(), weights.concat());
-    Ok((ResolvedFreqs { q, weights, index }, root))
+    Ok(ResolvedFreqs { q, weights, index })
 }
 
 /// The delivered contents by doc id. A document delivered twice is
-/// refused: only one copy is hashed into the document's table leaf, and
-/// a caller reading the other would read unauthenticated bytes. The ids
+/// refused: only one copy is checked against the document's held digest,
+/// and a caller reading the other would read unauthenticated bytes. The ids
 /// are not yet checked against anything, so they are ordered, not
 /// hashed through `DocIdMap`'s weak hash.
 fn delivered_contents(response: &QueryResponse) -> Result<BTreeMap<DocId, &[u8]>, VerifyError> {
@@ -158,39 +155,26 @@ fn delivered_contents(response: &QueryResponse) -> Result<BTreeMap<DocId, &[u8]>
     Ok(delivered)
 }
 
-/// Reconstruct the document-table root from the reply's leaves and
-/// multi-proof.
-fn doc_table_root(
-    params: &VerifierParams,
-    vo: &VerificationObject,
-    mut leaves: Vec<(usize, Digest)>,
-) -> Result<Digest, VerifyError> {
-    let table = vo
-        .doc_table
-        .as_ref()
-        .ok_or_else(|| VerifyError::DocTableProof("TRA reply without a document table".into()))?;
-    leaves.sort_unstable_by_key(|&(d, _)| d);
-    reconstruct_root(params.num_docs, &leaves, &table.proof)
-        .ok_or_else(|| VerifyError::DocTableProof("multi-proof shape".into()))
-}
-
-/// Authenticate one document proof *structurally* — reconstruct the
-/// document-MHT root and resolve the weight of each query term of
-/// `terms`, keyed by the `f_t` its dictionary leaf binds, onto the end
-/// of `weights` — and return the document's document-table leaf, which
-/// binds the digest of its content in `results` if it is a result
-/// document; the caller folds the leaves into the table root with the
-/// table's multi-proof. `pairs` is scratch space for the revealed
-/// leaves, reused across documents. A pure function of its inputs but
-/// for the weights it appends (one per term, and only on success), so
-/// proofs can be checked in any order, on any thread.
+/// Authenticate one document proof against `held` — its doc id must
+/// name a held record, the document-MHT root it reconstructs must be the
+/// held root, and the delivered content of a result document (in
+/// `results`) must hash to the held `h(doc)` — and resolve the weight of
+/// each query term of `terms`, keyed by the `f_t` its dictionary leaf
+/// binds, onto the end of `weights`. `pairs` is scratch space for the
+/// revealed leaves, reused across documents. A pure function of its
+/// inputs but for the weights it appends (one per term, and only on
+/// success), so proofs can be checked in any order, on any thread.
 fn resolve_one(
+    held: &SignedPublication,
     terms: &[TermVo],
     dv: &DocVo,
     results: &BTreeMap<DocId, &[u8]>,
     pairs: &mut Vec<(usize, Digest)>,
     weights: &mut Vec<Option<f32>>,
-) -> Result<Digest, VerifyError> {
+) -> Result<(), VerifyError> {
+    let record = held
+        .doc(dv.doc)
+        .ok_or(VerifyError::UnknownDocument { doc: dv.doc })?;
     let n = dv.num_leaves as usize;
 
     // Structural checks: positions strictly increasing, in range, keys
@@ -208,6 +192,16 @@ fn resolve_one(
     if dv.revealed.iter().any(|l| l.pos as usize >= n) {
         return Err(VerifyError::MalformedProof(format!(
             "document {}: revealed position beyond leaf count",
+            dv.doc
+        )));
+    }
+    // Every count from the least to the true one reconstructs the same
+    // root, so the proof carries the least (and a revealed last leaf is
+    // the document's last).
+    let last = dv.revealed.last().map(|l| l.pos as usize);
+    if least_leaf_count(n, last) != n {
+        return Err(VerifyError::MalformedProof(format!(
+            "document {}: leaf count {n} is not the least of its proof's shape",
             dv.doc
         )));
     }
@@ -229,15 +223,16 @@ fn resolve_one(
         })?
     };
 
-    // Content digest: hash the delivered document for result entries,
-    // take the VO's digest otherwise.
-    let content_digest = match results.get(&dv.doc) {
-        Some(bytes) => Digest::hash(bytes),
-        None => (dv.content_digest).ok_or(VerifyError::MissingContent { doc: dv.doc })?,
-    };
-
-    // The table leaf binds document id, content digest, and MHT root.
-    let leaf = doc_table_leaf(dv.doc, &content_digest, &root);
+    if root != record.root {
+        return Err(VerifyError::DocumentRoot { doc: dv.doc });
+    }
+    // A result document's delivered content must be the held one.
+    if results
+        .get(&dv.doc)
+        .is_some_and(|bytes| Digest::hash(bytes) != record.content)
+    {
+        return Err(VerifyError::ContentDigest { doc: dv.doc });
+    }
 
     // Resolve each query term: present (revealed leaf), provably absent
     // (bounding leaves), or unproven.
@@ -263,7 +258,7 @@ fn resolve_one(
         };
         weights.push(w);
     }
-    Ok(leaf)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -277,29 +272,23 @@ mod tests {
     use crate::owner::{DataOwner, Publication};
     use crate::toy::{toy_contents, toy_index, toy_query};
     use crate::types::Query;
+    use crate::verify::VerifierParams;
     use crate::vo::Mechanism;
     use authsearch_corpus::{SyntheticConfig, TermId};
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
-    use authsearch_index::BlockLayout;
 
     fn setup() -> (QueryResponse, VerifierParams) {
         let key = cached_keypair(TEST_KEY_BITS);
         let config = AuthConfig::new(Mechanism::TraMht);
         let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
         let resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
-        let params = VerifierParams {
-            public_key: key.public_key().clone(),
-            layout: BlockLayout::default(),
-            mechanism: Mechanism::TraMht,
-            num_docs: 9,
-        };
-        (resp, params)
+        (resp, auth.verifier_params())
     }
 
     #[test]
     fn honest_doc_proofs_resolve() {
         let (resp, params) = setup();
-        let (freqs, _) = resolve_doc_proofs(&params, &resp, 1).unwrap();
+        let freqs = resolve_doc_proofs(params.publication(), &resp, 1).unwrap();
         assert_eq!(freqs.index.len(), 4); // docs 5, 3, 6, 1
                                           // d6 contains all four query terms (Figure 8).
         for i in 0..4 {
@@ -313,14 +302,14 @@ mod tests {
     }
 
     #[test]
-    fn tampered_weight_breaks_signature() {
+    fn tampered_weight_breaks_the_held_root() {
         let (mut resp, params) = setup();
         // Inflate a revealed weight in doc 5's proof.
         let dv = resp.vo.docs.iter_mut().find(|d| d.doc == 5).unwrap();
         let idx = dv.revealed.iter().position(|l| l.weight > 0.0).unwrap();
         dv.revealed[idx].weight *= 2.0;
         let err = super::super::verify(&params, &toy_query(), 2, &resp).unwrap_err();
-        assert_eq!(err, VerifyError::ManifestSignature);
+        assert_eq!(err, VerifyError::DocumentRoot { doc: 5 });
     }
 
     #[test]
@@ -328,7 +317,7 @@ mod tests {
         let (mut resp, params) = setup();
         let dv = &mut resp.vo.docs[0];
         dv.revealed.remove(0);
-        let err = resolve_doc_proofs(&params, &resp, 1).unwrap_err();
+        let err = resolve_doc_proofs(params.publication(), &resp, 1).unwrap_err();
         assert!(matches!(err, VerifyError::MalformedProof(_)), "{err:?}");
     }
 
@@ -336,16 +325,17 @@ mod tests {
     fn missing_result_content_rejected() {
         let (mut resp, params) = setup();
         resp.contents.remove(0);
-        let err = resolve_doc_proofs(&params, &resp, 1).unwrap_err();
+        let err = resolve_doc_proofs(params.publication(), &resp, 1).unwrap_err();
         assert!(matches!(err, VerifyError::MissingContent { .. }));
     }
 
     #[test]
-    fn tampered_result_content_breaks_signature() {
+    fn tampered_result_content_breaks_the_held_digest() {
         let (mut resp, params) = setup();
         resp.contents[0].1 = b"forged document body".to_vec();
+        let doc = resp.contents[0].0;
         let err = super::super::verify(&params, &toy_query(), 2, &resp).unwrap_err();
-        assert_eq!(err, VerifyError::ManifestSignature);
+        assert_eq!(err, VerifyError::ContentDigest { doc });
     }
 
     /// A TRA reply with at least `4 × DOCS_PER_THREAD` document proofs,
@@ -371,7 +361,8 @@ mod tests {
         let params = &publication.verifier_params;
         let docs = honest.vo.docs.len();
         assert!(docs >= 4 * DOCS_PER_THREAD, "{docs} document proofs");
-        let sequential = |response: &QueryResponse| resolve_doc_proofs(params, response, 1);
+        let held = params.publication();
+        let sequential = |response: &QueryResponse| resolve_doc_proofs(held, response, 1);
         assert!(sequential(&honest).is_ok());
 
         // Every catalogue attack that applies to a TRA reply, and every
@@ -393,10 +384,8 @@ mod tests {
         cases.push(("doc id past the table".into(), beyond));
         let gap = absent_through_gap_response(&honest, &publication.auth).unwrap();
         cases.push(("present term claimed absent".into(), gap));
-        for tree in [Tree::DocMht, Tree::DocTable] {
-            let forged = interior_as_leaf_response(&honest, &publication.auth, tree).unwrap();
-            cases.push((format!("interior node as a {tree:?} leaf"), forged));
-        }
+        let forged = interior_as_leaf_response(&honest, &publication.auth, Tree::DocMht).unwrap();
+        cases.push(("interior node as a document-MHT leaf".into(), forged));
 
         // A duplicate proof in the last chunk whose first copy is in the
         // first chunk.
@@ -415,7 +404,7 @@ mod tests {
         // the first: the malformed proof comes first in VO order.
         let mut both = honest.clone();
         both.vo.docs[1].proof.digests.push(Digest::ZERO);
-        both.vo.docs.last_mut().unwrap().doc = params.num_docs as DocId;
+        both.vo.docs.last_mut().unwrap().doc = params.num_docs() as DocId;
         let bad = both.vo.docs[1].doc;
         assert_eq!(
             sequential(&both).err(),
@@ -428,7 +417,7 @@ mod tests {
         for (name, response) in &cases {
             let want = sequential(response);
             for width in [2, 4] {
-                let got = resolve_doc_proofs(params, response, width);
+                let got = resolve_doc_proofs(held, response, width);
                 assert_eq!(got, want, "{name} at width {width}");
             }
         }
@@ -439,7 +428,7 @@ mod tests {
         let (mut resp, params) = setup();
         let dup = resp.vo.docs[0].clone();
         resp.vo.docs.push(dup);
-        let err = resolve_doc_proofs(&params, &resp, 1).unwrap_err();
+        let err = resolve_doc_proofs(params.publication(), &resp, 1).unwrap_err();
         assert!(matches!(err, VerifyError::MalformedProof(_)));
     }
 }

@@ -5,16 +5,19 @@
 //! the paper's correctness criteria with respect to the owner's signed
 //! index. The strategy:
 //!
-//! 1. **Authenticate the inputs**: reconstruct every term-(chain-)MHT
-//!    root from the VO's list prefixes and complementary digests, and
-//!    from those roots (each bound to its term and `f_t`) the
-//!    dictionary-MHT root; for TRA likewise reconstruct every
-//!    document-MHT root and, from them, the document-table root, and
-//!    resolve the query-term frequency of every encountered document
+//! 1. **Authenticate the inputs** against the owner's publication the
+//!    client holds ([`VerifierParams`], checked once under the owner's
+//!    key by [`VerifierParams::open`]): reconstruct every
+//!    term-(chain-)MHT root from the VO's list prefixes and
+//!    complementary digests, and from those roots (each bound to its
+//!    term and `f_t`) the dictionary-MHT root, which must be the held
+//!    manifest's over its `m` leaves; for TRA likewise reconstruct every
+//!    document-MHT root, which must be the held root at its doc id, hash
+//!    every result document's content, which must be the held `h(doc)`,
+//!    and resolve the query-term frequency of every encountered document
 //!    (present value, or a proven absence via adjacent-leaf bounding).
-//!    Then make one RSA check: the owner's signature over the
-//!    publication manifest that binds the mechanism, `m`, `n` and both
-//!    roots.
+//!    A reply carries no signature: nothing in it is checked under the
+//!    key.
 //! 2. **Replay the deterministic threshold algorithm** over exactly those
 //!    authenticated inputs (a conjunctive query instead recomputes the
 //!    ranked intersection, see [`verify`]). If the replay ever needs data
@@ -26,14 +29,15 @@
 //! Authentic prefixes + deterministic replay imply the correctness
 //! criteria of §3.1: the threshold logic guarantees no unseen document
 //! can outscore the reported ones (completeness), the recomputed scores
-//! guarantee correct ranking, and the signature rules out spurious
-//! entries.
+//! guarantee correct ranking, and the roots the owner signed rule out
+//! spurious entries.
 
 mod docproof;
 
 use crate::access::{AccessError, FreqAccess, ListAccess};
+use crate::auth::dict_leaf_digest;
 use crate::auth::serve::QueryResponse;
-use crate::auth::{dict_leaf_digest, publication_message, NO_DOC_TABLE_ROOT};
+use crate::publication::SignedPublication;
 use crate::types::{DocIdMap, Query, QueryError, QueryMode, QueryResult};
 use crate::vo::{DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject};
 use crate::{pool, tnra, tra};
@@ -43,6 +47,7 @@ use authsearch_index::{BlockLayout, ImpactEntry};
 use docproof::ResolvedFreqs;
 use std::convert::Infallible;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a query result was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,14 +63,39 @@ pub enum VerifyError {
         /// The offending term.
         term: TermId,
     },
-    /// The document-table multi-proof (TRA) is missing, has the wrong
-    /// shape, or places a document outside the collection.
-    DocTableProof(String),
-    /// The manifest signature did not validate over the roots the reply
-    /// reconstructs: a term's list, `f_t` or position, a document's id,
-    /// content or weights, the mechanism, or `m` differ from what the
-    /// owner signed, or the manifest is not this publication's.
+    /// Publication bytes ([`VerifierParams::open`]) do not decode: cut
+    /// short, longer than their manifest says, or not a manifest.
+    MalformedPublication(String),
+    /// The publication's manifest signature does not validate under the
+    /// owner's key.
     ManifestSignature,
+    /// The publication's document records do not fold to the
+    /// document-table root its manifest signs.
+    DocTableRoot,
+    /// The dictionary-MHT root or size `m` a reply's proofs reconstruct
+    /// is not the held manifest's: a term's list, `f_t` or position
+    /// differs from what the owner signed, or the reply is another
+    /// publication's.
+    DictionaryRoot,
+    /// A document proof (TRA) reconstructs another root than the held
+    /// document-MHT root at its doc id: a weight, class or position
+    /// differs from what the owner signed, or the proof is another
+    /// document's.
+    DocumentRoot {
+        /// The document the proof claims to be for.
+        doc: DocId,
+    },
+    /// A result document's content (TRA) does not hash to the held
+    /// `h(doc)`.
+    ContentDigest {
+        /// The document.
+        doc: DocId,
+    },
+    /// A reply names a document outside the held collection (TRA).
+    UnknownDocument {
+        /// The document.
+        doc: DocId,
+    },
     /// The caller asked for something only authenticated document
     /// contents can answer, from a mechanism whose replies do not
     /// authenticate contents (TNRA).
@@ -94,13 +124,13 @@ pub enum VerifyError {
         /// The document.
         doc: DocId,
     },
-    /// A result document's content was not delivered (or does not match).
+    /// A result document's content was not delivered.
     MissingContent {
         /// The document.
         doc: DocId,
     },
     /// A document's content was delivered more than once (TRA): only one
-    /// copy can be the one its table leaf authenticates.
+    /// copy can be the one its held digest authenticates.
     DuplicateContent {
         /// The document.
         doc: DocId,
@@ -126,8 +156,27 @@ impl fmt::Display for VerifyError {
             VerifyError::TermSignature { term } => {
                 write!(f, "invalid signature on term {term}'s inverted list")
             }
-            VerifyError::DocTableProof(w) => write!(f, "malformed document-table proof: {w}"),
+            VerifyError::MalformedPublication(w) => write!(f, "malformed publication: {w}"),
             VerifyError::ManifestSignature => write!(f, "invalid manifest signature"),
+            VerifyError::DocTableRoot => write!(
+                f,
+                "the publication's documents do not fold to the signed document-table root"
+            ),
+            VerifyError::DictionaryRoot => write!(
+                f,
+                "the reply's dictionary-MHT is not the held publication's"
+            ),
+            VerifyError::DocumentRoot { doc } => write!(
+                f,
+                "document {doc}'s proof does not reach its held document-MHT root"
+            ),
+            VerifyError::ContentDigest { doc } => write!(
+                f,
+                "content of result document {doc} does not hash to its held digest"
+            ),
+            VerifyError::UnknownDocument { doc } => {
+                write!(f, "document {doc} is outside the publication's collection")
+            }
             VerifyError::ContentsUnauthenticated { mechanism } => write!(
                 f,
                 "{} replies do not authenticate document contents",
@@ -175,23 +224,100 @@ pub struct VerifiedResult {
     pub result: QueryResult,
 }
 
-/// Public parameters the verifier needs (distributed by the data owner
-/// alongside the public key).
+/// What a client verifies against: the owner's public key, the block
+/// layout, and the owner's publication ([`crate::publication`]) checked
+/// under that key — the signed manifest and, under TRA, each document's
+/// content digest and document-MHT root. The publication sits behind one
+/// `Arc`, so clones share it; [`VerifierParams::held_bytes`] is what it
+/// costs a client to hold.
+///
+/// The owner's own parameters come with the publication
+/// ([`crate::DataOwner::publish_index`]); a client holding only the key
+/// takes the publication in from bytes with [`VerifierParams::open`],
+/// fetched from anywhere, the untrusted engine included
+/// ([`crate::Connection::connect_with_key`]).
 #[derive(Debug, Clone)]
 pub struct VerifierParams {
-    /// The owner's public key.
-    pub public_key: RsaPublicKey,
-    /// Block layout (for chain-MHT capacities).
-    pub layout: BlockLayout,
-    /// The mechanism the owner deployed.
-    pub mechanism: Mechanism,
-    /// Collection size `n` (public metadata; feeds `w_{Q,t}`).
-    pub num_docs: usize,
+    public_key: RsaPublicKey,
+    layout: BlockLayout,
+    publication: Arc<SignedPublication>,
 }
 
 impl VerifierParams {
+    /// Take in publication bytes ([`VerifierParams::publication_bytes`])
+    /// under the owner's `public_key`: one RSA verification of the
+    /// manifest, one fold of the document records to the signed
+    /// document-table root. Bytes that do not decode are
+    /// [`VerifyError::MalformedPublication`], a signature that does not
+    /// validate [`VerifyError::ManifestSignature`], and records that do
+    /// not fold to the signed root [`VerifyError::DocTableRoot`].
+    pub fn open(
+        public_key: RsaPublicKey,
+        layout: BlockLayout,
+        bytes: &[u8],
+    ) -> Result<VerifierParams, VerifyError> {
+        let publication = SignedPublication::open(&public_key, bytes)?;
+        Ok(VerifierParams::held(
+            public_key,
+            layout,
+            Arc::new(publication),
+        ))
+    }
+
+    /// Parameters over a publication already checked (or made) by the
+    /// caller.
+    pub(crate) fn held(
+        public_key: RsaPublicKey,
+        layout: BlockLayout,
+        publication: Arc<SignedPublication>,
+    ) -> VerifierParams {
+        VerifierParams {
+            public_key,
+            layout,
+            publication,
+        }
+    }
+
+    /// The owner's public key.
+    pub fn public_key(&self) -> &RsaPublicKey {
+        &self.public_key
+    }
+
+    /// Block layout (for chain-MHT capacities).
+    pub fn layout(&self) -> BlockLayout {
+        self.layout
+    }
+
+    /// The mechanism the owner deployed.
+    pub fn mechanism(&self) -> Mechanism {
+        self.publication.manifest.mechanism
+    }
+
+    /// Collection size `n` (feeds `w_{Q,t}`).
+    pub fn num_docs(&self) -> usize {
+        self.publication.manifest.num_docs as usize
+    }
+
+    /// The publication's encoding, as [`VerifierParams::open`] reads it
+    /// and a server sends it in reply to
+    /// [`crate::wire::kind::REQ_PUBLICATION`].
+    pub fn publication_bytes(&self) -> Vec<u8> {
+        self.publication.to_bytes()
+    }
+
+    /// Bytes held for checking replies: the 55-byte manifest and, under
+    /// TRA, 32 per document.
+    pub fn held_bytes(&self) -> usize {
+        self.publication.held_bytes()
+    }
+
+    /// The held publication.
+    pub(crate) fn publication(&self) -> &SignedPublication {
+        &self.publication
+    }
+
     fn chain_capacity(&self) -> usize {
-        let leaf = if self.mechanism.is_tra() { 4 } else { 8 };
+        let leaf = if self.mechanism().is_tra() { 4 } else { 8 };
         self.layout.chain_capacity(leaf)
     }
 }
@@ -382,10 +508,10 @@ fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<Recomputed, Ver
 }
 
 /// Step 1 of verification: check the VO's shape, reconstruct every term
-/// root and the dictionary root, and under TRA every document-MHT root
-/// and the document-table root, then check the one manifest signature
-/// over them. Only then are the prefixes handed out, TNRA's after the
-/// ordering screen.
+/// root and the dictionary root and compare the latter with the held
+/// manifest's, then under TRA check every result document's content and
+/// every document proof against the held records. Only then are the
+/// prefixes handed out, TNRA's after the ordering screen.
 fn authenticate<'a>(
     params: &VerifierParams,
     query: &Query,
@@ -397,27 +523,17 @@ fn authenticate<'a>(
     for tv in &vo.terms {
         term_roots.push(verify_term_prefix(params, tv)?);
     }
-    let (num_terms, dict_root) = dict_root(vo, &term_roots)?;
-    let (freqs, doc_table_root) = if params.mechanism.is_tra() {
+    check_dict_root(params.publication(), vo, &term_roots)?;
+    let freqs = if params.mechanism().is_tra() {
         let width = pool::doc_proof_width(pool::available_parallelism(), vo.docs.len());
-        let (freqs, root) = docproof::resolve_doc_proofs(params, response, width)?;
-        (Some(freqs), root)
+        Some(docproof::resolve_doc_proofs(
+            params.publication(),
+            response,
+            width,
+        )?)
     } else {
-        (None, NO_DOC_TABLE_ROOT)
+        None
     };
-    let num_docs = u32::try_from(params.num_docs)
-        .map_err(|_| VerifyError::DocTableProof("collection size exceeds u32".into()))?;
-    let manifest = publication_message(
-        params.mechanism,
-        num_terms,
-        num_docs,
-        &dict_root,
-        &doc_table_root,
-    );
-    params
-        .public_key
-        .verify(&manifest, &vo.signature)
-        .map_err(|_| VerifyError::ManifestSignature)?;
 
     let lens = vo.terms.iter().map(|tv| tv.ft as usize).collect();
     Ok(match freqs {
@@ -470,11 +586,11 @@ fn check_query_shape(
     query: &Query,
     vo: &VerificationObject,
 ) -> Result<(), VerifyError> {
-    if vo.mechanism != params.mechanism {
+    if vo.mechanism != params.mechanism() {
         return Err(VerifyError::QueryShapeMismatch(format!(
             "mechanism {} but owner deployed {}",
             vo.mechanism.name(),
-            params.mechanism.name()
+            params.mechanism().name()
         )));
     }
     if vo.terms.len() != query.terms().len() {
@@ -492,17 +608,6 @@ fn check_query_shape(
             )));
         }
     }
-    if vo.doc_table.is_some() != params.mechanism.is_tra() {
-        return Err(VerifyError::DocTableProof(format!(
-            "a {} reply must {}carry a document table",
-            params.mechanism.name(),
-            if params.mechanism.is_tra() {
-                ""
-            } else {
-                "not "
-            }
-        )));
-    }
     Ok(())
 }
 
@@ -516,10 +621,10 @@ fn verify_term_prefix(params: &VerifierParams, tv: &TermVo) -> Result<Digest, Ve
             tv.term
         )));
     }
-    if matches!(tv.prefix, PrefixData::DocIds(_)) != params.mechanism.is_tra() {
+    if matches!(tv.prefix, PrefixData::DocIds(_)) != params.mechanism().is_tra() {
         return Err(payload_mismatch(tv.term));
     }
-    match (&tv.proof, params.mechanism.is_cmht()) {
+    match (&tv.proof, params.mechanism().is_cmht()) {
         (TermProof::Mht(proof), false) => {
             let pairs: Vec<(usize, Digest)> = prefix_leaves(&tv.prefix, |i, d| (i, d));
             reconstruct_root(li, &pairs, proof).ok_or_else(|| {
@@ -561,13 +666,22 @@ fn prefix_leaves<T, B: FromIterator<T>>(
 
 /// Reconstruct the dictionary-MHT root from the query terms' leaves —
 /// each binding the term, its `f_t` and its reconstructed root — and the
-/// reply's multi-proof. Returns the tree's claimed size `m`, which the
-/// manifest binds, with the root.
-fn dict_root(vo: &VerificationObject, term_roots: &[Digest]) -> Result<(u32, Digest), VerifyError> {
+/// reply's multi-proof, over the held manifest's `m` leaves, and compare
+/// it with the held root. A reply that claims another `m` is another
+/// publication's.
+fn check_dict_root(
+    held: &SignedPublication,
+    vo: &VerificationObject,
+    term_roots: &[Digest],
+) -> Result<(), VerifyError> {
     let dict = vo
         .dict
         .as_ref()
         .ok_or_else(|| VerifyError::MalformedProof("missing dictionary-MHT proof".into()))?;
+    let manifest = &held.manifest;
+    if dict.num_terms != manifest.num_terms {
+        return Err(VerifyError::DictionaryRoot);
+    }
     let mut pairs: Vec<(usize, Digest)> = vo
         .terms
         .iter()
@@ -578,7 +692,10 @@ fn dict_root(vo: &VerificationObject, term_roots: &[Digest]) -> Result<(u32, Dig
     pairs.sort_unstable_by_key(|&(p, _)| p);
     let root = reconstruct_root(dict.num_terms as usize, &pairs, &dict.proof)
         .ok_or_else(|| VerifyError::MalformedProof("dictionary-MHT proof shape".into()))?;
-    Ok((dict.num_terms, root))
+    if root != manifest.dict_root {
+        return Err(VerifyError::DictionaryRoot);
+    }
+    Ok(())
 }
 
 /// The reply's document proofs must be for exactly the documents `met`,
@@ -717,12 +834,7 @@ mod tests {
         let key = cached_keypair(TEST_KEY_BITS);
         let config = AuthConfig::new(mechanism);
         let auth = AuthenticatedIndex::build(toy_index(), &key, config, &toy_contents());
-        let params = VerifierParams {
-            public_key: key.public_key().clone(),
-            layout: config.layout,
-            mechanism,
-            num_docs: 9,
-        };
+        let params = auth.verifier_params();
         (auth, params)
     }
 
@@ -806,15 +918,20 @@ mod tests {
 
     #[test]
     fn missing_manifest_signature_rejected() {
+        // A publication without its signature does not open, and its
+        // bytes with it do, under every mechanism.
         for mechanism in Mechanism::ALL {
-            let (auth, params) = setup(mechanism);
-            let mut resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
-            resp.vo.signature.clear();
+            let (_, params) = setup(mechanism);
+            let (key, layout) = (params.public_key().clone(), params.layout());
+            let mut unsigned = params.publication().clone();
+            unsigned.signature.clear();
             assert_eq!(
-                verify(&params, &toy_query(), 2, &resp),
-                Err(VerifyError::ManifestSignature),
+                VerifierParams::open(key.clone(), layout, &unsigned.to_bytes()).err(),
+                Some(VerifyError::ManifestSignature),
                 "{mechanism:?}"
             );
+            let opened = VerifierParams::open(key, layout, &params.publication_bytes()).unwrap();
+            assert_eq!(opened.publication(), params.publication(), "{mechanism:?}");
         }
     }
 
@@ -830,7 +947,7 @@ mod tests {
         let err = verify(&params, &toy_query(), 2, &resp).unwrap_err();
         assert!(matches!(
             err,
-            VerifyError::PrefixNotOrdered { .. } | VerifyError::ManifestSignature
+            VerifyError::PrefixNotOrdered { .. } | VerifyError::DictionaryRoot
         ));
     }
 
@@ -901,7 +1018,7 @@ mod tests {
             vec![authsearch_crypto::Digest::ZERO; dict.proof.digests.len()];
         assert_eq!(
             verify(&params, &toy_query(), 2, &zeroed),
-            Err(VerifyError::ManifestSignature)
+            Err(VerifyError::DictionaryRoot)
         );
         let mut short = resp.clone();
         short.vo.dict.as_mut().unwrap().proof.digests.pop();

@@ -147,10 +147,10 @@ pub struct TermVo {
     pub prefix: PrefixData,
     /// Complementary digests.
     pub proof: TermProof,
-    /// Always `None`, and never encoded: the one manifest signature
-    /// ([`VerificationObject::signature`]) covers every term. The field
-    /// goes with ROADMAP item 1, once the benchmark counts signatures
-    /// through `VerificationObject::signature_count`.
+    /// Always `None`, and never encoded: the owner's one manifest
+    /// signature covers every term, and the client checks it once, when
+    /// it takes the publication in. The field goes with ROADMAP item 1,
+    /// once the benchmark stops reading it.
     pub signature: Option<Vec<u8>>,
 }
 
@@ -169,17 +169,20 @@ impl TermVo {
 pub struct DocVo {
     /// The document.
     pub doc: DocId,
-    /// Total leaves in the document-MHT (distinct terms in the document).
+    /// The least leaf count that gives `proof` its shape
+    /// (`authsearch_crypto::merkle::least_leaf_count`): the document's
+    /// count of distinct terms when its last leaf is revealed, and never
+    /// more than it. Every count from the least to the true one proves
+    /// alike, so a VO carries the least and the verifier refuses any
+    /// other, and each VO has one encoding.
     pub num_leaves: u32,
     /// Revealed leaves, ascending position: the query terms present in
     /// the document, the boundary pairs proving absent query terms, and
     /// any buddies.
     pub revealed: Vec<DocLeaf>,
-    /// Complementary digests up to the document-MHT root.
+    /// Complementary digests up to the document-MHT root, which the
+    /// client holds (`crate::publication`).
     pub proof: MerkleProof,
-    /// `h(doc)` for non-result documents; result documents are delivered
-    /// in full and the user hashes them itself.
-    pub content_digest: Option<Digest>,
 }
 
 /// One revealed document-MHT leaf: the leaf message `(t, w_{d,t}, c_t)`
@@ -210,21 +213,8 @@ impl DocLeaf {
     }
 }
 
-/// Proof connecting every [`DocVo`] to the document-table root in the
-/// owner's signed manifest (TRA only): leaf `d` of that tree is the
-/// digest of document `d`'s `h(doc) | d | root` message, so the client
-/// recomputes each leaf from data it authenticates anyway and checks one
-/// multi-proof for the whole reply.
-#[derive(Debug, Clone, PartialEq)]
-// lint:allow(unused-pub): reached only through `VerificationObject::doc_table`
-pub struct DocTableVo {
-    /// Multi-proof for the encountered documents' leaf positions (their
-    /// doc ids, ascending).
-    pub proof: MerkleProof,
-}
-
 /// Proof connecting the query terms' roots to the dictionary-MHT root in
-/// the owner's signed manifest (§3.4).
+/// the owner's signed manifest (§3.4), which the client holds.
 #[derive(Debug, Clone, PartialEq)]
 // lint:allow(unused-pub): reached only through `VerificationObject::dict`
 pub struct DictVo {
@@ -234,7 +224,10 @@ pub struct DictVo {
     pub proof: MerkleProof,
 }
 
-/// The complete verification object for one query result.
+/// The complete verification object for one query result. It carries
+/// no signature: every root it reconstructs is compared with the owner's
+/// publication the client holds (`crate::publication`), whose manifest
+/// signature the client checked once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerificationObject {
     /// Which mechanism produced this VO.
@@ -245,31 +238,27 @@ pub struct VerificationObject {
     pub docs: Vec<DocVo>,
     /// Dictionary-MHT proof: present on every reply.
     pub dict: Option<DictVo>,
-    /// Document-table proof: present iff the mechanism is TRA.
-    pub doc_table: Option<DocTableVo>,
-    /// The owner's one signature over the publication manifest
-    /// (mechanism, `m`, `n`, dictionary root, document-table root).
-    pub signature: Vec<u8>,
 }
 
 /// Byte breakdown of a VO — the paper's Table 2 splits VOs into data
-/// (leaf) bytes and digest bytes; signatures are reported separately.
-/// Every field is charged at its encoded width (`crate::wire`), so a
-/// VO's encoding is exactly [`VoSize::total`] plus [`VoSize::framing`]
-/// bytes long.
+/// (leaf) bytes and digest bytes; signatures are reported separately,
+/// and a reply here carries none. Every field is charged at its encoded
+/// width (`crate::wire`), so a VO's encoding is exactly
+/// [`VoSize::total`] plus [`VoSize::framing`] bytes long.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VoSize {
     /// Leaf/data bytes: term ids and `f_t`, prefix entries, document
     /// ids and leaf counts, revealed document-MHT leaves and the
     /// dictionary size.
     pub data: usize,
-    /// Digest bytes (16 per digest, including content digests).
+    /// Digest bytes (16 per digest).
     pub digest: usize,
-    /// Signature bytes.
+    /// Signature bytes: always 0, since a reply carries no signature.
+    /// The field stays for the paper's Table 2 split, beside `data` and
+    /// `digest`.
     pub signature: usize,
     /// The rest of the encoding, which no table of the paper counts:
-    /// the magic, the mechanism, tags, content flags and every list,
-    /// digest and signature-length count.
+    /// the magic, the mechanism, tags and every list and digest count.
     pub framing: usize,
 }
 
@@ -294,14 +283,9 @@ impl std::ops::Add for VoSize {
 }
 
 impl VerificationObject {
-    /// Signatures this VO carries: the one manifest signature.
-    pub(crate) fn signature_count(&self) -> usize {
-        usize::from(!self.signature.is_empty())
-    }
-
     /// Signatures the paper's scheme carries for the same reply: one per
     /// query term's list (§3.3) plus one per document proof (Figure 8
-    /// signs every document-MHT root), where this VO carries one.
+    /// signs every document-MHT root), where this VO carries none.
     pub(crate) fn paper_signature_count(&self) -> usize {
         self.terms.len() + self.docs.len()
     }
@@ -335,24 +319,15 @@ impl VerificationObject {
                 s.data += varint_len(packed) + varint32_len(leaf.term) + 4;
                 next = u64::from(leaf.pos) + 1;
             }
-            // Revealed and digest counts, and the content flag.
-            s.framing += count_len(d.revealed.len()) + count_len(d.proof.digests.len()) + 1;
-            s.digest += d.proof.digests.len() * DIGEST_LEN;
-            if d.content_digest.is_some() {
-                s.digest += DIGEST_LEN;
-            }
+            // Revealed and digest counts.
+            s.framing += count_len(d.revealed.len()) + count_len(d.proof.digests.len());
+            s.digest += d.proof.size_bytes();
         }
         if let Some(dict) = &self.dict {
             s.data += varint32_len(dict.num_terms);
             s.framing += count_len(dict.proof.digests.len());
-            s.digest += dict.proof.digests.len() * DIGEST_LEN;
+            s.digest += dict.proof.size_bytes();
         }
-        if let Some(table) = &self.doc_table {
-            s.framing += count_len(table.proof.digests.len());
-            s.digest += table.proof.digests.len() * DIGEST_LEN;
-        }
-        s.framing += count_len(self.signature.len());
-        s.signature += self.signature.len();
         s
     }
 }
@@ -411,50 +386,45 @@ mod tests {
                     digests: vec![Digest::ZERO; 4],
                 },
             }),
-            doc_table: None,
-            signature: vec![0u8; 128],
         };
         let s = vo.size();
         // Term id and f_t, two entries of a 1-byte doc id and a weight,
         // and the dictionary size: one varint byte each.
         assert_eq!(s.data, 2 + 2 * 5 + 1);
         assert_eq!(s.digest, 48 + 64);
-        assert_eq!(s.signature, 128);
-        assert_eq!(s.total(), 13 + 48 + 64 + 128);
+        assert_eq!(s.signature, 0);
+        assert_eq!(s.total(), 13 + 48 + 64);
         // Magic, mechanism and the two top-level counts; two tags and
-        // two counts for the term; the dictionary's digest count; and
-        // the signature length, 128, in two bytes.
-        assert_eq!(s.framing, (4 + 1 + 2) + 4 + 1 + 2);
-        assert_eq!((vo.signature_count(), vo.paper_signature_count()), (1, 1));
+        // two counts for the term; and the dictionary's digest count.
+        assert_eq!(s.framing, (4 + 1 + 2) + 4 + 1);
+        assert_eq!(vo.paper_signature_count(), 1);
     }
 
     #[test]
-    fn doc_table_counts_one_signature_and_its_digests() {
-        // The document table adds its digests and no signature: the
-        // reply's one signature is the manifest's.
+    fn tra_vo_counts_no_signature_and_no_table() {
+        // A document proof adds its id, leaf count, two counts and its
+        // digests: no signature, no table proof and no content digest,
+        // all of which the client holds.
         let doc = DocVo {
             doc: 3,
             num_leaves: 0,
             revealed: vec![],
-            proof: MerkleProof::default(),
-            content_digest: None,
+            proof: MerkleProof {
+                digests: vec![Digest::ZERO; 2],
+            },
         };
         let vo = VerificationObject {
             mechanism: Mechanism::TraMht,
             terms: vec![],
             docs: vec![doc.clone(), DocVo { doc: 4, ..doc }],
             dict: None,
-            doc_table: Some(DocTableVo {
-                proof: MerkleProof {
-                    digests: vec![Digest::ZERO; 5],
-                },
-            }),
-            signature: vec![0u8; 128],
         };
         let s = vo.size();
         // A 1-byte doc id and leaf count per document.
-        assert_eq!((s.data, s.digest, s.signature), (4, 5 * DIGEST_LEN, 128));
-        assert_eq!(vo.signature_count(), 1);
+        assert_eq!((s.data, s.digest, s.signature), (4, 4 * DIGEST_LEN, 0));
+        // Magic, mechanism, the two top-level counts, and two counts
+        // per document.
+        assert_eq!(s.framing, (4 + 1 + 2) + 2 * 2);
         assert_eq!(vo.paper_signature_count(), 2);
     }
 }

@@ -17,16 +17,18 @@
 //! ```text
 //! "AVO1" (4) | mechanism u8 | n_terms v16 | terms | n_docs v | docs
 //!   | dict: m v, n v16, n × digest
-//!   | TRA only: document table: n v, n × digest
-//!   | signature: len v16, bytes
 //! term:  t v | f_t v | prefix | proof
 //!   prefix: 0 u8, n v, n × (d v)               TRA: doc ids
 //!         | 1 u8, n v, n × (d v, w f32)        TNRA: impact entries
 //!   proof:  0 u8 (MHT) | 1 u8 (chain-MHT tail), n v16, n × digest
 //! doc:   d v | num_leaves v | n v | n × leaf | n v16, n × digest
-//!   | 0 u8 | 1 u8, h(doc) digest
 //! leaf:  (gap << 6 | c_t) v | t v | w f32
 //! ```
+//!
+//! A VO carries no signature, no document-table proof and no content
+//! digest: the client holds the owner's publication
+//! ([`crate::publication`]) and compares what the VO reconstructs with
+//! it.
 //!
 //! A revealed leaf's `gap` is its position minus the previous leaf's
 //! position minus one (the first leaf's is its position), so positions
@@ -52,7 +54,11 @@
 //! conjunctive. Replies carry either the full [`QueryResponse`] —
 //! ranked result, VO bytes, result-document contents, I/O trace —
 //! prefixed by the `(term, f_{Q,t})` echo the client verifies against,
-//! or a coded error ([`Reply`]). Every decode path returns a
+//! or a coded error ([`Reply`]). One more request kind,
+//! [`kind::REQ_PUBLICATION`], asks for the owner's publication: a
+//! client that holds only the owner's key fetches it once and checks it
+//! under the key ([`crate::VerifierParams::open`]) before it trusts a
+//! reply. Every decode path returns a
 //! [`WireError`] on malformed input — attacker-controlled bytes can
 //! never panic the server or force an implausible allocation (counts
 //! are bounded before `Vec::with_capacity`, payload length by
@@ -64,10 +70,10 @@
 //! fixed-width and little-endian.
 
 use crate::auth::serve::QueryResponse;
+use crate::publication::SignedPublication;
 use crate::types::{QueryMode, QueryResult, ResultEntry};
 use crate::vo::{
-    DictVo, DocLeaf, DocTableVo, DocVo, Mechanism, PrefixData, TermProof, TermVo,
-    VerificationObject,
+    DictVo, DocLeaf, DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject,
 };
 use authsearch_corpus::TermId;
 use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof};
@@ -82,9 +88,8 @@ pub(crate) const MAGIC: &[u8; 4] = b"AVO1";
 #[derive(Debug, Clone, PartialEq, Eq)]
 // lint:allow(unused-pub): reached only as the error of the `wire` codec and `ClientNetError::Wire`
 pub enum WireError {
-    /// Decoding found bytes that are not a well-formed VO (or encoding
-    /// was handed a VO whose document table does not match its
-    /// mechanism).
+    /// Decoding found bytes that are not a well-formed VO or frame (or
+    /// encoding was handed a VO the layout cannot carry).
     Malformed(String),
     /// Encoding refused a collection longer than its length prefix can
     /// carry, rather than truncate it into a VO that decodes into
@@ -130,13 +135,12 @@ fn err(what: &str) -> WireError {
 /// Serialize a VO to bytes, in the layout of the module doc.
 ///
 /// Fails with [`WireError::TooLong`] when a collection exceeds what the
-/// layout carries (≥ 2¹⁶ term proofs, proof digests or signature bytes)
-/// — truncating it would produce an unverifiable transmission — and
-/// with [`WireError::Malformed`] on a VO the layout cannot carry: one
-/// without a dictionary proof, a document table on the wrong mechanism,
-/// or revealed document leaves out of position order, past the leaf
-/// count, or of a class outside `1..=32`. [`TermVo`]'s per-list
-/// signature is never written.
+/// layout carries (≥ 2¹⁶ term proofs or proof digests) — truncating it
+/// would produce an unverifiable transmission — and with
+/// [`WireError::Malformed`] on a VO the layout cannot carry: one without
+/// a dictionary proof, or with revealed document leaves out of position
+/// order, past the leaf count, or of a class outside `1..=32`.
+/// [`TermVo`]'s per-list signature is never written.
 pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
     let mut buf = Vec::new();
     write_vo(&mut Writer(&mut buf), vo)?;
@@ -228,35 +232,13 @@ fn write_vo(w: &mut Writer<'_>, vo: &VerificationObject) -> Result<(), WireError
             next = u64::from(leaf.pos) + 1;
         }
         write_digests16(w, &dv.proof.digests, "document proof digests")?;
-        match &dv.content_digest {
-            Some(d) => {
-                w.u8(1);
-                w.bytes(d.as_bytes());
-            }
-            None => w.u8(0),
-        }
     }
     let dict = vo
         .dict
         .as_ref()
         .ok_or_else(|| err("every VO carries a dictionary proof"))?;
     w.varint(dict.num_terms.into());
-    write_digests16(w, &dict.proof.digests, "dictionary proof digests")?;
-    match (&vo.doc_table, vo.mechanism.is_tra()) {
-        (Some(table), true) => {
-            count(w, table.proof.digests.len());
-            w.digests(&table.proof.digests);
-        }
-        (None, false) => {}
-        _ => {
-            return Err(err(
-                "a document table is carried by TRA VOs, and only by them",
-            ))
-        }
-    }
-    count16(w, vo.signature.len(), "manifest signature")?;
-    w.bytes(&vo.signature);
-    Ok(())
+    write_digests16(w, &dict.proof.digests, "dictionary proof digests")
 }
 
 /// A capped digest count, then the digests.
@@ -345,9 +327,9 @@ fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
         })
     })?;
     let num_docs = r.varint()?;
-    // Smallest document proof: doc id, leaf count, revealed count,
-    // digest count and content flag, one byte each.
-    let docs = r.list(num_docs, 5, "document proof", |r| {
+    // Smallest document proof: doc id, leaf count, revealed count and
+    // digest count, one byte each.
+    let docs = r.list(num_docs, 4, "document proof", |r| {
         let doc = varint(r, "doc id")?;
         let num_leaves: u32 = varint(r, "document-MHT leaf count")?;
         let n = r.varint()?;
@@ -378,17 +360,11 @@ fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
         let proof = MerkleProof {
             digests: digests16(r)?,
         };
-        let content_digest = match r.u8()? {
-            0 => None,
-            1 => Some(r.digest()?),
-            _ => return Err(err("bad content flag")),
-        };
-        Ok(DocVo {
+        Ok::<_, WireError>(DocVo {
             doc,
             num_leaves,
             revealed,
             proof,
-            content_digest,
         })
     })?;
     let dict = DictVo {
@@ -397,25 +373,11 @@ fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
             digests: digests16(r)?,
         },
     };
-    let doc_table = if mechanism.is_tra() {
-        let n = r.varint()?;
-        Some(DocTableVo {
-            proof: MerkleProof {
-                digests: r.digests(n, "document-table digest")?,
-            },
-        })
-    } else {
-        None
-    };
-    let n: u16 = varint(r, "manifest signature length")?;
-    let signature = r.bytes(n.into())?.to_vec();
     Ok(VerificationObject {
         mechanism,
         terms,
         docs,
         dict: Some(dict),
-        doc_table,
-        signature,
     })
 }
 
@@ -444,9 +406,13 @@ pub const FRAME_MAGIC: [u8; 4] = *b"ASRV";
 /// `f_t`, leaf counts and every count are varints, and each revealed
 /// document leaf's position is the gap from the previous one, packed
 /// with its `c_t` (requests and error replies are byte-identical to v6
-/// but for the version byte). Older frames are rejected by the version
-/// check, never misparsed.
-pub const WIRE_VERSION: u8 = 7;
+/// but for the version byte). **v8** drops the manifest signature, the
+/// TRA document-table trailer and each document proof's content flag
+/// and digest from the VO, since the client holds the owner's
+/// publication, and adds the publication request
+/// ([`kind::REQ_PUBLICATION`]) and its reply. Older frames are rejected
+/// by the version check, never misparsed.
+pub const WIRE_VERSION: u8 = 8;
 
 /// Fixed size of the frame header: magic (4) + version (1) + kind (1) +
 /// payload length (4).
@@ -467,10 +433,17 @@ pub mod kind {
     /// Conjunctive (AND-semantics) `(term, f_qt)`-pairs query request:
     /// the same payload as [`REQ_TERMS`]; the kind is the query mode.
     pub const REQ_CONJ_TERMS: u8 = 0x03;
+    /// The owner's publication, asked for by a client that holds only
+    /// the owner's key: an empty payload.
+    pub const REQ_PUBLICATION: u8 = 0x04;
     /// Successful reply: query echo + full `QueryResponse`.
     pub const REPLY_OK: u8 = 0x81;
     /// Error reply: code + message.
     pub const REPLY_ERR: u8 = 0x82;
+    /// The reply to [`REQ_PUBLICATION`]: the publication's encoding
+    /// (`crate::publication`), which the client checks under the key
+    /// ([`crate::VerifierParams::open`]).
+    pub const REPLY_PUBLICATION: u8 = 0x83;
 }
 
 /// Error codes carried by [`kind::REPLY_ERR`] frames.
@@ -557,8 +530,10 @@ pub fn decode_frame_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, usize
         kind::REQ_TEXT
         | kind::REQ_TERMS
         | kind::REQ_CONJ_TERMS
+        | kind::REQ_PUBLICATION
         | kind::REPLY_OK
-        | kind::REPLY_ERR => Ok((kind, len)),
+        | kind::REPLY_ERR
+        | kind::REPLY_PUBLICATION => Ok((kind, len)),
         _ => Err(WireError::Malformed(format!(
             "unknown frame kind {kind:#04x}"
         ))),
@@ -593,6 +568,9 @@ pub enum Request {
         /// [`kind::REQ_CONJ_TERMS`].
         mode: QueryMode,
     },
+    /// The owner's publication ([`kind::REQ_PUBLICATION`]), answered
+    /// with [`Reply::Publication`].
+    Publication,
 }
 
 impl Request {
@@ -613,6 +591,7 @@ impl Request {
                     write_pairs(w, terms, "query terms")
                 })
             }
+            Request::Publication => framed(kind::REQ_PUBLICATION, |_| Ok(())),
         }
     }
 
@@ -642,6 +621,7 @@ impl Request {
                     mode,
                 })
             }
+            kind::REQ_PUBLICATION => Ok(Request::Publication),
             _ => Err(err("not a request frame")),
         })
     }
@@ -685,6 +665,12 @@ pub enum Reply {
         code: u8,
         /// Human-readable cause.
         message: String,
+    },
+    /// The owner's publication, unchecked: what
+    /// [`crate::VerifierParams::open`] takes in under the owner's key.
+    Publication {
+        /// The publication's encoding.
+        bytes: Vec<u8>,
     },
 }
 
@@ -743,6 +729,18 @@ fn write_ok_reply(
     Ok(())
 }
 
+/// Serialize the reply to [`Request::Publication`], **payload only**,
+/// into a caller-owned buffer (cleared first), returning the frame kind,
+/// as [`encode_ok_reply_payload`] does.
+pub(crate) fn encode_publication_payload(
+    publication: &SignedPublication,
+    payload: &mut Vec<u8>,
+) -> Result<u8, WireError> {
+    payload.clear();
+    publication.write(&mut Writer(payload))?;
+    Ok(kind::REPLY_PUBLICATION)
+}
+
 /// Serialize an error reply to a complete frame.
 pub fn encode_err_reply(code: u8, message: &str) -> Result<Vec<u8>, WireError> {
     framed(kind::REPLY_ERR, |w| write_err_reply(w, code, message))
@@ -775,6 +773,12 @@ fn write_err_reply(w: &mut Writer<'_>, code: u8, message: &str) -> Result<(), Wi
 
 /// Deserialize a reply payload of the given frame kind.
 pub fn decode_reply_payload(kind: u8, payload: &[u8]) -> Result<Reply, WireError> {
+    if kind == kind::REPLY_PUBLICATION {
+        // Decoded, and checked, by `VerifierParams::open`.
+        return Ok(Reply::Publication {
+            bytes: payload.to_vec(),
+        });
+    }
     codec::read_all(payload, |r| match kind {
         kind::REPLY_OK => {
             let terms = read_pairs(r, "reply term")?;
@@ -985,7 +989,6 @@ mod tests {
             proof: MerkleProof {
                 digests: vec![Digest::ZERO; digests],
             },
-            content_digest: None,
         };
         let vo = |digests| VerificationObject {
             mechanism: Mechanism::TraMht,
@@ -995,10 +998,6 @@ mod tests {
                 num_terms: 1,
                 proof: MerkleProof::default(),
             }),
-            doc_table: Some(DocTableVo {
-                proof: MerkleProof::default(),
-            }),
-            signature: vec![0u8; 4],
         };
         let at_boundary = encode(&vo(u16::MAX as usize)).unwrap();
         let back = decode(&at_boundary).unwrap();
@@ -1024,16 +1023,11 @@ mod tests {
                 num_leaves,
                 revealed,
                 proof: MerkleProof::default(),
-                content_digest: None,
             }],
             dict: Some(DictVo {
                 num_terms: 1,
                 proof: MerkleProof::default(),
             }),
-            doc_table: Some(DocTableVo {
-                proof: MerkleProof::default(),
-            }),
-            signature: vec![0u8; 4],
         }
     }
 
@@ -1130,8 +1124,6 @@ mod tests {
                 num_terms: 1,
                 proof: MerkleProof::default(),
             }),
-            doc_table: None,
-            signature: vec![0u8; 4],
         };
         assert_eq!(
             encode(&vo).unwrap_err(),
@@ -1147,48 +1139,85 @@ mod tests {
         assert_eq!(decode(&bytes).unwrap(), vo);
     }
 
+    /// The toy publication's parameters under `mechanism`.
+    fn sample_params(mechanism: Mechanism) -> crate::VerifierParams {
+        let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
+        let config = AuthConfig::new(mechanism);
+        owner
+            .publish_index(toy_index(), config, &toy_contents())
+            .verifier_params
+    }
+
     #[test]
     fn doc_table_trailer_is_tra_only() {
-        // TNRA encodings carry no trailer byte at all.
-        let tnra = sample_vo(Mechanism::TnraMht);
-        assert!(tnra.doc_table.is_none());
-        let tra = sample_vo(Mechanism::TraMht);
-        let table = tra.doc_table.clone().unwrap();
-        let bytes = encode(&tra).unwrap();
-        let digests = table.proof.digests.len();
-        let trailer = codec::varint_len(digests as u64) + table.proof.size_bytes();
-        let mut stripped = tra.clone();
-        stripped.mechanism = Mechanism::TnraMht;
-        stripped.doc_table = None;
-        assert_eq!(encode(&stripped).unwrap().len() + trailer, bytes.len());
-        // A mismatched VO is refused at encode time, both ways.
-        let mut missing = tra.clone();
-        missing.doc_table = None;
-        assert!(matches!(encode(&missing), Err(WireError::Malformed(_))));
-        let mut extra = tnra;
-        extra.doc_table = Some(table);
-        assert!(matches!(encode(&extra), Err(WireError::Malformed(_))));
-        // A digest count larger than the bytes behind it is refused
-        // before allocation (truncations: tests/attack_suite.rs).
-        let mut forged = bytes.clone();
-        let signature = tra.signature.len();
-        let at = bytes.len() - codec::varint_len(signature as u64) - signature - trailer;
-        assert_eq!(usize::from(forged[at]), digests);
-        forged.splice(at..at + 1, [0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
-        assert!(decode(&forged).is_err());
+        // The publication's trailer of document records is TRA's alone:
+        // a TNRA publication ends with its signature, a TRA one carries
+        // each document's content digest and root after it, 32 bytes
+        // for each of the toy collection's nine documents.
+        let signature = DataOwner::with_cached_key(TEST_KEY_BITS)
+            .key()
+            .public_key()
+            .signature_len();
+        let head = crate::publication::MANIFEST_LEN + 2 + signature;
+        let tnra = sample_params(Mechanism::TnraMht).publication_bytes();
+        assert_eq!(tnra.len(), head);
+        let tra = sample_params(Mechanism::TraMht);
+        let bytes = tra.publication_bytes();
+        assert_eq!(bytes.len(), head + 9 * 32);
+        assert_eq!(tra.held_bytes(), crate::publication::MANIFEST_LEN + 9 * 32);
+        // The server's reply payload is the same encoding.
+        let engine_side = DataOwner::with_cached_key(TEST_KEY_BITS)
+            .publish_index(
+                toy_index(),
+                AuthConfig::new(Mechanism::TraMht),
+                &toy_contents(),
+            )
+            .auth;
+        let mut payload = Vec::new();
+        let kind = encode_publication_payload(engine_side.publication(), &mut payload).unwrap();
+        assert_eq!((kind, payload), (kind::REPLY_PUBLICATION, bytes));
     }
 
     #[test]
     fn oversized_signature_refused() {
-        let mut vo = sample_vo(Mechanism::TnraMht);
-        vo.signature = vec![0u8; u16::MAX as usize + 1];
-        assert!(matches!(
-            encode(&vo),
+        // The publication carries its signature behind a u16 length: one
+        // longer is refused at encode time, not truncated.
+        let auth = DataOwner::with_cached_key(TEST_KEY_BITS)
+            .publish_index(
+                toy_index(),
+                AuthConfig::new(Mechanism::TnraMht),
+                &toy_contents(),
+            )
+            .auth;
+        let mut publication = auth.publication().clone();
+        publication.signature = vec![0u8; u16::MAX as usize + 1];
+        assert_eq!(
+            encode_publication_payload(&publication, &mut Vec::new()),
             Err(WireError::TooLong {
                 field: "manifest signature",
-                ..
+                len: 65_536,
+                max: 65_535,
             })
-        ));
+        );
+    }
+
+    #[test]
+    fn publication_request_and_reply_round_trip() {
+        let frame = Request::Publication.encode_frame().unwrap();
+        assert_eq!(frame.len(), FRAME_HEADER_LEN);
+        let (kind, payload) = split_frame(&frame).unwrap();
+        assert_eq!(kind, kind::REQ_PUBLICATION);
+        assert_eq!(
+            Request::decode_payload(kind, payload).unwrap(),
+            Request::Publication
+        );
+        // A publication request carries nothing.
+        assert!(Request::decode_payload(kind, &[0]).is_err());
+        let bytes = sample_params(Mechanism::TraCmht).publication_bytes();
+        assert_eq!(
+            decode_reply_payload(kind::REPLY_PUBLICATION, &bytes).unwrap(),
+            Reply::Publication { bytes }
+        );
     }
 
     fn sample_response(mechanism: Mechanism) -> QueryResponse {

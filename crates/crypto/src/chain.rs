@@ -47,11 +47,6 @@ pub struct ChainPrefixProof {
 }
 
 impl ChainPrefixProof {
-    /// Serialized size in bytes charged to the VO.
-    pub fn size_bytes(&self) -> usize {
-        self.tail.size_bytes()
-    }
-
     /// Number of digests carried.
     pub fn num_digests(&self) -> usize {
         self.tail.digests.len()

@@ -9,17 +9,18 @@
 use authsearch_core::attacks::{
     absent_through_gap_response, doc_beyond_table_response, foreign_term_response,
     interior_as_leaf_response, mechanism_swapped_response, older_index, shifted_dict_leaf_response,
-    stale_manifest_response, truncated_prefix_response, Attack, Tree,
+    truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::{
     verify, AuthConfig, AuthenticatedIndex, DataOwner, Mechanism, Query, QueryResponse,
+    VerifierParams,
 };
 use authsearch_corpus::{Corpus, SyntheticConfig};
 use authsearch_index::{build_index, OkapiParams};
 
 /// Attacks this catalogue mounts across the four mechanisms; a change
 /// that drops or adds one must say so here.
-const EXPECTED_MOUNTED: usize = 83;
+const EXPECTED_MOUNTED: usize = 77;
 
 fn main() {
     let corpus = SyntheticConfig::tiny(300, 2024).generate();
@@ -41,6 +42,21 @@ fn main() {
             "honest baseline must verify"
         );
         println!("\n=== {} ===", mechanism.name());
+
+        // The publication itself, with its signature flipped: a client
+        // taking it in under the owner's key refuses it.
+        let params = &publication.verifier_params;
+        let mut forged = params.publication_bytes();
+        forged[57] ^= 0x40;
+        let name = "publication with a flipped signature";
+        mounted += 1;
+        match VerifierParams::open(params.public_key().clone(), params.layout(), &forged) {
+            Err(e) => {
+                detected += 1;
+                println!("  ✓  {name:<40} refused: {e}");
+            }
+            Ok(_) => println!("  ✗  {name:<40} ACCEPTED — bug!"),
+        }
 
         let mut mount = |name: &str, tampered: Option<QueryResponse>| {
             let Some(tampered) = tampered else {
@@ -81,15 +97,16 @@ fn main() {
             truncated_prefix_response(&publication.auth, &query, 10, &corpus),
         );
 
-        // The manifest: an older publication of the same collection (one
-        // list edited, same m and n), its signature, a term root taken
-        // from it, the reply relabeled as the other tree type, and a
-        // query term answered with its dictionary neighbour's list.
+        // The held manifest: the whole reply of an older publication of
+        // the same collection (one list edited, same m and n), a term
+        // root taken from it, the reply relabeled as the other tree
+        // type, and a query term answered with its dictionary
+        // neighbour's list.
         let older_index = older_index(publication.auth.index(), terms[0]).expect("a short list");
         let older = owner.publish_index(older_index, config, &corpus);
         mount(
-            "manifest of an older publication",
-            stale_manifest_response(&honest, &older.auth),
+            "reply of an older publication",
+            Some(serve(&older.auth, &query, &corpus)),
         );
         mount(
             "term root from an older publication",
@@ -137,11 +154,11 @@ fn main() {
             );
         }
 
-        // A document past the end of the table, and a present query term
+        // A document past the end of the collection, and a present query term
         // claimed absent through a non-adjacent pair of leaves.
         if mechanism.is_tra() {
             mount(
-                "doc id past the table",
+                "doc id past the collection",
                 doc_beyond_table_response(&honest, &publication.auth),
             );
             mount(

@@ -38,7 +38,7 @@ fn main() {
     println!(
         "owner: signed {} inverted lists ({}-bit RSA), mechanism {}",
         publication.auth.index().num_terms(),
-        publication.verifier_params.public_key.modulus_bits(),
+        publication.verifier_params.public_key().modulus_bits(),
         config.mechanism.name()
     );
 
@@ -62,11 +62,10 @@ fn main() {
     }
     let size = response.vo.size();
     println!(
-        "engine: VO = {} bytes ({} data + {} digest + {} signature)",
+        "engine: VO = {} bytes ({} data + {} digest; the client holds the signed manifest)",
         size.total(),
         size.data,
-        size.digest,
-        size.signature
+        size.digest
     );
 
     // ------------------------------------------------------------------
@@ -76,6 +75,10 @@ fn main() {
     // ------------------------------------------------------------------
     let pairs: Vec<_> = query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
     let client = Client::new(publication.verifier_params);
+    println!(
+        "\nclient: holds the owner's publication ({} bytes)",
+        client.params().held_bytes()
+    );
     match client.verify_terms(&pairs, 3, &response) {
         Ok(verified) => println!(
             "\nclient: VERIFIED — result provably correct ({} entries)",

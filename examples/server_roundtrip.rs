@@ -12,7 +12,10 @@
 //! speaking the length-prefixed frame protocol of
 //! `authsearch_core::wire`; several concurrent clients send queries and
 //! accept **nothing** until the verification object checks out against
-//! the owner's broadcast public parameters.
+//! the owner's publication. Half of them get the publication from the
+//! owner; the other half hold only the owner's key and fetch the
+//! publication from the untrusted server itself, checking it under the
+//! key before they send a query.
 
 use authsearch::core::wire::Request;
 use authsearch::crypto::keys::PAPER_KEY_BITS;
@@ -45,7 +48,7 @@ fn main() {
         "owner: published {} signed lists over {} documents ({}-bit RSA)",
         publication.auth.index().num_terms(),
         corpus.num_docs(),
-        publication.verifier_params.public_key.modulus_bits()
+        publication.verifier_params.public_key().modulus_bits()
     );
     let snapshot = std::env::temp_dir().join(format!(
         "authsearch-server-roundtrip-{}.snap",
@@ -80,8 +83,10 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 3. Concurrent users connect, query, and verify. The owner's
-    //    public parameters arrive out of band — never from the server.
+    // 3. Concurrent users connect, query, and verify. Users 0 and 1 get
+    //    the owner's publication out of band; users 2 and 3 get only the
+    //    owner's key out of band and fetch the publication from the
+    //    server, which cannot forge it.
     // ------------------------------------------------------------------
     let queries = [
         "night keeper keep",
@@ -94,7 +99,18 @@ fn main() {
     for (who, text) in queries.into_iter().enumerate() {
         let params = publication.verifier_params.clone();
         users.push(std::thread::spawn(move || {
-            let mut connection = Connection::connect(addr, params).expect("connect");
+            let mut connection = if who < 2 {
+                Connection::connect(addr, params).expect("connect")
+            } else {
+                let key = params.public_key().clone();
+                let connection = Connection::connect_with_key(addr, key, params.layout())
+                    .expect("the server's publication checks out under the owner's key");
+                println!(
+                    "user {who}: fetched and checked the publication ({} bytes held)",
+                    connection.params().held_bytes()
+                );
+                connection
+            };
             let request = Request::Text {
                 text: text.to_string(),
                 r: 3,

@@ -7,18 +7,16 @@
 use authsearch_core::attacks::{
     absent_through_gap_response, doc_beyond_table_response, foreign_term_response,
     interior_as_leaf_response, mechanism_swapped_response, older_index, rebuilt_response,
-    shifted_dict_leaf_response, stale_manifest_response, truncated_prefix_response, Attack, Tree,
+    shifted_dict_leaf_response, truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::toy::{toy_contents, toy_index, toy_query};
 use authsearch_core::vo::{PrefixData, VerificationObject};
 use authsearch_core::{
     verify, wire, AuthConfig, DataOwner, Mechanism, Publication, Query, QueryMode, QueryResponse,
-    VerifyError,
+    VerifierParams, VerifyError,
 };
 use authsearch_corpus::{CorpusBuilder, SyntheticConfig};
 use authsearch_crypto::keys::TEST_KEY_BITS;
-use authsearch_crypto::Digest;
-use authsearch_index::codec::varint_len;
 
 fn publish(mechanism: Mechanism) -> (Publication, authsearch_corpus::Corpus) {
     let corpus = SyntheticConfig::tiny(200, 99).generate();
@@ -387,24 +385,14 @@ fn early_stopped_conjunctive_reveal_rejected_with_typed_verdicts() {
             .unwrap();
         let last = non_member.result.entries.last_mut().unwrap();
         let dropped = std::mem::replace(&mut last.doc, outsider);
-        // A careful forger fills in the content digest of a member it
-        // takes out of the result, so that its document proof still
-        // authenticates.
-        let fill_digest = |forged: &mut QueryResponse, doc: u32| {
-            for dv in &mut forged.vo.docs {
-                if dv.doc == doc {
-                    dv.content_digest = Some(Digest::hash(&corpus.content_bytes(doc)));
-                }
-            }
-        };
-        // The outsider arrives with its real content.
+        // The outsider arrives with its real content, so its held
+        // digest matches.
         for (d, bytes) in &mut non_member.contents {
             if *d == dropped {
                 *d = outsider;
                 *bytes = corpus.content_bytes(outsider);
             }
         }
-        fill_digest(&mut non_member, dropped);
         let mut member_dropped = honest.clone();
         assert!(Attack::WrongIntersection.apply(&mut member_dropped));
 
@@ -429,7 +417,7 @@ fn early_stopped_conjunctive_reveal_rejected_with_typed_verdicts() {
             (
                 "head swapped for a lower entry",
                 swapped_head,
-                Verdict::Exactly(VerifyError::ManifestSignature),
+                Verdict::Exactly(VerifyError::DictionaryRoot),
             ),
             ("non-member ranked", non_member, Verdict::ResultMismatch),
             ("member dropped", member_dropped, Verdict::ResultMismatch),
@@ -463,10 +451,9 @@ fn early_stopped_conjunctive_reveal_rejected_with_typed_verdicts() {
     }
 }
 
-/// A narrowed intersection with every proof intact (its content digest
-/// filled in under TRA) reaches the intersection check: exactly
-/// `ResultMismatch`, under every mechanism, in-process and over the
-/// wire.
+/// A narrowed intersection with every proof intact reaches the
+/// intersection check: exactly `ResultMismatch`, under every mechanism,
+/// in-process and over the wire.
 #[test]
 fn wrong_intersection_is_a_result_mismatch_under_every_mechanism() {
     for mechanism in Mechanism::ALL {
@@ -518,16 +505,36 @@ fn conjunctive_mode_confusion_rejected() {
     }
 }
 
+/// A client holding another owner's key, and that owner's publication:
+/// this publication does not open under the key, and this engine's
+/// reply does not verify against the other publication.
+fn assert_foreign_owner_rejects(
+    publication: &Publication,
+    query: &Query,
+    r: usize,
+    honest: &QueryResponse,
+) {
+    let other = DataOwner::with_cached_key(768);
+    let params = &publication.verifier_params;
+    let key = other.key().public_key().clone();
+    assert_eq!(
+        VerifierParams::open(key, params.layout(), &params.publication_bytes()).err(),
+        Some(VerifyError::ManifestSignature)
+    );
+    let corpus = SyntheticConfig::tiny(150, 98).generate();
+    let theirs = other
+        .publish(&corpus, *publication.auth.config())
+        .verifier_params;
+    assert!(verify::verify(&theirs, query, r, honest).is_err());
+}
+
 /// Conjunctive wrong-key / wrong-query sanity, mirroring the disjunctive
 /// suite: foreign keys and replayed VOs for other queries are rejected.
 #[test]
 fn conjunctive_wrong_key_and_query_rejected() {
     let (publication, corpus, query) = conjunctive_fixture(Mechanism::TnraCmht);
     let honest = publication.auth.query(&query, 2, &corpus).unwrap();
-    let other_key = authsearch_crypto::keys::cached_keypair(768);
-    let mut params = publication.verifier_params.clone();
-    params.public_key = other_key.public_key().clone();
-    assert!(verify::verify(&params, &query, 2, &honest).is_err());
+    assert_foreign_owner_rejects(&publication, &query, 2, &honest);
 
     let other = Query::from_text(&corpus, publication.auth.index(), "town house")
         .unwrap()
@@ -543,11 +550,8 @@ fn wrong_key_rejected() {
     let (publication, corpus) = publish(Mechanism::TnraCmht);
     let query = sample_query(&publication, 7);
     let honest = publication.auth.query(&query, 10, &corpus).unwrap();
-    // A verifier configured with a different owner's key must reject.
-    let other_key = authsearch_crypto::keys::cached_keypair(768);
-    let mut params = publication.verifier_params.clone();
-    params.public_key = other_key.public_key().clone();
-    assert!(verify::verify(&params, &query, 10, &honest).is_err());
+    // A client configured with a different owner's key must reject.
+    assert_foreign_owner_rejects(&publication, &query, 10, &honest);
 }
 
 #[test]
@@ -586,10 +590,9 @@ fn mechanism_confusion_rejected() {
     let (pub_tnra, corpus) = publish(Mechanism::TnraMht);
     let query = sample_query(&pub_tnra, 11);
     let response = pub_tnra.auth.query(&query, 10, &corpus).unwrap();
-    let mut params = pub_tnra.verifier_params.clone();
-    params.mechanism = Mechanism::TraMht;
+    let (pub_tra, _) = publish(Mechanism::TraMht);
     assert!(matches!(
-        verify::verify(&params, &query, 10, &response),
+        verify::verify(&pub_tra.verifier_params, &query, 10, &response),
         Err(VerifyError::QueryShapeMismatch(_))
     ));
 }
@@ -601,32 +604,6 @@ fn mechanism_confusion_rejected() {
 enum Path {
     InProcess,
     Wire,
-}
-
-/// The verdict a document-table or manifest attack must produce.
-#[derive(Debug, Clone, Copy)]
-enum Expect {
-    /// `VerifyError::DocTableProof(_)`.
-    Proof,
-    /// `VerifyError::ManifestSignature`.
-    Manifest,
-}
-
-impl Expect {
-    fn of(attack: Attack) -> Expect {
-        match attack {
-            Attack::DropDocTableDigest | Attack::ExtraDocTableDigest => Expect::Proof,
-            Attack::ShiftDocId | Attack::ForgeManifestSignature => Expect::Manifest,
-            other => panic!("'{}' has no typed verdict here", other.name()),
-        }
-    }
-
-    fn holds(self, outcome: &Result<authsearch_core::VerifiedResult, VerifyError>) -> bool {
-        match self {
-            Expect::Proof => matches!(outcome, Err(VerifyError::DocTableProof(_))),
-            Expect::Manifest => matches!(outcome, Err(VerifyError::ManifestSignature)),
-        }
-    }
 }
 
 /// A VO the wire can carry has exactly one encoding: it decodes back to
@@ -663,7 +640,8 @@ fn deliver(path: Path, query: &Query, response: QueryResponse) -> QueryResponse 
 }
 
 /// The first sampled query whose honest response every document-table
-/// attack applies to (so no cell of the matrix is skipped).
+/// attack, and the tampering of a revealed weight, applies to (so no
+/// cell of the matrix is skipped).
 fn doc_table_query(
     mode: QueryMode,
     publication: &Publication,
@@ -684,33 +662,55 @@ fn doc_table_query(
         .find(|(_, honest)| {
             Attack::DOC_TABLE
                 .iter()
+                .chain(&[Attack::AlterDocFrequency, Attack::TamperContent])
                 .all(|attack| attack.apply(&mut honest.clone()))
         })
         .expect("some sampled query admits every document-table attack")
 }
 
-/// Every document-table attack — the three response mutations and a doc
-/// id past the table — is rejected with its exact `VerifyError`, on
-/// TRA-MHT and TRA-CMHT × disjunctive / conjunctive × in-process / over
-/// the wire.
+/// The one document proof `tampered` changed, by position, and its doc
+/// id after the change.
+fn changed_proof(honest: &QueryResponse, tampered: &QueryResponse) -> u32 {
+    let (_, after) = honest
+        .vo
+        .docs
+        .iter()
+        .zip(&tampered.vo.docs)
+        .find(|(a, b)| a != b)
+        .expect("one document proof changed");
+    after.doc
+}
+
+/// Every attack on the held document table is rejected with its exact
+/// `VerifyError`, on TRA-MHT and TRA-CMHT × disjunctive / conjunctive ×
+/// in-process / over the wire: a proof relabeled with a neighbour's doc
+/// id, or with a revealed weight changed, meets a held root it does not
+/// reconstruct; a result document's content changed meets its held
+/// digest; and a doc id past the collection names no held record.
 #[test]
 fn doc_table_attacks_rejected_with_typed_verdicts() {
     for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
         let (publication, corpus) = publish(mechanism);
         for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
             let (query, honest) = doc_table_query(mode, &publication, &corpus);
-            let mut cases: Vec<(String, QueryResponse, Expect)> = Attack::DOC_TABLE
-                .iter()
-                .map(|&attack| {
-                    let mut tampered = honest.clone();
-                    assert!(attack.apply(&mut tampered));
-                    (attack.name().to_string(), tampered, Expect::of(attack))
-                })
-                .collect();
+            let mut cases: Vec<(String, QueryResponse, VerifyError)> = Vec::new();
+            for attack in [Attack::ShiftDocId, Attack::AlterDocFrequency] {
+                let mut tampered = honest.clone();
+                assert!(attack.apply(&mut tampered));
+                let doc = changed_proof(&honest, &tampered);
+                let want = VerifyError::DocumentRoot { doc };
+                cases.push((attack.name().to_string(), tampered, want));
+            }
+            let mut tampered = honest.clone();
+            assert!(Attack::TamperContent.apply(&mut tampered));
+            let doc = tampered.contents[0].0;
+            let want = VerifyError::ContentDigest { doc };
+            cases.push((Attack::TamperContent.name().into(), tampered, want));
+            let n = publication.verifier_params.num_docs() as u32;
             cases.push((
-                "doc id past the table".into(),
+                "doc id past the collection".into(),
                 doc_beyond_table_response(&honest, &publication.auth).expect("document proofs"),
-                Expect::Proof,
+                VerifyError::UnknownDocument { doc: n },
             ));
             for path in [Path::InProcess, Path::Wire] {
                 let delivered = deliver(path, &query, honest.clone());
@@ -721,13 +721,14 @@ fn doc_table_attacks_rejected_with_typed_verdicts() {
                             mechanism.name()
                         )
                     });
-                for (name, tampered, expect) in &cases {
+                for (name, tampered, want) in &cases {
                     let delivered = deliver(path, &query, tampered.clone());
                     let outcome =
                         verify::verify(&publication.verifier_params, &query, 10, &delivered);
-                    assert!(
-                        expect.holds(&outcome),
-                        "{} {mode:?} {path:?}: '{name}' gave {outcome:?}, want {expect:?}",
+                    assert_eq!(
+                        outcome.as_ref().err(),
+                        Some(want),
+                        "{} {mode:?} {path:?}: '{name}'",
                         mechanism.name()
                     );
                 }
@@ -851,7 +852,7 @@ fn changed_doc(honest: &QueryResponse, tampered: &QueryResponse) -> (u32, Option
 /// `VerifyError`, on TRA-MHT and TRA-CMHT × disjunctive / conjunctive ×
 /// in-process / over the wire: a bounding pair out of key order is a
 /// malformed proof of its document; a forged `c_t` moves the document
-/// root under the manifest signature; a present query term claimed
+/// root off the held one; a present query term claimed
 /// absent through a non-adjacent pair leaves its weight unproven, which
 /// the replay reports as insufficient (disjunctive) or as that
 /// document's unproven term (conjunctive).
@@ -870,7 +871,7 @@ fn doc_key_attacks_rejected_with_typed_verdicts() {
                     Attack::SwapBoundingPair => VerifyError::MalformedProof(format!(
                         "document {doc}: revealed leaves not strictly ordered"
                     )),
-                    _ => VerifyError::ManifestSignature,
+                    _ => VerifyError::DocumentRoot { doc },
                 };
                 cases.push((attack.name().into(), tampered, want));
             }
@@ -913,8 +914,8 @@ fn doc_key_attacks_rejected_with_typed_verdicts() {
 /// A forged copy of a result document's content, delivered ahead of the
 /// real one, is rejected with `VerifyError::DuplicateContent` naming the
 /// document, on TRA-MHT and TRA-CMHT × disjunctive / conjunctive ×
-/// in-process / over the wire. Only one copy is hashed into the
-/// document's table leaf; a caller that looks contents up by id (as
+/// in-process / over the wire. Only one copy is checked against the
+/// document's held digest; a caller that looks contents up by id (as
 /// `phrase_filter` does) would read the other.
 #[test]
 fn duplicate_content_rejected_with_typed_verdict() {
@@ -975,61 +976,104 @@ fn nan_reported_score_is_rejected() {
     }
 }
 
-/// Wire fuzz: a reply whose VO stops anywhere inside the trailer — the
-/// document-table proof and the manifest signature after it — (with the
-/// VO and frame lengths fixed up to match) never decodes, and a flipped
-/// byte anywhere in the trailer never verifies.
+/// Send publication `bytes` down `path`: unchanged, or as the payload of
+/// a publication reply frame, decoded again as a client receives it.
+fn deliver_publication(path: Path, bytes: &[u8]) -> Vec<u8> {
+    match path {
+        Path::InProcess => bytes.to_vec(),
+        Path::Wire => {
+            let mut frame = wire::encode_frame_header(wire::kind::REPLY_PUBLICATION, bytes.len())
+                .unwrap()
+                .to_vec();
+            frame.extend_from_slice(bytes);
+            let (kind, payload) = wire::split_frame(&frame).expect("frame header");
+            match wire::decode_reply_payload(kind, payload).expect("a publication reply") {
+                wire::Reply::Publication { bytes } => bytes,
+                other => panic!("expected a publication reply, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// Take publication `bytes` in under the owner's key, as `params` did.
+fn open(params: &VerifierParams, bytes: &[u8]) -> Result<VerifierParams, VerifyError> {
+    VerifierParams::open(params.public_key().clone(), params.layout(), bytes)
+}
+
+/// Fuzz the publication's trailer of document records (TRA), in-process
+/// and over the wire: every cut of the publication is malformed, one
+/// record short and one record over by exact message; two records
+/// swapped, or a flipped byte anywhere in the records, fold to another
+/// table root; a flipped byte of the signature fails the signature.
 #[test]
 fn truncated_or_flipped_doc_table_trailer_rejected() {
-    let (publication, corpus) = publish(Mechanism::TraMht);
-    let query = sample_query(&publication, 5);
-    let honest = publication.auth.query(&query, 10, &corpus).unwrap();
-    let pairs: Vec<(u32, u32)> = query.terms().iter().map(|qt| (qt.term, qt.f_qt)).collect();
-    let vo = wire::encode(&honest.vo).unwrap();
-    let table = honest.vo.doc_table.as_ref().unwrap();
-    let signature = honest.vo.signature.len();
-    let trailer = varint_len(table.proof.digests.len() as u64)
-        + table.proof.size_bytes()
-        + varint_len(signature as u64)
-        + signature;
-
-    // Locate the nested VO inside the reply payload: term echo, result
-    // entries, then a u32 length and the VO bytes.
-    let frame = wire::encode_ok_reply(&pairs, &honest).unwrap();
-    let payload = &frame[wire::FRAME_HEADER_LEN..];
-    let vo_at = 2 + 8 * pairs.len() + 4 + 12 * honest.result.entries.len() + 4;
-    assert_eq!(&payload[vo_at..vo_at + vo.len()], vo.as_slice());
-    let (head, tail) = (&payload[..vo_at - 4], &payload[vo_at + vo.len()..]);
-
-    for cut in 1..=trailer {
-        let short = &vo[..vo.len() - cut];
-        let mut body = head.to_vec();
-        body.extend_from_slice(&(short.len() as u32).to_le_bytes());
-        body.extend_from_slice(short);
-        body.extend_from_slice(tail);
-        let mut framed = wire::encode_frame_header(wire::kind::REPLY_OK, body.len())
-            .unwrap()
-            .to_vec();
-        framed.extend_from_slice(&body);
-        let (kind, payload) = wire::split_frame(&framed).unwrap();
-        assert!(
-            wire::decode_reply_payload(kind, payload).is_err(),
-            "VO cut {cut} bytes into the trailer still decoded"
-        );
+    let (publication, _) = publish(Mechanism::TraMht);
+    let params = &publication.verifier_params;
+    let bytes = params.publication_bytes();
+    let n = params.num_docs();
+    let records = 32 * n;
+    let signature = params.public_key().signature_len();
+    assert_eq!(bytes.len(), 55 + 2 + signature + records);
+    let (head, trailer) = bytes.split_at(bytes.len() - records);
+    let mut swapped = head.to_vec();
+    swapped.extend_from_slice(&trailer[32..64]);
+    swapped.extend_from_slice(&trailer[..32]);
+    swapped.extend_from_slice(&trailer[64..]);
+    let mut extra = bytes.clone();
+    extra.extend_from_slice(&trailer[..32]);
+    let short = &bytes[..bytes.len() - 32];
+    let cells: [(&str, &[u8], VerifyError); 3] = [
+        (
+            "one record short",
+            short,
+            VerifyError::MalformedPublication(format!(
+                "document record digest count {} exceeds what the remaining {} bytes can hold",
+                2 * n,
+                records - 32
+            )),
+        ),
+        (
+            "one record over",
+            &extra,
+            VerifyError::MalformedPublication("trailing bytes".into()),
+        ),
+        ("two records swapped", &swapped, VerifyError::DocTableRoot),
+    ];
+    for path in [Path::InProcess, Path::Wire] {
+        let honest = open(params, &deliver_publication(path, &bytes)).expect("honest publication");
+        assert_eq!(honest.publication_bytes(), bytes);
+        for (name, forged, want) in &cells {
+            let got = open(params, &deliver_publication(path, forged)).err();
+            assert_eq!(got.as_ref(), Some(want), "{path:?}: '{name}'");
+        }
+        for cut in 0..bytes.len() {
+            let got = open(params, &deliver_publication(path, &bytes[..cut])).err();
+            assert!(
+                matches!(got, Some(VerifyError::MalformedPublication(_))),
+                "{path:?}: cut at {cut} gave {got:?}"
+            );
+        }
     }
-
-    for at in vo.len() - trailer..vo.len() {
-        let mut flipped = vo.clone();
+    for at in 0..bytes.len() {
+        let mut flipped = bytes.clone();
         flipped[at] ^= 0x01;
-        let Ok(decoded) = wire::decode(&flipped) else {
-            continue;
+        let got = open(params, &flipped).err();
+        let want = match at {
+            // The manifest and the signature's length: a tag or
+            // mechanism that no longer parses, a size that no longer
+            // matches the bytes, or a manifest the signature does not
+            // sign.
+            0..57 => None,
+            _ if at < bytes.len() - records => Some(VerifyError::ManifestSignature),
+            _ => Some(VerifyError::DocTableRoot),
         };
-        let mut tampered = honest.clone();
-        tampered.vo = decoded;
-        assert!(
-            verify::verify(&publication.verifier_params, &query, 10, &tampered).is_err(),
-            "trailer byte {at} flipped yet the reply verified"
-        );
+        match want {
+            Some(want) => assert_eq!(got, Some(want), "byte {at}"),
+            None => assert!(
+                got.is_some(),
+                "byte {at} flipped yet the publication opened"
+            ),
+        }
     }
 }
 
@@ -1088,41 +1132,36 @@ fn manifest_query(mode: QueryMode, publication: &Publication) -> Query {
         .expect("some sampled query admits every manifest attack")
 }
 
-/// Every attack on the one signed manifest is rejected with
-/// `VerifyError::ManifestSignature`, under every mechanism × disjunctive
-/// / conjunctive × in-process / over the wire: a forged signature, the
-/// manifest of an older publication with the same `m` and `n`, the
-/// mechanism field swapped, a dictionary leaf shifted by one, and a term
-/// root taken from another publication.
+/// Every attack on the held manifest is rejected with its exact
+/// `VerifyError`, under every mechanism × disjunctive / conjunctive ×
+/// in-process / over the wire: a publication whose signature is flipped
+/// does not open; a term root taken from an older publication with the
+/// same `m` and `n`, or a dictionary leaf shifted by one, reconstructs
+/// another dictionary root than the held one; and a reply relabeled as
+/// the other mechanism of its query algorithm is not the held
+/// manifest's mechanism.
 #[test]
 fn manifest_attacks_rejected_with_typed_verdicts() {
     for mechanism in Mechanism::ALL {
         let (publication, corpus) = publish(mechanism);
+        let params = &publication.verifier_params;
+        let mut flipped = params.publication_bytes();
+        flipped[55 + 2] ^= 0x40;
+        for path in [Path::InProcess, Path::Wire] {
+            assert_eq!(
+                open(params, &deliver_publication(path, &flipped)).err(),
+                Some(VerifyError::ManifestSignature),
+                "{} {path:?}: flipped publication signature",
+                mechanism.name()
+            );
+        }
         for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
             let query = manifest_query(mode, &publication);
             let honest = publication.auth.query(&query, 10, &corpus).unwrap();
             let older = older_publication(&publication, &corpus, query.terms()[0].term);
             let other = other_tree_type(mechanism);
-            let mut other_params = publication.verifier_params.clone();
-            other_params.mechanism = other;
-            let mut forged = honest.clone();
-            assert!(Attack::ForgeManifestSignature.apply(&mut forged));
             let m = publication.auth.index().num_terms();
-            let cases: Vec<(
-                &str,
-                Option<QueryResponse>,
-                &authsearch_core::VerifierParams,
-            )> = vec![
-                (
-                    "forged signature",
-                    Some(forged),
-                    &publication.verifier_params,
-                ),
-                (
-                    "manifest of an older publication",
-                    stale_manifest_response(&honest, &older.auth),
-                    &publication.verifier_params,
-                ),
+            let cases: Vec<(&str, Option<QueryResponse>, VerifyError)> = vec![
                 (
                     "term root from an older publication",
                     foreign_term_response(
@@ -1130,39 +1169,43 @@ fn manifest_attacks_rejected_with_typed_verdicts() {
                         &older.auth.query(&query, 10, &corpus).unwrap(),
                         0,
                     ),
-                    &publication.verifier_params,
+                    VerifyError::DictionaryRoot,
                 ),
                 (
                     "mechanism field swapped",
                     mechanism_swapped_response(&honest, other),
-                    &other_params,
+                    VerifyError::QueryShapeMismatch(format!(
+                        "mechanism {} but owner deployed {}",
+                        other.name(),
+                        mechanism.name()
+                    )),
                 ),
                 (
                     "dictionary leaf shifted by one",
                     shifted_dict_leaf_response(&query, m, |q| {
                         publication.auth.query(q, 10, &corpus).unwrap()
                     }),
-                    &publication.verifier_params,
+                    VerifyError::DictionaryRoot,
                 ),
             ];
             for path in [Path::InProcess, Path::Wire] {
                 let delivered = deliver(path, &query, honest.clone());
-                verify::verify(&publication.verifier_params, &query, 10, &delivered)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "{} {mode:?} {path:?}: honest reply rejected: {e}",
-                            mechanism.name()
-                        )
-                    });
-                for (name, tampered, params) in &cases {
+                verify::verify(params, &query, 10, &delivered).unwrap_or_else(|e| {
+                    panic!(
+                        "{} {mode:?} {path:?}: honest reply rejected: {e}",
+                        mechanism.name()
+                    )
+                });
+                for (name, tampered, want) in &cases {
                     let tampered = tampered.clone().unwrap_or_else(|| {
                         panic!("{} {mode:?}: '{name}' not applicable", mechanism.name())
                     });
                     let delivered = deliver(path, &query, tampered);
                     let outcome = verify::verify(params, &query, 10, &delivered);
-                    assert!(
-                        Expect::Manifest.holds(&outcome),
-                        "{} {mode:?} {path:?}: '{name}' gave {outcome:?}",
+                    assert_eq!(
+                        outcome.as_ref().err(),
+                        Some(want),
+                        "{} {mode:?} {path:?}: '{name}'",
                         mechanism.name()
                     );
                 }
@@ -1171,10 +1214,49 @@ fn manifest_attacks_rejected_with_typed_verdicts() {
     }
 }
 
+/// A whole reply of an **older** publication of the same collection by
+/// the same owner — same `m` and `n`, one list edited
+/// ([`older_index`]), asked with an `r` large enough that its result
+/// differs from this publication's — is refused with
+/// `VerifyError::DictionaryRoot`, under every mechanism, in-process and
+/// over the wire: every proof in it is the owner's, but its dictionary
+/// root is not the one the client holds.
+#[test]
+fn older_publication_reply_is_refused() {
+    for mechanism in Mechanism::ALL {
+        let (publication, corpus) = publish(mechanism);
+        let index = publication.auth.index();
+        // The longest list, so the document the edit moves into it
+        // surfaces in a long enough result.
+        let t = (0..index.num_terms() as u32)
+            .filter(|&t| index.list(t).len() < index.num_docs())
+            .max_by_key(|&t| (index.list(t).len(), t))
+            .expect("a list lacks some document");
+        let older = older_publication(&publication, &corpus, t);
+        let query = Query::from_term_ids(index, &[t]);
+        let r = index.num_docs();
+        let current = publication.auth.query(&query, r, &corpus).unwrap();
+        let stale = older.auth.query(&query, r, &corpus).unwrap();
+        assert_ne!(stale.result, current.result, "{}", mechanism.name());
+        verify::verify(&older.verifier_params, &query, r, &stale)
+            .unwrap_or_else(|e| panic!("{}: the older reply is honest: {e}", mechanism.name()));
+        for path in [Path::InProcess, Path::Wire] {
+            let delivered = deliver(path, &query, stale.clone());
+            assert_eq!(
+                verify::verify(&publication.verifier_params, &query, r, &delivered),
+                Err(VerifyError::DictionaryRoot),
+                "{} {path:?}",
+                mechanism.name()
+            );
+        }
+    }
+}
+
 /// An interior node presented as a leaf, in each tree type a mechanism's
 /// replies prove from (term-MHT or chain-MHT block, document-MHT,
-/// document table, dictionary), is rejected with
-/// `VerifyError::ManifestSignature`, in-process and over the wire.
+/// dictionary), is rejected in-process and over the wire: in a term or
+/// the dictionary tree with `VerifyError::DictionaryRoot`, in a
+/// document-MHT with `VerifyError::DocumentRoot` naming the document.
 /// Buddy inclusion is off, so prefixes and document reveals end
 /// mid-group and leave single unrevealed leaves in the proofs.
 #[test]
@@ -1198,23 +1280,30 @@ fn interior_node_as_leaf_rejected_in_every_tree() {
                 let ids = authsearch_corpus::workload::synthetic(m, 1, 3, seed).remove(0);
                 let query = Query::from_term_ids(publication.auth.index(), &ids);
                 let honest = publication.auth.query(&query, 10, &corpus).unwrap();
-                let cases: Option<Vec<(Tree, QueryResponse)>> = trees
+                let cases: Option<Vec<(Tree, QueryResponse, VerifyError)>> = trees
                     .iter()
                     .map(|&tree| {
-                        interior_as_leaf_response(&honest, &publication.auth, tree)
-                            .map(|r| (tree, r))
+                        let forged = interior_as_leaf_response(&honest, &publication.auth, tree)?;
+                        let want = match tree {
+                            Tree::DocMht => VerifyError::DocumentRoot {
+                                doc: changed_proof(&honest, &forged),
+                            },
+                            _ => VerifyError::DictionaryRoot,
+                        };
+                        Some((tree, forged, want))
                     })
                     .collect();
                 Some((query, cases?))
             })
             .expect("some sampled query admits the attack in every tree");
         for path in [Path::InProcess, Path::Wire] {
-            for (tree, tampered) in &cases {
+            for (tree, tampered, want) in &cases {
                 let delivered = deliver(path, &query, tampered.clone());
                 let outcome = verify::verify(&publication.verifier_params, &query, 10, &delivered);
-                assert!(
-                    Expect::Manifest.holds(&outcome),
-                    "{} {path:?}: interior node as a {tree:?} leaf gave {outcome:?}",
+                assert_eq!(
+                    outcome.as_ref().err(),
+                    Some(want),
+                    "{} {path:?}: interior node as a {tree:?} leaf",
                     mechanism.name()
                 );
             }

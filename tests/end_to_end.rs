@@ -181,8 +181,8 @@ fn vo_reports_sane_sizes() {
     let query = Query::from_term_ids(engine.auth().index(), &terms);
     let response = engine.search(&query, 10);
     let size = response.vo.size();
-    // One manifest signature of 64 bytes (512-bit test keys).
-    assert_eq!(size.signature, 64);
+    // No signature: the client holds the owner's signed manifest.
+    assert_eq!(size.signature, 0);
     assert!(size.data > 0);
     assert_eq!(size.total(), size.data + size.digest + size.signature);
 }

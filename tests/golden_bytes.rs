@@ -2,14 +2,16 @@
 //! emits, on the paper's toy collection.
 //!
 //! A verification object for each mechanism and query mode, the OK reply
-//! that carries it, an error reply, each request kind, the index record,
-//! the snapshot container of each mechanism and its sidecar manifest.
+//! that carries it, the publication of each mechanism (the payload of
+//! the reply to a publication request), an error reply, each request
+//! kind, the index record, the snapshot container of each mechanism and
+//! its sidecar manifest.
 //! Every input is deterministic (the cached test key, the Figure 1
 //! index, the Figure 6 query), so a change to any codec that moves one
 //! byte moves a pin here. A change that moves bytes on purpose re-pins
 //! only the vectors it moves, and says which.
 
-use authsearch::core::wire::{self, errcode, Request};
+use authsearch::core::wire::{self, errcode, kind, Request};
 use authsearch::prelude::*;
 use authsearch_core::toy::{toy_contents, toy_index, toy_query};
 use authsearch_crypto::keys::TEST_KEY_BITS;
@@ -22,89 +24,104 @@ type Pin = (&'static str, usize, &'static str);
 const PINS: &[Pin] = &[
     (
         "vo TRA-MHT/disjunctive",
-        614,
-        "7677552edeb9b99a2e3a782f1cb428ff",
+        432,
+        "512ded6a73d16c644220d8ecb3cefe96",
     ),
     (
         "ok reply TRA-MHT/disjunctive",
-        794,
-        "639ddad8f1488da040db88ce8ad96994",
+        612,
+        "b7cb02c14be660ed15d5c5375c86fef1",
     ),
     (
         "vo TRA-MHT/conjunctive",
-        370,
-        "3ce1433fc4a1da235a380d48d2c8c7c6",
+        239,
+        "35722a5bbcc1780e912e4722a65bafc3",
     ),
     (
         "ok reply TRA-MHT/conjunctive",
-        505,
-        "4b1ca3d059e1a205e0762ba27629d6b8",
+        374,
+        "5eae173e7224dae62e3477e126521624",
     ),
     ("snapshot TRA-MHT", 845, "07683c099bed8d20c04f2261f8944dba"),
     ("manifest TRA-MHT", 56, "8715613303d8d5f4939374b0d18bf9a9"),
     (
+        "publication TRA-MHT",
+        409,
+        "07a89523f35047c1c0b3d9a22b29b0e3",
+    ),
+    (
         "vo TRA-CMHT/disjunctive",
-        497,
-        "6acc3db66921732ff1c4e81b10f4c6e5",
+        315,
+        "e37944d7b9c60b96d71c229f4171ace4",
     ),
     (
         "ok reply TRA-CMHT/disjunctive",
-        677,
-        "5eafd2821b68446b63573385b05eba67",
+        495,
+        "31e13e9b6551a706286a64b7f2d18d42",
     ),
     (
         "vo TRA-CMHT/conjunctive",
-        355,
-        "eacf83508712bb4fc8e885d0a78ac0c6",
+        224,
+        "2a59c1e4d0a87e5ae68ef286c174b8e0",
     ),
     (
         "ok reply TRA-CMHT/conjunctive",
-        490,
-        "a2fa878b8711f30eaa85da788d7afde9",
+        359,
+        "8f879e5011bb6729e707b2602ff35545",
     ),
     ("snapshot TRA-CMHT", 845, "6275d6db92006da58ed0cc351968c498"),
     ("manifest TRA-CMHT", 56, "f647b6429fb788eb00805535a526c34b"),
     (
+        "publication TRA-CMHT",
+        409,
+        "ab74e00e79ce5877b1b1e8ee38c0b8eb",
+    ),
+    (
         "vo TNRA-MHT/disjunctive",
-        276,
-        "2bc7e9bf95c62b8fae665577bd7864a2",
+        211,
+        "5af495368c7e60c3550d814575080c7f",
     ),
     (
         "ok reply TNRA-MHT/disjunctive",
-        456,
-        "aec1b934009d4b62789f803fa8a10622",
+        391,
+        "092e1c8c82433c6b4587937c4a187f88",
     ),
     (
         "vo TNRA-MHT/conjunctive",
-        264,
-        "c34caa37e333e6b441a7e75036cf14cf",
+        199,
+        "098fa2182cc9280f01cd62bac116e16d",
     ),
     (
         "ok reply TNRA-MHT/conjunctive",
-        399,
-        "4d3a3c49c2b6a1b17f4c636e78caa0a2",
+        334,
+        "e2ef910572b8f43b411bd8aa3debbc9a",
     ),
     ("snapshot TNRA-MHT", 701, "fc1f15cd13f10e20257d15fd63ac0c49"),
     ("manifest TNRA-MHT", 56, "378ac3dc8e62e97a287e02d350ff4018"),
     (
+        "publication TNRA-MHT",
+        121,
+        "f690ad02b0cd23801fd147320ea37fff",
+    ),
+    (
         "vo TNRA-CMHT/disjunctive",
-        276,
-        "46f9cc2e0f1f2608949327bf0118b091",
+        211,
+        "b49f3905f208bf080ee0cf2683847905",
     ),
     (
         "ok reply TNRA-CMHT/disjunctive",
-        456,
-        "dee1b0092adbaf871e1b327da0ccbe13",
+        391,
+        "f4f8ef888196303b382c6eff33db1b57",
     ),
     (
         "vo TNRA-CMHT/conjunctive",
-        264,
-        "034ed569f01640aac8b9483718aa8772",
+        199,
+        "ac4e1c3df1016cbe1cfea900e6cc34f2",
     ),
     (
         "ok reply TNRA-CMHT/conjunctive",
-        399,
-        "1a276cc7a0064321c24055c2e29d4936",
+        334,
+        "1e04be77700af1dd24b36b3c086bfebf",
     ),
     (
         "snapshot TNRA-CMHT",
@@ -112,17 +129,27 @@ const PINS: &[Pin] = &[
         "72f00b689fd9333e31f95800b6867bc2",
     ),
     ("manifest TNRA-CMHT", 56, "2734bb0936092ac937d4d79fb9129480"),
-    ("err reply", 38, "19fddcb13af8d8a498de655ac0a1dbc3"),
-    ("request text", 34, "bc6524ab386445880162c10232da20d6"),
+    (
+        "publication TNRA-CMHT",
+        121,
+        "6fa36e20a95fa78f83d8e965d4d3becf",
+    ),
+    ("err reply", 38, "3e81a96c95c84319f7bc86f2a172ac85"),
+    ("request text", 34, "c0e6b03f2998fd4be78325b25e1ac64e"),
     (
         "request terms/disjunctive",
         48,
-        "da1d80b502fad42c05b4a4ac4ead9c73",
+        "fbcdef184f5c03376d62d21aca14987f",
     ),
     (
         "request terms/conjunctive",
         48,
-        "511554e857e659f1952d544958e456fa",
+        "0f60bca90aab742a85128f02a9ab82c2",
+    ),
+    (
+        "request publication",
+        10,
+        "8a984b2deb4157582f0e57a75b5ec460",
     ),
     ("index record", 424, "93056bf833d4b6f196167aad42905d04"),
 ];
@@ -170,6 +197,8 @@ fn encodings() -> Vec<(String, Vec<u8>)> {
         std::fs::remove_file(persist::manifest_path(&path)).ok();
         out.push((format!("snapshot {}", mechanism.name()), container));
         out.push((format!("manifest {}", mechanism.name()), manifest));
+        let bytes = publication.verifier_params.publication_bytes();
+        out.push((format!("publication {}", mechanism.name()), bytes));
     }
     out.push((
         "err reply".into(),
@@ -203,6 +232,9 @@ fn encodings() -> Vec<(String, Vec<u8>)> {
     for (name, request) in requests {
         out.push((name.into(), request.encode_frame().unwrap()));
     }
+    let publication = Request::Publication.encode_frame().unwrap();
+    assert_eq!(publication[5], kind::REQ_PUBLICATION);
+    out.push(("request publication".into(), publication));
     let mut index = Vec::new();
     persist::write_index(&mut index, &toy_index()).unwrap();
     out.push(("index record".into(), index));

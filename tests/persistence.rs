@@ -2,7 +2,7 @@
 //! survives a round trip through the binary format, and an engine
 //! rebuilt from the persisted index produces byte-identical VOs.
 
-use authsearch_core::{verify, AuthConfig, DataOwner, Mechanism, Query};
+use authsearch_core::{verify, AuthConfig, DataOwner, Mechanism, Query, VerifierParams};
 use authsearch_corpus::SyntheticConfig;
 use authsearch_crypto::keys::TEST_KEY_BITS;
 use authsearch_index::persist;
@@ -70,16 +70,22 @@ fn file_level_roundtrip_in_tempdir() {
 #[test]
 fn public_key_distribution_roundtrip() {
     // The owner's public key travels to clients out of band; its byte
-    // form must verify signatures produced before serialization.
+    // form must verify the publication signed before serialization,
+    // which the client then verifies replies against.
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
     let corpus = SyntheticConfig::tiny(60, 4).generate();
     let config = AuthConfig::new(Mechanism::TnraMht);
     let publication = owner.publish(&corpus, config);
 
-    let key_bytes = publication.verifier_params.public_key.to_bytes();
+    let owner_params = &publication.verifier_params;
+    let key_bytes = owner_params.public_key().to_bytes();
     let restored = authsearch_crypto::RsaPublicKey::from_bytes(&key_bytes).unwrap();
-    let mut params = publication.verifier_params.clone();
-    params.public_key = restored;
+    let params = VerifierParams::open(
+        restored,
+        owner_params.layout(),
+        &owner_params.publication_bytes(),
+    )
+    .unwrap();
 
     let terms =
         authsearch_corpus::workload::synthetic(publication.auth.index().num_terms(), 1, 2, 5)

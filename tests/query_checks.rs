@@ -155,8 +155,8 @@ fn malformed_queries_never_panic() {
 /// The client rebuilds the query it posed from its `(t, f_{Q,t})` pairs
 /// and the reply's signed `f_t`, through the same constructor. A posed
 /// query that does not make a `Query` is refused before any proof is
-/// checked: here the reply's signature is also forged, and the verdict
-/// is still the malformed query, not the signature.
+/// checked: here the reply's dictionary proof is also forged, and the
+/// verdict is still the malformed query, not the proof.
 #[test]
 fn client_refuses_malformed_posed_query() {
     for mechanism in Mechanism::ALL {
@@ -170,7 +170,7 @@ fn client_refuses_malformed_posed_query() {
             .verify_terms(&pairs, 10, &honest)
             .unwrap_or_else(|e| panic!("{mechanism:?}: {e}"));
         let mut forged = honest.clone();
-        forged.vo.signature[0] ^= 0x40;
+        forged.vo.dict.as_mut().unwrap().proof.digests[0].0[0] ^= 0x40;
 
         // f_{Q,t} = 0.
         assert_eq!(

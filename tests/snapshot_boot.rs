@@ -6,7 +6,7 @@
 //! corrupt, stale, or not the owner's publication is refused with a
 //! typed error, and the refusal writes nothing.
 
-use authsearch_core::attacks::Attack;
+use authsearch_core::attacks::{older_index, Attack};
 use authsearch_core::{
     boot_authenticated_index, verify, AuthConfig, AuthenticatedIndex, Connection, DataOwner,
     Mechanism, Query, QueryMode, Server, ServerConfig, VerifierParams,
@@ -125,10 +125,10 @@ fn server_boots_from_snapshot_without_rebuilding() {
 }
 
 /// The trust anchor: boot serves a snapshot only when its public
-/// parameters are the owner's, the ones clients verify against. Each
-/// row is a snapshot that passes every integrity check yet that those
-/// clients would reject every reply from, so boot refuses it as
-/// `Stale`, naming what differs.
+/// parameters are the owner's, the ones clients verify against: the
+/// manifest, the key and the layout. Each row is a snapshot that passes
+/// every integrity check yet that those clients would reject every reply
+/// from, so boot refuses it as `Stale`, naming what differs.
 #[test]
 fn boot_refuses_a_snapshot_that_is_not_the_owners_publication() {
     let dir = temp_dir("anchor");
@@ -142,7 +142,7 @@ fn boot_refuses_a_snapshot_that_is_not_the_owners_publication() {
     // publication: every digest and the manifest signature are sound.
     let intruder = DataOwner::generate(TEST_KEY_BITS, &mut StdRng::seed_from_u64(0x0a11));
     assert_eq!(intruder.key().public_key().modulus_bits(), TEST_KEY_BITS);
-    assert_ne!(intruder.key().public_key(), &owner.public_key);
+    assert_ne!(intruder.key().public_key(), owner.public_key());
     let foreign = dir.join("foreign.snap");
     intruder
         .publish(&corpus, config)
@@ -151,40 +151,74 @@ fn boot_refuses_a_snapshot_that_is_not_the_owners_publication() {
         .unwrap();
 
     boot_authenticated_index(&honest, &config, &owner).expect("the owner's publication boots");
+    // The owner's publication under another mechanism, and the owner's
+    // publication of a smaller collection: another manifest each.
+    let other_mechanism = DataOwner::with_cached_key(TEST_KEY_BITS)
+        .publish(&corpus, AuthConfig::new(Mechanism::TnraMht))
+        .verifier_params;
+    let smaller = DataOwner::with_cached_key(TEST_KEY_BITS)
+        .publish(&SyntheticConfig::tiny(119, 41).generate(), config)
+        .verifier_params;
+    let layout = BlockLayout {
+        block_bytes: 2 * owner.layout().block_bytes,
+        ..owner.layout()
+    };
+    let key = owner.public_key().clone();
+    let other_layout = VerifierParams::open(key, layout, &owner.publication_bytes()).unwrap();
     let rows = [
         ("public key", &foreign, owner.clone()),
-        (
-            "num_docs",
-            &honest,
-            VerifierParams {
-                num_docs: owner.num_docs + 1,
-                ..owner.clone()
-            },
-        ),
-        (
-            "mechanism",
-            &honest,
-            VerifierParams {
-                mechanism: Mechanism::TnraMht,
-                ..owner.clone()
-            },
-        ),
-        (
-            "layout",
-            &honest,
-            VerifierParams {
-                layout: BlockLayout {
-                    block_bytes: 2 * owner.layout.block_bytes,
-                    ..owner.layout
-                },
-                ..owner.clone()
-            },
-        ),
+        ("manifest", &honest, other_mechanism),
+        ("manifest", &honest, smaller),
+        ("layout", &honest, other_layout),
     ];
     for (field, path, params) in rows {
         match boot_authenticated_index(path, &config, &params) {
-            Err(PersistError::Stale(why)) => assert!(why.contains(field), "{field}: {why}"),
+            Err(PersistError::Stale(why)) => assert_eq!(
+                why,
+                format!(
+                    "snapshot is not the owner's publication: its {field} differs from the owner's"
+                )
+            ),
             other => panic!("{field}: expected Stale, got {:?}", other.map(drop)),
+        }
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot of an **older** publication of the same collection by the
+/// same owner — same key, configuration, `m` and `n`, one list edited
+/// ([`older_index`]) — passes every integrity check, but it is not the
+/// publication the owner's clients hold: boot refuses it as `Stale`,
+/// naming the manifest, under every mechanism, and writes nothing.
+#[test]
+fn older_publication_snapshot_is_refused() {
+    let dir = temp_dir("refused-older");
+    let corpus = test_corpus();
+    for mechanism in Mechanism::ALL {
+        let config = AuthConfig::new(mechanism);
+        let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
+        let publication = owner.publish(&corpus, config);
+        let older_index =
+            older_index(publication.auth.index(), 0).expect("a list lacks a document");
+        let older = owner.publish_index(older_index, config, &corpus);
+        let path = dir.join(format!("older-{mechanism:?}.snap"));
+        older.auth.save_snapshot(&path).unwrap();
+        // The older snapshot is sound: it boots against its own
+        // parameters.
+        boot_authenticated_index(&path, &config, &older.verifier_params).unwrap();
+        match assert_refused_and_untouched(
+            &path,
+            &publication.verifier_params,
+            &config,
+            corpus.clone(),
+            &["Stale"],
+        ) {
+            PersistError::Stale(why) => assert_eq!(
+                why,
+                "snapshot is not the owner's publication: its manifest differs from the owner's",
+                "{mechanism:?}"
+            ),
+            other => panic!("{mechanism:?}: {other:?}"),
         }
     }
     fs::remove_dir_all(&dir).ok();
@@ -314,12 +348,11 @@ fn asa4_snapshot_is_refused_as_stale_by_name() {
     let corpus = test_corpus();
     let config = AuthConfig::new(Mechanism::TraCmht);
     let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
-    let signature = publication
-        .auth
-        .query(&sample_query(&publication.auth, 1), 10, &corpus)
-        .unwrap()
-        .vo
-        .signature;
+    // The publication's encoding: the 55-byte manifest, the signature's
+    // u16 length, the signature.
+    let bytes = publication.verifier_params.publication_bytes();
+    let len = usize::from(u16::from_le_bytes([bytes[55], bytes[56]]));
+    let signature = bytes[57..57 + len].to_vec();
     let path = dir.join("ASA4.snap");
     publication.auth.save_snapshot(&path).unwrap();
     let (mut sections, _) = load_snapshot_file(&path).unwrap();

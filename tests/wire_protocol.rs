@@ -243,8 +243,10 @@ fn oversized_claims_rejected_cheaply() {
 }
 
 /// A foreign version is rejected by name: a future client cannot be
-/// silently misparsed by this server, and neither can the three
-/// previous versions. A v6 reply carries its VO in fixed-width fields
+/// silently misparsed by this server, and neither can the four previous
+/// versions. A v7 reply ends its VO with a manifest signature (and under
+/// TRA a document-table proof, with a content flag in every document
+/// proof) that v8 drops, a v6 reply carries its VO in fixed-width fields
 /// where v7 writes varints and gap-coded leaf positions, a v5 TRA reply
 /// carries plain document-leaf positions where v6 packs each leaf's
 /// `c_t` into the top bits, and a v4 conjunctive request (flags byte,
@@ -253,9 +255,12 @@ fn oversized_claims_rejected_cheaply() {
 /// before any payload decoder sees them.
 #[test]
 fn foreign_version_rejected_by_name() {
-    assert_eq!(wire::WIRE_VERSION, 7);
+    assert_eq!(wire::WIRE_VERSION, 8);
     let mut bumped = sample_ok_frame();
     bumped[4] = wire::WIRE_VERSION + 1;
+
+    let mut v7_reply = sample_ok_frame();
+    v7_reply[4] = 7;
 
     let mut v6_reply = sample_ok_frame();
     v6_reply[4] = 6;
@@ -274,8 +279,15 @@ fn foreign_version_rejected_by_name() {
     v4_request[4] = 4;
     v4_request.extend_from_slice(&v4_payload);
 
-    for (version, frame) in [(8, bumped), (6, v6_reply), (5, v5_reply), (4, v4_request)] {
-        let named = format!("version {version} (this build speaks 7)");
+    let frames = [
+        (9, bumped),
+        (7, v7_reply),
+        (6, v6_reply),
+        (5, v5_reply),
+        (4, v4_request),
+    ];
+    for (version, frame) in frames {
+        let named = format!("version {version} (this build speaks 8)");
         let header: [u8; FRAME_HEADER_LEN] = frame[..FRAME_HEADER_LEN].try_into().unwrap();
         let err = decode_frame_header(&header).unwrap_err();
         assert!(err.to_string().contains(&named), "{err}");
