@@ -16,7 +16,7 @@
 //!   and the document-table root. The paper signs every list (§3.3) and,
 //!   under TRA, every document (Figure 8): `m + n` signatures where this
 //!   build makes one. The manifest, its signature and each document's
-//!   `(h(doc), root)` are the publication ([`crate::publication`]) every
+//!   `(h(doc), root)` are the publication (`crate::publication`) every
 //!   client holds, so a reply carries no signature at all.
 //!
 //! Every tree hashes its leaves with [`Digest::leaf`] and its interior

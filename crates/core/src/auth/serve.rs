@@ -6,11 +6,12 @@
 //! multi-proof over the query terms, and for the TRA mechanisms one
 //! document-MHT proof per encountered document. Every root these proofs
 //! reach is in the owner's publication the client holds
-//! ([`crate::publication`]), so the VO carries no signature, no
-//! document-table proof and no content digest. Disk traffic is accounted per the paper's
-//! storage layout: plain-MHT variants re-read entire lists to regenerate
-//! internal digests, chain-MHT variants stop at the cut-off block, and
-//! every document-MHT fetch is a random access.
+//! (`crate::publication`), so the VO carries no signature, no
+//! document-table proof and no content digest. Disk traffic is
+//! accounted per the paper's storage layout: plain-MHT variants re-read
+//! entire lists to regenerate internal digests, chain-MHT variants stop
+//! at the cut-off block, and every document-MHT fetch is a random
+//! access.
 //!
 //! The document-MHT proofs are independent of each other, so a reply with
 //! many of them builds them through [`pool::map`], one thread per

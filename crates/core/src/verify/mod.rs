@@ -225,7 +225,7 @@ pub struct VerifiedResult {
 }
 
 /// What a client verifies against: the owner's public key, the block
-/// layout, and the owner's publication ([`crate::publication`]) checked
+/// layout, and the owner's publication (`crate::publication`) checked
 /// under that key — the signed manifest and, under TRA, each document's
 /// content digest and document-MHT root. The publication sits behind one
 /// `Arc`, so clones share it; [`VerifierParams::held_bytes`] is what it

@@ -27,7 +27,7 @@
 //!
 //! A VO carries no signature, no document-table proof and no content
 //! digest: the client holds the owner's publication
-//! ([`crate::publication`]) and compares what the VO reconstructs with
+//! (`crate::publication`) and compares what the VO reconstructs with
 //! it.
 //!
 //! A revealed leaf's `gap` is its position minus the previous leaf's
