@@ -390,7 +390,7 @@ pub(crate) fn publication_message(
     num_terms: u32,
     num_docs: u32,
     dict_root: &Digest,
-    doc_table_root: &Digest,
+    table_root: &Digest,
 ) -> [u8; 55] {
     message(&[
         b"authsearch:pub",
@@ -398,7 +398,7 @@ pub(crate) fn publication_message(
         &num_terms.to_le_bytes(),
         &num_docs.to_le_bytes(),
         dict_root.as_bytes(),
-        doc_table_root.as_bytes(),
+        table_root.as_bytes(),
     ])
 }
 
@@ -449,7 +449,7 @@ fn fold(
     // serving, then the document table.
     let count = |n: usize| u32::try_from(n).map_err(|_| "term or document count exceeds u32");
     let (num_terms, num_docs) = (count(index.num_terms())?, count(index.num_docs())?);
-    let (doc_table, doc_levels, docs, doc_table_root) = if config.mechanism.is_tra() {
+    let (doc_table, doc_levels, docs, table_root) = if config.mechanism.is_tra() {
         let doc_table = DocTable::from_index(index);
         let (roots, levels) = doc_mhts(threads, &doc_table);
         let docs: Vec<DocRecord> = (content_digests.into_iter().zip(roots))
@@ -465,7 +465,7 @@ fn fold(
         num_terms,
         num_docs,
         dict_root: dict.root(),
-        doc_table_root,
+        table_root,
     };
     Ok(Fold {
         cache: cache::ServeCache::new(dict, terms, doc_levels),
@@ -886,7 +886,7 @@ mod tests {
                 term_root(&auth, 0).to_hex(),
                 term_root(&auth, m - 1).to_hex(),
                 auth.cache.dict_tree.root().to_hex(),
-                (mechanism.is_tra()).then(|| auth.publication.manifest.doc_table_root.to_hex()),
+                (mechanism.is_tra()).then(|| auth.publication.manifest.table_root.to_hex()),
             );
             let want = (
                 first.to_string(),

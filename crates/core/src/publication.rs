@@ -56,7 +56,7 @@ pub(crate) struct Manifest {
     pub(crate) num_docs: u32,
     pub(crate) dict_root: Digest,
     /// [`NO_DOC_TABLE_ROOT`] under TNRA.
-    pub(crate) doc_table_root: Digest,
+    pub(crate) table_root: Digest,
 }
 
 impl Manifest {
@@ -67,7 +67,7 @@ impl Manifest {
             self.num_terms,
             self.num_docs,
             &self.dict_root,
-            &self.doc_table_root,
+            &self.table_root,
         )
     }
 
@@ -80,13 +80,15 @@ impl Manifest {
         let (n, rest) = rest.split_first_chunk::<4>()?;
         let (dict, rest) = rest.split_first_chunk::<DIGEST_LEN>()?;
         let table: &[u8; DIGEST_LEN] = rest.try_into().ok()?;
-        (tag == MANIFEST_TAG).then_some(())?;
+        if tag != MANIFEST_TAG {
+            return None;
+        }
         Some(Manifest {
             mechanism: Mechanism::from_code(code)?,
             num_terms: u32::from_le_bytes(*m),
             num_docs: u32::from_le_bytes(*n),
             dict_root: Digest(*dict),
-            doc_table_root: Digest(*table),
+            table_root: Digest(*table),
         })
     }
 }
@@ -167,7 +169,7 @@ impl SignedPublication {
         } else {
             Some(NO_DOC_TABLE_ROOT)
         };
-        if table_root != Some(publication.manifest.doc_table_root) {
+        if table_root != Some(publication.manifest.table_root) {
             return Err(VerifyError::DocTableRoot);
         }
         Ok(publication)
