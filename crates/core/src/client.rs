@@ -756,6 +756,13 @@ mod tests {
             pairs.sort_unstable();
             let (verified, response) = connection.query_terms(&pairs, 5).expect("verified");
             assert_eq!(verified.result, response.result);
+            // A publication request is not a query: `query` refuses its
+            // reply, and the connection stays in step for the next one.
+            assert!(matches!(
+                connection.query(&Request::Publication),
+                Err(ClientNetError::Protocol(_))
+            ));
+            assert!(connection.query_terms(&pairs, 5).is_ok(), "{mechanism:?}");
             // Under another key the publication does not open, and no
             // connection is made.
             let other = authsearch_crypto::keys::cached_keypair(768);
