@@ -41,12 +41,21 @@ pub fn run(wb: &mut Workbench) {
 fn aggregate(wb: &mut Workbench, config: AuthConfig, queries: &[Vec<TermId>]) -> AggregateMetrics {
     let corpus = wb.corpus.clone();
     let disk = wb.disk;
+    let models = std::rc::Rc::clone(&wb.models);
     if config == AuthConfig::new(config.mechanism) {
         let (auth, params) = wb.auth(config.mechanism);
-        run_workload(auth, params, &corpus, &disk, queries, RESULT_SIZE)
+        run_workload(&models, auth, params, &corpus, &disk, queries, RESULT_SIZE)
     } else {
         let (auth, params) = wb.build_auth(config);
-        run_workload(&auth, &params, &corpus, &disk, queries, RESULT_SIZE)
+        run_workload(
+            &models,
+            &auth,
+            &params,
+            &corpus,
+            &disk,
+            queries,
+            RESULT_SIZE,
+        )
     }
 }
 
@@ -75,10 +84,8 @@ fn buddy(wb: &mut Workbench, queries: &[Vec<TermId>]) {
         "paper (§3.3.2): leaves are smaller than digests, so buddy inclusion \
          ships a revealed leaf's whole group of 2^g leaves in place of the \
          group's digests: more data bytes, fewer digest bytes, a smaller VO. \
-         'on' is the paper's configuration. A revealed document-MHT leaf is \
-         priced at 8 B against a 16 B digest (it encodes in ~7.4 B: a \
-         gap-and-class varint, a term-id varint and the weight), so TRA \
-         groups of 4",
+         'on' is the paper's configuration. It groups list prefixes; a TRA \
+         reply's doc-order proofs reveal the least leaf set and no buddies",
     );
     t.print();
 }

@@ -16,6 +16,14 @@ use crate::tables::{fmt_bytes, fmt_secs, Table};
 use crate::Workbench;
 use authsearch_core::Mechanism;
 
+/// What the "paper (priced)" columns are.
+pub(crate) const PAPER_PRICED_NOTE: &str =
+    "paper (priced): the same replies with their document facts proved the paper's \
+     way (§3.3.1, Figure 8), one document-MHT per encountered document, priced with \
+     merkle::proof_len over the same encounter lists (8 B leaves, 16 B digests, h(doc) \
+     outside the result, buddy groups under CMHT); the unmarked columns are the served \
+     replies, which prove them in one doc-order tree per query term";
+
 /// The sub-figure layout shared by Figures 13, 14, and 15: given one
 /// x-axis (query size or result size) and per-mechanism aggregates,
 /// render the five sub-tables (a)–(e). The paper's claims print under
@@ -66,20 +74,40 @@ pub(crate) fn print_abcde(
         row.extend((0..4).map(|m| fmt_secs(agg[i][m].mean_io_secs)));
         c.row(row);
     }
+    c.note(
+        "TRA's I/O is the paper's model: lists as stored, plus a random fetch of each \
+         encountered document's document-MHT",
+    );
     c.print();
 
     let mut d = Table::new(
         format!("{figure}(d) VO size"),
-        &[&[x_label], mech_names.as_slice()].concat(),
+        &[
+            x_label,
+            "TRA-MHT",
+            "paper (priced)",
+            "TRA-CMHT",
+            "paper (priced)",
+            "TNRA-MHT",
+            "TNRA-CMHT",
+        ],
     );
     for (i, &x) in xs.iter().enumerate() {
-        let mut row = vec![x.to_string()];
-        row.extend((0..4).map(|m| fmt_bytes(agg[i][m].mean_vo_bytes)));
-        d.row(row);
+        let [tra, tra_c, tnra, tnra_c] = &agg[i];
+        d.row(vec![
+            x.to_string(),
+            fmt_bytes(tra.mean_vo_bytes),
+            fmt_bytes(tra.mean_paper_vo_bytes),
+            fmt_bytes(tra_c.mean_vo_bytes),
+            fmt_bytes(tra_c.mean_paper_vo_bytes),
+            fmt_bytes(tnra.mean_vo_bytes),
+            fmt_bytes(tnra_c.mean_vo_bytes),
+        ]);
     }
     for note in notes {
         d.note(*note);
     }
+    d.note(PAPER_PRICED_NOTE);
     d.print();
 
     let mut e = Table::new(
@@ -102,10 +130,11 @@ pub(crate) fn all_mechanisms(
 ) -> [AggregateMetrics; 4] {
     let corpus = wb.corpus.clone();
     let disk = wb.disk;
+    let models = std::rc::Rc::clone(&wb.models);
     let mut out = [AggregateMetrics::default(); 4];
     for (i, mechanism) in Mechanism::ALL.into_iter().enumerate() {
         let (auth, params) = wb.auth(mechanism);
-        out[i] = crate::runner::run_workload(auth, params, &corpus, &disk, queries, r);
+        out[i] = crate::runner::run_workload(&models, auth, params, &corpus, &disk, queries, r);
     }
     out
 }

@@ -3,7 +3,7 @@
 //! The "resident" column is this reproduction's extension: engine RAM
 //! held by the structures the engine keeps resident from the build —
 //! every term's (chain-)MHT, the dictionary-MHT and, under TRA, every
-//! document-MHT's interior levels — counted exactly.
+//! doc-order tree's interior levels — counted exactly.
 
 use crate::tables::{fmt_bytes, Table};
 use crate::Workbench;
@@ -53,11 +53,13 @@ pub fn run(wb: &mut Workbench) {
     }
     t.note(
         "paper: TNRA needs <1% extra space over the plain index; TRA ~25% \
-         (document-MHTs). Shape: TRA >> TNRA. 'resident' is the engine RAM \
-         of the structures kept from the build: every term structure, the \
-         dictionary-MHT and, under TRA, the interior levels of every \
-         document-MHT, counted exactly. The paper stores only roots and \
-         leaves and regenerates the rest per query.",
+         (document-MHTs). Shape: TRA >> TNRA. Here TRA's doc auth is a \
+         doc-order copy of every list, a root per term and each document's \
+         h(doc). 'resident' is the engine RAM of the structures kept from \
+         the build: every term structure, the dictionary-MHT and, under TRA, \
+         the interior levels of every doc-order tree, counted exactly. The \
+         paper stores only roots and leaves and regenerates the rest per \
+         query.",
     );
     t.note(
         "signatures — paper: m + n, here: 1. The paper signs every term list \

@@ -2,7 +2,7 @@
 
 use authsearch_core::access::{IndexLists, TableFreqs};
 use authsearch_core::toy::{toy_index, toy_query, TOY_TERMS};
-use authsearch_core::types::DocTable;
+use authsearch_core::types::DocOrderedLists;
 use authsearch_core::{tnra, tra};
 
 use crate::tables::Table;
@@ -10,7 +10,7 @@ use crate::tables::Table;
 /// Print both traces.
 pub fn run() {
     let index = toy_index();
-    let table = DocTable::from_index(&index);
+    let table = DocOrderedLists::from_index(&index);
     let query = toy_query();
     let lists = IndexLists::new(&index, &query);
     let freqs = TableFreqs::new(&table, &query);

@@ -27,6 +27,7 @@
 //! `--scale 0.001 --queries 3 --key-bits 512`.
 
 pub mod figures;
+pub(crate) mod priced;
 pub(crate) mod runner;
 pub mod scale;
 pub(crate) mod tables;

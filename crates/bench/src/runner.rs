@@ -1,13 +1,16 @@
 //! Shared experiment scaffolding: corpus/index generation, per-mechanism
 //! authenticated-index construction, and workload aggregation.
 
+use crate::priced::Models;
 use crate::scale::Scale;
+use authsearch_core::metrics::QueryMetrics;
 use authsearch_core::vo::VoSize;
 use authsearch_core::{measure, AuthConfig, AuthenticatedIndex, Mechanism, Query, VerifierParams};
 use authsearch_corpus::{Corpus, SyntheticConfig, TermId};
 use authsearch_crypto::keys::cached_keypair;
 use authsearch_index::{build_index, DiskModel, InvertedIndex, OkapiParams};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// A loaded experiment environment: the WSJ-scale corpus, its index, the
@@ -21,6 +24,8 @@ pub struct Workbench {
     pub index: InvertedIndex,
     /// The simulated testbed disk.
     pub disk: DiskModel,
+    /// The index in both orders the TRA proofs are priced over.
+    pub(crate) models: Rc<Models>,
     auths: HashMap<Mechanism, (AuthenticatedIndex, VerifierParams)>,
 }
 
@@ -49,6 +54,7 @@ impl Workbench {
         Workbench {
             scale,
             corpus,
+            models: Rc::new(Models::new(&index)),
             index,
             disk: DiskModel::seagate_st973401kc(),
             auths: HashMap::new(),
@@ -123,6 +129,14 @@ pub(crate) struct AggregateMetrics {
     pub mean_vo_data: f64,
     /// Table 2: mean VO digest bytes.
     pub mean_vo_digest: f64,
+    /// Figure (d) and Table 2 under the paper's design: the same replies
+    /// with their document facts proved in per-document MHTs instead
+    /// ([`Models::paper`]); equal to the served VO under TNRA.
+    pub mean_paper_vo_bytes: f64,
+    /// The paper-priced VO's data bytes.
+    pub mean_paper_vo_data: f64,
+    /// The paper-priced VO's digest bytes.
+    pub mean_paper_vo_digest: f64,
     /// Mean RSA signature checks per verified reply (counted by
     /// `authsearch_crypto::counters`).
     pub mean_signatures: f64,
@@ -134,8 +148,10 @@ pub(crate) struct AggregateMetrics {
 }
 
 /// Run a workload through one authenticated index, verifying every
-/// response, and average the metrics.
+/// response, and average the metrics; `models` prices each reply's
+/// document facts under the paper's design.
 pub(crate) fn run_workload(
+    models: &Models,
     auth: &AuthenticatedIndex,
     params: &VerifierParams,
     corpus: &Corpus,
@@ -145,10 +161,12 @@ pub(crate) fn run_workload(
 ) -> AggregateMetrics {
     let mut agg = AggregateMetrics::default();
     let mut vo_total = VoSize::default();
+    let mut paper_total = VoSize::default();
     for terms in queries {
         let query = Query::from_term_ids(auth.index(), terms);
         let m = measure(auth, params, &query, r, corpus, disk)
             .unwrap_or_else(|e| panic!("honest query failed verification: {e}"));
+        paper_total = paper_total + paper_vo_size(models, auth, &query, &m);
         agg.queries += 1;
         agg.mean_entries_read += m.mean_entries_read();
         agg.mean_list_len += m.mean_list_len();
@@ -167,10 +185,45 @@ pub(crate) fn run_workload(
     agg.mean_vo_bytes = vo_total.total() as f64 / n;
     agg.mean_vo_data = vo_total.data as f64 / n;
     agg.mean_vo_digest = vo_total.digest as f64 / n;
+    agg.mean_paper_vo_bytes = paper_total.total() as f64 / n;
+    agg.mean_paper_vo_data = paper_total.data as f64 / n;
+    agg.mean_paper_vo_digest = paper_total.digest as f64 / n;
     agg.mean_signatures /= n;
     agg.mean_paper_signatures /= n;
     agg.mean_verify_secs /= n;
     agg
+}
+
+/// The ids of `query`'s terms, in the order posed.
+pub(crate) fn term_ids(query: &Query) -> Vec<TermId> {
+    query.terms().iter().map(|qt| qt.term).collect()
+}
+
+/// The VO a reply measured as `m` would be under the paper's design: its
+/// document facts (TRA) proved in per-document MHTs in place of the
+/// doc-order proofs, everything else as served.
+pub(crate) fn paper_vo_size(
+    models: &Models,
+    auth: &AuthenticatedIndex,
+    query: &Query,
+    m: &QueryMetrics,
+) -> VoSize {
+    if !auth.config().mechanism.is_tra() {
+        return m.vo_size;
+    }
+    let paper = models.paper(
+        &term_ids(query),
+        &m.proved_docs,
+        &m.result_docs,
+        auth.config().buddy,
+    );
+    let (served, facts) = (m.vo_size, m.facts_size);
+    VoSize {
+        data: served.data - facts.data + paper.size.data,
+        digest: served.digest - facts.digest + paper.size.digest,
+        signature: served.signature,
+        framing: served.framing - facts.framing,
+    }
 }
 
 #[cfg(test)]
@@ -192,8 +245,9 @@ mod tests {
         assert_eq!(queries.len(), 3);
         let disk = wb.disk;
         let corpus = wb.corpus.clone();
+        let models = Rc::clone(&wb.models);
         let (auth, params) = wb.auth(Mechanism::TnraCmht);
-        let agg = run_workload(auth, params, &corpus, &disk, &queries, 10);
+        let agg = run_workload(&models, auth, params, &corpus, &disk, &queries, 10);
         assert_eq!(agg.queries, 3);
         assert!(agg.mean_entries_read > 0.0);
         assert!(agg.mean_vo_bytes > 0.0);

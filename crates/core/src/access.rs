@@ -3,8 +3,8 @@
 //! The query-processing algorithms (TRA / TNRA) are written against these
 //! traits so the *same deterministic code path* runs in two places:
 //!
-//! * at the **search engine**, over the full inverted index and document
-//!   table;
+//! * at the **search engine**, over the full inverted index and its
+//!   lists in doc-id order;
 //! * at the **user**, replaying the algorithm over the authenticated list
 //!   prefixes and frequencies carried by the VO. If the replay ever needs
 //!   an entry the VO does not substantiate, the access fails and the
@@ -13,7 +13,7 @@
 //! Determinism of the algorithms plus authenticity of the inputs is what
 //! turns a successful replay into a proof of the correctness criteria.
 
-use crate::types::{DocTable, Query};
+use crate::types::{DocOrderedLists, Query};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_index::{ImpactEntry, InvertedIndex};
 use std::fmt;
@@ -57,7 +57,8 @@ pub trait ListAccess {
 }
 
 /// Random access to document-side weights `w_{d, t_i}` for query term `i`
-/// (the paper's document-MHT fetch).
+/// (the paper's document-MHT fetch; here a lookup in term `t_i`'s list in
+/// doc-id order).
 // lint:allow(unused-pub): reached only as the frequency bound of `tra::run`
 pub trait FreqAccess {
     /// `w_{d, t_i}`; `Err` when the source cannot substantiate the value.
@@ -100,15 +101,15 @@ impl ListAccess for IndexLists<'_> {
     }
 }
 
-/// Engine-side [`FreqAccess`]: the document table.
+/// Engine-side [`FreqAccess`]: the lists in doc-id order.
 pub struct TableFreqs<'a> {
-    table: &'a DocTable,
+    table: &'a DocOrderedLists,
     terms: Vec<TermId>,
 }
 
 impl<'a> TableFreqs<'a> {
-    /// View of the document table restricted to a query's terms.
-    pub fn new(table: &'a DocTable, query: &Query) -> Self {
+    /// View of the doc-ordered lists restricted to a query's terms.
+    pub fn new(table: &'a DocOrderedLists, query: &Query) -> Self {
         TableFreqs {
             table,
             terms: query.terms().iter().map(|t| t.term).collect(),
@@ -154,7 +155,7 @@ mod tests {
             .add_text("apple cherry")
             .build();
         let index = build_index(&corpus, OkapiParams::default());
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let apple = corpus.term_id("apple").unwrap();
         let q = Query::from_term_ids(&index, &[apple]);
         let freqs = TableFreqs::new(&table, &q);

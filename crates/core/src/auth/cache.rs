@@ -9,8 +9,8 @@
 //! * every **term structure**, indexed by term id
 //!   ([`ServeCache::terms`]): a plain term-MHT's levels above its
 //!   leaves, or the whole chain-MHT;
-//! * every **document-MHT**'s levels above its leaves (TRA,
-//!   [`ServeCache::doc_levels`]).
+//! * every term's **doc-order tree**'s levels above its leaves (TRA,
+//!   [`ServeCache::doc_order_levels`]).
 //!
 //! Every reply proves from these. Nothing is built, inserted or evicted
 //! while serving, so a reply reads them without taking a lock.
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum TermStructure {
     /// Plain term-MHT: its levels above the leaves ([`interior_levels`]),
-    /// the same slice a document-MHT keeps. A prefix proof needs at most
+    /// the same slice a doc-order tree keeps. A prefix proof needs at most
     /// one unrevealed leaf, which it rehashes from the list.
     Mht(Box<[Digest]>),
     /// Chain of per-block MHTs (§3.3.2).
@@ -85,11 +85,11 @@ pub(crate) struct ServeCache {
     pub(crate) dict_tree: MerkleTree,
     /// Every term's structure, indexed by term id.
     pub(crate) terms: Vec<TermStructure>,
-    /// Per document, its document-MHT's levels above the leaves
-    /// ([`interior_levels`]). One entry per document under TRA; TNRA
-    /// ships no document proofs. Leaf digests are not kept: a proof
-    /// rehashes the few unrevealed sibling leaves it needs.
-    pub(crate) doc_levels: Vec<Box<[Digest]>>,
+    /// Per term, its doc-order tree's levels above the leaves
+    /// ([`interior_levels`]). One entry per term under TRA; TNRA proves
+    /// no document facts. Leaf digests are not kept: a proof rehashes
+    /// the few unrevealed sibling leaves it needs.
+    pub(crate) doc_order_levels: Vec<Box<[Digest]>>,
     term_proofs: AtomicU64,
     doc_proofs: AtomicU64,
 }
@@ -99,18 +99,18 @@ impl ServeCache {
     pub(crate) fn new(
         dict_tree: MerkleTree,
         terms: Vec<TermStructure>,
-        doc_levels: Vec<Box<[Digest]>>,
+        doc_order_levels: Vec<Box<[Digest]>>,
     ) -> ServeCache {
         ServeCache {
             dict_tree,
             terms,
-            doc_levels,
+            doc_order_levels,
             term_proofs: AtomicU64::new(0),
             doc_proofs: AtomicU64::new(0),
         }
     }
 
-    /// Count one reply's `terms` term proofs and `docs` document proofs.
+    /// Count one reply's `terms` term proofs and `docs` proved documents.
     pub(crate) fn count_proofs(&self, terms: usize, docs: usize) {
         self.term_proofs.fetch_add(terms as u64, Ordering::Relaxed);
         self.doc_proofs.fetch_add(docs as u64, Ordering::Relaxed);
@@ -126,13 +126,13 @@ pub struct CacheStats {
     pub misses: u64,
     /// Terms whose structure is resident: every term.
     pub resident_terms: usize,
-    /// Document proofs served (TRA), all from resident document-MHT
-    /// levels.
+    /// Documents proved (TRA), every fact from resident doc-order
+    /// trees.
     pub doc_hits: u64,
-    /// Always 0: no document-MHT is rebuilt while serving.
+    /// Always 0: no doc-order tree is rebuilt while serving.
     pub doc_misses: u64,
-    /// Documents whose document-MHT levels are resident: every document
-    /// under TRA, 0 under TNRA.
+    /// Documents whose facts resident doc-order trees prove: every
+    /// document under TRA, 0 under TNRA.
     pub resident_docs: usize,
 }
 
@@ -158,7 +158,11 @@ impl AuthenticatedIndex {
             resident_terms: self.cache.terms.len(),
             doc_hits: self.cache.doc_proofs.load(Ordering::Relaxed),
             doc_misses: 0,
-            resident_docs: self.cache.doc_levels.len(),
+            resident_docs: if self.cache.doc_order_levels.is_empty() {
+                0
+            } else {
+                self.index.num_docs()
+            },
         }
     }
 }
@@ -167,7 +171,7 @@ impl AuthenticatedIndex {
 mod tests {
     use super::*;
     use crate::auth::dict_leaf_digest;
-    use crate::auth::tests_support::test_auth;
+    use crate::auth::tests_support::{dict_bound_root, test_auth};
     use crate::toy::{toy_contents, toy_query};
     use crate::vo::Mechanism;
     use authsearch_corpus::TermId;
@@ -177,11 +181,12 @@ mod tests {
         for mechanism in Mechanism::ALL {
             let auth = test_auth(mechanism);
             for t in 0..auth.index().num_terms() as TermId {
-                let (root, fresh) = TermStructure::build(auth.config(), auth.index().list(t));
+                let (_, fresh) = TermStructure::build(auth.config(), auth.index().list(t));
                 assert_eq!(
                     auth.cache.terms[t as usize], fresh,
                     "term {t} ({mechanism:?})"
                 );
+                let root = dict_bound_root(&auth, t);
                 let leaf = dict_leaf_digest(t, auth.index().ft(t), &root);
                 assert_eq!(leaf, auth.dict_leaf(t), "term {t} ({mechanism:?})");
             }
@@ -204,10 +209,10 @@ mod tests {
 
     #[test]
     fn structures_resident_when_built_and_booted() {
-        // Every term's structure, and under TRA every document's levels,
-        // is resident after the build and after a snapshot boot, so every
-        // proof of a reply is served from one. TNRA holds no document
-        // levels and ships no document proofs.
+        // Every term's structure, and under TRA every doc-order tree's
+        // levels, is resident after the build and after a snapshot boot,
+        // so every proof of a reply is served from one. TNRA holds no
+        // doc-order trees and proves no document.
         let dir = std::env::temp_dir().join("authsearch-resident");
         std::fs::create_dir_all(&dir).unwrap();
         for mechanism in Mechanism::ALL {
@@ -242,7 +247,7 @@ mod tests {
                 "{mechanism:?}"
             );
             assert_eq!(
-                built.cache.doc_levels, booted.cache.doc_levels,
+                built.cache.doc_order_levels, booted.cache.doc_order_levels,
                 "{mechanism:?}"
             );
         }
@@ -250,19 +255,21 @@ mod tests {
 
     #[test]
     fn doc_structures_match_fresh_builds() {
-        use super::super::doc_leaf_digests;
-        use authsearch_corpus::DocId;
+        // Each term's resident doc-order levels are a fresh fold of its
+        // list in doc-id order, and the artifact's doc-ordered view is
+        // that list.
+        use super::super::{doc_order_tree, fact_leaf_digest};
         let auth = test_auth(Mechanism::TraCmht);
-        for d in 0..auth.index().num_docs() as DocId {
-            let leaves = doc_leaf_digests(auth.doc_table(), d);
-            let resident = &auth.cache.doc_levels[d as usize];
-            assert_eq!(**resident, *interior_levels(&leaves), "doc {d}");
-            if !leaves.is_empty() {
-                // The publication holds the root a fresh fold gives.
-                let fresh = MerkleTree::from_leaf_digests(leaves);
-                let held = auth.publication().doc(d).unwrap();
-                assert_eq!(held.root, fresh.root(), "doc {d}");
-            }
+        for t in 0..auth.index().num_terms() as TermId {
+            let (sorted, root, levels) = doc_order_tree(auth.index().list(t));
+            assert_eq!(*sorted, *auth.doc_table().list(t), "term {t}");
+            assert_eq!(auth.cache.doc_order_levels[t as usize], levels, "term {t}");
+            let leaves: Vec<Digest> = sorted.iter().map(fact_leaf_digest).collect();
+            assert_eq!(
+                MerkleTree::from_leaf_digests(leaves).root(),
+                root,
+                "term {t}"
+            );
         }
     }
 

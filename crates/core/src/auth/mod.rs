@@ -3,21 +3,25 @@
 //! The data owner builds, once, for the whole collection:
 //!
 //! * a **term-MHT** (or **chain-MHT**) over every inverted list;
+//! * for the TRA mechanisms, a **doc-order tree** per term: an MHT over
+//!   the term's `⟨d, w_{d,t}⟩` entries in doc-id order (`fact_leaf_bytes`),
+//!   which proves every `w_{d,t}` a TRA replay reads, and every absence,
+//!   by adjacent leaves. Its leaf count is `f_t`. The paper proves these
+//!   facts in one document-MHT per document (§3.3.1, Figure 8); here they
+//!   are proved per term;
 //! * the §3.4 **dictionary-MHT** over every term's root (head) digest,
-//!   leaf `t` binding term `t`, its `f_t` and that root;
-//! * for the TRA mechanisms, a **document-MHT** over every document's
-//!   `(t, w_{d,t}, c_t)` leaves in `(c_t descending, t)` order
-//!   (`crate::types::leaf_key`), its root bound to the document id and the
-//!   digest of the document's content by `doc_message` — and one
-//!   **document-table MHT** over those messages' digests, in doc-id
-//!   order, folded for its root only;
+//!   leaf `t` binding term `t`, its `f_t` and that root — under TRA the
+//!   `combined_root` of its list root and its doc-order root;
+//! * for the TRA mechanisms, one **document-table MHT** over every
+//!   document's `h(doc) | d` message (`doc_message`), in doc-id order,
+//!   folded for its root only;
 //! * one signature over the **publication manifest**
 //!   (`publication_message`): mechanism, `m`, `n`, the dictionary root
 //!   and the document-table root. The paper signs every list (§3.3) and,
 //!   under TRA, every document (Figure 8): `m + n` signatures where this
 //!   build makes one. The manifest, its signature and each document's
-//!   `(h(doc), root)` are the publication (`crate::publication`) every
-//!   client holds, so a reply carries no signature at all.
+//!   `h(doc)` are the publication (`crate::publication`) every client
+//!   holds, so a reply carries no signature at all.
 //!
 //! Every tree hashes its leaves with [`Digest::leaf`] and its interior
 //! nodes with [`Digest::combine`], in separate domains.
@@ -25,14 +29,13 @@
 //! The paper (following \[13\], §3.3.1) stores only roots and leaves and
 //! regenerates every interior digest per query. Here the build folds
 //! every structure once for its root and keeps what the fold produced:
-//! the dictionary-MHT, every term's (chain-)MHT
-//! (`term_structures`) and, under TRA, every document-MHT's levels
-//! above its leaves (`doc_mhts`). One crate-private fold (`fold`) makes
-//! all of them and the manifest; the build signs its manifest and a
-//! snapshot boot verifies it, so every reply proves from structures
-//! resident since the build or boot (the `cache` module). The proofs
-//! are the ones a fresh fold of the leaves gives; only engine CPU time
-//! differs from the paper's model.
+//! the dictionary-MHT, every term's (chain-)MHT and, under TRA, every
+//! doc-order tree's levels above its leaves (`term_structures`). One
+//! crate-private fold (`fold`) makes all of them and the manifest; the
+//! build signs its manifest and a snapshot boot verifies it, so every
+//! reply proves from structures resident since the build or boot (the
+//! `cache` module). The proofs are the ones a fresh fold of the leaves
+//! gives; only engine CPU time differs from the paper's model.
 //! The simulated disk accounting keeps modeling the paper's on-disk
 //! layout — plain-MHT terms re-read whole lists, chain-MHT terms stop at
 //! the cut-off block — so the I/O figures stay comparable, and
@@ -48,15 +51,15 @@ pub use cache::WarmStats; // lint:allow(unused-pub): reached only as the value o
 pub use snapshot::boot_authenticated_index;
 
 use crate::pool;
-use crate::publication::{fold_doc_table, DocRecord, Manifest, SignedPublication};
-use crate::types::DocTable;
+use crate::publication::{fold_doc_table, Manifest, SignedPublication};
+use crate::types::{doc_ordered, DocOrderedLists};
 use crate::verify::VerifierParams;
 use crate::vo::Mechanism;
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::merkle::interior_levels;
 use authsearch_crypto::{Digest, MerkleTree, RsaPrivateKey, RsaPublicKey};
 use authsearch_index::{BlockLayout, ImpactEntry, InvertedIndex, InvertedList};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Source of raw document contents (for `h(doc)`); implemented by
 /// [`authsearch_corpus::Corpus`] and by plain `Vec<Vec<u8>>` fixtures.
@@ -109,13 +112,12 @@ pub struct AuthConfig {
     /// Buddy inclusion (paper default: on for CMHT, off for plain MHT).
     pub buddy: bool,
     /// The width of every [`crate::pool::map`]: the owner-side build
-    /// ([`AuthenticatedIndex::build`]), the snapshot boot, and each TRA
-    /// reply's document-proof fan-out at the engine (the verifier sizes
-    /// its own by the machine). `0` (the default) uses the machine's
-    /// available parallelism, `1` runs the paper's sequential model on
-    /// the calling thread, and `n ≥ 2` fans the per-term and
-    /// per-document work out over up to `n` threads. Queries themselves
-    /// are served one at a time, on the server's event-loop thread.
+    /// ([`AuthenticatedIndex::build`]) and the snapshot boot. `0` (the
+    /// default) uses the machine's available parallelism, `1` runs the
+    /// paper's sequential model on the calling thread, and `n ≥ 2` fans
+    /// the per-term and per-document work out over up to `n` threads.
+    /// Queries themselves are served one at a time, each on the calling
+    /// thread (the server's event-loop thread).
     /// Artifacts and per-query VOs are **bit-identical for every
     /// value** — only wall-clock time changes.
     ///
@@ -247,74 +249,79 @@ pub(crate) fn term_leaves(mechanism: Mechanism, list: &InvertedList) -> Vec<Dige
         .collect()
 }
 
-/// Encoding of one document-MHT leaf: `t | w_{d,t} | c_t`, 9 bytes, so
-/// a leaf binds the class its position in the key order depends on.
-pub(crate) fn doc_leaf_bytes(term: TermId, weight: f32, class: u8) -> [u8; 9] {
+/// Encoding of one doc-order tree leaf: `F | d | w_{d,t}`, 9 bytes. The
+/// tag keeps it apart from a TNRA list leaf, which encodes the same
+/// `⟨d, w⟩` in 8 bytes.
+pub(crate) fn fact_leaf_bytes(entry: &ImpactEntry) -> [u8; 9] {
     let mut out = [0u8; 9];
-    out[..4].copy_from_slice(&term.to_le_bytes());
-    out[4..8].copy_from_slice(&weight.to_bits().to_le_bytes());
-    out[8] = class;
+    out[0] = b'F';
+    out[1..].copy_from_slice(&entry.encode());
     out
 }
 
-/// Digest of one document-MHT leaf.
-pub(crate) fn doc_leaf_digest(term: TermId, weight: f32, class: u8) -> Digest {
-    Digest::leaf(&doc_leaf_bytes(term, weight, class))
+/// Digest of one doc-order tree leaf.
+pub(crate) fn fact_leaf_digest(entry: &ImpactEntry) -> Digest {
+    Digest::leaf(&fact_leaf_bytes(entry))
 }
 
-/// Document `d`'s leaf digests, in key order.
-pub(crate) fn doc_leaf_digests(table: &DocTable, d: DocId) -> Vec<Digest> {
-    table
-        .doc_leaves(d)
-        .map(|(t, w, class)| doc_leaf_digest(t, w, class))
-        .collect()
+/// The domain byte of [`combined_root`], beside the leaf (`0x00`) and
+/// interior (`0x01`) domains of every tree.
+const COMBINED_ROOT_TAG: u8 = 0x02;
+
+/// What a TRA dictionary leaf binds for its term: `h(0x02 | list root |
+/// doc-order root)`. The tag is its own hash domain, so the combined root
+/// cannot pass as an interior node of any tree. 33 bytes: one SHA-256
+/// block.
+pub(crate) fn combined_root(list_root: &Digest, doc_order_root: &Digest) -> Digest {
+    let msg: [u8; 33] = message(&[
+        &[COMBINED_ROOT_TAG],
+        list_root.as_bytes(),
+        doc_order_root.as_bytes(),
+    ]);
+    Digest::hash(&msg)
 }
 
-/// The document-MHT root of a document with no indexed terms: a
-/// distinguished constant.
-pub(crate) fn empty_doc_root() -> Digest {
-    Digest::hash(b"authsearch:empty-doc-mht:v1")
-}
-
-/// Document `d`'s MHT root and interior levels
-/// ([`authsearch_crypto::merkle::interior_levels`]) over its leaves:
-/// one fold yields both, so keeping the levels costs no extra hashing.
-pub(crate) fn doc_mht(table: &DocTable, d: DocId) -> (Digest, Box<[Digest]>) {
-    let leaves = doc_leaf_digests(table, d);
+/// Term `t`'s doc-order tree over its `list` (TRA): the list in doc-id
+/// order, and the tree's root and levels above its leaves
+/// ([`interior_levels`]), which one fold yields together.
+pub(crate) fn doc_order_tree(list: &InvertedList) -> (Box<[ImpactEntry]>, Digest, Box<[Digest]>) {
+    let sorted = doc_ordered(list.entries());
+    let leaves: Vec<Digest> = sorted.iter().map(fact_leaf_digest).collect();
     let interior = interior_levels(&leaves);
-    let root = match (interior.last(), leaves.first()) {
-        (Some(&root), _) | (None, Some(&root)) => root,
-        (None, None) => empty_doc_root(),
-    };
-    (root, interior.into_boxed_slice())
+    let root = *interior
+        .last()
+        .or(leaves.first())
+        .expect("indexed lists are never empty");
+    (sorted, root, interior.into_boxed_slice())
 }
 
-/// Every document's MHT root and interior levels, folded
-/// [`pool::map`]-parallel over `threads`; the roots go into the
-/// publication, and the levels are the resident source of document
-/// proofs ([`cache::ServeCache::doc_levels`]).
-fn doc_mhts(threads: usize, doc_table: &DocTable) -> (Vec<Digest>, Vec<Box<[Digest]>>) {
-    pool::map(threads, doc_table.num_docs(), |d| {
-        doc_mht(doc_table, d as DocId)
-    })
-    .into_iter()
-    .unzip()
-}
+/// One term's share of the fold: the root its dictionary leaf binds, its
+/// list structure, and under TRA its list in doc-id order and its
+/// doc-order tree's levels.
+type TermFold = (
+    Digest,
+    cache::TermStructure,
+    Option<(Box<[ImpactEntry]>, Box<[Digest]>)>,
+);
 
-/// Every term's root (plain MHT) or head (chain-MHT) digest and the
-/// structure its fold produced, folded [`pool::map`]-parallel over
-/// `threads`; the structures are the resident source of term proofs
-/// ([`cache::ServeCache::terms`]).
-fn term_structures(
-    threads: usize,
-    config: &AuthConfig,
-    index: &InvertedIndex,
-) -> (Vec<Digest>, Vec<cache::TermStructure>) {
+/// Every term's [`TermFold`], folded [`pool::map`]-parallel over
+/// `threads`: the dictionary roots, and the structures that are the
+/// resident source of term and fact proofs ([`cache::ServeCache`]).
+fn term_structures(threads: usize, config: &AuthConfig, index: &InvertedIndex) -> Vec<TermFold> {
     pool::map(threads, index.num_terms(), |t| {
-        cache::TermStructure::build(config, index.list(t as TermId))
+        let list = index.list(t as TermId);
+        let (root, structure) = cache::TermStructure::build(config, list);
+        if config.mechanism.is_tra() {
+            let (sorted, doc_root, levels) = doc_order_tree(list);
+            (
+                combined_root(&root, &doc_root),
+                structure,
+                Some((sorted, levels)),
+            )
+        } else {
+            (root, structure, None)
+        }
     })
-    .into_iter()
-    .unzip()
 }
 
 /// Concatenate `parts` into a fixed-size message. Every message below
@@ -332,28 +339,25 @@ fn message<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
     msg
 }
 
-/// Message binding a document: the `h(doc) | d | root` of the paper's
-/// `sign(h(h(doc) | d | root))` (Figure 8). The paper signs it per
-/// document; here its digest is leaf `d` of the document table
-/// ([`doc_table_leaf`], folded by [`fold_doc_table`]).
-pub(crate) fn doc_message(doc: DocId, content_digest: &Digest, root: &Digest) -> [u8; 54] {
-    message(&[
-        b"authsearch:doc:v1|",
-        &content_digest.0,
-        &doc.to_le_bytes(),
-        root.as_bytes(),
-    ])
+/// Message binding a document: the `h(doc) | d` of the paper's
+/// `sign(h(h(doc) | d | root))` (Figure 8), without the document-MHT
+/// root the paper also binds: its facts are proved per term here. The
+/// paper signs it per document; here its digest is leaf `d` of the
+/// document table ([`doc_table_leaf`], folded by [`fold_doc_table`]).
+pub(crate) fn doc_message(doc: DocId, content_digest: &Digest) -> [u8; 38] {
+    message(&[b"authsearch:doc:v2|", &content_digest.0, &doc.to_le_bytes()])
 }
 
 /// Document-table leaf for document `doc`: the leaf digest of its
 /// [`doc_message`], which the verifier builds itself.
-pub(crate) fn doc_table_leaf(doc: DocId, content_digest: &Digest, root: &Digest) -> Digest {
-    Digest::leaf(&doc_message(doc, content_digest, root))
+pub(crate) fn doc_table_leaf(doc: DocId, content_digest: &Digest) -> Digest {
+    Digest::leaf(&doc_message(doc, content_digest))
 }
 
 /// Dictionary-MHT leaf for one term: the leaf digest of
 /// `tag | t | f_t | root`, the paper's `h(t_i | f_{t_i} | i | digest_{i,1})`
 /// that §3.3 signs per list and §3.4 hashes into the dictionary-MHT.
+/// Under TRA `root` is the term's [`combined_root`].
 pub(crate) fn dict_leaf_digest(term: TermId, ft: u32, root: &Digest) -> Digest {
     let leaf: [u8; 43] = message(&[
         b"authsearch:term:v1|",
@@ -415,20 +419,19 @@ fn content_digests<C: ContentProvider>(threads: usize, n: usize, contents: &C) -
 /// content digests: what the build signs and a boot verifies.
 struct Fold {
     cache: cache::ServeCache,
-    /// TRA only: the table the document-MHTs were folded from. Under
-    /// TNRA only the signature vouches for the `n` it is sized by, so it
-    /// is built once the manifest is signed or verified.
-    doc_table: Option<DocTable>,
+    /// TRA only: the lists in doc-id order the doc-order trees were
+    /// folded from.
+    doc_table: Option<DocOrderedLists>,
     /// The manifest over both roots.
     manifest: Manifest,
-    /// TRA only: each document's content digest and document-MHT root.
-    docs: Vec<DocRecord>,
+    /// TRA only: each document's content digest `h(doc)`.
+    docs: Vec<Digest>,
 }
 
 /// The one fold shared by [`AuthenticatedIndex::build`] and
-/// [`AuthenticatedIndex::load_snapshot`]: every term structure and the
-/// dictionary-MHT over their roots; under TRA, every document-MHT and
-/// the document table over `content_digests` (one per document; empty
+/// [`AuthenticatedIndex::load_snapshot`]: every term structure (under TRA
+/// with its doc-order tree) and the dictionary-MHT over their roots; under
+/// TRA the document table over `content_digests` (one per document; empty
 /// under TNRA); and the manifest over both roots.
 ///
 /// Every list of `index` must be non-empty. Fails only when `m` or `n`
@@ -440,25 +443,29 @@ fn fold(
     content_digests: Vec<Digest>,
 ) -> Result<Fold, &'static str> {
     // Term structures: one independent task per term (hash the leaf
-    // layer, fold the (chain-)MHT), each kept for serving, then the
-    // dictionary-MHT over their roots.
-    let (term_roots, terms) = term_structures(threads, config, index);
-    let dict = dict_tree(threads, index, &term_roots);
-    // Document structures (TRA mechanisms only): fold the document-MHT
-    // independently per document, keeping its interior levels for
-    // serving, then the document table.
+    // layers, fold the (chain-)MHT and under TRA the doc-order tree),
+    // each kept for serving, then the dictionary-MHT over their roots.
+    let mut roots = Vec::with_capacity(index.num_terms());
+    let mut terms = Vec::with_capacity(index.num_terms());
+    let (mut lists, mut levels) = (Vec::new(), Vec::new());
+    for (root, structure, doc_order) in term_structures(threads, config, index) {
+        roots.push(root);
+        terms.push(structure);
+        if let Some((list, level)) = doc_order {
+            lists.push(list);
+            levels.push(level);
+        }
+    }
+    let dict = dict_tree(threads, index, &roots);
     let count = |n: usize| u32::try_from(n).map_err(|_| "term or document count exceeds u32");
     let (num_terms, num_docs) = (count(index.num_terms())?, count(index.num_docs())?);
-    let (doc_table, doc_levels, docs, table_root) = if config.mechanism.is_tra() {
-        let doc_table = DocTable::from_index(index);
-        let (roots, levels) = doc_mhts(threads, &doc_table);
-        let docs: Vec<DocRecord> = (content_digests.into_iter().zip(roots))
-            .map(|(content, root)| DocRecord { content, root })
-            .collect();
-        let table_root = fold_doc_table(threads, &docs).ok_or("a TRA index has no documents")?;
-        (Some(doc_table), levels, docs, table_root)
+    let (doc_table, docs, table_root) = if config.mechanism.is_tra() {
+        let table_root =
+            fold_doc_table(threads, &content_digests).ok_or("a TRA index has no documents")?;
+        let doc_table = DocOrderedLists::from_lists(lists, index.num_docs());
+        (Some(doc_table), content_digests, table_root)
     } else {
-        (None, Vec::new(), Vec::new(), NO_DOC_TABLE_ROOT)
+        (None, Vec::new(), NO_DOC_TABLE_ROOT)
     };
     let manifest = Manifest {
         mechanism: config.mechanism,
@@ -468,7 +475,7 @@ fn fold(
         table_root,
     };
     Ok(Fold {
-        cache: cache::ServeCache::new(dict, terms, doc_levels),
+        cache: cache::ServeCache::new(dict, terms, levels),
         doc_table,
         manifest,
         docs,
@@ -486,9 +493,7 @@ impl Fold {
         public_key: RsaPublicKey,
     ) -> AuthenticatedIndex {
         AuthenticatedIndex {
-            doc_table: self
-                .doc_table
-                .unwrap_or_else(|| DocTable::from_index(&index)),
+            doc_table: self.doc_table.map_or_else(OnceLock::new, OnceLock::from),
             config,
             index,
             publication: Arc::new(SignedPublication {
@@ -518,18 +523,21 @@ impl MapWidth {
     }
 }
 
-/// Everything the data owner hands the search engine: the index, the
-/// document table, the digests of the authentication structures and the
-/// publication with its one manifest signature.
+/// Everything the data owner hands the search engine: the index, its
+/// lists in doc-id order, the digests of the authentication structures
+/// and the publication with its one manifest signature.
 #[derive(Debug)]
 pub struct AuthenticatedIndex {
     config: AuthConfig,
     index: InvertedIndex,
-    doc_table: DocTable,
+    /// Every list in doc-id order: built with the doc-order trees under
+    /// TRA, whose scans random-access it. TNRA's scans never do, so
+    /// under TNRA it is built on first use (a conjunctive query's
+    /// intersection, or a caller of [`AuthenticatedIndex::doc_table`]).
+    doc_table: OnceLock<DocOrderedLists>,
     /// The manifest, its signature and, under TRA, each document's
-    /// content digest and document-MHT root: shared with every
-    /// [`VerifierParams`] this artifact hands out, and sent to a client
-    /// that asks for it.
+    /// content digest: shared with every [`VerifierParams`] this
+    /// artifact hands out, and sent to a client that asks for it.
     publication: Arc<SignedPublication>,
     public_key: RsaPublicKey,
     /// Engine-side resident structures (see [`cache`] and the module docs).
@@ -539,13 +547,13 @@ pub struct AuthenticatedIndex {
 impl AuthenticatedIndex {
     /// Build every authentication structure and sign the manifest once.
     /// This is the owner's one-off preprocessing step: hashing and
-    /// folding every term's list and, under TRA, every document, then
-    /// one RSA signature over the publication manifest
-    /// (`publication_message`).
+    /// folding every term's list (under TRA in both orders) and, under
+    /// TRA, the document table, then one RSA signature over the
+    /// publication manifest (`publication_message`).
     ///
-    /// The folds are embarrassingly parallel — every term's structure
-    /// and dictionary leaf, and every document's content digest and MHT
-    /// root, is independent — so they fan out through [`pool::map`] over
+    /// The folds are embarrassingly parallel — every term's structures
+    /// and dictionary leaf, and every document's content digest, is
+    /// independent — so they fan out through [`pool::map`] over
     /// [`AuthConfig::threads`] threads (`threads: 1` keeps the
     /// paper's sequential owner model on the calling thread). Results are
     /// collected in index order, making the artifact **bit-identical for
@@ -608,8 +616,8 @@ impl AuthenticatedIndex {
         fold.into_index(config, index, signature, key.public_key().clone())
     }
 
-    /// The [`pool::map`] width serving fans document proofs out to.
-    /// Nothing else reads it; it stays for a report line.
+    /// The [`pool::map`] width of the build and the boot. Serving runs
+    /// on the calling thread; the value stays for a report line.
     #[doc(hidden)]
     pub fn serve_pool(&self) -> MapWidth {
         MapWidth(self.config.build_threads())
@@ -625,9 +633,11 @@ impl AuthenticatedIndex {
         &self.index
     }
 
-    /// The per-document frequency table (the document-MHT leaf layer).
-    pub fn doc_table(&self) -> &DocTable {
-        &self.doc_table
+    /// Every term's list in doc-id order: under TRA the doc-order trees'
+    /// leaf layer, and the engine's random-access source. Under TNRA it
+    /// is sorted on the first call.
+    pub fn doc_table(&self) -> &DocOrderedLists {
+        (self.doc_table).get_or_init(|| DocOrderedLists::from_index(&self.index))
     }
 
     /// The owner's public key (what users verify against).
@@ -648,7 +658,7 @@ impl AuthenticatedIndex {
     }
 
     /// The publication: the manifest, its signature and, under TRA, each
-    /// document's content digest and document-MHT root.
+    /// document's content digest.
     pub(crate) fn publication(&self) -> &SignedPublication {
         &self.publication
     }
@@ -679,9 +689,20 @@ pub(crate) mod tests_support {
         cache::TermStructure::build(&auth.config, auth.index.list(t)).0
     }
 
+    /// The root term `t`'s dictionary leaf binds, refolded from `auth`'s
+    /// index: its list root, combined under TRA with its doc-order root.
+    pub(crate) fn dict_bound_root(auth: &AuthenticatedIndex, t: TermId) -> Digest {
+        let root = term_root(auth, t);
+        if auth.config.mechanism.is_tra() {
+            combined_root(&root, &doc_order_tree(auth.index.list(t)).1)
+        } else {
+            root
+        }
+    }
+
     /// The manifest `auth` was signed over, refolded from its index.
     pub(crate) fn manifest_of(auth: &AuthenticatedIndex) -> [u8; 55] {
-        let digests = auth.publication.docs.iter().map(|d| d.content).collect();
+        let digests = auth.publication.docs.clone();
         fold(1, &auth.config, &auth.index, digests)
             .unwrap()
             .manifest
@@ -738,23 +759,18 @@ mod tests {
             AuthConfig::new(Mechanism::TraMht),
             &toy_contents(),
         );
-        // The publication holds each document's content digest and
-        // document-MHT root, in doc-id order.
+        // The publication holds each document's content digest, in
+        // doc-id order.
         let docs = &auth.publication.docs;
         assert_eq!(docs.len(), 9);
         let d = 6u32;
-        let root = doc_mht(auth.doc_table(), d).0;
-        assert_eq!(docs[d as usize].root, root);
-        assert_eq!(
-            docs[d as usize].content,
-            Digest::hash(&toy_contents()[d as usize])
-        );
+        assert_eq!(docs[d as usize], Digest::hash(&toy_contents()[d as usize]));
         // Leaf d of the table is the leaf digest of document d's message.
         let leaves: Vec<Digest> = (0..)
             .zip(docs)
-            .map(|(d, r)| doc_table_leaf(d, &r.content, &r.root))
+            .map(|(d, content)| doc_table_leaf(d, content))
             .collect();
-        let msg = doc_message(d, &docs[d as usize].content, &root);
+        let msg = doc_message(d, &docs[d as usize]);
         assert_eq!(leaves[d as usize], Digest::leaf(&msg));
         // The one signature binds the table root through the manifest.
         let tree = MerkleTree::from_leaf_digests(leaves);
@@ -791,12 +807,16 @@ mod tests {
         // A leaf hashes `0x00 | message`, an interior node
         // `0x01 | left | right`: even a 32-byte leaf encoding equal to an
         // interior node's children hashes into the other domain.
-        let msg = doc_message(3, &Digest::hash(b"content"), &Digest::hash(b"root"));
-        assert_eq!(msg.len(), 54);
+        let msg = doc_message(3, &Digest::hash(b"content"));
+        assert_eq!(msg.len(), 38);
         assert_ne!(Digest::leaf(&msg), Digest::hash(&msg));
         let (l, r) = (Digest::hash(b"l"), Digest::hash(b"r"));
         let children = [l.0, r.0].concat();
         assert_ne!(Digest::leaf(&children), Digest::combine(&l, &r));
+        // A combined root is in a third domain: neither the interior node
+        // nor the leaf over the same two digests.
+        assert_ne!(combined_root(&l, &r), Digest::combine(&l, &r));
+        assert_ne!(combined_root(&l, &r), Digest::leaf(&children));
         let manifest = publication_message(Mechanism::TraMht, 16, 9, &l, &r);
         assert!(manifest.starts_with(b"authsearch:pub"));
     }
@@ -805,13 +825,18 @@ mod tests {
     fn signed_messages_fit_one_sha256_block() {
         // SHA-256 pads an input of at most 55 bytes into a single 64-byte
         // block, so every leaf (message plus its domain byte), every
-        // interior node (33 bytes) and the signed manifest is one
-        // compression.
+        // interior node and combined root (33 bytes) and the signed
+        // manifest is one compression.
         let d = Digest::hash(b"x");
         let dict_leaf: [u8; 43] = message(&[b"authsearch:term:v1|", &[0; 4], &[0; 4], &d.0]);
+        let entry = ImpactEntry {
+            doc: 1,
+            weight: 0.5,
+        };
         let lens = [
             1 + dict_leaf.len(),
-            1 + doc_message(1, &d, &d).len(),
+            1 + doc_message(1, &d).len(),
+            1 + fact_leaf_bytes(&entry).len(),
             1 + 2 * authsearch_crypto::DIGEST_LEN,
             publication_message(Mechanism::TnraCmht, 1, 2, &d, &d).len(),
         ];
@@ -832,26 +857,27 @@ mod tests {
     /// function, every tree folded level by level with `h(0x00 | leaf)`
     /// leaves and `h(0x01 | l | r)` interior nodes — which, with the
     /// prefixes dropped, reproduces the digests pinned before domain
-    /// separation. The document-table root folds document-MHTs of
-    /// `t | w_{d,t} | c_t` leaves in `(c_t descending, t)` order.
+    /// separation. Under TRA the dictionary binds each list root
+    /// combined with its doc-order root, and the document table folds
+    /// `h(doc) | d` messages.
     #[test]
     fn golden_roots_are_byte_stable() {
-        // (mechanism, term 0 root/head, term 15 root/head, dictionary
-        // root, document-table root)
+        // (mechanism, term 0 list root/head, term 15 list root/head,
+        // dictionary root, document-table root)
         let golden = [
             (
                 Mechanism::TraMht,
                 "b0b26bc74921ecfff713a2f2301974f1",
                 "bef7cb5358a6d9eaa66e6b7f5c15ac96",
-                "66dfd7d54b6363904e418f57eff89089",
-                Some("d90f5cce870a118b2584d4f752db3bba"),
+                "876c283125f067300cfbf2f958f86355",
+                Some("f0eb43fd6e4285e7f14a28d965b62c26"),
             ),
             (
                 Mechanism::TraCmht,
                 "b0b26bc74921ecfff713a2f2301974f1",
                 "edcff7fa707dc603332c1b4828752710",
-                "f9a005a35f5bf265ceee0b65ada9efa1",
-                Some("d90f5cce870a118b2584d4f752db3bba"),
+                "7dae37c072982bad24e4f6da66ecf3cb",
+                Some("f0eb43fd6e4285e7f14a28d965b62c26"),
             ),
             (
                 Mechanism::TnraMht,
@@ -939,15 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_doc_has_stable_root() {
-        // Doc 0 of the toy collection has no terms.
-        let table = DocTable::from_index(&toy_index());
-        assert_eq!(table.num_leaves(0), 0);
-        assert_eq!(doc_mht(&table, 0).0, empty_doc_root());
-        assert_ne!(empty_doc_root(), doc_leaf_digest(1, 0.5, 1));
-    }
-
-    #[test]
     fn parallel_build_is_bit_identical_to_sequential() {
         // The paper model is the single-threaded build; any thread count
         // must reproduce it exactly: same roots, same signature.
@@ -976,7 +993,7 @@ mod tests {
                     "{mechanism:?} threads={threads}"
                 );
                 // The manifest, its signature, and every document's
-                // content digest and root.
+                // content digest.
                 assert_eq!(
                     built.publication, reference.publication,
                     "{mechanism:?} threads={threads}"
@@ -1056,9 +1073,8 @@ mod tests {
 
     #[test]
     fn leaf_encodings_are_canonical() {
-        // One SHA-256 block with the leaf domain byte; the class is bound.
-        assert_eq!(doc_leaf_bytes(1, 0.159, 3).len(), 9);
-        assert_ne!(doc_leaf_digest(1, 0.159, 3), doc_leaf_digest(1, 0.159, 4));
+        // One SHA-256 block with the leaf domain byte; a doc-order leaf
+        // binds its weight and is not the TNRA list leaf of its entry.
         assert_ne!(tra_leaf_digest(1), tra_leaf_digest(2));
         let e1 = ImpactEntry {
             doc: 1,
@@ -1069,5 +1085,8 @@ mod tests {
             weight: 0.25,
         };
         assert_ne!(tnra_leaf_digest(&e1), tnra_leaf_digest(&e2));
+        assert_eq!(fact_leaf_bytes(&e1).len(), 9);
+        assert_ne!(fact_leaf_digest(&e1), fact_leaf_digest(&e2));
+        assert_ne!(fact_leaf_digest(&e1), tnra_leaf_digest(&e1));
     }
 }

@@ -3,32 +3,31 @@
 //! The (untrusted, but here honest) search engine runs the threshold
 //! algorithm, then assembles the verification object: per query term the
 //! processed list prefix with complementary digests, one dictionary-MHT
-//! multi-proof over the query terms, and for the TRA mechanisms one
-//! document-MHT proof per encountered document. Every root these proofs
-//! reach is in the owner's publication the client holds
-//! (`crate::publication`), so the VO carries no signature, no
-//! document-table proof and no content digest. Disk traffic is
-//! accounted per the paper's storage layout: plain-MHT variants re-read
-//! entire lists to regenerate internal digests, chain-MHT variants stop
-//! at the cut-off block, and every document-MHT fetch is a random
-//! access.
+//! multi-proof over the query terms, and for the TRA mechanisms the
+//! encountered documents and, per query term, one multi-proof in the
+//! term's doc-order tree of every fact the replay reads about them. Every
+//! root these proofs reach is bound in the dictionary-MHT, whose root is
+//! in the owner's publication the client holds (`crate::publication`),
+//! so the VO carries no signature, no document-table proof and no
+//! content digest. The whole reply is built on the calling thread.
 //!
-//! The document-MHT proofs are independent of each other, so a reply with
-//! many of them builds them through [`pool::map`], one thread per
-//! [`pool::DOCS_PER_THREAD`] proofs. The map keeps document order and each
-//! fetch's I/O is folded back in that order, so the VO and the I/O trace
-//! are byte-identical at every width.
+//! Disk traffic is accounted per the paper's storage layout: plain-MHT
+//! variants re-read entire lists to regenerate internal digests,
+//! chain-MHT variants stop at the cut-off block, and each encountered
+//! document costs the random fetch of its document-MHT, as the paper's
+//! TRA proves a document's facts (§3.3.1), whatever the proofs here
+//! read.
 
 use super::cache::TermStructure;
-use super::{term_leaf, AuthenticatedIndex, ContentProvider};
+use super::{fact_leaf_digest, term_leaf, AuthenticatedIndex, ContentProvider};
 use crate::access::{IndexLists, TableFreqs};
-use crate::buddy::{buddy_group_size, expand_buddies, expand_prefix, DOC_LEAF_PRICE};
+use crate::buddy::{buddy_group_size, expand_prefix};
 use crate::types::{ProcessingOutcome, Query, QueryError, QueryMode, QueryResult};
-use crate::vo::{DictVo, DocLeaf, DocVo, PrefixData, TermProof, TermVo, VerificationObject};
-use crate::{pool, tnra, tra};
+use crate::vo::{DictVo, FactLeaf, PrefixData, TermFacts, TermProof, TermVo, VerificationObject};
+use crate::{tnra, tra};
 use authsearch_corpus::{DocId, TermId};
-use authsearch_crypto::merkle::{least_leaf_count, prove_from_interior};
-use authsearch_crypto::{MerkleProof, DIGEST_LEN};
+use authsearch_crypto::merkle::prove_from_interior;
+use authsearch_crypto::DIGEST_LEN;
 use authsearch_index::{ImpactEntry, InvertedList, IoStats};
 use std::convert::Infallible;
 
@@ -97,12 +96,14 @@ impl AuthenticatedIndex {
             QueryMode::Disjunctive => {
                 let lists = IndexLists::new(&self.index, query);
                 let scanned = if self.config.mechanism.is_tra() {
-                    let freqs = TableFreqs::new(&self.doc_table, query);
+                    let freqs = TableFreqs::new(self.doc_table(), query);
                     tra::run(&lists, &freqs, query, r)
                 } else {
                     tnra::run(&lists, query, r)
                 };
-                scanned.map_err(QueryError::Refused)?
+                // `check` bounds a TNRA query's terms, the one refusal a
+                // scan over the owner's index makes.
+                scanned.expect("a checked query scans the owner's index")
             }
             QueryMode::Conjunctive => self.conjunctive_outcome(query, r),
         };
@@ -120,9 +121,9 @@ impl AuthenticatedIndex {
     ///   `crate::conjunctive::rank_intersection` holds. The VO then
     ///   reveals the anchor prefix up to and including the front the stop
     ///   was decided on, and every other list's head, and proves exactly
-    ///   those documents: their document-MHTs certify the weights the
+    ///   those documents: the doc-order proofs certify the weights the
     ///   client's replay of the scan and its stop need, and prove the
-    ///   *absence* of a query term by adjacent-leaf bounding pairs, so
+    ///   *absence* of a query term by adjacent bracketing leaves, so
     ///   dropping a member is detectable, not just asserted. A scan that
     ///   reads the whole anchor — or whose early reveal buddy rounding
     ///   would complete — reveals the anchor in full and gives every
@@ -149,7 +150,7 @@ impl AuthenticatedIndex {
             lists[anchor].entries().iter().map(|e| e.doc),
             &wq,
             heads.as_deref(),
-            |d, i| Ok::<_, Infallible>(self.doc_table.weight(d, terms[i].term)),
+            |d, i| Ok::<_, Infallible>(self.doc_table().weight(d, terms[i].term)),
             r,
         );
 
@@ -215,22 +216,24 @@ impl AuthenticatedIndex {
             terms.push(self.build_term_vo(qt.term, k, &mut io));
         }
 
-        // Document proofs (TRA only), independent of each other, so they
-        // fan out; each fetch is folded back in document order.
-        let docs: Vec<DocVo> = if mechanism.is_tra() {
-            let encountered = &outcome.encountered;
-            let width = pool::doc_proof_width(self.config.build_threads(), encountered.len());
-            pool::map(width, encountered.len(), |i| {
-                self.build_doc_vo(encountered[i], query)
-            })
-            .into_iter()
-            .map(|(dv, fetch)| {
-                io.merge(fetch);
-                dv
-            })
-            .collect()
+        // TRA: the encountered documents, and per query term one proof
+        // of every fact about them.
+        let (docs, facts) = if mechanism.is_tra() {
+            let docs = outcome.encountered;
+            let mut sorted = docs.clone();
+            sorted.sort_unstable();
+            let facts = (query.terms().iter())
+                .map(|qt| self.term_facts(qt.term, &sorted))
+                .collect();
+            // The paper's random fetch of each document's document-MHT:
+            // its `(t, w)` leaves and the stored root.
+            for &d in &docs {
+                let mht_bytes = self.doc_table().doc_terms(d) * 8 + 16;
+                io.random_access(self.config.layout.blocks_for_bytes(mht_bytes) as u64);
+            }
+            (docs, facts)
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
         self.cache.count_proofs(terms.len(), docs.len());
 
@@ -249,6 +252,7 @@ impl AuthenticatedIndex {
                 mechanism,
                 terms,
                 docs,
+                facts,
                 dict: Some(self.dict_vo(&terms_asked)),
             },
             contents: contents_out,
@@ -342,84 +346,67 @@ impl AuthenticatedIndex {
         }
     }
 
-    /// The leaves of document `d`'s MHT a VO reveals for `query`: each
-    /// query term's leaf where it occurs, the pair of leaves bounding its
-    /// key where it does not, rounded up to whole buddy groups.
-    fn doc_positions(&self, d: DocId, query: &Query) -> Vec<usize> {
-        let n = self.doc_table.num_leaves(d);
-
-        // Required positions: query terms present, boundary pairs for
-        // absent query terms.
-        let mut required: Vec<usize> = Vec::with_capacity(2 * query.terms().len());
-        for qt in query.terms() {
-            match self.doc_table.position(d, qt.term) {
-                Ok(p) => required.push(p),
-                Err(p) => {
-                    // Bounding leaves prove the gap (paper §3.3.1: "the
-                    // pair of consecutive terms that bound the query
-                    // term", consecutive in key order).
-                    if p > 0 {
-                        required.push(p - 1);
+    /// The positions of term `t`'s doc-order tree a reply proving the
+    /// documents `sorted` (ascending, distinct) reveals, ascending: each
+    /// document's leaf where `t` occurs in it, and where not the two
+    /// leaves whose doc ids bracket it, or the one end leaf past which it
+    /// falls. This is the least set that settles every fact, and the only
+    /// one the verifier accepts.
+    fn fact_positions(&self, t: TermId, sorted: &[DocId]) -> Vec<usize> {
+        let list = self.doc_table().list(t);
+        let mut positions: Vec<usize> = Vec::with_capacity(2 * sorted.len());
+        // Positions come out ascending but for brackets shared by
+        // consecutive documents, which are kept once.
+        let mut reveal = |p: usize| {
+            if positions.last().is_none_or(|&last| last < p) {
+                positions.push(p);
+            }
+        };
+        // Each search starts where the last one landed.
+        let mut lo = 0;
+        for &d in sorted {
+            match list[lo..].binary_search_by_key(&d, |e| e.doc) {
+                Ok(i) => {
+                    reveal(lo + i);
+                    lo += i + 1;
+                }
+                Err(i) => {
+                    lo += i;
+                    if lo > 0 {
+                        reveal(lo - 1);
                     }
-                    if p < n {
-                        required.push(p);
+                    if lo < list.len() {
+                        reveal(lo);
                     }
                 }
             }
         }
-        required.sort_unstable();
-        required.dedup();
-        if self.config.buddy {
-            expand_buddies(&required, n, buddy_group_size(DOC_LEAF_PRICE, DIGEST_LEN))
-        } else {
-            required
-        }
+        positions
     }
 
-    /// Build one document's VO entry (TRA) and the I/O of its random
-    /// fetch.
-    fn build_doc_vo(&self, d: DocId, query: &Query) -> (DocVo, IoStats) {
-        let dv = self.doc_vo(d, &self.doc_positions(d, query));
-        // Random fetch: the document-MHT spans its `(t, w)` leaves plus
-        // the stored root (the document table stays resident; `c_t` is
-        // the dictionary's `f_t`, not stored per leaf).
-        let mht_bytes = self.doc_table.num_leaves(d) * 8 + 16;
-        let mut fetch = IoStats::new();
-        fetch.random_access(self.config.layout.blocks_for_bytes(mht_bytes) as u64);
-        (dv, fetch)
+    /// Term `t`'s doc-order proof revealing the leaves at `positions`
+    /// (ascending), from its resident levels: the proof rehashes only the
+    /// unrevealed sibling leaves it needs.
+    pub(crate) fn facts_at(&self, t: TermId, positions: &[usize]) -> TermFacts {
+        let list = self.doc_table().list(t);
+        let revealed = (positions.iter())
+            .map(|&p| FactLeaf {
+                pos: u32::try_from(p).expect("f_t is a u32"),
+                doc: list[p].doc,
+                weight: list[p].weight,
+            })
+            .collect();
+        let levels = &self.cache.doc_order_levels[t as usize];
+        let proof = prove_from_interior(list.len(), levels, positions, |p| {
+            fact_leaf_digest(&list[p])
+        });
+        TermFacts { revealed, proof }
     }
 
-    /// Document `d`'s VO entry revealing the leaves at `positions`
-    /// (ascending).
-    pub(crate) fn doc_vo(&self, d: DocId, positions: &[usize]) -> DocVo {
-        let table = &self.doc_table;
-        let n = table.num_leaves(d);
-        let leaf_at = |p: usize| {
-            let (term, weight, class) = table.leaf(d, p);
-            DocLeaf {
-                // A `DocTable` row has fewer than 2^32 leaves (u32 offsets).
-                pos: u32::try_from(p).expect("position within a DocTable row"),
-                term,
-                weight,
-                class,
-            }
-        };
-        let revealed: Vec<DocLeaf> = positions.iter().map(|&p| leaf_at(p)).collect();
-        // Resident levels: the proof rehashes only the unrevealed sibling
-        // leaves it needs.
-        let proof = if n == 0 {
-            MerkleProof::default()
-        } else {
-            let leaf = |p: usize| leaf_at(p).digest();
-            prove_from_interior(n, &self.cache.doc_levels[d as usize], positions, leaf)
-        };
-        DocVo {
-            doc: d,
-            num_leaves: u32::try_from(least_leaf_count(n, positions.last().copied()))
-                .expect("a DocTable row has fewer than 2^32 leaves (u32 offsets)"),
-            revealed,
-            proof,
-        }
+    /// Term `t`'s doc-order proof of every fact about the documents
+    /// `sorted` (ascending, distinct).
+    fn term_facts(&self, t: TermId, sorted: &[DocId]) -> TermFacts {
+        self.facts_at(t, &self.fact_positions(t, sorted))
     }
 }
 
@@ -448,11 +435,12 @@ mod tests {
         let resp = a.query(&toy_query(), 2, &toy_contents()).unwrap();
         assert_eq!(resp.result.docs(), vec![6, 5]);
         assert_eq!(resp.vo.terms.len(), 4);
-        // Encountered docs 5, 3, 6 plus cut-off doc 1.
-        let doc_ids: Vec<DocId> = resp.vo.docs.iter().map(|d| d.doc).collect();
-        assert_eq!(doc_ids, vec![5, 3, 6, 1]);
-        // Result docs ship contents; their digests, like every
-        // document's root, are in the publication the client holds.
+        // Encountered docs 5, 3, 6 plus cut-off doc 1, and one doc-order
+        // proof per query term.
+        assert_eq!(resp.vo.docs, vec![5, 3, 6, 1]);
+        assert_eq!(resp.vo.facts.len(), 4);
+        // Result docs ship contents; their digests are in the
+        // publication the client holds.
         assert_eq!(resp.contents.len(), 2);
     }
 
@@ -461,7 +449,7 @@ mod tests {
         let a = auth(Mechanism::TnraCmht);
         let resp = a.query(&toy_query(), 2, &toy_contents()).unwrap();
         assert_eq!(resp.result.docs(), vec![6, 5]);
-        assert!(resp.vo.docs.is_empty());
+        assert!(resp.vo.docs.is_empty() && resp.vo.facts.is_empty());
         // Prefixes carry full impact entries.
         assert!(matches!(resp.vo.terms[0].prefix, PrefixData::Entries(_)));
     }
@@ -491,7 +479,8 @@ mod tests {
     fn tra_random_accesses_encountered_docs() {
         let a = auth(Mechanism::TraCmht);
         let resp = a.query(&toy_query(), 2, &toy_contents()).unwrap();
-        // 4 list runs + 4 encountered document fetches.
+        // 4 list runs + 4 encountered documents' document-MHT fetches,
+        // the paper's TRA I/O model.
         assert_eq!(resp.io.seeks, 8);
     }
 
@@ -537,8 +526,8 @@ mod tests {
         vo: &VerificationObject,
         what: &str,
     ) {
-        use crate::auth::tests_support::term_root;
-        use crate::auth::{dict_leaf_digest, doc_leaf_digests, term_leaves};
+        use crate::auth::tests_support::dict_bound_root;
+        use crate::auth::{dict_leaf_digest, term_leaves};
         let config = auth.config();
         for tv in &vo.terms {
             let list = auth.index().list(tv.term);
@@ -552,15 +541,12 @@ mod tests {
             };
             assert_eq!(tv.proof, fresh, "{what}: term {}", tv.term);
         }
-        for dv in &vo.docs {
-            let leaves = doc_leaf_digests(auth.doc_table(), dv.doc);
-            let fresh = if leaves.is_empty() {
-                MerkleProof::default()
-            } else {
-                let positions: Vec<usize> = dv.revealed.iter().map(|l| l.pos as usize).collect();
-                MerkleTree::from_leaf_digests(leaves).prove(&positions)
-            };
-            assert_eq!(dv.proof, fresh, "{what}: doc {}", dv.doc);
+        for (tv, facts) in vo.terms.iter().zip(&vo.facts) {
+            let (sorted, ..) = crate::auth::doc_order_tree(auth.index().list(tv.term));
+            let leaves = sorted.iter().map(fact_leaf_digest).collect();
+            let positions: Vec<usize> = facts.revealed.iter().map(|l| l.pos as usize).collect();
+            let fresh = MerkleTree::from_leaf_digests(leaves).prove(&positions);
+            assert_eq!(facts.proof, fresh, "{what}: term {} facts", tv.term);
         }
         let dict = vo
             .dict
@@ -568,7 +554,7 @@ mod tests {
             .expect("every reply carries a dictionary proof");
         let m = auth.index().num_terms() as TermId;
         let leaves = (0..m)
-            .map(|t| dict_leaf_digest(t, auth.index().ft(t), &term_root(auth, t)))
+            .map(|t| dict_leaf_digest(t, auth.index().ft(t), &dict_bound_root(auth, t)))
             .collect();
         let mut positions: Vec<usize> = query.terms().iter().map(|qt| qt.term as usize).collect();
         positions.sort_unstable();
@@ -580,7 +566,7 @@ mod tests {
     fn resident_proofs_match_fresh_trees() {
         // Every proof served from the structures resident since the build
         // equals the proof a fresh fold of the leaves gives: term-MHT and
-        // chain-MHT prefixes, document-MHTs and the dictionary-MHT.
+        // chain-MHT prefixes, doc-order trees and the dictionary-MHT.
         for mechanism in Mechanism::ALL {
             let auth = auth(mechanism);
             for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
@@ -590,6 +576,7 @@ mod tests {
                     let what = format!("{mechanism:?} {mode:?} r={r}");
                     assert!(!response.vo.terms.is_empty(), "{what}");
                     assert_eq!(response.vo.docs.is_empty(), !mechanism.is_tra(), "{what}");
+                    assert_eq!(response.vo.facts.is_empty(), !mechanism.is_tra(), "{what}");
                     assert_proofs_match_fresh_trees(&auth, &toy_query(), &response.vo, &what);
                 }
             }
@@ -731,8 +718,7 @@ mod tests {
                     want.push(list[0].doc);
                 }
             }
-            let proved: Vec<DocId> = resp.vo.docs.iter().map(|d| d.doc).collect();
-            assert_eq!(proved, want);
+            assert_eq!(resp.vo.docs, want);
         }
         assert!(early > 0, "no query stopped early");
     }

@@ -19,7 +19,7 @@
 //! |--------|---------|
 //! | `ACFG` | artifact identity: mechanism, buddy, block layout |
 //! | `ASIX` | the inverted index (the v1 `ASIX` record, re-framed as a checksummed section) |
-//! | `ASA5` | the authentication artifact: the documents' content digests (TRA only), the one manifest signature, the owner's public key |
+//! | `ASA6` | the authentication artifact: the documents' content digests (TRA only), the one manifest signature, the owner's public key |
 //!
 //! The snapshot stores only what boot cannot recompute: every root,
 //! tree and the manifest itself are refolded from the index and the
@@ -73,17 +73,19 @@ use std::path::Path;
 pub(crate) const TAG_CONFIG: SectionTag = *b"ACFG";
 /// The inverted-index section (the v1 `ASIX` record as a section).
 pub(crate) const TAG_INDEX: SectionTag = *b"ASIX";
-/// The authentication-artifact section (layout 5: content digests, one
-/// manifest signature and the key; every root is refolded at boot, over
-/// document-MHTs in `(c_t descending, t)` leaf order).
-pub(crate) const TAG_AUTH: SectionTag = *b"ASA5";
+/// The authentication-artifact section (layout 6: content digests, one
+/// manifest signature and the key; every root is refolded at boot, and
+/// under TRA each dictionary leaf binds its term's doc-order root).
+pub(crate) const TAG_AUTH: SectionTag = *b"ASA6";
 /// Earlier authentication sections, each stale: layout 1 (`ASAU`, one
 /// signature per term and per document), layout 2 (`ASA2`, one per term
 /// plus one for the document table), layout 3 (`ASA3`, one manifest
-/// signature beside every term and document-MHT root) and layout 4
-/// (`ASA4`, layout 5's fields, signed over document-MHTs in term-id
-/// order: its signature would fail the refold).
-const TAG_AUTH_STALE: [SectionTag; 4] = [*b"ASAU", *b"ASA2", *b"ASA3", *b"ASA4"];
+/// signature beside every term and document-MHT root), layout 4
+/// (`ASA4`, layout 6's fields, signed over document-MHTs in term-id
+/// order) and layout 5 (`ASA5`, the same fields, signed over
+/// document-MHTs in frequency-class order). Under layouts 4 and 5 the
+/// signature would fail the refold.
+const TAG_AUTH_STALE: [SectionTag; 5] = [*b"ASAU", *b"ASA2", *b"ASA3", *b"ASA4", *b"ASA5"];
 
 fn corrupt(why: impl Into<String>) -> PersistError {
     PersistError::Corrupt(why.into())
@@ -143,18 +145,16 @@ fn encode_auth(auth: &AuthenticatedIndex) -> Result<Vec<u8>, PersistError> {
     let mut buf = Vec::new();
     let mut w = Writer(&mut buf);
     w.u64(publication.docs.len() as u64);
-    for doc in &publication.docs {
-        w.bytes(doc.content.as_bytes());
-    }
-    w.bytes32(&publication.signature, "ASA5 signature")?;
-    w.bytes32(&auth.public_key.to_bytes(), "ASA5 public key")?;
+    w.digests(&publication.docs);
+    w.bytes32(&publication.signature, "ASA6 signature")?;
+    w.bytes32(&auth.public_key.to_bytes(), "ASA6 public key")?;
     Ok(buf)
 }
 
 /// The authentication section: the content digests, the signature and
 /// the public key.
 fn decode_auth(payload: &[u8]) -> Result<(Vec<Digest>, Vec<u8>, RsaPublicKey), PersistError> {
-    let (content_digests, signature, key) = read_section(payload, "ASA5", |r| {
+    let (content_digests, signature, key) = read_section(payload, "ASA6", |r| {
         let claimed = r.u64()?;
         Ok((
             r.digests(claimed, "content digest")?,
@@ -163,7 +163,7 @@ fn decode_auth(payload: &[u8]) -> Result<(Vec<Digest>, Vec<u8>, RsaPublicKey), P
         ))
     })?;
     let public_key =
-        RsaPublicKey::from_bytes(key).ok_or_else(|| corrupt("ASA5: public key fails to parse"))?;
+        RsaPublicKey::from_bytes(key).ok_or_else(|| corrupt("ASA6: public key fails to parse"))?;
     Ok((content_digests, signature.to_vec(), public_key))
 }
 
@@ -219,7 +219,7 @@ impl AuthenticatedIndex {
             sections.as_slice()
         else {
             return Err(corrupt(format!(
-                "sections {tags:?}, expected [\"ACFG\", \"ASIX\", \"ASA5\"]"
+                "sections {tags:?}, expected [\"ACFG\", \"ASIX\", \"ASA6\"]"
             )));
         };
 
@@ -274,7 +274,7 @@ impl AuthenticatedIndex {
         }
         if self.config.mechanism.is_tra() {
             let served = content_digests(self.config.build_threads(), n, corpus);
-            let signed = self.publication().docs.iter().map(|doc| &doc.content);
+            let signed = self.publication().docs.iter();
             if let Some(d) = served.iter().zip(signed).position(|(a, b)| a != b) {
                 return Err(stale(format!(
                     "corpus document {d} differs from the snapshot's signed content"
@@ -415,7 +415,7 @@ mod tests {
         let path = temp_path("tampered.snap");
         auth.save_snapshot(&path).unwrap();
         let mut bytes = fs::read(&path).unwrap();
-        // Flip one bit near the end (inside the ASA5 section payload).
+        // Flip one bit near the end (inside the ASA6 section payload).
         let at = bytes.len() - 40;
         bytes[at] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
@@ -435,7 +435,7 @@ mod tests {
         for d in 0..9 {
             let mut auth = test_auth(Mechanism::TraMht);
             let docs = &mut std::sync::Arc::make_mut(&mut auth.publication).docs;
-            docs[d].content = Digest::hash(b"not the owner's content");
+            docs[d] = Digest::hash(b"not the owner's content");
             let path = temp_path(&format!("doc-content-{d}.snap"));
             auth.save_snapshot(&path).unwrap();
             match AuthenticatedIndex::load_snapshot(&path, auth.config()) {
@@ -495,7 +495,7 @@ mod tests {
             .iter()
             .map(|l| u32::try_from(l.len()).unwrap())
             .collect();
-        InvertedIndex::from_parts(index.params(), num_docs, index.avg_doc_len(), ft, lists)
+        InvertedIndex::from_parts(index.params(), num_docs, index.avg_doc_len(), ft, lists).unwrap()
     }
 
     /// Save `auth` to `path` with term `t`'s list passed through `edit`
@@ -539,10 +539,38 @@ mod tests {
     }
 
     #[test]
+    fn boot_refuses_a_negative_weight_by_name() {
+        // An index section whose one weight is negated, in canonical
+        // order still, is refused where its weights enter the index,
+        // before any fold.
+        for mechanism in [Mechanism::TraMht, Mechanism::TnraMht] {
+            let auth = synthetic_auth(mechanism);
+            // The last entry of the last list: the record's last bytes.
+            let t = auth.index().num_terms() as TermId - 1;
+            let last = *auth.index().list(t).entries().last().unwrap();
+            let path = temp_path(&format!("negative-weight-{mechanism:?}.snap"));
+            auth.save_snapshot(&path).unwrap();
+            let (mut sections, _) = persist::load_snapshot_file(&path).unwrap();
+            let index = &mut sections[1].1;
+            let at = index.len() - ImpactEntry::BYTES;
+            assert_eq!(index[at..], last.encode());
+            index[at + 7] ^= 0x80; // the weight's sign bit
+            persist::save_snapshot_file(&path, &persist::encode_snapshot(&sections).unwrap())
+                .unwrap();
+            let why = corrupt_reason(&auth, &path);
+            let want = format!(
+                "term {t}: document {} has weight {}, not a finite non-negative number",
+                last.doc, -last.weight
+            );
+            assert_eq!(why, want, "{mechanism:?}");
+        }
+    }
+
+    #[test]
     fn boot_recomputes_every_document_root() {
         // Forge the weight of one interior document: under TRA the term
-        // leaves carry no weight, so only the refolded document-MHT moves
-        // a root the manifest binds.
+        // leaves carry no weight, so only the refolded doc-order tree
+        // moves a root the manifest binds.
         let auth = synthetic_auth(Mechanism::TraMht);
         let (t, _) = interior_term(&auth);
         let path = temp_path("forged-weight.snap");
@@ -643,7 +671,8 @@ mod tests {
             index.avg_doc_len(),
             Vec::new(),
             Vec::new(),
-        );
+        )
+        .unwrap();
         save_with_index(&auth, &path, &empty);
         assert_eq!(corrupt_reason(&auth, &path), "snapshot indexes no terms");
     }
@@ -676,9 +705,10 @@ mod tests {
     #[test]
     fn per_document_signature_snapshot_is_stale() {
         // Every earlier layout — per-document signatures (ASAU),
-        // per-term signatures (ASA2), stored roots (ASA3) and term-id
-        // ordered document-MHTs (ASA4) — boots as a typed Stale naming
-        // the section and the layout this build reads.
+        // per-term signatures (ASA2), stored roots (ASA3), term-id
+        // ordered document-MHTs (ASA4) and class-ordered ones (ASA5) —
+        // boots as a typed Stale naming the section and the layout this
+        // build reads.
         let auth = test_auth(Mechanism::TraCmht);
         for tag in TAG_AUTH_STALE {
             let name = String::from_utf8_lossy(&tag).into_owned();
@@ -693,7 +723,7 @@ mod tests {
                     why,
                     format!(
                         "snapshot holds the older authentication section {name}; \
-                         this build reads ASA5"
+                         this build reads ASA6"
                     )
                 ),
                 other => panic!("{name}: expected Stale, got {other:?}"),

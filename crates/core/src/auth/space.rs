@@ -1,7 +1,8 @@
 //! Storage accounting for the authentication structures (§4.1: "The
 //! authentication information introduced by TNRA requires less than 1%
 //! extra space over a plain, non-authenticated inverted index, while TRA
-//! requires around 25% more space (due to its document-MHTs)").
+//! requires around 25% more space (due to its document-MHTs)"). Here TRA
+//! stores a doc-order copy of every list in their place.
 
 use super::cache::mht_resident_digests;
 use super::AuthenticatedIndex;
@@ -26,8 +27,9 @@ pub struct SpaceReport {
     /// (chain blocks hold fewer entries than plain blocks, but TRA chain
     /// blocks hold doc ids only).
     pub term_auth_bytes: i64,
-    /// Document-side authentication (TRA): the document-MHT leaf layer
-    /// and per-document root.
+    /// Document-side authentication (TRA): the doc-order trees' leaf
+    /// layer (every list again, in doc-id order), a root per term, and
+    /// each document's content digest.
     pub doc_auth_bytes: u64,
     /// Stored signatures: the one over the publication manifest.
     pub signatures: u64,
@@ -37,8 +39,8 @@ pub struct SpaceReport {
     pub paper_signatures: u64,
     /// Engine RAM held by the resident structures, counted exactly
     /// ([`AuthenticatedIndex::cache_resident_bytes`]): the
-    /// dictionary-MHT, every term structure, and (TRA) every
-    /// document-MHT's interior levels.
+    /// dictionary-MHT, every term structure, and (TRA) every doc-order
+    /// tree's interior levels.
     pub cache_resident_bytes: u64,
 }
 
@@ -94,12 +96,9 @@ impl AuthenticatedIndex {
 
         let n = index.num_docs() as u64;
         let (doc_auth_bytes, paper_doc_sigs) = if self.config.mechanism.is_tra() {
-            // A stored leaf is `(t, w)`; the `c_t` its digest binds is
-            // the dictionary's `f_t`, not stored per leaf.
-            let leaf_bytes: u64 = (0..index.num_docs() as u32)
-                .map(|d| self.doc_table.num_leaves(d) as u64 * 8)
-                .sum();
-            (leaf_bytes + n * 16, n)
+            // A stored leaf is `⟨d, w⟩`, 8 bytes.
+            let leaf_bytes = index.total_entries() as u64 * 8;
+            (leaf_bytes + (m + n) * DIGEST_LEN as u64, n)
         } else {
             (0, 0)
         };
@@ -116,7 +115,7 @@ impl AuthenticatedIndex {
     }
 
     /// Bytes held by the resident structures: the dictionary-MHT (leaves
-    /// included), every term structure, and every document-MHT's
+    /// included), every term structure, and every doc-order tree's
     /// interior levels. Nothing is ever evicted, so this is the
     /// artifact's exact residency from the build or boot on.
     pub fn cache_resident_bytes(&self) -> u64 {
@@ -127,7 +126,9 @@ impl AuthenticatedIndex {
             .iter()
             .map(|s| s.resident_digests() as u64)
             .sum();
-        let docs: u64 = cache.doc_levels.iter().map(|l| l.len() as u64).sum();
+        let docs: u64 = (cache.doc_order_levels.iter())
+            .map(|l| l.len() as u64)
+            .sum();
         (dict + terms + docs) * DIGEST_LEN as u64
     }
 }
@@ -198,12 +199,12 @@ mod tests {
     #[test]
     fn resident_document_levels_are_counted_exactly() {
         // TRA and TNRA under the same MHT hold the same term structures,
-        // so TRA's extra residency is exactly its document levels.
+        // so TRA's extra residency is exactly its doc-order levels.
         use authsearch_crypto::merkle::interior_len;
         let tra = test_auth(Mechanism::TraMht);
         let tnra = test_auth(Mechanism::TnraMht);
-        let levels: u64 = (0..tra.index().num_docs() as u32)
-            .map(|d| interior_len(tra.doc_table().num_leaves(d)) as u64)
+        let levels: u64 = (0..tra.index().num_terms() as TermId)
+            .map(|t| interior_len(tra.index().list(t).len()) as u64)
             .sum();
         let want = levels * DIGEST_LEN as u64;
         assert!(want > 0);
@@ -215,8 +216,8 @@ mod tests {
 
     #[test]
     fn resident_bytes_are_counted_exactly() {
-        // Every term structure, every TRA document's interior levels and
-        // the dictionary-MHT, from the index alone.
+        // Every term structure, every TRA doc-order tree's interior
+        // levels and the dictionary-MHT, from the index alone.
         use authsearch_crypto::merkle::interior_len;
         let key = cached_keypair(TEST_KEY_BITS);
         for mechanism in Mechanism::ALL {
@@ -230,9 +231,9 @@ mod tests {
                     li => interior_len(li),
                 })
                 .sum();
-            let docs: usize = (0..index.num_docs() as u32)
+            let docs: usize = (0..m as TermId)
                 .filter(|_| mechanism.is_tra())
-                .map(|d| interior_len(auth.doc_table().num_leaves(d)))
+                .map(|t| interior_len(index.list(t).len()))
                 .sum();
             let dict = m + interior_len(m);
             let want = ((terms + docs + dict) * DIGEST_LEN) as u64;

@@ -8,13 +8,6 @@
 //! whenever a leaf is required in the VO, its whole group comes along and
 //! the group's internal digests are dropped.
 
-/// What a revealed document-MHT leaf costs on the wire, as the buddy
-/// rule prices it against a 16-byte digest (`DIGEST_LEN`): a gap-and-class
-/// varint, a term-id varint and the 4-byte weight (`crate::wire`), which
-/// average ~1.5 + ~2 + 4 ≈ 7.4 bytes on the TRA benchmark workloads,
-/// rounded up. The rule picks groups of 4 at this price.
-pub(crate) const DOC_LEAF_PRICE: usize = 8;
-
 /// Largest buddy group size `2^g` for the given leaf and digest sizes.
 ///
 /// Paper examples: `|leaf| = 8, |h| = 16` → g = 2, groups of 4;
@@ -29,8 +22,10 @@ pub fn buddy_group_size(leaf_bytes: usize, digest_bytes: usize) -> usize {
 }
 
 /// Expand a sorted set of required leaf positions to whole buddy groups
-/// (clamped to `n` leaves). Returns sorted, deduplicated positions.
-pub(crate) fn expand_buddies(required: &[usize], n: usize, group: usize) -> Vec<usize> {
+/// (clamped to `n` leaves). Returns sorted, deduplicated positions. The
+/// paper applies it to its document-MHTs; here those are a priced model
+/// (`crates/bench`), and the doc-order proofs reveal the least set.
+pub fn expand_buddies(required: &[usize], n: usize, group: usize) -> Vec<usize> {
     debug_assert!(required.windows(2).all(|w| w[0] < w[1]));
     let mut out = Vec::with_capacity(required.len() * group);
     let mut last_group = usize::MAX;
@@ -61,7 +56,6 @@ pub(crate) fn expand_prefix(k: usize, n: usize, group: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use authsearch_crypto::DIGEST_LEN;
 
     #[test]
     fn paper_group_sizes() {
@@ -69,17 +63,6 @@ mod tests {
         assert_eq!(buddy_group_size(8, 16), 4);
         // doc-id leaves: 4 bytes → g = 4, groups of 16.
         assert_eq!(buddy_group_size(4, 16), 16);
-    }
-
-    #[test]
-    fn document_leaves_are_priced_at_their_wire_width() {
-        // At the ~7.4 B a compact leaf costs, rounded either way, the
-        // rule picks groups of 4.
-        assert_eq!(buddy_group_size(DOC_LEAF_PRICE, DIGEST_LEN), 4);
-        assert_eq!(buddy_group_size(7, DIGEST_LEN), 4);
-        // A 12-byte leaf (a fixed-width position, term id and weight)
-        // would halve them.
-        assert_eq!(buddy_group_size(12, DIGEST_LEN), 2);
     }
 
     #[test]

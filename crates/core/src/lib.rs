@@ -75,7 +75,7 @@ mod conjunctive;
 pub mod engine;
 pub mod metrics;
 pub mod owner;
-pub mod pool;
+pub(crate) mod pool;
 pub mod pscan;
 pub(crate) mod publication;
 #[cfg(unix)]
@@ -98,6 +98,6 @@ pub use metrics::{measure, ServerMetricsSnapshot, TransportStatsSnapshot};
 pub use owner::{DataOwner, Publication};
 #[cfg(unix)]
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use types::{DocTable, Query, QueryError, QueryMode, QueryTerm};
+pub use types::{DocOrderedLists, Query, QueryError, QueryMode, QueryTerm};
 pub use verify::{verify, VerifiedResult, VerifierParams, VerifyError};
 pub use vo::{Mechanism, VoSize};

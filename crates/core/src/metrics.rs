@@ -13,6 +13,7 @@ use crate::auth::{AuthenticatedIndex, ContentProvider};
 use crate::types::Query;
 use crate::verify::{self, VerifierParams, VerifyError};
 use crate::vo::VoSize;
+use authsearch_corpus::DocId;
 use authsearch_crypto::counters::{self, WorkCounts};
 use authsearch_index::{DiskModel, IoStats};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,7 +142,6 @@ impl TransportStats {
 
 /// Measurements for one verified query.
 #[derive(Debug, Clone)]
-// lint:allow(unused-pub): reached only as the value of `measure`
 pub struct QueryMetrics {
     /// Entries fetched per query-term list.
     pub entries_read: Vec<usize>,
@@ -153,6 +153,13 @@ pub struct QueryMetrics {
     pub io_secs: f64,
     /// VO size breakdown.
     pub vo_size: VoSize,
+    /// The share of [`QueryMetrics::vo_size`] that proves document facts
+    /// (TRA): the proved documents' ids and the doc-order proofs.
+    pub facts_size: VoSize,
+    /// The documents the reply proves (TRA), in encounter order.
+    pub proved_docs: Vec<DocId>,
+    /// The result's documents, best first.
+    pub result_docs: Vec<DocId>,
     /// Signatures the paper's scheme would carry for the same reply
     /// (`VerificationObject::paper_signature_count`).
     pub paper_signatures: usize,
@@ -238,10 +245,13 @@ pub fn measure<C: ContentProvider>(
         io: response.io,
         io_secs: disk.service_time(response.io),
         vo_size: response.vo.size(),
+        facts_size: response.vo.facts_size(),
+        result_docs: response.result.docs(),
         paper_signatures: response.vo.paper_signature_count(),
         verify_time,
         serve_work: served - start,
         verify_work: verified - served,
+        proved_docs: response.vo.docs,
     })
 }
 

@@ -1,28 +1,16 @@
 //! The crate's one executor, std-only (the build environment has no
 //! external crates, so no rayon): [`map`], an index-ordered parallel map
 //! on `std::thread::scope`. The owner build
-//! ([`crate::auth::AuthenticatedIndex::build`]) and the snapshot boot run
-//! their per-term and per-document folds through it. It also runs
-//! per-query work at both ends of a TRA reply: the engine builds the
-//! encountered documents' proofs through it, and the verifier checks
-//! them through it, one thread per [`DOCS_PER_THREAD`] proofs. Its output
-//! is **identical for every width**; only wall-clock time changes.
+//! ([`crate::auth::AuthenticatedIndex::build`]), the snapshot boot and a
+//! client taking a publication in run their per-term and per-document
+//! folds through it. Its output is **identical for every width**; only
+//! wall-clock time changes.
 //!
 //! At width 1 it spawns no thread: everything runs on the calling
-//! thread, the paper's sequential model. The network server
-//! ([`crate::server`]) has no executor of its own: each query runs to
-//! completion on its event-loop thread, fanning out only through `map`.
-//!
-//! # Example
-//!
-//! ```
-//! use authsearch_core::pool;
-//!
-//! // Index-ordered parallel map: the result is identical for any width.
-//! let squares = pool::map(4, 8, |i| i * i);
-//! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//! assert_eq!(pool::map(1, 8, |i| i * i), squares);
-//! ```
+//! thread, the paper's sequential model. Queries never fan out: the
+//! network server ([`crate::server`]) runs each one to completion on its
+//! event-loop thread, and a client verifies each reply on its own
+//! thread.
 
 use authsearch_crypto::counters;
 use std::panic;
@@ -30,35 +18,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The machine's available parallelism (1 when it cannot be queried),
-/// read once per process: both ends of a TRA reply ask for it per query,
-/// and the query reads CPU-quota files.
-pub fn available_parallelism() -> usize {
+/// read once per process: the query reads CPU-quota files.
+pub(crate) fn available_parallelism() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     })
-}
-
-/// Document proofs per thread: a TRA reply's document-MHT proofs fan out
-/// to one thread per `DOCS_PER_THREAD` of them, so replies of fewer than
-/// twice this many stay on the calling thread.
-///
-/// Chosen with `authbench` in separate processes on a 2-vCPU x86-64 host
-/// (18 s runs, seed 7, three rounds in rotated order, medians). On
-/// `tra-long` (~445 proofs per query) `verified_qps` read 201 serial,
-/// 259 at 16, 277 at 32 and 270 at 64, and 32 led every round. On
-/// `tra-churn` (median query: 115 proofs) 16, 32 and 64 read 591, 591
-/// and 583 against 471 serial. A floor of 128 would leave that median
-/// query serial.
-pub const DOCS_PER_THREAD: usize = 32;
-
-/// The width at which up to `threads` threads share `docs` document
-/// proofs: one thread per [`DOCS_PER_THREAD`] proofs, at most `threads`,
-/// at least 1.
-pub(crate) fn doc_proof_width(threads: usize, docs: usize) -> usize {
-    threads.min(docs / DOCS_PER_THREAD).max(1)
 }
 
 /// Index-ordered parallel map: `(0..n).map(f).collect()`, computed by the
@@ -74,7 +41,7 @@ pub(crate) fn doc_proof_width(threads: usize, docs: usize) -> usize {
 ///
 /// A panic in `f` is re-raised here with its original payload, after
 /// every helper has been joined.
-pub fn map<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
+pub(crate) fn map<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -178,23 +145,6 @@ mod tests {
         let me = std::thread::current().id();
         let ids = map(1, 64, |_| std::thread::current().id());
         assert!(ids.iter().all(|&id| id == me));
-    }
-
-    #[test]
-    fn doc_proof_width_is_one_thread_per_floor_of_proofs() {
-        let f = DOCS_PER_THREAD;
-        for (threads, docs, want) in [
-            (4, 0, 1),
-            (4, 2 * f - 1, 1),
-            (4, 2 * f, 2),
-            (4, 3 * f + 1, 3),
-            (4, 100 * f, 4),
-            (2, 100 * f, 2),
-            (1, 100 * f, 1),
-            (0, 100 * f, 1),
-        ] {
-            assert_eq!(doc_proof_width(threads, docs), want, "{threads}/{docs}");
-        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! the one doc-id map and ranks through the one top-r, as every scan does.
 
 use crate::access::{AccessError, ListAccess};
-use crate::types::{DocIdMap, DocTable, ProcessingOutcome, Query, QueryResult, ResultEntry, TopR};
+use crate::types::{
+    DocIdMap, DocOrderedLists, ProcessingOutcome, Query, QueryResult, ResultEntry, TopR,
+};
 use authsearch_corpus::DocId;
 use std::collections::hash_map::Entry;
 
@@ -78,7 +80,7 @@ pub fn run<L: ListAccess>(
 /// Reference scorer: compute `S(d|Q)` for every document by direct lookup
 /// in the document table and return the top `r`. Used as the ground truth
 /// in cross-algorithm tests.
-pub fn naive_topk(table: &DocTable, query: &Query, r: usize) -> QueryResult {
+pub fn naive_topk(table: &DocOrderedLists, query: &Query, r: usize) -> QueryResult {
     let mut top = TopR::new(r, table.num_docs());
     for d in 0..table.num_docs() as DocId {
         let mut score = 0.0f64;
@@ -114,7 +116,7 @@ mod tests {
     #[test]
     fn pscan_matches_naive() {
         let (corpus, index) = setup();
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let keeper = corpus.term_id("keeper").unwrap();
         let night = corpus.term_id("night").unwrap();
         let q = Query::from_term_ids(&index, &[keeper, night]);
@@ -162,7 +164,7 @@ mod tests {
     #[test]
     fn naive_ignores_zero_score_docs() {
         let (corpus, index) = setup();
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let gown = corpus.term_id("gown").unwrap();
         let q = Query::from_term_ids(&index, &[gown]);
         let res = naive_topk(&table, &q, 10);

@@ -1,21 +1,22 @@
 //! The owner's publication, as the engine and every client hold it: the
 //! one manifest the owner signs, its signature, and under TRA each
-//! document's content digest `h(doc)` and document-MHT root.
+//! document's content digest `h(doc)`.
 //!
 //! The manifest binds the mechanism, the dictionary size `m`, the
 //! collection size `n`, the dictionary-MHT root and the document-table
 //! root (`crate::auth::publication_message`). Leaf `d` of the document
-//! table is the digest of document `d`'s `h(doc) | d | root` message,
-//! so the `n` records below fold to the table root the manifest signs.
+//! table is the digest of document `d`'s `h(doc) | d` message, so the
+//! `n` records below fold to the table root the manifest signs.
 //!
 //! A client checks the publication once, when it takes it in
 //! ([`crate::VerifierParams::open`]): one RSA verification of the
 //! manifest, one fold of the records to the signed table root. From then
 //! on it compares every reply against what it holds: the dictionary root
-//! and `m` a reply's proofs reconstruct with the manifest's, each
-//! recomputed document-MHT root with the held root at its doc id, and
-//! each result document's content hash with the held `h(doc)`. A reply
-//! therefore carries no signature, no document-table proof and no
+//! and `m` a reply's proofs reconstruct with the manifest's (under TRA
+//! each dictionary leaf binds the term's list root combined with its
+//! doc-order root, so every document fact a reply proves reaches it too),
+//! and each result document's content hash with the held `h(doc)`. A
+//! reply therefore carries no signature, no document-table proof and no
 //! content digest.
 //!
 //! ## Encoding
@@ -24,7 +25,7 @@
 //! what [`crate::VerifierParams::open`] reads:
 //!
 //! ```text
-//! manifest (55) | signature: len u16, bytes | TRA only: n × (h(doc) 16, root 16)
+//! manifest (55) | signature: len u16, bytes | TRA only: n × h(doc) 16
 //! ```
 //!
 //! `n` and the mechanism come from the manifest, so the records carry no
@@ -93,25 +94,16 @@ impl Manifest {
     }
 }
 
-/// One document's entry of the held document table: what leaf `d` of
-/// the table binds besides `d` itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DocRecord {
-    /// `h(doc)`, the digest of the document's content.
-    pub(crate) content: Digest,
-    /// The root of the document's document-MHT.
-    pub(crate) root: Digest,
-}
-
 /// The owner's publication: the manifest, the owner's signature over
-/// it, and under TRA one [`DocRecord`] per document, in doc-id order
-/// (none under TNRA). Held behind one `Arc` by the engine's artifact and
+/// it, and under TRA each document's content digest `h(doc)`, in doc-id
+/// order (none under TNRA): what leaf `d` of the document table binds
+/// besides `d` itself. Held behind one `Arc` by the engine's artifact and
 /// by every [`crate::VerifierParams`] cloned from it.
 #[derive(Clone, PartialEq, Eq)]
 pub(crate) struct SignedPublication {
     pub(crate) manifest: Manifest,
     pub(crate) signature: Vec<u8>,
-    pub(crate) docs: Vec<DocRecord>,
+    pub(crate) docs: Vec<Digest>,
 }
 
 impl fmt::Debug for SignedPublication {
@@ -125,32 +117,31 @@ impl fmt::Debug for SignedPublication {
 }
 
 impl SignedPublication {
-    /// Document `d`'s record; `None` past the collection or under TNRA.
-    pub(crate) fn doc(&self, d: DocId) -> Option<&DocRecord> {
+    /// Document `d`'s content digest; `None` past the collection or
+    /// under TNRA.
+    pub(crate) fn doc(&self, d: DocId) -> Option<&Digest> {
         self.docs.get(usize::try_from(d).ok()?)
     }
 
     /// Bytes a holder keeps for the check of every reply: the manifest
     /// and the document records.
     pub(crate) fn held_bytes(&self) -> usize {
-        MANIFEST_LEN + self.docs.len() * 2 * DIGEST_LEN
+        MANIFEST_LEN + self.docs.len() * DIGEST_LEN
     }
 
     /// Append the encoding of the module doc.
     pub(crate) fn write(&self, w: &mut Writer<'_>) -> Result<(), CodecError> {
         w.bytes(&self.manifest.message());
         w.bytes16(&self.signature, "manifest signature")?;
-        for doc in &self.docs {
-            w.bytes(doc.content.as_bytes());
-            w.bytes(doc.root.as_bytes());
-        }
+        w.digests(&self.docs);
         Ok(())
     }
 
     /// The encoding of the module doc.
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(MANIFEST_LEN + 2 + self.signature.len() + 32 * self.docs.len());
+        let mut out = Vec::with_capacity(
+            MANIFEST_LEN + 2 + self.signature.len() + DIGEST_LEN * self.docs.len(),
+        );
         self.write(&mut Writer(&mut out))
             .expect("an RSA signature fits a u16 length");
         out
@@ -191,12 +182,7 @@ fn read(r: &mut Reader<'_>) -> Result<SignedPublication, Malformed> {
         .ok_or_else(|| Malformed("not a publication manifest".into()))?;
     let signature = r.bytes16()?.to_vec();
     let docs = if manifest.mechanism.is_tra() {
-        let digests = r.digests(2 * u64::from(manifest.num_docs), "document record digest")?;
-        let (pairs, _) = digests.as_chunks::<2>();
-        pairs
-            .iter()
-            .map(|&[content, root]| DocRecord { content, root })
-            .collect()
+        r.digests(u64::from(manifest.num_docs), "document record digest")?
     } else {
         Vec::new()
     };
@@ -207,13 +193,12 @@ fn read(r: &mut Reader<'_>) -> Result<SignedPublication, Malformed> {
     })
 }
 
-/// The document-table root over `docs`: leaf `d` is
-/// [`doc_table_leaf`] of document `d`'s record, the leaves hashed
+/// The document-table root over the content digests `docs`: leaf `d`
+/// is [`doc_table_leaf`] of document `d`'s, the leaves hashed
 /// [`pool::map`]-parallel over `threads`. `None` for no documents.
-pub(crate) fn fold_doc_table(threads: usize, docs: &[DocRecord]) -> Option<Digest> {
+pub(crate) fn fold_doc_table(threads: usize, docs: &[Digest]) -> Option<Digest> {
     let leaves = pool::map(threads, docs.len(), |d| {
-        let doc = &docs[d];
-        doc_table_leaf(d as DocId, &doc.content, &doc.root)
+        doc_table_leaf(d as DocId, &docs[d])
     });
     let interior = interior_levels(&leaves);
     interior.last().or(leaves.first()).copied()

@@ -254,10 +254,9 @@ pub(crate) enum Job {
 
 /// Execute a [`Job`] and encode the reply **payload** into `buf`
 /// (cleared first), returning the reply frame kind. Runs on the event
-/// loop. A query the index refuses after admission (only an index
-/// holding a negative or NaN weight does) gets the error payload of a
-/// [`BAD_QUERY`](wire::errcode::BAD_QUERY) reply, counted with the
-/// served ones.
+/// loop. A query the index refuses (`AuthenticatedIndex::check`) gets
+/// the error payload of a [`BAD_QUERY`](wire::errcode::BAD_QUERY) reply,
+/// counted with the served ones.
 pub(crate) fn execute_job(
     engine: &SearchEngine,
     job: &Job,

@@ -31,10 +31,12 @@
 //!   reads the top r; condition 2 walks every slot outside it, in any
 //!   order, since it holds for all or fails.
 //!
-//! Term scores must be non-negative (every query weight is checked at
-//! construction, and index weights are): a negative or NaN pop would
-//! lower a bound and void both the threshold and the top-r order, so it
-//! is an [`AccessError`].
+//! Term scores are finite and non-negative: every query weight is
+//! checked at construction (`Query::new`) and every index weight where it
+//! enters the index (`InvertedIndex::from_parts`), and a replay reads
+//! only weights authenticated against the owner's index. A negative or
+//! NaN score would lower a bound and void both the threshold and the
+//! top-r order.
 
 use crate::access::{fetched, AccessError, ListAccess};
 use crate::types::{DocIdMap, ProcessingOutcome, Query, ResultEntry, TopR, RESERVED_SLOTS};
@@ -136,8 +138,7 @@ pub struct TnraIteration {
 }
 
 /// Run TNRA for the top `r` documents. A query of more than
-/// [`MAX_QUERY_TERMS`] terms, or a pop whose term score is negative or
-/// NaN, is an [`AccessError`].
+/// [`MAX_QUERY_TERMS`] terms is an [`AccessError`].
 pub fn run<L: ListAccess>(
     lists: &L,
     query: &Query,
@@ -229,12 +230,6 @@ fn run_inner<L: ListAccess>(
             }
             break;
         };
-        if c.is_nan() || c < 0.0 {
-            return Err(AccessError::new(format!(
-                "TNRA term score {c} of query term #{i} is not a non-negative number"
-            )));
-        }
-
         let (d, w) = fronts[i].expect("selected list has a front");
 
         // Step 4(c): create or update the document's bounds, and its
@@ -300,16 +295,16 @@ mod tests {
     use super::*;
     use crate::access::IndexLists;
     use crate::pscan;
-    use crate::types::{DocTable, QueryError, QueryResult};
+    use crate::types::{DocOrderedLists, QueryError, QueryResult};
     use authsearch_corpus::SyntheticConfig;
-    use authsearch_index::{build_index, ImpactEntry, OkapiParams};
+    use authsearch_index::{build_index, ImpactEntry, InvertedIndex, InvertedList, OkapiParams};
     use std::collections::HashMap;
 
     #[test]
     fn tnra_matches_naive_top_docs() {
         let corpus = SyntheticConfig::tiny(150, 33).generate();
         let index = build_index(&corpus, OkapiParams::default());
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         for (seed, qsize) in [(10u64, 2usize), (11, 3), (12, 4)] {
             let terms =
                 authsearch_corpus::workload::synthetic(index.num_terms(), 1, qsize, seed).remove(0);
@@ -335,7 +330,7 @@ mod tests {
         // against the naive scorer.
         let corpus = SyntheticConfig::tiny(120, 44).generate();
         let index = build_index(&corpus, OkapiParams::default());
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let terms = authsearch_corpus::workload::synthetic(index.num_terms(), 1, 3, 5).remove(0);
         let q = crate::types::Query::from_term_ids(&index, &terms);
         let lists = IndexLists::new(&index, &q);
@@ -359,7 +354,7 @@ mod tests {
         // inverted lists than TRA."
         let corpus = SyntheticConfig::tiny(250, 55).generate();
         let index = build_index(&corpus, OkapiParams::default());
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let mut tra_total = 0usize;
         let mut tnra_total = 0usize;
         for seed in 0..10u64 {
@@ -751,8 +746,10 @@ mod tests {
 
     #[test]
     fn negative_or_nan_query_weight_is_an_access_error_at_both_ends() {
-        // A negative or NaN query weight cannot be built, so neither the
-        // engine's scan nor the client's replay ever meets one.
+        // A negative or NaN query weight cannot be built, and neither
+        // can an index holding such a document weight, so neither the
+        // engine's scan nor the client's replay (which reads only
+        // weights authenticated against the owner's index) meets one.
         for wq in [-1.0, f64::NAN] {
             let refused = Query::with_weights(&[(0, 1.0), (1, wq)]);
             assert!(
@@ -760,14 +757,12 @@ mod tests {
                 "wq={wq}: {refused:?}"
             );
         }
-        // The per-pop guard still stands for a list that serves such a
-        // score through the public `ListAccess`.
-        let q = Query::with_weights(&[(0, 1.0), (1, 1.0)]).unwrap();
         for w in [-1.0, f32::NAN] {
-            let lists = VecLists(vec![vec![entry(3, w)], vec![entry(4, 0.5)]]);
-            let err = run(&lists, &q, 2).unwrap_err();
-            assert!(err.what.contains("not a non-negative"), "{err}");
+            let lists = vec![InvertedList::from_entries(vec![entry(3, w)])];
+            let index = InvertedIndex::from_parts(OkapiParams::default(), 4, 1.0, vec![1], lists);
+            assert!(index.is_err(), "w={w}");
         }
+        let q = Query::with_weights(&[(0, 1.0), (1, 1.0)]).unwrap();
         // A zero term score is a legal pop.
         let lists = VecLists(vec![vec![entry(3, 0.0)], vec![entry(4, 1.0)]]);
         assert_eq!(run(&lists, &q, 2).unwrap().result.docs(), vec![4, 3]);

@@ -93,6 +93,7 @@ pub fn toy_index() -> InvertedIndex {
     // 9 document slots (ids 1..=8 used; Okapi parameters are irrelevant —
     // the toy query carries explicit weights).
     InvertedIndex::from_parts(OkapiParams::default(), 9, 5.0, ft, lists)
+        .expect("Figure 1's weights are positive")
 }
 
 /// The query of Figure 6: "sleeps in the dark" with the paper's exact

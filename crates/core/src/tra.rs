@@ -176,7 +176,7 @@ mod tests {
     use super::*;
     use crate::access::{IndexLists, TableFreqs};
     use crate::pscan;
-    use crate::types::{DocTable, QueryResult};
+    use crate::types::{DocOrderedLists, QueryResult};
     use authsearch_corpus::{CorpusBuilder, SyntheticConfig};
     use authsearch_index::{build_index, OkapiParams};
 
@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn tra_matches_pscan_on_small_corpus() {
         let (corpus, index) = setup_small();
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let keeper = corpus.term_id("keeper").unwrap();
         let night = corpus.term_id("night").unwrap();
         let q = Query::from_term_ids(&index, &[keeper, night]);
@@ -213,7 +213,7 @@ mod tests {
     fn tra_matches_naive_on_synthetic() {
         let corpus = SyntheticConfig::tiny(150, 21).generate();
         let index = build_index(&corpus, OkapiParams::default());
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         // A few deterministic queries over different term ranges.
         for (seed, qsize) in [(1u64, 2usize), (2, 3), (3, 5)] {
             let terms =
@@ -231,7 +231,7 @@ mod tests {
     fn tra_reads_fewer_entries_than_list_length() {
         let corpus = SyntheticConfig::tiny(300, 5).generate();
         let index = build_index(&corpus, OkapiParams::default());
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         // Pick the longest list plus a short one: early termination should
         // prune the long list.
         let dfs = index.document_frequencies();
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn prefix_lens_include_cutoff_front() {
         let (corpus, index) = setup_small();
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let night = corpus.term_id("night").unwrap();
         let q = Query::from_term_ids(&index, &[night]);
         let lists = IndexLists::new(&index, &q);
@@ -267,7 +267,7 @@ mod tests {
     fn encountered_covers_all_prefix_docs() {
         let corpus = SyntheticConfig::tiny(200, 8).generate();
         let index = build_index(&corpus, OkapiParams::default());
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let terms = authsearch_corpus::workload::synthetic(index.num_terms(), 1, 3, 9).remove(0);
         let q = Query::from_term_ids(&index, &terms);
         let lists = IndexLists::new(&index, &q);
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced() {
         let (corpus, index) = setup_small();
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let keeper = corpus.term_id("keeper").unwrap();
         let house = corpus.term_id("house").unwrap();
         let q = Query::from_term_ids(&index, &[keeper, house]);
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn zero_r_terminates_immediately() {
         let (corpus, index) = setup_small();
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let night = corpus.term_id("night").unwrap();
         let q = Query::from_term_ids(&index, &[night]);
         let lists = IndexLists::new(&index, &q);
@@ -440,7 +440,7 @@ mod tests {
         for seed in 0..8u64 {
             let corpus = tied_corpus(seed);
             let index = build_index(&corpus, OkapiParams::default());
-            let table = DocTable::from_index(&index);
+            let table = DocOrderedLists::from_index(&index);
             for qsize in 1..=6usize {
                 let terms = authsearch_corpus::workload::synthetic(
                     index.num_terms(),

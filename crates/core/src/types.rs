@@ -1,9 +1,8 @@
 //! Shared types: queries, results, processing outcomes, and the
-//! document-side frequency table.
+//! doc-ordered lists.
 
-use crate::access::AccessError;
 use authsearch_corpus::{Corpus, DocId, TermId};
-use authsearch_index::InvertedIndex;
+use authsearch_index::{ImpactEntry, InvertedIndex};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -75,9 +74,6 @@ pub enum QueryError {
         /// The limit.
         max: usize,
     },
-    /// The engine's scan refused a checked query, which only a list
-    /// holding a negative or NaN weight makes TNRA's per-pop guard do.
-    Refused(AccessError),
 }
 
 impl fmt::Display for QueryError {
@@ -101,7 +97,6 @@ impl fmt::Display for QueryError {
             QueryError::TooManyTerms { q, max } => {
                 write!(f, "{q} query terms; TNRA evaluates at most {max}")
             }
-            QueryError::Refused(e) => write!(f, "the index refused the query: {e}"),
         }
     }
 }
@@ -398,136 +393,78 @@ pub struct ProcessingOutcome {
     pub iterations: usize,
 }
 
-/// `c_t`, the frequency class of a term that occurs in `f_t` documents:
-/// the bit length of `f_t` (1 for `f_t = 1`, 2 for 2–3, 3 for 4–7, …).
-/// Document-MHT leaves are ordered by it ([`leaf_key`]).
-pub(crate) fn freq_class(ft: u32) -> u8 {
-    // At most 32, so the narrowing is exact.
-    (u32::BITS - ft.leading_zeros()) as u8
-}
-
-/// The sort key of a document-MHT leaf for term `t` of class `c_t`:
-/// `(c_t descending, t ascending)` as one integer. Every document's
-/// leaves are in strictly ascending key order, so a document's common
-/// terms sit together at the front of its tree.
-pub(crate) fn leaf_key(class: u8, term: TermId) -> u64 {
-    (u64::from(u8::MAX - class) << 32) | u64::from(term)
-}
-
-/// Document-side frequency table: for every document, its
-/// `(t, w_{d,t}, c_t)` leaves in `leaf_key` order — precisely the leaf layer of the
-/// document-MHTs (Figure 8, with the leaves ordered by frequency class
-/// rather than by term), and the engine's random-access source in TRA.
+/// Every term's inverted list in doc-id order: the leaf layer of the
+/// term's doc-order tree (TRA), and the engine's one random-access
+/// source. A list holds each document at most once, so a lookup of
+/// `w_{d,t}` is one binary search, and the position it lands on is the
+/// position a proof of the fact reveals.
 ///
-/// Built by *transposing the inverted index*, which guarantees the
-/// invariant the correctness criteria rely on: the frequency vector
-/// `freq(d|Q)` a document-MHT certifies is identical to what the inverted
-/// lists contain. All documents' leaves sit in one flat array, document
-/// `d`'s at `offsets[d]..offsets[d + 1]`, each as a `(rank, w_{d,t})`
-/// pair: the rank is the term's place in key order over the whole
-/// dictionary, so a lookup compares ranks alone.
+/// Built by *sorting the index's own lists*, which guarantees the
+/// invariant the correctness criteria rely on: the weights a doc-order
+/// tree certifies are exactly the ones its list holds.
 #[derive(Debug, Clone)]
-pub struct DocTable {
-    /// `(rank of t, w_{d,t})` for every posting, grouped by document.
-    leaves: Vec<(u32, f32)>,
-    offsets: Vec<u32>,
-    /// `(t, c_t)` of each rank: the dictionary in key order.
-    by_rank: Vec<(TermId, u8)>,
-    /// The rank of each term.
-    ranks: Vec<u32>,
+pub struct DocOrderedLists {
+    /// Per term, its `⟨d, w_{d,t}⟩` entries by ascending doc id.
+    lists: Vec<Box<[ImpactEntry]>>,
+    /// Per document, the number of distinct terms it holds.
+    doc_terms: Vec<u32>,
 }
 
-impl DocTable {
-    /// Transpose an index into its per-document view: count each
-    /// document's terms, then walk the lists once in key order, so that
-    /// each document's leaves come out already sorted.
-    ///
-    /// Panics if the index holds `2^32` postings or more.
-    pub fn from_index(index: &InvertedIndex) -> DocTable {
-        let m = index.num_terms() as TermId;
-        let mut by_rank: Vec<(TermId, u8)> = (0..m).map(|t| (t, freq_class(index.ft(t)))).collect();
-        by_rank.sort_unstable_by_key(|&(t, class)| leaf_key(class, t));
-        let mut ranks = vec![0; by_rank.len()];
-        for (rank, &(t, _)) in (0..).zip(&by_rank) {
-            ranks[t as usize] = rank;
+impl DocOrderedLists {
+    /// Sort every list of `index` by doc id.
+    pub fn from_index(index: &InvertedIndex) -> DocOrderedLists {
+        let lists = (0..index.num_terms() as TermId)
+            .map(|t| doc_ordered(index.list(t).entries()))
+            .collect();
+        DocOrderedLists::from_lists(lists, index.num_docs())
+    }
+
+    /// Lists already in doc-id order, one per term, over `num_docs`
+    /// documents.
+    pub(crate) fn from_lists(lists: Vec<Box<[ImpactEntry]>>, num_docs: usize) -> DocOrderedLists {
+        let mut doc_terms = vec![0u32; num_docs];
+        for e in lists.iter().flat_map(|l| l.iter()) {
+            doc_terms[e.doc as usize] += 1;
         }
-        let mut offsets = vec![0u32; index.num_docs() + 1];
-        for t in 0..m {
-            for e in index.list(t).entries() {
-                offsets[e.doc as usize + 1] += 1;
-            }
-        }
-        let mut total = 0u32;
-        for o in &mut offsets {
-            total = total.checked_add(*o).expect("fewer than 2^32 postings");
-            *o = total;
-        }
-        let mut next: Vec<u32> = offsets[..offsets.len() - 1].to_vec();
-        let mut leaves = vec![(0, 0.0); total as usize];
-        for (rank, &(t, _)) in (0..).zip(&by_rank) {
-            for e in index.list(t).entries() {
-                let at = &mut next[e.doc as usize];
-                leaves[*at as usize] = (rank, e.weight);
-                *at += 1;
-            }
-        }
-        DocTable {
-            leaves,
-            offsets,
-            by_rank,
-            ranks,
-        }
+        DocOrderedLists { lists, doc_terms }
     }
 
     /// Number of documents.
     pub fn num_docs(&self) -> usize {
-        self.offsets.len() - 1
+        self.doc_terms.len()
     }
 
-    /// Document `d`'s `(rank, w)` pairs.
-    fn row(&self, d: DocId) -> &[(u32, f32)] {
-        let d = d as usize;
-        &self.leaves[self.offsets[d] as usize..self.offsets[d + 1] as usize]
+    /// Term `t`'s entries by ascending doc id.
+    pub fn list(&self, t: TermId) -> &[ImpactEntry] {
+        &self.lists[t as usize]
     }
 
-    /// Leaves of document `d`'s MHT (its distinct terms).
-    pub fn num_leaves(&self, d: DocId) -> usize {
-        self.row(d).len()
+    /// The number of distinct terms document `d` holds.
+    pub(crate) fn doc_terms(&self, d: DocId) -> usize {
+        self.doc_terms[d as usize] as usize
     }
 
-    /// The `(t, w_{d,t}, c_t)` leaf layer for document `d`, in key order.
-    pub fn doc_leaves(&self, d: DocId) -> impl ExactSizeIterator<Item = (TermId, f32, u8)> + '_ {
-        self.row(d).iter().map(|&pair| self.unrank(pair))
-    }
-
-    /// The `(t, w_{d,t}, c_t)` leaf at position `p` of document `d`'s MHT.
-    pub(crate) fn leaf(&self, d: DocId, p: usize) -> (TermId, f32, u8) {
-        self.unrank(self.row(d)[p])
-    }
-
-    fn unrank(&self, (rank, w): (u32, f32)) -> (TermId, f32, u8) {
-        let (t, class) = self.by_rank[rank as usize];
-        (t, w, class)
-    }
-
-    /// The position of term `t`'s leaf in document `d`'s MHT, or, when
-    /// `t` does not occur in `d`, the position its key would take.
-    pub(crate) fn position(&self, d: DocId, t: TermId) -> Result<usize, usize> {
-        let rank = self.ranks[t as usize];
-        self.row(d).binary_search_by_key(&rank, |&(r, _)| r)
+    /// The position of `d`'s entry in term `t`'s list, or, when `t` does
+    /// not occur in `d`, the position `d` would take.
+    pub(crate) fn position(&self, t: TermId, d: DocId) -> Result<usize, usize> {
+        self.list(t).binary_search_by_key(&d, |e| e.doc)
     }
 
     /// `w_{d,t}` (0 when `t` does not occur in `d`, or is not a term of
     /// the index).
     pub fn weight(&self, d: DocId, t: TermId) -> f32 {
-        if t as usize >= self.ranks.len() {
+        if t as usize >= self.lists.len() {
             return 0.0;
         }
-        match self.position(d, t) {
-            Ok(p) => self.row(d)[p].1,
-            Err(_) => 0.0,
-        }
+        self.position(t, d).map_or(0.0, |p| self.list(t)[p].weight)
     }
+}
+
+/// `entries` sorted by doc id.
+pub(crate) fn doc_ordered(entries: &[ImpactEntry]) -> Box<[ImpactEntry]> {
+    let mut sorted: Box<[ImpactEntry]> = entries.into();
+    sorted.sort_unstable_by_key(|e| e.doc);
+    sorted
 }
 
 #[cfg(test)]
@@ -731,7 +668,7 @@ mod tests {
     #[test]
     fn doc_table_transposes_index() {
         let (corpus, index) = setup();
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         assert_eq!(table.num_docs(), 3);
         let house = corpus.term_id("house").unwrap();
         // Weight in the table equals the list entry's weight.
@@ -752,62 +689,25 @@ mod tests {
 
     #[test]
     fn doc_table_terms_sorted() {
-        // Strictly ascending keys, and every posting of the index is in
-        // its document's row once.
-        let (_, index) = setup();
-        let table = DocTable::from_index(&index);
-        let mut postings = 0;
-        for d in 0..table.num_docs() as DocId {
-            let keys: Vec<u64> = table
-                .doc_leaves(d)
-                .map(|(t, _, c)| leaf_key(c, t))
-                .collect();
-            assert!(keys.windows(2).all(|w| w[0] < w[1]), "doc {d}");
-            postings += keys.len();
-        }
-        let lists: usize = (0..index.num_terms() as TermId)
-            .map(|t| index.list(t).len())
-            .sum();
-        assert_eq!(postings, lists);
-    }
-
-    #[test]
-    fn document_mht_leaves_are_in_key_order() {
-        // Every document of a seeded corpus: each leaf's c_t is its
-        // term's, c_t never rises across the leaves, and within a class
-        // term ids ascend.
+        // Every term's row strictly ascends by doc id, holds its list's
+        // entries, and each document counts its distinct terms.
         let corpus = authsearch_corpus::SyntheticConfig::tiny(300, 19).generate();
         let index = build_index(&corpus, OkapiParams::default());
-        let table = DocTable::from_index(&index);
-        let mut class_steps = 0;
-        for d in 0..table.num_docs() as DocId {
-            let leaves: Vec<(TermId, f32, u8)> = table.doc_leaves(d).collect();
-            for pair in leaves.windows(2) {
-                let [(a, ..), (b, ..)] = pair else { continue };
-                let (ca, cb) = (freq_class(index.ft(*a)), freq_class(index.ft(*b)));
-                assert!(ca >= cb, "doc {d}: c_t rises {ca} → {cb}");
-                assert!(ca > cb || a < b, "doc {d}: terms {a}, {b} in class {ca}");
-                class_steps += usize::from(ca > cb);
-            }
-            for (p, &(t, w, c)) in leaves.iter().enumerate() {
-                assert_eq!(c, freq_class(index.ft(t)), "doc {d} term {t}");
-                assert_eq!(table.weight(d, t), w, "doc {d} term {t}");
-                assert_eq!(table.position(d, t), Ok(p), "doc {d} term {t}");
+        let table = DocOrderedLists::from_index(&index);
+        let mut per_doc = vec![0usize; index.num_docs()];
+        for t in 0..index.num_terms() as TermId {
+            let row = table.list(t);
+            assert!(row.windows(2).all(|w| w[0].doc < w[1].doc), "term {t}");
+            let mut want = index.list(t).entries().to_vec();
+            want.sort_unstable_by_key(|e| e.doc);
+            assert_eq!(row, want.as_slice(), "term {t}");
+            for (p, e) in row.iter().enumerate() {
+                assert_eq!(table.position(t, e.doc), Ok(p), "term {t}");
+                per_doc[e.doc as usize] += 1;
             }
         }
-        // The order is not term-id order on this corpus.
-        assert!(class_steps > 0);
-    }
-
-    #[test]
-    fn freq_class_is_the_bit_length_of_ft() {
-        let classes: Vec<u8> = [1, 2, 3, 4, 7, 8, 1000, u32::MAX]
-            .into_iter()
-            .map(freq_class)
-            .collect();
-        assert_eq!(classes, [1, 2, 2, 3, 3, 4, 10, 32]);
-        // A higher class sorts first; a class ties by term id.
-        assert!(leaf_key(4, 900) < leaf_key(3, 2));
-        assert!(leaf_key(3, 2) < leaf_key(3, 5));
+        for (d, &n) in per_doc.iter().enumerate() {
+            assert_eq!(table.doc_terms(d as DocId), n, "doc {d}");
+        }
     }
 }

@@ -1,262 +1,205 @@
-//! Document-MHT proof verification and frequency resolution (TRA).
+//! Document facts by term (TRA): the proved documents, their facts, and
+//! the result documents' contents.
 //!
-//! For every encountered document the VO carries a [`crate::vo::DocVo`].
-//! This module authenticates each one — reconstructing the document-MHT
-//! root from the revealed `(t, w_{d,t}, c_t)` leaves and comparing it
-//! with the root the client holds for that document, and for a result
-//! document hashing its delivered content and comparing that with the
-//! held `h(doc)` — and then resolves, for every (document, query term)
-//! pair, either the certified weight or a *proven absence* (weight 0).
+//! A TRA replay reads, for every document it meets and every query term
+//! `t`, either `w_{d,t}` or the fact that `t ∉ d`. The VO lists the
+//! documents it proves (`vo.docs`, in encounter order) and carries one
+//! proof per query term in that term's doc-order tree: an MHT over the
+//! term's `⟨d, w_{d,t}⟩` entries in doc-id order, `f_t` leaves, whose
+//! root the term's dictionary leaf binds beside its list root
+//! (`crate::auth::combined_root`). This module checks each term's proof
+//! once and resolves its facts:
 //!
-//! ## Leaves in key order
+//! * **present**: `d`'s own leaf is revealed, and gives `w_{d,t}`;
+//! * **absent**: the two revealed leaves whose doc ids bracket `d` sit at
+//!   adjacent positions (the paper's "pair of consecutive terms that
+//!   bound the query term", §3.3.1, here consecutive doc ids), or `d`
+//!   falls before the revealed leaf at position 0 or after the one at
+//!   position `f_t − 1`.
 //!
-//! The owner orders each document's leaves by the key `(c_t descending,
-//! t)` ([`crate::types::leaf_key`]), where `c_t` is the bit length of the
-//! term's `f_t`, so a document's common terms share the front of its
-//! tree. Every leaf binds its `c_t`, and the verifier computes each query
-//! term's key from the `f_t` its dictionary proof authenticates. An
-//! absence is then a revealed pair of position-adjacent leaves whose keys
-//! bound the query term's key (the paper's "pair of consecutive terms
-//! that bound the query term", §3.3.1, consecutive in key order), or a
-//! revealed first/last leaf for keys outside the document's range. Any
-//! order the verifier can compute for its query terms serves; a forged
-//! `f_t` moves the dictionary root off the held manifest's, and a forged
-//! `c_t` the document root off the held one.
+//! The paper proves the same facts inside one document-MHT per document
+//! (Figure 8), so every absent fact brackets the same rare term again in
+//! each document's tree; per term, a rare term's short list is revealed
+//! once, and a common term's upper levels are shared by every document
+//! proved in it.
 //!
-//! ## Why held leaves are as strong as a signature per document
+//! ## One encoding per VO
 //!
-//! The paper signs every document's `h(doc) | d | root` (Figure 8). Here
-//! the client holds, for every document `d`, the `(h(doc), root)` pair
-//! the owner bound into leaf `d` of the document table, checked once
-//! ([`crate::VerifierParams::open`]) against the table root the manifest
-//! signs.
+//! The revealed set must be the least one: every revealed leaf settles a
+//! fact of a proved document (its own, or as a bracket). The leaves the
+//! facts need are fixed by the list and the proved documents, so an
+//! honest VO has exactly one set, and the verifier refuses any other.
+//! The tree's leaf count is `f_t`, which the dictionary leaf binds, so a
+//! proof carries no count to vary.
 //!
-//! * **The held leaves are the signed ones.** The client folds the `n`
-//!   records it takes in, each at its own doc id, into the table and
-//!   compares the root with the signed one; a record changed, moved,
-//!   added or dropped folds to another root, and `n` is inside the
-//!   signed manifest, so the table has no room for one more.
-//! * **A reply is looked up, not folded.** Each document proof is
-//!   compared with the held record at the doc id it names, so a proof
-//!   for the right document at the wrong id, or another publication's
-//!   proof for the right id, meets a root it does not reconstruct; an id
-//!   `≥ n` names no record and is refused before any hashing.
-//! * **Leaves are hashed by the verifier.** Each document-MHT leaf is
-//!   the leaf digest (`h(0x00 | t | w | c_t)`) of data the verifier reads
-//!   from the reply, while an interior node hashes `0x01 | left | right`,
-//!   so no interior digest can be presented as a leaf.
+//! ## What the held publication adds
+//!
+//! The client holds each document's `h(doc)`, checked once against the
+//! document-table root the manifest signs
+//! ([`crate::VerifierParams::open`]). A proved doc id must name a held
+//! record (an id `≥ n` is refused before any hashing), and a result
+//! document's delivered content must hash to its held `h(doc)`. Each
+//! leaf is the leaf digest (`h(0x00 | F | d | w)`) of data the verifier
+//! reads from the reply, while an interior node hashes `0x01 | left |
+//! right` and a combined root `0x02 | list root | doc-order root`, so no
+//! digest of one kind can be presented as another.
 
 use super::VerifyError;
-use crate::auth::empty_doc_root;
+use crate::auth::fact_leaf_digest;
 use crate::auth::serve::QueryResponse;
-use crate::pool::{self, DOCS_PER_THREAD};
 use crate::publication::SignedPublication;
 use crate::types::DocIdMap;
-use crate::vo::{DocLeaf, DocVo, TermVo};
-use authsearch_corpus::DocId;
-use authsearch_crypto::merkle::least_leaf_count;
+use crate::vo::TermFacts;
+use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::{reconstruct_root, Digest};
 use std::collections::BTreeMap;
 
-/// Authenticated frequencies of the proved documents, in VO order: proof
-/// `k`'s weight for query term `i` at `weights[k * q + i]`, `None` when
-/// the proof settles nothing about it, and `index` from doc id to `k`.
+/// Authenticated frequencies of the proved documents, in VO order:
+/// document `k`'s weight for query term `i` at `weights[k * q + i]`
+/// (0 for a proven absence), and `index` from doc id to `k`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ResolvedFreqs {
     q: usize,
-    weights: Vec<Option<f32>>,
+    weights: Vec<f32>,
     index: DocIdMap<u32>,
 }
 
 impl ResolvedFreqs {
-    /// Certified `w_{d, t_i}`; `None` when the VO proves nothing about it.
+    /// Room for the facts of the proved documents `docs` about `q` query
+    /// terms. Every id must name a held record, and none may repeat.
+    pub(super) fn new(
+        held: &SignedPublication,
+        docs: &[DocId],
+        q: usize,
+    ) -> Result<ResolvedFreqs, VerifyError> {
+        // Distinct held ids number at most `n`, however many the reply
+        // lists; the weights are sized once every id has passed.
+        let capacity = docs.len().min(held.docs.len());
+        let mut index = DocIdMap::with_capacity_and_hasher(capacity, Default::default());
+        for (k, &doc) in (0..).zip(docs) {
+            if held.doc(doc).is_none() {
+                return Err(VerifyError::UnknownDocument { doc });
+            }
+            if index.insert(doc, k).is_some() {
+                return Err(VerifyError::MalformedProof(format!(
+                    "duplicate document proof for {doc}"
+                )));
+            }
+        }
+        let weights = vec![0.0; docs.len() * q];
+        Ok(ResolvedFreqs { q, weights, index })
+    }
+
+    /// Certified `w_{d, t_i}` (0 for a proven absence); `None` for a
+    /// document the VO does not prove.
     pub(crate) fn weight_of(&self, d: DocId, i: usize) -> Option<f32> {
         let k = *self.index.get(&d)? as usize;
-        let row = self.weights.get(k * self.q..(k + 1) * self.q)?;
-        row.get(i).copied().flatten()
+        self.weights.get(k * self.q + i).copied()
     }
 
-    /// True when the VO carried an authenticated proof for document `d`
-    /// (even if some query-term weights remained unproven).
-    pub(crate) fn contains(&self, d: DocId) -> bool {
-        self.index.contains_key(&d)
-    }
-}
-
-/// Verify every document proof in the response against the held
-/// publication `held`, and resolve the frequencies for the replay.
-///
-/// The per-document check ([`resolve_one`]) is a pure function of one
-/// proof and the held records, so it runs over chunks of
-/// [`DOCS_PER_THREAD`] proofs through [`pool::map`] at `width` threads,
-/// each chunk with its own scratch buffer and its own run of the weight
-/// array. The check that spans documents — a doc id proved twice — then
-/// runs in VO order, and the first error in that order is returned. The
-/// verdict is therefore the sequential loop's at every width.
-pub(super) fn resolve_doc_proofs(
-    held: &SignedPublication,
-    response: &QueryResponse,
-    width: usize,
-) -> Result<ResolvedFreqs, VerifyError> {
-    let mut contents = delivered_contents(response)?;
-    let result_docs: Vec<DocId> = response.result.docs();
-    // Result documents must arrive with their contents, which are hashed.
-    for &d in &result_docs {
-        if !contents.contains_key(&d) {
-            return Err(VerifyError::MissingContent { doc: d });
+    /// Check query term `i`'s doc-order proof `facts` — `term` with
+    /// `f_t = ft` — and resolve its fact about each of the proved
+    /// `docs` (the ones [`ResolvedFreqs::new`] took). Returns the
+    /// doc-order root the proof reconstructs, which the caller binds into
+    /// the term's dictionary leaf. The checks, in order: the revealed
+    /// leaves strictly ascend by position and doc id inside the tree; they
+    /// and the digests have the tree's shape; every proved document's
+    /// fact is settled, in `docs` order; and every revealed leaf settles
+    /// one.
+    pub(super) fn resolve_term(
+        &mut self,
+        i: usize,
+        term: TermId,
+        ft: usize,
+        facts: &TermFacts,
+        docs: &[DocId],
+    ) -> Result<Digest, VerifyError> {
+        let revealed = &facts.revealed;
+        let malformed = |why: String| VerifyError::MalformedProof(format!("term {term}: {why}"));
+        if revealed
+            .windows(2)
+            .any(|pair| matches!(pair, [a, b] if a.pos >= b.pos || a.doc >= b.doc))
+        {
+            return Err(malformed("doc-order leaves not strictly ordered".into()));
         }
-    }
-    contents.retain(|d, _| result_docs.contains(d));
-
-    // The VO's terms are the query's (`check_query_shape`).
-    let terms = &response.vo.terms;
-    let docs = &response.vo.docs;
-    let chunks = docs.len().div_ceil(DOCS_PER_THREAD);
-    let (weights, verdicts): (Vec<_>, Vec<_>) = pool::map(width, chunks, |c| {
-        // One `(position, leaf digest)` buffer serves the chunk's MHTs.
-        let mut revealed = Vec::new();
-        let chunk: &[DocVo] = docs.chunks(DOCS_PER_THREAD).nth(c).unwrap_or_default();
-        let mut weights = Vec::with_capacity(chunk.len() * terms.len());
-        let verdicts: Vec<_> = (chunk.iter())
-            .map(|dv| resolve_one(held, terms, dv, &contents, &mut revealed, &mut weights))
+        if revealed.last().is_some_and(|l| l.pos as usize >= ft) {
+            return Err(malformed("doc-order leaf position beyond f_t".into()));
+        }
+        let pairs: Vec<(usize, Digest)> = (revealed.iter())
+            .map(|l| (l.pos as usize, fact_leaf_digest(&l.entry())))
             .collect();
-        (weights, verdicts)
-    })
-    .into_iter()
-    .unzip();
+        let root = reconstruct_root(ft, &pairs, &facts.proof)
+            .ok_or_else(|| malformed("doc-order proof shape".into()))?;
 
-    let mut index = DocIdMap::with_capacity_and_hasher(docs.len(), Default::default());
-    for ((k, dv), verdict) in (0..).zip(docs).zip(verdicts.into_iter().flatten()) {
-        if index.contains_key(&dv.doc) {
-            return Err(VerifyError::MalformedProof(format!(
-                "duplicate document proof for {}",
-                dv.doc
+        // A fact settled, and the revealed leaves it used.
+        let settle = |doc: DocId| -> Option<(f32, [Option<usize>; 2])> {
+            match revealed.binary_search_by_key(&doc, |l| l.doc) {
+                Ok(j) => Some((revealed.get(j)?.weight, [Some(j), None])),
+                Err(j) => {
+                    // The leaves on either side of where `doc` would sit.
+                    let lower = j.checked_sub(1);
+                    let pos = |at: Option<usize>| Some(revealed.get(at?)?.pos as usize);
+                    let absent = match (pos(lower), pos(Some(j))) {
+                        (Some(l), Some(u)) => u == l + 1,
+                        (None, Some(u)) => u == 0,
+                        (Some(l), None) => l + 1 == ft,
+                        (None, None) => false,
+                    };
+                    absent.then_some((0.0, [lower, Some(j)]))
+                }
+            }
+        };
+        let mut used = vec![false; revealed.len()];
+        let slots = self.weights.iter_mut().skip(i).step_by(self.q.max(1));
+        for (&doc, slot) in docs.iter().zip(slots) {
+            let (weight, leaves) =
+                settle(doc).ok_or(VerifyError::FrequencyUnproven { doc, term })?;
+            for at in leaves.into_iter().flatten() {
+                if let Some(u) = used.get_mut(at) {
+                    *u = true;
+                }
+            }
+            *slot = weight;
+        }
+        if let Some(leaf) = revealed
+            .iter()
+            .zip(&used)
+            .find_map(|(l, &u)| (!u).then_some(l))
+        {
+            return Err(malformed(format!(
+                "revealed leaf {} (document {}) settles no proved document's fact",
+                leaf.pos, leaf.doc
             )));
         }
-        verdict?;
-        index.insert(dv.doc, k);
+        Ok(root)
     }
-    let (q, weights) = (terms.len(), weights.concat());
-    Ok(ResolvedFreqs { q, weights, index })
 }
 
-/// The delivered contents by doc id. A document delivered twice is
-/// refused: only one copy is checked against the document's held digest,
-/// and a caller reading the other would read unauthenticated bytes. The ids
-/// are not yet checked against anything, so they are ordered, not
-/// hashed through `DocIdMap`'s weak hash.
-fn delivered_contents(response: &QueryResponse) -> Result<BTreeMap<DocId, &[u8]>, VerifyError> {
+/// The result documents' contents, checked against the held digests:
+/// each result document arrives once ([`VerifyError::DuplicateContent`]
+/// for any document delivered twice, whose other copy a caller could
+/// read unchecked) and hashes to its held `h(doc)`. Contents of other
+/// documents are ignored.
+pub(super) fn check_contents(
+    held: &SignedPublication,
+    response: &QueryResponse,
+) -> Result<(), VerifyError> {
+    // The ids are not yet checked against anything, so they are
+    // ordered, not hashed through `DocIdMap`'s weak hash.
     let mut delivered = BTreeMap::new();
     for (d, bytes) in &response.contents {
         if delivered.insert(*d, bytes.as_slice()).is_some() {
             return Err(VerifyError::DuplicateContent { doc: *d });
         }
     }
-    Ok(delivered)
-}
-
-/// Authenticate one document proof against `held` — its doc id must
-/// name a held record, the document-MHT root it reconstructs must be the
-/// held root, and the delivered content of a result document (in
-/// `results`) must hash to the held `h(doc)` — and resolve the weight of
-/// each query term of `terms`, keyed by the `f_t` its dictionary leaf
-/// binds, onto the end of `weights`. `pairs` is scratch space for the
-/// revealed leaves, reused across documents. A pure function of its
-/// inputs but for the weights it appends (one per term, and only on
-/// success), so proofs can be checked in any order, on any thread.
-fn resolve_one(
-    held: &SignedPublication,
-    terms: &[TermVo],
-    dv: &DocVo,
-    results: &BTreeMap<DocId, &[u8]>,
-    pairs: &mut Vec<(usize, Digest)>,
-    weights: &mut Vec<Option<f32>>,
-) -> Result<(), VerifyError> {
-    let record = held
-        .doc(dv.doc)
-        .ok_or(VerifyError::UnknownDocument { doc: dv.doc })?;
-    let n = dv.num_leaves as usize;
-
-    // Structural checks: positions strictly increasing, in range, keys
-    // strictly increasing (the owner sorts document-MHT leaves by key).
-    if dv
-        .revealed
-        .windows(2)
-        .any(|pair| matches!(pair, [a, b] if a.pos >= b.pos || a.key() >= b.key()))
-    {
-        return Err(VerifyError::MalformedProof(format!(
-            "document {}: revealed leaves not strictly ordered",
-            dv.doc
-        )));
-    }
-    if dv.revealed.iter().any(|l| l.pos as usize >= n) {
-        return Err(VerifyError::MalformedProof(format!(
-            "document {}: revealed position beyond leaf count",
-            dv.doc
-        )));
-    }
-    // Every count from the least to the true one reconstructs the same
-    // root, so the proof carries the least (and a revealed last leaf is
-    // the document's last).
-    let last = dv.revealed.last().map(|l| l.pos as usize);
-    if least_leaf_count(n, last) != n {
-        return Err(VerifyError::MalformedProof(format!(
-            "document {}: leaf count {n} is not the least of its proof's shape",
-            dv.doc
-        )));
-    }
-
-    // Reconstruct the document-MHT root.
-    let root = if n == 0 {
-        if !dv.revealed.is_empty() || !dv.proof.digests.is_empty() {
-            return Err(VerifyError::MalformedProof(format!(
-                "document {}: empty MHT with payload",
-                dv.doc
-            )));
+    for doc in response.result.docs() {
+        let bytes = delivered
+            .get(&doc)
+            .ok_or(VerifyError::MissingContent { doc })?;
+        let content = held.doc(doc).ok_or(VerifyError::UnknownDocument { doc })?;
+        if Digest::hash(bytes) != *content {
+            return Err(VerifyError::ContentDigest { doc });
         }
-        empty_doc_root()
-    } else {
-        pairs.clear();
-        pairs.extend(dv.revealed.iter().map(|l| (l.pos as usize, l.digest())));
-        reconstruct_root(n, pairs, &dv.proof).ok_or_else(|| {
-            VerifyError::MalformedProof(format!("document {}: MHT proof shape", dv.doc))
-        })?
-    };
-
-    if root != record.root {
-        return Err(VerifyError::DocumentRoot { doc: dv.doc });
-    }
-    // A result document's delivered content must be the held one.
-    if results
-        .get(&dv.doc)
-        .is_some_and(|bytes| Digest::hash(bytes) != record.content)
-    {
-        return Err(VerifyError::ContentDigest { doc: dv.doc });
-    }
-
-    // Resolve each query term: present (revealed leaf), provably absent
-    // (bounding leaves), or unproven.
-    for k in terms.iter().map(TermVo::leaf_key) {
-        let w = match dv.revealed.binary_search_by_key(&k, DocLeaf::key) {
-            Ok(i) => dv.revealed.get(i).map(|l| l.weight),
-            Err(i) => {
-                // Candidate bounding pair: revealed[i-1] and revealed[i].
-                let lower = i.checked_sub(1).and_then(|j| dv.revealed.get(j));
-                let upper = dv.revealed.get(i);
-                let absent = match (lower, upper) {
-                    // Adjacent positions with keys bracketing k.
-                    (Some(l), Some(u)) => u.pos == l.pos + 1 && l.key() < k && k < u.key(),
-                    // k below the first leaf: position 0 must be revealed.
-                    (None, Some(u)) => u.pos == 0 && k < u.key(),
-                    // k above the last leaf: position n-1 must be revealed.
-                    (Some(l), None) => l.pos as usize == n - 1 && l.key() < k,
-                    // Empty document: trivially absent.
-                    (None, None) => n == 0,
-                };
-                absent.then_some(0.0)
-            }
-        };
-        weights.push(w);
     }
     Ok(())
 }
@@ -264,17 +207,10 @@ fn resolve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacks::{
-        absent_through_gap_response, doc_beyond_table_response, interior_as_leaf_response, Attack,
-        Tree,
-    };
     use crate::auth::{AuthConfig, AuthenticatedIndex};
-    use crate::owner::{DataOwner, Publication};
     use crate::toy::{toy_contents, toy_index, toy_query};
-    use crate::types::Query;
-    use crate::verify::VerifierParams;
+    use crate::verify::{verify, VerifierParams};
     use crate::vo::Mechanism;
-    use authsearch_corpus::{SyntheticConfig, TermId};
     use authsearch_crypto::keys::{cached_keypair, TEST_KEY_BITS};
 
     fn setup() -> (QueryResponse, VerifierParams) {
@@ -285,10 +221,23 @@ mod tests {
         (resp, auth.verifier_params())
     }
 
+    /// Resolve every term's facts of `resp` as the verifier does.
+    fn resolve(
+        resp: &QueryResponse,
+        params: &VerifierParams,
+    ) -> Result<ResolvedFreqs, VerifyError> {
+        let vo = &resp.vo;
+        let mut freqs = ResolvedFreqs::new(params.publication(), &vo.docs, vo.terms.len())?;
+        for (i, (tv, facts)) in vo.terms.iter().zip(&vo.facts).enumerate() {
+            freqs.resolve_term(i, tv.term, tv.ft as usize, facts, &vo.docs)?;
+        }
+        Ok(freqs)
+    }
+
     #[test]
     fn honest_doc_proofs_resolve() {
         let (resp, params) = setup();
-        let freqs = resolve_doc_proofs(params.publication(), &resp, 1).unwrap();
+        let freqs = resolve(&resp, &params).unwrap();
         assert_eq!(freqs.index.len(), 4); // docs 5, 3, 6, 1
                                           // d6 contains all four query terms (Figure 8).
         for i in 0..4 {
@@ -299,33 +248,53 @@ mod tests {
         assert_eq!(freqs.weight_of(5, 0), Some(0.0));
         assert_eq!(freqs.weight_of(5, 3), Some(0.0));
         assert!(freqs.weight_of(5, 1).unwrap() > 0.0); // 'in' = 0.142
+        assert_eq!(freqs.weight_of(8, 0), None);
     }
 
     #[test]
     fn tampered_weight_breaks_the_held_root() {
+        // An inflated revealed weight moves its term's doc-order root, so
+        // the dictionary root off the held manifest's.
         let (mut resp, params) = setup();
-        // Inflate a revealed weight in doc 5's proof.
-        let dv = resp.vo.docs.iter_mut().find(|d| d.doc == 5).unwrap();
-        let idx = dv.revealed.iter().position(|l| l.weight > 0.0).unwrap();
-        dv.revealed[idx].weight *= 2.0;
-        let err = super::super::verify(&params, &toy_query(), 2, &resp).unwrap_err();
-        assert_eq!(err, VerifyError::DocumentRoot { doc: 5 });
+        let leaf = (resp.vo.facts.iter_mut())
+            .flat_map(|f| f.revealed.iter_mut())
+            .find(|l| l.doc == 5)
+            .unwrap();
+        leaf.weight *= 2.0;
+        let err = verify(&params, &toy_query(), 2, &resp).unwrap_err();
+        assert_eq!(err, VerifyError::DictionaryRoot);
     }
 
     #[test]
     fn dropped_leaf_breaks_proof_shape() {
+        // Without a revealed leaf whose absence the tree's shape shows,
+        // the digests no longer fit it.
         let (mut resp, params) = setup();
-        let dv = &mut resp.vo.docs[0];
-        dv.revealed.remove(0);
-        let err = resolve_doc_proofs(params.publication(), &resp, 1).unwrap_err();
-        assert!(matches!(err, VerifyError::MalformedProof(_)), "{err:?}");
+        let (i, j) = (resp.vo.terms.iter().zip(&resp.vo.facts).enumerate())
+            .find_map(|(i, (tv, facts))| {
+                let positions: Vec<usize> = facts.revealed.iter().map(|l| l.pos as usize).collect();
+                (0..positions.len()).find_map(|j| {
+                    let mut fewer = positions.clone();
+                    fewer.remove(j);
+                    let len = authsearch_crypto::merkle::proof_len(tv.ft as usize, &fewer);
+                    (len != facts.proof.digests.len()).then_some((i, j))
+                })
+            })
+            .unwrap();
+        resp.vo.facts[i].revealed.remove(j);
+        let term = resp.vo.terms[i].term;
+        let err = resolve(&resp, &params).unwrap_err();
+        assert_eq!(
+            err,
+            VerifyError::MalformedProof(format!("term {term}: doc-order proof shape"))
+        );
     }
 
     #[test]
     fn missing_result_content_rejected() {
         let (mut resp, params) = setup();
         resp.contents.remove(0);
-        let err = resolve_doc_proofs(params.publication(), &resp, 1).unwrap_err();
+        let err = check_contents(params.publication(), &resp).unwrap_err();
         assert!(matches!(err, VerifyError::MissingContent { .. }));
     }
 
@@ -334,101 +303,21 @@ mod tests {
         let (mut resp, params) = setup();
         resp.contents[0].1 = b"forged document body".to_vec();
         let doc = resp.contents[0].0;
-        let err = super::super::verify(&params, &toy_query(), 2, &resp).unwrap_err();
+        let err = verify(&params, &toy_query(), 2, &resp).unwrap_err();
         assert_eq!(err, VerifyError::ContentDigest { doc });
-    }
-
-    /// A TRA reply with at least `4 × DOCS_PER_THREAD` document proofs,
-    /// so widths 1, 2 and 4 each split it differently: the four most
-    /// frequent terms of a 400-document collection.
-    fn wide_reply() -> (Publication, Query, QueryResponse) {
-        let corpus = SyntheticConfig::tiny(400, 7).generate();
-        let config = AuthConfig::new(Mechanism::TraMht);
-        let publication = DataOwner::with_cached_key(TEST_KEY_BITS).publish(&corpus, config);
-        let index = publication.auth.index();
-        let mut terms: Vec<TermId> = (0..index.num_terms() as TermId).collect();
-        terms.sort_by_key(|&t| std::cmp::Reverse(index.ft(t)));
-        let mut top = terms[..4].to_vec();
-        top.sort_unstable();
-        let query = Query::from_term_ids(index, &top);
-        let response = publication.auth.query(&query, 10, &corpus).unwrap();
-        (publication, query, response)
-    }
-
-    #[test]
-    fn verdict_is_the_same_at_every_width() {
-        let (publication, _, honest) = wide_reply();
-        let params = &publication.verifier_params;
-        let docs = honest.vo.docs.len();
-        assert!(docs >= 4 * DOCS_PER_THREAD, "{docs} document proofs");
-        let held = params.publication();
-        let sequential = |response: &QueryResponse| resolve_doc_proofs(held, response, 1);
-        assert!(sequential(&honest).is_ok());
-
-        // Every catalogue attack that applies to a TRA reply, and every
-        // forged reply the catalogue builds from one.
-        let mut cases = vec![("honest".to_string(), honest.clone())];
-        let catalogue = Attack::COMMON
-            .iter()
-            .chain(&Attack::TRA_ONLY)
-            .chain(&Attack::DOC_TABLE)
-            .chain(&Attack::DOC_KEY)
-            .chain(&Attack::CONJUNCTIVE);
-        for &attack in catalogue {
-            let mut tampered = honest.clone();
-            if attack.apply(&mut tampered) {
-                cases.push((attack.name().into(), tampered));
-            }
-        }
-        let beyond = doc_beyond_table_response(&honest, &publication.auth).unwrap();
-        cases.push(("doc id past the table".into(), beyond));
-        let gap = absent_through_gap_response(&honest, &publication.auth).unwrap();
-        cases.push(("present term claimed absent".into(), gap));
-        let forged = interior_as_leaf_response(&honest, &publication.auth, Tree::DocMht).unwrap();
-        cases.push(("interior node as a document-MHT leaf".into(), forged));
-
-        // A duplicate proof in the last chunk whose first copy is in the
-        // first chunk.
-        let mut duplicated = honest.clone();
-        duplicated.vo.docs.push(honest.vo.docs[0].clone());
-        let first = honest.vo.docs[0].doc;
-        assert_eq!(
-            sequential(&duplicated).err(),
-            Some(VerifyError::MalformedProof(format!(
-                "duplicate document proof for {first}"
-            )))
-        );
-        cases.push(("duplicate across chunks".into(), duplicated));
-
-        // A doc id at `n` in the last chunk, after a malformed proof in
-        // the first: the malformed proof comes first in VO order.
-        let mut both = honest.clone();
-        both.vo.docs[1].proof.digests.push(Digest::ZERO);
-        both.vo.docs.last_mut().unwrap().doc = params.num_docs() as DocId;
-        let bad = both.vo.docs[1].doc;
-        assert_eq!(
-            sequential(&both).err(),
-            Some(VerifyError::MalformedProof(format!(
-                "document {bad}: MHT proof shape"
-            )))
-        );
-        cases.push(("doc id past the table after a malformed proof".into(), both));
-
-        for (name, response) in &cases {
-            let want = sequential(response);
-            for width in [2, 4] {
-                let got = resolve_doc_proofs(held, response, width);
-                assert_eq!(got, want, "{name} at width {width}");
-            }
-        }
     }
 
     #[test]
     fn duplicate_doc_proof_rejected() {
         let (mut resp, params) = setup();
-        let dup = resp.vo.docs[0].clone();
-        resp.vo.docs.push(dup);
-        let err = resolve_doc_proofs(params.publication(), &resp, 1).unwrap_err();
-        assert!(matches!(err, VerifyError::MalformedProof(_)));
+        resp.vo.docs.push(resp.vo.docs[0]);
+        let err = resolve(&resp, &params).unwrap_err();
+        assert_eq!(
+            err,
+            VerifyError::MalformedProof(format!(
+                "duplicate document proof for {}",
+                resp.vo.docs[0]
+            ))
+        );
     }
 }

@@ -9,21 +9,20 @@
 //!    client holds ([`VerifierParams`], checked once under the owner's
 //!    key by [`VerifierParams::open`]): reconstruct every
 //!    term-(chain-)MHT root from the VO's list prefixes and
-//!    complementary digests, and from those roots (each bound to its
-//!    term and `f_t`) the dictionary-MHT root, which must be the held
-//!    manifest's over its `m` leaves; for TRA likewise reconstruct every
-//!    document-MHT root, which must be the held root at its doc id, hash
-//!    every result document's content, which must be the held `h(doc)`,
-//!    and resolve the query-term frequency of every encountered document
-//!    (present value, or a proven absence via adjacent-leaf bounding).
-//!    A reply carries no signature: nothing in it is checked under the
-//!    key.
+//!    complementary digests — under TRA also every term's doc-order
+//!    root from its proof of the proved documents' facts, resolving each
+//!    (present value, or a proven absence by adjacent bracketing leaves;
+//!    `docproof`) — and from those roots (each bound to its term and
+//!    `f_t`) the dictionary-MHT root, which must be the held manifest's
+//!    over its `m` leaves; for TRA then hash every result document's
+//!    content, which must be the held `h(doc)`. A reply carries no
+//!    signature: nothing in it is checked under the key.
 //! 2. **Replay the deterministic threshold algorithm** over exactly those
 //!    authenticated inputs (a conjunctive query instead recomputes the
 //!    ranked intersection, see [`verify`]). If the replay ever needs data
 //!    the VO does not substantiate, the VO is insufficient and the result
 //!    is rejected; a replay that terminates must reproduce the reported
-//!    result exactly, and the VO's document proofs must be exactly the
+//!    result exactly, and the VO's proved documents must be exactly the
 //!    documents the replay met, in the order it met them.
 //!
 //! Authentic prefixes + deterministic replay imply the correctness
@@ -35,12 +34,12 @@
 mod docproof;
 
 use crate::access::{AccessError, FreqAccess, ListAccess};
-use crate::auth::dict_leaf_digest;
 use crate::auth::serve::QueryResponse;
+use crate::auth::{combined_root, dict_leaf_digest};
 use crate::publication::SignedPublication;
 use crate::types::{DocIdMap, Query, QueryError, QueryMode, QueryResult};
-use crate::vo::{DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject};
-use crate::{pool, tnra, tra};
+use crate::vo::{Mechanism, PrefixData, TermProof, TermVo, VerificationObject};
+use crate::{tnra, tra};
 use authsearch_corpus::{DocId, TermId};
 use authsearch_crypto::{reconstruct_head, reconstruct_root, Digest, RsaPublicKey};
 use authsearch_index::{BlockLayout, ImpactEntry};
@@ -73,25 +72,19 @@ pub enum VerifyError {
     /// document-table root its manifest signs.
     DocTableRoot,
     /// The dictionary-MHT root or size `m` a reply's proofs reconstruct
-    /// is not the held manifest's: a term's list, `f_t` or position
-    /// differs from what the owner signed, or the reply is another
-    /// publication's.
+    /// is not the held manifest's: a term's list, `f_t` or position, or
+    /// under TRA a revealed doc-order leaf (a weight, doc id or
+    /// position), differs from what the owner signed, or the reply is
+    /// another publication's.
     DictionaryRoot,
-    /// A document proof (TRA) reconstructs another root than the held
-    /// document-MHT root at its doc id: a weight, class or position
-    /// differs from what the owner signed, or the proof is another
-    /// document's.
-    DocumentRoot {
-        /// The document the proof claims to be for.
-        doc: DocId,
-    },
     /// A result document's content (TRA) does not hash to the held
     /// `h(doc)`.
     ContentDigest {
         /// The document.
         doc: DocId,
     },
-    /// A reply names a document outside the held collection (TRA).
+    /// A reply proves or ranks a document outside the held collection
+    /// (TRA).
     UnknownDocument {
         /// The document.
         doc: DocId,
@@ -112,14 +105,16 @@ pub enum VerifyError {
     },
     /// The replay needed data the VO does not substantiate.
     InsufficientData(String),
-    /// A query-term frequency could be neither proven present nor absent.
+    /// A proved document's query-term frequency (TRA) is neither
+    /// present nor bracketed as absent in the term's doc-order proof.
     FrequencyUnproven {
         /// Document in question.
         doc: DocId,
         /// Query term in question.
         term: TermId,
     },
-    /// An encountered document lacks its document-MHT proof.
+    /// A document the conjunctive recomputation reads is not among the
+    /// proved documents (TRA).
     MissingDocProof {
         /// The document.
         doc: DocId,
@@ -166,10 +161,6 @@ impl fmt::Display for VerifyError {
                 f,
                 "the reply's dictionary-MHT is not the held publication's"
             ),
-            VerifyError::DocumentRoot { doc } => write!(
-                f,
-                "document {doc}'s proof does not reach its held document-MHT root"
-            ),
             VerifyError::ContentDigest { doc } => write!(
                 f,
                 "content of result document {doc} does not hash to its held digest"
@@ -191,7 +182,7 @@ impl fmt::Display for VerifyError {
                 write!(f, "frequency of term {term} in document {doc} unproven")
             }
             VerifyError::MissingDocProof { doc } => {
-                write!(f, "no document-MHT proof for encountered document {doc}")
+                write!(f, "no proof of the facts of encountered document {doc}")
             }
             VerifyError::MissingContent { doc } => {
                 write!(f, "content of result document {doc} missing")
@@ -227,7 +218,7 @@ pub struct VerifiedResult {
 /// What a client verifies against: the owner's public key, the block
 /// layout, and the owner's publication (`crate::publication`) checked
 /// under that key — the signed manifest and, under TRA, each document's
-/// content digest and document-MHT root. The publication sits behind one
+/// content digest. The publication sits behind one
 /// `Arc`, so clones share it; [`VerifierParams::held_bytes`] is what it
 /// costs a client to hold.
 ///
@@ -306,7 +297,7 @@ impl VerifierParams {
     }
 
     /// Bytes held for checking replies: the 55-byte manifest and, under
-    /// TRA, 32 per document.
+    /// TRA, 16 per document.
     pub fn held_bytes(&self) -> usize {
         self.publication.held_bytes()
     }
@@ -350,10 +341,10 @@ const SCORE_EPS: f64 = 1e-9;
 ///   reveal its head, and the replayed scan must reach its threshold stop
 ///   inside the prefix, on the front the engine stopped on
 ///   ([`VerifyError::ConjunctIncomplete`] otherwise). Each scanned
-///   document's membership in the other lists is settled by its
-///   authenticated document-MHT: a revealed `(t, w)` leaf proves
-///   presence, an adjacent bounding pair proves absence — so no conjunct
-///   can be silently dropped and no outsider smuggled in. Under **TNRA**
+///   document's membership in the other lists is settled by the terms'
+///   authenticated doc-order proofs: a revealed `⟨d, w⟩` leaf proves
+///   presence, an adjacent bracketing pair proves absence — so no
+///   conjunct can be silently dropped and no outsider smuggled in. Under **TNRA**
 ///   every query term's list must be revealed in full
 ///   ([`VerifyError::ConjunctIncomplete`] otherwise) and absence is
 ///   proven by exhaustion against the signed roots. The scan and its
@@ -366,7 +357,7 @@ pub fn verify(
     r: usize,
     response: &QueryResponse,
 ) -> Result<VerifiedResult, VerifyError> {
-    // Step 1: authenticate every list prefix and document proof.
+    // Step 1: authenticate every list prefix and document fact.
     let inputs = authenticate(params, query, response)?;
 
     // Step 2: recompute the result from the authenticated inputs alone.
@@ -427,17 +418,11 @@ fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<Recomputed, Ver
             let candidates = lists.prefixes.get(anchor).ok_or_else(|| {
                 VerifyError::MalformedProof(format!("anchor {anchor} has no VO term"))
             })?;
-            // The authenticated document-MHT proofs certify, for every
-            // document the scan reads × query term, either the weight or
-            // a proven absence.
-            let weight = |d: DocId, i: usize| lists.freqs.weight_of(d, i).ok_or((d, i));
-            let unproven = |(doc, i): (DocId, usize)| {
-                if lists.freqs.contains(doc) {
-                    VerifyError::FrequencyUnproven { doc, term: term(i) }
-                } else {
-                    VerifyError::MissingDocProof { doc }
-                }
-            };
+            // The authenticated doc-order proofs certify, for every
+            // proved document × query term, either the weight or a
+            // proven absence; the scan may read no other document.
+            let weight = |d: DocId, i: usize| lists.freqs.weight_of(d, i).ok_or(d);
+            let unproven = |doc: DocId| VerifyError::MissingDocProof { doc };
             // A complete anchor is ranked whole. Otherwise the scan must
             // stop inside the revealed prefix, against the proven head
             // of every other list.
@@ -508,32 +493,39 @@ fn intersect(inputs: &Inputs, query: &Query, r: usize) -> Result<Recomputed, Ver
 }
 
 /// Step 1 of verification: check the VO's shape, reconstruct every term
-/// root and the dictionary root and compare the latter with the held
-/// manifest's, then under TRA check every result document's content and
-/// every document proof against the held records. Only then are the
-/// prefixes handed out, TNRA's after the ordering screen.
+/// root — under TRA combined with its doc-order root, resolving the
+/// proved documents' facts on the way — and the dictionary root, and
+/// compare the latter with the held manifest's; then under TRA check
+/// every result document's content against its held digest. Only then
+/// are the prefixes handed out, TNRA's after the ordering screen.
 fn authenticate<'a>(
     params: &VerifierParams,
     query: &Query,
     response: &'a QueryResponse,
 ) -> Result<Inputs<'a>, VerifyError> {
     let vo = &response.vo;
+    let held = params.publication();
     check_query_shape(params, query, vo)?;
-    let mut term_roots = Vec::with_capacity(vo.terms.len());
-    for tv in &vo.terms {
-        term_roots.push(verify_term_prefix(params, tv)?);
-    }
-    check_dict_root(params.publication(), vo, &term_roots)?;
-    let freqs = if params.mechanism().is_tra() {
-        let width = pool::doc_proof_width(pool::available_parallelism(), vo.docs.len());
-        Some(docproof::resolve_doc_proofs(
-            params.publication(),
-            response,
-            width,
-        )?)
+    let mut freqs = if params.mechanism().is_tra() {
+        Some(ResolvedFreqs::new(held, &vo.docs, vo.terms.len())?)
     } else {
         None
     };
+    let mut term_roots = Vec::with_capacity(vo.terms.len());
+    for (i, tv) in vo.terms.iter().enumerate() {
+        let root = verify_term_prefix(params, tv)?;
+        term_roots.push(match (&mut freqs, vo.facts.get(i)) {
+            (Some(freqs), Some(facts)) => {
+                let doc_root = freqs.resolve_term(i, tv.term, tv.ft as usize, facts, &vo.docs)?;
+                combined_root(&root, &doc_root)
+            }
+            _ => root,
+        });
+    }
+    check_dict_root(held, vo, &term_roots)?;
+    if freqs.is_some() {
+        docproof::check_contents(held, response)?;
+    }
 
     let lens = vo.terms.iter().map(|tv| tv.ft as usize).collect();
     Ok(match freqs {
@@ -607,6 +599,18 @@ fn check_query_shape(
                 tv.term, qt.term
             )));
         }
+    }
+    // TRA proves its documents' facts once per query term; TNRA none.
+    let want = if vo.mechanism.is_tra() {
+        vo.terms.len()
+    } else {
+        0
+    };
+    if vo.facts.len() != want {
+        return Err(VerifyError::QueryShapeMismatch(format!(
+            "{} doc-order proofs for {want} expected",
+            vo.facts.len()
+        )));
     }
     Ok(())
 }
@@ -698,10 +702,10 @@ fn check_dict_root(
     Ok(())
 }
 
-/// The reply's document proofs must be for exactly the documents `met`,
-/// in that order; any other list is malformed at its first difference.
-fn check_proof_order(proofs: &[DocVo], met: &[DocId]) -> Result<(), VerifyError> {
-    let at = |k: usize| (proofs.get(k).map(|dv| dv.doc), met.get(k).copied());
+/// The reply's proved documents must be exactly the documents `met`, in
+/// that order; any other list is malformed at its first difference.
+fn check_proof_order(proofs: &[DocId], met: &[DocId]) -> Result<(), VerifyError> {
+    let at = |k: usize| (proofs.get(k).copied(), met.get(k).copied());
     let Some(k) = (0..proofs.len().max(met.len())).find(|&k| at(k).0 != at(k).1) else {
         return Ok(());
     };
@@ -746,11 +750,11 @@ fn compare_results(replayed: &QueryResult, reported: &QueryResult) -> Result<(),
 
 /// Replay lists borrowed from the VO: per query term its signed length
 /// and its revealed prefix, of `⟨d, f⟩` entries under TNRA and of doc
-/// ids under TRA, whose weights `freqs` resolves *lazily* from the
-/// authenticated document-MHT frequencies. Laziness matters: buddy
+/// ids under TRA, whose weights `freqs` looks up *lazily* among the
+/// authenticated facts of the proved documents. Laziness matters: buddy
 /// inclusion pads prefixes with entries beyond the cut-off whose
-/// documents were never encountered and thus carry no document proof —
-/// the replay never reads them, so they must not trigger a rejection.
+/// documents were never encountered and thus are not proved — the
+/// replay never reads them, so they must not trigger a rejection.
 struct VoLists<'a, T, F = ()> {
     lens: Vec<usize>,
     prefixes: Vec<&'a [T]>,
@@ -958,7 +962,7 @@ mod tests {
         // malformed, named by the first proof off the replay's list.
         let (auth, params) = setup(Mechanism::TraMht);
         let resp = auth.query(&toy_query(), 2, &toy_contents()).unwrap();
-        let mut met: Vec<DocId> = resp.vo.docs.iter().map(|dv| dv.doc).collect();
+        let mut met: Vec<DocId> = resp.vo.docs.clone();
         assert_eq!(met, [5, 3, 6, 1]);
         met.push(8);
         let lens = resp.entries_read.clone();
@@ -977,7 +981,7 @@ mod tests {
             ))
         );
         let mut dup = resp.clone();
-        dup.vo.docs.push(resp.vo.docs[0].clone());
+        dup.vo.docs.push(resp.vo.docs[0]);
         assert_eq!(
             verify(&params, &toy_query(), 2, &dup),
             Err(VerifyError::MalformedProof(
@@ -987,7 +991,7 @@ mod tests {
         let (tnra_auth, tnra_params) = setup(Mechanism::TnraMht);
         let mut tnra = tnra_auth.query(&toy_query(), 2, &toy_contents()).unwrap();
         assert!(verify(&tnra_params, &toy_query(), 2, &tnra).is_ok());
-        tnra.vo.docs.push(resp.vo.docs[2].clone());
+        tnra.vo.docs.push(resp.vo.docs[2]);
         assert_eq!(
             verify(&tnra_params, &toy_query(), 2, &tnra),
             Err(VerifyError::MalformedProof(

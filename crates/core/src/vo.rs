@@ -3,7 +3,7 @@
 //! 15(d) and Table 2).
 
 use authsearch_corpus::{DocId, TermId};
-use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof, DIGEST_LEN};
+use authsearch_crypto::{ChainPrefixProof, MerkleProof, DIGEST_LEN};
 use authsearch_index::codec::varint_len;
 use authsearch_index::ImpactEntry;
 
@@ -82,7 +82,7 @@ impl Mechanism {
 #[derive(Debug, Clone, PartialEq)]
 pub enum PrefixData {
     /// TRA lists: document identifiers only (a varint each); their
-    /// frequencies travel in the document-MHTs.
+    /// frequencies travel in the doc-order proofs ([`TermFacts`]).
     DocIds(Vec<DocId>),
     /// TNRA lists: full `⟨d, f⟩` impact entries (a varint doc id and a
     /// 4-byte weight each).
@@ -154,62 +154,41 @@ pub struct TermVo {
     pub signature: Option<Vec<u8>>,
 }
 
-impl TermVo {
-    /// The term's document-MHT leaf key, from the `f_t` its dictionary
-    /// leaf binds.
-    pub(crate) fn leaf_key(&self) -> u64 {
-        crate::types::leaf_key(crate::types::freq_class(self.ft), self.term)
-    }
-}
-
-/// Per-document verification data (TRA only): certifies the query-term
-/// frequencies of one encountered document via its document-MHT.
-#[derive(Debug, Clone, PartialEq)]
-// lint:allow(unused-pub): reached only through `VerificationObject::docs`
-pub struct DocVo {
-    /// The document.
-    pub doc: DocId,
-    /// The least leaf count that gives `proof` its shape
-    /// (`authsearch_crypto::merkle::least_leaf_count`): the document's
-    /// count of distinct terms when its last leaf is revealed, and never
-    /// more than it. Every count from the least to the true one proves
-    /// alike, so a VO carries the least and the verifier refuses any
-    /// other, and each VO has one encoding.
-    pub num_leaves: u32,
-    /// Revealed leaves, ascending position: the query terms present in
-    /// the document, the boundary pairs proving absent query terms, and
-    /// any buddies.
-    pub revealed: Vec<DocLeaf>,
-    /// Complementary digests up to the document-MHT root, which the
-    /// client holds (`crate::publication`).
+/// One query term's doc-order proof (TRA): the least set of leaves of
+/// the term's doc-order tree that settles, for every proved document
+/// `d`, either `w_{d,t}` (d's leaf) or "t ∉ d" (the two position-adjacent
+/// leaves whose doc ids bracket `d`, or the first or last leaf when `d`
+/// lies outside the list's range). The tree has `f_t` leaves, the count
+/// the term's dictionary leaf binds, so the proof carries none.
+#[derive(Debug, Clone, PartialEq, Default)]
+// lint:allow(unused-pub): reached only through `VerificationObject::facts`
+pub struct TermFacts {
+    /// Revealed leaves, by ascending position (and so ascending doc id).
+    pub revealed: Vec<FactLeaf>,
+    /// Complementary digests up to the doc-order root.
     pub proof: MerkleProof,
 }
 
-/// One revealed document-MHT leaf: the leaf message `(t, w_{d,t}, c_t)`
-/// at its position. Leaves are ordered by `crate::types::leaf_key` of
-/// `(c_t, t)`, so a verifier checks a bounding pair by key.
+/// One revealed doc-order leaf: entry `⟨d, w_{d,t}⟩` at its position in
+/// the term's list in doc-id order.
 #[derive(Debug, Clone, Copy, PartialEq)]
-// lint:allow(unused-pub): reached only through `DocVo::revealed`
-pub struct DocLeaf {
-    /// Position in the document-MHT.
+// lint:allow(unused-pub): reached only through `TermFacts::revealed`
+pub struct FactLeaf {
+    /// Position in the doc-order tree.
     pub pos: u32,
-    /// The term.
-    pub term: TermId,
+    /// The document.
+    pub doc: DocId,
     /// `w_{d,t}`.
     pub weight: f32,
-    /// `c_t`, the term's frequency class (`crate::types::freq_class`).
-    pub class: u8,
 }
 
-impl DocLeaf {
-    /// The leaf's sort key.
-    pub fn key(&self) -> u64 {
-        crate::types::leaf_key(self.class, self.term)
-    }
-
-    /// The leaf's digest in its document-MHT.
-    pub(crate) fn digest(&self) -> Digest {
-        crate::auth::doc_leaf_digest(self.term, self.weight, self.class)
+impl FactLeaf {
+    /// The leaf's entry.
+    pub(crate) fn entry(&self) -> ImpactEntry {
+        ImpactEntry {
+            doc: self.doc,
+            weight: self.weight,
+        }
     }
 }
 
@@ -234,8 +213,12 @@ pub struct VerificationObject {
     pub mechanism: Mechanism,
     /// One entry per query term, in query order.
     pub terms: Vec<TermVo>,
-    /// Document proofs (TRA mechanisms only), in encounter order.
-    pub docs: Vec<DocVo>,
+    /// The proved documents (TRA mechanisms only), in encounter order:
+    /// each one's every query-term fact is in [`VerificationObject::facts`].
+    pub docs: Vec<DocId>,
+    /// One doc-order proof per query term (TRA mechanisms only), in
+    /// query order.
+    pub facts: Vec<TermFacts>,
     /// Dictionary-MHT proof: present on every reply.
     pub dict: Option<DictVo>,
 }
@@ -247,9 +230,8 @@ pub struct VerificationObject {
 /// [`VoSize::total`] plus [`VoSize::framing`] bytes long.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VoSize {
-    /// Leaf/data bytes: term ids and `f_t`, prefix entries, document
-    /// ids and leaf counts, revealed document-MHT leaves and the
-    /// dictionary size.
+    /// Leaf/data bytes: term ids and `f_t`, prefix entries, proved
+    /// document ids, revealed doc-order leaves and the dictionary size.
     pub data: usize,
     /// Digest bytes (16 per digest).
     pub digest: usize,
@@ -284,7 +266,7 @@ impl std::ops::Add for VoSize {
 
 impl VerificationObject {
     /// Signatures the paper's scheme carries for the same reply: one per
-    /// query term's list (§3.3) plus one per document proof (Figure 8
+    /// query term's list (§3.3) plus one per proved document (Figure 8
     /// signs every document-MHT root), where this VO carries none.
     pub(crate) fn paper_signature_count(&self) -> usize {
         self.terms.len() + self.docs.len()
@@ -292,12 +274,9 @@ impl VerificationObject {
 
     /// Compute the byte breakdown of the VO's encoding.
     pub fn size(&self) -> VoSize {
-        // Magic, mechanism, and the term and document counts.
+        // Magic, mechanism and the term count.
         let mut s = VoSize {
-            framing: crate::wire::MAGIC.len()
-                + 1
-                + count_len(self.terms.len())
-                + count_len(self.docs.len()),
+            framing: crate::wire::MAGIC.len() + 1 + count_len(self.terms.len()),
             ..VoSize::default()
         };
         for t in &self.terms {
@@ -308,21 +287,7 @@ impl VerificationObject {
             s.framing += 2 + count_len(t.prefix.len()) + count_len(digests);
             s.digest += digests * DIGEST_LEN;
         }
-        for d in &self.docs {
-            s.data += varint32_len(d.doc) + varint32_len(d.num_leaves);
-            let mut next = 0;
-            for leaf in &d.revealed {
-                // A leaf out of order does not encode; charge it a gap
-                // of zero.
-                let packed = crate::wire::packed_leaf(next, leaf.pos, leaf.class)
-                    .unwrap_or(leaf.class.into());
-                s.data += varint_len(packed) + varint32_len(leaf.term) + 4;
-                next = u64::from(leaf.pos) + 1;
-            }
-            // Revealed and digest counts.
-            s.framing += count_len(d.revealed.len()) + count_len(d.proof.digests.len());
-            s.digest += d.proof.size_bytes();
-        }
+        s = s + self.facts_size();
         if let Some(dict) = &self.dict {
             s.data += varint32_len(dict.num_terms);
             s.framing += count_len(dict.proof.digests.len());
@@ -332,9 +297,52 @@ impl VerificationObject {
     }
 }
 
+impl VerificationObject {
+    /// The byte breakdown of the proved documents and the doc-order
+    /// proofs (TRA): the document count and ids, then under TRA the
+    /// proof count and every proof.
+    pub(crate) fn facts_size(&self) -> VoSize {
+        let mut s = VoSize {
+            data: self.docs.iter().map(|&d| varint32_len(d)).sum(),
+            framing: count_len(self.docs.len()),
+            ..VoSize::default()
+        };
+        if self.mechanism.is_tra() {
+            s.framing += count_len(self.facts.len());
+        }
+        self.facts.iter().fold(s, |s, f| s + f.size())
+    }
+}
+
+impl TermFacts {
+    /// The byte breakdown of this proof's encoding: per leaf its position
+    /// and doc id, each a gap from the previous leaf's (a leaf out of
+    /// order is charged a gap of zero), and its 4-byte weight; then the
+    /// digests; framed by the leaf and digest counts.
+    pub(crate) fn size(&self) -> VoSize {
+        let (mut next_pos, mut next_doc) = (0, 0);
+        let mut data = 0;
+        for leaf in &self.revealed {
+            let pos = u64::from(leaf.pos);
+            let doc = u64::from(leaf.doc);
+            data += varint_len(pos.saturating_sub(next_pos))
+                + varint_len(doc.saturating_sub(next_doc))
+                + 4;
+            (next_pos, next_doc) = (pos + 1, doc + 1);
+        }
+        VoSize {
+            data,
+            digest: self.proof.size_bytes(),
+            signature: 0,
+            framing: count_len(self.revealed.len()) + count_len(self.proof.digests.len()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use authsearch_crypto::Digest;
 
     #[test]
     fn mechanism_predicates() {
@@ -380,6 +388,7 @@ mod tests {
                 signature: None,
             }],
             docs: vec![],
+            facts: vec![],
             dict: Some(DictVo {
                 num_terms: 16,
                 proof: MerkleProof {
@@ -402,13 +411,16 @@ mod tests {
 
     #[test]
     fn tra_vo_counts_no_signature_and_no_table() {
-        // A document proof adds its id, leaf count, two counts and its
-        // digests: no signature, no table proof and no content digest,
-        // all of which the client holds.
-        let doc = DocVo {
-            doc: 3,
-            num_leaves: 0,
-            revealed: vec![],
+        // The proved documents add their ids, and each doc-order proof
+        // its leaves, digests and two counts: no signature, no table
+        // proof and no content digest, all of which the client holds.
+        let leaf = |pos, doc| FactLeaf {
+            pos,
+            doc,
+            weight: 0.5,
+        };
+        let facts = TermFacts {
+            revealed: vec![leaf(2, 130), leaf(3, 140)],
             proof: MerkleProof {
                 digests: vec![Digest::ZERO; 2],
             },
@@ -416,15 +428,22 @@ mod tests {
         let vo = VerificationObject {
             mechanism: Mechanism::TraMht,
             terms: vec![],
-            docs: vec![doc.clone(), DocVo { doc: 4, ..doc }],
+            docs: vec![3, 140],
+            facts: vec![facts.clone(), TermFacts::default()],
             dict: None,
         };
         let s = vo.size();
-        // A 1-byte doc id and leaf count per document.
-        assert_eq!((s.data, s.digest, s.signature), (4, 4 * DIGEST_LEN, 0));
-        // Magic, mechanism, the two top-level counts, and two counts
-        // per document.
-        assert_eq!(s.framing, (4 + 1 + 2) + 2 * 2);
+        // Doc ids of 1 and 2 bytes; leaves of a 1-byte position gap, a
+        // 2- then 1-byte doc-id gap and a weight.
+        let leaves = (1 + 2 + 4) + (1 + 1 + 4);
+        assert_eq!(
+            (s.data, s.digest, s.signature),
+            (3 + leaves, 2 * DIGEST_LEN, 0)
+        );
+        // Magic, mechanism, the three top-level counts, and two counts
+        // per doc-order proof.
+        assert_eq!(s.framing, (4 + 1 + 3) + 2 * 2);
+        assert_eq!(facts.size().total(), leaves + 2 * DIGEST_LEN);
         assert_eq!(vo.paper_signature_count(), 2);
     }
 }

@@ -4,7 +4,7 @@
 //! The VO travels from the search engine to the user, who pays for
 //! every byte of it (the paper's Table 2 and Figures 13–15(d)), so its
 //! encoding carries what the proof needs and little else. Ids, `f_t`,
-//! leaf counts and every count are LEB128 varints
+//! leaf positions and every count are LEB128 varints
 //! (`authsearch_index::codec`, minimal form only, so each VO has exactly
 //! one encoding); weights keep their 4 bytes of `f32` bits and digests
 //! their 16. The size model of [`crate::vo`] charges each field at this
@@ -15,28 +15,31 @@
 //! `v` is a varint; `v16` a varint the layout caps at `u16::MAX`.
 //!
 //! ```text
-//! "AVO1" (4) | mechanism u8 | n_terms v16 | terms | n_docs v | docs
+//! "AVO1" (4) | mechanism u8 | n_terms v16 | terms | n_docs v | n_docs × (d v)
+//!   | TRA only: n_facts v16, n_facts × facts
 //!   | dict: m v, n v16, n × digest
 //! term:  t v | f_t v | prefix | proof
 //!   prefix: 0 u8, n v, n × (d v)               TRA: doc ids
 //!         | 1 u8, n v, n × (d v, w f32)        TNRA: impact entries
 //!   proof:  0 u8 (MHT) | 1 u8 (chain-MHT tail), n v16, n × digest
-//! doc:   d v | num_leaves v | n v | n × leaf | n v16, n × digest
-//! leaf:  (gap << 6 | c_t) v | t v | w f32
+//! facts: n v | n × leaf | n v16, n × digest    one per query term
+//! leaf:  pos gap v | doc gap v | w f32
 //! ```
 //!
 //! A VO carries no signature, no document-table proof and no content
 //! digest: the client holds the owner's publication
 //! (`crate::publication`) and compares what the VO reconstructs with
-//! it.
+//! it. The `docs` are the proved documents in encounter order; each
+//! `facts` entry is one query term's doc-order proof of every fact about
+//! them, and carries no leaf count: the tree has `f_t` leaves.
 //!
-//! A revealed leaf's `gap` is its position minus the previous leaf's
-//! position minus one (the first leaf's is its position), so positions
-//! ascend strictly by construction, and its six low bits carry its
-//! frequency class `c_t` in `1..=32`. Decoding refuses a gap that runs
-//! past `num_leaves` (computed in `u64`, so a forged gap cannot wrap), a
-//! class outside `1..=32`, a value too large for its field, and a count
-//! the remaining bytes could not hold, before allocating for it.
+//! A revealed leaf's position gap is its position minus the previous
+//! leaf's position minus one (the first leaf's is its position), and its
+//! doc gap likewise for its doc id, so both ascend strictly by
+//! construction. Decoding refuses a gap that runs past `u32` (computed in
+//! `u64`, so a forged gap cannot wrap), a value too large for its field,
+//! and a count the remaining bytes could not hold, before allocating for
+//! it. A TNRA VO has no `facts` section, so its bytes are those of v8.
 //!
 //! ## Frame protocol
 //!
@@ -73,7 +76,7 @@ use crate::auth::serve::QueryResponse;
 use crate::publication::SignedPublication;
 use crate::types::{QueryMode, QueryResult, ResultEntry};
 use crate::vo::{
-    DictVo, DocLeaf, DocVo, Mechanism, PrefixData, TermProof, TermVo, VerificationObject,
+    DictVo, FactLeaf, Mechanism, PrefixData, TermFacts, TermProof, TermVo, VerificationObject,
 };
 use authsearch_corpus::TermId;
 use authsearch_crypto::{ChainPrefixProof, Digest, MerkleProof};
@@ -138,8 +141,9 @@ fn err(what: &str) -> WireError {
 /// layout carries (≥ 2¹⁶ term proofs or proof digests) — truncating it
 /// would produce an unverifiable transmission — and with
 /// [`WireError::Malformed`] on a VO the layout cannot carry: one without
-/// a dictionary proof, or with revealed document leaves out of position
-/// order, past the leaf count, or of a class outside `1..=32`.
+/// a dictionary proof, a TNRA one with doc-order proofs, or one with
+/// revealed doc-order leaves whose positions or doc ids do not strictly
+/// ascend.
 /// [`TermVo`]'s per-list signature is never written.
 pub fn encode(vo: &VerificationObject) -> Result<Vec<u8>, WireError> {
     let mut buf = Vec::new();
@@ -163,16 +167,10 @@ fn count(w: &mut Writer<'_>, n: usize) {
     w.varint(n as u64);
 }
 
-/// Bits of a revealed leaf's packed field that carry its `c_t`; the
-/// bits above carry the gap from the previous leaf's position.
-const CLASS_BITS: u32 = 6;
-
-/// The packed field of a revealed leaf at `pos` of class `class`, after
-/// leaves up to position `next − 1`: `(pos − next) << 6 | c_t`. `None`
-/// for a leaf that does not come after `next`.
-pub(crate) fn packed_leaf(next: u64, pos: u32, class: u8) -> Option<u64> {
-    let gap = u64::from(pos).checked_sub(next)?;
-    Some(gap << CLASS_BITS | u64::from(class))
+/// The gap-coded value of `v` after values up to `next − 1`; `None` for
+/// a value that does not come after `next`.
+fn gap(next: u64, v: u32) -> Option<u64> {
+    u64::from(v).checked_sub(next)
 }
 
 fn write_vo(w: &mut Writer<'_>, vo: &VerificationObject) -> Result<(), WireError> {
@@ -212,26 +210,27 @@ fn write_vo(w: &mut Writer<'_>, vo: &VerificationObject) -> Result<(), WireError
         write_digests16(w, digests, "term proof digests")?;
     }
     count(w, vo.docs.len());
-    for dv in &vo.docs {
-        w.varint(dv.doc.into());
-        w.varint(dv.num_leaves.into());
-        count(w, dv.revealed.len());
-        let mut next = 0;
-        for leaf in &dv.revealed {
-            if !LEAF_CLASSES.contains(&leaf.class) {
-                return Err(err("revealed leaf of a class outside 1..=32"));
-            }
-            let packed = packed_leaf(next, leaf.pos, leaf.class)
-                .filter(|_| leaf.pos < dv.num_leaves)
-                .ok_or_else(|| {
-                    err("revealed leaves out of position order or past the leaf count")
-                })?;
-            w.varint(packed);
-            w.varint(leaf.term.into());
+    for &d in &vo.docs {
+        w.varint(d.into());
+    }
+    if vo.mechanism.is_tra() {
+        count16(w, vo.facts.len(), "doc-order proofs")?;
+    } else if !vo.facts.is_empty() {
+        return Err(err("a TNRA VO carries no doc-order proofs"));
+    }
+    for facts in &vo.facts {
+        count(w, facts.revealed.len());
+        let (mut next_pos, mut next_doc) = (0, 0);
+        for leaf in &facts.revealed {
+            let (Some(pos), Some(doc)) = (gap(next_pos, leaf.pos), gap(next_doc, leaf.doc)) else {
+                return Err(err("revealed doc-order leaves out of order"));
+            };
+            w.varint(pos);
+            w.varint(doc);
             w.u32(leaf.weight.to_bits());
-            next = u64::from(leaf.pos) + 1;
+            (next_pos, next_doc) = (u64::from(leaf.pos) + 1, u64::from(leaf.doc) + 1);
         }
-        write_digests16(w, &dv.proof.digests, "document proof digests")?;
+        write_digests16(w, &facts.proof.digests, "doc-order proof digests")?;
     }
     let dict = vo
         .dict
@@ -252,17 +251,13 @@ fn write_digests16(
     Ok(())
 }
 
-/// The frequency classes `c_t` of a term in at least one document:
-/// `freq_class` of an `f_t` of at least 1.
-const LEAF_CLASSES: std::ops::RangeInclusive<u8> = 1..=32;
-
 /// Deserialize a VO from bytes.
 pub fn decode(bytes: &[u8]) -> Result<VerificationObject, WireError> {
     codec::read_all(bytes, read_vo)
 }
 
-/// A varint that must fit a `T`: an id, `f_t` or leaf count (`u32`),
-/// or a count the layout caps at `u16::MAX`.
+/// A varint that must fit a `T`: an id or `f_t` (`u32`), or a count the
+/// layout caps at `u16::MAX`.
 #[inline(always)]
 fn varint<T: TryFrom<u64>>(r: &mut Reader<'_>, what: &'static str) -> Result<T, WireError> {
     let v = r.varint()?;
@@ -278,6 +273,18 @@ fn out_of_range(what: &str, v: u64) -> WireError {
 fn digests16(r: &mut Reader<'_>) -> Result<Vec<Digest>, WireError> {
     let n: u16 = varint(r, "digest count")?;
     Ok(r.digests(n.into(), "digest list")?)
+}
+
+/// A gap-coded `u32` after values up to `next − 1`, which it advances
+/// past the value. Added in `u64` and refused past `u32`, so a forged gap
+/// cannot wrap.
+fn ungap(r: &mut Reader<'_>, next: &mut u64, what: &'static str) -> Result<u32, WireError> {
+    let v = r.varint()?;
+    let at = (next.checked_add(v))
+        .and_then(|at| u32::try_from(at).ok())
+        .ok_or_else(|| out_of_range(what, v))?;
+    *next = u64::from(at) + 1;
+    Ok(at)
 }
 
 fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
@@ -327,45 +334,28 @@ fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
         })
     })?;
     let num_docs = r.varint()?;
-    // Smallest document proof: doc id, leaf count, revealed count and
-    // digest count, one byte each.
-    let docs = r.list(num_docs, 4, "document proof", |r| {
-        let doc = varint(r, "doc id")?;
-        let num_leaves: u32 = varint(r, "document-MHT leaf count")?;
+    let docs = r.list(num_docs, 1, "proved document", |r| varint(r, "doc id"))?;
+    let num_facts: u16 = if mechanism.is_tra() {
+        varint(r, "doc-order proof count")?
+    } else {
+        0
+    };
+    // Smallest doc-order proof: leaf and digest counts, one byte each.
+    let facts = r.list(num_facts.into(), 2, "doc-order proof", |r| {
         let n = r.varint()?;
-        let mut next = 0u64;
-        // Smallest leaf: packed field and term id of one byte each, and
-        // the 4-byte weight.
+        let (mut next_pos, mut next_doc) = (0u64, 0u64);
+        // Smallest leaf: two one-byte gaps and the 4-byte weight.
         let revealed = r.list(n, 6, "revealed leaf", |r| {
-            let packed = r.varint()?;
-            // In u64 a forged gap cannot wrap: `next` ≤ 2^32 and the gap
-            // < 2^58.
-            let pos = u32::try_from(next + (packed >> CLASS_BITS))
-                .ok()
-                .filter(|&pos| pos < num_leaves)
-                .ok_or_else(|| err("revealed leaf gap runs past the leaf count"))?;
-            // Six bits: the narrowing is exact.
-            let class = (packed & ((1 << CLASS_BITS) - 1)) as u8;
-            if !LEAF_CLASSES.contains(&class) {
-                return Err(err("revealed leaf of a class outside 1..=32"));
-            }
-            next = u64::from(pos) + 1;
-            Ok(DocLeaf {
-                pos,
-                term: varint(r, "term id")?,
+            Ok::<_, WireError>(FactLeaf {
+                pos: ungap(r, &mut next_pos, "doc-order leaf position")?,
+                doc: ungap(r, &mut next_doc, "doc-order leaf doc id")?,
                 weight: f32::from_bits(r.u32()?),
-                class,
             })
         })?;
         let proof = MerkleProof {
             digests: digests16(r)?,
         };
-        Ok::<_, WireError>(DocVo {
-            doc,
-            num_leaves,
-            revealed,
-            proof,
-        })
+        Ok::<_, WireError>(TermFacts { revealed, proof })
     })?;
     let dict = DictVo {
         num_terms: varint(r, "dictionary size")?,
@@ -377,6 +367,7 @@ fn read_vo(r: &mut Reader<'_>) -> Result<VerificationObject, WireError> {
         mechanism,
         terms,
         docs,
+        facts,
         dict: Some(dict),
     })
 }
@@ -410,9 +401,12 @@ pub const FRAME_MAGIC: [u8; 4] = *b"ASRV";
 /// TRA document-table trailer and each document proof's content flag
 /// and digest from the VO, since the client holds the owner's
 /// publication, and adds the publication request
-/// ([`kind::REQ_PUBLICATION`]) and its reply. Older frames are rejected
-/// by the version check, never misparsed.
-pub const WIRE_VERSION: u8 = 8;
+/// ([`kind::REQ_PUBLICATION`]) and its reply. **v9** replaces the TRA
+/// VO's per-document proofs with the proved doc ids and one doc-order
+/// proof per query term, and the TRA publication's per-document root
+/// leaves it (TNRA VOs and publications are byte-identical to v8).
+/// Older frames are rejected by the version check, never misparsed.
+pub const WIRE_VERSION: u8 = 9;
 
 /// Fixed size of the frame header: magic (4) + version (1) + kind (1) +
 /// payload length (4).
@@ -928,14 +922,14 @@ mod tests {
         let msg = decode(&bytes).unwrap_err().to_string();
         assert!(msg.contains("term proof count 65536 out of range"), "{msg}");
 
-        // A 10-byte VO claiming 2^26 document proofs dies the same way.
+        // A 10-byte VO claiming 2^26 proved documents dies the same way.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.push(0);
         bytes.push(0); // no term proofs
         bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x20]); // 2^26
         let msg = decode(&bytes).unwrap_err().to_string();
-        assert!(msg.contains("document proof count 67108864"), "{msg}");
+        assert!(msg.contains("proved document count 67108864"), "{msg}");
 
         // Same property on a well-formed VO whose count field is bumped
         // after encoding: every inflated count dies in validation.
@@ -982,48 +976,35 @@ mod tests {
         // Regression for the silent `as u16` truncation: 65_535 proof
         // digests is the last representable length; 65_536 must be a
         // TooLong error, not a VO that decodes into a 0-digest proof.
-        let doc_vo = |digests: usize| DocVo {
-            doc: 1,
-            num_leaves: 4,
-            revealed: Vec::new(),
-            proof: MerkleProof {
-                digests: vec![Digest::ZERO; digests],
-            },
-        };
-        let vo = |digests| VerificationObject {
-            mechanism: Mechanism::TraMht,
-            terms: Vec::new(),
-            docs: vec![doc_vo(digests)],
-            dict: Some(DictVo {
-                num_terms: 1,
-                proof: MerkleProof::default(),
-            }),
+        let vo = |digests| {
+            one_facts_vo(TermFacts {
+                revealed: Vec::new(),
+                proof: MerkleProof {
+                    digests: vec![Digest::ZERO; digests],
+                },
+            })
         };
         let at_boundary = encode(&vo(u16::MAX as usize)).unwrap();
         let back = decode(&at_boundary).unwrap();
-        assert_eq!(back.docs[0].proof.digests.len(), u16::MAX as usize);
+        assert_eq!(back.facts[0].proof.digests.len(), u16::MAX as usize);
         assert_eq!(
             encode(&vo(u16::MAX as usize + 1)).unwrap_err(),
             WireError::TooLong {
-                field: "document proof digests",
+                field: "doc-order proof digests",
                 len: 65_536,
                 max: 65_535,
             }
         );
     }
 
-    /// A TRA-MHT VO of one document proof of `num_leaves` leaves that
-    /// reveals `revealed`.
-    fn one_doc_vo(num_leaves: u32, revealed: Vec<DocLeaf>) -> VerificationObject {
+    /// A TRA-MHT VO proving document 1 by the one doc-order proof
+    /// `facts`.
+    fn one_facts_vo(facts: TermFacts) -> VerificationObject {
         VerificationObject {
             mechanism: Mechanism::TraMht,
             terms: Vec::new(),
-            docs: vec![DocVo {
-                doc: 1,
-                num_leaves,
-                revealed,
-                proof: MerkleProof::default(),
-            }],
+            docs: vec![1],
+            facts: vec![facts],
             dict: Some(DictVo {
                 num_terms: 1,
                 proof: MerkleProof::default(),
@@ -1032,78 +1013,76 @@ mod tests {
     }
 
     #[test]
-    fn leaf_gaps_and_classes_are_bounded() {
-        let leaf = |pos, class| DocLeaf {
+    fn fact_leaf_gaps_are_bounded() {
+        let leaf = |pos, doc| FactLeaf {
             pos,
-            term: 9,
+            doc,
             weight: 0.25,
-            class,
         };
-        // Positions are gap-coded, so no leaf count is too large: the
-        // last position of a u32::MAX-leaf tree takes a 6-byte packed
-        // field.
-        let last = u32::MAX - 1;
-        let honest = one_doc_vo(u32::MAX, vec![leaf(0, 32), leaf(1, 1), leaf(last, 7)]);
+        let leaves = |revealed| {
+            one_facts_vo(TermFacts {
+                revealed,
+                proof: MerkleProof::default(),
+            })
+        };
+        // Positions and doc ids are gap-coded, so none is too large: the
+        // last of each u32 takes a 5-byte gap.
+        let last = u32::MAX;
+        let honest = leaves(vec![leaf(0, 7), leaf(1, 8), leaf(last, last)]);
         let bytes = encode(&honest).unwrap();
         assert_eq!(decode(&bytes).unwrap(), honest);
-        let empty = encode(&one_doc_vo(u32::MAX, Vec::new())).unwrap();
-        // Packed field, term id and weight: 1 + 1 + 4 for each of the
-        // adjacent leaves, 6 + 1 + 4 for the last one.
-        assert_eq!(bytes.len() - empty.len(), 6 + 6 + 11);
+        let empty = encode(&leaves(Vec::new())).unwrap();
+        // Two gaps and a weight: 1 + 1 + 4 for each of the first two
+        // leaves, 5 + 5 + 4 for the last one.
+        assert_eq!(bytes.len() - empty.len(), 6 + 6 + 14);
 
-        // Encode refuses a class outside 1..=32, and leaves a gap
-        // cannot carry: out of order, repeated or past the leaf count.
+        // Encode refuses leaves a gap cannot carry: out of order or
+        // repeated, by position or by doc id; and doc-order proofs in a
+        // TNRA VO.
         for bad in [
-            vec![leaf(0, 0)],
-            vec![leaf(0, 33)],
-            vec![leaf(2, 1), leaf(1, 1)],
-            vec![leaf(1, 1), leaf(1, 1)],
-            vec![leaf(4, 1)],
+            vec![leaf(2, 1), leaf(1, 2)],
+            vec![leaf(1, 1), leaf(1, 2)],
+            vec![leaf(1, 2), leaf(2, 1)],
+            vec![leaf(1, 1), leaf(2, 1)],
         ] {
-            assert!(
-                matches!(
-                    encode(&one_doc_vo(4, bad.clone())),
-                    Err(WireError::Malformed(_))
-                ),
+            assert_eq!(
+                encode(&leaves(bad.clone())),
+                Err(err("revealed doc-order leaves out of order")),
                 "{bad:?}"
             );
         }
+        let tnra = VerificationObject {
+            mechanism: Mechanism::TnraMht,
+            ..leaves(Vec::new())
+        };
+        assert_eq!(
+            encode(&tnra),
+            Err(err("a TNRA VO carries no doc-order proofs"))
+        );
 
-        // Decode refuses the same. Byte `at` is the first leaf's packed
-        // field, after the magic, the mechanism, the term and document
-        // counts, the doc id, the leaf count and the revealed count.
-        let four = encode(&one_doc_vo(4, vec![leaf(1, 3), leaf(3, 3)])).unwrap();
-        let at = 4 + 1 + 1 + 1 + 1 + 1 + 1;
-        assert_eq!(four[at..at + 2], [1 << 6 | 3, 9], "gap 1, class 3; term 9");
-        let forged = |byte: u8| {
-            let mut b = four.clone();
-            b[at] = byte;
+        // Decode refuses a gap that runs past u32, computed without
+        // wrapping. Byte `at` is the last leaf's position gap, after the
+        // magic, the mechanism, the term, document and proof counts, the
+        // doc id, the revealed count and two 6-byte leaves.
+        let at = 4 + 1 + 1 + 1 + 1 + 1 + 1 + 6 + 6;
+        assert_eq!(bytes[at..at + 5], [0xFD, 0xFF, 0xFF, 0xFF, 0x0F]);
+        let forged = |gap: &[u8]| {
+            let mut b = bytes[..at].to_vec();
+            b.extend_from_slice(gap);
+            b.extend_from_slice(&bytes[at + 5..]);
             decode(&b)
         };
-        assert!(forged(3).is_ok(), "a first gap of 0 still fits");
-        // A first gap of 2 or 3 pushes the second leaf past the count.
-        for gap in [2, 3] {
-            assert_eq!(
-                forged(gap << 6 | 3).unwrap_err(),
-                err("revealed leaf gap runs past the leaf count")
-            );
-        }
-        for class in [0, 33, 63] {
-            assert_eq!(
-                forged(class).unwrap_err(),
-                err("revealed leaf of a class outside 1..=32")
-            );
-        }
-        // The second leaf's gap forged to 2^58 − 1, in a ten-byte
-        // varint, cannot wrap past the check.
-        let second = at + 1 + 1 + 4;
-        assert_eq!(four[second], 1 << 6 | 3);
-        let mut huge = four[..second].to_vec();
-        huge.extend_from_slice(&[0xC3, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
-        huge.extend_from_slice(&four[second + 1..]);
+        // u32::MAX − 2 is the last gap that fits after position 1.
+        assert!(forged(&[0xFD, 0xFF, 0xFF, 0xFF, 0x0F]).is_ok());
         assert_eq!(
-            decode(&huge).unwrap_err(),
-            err("revealed leaf gap runs past the leaf count")
+            forged(&[0xFE, 0xFF, 0xFF, 0xFF, 0x0F]).unwrap_err(),
+            err("doc-order leaf position 4294967294 out of range")
+        );
+        // 2^64 − 1, in a ten-byte varint, cannot wrap past the check.
+        let huge = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(
+            forged(&huge).unwrap_err(),
+            err("doc-order leaf position 18446744073709551615 out of range")
         );
     }
 
@@ -1120,6 +1099,7 @@ mod tests {
             mechanism: Mechanism::TnraMht,
             terms: vec![term_vo; u16::MAX as usize + 1],
             docs: Vec::new(),
+            facts: Vec::new(),
             dict: Some(DictVo {
                 num_terms: 1,
                 proof: MerkleProof::default(),
@@ -1152,8 +1132,8 @@ mod tests {
     fn doc_table_trailer_is_tra_only() {
         // The publication's trailer of document records is TRA's alone:
         // a TNRA publication ends with its signature, a TRA one carries
-        // each document's content digest and root after it, 32 bytes
-        // for each of the toy collection's nine documents.
+        // each document's content digest after it, 16 bytes for each of
+        // the toy collection's nine documents.
         let signature = DataOwner::with_cached_key(TEST_KEY_BITS)
             .key()
             .public_key()
@@ -1163,8 +1143,8 @@ mod tests {
         assert_eq!(tnra.len(), head);
         let tra = sample_params(Mechanism::TraMht);
         let bytes = tra.publication_bytes();
-        assert_eq!(bytes.len(), head + 9 * 32);
-        assert_eq!(tra.held_bytes(), crate::publication::MANIFEST_LEN + 9 * 32);
+        assert_eq!(bytes.len(), head + 9 * 16);
+        assert_eq!(tra.held_bytes(), crate::publication::MANIFEST_LEN + 9 * 16);
         // The server's reply payload is the same encoding.
         let engine_side = DataOwner::with_cached_key(TEST_KEY_BITS)
             .publish_index(

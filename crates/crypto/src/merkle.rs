@@ -266,30 +266,6 @@ pub fn reconstruct_root(
     digests.next().is_none().then_some(root)
 }
 
-/// The least leaf count `n'` whose tree gives a proof of leaves up to
-/// position `last` (the largest revealed position, `None` for none) the
-/// shape it has in an `n`-leaf tree, and so the same root from the same
-/// digests: [`reconstruct_root`] reads a leaf count only through which
-/// right children exist on the revealed leaves' paths, so every count
-/// between the least and the next count that adds such a child proves
-/// alike. A proof that carries its leaf count carries this one, so that
-/// the count is fixed by the rest of the proof.
-///
-/// The least count is `n` itself when leaf `n − 1` is revealed: a
-/// revealed leaf is the last of the least count only when it is the last
-/// leaf of the tree.
-pub fn least_leaf_count(n: usize, last: Option<usize>) -> usize {
-    let Some(p) = last else {
-        return n.min(1);
-    };
-    // Every node on p's path whose right child exists needs the leaves
-    // up to that child's first.
-    (1..=height(n))
-        .map(|level| (p >> level << level) + (1 << (level - 1)))
-        .filter(|&mid| mid < n)
-        .fold(p + 1, |least, mid| least.max(mid + 1))
-}
-
 /// The digest of the node at `level` whose leaf range starts at `lo`,
 /// from `revealed` (the strictly increasing pairs inside that range) and
 /// the proof digests still unread.
@@ -754,52 +730,6 @@ mod tests {
             prove_with(0, &[], |_, _| Digest::ZERO),
             MerkleProof::default()
         );
-    }
-
-    #[test]
-    fn least_leaf_count_proves_alike_and_no_smaller_count_does() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x1ea5);
-        for _ in 0..400 {
-            let n = rng.gen_range(1..80usize);
-            let mut revealed: Vec<usize> = (0..rng.gen_range(1..4))
-                .map(|_| rng.gen_range(0..n))
-                .collect();
-            revealed.sort_unstable();
-            revealed.dedup();
-            let tree = MerkleTree::from_leaves(&leaves(n));
-            let proof = tree.prove(&revealed);
-            let pairs: Vec<(usize, Digest)> = revealed
-                .iter()
-                .map(|&p| (p, tree.leaf_digests()[p]))
-                .collect();
-            let least = least_leaf_count(n, revealed.last().copied());
-            assert!(least <= n, "n={n} {revealed:?}");
-            // Every count from the least to n proves alike ...
-            for m in least..=n {
-                assert_eq!(
-                    reconstruct_root(m, &pairs, &proof),
-                    Some(tree.root()),
-                    "n={n} m={m} {revealed:?}"
-                );
-                assert_eq!(least_leaf_count(m, revealed.last().copied()), least);
-            }
-            // ... and the count below the least gives another shape.
-            if least > revealed[revealed.len() - 1] + 1 {
-                assert_ne!(
-                    reconstruct_root(least - 1, &pairs, &proof),
-                    Some(tree.root()),
-                    "n={n} least={least} {revealed:?}"
-                );
-            }
-            // A revealed last leaf fixes the count.
-            if revealed.last() == Some(&(n - 1)) {
-                assert_eq!(least, n);
-            }
-        }
-        assert_eq!(least_leaf_count(0, None), 0);
-        assert_eq!(least_leaf_count(5, None), 1);
     }
 
     #[test]

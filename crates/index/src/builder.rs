@@ -41,6 +41,7 @@ pub fn build_index(corpus: &Corpus, params: OkapiParams) -> InvertedIndex {
 
     let lists: Vec<InvertedList> = lists.into_iter().map(InvertedList::from_entries).collect();
     InvertedIndex::from_parts(params, corpus.num_docs(), avg_len, ft, lists)
+        .expect("checked Okapi parameters give finite non-negative weights")
 }
 
 #[cfg(test)]

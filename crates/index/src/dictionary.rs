@@ -3,7 +3,37 @@
 
 use crate::okapi::{self, OkapiParams};
 use crate::postings::InvertedList;
-use authsearch_corpus::TermId;
+use authsearch_corpus::{DocId, TermId};
+use std::fmt;
+
+/// Why [`InvertedIndex::from_parts`] refuses its parts.
+#[derive(Debug, Clone, PartialEq)]
+pub enum IndexError {
+    /// A weight that is NaN, infinite or negative. Every threshold bound
+    /// of the scans (Figures 5 and 10) holds only for finite
+    /// non-negative term scores, so the index admits no other.
+    BadWeight {
+        /// The term whose list holds it.
+        term: TermId,
+        /// The document.
+        doc: DocId,
+        /// The weight.
+        weight: f32,
+    },
+}
+
+impl fmt::Display for IndexError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IndexError::BadWeight { term, doc, weight } => write!(
+                f,
+                "term {term}: document {doc} has weight {weight}, not a finite non-negative number"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for IndexError {}
 
 /// The paper's inverted index: for every dictionary term, the document
 /// count `f_t` and a frequency-ordered list of `⟨d, w_{d,t}⟩` pairs.
@@ -19,23 +49,39 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Assemble from parts (used by the builder and the persistence layer).
+    /// Assemble from parts (used by the builder and the persistence
+    /// layer). Every weight must be finite and non-negative: the one
+    /// check the scans and their replays rely on, made where weights
+    /// enter; any other is refused with [`IndexError::BadWeight`].
     pub fn from_parts(
         params: OkapiParams,
         num_docs: usize,
         avg_doc_len: f64,
         ft: Vec<u32>,
         lists: Vec<InvertedList>,
-    ) -> InvertedIndex {
+    ) -> Result<InvertedIndex, IndexError> {
         assert_eq!(ft.len(), lists.len(), "dictionary/list count mismatch");
         debug_assert!(ft.iter().zip(&lists).all(|(&f, l)| f as usize == l.len()));
-        InvertedIndex {
+        for (term, list) in (0..).zip(&lists) {
+            let bad = list
+                .entries()
+                .iter()
+                .find(|e| !(e.weight.is_finite() && e.weight >= 0.0));
+            if let Some(e) = bad {
+                return Err(IndexError::BadWeight {
+                    term,
+                    doc: e.doc,
+                    weight: e.weight,
+                });
+            }
+        }
+        Ok(InvertedIndex {
             params,
             num_docs,
             avg_doc_len,
             ft,
             lists,
-        }
+        })
     }
 
     /// Number of documents `n` in the indexed collection.
@@ -106,7 +152,28 @@ mod tests {
             InvertedList::from_entries(vec![entry(0, 0.9), entry(1, 0.3)]),
             InvertedList::from_entries(vec![entry(1, 0.7)]),
         ];
-        InvertedIndex::from_parts(OkapiParams::default(), 2, 10.0, vec![2, 1], lists)
+        InvertedIndex::from_parts(OkapiParams::default(), 2, 10.0, vec![2, 1], lists).unwrap()
+    }
+
+    #[test]
+    fn non_finite_or_negative_weights_are_refused() {
+        for weight in [-0.5, f32::NAN, f32::INFINITY] {
+            let lists = vec![
+                InvertedList::from_entries(vec![entry(0, 0.9)]),
+                InvertedList::from_entries(vec![entry(0, weight)]),
+            ];
+            let refused =
+                InvertedIndex::from_parts(OkapiParams::default(), 2, 1.0, vec![1, 1], lists);
+            let err = refused.unwrap_err();
+            assert!(
+                matches!(err, IndexError::BadWeight { term: 1, doc: 0, weight: w } if w.to_bits() == weight.to_bits()),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("not a finite non-negative number"));
+        }
+        // Zero is a weight.
+        let lists = vec![InvertedList::from_entries(vec![entry(0, 0.0)])];
+        assert!(InvertedIndex::from_parts(OkapiParams::default(), 1, 1.0, vec![1], lists).is_ok());
     }
 
     #[test]
@@ -132,6 +199,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "mismatch")]
     fn mismatched_parts_rejected() {
-        InvertedIndex::from_parts(OkapiParams::default(), 1, 1.0, vec![1], vec![]);
+        let _ = InvertedIndex::from_parts(OkapiParams::default(), 1, 1.0, vec![1], vec![]);
     }
 }

@@ -33,12 +33,6 @@ impl IoStats {
     pub fn random_access(&mut self, blocks: u64) {
         self.sequential_run(blocks);
     }
-
-    /// Merge another trace into this one.
-    pub fn merge(&mut self, other: IoStats) {
-        self.seeks += other.seeks;
-        self.blocks += other.blocks;
-    }
 }
 
 impl std::ops::Add for IoStats {
@@ -77,7 +71,7 @@ mod tests {
 
     #[test]
     fn merge_and_add() {
-        let mut a = IoStats {
+        let a = IoStats {
             seeks: 1,
             blocks: 2,
         };
@@ -85,7 +79,7 @@ mod tests {
             seeks: 3,
             blocks: 4,
         };
-        a.merge(b);
+        let a = a + b;
         assert_eq!(
             a,
             IoStats {

@@ -3,7 +3,7 @@
 //! The inverted-index substrate of the framework (paper §2.1):
 //!
 //! * [`okapi`] — the Okapi BM25 weights of Formula (1);
-//! * [`postings`] — frequency-ordered impact lists `⟨d, w_{d,t}⟩`;
+//! * `postings` — frequency-ordered impact lists `⟨d, w_{d,t}⟩`;
 //! * [`dictionary`] — the [`InvertedIndex`] (dictionary + lists);
 //! * [`builder`] — corpus → index construction (the Lucene stand-in);
 //! * [`block`] — the 1-KByte block layout and the ρ / ρ′ capacities;
@@ -25,11 +25,11 @@ pub mod disk;
 pub(crate) mod iostats;
 pub mod okapi;
 pub mod persist;
-pub mod postings;
+pub(crate) mod postings;
 
 pub use block::BlockLayout;
 pub use builder::build_index;
-pub use dictionary::InvertedIndex;
+pub use dictionary::{IndexError, InvertedIndex};
 pub use disk::DiskModel;
 pub use iostats::IoStats;
 pub use okapi::OkapiParams;

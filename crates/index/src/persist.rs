@@ -155,7 +155,8 @@ pub fn read_index(bytes: &[u8]) -> Result<InvertedIndex, PersistError> {
             ft.push(len32);
             lists.push(InvertedList::from_sorted(entries));
         }
-        Ok(InvertedIndex::from_parts(params, num_docs, avg, ft, lists))
+        InvertedIndex::from_parts(params, num_docs, avg, ft, lists)
+            .map_err(|e| corrupt(e.to_string()))
     })
 }
 

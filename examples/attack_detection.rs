@@ -7,9 +7,10 @@
 //! ```
 
 use authsearch_core::attacks::{
-    absent_through_gap_response, doc_beyond_table_response, foreign_term_response,
-    interior_as_leaf_response, mechanism_swapped_response, older_index, shifted_dict_leaf_response,
-    truncated_prefix_response, Attack, Tree,
+    absent_through_gap_response, doc_beyond_table_response, dropped_bracket_response,
+    extra_leaf_response, foreign_term_response, interior_as_leaf_response,
+    mechanism_swapped_response, non_adjacent_brackets_response, older_index,
+    shifted_dict_leaf_response, truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::{
     verify, AuthConfig, AuthenticatedIndex, DataOwner, Mechanism, Query, QueryResponse,
@@ -20,7 +21,7 @@ use authsearch_index::{build_index, OkapiParams};
 
 /// Attacks this catalogue mounts across the four mechanisms; a change
 /// that drops or adds one must say so here.
-const EXPECTED_MOUNTED: usize = 77;
+const EXPECTED_MOUNTED: usize = 79;
 
 fn main() {
     let corpus = SyntheticConfig::tiny(300, 2024).generate();
@@ -73,17 +74,12 @@ fn main() {
             }
         };
 
-        let doc_side: Vec<Attack> = if mechanism.is_tra() {
-            Attack::TRA_ONLY
-                .iter()
-                .chain(&Attack::DOC_TABLE)
-                .chain(&Attack::DOC_KEY)
-                .copied()
-                .collect()
+        let doc_side: &[Attack] = if mechanism.is_tra() {
+            &Attack::TRA_ONLY
         } else {
-            Vec::new()
+            &[]
         };
-        for &attack in Attack::COMMON.iter().chain(&doc_side) {
+        for &attack in Attack::COMMON.iter().chain(doc_side) {
             let mut tampered = honest.clone();
             mount(
                 attack.name(),
@@ -154,16 +150,32 @@ fn main() {
             );
         }
 
-        // A document past the end of the collection, and a present query term
-        // claimed absent through a non-adjacent pair of leaves.
+        // A document past the end of the collection, and the doc-order
+        // proofs revealing another set than the least one, each proved
+        // honestly: a present query term claimed absent through a gap, a
+        // bracket leaf withheld, brackets that are not adjacent, and a
+        // leaf that settles nothing.
         if mechanism.is_tra() {
             mount(
                 "doc id past the collection",
                 doc_beyond_table_response(&honest, &publication.auth),
             );
+            let auth = &publication.auth;
             mount(
                 "present term claimed absent",
-                absent_through_gap_response(&honest, &publication.auth),
+                absent_through_gap_response(&honest, auth).map(|(r, ..)| r),
+            );
+            mount(
+                "bracket leaf withheld",
+                dropped_bracket_response(&honest, auth).map(|(r, ..)| r),
+            );
+            mount(
+                "brackets not adjacent",
+                non_adjacent_brackets_response(&honest, auth).map(|(r, ..)| r),
+            );
+            mount(
+                "extra revealed leaf",
+                extra_leaf_response(&honest, auth).map(|(r, ..)| r),
             );
         }
     }

@@ -5,8 +5,9 @@
 //! security contract of the library.
 
 use authsearch_core::attacks::{
-    absent_through_gap_response, doc_beyond_table_response, foreign_term_response,
-    interior_as_leaf_response, mechanism_swapped_response, older_index, rebuilt_response,
+    absent_through_gap_response, doc_beyond_table_response, dropped_bracket_response,
+    extra_leaf_response, foreign_term_response, interior_as_leaf_response,
+    mechanism_swapped_response, non_adjacent_brackets_response, older_index, rebuilt_response,
     shifted_dict_leaf_response, truncated_prefix_response, Attack, Tree,
 };
 use authsearch_core::toy::{toy_contents, toy_index, toy_query};
@@ -327,7 +328,7 @@ fn early_stop_query(
                 && revealed < fts[anchor] as usize
                 && fts.iter().all(|&ft| ft >= 2)
                 && !honest.result.entries.is_empty()
-                && honest.vo.docs.iter().any(|dv| !member(dv.doc, &query));
+                && honest.vo.docs.iter().any(|&d| !member(d, &query));
             fits.then_some((query, honest, anchor))
         })
         .expect("some pair of common terms stops early")
@@ -356,7 +357,7 @@ fn early_stopped_conjunctive_reveal_rejected_with_typed_verdicts() {
             PrefixData::DocIds(ids) => ids[0],
             PrefixData::Entries(_) => unreachable!("TRA prefixes are doc ids"),
         };
-        let proved: Vec<u32> = honest.vo.docs.iter().map(|dv| dv.doc).collect();
+        let proved: Vec<u32> = honest.vo.docs.clone();
         let rebuilt = |edit: &dyn Fn(&mut Vec<usize>, &mut Vec<u32>)| {
             let (mut lens, mut docs) = (honest.entries_read.clone(), proved.clone());
             edit(&mut lens, &mut docs);
@@ -639,8 +640,8 @@ fn deliver(path: Path, query: &Query, response: QueryResponse) -> QueryResponse 
     }
 }
 
-/// The first sampled query whose honest response every document-table
-/// attack, and the tampering of a revealed weight, applies to (so no
+/// The first sampled query whose honest response the tampering of a
+/// revealed weight and of a result document's content apply to (so no
 /// cell of the matrix is skipped).
 fn doc_table_query(
     mode: QueryMode,
@@ -660,33 +661,19 @@ fn doc_table_query(
             (query, honest)
         })
         .find(|(_, honest)| {
-            Attack::DOC_TABLE
+            [Attack::AlterDocFrequency, Attack::TamperContent]
                 .iter()
-                .chain(&[Attack::AlterDocFrequency, Attack::TamperContent])
                 .all(|attack| attack.apply(&mut honest.clone()))
         })
         .expect("some sampled query admits every document-table attack")
 }
 
-/// The one document proof `tampered` changed, by position, and its doc
-/// id after the change.
-fn changed_proof(honest: &QueryResponse, tampered: &QueryResponse) -> u32 {
-    let (_, after) = honest
-        .vo
-        .docs
-        .iter()
-        .zip(&tampered.vo.docs)
-        .find(|(a, b)| a != b)
-        .expect("one document proof changed");
-    after.doc
-}
-
 /// Every attack on the held document table is rejected with its exact
 /// `VerifyError`, on TRA-MHT and TRA-CMHT × disjunctive / conjunctive ×
-/// in-process / over the wire: a proof relabeled with a neighbour's doc
-/// id, or with a revealed weight changed, meets a held root it does not
-/// reconstruct; a result document's content changed meets its held
-/// digest; and a doc id past the collection names no held record.
+/// in-process / over the wire: a revealed weight changed moves its
+/// term's doc-order root and so the dictionary root off the held one; a
+/// result document's content changed meets its held digest; and a doc id
+/// past the collection names no held record.
 #[test]
 fn doc_table_attacks_rejected_with_typed_verdicts() {
     for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
@@ -694,13 +681,10 @@ fn doc_table_attacks_rejected_with_typed_verdicts() {
         for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
             let (query, honest) = doc_table_query(mode, &publication, &corpus);
             let mut cases: Vec<(String, QueryResponse, VerifyError)> = Vec::new();
-            for attack in [Attack::ShiftDocId, Attack::AlterDocFrequency] {
-                let mut tampered = honest.clone();
-                assert!(attack.apply(&mut tampered));
-                let doc = changed_proof(&honest, &tampered);
-                let want = VerifyError::DocumentRoot { doc };
-                cases.push((attack.name().to_string(), tampered, want));
-            }
+            let mut tampered = honest.clone();
+            assert!(Attack::AlterDocFrequency.apply(&mut tampered));
+            let want = VerifyError::DictionaryRoot;
+            cases.push((Attack::AlterDocFrequency.name().into(), tampered, want));
             let mut tampered = honest.clone();
             assert!(Attack::TamperContent.apply(&mut tampered));
             let doc = tampered.contents[0].0;
@@ -709,7 +693,7 @@ fn doc_table_attacks_rejected_with_typed_verdicts() {
             let n = publication.verifier_params.num_docs() as u32;
             cases.push((
                 "doc id past the collection".into(),
-                doc_beyond_table_response(&honest, &publication.auth).expect("document proofs"),
+                doc_beyond_table_response(&honest, &publication.auth).expect("proved documents"),
                 VerifyError::UnknownDocument { doc: n },
             ));
             for path in [Path::InProcess, Path::Wire] {
@@ -748,7 +732,7 @@ fn document_proofs_off_the_encounter_order_rejected_with_typed_verdicts() {
         let (publication, corpus) = publish(mechanism);
         for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
             let (query, honest) = doc_table_query(mode, &publication, &corpus);
-            let proved: Vec<u32> = honest.vo.docs.iter().map(|dv| dv.doc).collect();
+            let proved: Vec<u32> = honest.vo.docs.clone();
             assert!(
                 proved.len() >= 2,
                 "{} {mode:?}: {proved:?}",
@@ -762,7 +746,7 @@ fn document_proofs_off_the_encounter_order_rejected_with_typed_verdicts() {
             let lens = honest.entries_read.clone();
             let extra = rebuilt_response(&publication.auth, &query, &honest, lens, padded, &corpus);
             let mut duplicated = honest.clone();
-            duplicated.vo.docs.push(honest.vo.docs[0].clone());
+            duplicated.vo.docs.push(honest.vo.docs[0]);
             let malformed = |why: String| VerifyError::MalformedProof(why);
             let cells = [
                 (
@@ -806,83 +790,137 @@ fn document_proofs_off_the_encounter_order_rejected_with_typed_verdicts() {
     }
 }
 
-/// The first sampled query whose honest response admits both key-order
-/// mutations and the claimed absence through a gap.
-fn doc_key_query(
+/// The first sampled query whose honest response admits every
+/// doc-order cell: a present query term claimed absent, a withheld
+/// bracket leaf, brackets made non-adjacent, an extra leaf, and a
+/// dropped document whose own leaf then settles nothing.
+fn term_fact_query(
     mode: QueryMode,
     publication: &Publication,
     corpus: &authsearch_corpus::Corpus,
 ) -> (Query, QueryResponse) {
-    let m = publication.auth.index().num_terms();
+    let auth = &publication.auth;
+    let m = auth.index().num_terms();
     (0..64)
         .map(|seed| {
             let ids = authsearch_corpus::workload::synthetic(m, 1, 3, seed).remove(0);
-            let query = Query::from_term_ids(publication.auth.index(), &ids).with_mode(mode);
-            let honest = publication.auth.query(&query, 10, corpus).unwrap();
+            let query = Query::from_term_ids(auth.index(), &ids).with_mode(mode);
+            let honest = auth.query(&query, 10, corpus).unwrap();
             (query, honest)
         })
         .find(|(_, honest)| {
-            Attack::DOC_KEY
-                .iter()
-                .all(|attack| attack.apply(&mut honest.clone()))
-                && absent_through_gap_response(honest, &publication.auth).is_some()
+            absent_through_gap_response(honest, auth).is_some()
+                && dropped_bracket_response(honest, auth).is_some()
+                && non_adjacent_brackets_response(honest, auth).is_some()
+                && extra_leaf_response(honest, auth).is_some()
+                && dropped_doc_leaf(honest).is_some()
         })
-        .expect("some sampled query admits every key-order attack")
+        .expect("some sampled query admits every doc-order cell")
 }
 
-/// The one document proof `tampered` changed, and the query term (by
-/// index) whose revealed leaf it withholds, if any.
-fn changed_doc(honest: &QueryResponse, tampered: &QueryResponse) -> (u32, Option<usize>) {
-    let (before, after) = honest
-        .vo
-        .docs
-        .iter()
-        .zip(&tampered.vo.docs)
-        .find(|(a, b)| a != b)
-        .expect("one document proof changed");
-    let hidden = before.revealed.iter().find_map(|leaf| {
-        let gone = !after.revealed.iter().any(|l| l.pos == leaf.pos);
-        let at = honest.vo.terms.iter().position(|tv| tv.term == leaf.term);
-        at.filter(|_| gone)
-    });
-    (before.doc, hidden)
+/// Where `Attack::DropDocProof` leaves a leaf that settles nothing: in
+/// the first term whose proof reveals the first proved document's own
+/// leaf with no revealed neighbour it could bracket with, that term and
+/// the leaf's position. `None` when no term's proof does.
+fn dropped_doc_leaf(honest: &QueryResponse) -> Option<(u32, u32)> {
+    let doc = *honest.vo.docs.first()?;
+    let vo = &honest.vo;
+    vo.terms.iter().zip(&vo.facts).find_map(|(tv, facts)| {
+        let j = facts.revealed.iter().position(|l| l.doc == doc)?;
+        let pos = facts.revealed[j].pos;
+        let lone = (j == 0 || facts.revealed[j - 1].pos + 1 < pos)
+            && facts.revealed.get(j + 1).is_none_or(|u| u.pos > pos + 1)
+            && pos > 0
+            && pos + 1 < tv.ft;
+        lone.then_some((tv.term, pos))
+    })
 }
 
-/// Every attack on the key order of document-MHT leaves gets its exact
-/// `VerifyError`, on TRA-MHT and TRA-CMHT × disjunctive / conjunctive ×
-/// in-process / over the wire: a bounding pair out of key order is a
-/// malformed proof of its document; a forged `c_t` moves the document
-/// root off the held one; a present query term claimed
-/// absent through a non-adjacent pair leaves its weight unproven, which
-/// the replay reports as insufficient (disjunctive) or as that
-/// document's unproven term (conjunctive).
+/// Every way of misproving a document fact in the doc-order trees gets
+/// its exact `VerifyError`, on TRA-MHT and TRA-CMHT × disjunctive /
+/// conjunctive × in-process / over the wire. Each reveal below is
+/// proved honestly, so only its set can object: a present query term
+/// claimed absent through a gap, a withheld bracket leaf and brackets
+/// that are not adjacent leave that document's fact unproven; a leaf no
+/// fact needs is malformed. A shifted weight moves the dictionary root.
+/// A fact for a document the replay never met is off the encounter
+/// list; a document dropped from the proved ones leaves its own leaf
+/// settling nothing; a term proof missing or extra is off the query's
+/// shape.
 #[test]
-fn doc_key_attacks_rejected_with_typed_verdicts() {
+fn term_fact_attacks_rejected_with_typed_verdicts() {
     for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
         let (publication, corpus) = publish(mechanism);
+        let auth = &publication.auth;
         for mode in [QueryMode::Disjunctive, QueryMode::Conjunctive] {
-            let (query, honest) = doc_key_query(mode, &publication, &corpus);
-            let mut cases: Vec<(String, QueryResponse, VerifyError)> = Vec::new();
-            for attack in Attack::DOC_KEY {
-                let mut tampered = honest.clone();
-                assert!(attack.apply(&mut tampered));
-                let (doc, _) = changed_doc(&honest, &tampered);
-                let want = match attack {
-                    Attack::SwapBoundingPair => VerifyError::MalformedProof(format!(
-                        "document {doc}: revealed leaves not strictly ordered"
-                    )),
-                    _ => VerifyError::DocumentRoot { doc },
-                };
-                cases.push((attack.name().into(), tampered, want));
+            let (query, honest) = term_fact_query(mode, &publication, &corpus);
+            let term = |i: usize| query.terms()[i].term;
+            let q = query.terms().len();
+            let mut cases: Vec<(&str, QueryResponse, VerifyError)> = Vec::new();
+            for (name, cell) in [
+                (
+                    "present term claimed absent",
+                    absent_through_gap_response(&honest, auth),
+                ),
+                (
+                    "bracket leaf withheld",
+                    dropped_bracket_response(&honest, auth),
+                ),
+                (
+                    "brackets not adjacent",
+                    non_adjacent_brackets_response(&honest, auth),
+                ),
+            ] {
+                let (tampered, doc, i) = cell.expect("the query admits the cell");
+                let want = VerifyError::FrequencyUnproven { doc, term: term(i) };
+                cases.push((name, tampered, want));
             }
-            let gap = absent_through_gap_response(&honest, &publication.auth).unwrap();
-            let (doc, hidden) = changed_doc(&honest, &gap);
-            let term = query.terms()[hidden.expect("a query-term leaf withheld")].term;
-            let want = match mode {
-                QueryMode::Disjunctive => VerifyError::InsufficientData(String::new()),
-                QueryMode::Conjunctive => VerifyError::FrequencyUnproven { doc, term },
-            };
-            cases.push(("present term claimed absent".into(), gap, want));
+            let (extra, (pos, doc), i) = extra_leaf_response(&honest, auth).unwrap();
+            let why = format!(
+                "term {}: revealed leaf {pos} (document {doc}) settles no proved document's fact",
+                term(i)
+            );
+            cases.push((
+                "extra revealed leaf",
+                extra,
+                VerifyError::MalformedProof(why),
+            ));
+            let mut shifted = honest.clone();
+            assert!(Attack::AlterDocFrequency.apply(&mut shifted));
+            cases.push(("shifted weight", shifted, VerifyError::DictionaryRoot));
+            let stranger = (0..).find(|d| !honest.vo.docs.contains(d)).unwrap();
+            let mut padded = honest.vo.docs.clone();
+            padded.push(stranger);
+            let lens = honest.entries_read.clone();
+            let never_met = rebuilt_response(auth, &query, &honest, lens, padded, &corpus);
+            let why = format!(
+                "document proof {} is for document {stranger} where the replay met no document",
+                honest.vo.docs.len()
+            );
+            let want = VerifyError::MalformedProof(why);
+            cases.push(("fact of a document never met", never_met, want));
+            let mut dropped = honest.clone();
+            assert!(Attack::DropDocProof.apply(&mut dropped));
+            let (t, pos) = dropped_doc_leaf(&honest).unwrap();
+            let why = format!(
+                "term {t}: revealed leaf {pos} (document {}) settles no proved document's fact",
+                honest.vo.docs[0]
+            );
+            cases.push((
+                "document dropped",
+                dropped,
+                VerifyError::MalformedProof(why),
+            ));
+            let mut missing = honest.clone();
+            missing.vo.facts.pop();
+            let why = format!("{} doc-order proofs for {q} expected", q - 1);
+            let want = VerifyError::QueryShapeMismatch(why);
+            cases.push(("term proof missing", missing, want));
+            let mut extra_term = honest.clone();
+            extra_term.vo.facts.push(honest.vo.facts[0].clone());
+            let why = format!("{} doc-order proofs for {q} expected", q + 1);
+            let want = VerifyError::QueryShapeMismatch(why);
+            cases.push(("term proof extra", extra_term, want));
 
             for path in [Path::InProcess, Path::Wire] {
                 let delivered = deliver(path, &query, honest.clone());
@@ -890,19 +928,11 @@ fn doc_key_attacks_rejected_with_typed_verdicts() {
                     .unwrap_or_else(|e| panic!("{} {mode:?} {path:?}: {e}", mechanism.name()));
                 for (name, tampered, want) in &cases {
                     let delivered = deliver(path, &query, tampered.clone());
-                    let got = verify::verify(&publication.verifier_params, &query, 10, &delivered)
-                        .expect_err(name);
-                    let holds = match (&got, want) {
-                        // The replay names the document whose weight it
-                        // could not read.
-                        (VerifyError::InsufficientData(why), VerifyError::InsufficientData(_)) => {
-                            why.contains(&format!("doc {doc} "))
-                        }
-                        _ => &got == want,
-                    };
-                    assert!(
-                        holds,
-                        "{} {mode:?} {path:?}: '{name}' gave {got:?}, want {want:?}",
+                    let got = verify::verify(&publication.verifier_params, &query, 10, &delivered);
+                    assert_eq!(
+                        got.as_ref().err(),
+                        Some(want),
+                        "{} {mode:?} {path:?}: '{name}'",
                         mechanism.name()
                     );
                 }
@@ -1011,25 +1041,25 @@ fn truncated_or_flipped_doc_table_trailer_rejected() {
     let params = &publication.verifier_params;
     let bytes = params.publication_bytes();
     let n = params.num_docs();
-    let records = 32 * n;
+    let records = 16 * n;
     let signature = params.public_key().signature_len();
     assert_eq!(bytes.len(), 55 + 2 + signature + records);
     let (head, trailer) = bytes.split_at(bytes.len() - records);
     let mut swapped = head.to_vec();
-    swapped.extend_from_slice(&trailer[32..64]);
-    swapped.extend_from_slice(&trailer[..32]);
-    swapped.extend_from_slice(&trailer[64..]);
+    swapped.extend_from_slice(&trailer[16..32]);
+    swapped.extend_from_slice(&trailer[..16]);
+    swapped.extend_from_slice(&trailer[32..]);
     let mut extra = bytes.clone();
-    extra.extend_from_slice(&trailer[..32]);
-    let short = &bytes[..bytes.len() - 32];
+    extra.extend_from_slice(&trailer[..16]);
+    let short = &bytes[..bytes.len() - 16];
     let cells: [(&str, &[u8], VerifyError); 3] = [
         (
             "one record short",
             short,
             VerifyError::MalformedPublication(format!(
                 "document record digest count {} exceeds what the remaining {} bytes can hold",
-                2 * n,
-                records - 32
+                n,
+                records - 16
             )),
         ),
         (
@@ -1253,11 +1283,10 @@ fn older_publication_reply_is_refused() {
 }
 
 /// An interior node presented as a leaf, in each tree type a mechanism's
-/// replies prove from (term-MHT or chain-MHT block, document-MHT,
-/// dictionary), is rejected in-process and over the wire: in a term or
-/// the dictionary tree with `VerifyError::DictionaryRoot`, in a
-/// document-MHT with `VerifyError::DocumentRoot` naming the document.
-/// Buddy inclusion is off, so prefixes and document reveals end
+/// replies prove from (term-MHT or chain-MHT block, doc-order tree,
+/// dictionary), is rejected in-process and over the wire with
+/// `VerifyError::DictionaryRoot`: every one of those roots reaches the
+/// held dictionary root. Buddy inclusion is off, so prefixes end
 /// mid-group and leave single unrevealed leaves in the proofs.
 #[test]
 fn interior_node_as_leaf_rejected_in_every_tree() {
@@ -1284,13 +1313,7 @@ fn interior_node_as_leaf_rejected_in_every_tree() {
                     .iter()
                     .map(|&tree| {
                         let forged = interior_as_leaf_response(&honest, &publication.auth, tree)?;
-                        let want = match tree {
-                            Tree::DocMht => VerifyError::DocumentRoot {
-                                doc: changed_proof(&honest, &forged),
-                            },
-                            _ => VerifyError::DictionaryRoot,
-                        };
-                        Some((tree, forged, want))
+                        Some((tree, forged, VerifyError::DictionaryRoot))
                     })
                     .collect();
                 Some((query, cases?))

@@ -4,7 +4,7 @@
 //! under every mechanism.
 
 use authsearch_core::access::{IndexLists, ListAccess, TableFreqs};
-use authsearch_core::types::DocTable;
+use authsearch_core::types::DocOrderedLists;
 use authsearch_core::{pscan, tnra, tra, Query};
 use authsearch_corpus::{SyntheticConfig, TermId};
 use authsearch_index::{build_index, InvertedIndex, OkapiParams};
@@ -35,7 +35,7 @@ proptest! {
         r in 1usize..15,
     ) {
         let index = index_for(corpus_seed, 120);
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let terms = pick_terms(&index, q, query_seed);
         let query = Query::from_term_ids(&index, &terms);
         let lists = IndexLists::new(&index, &query);
@@ -60,7 +60,7 @@ proptest! {
         r in 1usize..15,
     ) {
         let index = index_for(corpus_seed, 120);
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let terms = pick_terms(&index, q, query_seed);
         let query = Query::from_term_ids(&index, &terms);
         let lists = IndexLists::new(&index, &query);
@@ -88,7 +88,7 @@ proptest! {
         r in 1usize..15,
     ) {
         let index = index_for(corpus_seed, 120);
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let terms = pick_terms(&index, q, query_seed);
         let query = Query::from_term_ids(&index, &terms);
         let lists = IndexLists::new(&index, &query);
@@ -107,7 +107,7 @@ proptest! {
         r in 1usize..20,
     ) {
         let index = index_for(corpus_seed, 120);
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let terms = pick_terms(&index, q, query_seed);
         let query = Query::from_term_ids(&index, &terms);
         let lists = IndexLists::new(&index, &query);
@@ -136,7 +136,7 @@ proptest! {
         // The §3.1 criteria verbatim: results ordered by non-increasing
         // score, and every excluded document scores at most R.s_r.
         let index = index_for(corpus_seed, 100);
-        let table = DocTable::from_index(&index);
+        let table = DocOrderedLists::from_index(&index);
         let terms = pick_terms(&index, q, query_seed);
         let query = Query::from_term_ids(&index, &terms);
         let lists = IndexLists::new(&index, &query);

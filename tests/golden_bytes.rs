@@ -24,57 +24,57 @@ type Pin = (&'static str, usize, &'static str);
 const PINS: &[Pin] = &[
     (
         "vo TRA-MHT/disjunctive",
-        432,
-        "512ded6a73d16c644220d8ecb3cefe96",
+        321,
+        "f69924fc5000fdb43c1449e7ab712703",
     ),
     (
         "ok reply TRA-MHT/disjunctive",
-        612,
-        "b7cb02c14be660ed15d5c5375c86fef1",
+        501,
+        "473cf49d51a8201c07ba5f7f2331ac77",
     ),
     (
         "vo TRA-MHT/conjunctive",
-        239,
-        "35722a5bbcc1780e912e4722a65bafc3",
+        292,
+        "88fd84e4f6f8e263060b16ca6707ddd1",
     ),
     (
         "ok reply TRA-MHT/conjunctive",
-        374,
-        "5eae173e7224dae62e3477e126521624",
+        427,
+        "b73afb4015b726bd25788fe8763d468f",
     ),
-    ("snapshot TRA-MHT", 845, "07683c099bed8d20c04f2261f8944dba"),
-    ("manifest TRA-MHT", 56, "8715613303d8d5f4939374b0d18bf9a9"),
+    ("snapshot TRA-MHT", 845, "93cf10f16138c8e8a75c7d812c767f79"),
+    ("manifest TRA-MHT", 56, "f882ea6b588a664b9a0b1a0d00c2e6c8"),
     (
         "publication TRA-MHT",
-        409,
-        "07a89523f35047c1c0b3d9a22b29b0e3",
+        265,
+        "e51e749990ccfa68f31618339a3c84ed",
     ),
     (
         "vo TRA-CMHT/disjunctive",
-        315,
-        "e37944d7b9c60b96d71c229f4171ace4",
+        264,
+        "057852c566173cb80ce0b2c3509c9a8c",
     ),
     (
         "ok reply TRA-CMHT/disjunctive",
-        495,
-        "31e13e9b6551a706286a64b7f2d18d42",
+        444,
+        "a8b981209d595e15ebe91c0347bc806f",
     ),
     (
         "vo TRA-CMHT/conjunctive",
-        224,
-        "2a59c1e4d0a87e5ae68ef286c174b8e0",
+        292,
+        "f5830e6c6a44fef5e65f4b81666377c7",
     ),
     (
         "ok reply TRA-CMHT/conjunctive",
-        359,
-        "8f879e5011bb6729e707b2602ff35545",
+        427,
+        "f64982f846f0b1e8c358501b50fc5073",
     ),
-    ("snapshot TRA-CMHT", 845, "6275d6db92006da58ed0cc351968c498"),
-    ("manifest TRA-CMHT", 56, "f647b6429fb788eb00805535a526c34b"),
+    ("snapshot TRA-CMHT", 845, "7eb870c53590ca3b586a1cb4c93491f1"),
+    ("manifest TRA-CMHT", 56, "72634511adb81b3fe583159553ef1374"),
     (
         "publication TRA-CMHT",
-        409,
-        "ab74e00e79ce5877b1b1e8ee38c0b8eb",
+        265,
+        "ae3aa440712c5faddcee14c325ad7aad",
     ),
     (
         "vo TNRA-MHT/disjunctive",
@@ -84,7 +84,7 @@ const PINS: &[Pin] = &[
     (
         "ok reply TNRA-MHT/disjunctive",
         391,
-        "092e1c8c82433c6b4587937c4a187f88",
+        "3fc40104c4043baaada18a01db4b0318",
     ),
     (
         "vo TNRA-MHT/conjunctive",
@@ -94,10 +94,10 @@ const PINS: &[Pin] = &[
     (
         "ok reply TNRA-MHT/conjunctive",
         334,
-        "e2ef910572b8f43b411bd8aa3debbc9a",
+        "e8147d8a41da9a97f8ba4df624ca5868",
     ),
-    ("snapshot TNRA-MHT", 701, "fc1f15cd13f10e20257d15fd63ac0c49"),
-    ("manifest TNRA-MHT", 56, "378ac3dc8e62e97a287e02d350ff4018"),
+    ("snapshot TNRA-MHT", 701, "a8f6d038e06c1c0423de16c2b337c31e"),
+    ("manifest TNRA-MHT", 56, "57d00a8f75a91632f9b5d75e15a28482"),
     (
         "publication TNRA-MHT",
         121,
@@ -111,7 +111,7 @@ const PINS: &[Pin] = &[
     (
         "ok reply TNRA-CMHT/disjunctive",
         391,
-        "f4f8ef888196303b382c6eff33db1b57",
+        "396f37bfd581dce8af59acbaa4e88f25",
     ),
     (
         "vo TNRA-CMHT/conjunctive",
@@ -121,35 +121,35 @@ const PINS: &[Pin] = &[
     (
         "ok reply TNRA-CMHT/conjunctive",
         334,
-        "1e04be77700af1dd24b36b3c086bfebf",
+        "d4ef279c62f448f2a0f8d4a549fc0b62",
     ),
     (
         "snapshot TNRA-CMHT",
         701,
-        "72f00b689fd9333e31f95800b6867bc2",
+        "fe20652f244b7edc946707e8bf0d00da",
     ),
-    ("manifest TNRA-CMHT", 56, "2734bb0936092ac937d4d79fb9129480"),
+    ("manifest TNRA-CMHT", 56, "68e68d104abeabce092d683fda3c360d"),
     (
         "publication TNRA-CMHT",
         121,
         "6fa36e20a95fa78f83d8e965d4d3becf",
     ),
-    ("err reply", 38, "3e81a96c95c84319f7bc86f2a172ac85"),
-    ("request text", 34, "c0e6b03f2998fd4be78325b25e1ac64e"),
+    ("err reply", 38, "60cfb7233a1e01afbf93b055cc095ff5"),
+    ("request text", 34, "a56bf1e64d456e3db6e5c89f3c9787ae"),
     (
         "request terms/disjunctive",
         48,
-        "fbcdef184f5c03376d62d21aca14987f",
+        "62e74981fe00d39f818e37854cb57975",
     ),
     (
         "request terms/conjunctive",
         48,
-        "0f60bca90aab742a85128f02a9ab82c2",
+        "7ce63f23a29466110c1e6908428f7ca6",
     ),
     (
         "request publication",
         10,
-        "8a984b2deb4157582f0e57a75b5ec460",
+        "d2c60ff0106566780c7a05c537fe3e4a",
     ),
     ("index record", 424, "93056bf833d4b6f196167aad42905d04"),
 ];

@@ -7,7 +7,7 @@
 
 use authsearch_core::access::{IndexLists, TableFreqs};
 use authsearch_core::toy::{toy_index, toy_query, toy_term_id};
-use authsearch_core::types::DocTable;
+use authsearch_core::types::DocOrderedLists;
 use authsearch_core::{tnra, tra};
 
 const EPS: f64 = 2e-3;
@@ -22,7 +22,7 @@ fn assert_close(got: f64, want: f64, what: &str) {
 #[test]
 fn figure6_tra_trace() {
     let index = toy_index();
-    let table = DocTable::from_index(&index);
+    let table = DocOrderedLists::from_index(&index);
     let query = toy_query();
     let lists = IndexLists::new(&index, &query);
     let freqs = TableFreqs::new(&table, &query);
@@ -158,7 +158,7 @@ fn figure11_tnra_trace() {
 fn tnra_polls_more_than_tra_on_the_example() {
     // §3.4: TRA finishes in 6 iterations where TNRA needs 9.
     let index = toy_index();
-    let table = DocTable::from_index(&index);
+    let table = DocOrderedLists::from_index(&index);
     let query = toy_query();
     let lists = IndexLists::new(&index, &query);
     let freqs = TableFreqs::new(&table, &query);

@@ -3,7 +3,6 @@
 //! every proof the engine derives from it — must be bit-identical to the
 //! paper's sequential (`threads = 1`) model.
 
-use authsearch::core::pool::DOCS_PER_THREAD;
 use authsearch::core::wire;
 use authsearch::index::IoStats;
 use authsearch::prelude::*;
@@ -49,11 +48,11 @@ fn proofs_are_bit_identical_across_thread_counts() {
     }
 }
 
-/// Serve TRA replies that carry at least `4 × DOCS_PER_THREAD` document
-/// proofs — the four most frequent terms of a 400-document collection,
-/// disjunctive and conjunctive — from a publication built `threads`
-/// wide, so the engine builds them at that width, 16 times each.
-/// Returns each reply's wire-encoded VO and I/O trace.
+/// Serve TRA replies that prove over a hundred documents — the four
+/// most frequent terms of a 400-document collection, disjunctive and
+/// conjunctive — from a publication whose doc-order trees the build
+/// folded `threads` wide. Returns each reply's wire-encoded VO and I/O
+/// trace.
 fn serve_wide_tra(mechanism: Mechanism, threads: usize) -> Vec<(Vec<u8>, IoStats)> {
     let corpus = SyntheticConfig::tiny(400, 7).generate();
     let owner = DataOwner::with_cached_key(authsearch::crypto::keys::TEST_KEY_BITS);
@@ -68,17 +67,12 @@ fn serve_wide_tra(mechanism: Mechanism, threads: usize) -> Vec<(Vec<u8>, IoStats
     let mut top = terms[..4].to_vec();
     top.sort_unstable();
     let query = Query::from_term_ids(index, &top);
-    // Whether a helper thread claims any proofs depends on when it
-    // starts, so each reply is served many times.
-    (0..16)
-        .flat_map(|_| {
-            [QueryMode::Disjunctive, QueryMode::Conjunctive]
-                .map(|mode| engine.search(&query.clone().with_mode(mode), 10))
-        })
+    [QueryMode::Disjunctive, QueryMode::Conjunctive]
+        .map(|mode| engine.search(&query.clone().with_mode(mode), 10))
+        .into_iter()
         .map(|response| {
-            // Enough proofs that the widest engine really runs 4 wide.
             let docs = response.vo.docs.len();
-            assert!(docs >= 4 * DOCS_PER_THREAD, "{docs} document proofs");
+            assert!(docs >= 100, "{docs} proved documents");
             let vo = wire::encode(&response.vo).expect("VO fits the wire format");
             (vo, response.io)
         })

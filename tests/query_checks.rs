@@ -13,7 +13,9 @@ use authsearch_core::{
 };
 use authsearch_corpus::{Corpus, SyntheticConfig, TermId};
 use authsearch_crypto::keys::TEST_KEY_BITS;
-use authsearch_index::{build_index, ImpactEntry, InvertedIndex, InvertedList, OkapiParams};
+use authsearch_index::{
+    build_index, ImpactEntry, IndexError, InvertedIndex, InvertedList, OkapiParams,
+};
 
 const MODES: [QueryMode; 2] = [QueryMode::Disjunctive, QueryMode::Conjunctive];
 
@@ -209,12 +211,11 @@ fn client_refuses_malformed_posed_query() {
     }
 }
 
-/// Serving is total even over an index the paper's model excludes.
-/// `OkapiParams::new` refuses the parameters that give negative or NaN
-/// document weights, but `InvertedIndex::from_parts` admits any weight:
-/// over lists of negative weights TNRA's per-pop guard refuses the
-/// scan, and the engine returns that refusal as `QueryError::Refused`;
-/// it used to panic.
+/// An index the paper's model excludes cannot be built, so serving never
+/// meets one. `OkapiParams::new` refuses the parameters that give
+/// negative or NaN document weights, and `InvertedIndex::from_parts`
+/// refuses such a weight with a typed error, where it used to admit it
+/// and leave TNRA's scan to refuse the query at serving time.
 #[test]
 fn scan_refusal_is_a_typed_error() {
     let corpus = SyntheticConfig::tiny(150, 23).generate();
@@ -231,22 +232,16 @@ fn scan_refusal_is_a_typed_error() {
                 .collect(),
         )
     };
-    let index = InvertedIndex::from_parts(
+    let refused = InvertedIndex::from_parts(
         honest.params(),
         honest.num_docs(),
         honest.avg_doc_len(),
         (0..m).map(|t| honest.ft(t)).collect(),
         (0..m).map(negated).collect(),
     );
-    let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
-    for mechanism in [Mechanism::TnraMht, Mechanism::TnraCmht] {
-        let publication = owner.publish_index(index.clone(), AuthConfig::new(mechanism), &corpus);
-        let query = Query::from_term_ids(publication.auth.index(), &[0, 1, 2]);
-        let refused = publication.auth.query(&query, 150, &corpus);
-        assert!(
-            matches!(&refused, Err(QueryError::Refused(e)) if e.what.contains("not a non-negative")),
-            "{mechanism:?}: {:?}",
-            refused.map(|r| r.result)
-        );
-    }
+    assert!(
+        matches!(refused, Err(IndexError::BadWeight { term: 0, weight, .. }) if weight < 0.0),
+        "{:?}",
+        refused.map(|i| i.num_terms())
+    );
 }

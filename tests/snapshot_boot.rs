@@ -338,10 +338,11 @@ fn old_layout_snapshot_is_refused_as_stale() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// A snapshot of the previous layout, `ASA4`, holds the fields `ASA5`
-/// holds, but its signature signs document-MHTs whose leaves were in
-/// term-id order, so the refold would reject it as a bad manifest
-/// signature. It is refused first as `Stale`, naming its tag.
+/// A snapshot of an earlier layout, `ASA4` or `ASA5`, holds the fields
+/// `ASA6` holds, but its signature signs document-MHTs (leaves in
+/// term-id or frequency-class order), so the refold would reject it as
+/// a bad manifest signature. It is refused first as `Stale`, naming its
+/// tag.
 #[test]
 fn asa4_snapshot_is_refused_as_stale_by_name() {
     let dir = temp_dir("refused-asa4");
@@ -374,17 +375,22 @@ fn asa4_snapshot_is_refused_as_stale_by_name() {
                 "{why}"
             )
         }
-        other => panic!("ASA5 with a foreign signature: got {other:?}"),
+        other => panic!("ASA6 with a foreign signature: got {other:?}"),
     }
 
-    sections[2].0 = *b"ASA4";
-    save_snapshot_file(&path, &encode_snapshot(&sections).unwrap()).unwrap();
-    match boot(&path) {
-        Err(PersistError::Stale(why)) => assert_eq!(
-            why,
-            "snapshot holds the older authentication section ASA4; this build reads ASA5"
-        ),
-        other => panic!("ASA4: got {other:?}"),
+    for tag in [*b"ASA4", *b"ASA5"] {
+        let name = String::from_utf8_lossy(&tag).into_owned();
+        sections[2].0 = tag;
+        save_snapshot_file(&path, &encode_snapshot(&sections).unwrap()).unwrap();
+        match boot(&path) {
+            Err(PersistError::Stale(why)) => assert_eq!(
+                why,
+                format!(
+                    "snapshot holds the older authentication section {name}; this build reads ASA6"
+                )
+            ),
+            other => panic!("{name}: got {other:?}"),
+        }
     }
     assert_refused_and_untouched(
         &path,

@@ -220,44 +220,49 @@ fn oversized_claims_rejected_cheaply() {
     assert!(decode_reply_payload(wire::kind::REPLY_OK, &payload).is_err());
 
     // Same for an absurd count nested inside the VO encoding: a
-    // 10-byte VO whose varint document count claims 2^26 proofs is
-    // refused before any allocation sized by the claim.
+    // 10-byte VO whose varint document count claims 2^26 proved
+    // documents is refused before any allocation sized by the claim.
     let mut vo = Vec::new();
     vo.extend_from_slice(b"AVO1");
     vo.push(0); // mechanism
     vo.push(0); // no term proofs
-    vo.extend_from_slice(&[0x80, 0x80, 0x80, 0x20]); // 2^26 doc proofs
+    vo.extend_from_slice(&[0x80, 0x80, 0x80, 0x20]); // 2^26 documents
     let err = wire::decode(&vo).unwrap_err().to_string();
-    assert!(err.contains("document proof count 67108864"), "{err}");
-    // And one that claims 2^26 revealed leaves in a 2^26-leaf tree.
+    assert!(err.contains("proved document count 67108864"), "{err}");
+    // And one whose doc-order proof claims 2^26 revealed leaves.
     let mut vo = Vec::new();
     vo.extend_from_slice(b"AVO1");
     vo.push(0);
     vo.push(0);
-    vo.push(1); // one document proof
+    vo.push(1); // one proved document
     vo.push(1); // doc id 1
-    vo.extend_from_slice(&[0x80, 0x80, 0x80, 0x20]); // 2^26 leaves
-    vo.extend_from_slice(&[0x80, 0x80, 0x80, 0x20]); // all revealed
+    vo.push(1); // one doc-order proof
+    vo.extend_from_slice(&[0x80, 0x80, 0x80, 0x20]); // 2^26 revealed
     let err = wire::decode(&vo).unwrap_err().to_string();
     assert!(err.contains("revealed leaf count 67108864"), "{err}");
 }
 
 /// A foreign version is rejected by name: a future client cannot be
-/// silently misparsed by this server, and neither can the four previous
-/// versions. A v7 reply ends its VO with a manifest signature (and under
+/// silently misparsed by this server, and neither can the five previous
+/// versions. A v8 TRA reply carries one document-MHT proof per proved
+/// document where v9 carries their doc ids and one doc-order proof per
+/// query term. A v7 reply ends its VO with a manifest signature (and under
 /// TRA a document-table proof, with a content flag in every document
 /// proof) that v8 drops, a v6 reply carries its VO in fixed-width fields
 /// where v7 writes varints and gap-coded leaf positions, a v5 TRA reply
 /// carries plain document-leaf positions where v6 packs each leaf's
 /// `c_t` into the top bits, and a v4 conjunctive request (flags byte,
 /// mode byte, then `r | n | pairs`) reuses kind `0x03` under a
-/// different payload layout, so the header check must refuse all three
+/// different payload layout, so the header check must refuse all of them
 /// before any payload decoder sees them.
 #[test]
 fn foreign_version_rejected_by_name() {
-    assert_eq!(wire::WIRE_VERSION, 8);
+    assert_eq!(wire::WIRE_VERSION, 9);
     let mut bumped = sample_ok_frame();
     bumped[4] = wire::WIRE_VERSION + 1;
+
+    let mut v8_reply = sample_ok_frame();
+    v8_reply[4] = 8;
 
     let mut v7_reply = sample_ok_frame();
     v7_reply[4] = 7;
@@ -280,14 +285,15 @@ fn foreign_version_rejected_by_name() {
     v4_request.extend_from_slice(&v4_payload);
 
     let frames = [
-        (9, bumped),
+        (10, bumped),
+        (8, v8_reply),
         (7, v7_reply),
         (6, v6_reply),
         (5, v5_reply),
         (4, v4_request),
     ];
     for (version, frame) in frames {
-        let named = format!("version {version} (this build speaks 8)");
+        let named = format!("version {version} (this build speaks 9)");
         let header: [u8; FRAME_HEADER_LEN] = frame[..FRAME_HEADER_LEN].try_into().unwrap();
         let err = decode_frame_header(&header).unwrap_err();
         assert!(err.to_string().contains(&named), "{err}");
