@@ -202,7 +202,7 @@ pub(crate) fn term_ids(query: &Query) -> Vec<TermId> {
 /// The VO a reply measured as `m` would be under the paper's design: its
 /// document facts (TRA) proved in per-document MHTs in place of the
 /// doc-order proofs, everything else as served.
-pub(crate) fn paper_vo_size(
+fn paper_vo_size(
     models: &Models,
     auth: &AuthenticatedIndex,
     query: &Query,

@@ -214,8 +214,7 @@ fn client_refuses_malformed_posed_query() {
 /// An index the paper's model excludes cannot be built, so serving never
 /// meets one. `OkapiParams::new` refuses the parameters that give
 /// negative or NaN document weights, and `InvertedIndex::from_parts`
-/// refuses such a weight with a typed error, where it used to admit it
-/// and leave TNRA's scan to refuse the query at serving time.
+/// refuses such a weight with a typed error.
 #[test]
 fn scan_refusal_is_a_typed_error() {
     let corpus = SyntheticConfig::tiny(150, 23).generate();
