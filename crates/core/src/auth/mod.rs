@@ -111,7 +111,7 @@ pub struct AuthConfig {
     pub layout: BlockLayout,
     /// Buddy inclusion (paper default: on for CMHT, off for plain MHT).
     pub buddy: bool,
-    /// The width of every [`crate::pool::map`]: the owner-side build
+    /// The width of every `crate::pool::map`: the owner-side build
     /// ([`AuthenticatedIndex::build`]) and the snapshot boot. `0` (the
     /// default) uses the machine's available parallelism, `1` runs the
     /// paper's sequential model on the calling thread, and `n ≥ 2` fans
@@ -146,7 +146,7 @@ impl AuthConfig {
     }
 
     /// The effective owner-build worker count: [`AuthConfig::threads`],
-    /// with `0` resolved to [`crate::pool::available_parallelism`].
+    /// with `0` resolved to `crate::pool::available_parallelism`.
     pub(crate) fn build_threads(&self) -> usize {
         if self.threads == 0 {
             crate::pool::available_parallelism()
@@ -304,7 +304,7 @@ type TermFold = (
     Option<(Box<[ImpactEntry]>, Box<[Digest]>)>,
 );
 
-/// Every term's [`TermFold`], folded [`pool::map`]-parallel over
+/// Every term's [`TermFold`], folded `pool::map`-parallel over
 /// `threads`: the dictionary roots, and the structures that are the
 /// resident source of term and fact proofs ([`cache::ServeCache`]).
 fn term_structures(threads: usize, config: &AuthConfig, index: &InvertedIndex) -> Vec<TermFold> {
@@ -369,7 +369,7 @@ pub(crate) fn dict_leaf_digest(term: TermId, ft: u32, root: &Digest) -> Digest {
 }
 
 /// The dictionary-MHT over every term of `index`, leaf `t` binding term
-/// `t`, its `f_t` and `roots[t]`, folded [`pool::map`]-parallel.
+/// `t`, its `f_t` and `roots[t]`, folded `pool::map`-parallel.
 fn dict_tree(threads: usize, index: &InvertedIndex, roots: &[Digest]) -> MerkleTree {
     let leaves = pool::map(threads, roots.len(), |t| {
         let t = t as TermId;
@@ -409,7 +409,7 @@ pub(crate) fn publication_message(
 // ---- the one fold ---------------------------------------------------------
 
 /// The content digest `h(doc)` of every document `0..n`, hashed
-/// [`pool::map`]-parallel over `threads`: what the TRA build binds into
+/// `pool::map`-parallel over `threads`: what the TRA build binds into
 /// the document table, and what a boot compares a served corpus against.
 fn content_digests<C: ContentProvider>(threads: usize, n: usize, contents: &C) -> Vec<Digest> {
     pool::map(threads, n, |d| Digest::hash(&contents.content(d as DocId)))
@@ -509,7 +509,7 @@ impl Fold {
 
 // ---- the owner's artifact -------------------------------------------------
 
-/// A [`pool::map`] width with no thread behind it, as
+/// A `pool::map` width with no thread behind it, as
 /// [`AuthenticatedIndex::serve_pool`] reports it.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -553,7 +553,7 @@ impl AuthenticatedIndex {
     ///
     /// The folds are embarrassingly parallel — every term's structures
     /// and dictionary leaf, and every document's content digest, is
-    /// independent — so they fan out through [`pool::map`] over
+    /// independent — so they fan out through `pool::map` over
     /// [`AuthConfig::threads`] threads (`threads: 1` keeps the
     /// paper's sequential owner model on the calling thread). Results are
     /// collected in index order, making the artifact **bit-identical for
@@ -616,7 +616,7 @@ impl AuthenticatedIndex {
         fold.into_index(config, index, signature, key.public_key().clone())
     }
 
-    /// The [`pool::map`] width of the build and the boot. Serving runs
+    /// The `pool::map` width of the build and the boot. Serving runs
     /// on the calling thread; the value stays for a report line.
     #[doc(hidden)]
     pub fn serve_pool(&self) -> MapWidth {

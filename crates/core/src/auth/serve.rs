@@ -680,8 +680,8 @@ mod tests {
     #[test]
     fn conjunctive_tra_reveals_anchor_prefix_and_heads() {
         // Exhausted scan (the toy anchor is one document long): the whole
-        // anchor, zero-length prefixes elsewhere, and one document proof
-        // per anchor document, in list order.
+        // anchor, zero-length prefixes elsewhere, and every anchor
+        // document proved, in list order.
         let a = auth(Mechanism::TraMht);
         let query = conjunctive_toy_query();
         let resp = a.query(&query, 2, &toy_contents()).unwrap();
@@ -726,7 +726,7 @@ mod tests {
     #[test]
     fn early_stop_keeps_the_result_bit_for_bit() {
         // Against the full-anchor reveal of the same query: the same
-        // result bit for bit, and strictly fewer document proofs on some
+        // result bit for bit, and strictly fewer proved documents on some
         // query, so the stop fires. The early reply verifies.
         for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
             let (publication, corpus, queries) = conjunctive_workload(mechanism);

@@ -43,7 +43,7 @@
 //!    [`AuthConfig`] — a snapshot of a *different* artifact is
 //!    [`PersistError::Stale`], not silently served;
 //! 3. **refold, then one signature**: the owner's fold runs over the
-//!    loaded index and content digests, through [`crate::pool::map`] at
+//!    loaded index and content digests, through `crate::pool::map` at
 //!    the configured width, and the manifest it yields must carry a
 //!    valid signature under the snapshot's embedded key, which
 //!    [`boot_authenticated_index`] requires to be the owner's

@@ -16,13 +16,13 @@
 //! * [`types`] — queries, results, the per-document frequency table;
 //! * [`pscan`] — the conventional Prioritized Scanning baseline (Fig. 2);
 //! * [`tra`] / [`tnra`] — the threshold algorithms (Figs. 5, 10);
-//! * [`auth`] — owner-side structures: term-MHTs, chain-MHTs, document-
-//!   MHTs, dictionary-MHT, signatures; server-side VO construction with
+//! * [`auth`] — owner-side structures: term-MHTs, chain-MHTs, doc-order
+//!   trees, dictionary-MHT, signatures; server-side VO construction with
 //!   disk accounting over structures resident from the build or boot;
 //!   storage reports;
-//! * [`pool`] — the scoped-thread parallel `map` behind the owner build,
-//!   the snapshot boot and both ends of a TRA reply (the server's job
-//!   queue and its readiness reactor are crate-internal);
+//! * `pool` — the scoped-thread parallel `map` behind the owner build
+//!   and the snapshot boot (crate-internal, as is the server's readiness
+//!   reactor);
 //! * [`verify`](mod@verify) — user-side verification (authenticate,
 //!   then replay);
 //! * [`buddy`] — the buddy-inclusion VO optimization (§3.3.2);

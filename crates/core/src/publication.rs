@@ -195,7 +195,7 @@ fn read(r: &mut Reader<'_>) -> Result<SignedPublication, Malformed> {
 
 /// The document-table root over the content digests `docs`: leaf `d`
 /// is [`doc_table_leaf`] of document `d`'s, the leaves hashed
-/// [`pool::map`]-parallel over `threads`. `None` for no documents.
+/// `pool::map`-parallel over `threads`. `None` for no documents.
 pub(crate) fn fold_doc_table(threads: usize, docs: &[Digest]) -> Option<Digest> {
     let leaves = pool::map(threads, docs.len(), |d| {
         doc_table_leaf(d as DocId, &docs[d])

@@ -35,10 +35,8 @@
 //!   served and its reply begun on the event-loop thread, one query at a
 //!   time, as the paper's engine answers one query at a time. Each
 //!   connection gets at most one query per poll round, so a peer that
-//!   pipelines without pause takes turns with the others. Only a TRA
-//!   reply's document proofs fan out, through [`crate::pool::map`]'s
-//!   scoped helpers ([`AuthConfig::threads`] wide); a `threads = 1`
-//!   deployment spawns no thread but the loop's.
+//!   pipelines without pause takes turns with the others. No part of a
+//!   reply leaves the loop thread.
 //! * **Warm from the first query**: every authentication structure is
 //!   resident from the build or snapshot boot, so startup has nothing to
 //!   warm and the first wave of traffic builds nothing.

@@ -23,9 +23,7 @@
 //! pump (`answer`, which is also the panic boundary). A pump serves at
 //! most one request, so connections take turns: a pipelining peer gets
 //! one query per poll round, and accepts, timers and the shutdown check
-//! run between rounds. Only a TRA
-//! reply's document proofs fan out, through [`crate::pool::map`]'s
-//! scoped helpers; at `threads = 1` nothing leaves the loop thread.
+//! run between rounds. No part of a reply leaves the loop thread.
 
 use super::conn::{Conn, ConnEnv, Step, Want};
 use super::{busy_message, effective_write_timeout, execute_job, prepare_job, Shared};

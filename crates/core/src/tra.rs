@@ -8,8 +8,9 @@
 //! r-th best score found so far.
 //!
 //! On first encounter of a document, *all* its query-term weights are
-//! fetched at once (the random access; served by the document-MHTs in the
-//! authenticated setting) and its exact score computed.
+//! fetched at once (the random access; served by each term's list in
+//! doc-id order, and proved by its doc-order tree, in the authenticated
+//! setting) and its exact score computed.
 //!
 //! The same [`run`] is the engine's scan and the client's replay. It
 //! finds first encounters through the one doc-id map (`types::DocIdMap`)

@@ -6,9 +6,10 @@
 //! paper assumes for MD5-sized digests — while avoiding MD5's known breaks.
 //!
 //! The Merkle hashes take the fastest path the CPU offers. On x86-64 with
-//! the SHA extensions, [`Digest::combine`] and the 4- and 8-byte forms of
-//! [`Digest::leaf`] (a TRA term-list leaf; a document-MHT or TNRA leaf)
-//! run one-block kernels that build the message in registers. Every
+//! the SHA extensions, [`Digest::combine`] and the 4-, 8- and 9-byte
+//! forms of [`Digest::leaf`] (a TRA term-list leaf, a TNRA leaf, a
+//! doc-order leaf) run one-block kernels that build the message in
+//! registers. Every
 //! other message, and every message on other CPUs, is padded in one
 //! stack block when it fits (at most 55 bytes with its prefix) and
 //! streamed otherwise. All paths compute the same SHA-256, so no digest

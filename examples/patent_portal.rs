@@ -28,8 +28,9 @@ const PATENTS: [&str; 10] = [
 ];
 
 fn main() {
-    // The patent office publishes with TRA-CMHT: document-MHTs also bind
-    // each patent's full text, so examiners detect content tampering too.
+    // The patent office publishes with TRA-CMHT: its publication also
+    // binds each patent's full text, so examiners detect content
+    // tampering too.
     let corpus = CorpusBuilder::new().min_df(1).add_texts(PATENTS).build();
     let config = AuthConfig::new(Mechanism::TraCmht);
     let owner = DataOwner::with_cached_key(PAPER_KEY_BITS);

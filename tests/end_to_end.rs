@@ -189,7 +189,8 @@ fn vo_reports_sane_sizes() {
 
 #[test]
 fn space_reports_match_paper_shape() {
-    // §4.1: TRA needs far more extra space than TNRA (document-MHTs).
+    // §4.1: TRA needs far more extra space than TNRA (its document
+    // facts' trees).
     let corpus = SyntheticConfig::tiny(300, 77).generate();
     let owner = DataOwner::with_cached_key(TEST_KEY_BITS);
     let contents_bytes: u64 = (0..corpus.num_docs() as u32)
