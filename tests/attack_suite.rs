@@ -793,7 +793,7 @@ fn document_proofs_off_the_encounter_order_rejected_with_typed_verdicts() {
 /// The first sampled query whose honest response admits every
 /// doc-order cell: a present query term claimed absent, a withheld
 /// bracket leaf, brackets made non-adjacent, an extra leaf, and a
-/// dropped document whose own leaf then settles nothing.
+/// dropped document that leaves some leaf settling nothing.
 fn term_fact_query(
     mode: QueryMode,
     publication: &Publication,
@@ -818,21 +818,36 @@ fn term_fact_query(
         .expect("some sampled query admits every doc-order cell")
 }
 
-/// Where `Attack::DropDocProof` leaves a leaf that settles nothing: in
-/// the first term whose proof reveals the first proved document's own
-/// leaf with no revealed neighbour it could bracket with, that term and
-/// the leaf's position. `None` when no term's proof does.
-fn dropped_doc_leaf(honest: &QueryResponse) -> Option<(u32, u32)> {
-    let doc = *honest.vo.docs.first()?;
-    let vo = &honest.vo;
+/// Where `Attack::DropDocProof` leaves a leaf that settles nothing: the
+/// first revealed leaf, by query term then position, that no remaining
+/// proved document's fact uses — as its own leaf, or as one of the two
+/// adjacent leaves (or the end leaf) bracketing its doc id. Returns that
+/// term and the leaf's position and document; `None` when every leaf
+/// still settles a fact.
+fn dropped_doc_leaf(honest: &QueryResponse) -> Option<(u32, u32, u32)> {
+    let (vo, remaining) = (&honest.vo, honest.vo.docs.get(1..)?);
     vo.terms.iter().zip(&vo.facts).find_map(|(tv, facts)| {
-        let j = facts.revealed.iter().position(|l| l.doc == doc)?;
-        let pos = facts.revealed[j].pos;
-        let lone = (j == 0 || facts.revealed[j - 1].pos + 1 < pos)
-            && facts.revealed.get(j + 1).is_none_or(|u| u.pos > pos + 1)
-            && pos > 0
-            && pos + 1 < tv.ft;
-        lone.then_some((tv.term, pos))
+        let revealed = &facts.revealed;
+        let mut used = vec![false; revealed.len()];
+        for &d in remaining {
+            match revealed.binary_search_by_key(&d, |l| l.doc) {
+                Ok(j) => used[j] = true,
+                Err(j) => {
+                    let (lower, upper) = (j.checked_sub(1), revealed.get(j).map(|_| j));
+                    let bracket = match (lower, upper) {
+                        (Some(l), Some(u)) => revealed[u].pos == revealed[l].pos + 1,
+                        (None, Some(u)) => revealed[u].pos == 0,
+                        (Some(l), None) => revealed[l].pos + 1 == tv.ft,
+                        (None, None) => false,
+                    };
+                    for at in [lower, upper].into_iter().flatten().filter(|_| bracket) {
+                        used[at] = true;
+                    }
+                }
+            }
+        }
+        let j = used.iter().position(|&u| !u)?;
+        Some((tv.term, revealed[j].pos, revealed[j].doc))
     })
 }
 
@@ -844,9 +859,9 @@ fn dropped_doc_leaf(honest: &QueryResponse) -> Option<(u32, u32)> {
 /// that are not adjacent leave that document's fact unproven; a leaf no
 /// fact needs is malformed. A shifted weight moves the dictionary root.
 /// A fact for a document the replay never met is off the encounter
-/// list; a document dropped from the proved ones leaves its own leaf
-/// settling nothing; a term proof missing or extra is off the query's
-/// shape.
+/// list; a document dropped from the proved ones leaves a leaf (its
+/// own, or a bracket only it needed) settling nothing; a term proof
+/// missing or extra is off the query's shape.
 #[test]
 fn term_fact_attacks_rejected_with_typed_verdicts() {
     for mechanism in [Mechanism::TraMht, Mechanism::TraCmht] {
@@ -901,10 +916,9 @@ fn term_fact_attacks_rejected_with_typed_verdicts() {
             cases.push(("fact of a document never met", never_met, want));
             let mut dropped = honest.clone();
             assert!(Attack::DropDocProof.apply(&mut dropped));
-            let (t, pos) = dropped_doc_leaf(&honest).unwrap();
+            let (t, pos, doc) = dropped_doc_leaf(&honest).unwrap();
             let why = format!(
-                "term {t}: revealed leaf {pos} (document {}) settles no proved document's fact",
-                honest.vo.docs[0]
+                "term {t}: revealed leaf {pos} (document {doc}) settles no proved document's fact"
             );
             cases.push((
                 "document dropped",
